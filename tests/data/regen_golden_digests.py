@@ -1,38 +1,93 @@
 """Regenerate ``golden_tiny_digests.json`` (run from the repo root).
 
 Only do this for an *intentional* behavioural change — the digests are
-the bitwise-equivalence contract of the DES fast path and of the
-workload SDK (every registered workload through every runtime), and any
-drift on an optimization-only change is a bug, not a baseline refresh.
+the bitwise-equivalence contract of the DES core and of the workload
+SDK (every registered workload through every runtime), and any drift on
+an optimization-only change is a bug, not a baseline refresh.
 
-    PYTHONPATH=src python tests/data/regen_golden_digests.py
+    PYTHONPATH=src python tests/data/regen_golden_digests.py [--out PATH]
+
+Each cell has two parts, because they are portable to different degrees:
+
+- ``sim`` — the simulator's own determinism: virtual execution time,
+  task and remote-message counts, and a sha256 over the trace's span
+  sequence. Pure Python over virtual-clock floats, so it is bitwise
+  identical on every host. Spans are recorded in completion order, so
+  the hash also pins same-instant event ordering.
+- ``energy`` — the correlation energy of the output tensor. It goes
+  through the host BLAS, which rounds differently between builds
+  (1-2 ulp), so across hosts it is compared at 1e-13 relative. On *one*
+  host it is still bitwise reproducible: ``--out`` at two commits and a
+  ``diff`` of the two files checks every field, energies included.
 """
 
+import argparse
+import hashlib
 import json
 from pathlib import Path
 
 from repro.core.api import RunConfig, run
+from repro.sim.cluster import Cluster, ClusterConfig
 from repro.tce.reference import correlation_energy
+from repro.workloads import build_workload
 
 WORKLOADS = ("t2_7", "ccsd", "rbgs")
 RUNTIMES = ("legacy", "v1", "v2", "v3", "v4", "v5", "dtd")
-CONFIG = RunConfig(n_nodes=4, cores_per_node=2, seed=7, metrics=False)
+GOLDEN = Path(__file__).parent / "golden_tiny_digests.json"
+
+
+def trace_sha256(trace) -> str:
+    """Hash of the span sequence, in record (= completion) order."""
+    digest = hashlib.sha256()
+    for span in trace.events:
+        row = (
+            span.node,
+            span.thread,
+            span.category.value,
+            span.label,
+            span.t_start.hex(),
+            span.t_end.hex(),
+            json.dumps(span.meta, sort_keys=True),
+        )
+        digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def run_cell(workload: str, runtime: str):
+    """One traced tiny run; returns ``(cell digest, workload object)``."""
+    cluster = Cluster(
+        ClusterConfig(
+            n_nodes=4, cores_per_node=2, trace_enabled=True, metrics_enabled=False
+        )
+    )
+    built = build_workload(f"{workload}:tiny", cluster, seed=7)
+    result = run(built, runtime=runtime, config=RunConfig(metrics=False))
+    cell = {
+        "sim": {
+            "execution_time": result.execution_time.hex(),
+            "n_tasks": result.n_tasks,
+            "remote_messages": cluster.network.remote_messages,
+            "trace_sha256": trace_sha256(cluster.trace),
+        },
+        "energy": correlation_energy(result.output.flat_values()).hex(),
+    }
+    return cell, built
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--out", type=Path, default=GOLDEN, help=f"output file (default {GOLDEN})"
+    )
+    args = parser.parse_args()
     digests = {}
     for workload in WORKLOADS:
         digests[workload] = {}
         for runtime in RUNTIMES:
-            result = run(f"{workload}:tiny", runtime=runtime, config=CONFIG)
-            digests[workload][runtime] = {
-                "execution_time": result.execution_time.hex(),
-                "energy": correlation_energy(result.output.flat_values()).hex(),
-            }
+            digests[workload][runtime], _ = run_cell(workload, runtime)
             print(workload, runtime, digests[workload][runtime])
-    path = Path(__file__).parent / "golden_tiny_digests.json"
-    path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
+    args.out.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {args.out}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 
 import json
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -11,6 +10,7 @@ from repro.core.api import RunConfig, run
 from repro.experiments.calibration import make_cluster, make_workload
 from repro.obs import RunReport, RunResult
 from repro.util.errors import ConfigurationError
+from tests.data import regen_golden_digests as regen
 
 TINY = RunConfig(n_nodes=4, cores_per_node=2, seed=7)
 
@@ -114,23 +114,23 @@ class TestDeterminism:
 
 
 class TestGoldenDigests:
-    """Bitwise virtual-time + energy digests: workload x runtime.
+    """Golden digests, workload x runtime, split by portability.
 
-    The t2_7 digests were captured *before* the DES fast path
-    (immediate lane, try_get workers, inspection cache) landed and
-    survived the workload-SDK refactor bit for bit; the ccsd and rbgs
-    digests pin the two new workloads through every runtime the same
-    way. Regenerate with ``tests/data/regen_golden_digests.py`` only
-    for an intentional behavioural change.
+    ``sim`` (virtual time, task/message counts, trace-order hash) is the
+    simulator's determinism contract and is asserted bitwise on every
+    host. ``energy`` goes through the host BLAS, which rounds 1-2 ulp
+    differently between builds, so it is checked at 1e-13 relative —
+    against the committed value and against the dense reference. See
+    ``tests/data/regen_golden_digests.py``; regenerate only for an
+    intentional behavioural change.
     """
 
-    GOLDEN = Path(__file__).parent / "data" / "golden_tiny_digests.json"
-    WORKLOADS = ["t2_7", "ccsd", "rbgs"]
-    RUNTIMES = ["legacy", "v1", "v2", "v3", "v4", "v5", "dtd"]
+    WORKLOADS = list(regen.WORKLOADS)
+    RUNTIMES = list(regen.RUNTIMES)
 
     @pytest.fixture(scope="class")
     def golden(self):
-        return json.loads(self.GOLDEN.read_text())
+        return json.loads(regen.GOLDEN.read_text())
 
     def test_covers_every_workload_and_runtime(self, golden):
         assert sorted(golden) == sorted(self.WORKLOADS)
@@ -142,11 +142,13 @@ class TestGoldenDigests:
     def test_digest_bitwise_stable(self, golden, workload, rt):
         from repro.tce.reference import correlation_energy
 
-        config = RunConfig(n_nodes=4, cores_per_node=2, seed=7, metrics=False)
-        result = run(f"{workload}:tiny", runtime=rt, config=config)
-        assert result.execution_time.hex() == golden[workload][rt]["execution_time"]
-        energy = correlation_energy(result.output.flat_values())
-        assert energy.hex() == golden[workload][rt]["energy"]
+        cell, built = regen.run_cell(workload, rt)
+        assert cell["sim"] == golden[workload][rt]["sim"]
+        energy = float.fromhex(cell["energy"])
+        committed = float.fromhex(golden[workload][rt]["energy"])
+        assert energy == pytest.approx(committed, rel=1e-13, abs=0.0)
+        reference = correlation_energy(built.reference_values())
+        assert energy == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
 class TestInspectionCache:
