@@ -21,7 +21,11 @@ from repro.sim.engine import Engine
 
 @pytest.mark.benchmark(group="micro")
 def test_micro_engine_event_throughput(benchmark):
-    """Cost of scheduling + dispatching 10k timeout events."""
+    """Timer churn: four serial owners, 2500 ``engine.timeout`` waits each.
+
+    Every wait is one arm (heap push), one fire (heap pop) and one lane
+    hop on a recycled one-shot ``Timer``.
+    """
 
     def run():
         engine = Engine()
@@ -42,9 +46,8 @@ def test_micro_engine_event_throughput(benchmark):
 def test_micro_engine_dispatch_cascade(benchmark):
     """Zero-delay event cascades: the immediate-lane fast path.
 
-    succeed -> callback -> succeed chains, 50k hops. Before the lane
-    every hop cost a heapq push/pop of a (time, seq, call) tuple; now
-    hops ride a plain FIFO (see README.md, "Performance").
+    succeed -> callback -> succeed chains, 50k hops, none of which
+    touches the timed heap (see README.md, "Performance").
     """
 
     def run():
@@ -96,42 +99,10 @@ def test_micro_store_pingpong(benchmark):
 
 
 @pytest.mark.benchmark(group="micro")
-def test_micro_timeline_timer_churn(benchmark):
-    """Re-arm/fire churn through the array-backed timeline.
-
-    The same shape as test_micro_engine_event_throughput — four serial
-    owners, 2500 timed waits each — but every wait rides a reusable
-    timeline channel instead of allocating a Timeout + ScheduledCall
-    per event. The merged drain order is identical (the equivalence is
-    asserted in tests/sim/test_timeline.py); the ratio of these two
-    benchmarks is the per-event win of the struct-of-arrays store.
-    """
-    from repro.sim.timeline import KIND_TASK
-
-    def run():
-        engine = Engine()
-
-        def worker():
-            timer = engine.timeline.timer(KIND_TASK)
-            for _ in range(2500):
-                yield timer.after(1.0)
-
-        for _ in range(4):
-            engine.process(worker())
-        engine.run()
-        return engine.now
-
-    assert benchmark(run) == 2500.0
-
-
-@pytest.mark.benchmark(group="micro")
 def test_micro_bandwidth_reschedule_churn(benchmark):
-    """Processor-sharing arrivals: every transfer re-arms one DIRECT row.
-
-    Before the timeline this path cancelled and re-pushed a
-    ScheduledCall per arrival; the lazily-shed stale rows now stay in
-    the timeline heap and the wakeup fires straight from the drain
-    slot.
+    """Processor-sharing arrivals: every transfer cancels and re-arms the
+    server's one direct-mode wakeup ``Timer``; the stale rows are shed
+    lazily and the wakeup fires straight from the drain slot.
     """
 
     def run():
@@ -161,7 +132,7 @@ def test_micro_cancelled_timer_churn(benchmark):
         peak = 0
         for i in range(20_000):
             engine.schedule(1.0 + i, lambda: None).cancel()
-            peak = max(peak, engine.heap_size)
+            peak = max(peak, engine.timeline.pending)
         engine.run()
         return peak
 

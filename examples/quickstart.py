@@ -17,7 +17,7 @@ def main() -> None:
     config = repro.RunConfig(n_nodes=8, cores_per_node=4, seed=7)
 
     # --- the original coarse-grain execution ------------------------
-    legacy = repro.run("small", runtime="legacy", config=config)
+    legacy = repro.run("t2_7:small", runtime="legacy", config=config)
     legacy_energy = correlation_energy(legacy.output.flat_values())
     print(
         f"legacy (NXTVAL stealing, blocking GETs): "
@@ -26,7 +26,7 @@ def main() -> None:
     )
 
     # --- the same kernel over PaRSEC (variant v5) -------------------
-    parsec = repro.run("small", runtime="parsec", variant=repro.V5, config=config)
+    parsec = repro.run("t2_7:small", runtime="parsec", variant=repro.V5, config=config)
     parsec_energy = correlation_energy(parsec.output.flat_values())
     print(
         f"PaRSEC v5 (parallel GEMMs, one SORT, one WRITE): "

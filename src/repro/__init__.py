@@ -22,7 +22,7 @@ subpackages are the real API surface:
 The one-call entry point is :func:`repro.run`::
 
     import repro
-    result = repro.run("tiny", runtime="parsec", variant=repro.V5)
+    result = repro.run("t2_7:tiny", runtime="parsec", variant=repro.V5)
     print(result.summary())
     print(result.report.to_json_line())
 """

@@ -10,8 +10,7 @@ snapshot and a structured ``report``
 (:class:`~repro.obs.report.RunReport`).
 
 Workloads are addressed by registry token (``"t2_7:small"``,
-``"ccsd:tiny"``, ``"rbgs:128x128"`` — see :mod:`repro.workloads`); a
-bare scale name still resolves through the deprecated t2_7 shim. A
+``"ccsd:tiny"``, ``"rbgs:128x128"`` — see :mod:`repro.workloads`). A
 multi-level workload runs level by level with an explicit barrier in
 between — the legacy application's own synchronization structure
 (Section III-A) — and the facade merges the per-level results into one.
@@ -26,7 +25,6 @@ record only *execution* (and *validation*).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -41,7 +39,6 @@ from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
 from repro.sim.network import CoalescePolicy
-from repro.tce.molecules import SCALE_PRESETS
 from repro.tce.t2_7 import T27Workload
 from repro.util.errors import ConfigurationError
 from repro.workloads import build_workload as _build_registered_workload
@@ -149,19 +146,7 @@ def _build_cluster(config: RunConfig) -> Cluster:
 
 
 def _build_workload(token: str, config: RunConfig) -> Workload:
-    """Build the workload a registry token names on a fresh cluster.
-
-    Emits a :class:`DeprecationWarning` for bare legacy scale names
-    (``"small"`` instead of ``"t2_7:small"``) — the pre-SDK spelling.
-    """
-    bare = token.strip()
-    if ":" not in bare and bare in SCALE_PRESETS:
-        warnings.warn(
-            f"bare scale name {bare!r} is deprecated; spell the workload "
-            f"explicitly, e.g. 't2_7:{bare}'",
-            DeprecationWarning,
-            stacklevel=3,
-        )
+    """Build the workload a registry token names on a fresh cluster."""
     cluster = _build_cluster(config)
     ga = None
     if config.coalescing is not None or config.remote_cache is not None:
@@ -339,7 +324,7 @@ def _run_parsec(cluster, levels, variant: VariantSpec, config: RunConfig):
 
 
 def run(
-    workload: Union[str, Workload, T27Workload] = "small",
+    workload: Union[str, Workload, T27Workload] = "t2_7:small",
     runtime: str = "parsec",
     variant: Union[str, VariantSpec] = V5,
     config: Optional[RunConfig] = None,
@@ -350,9 +335,8 @@ def run(
     ----------
     workload:
         A registry token (``"t2_7:small"``, ``"ccsd:tiny"``,
-        ``"rbgs:32x32"``; bare scale names still work through the
-        deprecated t2_7 shim), for which a fresh cluster and workload
-        are built from ``config`` — or a pre-built workload object
+        ``"rbgs:32x32"``), for which a fresh cluster and workload are
+        built from ``config`` — or a pre-built workload object
         (e.g. :class:`~repro.tce.t2_7.T27Workload`), which runs on its
         own cluster.
     runtime:

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from repro.ga.array import GlobalArray
+from repro.util.errors import ConfigurationError
 
 __all__ = ["RemoteBlockCache", "RemoteCachePolicy"]
 
@@ -39,8 +40,16 @@ __all__ = ["RemoteBlockCache", "RemoteCachePolicy"]
 class RemoteCachePolicy:
     """Knobs for the per-node remote-block cache."""
 
-    #: capacity in cached blocks per node (LRU eviction beyond it)
+    #: capacity in cached blocks per node (LRU eviction beyond it;
+    #: 0 = a cache that holds nothing)
     max_blocks: int = 64
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.max_blocks, int) or self.max_blocks < 0:
+            raise ConfigurationError(
+                "RemoteCachePolicy.max_blocks must be an int >= 0, "
+                f"got {self.max_blocks!r}"
+            )
 
 
 class RemoteBlockCache:

@@ -27,7 +27,6 @@ from repro.ga.distribution import Distribution, Segment
 from repro.sim.cluster import Cluster, DataMode
 from repro.sim.engine import SimEvent, all_of
 from repro.sim.network import BatchPayload, CoalescePolicy, Coalescer
-from repro.sim.timeline import KIND_COMM
 from repro.util.errors import GlobalArrayError
 
 __all__ = ["GlobalArrays"]
@@ -295,9 +294,7 @@ class GlobalArrays:
     # ------------------------------------------------------------------
     def _handler(self, node):
         inbox = node.inbox(self.INBOX)
-        # one reusable timeline channel per handler (serial FIFO server,
-        # at most one service timeout outstanding)
-        timer = self.engine.timeline.timer(KIND_COMM, node=node.node_id)
+        timeout = self.engine.timeout
         while True:
             message = yield inbox.get()
             if isinstance(message.payload, BatchPayload):
@@ -310,7 +307,7 @@ class GlobalArrays:
                 for request in message.payload:
                     seg = request.segment
                     seg_bytes = 8.0 * seg.size
-                    yield timer.after(
+                    yield timeout(
                         self.machine.ga_request_overhead_s
                         + seg_bytes / self.machine.ga_service_bytes_per_s
                     )
@@ -339,7 +336,7 @@ class GlobalArrays:
             # rate — see MachineModel.ga_service_bytes_per_s). This
             # single server per node is the contention point that caps
             # the original code's scaling in the Figure 9 reproduction.
-            yield timer.after(
+            yield timeout(
                 self.machine.ga_request_overhead_s
                 + seg_bytes / self.machine.ga_service_bytes_per_s
             )

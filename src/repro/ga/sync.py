@@ -8,7 +8,7 @@ object synchronizes every level in turn.
 
 from __future__ import annotations
 
-from repro.sim.engine import Engine, SimEvent
+from repro.sim.engine import Engine, WaitQueue
 from repro.util.errors import SimulationError
 
 __all__ = ["Barrier"]
@@ -23,7 +23,7 @@ class Barrier:
         self.engine = engine
         self.parties = parties
         self.overhead = overhead
-        self._waiting: list[SimEvent] = []
+        self._waiting = WaitQueue(engine)
         self.generation = 0
 
     @property
@@ -44,10 +44,11 @@ class Barrier:
             )
         self.parties -= n
         if self._waiting and len(self._waiting) >= self.parties:
-            waiting, self._waiting = self._waiting, []
-            self.generation += 1
-            for waiter in waiting:
-                waiter.succeed(self.generation)
+            self._release()
+
+    def _release(self) -> None:
+        self.generation += 1
+        self._waiting.wake_all(self.generation)
 
     def arrive(self):
         """Generator helper: block until all parties have arrived.
@@ -58,13 +59,9 @@ class Barrier:
         """
         if self.overhead > 0:
             yield self.engine.timeout(self.overhead)
-        event = self.engine.event()
-        self._waiting.append(event)
+        event = self._waiting.park()
         if len(self._waiting) == self.parties:
-            waiting, self._waiting = self._waiting, []
-            self.generation += 1
-            for waiter in waiting:
-                waiter.succeed(self.generation)
+            self._release()
         elif len(self._waiting) > self.parties:  # pragma: no cover - defensive
             raise SimulationError("more arrivals than barrier parties")
         generation = yield event

@@ -31,7 +31,7 @@ __all__ = ["execute_chain"]
 
 
 def execute_chain(
-    cluster, ga, node, thread: int, chain: ChainSpec, on_commit=None, timer=None
+    cluster, ga, node, thread: int, chain: ChainSpec, on_commit=None
 ):
     """Generator helper: run one chain to completion on one rank.
 
@@ -40,15 +40,13 @@ def execute_chain(
     that point the chain has only read shared data and touched private
     buffers, so an aborted attempt leaves no trace and the chain can be
     re-executed wholesale; past it the chain must run to completion.
-    ``timer`` is the calling rank's reusable timeline channel; every
-    CPU charge in the chain re-arms it instead of allocating a Timeout.
     """
     machine = cluster.machine
     real = cluster.data_mode.value == "real"
     label = f"c{chain.chain_id}"
 
     # MA_PUSH_GET and friends: local memory management bookkeeping
-    yield from node.occupy(machine.legacy_call_overhead_s, timer=timer)
+    yield from node.occupy(machine.legacy_call_overhead_s)
 
     # DFILL: zero-initialize the C buffer
     yield from node.execute(
@@ -56,7 +54,6 @@ def execute_chain(
         TaskCategory.DFILL,
         f"DFILL:{label}",
         machine.zero_fill(chain.c_size),
-        timer=timer,
     )
     C: Optional[np.ndarray] = np.zeros((chain.m, chain.n)) if real else None
 
@@ -80,14 +77,13 @@ def execute_chain(
             label=f"GET_B:{label}.{gemm.position}",
         )
         # per-call bookkeeping (hash lookups, MA stack)
-        yield from node.occupy(machine.legacy_call_overhead_s, timer=timer)
+        yield from node.occupy(machine.legacy_call_overhead_s)
         yield from node.execute(
             thread,
             TaskCategory.GEMM,
             f"GEMM:{label}.{gemm.position}",
             machine.gemm(gemm.m, gemm.n, gemm.k),
             meta={"chain": chain.chain_id, "position": gemm.position},
-            timer=timer,
         )
         if real:
             a = a_flat.reshape(gemm.k, gemm.m)
@@ -103,7 +99,6 @@ def execute_chain(
             TaskCategory.SORT,
             f"SORT_4:{label}.{sw.sort_index}",
             machine.sort4(chain.c_size),
-            timer=timer,
         )
         sorted_flat: Optional[np.ndarray] = None
         if real:
@@ -123,4 +118,4 @@ def execute_chain(
         )
 
     # MA_POP_STACK
-    yield from node.occupy(machine.legacy_call_overhead_s, timer=timer)
+    yield from node.occupy(machine.legacy_call_overhead_s)

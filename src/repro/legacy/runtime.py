@@ -32,7 +32,6 @@ from repro.legacy.chain_exec import execute_chain
 from repro.obs.result import RunResult
 from repro.sim.cluster import Cluster
 from repro.sim.faults import killable
-from repro.sim.timeline import KIND_TASK
 from repro.sim.trace import TaskCategory
 from repro.tce.subroutine import ChainSpec, Subroutine
 from repro.util.errors import ConfigurationError
@@ -186,9 +185,6 @@ class LegacyRuntime:
         key = (node.node_id, thread)
         result.chains_per_rank.setdefault(key, 0)
         n_ranks = barrier.parties
-        # one reusable timeline channel per rank: every CPU charge in
-        # every chain this rank executes re-arms the same slot
-        timer = self.cluster.engine.timeline.timer(KIND_TASK, node=node.node_id)
         for level_chains, counter in zip(levels, counters):
             if not node.alive:
                 # this rank's compute died between levels
@@ -198,7 +194,7 @@ class LegacyRuntime:
                 return
             if self.config.use_nxtval:
                 survived, lost_ticket = yield from self._claim_loop(
-                    node, thread, level_chains, counter, result, key, timer=timer
+                    node, thread, level_chains, counter, result, key
                 )
                 if not survived:
                     yield from self._rank_died(
@@ -208,7 +204,7 @@ class LegacyRuntime:
             else:
                 for index in range(rank_id, len(level_chains), n_ranks):
                     yield from self._run_chain(
-                        node, thread, level_chains[index], result, key, timer=timer
+                        node, thread, level_chains[index], result, key
                     )
             t_start = self.cluster.engine.now
             yield from barrier.arrive()
@@ -236,7 +232,6 @@ class LegacyRuntime:
         result,
         key,
         recovering=False,
-        timer=None,
     ):
         """NXTVAL claim loop for one level on one rank.
 
@@ -269,7 +264,6 @@ class LegacyRuntime:
                 result,
                 key,
                 recovering=recovering,
-                timer=timer,
             )
             if not completed:
                 return False, ticket
@@ -277,9 +271,7 @@ class LegacyRuntime:
                 # committed chain finished on a dead node; stop claiming
                 return False, None
 
-    def _run_chain(
-        self, node, thread, chain, result, key, recovering=False, timer=None
-    ):
+    def _run_chain(self, node, thread, chain, result, key, recovering=False):
         """Run one chain with fault handling; returns True if completed.
 
         Injected transient failures retry the chain from scratch (its
@@ -304,7 +296,6 @@ class LegacyRuntime:
             thread,
             chain,
             on_commit=lambda: committed.__setitem__(0, True),
-            timer=timer,
         )
         if faults is None:
             yield from body

@@ -19,7 +19,6 @@ import sys
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.sim.network import BatchPayload, Coalescer, Message
-from repro.sim.timeline import KIND_COMM
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parsec.runtime import ParsecRuntime
@@ -111,7 +110,6 @@ class CommThread:
         machine = runtime.cluster.machine
         inbox = self.node.inbox(self.ctrl_name)
         network = runtime.cluster.network
-        timer = self.engine.timeline.timer(KIND_COMM, node=self.node.node_id)
         while True:
             # synchronous fast path: pop waiting mail without a SimEvent
             # or lane hop (see _serve)
@@ -123,7 +121,7 @@ class CommThread:
                 size_bytes / machine.comm_pack_bytes_per_s
             )
             if service > 0:
-                yield timer.after(service)
+                yield self.engine.timeout(service)
             self.messages_processed += 1
             if isinstance(item, Message):
                 assert runtime.stealing is not None  # ctrl plane implies stealing
@@ -144,11 +142,9 @@ class CommThread:
         machine = runtime.cluster.machine
         inbox = self.node.inbox(self.inbox_name)
         network = runtime.cluster.network
-        # per-message service timeouts ride one reusable timeline channel
-        # (this thread serves serially, so at most one is outstanding)
-        timer = self.engine.timeline.timer(KIND_COMM, node=self.node.node_id)
         overhead = machine.comm_thread_overhead_s
         pack_rate = machine.comm_pack_bytes_per_s
+        timeout = self.engine.timeout
         while True:
             # synchronous fast path: pop waiting mail without a SimEvent
             # or lane hop. The service instant is unchanged; only the
@@ -165,7 +161,7 @@ class CommThread:
             # the payload through PaRSEC-managed buffers
             service = overhead + size_bytes / pack_rate
             if service > 0:
-                yield timer.after(service)
+                yield timeout(service)
             self.messages_processed += 1
             assert runtime.graph is not None  # comm traffic implies a live graph
             if isinstance(item, Message) and isinstance(item.payload, BatchPayload):

@@ -37,7 +37,6 @@ from repro.sim.cluster import Cluster
 from repro.sim.engine import SimEvent
 from repro.sim.network import Message
 from repro.sim.queues import PriorityStore
-from repro.sim.timeline import KIND_COMM, KIND_TASK
 from repro.sim.trace import TaskCategory
 from repro.util.errors import DataflowError
 
@@ -110,19 +109,15 @@ class DtdTask:
 class DtdContext:
     """What a DTD task body sees: its data by handle key."""
 
-    __slots__ = ("task", "cluster", "node", "thread", "data", "timer")
+    __slots__ = ("task", "cluster", "node", "thread", "data")
 
-    def __init__(
-        self, task: DtdTask, cluster: Cluster, node, thread: int, timer=None
-    ):
+    def __init__(self, task: DtdTask, cluster: Cluster, node, thread: int):
         self.task = task
         self.cluster = cluster
         self.node = node
         self.thread = thread
         #: handle.key -> current value (REAL mode) or None
         self.data = {h.key: h.value for h, _ in task.accesses}
-        #: the worker's reusable timeline channel (see TaskContext.timer)
-        self.timer = timer
 
     @property
     def machine(self):
@@ -139,10 +134,7 @@ class DtdContext:
     def charge(self, cost):
         """Generator helper: burn one OpCost on this node/thread."""
         if cost.cpu > 0:
-            if self.timer is not None:
-                yield self.timer.after(cost.cpu)
-            else:
-                yield self.cluster.engine.timeout(cost.cpu)
+            yield self.cluster.engine.timeout(cost.cpu)
         if cost.bytes > 0:
             yield self.node.membw.transfer(cost.bytes)
 
@@ -294,12 +286,11 @@ class DtdRuntime:
 
     def _worker(self, node, thread: int):
         machine = self.cluster.machine
-        timer = self.engine.timeline.timer(KIND_TASK, node=node.node_id)
         while True:
             task: DtdTask = yield self._ready[node.node_id].get()
             if machine.task_overhead_s > 0:
-                yield timer.after(machine.task_overhead_s)
-            context = DtdContext(task, self.cluster, node, thread, timer=timer)
+                yield self.engine.timeout(machine.task_overhead_s)
+            context = DtdContext(task, self.cluster, node, thread)
             t_start = self.engine.now
             yield from task.body(context)
             node.trace.record(
@@ -353,14 +344,13 @@ class DtdRuntime:
     def _receiver(self, node, inbox_name: str):
         machine = self.cluster.machine
         inbox = node.inbox(inbox_name)
-        timer = self.engine.timeline.timer(KIND_COMM, node=node.node_id)
         while True:
             message: Message = yield inbox.get()
             service = machine.comm_thread_overhead_s + (
                 message.size_bytes / machine.comm_pack_bytes_per_s
             )
             if service > 0:
-                yield timer.after(service)
+                yield self.engine.timeout(service)
             successor: DtdTask = message.payload
             self._ready[successor.node].put(successor, priority=successor.priority)
 

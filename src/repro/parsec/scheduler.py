@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.parsec.taskclass import TaskContext, TaskInstance
 from repro.sim.faults import killable
 from repro.sim.queues import LifoStore, PriorityStore, Store
-from repro.sim.timeline import KIND_TASK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parsec.runtime import ParsecRuntime
@@ -131,10 +130,7 @@ class NodeScheduler:
         queue = self.ready
         if self.gpu_ready is not None and task.cls.accelerated:
             queue = self.gpu_ready
-        if self.policy is SchedulerPolicy.PRIORITY:
-            queue.put(task, priority=task.priority)
-        else:
-            queue.put(task)
+        queue.put(task, task.priority)  # FIFO/LIFO stores ignore the priority
         if self.metrics.enabled:
             self.metrics.inc("sched.enqueued", policy=self.policy.value)
             self.metrics.observe("sched.task_priority", task.priority)
@@ -142,7 +138,7 @@ class NodeScheduler:
                 "sched.ready_depth.hwm", len(queue), node=self.node.node_id
             )
 
-    def _retry_gate(self, faults, task: TaskInstance, timer):
+    def _retry_gate(self, faults, task: TaskInstance):
         """Generator helper: burn injected transient failures.
 
         Each failed attempt costs the plan's detection latency; the
@@ -155,7 +151,7 @@ class NodeScheduler:
         while faults.plan.task_fails(task.label, attempt):
             faults.note_task_retry()
             if faults.plan.task_fail_detect_s > 0:
-                yield timer.after(faults.plan.task_fail_detect_s)
+                yield self.engine.timeout(faults.plan.task_fail_detect_s)
             attempt += 1
 
     def _run_body(self, task: TaskInstance, context: TaskContext):
@@ -187,11 +183,6 @@ class NodeScheduler:
         ready = self.ready
         checkpoint = self.engine.checkpoint
         faults = cluster.faults
-        # one reusable timeline channel per worker: a worker has at most
-        # one timed wait outstanding, so every per-task timeout (overhead,
-        # retry detection, body charges) re-arms the same slot instead of
-        # allocating a Timeout — sequence-identical, see timeline.py
-        timer = self.engine.timeline.timer(KIND_TASK, node=node.node_id)
         task_overhead = machine.task_overhead_s
         # per-task loop invariants, hoisted once per worker lifetime
         engine = self.engine
@@ -225,16 +216,16 @@ class NodeScheduler:
             task.claimed = True
             # per-task runtime bookkeeping (select + dependence checks)
             if task_overhead > 0:
-                yield timer.after(task_overhead)
+                yield engine.timeout(task_overhead)
             if faults is not None:
-                yield from self._retry_gate(faults, task, timer)
+                yield from self._retry_gate(faults, task)
             if not node.alive:
                 # crashed while this attempt was ramping up; the task was
                 # already re-homed, and starting it here would capture the
                 # *bumped* epoch and defeat the kill predicate
                 break
             task.started = True
-            context = TaskContext(task, md, cluster, node, thread, timer=timer)
+            context = TaskContext(task, md, cluster, node, thread)
             t_start = engine.now
             completed = yield from self._run_body(task, context)
             if not completed:
@@ -276,7 +267,6 @@ class NodeScheduler:
         gpu_ready = self.gpu_ready
         checkpoint = self.engine.checkpoint
         faults = cluster.faults
-        timer = self.engine.timeline.timer(KIND_TASK, node=node.node_id)
         while True:
             ok, task = gpu_ready.try_get()  # see _worker: seq-neutral fast path
             if not ok:
@@ -291,15 +281,13 @@ class NodeScheduler:
                 continue
             task.claimed = True  # see _worker: pin before the next yield
             if machine.gpu_task_overhead_s > 0:
-                yield timer.after(machine.gpu_task_overhead_s)
+                yield self.engine.timeout(machine.gpu_task_overhead_s)
             if faults is not None:
-                yield from self._retry_gate(faults, task, timer)
+                yield from self._retry_gate(faults, task)
             if not node.alive:
                 break  # see _worker: avoid capturing a post-crash epoch
             task.started = True
-            context = TaskContext(
-                task, md, cluster, node, thread, device="gpu", timer=timer
-            )
+            context = TaskContext(task, md, cluster, node, thread, device="gpu")
             t_start = self.engine.now
             in_bytes = 8.0 * sum(
                 flow.size_elems(task.params, md)

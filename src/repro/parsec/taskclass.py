@@ -240,7 +240,6 @@ class TaskContext:
         "node",
         "thread",
         "device",
-        "timer",
         "outputs",
     )
 
@@ -252,7 +251,6 @@ class TaskContext:
         node,
         thread: int,
         device: str = "cpu",
-        timer=None,
     ) -> None:
         self.task = task
         self.md = md
@@ -261,10 +259,6 @@ class TaskContext:
         self.thread = thread
         #: 'cpu' or 'gpu' — which worker kind is executing the body
         self.device = device
-        #: the worker's reusable timeline channel (None outside a
-        #: scheduler worker); charge() arms it instead of allocating
-        #: a Timeout per cost
-        self.timer = timer
         self.outputs: dict[str, Any] = {}
 
     @property
@@ -293,11 +287,7 @@ class TaskContext:
         charges stay untraced here.
         """
         if cost.cpu > 0:
-            scaled = cost.cpu * self.node.cpu_scale()
-            if self.timer is not None:
-                yield self.timer.after(scaled)
-            else:
-                yield self.cluster.engine.timeout(scaled)
+            yield self.cluster.engine.timeout(cost.cpu * self.node.cpu_scale())
         if cost.bytes > 0:
             yield self.node.membw.transfer(cost.bytes)
 

@@ -3,8 +3,11 @@
 This package is the stand-in for the paper's physical testbed (a 32-node
 partition of the PNNL Cascade cluster). It provides:
 
-- :mod:`repro.sim.engine` — the event kernel: a virtual clock, an event
-  heap, and generator-based processes (simulated threads).
+- :mod:`repro.sim.engine` — the event kernel: a virtual clock, the
+  immediate lane, generator-based processes (simulated threads) and the
+  shared waiter queue.
+- :mod:`repro.sim.timeline` — the one timed event store and its
+  :class:`Timer`.
 - :mod:`repro.sim.resources` — FIFO resources and a processor-sharing
   bandwidth resource (used for per-node memory bandwidth).
 - :mod:`repro.sim.queues` — FIFO and priority mailboxes/ready-queues.
@@ -22,7 +25,8 @@ orderings and identical virtual timestamps — including injected faults,
 which are pure functions of a master seed and stable decision keys.
 """
 
-from repro.sim.engine import Engine, Process, SimEvent, Timeout, all_of, any_of
+from repro.sim.engine import Engine, Process, SimEvent, WaitQueue, all_of, any_of
+from repro.sim.timeline import Timer
 from repro.sim.resources import Resource, BandwidthResource
 from repro.sim.queues import Store, PriorityStore
 from repro.sim.mutex import SimMutex
@@ -43,7 +47,8 @@ __all__ = [
     "Engine",
     "Process",
     "SimEvent",
-    "Timeout",
+    "Timer",
+    "WaitQueue",
     "all_of",
     "any_of",
     "Resource",

@@ -146,7 +146,7 @@ class Cluster:
         return self.engine.now
 
     def run(self, until: float | None = None) -> float:
-        """Drain the event heap; returns the final virtual time."""
+        """Drain the engine's event sources; returns the final virtual time."""
         return self.engine.run(until=until)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,36 +1,30 @@
 """The discrete-event simulation kernel.
 
-A :class:`Engine` owns a virtual clock and an event heap. Simulated
+An :class:`Engine` owns a virtual clock and two event sources. Simulated
 threads are ordinary Python generators wrapped in :class:`Process`; they
-advance by ``yield``-ing *waitables* — :class:`SimEvent`,
-:class:`Timeout`, another :class:`Process`, or any object exposing
-``_wait(callback)``. The kernel resumes them when the waitable fires.
+advance by ``yield``-ing *waitables* — :class:`SimEvent`, a
+:class:`~repro.sim.timeline.Timer`, another :class:`Process`, or any
+object exposing ``_wait(callback)``. The kernel resumes them when the
+waitable fires.
 
 Design notes
 ------------
-- Ties in the heap are broken by a monotone sequence number, so event
-  ordering — and therefore every simulated timing — is fully
-  deterministic.
-- Callbacks run *deferred* (at zero virtual delay), never synchronously
+- Two sources, one order. Events that fire *later* are timers with a
+  row in the :class:`~repro.sim.timeline.Timeline` heap; callbacks that
+  fire *now* sit in the *immediate lane*, a plain FIFO. Both stamp
+  their entries ``(time, seq)`` from one shared monotone counter and
+  the loop always runs the smaller stamp, so event ordering — and
+  therefore every simulated timing — is fully deterministic.
+- A lane entry is stamped with the clock at registration and the clock
+  never runs ahead of a pending heap row, so the lane head sorts
+  at-or-before the heap head and the sequence number breaks the tie.
+  The drain order is therefore *identical* to pushing the same
+  callbacks through the heap at zero delay, while costing one ``deque``
+  operation instead of two O(log n) heap operations.
+- Callbacks run *deferred* (through the lane), never synchronously
   from ``succeed()``. This keeps trigger cascades iterative (no
   recursion-depth coupling to chain length) and gives a single,
   predictable interleaving rule.
-- Zero-delay callbacks travel through the *immediate lane*, a plain
-  FIFO merged with the heap by ``(time, seq)``. Because a lane entry is
-  stamped with the clock at registration and the clock never runs ahead
-  of a pending heap entry, lane entries always sort at-or-before the
-  heap head; the sequence number — drawn from the same counter as heap
-  entries — breaks the tie. The drain order is therefore *identical* to
-  pushing the same callbacks through ``heapq`` at zero delay, while
-  costing one ``deque`` operation instead of two O(log n) heap
-  operations. Golden-digest tests pin this equivalence.
-- Shape-homogeneous event classes (worker task timeouts, comm-thread
-  service timeouts, bandwidth wakeups) ride the
-  :class:`~repro.sim.timeline.BatchedTimeline`, a third drain source
-  merged by the same ``(time, seq)`` rule. Its rows are bare tuples
-  over struct-of-arrays channel state — no per-event allocation at
-  all — and its sequence numbers come from the same shared counter,
-  so the merged order is again identical to the all-heap order.
 - A process that raises with nobody waiting on its completion re-raises
   out of :meth:`Engine.run` — silent death of a simulated thread would
   otherwise manifest as an inexplicable hang.
@@ -41,18 +35,18 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.sim.timeline import BatchedTimeline
+from repro.sim.timeline import _DIRECT, _POOLED, Timeline, Timer
 from repro.util.errors import SimulationError
 
 __all__ = [
     "Engine",
     "SimEvent",
-    "Timeout",
     "Process",
-    "ScheduledCall",
     "Checkpoint",
+    "WaitQueue",
     "all_of",
     "any_of",
 ]
@@ -60,37 +54,6 @@ __all__ = [
 _PENDING = 0
 _SUCCEEDED = 1
 _FAILED = 2
-
-
-class ScheduledCall:
-    """Handle for a callback sitting in the event heap.
-
-    Supports :meth:`cancel`, which lazily removes the entry: the heap
-    slot stays until popped (or until the engine compacts the heap —
-    see :meth:`Engine._compact`), but the callback will not run.
-    """
-
-    __slots__ = ("time", "fn", "args", "cancelled", "popped", "_engine")
-
-    def __init__(
-        self, engine: "Engine", time: float, fn: Callable, args: tuple
-    ) -> None:
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        #: True once the entry has left the heap (fired, skipped, or
-        #: compacted away) — lets cancel() keep an honest count of the
-        #: cancelled entries still occupying heap slots.
-        self.popped = False
-        self._engine = engine
-
-    def cancel(self) -> None:
-        """Prevent the callback from running when its slot is popped."""
-        if not self.cancelled:
-            self.cancelled = True
-            if not self.popped:
-                self._engine._note_cancel()
 
 
 class Checkpoint:
@@ -117,51 +80,46 @@ class Checkpoint:
         engine._immediate.append((engine.now, next(engine._seq), callback, None))
 
 
-#: Compaction only kicks in past this heap size: tiny heaps are cheap
-#: to scan lazily, and the threshold avoids O(n) rebuild churn when a
-#: short-lived simulation cancels its only few timers.
-_COMPACT_MIN = 64
-
-
 class Engine:
-    """Virtual clock plus event heap; the root object of every simulation."""
+    """Virtual clock plus the two event sources; the root of every simulation."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, ScheduledCall]] = []
         #: zero-delay callbacks: (time, seq, fn, arg), FIFO == seq order
         self._immediate: deque[tuple[float, int, Callable, Any]] = deque()
         self._seq = itertools.count()
         self._running = False
-        self._cancelled_pending = 0
         self.checkpoint = Checkpoint(self)
-        #: struct-of-arrays store for homogeneous event classes, merged
-        #: with the heap and lane by (time, seq) — see timeline.py
-        self.timeline = BatchedTimeline(self)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def heap_size(self) -> int:
-        """Heap slots currently occupied (live + lazily-cancelled)."""
-        return len(self._heap)
-
-    @property
-    def cancelled_pending(self) -> int:
-        """Cancelled :class:`ScheduledCall` entries still in the heap."""
-        return self._cancelled_pending
+        #: the timed store: every event that fires later than now
+        self.timeline = Timeline(self)
+        #: fired one-shots from :meth:`timeout`, ready for reuse
+        self._timeout_pool: list[Timer] = []
 
     # ------------------------------------------------------------------
     # scheduling primitives
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> ScheduledCall:
-        """Schedule ``fn(*args)`` to run ``delay`` virtual seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule at negative delay {delay}")
-        call = ScheduledCall(self, self.now + delay, fn, args)
-        heapq.heappush(self._heap, (call.time, next(self._seq), call))
-        return call
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> Timer:
+        """Run ``fn(*args)`` ``delay`` virtual seconds from now.
+
+        The callback runs straight from the drain slot (no lane hop).
+        Returns the one-shot timer; ``cancel()`` it to call the event off.
+        """
+        callback = partial(fn, *args) if args else fn
+        return Timer(self.timeline, callback).after(delay)
+
+    def timeout(self, delay: float) -> Timer:
+        """A one-shot waitable that fires ``delay`` virtual seconds from now.
+
+        ``yield engine.timeout(d)`` is the plain "let virtual time pass"
+        wait; the process resumes through the lane with ``None``. The
+        timer is recycled the moment it fires, so yield it right away
+        and do not keep it. For a timeout that carries a value or has
+        several waiters, ``schedule(d, event.succeed, value)`` on a
+        :class:`SimEvent`.
+        """
+        pool = self._timeout_pool
+        timer = pool.pop() if pool else Timer(self.timeline, pooled=True)
+        return timer.after(delay)
 
     def call_soon(self, fn: Callable, arg: Any = None) -> None:
         """Run ``fn(arg)`` at the current virtual time, deferred.
@@ -172,43 +130,9 @@ class Engine:
         """
         self._immediate.append((self.now, next(self._seq), fn, arg))
 
-    # ------------------------------------------------------------------
-    # lazy-cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending >= _COMPACT_MIN
-            and self._cancelled_pending * 2 > len(self._heap)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and restore the heap invariant.
-
-        Rebuilds *in place* (slice assignment) so that :meth:`run`'s
-        local alias of the heap list stays valid, and re-heapifies on
-        the same ``(time, seq)`` keys — the drain order of the
-        surviving entries is untouched, so virtual timings are bitwise
-        identical with or without compaction.
-        """
-        live = []
-        for entry in self._heap:
-            if entry[2].cancelled:
-                entry[2].popped = True
-            else:
-                live.append(entry)
-        self._heap[:] = live
-        heapq.heapify(self._heap)
-        self._cancelled_pending = 0
-
     def event(self) -> "SimEvent":
         """A fresh, untriggered event owned by this engine."""
         return SimEvent(self)
-
-    def timeout(self, delay: float, value: Any = None) -> "Timeout":
-        """An event that fires ``delay`` virtual seconds from now."""
-        return Timeout(self, delay, value)
 
     def process(
         self, generator: Generator, name: Optional[str] = None
@@ -220,65 +144,46 @@ class Engine:
     # the event loop
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
-        """Drain the event queues; return the final virtual time.
+        """Drain both event sources; return the final virtual time.
 
         If ``until`` is given, stop as soon as the next event lies beyond
         it and set the clock to exactly ``until``.
 
-        Invariant: a callback may push, cancel, or — via cancellation —
-        compact the heap, so any peeked head entry is stale the moment a
-        callback has run. The loop therefore re-reads the heap, lane,
-        and timeline heads on every iteration and never carries an entry
-        reference across a callback. (:meth:`peek` pops cancelled heads
-        for the same reason: callers must treat it as mutating.)
+        Invariant: a callback may arm, cancel, or — via cancellation —
+        compact the heap, so any peeked head row is stale the moment a
+        callback has run. The loop therefore re-reads the heap and lane
+        heads on every iteration and never carries a row across a
+        callback. (:meth:`peek` sheds stale heads for the same reason:
+        callers must treat it as mutating.)
         """
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
         self._running = True
-        heap = self._heap  # _compact() rebuilds in place, alias stays valid
+        timeline = self.timeline
+        heap = timeline._heap  # only ever mutated in place, alias stays valid
         lane = self._immediate
         popleft = lane.popleft
-        timeline = self.timeline
-        tl_heap = timeline._heap  # _compact() rebuilds in place too
-        tl_armed = timeline._chan_armed  # append-only column, alias stays valid
-        tl_cb = timeline._chan_cb
-        tl_modes = timeline._kind_modes
+        pool = self._timeout_pool
         seq = self._seq
         pop = heapq.heappop
         try:
             while True:
-                # shed lazily-cancelled heap heads before choosing a lane
-                while heap and heap[0][2].cancelled:
-                    dead = pop(heap)[2]
-                    dead.popped = True
-                    self._cancelled_pending -= 1
-                # shed stale timeline heads (disarmed / re-armed channels)
-                while tl_heap and tl_heap[0][1] != tl_armed[tl_heap[0][4]]:
-                    pop(tl_heap)
-                    timeline._stale_pending -= 1
-                    timeline.stale_dropped += 1
-                # challenger: the earlier of the two heap heads. Tuple
-                # comparison never reaches the third element because the
-                # shared counter makes (time, seq) pairs unique.
-                if heap:
-                    best = heap[0]
-                    if tl_heap and tl_heap[0] < best:
-                        best = tl_heap[0]
-                elif tl_heap:
-                    best = tl_heap[0]
-                else:
-                    best = None
+                # shed stale heads (cancelled or re-armed timers)
+                while heap and heap[0][1] != heap[0][2].armed:
+                    pop(heap)
+                    timeline._stale -= 1
+                best = heap[0] if heap else None
                 if lane:
                     head = lane[0]
                     # lane entries are stamped at-or-before the clock and
-                    # the clock never passes a pending heap/timeline entry,
-                    # so the lane head can only tie on time — the shared
-                    # sequence counter then decides, exactly as a heap
-                    # push at zero delay would have.
+                    # the clock never passes a pending heap row, so the
+                    # lane head can only tie on time — the shared sequence
+                    # counter then decides, exactly as a heap push at zero
+                    # delay would have.
                     #
                     # Burst drain: every entry *currently* in the lane that
                     # beats ``best`` can fire without re-consulting the
-                    # heaps. Any entry a callback pushes mid-burst carries a
+                    # heap. Any entry a callback pushes mid-burst carries a
                     # fresh (larger) sequence number and a time >= now, so
                     # it can never sort before a lane entry that was already
                     # enqueued — comparing against the pre-burst ``best`` is
@@ -320,26 +225,22 @@ class Engine:
                 if until is not None and time > until:
                     self.now = until
                     return until
-                if heap and best is heap[0]:
-                    pop(heap)
-                    call = best[2]
-                    call.popped = True
-                    self.now = time
-                    call.fn(*call.args)
+                pop(heap)
+                self.now = time
+                timer = best[2]
+                timer.armed = -1
+                mode = timer._mode
+                if mode == _DIRECT:
+                    timer._cb()
                 else:
-                    # inlined BatchedTimeline._fire (hot: one call frame
-                    # per fired row adds up at this volume)
-                    pop(tl_heap)
-                    self.now = time
-                    slot = best[4]
-                    tl_armed[slot] = -1
-                    timeline.fired_total += 1
-                    cb = tl_cb[slot]
-                    if tl_modes[best[2]]:
-                        cb()  # DIRECT: ScheduledCall-equivalent
-                    else:
-                        # PERSISTENT: Timeout-equivalent lane hop
+                    # resume the parked continuation through the lane: the
+                    # one extra sequence number a resumed wait costs
+                    cb = timer._cb
+                    if cb is not None:
                         lane.append((time, next(seq), cb, None))
+                    if mode == _POOLED:
+                        timer._cb = None
+                        pool.append(timer)
             if until is not None and until > self.now:
                 self.now = until
         finally:
@@ -349,35 +250,17 @@ class Engine:
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if nothing is queued.
 
-        Sheds lazily-cancelled heap heads as a side effect, so a raw
-        reference to ``_heap[0]`` obtained before calling ``peek()`` is
-        invalidated — see the :meth:`run` invariant.
+        Sheds stale heap heads as a side effect — see the :meth:`run`
+        invariant.
         """
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            dead = heapq.heappop(heap)[2]
-            dead.popped = True
-            self._cancelled_pending -= 1
         timeline = self.timeline
-        tl_heap = timeline._heap
-        tl_armed = timeline._chan_armed
-        while tl_heap and tl_heap[0][1] != tl_armed[tl_heap[0][4]]:
-            heapq.heappop(tl_heap)
-            timeline._stale_pending -= 1
-            timeline.stale_dropped += 1
-        if heap:
-            best_time = heap[0][0]
-            if tl_heap and tl_heap[0][0] < best_time:
-                best_time = tl_heap[0][0]
-        elif tl_heap:
-            best_time = tl_heap[0][0]
-        else:
-            best_time = None
-        if self._immediate:
-            lane_time = self._immediate[0][0]
-            if best_time is None or lane_time <= best_time:
-                return lane_time
-        return best_time
+        heap = timeline._heap
+        while heap and heap[0][1] != heap[0][2].armed:
+            heapq.heappop(heap)
+            timeline._stale -= 1
+        if self._immediate and (not heap or self._immediate[0][0] <= heap[0][0]):
+            return self._immediate[0][0]
+        return heap[0][0] if heap else None
 
 
 class SimEvent:
@@ -489,20 +372,72 @@ class SimEvent:
         return bool(self._callbacks)
 
 
-class Timeout(SimEvent):
-    """An event that succeeds a fixed virtual delay after creation."""
+class _Parked(SimEvent):
+    """A :class:`SimEvent` parked on a :class:`WaitQueue`."""
 
-    __slots__ = ("delay",)
+    __slots__ = ("parked_at",)
 
-    def __init__(self, engine: Engine, delay: float, value: Any = None) -> None:
-        super().__init__(engine)
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
-        self.delay = delay
-        engine.schedule(delay, self._fire, value)
+    #: virtual time at which the waiter was parked
+    parked_at: float
 
-    def _fire(self, value: Any) -> None:
-        self.succeed(value)
+
+class WaitQueue(deque):
+    """FIFO of processes blocked on one thing: the shared waiter protocol.
+
+    Stores, resources, mutexes and barriers all park their blocked
+    callers here. A parked waiter can die before it is woken — its
+    process is fault-killed, or a drain path abandons it — and waking a
+    corpse would hand it an item or a slot that is then lost for good.
+    So the one rule every wake path needs lives here, once: *abandoned
+    or already-triggered waiters are discarded, never woken*.
+
+    It is a ``deque`` of the parked events, so emptiness and length are
+    C-speed on the ``put()``/``release()`` hot paths; ``len()`` counts
+    dead entries too, until a wake sheds them.
+    """
+
+    __slots__ = ("_engine",)
+
+    def __init__(self, engine: Engine) -> None:
+        super().__init__()
+        self._engine = engine
+
+    def park(self) -> _Parked:
+        """A fresh pending event at the back of the queue; ``yield`` it."""
+        event = _Parked(self._engine)
+        event.parked_at = self._engine.now
+        self.append(event)
+        return event
+
+    def wake_one(self, value: Any = None) -> Optional[_Parked]:
+        """Succeed the oldest live waiter with ``value``.
+
+        Returns the woken event (its ``parked_at`` is the virtual time
+        it was parked), or ``None`` if no live waiter was left — the
+        caller then keeps the item or slot.
+        """
+        while self:
+            event = self.popleft()
+            if event._status == _PENDING and not event.abandoned:
+                event.succeed(value)
+                return event
+        return None
+
+    def wake_all(self, value: Any = None) -> None:
+        """Succeed every live waiter with ``value``, oldest first."""
+        while self.wake_one(value) is not None:
+            pass
+
+    def abandon_all(self) -> int:
+        """Mark every waiter dead and empty the queue; returns how many
+        were still live."""
+        live = 0
+        for event in self:
+            if event._status == _PENDING and not event.abandoned:
+                event.abandon()
+                live += 1
+        self.clear()
+        return live
 
 
 class Process:
@@ -662,8 +597,11 @@ class Process:
 
 
 def all_of(engine: Engine, events: Iterable) -> SimEvent:
-    """An event that succeeds when every input waitable has succeeded.
+    """An event that succeeds when every input has succeeded.
 
+    Inputs are :class:`SimEvent` or :class:`Process` objects (a bare
+    ``Timer`` carries no value or failure state; wrap a delay as
+    ``schedule(d, event.succeed, value)``).
     The success value is the list of individual values in input order.
     If any input fails, the combined event fails with that exception
     (first failure wins).
@@ -696,7 +634,8 @@ def all_of(engine: Engine, events: Iterable) -> SimEvent:
 
 
 def any_of(engine: Engine, events: Iterable) -> SimEvent:
-    """An event that succeeds when the first input waitable *succeeds*.
+    """An event that succeeds when the first input *succeeds* (inputs as
+    for :func:`all_of`).
 
     The success value is ``(index, value)`` of the winner. Failures are
     not fatal while any input might still succeed: the combined event

@@ -250,7 +250,7 @@ class FaultInjector:
         self._crash_callbacks: list[Callable] = []
 
     def install(self) -> None:
-        """Arm the plan: straggler windows now, crashes via the heap."""
+        """Arm the plan: straggler windows now, crashes as scheduled calls."""
         engine = self.cluster.engine
         for s in self.plan.stragglers:
             self.cluster.nodes[s.node].slow_windows.append(

@@ -17,15 +17,16 @@ their memory cost, if any, is charged by the layer that owns the data
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.obs.registry import NULL_METRICS, MetricsRegistry
-from repro.sim.engine import Engine, Process, ScheduledCall, SimEvent
+from repro.sim.engine import Engine, Process, SimEvent
 from repro.sim.resources import Resource
-from repro.sim.timeline import KIND_NET, TimelineTimer
-from repro.util.errors import SimulationError
+from repro.sim.timeline import Timer
+from repro.util.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.cost import MachineModel
@@ -146,10 +147,6 @@ class Network:
         self.messages_sent = 0
         self.bytes_sent = 0.0
         self.remote_messages = 0
-        #: recycled wire-latency timeline channels — a transfer borrows
-        #: one for its lifetime, so the pool size tracks the peak number
-        #: of concurrent remote transfers
-        self._timer_pool: list[TimelineTimer] = []
         #: wire bytes of duplicated transmissions: a ``dup`` fate crosses
         #: the receiver's RX channel twice, and the second crossing is
         #: counted here (never in ``bytes_sent``), so NIC occupancy
@@ -228,73 +225,59 @@ class Network:
         dst_node = self.node(message.dst)
         metrics = self.metrics
         wire = self.machine.wire_time(message.size_bytes)
-        # wire latency (and fault backoff) ride a pooled timeline channel:
-        # arm + lane hop consumes the same two sequence numbers the old
-        # Timeout did (schedule + call_soon), with no per-hop allocation
-        pool = self._timer_pool
-        timer = pool.pop() if pool else self.engine.timeline.timer(KIND_NET)
+        timeout = self.engine.timeout
         latency = self.machine.net_latency_s
         attempt = 0
-        try:
-            while True:
+        while True:
+            if metrics.enabled:
+                metrics.gauge_max(
+                    "nic.backlog.hwm",
+                    src_node.nic.tx_backlog,
+                    node=message.src,
+                    dir="tx",
+                )
+            yield from src_node.nic.tx.use(wire)
+            fate = "ok"
+            faults = self.faults
+            if faults is not None:
+                fate = faults.plan.message_fate(message.tag, message.seq, attempt)
+            if fate == "drop":
+                # lost on the wire: wait out the ack timeout
+                # (exponential backoff), then retransmit
+                assert faults is not None  # fates only exist under an injector
+                report = faults.report
+                report.messages_dropped += 1
+                report.retransmits += 1
                 if metrics.enabled:
-                    metrics.gauge_max(
-                        "nic.backlog.hwm",
-                        src_node.nic.tx_backlog,
-                        node=message.src,
-                        dir="tx",
-                    )
-                yield from src_node.nic.tx.use(wire)
-                fate = "ok"
-                faults = self.faults
-                if faults is not None:
-                    fate = faults.plan.message_fate(
-                        message.tag, message.seq, attempt
-                    )
-                if fate == "drop":
-                    # lost on the wire: wait out the ack timeout
-                    # (exponential backoff), then retransmit
-                    assert faults is not None  # fates only exist under an injector
-                    report = faults.report
-                    report.messages_dropped += 1
-                    report.retransmits += 1
-                    if metrics.enabled:
-                        metrics.inc("net.retransmits")
-                    backoff = faults.plan.backoff(attempt)
-                    report.recovery_overhead_s += backoff
-                    yield timer.after(backoff)
-                    attempt += 1
-                    continue
-                if fate == "delay":
-                    assert faults is not None
-                    faults.report.messages_delayed += 1
-                    yield timer.after(faults.plan.msg_delay_s)
-                yield timer.after(latency)
+                    metrics.inc("net.retransmits")
+                backoff = faults.plan.backoff(attempt)
+                report.recovery_overhead_s += backoff
+                yield timeout(backoff)
+                attempt += 1
+                continue
+            if fate == "delay":
+                assert faults is not None
+                faults.report.messages_delayed += 1
+                yield timeout(faults.plan.msg_delay_s)
+            yield timeout(latency)
+            if metrics.enabled:
+                metrics.gauge_max(
+                    "nic.backlog.hwm",
+                    dst_node.nic.rx_backlog,
+                    node=message.dst,
+                    dir="rx",
+                )
+            yield from dst_node.nic.rx.use(wire)
+            if fate == "dup":
+                # the duplicate also crosses the receiver's NIC, then
+                # is discarded by sequence number (exactly-once)
+                assert faults is not None
+                faults.report.messages_duplicated += 1
+                self.dup_bytes += message.size_bytes
                 if metrics.enabled:
-                    metrics.gauge_max(
-                        "nic.backlog.hwm",
-                        dst_node.nic.rx_backlog,
-                        node=message.dst,
-                        dir="rx",
-                    )
+                    metrics.inc("net.dup_bytes", message.size_bytes)
                 yield from dst_node.nic.rx.use(wire)
-                if fate == "dup":
-                    # the duplicate also crosses the receiver's NIC, then
-                    # is discarded by sequence number (exactly-once)
-                    assert faults is not None
-                    faults.report.messages_duplicated += 1
-                    self.dup_bytes += message.size_bytes
-                    if metrics.enabled:
-                        metrics.inc("net.dup_bytes", message.size_bytes)
-                    yield from dst_node.nic.rx.use(wire)
-                break
-        finally:
-            # return the channel to the pool even if the generator is
-            # torn down mid-flight (engine drained with transfers open);
-            # disarm covers the torn-down-while-parked case so the next
-            # borrower finds the channel clean
-            self.engine.timeline.disarm(timer.slot)
-            pool.append(timer)
+            break
         if on_deliver is not None:
             on_deliver(message)
         else:
@@ -320,7 +303,20 @@ class CoalescePolicy:
     #: how long the first message in a window waits for company
     window_s: float = 5.0e-6
     #: pool at most this many messages before flushing early
+    #: (1 = pass-through: every message leaves at once, unbatched)
     max_batch: int = 8
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.window_s < math.inf:  # also rejects NaN
+            raise ConfigurationError(
+                "CoalescePolicy.window_s must be finite and >= 0, "
+                f"got {self.window_s!r}"
+            )
+        if not isinstance(self.max_batch, int) or self.max_batch < 1:
+            raise ConfigurationError(
+                "CoalescePolicy.max_batch must be an int >= 1, "
+                f"got {self.max_batch!r}"
+            )
 
 
 class BatchPayload:
@@ -357,7 +353,7 @@ class _Window:
         self.item_sizes: list[float] = []
         self.size_bytes = 0.0
         self.tags: list[str] = []
-        self.flush_call: Optional[ScheduledCall] = None
+        self.flush_call: Optional[Timer] = None
 
 
 class Coalescer:

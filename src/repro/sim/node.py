@@ -120,38 +120,27 @@ class Node:
         label: str,
         cost: "OpCost",
         meta: Optional[dict] = None,
-        timer=None,
     ):
         """Generator helper: run one operation on this node and trace it.
 
         Charges ``cost.cpu`` as exclusive core time (scaled by any
         active straggler window) then ``cost.bytes`` through the shared
         memory bandwidth, and records the enclosing span. Use as
-        ``yield from node.execute(...)``. ``timer`` (a caller-owned
-        :class:`~repro.sim.timeline.TimelineTimer`) replaces the
-        ``Timeout`` allocation for the CPU charge when given.
+        ``yield from node.execute(...)``.
         """
         t_start = self.engine.now
         if cost.cpu > 0:
-            scaled = cost.cpu * self.cpu_scale()
-            if timer is not None:
-                yield timer.after(scaled)
-            else:
-                yield self.engine.timeout(scaled)
+            yield self.engine.timeout(cost.cpu * self.cpu_scale())
         if cost.bytes > 0:
             yield self.membw.transfer(cost.bytes)
         self.trace.record(
             self.node_id, thread, category, label, t_start, self.engine.now, meta
         )
 
-    def occupy(self, duration: float, timer=None):
+    def occupy(self, duration: float):
         """Generator helper: plain untraced core time (overheads)."""
         if duration > 0:
-            scaled = duration * self.cpu_scale()
-            if timer is not None:
-                yield timer.after(scaled)
-            else:
-                yield self.engine.timeout(scaled)
+            yield self.engine.timeout(duration * self.cpu_scale())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.node_id}, cores={self.cores})"

@@ -1,10 +1,16 @@
 """Mailboxes and ready-queues for simulated threads.
 
 :class:`Store` is an unbounded FIFO channel: producers never block,
-consumers ``yield store.get()``. :class:`PriorityStore` hands out the
-highest-priority item first (ties broken FIFO), matching PaRSEC's rule
-that priorities "only have a relative meaning" — between two available
-tasks the higher-priority one executes first.
+consumers ``yield store.get()``. :class:`LifoStore` and
+:class:`PriorityStore` are the same channel with a different item
+order; :class:`PriorityStore` hands out the highest-priority item first
+(ties broken FIFO), matching PaRSEC's rule that priorities "only have a
+relative meaning" — between two available tasks the higher-priority one
+executes first.
+
+Blocked consumers park on a :class:`~repro.sim.engine.WaitQueue`, so a
+consumer killed while parked (fault injection) is skipped by ``put()``
+rather than fed an item that would be silently lost.
 """
 
 from __future__ import annotations
@@ -14,126 +20,85 @@ import itertools
 from collections import deque
 from typing import Any
 
-from repro.sim.engine import Engine, SimEvent
+from repro.sim.engine import Engine, SimEvent, WaitQueue
 
 __all__ = ["Store", "LifoStore", "PriorityStore"]
 
 
-def _pop_live_getter(getters: deque[SimEvent]) -> SimEvent | None:
-    """Pop the oldest getter that can still receive an item.
-
-    A getter killed by fault injection (its process crashed while blocked
-    on ``get()``) leaves an abandoned or already-triggered event behind in
-    the queue; delivering to it would silently drop the item. Dead entries
-    are discarded here, on the ``put()`` path, so the queue self-heals.
-    """
-    while getters:
-        event = getters.popleft()
-        if not event.abandoned and not event.triggered:
-            return event
-    return None
-
-
-def _abandon_getters(getters: deque[SimEvent]) -> int:
-    """Mark every pending getter abandoned; returns how many were live."""
-    n = 0
-    while getters:
-        event = getters.popleft()
-        if not event.abandoned and not event.triggered:
-            event.abandon()
-            n += 1
-    return n
-
-
 class Store:
-    """Unbounded FIFO channel between simulated threads."""
+    """Unbounded FIFO channel between simulated threads.
+
+    Subclasses change the service order by overriding the three item
+    hooks (:meth:`_new_items`, :meth:`_push`, :meth:`_pop`); everything
+    a producer or consumer calls is shared.
+    """
 
     def __init__(self, engine: Engine, name: str = "") -> None:
         self.engine = engine
         self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[SimEvent] = deque()
+        self._items = self._new_items()
+        self._getters = WaitQueue(engine)
         self.total_puts = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, item: Any) -> None:
-        """Deposit ``item``; wakes the oldest *live* waiting getter if any."""
-        self.total_puts += 1
-        getter = _pop_live_getter(self._getters) if self._getters else None
-        if getter is not None:
-            getter.succeed(item)
-        else:
-            self._items.append(item)
+    def put(self, item: Any, priority: float = 0.0) -> None:
+        """Deposit ``item``; wakes the oldest *live* waiting getter if any.
 
-    def abandon_getters(self) -> int:
-        """Invalidate all pending getters (crashed consumers); see module doc."""
-        return _abandon_getters(self._getters)
+        ``priority`` orders items in a :class:`PriorityStore` and is
+        ignored by the FIFO and LIFO disciplines.
+        """
+        self.total_puts += 1
+        getters = self._getters
+        if not getters or getters.wake_one(item) is None:
+            self._push(item, priority)
 
     def get(self) -> SimEvent:
         """Event that fires with the next item (immediately if available)."""
-        event = SimEvent(self.engine)  # direct: skips the event() frame
         if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
+            event = SimEvent(self.engine)  # direct: skips the event() frame
+            event.succeed(self._pop())
+            return event
+        return self._getters.park()
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking pop: ``(True, item)`` or ``(False, None)``."""
         if self._items:
-            return True, self._items.popleft()
+            return True, self._pop()
         return False, None
 
+    def abandon_getters(self) -> int:
+        """Invalidate all pending getters (crashed consumers); returns
+        how many were live."""
+        return self._getters.abandon_all()
 
-class LifoStore:
+    # -- service order: FIFO ---------------------------------------------
+    def _new_items(self) -> Any:
+        return deque()
+
+    def _push(self, item: Any, priority: float) -> None:
+        self._items.append(item)
+
+    def _pop(self) -> Any:
+        return self._items.popleft()
+
+
+class LifoStore(Store):
     """Channel that yields the most recently deposited item first.
 
     The classic locality-oriented scheduling discipline: the newest
     ready task's data is the hottest in cache.
     """
 
-    def __init__(self, engine: Engine, name: str = "") -> None:
-        self.engine = engine
-        self.name = name
-        self._items: list[Any] = []
-        self._getters: deque[SimEvent] = deque()
-        self.total_puts = 0
+    def _new_items(self) -> Any:
+        return []
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``; wakes the oldest *live* waiting getter if any."""
-        self.total_puts += 1
-        getter = _pop_live_getter(self._getters) if self._getters else None
-        if getter is not None:
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def abandon_getters(self) -> int:
-        """Invalidate all pending getters (crashed consumers); see module doc."""
-        return _abandon_getters(self._getters)
-
-    def get(self) -> SimEvent:
-        """Event that fires with the newest item (immediately if any)."""
-        event = SimEvent(self.engine)  # direct: skips the event() frame
-        if self._items:
-            event.succeed(self._items.pop())
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking pop of the newest item."""
-        if self._items:
-            return True, self._items.pop()
-        return False, None
+    def _pop(self) -> Any:
+        return self._items.pop()
 
 
-class PriorityStore:
+class PriorityStore(Store):
     """Channel that yields the highest-priority item first.
 
     Larger priority value = more important (PaRSEC convention). Equal
@@ -142,46 +107,20 @@ class PriorityStore:
     """
 
     def __init__(self, engine: Engine, name: str = "") -> None:
-        self.engine = engine
-        self.name = name
-        self._heap: list[tuple[float, int, Any]] = []
-        self._getters: deque[SimEvent] = deque()
-        self._seq = itertools.count()
-        self.total_puts = 0
+        super().__init__(engine, name)
+        self._seq = itertools.count()  # FIFO tie-break among equal priorities
 
-    def __len__(self) -> int:
-        return len(self._heap)
+    def _new_items(self) -> Any:
+        return []  # a heap of (-priority, seq, item)
 
-    def put(self, item: Any, priority: float = 0.0) -> None:
-        """Deposit ``item`` at ``priority``; may immediately wake a live getter."""
-        self.total_puts += 1
-        getter = _pop_live_getter(self._getters) if self._getters else None
-        if getter is not None:
-            getter.succeed(item)
-        else:
-            heapq.heappush(self._heap, (-priority, next(self._seq), item))
+    def _push(self, item: Any, priority: float) -> None:
+        heapq.heappush(self._items, (-priority, next(self._seq), item))
 
-    def abandon_getters(self) -> int:
-        """Invalidate all pending getters (crashed consumers); see module doc."""
-        return _abandon_getters(self._getters)
-
-    def get(self) -> SimEvent:
-        """Event firing with the highest-priority available item."""
-        event = SimEvent(self.engine)  # direct: skips the event() frame
-        if self._heap:
-            event.succeed(heapq.heappop(self._heap)[2])
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking pop of the best item: ``(True, item)`` or ``(False, None)``."""
-        if self._heap:
-            return True, heapq.heappop(self._heap)[2]
-        return False, None
+    def _pop(self) -> Any:
+        return heapq.heappop(self._items)[2]
 
     def peek_priority(self) -> float:
         """Priority of the best queued item (error if empty)."""
-        if not self._heap:
+        if not self._items:
             raise IndexError(f"PriorityStore {self.name!r} is empty")
-        return -self._heap[0][0]
+        return -self._items[0][0]

@@ -12,24 +12,20 @@ Two service disciplines cover everything the reproduction needs:
   node in the Figure 9 reproduction: SORT and accumulate traffic from
   many ranks divides a fixed byte rate.
 
-Both hot paths run on the engine's :class:`~repro.sim.timeline.BatchedTimeline`:
-capacity-1 resource holds arm a reusable PERSISTENT channel instead of
-allocating a ``Timeout``, and bandwidth rescheduling re-arms a DIRECT
-channel instead of cancelling and re-pushing a ``ScheduledCall`` per
-transfer arrival. Sequence numbers are consumed at exactly the points
-the legacy objects consumed them, so virtual timings are bitwise
-unchanged (see DESIGN.md §6).
+Callers blocked on a :class:`Resource` park on the shared
+:class:`~repro.sim.engine.WaitQueue`. The bandwidth server keeps one
+re-armable :class:`~repro.sim.timeline.Timer` for its single pending
+wakeup, instead of creating one per transfer arrival.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 import numpy as np
 
-from repro.sim.engine import Engine, SimEvent
-from repro.sim.timeline import KIND_BANDWIDTH, KIND_RESOURCE, TimelineTimer
+from repro.sim.engine import Engine, SimEvent, WaitQueue
+from repro.sim.timeline import Timer
 from repro.util.errors import SimulationError
 from repro.util.validation import check_positive
 
@@ -49,7 +45,8 @@ class Resource:
 
     A waiter whose process died (fault-killed worker, drained scheduler)
     is *abandoned* — :meth:`release` skips it instead of granting a slot
-    to a corpse, mirroring what ``Store.put`` does for dead getters.
+    to a corpse (a leaked slot deadlocks the channel: the NIC, under
+    chaos). That rule is the :class:`~repro.sim.engine.WaitQueue`'s.
     """
 
     __slots__ = (
@@ -58,7 +55,6 @@ class Resource:
         "name",
         "_in_use",
         "_waiters",
-        "_hold_timer",
         "total_acquisitions",
         "total_wait_time",
     )
@@ -70,10 +66,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: deque[tuple[SimEvent, float]] = deque()
-        # lazily-opened timeline channel for capacity-1 hold durations
-        # (at most one holder, hence at most one outstanding timeout)
-        self._hold_timer: Optional[TimelineTimer] = None
+        self._waiters = WaitQueue(engine)
         # statistics
         self.total_acquisitions = 0
         self.total_wait_time = 0.0
@@ -90,34 +83,22 @@ class Resource:
 
     def acquire(self) -> SimEvent:
         """Request a slot; the returned event fires when it is granted."""
-        event = self.engine.event()
         if self._in_use < self.capacity:
             self._in_use += 1
             self.total_acquisitions += 1
-            event.succeed()
-        else:
-            self._waiters.append((event, self.engine.now))
-        return event
+            return SimEvent(self.engine).succeed()
+        return self._waiters.park()
 
     def release(self) -> None:
-        """Return a slot, waking the oldest *live* waiter if any.
-
-        Abandoned or already-triggered waiter events are skipped — a
-        grant delivered to a fault-killed process would leak the slot
-        and deadlock the channel (the NIC, under chaos).
-        """
+        """Return a slot, handing it to the oldest *live* waiter if any."""
         if self._in_use <= 0:
             raise SimulationError(f"release() of un-acquired resource {self.name!r}")
-        waiters = self._waiters
-        while waiters:
-            waiter, enqueued_at = waiters.popleft()
-            if waiter.abandoned or waiter.triggered:
-                continue
+        woken = self._waiters.wake_one()
+        if woken is None:
+            self._in_use -= 1
+        else:
             self.total_acquisitions += 1
-            self.total_wait_time += self.engine.now - enqueued_at
-            waiter.succeed()
-            return
-        self._in_use -= 1
+            self.total_wait_time += self.engine.now - woken.parked_at
 
     def abandon_waiters(self) -> int:
         """Mark every pending waiter dead; returns how many were live.
@@ -126,13 +107,7 @@ class Resource:
         this resource will never resume, so their grants must never
         fire.
         """
-        live = 0
-        for waiter, _ in self._waiters:
-            if not waiter.abandoned and not waiter.triggered:
-                waiter.abandon()
-                live += 1
-        self._waiters.clear()
-        return live
+        return self._waiters.abandon_all()
 
     def use(self, duration: float):
         """Generator helper: hold one slot for ``duration`` virtual seconds.
@@ -143,7 +118,6 @@ class Resource:
         body resuming — the slot is released (or the pending grant
         abandoned) instead of leaking.
         """
-        engine = self.engine
         if self._in_use < self.capacity:
             # Uncontended fast path: take the slot now, synchronously —
             # no SimEvent, no lane hop. The grant instant is the same
@@ -154,20 +128,13 @@ class Resource:
             held = True
             grant = None
         else:
-            grant = engine.event()
-            self._waiters.append((grant, engine.now))
+            grant = self._waiters.park()
             held = False
         try:
             if grant is not None:
                 yield grant
                 held = True
-            if self.capacity == 1:
-                timer = self._hold_timer
-                if timer is None:
-                    timer = self._hold_timer = engine.timeline.timer(KIND_RESOURCE)
-                yield timer.after(duration)
-            else:
-                yield engine.timeout(duration)
+            yield self.engine.timeout(duration)
         finally:
             if held or (grant is not None and grant.triggered):
                 self.release()
@@ -186,9 +153,8 @@ class BandwidthResource:
 
     Jobs live in struct-of-arrays columns (remaining, original size,
     completion event) so the per-arrival charge is one bulk subtract,
-    and the single wakeup rides a DIRECT timeline channel: every
-    arrival re-arms the channel instead of cancelling and re-pushing a
-    ``ScheduledCall``.
+    and one direct-mode timer carries the single pending wakeup: every
+    arrival cancels and re-arms it.
     """
 
     _EPS = 1e-12
@@ -202,7 +168,7 @@ class BandwidthResource:
         "_size",
         "_events",
         "_last_update",
-        "_wake_slot",
+        "_wakeup",
         "total_work",
         "busy_time",
     )
@@ -226,9 +192,7 @@ class BandwidthResource:
         self._size: list[float] = []
         self._events: list[SimEvent] = []
         self._last_update = engine.now
-        self._wake_slot = engine.timeline.open(
-            KIND_BANDWIDTH, callback=self._on_wakeup
-        )
+        self._wakeup = Timer(engine.timeline, self._on_wakeup)
         # statistics
         self.total_work = 0.0
         self.busy_time = 0.0
@@ -241,7 +205,8 @@ class BandwidthResource:
     def transfer(self, amount: float) -> SimEvent:
         """Inject ``amount`` work units; event fires at completion.
 
-        Zero-size transfers complete immediately (still via the heap).
+        Zero-size transfers complete immediately (the waiter still
+        resumes through the lane, like any pre-succeeded event).
         """
         if amount < 0:
             raise SimulationError(f"negative transfer amount {amount}")
@@ -294,17 +259,17 @@ class BandwidthResource:
             self._rem = [r - served for r in rem]
 
     def _reschedule(self) -> None:
-        timeline = self.engine.timeline
+        wakeup = self._wakeup
+        wakeup.cancel()
         rem = self._rem
         if not rem:
-            timeline.disarm(self._wake_slot)
             return
         share = self.capacity / len(rem)  # inlined _rate()
         cap = self.per_job_cap
         if cap is not None and cap < share:
             share = cap
         delay = max(0.0, min(rem) / share)
-        timeline.rearm(self._wake_slot, delay)
+        wakeup.after(delay)
 
     def _on_wakeup(self) -> None:
         self._advance()

@@ -1,394 +1,163 @@
-"""Array-backed hot core for shape-homogeneous event classes.
+"""The one timed event store: a heap of ``(time, seq, timer)`` rows.
 
-The engine heap is the right structure for *irregular* events — every
-entry carries its own callback closure and cancellation handle. But the
-bulk of a PaRSEC simulation is three regular streams: GEMM/SORT
-completion timeouts in the worker threads, per-message service timeouts
-in the communication threads, and bandwidth-resource rescheduling. Each
-of those allocates a :class:`~repro.sim.engine.Timeout` (itself a
-``SimEvent``) plus a :class:`~repro.sim.engine.ScheduledCall` per event,
-only to throw both away microseconds later.
+Every event that fires at a *later* virtual time — a task's compute
+charge, a message's wire latency, a bandwidth wakeup, a coalescer flush,
+a crash — is a :class:`Timer` with one row in the :class:`Timeline`
+heap. (Events that fire *now* go through the engine's immediate lane
+instead; see ``engine.py``.) There is one row layout, one stale rule,
+one lazy shed and one compaction.
 
-:class:`BatchedTimeline` batches these homogeneous classes into a
-struct-of-arrays store: one ``(time, seq, kind, node, slot)`` row per
-pending event, with all per-channel state (parked continuation, armed
-sequence number) held in parallel columns indexed by ``slot``. Arming an
-event is a single tuple push — no object allocation at all — and
-cancellation is a column write (the stale row is shed lazily, exactly
-like a lazily-cancelled ``ScheduledCall``).
-
-Ordering contract (DESIGN.md §6)
+Sequence contract (DESIGN.md §6)
 --------------------------------
-Timeline rows draw their sequence numbers from the **same** counter as
-heap and immediate-lane entries, and the engine merges all three
-sources by ``(time, seq)``. The drain order is therefore *identical* to
-pushing every timeline event through ``heapq`` as a ``Timeout`` — which
-is why converting a producer to the timeline keeps virtual timings
-bitwise unchanged (the committed golden digests pin this for every
-workload × runtime).
+A row's sequence number is drawn from the engine's shared counter when
+the timer is armed, and rows drain in ``(time, seq)`` order; tuple
+comparison never reaches the timer because that pair is unique. What
+happens at fire time depends on the timer's mode:
 
-Two firing modes mirror the two legacy shapes:
+- *resumed* (``Engine.timeout``, ``Timeline.timer``): the continuation
+  parked by ``yield`` is resumed **through the immediate lane**, which
+  draws one more sequence number at fire time;
+- *direct* (``Engine.schedule``): the callback runs straight from the
+  drain slot and draws nothing.
 
-- ``PERSISTENT`` (``Timeout``-equivalent): the parked continuation is
-  resumed *through the immediate lane* (``call_soon``), consuming one
-  sequence number at fire time — exactly what ``Timeout.succeed`` →
-  ``_dispatch`` does.
-- ``DIRECT`` (``ScheduledCall``-equivalent): the callback runs straight
-  from the drain slot, consuming no extra sequence number — exactly
-  what ``Engine.schedule`` does. Used by bandwidth rescheduling.
+The golden ``sim`` digests pin these draw points: moving one reorders
+same-instant events.
+
+Cancellation is lazy. ``cancel()`` only clears the timer's armed
+sequence number; the row stays in the heap until it reaches the head
+(shed) or until stale rows outnumber live ones (compaction). A row is
+stale iff ``row.seq != timer.armed`` — which also covers a timer that
+was cancelled and re-armed while its old row was still queued.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from repro.util.errors import SimulationError
 
-__all__ = [
-    "BatchedTimeline",
-    "TimelineTimer",
-    "PERSISTENT",
-    "DIRECT",
-    "KIND_TASK",
-    "KIND_COMM",
-    "KIND_RESOURCE",
-    "KIND_BANDWIDTH",
-    "KIND_NET",
-]
+__all__ = ["Timeline", "Timer", "KIND_TASK"]
 
-#: fire by resuming the parked continuation through the immediate lane
-#: (one sequence number at fire time, like ``Timeout``)
-PERSISTENT = 0
-#: fire by calling the channel callback directly from the drain slot
-#: (no extra sequence number, like ``ScheduledCall``)
-DIRECT = 1
+#: Owner label accepted by :meth:`Timeline.timer`. Nothing reads it.
+KIND_TASK = "task"
 
-# The standard kinds, registered by every BatchedTimeline at creation.
-KIND_TASK = 0  # worker-thread task timeouts (GEMM/SORT completions)
-KIND_COMM = 1  # comm-thread per-message service timeouts
-KIND_RESOURCE = 2  # capacity-1 Resource hold durations (NIC channels)
-KIND_BANDWIDTH = 3  # BandwidthResource wakeups (DIRECT mode)
-KIND_NET = 4  # per-message wire latency / fault backoff in transfers
+# timer modes: how a fired timer delivers
+_RESUME = 0  # resume the parked continuation through the lane
+_DIRECT = 1  # call the callback from the drain slot
+_POOLED = 2  # _RESUME, then return the timer to the engine's pool
 
-#: compaction threshold for stale rows, mirroring Engine._COMPACT_MIN
+#: Compaction only kicks in past this many stale rows: tiny heaps are
+#: cheap to shed lazily, and the threshold avoids O(n) rebuild churn
+#: when a short simulation cancels its only few timers.
 _COMPACT_MIN = 64
 
+_INF = float("inf")
 _heappush = heapq.heappush
 
 
-class TimelineTimer:
-    """A reusable waitable bound to one timeline channel.
+class Timer:
+    """A waitable, cancellable handle on at most one pending row.
 
-    ``yield timer.after(delay)`` is the allocation-free replacement for
-    ``yield engine.timeout(delay)`` on paths where at most one timeout
-    is outstanding per owner (a worker thread, a comm thread, a
-    capacity-1 resource holder). The continuation is parked in the
-    channel's callback column and resumed through the immediate lane
-    with value ``None`` — sequence-identical to a ``Timeout`` carrying
-    its default ``None`` value.
+    ``yield timer.after(delay)`` parks the calling process until the
+    row fires; the process resumes with ``None``. A timer may be armed
+    again once it has fired or been cancelled, so a serial owner (a
+    worker, a comm thread, a bandwidth server) keeps one for life.
     """
 
-    __slots__ = ("_timeline", "slot", "_kind", "_node", "_engine", "_armed", "_heap")
+    __slots__ = ("_engine", "_timeline", "armed", "_cb", "_mode")
 
-    def __init__(self, timeline: "BatchedTimeline", slot: int) -> None:
-        self._timeline = timeline
-        self.slot = slot
-        # the row's kind/node columns are fixed for the channel's whole
-        # lifetime — caching them keeps after() free of column reads.
-        # The engine, armed column, and heap list are identity-stable
-        # (the timeline only ever mutates them in place), so they are
-        # cached too.
-        self._kind = timeline._chan_kind[slot]
-        self._node = timeline._chan_node[slot]
+    def __init__(
+        self,
+        timeline: "Timeline",
+        callback: Optional[Callable[[], None]] = None,
+        pooled: bool = False,
+    ) -> None:
+        """With ``callback``, a direct timer that calls it at fire time;
+        without, a timer that resumes whoever ``yield``-ed it.
+        ``pooled`` is for :meth:`Engine.timeout`'s recycled one-shots."""
         self._engine = timeline._engine
-        self._armed = timeline._chan_armed
-        self._heap = timeline._heap
+        self._timeline = timeline
+        #: sequence number of the live row, -1 when not armed
+        self.armed = -1
+        #: parked continuation (resumed modes) or the callback (direct)
+        self._cb: Any = callback
+        if callback is not None:
+            self._mode = _DIRECT
+        else:
+            self._mode = _POOLED if pooled else _RESUME
 
-    def after(self, delay: float) -> "TimelineTimer":
-        """Arm the channel ``delay`` virtual seconds from now.
+    def after(self, delay: float) -> "Timer":
+        """Arm the timer ``delay`` virtual seconds from now.
 
-        Inlined :meth:`BatchedTimeline.arm` fast path — this is the
-        single hottest call in a converted simulation (one per task/
-        message service), so the extra frame is worth shaving. Error
-        cases fall through to ``arm()`` for its diagnostics.
+        The single arming point of the simulation. ``delay`` must be a
+        finite non-negative number: NaN compares false against every
+        heap key, so one NaN row would silently break the heap order
+        for every later event, and an infinite one never fires.
         """
-        armed = self._armed
-        slot = self.slot
-        if delay < 0 or armed[slot] != -1:
-            self._timeline.arm(slot, delay)  # raises with the precise message
-            return self
+        if self.armed != -1:
+            raise SimulationError("timer re-armed while armed")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"timer delay must be finite and >= 0, got {delay}")
         engine = self._engine
-        seq = next(engine._seq)
-        armed[slot] = seq
-        _heappush(
-            self._heap,
-            (engine.now + delay, seq, self._kind, self._node, slot),
-        )
-        self._timeline.armed_total += 1
+        seq = self.armed = next(engine._seq)
+        _heappush(self._timeline._heap, (engine.now + delay, seq, self))
         return self
 
-    def close(self) -> None:
-        """Recycle the underlying channel (see :meth:`BatchedTimeline.close`).
-
-        Call when the owning process retires (workers are respawned per
-        barrier level); the slot is reused by the next ``timer()`` or
-        ``open()`` instead of growing the channel columns forever.
-        """
-        self._timeline.close(self.slot)
+    def cancel(self) -> None:
+        """Disarm; the pending row (if any) will never fire. Idempotent."""
+        if self.armed != -1:
+            self.armed = -1
+            self._timeline._note_stale()
 
     def _wait(self, callback: Callable) -> None:
-        self._timeline._chan_cb[self.slot] = callback
+        if self.armed == -1:
+            # a fired one-shot may already be serving another waiter
+            raise SimulationError("waited on a timer that is not armed")
+        self._cb = callback
 
 
-class BatchedTimeline:
-    """Struct-of-arrays event store merged with the engine heap/lane.
-
-    Channels are the unit of registration: a channel belongs to a kind,
-    remembers its owner node (observability only), and holds at most
-    one armed row at a time. Rows live in a heap of bare
-    ``(time, seq, kind, node, slot)`` tuples; all mutable state is in
-    the parallel channel columns, so arming, firing, and cancelling
-    never allocate.
-    """
+class Timeline:
+    """Heap of pending timer rows, drained by :meth:`Engine.run`."""
 
     def __init__(self, engine: Any) -> None:
         self._engine = engine
-        #: pending rows: (time, seq, kind, node, slot) tuples, heap-ordered
-        self._heap: list[tuple[float, int, int, int, int]] = []
-        # kind registry
-        self._kind_names: list[str] = []
-        self._kind_modes: list[int] = []
-        # struct-of-arrays channel columns, indexed by slot
-        self._chan_armed: list[int] = []  # armed seq, -1 when disarmed
-        self._chan_cb: list[Optional[Callable]] = []
-        self._chan_kind: list[int] = []
-        self._chan_node: list[int] = []
-        self._free: list[int] = []
-        #: rows made stale by disarm/re-arm, still occupying heap slots
-        self._stale_pending = 0
-        # statistics
-        self.armed_total = 0
-        self.fired_total = 0
-        self.stale_dropped = 0
-        for name, mode in (
-            ("task", PERSISTENT),
-            ("comm", PERSISTENT),
-            ("resource", PERSISTENT),
-            ("bandwidth", DIRECT),
-            ("net", PERSISTENT),
-        ):
-            self.register_kind(name, mode)
+        #: (time, seq, timer) rows; mutated in place only, so the engine
+        #: loop may alias it across callbacks
+        self._heap: list[tuple[float, int, Timer]] = []
+        self._stale = 0
 
-    # ------------------------------------------------------------------
-    # registration
-    # ------------------------------------------------------------------
-    def register_kind(self, name: str, mode: int = PERSISTENT) -> int:
-        """Add an event kind; returns its integer id (the kind column)."""
-        if mode not in (PERSISTENT, DIRECT):
-            raise SimulationError(f"unknown timeline kind mode {mode!r}")
-        self._kind_names.append(name)
-        self._kind_modes.append(mode)
-        return len(self._kind_names) - 1
+    def timer(self, kind: str = KIND_TASK) -> Timer:
+        """A re-armable timer that resumes its waiter through the lane.
 
-    def open(
-        self, kind: int, node: int = -1, callback: Optional[Callable] = None
-    ) -> int:
-        """Allocate a channel of ``kind``; returns its slot index."""
-        if not 0 <= kind < len(self._kind_names):
-            raise SimulationError(f"unregistered timeline kind {kind}")
-        if self._free:
-            slot = self._free.pop()
-            self._chan_armed[slot] = -1
-            self._chan_cb[slot] = callback
-            self._chan_kind[slot] = kind
-            self._chan_node[slot] = node
-        else:
-            slot = len(self._chan_armed)
-            self._chan_armed.append(-1)
-            self._chan_cb.append(callback)
-            self._chan_kind.append(kind)
-            self._chan_node.append(node)
-        return slot
-
-    def close(self, slot: int) -> None:
-        """Recycle a channel; any armed row goes stale."""
-        self.disarm(slot)
-        self._chan_cb[slot] = None
-        self._free.append(slot)
-
-    def timer(self, kind: int, node: int = -1) -> TimelineTimer:
-        """A reusable :class:`TimelineTimer` on a fresh channel."""
-        return TimelineTimer(self, self.open(kind, node))
-
-    # ------------------------------------------------------------------
-    # arming
-    # ------------------------------------------------------------------
-    def arm(self, slot: int, delay: float) -> int:
-        """Schedule the channel's event ``delay`` seconds from now.
-
-        Returns the sequence number stamped on the row — drawn from the
-        engine's shared counter at the same point ``Engine.schedule``
-        would draw it, which is what keeps the merged drain order
-        bitwise identical to the heap path.
+        For a serial owner that wants to keep one timer for life rather
+        than take a pooled one-shot from :meth:`Engine.timeout` per wait.
+        ``kind`` is a label for the reader; nothing uses it.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot arm timeline at negative delay {delay}")
-        if self._chan_armed[slot] != -1:
-            raise SimulationError(
-                f"timeline channel {slot} ({self._kind_names[self._chan_kind[slot]]}) "
-                "re-armed while armed"
-            )
-        engine = self._engine
-        seq = next(engine._seq)
-        self._chan_armed[slot] = seq
-        heapq.heappush(
-            self._heap,
-            (engine.now + delay, seq, self._chan_kind[slot], self._chan_node[slot], slot),
-        )
-        self.armed_total += 1
-        return seq
+        return Timer(self)
 
-    def disarm(self, slot: int) -> None:
-        """Cancel the channel's pending row, if any (lazy, like
-        ``ScheduledCall.cancel``: the heap row stays until shed)."""
-        if self._chan_armed[slot] != -1:
-            self._chan_armed[slot] = -1
-            self._note_stale()
-
-    def rearm(self, slot: int, delay: float) -> int:
-        """Atomically cancel any pending row and arm a fresh one."""
-        self.disarm(slot)
-        return self.arm(slot, delay)
-
-    def arm_batch(self, slots: list[int], delays: "np.ndarray | list[float]") -> None:
-        """Arm many channels in one vectorized plan.
-
-        Sequence numbers are stamped in input order (exactly as a loop
-        of ``arm()`` calls would), then the rows are lexsorted by
-        ``(time, seq)`` with numpy and merged into the heap in one
-        heapify instead of ``len(slots)`` sifts — the ragged-batch
-        trick, applied to event insertion. The drain order is identical
-        to the loop by construction.
-        """
-        if len(slots) == 0:
-            return
-        engine = self._engine
-        now = engine.now
-        times = now + np.asarray(delays, dtype=np.float64)
-        if times.size != len(slots):
-            raise SimulationError("arm_batch: slots and delays length mismatch")
-        if float(times.min()) < now:
-            raise SimulationError("cannot arm timeline at negative delay")
-        seqs = np.empty(len(slots), dtype=np.int64)
-        for i, slot in enumerate(slots):
-            if self._chan_armed[slot] != -1:
-                raise SimulationError(
-                    f"timeline channel {slot} re-armed while armed (batch)"
-                )
-            seq = next(engine._seq)
-            self._chan_armed[slot] = seq
-            seqs[i] = seq
-        order = np.lexsort((seqs, times))
-        chan_kind = self._chan_kind
-        chan_node = self._chan_node
-        # float()/int() strip the numpy scalar types: row times feed the
-        # virtual clock, which must stay a plain Python float
-        rows = [
-            (
-                float(times[i]),
-                int(seqs[i]),
-                chan_kind[slots[i]],
-                chan_node[slots[i]],
-                slots[i],
-            )
-            for i in map(int, order)
-        ]
-        if self._heap:
-            self._heap.extend(rows)
-            heapq.heapify(self._heap)
-        else:
-            # a (time, seq)-sorted list is already a valid binary heap;
-            # extend (not rebind) keeps the list identity stable for the
-            # aliases cached by TimelineTimer and Engine.run
-            self._heap.extend(rows)
-        self.armed_total += len(rows)
-
-    # ------------------------------------------------------------------
-    # draining (called by Engine.run / Engine.peek)
-    # ------------------------------------------------------------------
-    def _shed_stale(self) -> None:
-        """Pop rows whose channel was disarmed or re-armed since push."""
-        heap = self._heap
-        armed = self._chan_armed
-        while heap and heap[0][1] != armed[heap[0][4]]:
-            heapq.heappop(heap)
-            self._stale_pending -= 1
-            self.stale_dropped += 1
-
-    def _fire(self, row: tuple[float, int, int, int, int]) -> None:
-        """Dispatch one popped row (the engine has set the clock)."""
-        slot = row[4]
-        self._chan_armed[slot] = -1
-        self.fired_total += 1
-        cb = self._chan_cb[slot]
-        if self._kind_modes[row[2]]:
-            cb()  # DIRECT: ScheduledCall-equivalent, no extra seq
-        else:
-            self._engine.call_soon(cb, None)  # PERSISTENT: Timeout-equivalent
-
-    def _note_stale(self) -> None:
-        self._stale_pending += 1
-        if (
-            self._stale_pending >= _COMPACT_MIN
-            and self._stale_pending * 2 > len(self._heap)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop stale rows and re-heapify in place (order-preserving)."""
-        armed = self._chan_armed
-        live = [row for row in self._heap if row[1] == armed[row[4]]]
-        self.stale_dropped += len(self._heap) - len(live)
-        self._heap[:] = live
-        heapq.heapify(self._heap)
-        self._stale_pending = 0
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Rows currently in the timeline heap (live + stale)."""
+        """Rows in the heap, live and stale."""
         return len(self._heap)
 
     @property
     def stale_pending(self) -> int:
-        """Disarmed rows still occupying heap slots."""
-        return self._stale_pending
+        """Cancelled rows still occupying heap slots."""
+        return self._stale
 
-    @property
-    def channels(self) -> int:
-        """Channels allocated (including recycled free slots)."""
-        return len(self._chan_armed)
+    def _note_stale(self) -> None:
+        self._stale += 1
+        if self._stale >= _COMPACT_MIN and self._stale * 2 > len(self._heap):
+            self._compact()
 
-    def counts_by_kind(self) -> dict[str, int]:
-        """Pending live rows per kind name (vectorized over the columns)."""
-        if not self._heap:
-            return {}
-        rows = np.array(
-            [(row[1], row[2], row[4]) for row in self._heap], dtype=np.int64
-        )
-        armed = np.fromiter(
-            (self._chan_armed[int(s)] for s in rows[:, 2]),
-            dtype=np.int64,
-            count=len(rows),
-        )
-        live = rows[rows[:, 0] == armed]
-        kinds, counts = np.unique(live[:, 1], return_counts=True)
-        return {
-            self._kind_names[int(k)]: int(c) for k, c in zip(kinds, counts)
-        }
+    def _compact(self) -> None:
+        """Drop stale rows and re-heapify in place.
+
+        The surviving rows keep their ``(time, seq)`` keys, so the drain
+        order — and every virtual timing — is the same with or without
+        compaction.
+        """
+        self._heap[:] = [row for row in self._heap if row[1] == row[2].armed]
+        heapq.heapify(self._heap)
+        self._stale = 0

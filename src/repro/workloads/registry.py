@@ -7,11 +7,8 @@ A workload token is ``"<name>"`` or ``"<name>:<params>"``:
 - ``"rbgs:128x128"`` — the red-black stencil on an explicit tile grid
   (presets like ``"rbgs:tiny"`` also work).
 
-Bare legacy scale names (``"tiny"``, ``"small"``, ``"paper"``,
-``"full"``) remain accepted everywhere a token is, resolving to
-``"t2_7:<scale>"`` — the deprecation shim that keeps the original
-``repro.run("small")`` API working. New code should spell the workload
-explicitly.
+A bare scale name (``"small"``) is not a token: the workload is always
+named, and an unknown name raises :class:`ConfigurationError`.
 
 Adding a workload is one :func:`register_workload` call with a builder
 ``(cluster, ga, params, *, seed, skew_factor, skew_period) -> Workload``
@@ -23,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.tce.molecules import SCALE_PRESETS
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -49,10 +45,6 @@ class WorkloadSpec:
 
 _REGISTRY: dict[str, WorkloadSpec] = {}
 
-#: legacy scale-string shim: a bare scale name is a t2_7 token
-_LEGACY_SCALES = tuple(SCALE_PRESETS)
-
-
 def register_workload(spec: WorkloadSpec) -> None:
     """Register (or replace) a workload under its name."""
     _REGISTRY[spec.name] = spec
@@ -70,9 +62,8 @@ def workload_spec(name: str) -> WorkloadSpec:
     except KeyError:
         raise ConfigurationError(
             f"unknown workload {name!r}: registered workloads are "
-            f"{list(workload_names())} (a bare scale name "
-            f"{sorted(_LEGACY_SCALES)} is also accepted as shorthand "
-            f"for 't2_7:<scale>')"
+            f"{list(workload_names())} (tokens are '<name>' or "
+            f"'<name>:<params>', e.g. 't2_7:small')"
         ) from None
 
 
@@ -83,8 +74,7 @@ def parse_workload_token(
 
     ``scale`` supplies the params when the token has none (the
     experiments' ``--workload rbgs --scale tiny`` composition); an
-    explicit ``name:params`` token wins over it. Bare legacy scale
-    names resolve through the t2_7 shim.
+    explicit ``name:params`` token wins over it.
     """
     token = token.strip()
     if ":" in token:
@@ -92,8 +82,6 @@ def parse_workload_token(
         name, params = name.strip(), params.strip()
         if not params:
             raise ConfigurationError(f"workload token {token!r} has empty params")
-    elif token in _LEGACY_SCALES and token not in _REGISTRY:
-        name, params = "t2_7", token
     else:
         name, params = token, ""
     spec = workload_spec(name)

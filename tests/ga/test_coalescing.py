@@ -8,12 +8,14 @@ produce the same bytes with fewer wire messages.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.api import RunConfig
 from repro.ga.runtime import GlobalArrays
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
 from repro.sim.network import BatchPayload, CoalescePolicy, Coalescer
+from repro.util.errors import ConfigurationError
 
 
 def make_cluster(n_nodes=4, cores_per_node=2):
@@ -201,3 +203,22 @@ class TestRunConfigKnobs:
         config = RunConfig()
         assert config.coalescing is None
         assert config.remote_cache is None
+
+
+class TestPolicyValidation:
+    """``window_s`` feeds ``Engine.schedule``; a NaN there used to corrupt
+    the event heap silently instead of failing at construction."""
+
+    @pytest.mark.parametrize("window_s", [float("nan"), float("inf"), -1e-6])
+    def test_window_must_be_finite_and_non_negative(self, window_s):
+        with pytest.raises(ConfigurationError, match="window_s"):
+            CoalescePolicy(window_s=window_s)
+
+    @pytest.mark.parametrize("max_batch", [0, -1, 2.5])
+    def test_max_batch_must_be_a_positive_int(self, max_batch):
+        with pytest.raises(ConfigurationError, match="max_batch"):
+            CoalescePolicy(max_batch=max_batch)
+
+    def test_boundary_values_are_accepted(self):
+        policy = CoalescePolicy(window_s=0.0, max_batch=1)  # 1 = pass-through
+        assert (policy.window_s, policy.max_batch) == (0.0, 1)

@@ -9,12 +9,14 @@ to an uncached one under interleaved fetch/accumulate traffic.
 """
 
 import numpy as np
+import pytest
 
 from repro.ga.array import _WRITE_LOG_MAX
 from repro.ga.cache import RemoteBlockCache, RemoteCachePolicy
 from repro.ga.runtime import GlobalArrays
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
+from repro.util.errors import ConfigurationError
 
 
 def make_cluster(n_nodes=4, data_mode=DataMode.REAL):
@@ -97,6 +99,11 @@ class TestWriteEpochs:
 
 
 class TestRemoteBlockCache:
+    @pytest.mark.parametrize("max_blocks", [-1, 1.5, None])
+    def test_policy_rejects_non_count_capacity(self, max_blocks):
+        with pytest.raises(ConfigurationError, match="max_blocks"):
+            RemoteCachePolicy(max_blocks=max_blocks)
+
     def test_overlapping_write_invalidates(self):
         array = make_array()
         cache = RemoteBlockCache(RemoteCachePolicy())

@@ -41,7 +41,8 @@ def _config(n_nodes, stealing, **overrides):
 
 
 def _run(n_nodes, stealing, **overrides):
-    return api.run("tiny", variant=V5, config=_config(n_nodes, stealing, **overrides))
+    config = _config(n_nodes, stealing, **overrides)
+    return api.run("t2_7:tiny", variant=V5, config=config)
 
 
 # ----------------------------------------------------------------------

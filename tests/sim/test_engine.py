@@ -11,6 +11,14 @@ def engine():
     return Engine()
 
 
+def timed(engine, delay, value=None):
+    """An event that succeeds with ``value`` after ``delay``: the spelling
+    for a timeout that carries a value or feeds a combinator."""
+    event = engine.event()
+    engine.schedule(delay, event.succeed, value)
+    return event
+
+
 class TestScheduling:
     def test_clock_starts_at_zero(self, engine):
         assert engine.now == 0.0
@@ -110,7 +118,7 @@ class TestTimeout:
         assert times == [3.0]
 
     def test_timeout_value_passthrough(self, engine):
-        timeout = engine.timeout(1.0, value="payload")
+        timeout = timed(engine, 1.0, value="payload")
         got = []
         timeout._wait(lambda ev: got.append(ev.value))
         engine.run()
@@ -231,8 +239,8 @@ class TestProcess:
 
 class TestCombinators:
     def test_all_of_collects_values_in_order(self, engine):
-        t1 = engine.timeout(3.0, value="late")
-        t2 = engine.timeout(1.0, value="early")
+        t1 = timed(engine, 3.0, value="late")
+        t2 = timed(engine, 1.0, value="early")
         results = []
 
         def worker():
@@ -248,7 +256,7 @@ class TestCombinators:
         assert combined.triggered and combined.value == []
 
     def test_all_of_fails_on_first_failure(self, engine):
-        good = engine.timeout(5.0)
+        good = timed(engine, 5.0)
         bad = engine.event()
         engine.schedule(1.0, bad.fail, RuntimeError("nope"))
         caught = []
@@ -264,8 +272,8 @@ class TestCombinators:
         assert caught == [(1.0, "nope")]
 
     def test_any_of_returns_winner(self, engine):
-        slow = engine.timeout(9.0, value="slow")
-        fast = engine.timeout(2.0, value="fast")
+        slow = timed(engine, 9.0, value="slow")
+        fast = timed(engine, 2.0, value="fast")
         results = []
 
         def worker():
@@ -282,7 +290,7 @@ class TestCombinators:
 
 
 class TestCancelInteraction:
-    """ScheduledCall.cancel crossed with peek() and run(until=...)."""
+    """Timer.cancel crossed with peek() and run(until=...)."""
 
     def test_cancel_between_bounded_runs(self, engine):
         fired = []
@@ -331,7 +339,7 @@ class TestCombinatorFailures:
     """all_of / any_of under failing inputs."""
 
     def test_any_of_slow_success_beats_fast_failure(self, engine):
-        slow = engine.timeout(5.0, value="slow-win")
+        slow = timed(engine, 5.0, value="slow-win")
         fast_fail = engine.event()
         engine.schedule(1.0, fast_fail.fail, RuntimeError("fast loser"))
         results = []
@@ -365,7 +373,7 @@ class TestCombinatorFailures:
     def test_any_of_with_already_failed_input(self, engine):
         dead = engine.event()
         dead.fail(ValueError("pre-failed"))
-        alive = engine.timeout(1.0, value="ok")
+        alive = timed(engine, 1.0, value="ok")
         results = []
 
         def worker():
@@ -378,7 +386,7 @@ class TestCombinatorFailures:
 
     def test_all_of_late_successes_after_failure_ignored(self, engine):
         bad = engine.event()
-        good = engine.timeout(3.0, value="late")
+        good = timed(engine, 3.0, value="late")
         engine.schedule(1.0, bad.fail, RuntimeError("early"))
         caught = []
 
@@ -399,7 +407,7 @@ class TestCombinatorFailures:
 
         def worker():
             try:
-                yield all_of(engine, [dead, engine.timeout(1.0)])
+                yield all_of(engine, [dead, timed(engine, 1.0)])
             except KeyError:
                 caught.append(engine.now)
 
@@ -472,7 +480,7 @@ class TestImmediateLane:
         got = []
         event._wait(lambda ev: got.append(ev.value))
         event.succeed(9)
-        assert engine.heap_size == 0  # no zero-delay heapq traffic
+        assert engine.timeline.pending == 0  # no zero-delay heapq traffic
         engine.run()
         assert got == [9]
 
@@ -536,37 +544,38 @@ class TestImmediateLane:
 
 class TestHeapCompaction:
     def test_heap_size_and_cancelled_pending_track_schedule_cancel(self, engine):
+        timeline = engine.timeline
         calls = [engine.schedule(float(i + 1), lambda _=None: None) for i in range(10)]
-        assert engine.heap_size == 10
-        assert engine.cancelled_pending == 0
+        assert timeline.pending == 10
+        assert timeline.stale_pending == 0
         calls[0].cancel()
         calls[0].cancel()  # idempotent: counted once
-        assert engine.cancelled_pending == 1
-        assert engine.heap_size == 10  # lazy: still occupying a slot
+        assert timeline.stale_pending == 1
+        assert timeline.pending == 10  # lazy: still occupying a slot
 
     def test_compaction_reclaims_majority_cancelled(self, engine):
+        timeline = engine.timeline
         calls = [engine.schedule(float(i + 1), lambda _=None: None) for i in range(100)]
         for call in calls[:70]:
             call.cancel()
         # threshold (>= 64 cancelled and more than half the heap) was crossed
-        assert engine.cancelled_pending < 64
-        live = engine.heap_size - engine.cancelled_pending
-        assert live == 30
+        assert timeline.stale_pending < 64
+        assert timeline.pending - timeline.stale_pending == 30
         engine.run()
-        assert engine.heap_size == 0
+        assert timeline.pending == 0
 
     def test_cancel_churn_keeps_heap_bounded(self, engine):
         peak = 0
         for i in range(10_000):
             engine.schedule(1.0 + i, lambda _=None: None).cancel()
-            peak = max(peak, engine.heap_size)
+            peak = max(peak, engine.timeline.pending)
         assert peak <= 130  # compaction bound, not monotone growth
 
     def test_cancel_after_run_does_not_corrupt_counter(self, engine):
         call = engine.schedule(1.0, lambda _=None: None)
         engine.run()
         call.cancel()  # already popped: must not count as heap garbage
-        assert engine.cancelled_pending == 0
+        assert engine.timeline.stale_pending == 0
 
     def test_compaction_preserves_order_and_delivery(self, engine):
         order = []

@@ -1,10 +1,13 @@
-"""Unit tests for Store/PriorityStore mailboxes and the SimMutex model."""
+"""Unit tests for Store/PriorityStore mailboxes, the SimMutex model, and
+the waiter protocol every blocking primitive shares."""
 
 import pytest
 
+from repro.ga.sync import Barrier
 from repro.sim.engine import Engine
 from repro.sim.mutex import SimMutex
 from repro.sim.queues import LifoStore, PriorityStore, Store
+from repro.sim.resources import Resource
 
 
 @pytest.fixture
@@ -208,7 +211,7 @@ class TestSimMutex:
 
 
 class TestAbandonedGetters:
-    """Dead consumers must not eat items (see queues._pop_live_getter)."""
+    """Dead consumers must not eat items (see engine.WaitQueue)."""
 
     @pytest.mark.parametrize("store_cls", [Store, LifoStore, PriorityStore])
     def test_put_skips_abandoned_getter(self, engine, store_cls):
@@ -248,3 +251,93 @@ class TestAbandonedGetters:
         assert first.triggered and first.value == 1
         store.put(2)
         assert len(store) == 1
+
+
+# ----------------------------------------------------------------------
+# one waiter protocol: every primitive that parks callers
+# ----------------------------------------------------------------------
+# Each case builds a primitive in the state where the next caller must
+# block, and returns (park, wake, kept): ``park()`` blocks one caller and
+# returns its event, ``wake()`` makes one item/slot/release available,
+# ``kept()`` says the item or slot is still there for a future caller.
+
+
+def _store_case(cls):
+    def make(engine):
+        store = cls(engine)
+        return store.get, lambda: store.put("item"), lambda: len(store) == 1
+
+    make.__name__ = cls.__name__
+    return make
+
+
+def _resource_case(engine):
+    resource = Resource(engine)
+    resource.acquire()  # the slot is taken: later acquirers park
+    return resource.acquire, resource.release, lambda: resource.in_use == 0
+
+
+def _mutex_case(engine):
+    mutex = SimMutex(engine)
+    next(mutex.lock())  # held: later lockers park on their first yield
+    return (
+        lambda: next(mutex.lock()),
+        lambda: list(mutex.unlock()),
+        lambda: not mutex.locked,
+    )
+
+
+def _barrier_case(engine):
+    barrier = Barrier(engine, parties=3)
+
+    def arrive():
+        return next(barrier.arrive())
+
+    # the third arrival releases the generation; nothing is "kept" but
+    # the barrier must have cycled cleanly
+    return arrive, arrive, lambda: barrier.generation == 1 and barrier.arrived == 0
+
+
+WAITER_CASES = [
+    _store_case(Store),
+    _store_case(LifoStore),
+    _store_case(PriorityStore),
+    _resource_case,
+    _mutex_case,
+    _barrier_case,
+]
+CASE_IDS = ["Store", "LifoStore", "PriorityStore", "Resource", "SimMutex", "Barrier"]
+
+
+def _kill(event, how):
+    if how == "abandoned":
+        event.abandon()  # its process died while parked
+    else:
+        event.succeed("elsewhere")  # fired behind the queue's back
+
+
+@pytest.mark.parametrize("how", ["abandoned", "triggered"])
+@pytest.mark.parametrize("make", WAITER_CASES, ids=CASE_IDS)
+class TestDeadWaiters:
+    """An abandoned or already-triggered waiter is never woken, and the
+    item or slot it would have swallowed is not lost."""
+
+    def test_wake_skips_the_corpse_and_serves_the_next_live_waiter(
+        self, engine, make, how
+    ):
+        park, wake, _ = make(engine)
+        corpse, live = park(), park()
+        _kill(corpse, how)
+        wake()  # must neither raise "already triggered" nor feed the corpse
+        assert live.triggered and live.ok
+        if how == "abandoned":
+            assert not corpse.triggered
+        else:
+            assert corpse.value == "elsewhere"
+
+    def test_only_dead_waiters_means_nothing_is_lost(self, engine, make, how):
+        park, wake, kept = make(engine)
+        _kill(park(), how)
+        _kill(park(), how)
+        wake()
+        assert kept()

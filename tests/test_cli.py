@@ -36,6 +36,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["info", "--scale", "galactic"])
 
+    def test_bare_scale_as_workload_is_a_usage_error(self, capsys):
+        # "tiny" used to mean "t2_7:tiny" through a deprecation shim
+        assert main(["info", "--workload", "tiny"]) == 2
+        assert "unknown workload 'tiny'" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

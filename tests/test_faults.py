@@ -568,9 +568,9 @@ class TestDeadGetterRegression:
         # drain() removed (and abandoned) every getter parked at crash
         # time: no corpse is left for a stray put() to resurrect
         dead_ready = runtime.schedulers[1].ready
-        assert all(
-            event.abandoned or event.triggered for event in dead_ready._getters
-        )
+        assert len(dead_ready._getters) == 0
+        dead_ready.put("stray", 0.0)
+        assert len(dead_ready) == 1  # buffered, not fed to a dead worker
 
 
 # ----------------------------------------------------------------------
@@ -596,7 +596,9 @@ class TestHeapBoundedUnderChaos:
                     tag="t",
                     on_deliver=lambda m: delivered.append(m.payload),
                 )
-                peak_cancelled[0] = max(peak_cancelled[0], engine.cancelled_pending)
+                peak_cancelled[0] = max(
+                    peak_cancelled[0], engine.timeline.stale_pending
+                )
                 yield engine.timeout(1e-6)
 
         engine.process(sender())
@@ -604,5 +606,6 @@ class TestHeapBoundedUnderChaos:
         assert sorted(delivered) == list(range(400))
         # lazy-cancelled entries never exceed the compaction threshold
         # plus half the live heap — no monotone growth
-        assert peak_cancelled[0] <= 64 + engine.heap_size // 2 + 400
-        assert engine.cancelled_pending * 2 <= max(128, engine.heap_size)
+        timeline = engine.timeline
+        assert peak_cancelled[0] <= 64 + timeline.pending // 2 + 400
+        assert timeline.stale_pending * 2 <= max(128, timeline.pending)

@@ -1,7 +1,6 @@
 """Tests of the unified ``repro.run`` facade and the RunResult protocol."""
 
 import json
-import warnings
 
 import pytest
 
@@ -17,7 +16,7 @@ TINY = RunConfig(n_nodes=4, cores_per_node=2, seed=7)
 
 class TestFacadeDispatch:
     def test_parsec_from_scale_string(self):
-        result = run("tiny", runtime="parsec", variant="v5", config=TINY)
+        result = run("t2_7:tiny", runtime="parsec", variant="v5", config=TINY)
         assert isinstance(result, RunResult)
         assert result.runtime_name == "parsec"
         assert result.variant == "v5"
@@ -25,18 +24,18 @@ class TestFacadeDispatch:
         assert result.execution_time > 0
 
     def test_legacy_and_original_are_synonyms(self):
-        a = run("tiny", runtime="legacy", config=TINY)
-        b = run("tiny", runtime="original", config=TINY)
+        a = run("t2_7:tiny", runtime="legacy", config=TINY)
+        b = run("t2_7:tiny", runtime="original", config=TINY)
         assert a.runtime_name == b.runtime_name == "legacy"
         assert a.execution_time == b.execution_time
 
     def test_dtd(self):
-        result = run("tiny", runtime="dtd", config=TINY)
+        result = run("t2_7:tiny", runtime="dtd", config=TINY)
         assert result.runtime_name == "dtd"
         assert result.n_tasks > 0
 
     def test_variant_name_as_runtime_shorthand(self):
-        result = run("tiny", runtime="v3", config=TINY)
+        result = run("t2_7:tiny", runtime="v3", config=TINY)
         assert result.runtime_name == "parsec"
         assert result.variant == "v3"
 
@@ -49,13 +48,13 @@ class TestFacadeDispatch:
 
     def test_unknown_runtime_rejected(self):
         with pytest.raises(ConfigurationError):
-            run("tiny", runtime="mpi", config=TINY)
+            run("t2_7:tiny", runtime="mpi", config=TINY)
 
 
 class TestRunResultProtocol:
     def test_uniform_surface_across_runtimes(self):
         for runtime in ("legacy", "parsec", "dtd"):
-            result = run("tiny", runtime=runtime, config=TINY)
+            result = run("t2_7:tiny", runtime=runtime, config=TINY)
             assert result.execution_time > 0
             assert result.n_tasks > 0
             assert isinstance(result.recovery_counters(), dict)
@@ -63,7 +62,7 @@ class TestRunResultProtocol:
             assert result.output is not None
 
     def test_recovery_counters_zero_without_faults(self):
-        result = run("tiny", runtime="parsec", config=TINY)
+        result = run("t2_7:tiny", runtime="parsec", config=TINY)
         assert set(result.recovery_counters()) == {
             "task_retries",
             "retransmits",
@@ -75,7 +74,7 @@ class TestRunResultProtocol:
         assert all(v == 0 for v in result.recovery_counters().values())
 
     def test_report_attached_when_metrics_enabled(self):
-        result = run("tiny", runtime="parsec", config=TINY)
+        result = run("t2_7:tiny", runtime="parsec", config=TINY)
         assert isinstance(result.report, RunReport)
         assert result.report.runtime == "parsec"
         assert result.report.phases["execution"]["virtual_s"] > 0
@@ -87,29 +86,31 @@ class TestRunResultProtocol:
 
     def test_no_report_when_metrics_disabled(self):
         config = RunConfig(n_nodes=4, cores_per_node=2, metrics=False)
-        result = run("tiny", runtime="parsec", config=config)
+        result = run("t2_7:tiny", runtime="parsec", config=config)
         assert result.report is None
         assert result.metrics is None
 
 
 class TestDeterminism:
     def test_identical_seeds_identical_reports(self):
-        a = run("tiny", runtime="parsec", config=TINY)
-        b = run("tiny", runtime="parsec", config=TINY)
+        a = run("t2_7:tiny", runtime="parsec", config=TINY)
+        b = run("t2_7:tiny", runtime="parsec", config=TINY)
         assert a.report.to_json_line() == b.report.to_json_line()
 
     def test_metrics_do_not_change_virtual_time(self):
         times = {}
         for enabled in (False, True):
             config = RunConfig(n_nodes=4, cores_per_node=2, metrics=enabled)
-            times[enabled] = run("tiny", runtime="parsec", config=config).execution_time
+            result = run("t2_7:tiny", runtime="parsec", config=config)
+            times[enabled] = result.execution_time
         assert times[False] == times[True]
 
     def test_legacy_metrics_do_not_change_virtual_time(self):
         times = {}
         for enabled in (False, True):
             config = RunConfig(n_nodes=4, cores_per_node=2, metrics=enabled)
-            times[enabled] = run("tiny", runtime="legacy", config=config).execution_time
+            result = run("t2_7:tiny", runtime="legacy", config=config)
+            times[enabled] = result.execution_time
         assert times[False] == times[True]
 
 
@@ -161,9 +162,9 @@ class TestInspectionCache:
         )
         plain = RunConfig(n_nodes=4, cores_per_node=2, metrics=False)
         for rt in ("v2", "v5"):
-            warm = run("tiny", runtime=rt, config=config)  # miss, fills cache
-            cached = run("tiny", runtime=rt, config=config)  # hit
-            reference = run("tiny", runtime=rt, config=plain)
+            warm = run("t2_7:tiny", runtime=rt, config=config)  # miss, fills cache
+            cached = run("t2_7:tiny", runtime=rt, config=config)  # hit
+            reference = run("t2_7:tiny", runtime=rt, config=plain)
             assert warm.execution_time == reference.execution_time
             assert cached.execution_time == reference.execution_time
         assert cache.hits >= 2
@@ -181,33 +182,22 @@ class TestInspectionCache:
                 metrics=False,
                 inspection_cache=cache,
             )
-            times[n_nodes] = run("tiny", runtime="v5", config=config).execution_time
+            result = run("t2_7:tiny", runtime="v5", config=config)
+            times[n_nodes] = result.execution_time
         assert len(cache) == 2  # one entry per node count
         assert times[2] != times[4]
 
 
-class TestDeprecatedShim:
-    def test_bare_scale_warns_and_still_works(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = run("tiny", runtime="v5", config=TINY)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert result.execution_time > 0
+class TestRemovedShims:
+    def test_bare_scale_is_rejected(self):
+        # the pre-SDK spelling: the workload must be named
+        with pytest.raises(ConfigurationError, match="unknown workload 'tiny'"):
+            run("tiny", runtime="v5", config=TINY)
+
+    def test_explicit_token_reports_its_scale(self):
+        result = run("t2_7:tiny", runtime="v5", config=TINY)
         assert result.variant == "v5"
         assert result.report.scale == "tiny"
-
-    def test_bare_scale_matches_explicit_token(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = run("tiny", runtime="v5", config=TINY)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            explicit = run("t2_7:tiny", runtime="v5", config=TINY)
-        assert not any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert shim.execution_time == explicit.execution_time
-        assert (shim.output.flat_values() == explicit.output.flat_values()).all()
 
     def test_run_over_parsec_is_gone(self):
         assert not hasattr(repro, "run_over_parsec")

@@ -1,4 +1,4 @@
-"""The workload registry: names, token grammar, and the legacy shim."""
+"""The workload registry: names and token grammar."""
 
 import pytest
 
@@ -31,9 +31,11 @@ class TestTokenGrammar:
         assert parse_workload_token("ccsd:tiny") == ("ccsd", "tiny")
         assert parse_workload_token("rbgs:128x128") == ("rbgs", "128x128")
 
-    def test_bare_scale_resolves_through_the_t2_7_shim(self):
-        assert parse_workload_token("tiny") == ("t2_7", "tiny")
-        assert parse_workload_token("small") == ("t2_7", "small")
+    def test_bare_scale_is_not_a_token(self):
+        # the pre-SDK spelling of "t2_7:<scale>"; its shim is gone
+        for scale in ("tiny", "small"):
+            with pytest.raises(ConfigurationError, match="unknown workload"):
+                parse_workload_token(scale)
 
     def test_bare_name_takes_scale_then_default(self):
         assert parse_workload_token("rbgs", scale="tiny") == ("rbgs", "tiny")
@@ -55,13 +57,13 @@ class TestTokenGrammar:
             parse_workload_token("nope")
 
     def test_canonical_token_is_fully_qualified(self):
-        assert canonical_token("tiny") == "t2_7:tiny"
+        assert canonical_token("t2_7", scale="tiny") == "t2_7:tiny"
         assert canonical_token("rbgs", scale="tiny") == "rbgs:tiny"
         assert canonical_token("ccsd:small") == "ccsd:small"
 
 
 class TestBuildWorkload:
-    @pytest.mark.parametrize("token", ["tiny", "ccsd:tiny", "rbgs:tiny"])
+    @pytest.mark.parametrize("token", ["t2_7:tiny", "ccsd:tiny", "rbgs:tiny"])
     def test_builds_protocol_instances(self, token):
         from repro.experiments.calibration import make_cluster
 
