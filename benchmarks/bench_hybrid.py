@@ -14,24 +14,12 @@ from benchmarks.conftest import shapes_asserted, write_report
 from repro.analysis.report import format_table
 from repro.core import api
 from repro.core.variants import V5
-from repro.experiments.calibration import PAPER_MACHINE, PAPER_NODES, make_workload
-from repro.sim.cluster import Cluster, ClusterConfig, DataMode
+from repro.experiments.calibration import cell_config
 
 
 def run_point(cores: int, gpus: int, scale: str) -> float:
-    cluster = Cluster(
-        ClusterConfig(
-            n_nodes=PAPER_NODES,
-            cores_per_node=cores,
-            machine=PAPER_MACHINE,
-            data_mode=DataMode.SYNTH,
-            trace_enabled=False,
-            metrics_enabled=False,
-            gpus_per_node=gpus,
-        )
-    )
-    workload = make_workload(cluster, scale=scale)
-    return api.run(workload, variant=V5).execution_time
+    config = cell_config(cores, gpus_per_node=gpus)
+    return api.run(f"t2_7:{scale}", variant=V5, config=config).execution_time
 
 
 @pytest.mark.benchmark(group="hybrid")

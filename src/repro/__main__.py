@@ -58,59 +58,62 @@ EXIT_INTERRUPTED = 130
 DEFAULT_SERVE_PORT = 8642
 
 
-def _add_scale(parser: argparse.ArgumentParser, default: str = "paper") -> None:
-    parser.add_argument(
-        "--scale",
-        default=default,
+#: Every option more than one subcommand takes, declared once (the flag
+#: is ``--<name>``). A subcommand lists the names it takes
+#: (:func:`_options`) and overrides only a default or the help.
+_OPTIONS: dict[str, dict] = {
+    "scale": dict(
+        default="paper",
         choices=["tiny", "small", "paper", "full"],
-        help=f"workload scale preset (default: {default})",
-    )
-
-
-def _add_workload(parser: argparse.ArgumentParser, default: str = "t2_7") -> None:
-    parser.add_argument(
-        "--workload",
-        default=default,
+        help="workload scale preset (default: %(default)s)",
+    ),
+    "workload": dict(
+        default="t2_7",
         metavar="NAME[:PARAMS]",
         help=(
             "registered workload name or full 'name:params' token "
-            f"(default: {default}; an explicit token overrides --scale; "
+            "(default: %(default)s; an explicit token overrides --scale; "
             "see `python -m repro info` for the registry)"
         ),
-    )
-
-
-def _workload_name(token: str) -> str:
-    """The registry name part of a workload token."""
-    return token.split(":", 1)[0].strip()
-
-
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        "-j",
+    ),
+    "jobs": dict(
         type=int,
         default=1,
         help=(
             "worker processes for the sweep (default: 1 = serial; 0 = one "
             "per CPU). Results are byte-identical at any job count."
         ),
-    )
+    ),
+    "stealing": dict(
+        action="store_true",
+        help="run the PaRSEC codes with inter-node work stealing",
+    ),
+    "nodes": dict(type=int, default=4, help="nodes in the allocation"),
+    "cores": dict(type=int, default=2, help="compute cores per node"),
+    "out": dict(default=None),
+    "host": dict(default="127.0.0.1", help="daemon host"),
+    "port": dict(type=int, default=DEFAULT_SERVE_PORT, help="daemon port"),
+    "wait": dict(action="store_true", help="block until the job finishes"),
+    "timeout": dict(type=float, default=300.0, help="--wait limit in seconds"),
+}
 
 
-def _progress():
-    from repro.experiments.sweep import default_progress
-
-    return default_progress
+def _options(parser: argparse.ArgumentParser, *names: str, **overrides: dict) -> None:
+    """Add the shared options ``names``; ``overrides[name]`` replaces
+    individual argparse keywords (a default, the help text)."""
+    for name in names:
+        flags = ("--jobs", "-j") if name == "jobs" else (f"--{name}",)
+        parser.add_argument(*flags, **{**_OPTIONS[name], **overrides.get(name, {})})
 
 
 def cmd_fig9(args: argparse.Namespace) -> int:
     from repro.experiments.fig9 import fig9_shape_checks, run_fig9
+    from repro.experiments.sweep import default_progress
 
     result = run_fig9(
         scale=args.scale,
         jobs=args.jobs,
-        progress=_progress(),
+        progress=default_progress,
         stealing=args.stealing,
         skew_factor=args.skew_factor,
         skew_period=args.skew_period,
@@ -127,27 +130,26 @@ def cmd_fig9(args: argparse.Namespace) -> int:
         status = "SKIP" if check.skipped else ("PASS" if check.passed else "FAIL")
         failed += not check.passed
         print(f"[{status}] {check.name}: {check.detail}")
-    if result.sweep_stats is not None:
-        print(f"\n{result.sweep_stats.summary()}")
+    print(f"\n{result.sweep_stats.summary()}")
+    # the checks are the paper's claims about one configuration; anywhere
+    # else they are printed but do not decide the exit code
+    informational = None
     if args.stealing or args.skew_factor > 1:
-        print(
-            "\nnote: the shape checks describe the paper's static, "
-            "unskewed configuration; with --stealing/--skew-factor they "
-            "are informational only."
+        informational = (
+            "describe the paper's static, unskewed configuration; with "
+            "--stealing/--skew-factor they"
         )
-        return EXIT_OK
-    if _workload_name(args.workload) != "t2_7":
-        print(
-            "\nnote: the shape checks are paper claims about the t2_7 "
-            f"sub-kernel; for --workload {args.workload} they are "
-            "informational only."
+    elif args.workload.split(":")[0].strip() != "t2_7":
+        informational = (
+            "are paper claims about the t2_7 sub-kernel; for --workload "
+            f"{args.workload} they"
         )
-        return EXIT_OK
-    if args.scale not in ("paper", "full"):
-        print(
-            "\nnote: the shape checks describe the paper-scale workload; at "
-            f"--scale {args.scale} they are informational only."
+    elif args.scale not in ("paper", "full"):
+        informational = (
+            f"describe the paper-scale workload; at --scale {args.scale} they"
         )
+    if informational:
+        print(f"\nnote: the shape checks {informational} are informational only.")
         return EXIT_OK
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
@@ -211,67 +213,52 @@ def cmd_ablations(args: argparse.Namespace) -> int:
             print("FAIL: a knobs-on run diverged from the baseline output")
             return EXIT_CHECK_FAILED
         print("output equality: all knob combinations bitwise-equal to baseline")
+        rc = EXIT_OK
         for workload in args.workloads:
             savings = result.message_savings(workload)
             verdict = "ok"
             if savings < args.min_message_savings:
                 verdict = f"FAIL (< {args.min_message_savings:.0%})"
+                rc = EXIT_CHECK_FAILED
             print(f"{workload}: {savings:.1%} fewer wire messages [{verdict}]")
-        if any(
-            result.message_savings(w) < args.min_message_savings
-            for w in args.workloads
-        ):
-            return EXIT_CHECK_FAILED
-        return EXIT_OK
+        return rc
 
-    print(
-        format_table(
+    steal_scale = "tiny" if args.scale in ("paper", "full") else args.scale
+    tables = [
+        (
+            "READ priority offset (v4, 7 cores/node)",
             ["read offset", "time (s)"],
-            [[f"+{k}", f"{v:.3f}"] for k, v in sorted(sweep_priority_offsets(scale=args.scale).items())],
-            title="READ priority offset (v4, 7 cores/node)",
+            [
+                [f"+{k}", f"{v:.3f}"]
+                for k, v in sorted(sweep_priority_offsets(scale=args.scale).items())
+            ],
         ),
-        end="\n\n",
-    )
-    print(
-        format_table(
+        (
+            "GEMM chain segment height (15 cores/node)",
             ["chain height", "time (s)"],
             [[k, f"{v:.3f}"] for k, v in sweep_segment_height(scale=args.scale).items()],
-            title="GEMM chain segment height (15 cores/node)",
         ),
-        end="\n\n",
-    )
-    grid = sweep_write_organization(scale=args.scale)
-    print(
-        format_table(
+        (
+            "WRITE organization vs mutex cost (15 cores/node)",
             ["mutex op cost", "single WRITE (v5)", "parallel WRITEs"],
             [
                 [k, f"{v['single-write (v5)']:.3f}", f"{v['parallel-write']:.3f}"]
-                for k, v in grid.items()
+                for k, v in sweep_write_organization(scale=args.scale).items()
             ],
-            title="WRITE organization vs mutex cost (15 cores/node)",
         ),
-        end="\n\n",
-    )
-    print(
-        format_table(
+        (
+            "Load balancing (7 cores/node)",
             ["strategy", "time (s)"],
             [[k, f"{v:.3f}"] for k, v in compare_load_balancing(scale=args.scale).items()],
-            title="Load balancing (7 cores/node)",
         ),
-        end="\n\n",
-    )
-    print(
-        format_table(
+        (
+            "Scheduler policy (v4, 7 cores/node)",
             ["policy", "time (s)"],
             [[k, f"{v:.3f}"] for k, v in compare_scheduler_policies(scale=args.scale).items()],
-            title="Scheduler policy (v4, 7 cores/node)",
         ),
-        end="\n\n",
-    )
-    steal_scale = "tiny" if args.scale in ("paper", "full") else args.scale
-    steal_grid = compare_work_stealing(scale=steal_scale)
-    print(
-        format_table(
+        (
+            "Inter-node work stealing vs static placement "
+            f"(skewed {steal_scale} workload, v5, compute-bound machine)",
             ["nodes", "static (s)", "stealing (s)", "speedup", "chains moved"],
             [
                 [
@@ -281,12 +268,13 @@ def cmd_ablations(args: argparse.Namespace) -> int:
                     f"{row['speedup']:.2f}x",
                     f"{int(row['chains_migrated'])}",
                 ]
-                for k, row in steal_grid.items()
+                for k, row in compare_work_stealing(scale=steal_scale).items()
             ],
-            title=(
-                "Inter-node work stealing vs static placement "
-                f"(skewed {steal_scale} workload, v5, compute-bound machine)"
-            ),
+        ),
+    ]
+    print(
+        "\n\n".join(
+            format_table(headers, rows, title=title) for title, headers, rows in tables
         )
     )
     return EXIT_OK
@@ -295,6 +283,7 @@ def cmd_ablations(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.experiments.chaos import run_chaos
+    from repro.experiments.sweep import default_progress
 
     result = run_chaos(
         scale=args.scale,
@@ -302,7 +291,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         cores_per_node=args.cores,
         fault_seed=args.fault_seed,
         jobs=args.jobs,
-        progress=_progress(),
+        progress=default_progress,
         stealing=args.stealing,
         codes=args.codes,
         workload=args.workload,
@@ -330,8 +319,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
     )
     print()
-    if result.sweep_stats is not None:
-        print(result.sweep_stats.summary())
+    print(result.sweep_stats.summary())
     print("ALL OK" if result.all_ok else "FAILURES DETECTED")
     return EXIT_OK if result.all_ok else EXIT_CHECK_FAILED
 
@@ -342,6 +330,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.core.api import RunConfig, run
     from repro.obs.report import write_jsonl
     from repro.sim.cluster import DataMode
+    from repro.workloads import canonical_token
 
     # REAL data end to end at the small scales (enables the output
     # checksum); costs-only SYNTH where REAL tensors would not fit
@@ -355,19 +344,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     runtimes = ["legacy", "v5"] if args.runtime == "both" else [args.runtime]
-    token = (
-        args.workload
-        if ":" in args.workload
-        else f"{args.workload}:{args.scale}"
-    )
+    token = canonical_token(args.workload, scale=args.scale)
     reports = []
     for runtime in runtimes:
-        result = run(token, runtime=runtime, config=config)
-        if result.report is None:
-            print(f"error: {runtime} run produced no report", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        reports.append(result.report)
-        print(render_run_report(result.report))
+        # metrics=True: the facade always attaches a report
+        report = run(token, runtime=runtime, config=config).report
+        reports.append(report)
+        print(render_run_report(report))
         print()
     if args.out:
         path = write_jsonl(reports, args.out)
@@ -387,27 +370,22 @@ def cmd_perf(args: argparse.Namespace) -> int:
         diff_baselines,
         run_perf,
     )
+    from repro.experiments.sweep import default_progress
     from repro.util.errors import ConfigurationError
 
-    try:
-        new = run_perf(
-            scale=args.scale,
-            jobs=args.jobs,
-            progress=_progress(),
-            stealing=args.stealing,
-            workload=args.workload,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    suffix = "_stealing" if args.stealing else ""
-    tag = (
-        ""
-        if args.workload == "t2_7"
-        else args.workload.replace(":", "_").replace("/", "_") + "_"
+    new = run_perf(
+        scale=args.scale,
+        jobs=args.jobs,
+        progress=default_progress,
+        stealing=args.stealing,
+        workload=args.workload,
     )
-    out = args.out or f"BENCH_fig9_{tag}{args.scale}{suffix}.json"
-    written = new.write(out)
+    committed_path = baseline_path(args.scale, workload=args.workload)
+    # same file name as the committed baseline, in the working directory
+    out = Path(committed_path.name)
+    if args.stealing:
+        out = out.with_stem(out.stem + "_stealing")
+    written = new.write(args.out or out)
     print(f"wrote {written}")
     print(
         format_table(
@@ -422,8 +400,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
             ),
         )
     )
-    if new.sweep_stats is not None:
-        print(f"\n{new.sweep_stats.summary()}")
+    print(f"\n{new.sweep_stats.summary()}")
     if args.stealing:
         # stealing sweeps are a different experiment: their cells are
         # not comparable to the committed static baselines, and gating
@@ -433,16 +410,11 @@ def cmd_perf(args: argparse.Namespace) -> int:
             "skipping the regression gate"
         )
         return EXIT_OK
-    baseline_file = args.baseline or baseline_path(
-        args.scale, workload=args.workload
-    )
+    baseline_file = Path(args.baseline or committed_path)
     if args.update_baseline:
-        committed = new.write(baseline_path(args.scale, workload=args.workload))
-        print(f"updated committed baseline {committed}")
+        print(f"updated committed baseline {new.write(committed_path)}")
         return EXIT_OK
-    import os
-
-    if not os.path.exists(baseline_file):
+    if not baseline_file.exists():
         print(
             f"\nno committed baseline at {baseline_file}; skipping the "
             "regression gate (use --update-baseline to create one)"
@@ -554,92 +526,89 @@ def _client(args: argparse.Namespace):
     return ServiceClient(host=args.host, port=args.port)
 
 
-def cmd_submit(args: argparse.Namespace) -> int:
+def _print_json(body: dict) -> None:
     import json
 
-    from repro.serve.client import ServiceError, ServiceUnavailable
+    print(json.dumps(body, indent=2, sort_keys=True))
 
+
+def _service_command(command):
+    """The four client subcommands' one mapping of service errors to exit
+    codes (a decorator, so only they pay the ``repro.serve`` import)."""
+
+    def run(args: argparse.Namespace) -> int:
+        from repro.serve.client import ServiceError, ServiceUnavailable
+
+        try:
+            return command(args)
+        except ServiceUnavailable as exc:
+            print(
+                f"rejected: {exc} (retry after {exc.retry_after_s}s)",
+                file=sys.stderr,
+            )
+            return EXIT_CHECK_FAILED
+        except ServiceError as exc:
+            # a 400 is the daemon rejecting a malformed spec: a usage error
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE if exc.status == 400 else EXIT_CHECK_FAILED
+
+    return run
+
+
+@_service_command
+def cmd_submit(args: argparse.Namespace) -> int:
     client = _client(args)
     params = _parse_params(args.param)
     if args.priority:
         params["priority"] = args.priority
-    try:
-        body = client.submit(args.kind, params)
-        if args.wait:
-            body = client.wait(body["job_id"], timeout_s=args.timeout)
-    except ServiceUnavailable as exc:
-        print(
-            f"rejected: {exc} (retry after {exc.retry_after_s}s)",
-            file=sys.stderr,
-        )
-        return EXIT_CHECK_FAILED
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if exc.status == 400 else EXIT_CHECK_FAILED
-    print(json.dumps(body, indent=2, sort_keys=True))
+    body = client.submit(args.kind, params)
+    if args.wait:
+        body = client.wait(body["job_id"], timeout_s=args.timeout)
+    _print_json(body)
     return EXIT_OK
 
 
+@_service_command
 def cmd_status(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve.client import ServiceError
-
     client = _client(args)
-    try:
-        body = client.status(args.job_id) if args.job_id else client.overview()
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(json.dumps(body, indent=2, sort_keys=True))
+    _print_json(client.status(args.job_id) if args.job_id else client.overview())
     return EXIT_OK
 
 
+@_service_command
 def cmd_result(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve.client import ServiceError
-
     client = _client(args)
-    try:
-        if args.wait:
-            body = client.wait(args.job_id, timeout_s=args.timeout)
-        else:
-            body = client.result(args.job_id)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(json.dumps(body, indent=2, sort_keys=True))
+    if args.wait:
+        body = client.wait(args.job_id, timeout_s=args.timeout)
+    else:
+        body = client.result(args.job_id)
+    _print_json(body)
     if body.get("status") in ("queued", "running"):
         return EXIT_CHECK_FAILED  # asked for a result that isn't ready
     return EXIT_OK
 
 
+@_service_command
 def cmd_watch(args: argparse.Namespace) -> int:
     """Stream one job's progress events to stdout as JSON lines."""
     import json
 
-    from repro.serve.client import ServiceError
-
     client = _client(args)
     final_status = None
-    try:
-        for event in client.events(args.job_id, since=args.since):
-            print(json.dumps(event, sort_keys=True), flush=True)
-            if event.get("type") == "finished":
-                final_status = event.get("status")
-        if final_status is None:
-            # stream closed without a visible finish (e.g. watching a
-            # job recovered from a journal replay): ask once
-            final_status = client.status(args.job_id).get("status")
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    for event in client.events(args.job_id, since=args.since):
+        print(json.dumps(event, sort_keys=True), flush=True)
+        if event.get("type") == "finished":
+            final_status = event.get("status")
+    if final_status is None:
+        # stream closed without a visible finish (e.g. watching a
+        # job recovered from a journal replay): ask once
+        final_status = client.status(args.job_id).get("status")
     return EXIT_OK if final_status == "done" else EXIT_CHECK_FAILED
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    from repro.experiments.calibration import PAPER_MACHINE, make_cluster, make_workload
+    from repro.core import api
+    from repro.experiments.calibration import PAPER_MACHINE, cell_config
     from repro.tce.molecules import SCALE_PRESETS
     from repro.workloads import canonical_token, workload_names, workload_spec
 
@@ -652,9 +621,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     print("\nregistered workloads (use --workload name[:params]):")
     for name in workload_names():
         print(f"  {name:6s} {workload_spec(name).summary}")
-    cluster = make_cluster(1, n_nodes=4)
-    workload = make_workload(cluster, scale=args.scale, workload=args.workload)
     token = canonical_token(args.workload, scale=args.scale)
+    workload = api.build(token, cell_config(1, n_nodes=4))
     print(f"\nworkload {token}: {workload.describe()}")
     print(f"\ncalibrated machine: {PAPER_MACHINE}")
     return EXIT_OK
@@ -673,14 +641,7 @@ def main(argv: list[str] | None = None) -> int:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     p = subparsers.add_parser("fig9", help="Figure 9 sweep + shape checks")
-    _add_scale(p)
-    _add_workload(p)
-    _add_jobs(p)
-    p.add_argument(
-        "--stealing",
-        action="store_true",
-        help="run the PaRSEC codes with inter-node work stealing",
-    )
+    _options(p, "scale", "workload", "jobs", "stealing")
     p.add_argument(
         "--skew-factor",
         type=int,
@@ -696,18 +657,22 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_fig9)
 
     p = subparsers.add_parser("traces", help="Figures 10-13 ASCII traces")
-    _add_scale(p, default="small")
+    _options(p, "scale", scale=dict(default="small"))
     p.add_argument("--width", type=int, default=100)
     p.add_argument("--rows", type=int, default=7)
     p.set_defaults(func=cmd_traces)
 
     p = subparsers.add_parser("equivalence", help="14-digit agreement check")
-    _add_scale(p, default="small")
-    _add_workload(p)
+    _options(p, "scale", "workload", scale=dict(default="small"))
     p.set_defaults(func=cmd_equivalence)
 
     p = subparsers.add_parser("ablations", help="design-decision sweeps")
-    _add_scale(p)
+    _options(
+        p,
+        "scale",
+        "out",
+        out=dict(help="also write the --comm table to this file (CI artifact)"),
+    )
     p.add_argument(
         "--comm",
         action="store_true",
@@ -722,11 +687,6 @@ def main(argv: list[str] | None = None) -> int:
         help="workloads for the --comm matrix (default: all three)",
     )
     p.add_argument(
-        "--out",
-        default=None,
-        help="also write the --comm table to this file (CI artifact)",
-    )
-    p.add_argument(
         "--min-message-savings",
         type=float,
         default=0.0,
@@ -737,20 +697,24 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_ablations)
 
     p = subparsers.add_parser("chaos", help="fault-injection recovery sweep")
-    _add_scale(p, default="tiny")
-    _add_workload(p)
-    p.add_argument("--nodes", type=int, default=4, help="nodes in the allocation")
-    p.add_argument("--cores", type=int, default=2, help="compute cores per node")
-    p.add_argument(
-        "--fault-seed", type=int, default=2025, help="master seed of the fault plan"
+    _options(
+        p,
+        "scale",
+        "workload",
+        "nodes",
+        "cores",
+        "stealing",
+        "jobs",
+        scale=dict(default="tiny"),
+        stealing=dict(
+            help=(
+                "run the PaRSEC variants with inter-node work stealing under "
+                "the fault plan (the legacy runtime ignores it)"
+            )
+        ),
     )
     p.add_argument(
-        "--stealing",
-        action="store_true",
-        help=(
-            "run the PaRSEC variants with inter-node work stealing under "
-            "the fault plan (the legacy runtime ignores it)"
-        ),
+        "--fault-seed", type=int, default=2025, help="master seed of the fault plan"
     )
     p.add_argument(
         "--codes",
@@ -759,24 +723,28 @@ def main(argv: list[str] | None = None) -> int:
         metavar="CODE",
         help="restrict the sweep to these runners (default: all six)",
     )
-    _add_jobs(p)
     p.set_defaults(func=cmd_chaos)
 
     p = subparsers.add_parser(
         "report", help="run a runtime/variant, emit a structured RunReport"
     )
-    _add_scale(p, default="tiny")
-    _add_workload(p)
+    _options(
+        p,
+        "scale",
+        "workload",
+        "nodes",
+        "cores",
+        "out",
+        scale=dict(default="tiny"),
+        out=dict(help="write reports to this JSONL file"),
+    )
     p.add_argument(
         "--runtime",
         default="both",
         choices=["both", "legacy", "original", "parsec", "dtd", "v1", "v2", "v3", "v4", "v5"],
         help="what to run (default: both = legacy + PaRSEC v5)",
     )
-    p.add_argument("--nodes", type=int, default=4, help="nodes in the allocation")
-    p.add_argument("--cores", type=int, default=2, help="compute cores per node")
     p.add_argument("--seed", type=int, default=7, help="workload data seed")
-    p.add_argument("--out", default=None, help="write reports to this JSONL file")
     p.add_argument(
         "--no-trace", action="store_true", help="skip tracing (no trace stats)"
     )
@@ -785,8 +753,22 @@ def main(argv: list[str] | None = None) -> int:
     p = subparsers.add_parser(
         "perf", help="fig9-style perf sweep vs committed BENCH baseline"
     )
-    _add_scale(p, default="tiny")
-    _add_workload(p)
+    _options(
+        p,
+        "scale",
+        "workload",
+        "out",
+        "stealing",
+        "jobs",
+        scale=dict(default="tiny"),
+        out=dict(help="where to write the fresh BENCH JSON"),
+        stealing=dict(
+            help=(
+                "sweep with inter-node work stealing; writes a _stealing "
+                "BENCH file and skips the (static) regression gate"
+            )
+        ),
+    )
     p.add_argument(
         "--threshold",
         type=float,
@@ -797,39 +779,32 @@ def main(argv: list[str] | None = None) -> int:
         "--baseline", default=None, help="baseline JSON to compare against"
     )
     p.add_argument(
-        "--out", default=None, help="where to write the fresh BENCH JSON"
-    )
-    p.add_argument(
         "--update-baseline",
         action="store_true",
         help="overwrite the committed baseline with this sweep",
     )
-    p.add_argument(
-        "--stealing",
-        action="store_true",
-        help=(
-            "sweep with inter-node work stealing; writes a _stealing "
-            "BENCH file and skips the (static) regression gate"
-        ),
-    )
-    _add_jobs(p)
     p.set_defaults(func=cmd_perf)
 
     p = subparsers.add_parser("info", help="workload and machine summary")
-    _add_scale(p, default="paper")
-    _add_workload(p)
+    _options(p, "scale", "workload")
     p.set_defaults(func=cmd_info)
-
-    def _add_endpoint(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--host", default="127.0.0.1", help="daemon host")
-        sub.add_argument(
-            "--port", type=int, default=DEFAULT_SERVE_PORT, help="daemon port"
-        )
 
     p = subparsers.add_parser(
         "serve", help="run the simulation service daemon"
     )
-    _add_endpoint(p)
+    _options(
+        p,
+        "host",
+        "port",
+        "jobs",
+        jobs=dict(
+            default=2,
+            help=(
+                "shared process-slot budget for all running jobs' sweeps "
+                "(default: 2; each job carves a fair share)"
+            ),
+        ),
+    )
     p.add_argument(
         "--journal",
         default="serve_journal.jsonl",
@@ -840,16 +815,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         help="jobs executed simultaneously (default: 1)",
-    )
-    p.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=2,
-        help=(
-            "shared process-slot budget for all running jobs' sweeps "
-            "(default: 2; each job carves a fair share)"
-        ),
     )
     p.add_argument(
         "--compact-bytes",
@@ -876,7 +841,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_serve)
 
     p = subparsers.add_parser("submit", help="submit a job to the daemon")
-    _add_endpoint(p)
+    _options(p, "host", "port", "wait", "timeout")
     p.add_argument(
         "kind", choices=["point", "fig9", "chaos"], help="job kind"
     )
@@ -899,36 +864,24 @@ def main(argv: list[str] | None = None) -> int:
             "upward so nothing starves). Not part of the job's digest."
         ),
     )
-    p.add_argument(
-        "--wait", action="store_true", help="block until the job finishes"
-    )
-    p.add_argument(
-        "--timeout", type=float, default=300.0, help="--wait limit in seconds"
-    )
     p.set_defaults(func=cmd_submit)
 
     p = subparsers.add_parser(
         "status", help="job status (or daemon overview without a job id)"
     )
-    _add_endpoint(p)
+    _options(p, "host", "port")
     p.add_argument("job_id", nargs="?", default=None, help="job to inspect")
     p.set_defaults(func=cmd_status)
 
     p = subparsers.add_parser("result", help="fetch a job's result")
-    _add_endpoint(p)
+    _options(p, "host", "port", "wait", "timeout")
     p.add_argument("job_id", help="job to fetch")
-    p.add_argument(
-        "--wait", action="store_true", help="block until the job finishes"
-    )
-    p.add_argument(
-        "--timeout", type=float, default=300.0, help="--wait limit in seconds"
-    )
     p.set_defaults(func=cmd_result)
 
     p = subparsers.add_parser(
         "watch", help="stream a job's progress events until it finishes"
     )
-    _add_endpoint(p)
+    _options(p, "host", "port")
     p.add_argument("job_id", help="job to follow")
     p.add_argument(
         "--since",
@@ -939,7 +892,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_watch)
 
     args = parser.parse_args(argv)
-    from repro.util.errors import ConfigurationError
+    from repro.util.errors import ConfigurationError, StallError
 
     try:
         return args.func(args)
@@ -948,6 +901,16 @@ def main(argv: list[str] | None = None) -> int:
         # same class argparse reports — map them to the same exit code
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except StallError as exc:
+        # a simulation that quiesced unfinished is a failed run, not a
+        # usage error: the headline (and the fault report, if a plan was
+        # installed) on one line; the per-node diagnostic stays in the
+        # exception for library callers
+        line = str(exc).splitlines()[0]
+        if exc.report is not None:
+            line += f" [fault report: {exc.report.summary()}]"
+        print(f"error: {line}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except KeyboardInterrupt:
         # conventional 128 + SIGINT; partial output may already be on
         # stdout, the marker goes to stderr

@@ -30,8 +30,9 @@ from typing import Optional, Union
 
 from repro.core.inspector import InspectionCache, inspect_subroutine
 from repro.core.ptg_build import build_ccsd_ptg
-from repro.core.variants import V5, VariantSpec, variant_by_name
+from repro.core.variants import PAPER_VARIANTS, V5, VariantSpec, variant_by_name
 from repro.ga.cache import RemoteCachePolicy
+from repro.ga.runtime import GlobalArrays
 from repro.legacy.runtime import LegacyConfig, LegacyRuntime
 from repro.obs.result import RunResult
 from repro.parsec.runtime import ParsecRuntime
@@ -39,54 +40,30 @@ from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
 from repro.sim.network import CoalescePolicy
-from repro.tce.t2_7 import T27Workload
 from repro.util.errors import ConfigurationError
-from repro.workloads import build_workload as _build_registered_workload
-from repro.workloads import parse_workload_token
+from repro.workloads import build_workload, parse_workload_token
 from repro.workloads.base import Workload
 
-__all__ = ["RunConfig", "StealPolicy", "precompute_inspection", "run"]
-
-#: ``runtime=`` spellings accepted by :func:`run`, besides "parsec".
-_VARIANT_RUNTIMES = ("v1", "v2", "v3", "v4", "v5")
-
-#: every additive counter a multi-level PaRSEC run sums across levels
-_PARSEC_SUM_FIELDS = (
-    "n_tasks",
-    "messages_remote",
-    "bytes_remote",
-    "deliveries_local",
-    "task_retries",
-    "retransmits",
-    "tasks_recomputed",
-    "tasks_reassigned",
-    "nodes_crashed",
-    "recovery_overhead_s",
-    "steal_requests",
-    "steals_granted",
-    "steals_denied",
-    "chains_migrated",
-    "migrated_flops",
-    "steal_forwarded_bytes",
-)
-
-_DTD_SUM_FIELDS = (
-    "n_tasks",
-    "n_edges",
-    "insertion_time",
-    "messages_remote",
-    "bytes_remote",
-)
-
+__all__ = [
+    "RunConfig",
+    "StealPolicy",
+    "build",
+    "build_cluster",
+    "precompute_inspection",
+    "ptg_pipeline",
+    "run",
+]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Cluster shape and execution options for :func:`run`.
+    """The single description of a run: machine, workload knobs, runtime knobs.
 
-    The cluster fields (``n_nodes`` .. ``gpus_per_node``) only apply
-    when the workload is given as a registry token and the facade
-    builds the cluster itself; a pre-built workload object brings its
-    own cluster and they are ignored.
+    :func:`build` reads the cluster fields (``n_nodes`` .. ``gpus_per_node``),
+    the workload fields (``seed``, ``skew_*``) and the GA knobs
+    (``coalescing``, ``remote_cache``); :func:`run` reads the rest. A
+    pre-built workload object brings its own cluster and
+    ``GlobalArrays``: its cluster/workload fields are not consulted, and
+    GA knobs that disagree with how it was built are rejected.
     """
 
     n_nodes: int = 8
@@ -94,12 +71,11 @@ class RunConfig:
     data_mode: DataMode = DataMode.REAL
     trace: bool = False
     metrics: bool = True
+    #: None = the ``MachineModel`` defaults, which are the calibration
+    #: (``experiments.calibration.PAPER_MACHINE`` pins the same values).
     machine: Optional[MachineModel] = None
     gpus_per_node: int = 0
     seed: int = 7
-    #: PaRSEC: instantiate-time dataflow validation; REAL mode adds an
-    #: output-checksum validation phase for every runtime.
-    validate: bool = True
     #: PaRSEC node scheduler discipline (None = priority, the default).
     policy: Optional[object] = None
     #: Legacy runtime knobs (NXTVAL vs static assignment).
@@ -109,19 +85,15 @@ class RunConfig:
     stealing: Optional[StealPolicy] = None
     #: Workload imbalance knob (see :class:`~repro.tce.terms.TermBuilder`):
     #: chains with ``chain_id % skew_period == 0`` repeat their GEMM list
-    #: ``skew_factor`` times. Only applies when the facade builds the
-    #: workload from a registry token.
+    #: ``skew_factor`` times.
     skew_factor: int = 1
     skew_period: int = 0
     #: Comm optimization: per-destination message coalescing on the NIC
     #: (GA fetch requests and PaRSEC dataflow sends). None = off — the
-    #: wire behavior the golden digests pin. Only applies when the
-    #: facade builds the workload from a registry token; a pre-built
-    #: workload object brings its own GlobalArrays.
+    #: wire behavior the golden digests pin.
     coalescing: Optional[CoalescePolicy] = None
     #: Comm optimization: bounded per-node software cache of fetched
-    #: remote GA blocks, invalidated by write epochs. None = off. Token
-    #: path only, like ``coalescing``.
+    #: remote GA blocks, invalidated by write epochs. None = off.
     remote_cache: Optional[RemoteCachePolicy] = None
     #: PaRSEC: share inspected chain metadata across runs of the same
     #: workload structure + node count (the fig9 cores/node sweep). The
@@ -131,7 +103,11 @@ class RunConfig:
     )
 
 
-def _build_cluster(config: RunConfig) -> Cluster:
+# ----------------------------------------------------------------------
+# the one build path: RunConfig -> cluster -> GlobalArrays -> workload
+# ----------------------------------------------------------------------
+def build_cluster(config: RunConfig) -> Cluster:
+    """The simulated allocation ``config`` describes."""
     return Cluster(
         ClusterConfig(
             n_nodes=config.n_nodes,
@@ -145,64 +121,41 @@ def _build_cluster(config: RunConfig) -> Cluster:
     )
 
 
-def _build_workload(token: str, config: RunConfig) -> Workload:
-    """Build the workload a registry token names on a fresh cluster."""
-    cluster = _build_cluster(config)
-    ga = None
-    if config.coalescing is not None or config.remote_cache is not None:
-        from repro.ga.runtime import GlobalArrays
+def build(
+    token: str,
+    config: RunConfig,
+    scale: Optional[str] = None,
+    cluster: Optional[Cluster] = None,
+) -> Workload:
+    """Cluster, ``GlobalArrays`` and the workload ``token`` names.
 
-        ga = GlobalArrays(
-            cluster,
-            coalescing=config.coalescing,
-            remote_cache=config.remote_cache,
-        )
-    return _build_registered_workload(
+    ``scale`` supplies the token's params when it carries none;
+    ``cluster`` reuses an existing allocation instead of building
+    ``config``'s. The GA handlers are always spawned before the
+    workload allocates its tensors, so every caller draws the same
+    engine sequence numbers.
+    """
+    if cluster is None:
+        cluster = build_cluster(config)
+    ga = GlobalArrays(
+        cluster, coalescing=config.coalescing, remote_cache=config.remote_cache
+    )
+    return build_workload(
         token,
         cluster,
         ga,
+        scale=scale,
         seed=config.seed,
         skew_factor=config.skew_factor,
         skew_period=config.skew_period,
     )
 
 
-def _workload_levels(workload) -> list:
-    """The workload's barrier-separated subroutine levels."""
-    levels = getattr(workload, "levels", None)
-    if levels is not None:
-        return list(levels())
-    return [workload.subroutine]
-
-
-def _charge_barrier(cluster: Cluster) -> None:
-    """Advance the virtual clock by one explicit inter-level barrier."""
-    cluster.engine.schedule(cluster.machine.barrier_overhead_s, lambda: None)
-    cluster.run()
-
-
-def _merge_level_results(results, execution_time: float, sum_fields, **extra):
-    """Fold per-level results into one, summing the additive counters.
-
-    Per-level fault counters are deltas over that level's execution, so
-    summing them is exact; the last level's result supplies everything
-    non-additive (variant tag, result class).
-    """
-    totals = {
-        name: sum(getattr(result, name) for result in results)
-        for name in sum_fields
-    }
-    return dataclasses.replace(
-        results[-1], execution_time=execution_time, **totals, **extra
-    )
-
-
 def precompute_inspection(
     scale: str,
     n_nodes: int,
-    codes: Union[list, tuple] = _VARIANT_RUNTIMES,
+    codes: Union[list, tuple] = tuple(PAPER_VARIANTS),
     seed: int = 7,
-    cache: Optional[InspectionCache] = None,
     skew_factor: int = 1,
     skew_period: int = 0,
     workload: str = "t2_7",
@@ -221,23 +174,15 @@ def precompute_inspection(
     params when the token carries none. Multi-level workloads are
     inspected level by level. ``codes`` may mix variant names with
     non-PaRSEC runtimes (``"original"``/``"legacy"``/``"dtd"`` are
-    skipped — they have no inspection phase). Returns ``cache`` (a
-    fresh one when ``None``).
+    skipped — they have no inspection phase).
     """
-    cache = cache if cache is not None else InspectionCache()
-    variants = []
-    seen_heights = set()
+    cache = InspectionCache()
+    by_height: dict = {}
     for code in codes:
-        name = code.lower()
+        name, variant = _resolve_runtime(code, V5)
         if name == "parsec":
-            name = V5.name
-        if name not in _VARIANT_RUNTIMES:
-            continue
-        variant = variant_by_name(name)
-        if variant.segment_height not in seen_heights:
-            seen_heights.add(variant.segment_height)
-            variants.append(variant)
-    if not variants:
+            by_height.setdefault(variant.segment_height, variant)
+    if not by_height:
         return cache
     config = RunConfig(
         n_nodes=n_nodes,
@@ -248,83 +193,92 @@ def precompute_inspection(
         skew_factor=skew_factor,
         skew_period=skew_period,
     )
-    workload_obj = _build_registered_workload(
-        workload,
-        _build_cluster(config),
-        scale=scale,
-        seed=seed,
-        skew_factor=skew_factor,
-        skew_period=skew_period,
-    )
-    for subroutine in _workload_levels(workload_obj):
-        for variant in variants:
-            cache.precompute(subroutine, workload_obj.cluster, variant)
+    workload_obj = build(workload, config, scale=scale)
+    for subroutine in workload_obj.levels():
+        for variant in by_height.values():
+            cache.chains_for(subroutine, workload_obj.cluster, variant)
     return cache
 
 
-def _run_legacy(cluster, workload, levels, config: RunConfig):
-    lrt = LegacyRuntime(cluster, workload.ga, config.legacy)
-    if len(levels) == 1:
-        return lrt.execute_subroutine(levels[0])
-    return lrt.execute([list(subroutine.chains) for subroutine in levels])
+# ----------------------------------------------------------------------
+# the one PTG pipeline (Section III-B): inspect -> PTG -> runtime
+# ----------------------------------------------------------------------
+def ptg_pipeline(cluster: Cluster, subroutine, variant: VariantSpec, config: RunConfig):
+    """Inspect ``subroutine``, build the variant's PTG and bind a runtime.
+
+    Returns ``(runtime, ptg, metadata)``; the caller decides how control
+    comes back: ``runtime.execute(ptg, metadata)`` runs to completion,
+    ``runtime.launch(ptg, metadata)`` embeds the section in a larger
+    simulated program (:class:`~repro.core.integration.NwchemDriver`).
+    """
+    metrics = cluster.metrics
+    with metrics.phase("inspection"):
+        metadata = inspect_subroutine(
+            subroutine, cluster, variant, cache=config.inspection_cache
+        )
+    with metrics.phase("ptg_build"):
+        ptg = build_ccsd_ptg(variant, metadata)
+    runtime = ParsecRuntime(
+        cluster,
+        policy=config.policy,
+        stealing=config.stealing,
+        coalescing=config.coalescing,
+    )
+    return runtime, ptg, metadata
 
 
-def _run_dtd(cluster, levels):
-    from repro.core.dtd_port import run_over_dtd
+def _run_levels(cluster: Cluster, levels, run_level):
+    """Run the levels in order, a barrier charge between consecutive
+    ones, and fold the per-level results into one.
 
+    Every numeric result field is an additive counter (per-level fault
+    counters are deltas over that level's execution, so summing them is
+    exact) and ``tasks_per_class`` adds per key; the last level's result
+    supplies everything else (variant tag, result class).
+    """
     start = cluster.engine.now
     results = []
     for index, subroutine in enumerate(levels):
-        if index:
-            _charge_barrier(cluster)
-        results.append(run_over_dtd(cluster, subroutine))
+        if index:  # one explicit inter-level barrier on the virtual clock
+            cluster.engine.schedule(cluster.machine.barrier_overhead_s, lambda: None)
+            cluster.run()
+        results.append(run_level(subroutine))
     if len(results) == 1:
         return results[0]
-    return _merge_level_results(
-        results, cluster.engine.now - start, _DTD_SUM_FIELDS
-    )
+    merged: dict = {}
+    for spec in dataclasses.fields(results[-1]):
+        values = [getattr(result, spec.name) for result in results]
+        if isinstance(values[-1], (int, float)):
+            merged[spec.name] = sum(values)
+        elif isinstance(values[-1], dict):
+            merged[spec.name] = total = {}
+            for per_level in values:
+                for key, count in per_level.items():
+                    total[key] = total.get(key, 0) + count
+    merged["execution_time"] = cluster.engine.now - start
+    return dataclasses.replace(results[-1], **merged)
 
 
-def _run_parsec(cluster, levels, variant: VariantSpec, config: RunConfig):
-    metrics = cluster.metrics
-    start = cluster.engine.now
-    results = []
-    for index, subroutine in enumerate(levels):
-        if index:
-            _charge_barrier(cluster)
-        with metrics.phase("inspection"):
-            metadata = inspect_subroutine(
-                subroutine, cluster, variant, cache=config.inspection_cache
-            )
-        with metrics.phase("ptg_build"):
-            ptg = build_ccsd_ptg(variant, metadata)
-        prt = ParsecRuntime(
-            cluster,
-            policy=config.policy,
-            stealing=config.stealing,
-            coalescing=config.coalescing,
+def _resolve_runtime(runtime: str, variant) -> tuple[str, VariantSpec]:
+    """``runtime=``/``variant=`` spellings to ("legacy"|"dtd"|"parsec", spec)."""
+    name = runtime.lower()
+    if name == "original":
+        name = "legacy"
+    if name in PAPER_VARIANTS:
+        variant = variant_by_name(name)
+        name = "parsec"
+    if name not in ("legacy", "dtd", "parsec"):
+        raise ConfigurationError(
+            f"unknown runtime {runtime!r}: expected 'parsec', 'legacy', "
+            f"'dtd', or one of {tuple(PAPER_VARIANTS)}"
         )
-        with metrics.phase("execution"):
-            results.append(prt.execute(ptg, metadata, validate=config.validate))
-    if len(results) == 1:
-        result = results[0]
-    else:
-        per_class: dict[str, int] = {}
-        for level_result in results:
-            for cls, count in level_result.tasks_per_class.items():
-                per_class[cls] = per_class.get(cls, 0) + count
-        result = _merge_level_results(
-            results,
-            cluster.engine.now - start,
-            _PARSEC_SUM_FIELDS,
-            tasks_per_class=per_class,
-        )
-    result.variant = variant.name
-    return result
+    if isinstance(variant, str):
+        variant = variant_by_name(variant)
+    return name, variant
 
 
 def run(
-    workload: Union[str, Workload, T27Workload] = "t2_7:small",
+    workload: Union[str, Workload] = "t2_7:small",
     runtime: str = "parsec",
     variant: Union[str, VariantSpec] = V5,
     config: Optional[RunConfig] = None,
@@ -335,10 +289,11 @@ def run(
     ----------
     workload:
         A registry token (``"t2_7:small"``, ``"ccsd:tiny"``,
-        ``"rbgs:32x32"``), for which a fresh cluster and workload are
-        built from ``config`` — or a pre-built workload object
-        (e.g. :class:`~repro.tce.t2_7.T27Workload`), which runs on its
-        own cluster.
+        ``"rbgs:32x32"``), for which :func:`build` makes a fresh cluster
+        and workload from ``config`` — or a workload object already
+        built (by :func:`build`, when something must be set up between
+        building and running: a fault plan, ordered accumulation), which
+        runs on its own cluster.
     runtime:
         ``"parsec"`` (uses ``variant``), ``"legacy"``/``"original"``,
         ``"dtd"``, or a variant name ``"v1"``..``"v5"`` as shorthand
@@ -352,42 +307,48 @@ def run(
     is built (the CLI maps it to exit code 2).
     """
     config = config or RunConfig()
-    name = runtime.lower()
-    if name == "original":
-        name = "legacy"
-    if name in _VARIANT_RUNTIMES:
-        variant = variant_by_name(name)
-        name = "parsec"
-    if name not in ("legacy", "dtd", "parsec"):
-        raise ConfigurationError(
-            f"unknown runtime {runtime!r}: expected 'parsec', 'legacy', "
-            f"'dtd', or one of {_VARIANT_RUNTIMES}"
-        )
-    if isinstance(variant, str):
-        variant = variant_by_name(variant)
-
+    name, variant = _resolve_runtime(runtime, variant)
     if isinstance(workload, str):
-        _, scale = parse_workload_token(workload)
-        workload = _build_workload(workload, config)
+        scale = parse_workload_token(workload)[1]
+        workload = build(workload, config)
     else:
         scale = None
+        for knob in ("coalescing", "remote_cache"):
+            if getattr(config, knob) != getattr(workload.ga, knob):
+                raise ConfigurationError(
+                    f"RunConfig.{knob}={getattr(config, knob)!r} but the "
+                    f"workload's GlobalArrays was built with "
+                    f"{getattr(workload.ga, knob)!r}: build the workload "
+                    "from the same config (repro.core.api.build)"
+                )
     cluster = workload.cluster
     metrics = cluster.metrics
-    levels = _workload_levels(workload)
+    levels = workload.levels()
 
     if name == "legacy":
         with metrics.phase("execution"):
-            result: RunResult = _run_legacy(cluster, workload, levels, config)
+            result: RunResult = LegacyRuntime(
+                cluster, workload.ga, config.legacy
+            ).execute([list(subroutine.chains) for subroutine in levels])
     elif name == "dtd":
-        with metrics.phase("execution"):
-            result = _run_dtd(cluster, levels)
-    else:
-        result = _run_parsec(cluster, levels, variant, config)
+        from repro.core.dtd_port import run_over_dtd
 
-    output = getattr(workload, "output", None)
-    if output is None:
-        output = workload.i2
-    if config.validate and metrics.enabled and cluster.data_mode is DataMode.REAL:
+        with metrics.phase("execution"):
+            result = _run_levels(
+                cluster, levels, lambda subroutine: run_over_dtd(cluster, subroutine)
+            )
+    else:
+
+        def run_level(subroutine):
+            prt, ptg, metadata = ptg_pipeline(cluster, subroutine, variant, config)
+            with metrics.phase("execution"):
+                return prt.execute(ptg, metadata)
+
+        result = _run_levels(cluster, levels, run_level)
+        result.variant = variant.name
+
+    output = workload.output
+    if metrics.enabled and cluster.data_mode is DataMode.REAL:
         with metrics.phase("validation"):
             checksum = float(output.flat_values().sum())
         metrics.gauge_set("run.output_checksum", checksum)
@@ -400,7 +361,7 @@ def run(
         result.report = build_run_report(
             result,
             cluster,
-            workload=getattr(workload, "name", levels[0].name),
+            workload=workload.name,
             scale=scale,
             seed=workload.seed,
         )

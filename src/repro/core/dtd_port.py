@@ -16,10 +16,9 @@ mutex needed, at the price of materializing every edge.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.inspector import inspect_subroutine
 from repro.core.metadata import Metadata
+from repro.core.ptg_build import read_block, reduce_pair, sort_fused
 from repro.core.variants import V5
 from repro.parsec.dtd import AccessMode, DtdContext, DtdResult, DtdRuntime
 from repro.sim.cluster import Cluster
@@ -31,17 +30,7 @@ __all__ = ["run_over_dtd", "build_dtd_skeleton"]
 
 def _read_body(md: Metadata, L1: int, L2: int, which: str, key: str):
     def body(ctx: DtdContext):
-        gemm = md.gemm(L1, L2)
-        if which == "a":
-            lo, hi, array = gemm.a_lo, gemm.a_hi, md.a_array_of(gemm)
-        else:
-            lo, hi, array = gemm.b_lo, gemm.b_hi, md.b_array_of(gemm)
-        nbytes = 8.0 * (hi - lo)
-        cpu = nbytes / ctx.machine.ga_local_bytes_per_s
-        from repro.sim.cost import OpCost
-
-        yield from ctx.charge(OpCost(cpu, nbytes))
-        ctx.write(key, array.read_range_direct(lo, hi) if ctx.real else None)
+        ctx.write(key, (yield from read_block(ctx, md, md.gemm(L1, L2), which)))
 
     return body
 
@@ -62,34 +51,17 @@ def _gemm_body(md: Metadata, L1: int, L2: int, a_key: str, b_key: str, out_key: 
 
 def _reduce_body(md: Metadata, L1: int, x_key: str, y_key: str, out_key: str):
     def body(ctx: DtdContext):
-        chain = md.chain(L1)
-        yield from ctx.charge(ctx.machine.axpy(chain.c_size))
-        if ctx.real:
-            ctx.write(out_key, ctx.data[x_key] + ctx.data[y_key])
-        else:
-            ctx.write(out_key, None)
+        out = yield from reduce_pair(
+            ctx, md.chain(L1), ctx.data[x_key], ctx.data[y_key]
+        )
+        ctx.write(out_key, out)
 
     return body
 
 
 def _sort_body(md: Metadata, L1: int, in_key: str, out_key: str):
     def body(ctx: DtdContext):
-        chain = md.chain(L1)
-        machine = ctx.machine
-        yield from ctx.charge(machine.zero_fill(chain.c_size))
-        master = None
-        tile = None
-        if ctx.real:
-            tile = ctx.data[in_key].reshape(chain.tile_shape)
-            master = np.zeros(chain.c_size)
-        first = True
-        for sort in chain.active_sorts:
-            yield from ctx.charge(machine.sort4(chain.c_size, cache_warm=not first))
-            yield from ctx.charge(machine.axpy(chain.c_size, cache_warm=True))
-            if ctx.real:
-                master += (sort.sign * np.transpose(tile, sort.perm)).reshape(-1)
-            first = False
-        ctx.write(out_key, master)
+        ctx.write(out_key, (yield from sort_fused(ctx, md.chain(L1), ctx.data[in_key])))
 
     return body
 
@@ -113,9 +85,6 @@ def _write_body(md: Metadata, L1: int, seg_index: int, sorted_key: str, region_k
 def build_dtd_skeleton(runtime: DtdRuntime, md: Metadata) -> None:
     """The skeleton program: insert every task of the computation."""
 
-    def prio(L1: int, offset: int) -> float:
-        return md.priority(L1, offset)
-
     for chain in md.chains:
         L1 = chain.chain_id
         partial_keys: list[str] = []
@@ -127,22 +96,18 @@ def build_dtd_skeleton(runtime: DtdRuntime, md: Metadata) -> None:
             a_handle = runtime.data(a_key, gemm.a_hi - gemm.a_lo, gemm.a_owner)
             b_handle = runtime.data(b_key, gemm.b_hi - gemm.b_lo, gemm.b_owner)
             c_handle = runtime.data(c_key, chain.c_size, chain.node)
-            runtime.insert_task(
-                f"READ_A({L1},{L2})",
-                _read_body(md, L1, L2, "a", a_key),
-                [(a_handle, AccessMode.WRITE)],
-                node=gemm.a_owner,
-                priority=prio(L1, md.variant.read_offset),
-                category=TaskCategory.READ_A,
-            )
-            runtime.insert_task(
-                f"READ_B({L1},{L2})",
-                _read_body(md, L1, L2, "b", b_key),
-                [(b_handle, AccessMode.WRITE)],
-                node=gemm.b_owner,
-                priority=prio(L1, md.variant.read_offset),
-                category=TaskCategory.READ_B,
-            )
+            for which, handle, owner, category in (
+                ("a", a_handle, gemm.a_owner, TaskCategory.READ_A),
+                ("b", b_handle, gemm.b_owner, TaskCategory.READ_B),
+            ):
+                runtime.insert_task(
+                    f"READ_{which.upper()}({L1},{L2})",
+                    _read_body(md, L1, L2, which, handle.key),
+                    [(handle, AccessMode.WRITE)],
+                    node=owner,
+                    priority=md.priority(L1, md.variant.read_offset),
+                    category=category,
+                )
             runtime.insert_task(
                 f"GEMM({L1},{L2})",
                 _gemm_body(md, L1, L2, a_key, b_key, c_key),
@@ -152,7 +117,7 @@ def build_dtd_skeleton(runtime: DtdRuntime, md: Metadata) -> None:
                     (c_handle, AccessMode.WRITE),
                 ],
                 node=chain.node,
-                priority=prio(L1, md.variant.gemm_offset),
+                priority=md.priority(L1, md.variant.gemm_offset),
                 category=TaskCategory.GEMM,
             )
             partial_keys.append(c_key)
@@ -175,7 +140,7 @@ def build_dtd_skeleton(runtime: DtdRuntime, md: Metadata) -> None:
                         (out_handle, AccessMode.WRITE),
                     ],
                     node=chain.node,
-                    priority=prio(L1, 0),
+                    priority=md.priority(L1, 0),
                     category=TaskCategory.REDUCE,
                 )
                 next_frontier.append(out_key)
@@ -195,7 +160,7 @@ def build_dtd_skeleton(runtime: DtdRuntime, md: Metadata) -> None:
                 (sorted_handle, AccessMode.WRITE),
             ],
             node=chain.node,
-            priority=prio(L1, 0),
+            priority=md.priority(L1, 0),
             category=TaskCategory.SORT,
         )
 
@@ -215,7 +180,7 @@ def build_dtd_skeleton(runtime: DtdRuntime, md: Metadata) -> None:
                     (region, AccessMode.RW),
                 ],
                 node=seg.node,
-                priority=prio(L1, 0),
+                priority=md.priority(L1, 0),
                 category=TaskCategory.WRITE,
             )
 

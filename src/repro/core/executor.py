@@ -1,22 +1,20 @@
 """Running one subroutine over PaRSEC inside the simulated cluster.
 
-:func:`run_ptg` is the low-level building block the facade composes:
-one Section III-B pipeline pass (inspect → build PTG → execute) for a
-single subroutine on an existing cluster. Whole-workload runs should
-go through :func:`repro.run`, which adds multi-level sequencing,
-metrics phases, validation, and reporting. The long-deprecated
-``run_over_parsec`` shim has been removed.
+:func:`run_ptg` is one pass of the Section III-B pipeline
+(:func:`repro.core.api.ptg_pipeline`, then ``execute``) for a single
+subroutine on an existing cluster. Whole-workload runs should go
+through :func:`repro.run`, which adds multi-level sequencing,
+validation, and reporting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.inspector import inspect_subroutine
+from repro.core import api
 from repro.core.metadata import Metadata
-from repro.core.ptg_build import build_ccsd_ptg
 from repro.core.variants import VariantSpec
-from repro.parsec.runtime import ParsecResult, ParsecRuntime
+from repro.parsec.runtime import ParsecResult
 from repro.sim.cluster import Cluster
 from repro.tce.subroutine import Subroutine
 
@@ -47,7 +45,6 @@ def run_ptg(
     cluster: Cluster,
     subroutine: Subroutine,
     variant: VariantSpec,
-    validate: bool = True,
     policy=None,
 ) -> CcsdRun:
     """The Section III-B pipeline: inspection phase → metadata arrays →
@@ -55,9 +52,9 @@ def run_ptg(
     already accumulated in the target Global Array). ``policy`` selects
     the node scheduler discipline (default: the priority-aware
     scheduler the paper's experiments use)."""
-    metadata = inspect_subroutine(subroutine, cluster, variant)
-    ptg = build_ccsd_ptg(variant, metadata)
-    runtime = ParsecRuntime(cluster, policy=policy)
-    result = runtime.execute(ptg, metadata, validate=validate)
+    runtime, ptg, metadata = api.ptg_pipeline(
+        cluster, subroutine, variant, api.RunConfig(policy=policy)
+    )
+    result = runtime.execute(ptg, metadata)
     result.variant = variant.name
     return CcsdRun(variant=variant, result=result, metadata=metadata)

@@ -52,10 +52,11 @@ class InspectionCache:
     live :class:`GlobalArray` references and must be rebuilt per run.
 
     Because the cached values are pure-data dataclasses keyed by plain
-    tuples, a cache **pickles cleanly**: a parent process can
-    :meth:`precompute` the entries once and ship the cache to
-    process-pool workers (each worker receives its own copy), so the
-    memoization survives process isolation in parallel sweeps.
+    tuples, a cache **pickles cleanly**: a parent process can compute
+    the entries once (:func:`repro.core.api.precompute_inspection`) and
+    ship the cache to process-pool workers (each worker receives its own
+    copy), so the memoization survives process isolation in parallel
+    sweeps.
     """
 
     def __init__(self) -> None:
@@ -66,42 +67,22 @@ class InspectionCache:
     def __len__(self) -> int:
         return len(self._chains)
 
-    def precompute(
-        self, subroutine: Subroutine, cluster: Cluster, variant: VariantSpec
-    ) -> None:
-        """Force the entry for (subroutine, n_nodes, variant height).
-
-        A no-op when the entry already exists or the subroutine has no
-        ``structure_token`` (then there is no safe cache identity).
-        """
-        if subroutine.structure_token is not None:
-            self.chains_for(subroutine, cluster, variant)
-
-    def merge(self, other: "InspectionCache") -> None:
-        """Adopt every entry of ``other`` this cache does not hold yet."""
-        for key, chains in other._chains.items():
-            self._chains.setdefault(key, chains)
-
     def chains_for(
         self, subroutine: Subroutine, cluster: Cluster, variant: VariantSpec
     ) -> list[ChainMeta]:
         """The inspected chains, computed at most once per cache key."""
         token = subroutine.structure_token
-        if token is None:  # hand-built subroutine: no safe identity
-            self.misses += 1
-            return [
-                _inspect_chain(chain, cluster, variant)
-                for chain in subroutine.chains
-            ]
         key = (token, cluster.n_nodes, variant.segment_height)
-        chains = self._chains.get(key)
+        # a hand-built subroutine has no token, hence no safe identity
+        chains = self._chains.get(key) if token is not None else None
         if chains is None:
             self.misses += 1
             chains = [
                 _inspect_chain(chain, cluster, variant)
                 for chain in subroutine.chains
             ]
-            self._chains[key] = chains
+            if token is not None:
+                self._chains[key] = chains
         else:
             self.hits += 1
         return chains
@@ -245,12 +226,9 @@ def inspect_subroutine(
     """
     if not subroutine.chains:
         raise ConfigurationError(f"subroutine {subroutine.name} has no chains")
-    if cache is not None:
-        chains = cache.chains_for(subroutine, cluster, variant)
-    else:
-        chains = [
-            _inspect_chain(chain, cluster, variant) for chain in subroutine.chains
-        ]
+    if cache is None:  # not `or`: an empty cache is falsy
+        cache = InspectionCache()
+    chains = cache.chains_for(subroutine, cluster, variant)
     first = subroutine.chains[0]
     # Live-handle map resolved fresh per run: the cached ChainMeta
     # entries carry array *names*; the task bodies look the handles up

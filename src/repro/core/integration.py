@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.core.inspector import inspect_subroutine
-from repro.core.ptg_build import build_ccsd_ptg
+from repro.core import api
 from repro.core.variants import V5, VariantSpec
 from repro.legacy.runtime import LegacyConfig, LegacyRuntime
-from repro.parsec.runtime import ParsecRuntime
 from repro.sim.cluster import Cluster
 from repro.tce.subroutine import Subroutine
 
@@ -91,9 +89,9 @@ class NwchemDriver:
             for subroutine in subroutines:
                 t_start = engine.now
                 if self.uses_parsec(subroutine):
-                    metadata = inspect_subroutine(subroutine, self.cluster, self.variant)
-                    ptg = build_ccsd_ptg(self.variant, metadata)
-                    runtime = ParsecRuntime(self.cluster)
+                    runtime, ptg, metadata = api.ptg_pipeline(
+                        self.cluster, subroutine, self.variant, api.RunConfig()
+                    )
                     yield runtime.launch(ptg, metadata)
                     mode = "parsec"
                 else:

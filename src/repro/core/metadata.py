@@ -173,13 +173,6 @@ class ChainMeta:
             self._root_producer = producer
         return producer
 
-    def source_producer(self, source: tuple[str, int]) -> tuple[str, tuple]:
-        """(class name, params) of a reduce-tree input source."""
-        kind, index = source
-        if kind == "seg":
-            return ("GEMM", (self.chain_id, self.segments[index].last_position))
-        return ("REDUCE", (self.chain_id, index))
-
 
 @dataclass
 class Metadata:

@@ -28,35 +28,77 @@ for variant v2.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.core.metadata import Metadata
 from repro.core.variants import VariantSpec
 from repro.parsec.ptg import PTG
 from repro.parsec.taskclass import Dep, Flow, FlowMode, TaskClass, TaskContext
+from repro.sim.cost import OpCost
 from repro.sim.trace import TaskCategory
+from repro.tce.subroutine import sort_4
 
-__all__ = ["build_ccsd_ptg"]
+__all__ = ["build_ccsd_ptg", "read_block", "reduce_pair", "sort_fused"]
 
 
 # ----------------------------------------------------------------------
 # task bodies
 # ----------------------------------------------------------------------
+# READ, REDUCE and the fused SORT are the same computation under the
+# PTG and under DTD (:mod:`repro.core.dtd_port`): generator helpers over
+# what both contexts provide — ``ctx.charge``, ``ctx.machine``,
+# ``ctx.real`` — returning the produced data.
+def read_block(ctx, md: Metadata, gemm, which: str):
+    """Local GA get of one GEMM operand tile on its owner node."""
+    if which == "a":
+        lo, hi, array = gemm.a_lo, gemm.a_hi, md.a_array_of(gemm)
+    else:
+        lo, hi, array = gemm.b_lo, gemm.b_hi, md.b_array_of(gemm)
+    nbytes = 8.0 * (hi - lo)
+    # exclusive core time at the local ARMCI copy rate, plus the memory
+    # traffic itself. This core cost is what lets priorities throttle
+    # the transfer enqueue rate (the v2-vs-v4 contrast of Figures 10/11).
+    cpu = nbytes / ctx.machine.ga_local_bytes_per_s
+    yield from ctx.charge(OpCost(cpu, nbytes))
+    return array.read_range_direct(lo, hi) if ctx.real else None
+
+
+def reduce_pair(ctx, chain, x, y):
+    """One step of the binary reduction over a chain's partial Cs."""
+    yield from ctx.charge(ctx.machine.axpy(chain.c_size))
+    return x + y if ctx.real else None
+
+
+def sort_fused(ctx, chain, c):
+    """Figure 5: four guarded SORT_4 calls accumulating into one master.
+
+    All data stays with one task (and therefore one OS thread), so the
+    later passes run cache-warm — the locality the paper credits for
+    v5's win.
+    """
+    machine = ctx.machine
+    yield from ctx.charge(machine.zero_fill(chain.c_size))  # master := 0
+    master = None
+    tile = None
+    if ctx.real:
+        tile = c.reshape(chain.tile_shape)
+        master = np.zeros(chain.c_size)
+    first = True
+    for sort in chain.active_sorts:
+        yield from ctx.charge(machine.sort4(chain.c_size, cache_warm=not first))
+        yield from ctx.charge(machine.axpy(chain.c_size, cache_warm=True))
+        if ctx.real:
+            master += sort_4(tile, sort)
+        first = False
+    return master
+
+
 def _read_run(which: str, out_flow: str):
     def run(ctx: TaskContext):
         gemm = ctx.md.gemm(*ctx.params)
-        if which == "a":
-            lo, hi, array = gemm.a_lo, gemm.a_hi, ctx.md.a_array_of(gemm)
-        else:
-            lo, hi, array = gemm.b_lo, gemm.b_hi, ctx.md.b_array_of(gemm)
-        nbytes = 8.0 * (hi - lo)
-        # local GA get on the owner node: exclusive core time at the
-        # local ARMCI copy rate, plus the memory traffic itself. This
-        # core cost is what lets priorities throttle the transfer
-        # enqueue rate (the v2-vs-v4 contrast of Figures 10/11).
-        cpu = nbytes / ctx.machine.ga_local_bytes_per_s
-        yield from ctx.charge(_cost(cpu, nbytes))
-        ctx.outputs[out_flow] = array.read_range_direct(lo, hi) if ctx.real else None
+        ctx.outputs[out_flow] = yield from read_block(ctx, ctx.md, gemm, which)
 
     return run
 
@@ -85,36 +127,14 @@ def _gemm_run(ctx: TaskContext):
 
 def _reduce_run(ctx: TaskContext):
     chain = ctx.md.chain(ctx.params[0])
-    yield from ctx.charge(ctx.machine.axpy(chain.c_size))
-    if ctx.real:
-        ctx.outputs["C"] = ctx.inputs["X"] + ctx.inputs["Y"]
-    else:
-        ctx.outputs["C"] = None
+    ctx.outputs["C"] = yield from reduce_pair(
+        ctx, chain, ctx.inputs["X"], ctx.inputs["Y"]
+    )
 
 
 def _sort_fused_run(ctx: TaskContext):
-    """Figure 5: four guarded SORT_4 calls accumulating into one master.
-
-    All data stays with one task (and therefore one OS thread), so the
-    later passes run cache-warm — the locality the paper credits for
-    v5's win.
-    """
     chain = ctx.md.chain(ctx.params[0])
-    machine = ctx.machine
-    yield from ctx.charge(machine.zero_fill(chain.c_size))  # master := 0
-    master = None
-    tile = None
-    if ctx.real:
-        tile = ctx.inputs["C"].reshape(chain.tile_shape)
-        master = np.zeros(chain.c_size)
-    first = True
-    for sort in chain.active_sorts:
-        yield from ctx.charge(machine.sort4(chain.c_size, cache_warm=not first))
-        yield from ctx.charge(machine.axpy(chain.c_size, cache_warm=True))
-        if ctx.real:
-            master += (sort.sign * np.transpose(tile, sort.perm)).reshape(-1)
-        first = False
-    ctx.outputs["S"] = master
+    ctx.outputs["S"] = yield from sort_fused(ctx, chain, ctx.inputs["C"])
 
 
 def _sort_i_run(ctx: TaskContext):
@@ -125,7 +145,7 @@ def _sort_i_run(ctx: TaskContext):
     yield from ctx.charge(ctx.machine.sort4(chain.c_size, cache_warm=False))
     if ctx.real:
         tile = ctx.inputs["C"].reshape(chain.tile_shape)
-        ctx.outputs["S"] = (sort.sign * np.transpose(tile, sort.perm)).reshape(-1)
+        ctx.outputs["S"] = sort_4(tile, sort)
     else:
         ctx.outputs["S"] = None
 
@@ -168,12 +188,6 @@ def _make_write_run(seg_index_of_params):
             yield from mutex.unlock()
 
     return run
-
-
-def _cost(cpu: float, nbytes: float):
-    from repro.sim.cost import OpCost
-
-    return OpCost(cpu, nbytes)
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +280,20 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
     )
 
     # ---------------- GEMM --------------------------------------------
+    def reduce_feed_deps(source, side_of) -> list[Dep]:
+        """C -> the X (left) or Y (right) input of the REDUCE step that
+        consumes ``source(p, md)``; ``side_of`` names the side, or is
+        None for producers that do not feed the tree."""
+        return [
+            Dep(
+                "REDUCE",
+                lambda p, md: (p[0], md.chain(p[0]).consumer_of[source(p, md)]),
+                side,
+                guard=lambda p, md, side=side: side_of(p, md) == side,
+            )
+            for side in ("X", "Y")
+        ]
+
     def gemm_c_outputs() -> list[Dep]:
         deps = [
             # continue the serial mini-chain
@@ -277,30 +305,11 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                     md.gemm(*p).pos_in_seg < md.gemm(*p).seg_len - 1
                 ),
             ),
-            # feed the reduction tree (left / right input)
-            Dep(
-                "REDUCE",
-                lambda p, md: (
-                    p[0],
-                    md.chain(p[0]).consumer_of[("seg", md.gemm(*p).seg_id)],
-                ),
-                "X",
-                guard=lambda p, md: _is_seg_tail(p, md)
-                and md.chain(p[0]).n_segments > 1
-                and _reduce_side(p, md) == "X",
-            ),
-            Dep(
-                "REDUCE",
-                lambda p, md: (
-                    p[0],
-                    md.chain(p[0]).consumer_of[("seg", md.gemm(*p).seg_id)],
-                ),
-                "Y",
-                guard=lambda p, md: _is_seg_tail(p, md)
-                and md.chain(p[0]).n_segments > 1
-                and _reduce_side(p, md) == "Y",
-            ),
         ]
+        # feed the reduction tree
+        deps.extend(
+            reduce_feed_deps(lambda p, md: ("seg", md.gemm(*p).seg_id), _reduce_side)
+        )
         deps.extend(_sort_stage_deps(variant, root_is="GEMM"))
         return deps
 
@@ -377,22 +386,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
         ]
 
     def reduce_c_outputs() -> list[Dep]:
-        deps = [
-            Dep(
-                "REDUCE",
-                lambda p, md: (p[0], md.chain(p[0]).consumer_of[("red", p[1])]),
-                "X",
-                guard=lambda p, md: not md.chain(p[0]).reduces[p[1]].is_root
-                and _reduce_side_red(p, md) == "X",
-            ),
-            Dep(
-                "REDUCE",
-                lambda p, md: (p[0], md.chain(p[0]).consumer_of[("red", p[1])]),
-                "Y",
-                guard=lambda p, md: not md.chain(p[0]).reduces[p[1]].is_root
-                and _reduce_side_red(p, md) == "Y",
-            ),
-        ]
+        deps = reduce_feed_deps(lambda p, md: ("red", p[1]), _reduce_side_red)
         deps.extend(_sort_stage_deps(variant, root_is="REDUCE"))
         return deps
 
@@ -572,22 +566,22 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
 # ----------------------------------------------------------------------
 # guard helpers
 # ----------------------------------------------------------------------
-def _is_seg_tail(p, md) -> bool:
-    gemm = md.gemm(*p)
-    return gemm.pos_in_seg == gemm.seg_len - 1
-
-
-def _reduce_side(p, md) -> str:
-    """Which REDUCE input ('X' left / 'Y' right) a segment tail feeds."""
+def _reduce_side(p, md) -> Optional[str]:
+    """Which REDUCE input ('X' left / 'Y' right) a GEMM feeds: only the
+    tail of a segment does, and only in a chain with a tree to feed."""
     gemm = md.gemm(*p)
     chain = md.chain(p[0])
+    if gemm.pos_in_seg != gemm.seg_len - 1 or chain.n_segments <= 1:
+        return None
     step = chain.consumer_of[("seg", gemm.seg_id)]
     return "X" if chain.reduces[step].left == ("seg", gemm.seg_id) else "Y"
 
 
-def _reduce_side_red(p, md) -> str:
-    """Which input a non-root REDUCE step feeds in its consumer."""
+def _reduce_side_red(p, md) -> Optional[str]:
+    """Which input a REDUCE step feeds in its consumer (None at the root)."""
     chain = md.chain(p[0])
+    if chain.reduces[p[1]].is_root:
+        return None
     step = chain.consumer_of[("red", p[1])]
     return "X" if chain.reduces[step].left == ("red", p[1]) else "Y"
 

@@ -71,10 +71,6 @@ class VariantSpec:
         if self.read_offset < 0 or self.gemm_offset < 0:
             raise ConfigurationError("priority offsets must be >= 0")
 
-    @property
-    def parallel_gemms(self) -> bool:
-        return self.segment_height is not None
-
     def with_overrides(self, **kwargs) -> "VariantSpec":
         """A modified copy (ablation sweeps)."""
         return replace(self, **kwargs)

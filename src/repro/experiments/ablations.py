@@ -24,12 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
+from repro.analysis.report import format_table
 from repro.core import api
-from repro.core.api import RunConfig
 from repro.core.variants import V4, V5, VariantSpec
-from repro.experiments.calibration import PAPER_NODES, make_cluster, make_workload
-from repro.legacy.runtime import LegacyConfig, LegacyRuntime
+from repro.experiments.calibration import PAPER_MACHINE, PAPER_NODES, cell_config
+from repro.ga.cache import RemoteCachePolicy
+from repro.legacy.runtime import LegacyConfig
+from repro.parsec.scheduler import SchedulerPolicy
+from repro.sim.cluster import DataMode
 from repro.sim.cost import MachineModel
+from repro.sim.network import CoalescePolicy
 
 __all__ = [
     "sweep_priority_offsets",
@@ -44,16 +50,17 @@ __all__ = [
 ]
 
 
-def _variant_time(
-    variant: VariantSpec,
+def _t2_7_run(
     scale: str,
     cores_per_node: int,
     n_nodes: int = PAPER_NODES,
-    machine: Optional[MachineModel] = None,
-) -> float:
-    cluster = make_cluster(cores_per_node, n_nodes=n_nodes, machine=machine)
-    workload = make_workload(cluster, scale=scale)
-    return api.run(workload, variant=variant).execution_time
+    runtime: str = "parsec",
+    variant: VariantSpec = V5,
+    **config_fields,
+):
+    """One SYNTH t2_7 run; ``config_fields`` are the cell's RunConfig knobs."""
+    config = cell_config(cores_per_node, n_nodes, **config_fields)
+    return api.run(f"t2_7:{scale}", runtime=runtime, variant=variant, config=config)
 
 
 def sweep_priority_offsets(
@@ -69,7 +76,9 @@ def sweep_priority_offsets(
     out: dict[int, float] = {}
     for offset in offsets:
         variant = V4.with_overrides(name=f"v4.read{offset}", read_offset=offset)
-        out[offset] = _variant_time(variant, scale, cores_per_node)
+        out[offset] = _t2_7_run(
+            scale, cores_per_node, variant=variant
+        ).execution_time
     return out
 
 
@@ -87,7 +96,9 @@ def sweep_segment_height(
     for height in heights:
         label = "full-chain" if height is None else f"height-{height}"
         variant = V4.with_overrides(name=f"v4.{label}", segment_height=height)
-        out[label] = _variant_time(variant, scale, cores_per_node)
+        out[label] = _t2_7_run(
+            scale, cores_per_node, variant=variant
+        ).execution_time
     return out
 
 
@@ -102,24 +113,22 @@ def sweep_write_organization(
     "system wide operations required to lock and unlock the mutex";
     raising the lock cost should widen that gap.
     """
-    from repro.experiments.calibration import PAPER_MACHINE
-
-    single = V5
-    parallel = V5.with_overrides(
-        name="v5.parallel-write", fused_sort=False, single_write=False
-    )
+    variants = {
+        "single-write (v5)": V5,
+        "parallel-write": V5.with_overrides(
+            name="v5.parallel-write", fused_sort=False, single_write=False
+        ),
+    }
     out: dict[str, dict[str, float]] = {}
     for cost in mutex_costs:
         machine = PAPER_MACHINE.with_overrides(
             mutex_lock_s=cost, mutex_unlock_s=cost
         )
         out[f"lock={cost:g}s"] = {
-            "single-write (v5)": _variant_time(
-                single, scale, cores_per_node, machine=machine
-            ),
-            "parallel-write": _variant_time(
-                parallel, scale, cores_per_node, machine=machine
-            ),
+            label: _t2_7_run(
+                scale, cores_per_node, variant=variant, machine=machine
+            ).execution_time
+            for label, variant in variants.items()
         }
     return out
 
@@ -133,15 +142,12 @@ def compare_scheduler_policies(
     priority-aware default vs FIFO (no priorities honoured) vs LIFO
     (newest-first, cache-oriented).
     """
-    from repro.parsec.scheduler import SchedulerPolicy
-
-    out: dict[str, float] = {}
-    for policy in SchedulerPolicy:
-        cluster = make_cluster(cores_per_node, n_nodes=n_nodes)
-        workload = make_workload(cluster, scale=scale)
-        run = api.run(workload, variant=V4, config=RunConfig(policy=policy))
-        out[policy.value] = run.execution_time
-    return out
+    return {
+        policy.value: _t2_7_run(
+            scale, cores_per_node, n_nodes, variant=V4, policy=policy
+        ).execution_time
+        for policy in SchedulerPolicy
+    }
 
 
 def compare_load_balancing(
@@ -154,15 +160,16 @@ def compare_load_balancing(
     """
     out: dict[str, float] = {}
     for label, use_nxtval in (("nxtval-stealing", True), ("static-cyclic", False)):
-        cluster = make_cluster(cores_per_node, n_nodes=n_nodes)
-        workload = make_workload(cluster, scale=scale)
-        result = LegacyRuntime(
-            cluster, workload.ga, LegacyConfig(use_nxtval=use_nxtval)
-        ).execute_subroutine(workload.subroutine)
-        out[label] = result.execution_time
-    out["parsec-v4 (static nodes + dynamic cores)"] = _variant_time(
-        V4, scale, cores_per_node, n_nodes=n_nodes
-    )
+        out[label] = _t2_7_run(
+            scale,
+            cores_per_node,
+            n_nodes,
+            runtime="legacy",
+            legacy=LegacyConfig(use_nxtval=use_nxtval),
+        ).execution_time
+    out["parsec-v4 (static nodes + dynamic cores)"] = _t2_7_run(
+        scale, cores_per_node, n_nodes, variant=V4
+    ).execution_time
     return out
 
 
@@ -183,33 +190,23 @@ def compare_work_stealing(
     the comm-bound tiny workload the benefit filter mostly declines to
     migrate and both columns converge.
     """
-    from repro.parsec.stealing import StealPolicy
-
     if machine is None:
-        from repro.experiments.calibration import PAPER_MACHINE
-
         machine = PAPER_MACHINE.with_overrides(gemm_gflops=1.0)
     out: dict[str, dict[str, float]] = {}
     for n_nodes in node_counts:
         row: dict[str, float] = {}
-        for label, stealing in (
-            ("static", None),
-            ("stealing", StealPolicy()),
-        ):
-            cluster = make_cluster(
-                cores_per_node, n_nodes=n_nodes, machine=machine
-            )
-            workload = make_workload(
-                cluster,
-                scale=scale,
+        for label, stealing in (("static", False), ("stealing", True)):
+            result = _t2_7_run(
+                scale,
+                cores_per_node,
+                n_nodes,
+                stealing=stealing,
+                machine=machine,
                 skew_factor=skew_factor,
                 skew_period=n_nodes,
             )
-            result = api.run(
-                workload, variant=V5, config=RunConfig(stealing=stealing)
-            )
             row[label] = result.execution_time
-            if stealing is not None:
+            if stealing:
                 row["chains_migrated"] = float(result.chains_migrated)
         row["speedup"] = row["static"] / row["stealing"]
         out[f"{n_nodes} nodes"] = row
@@ -274,8 +271,6 @@ class CommAblationResult:
 
     def table(self) -> str:
         """The comparison table (also what the CI artifact carries)."""
-        from repro.analysis.report import format_table
-
         table_rows = []
         for cell in self.rows:
             base = self.baseline(cell.workload).wire_messages
@@ -322,32 +317,27 @@ def _comm_cell(
     cache: bool,
 ):
     """One run of the knob matrix; returns (cell sans equality, output)."""
-    from repro.experiments.calibration import make_cluster
-    from repro.ga.cache import RemoteCachePolicy
-    from repro.ga.runtime import GlobalArrays
-    from repro.sim.cluster import DataMode
-    from repro.sim.network import CoalescePolicy
-    from repro.workloads import build_workload
-
-    cluster = make_cluster(cores_per_node, n_nodes=n_nodes, data_mode=DataMode.REAL)
-    ga = GlobalArrays(
-        cluster,
+    config = cell_config(
+        cores_per_node,
+        n_nodes,
+        DataMode.REAL,
+        seed=seed,
         coalescing=CoalescePolicy() if coalescing else None,
         remote_cache=RemoteCachePolicy() if cache else None,
     )
-    workload_obj = build_workload(f"{workload}:{scale}", cluster, ga, seed=seed)
+    workload_obj = api.build(f"{workload}:{scale}", config)
     # canonical accumulation order makes the FP sums bitwise-stable
     # under the timing perturbation the knobs introduce — the same
     # mechanism the chaos harness uses under fault delays
     workload_obj.output.array.enable_ordered_accumulation()
-    result = api.run(workload_obj, runtime="legacy")
-    output = workload_obj.output.array.gather()
+    result = api.run(workload_obj, runtime="legacy", config=config)
+    ga = workload_obj.ga
     cell = CommCell(
         workload=workload,
         coalescing=coalescing,
         cache=cache,
         execution_time=result.execution_time,
-        wire_messages=cluster.network.remote_messages,
+        wire_messages=workload_obj.cluster.network.remote_messages,
         bytes_fetched=ga.bytes_fetched,
         cache_hits=ga.cache_hits,
         cache_bytes_saved=ga.cache_bytes_saved,
@@ -355,7 +345,7 @@ def _comm_cell(
         messages_saved=ga.messages_saved,
         output_equal=True,
     )
-    return cell, output
+    return cell, workload_obj.output.array.gather()
 
 
 def run_comm_ablation(
@@ -373,8 +363,6 @@ def run_comm_ablation(
     legacy runtime because its blocking per-tile GETs are the traffic
     pattern the knobs target (the paper's original-code regime).
     """
-    import numpy as np
-
     rows: list[CommCell] = []
     for workload in workloads:
         reference = None

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import os
 
-from repro.ga.runtime import GlobalArrays
-from repro.sim.cluster import Cluster, ClusterConfig, DataMode
+from repro.core import api
+from repro.sim.cluster import Cluster, DataMode
 from repro.sim.cost import MachineModel
 from repro.workloads.base import Workload
 
@@ -40,6 +40,7 @@ __all__ = [
     "PAPER_NODES",
     "CORE_COUNTS",
     "bench_scale",
+    "cell_config",
     "make_cluster",
     "make_workload",
 ]
@@ -81,6 +82,35 @@ def bench_scale(default: str = "paper") -> str:
     return os.environ.get("REPRO_SCALE", default)
 
 
+def cell_config(
+    cores_per_node: int,
+    n_nodes: int = PAPER_NODES,
+    data_mode: DataMode = DataMode.SYNTH,
+    stealing: bool = False,
+    metrics: bool = False,
+    machine: MachineModel | None = None,
+    **fields,
+) -> api.RunConfig:
+    """The :class:`~repro.core.api.RunConfig` of one experiment cell.
+
+    The experiments' defaults differ from the facade's: the pinned
+    :data:`PAPER_MACHINE`, SYNTH data and metrics *off* — the big sweeps
+    only need end-to-end times, and the disabled registry is a no-op on
+    every hot path. ``stealing`` is the sweeps' picklable on/off
+    spelling of the default :class:`~repro.parsec.stealing.StealPolicy`;
+    ``fields`` are any other ``RunConfig`` fields.
+    """
+    return api.RunConfig(
+        n_nodes=n_nodes,
+        cores_per_node=cores_per_node,
+        data_mode=data_mode,
+        metrics=metrics,
+        machine=machine or PAPER_MACHINE,
+        stealing=api.StealPolicy() if stealing else None,
+        **fields,
+    )
+
+
 def make_cluster(
     cores_per_node: int,
     n_nodes: int = PAPER_NODES,
@@ -89,20 +119,15 @@ def make_cluster(
     machine: MachineModel | None = None,
     metrics_enabled: bool = False,
 ) -> Cluster:
-    """A fresh simulated allocation with the calibrated machine.
-
-    Metrics default *off* here (unlike :class:`ClusterConfig`): the big
-    SYNTH sweeps only need end-to-end times, and the disabled registry
-    is a no-op on every hot path.
-    """
-    return Cluster(
-        ClusterConfig(
-            n_nodes=n_nodes,
-            cores_per_node=cores_per_node,
-            machine=machine or PAPER_MACHINE,
-            data_mode=data_mode,
-            trace_enabled=trace_enabled,
-            metrics_enabled=metrics_enabled,
+    """A fresh simulated allocation with the calibrated machine."""
+    return api.build_cluster(
+        cell_config(
+            cores_per_node,
+            n_nodes,
+            data_mode,
+            trace=trace_enabled,
+            machine=machine,
+            metrics=metrics_enabled,
         )
     )
 
@@ -122,14 +147,9 @@ def make_workload(
     --scale paper`` composition resolves to the explicit grid). The
     default stays the paper's t2_7 sub-kernel.
     """
-    from repro.workloads import build_workload
-
-    return build_workload(
+    return api.build(
         workload,
-        cluster,
-        GlobalArrays(cluster),
+        api.RunConfig(seed=seed, skew_factor=skew_factor, skew_period=skew_period),
         scale=scale,
-        seed=seed,
-        skew_factor=skew_factor,
-        skew_period=skew_period,
+        cluster=cluster,
     )

@@ -31,19 +31,20 @@ runners in worker processes with results merged deterministically.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.core import api
-from repro.core.variants import PAPER_VARIANTS, variant_by_name
-from repro.experiments.calibration import make_cluster, make_workload
+from repro.core.variants import PAPER_VARIANTS
+from repro.experiments.calibration import cell_config
 from repro.experiments.sweep import SweepCell, SweepExecutor, SweepStats
 from repro.sim.cluster import DataMode
 from repro.sim.faults import FaultPlan, NodeCrash, Straggler
 from repro.util.rng import derive_seed
+from repro.workloads import canonical_token
 
-__all__ = ["ChaosOutcome", "ChaosResult", "default_plan", "run_chaos"]
+__all__ = ["ChaosOutcome", "ChaosResult", "chaos_cells", "default_plan", "run_chaos"]
 
 
 @dataclass
@@ -116,28 +117,16 @@ def default_plan(master_seed: int, horizon_s: float, n_nodes: int) -> FaultPlan:
     )
 
 
-def _chaos_run(name, scale, n_nodes, cores_per_node, seed, plan, cache,
-               stealing=False, workload="t2_7"):
-    """One run; returns (output values, end time, counter dict)."""
-    variant = None if name == "original" else variant_by_name(name)
-    cluster = make_cluster(cores_per_node, n_nodes=n_nodes, data_mode=DataMode.REAL)
-    workload_obj = make_workload(
-        cluster, scale=scale, seed=seed, workload=workload
-    )
-    workload_obj.output.array.enable_ordered_accumulation()
-    if plan is not None:
-        cluster.install_faults(plan)
-    if variant is None:
-        # the legacy runtime has no stealing machinery to exercise
-        api.run(workload_obj, runtime="legacy")
-    else:
-        config = api.RunConfig(
-            inspection_cache=cache,
-            stealing=api.StealPolicy() if stealing else None,
-        )
-        api.run(workload_obj, variant=variant, config=config)
-    counters = asdict(cluster.faults.report) if cluster.faults else {}
-    return workload_obj.output.flat_values(), cluster.engine.now, counters
+#: FaultReport counters that show a fault fired and was recovered from
+_RECOVERY_COUNTERS = (
+    "task_retries",
+    "retransmits",
+    "tasks_recomputed",
+    "tasks_reassigned",
+    "tickets_reissued",
+    "chains_recovered",
+    "nodes_crashed",
+)
 
 
 def _chaos_cell(
@@ -156,31 +145,32 @@ def _chaos_cell(
     Module-level and pure-data in/out so the sweep executor can ship it
     to a worker process; returns the outcome plus the plan description.
     """
-    reference, horizon, _ = _chaos_run(
-        name, scale, n_nodes, cores_per_node, seed, None, cache, stealing,
-        workload,
+    # the legacy runtime reads neither the steal policy nor the cache
+    config = cell_config(
+        cores_per_node,
+        n_nodes,
+        DataMode.REAL,
+        stealing=stealing,
+        seed=seed,
+        inspection_cache=cache,
     )
+    token = canonical_token(workload, scale=scale)
+
+    def one_run(plan):
+        """(output values, end time, counter dict) of one run."""
+        workload_obj = api.build(token, config)
+        cluster = workload_obj.cluster
+        workload_obj.output.array.enable_ordered_accumulation()
+        if plan is not None:
+            cluster.install_faults(plan)
+        api.run(workload_obj, runtime=name, config=config)
+        counters = asdict(cluster.faults.report) if cluster.faults else {}
+        return workload_obj.output.flat_values(), cluster.engine.now, counters
+
+    reference, horizon, _ = one_run(None)
     plan = default_plan(fault_seed, horizon, n_nodes)
-    values_a, end_a, counters_a = _chaos_run(
-        name, scale, n_nodes, cores_per_node, seed, plan, cache, stealing,
-        workload,
-    )
-    values_b, end_b, counters_b = _chaos_run(
-        name, scale, n_nodes, cores_per_node, seed, plan, cache, stealing,
-        workload,
-    )
-    recovered = any(
-        counters_a.get(k, 0) > 0
-        for k in (
-            "task_retries",
-            "retransmits",
-            "tasks_recomputed",
-            "tasks_reassigned",
-            "tickets_reissued",
-            "chains_recovered",
-            "nodes_crashed",
-        )
-    )
+    values_a, end_a, counters_a = one_run(plan)
+    values_b, end_b, counters_b = one_run(plan)
     outcome = ChaosOutcome(
         name=name,
         bitwise_match=bool(
@@ -192,7 +182,7 @@ def _chaos_cell(
             and counters_a == counters_b
             and np.array_equal(values_a, values_b)
         ),
-        faults_recovered=recovered,
+        faults_recovered=any(counters_a.get(k, 0) > 0 for k in _RECOVERY_COUNTERS),
         end_time_clean=horizon,
         end_time_faulted=end_a,
         counters=counters_a,
@@ -200,57 +190,63 @@ def _chaos_cell(
     return outcome, plan.describe()
 
 
-def run_chaos(
+def chaos_cells(
+    codes: Sequence[str],
     scale: str = "tiny",
     n_nodes: int = 4,
     cores_per_node: int = 2,
     seed: int = 7,
     fault_seed: int = 2025,
-    jobs: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
     stealing: bool = False,
-    codes: Optional[list[str]] = None,
     workload: str = "t2_7",
-) -> ChaosResult:
-    """The full chaos sweep: legacy plus the five PaRSEC variants.
-
-    ``stealing`` enables the work-stealing policy on the PaRSEC
-    variants, so the chaos triple also exercises the fault x stealing
-    interaction (the legacy runtime ignores it). ``codes`` restricts
-    the sweep to a subset of runners; ``workload`` picks any registered
-    workload (multi-level ones recover across level barriers too).
-    """
-    names = codes if codes else ["original"] + sorted(PAPER_VARIANTS)
-    parsec = sorted(n for n in names if n != "original")
-    cache = api.precompute_inspection(
-        scale, n_nodes, codes=parsec, seed=seed, workload=workload
-    ) if parsec else None
-    cells = [
+) -> list[SweepCell]:
+    """One :func:`_chaos_cell` sweep cell per runner in ``codes``."""
+    shared = dict(scale=scale, n_nodes=n_nodes, seed=seed, workload=workload)
+    cache = api.precompute_inspection(codes=codes, **shared)
+    return [
         SweepCell(
             key=(name,),
             fn=_chaos_cell,
             kwargs=dict(
                 name=name,
-                scale=scale,
-                n_nodes=n_nodes,
                 cores_per_node=cores_per_node,
-                seed=seed,
                 fault_seed=fault_seed,
                 cache=cache,
                 stealing=stealing,
-                workload=workload,
+                **shared,
             ),
         )
-        for name in names
+        for name in codes
     ]
+
+
+def run_chaos(
+    scale: str = "tiny",
+    jobs: int = 1,
+    progress: Optional[Callable[[str], None]] = None,
+    codes: Optional[list[str]] = None,
+    workload: str = "t2_7",
+    **cell_kwargs,
+) -> ChaosResult:
+    """The full chaos sweep: legacy plus the five PaRSEC variants.
+
+    ``codes`` restricts the sweep to a subset of runners; ``workload``
+    picks any registered workload (multi-level ones recover across
+    level barriers too). ``cell_kwargs`` are :func:`chaos_cells`' other
+    arguments (``n_nodes``, ``cores_per_node``, ``seed``,
+    ``fault_seed``, ``stealing``); ``stealing`` enables the
+    work-stealing policy on the PaRSEC variants, so the chaos triple
+    also exercises the fault x stealing interaction (the legacy runtime
+    ignores it).
+    """
+    names = codes if codes else ["original"] + sorted(PAPER_VARIANTS)
+    cells = chaos_cells(names, scale=scale, workload=workload, **cell_kwargs)
     executor = SweepExecutor(
         jobs=jobs, progress=progress, label=f"chaos[{workload}:{scale}]"
     )
     results, stats = executor.run(cells)
-    outcomes = [results[(name,)][0] for name in names]
-    plan_description = results[(names[0],)][1]
     return ChaosResult(
-        plan_description=plan_description,
-        outcomes=outcomes,
+        plan_description=results[(names[0],)][1],
+        outcomes=[results[(name,)][0] for name in names],
         sweep_stats=stats,
     )

@@ -13,12 +13,13 @@ them out over worker processes; the energies are identical either way).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core import api
 from repro.core.variants import PAPER_VARIANTS
-from repro.experiments.calibration import make_cluster, make_workload
+from repro.experiments.calibration import cell_config
 from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.sim.cluster import DataMode
 from repro.tce.reference import correlation_energy
@@ -35,8 +36,6 @@ class EquivalenceResult:
 
     def agrees_to_digits(self) -> float:
         """How many decimal digits all implementations agree to."""
-        import math
-
         if self.max_relative_spread == 0.0:
             return 16.0
         return -math.log10(self.max_relative_spread)
@@ -52,13 +51,12 @@ def _equivalence_cell(
     workload: str = "t2_7",
 ) -> float:
     """One implementation's correlation energy on a fresh cluster."""
-    cluster = make_cluster(cores_per_node, n_nodes=n_nodes, data_mode=DataMode.REAL)
-    workload_obj = make_workload(
-        cluster, scale=scale, seed=seed, workload=workload
+    config = cell_config(
+        cores_per_node, n_nodes, DataMode.REAL, seed=seed, inspection_cache=cache
     )
+    workload_obj = api.build(workload, config, scale=scale)
     if name == "reference":
         return correlation_energy(workload_obj.reference_values())
-    config = api.RunConfig(inspection_cache=cache)
     api.run(workload_obj, runtime=name, config=config)
     return correlation_energy(workload_obj.output.flat_values())
 
@@ -78,21 +76,14 @@ def run_equivalence(
     is the workload's own dense-NumPy :meth:`reference_values`.
     """
     names = ["reference", "original"] + sorted(PAPER_VARIANTS)
-    cache = api.precompute_inspection(
-        scale, n_nodes, codes=sorted(PAPER_VARIANTS), seed=seed, workload=workload
-    )
+    shared = dict(scale=scale, n_nodes=n_nodes, seed=seed, workload=workload)
+    cache = api.precompute_inspection(codes=sorted(PAPER_VARIANTS), **shared)
     cells = [
         SweepCell(
             key=(name,),
             fn=_equivalence_cell,
             kwargs=dict(
-                name=name,
-                scale=scale,
-                n_nodes=n_nodes,
-                cores_per_node=cores_per_node,
-                seed=seed,
-                cache=cache,
-                workload=workload,
+                name=name, cores_per_node=cores_per_node, cache=cache, **shared
             ),
         )
         for name in names

@@ -19,16 +19,18 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analysis.report import format_fig9_table, format_table
 from repro.core import api
-from repro.experiments.calibration import (
-    CORE_COUNTS,
-    PAPER_NODES,
-    make_cluster,
-    make_workload,
-)
+from repro.experiments.calibration import CORE_COUNTS, PAPER_NODES, cell_config
 from repro.experiments.sweep import SweepCell, SweepExecutor, SweepStats
-from repro.sim.cost import MachineModel
+from repro.workloads import canonical_token
 
-__all__ = ["Fig9Result", "ShapeCheck", "run_point", "run_fig9", "fig9_shape_checks"]
+__all__ = [
+    "Fig9Result",
+    "ShapeCheck",
+    "run_point",
+    "fig9_cells",
+    "run_fig9",
+    "fig9_shape_checks",
+]
 
 CODES = ("original", "v1", "v2", "v3", "v4", "v5")
 
@@ -150,38 +152,67 @@ def run_point(
     cores_per_node: int,
     scale: str = "paper",
     n_nodes: int = PAPER_NODES,
-    machine: Optional[MachineModel] = None,
-    seed: int = 7,
-    inspection_cache: Optional[api.InspectionCache] = None,
-    stealing: bool = False,
-    skew_factor: int = 1,
-    skew_period: int = 0,
     workload: str = "t2_7",
+    **config_fields,
 ) -> float:
     """One cell of Figure 9: a fresh cluster, workload, and execution.
 
-    ``inspection_cache`` (shared across cells) skips the redundant chain
-    walk when the same workload/node-count was already inspected at a
-    different cores/node setting — virtual timings are unaffected.
-    ``stealing`` turns on the default :class:`~repro.parsec.stealing.
-    StealPolicy` for the PaRSEC codes (the original/dtd paths ignore
-    it); the skew knobs shape the workload itself, so they apply to
-    every code.
+    ``config_fields`` are :func:`~repro.experiments.calibration.
+    cell_config`'s: ``machine``, ``seed``, ``stealing`` (on/off: the
+    default :class:`~repro.parsec.stealing.StealPolicy` for the PaRSEC
+    codes; the original/dtd paths ignore it), the skew knobs (they shape
+    the workload itself, so they apply to every code) and
+    ``inspection_cache`` (shared across cells, it skips the redundant
+    chain walk when the same workload/node-count was already inspected
+    at a different cores/node setting — virtual timings are unaffected).
     """
-    cluster = make_cluster(cores_per_node, n_nodes=n_nodes, machine=machine)
-    workload_obj = make_workload(
-        cluster,
+    config = cell_config(cores_per_node, n_nodes, **config_fields)
+    token = canonical_token(workload, scale=scale)
+    return api.run(token, runtime=code, config=config).execution_time
+
+
+def fig9_cells(
+    codes: Sequence[str],
+    core_counts: Sequence[int],
+    scale: str = "paper",
+    n_nodes: int = PAPER_NODES,
+    seed: int = 7,
+    skew_factor: int = 1,
+    skew_period: int = 0,
+    workload: str = "t2_7",
+    **config_fields,
+) -> list[SweepCell]:
+    """The ``(code, cores)`` grid as sweep cells of :func:`run_point`.
+
+    The inspection memoization (one chain walk per variant height ×
+    node count) is precomputed once here in the parent and shipped to
+    every cell, so it survives process isolation. ``config_fields``
+    (``machine``, ``stealing``) reach :func:`run_point` unchanged.
+    """
+    shared = dict(
         scale=scale,
+        n_nodes=n_nodes,
         seed=seed,
         skew_factor=skew_factor,
         skew_period=skew_period,
         workload=workload,
     )
-    config = api.RunConfig(
-        inspection_cache=inspection_cache,
-        stealing=api.StealPolicy() if stealing else None,
-    )
-    return api.run(workload_obj, runtime=code, config=config).execution_time
+    cache = api.precompute_inspection(codes=tuple(codes), **shared)
+    return [
+        SweepCell(
+            key=(code, cores),
+            fn=run_point,
+            kwargs=dict(
+                code=code,
+                cores_per_node=cores,
+                inspection_cache=cache,
+                **shared,
+                **config_fields,
+            ),
+        )
+        for code in codes
+        for cores in core_counts
+    ]
 
 
 def run_fig9(
@@ -189,14 +220,10 @@ def run_fig9(
     core_counts: Sequence[int] = CORE_COUNTS,
     codes: Iterable[str] = CODES,
     n_nodes: int = PAPER_NODES,
-    machine: Optional[MachineModel] = None,
-    seed: int = 7,
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    stealing: bool = False,
-    skew_factor: int = 1,
-    skew_period: int = 0,
     workload: str = "t2_7",
+    **cell_kwargs,
 ) -> Fig9Result:
     """The full sweep: every code at every core count.
 
@@ -205,43 +232,19 @@ def run_fig9(
     ``jobs > 1`` fans the cells out over worker processes and the
     deterministic merge guarantees the result — ``times`` dict, tables,
     BENCH JSON downstream — is byte-identical to the serial sweep.
-
-    The inspection memoization (one chain walk per variant height ×
-    node count) is precomputed once here in the parent and shipped to
-    every worker, so it survives process isolation.
+    ``cell_kwargs`` are :func:`fig9_cells`' other arguments (``seed``,
+    ``skew_factor``, ``skew_period``, ``machine``, ``stealing``).
     """
     codes = tuple(codes)
     core_counts = tuple(core_counts)
-    cache = api.precompute_inspection(
-        scale,
-        n_nodes,
-        codes=codes,
-        seed=seed,
-        skew_factor=skew_factor,
-        skew_period=skew_period,
+    cells = fig9_cells(
+        codes,
+        core_counts,
+        scale=scale,
+        n_nodes=n_nodes,
         workload=workload,
+        **cell_kwargs,
     )
-    cells = [
-        SweepCell(
-            key=(code, cores),
-            fn=run_point,
-            kwargs=dict(
-                code=code,
-                cores_per_node=cores,
-                scale=scale,
-                n_nodes=n_nodes,
-                machine=machine,
-                seed=seed,
-                inspection_cache=cache,
-                stealing=stealing,
-                skew_factor=skew_factor,
-                skew_period=skew_period,
-                workload=workload,
-            ),
-        )
-        for code in codes
-        for cores in core_counts
-    ]
     executor = SweepExecutor(
         jobs=jobs, progress=progress, label=f"fig9[{workload}:{scale}]"
     )

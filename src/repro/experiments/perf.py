@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.experiments.calibration import CORE_COUNTS, PAPER_NODES
-from repro.experiments.fig9 import CODES, run_fig9
+from repro.experiments.fig9 import run_fig9
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -198,9 +198,6 @@ class BaselineDiff:
 
 def run_perf(
     scale: str = "tiny",
-    codes: Sequence[str] = CODES,
-    n_nodes: Optional[int] = None,
-    core_counts: Optional[Sequence[int]] = None,
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     stealing: bool = False,
@@ -222,22 +219,18 @@ def run_perf(
         raise ConfigurationError(
             f"unknown perf scale {scale!r}; choose from {sorted(PERF_PRESETS)}"
         )
-    n_nodes = n_nodes if n_nodes is not None else preset["n_nodes"]
-    core_counts = tuple(core_counts if core_counts is not None else preset["core_counts"])
     result = run_fig9(
         scale=scale,
-        core_counts=core_counts,
-        codes=codes,
-        n_nodes=n_nodes,
         jobs=jobs,
         progress=progress,
         stealing=stealing,
         workload=workload,
+        **preset,
     )
     return PerfBaseline(
         scale=scale,
-        n_nodes=n_nodes,
-        core_counts=core_counts,
+        n_nodes=result.n_nodes,
+        core_counts=result.core_counts,
         times=result.times,
         workload=workload,
         sweep_stats=result.sweep_stats,

@@ -29,8 +29,7 @@ from repro.analysis.metrics import (
 )
 from repro.core import api
 from repro.core.variants import V2, V4
-from repro.experiments.calibration import PAPER_NODES, make_cluster, make_workload
-from repro.legacy.runtime import LegacyRuntime
+from repro.experiments.calibration import PAPER_NODES, cell_config
 from repro.sim.trace import TaskCategory, TraceRecorder
 
 __all__ = ["TraceExperiment", "run_fig10_11", "run_fig12_13"]
@@ -59,18 +58,20 @@ class TraceExperiment:
         )
 
 
-def _run_variant(variant, scale: str, n_nodes: int) -> TraceExperiment:
-    cluster = make_cluster(TRACE_CORES, n_nodes=n_nodes, trace_enabled=True)
-    workload = make_workload(cluster, scale=scale)
-    run = api.run(workload, variant=variant)
+def _traced_run(name: str, runtime: str, scale: str, n_nodes: int) -> TraceExperiment:
+    """One traced t2_7 run on ``runtime`` plus its figure quantities."""
+    config = cell_config(TRACE_CORES, n_nodes, trace=True)
+    workload = api.build("t2_7", config, scale=scale)
+    run = api.run(workload, runtime=runtime, config=config)
+    trace = workload.cluster.trace
     return TraceExperiment(
-        name=f"trace of {variant.name} ({variant.describe()})",
+        name=name,
         execution_time=run.execution_time,
-        startup_idle=startup_idle_fraction(cluster.trace),
-        overlap=comm_compute_overlap(cluster.trace),
-        comm_fraction=blocking_comm_fraction(cluster.trace),
-        category_share=category_time_share(cluster.trace),
-        trace=cluster.trace,
+        startup_idle=startup_idle_fraction(trace),
+        overlap=comm_compute_overlap(trace),
+        comm_fraction=blocking_comm_fraction(trace),
+        category_share=category_time_share(trace),
+        trace=trace,
     )
 
 
@@ -78,25 +79,17 @@ def run_fig10_11(
     scale: str = "paper", n_nodes: int = PAPER_NODES
 ) -> tuple[TraceExperiment, TraceExperiment]:
     """The Figure 10 (v4) and Figure 11 (v2) pair."""
-    return _run_variant(V4, scale, n_nodes), _run_variant(V2, scale, n_nodes)
+
+    def trace(variant):
+        name = f"trace of {variant.name} ({variant.describe()})"
+        return _traced_run(name, variant.name, scale, n_nodes)
+
+    return trace(V4), trace(V2)
 
 
 def run_fig12_13(scale: str = "paper", n_nodes: int = PAPER_NODES) -> TraceExperiment:
     """The Figure 12/13 run: the original code, traced."""
-    cluster = make_cluster(TRACE_CORES, n_nodes=n_nodes, trace_enabled=True)
-    workload = make_workload(cluster, scale=scale)
-    result = LegacyRuntime(cluster, workload.ga).execute_subroutine(
-        workload.subroutine
-    )
-    return TraceExperiment(
-        name="trace of original NWChem code",
-        execution_time=result.execution_time,
-        startup_idle=startup_idle_fraction(cluster.trace),
-        overlap=comm_compute_overlap(cluster.trace),
-        comm_fraction=blocking_comm_fraction(cluster.trace),
-        category_share=category_time_share(cluster.trace),
-        trace=cluster.trace,
-    )
+    return _traced_run("trace of original NWChem code", "legacy", scale, n_nodes)
 
 
 def comm_vs_gemm_share(experiment: TraceExperiment) -> float:

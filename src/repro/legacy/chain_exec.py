@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.ga.hash_block import add_hash_block, get_hash_block
 from repro.sim.trace import TaskCategory
-from repro.tce.subroutine import ChainSpec
+from repro.tce.subroutine import ChainSpec, sort_4
 
 __all__ = ["execute_chain"]
 
@@ -100,11 +100,7 @@ def execute_chain(
             f"SORT_4:{label}.{sw.sort_index}",
             machine.sort4(chain.c_size),
         )
-        sorted_flat: Optional[np.ndarray] = None
-        if real:
-            sorted_flat = np.ascontiguousarray(
-                sw.sign * np.transpose(tile, sw.perm)
-            ).reshape(-1)
+        sorted_flat = sort_4(tile, sw) if real else None
         yield from add_hash_block(
             ga,
             node,

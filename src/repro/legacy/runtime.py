@@ -34,7 +34,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.faults import killable
 from repro.sim.trace import TaskCategory
 from repro.tce.subroutine import ChainSpec, Subroutine
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, StallError
 
 __all__ = ["LegacyConfig", "LegacyResult", "LegacyRuntime"]
 
@@ -80,10 +80,6 @@ class LegacyResult(RunResult):
     def n_tasks(self) -> int:
         """The legacy unit of work is one whole chain."""
         return self.chains_executed
-
-    @property
-    def runtime_name(self) -> str:
-        return "legacy"
 
 
 class LegacyRuntime:
@@ -170,14 +166,16 @@ class LegacyRuntime:
         done, result = self.launch(levels)
         result.execution_time = self.cluster.run() - start_time
         if not done.triggered:
-            raise ConfigurationError("legacy execution stalled before completing")
+            raise StallError(
+                "legacy execution stalled before completing: "
+                f"{result.chains_executed} of {sum(map(len, levels))} chains "
+                f"done at t={self.cluster.engine.now:.6f}s",
+                report=faults.report if faults is not None else None,
+            )
         if faults is not None:
             delta = faults.report.delta(before)
-            result.task_retries = delta.task_retries
-            result.chains_recovered = delta.chains_recovered
-            result.tickets_reissued = delta.tickets_reissued
-            result.ranks_lost = delta.ranks_lost
-            result.recovery_overhead_s = delta.recovery_overhead_s
+            for name in result._recovery_fields:
+                setattr(result, name, getattr(delta, name))
         return result
 
     # ------------------------------------------------------------------

@@ -38,7 +38,7 @@ from repro.sim.engine import SimEvent
 from repro.sim.network import Message
 from repro.sim.queues import PriorityStore
 from repro.sim.trace import TaskCategory
-from repro.util.errors import DataflowError
+from repro.util.errors import DataflowError, StallError
 
 __all__ = ["AccessMode", "DataHandle", "DtdTask", "DtdContext", "DtdRuntime", "DtdResult"]
 
@@ -150,10 +150,6 @@ class DtdResult(RunResult):
     messages_remote: int = 0
     bytes_remote: float = 0.0
 
-    @property
-    def runtime_name(self) -> str:
-        return "dtd"
-
 
 class DtdRuntime:
     """Insert-then-execute runtime with data-access dependence matching."""
@@ -264,9 +260,11 @@ class DtdRuntime:
         end_time = self.cluster.run()
         if self._done is not None and not self._done.triggered:
             stuck = [t.name for t in self._tasks if not t.done]
-            raise DataflowError(
+            faults = self.cluster.faults
+            raise StallError(
                 f"DTD execution stalled with {len(stuck)} unfinished tasks "
-                f"(first few: {stuck[:5]})"
+                f"(first few: {stuck[:5]})",
+                report=faults.report if faults is not None else None,
             )
         return DtdResult(
             execution_time=end_time - start_time,

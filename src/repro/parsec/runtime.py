@@ -84,10 +84,6 @@ class ParsecResult(RunResult):
         "recovery_overhead_s",
     )
 
-    @property
-    def runtime_name(self) -> str:
-        return "parsec"
-
 
 _instance_ids = itertools.count()
 
@@ -214,12 +210,8 @@ class ParsecRuntime:
             result.steal_forwarded_bytes = self.stealing.forwarded_bytes
         if faults is not None:
             delta = faults.report.delta(before)
-            result.task_retries = delta.task_retries
-            result.retransmits = delta.retransmits
-            result.tasks_recomputed = delta.tasks_recomputed
-            result.tasks_reassigned = delta.tasks_reassigned
-            result.nodes_crashed = delta.nodes_crashed
-            result.recovery_overhead_s = delta.recovery_overhead_s
+            for name in result._recovery_fields:
+                setattr(result, name, getattr(delta, name))
         return result
 
     # ------------------------------------------------------------------

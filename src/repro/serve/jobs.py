@@ -29,7 +29,9 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from repro.experiments.fig9 import CODES
 from repro.experiments.sweep import CellError, SweepCell
+from repro.tce.molecules import SCALE_PRESETS
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -40,42 +42,31 @@ __all__ = [
     "serialize_results",
 ]
 
-_SCALES = ("tiny", "small", "paper", "full")
-_CODES = ("original", "v1", "v2", "v3", "v4", "v5")
+#: what every kind takes (every serialization sorts keys, so the order
+#: here is free)
+_SHARED_DEFAULTS: dict[str, Any] = {
+    "scale": "tiny",
+    "workload": "t2_7",
+    "n_nodes": 4,
+    "seed": 7,
+    "stealing": False,
+}
+_SKEW_DEFAULTS = {"skew_factor": 1, "skew_period": 0}
 
-#: kind -> {param: default}. ``None`` defaults are filled per kind.
+#: kind -> {param: default}
 _PARAM_DEFAULTS: dict[str, dict[str, Any]] = {
-    "point": {
-        "code": "v5",
-        "cores": 2,
-        "scale": "tiny",
-        "workload": "t2_7",
-        "n_nodes": 4,
-        "seed": 7,
-        "stealing": False,
-        "skew_factor": 1,
-        "skew_period": 0,
-    },
+    "point": {"code": "v5", "cores": 2, **_SHARED_DEFAULTS, **_SKEW_DEFAULTS},
     "fig9": {
-        "codes": list(_CODES),
+        "codes": list(CODES),
         "core_counts": [1, 2],
-        "scale": "tiny",
-        "workload": "t2_7",
-        "n_nodes": 4,
-        "seed": 7,
-        "stealing": False,
-        "skew_factor": 1,
-        "skew_period": 0,
+        **_SHARED_DEFAULTS,
+        **_SKEW_DEFAULTS,
     },
     "chaos": {
-        "codes": ["original", "v1", "v2", "v3", "v4", "v5"],
-        "scale": "tiny",
-        "workload": "t2_7",
-        "n_nodes": 4,
+        "codes": list(CODES),
         "cores_per_node": 2,
-        "seed": 7,
         "fault_seed": 2025,
-        "stealing": False,
+        **_SHARED_DEFAULTS,
     },
 }
 
@@ -139,18 +130,19 @@ class JobSpec:
         from repro.workloads import parse_workload_token
 
         p = self.params
-        if p["scale"] not in _SCALES:
+        if p["scale"] not in SCALE_PRESETS:
             raise ConfigurationError(
-                f"unknown scale {p['scale']!r}: expected one of {_SCALES}"
+                f"unknown scale {p['scale']!r}: expected one of "
+                f"{tuple(SCALE_PRESETS)}"
             )
         # rejects unknown workload names / malformed tokens at submit
         # time, before a worker ever sees the job
         parse_workload_token(str(p["workload"]), scale=p["scale"])
         codes = p["codes"] if "codes" in p else [p["code"]]
-        bad = sorted(set(codes) - set(_CODES))
+        bad = sorted(set(codes) - set(CODES))
         if bad:
             raise ConfigurationError(
-                f"unknown code(s) {bad}: expected from {_CODES}"
+                f"unknown code(s) {bad}: expected from {CODES}"
             )
         if not codes:
             raise ConfigurationError("a job needs at least one code")
@@ -203,91 +195,21 @@ def job_digest(spec: JobSpec) -> str:
 def build_cells(spec: JobSpec) -> list[SweepCell]:
     """Expand one job into its independent sweep cells.
 
-    For PaRSEC codes the chain inspection is precomputed here in the
-    daemon process and shipped to the workers (the same
-    :func:`~repro.core.api.precompute_inspection` trick the batch
-    sweeps use), so a grid job pays one chain walk per variant height.
+    The job parameters are named after the arguments of the experiments'
+    own cell builders, so a spec expands by keyword; a ``point`` job is
+    the 1x1 ``fig9`` grid. For PaRSEC codes those builders precompute
+    the chain inspection here in the daemon process and ship it to the
+    workers, so a grid job pays one chain walk per variant height.
     """
-    from repro.core import api
-    from repro.experiments.chaos import _chaos_cell
-    from repro.experiments.fig9 import run_point
+    from repro.experiments.chaos import chaos_cells
+    from repro.experiments.fig9 import fig9_cells
 
-    p = spec.params
-    if spec.kind == "point":
-        cache = api.precompute_inspection(
-            p["scale"], p["n_nodes"], codes=(p["code"],), seed=p["seed"],
-            skew_factor=p["skew_factor"], skew_period=p["skew_period"],
-            workload=p["workload"],
-        )
-        return [
-            SweepCell(
-                key=(p["code"], p["cores"]),
-                fn=run_point,
-                kwargs=dict(
-                    code=p["code"],
-                    cores_per_node=p["cores"],
-                    scale=p["scale"],
-                    n_nodes=p["n_nodes"],
-                    seed=p["seed"],
-                    inspection_cache=cache,
-                    stealing=p["stealing"],
-                    skew_factor=p["skew_factor"],
-                    skew_period=p["skew_period"],
-                    workload=p["workload"],
-                ),
-            )
-        ]
-    if spec.kind == "fig9":
-        cache = api.precompute_inspection(
-            p["scale"], p["n_nodes"], codes=tuple(p["codes"]), seed=p["seed"],
-            skew_factor=p["skew_factor"], skew_period=p["skew_period"],
-            workload=p["workload"],
-        )
-        return [
-            SweepCell(
-                key=(code, cores),
-                fn=run_point,
-                kwargs=dict(
-                    code=code,
-                    cores_per_node=cores,
-                    scale=p["scale"],
-                    n_nodes=p["n_nodes"],
-                    seed=p["seed"],
-                    inspection_cache=cache,
-                    stealing=p["stealing"],
-                    skew_factor=p["skew_factor"],
-                    skew_period=p["skew_period"],
-                    workload=p["workload"],
-                ),
-            )
-            for code in p["codes"]
-            for cores in p["core_counts"]
-        ]
+    p = dict(spec.params)
     if spec.kind == "chaos":
-        parsec = [c for c in p["codes"] if c != "original"]
-        cache = api.precompute_inspection(
-            p["scale"], p["n_nodes"], codes=tuple(parsec), seed=p["seed"],
-            workload=p["workload"],
-        )
-        return [
-            SweepCell(
-                key=(name,),
-                fn=_chaos_cell,
-                kwargs=dict(
-                    name=name,
-                    scale=p["scale"],
-                    n_nodes=p["n_nodes"],
-                    cores_per_node=p["cores_per_node"],
-                    seed=p["seed"],
-                    fault_seed=p["fault_seed"],
-                    cache=cache,
-                    stealing=p["stealing"],
-                    workload=p["workload"],
-                ),
-            )
-            for name in p["codes"]
-        ]
-    raise ConfigurationError(f"unknown job kind {spec.kind!r}")  # pragma: no cover
+        return chaos_cells(p.pop("codes"), **p)
+    if spec.kind == "point":
+        return fig9_cells([p.pop("code")], [p.pop("cores")], **p)
+    return fig9_cells(p.pop("codes"), p.pop("core_counts"), **p)
 
 
 def _jsonable(value: Any) -> Any:

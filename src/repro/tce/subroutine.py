@@ -25,9 +25,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+import numpy as np
+
 from repro.tce.tensor import BlockTensor
 
-__all__ = ["BlockRef", "GemmOp", "SortWrite", "ChainSpec", "Subroutine"]
+__all__ = ["BlockRef", "GemmOp", "SortWrite", "sort_4", "ChainSpec", "Subroutine"]
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,16 @@ class SortWrite:
     perm: tuple[int, ...]
     sign: float
     target: BlockRef
+
+
+def sort_4(tile: np.ndarray, sort) -> np.ndarray:
+    """The SORT_4 numerics, flattened: ``sign * permute(tile)``.
+
+    ``sort`` is anything carrying ``sign`` and ``perm`` — a
+    :class:`SortWrite` or the inspector's ``SortMeta`` — so the legacy
+    chain executor, the PTG bodies and the DTD bodies share one spelling.
+    """
+    return (sort.sign * np.transpose(tile, sort.perm)).reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from repro.sim.trace import TaskCategory
 from repro.tce.molecules import tiny_system
 from repro.tce.reference import compute_reference, correlation_energy
 from repro.tce.t2_7 import build_t2_7
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, StallError
 
 
 def run_legacy(
@@ -162,3 +162,36 @@ class TestBehaviour:
         cluster, workload, result = run_legacy(data_mode=DataMode.SYNTH)
         assert result.execution_time > 0
         assert not workload.i2.array.holds_data
+
+
+class TestStall:
+    def test_quiescing_before_done_raises_stall_error(self, monkeypatch):
+        """Every rank parks on an event nobody fires: the engine runs dry
+        with ``done`` untriggered. That is a failed run (``StallError``,
+        CLI exit 1), not the usage error the parent commit raised."""
+
+        def park_forever(cluster, ga, node, thread, chain, on_commit=None):
+            yield cluster.engine.event()
+
+        monkeypatch.setattr("repro.legacy.runtime.execute_chain", park_forever)
+        with pytest.raises(StallError, match="stalled") as excinfo:
+            run_legacy(data_mode=DataMode.SYNTH)
+        assert not isinstance(excinfo.value, ConfigurationError)
+        assert excinfo.value.report is None  # no fault plan installed
+
+    def test_stall_under_a_fault_plan_carries_the_report(self, monkeypatch):
+        from repro.sim.faults import FaultPlan
+
+        def park_forever(cluster, ga, node, thread, chain, on_commit=None):
+            yield cluster.engine.event()
+
+        monkeypatch.setattr("repro.legacy.runtime.execute_chain", park_forever)
+        cluster = Cluster(
+            ClusterConfig(n_nodes=2, cores_per_node=1, data_mode=DataMode.SYNTH)
+        )
+        cluster.install_faults(FaultPlan(master_seed=3))
+        ga = GlobalArrays(cluster)
+        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+        with pytest.raises(StallError) as excinfo:
+            LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
+        assert excinfo.value.report is cluster.faults.report

@@ -3,32 +3,27 @@
 import numpy as np
 import pytest
 
+from repro.core import api
 from repro.core.executor import run_ptg
 from repro.core.variants import V5
-from repro.ga.runtime import GlobalArrays
-from repro.sim.cluster import Cluster, ClusterConfig, DataMode
+from repro.sim.cluster import ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
-from repro.tce.molecules import tiny_system
 from repro.tce.reference import compute_reference
-from repro.tce.t2_7 import build_t2_7
 from repro.util.errors import ConfigurationError
 
 
 def make_run(gpus_per_node=0, cores=2, data_mode=DataMode.REAL, **overrides):
-    machine = MachineModel(**overrides) if overrides else MachineModel()
-    cluster = Cluster(
-        ClusterConfig(
-            n_nodes=4,
-            cores_per_node=cores,
-            machine=machine,
-            data_mode=data_mode,
-            gpus_per_node=gpus_per_node,
-        )
+    config = api.RunConfig(
+        n_nodes=4,
+        cores_per_node=cores,
+        machine=MachineModel(**overrides),
+        data_mode=data_mode,
+        trace=True,
+        gpus_per_node=gpus_per_node,
     )
-    ga = GlobalArrays(cluster)
-    workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-    run = run_ptg(cluster, workload.subroutine, V5)
-    return cluster, workload, run
+    workload = api.build("t2_7:tiny", config)
+    run = run_ptg(workload.cluster, workload.subroutine, V5)
+    return workload.cluster, workload, run
 
 
 class TestHybridExecution:

@@ -177,6 +177,26 @@ class TestInterrupts:
         assert cli.main(["info"]) == cli.EXIT_INTERRUPTED == 130
         assert "interrupted" in capsys.readouterr().err
 
+    def test_stall_is_a_failed_run_not_a_usage_error(self, monkeypatch, capsys):
+        """A simulation that quiesced unfinished exits 1 with one
+        ``error:`` line (headline + fault report), never 2."""
+        import repro.__main__ as cli
+        from repro.sim.faults import FaultReport
+        from repro.util.errors import StallError
+
+        def stalled(args):
+            raise StallError(
+                "execution stalled with 3 unfinished tasks\n  node 0: alive=False",
+                report=FaultReport(nodes_crashed=1),
+            )
+
+        monkeypatch.setattr(cli, "cmd_info", stalled)
+        assert cli.main(["info"]) == cli.EXIT_CHECK_FAILED == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: execution stalled with 3 unfinished tasks")
+        assert len(err.strip().splitlines()) == 1
+        assert "nodes_crashed=1" in err
+
     def test_exit_codes_are_distinct(self):
         from repro.__main__ import (
             EXIT_CHECK_FAILED,

@@ -1,10 +1,13 @@
 """Tests of the unified ``repro.run`` facade and the RunResult protocol."""
 
+import functools
 import json
 
+import numpy as np
 import pytest
 
 import repro
+from repro.core import api
 from repro.core.api import RunConfig, run
 from repro.experiments.calibration import make_cluster, make_workload
 from repro.obs import RunReport, RunResult
@@ -49,6 +52,102 @@ class TestFacadeDispatch:
     def test_unknown_runtime_rejected(self):
         with pytest.raises(ConfigurationError):
             run("t2_7:tiny", runtime="mpi", config=TINY)
+
+
+class TestOneBuildPath:
+    """``run(token)``, ``build`` + ``run(object)`` and the experiments'
+    ``run_point`` are one path: same machine, shape, data mode and seed
+    give exactly the same simulation."""
+
+    @pytest.mark.parametrize("token", ["t2_7:tiny", "rbgs:tiny"])
+    @pytest.mark.parametrize("runtime", ["legacy", "v5", "dtd"])
+    def test_token_object_and_run_point_agree(self, token, runtime):
+        from repro.experiments.fig9 import run_point
+        from repro.sim.cluster import DataMode
+
+        config = RunConfig(
+            n_nodes=4, cores_per_node=2, data_mode=DataMode.SYNTH, seed=7
+        )
+        by_token = run(token, runtime=runtime, config=config)
+        workload = api.build(token, config)
+        by_object = run(workload, runtime=runtime, config=config)
+        assert by_object.execution_time == by_token.execution_time
+        assert by_object.n_tasks == by_token.n_tasks
+        wire = workload.cluster.network.remote_messages
+        assert wire == by_token.metrics["counters"]["net.remote_messages"]
+        name, scale = token.split(":")
+        assert by_token.execution_time == run_point(
+            runtime, 2, scale=scale, n_nodes=4, seed=7, workload=name
+        )
+
+    def test_calibration_helpers_delegate_to_the_builder(self):
+        cluster = make_cluster(2, n_nodes=4)
+        workload = make_workload(cluster, scale="tiny", workload="rbgs")
+        built = api.build("rbgs:tiny", RunConfig(n_nodes=4, cores_per_node=2))
+        assert workload.cluster is cluster
+        assert workload.workload_id == built.workload_id == "rbgs:tiny"
+        assert type(workload.ga) is type(built.ga)
+
+
+class TestKnobsAreNotDropped:
+    """A pre-built workload owns its GlobalArrays; a config asking for GA
+    knobs it was not built with used to run half-applied, silently."""
+
+    @pytest.mark.parametrize(
+        "knob, policy",
+        [
+            ("coalescing", api.CoalescePolicy()),
+            ("remote_cache", api.RemoteCachePolicy()),
+        ],
+    )
+    def test_mismatched_ga_knob_is_rejected(self, knob, policy):
+        plain = api.build("t2_7:tiny", TINY)
+        with pytest.raises(ConfigurationError, match=f"RunConfig.{knob}"):
+            run(plain, runtime="legacy", config=RunConfig(**{knob: policy}))
+        # and the other direction: built with the knob, run without it
+        config = RunConfig(n_nodes=4, cores_per_node=2, **{knob: policy})
+        with pytest.raises(ConfigurationError, match=f"RunConfig.{knob}"):
+            run(api.build("t2_7:tiny", config), runtime="legacy", config=TINY)
+
+    def test_matching_knobs_run(self):
+        config = RunConfig(
+            n_nodes=4,
+            cores_per_node=2,
+            coalescing=api.CoalescePolicy(),
+            remote_cache=api.RemoteCachePolicy(),
+        )
+        result = run(api.build("t2_7:tiny", config), runtime="legacy", config=config)
+        assert result.execution_time > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _ordered_output(token: str, runtime: str) -> np.ndarray:
+    """Output of one 4x2 REAL run with ordered accumulation on."""
+    config = RunConfig(n_nodes=4, cores_per_node=2, metrics=False)
+    workload = api.build(token, config)
+    workload.output.array.enable_ordered_accumulation()
+    run(workload, runtime=runtime, config=config)
+    return workload.output.flat_values()
+
+
+class TestCrossRuntimeNumerics:
+    """What holds across runtimes: legacy and v1 (one serial GEMM chain
+    per output block) are bitwise equal; v2-v5 and dtd run the GEMMs in
+    parallel and REDUCE the partial sums, which associates the additions
+    differently — equal to 1e-13 of the output's rms (the paper's "14th
+    digit"), not to the last bit. Bitwise equality is a per-runtime
+    property (under faults, knobs and stealing), checked elsewhere."""
+
+    @pytest.mark.parametrize("workload", ["t2_7:tiny", "ccsd:tiny", "rbgs:tiny"])
+    @pytest.mark.parametrize("runtime", ["v1", "v2", "v3", "v4", "v5", "dtd"])
+    def test_against_legacy(self, workload, runtime):
+        legacy = _ordered_output(workload, "legacy")
+        values = _ordered_output(workload, runtime)
+        if runtime == "v1":
+            assert np.array_equal(values, legacy)
+        else:
+            rms = float(np.sqrt(np.mean(legacy**2)))
+            assert np.max(np.abs(values - legacy)) <= 1e-13 * rms
 
 
 class TestRunResultProtocol:
