@@ -93,6 +93,7 @@ class NwchemDriver:
                         self.cluster, subroutine, self.variant, api.RunConfig()
                     )
                     yield runtime.launch(ptg, metadata)
+                    runtime.shutdown()  # a section's runtime dies with it
                     mode = "parsec"
                 else:
                     legacy = LegacyRuntime(self.cluster, self.ga, self.legacy_config)

@@ -40,11 +40,12 @@ def _dataflow_tag(class_name: str) -> str:
 class CommThread:
     """Per-node communication service.
 
-    The inbox name carries the runtime's instance id: several PaRSEC
+    The inbox names carry the runtime's instance id: several PaRSEC
     sections may execute on the same simulated machine over a program's
-    lifetime (the NWChem integration driver runs one per ported
-    kernel), and a finished runtime's comm threads — which park forever
-    on their inbox — must never steal a later runtime's messages.
+    lifetime (the NWChem integration driver runs one per ported kernel,
+    a multi-level workload one per level), each with its own mailboxes.
+    They live as long as the runtime: :meth:`close` removes them, and
+    with them the threads parked there, when the section is finished.
     """
 
     def __init__(self, runtime: "ParsecRuntime", node) -> None:
@@ -78,6 +79,12 @@ class CommThread:
                 self._serve_ctrl(),
                 name=f"parsec.ctrl{node.node_id}#{runtime.instance_id}",
             )
+
+    def close(self) -> None:
+        """Remove this runtime's mailboxes from the node (see
+        :meth:`ParsecRuntime.shutdown`); the parked threads go with them."""
+        self.node.drop_inbox(self.inbox_name)
+        self.node.drop_inbox(self.ctrl_name)
 
     def send(
         self,

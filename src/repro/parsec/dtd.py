@@ -56,10 +56,21 @@ class DataHandle:
     """One named piece of data tasks communicate through.
 
     Tracks the version chain the dependence matcher needs: the last
-    writer task and the readers of the current version.
+    writer task and the readers of the current version — and how many
+    inserted tasks have yet to finish with the handle. ``value`` lives
+    until that count reaches zero (a rewrite replaces it sooner); the
+    matcher has seen every access by then, so nothing can read it later.
     """
 
-    __slots__ = ("key", "size_elems", "home_node", "value", "_last_writer", "_readers")
+    __slots__ = (
+        "key",
+        "size_elems",
+        "home_node",
+        "value",
+        "_last_writer",
+        "_readers",
+        "_accessors",
+    )
 
     def __init__(self, key: str, size_elems: int, home_node: int, value: Any = None):
         self.key = key
@@ -68,6 +79,8 @@ class DataHandle:
         self.value = value
         self._last_writer: Optional["DtdTask"] = None
         self._readers: list["DtdTask"] = []
+        #: declared accesses whose task has not completed yet
+        self._accessors = 0
 
     @property
     def nbytes(self) -> float:
@@ -132,9 +145,11 @@ class DtdContext:
         self.data[key] = value
 
     def charge(self, cost):
-        """Generator helper: burn one OpCost on this node/thread."""
+        """Generator helper: burn one OpCost on this node/thread (CPU
+        time scaled by any straggler window active on the node, exactly
+        as :meth:`TaskContext.charge` does for the same shared bodies)."""
         if cost.cpu > 0:
-            yield self.cluster.engine.timeout(cost.cpu)
+            yield self.cluster.engine.timeout(cost.cpu * self.node.cpu_scale())
         if cost.bytes > 0:
             yield self.node.membw.transfer(cost.bytes)
 
@@ -158,6 +173,7 @@ class DtdRuntime:
         self.cluster = cluster
         self.engine = cluster.engine
         self.instance_id = next(_dtd_ids)
+        self._inbox_name = f"dtd.recv#{self.instance_id}"
         self._tasks: list[DtdTask] = []
         self._handles: dict[str, DataHandle] = {}
         self._edges = 0
@@ -168,6 +184,10 @@ class DtdRuntime:
         self._done: Optional[SimEvent] = None
         self.messages_remote = 0
         self.bytes_remote = 0.0
+        #: bytes of live handle values and their high-water mark; kept
+        #: only while the metrics registry is on
+        self._live_bytes = 0
+        self._live_bytes_hwm = 0
 
     # ------------------------------------------------------------------
     # skeleton-program API
@@ -178,9 +198,22 @@ class DtdRuntime:
         """Declare (or look up) a data handle."""
         handle = self._handles.get(key)
         if handle is None:
-            handle = DataHandle(key, size_elems, home_node, value)
+            handle = DataHandle(key, size_elems, home_node)
             self._handles[key] = handle
+            if value is not None:
+                self._store(handle, value)
         return handle
+
+    def _store(self, handle: DataHandle, value: Any) -> None:
+        """Replace a handle's value (``None`` drops it), keeping the
+        live-bytes account when the metrics registry is on."""
+        if self.cluster.metrics.enabled:
+            self._live_bytes += getattr(value, "nbytes", 0) - getattr(
+                handle.value, "nbytes", 0
+            )
+            if self._live_bytes > self._live_bytes_hwm:
+                self._live_bytes_hwm = self._live_bytes
+        handle.value = value
 
     def insert_task(
         self,
@@ -205,6 +238,7 @@ class DtdRuntime:
         for handle, mode in accesses:
             if mode not in (AccessMode.READ, AccessMode.RW, AccessMode.WRITE):
                 raise DataflowError(f"unknown access mode {mode!r}")
+            handle._accessors += 1
             predecessors: list[DtdTask] = []
             if mode == AccessMode.READ:
                 if handle._last_writer is not None:
@@ -266,6 +300,13 @@ class DtdRuntime:
                 f"(first few: {stuck[:5]})",
                 report=faults.report if faults is not None else None,
             )
+        if self._live_bytes_hwm:
+            # a max, not a sum: a gauge, never a DtdResult field (the
+            # level merge adds every numeric field)
+            self.cluster.metrics.gauge_max(
+                "parsec.live_payload_bytes.hwm", float(self._live_bytes_hwm)
+            )
+        self._shutdown()
         return DtdResult(
             execution_time=end_time - start_time,
             n_tasks=len(self._tasks),
@@ -274,6 +315,16 @@ class DtdRuntime:
             messages_remote=self.messages_remote,
             bytes_remote=self.bytes_remote,
         )
+
+    def _shutdown(self) -> None:
+        """Make the cluster forget this finished runtime: abandon the
+        parked workers and receivers and remove the per-instance
+        mailboxes from the nodes. Schedules nothing, draws no seq."""
+        for store in self._ready:
+            store.abandon_getters()
+        for node in self.cluster.nodes:
+            node.drop_inbox(self._inbox_name)
+            node._dtd_receivers.discard(self.instance_id)
 
     def _seed(self, insertion_time: float):
         if insertion_time > 0:
@@ -294,10 +345,15 @@ class DtdRuntime:
             node.trace.record(
                 node.node_id, thread, task.category, task.name, t_start, self.engine.now
             )
-            # publish written values back to the handles
+            # publish written values back to the handles, then let go of
+            # every handle this was the last inserted task to touch
             for handle, mode in task.accesses:
                 if mode != AccessMode.READ:
-                    handle.value = context.data.get(handle.key)
+                    self._store(handle, context.data.get(handle.key))
+                handle._accessors -= 1
+                if handle._accessors == 0:
+                    self._store(handle, None)
+            del context  # a parked worker must not pin its last task's data
             task.done = True
             self._on_complete(task)
 
@@ -323,7 +379,7 @@ class DtdRuntime:
         )
         self.messages_remote += 1
         self.bytes_remote += size_bytes
-        inbox = f"dtd.recv#{self.instance_id}"
+        inbox = self._inbox_name
         node = self.cluster.nodes[successor.node]
         if self.instance_id not in node._dtd_receivers:
             node._dtd_receivers.add(self.instance_id)

@@ -26,6 +26,16 @@ yield point); its still-held input repository entries make re-execution
 cheap. Tasks whose bodies already *committed* irreversible effects are
 left to finish — the commit marker is what gives exactly-once
 write semantics under crashes.
+
+Memory model
+------------
+A payload lives from its producer's completion to its last consumer's:
+:meth:`_on_complete` hands a task's outputs to its consumers and, in
+the same step, drops the task's own delivered inputs and its output
+table. A runtime lives for one level: :meth:`shutdown` makes the cluster
+forget it. Neither rule has a knob, and no fault plan needs a pin —
+recovery only ever re-runs *unfinished* tasks, whose inputs are still
+held on the global :class:`TaskInstance`, not on the dead node.
 """
 
 from __future__ import annotations
@@ -88,6 +98,17 @@ class ParsecResult(RunResult):
 _instance_ids = itertools.count()
 
 
+def _payload_bytes(delivered) -> int:
+    """Bytes held by a task's delivered inputs: a flow holds one payload
+    or, after several deliveries, a list of them. Only arrays count —
+    SYNTH payloads are ``None`` and toy PTGs pass plain Python values."""
+    total = 0
+    for got in delivered:
+        for payload in got if isinstance(got, list) else (got,):
+            total += getattr(payload, "nbytes", 0)
+    return total
+
+
 class ParsecRuntime:
     """One PTG execution engine bound to a cluster."""
 
@@ -120,6 +141,10 @@ class ParsecRuntime:
         self.messages_remote = 0
         self.bytes_remote = 0.0
         self.deliveries_local = 0
+        #: bytes of delivered, not-yet-released payloads and their
+        #: high-water mark; kept only while the metrics registry is on
+        self._live_bytes = 0
+        self._live_bytes_hwm = 0
 
     @property
     def steal_enabled(self) -> bool:
@@ -212,7 +237,32 @@ class ParsecRuntime:
             delta = faults.report.delta(before)
             for name in result._recovery_fields:
                 setattr(result, name, getattr(delta, name))
+        if self._live_bytes_hwm:
+            # a max, not a sum: published as a gauge, never as a result
+            # field (the level merge adds every numeric field)
+            self.cluster.metrics.gauge_max(
+                "parsec.live_payload_bytes.hwm", float(self._live_bytes_hwm)
+            )
+        self.shutdown()
         return result
+
+    def shutdown(self) -> None:
+        """Make the cluster forget this finished runtime.
+
+        Every process the runtime spawned is parked by now — workers on
+        the ready queues, comm/ctrl threads on the per-instance inboxes —
+        and would stay parked for good, keeping the whole level's graph
+        reachable from the node-owned mailboxes. Abandon them, remove the
+        mailboxes and unsubscribe from crash notifications; nothing is
+        scheduled and no sequence number is drawn, so virtual behaviour
+        cannot move. The runtime object itself keeps ``graph`` and its
+        counters for a caller that still holds it.
+        """
+        for scheduler, comm in zip(self.schedulers, self.comms):
+            scheduler.abandon_workers()
+            comm.close()
+        if self.cluster.faults is not None:
+            self.cluster.faults.off_crash(self._handle_crash)
 
     # ------------------------------------------------------------------
     # stall watchdog
@@ -367,6 +417,12 @@ class ParsecRuntime:
                     self.comms[node].send(
                         consumer_key, dep.flow, payload, size_bytes, tag=key
                     )
+        # the consumer's end of the payload lifetime rule: every output
+        # now belongs to its consumers (or the comm thread's mailbox)
+        if self.cluster.metrics.enabled:
+            self._live_bytes -= _payload_bytes(task.inputs.values())
+        task.release()
+        context.outputs.clear()
         self._completed += 1
         if self._completed == self._n_tasks:
             self.done_at = self.cluster.engine.now
@@ -382,5 +438,10 @@ class ParsecRuntime:
         metrics = self.cluster.metrics
         if metrics.enabled:
             metrics.inc("parsec.deliveries_local")
+            nbytes = getattr(data, "nbytes", 0)
+            if nbytes:
+                live = self._live_bytes = self._live_bytes + nbytes
+                if live > self._live_bytes_hwm:
+                    self._live_bytes_hwm = live
         if consumer.receive(flow, data, tag=tag):
             self.schedulers[consumer.node].enqueue(consumer)

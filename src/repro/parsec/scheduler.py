@@ -112,10 +112,10 @@ class NodeScheduler:
         crash (RDMA-style fail-stop model).
         """
         drained: list[TaskInstance] = []
+        self.abandon_workers()
         for store in (self.ready, self.gpu_ready):
             if store is None:
                 continue
-            store.abandon_getters()
             while True:
                 ok, item = store.try_get()
                 if not ok:
@@ -124,6 +124,14 @@ class NodeScheduler:
         for mutex in self.node._mutexes.values():
             mutex.abandon_waiters()
         return drained
+
+    def abandon_workers(self) -> None:
+        """Abandon the workers parked on the ready queues: their node
+        crashed or the runtime is finished, and a later ``put()`` must
+        never be handed to them."""
+        self.ready.abandon_getters()
+        if self.gpu_ready is not None:
+            self.gpu_ready.abandon_getters()
 
     def enqueue(self, task: TaskInstance) -> None:
         """Make a task available under the node's scheduling policy."""

@@ -226,6 +226,17 @@ class TaskInstance:
             tags = [tags]
         return tags
 
+    def release(self) -> None:
+        """Drop the delivered payloads: the task is done with them.
+
+        A payload lives from its producer's completion to its last
+        consumer's; this is the consumer's end of that rule. Nothing
+        reads a finished task's inputs — recovery re-homes and the steal
+        layer forwards *unfinished* tasks only, and :meth:`receive`
+        already rejects a delivery to a done task.
+        """
+        self.inputs = self.input_tags = None  # type: ignore[assignment]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TaskInstance({self.label} @node{self.node})"
 

@@ -31,7 +31,7 @@ Event types and their fields:
   it on every hit would grow the journal by the full result size for
   zero information; replay re-attaches it from the digest entry.
 - ``job_requeued``    — ``job_id`` (graceful shutdown marked it for
-  resumption)
+  resumption; ignored by replay when the job had already finished)
 - ``snapshot``        — ``jobs``, ``specs``, ``results``,
   ``folded_events``: the complete fold of everything before it (schema
   v2; see *Compaction*). The fold is deduplicated: done jobs' payloads
@@ -72,6 +72,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 __all__ = [
+    "FINAL_STATES",
     "JOURNAL_SCHEMA_VERSION",
     "Journal",
     "JournalEvents",
@@ -84,6 +85,10 @@ __all__ = [
 #: v2 added ``snapshot`` records and payload-suppressed cache-hit
 #: ``job_finished`` lines; v1 journals replay unchanged.
 JOURNAL_SCHEMA_VERSION = 2
+
+#: statuses a ``job_finished`` line can carry; once a job has one,
+#: nothing later in the journal changes it
+FINAL_STATES = ("done", "partial", "failed")
 
 
 class JournalEvents(list):
@@ -379,12 +384,12 @@ def rebuild(events: list[dict]) -> RecoveredState:
                 "digest": record["digest"],
                 "status": "queued",
             }
-        elif event == "job_started":
-            if job_id in state.jobs:
-                state.jobs[job_id]["status"] = "running"
-        elif event == "job_requeued":
-            if job_id in state.jobs:
-                state.jobs[job_id]["status"] = "queued"
+        elif event in ("job_started", "job_requeued"):
+            # a finished job is final: a stop() that raced the worker's
+            # last transition may journal job_requeued after job_finished
+            job = state.jobs.get(job_id)
+            if job is not None and job["status"] not in FINAL_STATES:
+                job["status"] = "running" if event == "job_started" else "queued"
         elif event == "job_finished":
             job = state.jobs.get(job_id)
             if job is None:

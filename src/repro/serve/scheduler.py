@@ -47,12 +47,10 @@ from repro.obs.registry import NULL_METRICS, MetricsRegistry
 from repro.serve.breaker import Admission, CircuitBreaker
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import JobSpec, build_cells, job_digest, serialize_results
-from repro.serve.journal import Journal, RecoveredState
+from repro.serve.journal import FINAL_STATES, Journal, RecoveredState
 from repro.util.errors import ConfigurationError, ReproError
 
 __all__ = ["JobRecord", "JobScheduler", "SubmissionRejected"]
-
-_FINAL_STATES = ("done", "partial", "failed")
 
 
 class SubmissionRejected(ReproError):
@@ -358,7 +356,7 @@ class JobScheduler:
                 if record is None:
                     return [], True
                 fresh = [dict(e) for e in record.events[cursor:]]
-                final = record.status in _FINAL_STATES and not fresh
+                final = record.status in FINAL_STATES and not fresh
                 if fresh or final or self._stop:
                     return fresh, final or self._stop
                 remaining = deadline - time.monotonic()
@@ -535,6 +533,10 @@ class JobScheduler:
             record.status = status
             record.result = values
             record.errors = errors
+            # leave _running in the same lock hold that makes the status
+            # final: stop() requeues whatever it finds there, and the
+            # compaction below runs outside the lock
+            self._running.discard(record.job_id)
             if status == "done":
                 self.cache.put(record.digest, {"result": values, "errors": {}})
                 self.breaker.record_success()

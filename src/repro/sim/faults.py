@@ -263,6 +263,10 @@ class FaultInjector:
         """Register ``callback(node)`` to run when any node crashes."""
         self._crash_callbacks.append(callback)
 
+    def off_crash(self, callback: Callable) -> None:
+        """Unsubscribe a callback registered with :meth:`on_crash`."""
+        self._crash_callbacks.remove(callback)
+
     def _crash(self, node_id: int) -> None:
         node = self.cluster.nodes[node_id]
         if not node.alive:

@@ -88,6 +88,15 @@ class Node:
             self._inboxes[name] = store
         return store
 
+    def drop_inbox(self, name: str) -> None:
+        """Forget a mailbox whose owner is finished, abandoning whoever
+        is parked on it. Per-instance mailboxes (``parsec.comm#<id>``)
+        would otherwise keep every finished runtime reachable from the
+        node through the service thread waiting there."""
+        store = self._inboxes.pop(name, None)
+        if store is not None:
+            store.abandon_getters()
+
     def mutex(self, name: str) -> SimMutex:
         """The named mutex, created on first use with machine overheads."""
         mutex = self._mutexes.get(name)

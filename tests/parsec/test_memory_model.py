@@ -1,0 +1,329 @@
+"""The task runtimes' memory model (DESIGN.md, "Memory model").
+
+A payload lives from its producer's completion to its last consumer's;
+a runtime lives for one level. Both rules are unconditional, so the
+tests here run the ordinary entry points — there is nothing to turn on.
+"""
+
+import gc
+import weakref
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import repro
+from repro.core import api
+from repro.experiments.chaos import run_chaos
+from repro.parsec.dtd import AccessMode, DtdRuntime
+from repro.parsec.ptg import PTG
+from repro.parsec.runtime import ParsecRuntime
+from repro.parsec.taskclass import Dep, Flow, FlowMode, TaskClass
+from repro.sim.cluster import Cluster, ClusterConfig, DataMode
+from repro.sim.cost import OpCost
+from repro.sim.faults import FaultPlan, Straggler
+from tests.data import memory_peaks
+
+
+def make_cluster(n_nodes=1, cores=2):
+    return Cluster(ClusterConfig(n_nodes=n_nodes, cores_per_node=cores))
+
+
+def unit_size(params, md):
+    return 1
+
+
+class TestPtgPayloadLifetime:
+    """PROD -> CONS(0), CONS(1), beside a long chain of unrelated tasks."""
+
+    TAIL_LEN = 6
+
+    def build(self, freed, consumed):
+        ptg = PTG("lifetime")
+
+        def prod(ctx):
+            yield from ctx.charge(OpCost(1.0, 0.0))
+            block = np.ones(1024)
+            now = lambda: ctx.cluster.engine.now  # noqa: E731
+            weakref.finalize(block, lambda: freed.append(now()))
+            ctx.outputs["X"] = block
+
+        def cons(ctx):
+            # the two consumers finish at different times
+            yield from ctx.charge(OpCost(1.0 + ctx.params[0], 0.0))
+            assert ctx.inputs["X"].sum() == 1024
+            consumed.append(ctx.cluster.engine.now)
+
+        def tail(ctx):
+            yield from ctx.charge(OpCost(2.0, 0.0))
+            ctx.outputs["T"] = None
+
+        ptg.add(
+            TaskClass(
+                name="PROD",
+                params=("i",),
+                domain=lambda md: [(0,)],
+                placement=lambda p, md: 0,
+                run=prod,
+                flows=[
+                    Flow(
+                        "X",
+                        FlowMode.WRITE,
+                        unit_size,
+                        outputs=[
+                            Dep("CONS", lambda p, md: (0,), "X"),
+                            Dep("CONS", lambda p, md: (1,), "X"),
+                        ],
+                    )
+                ],
+            )
+        )
+        ptg.add(
+            TaskClass(
+                name="CONS",
+                params=("i",),
+                domain=lambda md: [(0,), (1,)],
+                placement=lambda p, md: 0,
+                run=cons,
+                flows=[
+                    Flow(
+                        "X",
+                        FlowMode.READ,
+                        unit_size,
+                        inputs=[Dep("PROD", lambda p, md: (0,), "X")],
+                    )
+                ],
+            )
+        )
+        ptg.add(
+            TaskClass(
+                name="TAIL",
+                params=("i",),
+                domain=lambda md: [(i,) for i in range(self.TAIL_LEN)],
+                placement=lambda p, md: 0,
+                run=tail,
+                flows=[
+                    Flow(
+                        "T",
+                        FlowMode.RW,
+                        unit_size,
+                        inputs=[
+                            Dep(
+                                "TAIL",
+                                lambda p, md: (p[0] - 1,),
+                                "T",
+                                guard=lambda p, md: p[0] > 0,
+                            )
+                        ],
+                        outputs=[
+                            Dep(
+                                "TAIL",
+                                lambda p, md: (p[0] + 1,),
+                                "T",
+                                guard=lambda p, md: p[0] < self.TAIL_LEN - 1,
+                            )
+                        ],
+                    )
+                ],
+            )
+        )
+        return ptg
+
+    def test_payload_dies_with_its_last_consumer(self):
+        freed, consumed = [], []
+        cluster = make_cluster(n_nodes=1, cores=3)
+        result = ParsecRuntime(cluster).execute(
+            self.build(freed, consumed), SimpleNamespace()
+        )
+        assert len(consumed) == 2
+        # freed at the instant the later consumer completed, long before
+        # the unrelated chain (and so the run) ended
+        assert freed == [max(consumed)]
+        assert freed[0] < 0.5 * result.execution_time
+
+    def test_finished_tasks_hold_no_inputs(self):
+        cluster = make_cluster(n_nodes=1, cores=3)
+        runtime = ParsecRuntime(cluster)
+        runtime.execute(self.build([], []), SimpleNamespace())
+        # the graph outlives execute() for a caller holding the runtime
+        assert all(
+            task.done and task.inputs is None and task.input_tags is None
+            for task in runtime.graph.instances.values()
+        )
+
+
+class TestDtdHandleLifetime:
+    def burn(self, seconds, then=None):
+        def body(ctx):
+            yield from ctx.charge(OpCost(seconds, 0.0))
+            if then is not None:
+                then(ctx)
+
+        return body
+
+    def test_handle_is_dropped_after_its_last_reader(self):
+        cluster = make_cluster()
+        runtime = DtdRuntime(cluster)
+        x = runtime.data("x", 1024, 0)
+        y = runtime.data("y", 1, 0)
+        seen = {}
+
+        def write(ctx):
+            ctx.write("x", np.ones(1024))
+
+        def read(name):
+            def then(ctx):
+                seen[name] = ctx.data["x"].sum()
+                seen[name + ".held"] = x.value is not None
+
+            return then
+
+        def probe(ctx):
+            seen["probe"] = x.value
+
+        insert = runtime.insert_task
+        insert("W", self.burn(1.0, write), [(x, AccessMode.WRITE)], node=0)
+        insert("R1", self.burn(1.0, read("R1")), [(x, AccessMode.READ)], node=0)
+        insert("R2", self.burn(2.0, read("R2")), [(x, AccessMode.READ)], node=0)
+        # unrelated, and still running long after R2 is done
+        insert("P", self.burn(10.0, probe), [(y, AccessMode.WRITE)], node=0)
+        runtime.execute()
+        assert seen["R1"] == seen["R2"] == 1024
+        assert seen["R1.held"] and seen["R2.held"]
+        assert "probe" in seen and seen["probe"] is None
+        assert x.value is None
+
+    def test_rewritten_handle_holds_only_the_new_value(self):
+        cluster = make_cluster()
+        runtime = DtdRuntime(cluster)
+        x = runtime.data("x", 1024, 0)
+        freed, seen = [], {}
+        now = lambda: cluster.engine.now  # noqa: E731
+
+        def write_old(ctx):
+            old = np.zeros(1024)
+            weakref.finalize(old, lambda: freed.append(now()))
+            ctx.write("x", old)
+
+        def write_new(ctx):
+            ctx.write("x", np.ones(1024))
+            seen["rewritten_at"] = now()
+
+        def read_new(ctx):
+            seen["value"] = ctx.data["x"].sum()
+            seen["old_freed_before_read"] = bool(freed)
+
+        insert = runtime.insert_task
+        insert("W1", self.burn(1.0, write_old), [(x, AccessMode.WRITE)], node=0)
+        insert("R1", self.burn(1.0), [(x, AccessMode.READ)], node=0)
+        insert("W2", self.burn(1.0, write_new), [(x, AccessMode.WRITE)], node=0)
+        insert("R2", self.burn(5.0, read_new), [(x, AccessMode.READ)], node=0)
+        runtime.execute()
+        assert seen["value"] == 1024 and seen["old_freed_before_read"]
+        assert freed == [seen["rewritten_at"]]
+        assert x.value is None  # R2 was the last access
+
+
+class TestRuntimeLifetime:
+    @pytest.mark.parametrize("runtime_name", ["v5", "dtd"])
+    def test_cluster_forgets_each_levels_runtime(self, runtime_name, monkeypatch):
+        runtimes = []
+        for cls in (ParsecRuntime, DtdRuntime):
+
+            def init(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                runtimes.append(weakref.ref(self))
+
+            monkeypatch.setattr(cls, "__init__", init)
+        config = api.RunConfig(n_nodes=4, cores_per_node=2)
+        workload = api.build("ccsd:tiny", config)
+        result = repro.run(workload, runtime=runtime_name, config=config)
+        assert len(runtimes) == len(workload.levels()) > 1
+        for node in workload.cluster.nodes:
+            assert not [name for name in node._inboxes if "#" in name]
+            assert not node._dtd_receivers
+        gc.collect()
+        assert [ref() for ref in runtimes] == [None] * len(runtimes)
+        assert result.n_tasks > 0
+
+    def test_integration_driver_forgets_each_sections_runtime(self):
+        from repro.core.integration import NwchemDriver
+
+        config = api.RunConfig(n_nodes=4, cores_per_node=2)
+        workload = api.build("ccsd:tiny", config)
+        driver = NwchemDriver(workload.cluster, workload.ga)
+        result = driver.run(workload.levels())
+        assert {kernel.mode for kernel in result.kernels} == {"parsec"}
+        for node in workload.cluster.nodes:
+            assert not [name for name in node._inboxes if "#" in name]
+
+
+class TestHostMemory:
+    def test_task_runtimes_need_what_legacy_needs(self):
+        """``tracemalloc`` peak of ccsd:tiny REAL 4x2, one fresh
+        interpreter per runtime (parent commit: v5 1.9x, dtd 2.0x)."""
+        peaks = memory_peaks.tracemalloc_peaks()
+        assert peaks["v5"] <= 1.3 * peaks["legacy"], peaks
+        assert peaks["dtd"] <= 1.3 * peaks["legacy"], peaks
+
+
+class TestLivePayloadGauge:
+    GAUGE = "parsec.live_payload_bytes.hwm"
+
+    def gauges(self, runtime_name, data_mode):
+        config = api.RunConfig(n_nodes=4, cores_per_node=2, data_mode=data_mode)
+        result = repro.run("t2_7:tiny", runtime=runtime_name, config=config)
+        return result.report.metrics["gauges"], result.report
+
+    @pytest.mark.parametrize("runtime_name", ["v5", "dtd"])
+    def test_reported_in_real_mode_and_reproducible(self, runtime_name):
+        gauges, report = self.gauges(runtime_name, DataMode.REAL)
+        assert gauges[self.GAUGE] > 0
+        _, again = self.gauges(runtime_name, DataMode.REAL)
+        assert report.to_json_line() == again.to_json_line()
+
+    @pytest.mark.parametrize("runtime_name", ["v5", "dtd", "legacy"])
+    def test_absent_without_payloads(self, runtime_name):
+        mode = DataMode.REAL if runtime_name == "legacy" else DataMode.SYNTH
+        gauges, _ = self.gauges(runtime_name, mode)
+        assert self.GAUGE not in gauges
+
+
+class TestReleaseUnderFaults:
+    """Inputs are released unconditionally; recovery must not miss them."""
+
+    @pytest.mark.parametrize(
+        "stealing", [False, True], ids=["release-x-crash", "release-x-crash-x-stealing"]
+    )
+    def test_chaos_cell_stays_bitwise(self, stealing):
+        result = run_chaos(
+            scale="tiny", codes=["v5"], n_nodes=4, cores_per_node=2, stealing=stealing
+        )
+        (outcome,) = result.outcomes
+        assert outcome.counters["nodes_crashed"] == 1
+        assert outcome.counters["tasks_reassigned"] > 0
+        assert outcome.bitwise_match and outcome.deterministic, outcome
+
+
+class TestDtdStraggler:
+    def run(self, plan):
+        cluster = make_cluster()
+        if plan is not None:
+            cluster.install_faults(plan)
+        runtime = DtdRuntime(cluster)
+        x = runtime.data("x", 1, 0)
+
+        def body(ctx):
+            yield from ctx.charge(OpCost(1.0, 0.0))
+
+        runtime.insert_task("T", body, [(x, AccessMode.WRITE)], node=0)
+        return runtime.execute().execution_time
+
+    def test_straggler_window_lengthens_a_dtd_run(self):
+        clean = self.run(None)
+        window = Straggler(node=0, t_start=0.0, t_end=10.0, factor=3.0)
+        slowed = self.run(FaultPlan(stragglers=(window,)))
+        assert slowed == pytest.approx(clean + 2.0)
+        # a window elsewhere on the clock costs nothing
+        idle = Straggler(node=0, t_start=50.0, t_end=60.0, factor=3.0)
+        assert self.run(FaultPlan(stragglers=(idle,))) == clean

@@ -523,6 +523,52 @@ class TestSchedulerCompaction:
             )
         journal2.close()
 
+    def test_stop_during_compaction_does_not_requeue_a_finished_job(
+        self, tmp_path, monkeypatch
+    ):
+        """stop() landing while the worker is still inside the
+        compaction that follows its job_finished line (outside the
+        scheduler lock) must not journal job_requeued for that job."""
+        path = tmp_path / "journal.jsonl"
+        journal, sched = _make(tmp_path, monkeypatch)
+        in_compaction, release = threading.Event(), threading.Event()
+
+        def blocked_compact():
+            in_compaction.set()
+            assert release.wait(timeout=10), "compaction never released"
+            return False
+
+        monkeypatch.setattr(journal, "maybe_compact", blocked_compact)
+        sched.start()
+        record = sched.submit("point", {"seed": 3})
+        assert in_compaction.wait(timeout=10), "worker never reached compaction"
+        assert sched.get(record.job_id).status == "done"
+        sched.stop()
+        release.set()
+        for thread in sched._threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        journal.close()
+        events = read_events(path)
+        assert "job_requeued" not in [e["event"] for e in events]
+        assert rebuild(events).jobs[record.job_id]["status"] == "done"
+
+    def test_replay_ignores_a_requeue_after_the_finish(self, tmp_path):
+        """The other side of the same race: stop() between the worker's
+        job_finished append and its lock hold still journals the requeue;
+        replay must keep the durable ``done``."""
+        path = tmp_path / "journal.jsonl"
+        with Journal(path) as journal:
+            journal.append("job_submitted", job_id="j1", digest="d", spec={})
+            journal.append("job_started", job_id="j1")
+            journal.append("job_finished", job_id="j1", status="done",
+                           result={"c0": 1}, errors={}, cached=False)
+            journal.append("job_requeued", job_id="j1")
+        state = rebuild(read_events(path))
+        assert state.jobs["j1"]["status"] == "done"
+        assert state.pending == []
+        assert state.results["d"]["result"] == {"c0": 1}
+
     def test_cache_hit_line_omits_payload_but_replay_restores_it(
         self, tmp_path, monkeypatch
     ):
