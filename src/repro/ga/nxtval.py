@@ -37,6 +37,8 @@ class NxtvalServer:
         self.engine = ga_runtime.engine
         self.machine = ga_runtime.machine
         self.metrics = ga_runtime.cluster.metrics
+        self._m_requests = self.metrics.counter("nxtval.requests")
+        self._m_reissued = self.metrics.counter("nxtval.reissued")
         self.home_node = home_node
         self.inbox_name = f"ga.nxtval#{next(_instance_ids)}"
         self._counter = 0
@@ -66,7 +68,7 @@ class NxtvalServer:
         self._reissued.append(ticket)
         self.tickets_reissued += 1
         if self.metrics.enabled:
-            self.metrics.inc("nxtval.reissued")
+            self._m_reissued.value += 1.0
 
     @property
     def value(self) -> int:
@@ -81,7 +83,7 @@ class NxtvalServer:
         """
         self.total_requests += 1
         if self.metrics.enabled:
-            self.metrics.inc("nxtval.requests")
+            self._m_requests.value += 1.0
         yield self.engine.timeout(self.machine.nxtval_issue_s)
         reply: SimEvent = self.engine.event()
         self.ga.cluster.network.send(

@@ -78,7 +78,16 @@ class GlobalArrays:
         self.cluster = cluster
         self.engine = cluster.engine
         self.machine = cluster.machine
-        self.metrics = cluster.metrics
+        self.metrics = metrics = cluster.metrics
+        self._m_gets = metrics.counter("ga.gets")
+        self._m_get_bytes = metrics.counter("ga.get_bytes")
+        self._m_accs = metrics.counter("ga.accs")
+        self._m_acc_bytes = metrics.counter("ga.acc_bytes")
+        self._m_get_sizes = metrics.histogram("ga.request_bytes", op="get")
+        self._m_acc_sizes = metrics.histogram("ga.request_bytes", op="acc")
+        self._m_cache_hits = metrics.counter("ga.cache.hits")
+        self._m_cache_misses = metrics.counter("ga.cache.misses")
+        self._m_cache_bytes_saved = metrics.counter("ga.cache.bytes_saved")
         self._handles = itertools.count(1)
         self._arrays: dict[str, GlobalArray] = {}
         for node in cluster.nodes:
@@ -184,9 +193,9 @@ class GlobalArrays:
                 self.cache_hits += 1
                 self.cache_bytes_saved += nbytes
                 if self.metrics.enabled:
-                    self.metrics.inc("ga.gets")
-                    self.metrics.inc("ga.cache.hits")
-                    self.metrics.inc("ga.cache.bytes_saved", nbytes)
+                    self._m_gets.value += 1.0
+                    self._m_cache_hits.value += 1.0
+                    self._m_cache_bytes_saved.value += nbytes
                 # same flush point a real owner-side read would have
                 array.flush_accumulations()
                 if nbytes > 0:
@@ -194,12 +203,12 @@ class GlobalArrays:
                 return None if data is None else data.copy()
             self.cache_misses += 1
             if self.metrics.enabled:
-                self.metrics.inc("ga.cache.misses")
+                self._m_cache_misses.value += 1.0
         self.bytes_fetched += nbytes
         if self.metrics.enabled:
-            self.metrics.inc("ga.gets")
-            self.metrics.inc("ga.get_bytes", nbytes)
-            self.metrics.observe("ga.request_bytes", nbytes, op="get")
+            self._m_gets.value += 1.0
+            self._m_get_bytes.value += nbytes
+            self._m_get_sizes.observe(nbytes)
         coalescer = (
             self._coalescers[requester] if self._coalescers is not None else None
         )
@@ -265,9 +274,9 @@ class GlobalArrays:
         nbytes = array.nbytes(lo, hi)
         self.bytes_accumulated += nbytes
         if self.metrics.enabled:
-            self.metrics.inc("ga.accs")
-            self.metrics.inc("ga.acc_bytes", nbytes)
-            self.metrics.observe("ga.request_bytes", nbytes, op="acc")
+            self._m_accs.value += 1.0
+            self._m_acc_bytes.value += nbytes
+            self._m_acc_sizes.observe(nbytes)
         if nbytes > 0:
             # read the outgoing buffer from requester memory
             yield self.cluster.nodes[requester].membw.transfer(nbytes)

@@ -89,6 +89,10 @@ class LegacyRuntime:
         self.cluster = cluster
         self.ga = ga
         self.config = config or LegacyConfig()
+        self._m_barrier_waits = cluster.metrics.counter("legacy.barrier_waits")
+        self._m_barrier_wait_s = cluster.metrics.histogram("legacy.barrier_wait_s")
+        self._m_chains_executed = cluster.metrics.counter("legacy.chains_executed")
+        self._m_chain_gemms = cluster.metrics.counter("legacy.chain_gemms")
 
     def execute_subroutine(self, subroutine: Subroutine) -> LegacyResult:
         """Run a single subroutine (one work level)."""
@@ -206,12 +210,9 @@ class LegacyRuntime:
                     )
             t_start = self.cluster.engine.now
             yield from barrier.arrive()
-            metrics = self.cluster.metrics
-            if metrics.enabled:
-                metrics.inc("legacy.barrier_waits")
-                metrics.observe(
-                    "legacy.barrier_wait_s", self.cluster.engine.now - t_start
-                )
+            if self.cluster.metrics.enabled:
+                self._m_barrier_waits.value += 1.0
+                self._m_barrier_wait_s.observe(self.cluster.engine.now - t_start)
             node.trace.record(
                 node.node_id,
                 thread,
@@ -305,10 +306,9 @@ class LegacyRuntime:
         if completed:
             result.chains_executed += 1
             result.chains_per_rank[key] += 1
-            metrics = self.cluster.metrics
-            if metrics.enabled:
-                metrics.inc("legacy.chains_executed")
-                metrics.inc("legacy.chain_gemms", len(chain.gemms))
+            if self.cluster.metrics.enabled:
+                self._m_chains_executed.value += 1.0
+                self._m_chain_gemms.value += len(chain.gemms)
             if recovering:
                 faults.report.chains_recovered += 1
         return completed

@@ -7,22 +7,25 @@ Design constraints, in order of priority:
    declaration time, and phase timers read the *virtual* clock (the
    engine's ``now``), never the host's. Nothing here touches wall-clock
    time.
-2. **Zero cost when disabled.** Every mutating method begins with an
-   ``enabled`` check before any label processing, so a disabled
-   registry adds one attribute load and one branch per emit site — the
-   big SYNTH performance sweeps run with metrics off and keep their
-   speed.
+2. **Zero cost when disabled, a slot add when enabled.** The store is
+   a set of *cells* (DESIGN.md §8). A component binds its cells once,
+   when it is wired (``metrics.counter(name, **labels)`` — the only
+   place labels are sorted and stringified), and emits with ``if
+   metrics.enabled: cell.value += v``: one attribute load and one branch
+   when off. ``inc``/``observe``/``gauge_*`` by name are for cold callers.
 3. **No engine interaction.** Emitting a metric never creates events,
    timeouts, or processes; virtual timings are bitwise identical with
    metrics on or off.
 
-Labels follow the conventional ``name{key=value,...}`` rendering in
-snapshots; label values are stringified, label keys sorted.
+A series is reported iff it was emitted to (``0.0`` counts; binding does
+not); a component rebuilt for every level rebinds the same cells. Snapshots
+render ``name{key=value,...}``: label values stringified, keys sorted.
 """
 
 from __future__ import annotations
 
 import bisect
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 __all__ = ["DEFAULT_BUCKET_EDGES", "MetricsRegistry", "NULL_METRICS"]
@@ -46,6 +49,47 @@ def _render(key: tuple) -> str:
         return key[0]
     inner = ",".join(f"{k}={v}" for k, v in key[1:])
     return f"{key[0]}{{{inner}}}"
+
+
+class _Unset(float):
+    """Start value of a cell nobody has emitted to. ``+=`` on it gives a
+    plain float and a gauge's compare-and-set stores the emitted value,
+    so ``type(cell.value) is _Unset`` means "never emitted" (``+= 0.0``
+    is an emit) with no first-use branch at any emit site."""
+
+    __slots__ = ()
+
+
+_ZERO, _LOWEST = _Unset(0.0), _Unset("-inf")  # a counter's / a gauge's start
+
+
+class _Cell:
+    """One counter or gauge series, updated in place by the site holding
+    it: ``cell.value += v``, or ``if v > cell.value: cell.value = v``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, start: float) -> None:
+        self.value = start
+
+
+def _emitted(cells: dict) -> list[tuple]:
+    """``(key, value)`` of the cells emitted to at least once, by key."""
+    items = sorted(cells.items())  # keys are unique: cells are never compared
+    return [(k, c.value) for k, c in items if type(c.value) is not _Unset]
+
+
+class _CellFamily(dict):
+    """Cells of one name whose label values are known only at run time.
+    The owner indexes it by the raw value (a tuple for several labels): a
+    hit is one dict lookup, a miss binds — the only time values are stringified."""
+
+    def __init__(self, bind, name: str, *labels: str) -> None:
+        self._bind = lambda values: bind(name, **dict(zip(labels, values)))
+
+    def __missing__(self, value) -> _Cell:
+        cell = self[value] = self._bind(value if type(value) is tuple else (value,))
+        return cell
 
 
 class _Histogram:
@@ -98,23 +142,6 @@ class _Phase:
         self._open_at: Optional[float] = None
 
 
-class _PhaseContext:
-    """Context manager returned by :meth:`MetricsRegistry.phase`."""
-
-    __slots__ = ("_registry", "_name")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-
-    def __enter__(self) -> "_PhaseContext":
-        self._registry.phase_start(self._name)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._registry.phase_end(self._name)
-
-
 class MetricsRegistry:
     """One run's worth of labeled metrics.
 
@@ -129,34 +156,66 @@ class MetricsRegistry:
     ) -> None:
         self.enabled = enabled
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._counters: dict[tuple, float] = {}
-        self._gauges: dict[tuple, float] = {}
+        self._counters: dict[tuple, _Cell] = {}
+        self._gauges: dict[tuple, _Cell] = {}
         self._histograms: dict[tuple, _Histogram] = {}
         self._phases: dict[str, _Phase] = {}
 
     # ------------------------------------------------------------------
-    # emission API (every method no-ops when disabled)
+    # binding: resolve a series once, emit to the returned cell
+    # ------------------------------------------------------------------
+    def _bind(self, store: dict, name: str, labels: dict, new, inert):
+        if not self.enabled:
+            return inert
+        key = _key(name, labels)
+        cell = store.get(key)
+        if cell is None:
+            cell = store[key] = new()
+        return cell
+
+    def counter(self, name: str, **labels) -> _Cell:
+        """The cell of counter ``name{labels}``: ``cell.value += v``."""
+        return self._bind(self._counters, name, labels, lambda: _Cell(_ZERO), _INERT)
+
+    def gauge(self, name: str, **labels) -> _Cell:
+        """The cell of gauge ``name{labels}``: set ``cell.value``, or raise it."""
+        return self._bind(self._gauges, name, labels, lambda: _Cell(_LOWEST), _INERT)
+
+    def counters(self, name: str, *labels: str) -> _CellFamily:
+        """Counters ``name{labels}`` bound at first use of a label value."""
+        return _CellFamily(self.counter, name, *labels)
+
+    def gauges(self, name: str, *labels: str) -> _CellFamily:
+        """Gauges ``name{labels}`` bound at first use of a label value."""
+        return _CellFamily(self.gauge, name, *labels)
+
+    def histogram(
+        self, name: str, edges: Sequence[float] = DEFAULT_BUCKET_EDGES, **labels
+    ) -> _Histogram:
+        """The histogram ``name{labels}``: ``histogram.observe(v)``. ``edges``
+        take effect at the first bind only (fixed buckets keep runs comparable)."""
+        new = lambda: _Histogram(edges)
+        return self._bind(self._histograms, name, labels, new, _INERT_HISTOGRAM)
+
+    # ------------------------------------------------------------------
+    # emission by name, for cold callers (no-ops when disabled)
     # ------------------------------------------------------------------
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
         """Add ``value`` to the counter ``name{labels}``."""
-        if not self.enabled:
-            return
-        key = _key(name, labels)
-        self._counters[key] = self._counters.get(key, 0.0) + value
+        if self.enabled:
+            self.counter(name, **labels).value += value
 
     def gauge_set(self, name: str, value: float, **labels) -> None:
         """Set the gauge ``name{labels}`` to ``value``."""
-        if not self.enabled:
-            return
-        self._gauges[_key(name, labels)] = value
+        if self.enabled:
+            self.gauge(name, **labels).value = value
 
     def gauge_max(self, name: str, value: float, **labels) -> None:
         """Raise the gauge to ``value`` if higher (high-water marks)."""
-        if not self.enabled:
-            return
-        key = _key(name, labels)
-        if value > self._gauges.get(key, float("-inf")):
-            self._gauges[key] = value
+        if self.enabled:
+            cell = self.gauge(name, **labels)
+            if value > cell.value:
+                cell.value = value
 
     def observe(
         self,
@@ -165,31 +224,26 @@ class MetricsRegistry:
         edges: Sequence[float] = DEFAULT_BUCKET_EDGES,
         **labels,
     ) -> None:
-        """Record ``value`` into the histogram ``name{labels}``.
-
-        ``edges`` only takes effect the first time a histogram is seen;
-        later observations reuse the declared edges (fixed buckets are
-        what keep snapshots comparable across runs).
-        """
-        if not self.enabled:
-            return
-        key = _key(name, labels)
-        histogram = self._histograms.get(key)
-        if histogram is None:
-            histogram = self._histograms[key] = _Histogram(edges)
-        histogram.observe(value)
+        """Record ``value`` into the histogram ``name{labels}``."""
+        if self.enabled:
+            self.histogram(name, edges, **labels).observe(value)
 
     # ------------------------------------------------------------------
     # phase timers (virtual clock)
     # ------------------------------------------------------------------
-    def phase(self, name: str) -> _PhaseContext:
+    @contextmanager
+    def phase(self, name: str):
         """Context manager timing one phase on the virtual clock.
 
         Phases accumulate: entering the same name again adds to its
         total. Nesting different names is fine; re-entering an open
         phase is an error caught by :meth:`phase_start`.
         """
-        return _PhaseContext(self, name)
+        self.phase_start(name)
+        try:
+            yield
+        finally:
+            self.phase_end(name)
 
     def phase_start(self, name: str) -> None:
         if not self.enabled:
@@ -216,38 +270,34 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter_value(self, name: str, **labels) -> float:
         """Current value of one counter (0.0 if never incremented)."""
-        return self._counters.get(_key(name, labels), 0.0)
+        return float(getattr(self._counters.get(_key(name, labels)), "value", 0.0))
 
     def gauge_value(self, name: str, **labels) -> Optional[float]:
         """Current value of one gauge (None if never set)."""
-        return self._gauges.get(_key(name, labels))
+        value = getattr(self._gauges.get(_key(name, labels)), "value", _LOWEST)
+        return None if type(value) is _Unset else value
 
     def counter_total(self, name: str) -> float:
         """Sum of a counter across all label combinations."""
-        return sum(v for k, v in self._counters.items() if k[0] == name)
+        return sum(c.value for k, c in self._counters.items() if k[0] == name)
 
     def __len__(self) -> int:
-        return (
-            len(self._counters)
-            + len(self._gauges)
-            + len(self._histograms)
-            + len(self._phases)
-        )
+        """Series a snapshot would show (bound-but-untouched ones do not count)."""
+        return sum(len(kind) for kind in self.snapshot().values())
 
     def snapshot(self) -> dict:
-        """Deterministic plain-dict export of everything recorded.
+        """Deterministic plain-dict export of everything emitted.
 
         Keys are sorted and rendered ``name{k=v,...}``; the result is
         JSON-serializable and byte-stable across identical runs.
         """
         return {
-            "counters": {
-                _render(k): self._counters[k] for k in sorted(self._counters)
-            },
-            "gauges": {_render(k): self._gauges[k] for k in sorted(self._gauges)},
+            "counters": {_render(k): v for k, v in _emitted(self._counters)},
+            "gauges": {_render(k): v for k, v in _emitted(self._gauges)},
             "histograms": {
-                _render(k): self._histograms[k].to_dict()
-                for k in sorted(self._histograms)
+                _render(k): h.to_dict()
+                for k, h in sorted(self._histograms.items())
+                if h.count  # an empty one has min=inf, which is not JSON
             },
             "phases": {
                 name: {"virtual_s": p.virtual_s, "count": p.count}
@@ -256,6 +306,18 @@ class MetricsRegistry:
         }
 
 
+class _NullRegistry(MetricsRegistry):
+    """The process-wide disabled registry: empty because it stays off."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "enabled" and value:
+            raise AttributeError("NULL_METRICS is shared and cannot be enabled")
+        super().__setattr__(name, value)
+
+
+#: What a disabled registry hands out; never written (emits sit behind ``enabled``).
+_INERT, _INERT_HISTOGRAM = _Cell(_ZERO), _Histogram(())
+
 #: Shared always-disabled registry — the default wiring target for
-#: components constructed outside a cluster. Never enable it.
-NULL_METRICS = MetricsRegistry(enabled=False)
+#: components constructed outside a cluster.
+NULL_METRICS = _NullRegistry(enabled=False)

@@ -55,6 +55,10 @@ class CommThread:
         self.inbox_name = f"parsec.comm#{runtime.instance_id}"
         self.ctrl_name = f"parsec.ctrl#{runtime.instance_id}"
         self.messages_processed = 0
+        self.metrics = metrics = runtime.cluster.metrics
+        self._m_forwarded = metrics.counter("parsec.forwarded")
+        self._m_messages_remote = metrics.counter("parsec.messages_remote")
+        self._m_bytes_remote = metrics.counter("parsec.bytes_remote")
         # dataflow-only coalescing: the steal control plane keeps its
         # dedicated latency-critical lane un-batched
         self._coalescer: Optional[Coalescer] = None
@@ -99,6 +103,12 @@ class CommThread:
         ``tag`` identifies the producing task; it rides along with the
         payload so the consumer can order multi-delivery flows
         canonically regardless of network arrival order."""
+        if self.metrics.enabled and (nbytes := getattr(data, "nbytes", 0)):
+            # array bytes parked in send mailboxes until _serve takes them
+            # (a payload with several remote consumers counts once per send)
+            self.runtime._queued_bytes += nbytes
+            if self.runtime._queued_bytes > self.runtime._queued_bytes_hwm:
+                self.runtime._queued_bytes_hwm = self.runtime._queued_bytes
         self.node.inbox(self.inbox_name).put(
             ("send", consumer_key, flow, data, size_bytes, tag)
         )
@@ -149,6 +159,7 @@ class CommThread:
         machine = runtime.cluster.machine
         inbox = self.node.inbox(self.inbox_name)
         network = runtime.cluster.network
+        metrics = self.metrics
         overhead = machine.comm_thread_overhead_s
         pack_rate = machine.comm_pack_bytes_per_s
         timeout = self.engine.timeout
@@ -180,8 +191,8 @@ class CommThread:
                     consumer_node = runtime.graph.instances[consumer_key].node
                     if consumer_node != self.node.node_id:
                         # a moved consumer forwards its item alone
-                        if runtime.cluster.metrics.enabled:
-                            runtime.cluster.metrics.inc("parsec.forwarded")
+                        if metrics.enabled:
+                            self._m_forwarded.value += 1.0
                         network.send(
                             self.node.node_id,
                             consumer_node,
@@ -201,8 +212,8 @@ class CommThread:
                     # the consumer moved while this message was in flight
                     # (stolen chain or crash re-homing): forward one hop
                     # instead of teleporting the data to the new owner
-                    if runtime.cluster.metrics.enabled:
-                        runtime.cluster.metrics.inc("parsec.forwarded")
+                    if metrics.enabled:
+                        self._m_forwarded.value += 1.0
                     network.send(
                         self.node.node_id,
                         consumer_node,
@@ -215,15 +226,16 @@ class CommThread:
                 runtime._deliver(consumer_key, flow, data, tag=tag)
             else:
                 _, consumer_key, flow, data, size_bytes, tag = item
+                if runtime._queued_bytes:
+                    runtime._queued_bytes -= getattr(data, "nbytes", 0)
                 # the consumer's home node is re-resolved at send time:
                 # a crash may have re-homed it since the producer ran
                 consumer_node = runtime.graph.instances[consumer_key].node
                 runtime.bytes_remote += size_bytes
                 runtime.messages_remote += 1
-                metrics = runtime.cluster.metrics
                 if metrics.enabled:
-                    metrics.inc("parsec.messages_remote")
-                    metrics.inc("parsec.bytes_remote", size_bytes)
+                    self._m_messages_remote.value += 1.0
+                    self._m_bytes_remote.value += size_bytes
                 if self._coalescer is not None:
                     self._coalescer.submit(
                         consumer_node,

@@ -141,10 +141,11 @@ class ParsecRuntime:
         self.messages_remote = 0
         self.bytes_remote = 0.0
         self.deliveries_local = 0
-        #: bytes of delivered, not-yet-released payloads and their
-        #: high-water mark; kept only while the metrics registry is on
-        self._live_bytes = 0
-        self._live_bytes_hwm = 0
+        self._m_deliveries_local = cluster.metrics.counter("parsec.deliveries_local")
+        #: bytes of delivered, not-yet-released payloads and of payloads queued
+        #: in comm-thread send mailboxes, with high-water marks; registry-on only
+        self._live_bytes = self._live_bytes_hwm = 0
+        self._queued_bytes = self._queued_bytes_hwm = 0
 
     @property
     def steal_enabled(self) -> bool:
@@ -237,12 +238,14 @@ class ParsecRuntime:
             delta = faults.report.delta(before)
             for name in result._recovery_fields:
                 setattr(result, name, getattr(delta, name))
-        if self._live_bytes_hwm:
-            # a max, not a sum: published as a gauge, never as a result
-            # field (the level merge adds every numeric field)
-            self.cluster.metrics.gauge_max(
-                "parsec.live_payload_bytes.hwm", float(self._live_bytes_hwm)
-            )
+        # maxima, not sums: published as gauges, never as result fields
+        # (the level merge adds every numeric field)
+        for name, hwm in (
+            ("parsec.live_payload_bytes.hwm", self._live_bytes_hwm),
+            ("parsec.queued_payload_bytes.hwm", self._queued_bytes_hwm),
+        ):
+            if hwm:
+                self.cluster.metrics.gauge_max(name, float(hwm))
         self.shutdown()
         return result
 
@@ -292,11 +295,11 @@ class ParsecRuntime:
             f"(of {len(self.graph)}) at t={self.cluster.engine.now:.6f}s"
         ]
         for sched in self.schedulers:
-            node = sched.node
+            node, nic = sched.node, sched.node.nic
             lines.append(
                 f"  node {node.node_id}: alive={node.alive} "
                 f"ready={sched.ready_depth()} "
-                f"nic tx/rx backlog={node.nic.tx_backlog}/{node.nic.rx_backlog}"
+                f"nic tx/rx backlog={nic.tx.queue_length}/{nic.rx.queue_length}"
             )
         for task in stuck[:10]:
             waiting = self._waiting_flows(task)
@@ -419,7 +422,7 @@ class ParsecRuntime:
                     )
         # the consumer's end of the payload lifetime rule: every output
         # now belongs to its consumers (or the comm thread's mailbox)
-        if self.cluster.metrics.enabled:
+        if self._live_bytes:  # nonzero only with the registry on, in REAL
             self._live_bytes -= _payload_bytes(task.inputs.values())
         task.release()
         context.outputs.clear()
@@ -437,7 +440,7 @@ class ParsecRuntime:
         self.deliveries_local += 1
         metrics = self.cluster.metrics
         if metrics.enabled:
-            metrics.inc("parsec.deliveries_local")
+            self._m_deliveries_local.value += 1.0
             nbytes = getattr(data, "nbytes", 0)
             if nbytes:
                 live = self._live_bytes = self._live_bytes + nbytes

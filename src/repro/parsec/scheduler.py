@@ -64,7 +64,14 @@ class NodeScheduler:
         self.runtime = runtime
         self.node = node
         self.engine = runtime.cluster.engine
-        self.metrics = runtime.cluster.metrics
+        self.metrics = metrics = runtime.cluster.metrics
+        self._m_enqueued = metrics.counter("sched.enqueued", policy=policy.value)
+        self._m_priority = metrics.histogram("sched.task_priority")
+        self._m_ready_hwm = metrics.gauge("sched.ready_depth.hwm", node=node.node_id)
+        self._m_executed = metrics.counters("sched.tasks_executed", "cls")
+        self._m_gpu_executed = metrics.counters("sched.gpu_tasks_executed", "cls")
+        self._m_duration = metrics.histogram("sched.task_duration_s")
+        self._m_stale = metrics.counter("steal.stale_skipped")
         self.policy = policy
         self.n_gpus = n_gpus
 
@@ -140,11 +147,11 @@ class NodeScheduler:
             queue = self.gpu_ready
         queue.put(task, task.priority)  # FIFO/LIFO stores ignore the priority
         if self.metrics.enabled:
-            self.metrics.inc("sched.enqueued", policy=self.policy.value)
-            self.metrics.observe("sched.task_priority", task.priority)
-            self.metrics.gauge_max(
-                "sched.ready_depth.hwm", len(queue), node=self.node.node_id
-            )
+            self._m_enqueued.value += 1.0
+            self._m_priority.observe(task.priority)
+            depth = len(queue)
+            if depth > self._m_ready_hwm.value:
+                self._m_ready_hwm.value = depth
 
     def _retry_gate(self, faults, task: TaskInstance):
         """Generator helper: burn injected transient failures.
@@ -195,6 +202,8 @@ class NodeScheduler:
         # per-task loop invariants, hoisted once per worker lifetime
         engine = self.engine
         metrics = self.metrics
+        executed = self._m_executed
+        observe_duration = self._m_duration.observe
         md = self.runtime.md
         on_complete = self.runtime._on_complete
         trace_record = node.trace.record
@@ -217,7 +226,7 @@ class NodeScheduler:
                 # stale queue entry: the task migrated (work stealing) or
                 # was re-homed while waiting here; its new owner runs it
                 if metrics.enabled:
-                    metrics.inc("steal.stale_skipped")
+                    self._m_stale.value += 1.0
                 continue
             # pin the task to this node before the next yield: a claimed
             # task is never migrated out from under a ramping-up worker
@@ -255,8 +264,8 @@ class NodeScheduler:
             task.done = True
             self.tasks_executed += 1
             if metrics.enabled:
-                metrics.inc("sched.tasks_executed", cls=task.cls.name)
-                metrics.observe("sched.task_duration_s", engine.now - t_start)
+                executed[task.cls.name].value += 1.0
+                observe_duration(engine.now - t_start)
             on_complete(task, context)
             if not node.alive:
                 break
@@ -285,7 +294,7 @@ class NodeScheduler:
                 break  # queued work was re-homed by the crash handler
             if task.done or task.node != node.node_id:
                 if self.metrics.enabled:  # see _worker: stale queue entry
-                    self.metrics.inc("steal.stale_skipped")
+                    self._m_stale.value += 1.0
                 continue
             task.claimed = True  # see _worker: pin before the next yield
             if machine.gpu_task_overhead_s > 0:
@@ -331,7 +340,8 @@ class NodeScheduler:
             task.done = True
             self.gpu_tasks_executed += 1
             if self.metrics.enabled:
-                self.metrics.inc("sched.gpu_tasks_executed", cls=task.cls.name)
+                self._m_gpu_executed[task.cls.name].value += 1.0
+                self._m_duration.observe(self.engine.now - t_start)
             self.runtime._on_complete(task, context)
             if not node.alive:
                 break

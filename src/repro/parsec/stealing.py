@@ -192,7 +192,14 @@ class StealCoordinator:
         self.policy = policy
         self.cluster = runtime.cluster
         self.engine = runtime.cluster.engine
-        self.metrics = runtime.cluster.metrics
+        self.metrics = metrics = runtime.cluster.metrics
+        self._m_requests = metrics.counter("steal.requests")
+        self._m_granted = metrics.counter("steal.granted")
+        self._m_denied = metrics.counter("steal.denied")
+        self._m_chains_migrated = metrics.counter("steal.chains_migrated")
+        self._m_migrated_flops = metrics.counter("steal.migrated_flops")
+        self._m_forwarded_bytes = metrics.counter("steal.forwarded_bytes")
+        self._m_latency = metrics.histogram("steal.latency_s")
         self.n_nodes = runtime.cluster.n_nodes
         self.agents: dict[int, StealAgent] = {
             node.node_id: StealAgent(self, node.node_id)
@@ -346,7 +353,7 @@ class StealCoordinator:
         if not grantable:
             self.denied += 1
             if self.metrics.enabled:
-                self.metrics.inc("steal.denied")
+                self._m_denied.value += 1.0
             self.send(
                 victim, thief, ("STEAL_DENY", thief, victim, t_req), policy.req_bytes
             )
@@ -368,10 +375,10 @@ class StealCoordinator:
         self.migrated_flops += flops
         self.forwarded_bytes += fwd_bytes
         if self.metrics.enabled:
-            self.metrics.inc("steal.granted")
-            self.metrics.inc("steal.chains_migrated", len(grantable))
-            self.metrics.inc("steal.migrated_flops", flops)
-            self.metrics.inc("steal.forwarded_bytes", fwd_bytes)
+            self._m_granted.value += 1.0
+            self._m_chains_migrated.value += len(grantable)
+            self._m_migrated_flops.value += flops
+            self._m_forwarded_bytes.value += fwd_bytes
         now = self.engine.now
         self.cluster.trace.record(
             victim,
@@ -417,7 +424,7 @@ class StealCoordinator:
             runtime.schedulers[thief].enqueue(task)
         now = self.engine.now
         if self.metrics.enabled:
-            self.metrics.observe("steal.latency_s", now - t_req)
+            self._m_latency.observe(now - t_req)
         self.cluster.trace.record(
             thief,
             self.cluster.cores_per_node,
@@ -433,4 +440,4 @@ class StealCoordinator:
     def note_request(self) -> None:
         self.requests += 1
         if self.metrics.enabled:
-            self.metrics.inc("steal.requests")
+            self._m_requests.value += 1.0

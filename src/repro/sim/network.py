@@ -109,16 +109,6 @@ class NIC:
         self.tx = Resource(engine, capacity=1, name=f"nic{node_id}.tx")
         self.rx = Resource(engine, capacity=1, name=f"nic{node_id}.rx")
 
-    @property
-    def tx_backlog(self) -> int:
-        """Messages waiting for the transmit channel."""
-        return self.tx.queue_length
-
-    @property
-    def rx_backlog(self) -> int:
-        """Messages waiting for the receive channel."""
-        return self.rx.queue_length
-
 
 class Network:
     """Routes messages between registered nodes.
@@ -138,6 +128,14 @@ class Network:
         self.engine = engine
         self.machine = machine
         self.metrics = metrics
+        self._m_messages = metrics.counter("net.messages")
+        self._m_bytes = metrics.counter("net.bytes")
+        self._m_message_bytes = metrics.histogram("net.message_bytes")
+        self._m_remote_messages = metrics.counter("net.remote_messages")
+        self._m_link_bytes = metrics.counters("net.link.bytes", "src", "dst")
+        self._m_backlog_hwm = metrics.gauges("nic.backlog.hwm", "node", "dir")
+        self._m_retransmits = metrics.counter("net.retransmits")
+        self._m_dup_bytes = metrics.counter("net.dup_bytes")
         self._nodes: dict[int, "Node"] = {}
         self._seq = itertools.count()
         #: set by Cluster.install_faults(); message fates apply per
@@ -199,12 +197,12 @@ class Network:
         if src != dst:
             self.remote_messages += 1
         if self.metrics.enabled:
-            self.metrics.inc("net.messages")
-            self.metrics.inc("net.bytes", size_bytes)
-            self.metrics.observe("net.message_bytes", size_bytes)
+            self._m_messages.value += 1.0
+            self._m_bytes.value += size_bytes
+            self._m_message_bytes.observe(size_bytes)
             if src != dst:
-                self.metrics.inc("net.remote_messages")
-                self.metrics.inc("net.link.bytes", size_bytes, src=src, dst=dst)
+                self._m_remote_messages.value += 1.0
+                self._m_link_bytes[src, dst].value += size_bytes
         if src == dst:
             # intra-node: no wire, no NIC, no generator machinery
             return _LocalDelivery(
@@ -223,19 +221,16 @@ class Network:
         # remote messages only — same-node sends short-circuit in send()
         src_node = self.node(message.src)
         dst_node = self.node(message.dst)
-        metrics = self.metrics
+        metrics, hwms = self.metrics, self._m_backlog_hwm
         wire = self.machine.wire_time(message.size_bytes)
         timeout = self.engine.timeout
         latency = self.machine.net_latency_s
         attempt = 0
         while True:
             if metrics.enabled:
-                metrics.gauge_max(
-                    "nic.backlog.hwm",
-                    src_node.nic.tx_backlog,
-                    node=message.src,
-                    dir="tx",
-                )
+                backlog, hwm = src_node.nic.tx.queue_length, hwms[message.src, "tx"]
+                if backlog > hwm.value:
+                    hwm.value = backlog
             yield from src_node.nic.tx.use(wire)
             fate = "ok"
             faults = self.faults
@@ -249,7 +244,7 @@ class Network:
                 report.messages_dropped += 1
                 report.retransmits += 1
                 if metrics.enabled:
-                    metrics.inc("net.retransmits")
+                    self._m_retransmits.value += 1.0
                 backoff = faults.plan.backoff(attempt)
                 report.recovery_overhead_s += backoff
                 yield timeout(backoff)
@@ -261,12 +256,9 @@ class Network:
                 yield timeout(faults.plan.msg_delay_s)
             yield timeout(latency)
             if metrics.enabled:
-                metrics.gauge_max(
-                    "nic.backlog.hwm",
-                    dst_node.nic.rx_backlog,
-                    node=message.dst,
-                    dir="rx",
-                )
+                backlog, hwm = dst_node.nic.rx.queue_length, hwms[message.dst, "rx"]
+                if backlog > hwm.value:
+                    hwm.value = backlog
             yield from dst_node.nic.rx.use(wire)
             if fate == "dup":
                 # the duplicate also crosses the receiver's NIC, then
@@ -275,7 +267,7 @@ class Network:
                 faults.report.messages_duplicated += 1
                 self.dup_bytes += message.size_bytes
                 if metrics.enabled:
-                    metrics.inc("net.dup_bytes", message.size_bytes)
+                    self._m_dup_bytes.value += message.size_bytes
                 yield from dst_node.nic.rx.use(wire)
             break
         if on_deliver is not None:
@@ -387,6 +379,10 @@ class Coalescer:
         self.inbox = inbox
         self.batch_tag = batch_tag
         self._windows: dict[int, _Window] = {}
+        metrics = network.metrics
+        self._m_batches = metrics.counter("net.coalesce.batches")
+        self._m_batched_items = metrics.counter("net.coalesce.batched_items")
+        self._m_messages_saved = metrics.counter("net.coalesce.messages_saved")
         # statistics
         self.batches = 0
         self.batched_items = 0
@@ -435,11 +431,10 @@ class Coalescer:
             self.batches += 1
             self.batched_items += len(items)
             self.messages_saved += len(items) - 1
-            metrics = self.network.metrics
-            if metrics.enabled:
-                metrics.inc("net.coalesce.batches")
-                metrics.inc("net.coalesce.batched_items", len(items))
-                metrics.inc("net.coalesce.messages_saved", len(items) - 1)
+            if self.network.metrics.enabled:
+                self._m_batches.value += 1.0
+                self._m_batched_items.value += len(items)
+                self._m_messages_saved.value += len(items) - 1
             self.network.send(
                 self.src,
                 dst,

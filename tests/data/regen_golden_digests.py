@@ -13,7 +13,11 @@ Each cell has two parts, because they are portable to different degrees:
   task and remote-message counts, and a sha256 over the trace's span
   sequence. Pure Python over virtual-clock floats, so it is bitwise
   identical on every host. Spans are recorded in completion order, so
-  the hash also pins same-instant event ordering.
+  the hash also pins same-instant event ordering. ``metrics_sha256``
+  comes from a second run of the cell with the registry on: a sha256 of
+  ``result.metrics`` without the ``run.output_checksum`` gauge (a sum
+  through the host BLAS), so every series name, label and value the
+  emit sites produce is pinned too.
 - ``energy`` — the correlation energy of the output tensor. It goes
   through the host BLAS, which rounds differently between builds
   (1-2 ulp), so across hosts it is compared at 1e-13 relative. On *one*
@@ -53,6 +57,17 @@ def trace_sha256(trace) -> str:
     return digest.hexdigest()
 
 
+def metrics_sha256(workload: str, runtime: str) -> str:
+    """Hash of the metrics snapshot of one tiny run with the registry on."""
+    cluster = Cluster(
+        ClusterConfig(n_nodes=4, cores_per_node=2, trace_enabled=False)
+    )
+    built = build_workload(f"{workload}:tiny", cluster, seed=7)
+    snapshot = run(built, runtime=runtime, config=RunConfig()).metrics
+    snapshot["gauges"].pop("run.output_checksum")
+    return hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()).hexdigest()
+
+
 def run_cell(workload: str, runtime: str):
     """One traced tiny run; returns ``(cell digest, workload object)``."""
     cluster = Cluster(
@@ -68,6 +83,7 @@ def run_cell(workload: str, runtime: str):
             "n_tasks": result.n_tasks,
             "remote_messages": cluster.network.remote_messages,
             "trace_sha256": trace_sha256(cluster.trace),
+            "metrics_sha256": metrics_sha256(workload, runtime),
         },
         "energy": correlation_energy(result.output.flat_values()).hex(),
     }

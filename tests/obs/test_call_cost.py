@@ -1,0 +1,69 @@
+"""A host-independent cost gate for the metrics registry.
+
+Wall-clock ratios move 10-25% on a shared host, so they cannot gate
+tier-1. The number of Python-level calls a run makes is the same on every
+host (it repeats to within a few calls in 130 000, from ``abc``'s
+subclass caches): with bound cells an enabled registry adds slot updates, which are
+not calls, plus one ``histogram.observe`` per sample, where the by-name
+registry added five to seven calls per emit (on/off was 1.30 on legacy
+and 1.27 on v5 for this run).
+
+    PYTHONPATH=src python tests/obs/test_call_cost.py   # the counts, as JSON
+"""
+
+import gc
+import json
+import sys
+
+import pytest
+
+import repro
+from repro.core.api import RunConfig
+from repro.sim.cluster import DataMode
+
+RUNTIMES = ("legacy", "v5")
+MAX_ON_OFF = 1.05
+
+
+def count_calls(runtime: str, metrics: bool) -> int:
+    """Python-level calls (``c_call`` excluded) of one ``rbgs:8x8`` run,
+    4 nodes x 2 cores, SYNTH."""
+    config = RunConfig(
+        n_nodes=4, cores_per_node=2, data_mode=DataMode.SYNTH, metrics=metrics
+    )
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    # a collection closes the previous run's parked generators, and each
+    # close is a call: collect now, not somewhere inside the count
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        repro.run("rbgs:8x8", runtime=runtime, config=config)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+def on_off_counts(runtime: str) -> dict:
+    count_calls(runtime, True)  # lazy imports and caches, once
+    return {"on": count_calls(runtime, True), "off": count_calls(runtime, False)}
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_enabled_registry_adds_at_most_five_percent_of_calls(runtime):
+    counts = on_off_counts(runtime)
+    ratio = counts["on"] / counts["off"]
+    print(f"{runtime}: {counts} on/off {ratio:.4f}")
+    assert ratio <= MAX_ON_OFF
+
+
+if __name__ == "__main__":
+    json.dump({runtime: on_off_counts(runtime) for runtime in RUNTIMES}, sys.stdout)
+    print()

@@ -153,3 +153,128 @@ class TestSnapshot:
         m.observe("h", 10.0, edges=(100.0,))  # ignored: first edges win
         buckets = m.snapshot()["histograms"]["h"]["buckets"]
         assert set(buckets) <= {"2.0", "inf"}
+
+
+class TestBoundCells:
+    """The handle API: bind a series once, emit to the cell."""
+
+    def test_permuted_labels_bind_the_same_cell(self):
+        m = MetricsRegistry()
+        assert m.counter("x", a=1, b=2) is m.counter("x", b=2, a=1)
+        assert m.gauge("g", a=1, b=2) is m.gauge("g", b=2, a=1)
+        assert m.histogram("h", a=1, b=2) is m.histogram("h", b=2, a=1)
+        assert m.counter("x", a=1) is not m.counter("x", a=2)
+
+    def test_by_name_and_held_cell_feed_one_series(self):
+        m = MetricsRegistry()
+        cell = m.counter("x", node=3)
+        cell.value += 2
+        m.inc("x", 1.5, node=3)
+        cell.value += 1
+        assert m.counter_value("x", node=3) == 4.5
+        assert m.snapshot()["counters"] == {"x{node=3}": 4.5}
+        high = m.gauge("g")
+        m.gauge_max("g", 4)
+        if 7 > high.value:
+            high.value = 7
+        m.gauge_max("g", 5)
+        assert m.gauge_value("g") == 7
+        histogram = m.histogram("h")
+        histogram.observe(1.0)
+        m.observe("h", 3.0)
+        assert m.snapshot()["histograms"]["h"]["count"] == 2
+
+    def test_bound_but_untouched_series_are_absent(self):
+        m = MetricsRegistry()
+        m.counter("c", k="v")
+        m.gauge("g")
+        m.histogram("h")
+        m.counters("f", "cls")
+        assert len(m) == 0
+        assert m.counter_value("c", k="v") == 0.0
+        assert m.gauge_value("g") is None
+        assert m.snapshot() == MetricsRegistry().snapshot()
+
+    def test_zero_emit_counts_and_values_stay_floats(self):
+        m = MetricsRegistry()
+        zero = m.counter("bytes")
+        zero.value += 0.0
+        count = m.counter("n")
+        count.value += 3  # an int, as len(...) would be
+        snap = m.snapshot()["counters"]
+        assert snap == {"bytes": 0.0, "n": 3.0}
+        assert all(type(v) is float for v in snap.values())
+        assert len(m) == 2
+
+    def test_family_binds_raw_label_values_at_first_use(self):
+        m = MetricsRegistry()
+        links = m.counters("link.bytes", "src", "dst")
+        links[0, 1].value += 8.0
+        links[0, 1].value += 8.0
+        per_class = m.counters("executed", "cls")
+        per_class["GEMM"].value += 1.0
+        marks = m.gauges("hwm", "node", "dir")
+        assert marks[2, "tx"] is m.gauge("hwm", node=2, dir="tx")
+        assert links[0, 1] is m.counter("link.bytes", dst=1, src=0)
+        assert m.snapshot()["counters"] == {
+            "executed{cls=GEMM}": 1.0,
+            "link.bytes{dst=1,src=0}": 16.0,
+        }
+
+    def test_rebinding_in_a_second_level_accumulates(self):
+        m = MetricsRegistry()
+
+        class Level:  # stands for a runtime that is rebuilt every level
+            def __init__(self):
+                self.executed = m.counter("tasks")
+                self.durations = m.histogram("duration_s")
+
+        for _ in range(2):
+            level = Level()
+            level.executed.value += 5.0
+            level.durations.observe(0.5)
+        assert m.counter_value("tasks") == 10.0
+        assert m.snapshot()["histograms"]["duration_s"]["count"] == 2
+
+    def test_disabled_registry_shares_one_inert_cell_and_stores_nothing(self):
+        m = MetricsRegistry(enabled=False)
+        cells = {id(m.counter("c", i=i)) for i in range(10_000)}
+        cells |= {id(m.gauge("g", i=i)) for i in range(10_000)}
+        assert len(cells) == 1
+        assert len({id(m.histogram("h", i=i)) for i in range(10_000)}) == 1
+        assert m.counter("c") is NULL_METRICS.counter("other")
+        assert len(m) == 0
+        assert not (m._counters or m._gauges or m._histograms)
+
+    def test_empty_histogram_is_never_rendered(self):
+        import json
+
+        m = MetricsRegistry()
+        m.histogram("h")
+        m.inc("c")
+        assert m.snapshot()["histograms"] == {}
+        assert "Infinity" not in json.dumps(m.snapshot())
+
+    def test_null_metrics_cannot_be_enabled(self):
+        with pytest.raises(AttributeError, match="NULL_METRICS"):
+            NULL_METRICS.enabled = True
+        assert NULL_METRICS.enabled is False
+
+    def test_network_outside_a_cluster_leaves_null_metrics_empty(self):
+        from repro.sim.cost import MachineModel
+        from repro.sim.engine import Engine
+        from repro.sim.network import Network
+        from repro.sim.node import Node
+        from repro.sim.trace import TraceRecorder
+
+        engine, machine = Engine(), MachineModel()
+        network = Network(engine, machine)
+        assert network.metrics is NULL_METRICS
+        for i in range(2):
+            network.register(Node(engine, i, machine, cores=1, trace=TraceRecorder()))
+        network.send(0, 1, 64.0, "payload", inbox="main")
+        engine.run()
+        assert network.remote_messages == 1
+        assert len(NULL_METRICS) == 0
+        assert not (NULL_METRICS._counters or NULL_METRICS._gauges)
+        assert not network._m_link_bytes  # no per-link cell bound while off

@@ -51,6 +51,15 @@ class TestHybridExecution:
         rows = {g.thread for g in cluster.trace.filtered(category=TaskCategory.GEMM)}
         assert rows == {cluster.cores_per_node + 1, cluster.cores_per_node + 2}
 
+    def test_device_tasks_reach_the_duration_histogram(self):
+        cluster, _, run = make_run(gpus_per_node=1, data_mode=DataMode.SYNTH)
+        metrics = cluster.metrics
+        on_cpu = metrics.counter_total("sched.tasks_executed")
+        on_gpu = metrics.counter_total("sched.gpu_tasks_executed")
+        assert on_gpu > 0 and on_cpu + on_gpu == run.result.n_tasks
+        durations = metrics.snapshot()["histograms"]["sched.task_duration_s"]
+        assert durations["count"] == on_cpu + on_gpu
+
     def test_gpu_speeds_up_compute_bound_configuration(self):
         """At 1 core/node the CPU run is compute-bound; an accelerator
         with a much higher DGEMM rate must win."""
