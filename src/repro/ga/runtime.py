@@ -92,22 +92,22 @@ class GlobalArrays:
         self._arrays: dict[str, GlobalArray] = {}
         for node in cluster.nodes:
             self.engine.process(self._handler(node), name=f"ga.handler{node.node_id}")
-        # comm-optimization knobs (both default off — the knobs-off
-        # paths below are byte-identical to a build without them)
+        # comm-optimization knobs (both default off — byte-identical to
+        # a build without them). Off is a pass-through coalescer but NO
+        # cache: even a zero-capacity cache logs write epochs and emits
+        # ``ga.cache.misses``
         self.coalescing = coalescing
         self.remote_cache = remote_cache
-        self._coalescers: Optional[list[Coalescer]] = None
-        if coalescing is not None:
-            self._coalescers = [
-                Coalescer(
-                    cluster.network,
-                    node.node_id,
-                    coalescing,
-                    inbox=self.INBOX,
-                    batch_tag="get.batch",
-                )
-                for node in cluster.nodes
-            ]
+        self._coalescers = [
+            Coalescer(
+                cluster.network,
+                node.node_id,
+                coalescing,
+                inbox=self.INBOX,
+                batch_tag="get.batch",
+            )
+            for node in cluster.nodes
+        ]
         self._caches: Optional[list[RemoteBlockCache]] = None
         if remote_cache is not None:
             self._caches = [RemoteBlockCache(remote_cache) for _ in cluster.nodes]
@@ -123,15 +123,11 @@ class GlobalArrays:
     @property
     def coalesced_batches(self) -> int:
         """Wire messages that carried more than one GA request."""
-        if self._coalescers is None:
-            return 0
         return sum(c.batches for c in self._coalescers)
 
     @property
     def messages_saved(self) -> int:
         """Request messages that merged into another wire message."""
-        if self._coalescers is None:
-            return 0
         return sum(c.messages_saved for c in self._coalescers)
 
     # ------------------------------------------------------------------
@@ -209,26 +205,14 @@ class GlobalArrays:
             self._m_gets.value += 1.0
             self._m_get_bytes.value += nbytes
             self._m_get_sizes.observe(nbytes)
-        coalescer = (
-            self._coalescers[requester] if self._coalescers is not None else None
-        )
+        coalescer = self._coalescers[requester]
         events = []
         for segment in segments:
             event = self.engine.event()
             request = _Request("get", array, segment, None, requester, event)
-            if coalescer is not None:
-                coalescer.submit(
-                    segment.node, _CTRL_BYTES, request, tag=f"get:{array.name}"
-                )
-            else:
-                self.cluster.network.send(
-                    requester,
-                    segment.node,
-                    _CTRL_BYTES,
-                    request,
-                    inbox=self.INBOX,
-                    tag=f"get:{array.name}",
-                )
+            coalescer.submit(
+                segment.node, _CTRL_BYTES, request, tag=f"get:{array.name}"
+            )
             events.append(event)
         replies = yield all_of(self.engine, events)
         if nbytes > 0:

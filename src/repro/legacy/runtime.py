@@ -46,8 +46,6 @@ class LegacyConfig:
     #: True: NXTVAL shared-counter stealing (the original behaviour).
     #: False: static rank-cyclic assignment (ablation).
     use_nxtval: bool = True
-    #: Home node of the shared counter.
-    nxtval_home: int = 0
 
 
 @dataclass
@@ -128,10 +126,7 @@ class LegacyRuntime:
         ]
         barrier = Barrier(engine, parties=len(ranks), overhead=machine.barrier_overhead_s)
         # one fresh counter per level, as the original resets per level
-        counters = [
-            NxtvalServer(self.ga, home_node=self.config.nxtval_home)
-            for _ in levels
-        ]
+        counters = [NxtvalServer(self.ga) for _ in levels]
         result = LegacyResult(
             execution_time=0.0,
             n_ranks=len(ranks),
@@ -281,12 +276,7 @@ class LegacyRuntime:
         """
         faults = self.cluster.faults
         if faults is not None:
-            attempt = 0
-            while faults.plan.task_fails(f"chain:{chain.chain_id}", attempt):
-                faults.note_task_retry()
-                if faults.plan.task_fail_detect_s > 0:
-                    yield self.cluster.engine.timeout(faults.plan.task_fail_detect_s)
-                attempt += 1
+            yield from faults.retry_gate(f"chain:{chain.chain_id}")
         committed = [False]
         body = execute_chain(
             self.cluster,

@@ -16,7 +16,7 @@ the READ tasks, Figure 11).
 from __future__ import annotations
 
 import sys
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
 from repro.sim.network import BatchPayload, Coalescer, Message
 
@@ -59,19 +59,19 @@ class CommThread:
         self._m_forwarded = metrics.counter("parsec.forwarded")
         self._m_messages_remote = metrics.counter("parsec.messages_remote")
         self._m_bytes_remote = metrics.counter("parsec.bytes_remote")
-        # dataflow-only coalescing: the steal control plane keeps its
+        # dataflow-only coalescing (``runtime.coalescing=None`` passes
+        # every send through): the steal control plane keeps its
         # dedicated latency-critical lane un-batched
-        self._coalescer: Optional[Coalescer] = None
-        if runtime.coalescing is not None:
-            self._coalescer = Coalescer(
-                runtime.cluster.network,
-                node.node_id,
-                runtime.coalescing,
-                inbox=self.inbox_name,
-                batch_tag="parsec:batch",
-            )
+        self._coalescer = Coalescer(
+            runtime.cluster.network,
+            node.node_id,
+            runtime.coalescing,
+            inbox=self.inbox_name,
+            batch_tag="parsec:batch",
+        )
         self.engine.process(
-            self._serve(), name=f"parsec.comm{node.node_id}#{runtime.instance_id}"
+            self._serve(self.inbox_name, self._on_data),
+            name=f"parsec.comm{node.node_id}#{runtime.instance_id}",
         )
         if runtime.steal_enabled:
             # latency-critical control plane: steal REQ/GRANT/DENY must
@@ -80,7 +80,7 @@ class CommThread:
             # Only spawned under an active StealPolicy so the extra
             # process cannot perturb non-stealing virtual timings.
             self.engine.process(
-                self._serve_ctrl(),
+                self._serve(self.ctrl_name, self._on_ctrl),
                 name=f"parsec.ctrl{node.node_id}#{runtime.instance_id}",
             )
 
@@ -110,7 +110,7 @@ class CommThread:
             if self.runtime._queued_bytes > self.runtime._queued_bytes_hwm:
                 self.runtime._queued_bytes_hwm = self.runtime._queued_bytes
         self.node.inbox(self.inbox_name).put(
-            ("send", consumer_key, flow, data, size_bytes, tag)
+            (size_bytes, consumer_key, flow, data, tag)
         )
 
     def steal_send(self, dest_node: int, payload: tuple, size_bytes: float) -> None:
@@ -119,47 +119,15 @@ class CommThread:
         Steal traffic rides the control plane and the shared NIC; it
         pays the same per-message software overhead and pack rate as
         dataflow, but is served by its own thread."""
-        self.node.inbox(self.ctrl_name).put(("steal", dest_node, payload, size_bytes))
+        self.node.inbox(self.ctrl_name).put((size_bytes, dest_node, payload))
 
-    def _serve_ctrl(self):
-        """The steal control plane: serve REQ/GRANT/DENY serially."""
-        runtime = self.runtime
-        machine = runtime.cluster.machine
-        inbox = self.node.inbox(self.ctrl_name)
-        network = runtime.cluster.network
-        while True:
-            # synchronous fast path: pop waiting mail without a SimEvent
-            # or lane hop (see _serve)
-            ok, item = inbox.try_get()
-            if not ok:
-                item = yield inbox.get()
-            size_bytes = item.size_bytes if isinstance(item, Message) else item[3]
-            service = machine.comm_thread_overhead_s + (
-                size_bytes / machine.comm_pack_bytes_per_s
-            )
-            if service > 0:
-                yield self.engine.timeout(service)
-            self.messages_processed += 1
-            if isinstance(item, Message):
-                assert runtime.stealing is not None  # ctrl plane implies stealing
-                runtime.stealing.on_message(self.node.node_id, item.payload)
-            else:
-                _, dest_node, payload, size_bytes = item
-                network.send(
-                    self.node.node_id,
-                    dest_node,
-                    size_bytes,
-                    payload,
-                    inbox=self.ctrl_name,
-                    tag="parsec:steal",
-                )
-
-    def _serve(self):
-        runtime = self.runtime
-        machine = runtime.cluster.machine
-        inbox = self.node.inbox(self.inbox_name)
-        network = runtime.cluster.network
-        metrics = self.metrics
+    def _serve(self, inbox_name: str, handle):
+        """One service loop for both planes: take the next item of the
+        mailbox — a network :class:`Message` or a local send request,
+        a tuple led by its wire size — charge the serial per-message
+        handling, then ``handle`` it."""
+        machine = self.runtime.cluster.machine
+        inbox = self.node.inbox(inbox_name)
         overhead = machine.comm_thread_overhead_s
         pack_rate = machine.comm_pack_bytes_per_s
         timeout = self.engine.timeout
@@ -171,84 +139,82 @@ class CommThread:
             ok, item = inbox.try_get()
             if not ok:
                 item = yield inbox.get()
-            if isinstance(item, Message):
-                size_bytes = item.size_bytes
-            else:
-                size_bytes = item[4]
-            # serial per-message handling: fixed overhead plus staging
-            # the payload through PaRSEC-managed buffers
+            size_bytes = item.size_bytes if isinstance(item, Message) else item[0]
+            # fixed overhead plus staging the payload through
+            # PaRSEC-managed buffers
             service = overhead + size_bytes / pack_rate
             if service > 0:
                 yield timeout(service)
             self.messages_processed += 1
-            assert runtime.graph is not None  # comm traffic implies a live graph
-            if isinstance(item, Message) and isinstance(item.payload, BatchPayload):
-                # a coalesced dataflow batch: the service charge above
-                # already covered the summed bytes with ONE per-message
-                # overhead; deliver the items in submit order
-                for sub, sub_bytes in zip(item.payload.items, item.payload.sizes):
-                    consumer_key, flow, data, tag = sub
-                    consumer_node = runtime.graph.instances[consumer_key].node
-                    if consumer_node != self.node.node_id:
-                        # a moved consumer forwards its item alone
-                        if metrics.enabled:
-                            self._m_forwarded.value += 1.0
-                        network.send(
-                            self.node.node_id,
-                            consumer_node,
-                            sub_bytes,
-                            sub,
-                            inbox=self.inbox_name,
-                            tag=_dataflow_tag(consumer_key[0]),
-                        )
-                        continue
-                    runtime._deliver(consumer_key, flow, data, tag=tag)
-                continue
-            if isinstance(item, Message):
-                # incoming: payload is (consumer_key, flow, data, tag)
-                consumer_key, flow, data, tag = item.payload
-                consumer_node = runtime.graph.instances[consumer_key].node
-                if consumer_node != self.node.node_id:
-                    # the consumer moved while this message was in flight
-                    # (stolen chain or crash re-homing): forward one hop
-                    # instead of teleporting the data to the new owner
-                    if metrics.enabled:
-                        self._m_forwarded.value += 1.0
-                    network.send(
-                        self.node.node_id,
-                        consumer_node,
-                        item.size_bytes,
-                        item.payload,
-                        inbox=self.inbox_name,
-                        tag=_dataflow_tag(consumer_key[0]),
-                    )
-                    continue
-                runtime._deliver(consumer_key, flow, data, tag=tag)
+            handle(item)
+
+    def _on_ctrl(self, item) -> None:
+        """The steal control plane: REQ/GRANT/DENY in, or one out."""
+        if isinstance(item, Message):
+            assert self.runtime.stealing is not None  # ctrl plane implies stealing
+            self.runtime.stealing.on_message(self.node.node_id, item.payload)
+            return
+        size_bytes, dest_node, payload = item
+        self.runtime.cluster.network.send(
+            self.node.node_id,
+            dest_node,
+            size_bytes,
+            payload,
+            inbox=self.ctrl_name,
+            tag="parsec:steal",
+        )
+
+    def _on_data(self, item) -> None:
+        """The data plane: a dataflow message (or coalesced batch) in,
+        or one task output out to its consumer's node."""
+        runtime = self.runtime
+        if isinstance(item, Message):
+            payload = item.payload
+            if isinstance(payload, BatchPayload):
+                # the service charge covered the summed bytes with ONE
+                # per-message overhead; the items arrive in submit order
+                for sub, sub_bytes in zip(payload.items, payload.sizes):
+                    self._arrive(sub, sub_bytes)
             else:
-                _, consumer_key, flow, data, size_bytes, tag = item
-                if runtime._queued_bytes:
-                    runtime._queued_bytes -= getattr(data, "nbytes", 0)
-                # the consumer's home node is re-resolved at send time:
-                # a crash may have re-homed it since the producer ran
-                consumer_node = runtime.graph.instances[consumer_key].node
-                runtime.bytes_remote += size_bytes
-                runtime.messages_remote += 1
-                if metrics.enabled:
-                    self._m_messages_remote.value += 1.0
-                    self._m_bytes_remote.value += size_bytes
-                if self._coalescer is not None:
-                    self._coalescer.submit(
-                        consumer_node,
-                        size_bytes,
-                        (consumer_key, flow, data, tag),
-                        tag=_dataflow_tag(consumer_key[0]),
-                    )
-                else:
-                    network.send(
-                        self.node.node_id,
-                        consumer_node,
-                        size_bytes,
-                        (consumer_key, flow, data, tag),
-                        inbox=self.inbox_name,
-                        tag=_dataflow_tag(consumer_key[0]),
-                    )
+                self._arrive(payload, item.size_bytes)
+            return
+        size_bytes, consumer_key, flow, data, tag = item
+        if runtime._queued_bytes:
+            runtime._queued_bytes -= getattr(data, "nbytes", 0)
+        runtime.bytes_remote += size_bytes
+        runtime.messages_remote += 1
+        if self.metrics.enabled:
+            self._m_messages_remote.value += 1.0
+            self._m_bytes_remote.value += size_bytes
+        assert runtime.graph is not None  # comm traffic implies a live graph
+        # the consumer's home node is re-resolved at send time: a crash
+        # may have re-homed it since the producer ran
+        self._coalescer.submit(
+            runtime.graph.instances[consumer_key].node,
+            size_bytes,
+            (consumer_key, flow, data, tag),
+            tag=_dataflow_tag(consumer_key[0]),
+        )
+
+    def _arrive(self, payload: tuple, size_bytes: float) -> None:
+        """Deliver one ``(consumer_key, flow, data, tag)`` payload, or
+        forward it one hop if the consumer moved while it was in flight
+        (stolen chain or crash re-homing) — never teleport the data to
+        the new owner. An item of a batch is forwarded alone."""
+        runtime = self.runtime
+        consumer_key, flow, data, tag = payload
+        assert runtime.graph is not None  # comm traffic implies a live graph
+        consumer_node = runtime.graph.instances[consumer_key].node
+        if consumer_node == self.node.node_id:
+            runtime._deliver(consumer_key, flow, data, tag=tag)
+            return
+        if self.metrics.enabled:
+            self._m_forwarded.value += 1.0
+        runtime.cluster.network.send(
+            self.node.node_id,
+            consumer_node,
+            size_bytes,
+            payload,
+            inbox=self.inbox_name,
+            tag=_dataflow_tag(consumer_key[0]),
+        )

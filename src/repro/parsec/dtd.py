@@ -33,12 +33,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.obs.result import RunResult
+from repro.parsec.taskclass import TaskContext
 from repro.sim.cluster import Cluster
 from repro.sim.engine import SimEvent
 from repro.sim.network import Message
 from repro.sim.queues import PriorityStore
 from repro.sim.trace import TaskCategory
-from repro.util.errors import DataflowError, StallError
+from repro.util.errors import ConfigurationError, DataflowError, StallError
 
 __all__ = ["AccessMode", "DataHandle", "DtdTask", "DtdContext", "DtdRuntime", "DtdResult"]
 
@@ -119,39 +120,23 @@ class DtdTask:
         self.done = False
 
 
-class DtdContext:
-    """What a DTD task body sees: its data by handle key."""
+class DtdContext(TaskContext):
+    """What a DTD task body sees: its data by handle key. ``machine``,
+    ``real`` and ``charge`` are :class:`TaskContext`'s — the READ/REDUCE/
+    SORT bodies shared with the PTG runtime see one context either way."""
 
-    __slots__ = ("task", "cluster", "node", "thread", "data")
+    __slots__ = ("data",)
+    task: DtdTask  # type: ignore[assignment]  # narrows TaskContext.task
 
     def __init__(self, task: DtdTask, cluster: Cluster, node, thread: int):
-        self.task = task
-        self.cluster = cluster
-        self.node = node
-        self.thread = thread
+        # the shared helpers read only cluster and node, never ``task``/``md``
+        super().__init__(task, None, cluster, node, thread)  # type: ignore[arg-type]
         #: handle.key -> current value (REAL mode) or None
         self.data = {h.key: h.value for h, _ in task.accesses}
-
-    @property
-    def machine(self):
-        return self.cluster.machine
-
-    @property
-    def real(self) -> bool:
-        return self.cluster.data_mode.value == "real"
 
     def write(self, key: str, value: Any) -> None:
         """Publish a new value for a handle this task writes."""
         self.data[key] = value
-
-    def charge(self, cost):
-        """Generator helper: burn one OpCost on this node/thread (CPU
-        time scaled by any straggler window active on the node, exactly
-        as :meth:`TaskContext.charge` does for the same shared bodies)."""
-        if cost.cpu > 0:
-            yield self.cluster.engine.timeout(cost.cpu * self.node.cpu_scale())
-        if cost.bytes > 0:
-            yield self.node.membw.transfer(cost.bytes)
 
 
 @dataclass
@@ -274,6 +259,15 @@ class DtdRuntime:
         """Run the materialized DAG to completion."""
         if self._executing:
             raise DataflowError("execute() called twice")
+        faults = self.cluster.faults
+        if faults is not None and (
+            faults.plan.task_fail_prob > 0 or faults.plan.crashes
+        ):
+            raise ConfigurationError(
+                "the DTD runtime has no retry gate and no crash recovery: "
+                "fault plans with task_fail_prob or crashes need the PaRSEC "
+                "or legacy runtime (message fates and stragglers are honoured)"
+            )
         self._executing = True
         start_time = self.engine.now
         # the skeleton program inserted every task serially on a master
@@ -290,11 +284,11 @@ class DtdRuntime:
                     self._worker(node, thread),
                     name=f"dtd.worker{node.node_id}.{thread}#{self.instance_id}",
                 )
+            self.engine.process(self._receiver(node), name=f"dtd.recv{node.node_id}")
         self.engine.process(self._seed(insertion_time), name="dtd.master")
         end_time = self.cluster.run()
         if self._done is not None and not self._done.triggered:
             stuck = [t.name for t in self._tasks if not t.done]
-            faults = self.cluster.faults
             raise StallError(
                 f"DTD execution stalled with {len(stuck)} unfinished tasks "
                 f"(first few: {stuck[:5]})",
@@ -324,7 +318,6 @@ class DtdRuntime:
             store.abandon_getters()
         for node in self.cluster.nodes:
             node.drop_inbox(self._inbox_name)
-            node._dtd_receivers.discard(self.instance_id)
 
     def _seed(self, insertion_time: float):
         if insertion_time > 0:
@@ -379,25 +372,18 @@ class DtdRuntime:
         )
         self.messages_remote += 1
         self.bytes_remote += size_bytes
-        inbox = self._inbox_name
-        node = self.cluster.nodes[successor.node]
-        if self.instance_id not in node._dtd_receivers:
-            node._dtd_receivers.add(self.instance_id)
-            self.engine.process(
-                self._receiver(node, inbox), name=f"dtd.recv{node.node_id}"
-            )
         self.cluster.network.send(
             producer.node,
             successor.node,
             size_bytes,
             successor,
-            inbox=inbox,
+            inbox=self._inbox_name,
             tag=f"dtd:{successor.name}",
         )
 
-    def _receiver(self, node, inbox_name: str):
+    def _receiver(self, node):
         machine = self.cluster.machine
-        inbox = node.inbox(inbox_name)
+        inbox = node.inbox(self._inbox_name)
         while True:
             message: Message = yield inbox.get()
             service = machine.comm_thread_overhead_s + (

@@ -47,7 +47,7 @@ from typing import Any, Optional
 from repro.obs.result import RunResult
 from repro.parsec.comm import CommThread
 from repro.parsec.ptg import PTG, TaskGraph
-from repro.parsec.scheduler import NodeScheduler
+from repro.parsec.scheduler import NodeScheduler, SchedulerPolicy
 from repro.parsec.stealing import StealCoordinator, StealPolicy
 from repro.parsec.taskclass import TaskContext, TaskInstance
 from repro.sim.cluster import Cluster
@@ -119,14 +119,12 @@ class ParsecRuntime:
         stealing: "StealPolicy | None" = None,
         coalescing: "CoalescePolicy | None" = None,
     ) -> None:
-        from repro.parsec.scheduler import SchedulerPolicy
-
         self.instance_id = next(_instance_ids)
         self.cluster = cluster
         self.policy = policy or SchedulerPolicy.PRIORITY
         self.steal_policy = stealing
-        #: per-destination dataflow aggregation (None = off, the default
-        #: wire behavior the golden digests pin)
+        #: per-destination dataflow aggregation (None = every send passes
+        #: through, the default wire behavior the golden digests pin)
         self.coalescing = coalescing
         self.stealing: Optional[StealCoordinator] = None
         self.graph: Optional[TaskGraph] = None
@@ -150,11 +148,7 @@ class ParsecRuntime:
     @property
     def steal_enabled(self) -> bool:
         """Whether this run has an active work-stealing layer."""
-        return (
-            self.steal_policy is not None
-            and self.steal_policy.enabled
-            and self.cluster.n_nodes >= 2
-        )
+        return self.steal_policy is not None and self.cluster.n_nodes >= 2
 
     # ------------------------------------------------------------------
     def launch(self, ptg: PTG, md: Any, validate: bool = True) -> SimEvent:
@@ -182,7 +176,7 @@ class ParsecRuntime:
             )
             self.comms.append(CommThread(self, node))
         if self.steal_enabled:
-            self.stealing = StealCoordinator(self, self.steal_policy)
+            self.stealing = StealCoordinator(self)
             self.stealing.register_graph(self.graph, md)
             for scheduler in self.schedulers:
                 scheduler.steal_agent = self.stealing.agents[scheduler.node.node_id]

@@ -46,7 +46,7 @@ class NodeScheduler:
 
     With accelerators configured (``ClusterConfig.gpus_per_node > 0``),
     device-capable tasks (``TaskClass.accelerated``) are dispatched to
-    a separate device ready-queue served by one GPU worker per
+    a separate device ready-queue served by one more :meth:`_worker` per
     accelerator; each device task stages its inputs and outputs over
     the node's shared PCIe link — the hybrid execution path the paper's
     introduction motivates ("a robust path to exploit hybrid computer
@@ -84,8 +84,6 @@ class NodeScheduler:
 
         self.ready = make_queue("ready")
         self.gpu_ready = make_queue("gpu_ready") if n_gpus > 0 else None
-        self.tasks_executed = 0
-        self.gpu_tasks_executed = 0
         #: set by the runtime when a StealPolicy is active; workers
         #: notify it when they find the ready queue empty
         self.steal_agent: Optional["StealAgent"] = None
@@ -93,9 +91,11 @@ class NodeScheduler:
             self.engine.process(
                 self._worker(thread), name=f"parsec.worker{node.node_id}.{thread}"
             )
+        gpu_row = runtime.cluster.cores_per_node + 1  # +1 skips the comm thread row
         for gpu in range(n_gpus):
             self.engine.process(
-                self._gpu_worker(gpu), name=f"parsec.gpu{node.node_id}.{gpu}"
+                self._worker(gpu_row + gpu, gpu),
+                name=f"parsec.gpu{node.node_id}.{gpu}",
             )
 
     def ready_depth(self) -> int:
@@ -153,22 +153,6 @@ class NodeScheduler:
             if depth > self._m_ready_hwm.value:
                 self._m_ready_hwm.value = depth
 
-    def _retry_gate(self, faults, task: TaskInstance):
-        """Generator helper: burn injected transient failures.
-
-        Each failed attempt costs the plan's detection latency; the
-        decision is a pure function of (task label, attempt), so retry
-        counts are identical across runs with the same fault seed.
-        Callers skip the call entirely when no plan is installed — the
-        fault-free path pays neither the generator frame nor a yield.
-        """
-        attempt = 0
-        while faults.plan.task_fails(task.label, attempt):
-            faults.note_task_retry()
-            if faults.plan.task_fail_detect_s > 0:
-                yield self.engine.timeout(faults.plan.task_fail_detect_s)
-            attempt += 1
-
     def _run_body(self, task: TaskInstance, context: TaskContext):
         """Generator helper: execute the body, abortable on crash.
 
@@ -191,18 +175,29 @@ class NodeScheduler:
         )
         return completed
 
-    def _worker(self, thread: int):
+    def _worker(self, thread: int, gpu: Optional[int] = None):
+        """The worker loop of one core or, with ``gpu`` set, of one
+        accelerator. A device worker serves the device queue, pays the
+        kernel-launch overhead, stages inputs and outputs over the
+        node's PCIe link around the body, is traced on its own row
+        (``thread`` beyond the CPU workers, so Gantt charts show device
+        occupancy separately) and never opens a steal episode.
+        """
         cluster = self.runtime.cluster
         machine = cluster.machine
         node = self.node
-        ready = self.ready
+        on_device = gpu is not None
+        ready = self.gpu_ready if on_device else self.ready
+        task_overhead = (
+            machine.gpu_task_overhead_s if on_device else machine.task_overhead_s
+        )
+        device = "gpu" if on_device else "cpu"
+        executed = self._m_gpu_executed if on_device else self._m_executed
         checkpoint = self.engine.checkpoint
         faults = cluster.faults
-        task_overhead = machine.task_overhead_s
         # per-task loop invariants, hoisted once per worker lifetime
         engine = self.engine
         metrics = self.metrics
-        executed = self._m_executed
         observe_duration = self._m_duration.observe
         md = self.runtime.md
         on_complete = self.runtime._on_complete
@@ -215,7 +210,7 @@ class NodeScheduler:
             # — so virtual timings are bitwise unchanged.
             ok, task = ready.try_get()
             if not ok:
-                if self.steal_agent is not None:
+                if not on_device and self.steal_agent is not None:
                     self.steal_agent.notify_idle()
                 task = yield ready.get()
             else:
@@ -235,19 +230,39 @@ class NodeScheduler:
             if task_overhead > 0:
                 yield engine.timeout(task_overhead)
             if faults is not None:
-                yield from self._retry_gate(faults, task)
+                yield from faults.retry_gate(task.label)
             if not node.alive:
                 # crashed while this attempt was ramping up; the task was
                 # already re-homed, and starting it here would capture the
                 # *bumped* epoch and defeat the kill predicate
                 break
             task.started = True
-            context = TaskContext(task, md, cluster, node, thread)
+            context = TaskContext(task, md, cluster, node, thread, device)
             t_start = engine.now
+            if on_device:  # stage the inputs in
+                in_bytes = 8.0 * sum(
+                    flow.size_elems(task.params, md)
+                    for flow in task.cls.flows
+                    if flow.inputs
+                )
+                if in_bytes > 0:
+                    yield node.pcie.transfer(in_bytes)
             completed = yield from self._run_body(task, context)
             if not completed:
                 cluster.faults.note_abort(engine.now - t_start)
                 break  # epoch bumps only come from this node's own crash
+            meta = None
+            if on_device:  # stage the outputs back
+                out_bytes = 8.0 * sum(
+                    flow.size_elems(task.params, md)
+                    for flow in task.cls.flows
+                    if flow.outputs or not flow.inputs
+                )
+                if out_bytes > 0:
+                    yield node.pcie.transfer(out_bytes)
+                meta = {"device": f"gpu{gpu}"}
+            if task.stolen_from is not None:
+                meta = {**(meta or {}), "stolen_from": task.stolen_from}
             trace_record(
                 node_id,
                 thread,
@@ -255,93 +270,12 @@ class NodeScheduler:
                 task.label,
                 t_start,
                 engine.now,
-                meta=(
-                    {"stolen_from": task.stolen_from}
-                    if task.stolen_from is not None
-                    else None
-                ),
+                meta=meta,
             )
             task.done = True
-            self.tasks_executed += 1
             if metrics.enabled:
                 executed[task.cls.name].value += 1.0
                 observe_duration(engine.now - t_start)
             on_complete(task, context)
-            if not node.alive:
-                break
-
-    def _gpu_worker(self, gpu: int):
-        """One accelerator: stage inputs in, run the kernel, stage out.
-
-        Traced on its own row (thread id beyond the CPU workers) so
-        Gantt charts show device occupancy separately.
-        """
-        cluster = self.runtime.cluster
-        machine = cluster.machine
-        node = self.node
-        md = self.runtime.md
-        thread = cluster.cores_per_node + 1 + gpu  # +1 skips the comm thread row
-        gpu_ready = self.gpu_ready
-        checkpoint = self.engine.checkpoint
-        faults = cluster.faults
-        while True:
-            ok, task = gpu_ready.try_get()  # see _worker: seq-neutral fast path
-            if not ok:
-                task = yield gpu_ready.get()
-            else:
-                yield checkpoint
-            if not node.alive:
-                break  # queued work was re-homed by the crash handler
-            if task.done or task.node != node.node_id:
-                if self.metrics.enabled:  # see _worker: stale queue entry
-                    self._m_stale.value += 1.0
-                continue
-            task.claimed = True  # see _worker: pin before the next yield
-            if machine.gpu_task_overhead_s > 0:
-                yield self.engine.timeout(machine.gpu_task_overhead_s)
-            if faults is not None:
-                yield from self._retry_gate(faults, task)
-            if not node.alive:
-                break  # see _worker: avoid capturing a post-crash epoch
-            task.started = True
-            context = TaskContext(task, md, cluster, node, thread, device="gpu")
-            t_start = self.engine.now
-            in_bytes = 8.0 * sum(
-                flow.size_elems(task.params, md)
-                for flow in task.cls.flows
-                if flow.inputs
-            )
-            if in_bytes > 0:
-                yield node.pcie.transfer(in_bytes)
-            completed = yield from self._run_body(task, context)
-            if not completed:
-                cluster.faults.note_abort(self.engine.now - t_start)
-                break  # epoch bumps only come from this node's own crash
-            out_bytes = 8.0 * sum(
-                flow.size_elems(task.params, md)
-                for flow in task.cls.flows
-                if flow.outputs or not flow.inputs
-            )
-            if out_bytes > 0:
-                yield node.pcie.transfer(out_bytes)
-            node.trace.record(
-                node.node_id,
-                thread,
-                task.cls.category,
-                task.label,
-                t_start,
-                self.engine.now,
-                meta=(
-                    {"device": f"gpu{gpu}"}
-                    if task.stolen_from is None
-                    else {"device": f"gpu{gpu}", "stolen_from": task.stolen_from}
-                ),
-            )
-            task.done = True
-            self.gpu_tasks_executed += 1
-            if self.metrics.enabled:
-                self._m_gpu_executed[task.cls.name].value += 1.0
-                self._m_duration.observe(self.engine.now - t_start)
-            self.runtime._on_complete(task, context)
             if not node.alive:
                 break

@@ -10,11 +10,11 @@ both measured and recovered:
   queue empty it notifies the agent, which starts at most one *episode*
   at a time: a deterministic round-robin rotation over the other nodes,
   one simulated ``STEAL_REQ`` per victim, bounded by
-  ``StealPolicy.max_rounds`` full rotations.
+  ``MAX_ROUNDS`` full rotations.
 - The victim's comm thread answers synchronously from the shared
   :class:`StealCoordinator`: if it holds at least
-  ``min_victim_backlog`` steal-eligible chains *and* granting still
-  leaves every victim core ``min_backlog_ratio`` times the granted
+  ``MIN_VICTIM_BACKLOG`` steal-eligible chains *and* granting still
+  leaves every victim core ``MIN_BACKLOG_RATIO`` times the granted
   work, it migrates the heaviest eligible
   one(s) (``task.node`` is rewritten for every chain task) and replies
   ``STEAL_GRANT`` with the ready task keys and the bytes of any operand
@@ -43,7 +43,7 @@ same steals, and virtual timings are unchanged when stealing is off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.sim.trace import TaskCategory
 
@@ -61,40 +61,40 @@ MIGRATABLE_CLASSES = frozenset({"DFILL", "GEMM", "REDUCE", "SORT", "SORT_I"})
 STEAL_OPCODES = frozenset({"STEAL_REQ", "STEAL_GRANT", "STEAL_DENY"})
 
 
+# The protocol's thresholds (all deterministic). Constants, not knobs:
+# no caller, test or benchmark has ever set one (DESIGN.md section 9).
+#: a victim only grants while it still holds at least this many
+#: eligible chains — a hard floor under the work-based guard below
+MIN_VICTIM_BACKLOG = 2
+#: after granting a chain, each victim core must retain at least this
+#: multiple of the granted chain's flops in eligible backlog. This is
+#: what makes end-game steals on a *balanced* workload (which cost more
+#: in grant latency than they recover) die out, while a node drowning
+#: in a few huge chains still sheds them.
+MIN_BACKLOG_RATIO = 1.5
+#: chains migrated per successful request
+MAX_CHAINS_PER_STEAL = 1
+#: full victim rotations one idle episode may attempt before parking
+#: until the next idle event
+MAX_ROUNDS = 2
+#: a chain migrates only when its remaining GEMM seconds exceed this
+#: multiple of the estimated cost of moving its resident operand bytes
+#: (they ride the GRANT message) — in comm-bound regimes stealing
+#: self-disables instead of adding traffic to an already-saturated fabric
+MIN_BENEFIT_RATIO = 2.0
+#: after an episode where every victim denied, an idle node waits this
+#: long (virtual) before probing again — a fully-denied moment usually
+#: means the victims' frontiers were busy, not empty
+RETRY_BACKOFF_S = 2.0e-5
+#: simulated sizes of the control messages
+REQ_BYTES = 64.0
+GRANT_OVERHEAD_BYTES = 256.0
+
+
 @dataclass(frozen=True)
 class StealPolicy:
-    """Knobs of the stealing protocol (all deterministic)."""
-
-    enabled: bool = True
-    #: a victim only grants while it still holds at least this many
-    #: eligible chains — a hard floor under the work-based guard below
-    min_victim_backlog: int = 2
-    #: after granting a chain, each victim core must retain at least
-    #: this multiple of the granted chain's flops in eligible backlog.
-    #: This is what makes end-game steals on a *balanced* workload
-    #: (which cost more in grant latency than they recover) die out,
-    #: while a node drowning in a few huge chains still sheds them.
-    min_backlog_ratio: float = 1.5
-    #: chains migrated per successful request
-    max_chains_per_steal: int = 1
-    #: full victim rotations one idle episode may attempt before
-    #: parking until the next idle event
-    max_rounds: int = 2
-    #: chains whose already-resident operand data exceeds this are not
-    #: eligible (None = no cap); forwarded bytes ride the GRANT message
-    max_forward_bytes: Optional[float] = None
-    #: a chain migrates only when its remaining GEMM seconds exceed
-    #: this multiple of the estimated cost of moving its resident
-    #: operand bytes — in comm-bound regimes stealing self-disables
-    #: instead of adding traffic to an already-saturated fabric
-    min_benefit_ratio: float = 2.0
-    #: after an episode where every victim denied, an idle node waits
-    #: this long (virtual) before probing again — a fully-denied moment
-    #: usually means the victims' frontiers were busy, not empty
-    retry_backoff_s: float = 2.0e-5
-    #: simulated sizes of the control messages
-    req_bytes: float = 64.0
-    grant_overhead_bytes: float = 256.0
+    """Turns inter-node work stealing on: ``stealing=StealPolicy()``
+    (``None`` = the paper's static placement). It carries no settings."""
 
 
 class StealAgent:
@@ -126,7 +126,7 @@ class StealAgent:
         if not coord.cluster.nodes[self.node_id].alive:
             return
         self.episode_active = True
-        self.requests_left = coord.policy.max_rounds * (coord.n_nodes - 1)
+        self.requests_left = MAX_ROUNDS * (coord.n_nodes - 1)
         self._send_next_request()
 
     def on_grant(self) -> None:
@@ -156,7 +156,7 @@ class StealAgent:
                 self.node_id,
                 victim,
                 ("STEAL_REQ", self.node_id, coord.engine.now),
-                coord.policy.req_bytes,
+                REQ_BYTES,
             )
             return
         self.episode_active = False
@@ -174,7 +174,7 @@ class StealAgent:
     def _retry(self):
         coord = self.coordinator
         runtime = coord.runtime
-        yield coord.engine.timeout(coord.policy.retry_backoff_s)
+        yield coord.engine.timeout(RETRY_BACKOFF_S)
         self.retry_pending = False
         if runtime.done is None or runtime.done.triggered:
             return
@@ -187,9 +187,8 @@ class StealAgent:
 class StealCoordinator:
     """Shared protocol state: chain index, message handlers, counters."""
 
-    def __init__(self, runtime: "ParsecRuntime", policy: StealPolicy) -> None:
+    def __init__(self, runtime: "ParsecRuntime") -> None:
         self.runtime = runtime
-        self.policy = policy
         self.cluster = runtime.cluster
         self.engine = runtime.cluster.engine
         self.metrics = metrics = runtime.cluster.metrics
@@ -292,12 +291,9 @@ class StealCoordinator:
             ):
                 continue
             fwd = self._forward_bytes(remaining)
-            cap = self.policy.max_forward_bytes
-            if cap is not None and fwd > cap:
-                continue
             flops = self._remaining_flops(remaining)
             work_s = flops / (machine.gemm_gflops * 1.0e9)
-            if work_s < self.policy.min_benefit_ratio * fwd * move_rate:
+            if work_s < MIN_BENEFIT_RATIO * fwd * move_rate:
                 continue
             eligible.append((chain_id, remaining, flops, fwd))
         return eligible
@@ -319,7 +315,6 @@ class StealCoordinator:
 
     def _handle_request(self, victim: int, thief: int, t_req: float) -> None:
         """Answer one STEAL_REQ synchronously at the victim."""
-        policy = self.policy
         runtime = self.runtime
         grantable: list[tuple[int, list, float, float]] = []
         if (
@@ -333,18 +328,18 @@ class StealCoordinator:
             pool = len(eligible)
             cores = self.cluster.cores_per_node
             for item in eligible:
-                if len(grantable) >= policy.max_chains_per_steal:
+                if len(grantable) >= MAX_CHAINS_PER_STEAL:
                     break
-                if pool < policy.min_victim_backlog:
+                if pool < MIN_VICTIM_BACKLOG:
                     break
                 # work-based guard: after this grant, each victim core
-                # must retain min_backlog_ratio x the granted chain's
+                # must retain MIN_BACKLOG_RATIO x the granted chain's
                 # flops — end-game steals on a balanced workload die
                 # out, a node drowning in huge chains still sheds them
                 chain_flops = item[2]
                 if (
                     pool_flops - chain_flops
-                    < policy.min_backlog_ratio * chain_flops * cores
+                    < MIN_BACKLOG_RATIO * chain_flops * cores
                 ):
                     continue  # a lighter chain may still pass
                 grantable.append(item)
@@ -355,7 +350,7 @@ class StealCoordinator:
             if self.metrics.enabled:
                 self._m_denied.value += 1.0
             self.send(
-                victim, thief, ("STEAL_DENY", thief, victim, t_req), policy.req_bytes
+                victim, thief, ("STEAL_DENY", thief, victim, t_req), REQ_BYTES
             )
             return
         ready_keys: list[tuple] = []
@@ -393,7 +388,7 @@ class StealCoordinator:
             victim,
             thief,
             ("STEAL_GRANT", thief, victim, tuple(chain_ids), tuple(ready_keys), t_req),
-            policy.grant_overhead_bytes + fwd_bytes,
+            GRANT_OVERHEAD_BYTES + fwd_bytes,
         )
 
     # ------------------------------------------------------------------

@@ -276,10 +276,24 @@ class FaultInjector:
         for callback in self._crash_callbacks:
             callback(node)
 
-    # -- bookkeeping helpers used by the recovery paths ------------------
-    def note_task_retry(self) -> None:
-        self.report.task_retries += 1
-        self.report.recovery_overhead_s += self.plan.task_fail_detect_s
+    def retry_gate(self, label: str):
+        """Generator helper: burn the injected transient failures of the
+        task (or legacy chain) ``label`` before its body starts.
+
+        Each failed attempt costs the plan's detection latency; the
+        decision is a pure function of (label, attempt), so retry counts
+        are identical across runs with the same fault seed.
+        """
+        plan = self.plan
+        attempt = 0
+        while plan.task_fails(label, attempt):
+            self.report.task_retries += 1
+            self.report.recovery_overhead_s += plan.task_fail_detect_s
+            if plan.task_fail_detect_s > 0:
+                yield self.cluster.engine.timeout(plan.task_fail_detect_s)
+            attempt += 1
+
+    # -- bookkeeping helper used by the recovery paths -------------------
 
     def note_abort(self, lost_time: float) -> None:
         self.report.tasks_recomputed += 1

@@ -369,13 +369,14 @@ class Coalescer:
         self,
         network: Network,
         src: int,
-        policy: CoalescePolicy,
+        policy: Optional[CoalescePolicy],
         inbox: str,
         batch_tag: str = "batch",
     ) -> None:
         self.network = network
         self.src = src
-        self.policy = policy
+        #: None = coalescing off: every message passes straight through
+        self.policy = policy or CoalescePolicy(max_batch=1)
         self.inbox = inbox
         self.batch_tag = batch_tag
         self._windows: dict[int, _Window] = {}

@@ -63,10 +63,6 @@ class Node:
         self.alive = True
         #: straggler episodes: (t_start, t_end, factor) CPU multipliers
         self.slow_windows: list[tuple[float, float, float]] = []
-        #: DTD runtime instances with a live receiver process parked on
-        #: this node (see repro.parsec.dtd) — declared here so the
-        #: attribute has a home and a type
-        self._dtd_receivers: set[int] = set()
 
     @property
     def pcie(self) -> BandwidthResource:

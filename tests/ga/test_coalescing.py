@@ -155,7 +155,12 @@ class TestCoalescedFetch:
             cluster.run()
             return results, cluster.network.remote_messages, ga
 
-        base_results, base_msgs, _ = fan_out(None)
+        base_results, base_msgs, base_ga = fan_out(None)
+        # off is the pass-through coalescer: nothing merges, no window is
+        # opened, so no flush timer is left armed at quiescence
+        assert base_ga.coalesced_batches == base_ga.messages_saved == 0
+        assert not any(c._windows for c in base_ga._coalescers)
+        assert base_ga.cluster.engine.timeline.pending == 0
         co_results, co_msgs, ga = fan_out(CoalescePolicy())
         for idx, (lo, block) in co_results.items():
             np.testing.assert_array_equal(block, base_results[idx][1])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import api
 from repro.core.dtd_port import run_over_dtd
 from repro.core.executor import run_ptg
 from repro.core.variants import V5
@@ -10,11 +11,12 @@ from repro.ga.runtime import GlobalArrays
 from repro.parsec.dtd import AccessMode, DtdRuntime
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import OpCost
+from repro.sim.faults import FaultPlan, NodeCrash
 from repro.sim.trace import TaskCategory
 from repro.tce.molecules import tiny_system
 from repro.tce.reference import compute_reference, correlation_energy
 from repro.tce.t2_7 import build_t2_7
-from repro.util.errors import DataflowError
+from repro.util.errors import ConfigurationError, DataflowError
 
 
 def make_cluster(n_nodes=2, cores=2, data_mode=DataMode.REAL):
@@ -130,6 +132,61 @@ class TestDependenceInference:
         result = runtime.execute()
         assert result.insertion_time > 0
         assert result.execution_time >= result.insertion_time
+
+
+    def test_one_receiver_per_node_for_the_runtimes_lifetime(self):
+        cluster = make_cluster(n_nodes=4)
+        runtime = DtdRuntime(cluster)
+        x = runtime.data("x", 1, 0)
+        with_mailbox = []
+
+        def body(ctx):
+            with_mailbox.extend(
+                n.node_id for n in cluster.nodes if runtime._inbox_name in n._inboxes
+            )
+            yield from ctx.charge(OpCost(1.0, 0.0))
+
+        # one node-local task: no node ever receives a message
+        runtime.insert_task("T", body, [(x, AccessMode.WRITE)], node=0)
+        result = runtime.execute()
+        assert result.messages_remote == 0
+        assert with_mailbox == [0, 1, 2, 3]  # spawned at execute(), not by traffic
+        for node in cluster.nodes:
+            assert not any(name.startswith("dtd.recv#") for name in node._inboxes)
+
+
+class TestFaultPlans:
+    """DTD has no retry gate and no crash recovery: plans it cannot
+    honour are rejected, not silently ignored; what the network and
+    ``cpu_scale()`` honour stays allowed."""
+
+    def run(self, plan):
+        config = api.RunConfig(n_nodes=4, cores_per_node=2)
+        workload = api.build("t2_7:tiny", config)
+        workload.i2.array.enable_ordered_accumulation()
+        if plan is not None:
+            workload.cluster.install_faults(plan)
+        api.run(workload, runtime="dtd", config=config)
+        return workload
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(task_fail_prob=0.3),
+            FaultPlan(crashes=(NodeCrash(node=1, at=1.0e-4),)),
+        ],
+        ids=["task_fail_prob", "crashes"],
+    )
+    def test_plans_dtd_cannot_honour_are_rejected(self, plan):
+        with pytest.raises(ConfigurationError, match="DTD runtime"):
+            self.run(plan)
+
+    def test_message_fates_are_honoured_bitwise(self):
+        clean = self.run(None)
+        faulted = self.run(FaultPlan(master_seed=3, drop_prob=0.05, delay_prob=0.05))
+        report = faulted.cluster.faults.report
+        assert report.retransmits > 0 and report.messages_delayed > 0
+        assert np.array_equal(clean.i2.flat_values(), faulted.i2.flat_values())
 
 
 class TestCcsdOverDtd:

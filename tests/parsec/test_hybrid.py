@@ -8,6 +8,7 @@ from repro.core.executor import run_ptg
 from repro.core.variants import V5
 from repro.sim.cluster import ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
+from repro.sim.faults import FaultPlan, NodeCrash
 from repro.tce.reference import compute_reference
 from repro.util.errors import ConfigurationError
 
@@ -99,3 +100,59 @@ class TestHybridExecution:
         gpu_cost = machine.gemm(64, 64, 64, device="gpu")
         assert gpu_cost.bytes == 0.0
         assert gpu_cost.cpu < cpu_cost.cpu
+
+
+class TestHybridUnderFaultsAndStealing:
+    """The device worker runs the same loop as a core's: retry gate,
+    crash re-homing and stale-entry skips included — and, finding
+    ``gpu_ready`` empty, it still never opens a steal episode."""
+
+    def run(self, skew, stealing, plan=None):
+        config = api.RunConfig(
+            n_nodes=4,
+            cores_per_node=2,
+            gpus_per_node=1,
+            skew_factor=skew[0],
+            skew_period=skew[1],
+            stealing=stealing,
+        )
+        workload = api.build("t2_7:tiny", config)
+        workload.i2.array.enable_ordered_accumulation()
+        if plan is not None:
+            workload.cluster.install_faults(plan)
+        result = api.run(workload, variant=V5, config=config)
+        return workload.i2.flat_values(), result
+
+    # execution times and steal_requests as at the commit before the
+    # CPU and GPU worker loops were merged
+    @pytest.mark.parametrize(
+        "skew, stealing, clean_hex, faulted_hex, steal_requests",
+        [
+            ((1, 0), None, "0x1.da824c10a089ap-12", "0x1.4202e1d37fc37p-11", (0, 0)),
+            ((6, 4), None, "0x1.17fb1e21896e4p-9", "0x1.27d20db80c8eep-9", (0, 0)),
+            (
+                (6, 4),
+                api.StealPolicy(),
+                "0x1.17fb1e21896e4p-9",
+                "0x1.27d20db80c8eep-9",
+                (320, 246),
+            ),
+        ],
+        ids=["even", "skewed", "skewed-stealing"],
+    )
+    def test_recovery_is_bitwise_and_pinned(
+        self, skew, stealing, clean_hex, faulted_hex, steal_requests
+    ):
+        reference, clean = self.run(skew, stealing)
+        plan = FaultPlan(
+            master_seed=5,
+            task_fail_prob=0.1,
+            drop_prob=0.02,
+            crashes=(NodeCrash(1, clean.execution_time / 3),),
+        )
+        output, faulted = self.run(skew, stealing, plan)
+        assert np.array_equal(reference, output)
+        assert faulted.tasks_reassigned > 0 and faulted.task_retries > 0
+        assert clean.execution_time.hex() == clean_hex
+        assert faulted.execution_time.hex() == faulted_hex
+        assert (clean.steal_requests, faulted.steal_requests) == steal_requests

@@ -241,7 +241,7 @@ class TestRuntimeLifetime:
         assert len(runtimes) == len(workload.levels()) > 1
         for node in workload.cluster.nodes:
             assert not [name for name in node._inboxes if "#" in name]
-            assert not node._dtd_receivers
+            assert not any(name.startswith("dtd.recv#") for name in node._inboxes)
         gc.collect()
         assert [ref() for ref in runtimes] == [None] * len(runtimes)
         assert result.n_tasks > 0

@@ -7,6 +7,8 @@ the static run at the same seed (WRITE_C accumulation never migrates,
 so ordered tagged accumulation sees the same sequence either way).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,11 +91,12 @@ class TestMakespan:
             static.output.flat_values(), stolen.output.flat_values()
         )
 
-    def test_disabled_policy_is_a_noop(self):
-        static = _run(4, None)
-        stolen = _run(4, StealPolicy(enabled=False))
-        assert stolen.steal_requests == 0
-        assert stolen.execution_time == static.execution_time
+    def test_policy_is_a_switch_without_settings(self):
+        # the thresholds are module constants (DESIGN.md section 9) and
+        # "off" has one spelling, stealing=None
+        assert dataclasses.fields(StealPolicy) == ()
+        with pytest.raises(TypeError):
+            StealPolicy(enabled=False)
 
 
 # ----------------------------------------------------------------------
