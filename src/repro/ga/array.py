@@ -5,6 +5,15 @@ that node's (simulated) memory; ``ga_access`` hands out views exactly
 like the real library does — local data only. In ``DataMode.SYNTH`` no
 storage is allocated and data-returning calls yield ``None``; every
 simulated cost stays identical.
+
+One rule for the data plane: **what a read hands out is a read-only
+snapshot, and the array never writes through one.** A read of a range
+inside one owner segment returns a ``writeable=False`` view of that
+segment and marks the segment shared; every mutator takes ownership of a
+shared segment first (:meth:`GlobalArray._own`: replace it by a copy,
+clear the mark), so a view in flight keeps exactly the bytes a copy taken
+at read time would have had. A range that straddles owners is assembled
+once into a fresh read-only array.
 """
 
 from __future__ import annotations
@@ -17,12 +26,22 @@ from repro.ga.distribution import Distribution, Segment
 from repro.sim.cluster import DataMode
 from repro.util.errors import GlobalArrayError
 
-__all__ = ["GlobalArray"]
+__all__ = ["GlobalArray", "assemble"]
 
 #: Write-log compaction threshold: past this many entries the oldest
 #: half is dropped and the base epoch advances, so cache validation
 #: treats anything older than the surviving history as stale.
 _WRITE_LOG_MAX = 1024
+
+
+def assemble(chunks: list[np.ndarray]) -> np.ndarray:
+    """One read-only array out of a range's per-owner snapshots: the
+    snapshot itself when one owner holds the range, else one concatenation."""
+    if len(chunks) == 1:
+        return chunks[0]
+    out = np.concatenate(chunks) if chunks else np.empty(0)
+    out.flags.writeable = False
+    return out
 
 
 class GlobalArray:
@@ -67,6 +86,10 @@ class GlobalArray:
             ]
         else:
             self._segments = None
+        #: per owner: has a snapshot of the current segment been handed out?
+        self._shared = [False] * distribution.n_nodes
+        #: copy-on-write copies made so far (test bookkeeping, not a metric)
+        self.segment_copies = 0
 
     # ------------------------------------------------------------------
     # guards
@@ -129,13 +152,39 @@ class GlobalArray:
         return False
 
     # ------------------------------------------------------------------
+    # snapshots and ownership (the one read path, the one write path)
+    # ------------------------------------------------------------------
+    def _snapshot(self, segment: Segment) -> np.ndarray:
+        """Read-only view of one owner segment's ``[lo, hi)``; the
+        segment is shared from here until its next writer copies it."""
+        assert self._segments is not None
+        node_lo = self.distribution.node_range(segment.node)[0]
+        view = self._segments[segment.node][segment.lo - node_lo : segment.hi - node_lo]
+        view.flags.writeable = False
+        self._shared[segment.node] = True
+        return view
+
+    def _own(self, node: int) -> np.ndarray:
+        """``node``'s segment, safe to write: a segment some snapshot
+        still points into is replaced by a private copy first."""
+        assert self._segments is not None
+        if self._shared[node]:
+            self._segments[node] = self._segments[node].copy()
+            self._shared[node] = False
+            self.segment_copies += 1
+        return self._segments[node]
+
+    # ------------------------------------------------------------------
     # local access (what ga_access() allows)
     # ------------------------------------------------------------------
     def ga_access(self, node: int, lo: int, hi: int) -> np.ndarray:
-        """View of ``[lo, hi)``, which must lie entirely on ``node``.
+        """Writable view of ``[lo, hi)``, which must lie entirely on ``node``.
 
         Mirrors ``ga_access()``: only locally-resident data may be
-        touched this way; crossing a node boundary is an error.
+        touched this way; crossing a node boundary is an error. Like the
+        library's pointer it is for use now, not for keeping: a read of
+        the segment shares it, and the array's next write then goes to a
+        copy this view no longer points into.
         """
         self._check_live()
         if self._segments is None:
@@ -146,15 +195,15 @@ class GlobalArray:
                 f"ga_access on node {node}: [{lo}, {hi}) not within local "
                 f"range [{node_lo}, {node_hi})"
             )
-        return self._segments[node][lo - node_lo : hi - node_lo]
+        return self._own(node)[lo - node_lo : hi - node_lo]
 
     def read_segment(self, segment: Segment) -> Optional[np.ndarray]:
-        """Copy of one owner segment's data (handler-side helper)."""
+        """Snapshot of one owner segment's data (handler-side helper)."""
         self._check_live()
         if self._segments is None:
             return None
         self.flush_accumulations()
-        return self.ga_access(segment.node, segment.lo, segment.hi).copy()
+        return self._snapshot(segment)
 
     def accumulate_segment(
         self, segment: Segment, data: Optional[np.ndarray], tag=None
@@ -181,7 +230,7 @@ class GlobalArray:
     # direct range access (PaRSEC-side: data already local by placement)
     # ------------------------------------------------------------------
     def read_range_direct(self, lo: int, hi: int) -> Optional[np.ndarray]:
-        """Copy of ``[lo, hi)`` regardless of owner boundaries, uncosted.
+        """Snapshot of ``[lo, hi)`` regardless of owner boundaries, uncosted.
 
         Used by PaRSEC READ tasks, which are *placed on* the owner node
         (``find_last_segment_owner``) and touch the data through
@@ -194,14 +243,7 @@ class GlobalArray:
         if not (0 <= lo <= hi <= self.total):
             raise GlobalArrayError(f"range [{lo}, {hi}) out of bounds {self.total}")
         self.flush_accumulations()
-        out = np.empty(hi - lo)
-        for segment in self.distribution.segments(lo, hi):
-            node_lo, _ = self.distribution.node_range(segment.node)
-            local = self._segments[segment.node]
-            out[segment.lo - lo : segment.hi - lo] = local[
-                segment.lo - node_lo : segment.hi - node_lo
-            ]
-        return out
+        return assemble([self._snapshot(s) for s in self.distribution.segments(lo, hi)])
 
     def accumulate_range_direct(
         self, lo: int, hi: int, data: Optional[np.ndarray], tag=None
@@ -234,7 +276,7 @@ class GlobalArray:
         """Raw ``+=`` of a range across owner segments."""
         for segment in self.distribution.segments(lo, hi):
             node_lo, _ = self.distribution.node_range(segment.node)
-            local = self._segments[segment.node]
+            local = self._own(segment.node)
             local[segment.lo - node_lo : segment.hi - node_lo] += data[
                 segment.lo - lo : segment.hi - lo
             ]
@@ -296,7 +338,7 @@ class GlobalArray:
             )
         for node in range(self.distribution.n_nodes):
             lo, hi = self.distribution.node_range(node)
-            self._segments[node][:] = values[lo:hi]
+            self._own(node)[:] = values[lo:hi]
 
     def zero(self) -> None:
         """Reset every element to zero (setup convenience)."""
@@ -304,8 +346,8 @@ class GlobalArray:
         self.record_write(0, self.total)
         if self._segments is None:
             return
-        for seg in self._segments:
-            seg[:] = 0.0
+        for node in range(self.distribution.n_nodes):
+            self._own(node)[:] = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GlobalArray({self.name!r}, n={self.total}, mode={self.data_mode.value})"

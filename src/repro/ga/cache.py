@@ -19,7 +19,9 @@ cache can only ever under-perform, never return old data.
 
 Everything here is host-side bookkeeping: no simulated time passes in
 ``lookup``/``insert``, and SYNTH-mode entries carry ``None`` payloads
-so REAL and SYNTH runs hit and miss identically.
+so REAL and SYNTH runs hit and miss identically. A cached block *is* the
+read-only snapshot the fetch returned (:mod:`repro.ga.array`) — a hit
+hands the same array out again, nothing is copied in or out.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ class RemoteBlockCache:
         self._entries.move_to_end(key)
         self.hits += 1
         return True, entry[1]
+
+    def forget(self, handle: int) -> None:
+        """Drop every block of the array with this handle: it is gone,
+        and the snapshots cached here must not outlive it."""
+        for key in [key for key in self._entries if key[0] == handle]:
+            del self._entries[key]
 
     def insert(
         self,

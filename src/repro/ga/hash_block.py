@@ -23,7 +23,8 @@ __all__ = ["get_hash_block", "add_hash_block"]
 def get_hash_block(ga, node, thread: int, array, lo: int, hi: int, label: str = ""):
     """Generator helper: blocking tile fetch, traced as communication.
 
-    Returns the fetched data (REAL mode) or None (SYNTH mode). The
+    Returns the fetched data — a read-only snapshot, see
+    :mod:`repro.ga.array` — (REAL mode) or None (SYNTH mode). The
     recorded span covers the full blocking time — request, queueing at
     the owner, transport, and the local landing cost — because that is
     what the calling rank experiences.

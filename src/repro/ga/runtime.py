@@ -17,11 +17,12 @@ the saturation the paper's Figure 9 shows for the original code.
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Optional
 
 import numpy as np
 
-from repro.ga.array import GlobalArray
+from repro.ga.array import GlobalArray, assemble
 from repro.ga.cache import RemoteBlockCache, RemoteCachePolicy
 from repro.ga.distribution import Distribution, Segment
 from repro.sim.cluster import Cluster, DataMode
@@ -58,6 +59,20 @@ class _Request:
         self.reply_event = reply_event
         self.tag = tag
 
+    def reply(self, message) -> None:
+        """``on_deliver`` of the answer: wake the requester with the data."""
+        self.reply_event.succeed(message.take())
+
+
+def _forget_array(caches: list[RemoteBlockCache], handle: int) -> None:
+    for cache in caches:
+        cache.forget(handle)
+
+
+def _deliver_batch_reply(message) -> None:
+    for event, chunk in message.take():
+        event.succeed(chunk)
+
 
 class GlobalArrays:
     """Factory for distributed arrays plus the one-sided operation API.
@@ -89,7 +104,13 @@ class GlobalArrays:
         self._m_cache_misses = metrics.counter("ga.cache.misses")
         self._m_cache_bytes_saved = metrics.counter("ga.cache.bytes_saved")
         self._handles = itertools.count(1)
-        self._arrays: dict[str, GlobalArray] = {}
+        # name -> array, without owning it: the handlers below reach this
+        # object, the engine reaches the handlers, so a strong table would
+        # tie every tensor's lifetime to the cluster's reference cycle. An
+        # array lives exactly as long as whoever created it keeps it.
+        self._arrays: weakref.WeakValueDictionary[str, GlobalArray] = (
+            weakref.WeakValueDictionary()
+        )
         for node in cluster.nodes:
             self.engine.process(self._handler(node), name=f"ga.handler{node.node_id}")
         # comm-optimization knobs (both default off — byte-identical to
@@ -147,6 +168,11 @@ class GlobalArrays:
         if self._caches is not None:
             # cache validation needs the array's write-epoch log
             array.track_writes = True
+            # the caches belong to the cluster's cycle, the array to its
+            # workload: cached snapshots go when the array goes
+            weakref.finalize(
+                array, _forget_array, self._caches, array.handle
+            ).atexit = False
         self._arrays[name] = array
         return array
 
@@ -165,7 +191,9 @@ class GlobalArrays:
 
         Issues one request per owner segment, waits for every reply,
         then pays the requester-side cost of landing the bytes in local
-        memory. Returns a contiguous float64 array (REAL) or None.
+        memory. Returns a contiguous read-only float64 snapshot (REAL) —
+        a view of the owner's segment when one owner holds the range —
+        or None.
 
         With the remote-block cache enabled a range that touches remote
         memory may be served from the requester's cache (no wire
@@ -196,7 +224,7 @@ class GlobalArrays:
                 array.flush_accumulations()
                 if nbytes > 0:
                     yield self.cluster.nodes[requester].membw.transfer(nbytes)
-                return None if data is None else data.copy()
+                return data
             self.cache_misses += 1
             if self.metrics.enabled:
                 self._m_cache_misses.value += 1.0
@@ -222,11 +250,9 @@ class GlobalArrays:
             if cache is not None:
                 cache.insert(array, lo, hi, epoch, None)
             return None
-        out = np.empty(hi - lo)
-        for segment, chunk in zip(segments, replies):
-            out[segment.lo - lo : segment.hi - lo] = chunk
+        out = assemble(replies)
         if cache is not None:
-            cache.insert(array, lo, hi, epoch, out.copy())
+            cache.insert(array, lo, hi, epoch, out)
         return out
 
     def accumulate(
@@ -290,14 +316,15 @@ class GlobalArrays:
         timeout = self.engine.timeout
         while True:
             message = yield inbox.get()
-            if isinstance(message.payload, BatchPayload):
+            payload = message.take()
+            if isinstance(payload, BatchPayload):
                 # a coalesced request batch: serve each segment request
                 # FIFO (full per-request overhead and memory traffic —
                 # coalescing saves wire messages, not owner work), then
                 # answer with ONE combined reply message
                 replies: list[tuple[SimEvent, object]] = []
                 reply_bytes = 0.0
-                for request in message.payload:
+                for request in payload:
                     seg = request.segment
                     seg_bytes = 8.0 * seg.size
                     yield timeout(
@@ -316,12 +343,12 @@ class GlobalArrays:
                     reply_bytes,
                     replies,
                     tag="get.reply.batch",
-                    on_deliver=lambda msg: [
-                        ev.succeed(chunk) for ev, chunk in msg.payload
-                    ],
+                    on_deliver=_deliver_batch_reply,
                 )
+                # a parked handler must not pin what it served last
+                del payload, request, replies
                 continue
-            request: _Request = message.payload
+            request: _Request = payload
             segment = request.segment
             seg_bytes = 8.0 * segment.size
             # FIFO service: fixed software overhead plus the effective
@@ -336,16 +363,13 @@ class GlobalArrays:
             if request.kind == "get":
                 if seg_bytes > 0:
                     yield node.membw.transfer(seg_bytes)  # read from owner memory
-                payload = request.array.read_segment(segment)
                 self.cluster.network.send(
                     node.node_id,
                     request.requester,
                     seg_bytes,
-                    payload,
+                    request.array.read_segment(segment),
                     tag=f"get.reply:{request.array.name}",
-                    on_deliver=lambda msg, ev=request.reply_event: ev.succeed(
-                        msg.payload
-                    ),
+                    on_deliver=request.reply,
                 )
             elif request.kind == "acc":
                 if seg_bytes > 0:
@@ -358,7 +382,8 @@ class GlobalArrays:
                     _CTRL_BYTES,
                     None,
                     tag=f"acc.ack:{request.array.name}",
-                    on_deliver=lambda msg, ev=request.reply_event: ev.succeed(None),
+                    on_deliver=request.reply,
                 )
             else:  # pragma: no cover - defensive
                 raise GlobalArrayError(f"unknown GA request kind {request.kind!r}")
+            del payload, request  # as above

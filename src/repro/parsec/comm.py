@@ -152,7 +152,7 @@ class CommThread:
         """The steal control plane: REQ/GRANT/DENY in, or one out."""
         if isinstance(item, Message):
             assert self.runtime.stealing is not None  # ctrl plane implies stealing
-            self.runtime.stealing.on_message(self.node.node_id, item.payload)
+            self.runtime.stealing.on_message(self.node.node_id, item.take())
             return
         size_bytes, dest_node, payload = item
         self.runtime.cluster.network.send(
@@ -169,7 +169,7 @@ class CommThread:
         or one task output out to its consumer's node."""
         runtime = self.runtime
         if isinstance(item, Message):
-            payload = item.payload
+            payload = item.take()
             if isinstance(payload, BatchPayload):
                 # the service charge covered the summed bytes with ONE
                 # per-message overhead; the items arrive in submit order

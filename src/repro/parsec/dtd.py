@@ -347,6 +347,9 @@ class DtdRuntime:
                 if handle._accessors == 0:
                     self._store(handle, None)
             del context  # a parked worker must not pin its last task's data
+            # nor the finished DAG what its bodies close over (the CCSD
+            # skeleton's hold the level's metadata and its Global Arrays)
+            task.body = None
             task.done = True
             self._on_complete(task)
 
@@ -391,7 +394,7 @@ class DtdRuntime:
             )
             if service > 0:
                 yield self.engine.timeout(service)
-            successor: DtdTask = message.payload
+            successor: DtdTask = message.take()
             self._ready[successor.node].put(successor, priority=successor.priority)
 
 

@@ -253,13 +253,19 @@ class ParsecRuntime:
         mailboxes and unsubscribe from crash notifications; nothing is
         scheduled and no sequence number is drawn, so virtual behaviour
         cannot move. The runtime object itself keeps ``graph`` and its
-        counters for a caller that still holds it.
+        counters for a caller that still holds it — but not ``md``: the
+        abandoned threads still reach the runtime, and the metadata holds
+        the workload's Global Arrays, which die with the workload, not
+        with whenever a collector gets to this runtime's cycle.
         """
         for scheduler, comm in zip(self.schedulers, self.comms):
             scheduler.abandon_workers()
             comm.close()
         if self.cluster.faults is not None:
             self.cluster.faults.off_crash(self._handle_crash)
+        self.md = None
+        if self.graph is not None:
+            self.graph.md = None
 
     # ------------------------------------------------------------------
     # stall watchdog

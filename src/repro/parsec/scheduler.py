@@ -183,7 +183,8 @@ class NodeScheduler:
         (``thread`` beyond the CPU workers, so Gantt charts show device
         occupancy separately) and never opens a steal episode.
         """
-        cluster = self.runtime.cluster
+        runtime = self.runtime
+        cluster = runtime.cluster
         machine = cluster.machine
         node = self.node
         on_device = gpu is not None
@@ -199,8 +200,7 @@ class NodeScheduler:
         engine = self.engine
         metrics = self.metrics
         observe_duration = self._m_duration.observe
-        md = self.runtime.md
-        on_complete = self.runtime._on_complete
+        on_complete = runtime._on_complete
         trace_record = node.trace.record
         node_id = node.node_id
         while True:
@@ -237,6 +237,7 @@ class NodeScheduler:
                 # *bumped* epoch and defeat the kill predicate
                 break
             task.started = True
+            md = runtime.md
             context = TaskContext(task, md, cluster, node, thread, device)
             t_start = engine.now
             if on_device:  # stage the inputs in
@@ -277,5 +278,8 @@ class NodeScheduler:
                 executed[task.cls.name].value += 1.0
                 observe_duration(engine.now - t_start)
             on_complete(task, context)
+            # a parked worker must not pin its last task's context, nor
+            # the level's metadata (and through it the Global Arrays)
+            del context, md
             if not node.alive:
                 break

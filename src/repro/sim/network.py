@@ -44,7 +44,12 @@ __all__ = [
 
 
 class Message:
-    """One network message; ``payload`` is opaque to the transport."""
+    """One network message; ``payload`` is opaque to the transport.
+
+    The receiver takes the payload off it (:meth:`take`): a finished
+    transfer keeps its message (it is the transfer's value), so a served
+    message must not keep the data it carried.
+    """
 
     __slots__ = ("seq", "src", "dst", "size_bytes", "payload", "tag", "sent_at")
 
@@ -65,6 +70,11 @@ class Message:
         self.payload = payload
         self.tag = tag
         self.sent_at = sent_at
+
+    def take(self) -> Any:
+        """The payload, handed over: the message lets go of it."""
+        payload, self.payload = self.payload, None
+        return payload
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -158,10 +158,9 @@ class BlockTensor:
         self.array.scatter(scale * rng.standard_normal(self.total))
 
     def block_values(self, key: BlockKey) -> np.ndarray:
-        """Copy of one block as an ndarray of its block shape."""
+        """Read-only snapshot of one block, in its block shape."""
         lo, hi = self.block_range(key)
-        flat = self.array.gather()[lo:hi]
-        return flat.reshape(self.block_shape(key))
+        return self.array.read_range_direct(lo, hi).reshape(self.block_shape(key))
 
     def flat_values(self) -> np.ndarray:
         """Copy of the whole flat tensor contents."""

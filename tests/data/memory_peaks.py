@@ -11,38 +11,65 @@ holds the ratio. Every measurement is a child process: the first run in
 an interpreter pays ~16 MB of one-off allocations, which flatters
 whoever runs second.
 
-``--rss-cap-mb`` adds the figure the host benchmark reports: peak RSS
-(``ru_maxrss``) of a ``ccsd:small`` REAL v5 run on 8x4, and exits 1 when
-it is over the cap.
+``--rss-cap-mb`` adds two ``ccsd:small`` REAL 8x4 figures. The one the
+host benchmark reports: peak RSS (``ru_maxrss``) of a standalone v5 run;
+exit 1 when it is over the cap. And the build-and-drop figure: resident
+memory (Linux ``/proc/self/statm``) after each of four rounds of building
+the workload and dropping it, cyclic collector off. A workload's tensors
+die with the last reference to the workload (same section), so round
+four stands where round one stood. (Current, not peak, RSS: glibc raises
+its mmap threshold after the first round's frees, which moves the *peak*
+of the later rounds by ~20 MB whatever the program retains. ``ccsd:tiny``
+is too small to tell: 1.12x at the parent of that rule, 1.02x with it.)
 """
 
 import argparse
+import gc
 import json
+import os
 import resource
 import subprocess
 import sys
 import tracemalloc
 
 RUNTIMES = ("legacy", "v5", "dtd")
+BUILD_AND_DROP_ROUNDS = 4
+
+
+def _maxrss_mb() -> float:
+    # Linux reports ru_maxrss in KiB
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _rss_mb() -> float:
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
 def _child(what: str, token: str, runtime: str, n_nodes: int, cores: int) -> None:
-    from repro.core.api import RunConfig, run
+    from repro.core.api import RunConfig, build, run
 
     config = RunConfig(n_nodes=n_nodes, cores_per_node=cores)
     if what == "tracemalloc":
         tracemalloc.start()
         run(token, runtime=runtime, config=config)
         print(tracemalloc.get_traced_memory()[1] / 1e6)
+    elif what == "build_and_drop":
+        gc.disable()
+        rounds = []
+        for _ in range(BUILD_AND_DROP_ROUNDS):
+            build(token, config)  # dropped at once
+            rounds.append(_rss_mb())
+        print(json.dumps(rounds))
     else:  # untraced: tracemalloc's own tables would count
         run(token, runtime=runtime, config=config)
-        # Linux reports ru_maxrss in KiB
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+        print(_maxrss_mb())
 
 
-def measure(what: str, token: str, runtime: str, n_nodes: int, cores: int) -> float:
-    """MB of one run in a child: ``what`` is ``tracemalloc`` (peak traced)
-    or ``maxrss`` (the child's ``ru_maxrss``)."""
+def measure(what: str, token: str, runtime: str, n_nodes: int, cores: int):
+    """MB of one child: ``what`` is ``tracemalloc`` (peak traced) or
+    ``maxrss`` (the child's ``ru_maxrss``) of one run, or
+    ``build_and_drop`` (resident MB after each round, a list)."""
     out = subprocess.run(
         [sys.executable, __file__, "--child", what, token, runtime,
          str(n_nodes), str(cores)],
@@ -51,7 +78,12 @@ def measure(what: str, token: str, runtime: str, n_nodes: int, cores: int) -> fl
         text=True,
         timeout=600,
     ).stdout
-    return round(float(out.splitlines()[-1]), 1)
+    return json.loads(out.splitlines()[-1], parse_float=lambda s: round(float(s), 1))
+
+
+def build_and_drop(token: str, n_nodes: int, cores: int) -> list:
+    """Resident MB after each build-and-drop round of ``token``."""
+    return measure("build_and_drop", token, "-", n_nodes, cores)
 
 
 def tracemalloc_peaks() -> dict:
@@ -77,6 +109,9 @@ def main() -> int:
     if args.rss_cap_mb is not None:
         rss = measure("maxrss", "ccsd:small", "v5", 8, 4)
         report["ccsd_small_v5_maxrss_mb"] = rss
+        report["ccsd_small_build_and_drop_rss_mb"] = build_and_drop(
+            "ccsd:small", 8, 4
+        )
         report["rss_cap_mb"] = args.rss_cap_mb
         status = int(rss > args.rss_cap_mb)
     text = json.dumps(report, indent=2, sort_keys=True)

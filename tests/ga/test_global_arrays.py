@@ -48,9 +48,15 @@ class TestArrayStorage:
 
     def test_duplicate_name_rejected(self):
         ga = GlobalArrays(make_cluster())
-        ga.create("t", 10)
+        first = ga.create("t", 10)
         with pytest.raises(GlobalArrayError):
             ga.create("t", 10)
+        # the runtime looks arrays up without owning them: the name is
+        # taken for as long as whoever created the array keeps it
+        del first
+        with pytest.raises(GlobalArrayError):
+            ga.lookup("t")
+        assert ga.create("t", 10).total == 10
 
     def test_lookup(self):
         ga = GlobalArrays(make_cluster())

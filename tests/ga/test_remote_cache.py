@@ -193,14 +193,15 @@ class TestCachedFetch:
         assert ga.cache_hits == 0
         assert ga.cache_misses == 0
 
-    def test_hit_returns_a_copy(self):
+    def test_hit_cannot_be_scribbled_on(self):
         cluster = make_cluster()
         ga = GlobalArrays(cluster, remote_cache=RemoteCachePolicy())
         array = ga.create("t", 100)
         array.scatter(np.arange(100, dtype=float))
         run_op(cluster, ga.fetch(3, array, 30, 40))
         first = run_op(cluster, ga.fetch(3, array, 30, 40))["value"]
-        first[:] = -1.0  # a caller scribbling on its block
+        with pytest.raises(ValueError, match="read-only"):
+            first[:] = -1.0  # the hit shares the cached snapshot
         second = run_op(cluster, ga.fetch(3, array, 30, 40))["value"]
         np.testing.assert_array_equal(second, np.arange(30, 40, dtype=float))
 

@@ -125,6 +125,22 @@ class TestBlockTensor:
         np.testing.assert_array_equal(block.reshape(-1), tensor.flat_values()[lo:hi])
         assert block.shape == (4, 4)
 
+    def test_block_values_reads_the_block_not_the_tensor(self, monkeypatch):
+        cluster, ga = make_ga()
+        tensor = BlockTensor.create(ga, "v", OrbitalSpace(8, 16, 4), "hp")
+        tensor.fill_random(RngStream(1, "x"))
+        flat = tensor.flat_values()
+        # gather() concatenates the whole tensor; one block must not
+        monkeypatch.setattr(
+            type(tensor.array), "gather", lambda self: pytest.fail("gathered")
+        )
+        for key in tensor.layout.keys():  # some straddle two owners
+            lo, hi = tensor.block_range(key)
+            block = tensor.block_values(key)
+            assert block.shape == tensor.block_shape(key)
+            np.testing.assert_array_equal(block.reshape(-1), flat[lo:hi])
+            assert not block.flags.writeable
+
     def test_fill_is_deterministic(self):
         def values():
             cluster, ga = make_ga()
