@@ -7,6 +7,9 @@ simulator's own performance — the Figure 9 sweep runs ~30 full cluster
 simulations, so kernel regressions hurt.
 """
 
+import gc
+import time
+
 import pytest
 
 from repro.core import api
@@ -190,3 +193,49 @@ def test_micro_end_to_end_small_v5(benchmark):
         return api.run(workload, variant=V5).execution_time
 
     assert benchmark(run) > 0
+
+
+@pytest.mark.benchmark(group="micro")
+@pytest.mark.parametrize("runtime", ["v5", "dtd"])
+def test_micro_collector_share(benchmark, runtime):
+    """What the cyclic collector costs one ``rbgs:24x24`` cell on 16x4.
+
+    Prints collections per generation and seconds inside the collector
+    next to the cell's wall time. ``api.run`` holds the collector off,
+    so the expected line is ``0/0/0`` plus the one young collection of
+    the scope's exit; a gen-1/gen-2 count or a share above ~2% means a
+    run is making cyclic garbage again (DESIGN.md, "Memory model").
+    """
+    config = api.RunConfig(
+        n_nodes=16, cores_per_node=4, data_mode=DataMode.SYNTH, metrics=False
+    )
+    collections = [0, 0, 0]
+    in_collector = [0.0]
+    started = [0.0]
+
+    def on_collection(phase, info):
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            collections[info["generation"]] += 1
+            in_collector[0] += time.perf_counter() - started[0]
+
+    def run():
+        return api.run("rbgs:24x24", runtime=runtime, config=config).n_tasks
+
+    gc.callbacks.append(on_collection)
+    try:
+        t0 = time.perf_counter()
+        n_tasks = benchmark.pedantic(run, rounds=1, iterations=1)
+        wall = time.perf_counter() - t0
+    finally:
+        gc.callbacks.remove(on_collection)
+    benchmark.extra_info.update(
+        collections=list(collections), collector_s=in_collector[0], wall_s=wall
+    )
+    print(
+        f"\n{runtime}: collections gen0/1/2 = {'/'.join(map(str, collections))}, "
+        f"{in_collector[0]:.3f} s in the collector of {wall:.3f} s "
+        f"({in_collector[0] / wall:.1%}), {n_tasks} tasks"
+    )
+    assert n_tasks > 0

@@ -40,6 +40,7 @@ from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
 from repro.sim.network import CoalescePolicy
+from repro.util import collector
 from repro.util.errors import ConfigurationError
 from repro.workloads import build_workload, parse_workload_token
 from repro.workloads.base import Workload
@@ -121,6 +122,7 @@ def build_cluster(config: RunConfig) -> Cluster:
     )
 
 
+@collector.paused()
 def build(
     token: str,
     config: RunConfig,
@@ -277,6 +279,7 @@ def _resolve_runtime(runtime: str, variant) -> tuple[str, VariantSpec]:
     return name, variant
 
 
+@collector.paused()
 def run(
     workload: Union[str, Workload] = "t2_7:small",
     runtime: str = "parsec",

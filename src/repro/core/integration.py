@@ -99,6 +99,7 @@ class NwchemDriver:
                     legacy = LegacyRuntime(self.cluster, self.ga, self.legacy_config)
                     done, _ = legacy.launch([list(subroutine.chains)])
                     yield done
+                    legacy.shutdown()
                     mode = "legacy"
                 result.kernels.append(
                     KernelTiming(subroutine.name, mode, t_start, engine.now)

@@ -47,10 +47,17 @@ class NxtvalServer:
         self._reissued: deque[int] = deque()
         self.total_requests = 0
         self.tickets_reissued = 0
-        self.engine.process(
+        self._server = self.engine.process(
             self._serve(ga_runtime.cluster.nodes[home_node]),
             name=f"nxtval.server:{self.inbox_name}",
         )
+
+    def close(self) -> None:
+        """The level is over: remove the counter's mailbox from its home
+        node and close the server parked there (it is at the top of its
+        loop, so nothing is scheduled)."""
+        self.ga.cluster.nodes[self.home_node].drop_inbox(self.inbox_name)
+        self._server.close()
 
     def reset(self) -> None:
         """Restart the ticket sequence (the original code does this per level)."""

@@ -346,7 +346,7 @@ class GlobalArrays:
                     on_deliver=_deliver_batch_reply,
                 )
                 # a parked handler must not pin what it served last
-                del payload, request, replies
+                del message, payload, request, replies
                 continue
             request: _Request = payload
             segment = request.segment
@@ -386,4 +386,4 @@ class GlobalArrays:
                 )
             else:  # pragma: no cover - defensive
                 raise GlobalArrayError(f"unknown GA request kind {request.kind!r}")
-            del payload, request  # as above
+            del message, payload, request  # as above

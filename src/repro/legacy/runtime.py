@@ -91,6 +91,8 @@ class LegacyRuntime:
         self._m_barrier_wait_s = cluster.metrics.histogram("legacy.barrier_wait_s")
         self._m_chains_executed = cluster.metrics.counter("legacy.chains_executed")
         self._m_chain_gemms = cluster.metrics.counter("legacy.chain_gemms")
+        #: the per-level NXTVAL servers of the sections launched so far
+        self._counters: list[NxtvalServer] = []
 
     def execute_subroutine(self, subroutine: Subroutine) -> LegacyResult:
         """Run a single subroutine (one work level)."""
@@ -127,6 +129,7 @@ class LegacyRuntime:
         barrier = Barrier(engine, parties=len(ranks), overhead=machine.barrier_overhead_s)
         # one fresh counter per level, as the original resets per level
         counters = [NxtvalServer(self.ga) for _ in levels]
+        self._counters += counters
         result = LegacyResult(
             execution_time=0.0,
             n_ranks=len(ranks),
@@ -175,7 +178,16 @@ class LegacyRuntime:
             delta = faults.report.delta(before)
             for name in result._recovery_fields:
                 setattr(result, name, getattr(delta, name))
+        self.shutdown()
         return result
+
+    def shutdown(self) -> None:
+        """End of the section, after its last event: every rank has
+        returned, and what is left parked for good are the NXTVAL
+        servers, one per level. Close them and drop their mailboxes."""
+        for counter in self._counters:
+            counter.close()
+        self._counters.clear()
 
     # ------------------------------------------------------------------
     def _rank_loop(self, rank_id, node, thread, levels, counters, barrier, result):

@@ -69,26 +69,34 @@ class CommThread:
             inbox=self.inbox_name,
             batch_tag="parsec:batch",
         )
-        self.engine.process(
-            self._serve(self.inbox_name, self._on_data),
-            name=f"parsec.comm{node.node_id}#{runtime.instance_id}",
-        )
+        self._threads = [
+            self.engine.process(
+                self._serve(self.inbox_name, self._on_data),
+                name=f"parsec.comm{node.node_id}#{runtime.instance_id}",
+            )
+        ]
         if runtime.steal_enabled:
             # latency-critical control plane: steal REQ/GRANT/DENY must
             # not queue behind the victim's data-plane backlog, or every
             # reply arrives after the imbalance it could have fixed.
             # Only spawned under an active StealPolicy so the extra
             # process cannot perturb non-stealing virtual timings.
-            self.engine.process(
-                self._serve(self.ctrl_name, self._on_ctrl),
-                name=f"parsec.ctrl{node.node_id}#{runtime.instance_id}",
+            self._threads.append(
+                self.engine.process(
+                    self._serve(self.ctrl_name, self._on_ctrl),
+                    name=f"parsec.ctrl{node.node_id}#{runtime.instance_id}",
+                )
             )
 
     def close(self) -> None:
         """Remove this runtime's mailboxes from the node (see
-        :meth:`ParsecRuntime.shutdown`); the parked threads go with them."""
+        :meth:`ParsecRuntime.shutdown`), close the threads parked there
+        and let go of the runtime."""
         self.node.drop_inbox(self.inbox_name)
         self.node.drop_inbox(self.ctrl_name)
+        for thread in self._threads:
+            thread.close()
+        self.runtime = None
 
     def send(
         self,

@@ -35,7 +35,7 @@ from typing import Any, Callable, Optional
 from repro.obs.result import RunResult
 from repro.parsec.taskclass import TaskContext
 from repro.sim.cluster import Cluster
-from repro.sim.engine import SimEvent
+from repro.sim.engine import Process, SimEvent
 from repro.sim.network import Message
 from repro.sim.queues import PriorityStore
 from repro.sim.trace import TaskCategory
@@ -165,6 +165,8 @@ class DtdRuntime:
         self._executing = False
         # execution state
         self._ready: list[PriorityStore] = []
+        #: the worker and receiver processes, closed at shutdown
+        self._threads: list[Process] = []
         self._completed = 0
         self._done: Optional[SimEvent] = None
         self.messages_remote = 0
@@ -280,11 +282,17 @@ class DtdRuntime:
             store = PriorityStore(self.engine, name=f"dtd.ready{node.node_id}")
             self._ready.append(store)
             for thread in range(self.cluster.cores_per_node):
-                self.engine.process(
-                    self._worker(node, thread),
-                    name=f"dtd.worker{node.node_id}.{thread}#{self.instance_id}",
+                self._threads.append(
+                    self.engine.process(
+                        self._worker(node, thread),
+                        name=f"dtd.worker{node.node_id}.{thread}#{self.instance_id}",
+                    )
                 )
-            self.engine.process(self._receiver(node), name=f"dtd.recv{node.node_id}")
+            self._threads.append(
+                self.engine.process(
+                    self._receiver(node), name=f"dtd.recv{node.node_id}"
+                )
+            )
         self.engine.process(self._seed(insertion_time), name="dtd.master")
         end_time = self.cluster.run()
         if self._done is not None and not self._done.triggered:
@@ -311,13 +319,23 @@ class DtdRuntime:
         )
 
     def _shutdown(self) -> None:
-        """Make the cluster forget this finished runtime: abandon the
-        parked workers and receivers and remove the per-instance
-        mailboxes from the nodes. Schedules nothing, draws no seq."""
+        """End of the level, after the run's last event: abandon and
+        close the parked workers and receivers (a parked process is a
+        cycle whose frame reaches this runtime), remove the per-instance
+        mailboxes from the nodes, and cut the matcher's version chains —
+        handle -> last writer -> accesses -> handle is the one cycle in
+        the materialized DAG. The task and handle tables then die with
+        the runtime, by reference count. Schedules nothing, draws no
+        seq: every process is parked at the top of its loop."""
         for store in self._ready:
             store.abandon_getters()
         for node in self.cluster.nodes:
             node.drop_inbox(self._inbox_name)
+        for thread in self._threads:
+            thread.close()
+        for handle in self._handles.values():
+            handle._last_writer = None
+            handle._readers = []
 
     def _seed(self, insertion_time: float):
         if insertion_time > 0:

@@ -33,7 +33,8 @@ A payload lives from its producer's completion to its last consumer's:
 :meth:`_on_complete` hands a task's outputs to its consumers and, in
 the same step, drops the task's own delivered inputs and its output
 table. A runtime lives for one level: :meth:`shutdown` makes the cluster
-forget it. Neither rule has a knob, and no fault plan needs a pin —
+forget it and closes what it spawned, so the level's graph is freed by
+reference count. Neither rule has a knob, and no fault plan needs a pin —
 recovery only ever re-runs *unfinished* tasks, whose inputs are still
 held on the global :class:`TaskInstance`, not on the dead node.
 """
@@ -244,23 +245,37 @@ class ParsecRuntime:
         return result
 
     def shutdown(self) -> None:
-        """Make the cluster forget this finished runtime.
+        """End of the level: free what the runtime spawned, by reference
+        count, and make the cluster forget it.
 
         Every process the runtime spawned is parked by now — workers on
         the ready queues, comm/ctrl threads on the per-instance inboxes —
-        and would stay parked for good, keeping the whole level's graph
-        reachable from the node-owned mailboxes. Abandon them, remove the
-        mailboxes and unsubscribe from crash notifications; nothing is
-        scheduled and no sequence number is drawn, so virtual behaviour
-        cannot move. The runtime object itself keeps ``graph`` and its
+        and would stay parked for good: a parked process is a cycle (its
+        cached step callback), and its frame reaches the scheduler, the
+        runtime and the whole level's graph. So the schedulers and comm
+        threads abandon *and close* their processes, remove the
+        mailboxes, and drop their back-references to the runtime; the
+        steal layer drops its chain index; crash notifications are
+        unsubscribed. After this the level's ``TaskInstance`` table dies
+        with the last reference to the runtime — no collector involved.
+
+        Call it after the run's last event only: closing a generator
+        runs the ``finally`` blocks it is parked in, which may draw a
+        sequence number. Here every process is parked at the top of its
+        service loop, outside any ``try``, so nothing is scheduled and
+        virtual behaviour cannot move. The crash-drain path
+        (:meth:`NodeScheduler.drain`) abandons but never closes.
+
+        The runtime object keeps ``graph``, ``schedulers`` and its
         counters for a caller that still holds it — but not ``md``: the
-        abandoned threads still reach the runtime, and the metadata holds
-        the workload's Global Arrays, which die with the workload, not
-        with whenever a collector gets to this runtime's cycle.
+        metadata holds the workload's Global Arrays, which die with the
+        workload, not with whoever still holds a finished runtime.
         """
         for scheduler, comm in zip(self.schedulers, self.comms):
-            scheduler.abandon_workers()
+            scheduler.close()
             comm.close()
+        if self.stealing is not None:
+            self.stealing.close()
         if self.cluster.faults is not None:
             self.cluster.faults.off_crash(self._handle_crash)
         self.md = None

@@ -87,15 +87,19 @@ class NodeScheduler:
         #: set by the runtime when a StealPolicy is active; workers
         #: notify it when they find the ready queue empty
         self.steal_agent: Optional["StealAgent"] = None
-        for thread in range(n_workers):
+        self._workers = [
             self.engine.process(
                 self._worker(thread), name=f"parsec.worker{node.node_id}.{thread}"
             )
+            for thread in range(n_workers)
+        ]
         gpu_row = runtime.cluster.cores_per_node + 1  # +1 skips the comm thread row
         for gpu in range(n_gpus):
-            self.engine.process(
-                self._worker(gpu_row + gpu, gpu),
-                name=f"parsec.gpu{node.node_id}.{gpu}",
+            self._workers.append(
+                self.engine.process(
+                    self._worker(gpu_row + gpu, gpu),
+                    name=f"parsec.gpu{node.node_id}.{gpu}",
+                )
             )
 
     def ready_depth(self) -> int:
@@ -139,6 +143,15 @@ class NodeScheduler:
         self.ready.abandon_getters()
         if self.gpu_ready is not None:
             self.gpu_ready.abandon_getters()
+
+    def close(self) -> None:
+        """End of the level (:meth:`ParsecRuntime.shutdown`): abandon and
+        close the parked workers and let go of the runtime, so neither a
+        worker's frame nor this scheduler keeps the level's graph alive."""
+        self.abandon_workers()
+        for worker in self._workers:
+            worker.close()
+        self.runtime = self.steal_agent = None
 
     def enqueue(self, task: TaskInstance) -> None:
         """Make a task available under the node's scheduling policy."""

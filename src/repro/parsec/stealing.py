@@ -224,6 +224,14 @@ class StealCoordinator:
             if task.cls.name in MIGRATABLE_CLASSES:
                 self.chain_tasks.setdefault(task.params[0], []).append(task)
 
+    def close(self) -> None:
+        """End of the level (:meth:`ParsecRuntime.shutdown`): the protocol
+        is over, so drop the chain index and the agents, and with them
+        every path from here back to the runtime and its task table."""
+        self.chain_tasks.clear()
+        self.agents.clear()
+        self.runtime = None
+
     # ------------------------------------------------------------------
     # transport (everything goes through the comm threads + network)
     # ------------------------------------------------------------------

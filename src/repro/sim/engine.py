@@ -28,6 +28,18 @@ Design notes
 - A process that raises with nobody waiting on its completion re-raises
   out of :meth:`Engine.run` — silent death of a simulated thread would
   otherwise manifest as an inexplicable hang.
+- A process dies with its last step. While it runs, a process is a
+  reference cycle (it caches its own bound ``_step``); when its
+  generator returns or raises, :meth:`Process._finish` drops the
+  generator and both cached methods, so the process, its frame and the
+  message or payload it carried are freed by reference count. A process
+  parked for good — its owner is finished and its waitable abandoned —
+  is ended with :meth:`Process.close`, which closes the generator and
+  therefore runs the ``finally`` blocks it is parked in; those may
+  release a slot and wake a waiter, i.e. draw a sequence number, so
+  ``close()`` belongs at a runtime's shutdown, after the run's last
+  event, never on a crash-drain path (which only *abandons*). Resuming
+  a finished or closed process is a :class:`SimulationError`.
 """
 
 from __future__ import annotations
@@ -155,6 +167,12 @@ class Engine:
         heads on every iteration and never carries a row across a
         callback. (:meth:`peek` sheds stale heads for the same reason:
         callers must treat it as mutating.)
+
+        The loop leaves no cyclic garbage behind: a row is popped before
+        its callback runs, a fired one-shot goes back to the pool, and a
+        process that finishes drops its generator and cached callbacks
+        (:meth:`Process._finish`). :mod:`repro.core.api` relies on that
+        to run with the cyclic collector off.
         """
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
@@ -446,7 +464,9 @@ class Process:
     The generator may ``yield`` any waitable; the value sent back is the
     waitable's success value. ``return value`` inside the generator sets
     the success value of :attr:`completion`, which is itself waitable —
-    so processes can fork and join each other.
+    so processes can fork and join each other. The generator is held
+    until its last step and no longer (see the module's design notes);
+    :meth:`close` ends a process that will never take another.
     """
 
     __slots__ = (
@@ -545,9 +565,36 @@ class Process:
         else:
             self._callbacks.append(callback)
 
+    def close(self) -> None:
+        """Kill a parked process whose owner is gone; a no-op once finished.
+
+        Whatever the process waits on must already be abandoned (nothing
+        may resume it later), and anyone joining it is dropped, not
+        woken: the process counts as failed from here on. Closing the
+        generator runs the ``finally`` blocks it is parked inside, and
+        those may release a slot and wake a waiter, i.e. draw a sequence
+        number — so runtimes close their processes at shutdown, after
+        the run's last event, and never on a crash-drain path.
+        """
+        generator = self._generator
+        if generator is None:
+            return
+        self._status = _FAILED
+        self._value = SimulationError(f"process {self.name!r} was closed")
+        self._callbacks = None
+        if self._completion is not None:
+            self._completion.abandon()
+        self._generator = self._send = self._step_cb = None
+        generator.close()
+
     def _finish(self, status: int, value: Any) -> None:
         self._status = status
         self._value = value
+        # A process dies with its last step. The cached bound methods
+        # make a live process a cycle (``_step_cb`` -> self); dropping
+        # them here frees the generator, its frame and the message it
+        # carried by reference count, not at the next collection.
+        self._generator = self._send = self._step_cb = None
         if self._completion is not None:
             if status == _SUCCEEDED:
                 self._completion.succeed(value)
@@ -575,6 +622,10 @@ class Process:
             self._finish(_SUCCEEDED, stop.value)
             return
         except BaseException as exc:
+            if self._status != _PENDING:
+                raise SimulationError(
+                    f"process {self.name!r} was resumed after it finished"
+                ) from None
             if self._callbacks or (
                 self._completion is not None and self._completion.has_waiters
             ):

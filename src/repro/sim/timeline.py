@@ -39,7 +39,8 @@ from repro.util.errors import SimulationError
 
 __all__ = ["Timeline", "Timer", "KIND_TASK"]
 
-#: Owner label accepted by :meth:`Timeline.timer`. Nothing reads it.
+#: Owner label accepted by :meth:`Timeline.timer`. Nothing reads it; it
+#: stays only because ``benchmarks/host/probes.py`` still passes it.
 KIND_TASK = "task"
 
 # timer modes: how a fired timer delivers

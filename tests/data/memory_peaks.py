@@ -21,6 +21,17 @@ four stands where round one stood. (Current, not peak, RSS: glibc raises
 its mmap threshold after the first round's frees, which moves the *peak*
 of the later rounds by ~20 MB whatever the program retains. ``ccsd:tiny``
 is too small to tell: 1.12x at the parent of that rule, 1.02x with it.)
+And the run-and-drop figure, same reading: four rounds of
+``repro.run("rbgs:24x24")`` on 16x4 for v5 and dtd, each result dropped
+at once. A level's graph dies at shutdown and a process with its last
+step, both by reference count, so the rounds do not add up: round four
+stands within 1.10x of round *two*; exit 1 when it does not. (Round one
+is not the base: the first dropped run leaves ~2k cluster-skeleton
+objects and ~7k one-off cache blocks scattered over the 1 MiB pymalloc
+arenas its graph had filled, which keeps 5-9 MB of them resident from
+round two on, and the same happens with a full ``gc.collect()`` after
+every round. Where finished transfers and shut-down runtimes wait for a
+collector, every round adds 10-13 MB of its own: 1.26x / 1.30x.)
 """
 
 import argparse
@@ -34,6 +45,7 @@ import tracemalloc
 
 RUNTIMES = ("legacy", "v5", "dtd")
 BUILD_AND_DROP_ROUNDS = 4
+RUN_AND_DROP_GROWTH = 1.10
 
 
 def _maxrss_mb() -> float:
@@ -54,11 +66,15 @@ def _child(what: str, token: str, runtime: str, n_nodes: int, cores: int) -> Non
         tracemalloc.start()
         run(token, runtime=runtime, config=config)
         print(tracemalloc.get_traced_memory()[1] / 1e6)
-    elif what == "build_and_drop":
+    elif what in ("build_and_drop", "run_and_drop"):
         gc.disable()
         rounds = []
         for _ in range(BUILD_AND_DROP_ROUNDS):
-            build(token, config)  # dropped at once
+            # either way the result is dropped at once
+            if what == "build_and_drop":
+                build(token, config)
+            else:
+                run(token, runtime=runtime, config=config)
             rounds.append(_rss_mb())
         print(json.dumps(rounds))
     else:  # untraced: tracemalloc's own tables would count
@@ -69,7 +85,8 @@ def _child(what: str, token: str, runtime: str, n_nodes: int, cores: int) -> Non
 def measure(what: str, token: str, runtime: str, n_nodes: int, cores: int):
     """MB of one child: ``what`` is ``tracemalloc`` (peak traced) or
     ``maxrss`` (the child's ``ru_maxrss``) of one run, or
-    ``build_and_drop`` (resident MB after each round, a list)."""
+    ``build_and_drop`` / ``run_and_drop`` (resident MB after each round,
+    a list)."""
     out = subprocess.run(
         [sys.executable, __file__, "--child", what, token, runtime,
          str(n_nodes), str(cores)],
@@ -113,7 +130,12 @@ def main() -> int:
             "ccsd:small", 8, 4
         )
         report["rss_cap_mb"] = args.rss_cap_mb
-        status = int(rss > args.rss_cap_mb)
+        rounds = report["rbgs_24x24_run_and_drop_rss_mb"] = {
+            runtime: measure("run_and_drop", "rbgs:24x24", runtime, 16, 4)
+            for runtime in ("v5", "dtd")
+        }
+        grew = any(r[-1] > RUN_AND_DROP_GROWTH * r[1] for r in rounds.values())
+        status = int(rss > args.rss_cap_mb or grew)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -329,17 +329,6 @@ class TestDtdStraggler:
         assert self.run(FaultPlan(stragglers=(idle,))) == clean
 
 
-@pytest.fixture
-def no_collector():
-    """Run with the cyclic collector off: whatever dies, dies by refcount."""
-    gc.collect()  # earlier tests' garbage must not be ours to explain
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 class TestTensorsDieWithTheWorkload:
     """The cluster's reference cycle (handlers, parked and abandoned
     processes, finished transfers, shut-down runtimes) must not own a

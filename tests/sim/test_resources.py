@@ -163,7 +163,7 @@ class TestResource:
         victim = engine.process(doomed())
         engine.run(until=1.0)
         assert resource.queue_length == 1
-        victim._generator.close()  # kill the parked process
+        victim.close()  # kill the parked process
         engine.run()
         assert progressed == []
         assert resource.in_use == 0
