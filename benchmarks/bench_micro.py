@@ -239,3 +239,67 @@ def test_micro_collector_share(benchmark, runtime):
         f"({in_collector[0] / wall:.1%}), {n_tasks} tasks"
     )
     assert n_tasks > 0
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_pool_cell_cost(benchmark):
+    """Where a service cell runs, and what getting it there costs.
+
+    One ``t2_7:tiny`` v5 ``point`` cell (the job service's unit of cold
+    work), median of ten: in this process; through a warm
+    :class:`~repro.experiments.sweep.WorkerPool` (what ``repro serve``
+    does with ``--jobs >= 2``: pickle the cell, one process that has run
+    cells before); through a pool forked for the call and killed after
+    it (what every sweep job paid before the pool became the daemon's).
+    Expected about 19 / 22 / 31 ms from this small process (64 ms from
+    inside a daemon, whose larger heap the forked child copies on its
+    first writes) and a warm/in-process ratio near 1.1; a ratio drifting
+    towards the fresh figure means the service forks per job again or
+    the cell's pickle has grown (it carries the precomputed
+    ``InspectionCache``).
+    """
+    from statistics import median
+
+    from repro.experiments.sweep import SweepExecutor, WorkerPool
+    from repro.serve.jobs import JobSpec, build_cells
+
+    cells = build_cells(JobSpec.normalize("point", {}))
+    expected, _ = SweepExecutor(jobs=1).run(cells)
+
+    def timed(run, rounds=10):
+        samples = []
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            results, _ = run()
+            samples.append(time.perf_counter() - t0)
+            assert results == expected
+        return 1e3 * median(samples)
+
+    def fresh():
+        pool = WorkerPool(1)
+        try:
+            return SweepExecutor(pool=pool).run(cells)
+        finally:
+            pool.close()
+
+    warm_pool = WorkerPool(1)
+    try:
+        warm_pool.launch()
+        SweepExecutor(pool=warm_pool).run(cells)  # its copy-on-write warm-up
+        in_process_ms = timed(lambda: SweepExecutor(jobs=1).run(cells))
+        warm_ms = benchmark.pedantic(
+            lambda: timed(lambda: SweepExecutor(pool=warm_pool).run(cells)),
+            rounds=1, iterations=1,
+        )
+    finally:
+        warm_pool.close()
+    fresh_ms = timed(fresh)
+    benchmark.extra_info.update(
+        in_process_ms=in_process_ms, warm_pool_ms=warm_ms, fresh_pool_ms=fresh_ms
+    )
+    print(
+        f"\npoint cell: in-process {in_process_ms:.1f} ms, warm pool "
+        f"{warm_ms:.1f} ms, fresh pool per call {fresh_ms:.1f} ms per cell; "
+        f"warm/in-process {warm_ms / in_process_ms:.2f}"
+    )
+    assert warm_ms < fresh_ms

@@ -3,13 +3,16 @@
 Drives the real ``python -m repro serve`` subprocess through the full
 resilience story, now with concurrent workers and journal compaction:
 
-1. start the daemon with a fresh journal and ``--workers 2``,
+1. start the daemon with a fresh journal and ``--workers 2 --jobs 2``:
+   each worker forks its one pool process at boot,
 2. submit three distinct fig9 jobs at once and SIGKILL the daemon while
    they are in flight — no graceful shutdown, no flush beyond the
-   per-event fsync the journal already did,
+   per-event fsync the journal already did; its pool processes must
+   follow it on their own (they hold its listening socket),
 3. restart the daemon over the same journal: every job recovers and
    finishes, and the journal holds exactly one ``job_finished`` per
-   job — no job lost, no result duplicated,
+   job — no job lost, no result duplicated; two jobs running at once
+   report two different pool pids, neither the daemon's,
 4. resubmit each spec and assert it is answered from the replayed
    result cache (``cached: true``, byte-identical payload) without
    re-running a single simulation, then SIGTERM — the clean shutdown
@@ -54,6 +57,7 @@ def start_daemon(journal: Path) -> tuple[subprocess.Popen, ServiceClient]:
          "--compact-bytes", "65536"],
         stdout=subprocess.PIPE,
         text=True,
+        start_new_session=True,  # so its descendants can be found
     )
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
@@ -65,6 +69,36 @@ def start_daemon(journal: Path) -> tuple[subprocess.Popen, ServiceClient]:
             raise SystemExit("daemon died during startup")
     proc.kill()
     raise SystemExit("daemon never announced readiness")
+
+
+def descendants(daemon_pid: int) -> list[int]:
+    """Live (not zombie) processes of the session ``daemon_pid`` leads."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue  # exited between listdir and open
+        state, _ppid, _pgrp, session = stat[stat.rindex(")") + 2:].split()[:4]
+        if int(session) == daemon_pid and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+def assert_no_survivor(daemon_pid: int, within_s: float = 3.0) -> None:
+    deadline = time.monotonic() + within_s
+    while descendants(daemon_pid):
+        assert time.monotonic() < deadline, (
+            f"`repro serve` descendants outlived it: {descendants(daemon_pid)}"
+        )
+        time.sleep(0.02)
+
+
+def cell_pids(client: ServiceClient, job_id: str) -> set[int]:
+    return {e["pid"] for e in client.events(job_id) if e["type"] == "cell"}
 
 
 def main() -> int:
@@ -88,9 +122,10 @@ def main() -> int:
         raise SystemExit("no job ever started")
     proc.send_signal(signal.SIGKILL)
     proc.wait(timeout=10.0)
+    assert_no_survivor(proc.pid)
     events = [e["event"] for e in read_events(journal)]
     assert "daemon_stopped" not in events, "that was not a crash"
-    print(f"journal after crash: {events}")
+    print(f"journal after crash: {events}; no pool process survived it")
 
     print("=== second daemon: replay, finish everything exactly once")
     proc2, client2 = start_daemon(journal)
@@ -101,6 +136,13 @@ def main() -> int:
             assert body["status"] == "done", body
             results[job_id] = body["result"]
         print(f"all {len(job_ids)} jobs done after restart")
+        # the recovered jobs ran two at a time, one per worker, each in
+        # its worker's own pool process
+        pids = set().union(*(cell_pids(client2, job_id) for job_id in job_ids))
+        assert len(pids) == 2 and proc2.pid not in pids, (proc2.pid, pids)
+        assert pids <= set(descendants(proc2.pid))
+        print(f"cells ran in pool processes {sorted(pids)}, "
+              f"none in the daemon ({proc2.pid})")
         finished = [
             e for e in read_events(journal) if e["event"] == "job_finished"
         ]
@@ -121,6 +163,7 @@ def main() -> int:
     finally:
         proc2.send_signal(signal.SIGTERM)
         proc2.wait(timeout=15.0)
+    assert_no_survivor(proc2.pid)
     events = read_events(journal)
     assert events[-1]["event"] == "daemon_stopped"
     # the clean shutdown folded the whole history into one snapshot line

@@ -464,9 +464,11 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the daemon until SIGTERM/SIGINT; exit through os._exit so a
-    wedged worker pool cannot hang the interpreter's atexit joins (the
-    journal is fsynced per event — nothing is lost)."""
+    """Run the daemon until SIGTERM/SIGINT. ``daemon.stop()`` kills the
+    pool processes; the exit still goes through os._exit so a worker
+    thread wedged in a cell of its own (``--jobs 1``) cannot hang the
+    interpreter's atexit joins (the journal is fsynced per event —
+    nothing is lost)."""
     import os
     import signal
 
@@ -800,8 +802,10 @@ def main(argv: list[str] | None = None) -> int:
         jobs=dict(
             default=2,
             help=(
-                "shared process-slot budget for all running jobs' sweeps "
-                "(default: 2; each job carves a fair share)"
+                "simulation processes, split evenly over the --workers: "
+                "each worker keeps a warm pool of max(1, N // workers) for "
+                "the daemon's life and runs every cell of its jobs there "
+                "(default: 2; 1 = no pools, cells run in the daemon's threads)"
             ),
         ),
     )

@@ -23,8 +23,18 @@ deterministically:
 
 Consequently ``jobs=8`` output is *byte-identical* to the serial sweep:
 BENCH JSON files, :class:`~repro.experiments.fig9.Fig9Result` tables,
-and the golden digests are all unchanged. ``jobs=1`` (the default)
-never spawns a pool and is exactly the old nested loop.
+and the golden digests are all unchanged. ``jobs=1`` (the default),
+given no ``pool`` of the caller's, forks nothing and is exactly the old
+nested loop.
+
+The processes belong to a :class:`WorkerPool`, not to a sweep. A CLI
+sweep makes a private one for the length of ``run()`` and closes it; a
+long-lived caller (the job service) makes one per scheduler worker,
+launches its processes before it starts any thread, and passes it to
+every ``SweepExecutor(pool=...)`` that worker builds, so no job pays a
+fork. Either way there is one pooled code path. Pool workers ignore
+SIGINT (their owner decides when they stop) and exit on their own when
+the process that made them is gone.
 
 The pooled path is **self-healing**. A worker process dying (OOM kill,
 segfault in an extension, a stray ``os._exit``) breaks the whole
@@ -49,7 +59,11 @@ Wall-clock numbers (per-cell and whole-sweep) are recorded in
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import sys
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -66,6 +80,8 @@ __all__ = [
     "RetryPolicy",
     "PoisonedCellError",
     "CellTimeoutError",
+    "PoolClosedError",
+    "WorkerPool",
     "SweepStats",
     "SweepExecutor",
     "default_progress",
@@ -155,6 +171,10 @@ class CellTimeoutError(ReproError):
     """A sweep cell overran its deadline on every allowed attempt."""
 
 
+class PoolClosedError(ReproError):
+    """The :class:`WorkerPool` a sweep was running on was closed under it."""
+
+
 @dataclass
 class SweepStats:
     """Wall-clock accounting for one sweep (diagnostics only).
@@ -232,6 +252,131 @@ def _run_cell(cell: SweepCell) -> tuple[Any, float]:
     return value, time.perf_counter() - start
 
 
+def _run_cell_in_pool(cell: SweepCell) -> tuple[Any, float, int]:
+    """What a pool process runs: the cell, and which process that was."""
+    return (*_run_cell(cell), os.getpid())
+
+
+def _pool_worker_init() -> None:
+    """Runs first in every pool process: its owner decides its life.
+
+    SIGINT is ignored, so a Ctrl-C reaches the owner alone and the owner
+    closes its pool. A thread blocks on the parent's sentinel (a pipe
+    only the parent holds the write end of, set up by
+    ``multiprocessing``) and exits the process when the parent is gone,
+    however it went: a SIGKILLed daemon must not leave children holding
+    its listening socket and its journal.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
+class WorkerPool:
+    """A ``ProcessPoolExecutor`` and the one place that makes, replaces
+    and kills it.
+
+    ``size`` processes, forked on demand unless :meth:`launch` made them
+    all up front. The pool serves one :meth:`SweepExecutor.run` at a
+    time (that is what lets a run attribute a dead worker to a cell);
+    between runs its processes stay warm. ``close()`` may come from
+    another thread while a run is in flight: the run ends with
+    :class:`PoolClosedError` instead of respawning.
+    """
+
+    def __init__(self, size: int) -> None:
+        if size < 1:
+            raise ConfigurationError(f"pool size must be >= 1, got {size}")
+        self.size = size
+        self.closed = False
+        #: executors made so far: the first one plus one per respawn
+        self.spawns = 0
+        self._lock = threading.Lock()
+        self._executor = self._spawn()
+
+    def _spawn(self) -> ProcessPoolExecutor:
+        self.spawns += 1
+        return ProcessPoolExecutor(
+            max_workers=self.size, initializer=_pool_worker_init
+        )
+
+    def launch(self) -> None:
+        """Fork all ``size`` processes now, from the calling thread.
+
+        For a caller that is about to start threads: a process forked
+        later copies whatever locks those threads hold. Depending on
+        the CPython version an executor forks everything at its first
+        submit or one process per submit that finds no worker idle, so
+        each of ``size`` tasks blocks reading a pipe until all are in.
+        """
+        if multiprocessing.get_start_method() != "fork":
+            return  # a spawned process copies no lock: on demand is fine
+        gate_r, gate_w = os.pipe()
+        try:
+            held = [self.submit(os.read, gate_r, 1) for _ in range(self.size)]
+            os.write(gate_w, b"g" * self.size)
+            for future in held:
+                future.result()
+        finally:
+            os.close(gate_r)
+            os.close(gate_w)
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        with self._lock:
+            if self.closed:
+                raise PoolClosedError("worker pool is closed")
+            return self._executor.submit(fn, *args)
+
+    def respawn(self) -> None:
+        """Kill every process, running cell or not, and start over."""
+        with self._lock:
+            if self.closed:
+                raise PoolClosedError("worker pool is closed")
+            self._terminate()
+            self._executor = self._spawn()
+
+    def close(self) -> None:
+        with self._lock:
+            if not self.closed:
+                self.closed = True
+                self._terminate()
+
+    def pids(self) -> list[int]:
+        """The live pool processes."""
+        return [p.pid for p in self._processes() if p.is_alive()]
+
+    def _processes(self) -> list:
+        # private but stable across the supported CPython versions; if it
+        # ever vanishes a shutdown still proceeds, just without the hard kill
+        return list((getattr(self._executor, "_processes", None) or {}).values())
+
+    def _terminate(self) -> None:
+        """Hard-stop the executor, killing workers stuck in a cell body.
+
+        ``shutdown(cancel_futures=True)`` alone only drops *queued*
+        work; a worker wedged inside a cell would keep the process —
+        and interpreter exit — hostage, so the worker processes are
+        killed first, and joined with a bound.
+        """
+        processes = self._processes()
+        for process in processes:
+            try:
+                process.kill()
+            except Exception:  # pragma: no cover - already dead
+                pass
+        self._executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            try:
+                process.join(timeout=5.0)
+            except Exception:  # pragma: no cover - defensive
+                pass
+
+
 @dataclass
 class _CellState:
     """Per-cell recovery bookkeeping (host side, never in results)."""
@@ -249,8 +394,14 @@ class SweepExecutor:
     ----------
     jobs:
         Worker process count. ``1`` runs serially in-process (no pool,
-        no pickling); ``>1`` uses a ``ProcessPoolExecutor``. ``None``
-        or ``0`` means one worker per CPU.
+        no pickling), as does a sweep of a single cell; ``>1`` runs on
+        a private :class:`WorkerPool` that lives as long as ``run()``.
+        ``None`` or ``0`` means one worker per CPU.
+    pool:
+        A :class:`WorkerPool` the caller owns and keeps. Every cell,
+        a single one included, then runs in its processes (``jobs`` is
+        its size), and ``run()`` raises :class:`PoolClosedError` if the
+        owner closes it meanwhile.
     progress:
         Optional callable receiving one human-readable line per
         finished cell (wall-clock completion order).
@@ -274,9 +425,10 @@ class SweepExecutor:
     on_cell_done:
         Optional structured completion callback, invoked exactly once
         per cell when its fate is final: ``on_cell_done(cell, ok,
-        wall_s)`` with ``ok=True`` for a computed value (``wall_s`` is
-        the host seconds inside the cell function) and ``ok=False``
-        for a recorded :class:`CellError`. Unlike parsing ``progress``
+        wall_s, pid)`` with ``ok=True`` for a computed value (``wall_s``
+        is the host seconds inside the cell function, ``pid`` the
+        process it ran in) and ``ok=False`` (``pid=None``) for a
+        recorded :class:`CellError`. Unlike parsing ``progress``
         lines, this never double-counts retried cells and survives
         progress-format changes — it is the contract the service's
         per-cell accounting rides on.
@@ -291,11 +443,14 @@ class SweepExecutor:
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         on_error: str = "raise",
-        on_cell_done: Optional[Callable[[SweepCell, bool, float], None]] = None,
+        on_cell_done: Optional[
+            Callable[[SweepCell, bool, float, Optional[int]], None]
+        ] = None,
+        pool: Optional[WorkerPool] = None,
     ) -> None:
-        if jobs is None or jobs == 0:
-            import os
-
+        if pool is not None:
+            jobs = pool.size
+        elif jobs is None or jobs == 0:
             jobs = os.cpu_count() or 1
         if jobs < 0:
             raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
@@ -312,6 +467,7 @@ class SweepExecutor:
         self.retry = retry if retry is not None else RetryPolicy()
         self.on_error = on_error
         self.on_cell_done = on_cell_done
+        self.pool = pool
 
     # ------------------------------------------------------------------
     def run(self, cells: Sequence[SweepCell]) -> tuple[dict[tuple, Any], SweepStats]:
@@ -330,10 +486,16 @@ class SweepExecutor:
             raise ConfigurationError(f"duplicate sweep cell keys: {dupes}")
         stats = SweepStats(label=self.label, jobs=self.jobs, n_cells=len(cells))
         start = time.perf_counter()
-        if self.jobs == 1 or len(cells) <= 1:
+        if self.pool is not None:
+            by_key = self._run_pool(cells, stats, self.pool)
+        elif self.jobs == 1 or len(cells) <= 1:
             by_key = self._run_serial(cells, stats)
         else:
-            by_key = self._run_pool(cells, stats)
+            pool = WorkerPool(min(self.jobs, len(cells)))
+            try:
+                by_key = self._run_pool(cells, stats, pool)
+            finally:
+                pool.close()
         stats.wall_s = time.perf_counter() - start
         # the merge: submission order, not completion order
         results = {key: by_key[key] for key in keys}
@@ -352,12 +514,15 @@ class SweepExecutor:
         if self.progress is not None:
             self.progress(f"{self.label}: {message}")
 
-    def _cell_done(self, cell: SweepCell, ok: bool, wall: float) -> None:
+    def _cell_done(
+        self, cell: SweepCell, ok: bool, wall: float, pid: Optional[int]
+    ) -> None:
         if self.on_cell_done is not None:
-            self.on_cell_done(cell, ok, wall)
+            self.on_cell_done(cell, ok, wall, pid)
 
     def _run_serial(self, cells, stats) -> dict[tuple, Any]:
         by_key: dict[tuple, Any] = {}
+        pid = os.getpid()
         for done, cell in enumerate(cells, start=1):
             try:
                 value, wall = _run_cell(cell)
@@ -369,7 +534,7 @@ class SweepExecutor:
             by_key[cell.key] = value
             stats.cell_wall_s[cell.label()] = wall
             self._note(done, len(cells), cell, wall)
-            self._cell_done(cell, True, wall)
+            self._cell_done(cell, True, wall, pid)
         return by_key
 
     # -- pooled path with crash/timeout recovery -----------------------
@@ -397,36 +562,11 @@ class SweepExecutor:
         by_key[cell.key] = error
         stats.cell_errors[cell.label()] = kind
         self._note_event(f"cell {cell.label()} failed ({kind}): {message}")
-        self._cell_done(cell, False, 0.0)
+        self._cell_done(cell, False, 0.0, None)
 
-    @staticmethod
-    def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-        """Hard-stop a pool, killing workers stuck in a cell body.
-
-        ``shutdown(cancel_futures=True)`` alone only drops *queued*
-        work; a worker wedged inside a cell would keep the process —
-        and interpreter exit — hostage, so the worker processes are
-        terminated first. ``_processes`` is private but stable across
-        the supported CPython versions; if it ever vanishes the
-        shutdown still proceeds, just without the hard kill.
-        """
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        for process in processes:
-            try:
-                process.terminate()
-            except Exception:  # pragma: no cover - already dead
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            try:
-                process.join(timeout=5.0)
-            except Exception:  # pragma: no cover - defensive
-                pass
-
-    def _run_pool(self, cells, stats) -> dict[tuple, Any]:
+    def _run_pool(self, cells, stats, pool: WorkerPool) -> dict[tuple, Any]:
         by_key: dict[tuple, Any] = {}
         total = len(cells)
-        workers = min(self.jobs, total)
         retry = self.retry
         order = {cell.key: i for i, cell in enumerate(cells)}
         states: dict[tuple, _CellState] = {cell.key: _CellState() for cell in cells}
@@ -435,31 +575,41 @@ class SweepExecutor:
         #: repeat break names the culprit with certainty
         solo: deque[SweepCell] = deque()
         inflight: dict[Future, tuple[SweepCell, float]] = {}
-        pool = ProcessPoolExecutor(max_workers=workers)
         done_count = 0
 
-        def submit(cell: SweepCell) -> None:
+        def submit(cell: SweepCell) -> bool:
+            """False: the pool was found broken before it took the cell."""
+            try:
+                future = pool.submit(_run_cell_in_pool, cell)
+            except BrokenProcessPool:
+                return False
             deadline = (
                 time.monotonic() + self.timeout
                 if self.timeout is not None
                 else float("inf")
             )
-            inflight[pool.submit(_run_cell, cell)] = (cell, deadline)
+            inflight[future] = (cell, deadline)
+            return True
 
-        def respawn() -> ProcessPoolExecutor:
+        def respawn() -> None:
+            inflight.clear()
             stats.pool_kills += 1
-            return ProcessPoolExecutor(max_workers=workers)
+            pool.respawn()
 
         try:
             while queue or solo or inflight:
                 # fill the window; while suspects are pending, run them
                 # alone (an empty window) so breaks are attributable
-                if solo:
-                    if not inflight:
-                        submit(solo.popleft())
-                else:
-                    while queue and len(inflight) < workers:
-                        submit(queue.popleft())
+                source, window = (solo, 1) if solo else (queue, pool.size)
+                while source and len(inflight) < window:
+                    if submit(source[0]):
+                        source.popleft()
+                    elif inflight:
+                        break  # the in-flight cells come back as victims
+                    else:
+                        # a worker died while the pool sat idle between
+                        # runs: no cell was there to blame
+                        respawn()
                 wait_s = None
                 if self.timeout is not None and inflight:
                     nearest = min(d for _, d in inflight.values())
@@ -467,11 +617,18 @@ class SweepExecutor:
                 finished, _ = wait(
                     set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
                 )
+                if pool.closed:
+                    # the owner killed the processes: whatever the futures
+                    # say now is its doing, not a cell's
+                    raise PoolClosedError(
+                        f"{self.label}: worker pool closed with "
+                        f"{total - done_count} cell(s) unfinished"
+                    )
                 victims: list[SweepCell] = []
                 for future in finished:
                     cell, _ = inflight.pop(future)
                     try:
-                        value, wall = future.result()
+                        value, wall, pid = future.result()
                     except BrokenProcessPool:
                         victims.append(cell)
                     except Exception as exc:
@@ -485,14 +642,12 @@ class SweepExecutor:
                         by_key[cell.key] = value
                         stats.cell_wall_s[cell.label()] = wall
                         self._note(done_count, total, cell, wall)
-                        self._cell_done(cell, True, wall)
+                        self._cell_done(cell, True, wall, pid)
                 if victims:
                     # worker death: every in-flight cell is a suspect
                     suspects = victims + [c for c, _ in inflight.values()]
                     suspects.sort(key=lambda c: order[c.key])
-                    inflight.clear()
-                    self._terminate_pool(pool)
-                    pool = respawn()
+                    respawn()
                     worst = 0
                     for cell in suspects:
                         state = states[cell.key]
@@ -535,9 +690,7 @@ class SweepExecutor:
                     for future, (cell, _) in inflight.items()
                     if not any(future is f for f, _ in expired)
                 ]
-                inflight.clear()
-                self._terminate_pool(pool)
-                pool = respawn()
+                respawn()
                 for cell in sorted(survivors, key=lambda c: order[c.key], reverse=True):
                     queue.appendleft(cell)
                 worst = 0
@@ -563,5 +716,8 @@ class SweepExecutor:
                         queue.appendleft(cell)
                 time.sleep(retry.delay(worst - 1))
         finally:
-            self._terminate_pool(pool)
+            if inflight and not pool.closed:
+                # leaving on an error: hand the pool back empty, not with
+                # this run's cells still computing in it
+                pool.respawn()
         return by_key

@@ -17,7 +17,7 @@ and *whether* a simulation runs, never how it behaves:
 - :mod:`repro.serve.breaker` — the circuit breaker shedding new
   submissions when the pool saturates or jobs keep failing;
 - :mod:`repro.serve.scheduler` — the admission queue and the worker
-  loop joining all of the above;
+  threads, each with its warm process pool, joining all of the above;
 - :mod:`repro.serve.daemon` — the HTTP front end and boot-time journal
   replay;
 - :mod:`repro.serve.client` — the thin stdlib client used by the

@@ -2,9 +2,9 @@
 
 Stdlib only — a ``ThreadingHTTPServer`` on localhost. HTTP threads are
 the *listener* plane: they parse, consult the scheduler under its lock,
-and answer; all simulation work happens on the scheduler's worker pool
-(``workers`` concurrent jobs over the shared ``pool_jobs`` slot
-budget).
+and answer; all simulation work happens in the scheduler's pool
+processes (``workers`` concurrent jobs, each on its worker's own warm
+pool), outside this interpreter's lock unless ``pool_jobs`` is 1.
 
 Routes::
 
@@ -201,7 +201,8 @@ class ServeDaemon:
     after :meth:`start`). The daemon is restart-transparent: point a
     new instance at the same journal and it resumes where the old one
     — cleanly stopped or SIGKILLed — left off. ``workers`` jobs run
-    simultaneously over the shared ``pool_jobs`` process-slot budget;
+    simultaneously, each in its worker's ``max(1, pool_jobs // workers)``
+    pool processes (forked by :meth:`start`, killed by :meth:`stop`);
     ``compact_bytes`` arms size-triggered journal compaction (clean
     shutdown always compacts).
     """
@@ -256,8 +257,8 @@ class ServeDaemon:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the workers; the HTTP loop still needs serve_forever()
-        (or use start_in_thread() for in-process embedding)."""
+        """Fork the pools, start the workers; the HTTP loop still needs
+        serve_forever() (or start_in_thread() for in-process embedding)."""
         self.scheduler.start()
 
     def start_in_thread(self) -> None:
@@ -274,9 +275,10 @@ class ServeDaemon:
         self._server.serve_forever(poll_interval=0.2)
 
     def stop(self) -> None:
-        """Graceful shutdown: journal the in-flight jobs for resumption,
-        compact the journal into a snapshot, append the clean-stop
-        marker, flush and close the journal, close the socket."""
+        """Graceful shutdown: journal the in-flight jobs for resumption
+        and kill the pools, compact the journal into a snapshot, append
+        the clean-stop marker, flush and close the journal, close the
+        socket."""
         if self._stopped:
             return
         self._stopped = True

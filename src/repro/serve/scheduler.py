@@ -3,13 +3,17 @@
 The scheduler is the control plane of the service — the same
 listener/worker split TaskTorrent and DuctTeip use to keep admission
 responsive while executors churn: HTTP threads only ever touch the
-in-memory job table under a lock (microseconds), while ``workers``
-worker threads drain the queue *concurrently*, each running its job's
-cells on the self-healing
-:class:`~repro.experiments.sweep.SweepExecutor`. The process-slot
-budget (``pool_jobs``) is shared: each running job carves a fair share
-of the slots, so N in-flight jobs never oversubscribe the host by more
-than one slot per job (the minimum that keeps every job progressing).
+in-memory job table under a lock, while ``workers`` worker threads
+drain the queue *concurrently*. A worker thread does not simulate: it
+owns one :class:`~repro.experiments.sweep.WorkerPool` of
+``max(1, pool_jobs // workers)`` processes from :meth:`JobScheduler.start`
+(which forks them before any thread exists) to :meth:`JobScheduler.stop`,
+and every cell of every job it picks, a one-cell ``point`` job included,
+runs there through the self-healing
+:class:`~repro.experiments.sweep.SweepExecutor`; one job at a time, so a
+dead pool process is always that job's doing. ``pool_jobs=1`` means no
+pools: cells run in the worker threads, under the interpreter lock the
+HTTP threads need.
 
 Admission is FIFO with aging priorities: a free worker picks the
 queued job with the highest *effective* priority — the submitted
@@ -40,9 +44,16 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
-from repro.experiments.sweep import RetryPolicy, SweepCell, SweepExecutor
+from repro.experiments.sweep import (
+    PoolClosedError,
+    RetryPolicy,
+    SweepCell,
+    SweepExecutor,
+    WorkerPool,
+)
 from repro.obs.registry import NULL_METRICS, MetricsRegistry
 from repro.serve.breaker import Admission, CircuitBreaker
 from repro.serve.cache import ResultCache
@@ -51,6 +62,10 @@ from repro.serve.journal import FINAL_STATES, Journal, RecoveredState
 from repro.util.errors import ConfigurationError, ReproError
 
 __all__ = ["JobRecord", "JobScheduler", "SubmissionRejected"]
+
+
+#: how long ``stop()`` waits for the worker threads, all together
+_STOP_JOIN_S = 1.0
 
 
 class SubmissionRejected(ReproError):
@@ -63,38 +78,6 @@ class SubmissionRejected(ReproError):
         )
         self.reason = admission.reason
         self.retry_after_s = admission.retry_after_s
-
-
-class _SlotBudget:
-    """Carves the shared ``pool_jobs`` process slots among running jobs.
-
-    A job asks for a share and gets ``max(1, min(want, free))`` — the
-    floor of one guarantees progress for every admitted job even when
-    the budget is exhausted (a bounded oversubscription of at most one
-    process per extra job, which the OS scheduler absorbs), while the
-    ``free`` cap keeps concurrent jobs from stacking full-size pools.
-    """
-
-    def __init__(self, total: int) -> None:
-        self.total = max(1, int(total))
-        self._allocated = 0
-        self._lock = threading.Lock()
-
-    def acquire(self, want: int) -> int:
-        with self._lock:
-            free = max(self.total - self._allocated, 0)
-            grant = max(1, min(max(want, 1), free))
-            self._allocated += grant
-            return grant
-
-    def release(self, granted: int) -> None:
-        with self._lock:
-            self._allocated -= granted
-
-    @property
-    def allocated(self) -> int:
-        with self._lock:
-            return self._allocated
 
 
 @dataclass
@@ -151,8 +134,8 @@ class JobRecord:
 
 
 class JobScheduler:
-    """Job table + aged-priority queue + N worker threads over the
-    shared executor budget."""
+    """Job table + aged-priority queue + N worker threads, each with
+    its own warm process pool (none when ``pool_jobs`` is 1)."""
 
     def __init__(
         self,
@@ -183,7 +166,8 @@ class JobScheduler:
         self._queue: list[str] = []
         self._pending_by_digest: dict[str, str] = {}
         self._running: set[str] = set()
-        self._budget = _SlotBudget(pool_jobs)
+        #: one per worker thread, made and closed with the scheduler
+        self._pools: list[WorkerPool] = []
         self._enqueue_seq = 0
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
@@ -196,21 +180,36 @@ class JobScheduler:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
+        """Fork every pool process, then start the worker threads (and
+        only then may the caller start its HTTP threads): a process
+        forked later would copy whatever lock (journal, registry, job
+        table) another thread held at that instant."""
+        if self.pool_jobs > 1:
+            size = max(1, self.pool_jobs // self.workers)
+            self._pools = [WorkerPool(size) for _ in range(self.workers)]
+            for pool in self._pools:
+                pool.launch()
+            self.metrics.inc("serve.pool.spawns", value=float(self.workers))
+            self._pool_gauge()
         for i in range(self.workers):
             thread = threading.Thread(
                 target=self._worker, name=f"repro-serve-worker-{i}",
+                args=(self._pools[i] if self._pools else None,),
                 daemon=True,
             )
             thread.start()
             self._threads.append(thread)
 
     def stop(self) -> None:
-        """Graceful stop: mark every in-flight job for resumption.
+        """Graceful stop: mark every in-flight job for resumption, kill
+        the pool processes, wait (briefly) for the worker threads.
 
         The journal gets a ``job_requeued`` line for each job caught
         mid-run, so the next boot re-executes them; queued jobs need no
         extra event (submitted-but-not-finished already replays as
-        pending).
+        pending). A worker whose pool is closed under it abandons its
+        job; one still inside a cell of its own (``pool_jobs=1``) cannot
+        be interrupted, so the join is bounded.
         """
         with self._wake:
             self._stop = True
@@ -218,6 +217,11 @@ class JobScheduler:
                 self.journal.append("job_requeued", job_id=job_id)
             self._wake.notify_all()
             self._events_cond.notify_all()
+        for pool in self._pools:
+            pool.close()
+        deadline = time.monotonic() + _STOP_JOIN_S
+        for thread in self._threads:
+            thread.join(timeout=max(deadline - time.monotonic(), 0.0))
 
     def recover(self, state: RecoveredState) -> None:
         """Adopt a journal replay: results to the cache, pending to the
@@ -401,8 +405,14 @@ class JobScheduler:
             "serve.jobs.inflight", float(len(self._running))
         )
 
+    def _pool_gauge(self) -> None:
+        """Live pool processes over all workers, as of the last job end."""
+        live = sum(len(pool.pids()) for pool in self._pools)
+        self.metrics.gauge_set("serve.pool.processes", float(live))
+
     def _on_cell_done(
-        self, record: JobRecord, cell: SweepCell, ok: bool, wall: float
+        self, record: JobRecord, cell: SweepCell, ok: bool, wall: float,
+        pid: Optional[int],
     ) -> None:
         """Structured per-cell completion from the executor — exactly
         once per cell, retries and progress-format changes immaterial."""
@@ -414,6 +424,7 @@ class JobScheduler:
                     "type": "cell",
                     "cell": cell.label(),
                     "ok": ok,
+                    "pid": pid,
                     "wall_s": round(wall, 6),
                     "cells_done": record.cells_done,
                     "cells_total": record.cells_total,
@@ -438,7 +449,7 @@ class JobScheduler:
                 return False
             raise
 
-    def _worker(self) -> None:
+    def _worker(self, pool: Optional[WorkerPool]) -> None:
         while True:
             with self._wake:
                 while not self._queue and not self._stop:
@@ -454,7 +465,9 @@ class JobScheduler:
                 return
             self._push_event(record, {"type": "started"})
             try:
-                self._execute(record)
+                self._execute(record, pool)
+            except PoolClosedError:
+                return  # stop() requeued this job for the next boot
             except Exception as exc:  # noqa: BLE001 - the loop must live
                 self._finish(
                     record, "failed", {},
@@ -466,46 +479,31 @@ class JobScheduler:
                     self._running.discard(job_id)
                     self._pending_by_digest.pop(record.digest, None)
                     self._gauges()
+                    self._pool_gauge()
 
-    def _slot_request(self) -> int:
-        """How many process slots this job should ask the budget for:
-        the full pool when it is alone, else a 1/workers fair share."""
-        with self._lock:
-            others = (len(self._running) - 1) + len(self._queue)
-        if others <= 0:
-            return self.pool_jobs
-        return max(1, self.pool_jobs // self.workers)
-
-    def _execute(self, record: JobRecord) -> None:
+    def _execute(self, record: JobRecord, pool: Optional[WorkerPool]) -> None:
         cells = build_cells(record.spec)
         with self._lock:
             record.cells_total = len(cells)
             record.cells_done = 0
-        slots = self._budget.acquire(self._slot_request())
-        try:
-            executor = SweepExecutor(
-                jobs=min(slots, max(len(cells), 1)),
-                label=record.job_id,
-                timeout=self.cell_timeout,
-                retry=self.retry,
-                on_error="record",
-                on_cell_done=lambda cell, ok, wall: self._on_cell_done(
-                    record, cell, ok, wall
-                ),
-            )
-            results, stats = executor.run(cells)
-        finally:
-            self._budget.release(slots)
+        executor = SweepExecutor(
+            pool=pool,  # None (pool_jobs=1): the cells run in this thread
+            label=record.job_id,
+            timeout=self.cell_timeout,
+            retry=self.retry,
+            on_error="record",
+            on_cell_done=partial(self._on_cell_done, record),
+        )
+        results, stats = executor.run(cells)
         values, errors = serialize_results(cells, results)
         with self._lock:
             if stats.retries:
                 self.metrics.inc(
                     "serve.cells.retried", value=float(stats.retries)
                 )
-            if stats.pool_kills:
-                self.metrics.inc(
-                    "serve.pool.kills", value=float(stats.pool_kills)
-                )
+            if stats.pool_kills:  # each kill is followed by a respawn
+                for name in ("serve.pool.kills", "serve.pool.spawns"):
+                    self.metrics.inc(name, value=float(stats.pool_kills))
             poisoned = sum(
                 1 for e in errors.values() if e["kind"] == "poisoned"
             )

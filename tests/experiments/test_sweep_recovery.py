@@ -220,3 +220,132 @@ class TestRetryPolicy:
         report = stats.to_report()
         assert report.extra["retries"] == 2
         assert report.extra["cell_errors"] == {"bad": "poisoned"}
+
+
+# -- the pool as an object its caller owns and keeps ------------------
+def _pid(x):
+    return os.getpid()
+
+
+def _wait_for_file(x, path):
+    """Park until ``path`` exists (a gate another process can open)."""
+    deadline = time.monotonic() + 30
+    while not os.path.exists(path):
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.01)
+    return x
+
+
+def _until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.fixture
+def pool():
+    from repro.experiments.sweep import WorkerPool
+
+    pool = WorkerPool(2)
+    yield pool
+    pool.close()
+
+
+class TestWorkerPool:
+    def test_launch_forks_every_process_up_front(self, pool):
+        assert pool.pids() == []  # an executor forks on demand
+        pool.launch()
+        launched = sorted(pool.pids())
+        assert len(launched) == 2 and os.getpid() not in launched
+        # three runs later the same processes are still the whole pool
+        for _ in range(3):
+            pids, stats = SweepExecutor(pool=pool).run(_cells(4, fn=_pid))
+            assert set(pids.values()) <= set(launched)
+            assert stats.jobs == 2 and stats.pool_kills == 0
+        assert sorted(pool.pids()) == launched and pool.spawns == 1
+
+    def test_a_single_cell_runs_in_the_pool_too(self, pool):
+        pids, _ = SweepExecutor(pool=pool).run(_cells(1, fn=_pid))
+        assert pids[(0,)] in pool.pids()
+        # without a pool of the caller's, one cell is not worth a fork
+        pids, _ = SweepExecutor(jobs=2).run(_cells(1, fn=_pid))
+        assert pids[(0,)] == os.getpid()
+
+    def test_pooled_results_match_serial(self, pool):
+        serial, _ = SweepExecutor(jobs=1).run(_cells(6))
+        assert SweepExecutor(pool=pool).run(_cells(6))[0] == serial
+
+    def test_a_worker_that_died_idle_is_nobodys_fault(self, pool):
+        serial, _ = SweepExecutor(jobs=1).run(_cells(4))
+        pool.launch()
+        victim = pool.pids()[0]
+        os.kill(victim, signal.SIGKILL)
+        assert _until(lambda: victim not in pool.pids())
+        time.sleep(0.1)  # the executor notices the death on its own thread
+        results, stats = SweepExecutor(pool=pool, retry=FAST_RETRY).run(_cells(4))
+        assert results == serial
+        assert (stats.pool_kills, stats.retries) == (1, 0)
+        assert pool.spawns == 2
+
+    def test_killed_worker_costs_the_next_run_nothing(self, pool, tmp_path):
+        cells = _cells(3, fn=_kill_once, flag_dir=str(tmp_path))
+        _, stats = SweepExecutor(pool=pool, retry=FAST_RETRY).run(cells)
+        assert stats.pool_kills >= 1
+        spawns = pool.spawns
+        _, stats = SweepExecutor(pool=pool).run(_cells(3))
+        assert stats.pool_kills == 0 and pool.spawns == spawns
+
+    def test_close_during_a_run_ends_it_without_a_respawn(self, pool, tmp_path):
+        import threading
+
+        from repro.experiments.sweep import PoolClosedError
+
+        gate = str(tmp_path / "never")
+        cells = _cells(2, fn=_wait_for_file, path=gate)
+        outcome = []
+
+        def run():
+            try:
+                SweepExecutor(pool=pool, on_error="record").run(cells)
+            except PoolClosedError as exc:
+                outcome.append(exc)
+
+        runner = threading.Thread(target=run)
+        runner.start()
+        assert _until(lambda: len(pool.pids()) == 2)  # both cells in flight
+        busy = pool.pids()
+        pool.close()
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        assert len(outcome) == 1 and "2 cell(s) unfinished" in str(outcome[0])
+        assert pool.closed and pool.spawns == 1 and pool.pids() == []
+        assert _until(lambda: not any(_alive(pid) for pid in busy))
+        with pytest.raises(PoolClosedError):
+            SweepExecutor(pool=pool).run(_cells(2))
+
+    def test_a_private_pool_is_gone_when_run_returns(self):
+        import multiprocessing
+
+        SweepExecutor(jobs=2).run(_cells(4))
+        # killed and joined by close(); the executor's own thread reaps
+        # them too, and for an instant after it wins that race the
+        # bookkeeping active_children() reads still says "alive"
+        assert _until(lambda: multiprocessing.active_children() == [], 2.0)
+
+    def test_pool_size_is_validated(self):
+        from repro.experiments.sweep import WorkerPool
+
+        with pytest.raises(ConfigurationError):
+            WorkerPool(0)
+
+
+def _alive(pid):
+    """Running (not a zombie waiting for its parent to reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False

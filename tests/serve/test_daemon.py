@@ -6,6 +6,7 @@ without subprocess orchestration (the subprocess SIGKILL acceptance
 test lives in ``test_service_restart.py``).
 """
 
+import os
 import threading
 import time
 
@@ -64,6 +65,22 @@ class TestRoutes:
             assert view["queue_depth"] == 0
             assert view["breaker"]["state"] == "closed"
             assert "counters" in view["metrics"]
+        finally:
+            daemon.stop()
+
+    def test_metrics_show_the_pool(self, tmp_path):
+        daemon, client = _daemon(tmp_path, workers=2, pool_jobs=2)
+        try:
+            sub = client.submit("point", {"seed": 3})
+            assert client.wait(sub["job_id"], timeout_s=10.0)["status"] == "done"
+            view = client.metrics()["metrics"]
+            assert view["gauges"]["serve.pool.processes"] == 2
+            assert view["counters"]["serve.pool.spawns"] == 2
+            assert "serve.pool.kills" not in view["counters"]
+            # every cell ran in a pool process, none in this one
+            pids = {e["pid"] for e in client.events(sub["job_id"])
+                    if e["type"] == "cell"}
+            assert len(pids) == 1 and os.getpid() not in pids
         finally:
             daemon.stop()
 

@@ -7,6 +7,7 @@ are covered by the daemon round-trip and service-restart tests.
 """
 
 import json
+import os
 import threading
 import time
 
@@ -350,31 +351,224 @@ class TestConcurrentWorkers:
     def test_results_identical_across_worker_counts(
         self, tmp_path, monkeypatch
     ):
-        """Concurrency must not change a single byte of any result."""
+        """Neither concurrency nor where the cells run (the worker
+        threads at pool_jobs=1, pool processes at 2) may change a single
+        byte of any result."""
         seeds, payloads = (3, 4, 5, 8), {}
         for workers in (1, 2):
-            journal, sched = _make(
-                tmp_path, monkeypatch, workers=workers,
-                name=f"w{workers}.jsonl", pool_jobs=2,
-            )
-            sched.start()
-            try:
-                records = [sched.submit("point", {"seed": s}) for s in seeds]
-                payloads[workers] = [
-                    json.dumps(_wait_done(sched, r.job_id).to_result_dict()
-                               ["result"], sort_keys=True)
-                    for r in records
-                ]
-            finally:
-                sched.stop()
-                journal.close()
-        assert payloads[1] == payloads[2]
+            for pool_jobs in (1, 2):
+                journal, sched = _make(
+                    tmp_path, monkeypatch, workers=workers,
+                    name=f"w{workers}j{pool_jobs}.jsonl", pool_jobs=pool_jobs,
+                )
+                sched.start()
+                try:
+                    records = [sched.submit("point", {"seed": s}) for s in seeds]
+                    payloads[workers, pool_jobs] = [
+                        json.dumps(_wait_done(sched, r.job_id).to_result_dict()
+                                   ["result"], sort_keys=True)
+                        for r in records
+                    ]
+                finally:
+                    sched.stop()
+                    journal.close()
+        assert len(payloads) == 4
+        assert len(set(map(tuple, payloads.values()))) == 1
 
     def test_workers_must_be_positive(self, tmp_path, monkeypatch):
         from repro.util.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="workers"):
             _make(tmp_path, monkeypatch, workers=0)
+
+
+# -- cells for the warm-pool tests: they run in pool processes, so their
+# gates and flags are files under tmp_path, not threading.Events --------
+def _in_process(value):
+    return {"pid": os.getpid()}
+
+
+def _park_on_file(flag_dir, seed):
+    """Announce this process, then park until ``<flag_dir>/open`` exists."""
+    with open(os.path.join(flag_dir, f"pid-{seed}"), "w") as fh:
+        fh.write(str(os.getpid()))
+    deadline = time.monotonic() + 30
+    while not os.path.exists(os.path.join(flag_dir, "open")):
+        assert time.monotonic() < deadline, "gate never opened"
+        time.sleep(0.01)
+    return {"pid": os.getpid()}
+
+
+def _misbehave_once(flag_dir, seed, how):
+    """First attempt: exit the worker process, or hang far past any
+    deadline. Every later attempt behaves."""
+    flag = os.path.join(flag_dir, f"{how}-{seed}")
+    if not os.path.exists(flag):
+        with open(flag, "w") as fh:
+            fh.write("1")
+        if how == "exit":
+            os._exit(1)
+        time.sleep(120)
+    return {"pid": os.getpid()}
+
+
+def _pool_cells(flag_dir):
+    """Seeds 100-199 park on the file gate, 200-299 kill their worker
+    once, 300-399 hang once; any other seed just reports its pid."""
+
+    def build(spec):
+        seed = spec.params["seed"]
+        kwargs = dict(flag_dir=str(flag_dir), seed=seed)
+        if 100 <= seed < 200:
+            return [SweepCell(key=("c0",), fn=_park_on_file, kwargs=kwargs)]
+        if 200 <= seed < 400:
+            how = "exit" if seed < 300 else "hang"
+            return [SweepCell(key=("c0",), fn=_misbehave_once,
+                              kwargs=dict(kwargs, how=how))]
+        return [SweepCell(key=("c0",), fn=_in_process, kwargs=dict(value=seed))]
+
+    return build
+
+
+def _cell_pids(record):
+    return [e["pid"] for e in record.events if e["type"] == "cell"]
+
+
+def _read_pid(path, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if path.exists() and path.read_text():
+            return int(path.read_text())
+        time.sleep(0.01)
+    raise AssertionError(f"{path.name} never written")
+
+
+class TestWarmPool:
+    """pool_jobs >= 2: each worker thread owns pool processes for the
+    scheduler's whole life and every cell runs there."""
+
+    def _make(self, tmp_path, monkeypatch, **kwargs):
+        kwargs.setdefault("pool_jobs", 2)
+        kwargs.setdefault("metrics", MetricsRegistry(enabled=True))
+        return _make(tmp_path, monkeypatch, cells=_pool_cells(tmp_path),
+                     **kwargs)
+
+    def test_processes_exist_when_start_returns(self, tmp_path, monkeypatch):
+        for workers, pool_jobs, sizes in ((1, 2, [2]), (2, 2, [1, 1]),
+                                          (2, 5, [2, 2]), (3, 2, [1, 1, 1])):
+            journal, sched = self._make(
+                tmp_path, monkeypatch, workers=workers, pool_jobs=pool_jobs,
+                name=f"w{workers}j{pool_jobs}.jsonl",
+            )
+            sched.start()  # no job submitted: nothing forks on demand
+            try:
+                assert [len(p.pids()) for p in sched._pools] == sizes
+                assert sched.metrics.gauge_value(
+                    "serve.pool.processes") == sum(sizes)
+                assert sched.metrics.counter_value(
+                    "serve.pool.spawns") == workers
+            finally:
+                sched.stop()
+                journal.close()
+            assert [p.pids() for p in sched._pools] == [[]] * workers
+
+    def test_pool_jobs_1_means_no_pool(self, tmp_path, monkeypatch):
+        journal, sched = self._make(tmp_path, monkeypatch, pool_jobs=1)
+        sched.start()
+        try:
+            assert sched._pools == []
+            done = _wait_done(sched, sched.submit("point", {"seed": 1}).job_id)
+            assert _cell_pids(done) == [os.getpid()]
+        finally:
+            sched.stop()
+            journal.close()
+
+    def test_two_workers_simulate_in_two_processes_at_once_and_a_worker_keeps_its_process(
+        self, tmp_path, monkeypatch
+    ):
+        journal, sched = self._make(tmp_path, monkeypatch, workers=2)
+        sched.start()
+        try:
+            launched = {pid for p in sched._pools for pid in p.pids()}
+            a = sched.submit("point", {"seed": 101})
+            b = sched.submit("point", {"seed": 102})
+            pid_a = _read_pid(tmp_path / "pid-101")
+            pid_b = _read_pid(tmp_path / "pid-102")
+            # both parked right now, in two processes, neither of them ours
+            assert {pid_a, pid_b} == launched and os.getpid() not in launched
+            assert sorted(sched.overview()["running"]) == sorted(
+                [a.job_id, b.job_id])
+            (tmp_path / "open").touch()
+            assert _cell_pids(_wait_done(sched, a.job_id)) == [pid_a]
+            assert _cell_pids(_wait_done(sched, b.job_id)) == [pid_b]
+            # park one worker again: the other runs three jobs in a row,
+            # all in the one process it has had since start()
+            (tmp_path / "open").unlink()
+            parked = sched.submit("point", {"seed": 103})
+            busy = _read_pid(tmp_path / "pid-103")
+            pids = []
+            for seed in (1, 2, 3):
+                record = sched.submit("point", {"seed": seed})
+                pids += _cell_pids(_wait_done(sched, record.job_id))
+            assert len(pids) == 3 and len(set(pids)) == 1
+            assert {busy, pids[0]} == launched
+            (tmp_path / "open").touch()
+            assert _wait_done(sched, parked.job_id).status == "done"
+            assert sched.metrics.counter_value("serve.pool.spawns") == 2
+            assert sched.metrics.counter_value("serve.pool.kills") == 0
+        finally:
+            (tmp_path / "open").touch()
+            sched.stop()
+            journal.close()
+
+    @pytest.mark.parametrize("seed, timeout", [(201, None), (301, 1.0)],
+                             ids=["worker-exits", "cell-hangs"])
+    def test_a_kill_costs_one_respawn_and_the_next_job_a_new_process(
+        self, tmp_path, monkeypatch, seed, timeout
+    ):
+        journal, sched = self._make(
+            tmp_path, monkeypatch, cell_timeout=timeout,
+            retry=RetryPolicy(retries=2, base_delay_s=0.0, max_delay_s=0.0),
+        )
+        sched.start()
+        try:
+            launched = set(sched._pools[0].pids())
+            done = _wait_done(sched, sched.submit("point", {"seed": seed}).job_id,
+                              timeout=30)
+            assert done.status == "done" and not done.errors
+            assert sched.metrics.counter_value("serve.pool.kills") == 1
+            assert sched.metrics.counter_value("serve.pool.spawns") == 2
+            assert sched.metrics.counter_value("serve.cells.retried") == 1
+            after = _wait_done(sched, sched.submit("point", {"seed": 5}).job_id)
+            assert after.status == "done"
+            assert not set(_cell_pids(done) + _cell_pids(after)) & launched
+            assert sched.metrics.counter_value("serve.pool.kills") == 1
+        finally:
+            sched.stop()
+            journal.close()
+
+    def test_stop_closes_the_pools_under_a_running_job(
+        self, tmp_path, monkeypatch
+    ):
+        journal, sched = self._make(tmp_path, monkeypatch, workers=2)
+        sched.start()
+        record = sched.submit("point", {"seed": 104})
+        pid = _read_pid(tmp_path / "pid-104")
+        start = time.monotonic()
+        sched.stop()
+        assert time.monotonic() - start < 1.0  # nobody waited for the gate
+        assert not any(thread.is_alive() for thread in sched._threads)
+        assert all(p.closed and p.pids() == [] for p in sched._pools)
+        with pytest.raises(OSError):  # reaped: not even a zombie is left
+            os.kill(pid, 0)
+        # ended without a respawn, a retry or a verdict on the job
+        assert sched.metrics.counter_value("serve.pool.spawns") == 2
+        assert sched.metrics.counter_value("serve.pool.kills") == 0
+        events = [e["event"] for e in read_events(journal.path)]
+        assert events == ["job_submitted", "job_started", "job_requeued"]
+        assert sched.get(record.job_id).status == "running"
+        journal.close()
+        assert rebuild(read_events(journal.path)).pending == [record.job_id]
 
 
 class TestCellProgress:
