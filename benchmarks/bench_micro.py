@@ -255,8 +255,7 @@ def test_micro_pool_cell_cost(benchmark):
     inside a daemon, whose larger heap the forked child copies on its
     first writes) and a warm/in-process ratio near 1.1; a ratio drifting
     towards the fresh figure means the service forks per job again or
-    the cell's pickle has grown (it carries the precomputed
-    ``InspectionCache``).
+    the cell's pickle has grown (``test_micro_cell_pickle_bytes``).
     """
     from statistics import median
 
@@ -303,3 +302,138 @@ def test_micro_pool_cell_cost(benchmark):
         f"warm/in-process {warm_ms / in_process_ms:.2f}"
     )
     assert warm_ms < fresh_ms
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_cell_pickle_bytes(benchmark):
+    """What a sweep cell weighs on its way to a pool process.
+
+    Largest pickled ``fig9_cells`` cell at tiny / small / paper. A cell
+    is its parameters: 200-odd bytes at every scale. 41 kB / 338 kB /
+    2.3 MB when each cell carried a precomputed ``InspectionCache``
+    (42 ms to dump and 76 ms to load per ``paper`` cell).
+    """
+    import pickle
+
+    from repro.experiments.fig9 import CODES, fig9_cells
+
+    def heaviest():
+        return {
+            scale: max(
+                len(pickle.dumps(cell))
+                for cell in fig9_cells(CODES, (1, 2), scale=scale, n_nodes=4)
+            )
+            for scale in ("tiny", "small", "paper")
+        }
+
+    sizes = benchmark.pedantic(heaviest, rounds=1, iterations=1)
+    benchmark.extra_info.update(sizes)
+    print("\npickled fig9 cell, bytes: " + ", ".join(
+        f"{scale} {size}" for scale, size in sizes.items()
+    ))
+    assert max(sizes.values()) < 2048
+
+
+def _memo_counts():
+    from repro.core.inspector import PROCESS_MEMO
+
+    return PROCESS_MEMO.hits, PROCESS_MEMO.misses
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_first_vs_second_cell_in_a_pool_process(benchmark):
+    """Where the inspection is paid: once per structure per pool process.
+
+    A ``t2_7:tiny`` v5 ``point`` cell through one warm pool process,
+    twice per seed, ten seeds: the first meets the structure and
+    inspects it (about 2 ms of a 19 ms cell), the second must not. The
+    process's own memo counters are the verdict; the medians are the
+    price. A second-cell miss means cells stopped sharing the process
+    memo (or the bound evicts at this size).
+    """
+    from statistics import median
+
+    from repro.experiments.sweep import SweepExecutor, WorkerPool
+    from repro.serve.jobs import JobSpec, build_cells
+
+    def cell_ms(pool, seed):
+        cells = build_cells(JobSpec.normalize("point", {"seed": seed}))
+        _, stats = SweepExecutor(pool=pool).run(cells)
+        return 1e3 * sum(stats.cell_wall_s.values())
+
+    pool = WorkerPool(1)  # seeds of its own: a copy of our memo has none
+    try:
+        pool.launch()
+        cell_ms(pool, 999)  # copy-on-write warm-up, on a seed of its own
+        before = pool.submit(_memo_counts).result()
+        pairs = benchmark.pedantic(
+            lambda: [(cell_ms(pool, s), cell_ms(pool, s)) for s in range(100, 110)],
+            rounds=1, iterations=1,
+        )
+        after = pool.submit(_memo_counts).result()
+    finally:
+        pool.close()
+    hits, misses = (now - then for now, then in zip(after, before))
+    first, second = (median(column) for column in zip(*pairs))
+    benchmark.extra_info.update(first_ms=first, second_ms=second)
+    print(
+        f"\npoint cell in a pool process: first of its structure {first:.1f} ms, "
+        f"second {second:.1f} ms; memo {misses} misses, {hits} hits"
+    )
+    assert (hits, misses) == (10, 10)
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_ladder_decomposition(benchmark):
+    """Host cost per task up the node ladder, beside what scales with it.
+
+    One DAG (``rbgs:48x48``, 4 cores/node, SYNTH, registry on) on 4 / 16
+    / 64 nodes, then grids 12 / 24 / 48 on 4 nodes; wall of one
+    ``repro.run`` (build included) over its tasks (legacy: over its
+    chains) next to the remote messages it sent. Measured when this was
+    written: v5 42.6 / 44.4 / 44.4 us per task with 18.7k / 23.4k / 24.6k
+    remote messages, dtd 32.8 / 34.1 / 35.3 with 10.2k / 12.8k / 13.4k,
+    legacy 740 / 787 / 868 us per chain with 40.6k / 51.3k / 54.7k (its
+    remote share of gets goes 3/4 -> 63/64); at 4 nodes the grid alone
+    moves v5 41.7 / 39.6 / 42.6, dtd 30.2 / 30.6 / 32.8 and legacy 674 /
+    703 / 740 (run only, as ISSUE 24 sized it: v5 38.9 / 37.7 / 40.6 and
+    32.6 / 36.0 / 38.9). So the ladder's slope is the remote-message
+    share plus the working set, not a per-node cost: a rung that grows
+    while its message count does not is a new finding.
+    """
+    import repro
+
+    def one(token, runtime, n_nodes):
+        config = api.RunConfig(
+            n_nodes=n_nodes, cores_per_node=4, data_mode=DataMode.SYNTH
+        )
+        t0 = time.perf_counter()
+        result = repro.run(token, runtime=runtime, config=config)
+        wall = time.perf_counter() - t0
+        units = result.chains_executed if runtime == "legacy" else result.n_tasks
+        remote = result.metrics["counters"].get("net.remote_messages", 0.0)
+        return 1e6 * wall / units, int(remote)
+
+    def ladder():
+        rows = {}
+        for runtime in ("legacy", "v5", "dtd"):
+            rows[runtime, "nodes"] = [
+                one("rbgs:48x48", runtime, n) for n in (4, 16, 64)
+            ]
+            rows[runtime, "grid"] = [
+                one(f"rbgs:{g}x{g}", runtime, 4) for g in (12, 24)
+            ] + rows[runtime, "nodes"][:1]
+        return rows
+
+    rows = benchmark.pedantic(ladder, rounds=1, iterations=1)
+    print()
+    for (runtime, axis), cells in rows.items():
+        unit = "chain" if runtime == "legacy" else "task"
+        where = "48x48 on 4/16/64 nodes" if axis == "nodes" else "12/24/48 on 4 nodes"
+        print(
+            f"{runtime:6s} {where:22s} us per {unit}: "
+            + " / ".join(f"{us:.1f}" for us, _ in cells)
+            + "   remote messages: "
+            + " / ".join(str(remote) for _, remote in cells)
+        )
+        benchmark.extra_info[f"{runtime}.{axis}"] = cells

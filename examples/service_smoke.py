@@ -15,8 +15,11 @@ resilience story, now with concurrent workers and journal compaction:
    report two different pool pids, neither the daemon's,
 4. resubmit each spec and assert it is answered from the replayed
    result cache (``cached: true``, byte-identical payload) without
-   re-running a single simulation, then SIGTERM — the clean shutdown
-   compacts the journal into one snapshot line,
+   re-running a single simulation and — by the daemon's own
+   ``serve.http.requests`` counters — in exactly one request each,
+   while a fourth, cold job costs exactly two (submit, events); then
+   SIGTERM — the clean shutdown compacts the journal into one snapshot
+   line,
 5. start a third daemon over the *compacted* journal and assert it
    serves identical status and result payloads for every prior job id.
 
@@ -97,6 +100,22 @@ def assert_no_survivor(daemon_pid: int, within_s: float = 3.0) -> None:
         time.sleep(0.02)
 
 
+def requests_by_route(client: ServiceClient) -> dict[str, int]:
+    """``serve.http.requests`` off ``/metrics``, its own route left out."""
+    prefix = "serve.http.requests{route="
+    counters = client.metrics()["metrics"]["counters"]
+    return {
+        key[len(prefix):-1]: int(value)
+        for key, value in counters.items()
+        if key.startswith(prefix) and "route=metrics" not in key
+    }
+
+
+def requests_spent(client: ServiceClient, before: dict[str, int]) -> dict[str, int]:
+    now = requests_by_route(client)
+    return {r: n - before.get(r, 0) for r, n in now.items() if n != before.get(r, 0)}
+
+
 def cell_pids(client: ServiceClient, job_id: str) -> set[int]:
     return {e["pid"] for e in client.events(job_id) if e["type"] == "cell"}
 
@@ -132,7 +151,7 @@ def main() -> int:
     results = {}
     try:
         for job_id in job_ids:
-            body = client2.wait(job_id, timeout_s=300.0)
+            body = client2.watch(job_id, timeout_s=300.0)
             assert body["status"] == "done", body
             results[job_id] = body["result"]
         print(f"all {len(job_ids)} jobs done after restart")
@@ -151,11 +170,23 @@ def main() -> int:
         assert sorted(e["job_id"] for e in finished) == sorted(job_ids), (
             "duplicate or missing job_finished records"
         )
+        before = requests_by_route(client2)
         for params, job_id in zip(JOB_PARAMS, job_ids):
             again = client2.submit(JOB_KIND, params)
             assert again["cached"], "replayed cache should have answered"
             hit = client2.result(again["job_id"])
             assert hit["result"] == results[job_id], "cache changed the bytes"
+        # the answer rode the 202 that announced it: one request per hit
+        spent = requests_spent(client2, before)
+        assert spent == {"submit": len(job_ids)}, spent
+        before = requests_by_route(client2)
+        cold = client2.submit(JOB_KIND, {**JOB_PARAMS[0], "seed": 10})
+        assert not cold["cached"]
+        assert client2.watch(cold["job_id"], timeout_s=300.0)["status"] == "done"
+        # ... and the stream's last line: two requests per cold job
+        spent = requests_spent(client2, before)
+        assert spent == {"submit": 1, "events": 1}, spent
+        print("requests: 1 per resubmission, 2 per cold job")
         view = client2.metrics()
         assert view["cache"]["hits"] >= 3
         assert view["workers"] == 2

@@ -565,7 +565,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         params["priority"] = args.priority
     body = client.submit(args.kind, params)
     if args.wait:
-        body = client.wait(body["job_id"], timeout_s=args.timeout)
+        body = client.watch(body["job_id"], timeout_s=args.timeout)
     _print_json(body)
     return EXIT_OK
 
@@ -581,7 +581,7 @@ def cmd_status(args: argparse.Namespace) -> int:
 def cmd_result(args: argparse.Namespace) -> int:
     client = _client(args)
     if args.wait:
-        body = client.wait(args.job_id, timeout_s=args.timeout)
+        body = client.watch(args.job_id, timeout_s=args.timeout)
     else:
         body = client.result(args.job_id)
     _print_json(body)

@@ -97,8 +97,8 @@ class RunConfig:
     #: remote GA blocks, invalidated by write epochs. None = off.
     remote_cache: Optional[RemoteCachePolicy] = None
     #: PaRSEC: share inspected chain metadata across runs of the same
-    #: workload structure + node count (the fig9 cores/node sweep). The
-    #: phase timer still runs; only the redundant chain walk is skipped.
+    #: workload structure + node count (None = a throwaway cache per
+    #: run). The phase timer still runs; only the chain walk is skipped.
     inspection_cache: Optional[InspectionCache] = field(
         default=None, repr=False, compare=False
     )
@@ -162,21 +162,19 @@ def precompute_inspection(
     skew_period: int = 0,
     workload: str = "t2_7",
 ) -> InspectionCache:
-    """Fill an :class:`InspectionCache` for a sweep before it runs.
+    """An :class:`InspectionCache` filled ahead of the runs that use it.
 
     Inspected chain metadata depends only on the workload's structure
-    token, the node count, and the variant's chain height — not on
-    cores/node, data mode, or the machine model. A sweep parent can
-    therefore inspect once per (structure token × n_nodes × height) on
-    a throwaway SYNTH cluster and ship the resulting cache to worker
-    processes (it pickles cleanly), so the memoization survives process
-    isolation instead of being recomputed in every worker.
-
-    ``workload`` is a registry name or token; ``scale`` supplies its
-    params when the token carries none. Multi-level workloads are
-    inspected level by level. ``codes`` may mix variant names with
-    non-PaRSEC runtimes (``"original"``/``"legacy"``/``"dtd"`` are
-    skipped — they have no inspection phase).
+    token, the node count and the variant's chain height, so one
+    throwaway SYNTH build per call covers every cores/node, data mode
+    and machine model. The experiments no longer call this — their
+    cells share the process memo — but a caller that wants the chain
+    walk outside what it times passes the result as
+    ``RunConfig.inspection_cache``, which always wins. ``workload`` is
+    a registry name or token (``scale`` supplies its params when the
+    token has none; multi-level workloads are inspected level by
+    level); ``codes`` may mix variant names with runtimes that have no
+    inspection phase (``"original"``/``"legacy"``/``"dtd"``: skipped).
     """
     cache = InspectionCache()
     by_height: dict = {}

@@ -17,6 +17,8 @@ across nodes (Section IV-D).
 
 from __future__ import annotations
 
+import threading
+
 from repro.core.metadata import (
     ChainMeta,
     GemmMeta,
@@ -31,11 +33,28 @@ from repro.sim.cluster import Cluster
 from repro.tce.subroutine import ChainSpec, Subroutine
 from repro.util.errors import ConfigurationError
 
-__all__ = ["InspectionCache", "inspect_subroutine"]
+__all__ = ["MEMO_MAX_GEMMS", "PROCESS_MEMO", "InspectionCache", "inspect_subroutine"]
+
+
+#: Bound of :data:`PROCESS_MEMO`, in inspected GEMMs summed over its
+#: entries. Measured (t2_7/rbgs/ccsd at tiny/small/paper, both chain
+#: heights): 0.86-1.21 kB resident and 145-191 B pickled per GEMM, so
+#: 113-159 MB per process at most. Sized for one chain height of the
+#: largest registered workload, because consecutive cells of a sweep
+#: walk the same keys in a cycle and a cycle one GEMM over the bound
+#: misses every time: on the paper's 32 nodes ``t2_7:paper`` is 8 100
+#: GEMMs per height, ``rbgs:paper`` 4 992, ``ccsd:paper`` 93 620 (7
+#: entries, 0.7-1.2 s to inspect). Both heights of ``ccsd:paper`` do
+#: not fit: its sweep re-inspects where the height changes (v1 -> v2).
+MEMO_MAX_GEMMS = 1 << 17
+
+#: One lock for every cache (so none is pickled with an instance); only
+#: the process memo is ever shared between threads.
+_LOCK = threading.Lock()
 
 
 class InspectionCache:
-    """Memoized chain metadata across sweep points.
+    """Memoized chain metadata across runs.
 
     The inspected :class:`ChainMeta` list is pure data: every field is
     derived from the chain IR, the variant's chain height, and the GA
@@ -50,17 +69,24 @@ class InspectionCache:
 
     The cache never holds :class:`Metadata` itself — that object carries
     live :class:`GlobalArray` references and must be rebuilt per run.
+    Cached chains are shared, not copied: nothing mutates a
+    :class:`ChainMeta` after inspection, so two threads may simulate on
+    one entry. Values are pure-data dataclasses keyed by plain tuples:
+    a cache **pickles cleanly**.
 
-    Because the cached values are pure-data dataclasses keyed by plain
-    tuples, a cache **pickles cleanly**: a parent process can compute
-    the entries once (:func:`repro.core.api.precompute_inspection`) and
-    ship the cache to process-pool workers (each worker receives its own
-    copy), so the memoization survives process isolation in parallel
-    sweeps.
+    With ``max_gemms`` the cache is least-recently-used over its keys
+    and evicts until the GEMMs it holds fit; an entry larger than the
+    whole bound is handed back uncached and evicts nothing. A call
+    holds the lock from lookup to store, so concurrent callers of one
+    key inspect once and ``hits + misses`` (host-side bookkeeping that
+    reaches no report) is the number of calls.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_gemms: int | None = None) -> None:
+        #: insertion order is recency order: a hit re-inserts its key
         self._chains: dict[tuple, list[ChainMeta]] = {}
+        self.max_gemms = max_gemms
+        self.n_gemms = 0
         self.hits = 0
         self.misses = 0
 
@@ -73,19 +99,41 @@ class InspectionCache:
         """The inspected chains, computed at most once per cache key."""
         token = subroutine.structure_token
         key = (token, cluster.n_nodes, variant.segment_height)
-        # a hand-built subroutine has no token, hence no safe identity
-        chains = self._chains.get(key) if token is not None else None
-        if chains is None:
+        with _LOCK:
+            # a hand-built subroutine has no token, hence no safe identity
+            chains = self._chains.pop(key, None) if token is not None else None
+            if chains is not None:
+                self.hits += 1
+                self._chains[key] = chains
+                return chains
             self.misses += 1
             chains = [
                 _inspect_chain(chain, cluster, variant)
                 for chain in subroutine.chains
             ]
-            if token is not None:
+            n_gemms = sum(chain.length for chain in chains)
+            bound = self.max_gemms
+            if token is not None and (bound is None or n_gemms <= bound):
                 self._chains[key] = chains
-        else:
-            self.hits += 1
-        return chains
+                self.n_gemms += n_gemms
+                while bound is not None and self.n_gemms > bound:
+                    oldest = self._chains.pop(next(iter(self._chains)))
+                    self.n_gemms -= sum(chain.length for chain in oldest)
+            return chains
+
+
+#: The memo of a process that runs experiment cells:
+#: :func:`repro.experiments.calibration.cell_config` hands it to every
+#: cell whose caller brought no cache, so a pool process (or the one
+#: process of a serial sweep) inspects a structure the first time it
+#: meets it and never again, and no cell ships a cache. A plain
+#: ``repro.run`` does not use it: a run leaves nothing behind. A forked
+#: pool process is safe: the lock is held only inside a cell, and no
+#: process that forks is inside one — the job service forks its pools
+#: before any thread exists and then runs no cell itself, a CLI sweep
+#: forks from a single-threaded parent that only dispatches. A child
+#: starts with a copy of what its parent had memoised.
+PROCESS_MEMO = InspectionCache(max_gemms=MEMO_MAX_GEMMS)
 
 
 def _build_segments(n_gemms: int, height: int | None) -> list[SegmentMeta]:

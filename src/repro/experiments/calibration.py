@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 
 from repro.core import api
+from repro.core.inspector import PROCESS_MEMO, InspectionCache
 from repro.sim.cluster import Cluster, DataMode
 from repro.sim.cost import MachineModel
 from repro.workloads.base import Workload
@@ -89,6 +90,7 @@ def cell_config(
     stealing: bool = False,
     metrics: bool = False,
     machine: MachineModel | None = None,
+    inspection_cache: InspectionCache | None = None,
     **fields,
 ) -> api.RunConfig:
     """The :class:`~repro.core.api.RunConfig` of one experiment cell.
@@ -96,10 +98,15 @@ def cell_config(
     The experiments' defaults differ from the facade's: the pinned
     :data:`PAPER_MACHINE`, SYNTH data and metrics *off* — the big sweeps
     only need end-to-end times, and the disabled registry is a no-op on
-    every hot path. ``stealing`` is the sweeps' picklable on/off
-    spelling of the default :class:`~repro.parsec.stealing.StealPolicy`;
-    ``fields`` are any other ``RunConfig`` fields.
+    every hot path — and the inspection is memoised in the process that
+    runs the cell (:data:`~repro.core.inspector.PROCESS_MEMO`) unless the
+    caller brings its own ``inspection_cache``. ``stealing`` is the
+    sweeps' picklable on/off spelling of the default
+    :class:`~repro.parsec.stealing.StealPolicy`; ``fields`` are any
+    other ``RunConfig`` fields.
     """
+    if inspection_cache is None:  # not `or`: an empty cache is falsy
+        inspection_cache = PROCESS_MEMO
     return api.RunConfig(
         n_nodes=n_nodes,
         cores_per_node=cores_per_node,
@@ -107,6 +114,7 @@ def cell_config(
         metrics=metrics,
         machine=machine or PAPER_MACHINE,
         stealing=api.StealPolicy() if stealing else None,
+        inspection_cache=inspection_cache,
         **fields,
     )
 

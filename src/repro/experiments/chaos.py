@@ -131,12 +131,11 @@ _RECOVERY_COUNTERS = (
 
 def _chaos_cell(
     name: str,
-    scale: str,
-    n_nodes: int,
-    cores_per_node: int,
-    seed: int,
-    fault_seed: int,
-    cache=None,
+    scale: str = "tiny",
+    n_nodes: int = 4,
+    cores_per_node: int = 2,
+    seed: int = 7,
+    fault_seed: int = 2025,
     stealing: bool = False,
     workload: str = "t2_7",
 ) -> tuple[ChaosOutcome, str]:
@@ -145,14 +144,9 @@ def _chaos_cell(
     Module-level and pure-data in/out so the sweep executor can ship it
     to a worker process; returns the outcome plus the plan description.
     """
-    # the legacy runtime reads neither the steal policy nor the cache
+    # the legacy runtime ignores the steal policy
     config = cell_config(
-        cores_per_node,
-        n_nodes,
-        DataMode.REAL,
-        stealing=stealing,
-        seed=seed,
-        inspection_cache=cache,
+        cores_per_node, n_nodes, DataMode.REAL, stealing=stealing, seed=seed
     )
     token = canonical_token(workload, scale=scale)
 
@@ -190,32 +184,12 @@ def _chaos_cell(
     return outcome, plan.describe()
 
 
-def chaos_cells(
-    codes: Sequence[str],
-    scale: str = "tiny",
-    n_nodes: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    fault_seed: int = 2025,
-    stealing: bool = False,
-    workload: str = "t2_7",
-) -> list[SweepCell]:
-    """One :func:`_chaos_cell` sweep cell per runner in ``codes``."""
-    shared = dict(scale=scale, n_nodes=n_nodes, seed=seed, workload=workload)
-    cache = api.precompute_inspection(codes=codes, **shared)
+def chaos_cells(codes: Sequence[str], **cell_fields) -> list[SweepCell]:
+    """One :func:`_chaos_cell` sweep cell per runner in ``codes``: plain
+    parameters (``cell_fields``, the same for every runner); the
+    inspection is memoised where the cell runs."""
     return [
-        SweepCell(
-            key=(name,),
-            fn=_chaos_cell,
-            kwargs=dict(
-                name=name,
-                cores_per_node=cores_per_node,
-                fault_seed=fault_seed,
-                cache=cache,
-                stealing=stealing,
-                **shared,
-            ),
-        )
+        SweepCell(key=(name,), fn=_chaos_cell, kwargs=dict(name=name, **cell_fields))
         for name in codes
     ]
 
@@ -232,7 +206,7 @@ def run_chaos(
 
     ``codes`` restricts the sweep to a subset of runners; ``workload``
     picks any registered workload (multi-level ones recover across
-    level barriers too). ``cell_kwargs`` are :func:`chaos_cells`' other
+    level barriers too). ``cell_kwargs`` are :func:`_chaos_cell`'s other
     arguments (``n_nodes``, ``cores_per_node``, ``seed``,
     ``fault_seed``, ``stealing``); ``stealing`` enables the
     work-stealing policy on the PaRSEC variants, so the chaos triple

@@ -47,13 +47,10 @@ def _equivalence_cell(
     n_nodes: int,
     cores_per_node: int,
     seed: int,
-    cache=None,
     workload: str = "t2_7",
 ) -> float:
     """One implementation's correlation energy on a fresh cluster."""
-    config = cell_config(
-        cores_per_node, n_nodes, DataMode.REAL, seed=seed, inspection_cache=cache
-    )
+    config = cell_config(cores_per_node, n_nodes, DataMode.REAL, seed=seed)
     workload_obj = api.build(workload, config, scale=scale)
     if name == "reference":
         return correlation_energy(workload_obj.reference_values())
@@ -76,14 +73,17 @@ def run_equivalence(
     is the workload's own dense-NumPy :meth:`reference_values`.
     """
     names = ["reference", "original"] + sorted(PAPER_VARIANTS)
-    shared = dict(scale=scale, n_nodes=n_nodes, seed=seed, workload=workload)
-    cache = api.precompute_inspection(codes=sorted(PAPER_VARIANTS), **shared)
     cells = [
         SweepCell(
             key=(name,),
             fn=_equivalence_cell,
             kwargs=dict(
-                name=name, cores_per_node=cores_per_node, cache=cache, **shared
+                name=name,
+                scale=scale,
+                n_nodes=n_nodes,
+                cores_per_node=cores_per_node,
+                seed=seed,
+                workload=workload,
             ),
         )
         for name in names

@@ -162,9 +162,9 @@ def run_point(
     default :class:`~repro.parsec.stealing.StealPolicy` for the PaRSEC
     codes; the original/dtd paths ignore it), the skew knobs (they shape
     the workload itself, so they apply to every code) and
-    ``inspection_cache`` (shared across cells, it skips the redundant
-    chain walk when the same workload/node-count was already inspected
-    at a different cores/node setting — virtual timings are unaffected).
+    ``inspection_cache`` (the caller's own instead of the process memo;
+    either skips the chain walk of a workload/node-count already
+    inspected — virtual timings are unaffected).
     """
     config = cell_config(cores_per_node, n_nodes, **config_fields)
     token = canonical_token(workload, scale=scale)
@@ -172,43 +172,21 @@ def run_point(
 
 
 def fig9_cells(
-    codes: Sequence[str],
-    core_counts: Sequence[int],
-    scale: str = "paper",
-    n_nodes: int = PAPER_NODES,
-    seed: int = 7,
-    skew_factor: int = 1,
-    skew_period: int = 0,
-    workload: str = "t2_7",
-    **config_fields,
+    codes: Sequence[str], core_counts: Sequence[int], **point_fields
 ) -> list[SweepCell]:
     """The ``(code, cores)`` grid as sweep cells of :func:`run_point`.
 
-    The inspection memoization (one chain walk per variant height ×
-    node count) is precomputed once here in the parent and shipped to
-    every cell, so it survives process isolation. ``config_fields``
-    (``machine``, ``stealing``) reach :func:`run_point` unchanged.
+    ``point_fields`` are :func:`run_point`'s other arguments, the same
+    for every cell. A cell is a few hundred bytes of parameters: the
+    process that runs it memoises the inspection (one chain walk per
+    structure × variant height × node count it meets), so nothing is
+    precomputed or shipped here.
     """
-    shared = dict(
-        scale=scale,
-        n_nodes=n_nodes,
-        seed=seed,
-        skew_factor=skew_factor,
-        skew_period=skew_period,
-        workload=workload,
-    )
-    cache = api.precompute_inspection(codes=tuple(codes), **shared)
     return [
         SweepCell(
             key=(code, cores),
             fn=run_point,
-            kwargs=dict(
-                code=code,
-                cores_per_node=cores,
-                inspection_cache=cache,
-                **shared,
-                **config_fields,
-            ),
+            kwargs=dict(code=code, cores_per_node=cores, **point_fields),
         )
         for code in codes
         for cores in core_counts
@@ -232,7 +210,7 @@ def run_fig9(
     ``jobs > 1`` fans the cells out over worker processes and the
     deterministic merge guarantees the result — ``times`` dict, tables,
     BENCH JSON downstream — is byte-identical to the serial sweep.
-    ``cell_kwargs`` are :func:`fig9_cells`' other arguments (``seed``,
+    ``cell_kwargs`` are :func:`run_point`'s other arguments (``seed``,
     ``skew_factor``, ``skew_period``, ``machine``, ``stealing``).
     """
     codes = tuple(codes)

@@ -6,23 +6,24 @@ and answer; all simulation work happens in the scheduler's pool
 processes (``workers`` concurrent jobs, each on its worker's own warm
 pool), outside this interpreter's lock unless ``pool_jobs`` is 1.
 
-Routes::
+Routes (each counted in ``serve.http.requests{route=...}``)::
 
-    POST /jobs              {"kind": ..., "params": {...}}
-        202 {"job_id", "status", "cached"}     admitted (or cache hit)
+    POST /jobs   {"kind": ..., "params": {...}}                      submit
+        202 {"job_id", "status", "cached"}   admitted; a cache hit also
+            carries "result" and "errors" — all of GET /jobs/<id>/result
         503 {"error", "reason", "retry_after_s"}   breaker shed it
-        400 {"error"}                          malformed spec
-    GET  /jobs              overview: queue, breaker, cache, job table,
-                            the ids currently running (a list — N jobs
-                            run simultaneously)
-    GET  /jobs/<id>         one job's status
+        400 {"error"}                              malformed spec
+    GET  /jobs              queue, breaker, cache, job table, the ids
+                            now running (a list: N at once)        overview
+    GET  /jobs/<id>         one job's status                         status
     GET  /jobs/<id>/result  200 result | 202 {"status", "retry_after_s"}
-    GET  /jobs/<id>/events  long-poll progress stream: one JSON line
-                            per event (started / per-cell completion /
-                            finished), ``?since=N`` resumes after the
-                            N-th event; the connection closes when the
-                            job is final, so a client just reads lines
-                            to EOF instead of polling on a timer
+    GET  /jobs/<id>/events  progress stream, one JSON line per event
+        (started / per-cell completion / finished); ``?since=N`` resumes
+        after the N-th event; the connection closes when the job is
+        final, so a client reads to EOF instead of polling. A final
+        job's stream ends with one {"type": "result", ...} line: the
+        /result body, built as it is written (not an event: no seq, not
+        counted by ``since``). A stream cut by shutdown has none.
     GET  /metrics           MetricsRegistry snapshot + service gauges
     GET  /healthz           {"ok": true}
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -49,7 +51,7 @@ from repro.experiments.sweep import RetryPolicy
 from repro.obs.registry import MetricsRegistry
 from repro.serve.breaker import BreakerConfig, CircuitBreaker
 from repro.serve.cache import ResultCache
-from repro.serve.journal import Journal, read_events, rebuild
+from repro.serve.journal import FINAL_STATES, Journal, read_events, rebuild
 from repro.serve.scheduler import JobScheduler, SubmissionRejected
 from repro.util.errors import ConfigurationError, ReproError
 
@@ -78,6 +80,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _line(self, payload: dict) -> None:
+        self.wfile.write((json.dumps(payload, sort_keys=True) + "\n").encode())
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # requests are not worth a stderr line each
 
@@ -87,32 +92,30 @@ class _Handler(BaseHTTPRequestHandler):
         record per scheduler event, connection close marks the end.
 
         HTTP/1.0 semantics: no Content-Length, the body is everything
-        until close — which is exactly what an unbounded-in-advance
-        stream needs. Each line is flushed as it happens, so a client
-        sees per-cell completions live instead of polling ``status``
-        every half second.
+        until close — what a stream unbounded in advance needs. Lines
+        are flushed as they happen; the last one of a final job is its
+        result.
         """
         daemon = self.daemon
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
-        cursor = max(since, 0)
+        cursor, final = max(since, 0), False
         try:
-            while True:
+            while not final:
                 events, final = daemon.scheduler.events_since(
                     job_id, cursor, wait_s=_EVENT_WAIT_S
                 )
                 for event in events:
-                    self.wfile.write(
-                        (json.dumps(event, sort_keys=True) + "\n").encode()
-                    )
+                    self._line(event)
                 cursor += len(events)
-                if not events and not final:
-                    # quiet long-poll slice: keep the stream alive
-                    self.wfile.write(b'{"type": "keepalive"}\n')
-                self.wfile.flush()
                 if final:
-                    return
+                    record = daemon.scheduler.get(job_id)
+                    if record.status in FINAL_STATES:  # not cut by stop()
+                        self._line({"type": "result", **record.to_result_dict()})
+                elif not events:  # quiet long-poll slice: keep it alive
+                    self._line({"type": "keepalive"})
+                self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             return  # the client hung up; nothing to clean up
 
@@ -121,12 +124,15 @@ class _Handler(BaseHTTPRequestHandler):
         daemon = self.daemon
         parsed = urlparse(self.path)
         if parsed.path == "/healthz":
+            daemon.count_request("healthz")
             self._send(200, {"ok": True})
             return
         if parsed.path == "/metrics":
+            daemon.count_request("metrics")
             self._send(200, daemon.metrics_view())
             return
         if parsed.path == "/jobs":
+            daemon.count_request("overview")
             self._send(200, daemon.scheduler.overview())
             return
         match = _JOB_PATH.match(parsed.path)
@@ -134,6 +140,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"no such route: {self.path}"})
             return
         job_id, sub = match.group(1), match.group(2) or ""
+        daemon.count_request(sub[1:] or "status")
         record = daemon.scheduler.get(job_id)
         if record is None:
             self._send(404, {"error": f"unknown job {job_id}"})
@@ -164,6 +171,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/jobs":
             self._send(404, {"error": f"no such route: {self.path}"})
             return
+        daemon.count_request("submit")
         try:
             length = int(self.headers.get("Content-Length", "0"))
             payload = json.loads(self.rfile.read(length) or b"{}")
@@ -183,11 +191,10 @@ class _Handler(BaseHTTPRequestHandler):
         except (ConfigurationError, json.JSONDecodeError, ReproError) as exc:
             self._send(400, {"error": str(exc)})
         else:
-            self._send(
-                202,
-                {"job_id": record.job_id, "status": record.status,
-                 "cached": record.cached},
-            )
+            body = record.to_result_dict()  # a hit's answer rides its 202
+            if not record.cached:
+                del body["result"], body["errors"]
+            self._send(202, body)
 
     @property
     def daemon(self) -> "ServeDaemon":
@@ -254,6 +261,14 @@ class ServeDaemon:
         self._server.daemon = self  # type: ignore[attr-defined]
         self.host, self.port = self._server.server_address[:2]
         self._stopped = False
+        # bound here, before any thread: a request inserts no series while
+        # the scheduler emits or /metrics iterates the same registry
+        self._requests = {
+            route: self.metrics.counter("serve.http.requests", route=route)
+            for route in ("submit", "status", "result", "events", "metrics",
+                          "healthz", "overview")
+        }
+        self._requests_lock = threading.Lock()  # HTTP threads are many
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -262,8 +277,6 @@ class ServeDaemon:
         self.scheduler.start()
 
     def start_in_thread(self) -> None:
-        import threading
-
         self.start()
         thread = threading.Thread(
             target=self._server.serve_forever, name="repro-serve-http",
@@ -296,6 +309,11 @@ class ServeDaemon:
         self._server.server_close()
 
     # ------------------------------------------------------------------
+    def count_request(self, route: str) -> None:
+        """One more request on a known route (``serve.http.requests``)."""
+        with self._requests_lock:
+            self._requests[route].value += 1.0
+
     def metrics_view(self) -> dict:
         """The /metrics payload: registry snapshot + live service state."""
         overview = self.scheduler.overview()

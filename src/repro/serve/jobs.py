@@ -197,9 +197,8 @@ def build_cells(spec: JobSpec) -> list[SweepCell]:
 
     The job parameters are named after the arguments of the experiments'
     own cell builders, so a spec expands by keyword; a ``point`` job is
-    the 1x1 ``fig9`` grid. For PaRSEC codes those builders precompute
-    the chain inspection here in the daemon process and ship it to the
-    workers, so a grid job pays one chain walk per variant height.
+    the 1x1 ``fig9`` grid. Cells are plain parameters: the daemon
+    inspects nothing, the pool process that runs a cell memoises it.
     """
     from repro.experiments.chaos import chaos_cells
     from repro.experiments.fig9 import fig9_cells

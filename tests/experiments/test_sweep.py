@@ -126,6 +126,53 @@ class TestPrecomputedInspection:
         assert len(clone) == len(cache) == 1
 
 
+class TestCellsCarryNoCache:
+    """A cell is plain parameters: the process that runs it memoises the
+    inspection (2.3 MB of pickled cache per ``paper`` cell before)."""
+
+    def test_every_pickled_cell_is_under_2kb(self):
+        import pickle
+
+        from repro.experiments.chaos import chaos_cells
+        from repro.experiments.fig9 import CODES, fig9_cells
+
+        cells = fig9_cells(CODES, (1, 3, 7, 11, 15), scale="paper", seed=11)
+        cells += chaos_cells(CODES, scale="small", n_nodes=8, stealing=True)
+        assert len(cells) == 36
+        for cell in cells:
+            assert len(pickle.dumps(cell)) < 2048, cell.label()
+            assert not {"cache", "inspection_cache"} & set(cell.kwargs)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("point", {"code": "v5"}),
+            ("fig9", {"codes": ["original", "v1", "v4"], "core_counts": [1, 2]}),
+            ("chaos", {"codes": ["original", "v5"], "workload": "rbgs"}),
+        ],
+    )
+    def test_a_job_answers_the_same_bytes_on_a_cold_and_a_warm_memo(
+        self, kind, params
+    ):
+        from repro.core.inspector import PROCESS_MEMO
+        from repro.serve.jobs import JobSpec, build_cells, serialize_results
+
+        def payload():
+            cells = build_cells(JobSpec.normalize(kind, params))
+            results, _ = SweepExecutor(jobs=1).run(cells)
+            return json.dumps(serialize_results(cells, results), sort_keys=True)
+
+        PROCESS_MEMO._chains.clear()
+        PROCESS_MEMO.n_gemms = 0
+        misses = PROCESS_MEMO.misses
+        cold = payload()
+        assert PROCESS_MEMO.misses > misses  # the cells inspected, here
+        misses, hits = PROCESS_MEMO.misses, PROCESS_MEMO.hits
+        warm = payload()
+        assert PROCESS_MEMO.misses == misses and PROCESS_MEMO.hits > hits
+        assert cold == warm
+
+
 class TestShapeChecksOnSmallGrids:
     """The paper's probe points (3, 7, 11) may be absent from the grid."""
 
@@ -311,3 +358,19 @@ class TestCliJobs:
         committed = json.loads(baseline_path("tiny").read_text())
         fresh = json.loads(out.read_text())
         assert fresh == committed
+
+    def test_fig9_two_jobs_print_what_one_job_prints(self, capsys):
+        """Pool processes inspect for themselves; the tables, chart and
+        checks are the serial sweep's, byte for byte."""
+        from repro.__main__ import EXIT_OK, main
+
+        printed = {}
+        for jobs in ("1", "2"):
+            assert main(["fig9", "--scale", "tiny", "-j", jobs]) == EXIT_OK
+            out = capsys.readouterr().out
+            # the one host-time line: "sweep ...: N cells, J job(s), wall ..."
+            body = [line for line in out.splitlines() if "job(s)" not in line]
+            assert len(body) == len(out.splitlines()) - 1
+            printed[jobs] = "\n".join(body)
+        assert printed["1"] == printed["2"]
+        assert "Figure 9 reproduction" in printed["1"]

@@ -46,6 +46,28 @@ def _stub_cells(monkeypatch):
     _GATE.set()  # unblock any parked worker so threads drain
 
 
+def _requests(daemon):
+    """``serve.http.requests`` by route, read off the registry (a
+    ``/metrics`` request would count itself)."""
+    counters = daemon.metrics.snapshot()["counters"]
+    prefix = "serve.http.requests{route="
+    return {
+        key[len(prefix):-1]: int(value)
+        for key, value in counters.items()
+        if key.startswith(prefix)
+    }
+
+
+def _raw_stream(daemon, job_id, since=0):
+    """Every line of the events route, nothing filtered."""
+    import json
+    import urllib.request
+
+    url = f"http://127.0.0.1:{daemon.port}/jobs/{job_id}/events?since={since}"
+    with urllib.request.urlopen(url, timeout=5.0) as resp:
+        return [json.loads(line) for line in resp if line.strip()]
+
+
 def _daemon(tmp_path, **kwargs):
     kwargs.setdefault("pool_jobs", 1)
     kwargs.setdefault(
@@ -68,11 +90,35 @@ class TestRoutes:
         finally:
             daemon.stop()
 
+    def test_requests_are_counted_by_route(self, tmp_path):
+        daemon, client = _daemon(tmp_path)
+        try:
+            sub = client.submit("point", {"seed": 2})
+            client.status(sub["job_id"])
+            client.status(sub["job_id"])
+            list(client.events(sub["job_id"]))
+            client._held = None  # or result() would not ask
+            client.result(sub["job_id"])
+            client.overview()
+            client.health()
+            client.metrics()
+            view = client.metrics()["metrics"]["counters"]
+            assert view["serve.http.requests{route=metrics}"] == 2
+            assert _requests(daemon) == {
+                "submit": 1, "status": 2, "events": 1, "result": 1,
+                "overview": 1, "healthz": 1, "metrics": 2,
+            }
+            with pytest.raises(ServiceError):
+                client._request("GET", "/nope")  # no route, no count
+            assert sum(_requests(daemon).values()) == 9
+        finally:
+            daemon.stop()
+
     def test_metrics_show_the_pool(self, tmp_path):
         daemon, client = _daemon(tmp_path, workers=2, pool_jobs=2)
         try:
             sub = client.submit("point", {"seed": 3})
-            assert client.wait(sub["job_id"], timeout_s=10.0)["status"] == "done"
+            assert client.watch(sub["job_id"], timeout_s=10.0)["status"] == "done"
             view = client.metrics()["metrics"]
             assert view["gauges"]["serve.pool.processes"] == 2
             assert view["counters"]["serve.pool.spawns"] == 2
@@ -89,7 +135,7 @@ class TestRoutes:
         try:
             sub = client.submit("point", {"seed": 3})
             assert sub["status"] in ("queued", "running", "done")
-            body = client.wait(sub["job_id"], timeout_s=10.0)
+            body = client.watch(sub["job_id"], timeout_s=10.0)
             assert body["status"] == "done"
             assert body["result"]["c1"] == {"value": 1}
             status = client.status(sub["job_id"])
@@ -129,7 +175,7 @@ class TestRoutes:
             assert body["status"] in ("queued", "running")
             assert body["retry_after_s"] > 0
             _GATE.set()
-            assert client.wait(sub["job_id"])["status"] == "done"
+            assert client.watch(sub["job_id"])["status"] == "done"
         finally:
             daemon.stop()
 
@@ -137,9 +183,80 @@ class TestRoutes:
         daemon, client = _daemon(tmp_path)
         try:
             sub = client.submit("point", {"seed": 2})
-            client.wait(sub["job_id"])
+            client.watch(sub["job_id"])
             view = client.overview()
             assert [j["job_id"] for j in view["jobs"]] == [sub["job_id"]]
+        finally:
+            daemon.stop()
+
+
+class TestOneAnswerOneMessage:
+    """A final answer rides the response that announces it."""
+
+    def test_a_cold_job_is_two_requests_and_a_hit_is_one(self, tmp_path):
+        daemon, client = _daemon(tmp_path)
+        try:
+            sub = client.submit("point", {"seed": 3})
+            first = client.watch(sub["job_id"], timeout_s=10.0)
+            assert first["status"] == "done" and not first["cached"]
+            assert _requests(daemon) == {"submit": 1, "events": 1}
+
+            again = client.submit("point", {"seed": 3})
+            assert again == {
+                "job_id": again["job_id"], "status": "done", "cached": True,
+            }
+            hit = client.watch(again["job_id"], timeout_s=10.0)
+            assert _requests(daemon) == {"submit": 2, "events": 1}
+            assert hit["cached"] and hit["job_id"] == again["job_id"]
+            assert hit["result"] == first["result"] and hit["errors"] == {}
+            # same answer as the route gives, and it was handed over once
+            assert client.result(again["job_id"]) == hit
+            assert _requests(daemon) == {"submit": 2, "events": 1, "result": 1}
+        finally:
+            daemon.stop()
+
+    def test_a_hit_journals_what_it_always_did(self, tmp_path):
+        daemon, client = _daemon(tmp_path)
+        try:
+            client.watch(client.submit("point", {"seed": 2})["job_id"])
+            hit = client.submit("point", {"seed": 2})
+            lines = [
+                e for e in read_events(tmp_path / "journal.jsonl")
+                if e.get("job_id") == hit["job_id"]
+            ]
+            assert [e["event"] for e in lines] == ["job_submitted", "job_finished"]
+            assert lines[1]["cached"] is True and "result" not in lines[1]
+        finally:
+            daemon.stop()
+
+    def test_result_line_is_held_for_the_traced_client(self, tmp_path):
+        """``events()`` then ``result()``: two requests besides... none."""
+        daemon, client = _daemon(tmp_path)
+        try:
+            sub = client.submit("point", {"seed": 3})
+            kinds = [e["type"] for e in client.events(sub["job_id"])]
+            assert kinds == ["started", "cell", "cell", "cell", "finished"]
+            body = client.result(sub["job_id"])
+            assert body["status"] == "done" and "type" not in body
+            assert _requests(daemon) == {"submit": 1, "events": 1}
+            # another job's body is not this job's answer
+            other = client.submit("point", {"seed": 3})  # a hit, held
+            assert client.result(sub["job_id"])["job_id"] == sub["job_id"]
+            assert client.result(other["job_id"])["job_id"] == other["job_id"]
+            assert _requests(daemon)["result"] == 2
+        finally:
+            daemon.stop()
+
+    def test_watch_gives_up_at_its_deadline(self, tmp_path):
+        daemon, client = _daemon(tmp_path)
+        try:
+            sub = client.submit("point", {"seed": 501})  # parks the worker
+            start = time.monotonic()
+            with pytest.raises(ServiceError, match="still unfinished after 0.3s"):
+                client.watch(sub["job_id"], timeout_s=0.3)
+            assert 0.25 < time.monotonic() - start < 2.0
+            _GATE.set()
+            assert client.watch(sub["job_id"], timeout_s=10.0)["status"] == "done"
         finally:
             daemon.stop()
 
@@ -166,7 +283,7 @@ class TestRestartRecovery:
     def test_clean_restart_serves_cached_results(self, tmp_path):
         daemon, client = _daemon(tmp_path)
         sub = client.submit("point", {"seed": 2})
-        first = client.wait(sub["job_id"])
+        first = client.watch(sub["job_id"])
         daemon.stop()
 
         daemon2, client2 = _daemon(tmp_path)
@@ -202,7 +319,7 @@ class TestRestartRecovery:
             assert len(daemon2.recovered.pending) == 2
             _GATE.set()  # recovered cells run the same (now open) gate
             for job_id in (running["job_id"], queued["job_id"]):
-                body = client2.wait(job_id, timeout_s=10.0)
+                body = client2.watch(job_id, timeout_s=10.0)
                 assert body["status"] == "done", job_id
             finished = [
                 e for e in read_events(tmp_path / "journal.jsonl")
@@ -218,7 +335,7 @@ class TestRestartRecovery:
     def test_restarted_daemon_keeps_job_ids_unique(self, tmp_path):
         daemon, client = _daemon(tmp_path)
         first = client.submit("point", {"seed": 1})
-        client.wait(first["job_id"])
+        client.watch(first["job_id"])
         daemon.stop()
 
         daemon2, client2 = _daemon(tmp_path)
@@ -257,7 +374,7 @@ class TestRestartRecovery:
             assert len(daemon2.recovered.pending) == 2
             _GATE.set()
             for job_id in (a["job_id"], b["job_id"]):
-                assert client2.wait(job_id, timeout_s=10.0)["status"] == "done"
+                assert client2.watch(job_id, timeout_s=10.0)["status"] == "done"
             finished = [
                 e for e in read_events(tmp_path / "journal.jsonl")
                 if e["event"] == "job_finished"
@@ -284,8 +401,8 @@ class TestConcurrencyOverHTTP:
             assert sorted(running) == sorted([a["job_id"], b["job_id"]])
             assert client.metrics()["workers"] == 2
             _GATE.set()
-            assert client.wait(a["job_id"])["status"] == "done"
-            assert client.wait(b["job_id"])["status"] == "done"
+            assert client.watch(a["job_id"])["status"] == "done"
+            assert client.watch(b["job_id"])["status"] == "done"
         finally:
             _GATE.set()
             daemon.stop()
@@ -297,7 +414,7 @@ class TestConcurrencyOverHTTP:
             sub = client.submit("point", {"seed": 2, "priority": 3})
             assert client.status(sub["job_id"])["priority"] == 3
             _GATE.set()
-            assert client.wait(sub["job_id"])["status"] == "done"
+            assert client.watch(sub["job_id"])["status"] == "done"
         finally:
             _GATE.set()
             daemon.stop()
@@ -350,6 +467,52 @@ class TestEventStream:
             _GATE.set()
             daemon.stop()
 
+    def test_a_finished_jobs_stream_ends_with_the_result_line(self, tmp_path):
+        daemon, client = _daemon(tmp_path)
+        try:
+            sub = client.submit("point", {"seed": 2})
+            body = client.watch(sub["job_id"])
+            for since in (0, 1, 4, 99):  # opened late, and past the last event
+                lines = _raw_stream(daemon, sub["job_id"], since)
+                assert [e["seq"] for e in lines[:-1]] == list(range(since + 1, 5))
+                assert lines[-1] == {"type": "result", **body}
+            # built at stream time: never an event, never counted by since
+            assert len(daemon.scheduler.get(sub["job_id"]).events) == 4
+        finally:
+            daemon.stop()
+
+    def test_a_stream_cut_by_stop_has_no_result_line(self, tmp_path):
+        daemon, client = _daemon(tmp_path)
+        try:
+            sub = client.submit("point", {"seed": 501})  # parked
+            lines, watched = [], []
+            readers = [
+                threading.Thread(
+                    target=lambda: lines.extend(_raw_stream(daemon, sub["job_id"]))
+                ),
+                threading.Thread(
+                    target=lambda: watched.append(client.watch(sub["job_id"]))
+                ),
+            ]
+            for reader in readers:
+                reader.start()
+            deadline = time.monotonic() + 10
+            while _requests(daemon).get("events", 0) < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            daemon.scheduler.stop()  # the listener is still up
+            for reader in readers:
+                reader.join(timeout=10)
+                assert not reader.is_alive()
+            assert [e["type"] for e in lines] == ["started"]
+            # watch fell back to the route, which says what it said before
+            assert watched[0]["status"] == "running"
+            assert watched[0]["retry_after_s"] > 0
+            assert _requests(daemon)["result"] == 1
+        finally:
+            _GATE.set()
+            daemon.stop()
+
     def test_watch_returns_the_result(self, tmp_path):
         daemon, client = _daemon(tmp_path)
         try:
@@ -364,7 +527,7 @@ class TestEventStream:
         daemon, client = _daemon(tmp_path)
         try:
             sub = client.submit("point", {"seed": 1})
-            client.wait(sub["job_id"])
+            client.watch(sub["job_id"])
             with pytest.raises(ServiceError) as exc:
                 client._request(
                     "GET", f"/jobs/{sub['job_id']}/events?since=abc"
@@ -398,7 +561,7 @@ class TestJournalHygiene:
         path = tmp_path / "journal.jsonl"
         daemon, client = _daemon(tmp_path)
         sub = client.submit("point", {"seed": 2})
-        first = client.wait(sub["job_id"])
+        first = client.watch(sub["job_id"])
         daemon.stop()
         events = read_events(path)
         # one snapshot folding the whole history, then the stop marker
@@ -423,7 +586,7 @@ class TestJournalHygiene:
             # balloon: every hit re-appends the full spec; the snapshot
             # folds all those submissions onto one shared spec entry
             sub = client.submit("point", {"seed": 8})
-            client.wait(sub["job_id"])
+            client.watch(sub["job_id"])
             sizes = []
             for _ in range(10):
                 hit = client.submit("point", {"seed": 8})

@@ -67,7 +67,7 @@ class TestKillAndRestart:
             client = ServiceClient(port=port, timeout_s=10.0)
             # job A runs to completion before the kill
             a = client.submit("point", _POINT)
-            done = client.wait(a["job_id"], timeout_s=120.0)
+            done = client.watch(a["job_id"], timeout_s=120.0)
             assert done["status"] == "done" and done["result"]
             # job B is submitted and immediately orphaned by SIGKILL
             b = client.submit("point", {**_POINT, "seed": 8})
@@ -96,7 +96,7 @@ class TestKillAndRestart:
                     == done["result"]
                 )
                 # job B was recovered and re-executed under its own id
-                recovered = client2.wait(b["job_id"], timeout_s=120.0)
+                recovered = client2.watch(b["job_id"], timeout_s=120.0)
                 assert recovered["status"] == "done"
                 assert recovered["result"]
 
@@ -182,7 +182,7 @@ class TestPoolDiesWithTheDaemon:
             proc2, port2 = _spawn(journal, port=port, jobs=2, workers=2)
             assert port2 == port
             client2 = ServiceClient(port=port, timeout_s=10.0)
-            recovered = client2.wait(job["job_id"], timeout_s=120.0)
+            recovered = client2.watch(job["job_id"], timeout_s=120.0)
             assert recovered["status"] == "done" and len(recovered["result"]) == 12
             finished = [
                 e["job_id"] for e in read_events(journal)
