@@ -337,17 +337,18 @@ def test_micro_cell_pickle_bytes(benchmark):
 def _memo_counts():
     from repro.core.inspector import PROCESS_MEMO
 
-    return PROCESS_MEMO.hits, PROCESS_MEMO.misses
+    return dict(PROCESS_MEMO.hits), dict(PROCESS_MEMO.misses)
 
 
 @pytest.mark.benchmark(group="micro")
 def test_micro_first_vs_second_cell_in_a_pool_process(benchmark):
-    """Where the inspection is paid: once per structure per pool process.
+    """Where the inspector half is paid: once per structure per pool process.
 
     A ``t2_7:tiny`` v5 ``point`` cell through one warm pool process,
-    twice per seed, ten seeds: the first meets the structure and
-    inspects it (about 2 ms of a 19 ms cell), the second must not. The
-    process's own memo counters are the verdict; the medians are the
+    twice per node count, ten node counts: the first meets the chain
+    height and task table of its node count and builds them (the
+    structure it shares with every other cell), the second must not.
+    The process's own memo counters are the verdict; the medians are the
     price. A second-cell miss means cells stopped sharing the process
     memo (or the bound evicts at this size).
     """
@@ -356,31 +357,108 @@ def test_micro_first_vs_second_cell_in_a_pool_process(benchmark):
     from repro.experiments.sweep import SweepExecutor, WorkerPool
     from repro.serve.jobs import JobSpec, build_cells
 
-    def cell_ms(pool, seed):
-        cells = build_cells(JobSpec.normalize("point", {"seed": seed}))
-        _, stats = SweepExecutor(pool=pool).run(cells)
+    def cell_ms(pool, n_nodes):
+        spec = JobSpec.normalize("point", {"n_nodes": n_nodes, "seed": 100 + n_nodes})
+        _, stats = SweepExecutor(pool=pool).run(build_cells(spec))
         return 1e3 * sum(stats.cell_wall_s.values())
 
-    pool = WorkerPool(1)  # seeds of its own: a copy of our memo has none
+    pool = WorkerPool(1)  # node counts of its own: a copy of our memo has none
     try:
         pool.launch()
-        cell_ms(pool, 999)  # copy-on-write warm-up, on a seed of its own
-        before = pool.submit(_memo_counts).result()
+        cell_ms(pool, 24)  # copy-on-write warm-up; builds the structure
+        before_hits, before_misses = pool.submit(_memo_counts).result()
         pairs = benchmark.pedantic(
-            lambda: [(cell_ms(pool, s), cell_ms(pool, s)) for s in range(100, 110)],
+            lambda: [(cell_ms(pool, n), cell_ms(pool, n)) for n in range(13, 23)],
             rounds=1, iterations=1,
         )
-        after = pool.submit(_memo_counts).result()
+        after_hits, after_misses = pool.submit(_memo_counts).result()
     finally:
         pool.close()
-    hits, misses = (now - then for now, then in zip(after, before))
+    misses = {k: after_misses[k] - before_misses.get(k, 0) for k in after_misses}
+    hits = {k: after_hits[k] - before_hits.get(k, 0) for k in after_hits}
     first, second = (median(column) for column in zip(*pairs))
     benchmark.extra_info.update(first_ms=first, second_ms=second)
     print(
-        f"\npoint cell in a pool process: first of its structure {first:.1f} ms, "
-        f"second {second:.1f} ms; memo {misses} misses, {hits} hits"
+        f"\npoint cell in a pool process: first of its node count {first:.1f} ms, "
+        f"second {second:.1f} ms; memo misses {misses}, hits {hits}"
     )
-    assert (hits, misses) == (10, 10)
+    assert misses == {"structure": 0, "chains": 10, "template": 10}
+    assert hits == {"structure": 20, "chains": 10, "template": 10}
+
+
+@pytest.mark.benchmark(group="micro")
+@pytest.mark.parametrize("token", ["t2_7:small", "ccsd:small"])
+def test_micro_build_cold_vs_warm(benchmark, token):
+    """``api.build`` of a REAL workload with nothing memoised, and again
+    with its structure and draws in the memo (what every cell of a sweep
+    after the first pays). Sized at 80 / 370 ms cold for t2_7 / ccsd
+    before the memo held either; warm is the bind alone: the cluster,
+    its GA handlers, the arrays, adopting the draws."""
+    from statistics import median
+
+    from repro.core.inspector import InspectionCache
+
+    def build_ms(cache):
+        config = api.RunConfig(
+            n_nodes=8, cores_per_node=4, metrics=False, inspection_cache=cache
+        )
+        t0 = time.perf_counter()
+        workload = api.build(token, config)
+        elapsed = time.perf_counter() - t0
+        del workload
+        return 1e3 * elapsed
+
+    def measure():
+        cold = [build_ms(InspectionCache()) for _ in range(5)]
+        memo = InspectionCache()
+        build_ms(memo)
+        warm = [build_ms(memo) for _ in range(5)]
+        return median(cold), median(warm)
+
+    cold, warm = benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info.update(cold_ms=cold, warm_ms=warm)
+    print(f"\n{token} REAL 8x4 build: cold {cold:.1f} ms, warm {warm:.1f} ms")
+    assert warm < cold
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_instantiate_cold_vs_warm(benchmark):
+    """``PTG.instantiate`` of ``t2_7:paper`` v5 on 32 nodes: building and
+    validating the task template, then materializing it (cold), against
+    materializing the memoised template (warm). Collector paused, as in
+    a run. Sized at 163 ms cold and 18 ms warm."""
+    from statistics import median
+
+    from repro.core.inspector import InspectionCache
+    from repro.util import collector
+
+    memo = InspectionCache()
+    config = api.RunConfig(
+        n_nodes=32, cores_per_node=1, data_mode=DataMode.SYNTH, metrics=False
+    )
+    workload = api.build("t2_7:paper", config)
+    level = workload.levels()[0]
+
+    @collector.paused()
+    def instantiate_ms(cache):
+        md = inspect_subroutine(level, workload.cluster, V5, cache)
+        ptg = build_ccsd_ptg(V5, md)
+        t0 = time.perf_counter()
+        graph = ptg.instantiate(md, 32)
+        elapsed = time.perf_counter() - t0
+        assert len(graph) > 3 * level.n_gemms
+        return 1e3 * elapsed
+
+    def measure():
+        cold = [instantiate_ms(None) for _ in range(5)]
+        instantiate_ms(memo)
+        warm = [instantiate_ms(memo) for _ in range(5)]
+        return median(cold), median(warm)
+
+    cold, warm = benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info.update(cold_ms=cold, warm_ms=warm)
+    print(f"\nt2_7:paper v5 instantiate: cold {cold:.1f} ms, warm {warm:.1f} ms")
+    assert warm < cold
 
 
 @pytest.mark.benchmark(group="micro")

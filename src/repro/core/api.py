@@ -96,9 +96,12 @@ class RunConfig:
     #: Comm optimization: bounded per-node software cache of fetched
     #: remote GA blocks, invalidated by write epochs. None = off.
     remote_cache: Optional[RemoteCachePolicy] = None
-    #: PaRSEC: share inspected chain metadata across runs of the same
-    #: workload structure + node count (None = a throwaway cache per
-    #: run). The phase timer still runs; only the chain walk is skipped.
+    #: The memo of the inspector half of a run (None = build everything
+    #: fresh and keep nothing): the workload's chain IR, its inputs'
+    #: seeded draws (adopted copy-on-write), the inspected chains and the
+    #: PTG's validated task table, each built once per what it depends on
+    #: (see :class:`~repro.core.inspector.InspectionCache`). The phase
+    #: timers still run; simulated behaviour is identical either way.
     inspection_cache: Optional[InspectionCache] = field(
         default=None, repr=False, compare=False
     )
@@ -131,10 +134,12 @@ def build(
 ) -> Workload:
     """Cluster, ``GlobalArrays`` and the workload ``token`` names.
 
-    ``scale`` supplies the token's params when it carries none;
-    ``cluster`` reuses an existing allocation instead of building
-    ``config``'s. The GA handlers are always spawned before the
-    workload allocates its tensors, so every caller draws the same
+    The workload's structure (``config.inspection_cache``'s when given)
+    is bound to the cluster: its arrays are created and its inputs
+    adopt their seeded draws. ``scale`` supplies the token's params when
+    it carries none; ``cluster`` reuses an existing allocation instead
+    of building ``config``'s. The GA handlers are always spawned before
+    the workload allocates its tensors, so every caller draws the same
     engine sequence numbers.
     """
     if cluster is None:
@@ -150,6 +155,7 @@ def build(
         seed=config.seed,
         skew_factor=config.skew_factor,
         skew_period=config.skew_period,
+        cache=config.inspection_cache,
     )
 
 
@@ -164,12 +170,12 @@ def precompute_inspection(
 ) -> InspectionCache:
     """An :class:`InspectionCache` filled ahead of the runs that use it.
 
-    Inspected chain metadata depends only on the workload's structure
-    token, the node count and the variant's chain height, so one
-    throwaway SYNTH build per call covers every cores/node, data mode
-    and machine model. The experiments no longer call this — their
-    cells share the process memo — but a caller that wants the chain
-    walk outside what it times passes the result as
+    It holds the workload's structure and, per chain height, its
+    inspected chains: both depend only on the structure, the node count
+    and the height, so one SYNTH build per call covers every cores/node,
+    data mode and machine model. The experiments no longer call this —
+    their cells share the process memo — but a caller that wants the
+    build and the chain walk outside what it times passes the result as
     ``RunConfig.inspection_cache``, which always wins. ``workload`` is
     a registry name or token (``scale`` supplies its params when the
     token has none; multi-level workloads are inspected level by
@@ -192,6 +198,7 @@ def precompute_inspection(
         seed=seed,
         skew_factor=skew_factor,
         skew_period=skew_period,
+        inspection_cache=cache,
     )
     workload_obj = build(workload, config, scale=scale)
     for subroutine in workload_obj.levels():

@@ -18,6 +18,8 @@ across nodes (Section IV-D).
 from __future__ import annotations
 
 import threading
+from collections import Counter
+from typing import Callable, Optional
 
 from repro.core.metadata import (
     ChainMeta,
@@ -29,24 +31,34 @@ from repro.core.metadata import (
     WriteSegMeta,
 )
 from repro.core.variants import VariantSpec
+from repro.ga.distribution import Distribution
 from repro.sim.cluster import Cluster
 from repro.tce.subroutine import ChainSpec, Subroutine
 from repro.util.errors import ConfigurationError
+from repro.util.rng import seeded_normal
 
-__all__ = ["MEMO_MAX_GEMMS", "PROCESS_MEMO", "InspectionCache", "inspect_subroutine"]
+__all__ = ["MEMO_MAX_BYTES", "PROCESS_MEMO", "InspectionCache", "inspect_subroutine"]
 
 
-#: Bound of :data:`PROCESS_MEMO`, in inspected GEMMs summed over its
-#: entries. Measured (t2_7/rbgs/ccsd at tiny/small/paper, both chain
-#: heights): 0.86-1.21 kB resident and 145-191 B pickled per GEMM, so
-#: 113-159 MB per process at most. Sized for one chain height of the
-#: largest registered workload, because consecutive cells of a sweep
-#: walk the same keys in a cycle and a cycle one GEMM over the bound
-#: misses every time: on the paper's 32 nodes ``t2_7:paper`` is 8 100
-#: GEMMs per height, ``rbgs:paper`` 4 992, ``ccsd:paper`` 93 620 (7
-#: entries, 0.7-1.2 s to inspect). Both heights of ``ccsd:paper`` do
-#: not fit: its sweep re-inspects where the height changes (v1 -> v2).
-MEMO_MAX_GEMMS = 1 << 17
+#: Bytes each memoised product is weighed at, per unit of its size:
+#: ``tracemalloc`` over t2_7 / rbgs / ccsd at small and paper on 4-32
+#: nodes, the largest reading kept. The chain IR of a structure, 820-1 056
+#: B per GEMM (1.25-1.65 kB at tiny, where the layouts dominate); the
+#: inspected ``ChainMeta``, 480-649 B per GEMM (740 at tiny), both chain
+#: heights; a validated task template, 226-232 B per task, v1 and v5. A
+#: seeded draw weighs its ``nbytes``: 8 B per element.
+IR_BYTES_PER_GEMM = 1_056
+CHAIN_BYTES_PER_GEMM = 649
+TEMPLATE_BYTES_PER_TASK = 232
+
+#: Bound of :data:`PROCESS_MEMO`, in the bytes above summed over its
+#: entries. Sized so that ``ccsd:small`` REAL on 8 nodes (chain IR, 90 MB
+#: of draws, both heights' chains, v1-v5 templates: 179 MB) and
+#: ``t2_7:paper`` on 32 nodes (chain IR, both heights' chains, v1-v5
+#: templates: 53 MB) fit together — a sweep walks its keys in a cycle,
+#: and a least-recently-used memo one entry smaller than the cycle
+#: misses on every call.
+MEMO_MAX_BYTES = 256 << 20
 
 #: One lock for every cache (so none is pickled with an instance); only
 #: the process memo is ever shared between threads.
@@ -54,86 +66,138 @@ _LOCK = threading.Lock()
 
 
 class InspectionCache:
-    """Memoized chain metadata across runs.
+    """The inspector half of a run, memoised: everything that depends
+    only on a workload's structure.
 
-    The inspected :class:`ChainMeta` list is pure data: every field is
-    derived from the chain IR, the variant's chain height, and the GA
-    block distribution — and a :class:`~repro.ga.distribution.Distribution`
-    is a pure function of ``(total elements, n_nodes)``. So two runs
-    whose subroutines share a ``structure_token`` and whose clusters
-    share a node count produce *identical* chains for the same variant
-    height, regardless of cores per node. Figure 9's cores/node sweep
-    re-inspects the same workload at every cell; sharing one cache
-    across the sweep skips all but the first inspection per
-    (workload, n_nodes, height) combination.
+    Each product is keyed by exactly what it depends on:
 
-    The cache never holds :class:`Metadata` itself — that object carries
-    live :class:`GlobalArray` references and must be rebuilt per run.
-    Cached chains are shared, not copied: nothing mutates a
-    :class:`ChainMeta` after inspection, so two threads may simulate on
-    one entry. Values are pure-data dataclasses keyed by plain tuples:
-    a cache **pickles cleanly**.
+    - ``structure`` — a workload's chain IR and tensor layouts
+      (:class:`~repro.workloads.base.Structure`), by canonical token and
+      skew;
+    - ``draw`` — the seeded standard-normal contents of an input
+      tensor, read-only, by (seed, stream, size); runs adopt it
+      copy-on-write (:meth:`~repro.ga.array.GlobalArray.adopt`), so no
+      run can write into it;
+    - ``chains`` — the inspected :class:`ChainMeta` list, by
+      (``structure_token``, ``n_nodes``, chain height): every field
+      derives from the chain IR, the height and the GA block
+      distribution, a pure function of (elements, ``n_nodes``), so
+      cores per node, data mode and seed do not enter;
+    - ``template`` — a PTG's validated task table, by
+      (``structure_token``, variant, ``n_nodes``)
+      (:meth:`repro.parsec.ptg.PTG.instantiate`).
 
-    With ``max_gemms`` the cache is least-recently-used over its keys
-    and evicts until the GEMMs it holds fit; an entry larger than the
-    whole bound is handed back uncached and evicts nothing. A call
-    holds the lock from lookup to store, so concurrent callers of one
-    key inspect once and ``hits + misses`` (host-side bookkeeping that
-    reaches no report) is the number of calls.
+    Nothing a run binds is kept: not the cluster, not an array, not a
+    :class:`Metadata` (it holds live array handles). Products are
+    shared, not copied — nothing mutates one after it is built, so two
+    threads may simulate on one entry — and they pickle.
+
+    With ``max_bytes`` the cache is one least-recently-used order over
+    all its entries, each weighed in estimated resident bytes, and
+    evicts from the old end until they fit; an entry larger than the
+    whole bound is handed back uncached and evicts nothing. A call holds
+    the lock from lookup to store, so concurrent callers of one key
+    compute it once. ``hits`` and ``misses`` count calls per product
+    kind — host-side bookkeeping that reaches no report.
     """
 
-    def __init__(self, max_gemms: int | None = None) -> None:
-        #: insertion order is recency order: a hit re-inserts its key
-        self._chains: dict[tuple, list[ChainMeta]] = {}
-        self.max_gemms = max_gemms
-        self.n_gemms = 0
-        self.hits = 0
-        self.misses = 0
+    def __init__(self, max_bytes: Optional[int] = None) -> None:
+        #: (kind, key) -> (product, bytes); insertion order is recency
+        #: order: a hit re-inserts its key
+        self._entries: dict[tuple, tuple[object, int]] = {}
+        self.max_bytes = max_bytes
+        self.n_bytes = 0
+        self.hits: Counter = Counter()
+        self.misses: Counter = Counter()
 
     def __len__(self) -> int:
-        return len(self._chains)
+        return len(self._entries)
+
+    def keys(self, kind: str) -> list:
+        """The keys of ``kind`` held, least recently used first."""
+        return [key for entry_kind, key in self._entries if entry_kind == kind]
+
+    def _memo(
+        self,
+        kind: str,
+        key,
+        compute: Callable[[], object],
+        weigh: Callable[[object], int],
+    ):
+        """``compute()`` at most once per ``(kind, key)``; a None key
+        (a structure without a token) is never stored."""
+        with _LOCK:
+            entry = self._entries.pop((kind, key), None) if key is not None else None
+            if entry is not None:
+                self.hits[kind] += 1
+                self._entries[(kind, key)] = entry
+                return entry[0]
+            self.misses[kind] += 1
+            product = compute()
+            if key is None:
+                return product
+            nbytes = weigh(product)
+            bound = self.max_bytes
+            if bound is None or nbytes <= bound:
+                self._entries[(kind, key)] = (product, nbytes)
+                self.n_bytes += nbytes
+                while bound is not None and self.n_bytes > bound:
+                    self.n_bytes -= self._entries.pop(next(iter(self._entries)))[1]
+            return product
+
+    def structure(self, key: tuple, build: Callable[[], object]):
+        """The workload structure ``build()`` makes, once per ``key``."""
+        return self._memo(
+            "structure", key, build, lambda built: IR_BYTES_PER_GEMM * built.n_gemms
+        )
+
+    def draw(self, seed: int, stream: str, size: int):
+        """The read-only seeded draw of ``size`` elements from ``stream``."""
+        return self._memo(
+            "draw",
+            (seed, stream, size),
+            lambda: seeded_normal(seed, stream, size),
+            lambda values: values.nbytes,
+        )
 
     def chains_for(
         self, subroutine: Subroutine, cluster: Cluster, variant: VariantSpec
     ) -> list[ChainMeta]:
         """The inspected chains, computed at most once per cache key."""
         token = subroutine.structure_token
-        key = (token, cluster.n_nodes, variant.segment_height)
-        with _LOCK:
-            # a hand-built subroutine has no token, hence no safe identity
-            chains = self._chains.pop(key, None) if token is not None else None
-            if chains is not None:
-                self.hits += 1
-                self._chains[key] = chains
-                return chains
-            self.misses += 1
-            chains = [
-                _inspect_chain(chain, cluster, variant)
-                for chain in subroutine.chains
-            ]
-            n_gemms = sum(chain.length for chain in chains)
-            bound = self.max_gemms
-            if token is not None and (bound is None or n_gemms <= bound):
-                self._chains[key] = chains
-                self.n_gemms += n_gemms
-                while bound is not None and self.n_gemms > bound:
-                    oldest = self._chains.pop(next(iter(self._chains)))
-                    self.n_gemms -= sum(chain.length for chain in oldest)
-            return chains
+        height = variant.segment_height
+        # a hand-built subroutine has no token, hence no safe identity
+        key = None if token is None else (token, cluster.n_nodes, height)
+        return self._memo(
+            "chains",
+            key,
+            lambda: _inspect_chains(subroutine, cluster.n_nodes, variant),
+            lambda chains: CHAIN_BYTES_PER_GEMM * sum(c.length for c in chains),
+        )
+
+    def template(self, key: tuple, build: Callable[[], tuple]) -> tuple:
+        """The validated task template ``build()`` makes, once per ``key``."""
+        return self._memo(
+            "template",
+            key,
+            build,
+            lambda rows: TEMPLATE_BYTES_PER_TASK * sum(len(r) for _, r in rows),
+        )
 
 
 #: The memo of a process that runs experiment cells:
 #: :func:`repro.experiments.calibration.cell_config` hands it to every
 #: cell whose caller brought no cache, so a pool process (or the one
-#: process of a serial sweep) inspects a structure the first time it
-#: meets it and never again, and no cell ships a cache. A plain
+#: process of a serial sweep) builds a structure, draws an input,
+#: inspects a chain height and validates a task table the first time it
+#: meets them and never again, and no cell ships a cache. A plain
 #: ``repro.run`` does not use it: a run leaves nothing behind. A forked
 #: pool process is safe: the lock is held only inside a cell, and no
 #: process that forks is inside one — the job service forks its pools
 #: before any thread exists and then runs no cell itself, a CLI sweep
 #: forks from a single-threaded parent that only dispatches. A child
 #: starts with a copy of what its parent had memoised.
-PROCESS_MEMO = InspectionCache(max_gemms=MEMO_MAX_GEMMS)
+PROCESS_MEMO = InspectionCache(max_bytes=MEMO_MAX_BYTES)
 
 
 def _build_segments(n_gemms: int, height: int | None) -> list[SegmentMeta]:
@@ -183,10 +247,26 @@ def _build_reduce_tree(
     return reduces, consumer
 
 
+def _inspect_chains(
+    subroutine: Subroutine, n_nodes: int, variant: VariantSpec
+) -> list[ChainMeta]:
+    """The chain walk: every chain of ``subroutine`` on ``n_nodes``."""
+    distributions = {
+        tensor.name: Distribution(tensor.total, n_nodes)
+        for tensor in (*subroutine.inputs, subroutine.output)
+    }
+    return [
+        _inspect_chain(chain, n_nodes, variant, distributions)
+        for chain in subroutine.chains
+    ]
+
+
 def _inspect_chain(
-    chain: ChainSpec, cluster: Cluster, variant: VariantSpec
+    chain: ChainSpec,
+    n_nodes: int,
+    variant: VariantSpec,
+    distributions: dict[str, Distribution],
 ) -> ChainMeta:
-    n_nodes = cluster.n_nodes
     segments = _build_segments(chain.length, variant.segment_height)
     reduces, consumer = _build_reduce_tree(len(segments))
 
@@ -194,6 +274,8 @@ def _inspect_chain(
     for seg in segments:
         for pos_in_seg in range(seg.length):
             gemm = chain.gemms[seg.start + pos_in_seg]
+            a_array = gemm.a.tensor.name
+            b_array = gemm.b.tensor.name
             gemms.append(
                 GemmMeta(
                     position=gemm.position,
@@ -202,19 +284,19 @@ def _inspect_chain(
                     seg_len=seg.length,
                     a_lo=gemm.a.lo,
                     a_hi=gemm.a.hi,
-                    a_owner=gemm.a.tensor.array.distribution.last_segment_owner(
+                    a_owner=distributions[a_array].last_segment_owner(
                         gemm.a.lo, gemm.a.hi
                     ),
                     b_lo=gemm.b.lo,
                     b_hi=gemm.b.hi,
-                    b_owner=gemm.b.tensor.array.distribution.last_segment_owner(
+                    b_owner=distributions[b_array].last_segment_owner(
                         gemm.b.lo, gemm.b.hi
                     ),
                     m=gemm.m,
                     n=gemm.n,
                     k=gemm.k,
-                    a_array=gemm.a.tensor.array.name,
-                    b_array=gemm.b.tensor.array.name,
+                    a_array=a_array,
+                    b_array=b_array,
                 )
             )
 
@@ -234,10 +316,12 @@ def _inspect_chain(
             f"{sorted(target_ranges)} — the WRITE_C organization assumes one"
         )
     target_lo, target_hi = target_ranges.pop()
-    i2_array = active[0].target.tensor.array
+    target_array = active[0].target.tensor.name
     write_segs = [
         WriteSegMeta(index, seg.node, seg.lo, seg.hi)
-        for index, seg in enumerate(i2_array.distribution.segments(target_lo, target_hi))
+        for index, seg in enumerate(
+            distributions[target_array].segments(target_lo, target_hi)
+        )
     ]
 
     return ChainMeta(
@@ -255,7 +339,7 @@ def _inspect_chain(
         target_lo=target_lo,
         target_hi=target_hi,
         write_segs=write_segs,
-        target_array=i2_array.name,
+        target_array=target_array,
     )
 
 
@@ -269,30 +353,27 @@ def inspect_subroutine(
 
     With ``cache`` given, the chain walk is skipped when an equivalent
     inspection (same workload structure, node count, and chain height)
-    was already performed; the Metadata wrapper — which holds live
-    array references — is still built fresh for this run's cluster.
+    was already performed, and the metadata carries the cache on to the
+    PTG's task template. The tensor names the chains use resolve to this
+    run's arrays through the cluster's GA runtime, fresh per run.
     """
     if not subroutine.chains:
         raise ConfigurationError(f"subroutine {subroutine.name} has no chains")
     if cache is None:  # not `or`: an empty cache is falsy
-        cache = InspectionCache()
-    chains = cache.chains_for(subroutine, cluster, variant)
-    first = subroutine.chains[0]
-    # Live-handle map resolved fresh per run: the cached ChainMeta
-    # entries carry array *names*; the task bodies look the handles up
-    # here. Subroutine.inputs is the contract for which arrays chains
-    # may reference (plus the output).
-    arrays = {subroutine.output.array.name: subroutine.output.array}
-    for tensor in subroutine.inputs:
-        arrays[tensor.array.name] = tensor.array
+        chains = InspectionCache().chains_for(subroutine, cluster, variant)
+    else:
+        chains = cache.chains_for(subroutine, cluster, variant)
+    ga = cluster.ga
     return Metadata(
         chains=chains,
         variant=variant,
         n_nodes=cluster.n_nodes,
-        va_array=first.gemms[0].a.tensor.array,
-        tb_array=first.gemms[0].b.tensor.array,
-        i2_array=subroutine.output.array,
+        arrays={
+            tensor.name: ga.lookup(tensor.name)
+            for tensor in (subroutine.output, *subroutine.inputs)
+        },
         subroutine_name=subroutine.name,
-        arrays=arrays,
         level=subroutine.level,
+        structure_token=subroutine.structure_token,
+        cache=cache,
     )

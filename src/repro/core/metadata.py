@@ -35,13 +35,12 @@ __all__ = [
 class GemmMeta:
     """One GEMM slot: resolved operand ranges, owners, and shape.
 
-    ``a_array`` / ``b_array`` name the GA each operand lives in (the
-    empty string means "the subroutine's default operand array", kept
-    for metadata built before the workload SDK). They are plain
-    strings — never live array handles — so cached inspection entries
-    stay pure data and pickle cleanly into sweep workers. Workloads
-    whose chains mix operand arrays (a stencil reading both ``u`` and
-    ``u_next``) need the resolution to be per GEMM, not per chain.
+    ``a_array`` / ``b_array`` name the GA each operand lives in. They
+    are plain strings — never live array handles — so cached inspection
+    entries stay pure data, shared by every run of the structure.
+    Workloads whose chains mix operand arrays (a stencil reading both
+    ``u`` and ``u_next``) need the resolution to be per GEMM, not per
+    chain.
     """
 
     position: int          # L2
@@ -57,8 +56,8 @@ class GemmMeta:
     m: int
     n: int
     k: int
-    a_array: str = ""
-    b_array: str = ""
+    a_array: str
+    b_array: str
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,8 @@ class ChainMeta:
     target_lo: int
     target_hi: int
     write_segs: list[WriteSegMeta]
-    #: GA name the active sorts accumulate into ("" = default output)
-    target_array: str = ""
+    #: GA name the active sorts accumulate into
+    target_array: str
     #: memoized root_producer() result — PTG guards and param maps call
     #: it for every dep evaluation, and it is pure in the static fields
     _root_producer: Optional[tuple] = field(
@@ -181,17 +180,19 @@ class Metadata:
     chains: list[ChainMeta]
     variant: VariantSpec
     n_nodes: int
-    va_array: object
-    tb_array: object
-    i2_array: object
-    subroutine_name: str = ""
-    #: every GA the chains touch, keyed by array name; rebuilt per run
+    #: every GA the chains touch, keyed by array name; resolved per run
     #: (live handles — this is why Metadata itself is never cached)
-    arrays: dict = field(default_factory=dict)
+    arrays: dict
+    subroutine_name: str = ""
     #: barrier-separated level this metadata describes (0 for
     #: single-level workloads); folded into write tags so contributions
     #: from different levels never alias in ordered-accumulation logs
     level: int = 0
+    #: the subroutine's structure token and the InspectionCache the
+    #: chains came from (None: a throwaway inspection); with both, the
+    #: PTG keeps its validated task template in the cache
+    structure_token: Optional[tuple] = None
+    cache: object = field(default=None, repr=False, compare=False)
 
     #: populated in __post_init__
     max_L1: int = field(init=False)
@@ -212,22 +213,16 @@ class Metadata:
         return self.chains[L1].gemms[L2]
 
     def a_array_of(self, gemm: GemmMeta) -> object:
-        """The GA backing a GEMM's A operand (falls back to va_array)."""
-        if gemm.a_array and gemm.a_array in self.arrays:
-            return self.arrays[gemm.a_array]
-        return self.va_array
+        """The GA backing a GEMM's A operand."""
+        return self.arrays[gemm.a_array]
 
     def b_array_of(self, gemm: GemmMeta) -> object:
-        """The GA backing a GEMM's B operand (falls back to tb_array)."""
-        if gemm.b_array and gemm.b_array in self.arrays:
-            return self.arrays[gemm.b_array]
-        return self.tb_array
+        """The GA backing a GEMM's B operand."""
+        return self.arrays[gemm.b_array]
 
     def target_array_of(self, chain: ChainMeta) -> object:
         """The GA a chain's write segments accumulate into."""
-        if chain.target_array and chain.target_array in self.arrays:
-            return self.arrays[chain.target_array]
-        return self.i2_array
+        return self.arrays[chain.target_array]
 
     def priority(self, L1: int, offset: int) -> float:
         """The paper's expression: ``max_L1 - L1 + offset * P``."""

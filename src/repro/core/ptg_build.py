@@ -200,8 +200,15 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
     of write segments any chain has); all per-instance facts stay
     symbolic, evaluated at instantiation — the PTG itself remains
     "Global Array agnostic", referring to data through the metadata IDs.
+    Metadata inspected through a cache keeps the PTG's validated task
+    template there, keyed by its structure token and the variant.
     """
-    ptg = PTG(f"ccsd-{variant.name}")
+    token = md.structure_token
+    ptg = PTG(
+        f"ccsd-{variant.name}",
+        key=None if token is None else (token, variant),
+        cache=md.cache,
+    )
 
     def prio(offset: int):
         if not variant.priorities:

@@ -340,6 +340,30 @@ class GlobalArray:
             lo, hi = self.distribution.node_range(node)
             self._own(node)[:] = values[lo:hi]
 
+    def adopt(self, values: np.ndarray) -> None:
+        """Take ``values`` as the whole contents without copying them.
+
+        Each owner segment becomes a read-only view of ``values`` and is
+        marked shared, so the first write to it copies (:meth:`_own`) and
+        ``values`` itself is never written: one array may back the inputs
+        of every run that draws the same data. Logged as a write, like
+        :meth:`scatter`.
+        """
+        self._check_live()
+        self.record_write(0, self.total)
+        if self._segments is None:
+            return
+        if values.shape != (self.total,):
+            raise GlobalArrayError(
+                f"adopt expects shape ({self.total},), got {values.shape}"
+            )
+        for node in range(self.distribution.n_nodes):
+            lo, hi = self.distribution.node_range(node)
+            view = values[lo:hi]
+            view.flags.writeable = False
+            self._segments[node] = view
+            self._shared[node] = True
+
     def zero(self) -> None:
         """Reset every element to zero (setup convenience)."""
         self._check_live()

@@ -113,6 +113,8 @@ class GlobalArrays:
         )
         for node in cluster.nodes:
             self.engine.process(self._handler(node), name=f"ga.handler{node.node_id}")
+        # where a layer that knows only the cluster resolves tensor names
+        cluster.ga = self
         # comm-optimization knobs (both default off — byte-identical to
         # a build without them). Off is a pass-through coalescer but NO
         # cache: even a zero-capacity cache logs write epochs and emits

@@ -14,7 +14,8 @@ The op sequence per chain, faithful to Section III-A:
    Array — serially, in branch order.
 
 In REAL data mode the NumPy arithmetic actually happens, so the i2
-Global Array ends up with verifiable contents.
+Global Array ends up with verifiable contents. The chain's block
+references name their tensors; ``ga`` resolves each to the run's array.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def execute_chain(
             ga,
             node,
             thread,
-            gemm.a.tensor.array,
+            ga.lookup(gemm.a.tensor.name),
             gemm.a.lo,
             gemm.a.hi,
             label=f"GET_A:{label}.{gemm.position}",
@@ -71,7 +72,7 @@ def execute_chain(
             ga,
             node,
             thread,
-            gemm.b.tensor.array,
+            ga.lookup(gemm.b.tensor.name),
             gemm.b.lo,
             gemm.b.hi,
             label=f"GET_B:{label}.{gemm.position}",
@@ -105,7 +106,7 @@ def execute_chain(
             ga,
             node,
             thread,
-            sw.target.tensor.array,
+            ga.lookup(sw.target.tensor.name),
             sw.target.lo,
             sw.target.hi,
             sorted_flat,

@@ -2,16 +2,24 @@
 
 A :class:`PTG` is a set of task classes. :meth:`PTG.instantiate`
 evaluates every class's symbolic domain against the metadata (the
-product of the inspection phase) and materializes the
-:class:`TaskInstance` table, computing each instance's placement,
-priority, and pending input count.
+product of the inspection phase) into a *template* — one row per task
+instance, in creation order, of its class, parameters, placement,
+priority and pending input count — and then materializes fresh
+:class:`TaskInstance` s from the template.
 
-Instantiation also *validates the dataflow*: every active input dep
-must be fed by exactly the right number of active output deps on the
+Building the template also *validates the dataflow*: every active input
+dep must be fed by exactly the right number of active output deps on the
 producer side. A mismatch — a task that would wait forever, or a
 delivery nobody expects — is a programming error in the PTG and raises
 :class:`~repro.util.errors.DataflowError` up front rather than showing
 up as a simulation that silently never terminates.
+
+A template is pure data: it depends on the PTG's shape and on what the
+metadata derives from the workload's structure, the node count and the
+variant, never on a run. A PTG given a ``key`` and a ``cache`` (an
+:class:`~repro.core.inspector.InspectionCache`) builds and validates it
+once per ``(key, n_nodes)``; every instantiation, first or not, takes
+the same path from template to instances.
 
 Note on memory data: in real PaRSEC, flows can also read/write
 distributed memory directly (``READ A <- A input_A(...)`` in Figure 1).
@@ -24,20 +32,33 @@ as opaque IDs resolved at execution time.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any
+from typing import Any, Optional
 
 from repro.parsec.taskclass import TaskClass, TaskInstance
 from repro.util.errors import DataflowError
 
 __all__ = ["PTG", "TaskGraph"]
 
+#: One class's instances in creation order: (class name, rows), each row
+#: ``(key, params, node, priority, pending)``.
+Template = tuple[tuple[str, tuple[tuple, ...]], ...]
+
 
 class PTG:
-    """An ordered registry of task classes."""
+    """An ordered registry of task classes.
 
-    def __init__(self, name: str = "ptg") -> None:
+    ``key`` identifies the template this PTG instantiates to, up to the
+    node count, and ``cache`` is where it is kept; a PTG without both is
+    validated at every instantiation.
+    """
+
+    def __init__(
+        self, name: str = "ptg", key: Optional[tuple] = None, cache=None
+    ) -> None:
         self.name = name
         self.classes: dict[str, TaskClass] = {}
+        self.key = key
+        self.cache = cache
 
     def add(self, task_class: TaskClass) -> TaskClass:
         """Register a class; names must be unique."""
@@ -54,8 +75,27 @@ class PTG:
 
     def instantiate(self, md: Any, n_nodes: int, validate: bool = True) -> "TaskGraph":
         """Materialize the instance table for metadata ``md``."""
+        if validate and self.key is not None and self.cache is not None:
+            template = self.cache.template(
+                (self.key, n_nodes), lambda: self.template(md, n_nodes)
+            )
+        else:
+            template = self.template(md, n_nodes, validate)
         instances: dict[tuple, TaskInstance] = {}
+        for name, rows in template:
+            cls = self.classes[name]
+            for key, params, node, priority, pending in rows:
+                instances[key] = TaskInstance(cls, params, node, priority, pending)
+        return TaskGraph(self, md, instances)
+
+    def template(self, md: Any, n_nodes: int, validate: bool = True) -> Template:
+        """Evaluate every class's domain, placement, priority and input
+        count against ``md``; checked by :meth:`_validate` unless told
+        otherwise."""
+        keys: dict[tuple, int] = {}
+        template = []
         for cls in self.classes.values():
+            rows = []
             for params in cls.domain(md):
                 params = tuple(params)
                 node = cls.placement(params, md)
@@ -63,17 +103,51 @@ class PTG:
                     raise DataflowError(
                         f"{cls.name}{params} placed on invalid node {node}"
                     )
+                key = (cls.name, params)
+                if key in keys:
+                    raise DataflowError(f"duplicate task instance {cls.name}{params}")
+                pending = keys[key] = cls.input_count(params, md)
                 priority = float(cls.priority(params, md)) if cls.priority else 0.0
-                instance = TaskInstance(
-                    cls, params, node, priority, cls.input_count(params, md)
-                )
-                if instance.key in instances:
-                    raise DataflowError(f"duplicate task instance {instance.label}")
-                instances[instance.key] = instance
-        graph = TaskGraph(self, md, instances)
+                rows.append((key, params, node, priority, pending))
+            template.append((cls.name, tuple(rows)))
+        template = tuple(template)
         if validate:
-            graph.validate()
-        return graph
+            self._validate(template, keys, md)
+        return template
+
+    def _validate(self, template: Template, pending: dict, md: Any) -> None:
+        """Check every expected delivery has exactly one producer.
+
+        Iterates dep-outer / row-inner so each dep's guard and param map
+        are bound once per class rather than once per instance.
+        """
+        incoming: dict[tuple, int] = defaultdict(int)
+        for name, rows in template:
+            for flow in self.classes[name].flows:
+                for dep in flow.outputs:
+                    guard = dep.guard
+                    param_map = dep.param_map
+                    target_class = dep.target_class
+                    target_flow = dep.flow
+                    for _, params, _, _, _ in rows:
+                        if guard is not None and not guard(params, md):
+                            continue
+                        consumer_key = (target_class, tuple(param_map(params, md)))
+                        if consumer_key not in pending:
+                            raise DataflowError(
+                                f"{name}{params}.{flow.name} targets missing "
+                                f"task {target_class}{consumer_key[1]}"
+                            )
+                        incoming[(consumer_key, target_flow)] += 1
+        for name, rows in template:
+            flows = self.classes[name].flows
+            for key, params, _, _, expected in rows:
+                actual = sum(incoming.get((key, flow.name), 0) for flow in flows)
+                if actual != expected:
+                    raise DataflowError(
+                        f"{name}{params} expects {expected} deliveries but the "
+                        f"dataflow produces {actual}"
+                    )
 
 
 class TaskGraph:
@@ -104,49 +178,3 @@ class TaskGraph:
     def initially_ready(self) -> list[TaskInstance]:
         """Instances with no pending inputs (in creation order)."""
         return [t for t in self.instances.values() if t.pending == 0]
-
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check every expected delivery has exactly one producer.
-
-        Iterates dep-outer / instance-inner so each dep's guard and
-        param map are bound once per class rather than once per
-        instance — validation runs on every instantiate, so its
-        constant factor shows up in sweep wall clock.
-        """
-        incoming: dict[tuple, int] = defaultdict(int)
-        md = self.md
-        instances = self.instances
-        groups: dict[str, list[TaskInstance]] = defaultdict(list)
-        for instance in instances.values():
-            groups[instance.cls.name].append(instance)
-        for group in groups.values():
-            cls = group[0].cls
-            for flow in cls.flows:
-                for dep in flow.outputs:
-                    guard = dep.guard
-                    param_map = dep.param_map
-                    target_class = dep.target_class
-                    target_flow = dep.flow
-                    for instance in group:
-                        params = instance.params
-                        if guard is not None and not guard(params, md):
-                            continue
-                        consumer_key = (target_class, tuple(param_map(params, md)))
-                        if consumer_key not in instances:
-                            raise DataflowError(
-                                f"{instance.label}.{flow.name} targets missing "
-                                f"task {target_class}{consumer_key[1]}"
-                            )
-                        incoming[(consumer_key, target_flow)] += 1
-        for instance in instances.values():
-            expected = instance.pending
-            actual = sum(
-                incoming.get((instance.key, flow.name), 0)
-                for flow in instance.cls.flows
-            )
-            if actual != expected:
-                raise DataflowError(
-                    f"{instance.label} expects {expected} deliveries but the "
-                    f"dataflow produces {actual}"
-                )

@@ -27,6 +27,7 @@ from repro.sim.trace import TraceRecorder
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ga.runtime import GlobalArrays
     from repro.sim.faults import FaultInjector
 
 __all__ = ["DataMode", "ClusterConfig", "Cluster"]
@@ -99,6 +100,9 @@ class Cluster:
         self.nodes: list[Node] = []
         #: the FaultInjector, once install_faults() has been called
         self.faults: Optional["FaultInjector"] = None
+        #: the GlobalArrays runtime, once one is created on this cluster:
+        #: the inspector resolves a subroutine's tensor names through it
+        self.ga: Optional["GlobalArrays"] = None
         for node_id in range(config.n_nodes):
             node = Node(
                 self.engine, node_id, config.machine, config.cores_per_node, self.trace

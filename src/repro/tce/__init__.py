@@ -7,7 +7,8 @@ GEMMs whose output is SORTed (permuted) and accumulated into a Global
 Array. This package rebuilds that workload generator:
 
 - :mod:`repro.tce.orbital_space` — tiled hole/particle spaces;
-- :mod:`repro.tce.tensor` — block tensors laid out flat in a GA;
+- :mod:`repro.tce.tensor` — block tensors laid out flat in a GA (by
+  name: the IR holds no array);
 - :mod:`repro.tce.subroutine` — the chain/GEMM/SORT/WRITE IR both
   runtimes execute;
 - :mod:`repro.tce.t2_7` — the ``icsd_t2_7`` generator: chains over the
@@ -25,9 +26,9 @@ from repro.tce.orbital_space import OrbitalSpace, Tile
 from repro.tce.tensor import BlockLayout, BlockTensor
 from repro.tce.subroutine import BlockRef, ChainSpec, GemmOp, SortWrite, Subroutine
 from repro.tce.molecules import MoleculeSystem, beta_carotene, tiny_system, small_system
-from repro.tce.terms import TermBuilder, TermSpec, build_term
-from repro.tce.cc_iteration import CcsdIteration, build_ccsd_iteration
-from repro.tce.t2_7 import T27Workload, build_t2_7
+from repro.tce.terms import TermBuilder, TermSpec, TermStructure, build_term
+from repro.tce.cc_iteration import CcsdStructure, build_ccsd_iteration
+from repro.tce.t2_7 import build_t2_7
 from repro.tce.reference import compute_reference, correlation_energy
 
 __all__ = [
@@ -46,10 +47,10 @@ __all__ = [
     "small_system",
     "TermBuilder",
     "TermSpec",
+    "TermStructure",
     "build_term",
-    "CcsdIteration",
+    "CcsdStructure",
     "build_ccsd_iteration",
-    "T27Workload",
     "build_t2_7",
     "compute_reference",
     "correlation_energy",

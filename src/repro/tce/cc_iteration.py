@@ -5,22 +5,36 @@ whose work "is divided into seven different levels and there is an
 explicit synchronization step between those levels. This implies that
 the task-stealing model applies only within each level."
 
-:func:`build_ccsd_iteration` assembles a representative iteration —
-fourteen contraction terms of ring / ladder / one-index type spread
-over seven levels, all accumulating into the shared i2 residual —
-suitable for the legacy runtime (levels map directly onto its barrier
-structure) and for the mixed legacy/PaRSEC integration driver.
+:class:`CcsdStructure` assembles a representative iteration — fourteen
+contraction terms of ring / ladder / one-index type spread over seven
+levels, all accumulating into the shared i2 residual. The t2_7 scenario
+the rest of the reproduction grew around is exactly one of those
+sub-kernels; this workload restores the surrounding iteration.
+
+Each level *merges* the chains of its (heterogeneous) terms into one
+:class:`~repro.tce.subroutine.Subroutine`, so a single PTG carries
+cross-subroutine dependencies: ring and ladder terms share operand
+tensors through the builder's pool (their READ tasks contend for the
+same GA owners), every term accumulates into the shared ``i2``
+residual (their WRITE tasks serialize on the same block mutexes), and
+the chain priorities interleave across terms. Levels execute under a
+barrier, matching the legacy application's synchronization structure —
+and the scope the paper gives for task stealing ("only within each
+level"). The unmerged terms stay available (``subroutines``) for the
+mixed legacy/PaRSEC integration driver, which ports kernel by kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 from repro.tce.orbital_space import OrbitalSpace
+from repro.tce.reference import compute_iteration_reference
 from repro.tce.subroutine import Subroutine
 from repro.tce.terms import TermBuilder, TermSpec
+from repro.workloads.base import Structure
 
-__all__ = ["DEFAULT_ITERATION_TERMS", "CcsdIteration", "build_ccsd_iteration"]
+__all__ = ["DEFAULT_ITERATION_TERMS", "CcsdStructure", "build_ccsd_iteration"]
 
 #: A representative sub-kernel table: ring terms ('hp'), hole and
 #: particle ladders ('hh'/'pp'), and cheap one-index terms, two per
@@ -44,50 +58,77 @@ DEFAULT_ITERATION_TERMS: tuple[TermSpec, ...] = (
 )
 
 
-@dataclass
-class CcsdIteration:
-    """One assembled iteration: subroutines grouped by level."""
+def _merge_level(level_index: int, members: list[Subroutine]) -> Subroutine:
+    """One level's terms fused into a single subroutine.
 
-    builder: TermBuilder
-    subroutines: list[Subroutine]
+    Chain ids are renumbered densely across the member terms (the PTG's
+    L1 domain and the legacy NXTVAL ticket sequence both need a dense
+    range); each chain keeps its block references, so GEMMs from
+    different terms resolve to their own operand arrays through the
+    per-GEMM array names the inspector records.
+    """
+    chains = []
+    for sub in members:
+        chains.extend(sub.chains)
+    chains = [
+        dataclasses.replace(chain, chain_id=i) for i, chain in enumerate(chains)
+    ]
+    inputs = []
+    seen = set()
+    for sub in members:
+        for tensor in sub.inputs:
+            if id(tensor) not in seen:
+                seen.add(id(tensor))
+                inputs.append(tensor)
+    member_tokens = tuple(sub.structure_token for sub in members)
+    return Subroutine(
+        name=f"ccsd_L{level_index}",
+        chains=chains,
+        inputs=inputs,
+        output=members[0].output,
+        level=level_index,
+        structure_token=(
+            ("ccsd-level", level_index) + member_tokens
+            if all(tok is not None for tok in member_tokens)
+            else None
+        ),
+    )
 
-    @property
-    def i2(self):
-        """The shared residual tensor all terms accumulate into."""
-        return self.builder.i2
 
-    @property
-    def n_levels(self) -> int:
-        return 1 + max(s.level for s in self.subroutines)
+class CcsdStructure(Structure):
+    """Tensors, terms and per-level chain IR of one CCSD iteration."""
 
-    def levels(self) -> list[list[Subroutine]]:
-        """Subroutines grouped by barrier level, in level order."""
-        out: list[list[Subroutine]] = [[] for _ in range(self.n_levels)]
+    def __init__(
+        self,
+        space: OrbitalSpace,
+        symmetry_filter: bool = True,
+        skew_factor: int = 1,
+        skew_period: int = 0,
+        terms: tuple[TermSpec, ...] = DEFAULT_ITERATION_TERMS,
+    ) -> None:
+        builder = TermBuilder(
+            space,
+            symmetry_filter=symmetry_filter,
+            skew_factor=skew_factor,
+            skew_period=skew_period,
+        )
+        self.space = space
+        #: the terms in table order, unmerged (the integration driver's
+        #: kernels)
+        self.subroutines = tuple(builder.build(spec) for spec in terms)
+        self.i2 = self.output = builder.i2
+        self.tensors = tuple(builder.tensors.values())
+        self.name = "ccsd_iteration"
+        grouped: list[list[Subroutine]] = [
+            [] for _ in range(1 + max(s.level for s in self.subroutines))
+        ]
         for subroutine in self.subroutines:
-            out[subroutine.level].append(subroutine)
-        return out
-
-    def chain_levels(self) -> list[list]:
-        """Chains grouped per level — the legacy runtime's work units.
-
-        Within a level the chains of all its subroutines form one
-        stealable pool (chain ids re-numbered densely per level, as the
-        shared NXTVAL ticket sequence requires).
-        """
-        import dataclasses
-
-        out = []
-        for level in self.levels():
-            pool = []
-            for subroutine in level:
-                pool.extend(subroutine.chains)
-            out.append(
-                [
-                    dataclasses.replace(chain, chain_id=i)
-                    for i, chain in enumerate(pool)
-                ]
-            )
-        return out
+            grouped[subroutine.level].append(subroutine)
+        self.levels = tuple(
+            _merge_level(index, members)
+            for index, members in enumerate(grouped)
+            if members
+        )
 
     def subroutine(self, name: str) -> Subroutine:
         for sub in self.subroutines:
@@ -95,14 +136,13 @@ class CcsdIteration:
                 return sub
         raise KeyError(f"no subroutine named {name!r} in this iteration")
 
-    @property
-    def total_gemms(self) -> int:
-        return sum(s.n_gemms for s in self.subroutines)
+    def reference(self, arrays: dict):
+        return compute_iteration_reference(self.subroutines, arrays)
 
     def describe(self) -> str:
         return (
             f"CCSD iteration: {len(self.subroutines)} sub-kernels over "
-            f"{self.n_levels} levels, {self.total_gemms} GEMMs total"
+            f"{len(self.levels)} levels, {self.n_gemms} GEMMs total"
         )
 
 
@@ -112,8 +152,8 @@ def build_ccsd_iteration(
     seed: int = 7,
     symmetry_filter: bool = True,
     terms: tuple[TermSpec, ...] = DEFAULT_ITERATION_TERMS,
-) -> CcsdIteration:
-    """Assemble one iteration's sub-kernels over a shared tensor pool."""
-    builder = TermBuilder(ga, space, seed=seed, symmetry_filter=symmetry_filter)
-    subroutines = [builder.build(spec) for spec in terms]
-    return CcsdIteration(builder=builder, subroutines=subroutines)
+):
+    """One iteration's sub-kernels over a shared tensor pool, bound to
+    ``ga``'s cluster with inputs drawn from ``seed``."""
+    structure = CcsdStructure(space, symmetry_filter=symmetry_filter, terms=terms)
+    return structure.bind(ga, seed)

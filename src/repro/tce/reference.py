@@ -6,15 +6,15 @@ matched up to the 14th digit". We do the same, against a *third*
 implementation that shares no code with either runtime: plain NumPy
 matmul/transpose over gathered tensors, chain by chain.
 
-Works for any term built by :mod:`repro.tce.terms` (the operand
-tensors are resolved through each chain's block references), including
-full multi-subroutine CC iterations. Only usable in ``DataMode.REAL``
-and meant for the tiny/small systems.
+Works for any term built by :mod:`repro.tce.terms` (each chain's block
+references name the operand tensors, resolved through the run's
+arrays), including full multi-subroutine CC iterations. Only usable in
+``DataMode.REAL`` and meant for the tiny/small systems.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -30,46 +30,42 @@ __all__ = [
 ]
 
 
-def chain_output(chain: ChainSpec, gathered: dict[int, np.ndarray]) -> np.ndarray:
-    """The (m, n) chain result C = sum_g A_g^T @ B_g from gathered data.
+def chain_output(chain: ChainSpec, values: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The (m, n) chain result C = sum_g A_g^T @ B_g.
 
-    ``gathered`` caches whole-tensor copies keyed by ``id(tensor)`` so
-    repeated chains do not re-gather.
+    ``values`` maps each operand tensor's name to its flat contents.
     """
     C = np.zeros((chain.m, chain.n))
     for gemm in chain.gemms:
-        a_flat = _gather(gemm.a.tensor, gathered)
-        b_flat = _gather(gemm.b.tensor, gathered)
+        a_flat = values[gemm.a.tensor.name]
+        b_flat = values[gemm.b.tensor.name]
         a = a_flat[gemm.a.lo : gemm.a.hi].reshape(gemm.k, gemm.m)
         b = b_flat[gemm.b.lo : gemm.b.hi].reshape(gemm.k, gemm.n)
         C += a.T @ b
     return C
 
 
-def _gather(tensor, gathered: dict[int, np.ndarray]) -> np.ndarray:
-    key = id(tensor)
-    if key not in gathered:
-        if not tensor.array.holds_data:
-            raise ValueError("reference computation requires DataMode.REAL")
-        gathered[key] = tensor.flat_values()
-    return gathered[key]
-
-
 def compute_subroutine_reference(
-    subroutine: Subroutine, out: np.ndarray | None = None
+    subroutine: Subroutine, arrays: Mapping, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Expected flat contents of the output array after one subroutine.
 
-    Recomputes every chain densely and applies each active SORT_4
-    target: reshape C to the 4-index tile, permute axes, scale by the
-    antisymmetry sign, accumulate into the target block range. Pass
-    ``out`` to accumulate several subroutines into one array.
+    ``arrays`` maps tensor names to the run's Global Arrays; each input
+    is gathered once. Recomputes every chain densely and applies each
+    active SORT_4 target: reshape C to the 4-index tile, permute axes,
+    scale by the antisymmetry sign, accumulate into the target block
+    range. Pass ``out`` to accumulate several subroutines into one array.
     """
     if out is None:
         out = np.zeros(subroutine.output.total)
-    gathered: dict[int, np.ndarray] = {}
+    values = {}
+    for tensor in subroutine.inputs:
+        array = arrays[tensor.name]
+        if not array.holds_data:
+            raise ValueError("reference computation requires DataMode.REAL")
+        values[tensor.name] = array.gather()
     for chain in subroutine.chains:
-        C = chain_output(chain, gathered)
+        C = chain_output(chain, values)
         tile = C.reshape(chain.tile_shape)
         for sw in chain.active_sorts:
             sorted_block = sw.sign * np.transpose(tile, sw.perm)
@@ -77,20 +73,22 @@ def compute_subroutine_reference(
     return out
 
 
-def compute_iteration_reference(subroutines: Iterable[Subroutine]) -> np.ndarray:
+def compute_iteration_reference(
+    subroutines: Iterable[Subroutine], arrays: Mapping
+) -> np.ndarray:
     """Expected i2 contents after a whole iteration's sub-kernels."""
     subroutines = list(subroutines)
     if not subroutines:
         raise ValueError("need at least one subroutine")
     out = np.zeros(subroutines[0].output.total)
     for subroutine in subroutines:
-        compute_subroutine_reference(subroutine, out=out)
+        compute_subroutine_reference(subroutine, arrays, out=out)
     return out
 
 
 def compute_reference(workload) -> np.ndarray:
-    """Reference for a single-term workload (e.g. :class:`T27Workload`)."""
-    return compute_subroutine_reference(workload.subroutine)
+    """Reference for a single-term workload (e.g. ``build_t2_7``'s)."""
+    return compute_subroutine_reference(workload.subroutine, workload.arrays)
 
 
 def correlation_energy(i2_flat: np.ndarray, seed: int = 7) -> float:

@@ -37,7 +37,9 @@ class BlockRef:
     """A reference to one stored tile block of a tensor.
 
     Carries the resolved flat GA range so runtimes never re-derive
-    layout arithmetic: ``tensor.array[lo:hi)`` reshaped to ``shape``.
+    layout arithmetic: ``[lo, hi)`` of the array named ``tensor.name``
+    in the run, reshaped to ``shape``. ``tensor`` is the pure layout —
+    the IR holds no array, so every run of a structure shares it.
     """
 
     tensor: BlockTensor
@@ -159,6 +161,8 @@ class Subroutine:
 
     The chains are in original program order (the loop-nest order), so
     ``chain_id`` doubles as the priority parameter L1 of Section IV-C.
+    ``inputs`` and ``output`` are the tensors (by name and layout) the
+    chains may read and the one they accumulate into.
     """
 
     def __init__(
@@ -176,10 +180,12 @@ class Subroutine:
         self.output = output
         self.level = level
         #: hashable fingerprint of everything the chain *structure* depends
-        #: on (term spec + orbital space + seed + symmetry filter). Two
-        #: subroutines with equal tokens have identical chain IR, so
-        #: inspection results keyed on (token, n_nodes, chain height) can
-        #: be shared across runs. None disables such sharing.
+        #: on (term spec + orbital space + symmetry filter + skew; not the
+        #: seed, which only draws the data). Two subroutines with equal
+        #: tokens have identical chain IR, so inspection results keyed on
+        #: (token, n_nodes, chain height) and task templates keyed on
+        #: (token, n_nodes, variant) can be shared across runs. None
+        #: disables such sharing.
         self.structure_token = structure_token
 
     def __iter__(self) -> Iterator[ChainSpec]:

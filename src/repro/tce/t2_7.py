@@ -24,85 +24,21 @@ residual:
   the PaRSEC inspection phase has to discover at run time.
 
 The general machinery lives in :mod:`repro.tce.terms`; this module
-binds it to the specific term the paper evaluates and keeps the
-operand tensors easily reachable for verification.
+binds it to the specific term the paper evaluates: the ``t2_7``
+workload is :class:`~repro.tce.terms.TermStructure` over
+:data:`T2_7_SPEC`.
 """
 
 from __future__ import annotations
 
 from repro.sim.cluster import Cluster
 from repro.tce.orbital_space import OrbitalSpace
-from repro.tce.terms import TermBuilder, TermSpec
+from repro.tce.terms import TermSpec, TermStructure
 
-__all__ = ["T27Workload", "build_t2_7", "T2_7_SPEC"]
+__all__ = ["T2_7_SPEC", "build_t2_7"]
 
 #: icsd_t2_7 is a ring term: contraction over one hole + one particle.
 T2_7_SPEC = TermSpec("icsd_t2_7", "hp", level=0)
-
-
-class T27Workload:
-    """Tensors + chain IR for one ``icsd_t2_7`` invocation.
-
-    Attributes
-    ----------
-    va, tb:
-        The integral-like (``hppp``) and amplitude-like (``hphh``)
-        operand tensors, filled with seeded data in REAL mode.
-    i2:
-        The output residual tensor (``pphh``), zero-initialized.
-    subroutine:
-        The chain IR both runtimes execute.
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        ga,
-        space: OrbitalSpace,
-        seed: int = 7,
-        symmetry_filter: bool = True,
-        skew_factor: int = 1,
-        skew_period: int = 0,
-    ) -> None:
-        self.cluster = cluster
-        self.ga = ga
-        self.space = space
-        self.seed = seed
-        self.symmetry_filter = symmetry_filter
-        self.builder = TermBuilder(
-            ga,
-            space,
-            seed=seed,
-            symmetry_filter=symmetry_filter,
-            skew_factor=skew_factor,
-            skew_period=skew_period,
-        )
-        self.subroutine = self.builder.build(T2_7_SPEC)
-        self.va, self.tb = self.builder.operand_tensors(T2_7_SPEC)
-        self.i2 = self.builder.i2
-        #: canonical workload-SDK token; the registry overwrites this
-        #: with the scale-qualified form (e.g. ``"t2_7:small"``)
-        self.workload_id = "t2_7"
-
-    # -- Workload protocol (see repro.workloads.base) -------------------
-    @property
-    def name(self) -> str:
-        return self.subroutine.name
-
-    @property
-    def output(self):
-        return self.i2
-
-    def levels(self):
-        return [self.subroutine]
-
-    def reference_values(self):
-        from repro.tce.reference import compute_subroutine_reference
-
-        return compute_subroutine_reference(self.subroutine)
-
-    def describe(self) -> str:
-        return self.subroutine.describe()
 
 
 def build_t2_7(
@@ -113,14 +49,18 @@ def build_t2_7(
     symmetry_filter: bool = True,
     skew_factor: int = 1,
     skew_period: int = 0,
-) -> T27Workload:
-    """Convenience constructor for :class:`T27Workload`."""
-    return T27Workload(
-        cluster,
-        ga,
+):
+    """The ``icsd_t2_7`` workload over ``space``, bound to ``cluster``
+    through ``ga`` (its ``GlobalArrays``) with inputs drawn from
+    ``seed``: the integral-like ``va`` (``hppp``)
+    and amplitude-like ``tb`` (``hphh``) operands, the zero ``i2``
+    residual (``pphh``) and the chain IR both runtimes execute
+    (``subroutine``)."""
+    structure = TermStructure(
         space,
-        seed=seed,
+        T2_7_SPEC,
         symmetry_filter=symmetry_filter,
         skew_factor=skew_factor,
         skew_period=skew_period,
     )
+    return structure.bind(ga, seed)

@@ -8,6 +8,10 @@ the TCE code addresses through ``GET_HASH_BLOCK``/``ADD_HASH_BLOCK``.
 Because the GA distributes *elements* contiguously across nodes, a block
 can straddle node memories, which is what forces the multi-instance
 WRITE_C tasks of the paper's Figure 8.
+
+The tensor itself is pure data — a name and a layout — so the chain IR
+that refers to it can be shared by every run of a structure; a run binds
+the name to its own array (:class:`~repro.workloads.base.BoundTensor`).
 """
 
 from __future__ import annotations
@@ -15,11 +19,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from repro.tce.orbital_space import OrbitalSpace, Tile
 from repro.util.errors import ConfigurationError
-from repro.util.rng import RngStream
 
 __all__ = ["BlockLayout", "BlockTensor"]
 
@@ -111,30 +112,22 @@ class BlockLayout:
 
 
 class BlockTensor:
-    """A named block tensor bound to a Global Array.
+    """A named block tensor: the name of its Global Array and its layout.
 
-    Create through :meth:`create`, which allocates the backing GA with
-    the element-contiguous node distribution.
+    ``stream`` names the seeded standard-normal draw the tensor's
+    contents come from (an input), or is None for a tensor that starts
+    at zero (an output).
     """
 
-    def __init__(self, name: str, layout: BlockLayout, array) -> None:
+    #: constant contents (see ``repro.workloads.base.Structure.bind``)
+    values = None
+
+    def __init__(
+        self, name: str, layout: BlockLayout, stream: Optional[str] = None
+    ) -> None:
         self.name = name
         self.layout = layout
-        self.array = array
-
-    @classmethod
-    def create(
-        cls,
-        ga_runtime,
-        name: str,
-        space: OrbitalSpace,
-        dims: str,
-        keep: Optional[Callable[[BlockKey], bool]] = None,
-    ) -> "BlockTensor":
-        """Allocate a tensor named ``name`` with index kinds ``dims``."""
-        layout = BlockLayout(space, dims, keep)
-        array = ga_runtime.create(name, layout.total)
-        return cls(name, layout, array)
+        self.stream = stream
 
     # -- layout passthrough ------------------------------------------------
     def block_range(self, key: BlockKey) -> tuple[int, int]:
@@ -149,22 +142,6 @@ class BlockTensor:
     @property
     def total(self) -> int:
         return self.layout.total
-
-    # -- data conveniences (setup/verification; not cost-modeled) -----------
-    def fill_random(self, rng: RngStream, scale: float = 1.0) -> None:
-        """Fill the whole tensor with seeded standard-normal data."""
-        if not self.array.holds_data:
-            return
-        self.array.scatter(scale * rng.standard_normal(self.total))
-
-    def block_values(self, key: BlockKey) -> np.ndarray:
-        """Read-only snapshot of one block, in its block shape."""
-        lo, hi = self.block_range(key)
-        return self.array.read_range_direct(lo, hi).reshape(self.block_shape(key))
-
-    def flat_values(self) -> np.ndarray:
-        """Copy of the whole flat tensor contents."""
-        return self.array.gather()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

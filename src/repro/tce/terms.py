@@ -9,8 +9,9 @@ ladder terms contract two holes or two particles, and one-index terms
 contract a single tile index.
 
 :class:`TermSpec` names a term by its contracted index kinds;
-:func:`build_term` produces a full :class:`~repro.tce.subroutine.Subroutine`
-for it, allocating (or reusing) the operand tensors:
+:meth:`TermBuilder.build` produces a full
+:class:`~repro.tce.subroutine.Subroutine` for it, declaring (or reusing)
+the operand tensors:
 
 - A operand: ``contraction + 'pp'`` indexed ``(k..., p3, p4)``,
 - B operand: ``contraction + 'hh'`` indexed ``(k..., h1, h2)``,
@@ -26,12 +27,13 @@ from dataclasses import dataclass
 from itertools import product
 
 from repro.tce.orbital_space import OrbitalSpace
+from repro.tce.reference import compute_subroutine_reference
 from repro.tce.subroutine import BlockRef, ChainSpec, GemmOp, SortWrite, Subroutine
-from repro.tce.tensor import BlockTensor
+from repro.tce.tensor import BlockLayout, BlockTensor
 from repro.util.errors import ConfigurationError
-from repro.util.rng import RngStream
+from repro.workloads.base import Structure
 
-__all__ = ["TermSpec", "TermBuilder", "build_term", "SORT_VARIANTS"]
+__all__ = ["TermSpec", "TermBuilder", "TermStructure", "build_term", "SORT_VARIANTS"]
 
 #: axis permutations and antisymmetry signs of the four SORT_4 branches
 SORT_VARIANTS: tuple[tuple[tuple[int, int, int, int], float], ...] = (
@@ -80,14 +82,14 @@ class TermBuilder:
     Operand tensors are keyed by their dimension signature so terms
     with the same contraction reuse storage (as the real integral and
     amplitude arrays are shared between sub-kernels); the ``i2`` output
-    is one tensor all terms accumulate into.
+    is one tensor all terms accumulate into. Everything it builds is
+    pure structure: ``tensors`` lists the pool in creation order, each
+    operand drawn from the seeded stream named after it, ``i2`` at zero.
     """
 
     def __init__(
         self,
-        ga,
         space: OrbitalSpace,
-        seed: int = 7,
         symmetry_filter: bool = True,
         skew_factor: int = 1,
         skew_period: int = 0,
@@ -96,9 +98,7 @@ class TermBuilder:
             raise ConfigurationError(f"skew_factor must be >= 1, got {skew_factor}")
         if skew_period < 0:
             raise ConfigurationError(f"skew_period must be >= 0, got {skew_period}")
-        self.ga = ga
         self.space = space
-        self.seed = seed
         self.symmetry_filter = symmetry_filter
         #: imbalance knob: chains whose id is a multiple of
         #: ``skew_period`` repeat their GEMM list ``skew_factor`` times.
@@ -108,22 +108,23 @@ class TermBuilder:
         #: ``skew_period == 0`` (default) disables skew entirely.
         self.skew_factor = skew_factor
         self.skew_period = skew_period
-        self._tensors: dict[str, BlockTensor] = {}
+        #: name -> tensor, in creation order
+        self.tensors: dict[str, BlockTensor] = {}
         self.i2 = self._tensor("i2", "pphh", fill=False)
 
     # ------------------------------------------------------------------
     def _tensor(self, name: str, dims: str, fill: bool = True) -> BlockTensor:
         key = f"{name}:{dims}"
-        tensor = self._tensors.get(key)
+        tensor = self.tensors.get(key)
         if tensor is None:
-            tensor = BlockTensor.create(self.ga, key, self.space, dims)
-            if fill:
-                tensor.fill_random(RngStream(self.seed, key))
-            self._tensors[key] = tensor
+            tensor = BlockTensor(
+                key, BlockLayout(self.space, dims), stream=key if fill else None
+            )
+            self.tensors[key] = tensor
         return tensor
 
     def operand_tensors(self, spec: TermSpec) -> tuple[BlockTensor, BlockTensor]:
-        """The (A, B) tensors a term contracts (allocated on demand)."""
+        """The (A, B) tensors a term contracts (declared on demand)."""
         a = self._tensor("v", spec.a_dims)
         b = self._tensor("t", spec.b_dims)
         return a, b
@@ -202,7 +203,6 @@ class TermBuilder:
                 space.nocc,
                 space.nvirt,
                 space.tile_size,
-                self.seed,
                 self.symmetry_filter,
                 self.skew_factor,
                 self.skew_period,
@@ -266,13 +266,49 @@ class TermBuilder:
         )
 
 
+class TermStructure(Structure):
+    """One contraction term as a workload: its chain IR over the pool.
+
+    ``icsd_t2_7`` (:mod:`repro.tce.t2_7`) is the term the paper ports;
+    ``va``/``tb`` are the term's operands and ``i2`` its output.
+    """
+
+    def __init__(
+        self,
+        space: OrbitalSpace,
+        spec: TermSpec,
+        symmetry_filter: bool = True,
+        skew_factor: int = 1,
+        skew_period: int = 0,
+    ) -> None:
+        builder = TermBuilder(
+            space,
+            symmetry_filter=symmetry_filter,
+            skew_factor=skew_factor,
+            skew_period=skew_period,
+        )
+        self.space = space
+        self.subroutine = builder.build(spec)
+        self.va, self.tb = builder.operand_tensors(spec)
+        self.i2 = self.output = builder.i2
+        self.name = self.subroutine.name
+        self.tensors = tuple(builder.tensors.values())
+        self.levels = (self.subroutine,)
+
+    def reference(self, arrays: dict):
+        return compute_subroutine_reference(self.subroutine, arrays)
+
+    def describe(self) -> str:
+        return self.subroutine.describe()
+
+
 def build_term(
     ga,
     space: OrbitalSpace,
     spec: TermSpec,
     seed: int = 7,
     symmetry_filter: bool = True,
-) -> Subroutine:
-    """One-shot convenience: a fresh builder, one term."""
-    builder = TermBuilder(ga, space, seed=seed, symmetry_filter=symmetry_filter)
-    return builder.build(spec)
+):
+    """One-shot convenience: one term bound to ``ga``'s cluster."""
+    structure = TermStructure(space, spec, symmetry_filter=symmetry_filter)
+    return structure.bind(ga, seed)

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "RngStream"]
+__all__ = ["derive_seed", "RngStream", "seeded_normal"]
 
 
 def derive_seed(master_seed: int, purpose: str) -> int:
@@ -81,3 +81,15 @@ class RngStream:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(seed={self.master_seed}, purpose={self.purpose!r})"
+
+
+def seeded_normal(master_seed: int, purpose: str, size: int) -> np.ndarray:
+    """The seeded standard-normal contents of a tensor, read-only.
+
+    The one seeded fill: a workload's input tensors adopt this array as
+    their storage (:meth:`repro.ga.array.GlobalArray.adopt`), so it is
+    frozen here and never written — a writer copies first.
+    """
+    values = RngStream(master_seed, purpose).standard_normal(size)
+    values.flags.writeable = False
+    return values

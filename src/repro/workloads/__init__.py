@@ -1,15 +1,15 @@
 """The workload SDK: a general scenario interface over the chain IR.
 
-See :mod:`repro.workloads.base` for the protocol and
-:mod:`repro.workloads.registry` for the string-addressable registry
+See :mod:`repro.workloads.base` for the protocol, the structure/bind
+split and the generic bound workload, and :mod:`repro.workloads.registry`
+for the string-addressable registry
 (``repro.run(workload="rbgs:128x128")``). Built-ins: ``t2_7`` (the
-paper's sub-kernel), ``ccsd`` (a full seven-level iteration), and
-``rbgs`` (a red-black Gauss-Seidel tile stencil).
+paper's sub-kernel, :mod:`repro.tce.t2_7`), ``ccsd`` (a full seven-level
+iteration, :mod:`repro.tce.cc_iteration`), and ``rbgs`` (a red-black
+Gauss-Seidel tile stencil, :mod:`repro.workloads.rbgs`).
 """
 
-from repro.workloads.base import Workload
-from repro.workloads.ccsd import CcsdWorkload
-from repro.workloads.rbgs import GridTensor, RbgsWorkload
+from repro.workloads.base import BoundTensor, BoundWorkload, Structure, Workload
 from repro.workloads.registry import (
     WorkloadSpec,
     build_workload,
@@ -21,11 +21,11 @@ from repro.workloads.registry import (
 )
 
 __all__ = [
+    "BoundTensor",
+    "BoundWorkload",
+    "Structure",
     "Workload",
     "WorkloadSpec",
-    "CcsdWorkload",
-    "RbgsWorkload",
-    "GridTensor",
     "build_workload",
     "canonical_token",
     "parse_workload_token",

@@ -32,9 +32,9 @@ import numpy as np
 from repro.tce.subroutine import BlockRef, ChainSpec, GemmOp, SortWrite, Subroutine
 from repro.tce.terms import SORT_VARIANTS
 from repro.util.errors import ConfigurationError
-from repro.util.rng import RngStream
+from repro.workloads.base import Structure
 
-__all__ = ["GridTensor", "RbgsWorkload", "build_rbgs_workload", "RBGS_PRESETS"]
+__all__ = ["GridTensor", "RbgsStructure", "RBGS_PRESETS", "parse_grid"]
 
 #: damped-Jacobi-within-tile / Gauss-Seidel-across-colors smoother
 #: coefficients: center weight and the uniform 4-neighbor weight
@@ -58,26 +58,24 @@ class GridTensor:
     """A 2D grid of (ty, tx) tiles stored flat in one Global Array.
 
     Duck-types the :class:`~repro.tce.tensor.BlockTensor` surface the
-    chain IR touches (``block_range``/``block_shape``/``.array``), with
-    blocks keyed ``(iy, ix)`` laid out row-major — so the GA's
-    element-contiguous node distribution gives each node a contiguous
-    band of tile rows, and halo exchanges between bands cross node
-    memories.
+    chain IR and the bind touch (``name``/``total``/``block_range``/
+    ``block_shape``/``stream``/``values``), with blocks keyed
+    ``(iy, ix)`` laid out row-major — so the GA's element-contiguous
+    node distribution gives each node a contiguous band of tile rows,
+    and halo exchanges between bands cross node memories.
     """
 
-    def __init__(self, name: str, grid_y: int, grid_x: int, tile: int, array) -> None:
+    values = None
+
+    def __init__(
+        self, name: str, grid_y: int, grid_x: int, tile: int, stream=None
+    ) -> None:
         self.name = name
         self.grid_y = grid_y
         self.grid_x = grid_x
         self.tile = tile
-        self.array = array
+        self.stream = stream
 
-    @classmethod
-    def create(cls, ga_runtime, name: str, grid_y: int, grid_x: int, tile: int):
-        total = grid_y * grid_x * tile * tile
-        return cls(name, grid_y, grid_x, tile, ga_runtime.create(name, total))
-
-    # -- BlockTensor surface -------------------------------------------
     @property
     def total(self) -> int:
         return self.grid_y * self.grid_x * self.tile * self.tile
@@ -96,15 +94,6 @@ class GridTensor:
     def block_size(self, key: tuple[int, ...]) -> int:
         return self.tile * self.tile
 
-    # -- data conveniences ---------------------------------------------
-    def fill_random(self, rng: RngStream, scale: float = 1.0) -> None:
-        if not self.array.holds_data:
-            return
-        self.array.scatter(scale * rng.standard_normal(self.total))
-
-    def flat_values(self) -> np.ndarray:
-        return self.array.gather()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"GridTensor({self.name!r}, {self.grid_y}x{self.grid_x} tiles "
@@ -113,27 +102,24 @@ class GridTensor:
 
 
 class _WeightTensor:
-    """Five 1x1 coefficient blocks (one per stencil source), in a GA."""
+    """Five 1x1 coefficient blocks (one per stencil source), constant."""
 
-    def __init__(self, name: str, array) -> None:
+    stream = None
+
+    def __init__(self, name: str, weights: tuple[float, ...]) -> None:
         self.name = name
-        self.array = array
+        self.values = np.array(weights, dtype=float)
+        self.values.flags.writeable = False
 
-    @classmethod
-    def create(cls, ga_runtime, name: str, weights: tuple[float, ...]):
-        tensor = cls(name, ga_runtime.create(name, len(weights)))
-        if tensor.array.holds_data:
-            tensor.array.scatter(np.array(weights, dtype=float))
-        return tensor
+    @property
+    def total(self) -> int:
+        return len(self.values)
 
     def block_range(self, key: tuple[int, ...]) -> tuple[int, int]:
         return key[0], key[0] + 1
 
     def block_shape(self, key: tuple[int, ...]) -> tuple[int, ...]:
         return (1, 1)
-
-    def flat_values(self) -> np.ndarray:
-        return self.array.gather()
 
 
 def parse_grid(params: str) -> tuple[int, int, int]:
@@ -152,17 +138,14 @@ def parse_grid(params: str) -> tuple[int, int, int]:
     return gy, gx, tile
 
 
-class RbgsWorkload:
+class RbgsStructure(Structure):
     """Grid tensors + two-wave chain IR for one red-black sweep."""
 
     def __init__(
         self,
-        cluster,
-        ga,
         grid_y: int,
         grid_x: int,
         tile: int,
-        seed: int = 7,
         skew_factor: int = 1,
         skew_period: int = 0,
     ) -> None:
@@ -174,20 +157,15 @@ class RbgsWorkload:
             raise ConfigurationError(f"skew_factor must be >= 1, got {skew_factor}")
         if skew_period < 0:
             raise ConfigurationError(f"skew_period must be >= 0, got {skew_period}")
-        self.cluster = cluster
-        self.ga = ga
-        self.seed = seed
         self.grid_y, self.grid_x, self.tile = grid_y, grid_x, tile
         self.skew_factor = skew_factor
         self.skew_period = skew_period
-        self.workload_id = f"rbgs:{grid_y}x{grid_x}x{tile}"
-        self.u = GridTensor.create(ga, "rbgs_u", grid_y, grid_x, tile)
-        self.u.fill_random(RngStream(seed, "rbgs-u"))
-        self.u_next = GridTensor.create(ga, "rbgs_u_next", grid_y, grid_x, tile)
-        self.weights = _WeightTensor.create(
-            ga, "rbgs_w", (W_CENTER,) + (W_NEIGHBOR,) * 4
-        )
-        self._levels = [self._build_wave(color) for color in (0, 1)]
+        self.name = "rbgs"
+        self.u = GridTensor("rbgs_u", grid_y, grid_x, tile, stream="rbgs-u")
+        self.u_next = self.output = GridTensor("rbgs_u_next", grid_y, grid_x, tile)
+        self.weights = _WeightTensor("rbgs_w", (W_CENTER,) + (W_NEIGHBOR,) * 4)
+        self.tensors = (self.u, self.u_next, self.weights)
+        self.levels = tuple(self._build_wave(color) for color in (0, 1))
 
     # -- chain generation ----------------------------------------------
     def _build_wave(self, color: int) -> Subroutine:
@@ -251,7 +229,6 @@ class RbgsWorkload:
                 self.grid_y,
                 self.grid_x,
                 self.tile,
-                self.seed,
                 self.skew_factor,
                 self.skew_period,
                 color,
@@ -281,23 +258,11 @@ class RbgsWorkload:
                 )
         return stretched
 
-    # -- Workload protocol ----------------------------------------------
-    @property
-    def name(self) -> str:
-        return "rbgs"
-
-    @property
-    def output(self):
-        return self.u_next
-
-    def levels(self) -> list[Subroutine]:
-        return list(self._levels)
-
-    def reference_values(self) -> np.ndarray:
+    def reference(self, arrays: dict) -> np.ndarray:
         """Dense NumPy smoother over the gathered grid (REAL mode)."""
         size = self.tile * self.tile
-        u = self.u.flat_values()
-        w = self.weights.flat_values()
+        u = arrays[self.u.name].gather()
+        w = arrays[self.weights.name].gather()
         out = np.zeros(self.u_next.total)
         repeat = max(1, self.skew_factor)
         for color in (0, 1):
@@ -327,32 +292,10 @@ class RbgsWorkload:
         return out
 
     def describe(self) -> str:
-        red, black = self._levels
+        red, black = self.levels
         return (
             f"rbgs: {self.grid_y}x{self.grid_x} tiles of "
             f"{self.tile}x{self.tile}, 2 colored waves "
             f"({red.n_chains} red + {black.n_chains} black chains, "
             f"{red.n_gemms + black.n_gemms} stencil GEMMs)"
         )
-
-
-def build_rbgs_workload(
-    cluster,
-    ga,
-    params: str,
-    seed: int = 7,
-    skew_factor: int = 1,
-    skew_period: int = 0,
-) -> RbgsWorkload:
-    """Registry builder: grid shape from a preset or ``GYxGX[xT]``."""
-    grid_y, grid_x, tile = parse_grid(params)
-    return RbgsWorkload(
-        cluster,
-        ga,
-        grid_y,
-        grid_x,
-        tile,
-        seed=seed,
-        skew_factor=skew_factor,
-        skew_period=skew_period,
-    )

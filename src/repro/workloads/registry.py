@@ -11,8 +11,9 @@ A bare scale name (``"small"``) is not a token: the workload is always
 named, and an unknown name raises :class:`ConfigurationError`.
 
 Adding a workload is one :func:`register_workload` call with a builder
-``(cluster, ga, params, *, seed, skew_factor, skew_period) -> Workload``
-— see ``README.md`` ("Workloads") for the walkthrough.
+``(params, *, skew_factor, skew_period) -> Structure`` — the workload's
+structure, no machine and no seed; :func:`build_workload` binds it to a
+run (see ``README.md``, "Workloads", for the walkthrough).
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """One registry entry: a name, a builder, and its default params."""
+    """One registry entry: a name, a structure builder, and its default
+    params."""
 
     name: str
     summary: str
@@ -103,62 +105,70 @@ def build_workload(
     seed: int = 7,
     skew_factor: int = 1,
     skew_period: int = 0,
+    cache=None,
 ):
-    """Instantiate the workload a token names, on the given cluster.
+    """Build the structure a token names and bind it to ``cluster``.
 
     ``ga`` defaults to a fresh :class:`~repro.ga.runtime.GlobalArrays`
-    on the cluster. The instance's ``workload_id`` is set to the
-    canonical token so cache keys and reports agree on one spelling.
+    on the cluster. With ``cache`` (an
+    :class:`~repro.core.inspector.InspectionCache`) the structure is
+    built once per (canonical token, skew) and the inputs' draws once
+    per (seed, stream, size); without, both are the run's own. The
+    instance's ``workload_id`` is set to the canonical token so cache
+    keys and reports agree on one spelling.
     """
     name, params = parse_workload_token(token, scale=scale)
+    canonical = f"{name}:{params}"
     if ga is None:
         from repro.ga.runtime import GlobalArrays
 
         ga = GlobalArrays(cluster)
-    spec = _REGISTRY[name]
-    workload = spec.builder(
-        cluster,
-        ga,
-        params,
-        seed=seed,
-        skew_factor=skew_factor,
-        skew_period=skew_period,
-    )
-    workload.workload_id = f"{name}:{params}"
+    builder = _REGISTRY[name].builder
+
+    def structure():
+        return builder(params, skew_factor=skew_factor, skew_period=skew_period)
+
+    if cache is not None:
+        built = cache.structure((canonical, skew_factor, skew_period), structure)
+    else:
+        built = structure()
+    workload = built.bind(ga, seed, cache=cache)
+    workload.workload_id = canonical
     return workload
 
 
 # ----------------------------------------------------------------------
 # built-in workloads
 # ----------------------------------------------------------------------
-def _build_t2_7(cluster, ga, params, *, seed=7, skew_factor=1, skew_period=0):
+def _build_t2_7(params, *, skew_factor=1, skew_period=0):
     from repro.tce.molecules import system_for_scale
-    from repro.tce.t2_7 import build_t2_7
+    from repro.tce.t2_7 import T2_7_SPEC
+    from repro.tce.terms import TermStructure
 
-    system = system_for_scale(params)
-    return build_t2_7(
-        cluster,
-        ga,
-        system.orbital_space(),
-        seed=seed,
+    return TermStructure(
+        system_for_scale(params).orbital_space(),
+        T2_7_SPEC,
         skew_factor=skew_factor,
         skew_period=skew_period,
     )
 
 
-def _build_ccsd(cluster, ga, params, *, seed=7, skew_factor=1, skew_period=0):
-    from repro.workloads.ccsd import build_ccsd_workload
+def _build_ccsd(params, *, skew_factor=1, skew_period=0):
+    from repro.tce.cc_iteration import CcsdStructure
+    from repro.tce.molecules import system_for_scale
 
-    return build_ccsd_workload(
-        cluster, ga, params, seed=seed, skew_factor=skew_factor, skew_period=skew_period
+    return CcsdStructure(
+        system_for_scale(params).orbital_space(),
+        skew_factor=skew_factor,
+        skew_period=skew_period,
     )
 
 
-def _build_rbgs(cluster, ga, params, *, seed=7, skew_factor=1, skew_period=0):
-    from repro.workloads.rbgs import build_rbgs_workload
+def _build_rbgs(params, *, skew_factor=1, skew_period=0):
+    from repro.workloads.rbgs import RbgsStructure, parse_grid
 
-    return build_rbgs_workload(
-        cluster, ga, params, seed=seed, skew_factor=skew_factor, skew_period=skew_period
+    return RbgsStructure(
+        *parse_grid(params), skew_factor=skew_factor, skew_period=skew_period
     )
 
 

@@ -17,10 +17,16 @@ exit 1 when it is over the cap. And the build-and-drop figure: resident
 memory (Linux ``/proc/self/statm``) after each of four rounds of building
 the workload and dropping it, cyclic collector off. A workload's tensors
 die with the last reference to the workload (same section), so round
-four stands where round one stood. (Current, not peak, RSS: glibc raises
-its mmap threshold after the first round's frees, which moves the *peak*
-of the later rounds by ~20 MB whatever the program retains. ``ccsd:tiny``
-is too small to tell: 1.12x at the parent of that rule, 1.02x with it.)
+four stands where round one stood. (Current, not peak, RSS, read after
+``malloc_trim(0)``: glibc raises its mmap threshold after the first
+round's frees, so later rounds' tensors come from the heap, and what it
+keeps of that heap once they are freed is not the program's — untrimmed,
+round one read 140 or 51 MB by the allocation pattern alone, and rounds
+three on 8 MB above round two. Trimmed, rounds one to four read
+48.8 / 50.9 / 52.0 / 53.1 MB, the ~1.1 MB per round being the cluster
+skeleton the disabled collector leaves; at the parent of the rule they
+read 139 / 232 / 324 / 416, 3.0x. ``ccsd:tiny`` is too small to tell:
+1.12x at the parent of that rule, 1.02x with it.)
 And the run-and-drop figure, same reading: four rounds of
 ``repro.run("rbgs:24x24")`` on 16x4 for v5 and dtd, each result dropped
 at once. A level's graph dies at shutdown and a process with its last
@@ -35,6 +41,7 @@ collector, every round adds 10-13 MB of its own: 1.26x / 1.30x.)
 """
 
 import argparse
+import ctypes
 import gc
 import json
 import os
@@ -51,6 +58,14 @@ RUN_AND_DROP_GROWTH = 1.10
 def _maxrss_mb() -> float:
     # Linux reports ru_maxrss in KiB
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _trimmed_rss_mb() -> float:
+    """Resident MB once the allocator has returned its free heap."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)  # glibc only
+    if trim is not None:
+        trim(0)
+    return _rss_mb()
 
 
 def _rss_mb() -> float:
@@ -73,9 +88,10 @@ def _child(what: str, token: str, runtime: str, n_nodes: int, cores: int) -> Non
             # either way the result is dropped at once
             if what == "build_and_drop":
                 build(token, config)
+                rounds.append(_trimmed_rss_mb())
             else:
                 run(token, runtime=runtime, config=config)
-            rounds.append(_rss_mb())
+                rounds.append(_rss_mb())
         print(json.dumps(rounds))
     else:  # untraced: tracemalloc's own tables would count
         run(token, runtime=runtime, config=config)

@@ -30,10 +30,11 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.core import api
 from repro.core.api import RunConfig, run
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.experiments.calibration import cell_config
+from repro.sim.cluster import DataMode
 from repro.tce.reference import correlation_energy
-from repro.workloads import build_workload
 
 WORKLOADS = ("t2_7", "ccsd", "rbgs")
 RUNTIMES = ("legacy", "v1", "v2", "v3", "v4", "v5", "dtd")
@@ -57,33 +58,40 @@ def trace_sha256(trace) -> str:
     return digest.hexdigest()
 
 
-def metrics_sha256(workload: str, runtime: str) -> str:
+def _config(cache, **fields) -> RunConfig:
+    """A 4x2 REAL seed-7 run; with ``cache``, an experiment cell's config
+    (``cell_config``) over that memo."""
+    if cache is None:
+        return RunConfig(n_nodes=4, cores_per_node=2, seed=7, **fields)
+    return cell_config(2, 4, DataMode.REAL, seed=7, inspection_cache=cache, **fields)
+
+
+def metrics_sha256(workload: str, runtime: str, cache=None) -> str:
     """Hash of the metrics snapshot of one tiny run with the registry on."""
-    cluster = Cluster(
-        ClusterConfig(n_nodes=4, cores_per_node=2, trace_enabled=False)
-    )
-    built = build_workload(f"{workload}:tiny", cluster, seed=7)
-    snapshot = run(built, runtime=runtime, config=RunConfig()).metrics
+    config = _config(cache, metrics=True)
+    built = api.build(f"{workload}:tiny", config)
+    snapshot = run(built, runtime=runtime, config=config).metrics
     snapshot["gauges"].pop("run.output_checksum")
     return hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()).hexdigest()
 
 
-def run_cell(workload: str, runtime: str):
-    """One traced tiny run; returns ``(cell digest, workload object)``."""
-    cluster = Cluster(
-        ClusterConfig(
-            n_nodes=4, cores_per_node=2, trace_enabled=True, metrics_enabled=False
-        )
-    )
-    built = build_workload(f"{workload}:tiny", cluster, seed=7)
-    result = run(built, runtime=runtime, config=RunConfig(metrics=False))
+def run_cell(workload: str, runtime: str, cache=None):
+    """One traced tiny run; returns ``(cell digest, workload object)``.
+
+    With ``cache`` (an ``InspectionCache``) both runs of the cell build,
+    draw, inspect and instantiate through it, as experiment cells do.
+    """
+    config = _config(cache, trace=True, metrics=False)
+    built = api.build(f"{workload}:tiny", config)
+    result = run(built, runtime=runtime, config=config)
+    cluster = built.cluster
     cell = {
         "sim": {
             "execution_time": result.execution_time.hex(),
             "n_tasks": result.n_tasks,
             "remote_messages": cluster.network.remote_messages,
             "trace_sha256": trace_sha256(cluster.trace),
-            "metrics_sha256": metrics_sha256(workload, runtime),
+            "metrics_sha256": metrics_sha256(workload, runtime, cache),
         },
         "energy": correlation_energy(result.output.flat_values()).hex(),
     }

@@ -110,9 +110,10 @@ class TestParallelIdentity:
 class TestPrecomputedInspection:
     def test_precompute_fills_one_entry_per_height(self):
         cache = api.precompute_inspection("tiny", 4, codes=("v1", "v2", "v5"))
-        # v1 is height None, v2/v5 share height 1 -> two entries
-        assert len(cache) == 2
-        assert cache.misses == 2
+        # the structure, then v1 is height None, v2/v5 share height 1
+        assert cache.keys("structure") == [("t2_7:tiny", 1, 0)]
+        assert len(cache.keys("chains")) == 2
+        assert dict(cache.misses) == {"structure": 1, "chains": 2}
 
     def test_non_parsec_codes_are_skipped(self):
         cache = api.precompute_inspection("tiny", 4, codes=("original", "legacy"))
@@ -123,7 +124,8 @@ class TestPrecomputedInspection:
 
         cache = api.precompute_inspection("tiny", 4, codes=("v5",))
         clone = pickle.loads(pickle.dumps(cache))
-        assert len(clone) == len(cache) == 1
+        assert list(clone._entries) == list(cache._entries)
+        assert len(clone) == 2  # the structure and its chains
 
 
 class TestCellsCarryNoCache:
@@ -162,14 +164,16 @@ class TestCellsCarryNoCache:
             results, _ = SweepExecutor(jobs=1).run(cells)
             return json.dumps(serialize_results(cells, results), sort_keys=True)
 
-        PROCESS_MEMO._chains.clear()
-        PROCESS_MEMO.n_gemms = 0
-        misses = PROCESS_MEMO.misses
+        PROCESS_MEMO._entries.clear()
+        PROCESS_MEMO.n_bytes = 0
+        misses = sum(PROCESS_MEMO.misses.values())
         cold = payload()
-        assert PROCESS_MEMO.misses > misses  # the cells inspected, here
-        misses, hits = PROCESS_MEMO.misses, PROCESS_MEMO.hits
+        # the cells built and inspected, here
+        assert sum(PROCESS_MEMO.misses.values()) > misses
+        misses, hits = dict(PROCESS_MEMO.misses), sum(PROCESS_MEMO.hits.values())
         warm = payload()
-        assert PROCESS_MEMO.misses == misses and PROCESS_MEMO.hits > hits
+        assert dict(PROCESS_MEMO.misses) == misses
+        assert sum(PROCESS_MEMO.hits.values()) > hits
         assert cold == warm
 
 

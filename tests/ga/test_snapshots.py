@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import api, dtd_port, ptg_build
+from repro.core.inspector import InspectionCache
+from repro.experiments.chaos import default_plan
 from repro.ga.distribution import Segment
 from repro.ga.runtime import GlobalArrays
 from repro.legacy import chain_exec
@@ -265,3 +267,86 @@ class TestDeliveredPayloadsAreReadOnly:
         monkeypatch.setattr(chain_exec, "get_hash_block", scribbling)
         repro.run("t2_7:tiny", runtime="legacy", config=self.CONFIG)
         assert seen
+
+
+# ----------------------------------------------------------------------
+# an input adopts its seeded draw: nothing a run does reaches the memo
+# ----------------------------------------------------------------------
+class TestAdoptedDraws:
+    """A memoised build's inputs are views of the memo's read-only draw.
+    Every mutator copies an adopted segment before its first write, so
+    the draw, and with it the next build's inputs, keep their bytes."""
+
+    NAME = "v:hppp"
+
+    def build(self, memo, **knobs):
+        config = api.RunConfig(
+            n_nodes=4, cores_per_node=2, inspection_cache=memo, **knobs
+        )
+        return api.build("t2_7:tiny", config), config
+
+    def owners(self, array, lo, hi):
+        return len(array.distribution.segments(lo, hi))
+
+    def test_every_mutator_copies_before_its_first_write(self):
+        memo = InspectionCache()
+        workload, _ = self.build(memo)
+        total = workload.arrays[self.NAME].total
+        draw = memo.draw(workload.seed, self.NAME, total)
+        pristine = draw.copy()
+        assert not draw.flags.writeable
+        lo, hi = total // 5, total - total // 7  # a range over several owners
+
+        def ordered(array):
+            copies = array.segment_copies
+            array.enable_ordered_accumulation()
+            array.accumulate_range_direct(lo, hi, np.ones(hi - lo), tag=("x", 1))
+            assert array.segment_copies == copies  # logged, not yet applied
+            array.flush_accumulations()
+
+        def through_ga_access(array):
+            node_lo, node_hi = array.distribution.node_range(1)
+            array.ga_access(1, node_lo, node_hi)[:] = 5.0
+
+        mutators = [  # (mutation, owners it writes)
+            (lambda a: a.scatter(np.ones(total)), 4),
+            (lambda a: a.zero(), 4),
+            (lambda a: a.accumulate_range_direct(0, total, np.ones(total)), 4),
+            (lambda a: a.accumulate_range_direct(lo, hi, np.ones(hi - lo)), None),
+            (ordered, None),
+            (through_ga_access, 1),
+        ]
+        for mutate, owners in mutators:
+            workload, _ = self.build(memo)
+            array = workload.arrays[self.NAME]
+            assert array._segments[0].base is draw and array.segment_copies == 0
+            mutate(array)
+            mutate(array)  # a second write to a private segment copies nothing
+            expected = owners if owners is not None else self.owners(array, lo, hi)
+            assert array.segment_copies == expected
+            np.testing.assert_array_equal(draw, pristine)
+        assert memo.misses["draw"] == 2  # v and t, drawn once for every build
+        fresh, _ = self.build(memo)
+        np.testing.assert_array_equal(fresh.arrays[self.NAME].gather(), pristine)
+
+    def test_a_faulted_stealing_run_writes_no_input(self):
+        memo = InspectionCache()
+        workload, config = self.build(memo, stealing=api.StealPolicy())
+        horizon = repro.run(workload, runtime="v5", config=config).execution_time
+        inputs = [t for t in workload.structure.tensors if t.stream is not None]
+        pristine = {t.name: memo.draw(7, t.name, t.total).copy() for t in inputs}
+        workload, _ = self.build(memo, stealing=api.StealPolicy())
+        workload.output.array.enable_ordered_accumulation()
+        workload.cluster.install_faults(default_plan(11, horizon, 4))
+        result = repro.run(workload, runtime="v5", config=config)
+        assert result.nodes_crashed == 1 and result.retransmits > 0
+        for tensor in inputs:
+            assert workload.arrays[tensor.name].segment_copies == 0
+            np.testing.assert_array_equal(
+                memo.draw(7, tensor.name, tensor.total), pristine[tensor.name]
+            )
+        fresh, _ = self.build(memo)
+        for tensor in inputs:
+            np.testing.assert_array_equal(
+                fresh.arrays[tensor.name].gather(), pristine[tensor.name]
+            )

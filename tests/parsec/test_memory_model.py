@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.core import api
+from repro.core.inspector import InspectionCache
 from repro.experiments.chaos import default_plan, run_chaos
 from repro.parsec.dtd import AccessMode, DtdRuntime
 from repro.parsec.ptg import PTG
@@ -383,10 +384,30 @@ class TestTensorsDieWithTheWorkload:
         del workload, result
         assert not any(ref() is not None for ref in segments)
 
+    def test_a_memo_build_leaves_only_its_draws(self, no_collector):
+        """Built and run through a memo: every segment still dies with
+        the workload, and the adopted draws live on in the memo alone."""
+        memo = InspectionCache()
+        config = api.RunConfig(**self.CONFIG, inspection_cache=memo)
+        workload = api.build("ccsd:tiny", config)
+        segments = self.segments_of(workload)
+        draws = [
+            weakref.ref(memo.draw(workload.seed, tensor.stream, tensor.total))
+            for tensor in workload.structure.tensors
+            if tensor.stream is not None
+        ]
+        assert memo.misses["draw"] == len(draws) == memo.hits["draw"]
+        result = repro.run(workload, runtime="v5", config=config)
+        del workload, result
+        assert not any(ref() is not None for ref in segments)
+        assert all(ref() is not None for ref in draws)
+        memo._entries.clear()
+        assert not any(ref() is not None for ref in draws)
+
     def test_build_and_drop_rounds_do_not_accumulate(self):
-        """Resident memory after the 4th build-and-drop of ``ccsd:small``
-        (105 MB of tensors), collector off, in a fresh interpreter: 3.0x
-        the 1st round's at the parent commit. ``ccsd:tiny`` is too small
-        to tell (1.12x there)."""
+        """Resident memory (after ``malloc_trim``) after the 4th
+        build-and-drop of ``ccsd:small`` (105 MB of tensors), collector
+        off, in a fresh interpreter: 3.0x the 1st round's at the parent
+        commit. ``ccsd:tiny`` is too small to tell (1.12x there)."""
         rounds = memory_peaks.build_and_drop("ccsd:small", 8, 4)
         assert rounds[-1] <= 1.15 * rounds[0], rounds

@@ -9,7 +9,8 @@ from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.tce.orbital_space import OrbitalSpace, Tile
 from repro.tce.tensor import BlockLayout, BlockTensor
 from repro.util.errors import ConfigurationError
-from repro.util.rng import RngStream
+from repro.util.rng import seeded_normal
+from repro.workloads.base import BoundTensor
 
 
 class TestOrbitalSpace:
@@ -108,18 +109,27 @@ class TestBlockLayout:
         assert layout.total == 6 * 9 * 6 * 6
 
 
+def _bound(ga, name, space, dims, seed=None):
+    """A tensor bound to a fresh array of ``ga``, its contents drawn
+    from ``seed`` (the bind's seeded fill) unless None."""
+    tensor = BlockTensor(name, BlockLayout(space, dims))
+    bound = BoundTensor(tensor, ga.create(name, tensor.total))
+    if seed is not None:
+        bound.array.adopt(seeded_normal(seed, "x", tensor.total))
+    return bound
+
+
 class TestBlockTensor:
     def test_create_allocates_matching_ga(self):
         cluster, ga = make_ga()
-        tensor = BlockTensor.create(ga, "t2", OrbitalSpace(8, 16, 4), "hh")
+        tensor = _bound(ga, "t2", OrbitalSpace(8, 16, 4), "hh")
         assert tensor.total == 64
         assert tensor.array.total == 64
 
     def test_fill_and_read_block(self):
         cluster, ga = make_ga()
         space = OrbitalSpace(8, 16, 4)
-        tensor = BlockTensor.create(ga, "v", space, "hp")
-        tensor.fill_random(RngStream(1, "x"))
+        tensor = _bound(ga, "v", space, "hp", seed=1)
         block = tensor.block_values((1, 2))
         lo, hi = tensor.block_range((1, 2))
         np.testing.assert_array_equal(block.reshape(-1), tensor.flat_values()[lo:hi])
@@ -127,14 +137,13 @@ class TestBlockTensor:
 
     def test_block_values_reads_the_block_not_the_tensor(self, monkeypatch):
         cluster, ga = make_ga()
-        tensor = BlockTensor.create(ga, "v", OrbitalSpace(8, 16, 4), "hp")
-        tensor.fill_random(RngStream(1, "x"))
+        tensor = _bound(ga, "v", OrbitalSpace(8, 16, 4), "hp", seed=1)
         flat = tensor.flat_values()
         # gather() concatenates the whole tensor; one block must not
         monkeypatch.setattr(
             type(tensor.array), "gather", lambda self: pytest.fail("gathered")
         )
-        for key in tensor.layout.keys():  # some straddle two owners
+        for key in tensor.tensor.layout.keys():  # some straddle two owners
             lo, hi = tensor.block_range(key)
             block = tensor.block_values(key)
             assert block.shape == tensor.block_shape(key)
@@ -144,16 +153,13 @@ class TestBlockTensor:
     def test_fill_is_deterministic(self):
         def values():
             cluster, ga = make_ga()
-            tensor = BlockTensor.create(ga, "v", OrbitalSpace(8, 16, 4), "hp")
-            tensor.fill_random(RngStream(42, "seed"))
-            return tensor.flat_values()
+            return _bound(ga, "v", OrbitalSpace(8, 16, 4), "hp", seed=42).flat_values()
 
         np.testing.assert_array_equal(values(), values())
 
     def test_synth_mode_fill_is_noop(self):
         cluster, ga = make_ga(data_mode=DataMode.SYNTH)
-        tensor = BlockTensor.create(ga, "v", OrbitalSpace(8, 16, 4), "hp")
-        tensor.fill_random(RngStream(1, "x"))  # must not raise
+        tensor = _bound(ga, "v", OrbitalSpace(8, 16, 4), "hp", seed=1)  # must not raise
         assert not tensor.array.holds_data
 
     def test_huge_synth_tensor_allocates_no_storage(self):
@@ -161,7 +167,7 @@ class TestBlockTensor:
         # handle it with pure offset arithmetic
         cluster, ga = make_ga(n_nodes=32, data_mode=DataMode.SYNTH)
         space = OrbitalSpace(148, 324, 40)
-        tensor = BlockTensor.create(ga, "va", space, "hppp")
+        tensor = _bound(ga, "va", space, "hppp")
         assert tensor.total == 148 * 324**3
         lo, hi = tensor.block_range((3, 8, 8, 8))
         assert hi - lo == 28 * 4 * 4 * 4

@@ -78,8 +78,10 @@ class TestChainStructure:
     def test_operand_refs_resolve_into_tensors(self):
         workload = make_workload()
         gemm = workload.subroutine.chains[0].gemms[0]
-        assert gemm.a.tensor is workload.va
-        assert gemm.b.tensor is workload.tb
+        # the IR names the tensors; the workload binds them to its arrays
+        assert gemm.a.tensor is workload.structure.va
+        assert gemm.b.tensor is workload.structure.tb
+        assert workload.va.array is workload.arrays[gemm.a.tensor.name]
         assert gemm.a.size == gemm.k * gemm.m
         assert gemm.b.size == gemm.k * gemm.n
 
@@ -122,7 +124,7 @@ class TestSortWrites:
             (p4b, p3b, h2b, h1b),
         ]
         for sw in chain.sort_writes:
-            assert sw.target.tensor is workload.i2
+            assert sw.target.tensor is workload.structure.i2
 
     def test_signs_follow_antisymmetry(self):
         workload = make_workload()
@@ -172,7 +174,8 @@ class TestReference:
             a = va[gemm.a.lo : gemm.a.hi].reshape(gemm.k, gemm.m)
             b = tb[gemm.b.lo : gemm.b.hi].reshape(gemm.k, gemm.n)
             expected += np.einsum("km,kn->mn", a, b)
-        np.testing.assert_allclose(chain_output(chain, {}), expected, rtol=1e-13)
+        values = {"v:hppp": va, "t:hphh": tb}
+        np.testing.assert_allclose(chain_output(chain, values), expected, rtol=1e-13)
 
     def test_reference_is_deterministic(self):
         ref1 = compute_reference(make_workload(seed=11))
@@ -202,7 +205,8 @@ class TestReference:
             if c.key[0] == c.key[1] and c.key[2] == c.key[3]
         )
         assert len(diag.active_sorts) == 4
-        C = chain_output(diag, {}).reshape(diag.tile_shape)
+        values = {name: workload.arrays[name].gather() for name in ("v:hppp", "t:hphh")}
+        C = chain_output(diag, values).reshape(diag.tile_shape)
         expected = (
             C
             - np.transpose(C, (0, 1, 3, 2))

@@ -50,7 +50,8 @@ class TestTermBuilder:
     def test_every_contraction_kind_builds_and_verifies(self, contraction):
         cluster, ga = make_env()
         space = tiny_system().orbital_space()
-        sub = build_term(ga, space, TermSpec(f"t_{contraction}", contraction))
+        workload = build_term(ga, space, TermSpec(f"t_{contraction}", contraction))
+        sub = workload.subroutine
         assert sub.n_chains > 0
         # chain length = kept contraction tuples
         expected_total = 1
@@ -59,14 +60,13 @@ class TestTermBuilder:
         assert all(0 < c.length <= expected_total for c in sub.chains)
         # numerics check through the legacy runtime
         LegacyRuntime(cluster, ga).execute_subroutine(sub)
-        expected = compute_subroutine_reference(sub)
+        expected = compute_subroutine_reference(sub, workload.arrays)
         np.testing.assert_allclose(
-            sub.output.flat_values(), expected, rtol=1e-12, atol=1e-12
+            workload.output.flat_values(), expected, rtol=1e-12, atol=1e-12
         )
 
     def test_tensor_pool_shares_operands_across_terms(self):
-        cluster, ga = make_env()
-        builder = TermBuilder(ga, tiny_system().orbital_space())
+        builder = TermBuilder(tiny_system().orbital_space())
         sub_a = builder.build(TermSpec("a", "hp"))
         sub_b = builder.build(TermSpec("b", "hp"))
         assert sub_a.inputs[0] is sub_b.inputs[0]
@@ -74,28 +74,31 @@ class TestTermBuilder:
         assert sub_a.output is sub_b.output
 
     def test_distinct_contractions_use_distinct_tensors(self):
-        cluster, ga = make_env()
-        builder = TermBuilder(ga, tiny_system().orbital_space())
+        builder = TermBuilder(tiny_system().orbital_space())
         ring = builder.build(TermSpec("ring", "hp"))
         ladder = builder.build(TermSpec("ladder", "pp"))
         assert ring.inputs[0] is not ladder.inputs[0]
 
     def test_ladder_term_over_parsec_matches_reference(self):
         cluster, ga = make_env()
-        sub = build_term(ga, tiny_system().orbital_space(), TermSpec("lad", "pp"))
-        run_ptg(cluster, sub, V5)
-        expected = compute_subroutine_reference(sub)
+        workload = build_term(ga, tiny_system().orbital_space(), TermSpec("lad", "pp"))
+        run_ptg(cluster, workload.subroutine, V5)
         np.testing.assert_allclose(
-            sub.output.flat_values(), expected, rtol=1e-12, atol=1e-12
+            workload.output.flat_values(),
+            workload.reference_values(),
+            rtol=1e-12,
+            atol=1e-12,
         )
 
     def test_one_index_term_over_parsec_matches_reference(self):
         cluster, ga = make_env()
-        sub = build_term(ga, tiny_system().orbital_space(), TermSpec("one", "h"))
-        run_ptg(cluster, sub, V4)
-        expected = compute_subroutine_reference(sub)
+        workload = build_term(ga, tiny_system().orbital_space(), TermSpec("one", "h"))
+        run_ptg(cluster, workload.subroutine, V4)
         np.testing.assert_allclose(
-            sub.output.flat_values(), expected, rtol=1e-12, atol=1e-12
+            workload.output.flat_values(),
+            workload.reference_values(),
+            rtol=1e-12,
+            atol=1e-12,
         )
 
 
@@ -110,10 +113,11 @@ class TestCcsdIteration:
     def test_build_iteration_structure(self):
         cluster, ga = make_env()
         iteration = build_ccsd_iteration(ga, tiny_system().orbital_space())
-        assert iteration.n_levels == 7
+        assert len(iteration.levels()) == 7
         assert len(iteration.subroutines) == 14
-        assert iteration.total_gemms > 0
-        assert all(len(level) == 2 for level in iteration.levels())
+        assert iteration.structure.n_gemms > 0
+        per_level = [sub.level for sub in iteration.subroutines]
+        assert all(per_level.count(level) == 2 for level in range(7))
         assert iteration.subroutine("icsd_t2_7").level == 3
         with pytest.raises(KeyError):
             iteration.subroutine("missing")
@@ -121,14 +125,16 @@ class TestCcsdIteration:
     def test_chain_levels_renumber_densely(self):
         cluster, ga = make_env()
         iteration = build_ccsd_iteration(ga, tiny_system().orbital_space())
-        for level in iteration.chain_levels():
-            assert [c.chain_id for c in level] == list(range(len(level)))
+        for level in iteration.levels():
+            assert [c.chain_id for c in level.chains] == list(range(level.n_chains))
 
     def test_legacy_full_iteration_matches_reference(self):
         cluster, ga = make_env()
         iteration = build_ccsd_iteration(ga, tiny_system().orbital_space())
-        LegacyRuntime(cluster, ga).execute(iteration.chain_levels())
-        expected = compute_iteration_reference(iteration.subroutines)
+        LegacyRuntime(cluster, ga).execute(
+            [list(level.chains) for level in iteration.levels()]
+        )
+        expected = compute_iteration_reference(iteration.subroutines, iteration.arrays)
         np.testing.assert_allclose(
             iteration.i2.flat_values(), expected, rtol=1e-12, atol=1e-12
         )
@@ -144,7 +150,7 @@ class TestCcsdIteration:
         modes = {k.name: k.mode for k in result.kernels}
         assert modes["icsd_t2_7"] == "parsec"
         assert modes["icsd_t2_1"] == "legacy"
-        expected = compute_iteration_reference(iteration.subroutines)
+        expected = compute_iteration_reference(iteration.subroutines, iteration.arrays)
         np.testing.assert_allclose(
             iteration.i2.flat_values(), expected, rtol=1e-12, atol=1e-12
         )
@@ -163,4 +169,4 @@ class TestCcsdIteration:
 
     def test_iteration_reference_requires_subroutines(self):
         with pytest.raises(ValueError):
-            compute_iteration_reference([])
+            compute_iteration_reference([], {})

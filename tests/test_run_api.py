@@ -250,6 +250,44 @@ class TestGoldenDigests:
         reference = correlation_energy(built.reference_values())
         assert energy == pytest.approx(reference, rel=1e-13, abs=0.0)
 
+    def test_warm_memo_equals_cold(self, golden):
+        """Every pair twice in one process, as experiment cells run
+        (``cell_config`` over one memo): the second pass builds, draws,
+        inspects and instantiates nothing — every product is a memo hit —
+        and simulates exactly what the committed digests say."""
+        from repro.core.inspector import InspectionCache
+
+        memo = InspectionCache()
+        for warm in (False, True):
+            misses, hits = dict(memo.misses), dict(memo.hits)
+            for workload in self.WORKLOADS:
+                for rt in self.RUNTIMES:
+                    cell, built = regen.run_cell(workload, rt, cache=memo)
+                    expected = golden[workload][rt]["sim"]
+                    assert cell["sim"] == expected, (warm, workload, rt)
+                    energy = float.fromhex(cell["energy"])
+                    committed = float.fromhex(golden[workload][rt]["energy"])
+                    assert energy == pytest.approx(committed, rel=1e-13, abs=0.0)
+        assert dict(memo.misses) == misses
+        assert set(memo.hits) == {"structure", "draw", "chains", "template"}
+        assert all(memo.hits[kind] > hits[kind] for kind in memo.hits)
+
+    def test_warm_memo_fig9_jobs_print_the_same(self, capsys):
+        """``repro fig9 --scale tiny`` on a warm process memo prints what
+        the cold sweep printed, serially and from two forked pool
+        processes that start with a copy of that memo."""
+        from repro.__main__ import EXIT_OK, main
+        from repro.core.inspector import PROCESS_MEMO
+
+        PROCESS_MEMO._entries.clear()  # what earlier tests left
+        PROCESS_MEMO.n_bytes = 0
+        printed = []
+        for jobs in ("1", "1", "2"):  # cold, warm, warm in two pool processes
+            assert main(["fig9", "--scale", "tiny", "-j", jobs]) == EXIT_OK
+            out = capsys.readouterr().out
+            printed.append([line for line in out.splitlines() if "job(s)" not in line])
+        assert printed[0] == printed[1] == printed[2]
+
 
 class TestInspectionCache:
     def test_cached_and_uncached_runs_identical(self):
@@ -266,8 +304,8 @@ class TestInspectionCache:
             reference = run("t2_7:tiny", runtime=rt, config=plain)
             assert warm.execution_time == reference.execution_time
             assert cached.execution_time == reference.execution_time
-        assert cache.hits >= 2
-        assert cache.misses >= 1
+        assert cache.hits["chains"] >= 2
+        assert cache.misses["chains"] >= 1
 
     def test_distinct_node_counts_do_not_collide(self):
         from repro.core.api import InspectionCache
@@ -283,7 +321,7 @@ class TestInspectionCache:
             )
             result = run("t2_7:tiny", runtime="v5", config=config)
             times[n_nodes] = result.execution_time
-        assert len(cache) == 2  # one entry per node count
+        assert len(cache.keys("chains")) == 2  # one entry per node count
         assert times[2] != times[4]
 
 
