@@ -9,6 +9,7 @@ simulations, so kernel regressions hurt.
 
 import gc
 import time
+from collections import deque
 
 import pytest
 
@@ -515,3 +516,152 @@ def test_micro_ladder_decomposition(benchmark):
             + " / ".join(str(remote) for _, remote in cells)
         )
         benchmark.extra_info[f"{runtime}.{axis}"] = cells
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_remote_message_cost(benchmark):
+    """Host cost of one remote message, from ``Network.send`` to delivery.
+
+    Uncontended: one message in flight at a time, node 0 to node 1, each
+    sent when the previous one is delivered, so every NIC grant is free.
+    Contended: seven nodes each send their share to node 0 at once, so
+    every TX channel and node 0's RX channel queue, and grants arrive on
+    parked events. Median of five runs of 7 000 messages; printed, not
+    gated. Measured when this was written (2-core x86, CPython 3.11):
+    7.5 / 10.9 µs, against 9.8 / 14.0 µs when each remote message was a
+    process over a transfer generator.
+    """
+    from statistics import median
+
+    n = 7_000
+
+    def uncontended():
+        cluster = Cluster(ClusterConfig(n_nodes=2, cores_per_node=1))
+        network = cluster.network
+
+        def sender():
+            for _ in range(n):
+                yield network.send(0, 1, 1024.0, None, on_deliver=_ignore)
+
+        cluster.engine.process(sender())
+        return cluster
+
+    def contended():
+        cluster = Cluster(ClusterConfig(n_nodes=8, cores_per_node=1))
+        for k in range(n):
+            cluster.network.send(1 + k % 7, 0, 1024.0, None, on_deliver=_ignore)
+        return cluster
+
+    def us_per_message(setup):
+        samples = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            cluster = setup()
+            cluster.run()
+            samples.append(time.perf_counter() - t0)
+            assert cluster.network.remote_messages == n
+        return 1e6 * median(samples) / n
+
+    costs = benchmark.pedantic(
+        lambda: (us_per_message(uncontended), us_per_message(contended)),
+        rounds=1, iterations=1,
+    )
+    benchmark.extra_info.update(uncontended_us=costs[0], contended_us=costs[1])
+    print(
+        f"\nremote message: {costs[0]:.2f} us uncontended, "
+        f"{costs[1]:.2f} us contended"
+    )
+
+
+def _ignore(_message):
+    """An ``on_deliver`` that keeps nothing."""
+
+
+class _Resume:
+    """A resumed timer's continuation, counted each time it runs."""
+
+    __slots__ = ("callback", "tally")
+
+    def __init__(self, callback, tally) -> None:
+        self.callback = callback
+        self.tally = tally
+
+    def __call__(self, arg) -> None:
+        self.tally["resumed"] += 1
+        self.callback(arg)
+
+
+class _CountingLane(deque):
+    """The immediate lane, counting the resumed continuations queued on it."""
+
+    def __init__(self, tally) -> None:
+        super().__init__()
+        self.tally = tally
+
+    def append(self, entry) -> None:
+        if type(entry[2]) is _Resume:
+            self.tally["via_lane"] += 1
+        super().append(entry)
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_resumed_timers_run_in_place(benchmark, monkeypatch):
+    """What share of resumed timer fires skip the lane hop, per cell.
+
+    ``Engine.run`` calls a resumed timer's continuation in place when its
+    lane entry would be the very next thing run (empty lane, no other
+    live row at that instant; ``sim/timeline.py``). Every continuation
+    parked on a timer is counted when it runs, and again if it was
+    queued on the lane; the difference ran in place. One cell in the
+    shape of each host-benchmark workload (SYNTH unless noted), printed,
+    not gated. Measured when this was written: 19% (fig9 v5), 98%
+    (fig9 legacy), 63% (ccsd REAL), 62% / 80% (rbgs v5 / dtd), 53%
+    (knobs).
+    """
+    from repro.sim.timeline import Timer
+
+    tally = {"resumed": 0, "via_lane": 0}
+    wait = Timer._wait
+    init = Engine.__init__
+
+    def counting_wait(self, callback):
+        wait(self, _Resume(callback, tally))
+
+    def counting_init(self):
+        init(self)
+        self._immediate = _CountingLane(tally)
+
+    monkeypatch.setattr(Timer, "_wait", counting_wait)
+    monkeypatch.setattr(Engine, "__init__", counting_init)
+    cells = (
+        ("fig9", "t2_7:small", "v5", dict(n_nodes=8, cores_per_node=7)),
+        ("fig9", "t2_7:small", "legacy", dict(n_nodes=8, cores_per_node=7)),
+        ("ccsd REAL", "ccsd:tiny", "v5", dict(n_nodes=4, cores_per_node=2,
+                                              data_mode=DataMode.REAL)),
+        ("rbgs ladder", "rbgs:24x24", "v5", dict(n_nodes=16, cores_per_node=4)),
+        ("rbgs ladder", "rbgs:24x24", "dtd", dict(n_nodes=16, cores_per_node=4)),
+        ("knobs", "t2_7:small", "v5", dict(n_nodes=8, cores_per_node=4,
+                                           stealing=api.StealPolicy())),
+    )
+
+    def shares():
+        import repro
+
+        rows = []
+        for label, token, runtime, knobs in cells:
+            tally.update(resumed=0, via_lane=0)
+            config = api.RunConfig(**{"data_mode": DataMode.SYNTH, **knobs})
+            repro.run(token, runtime=runtime, config=config)
+            resumed = tally["resumed"]
+            share = 1 - tally["via_lane"] / resumed
+            rows.append((label, token, runtime, resumed, share))
+        return rows
+
+    rows = benchmark.pedantic(shares, rounds=1, iterations=1)
+    print()
+    for label, token, runtime, resumed, share in rows:
+        print(
+            f"{label:12s} {token:11s} {runtime:7s} {resumed:8d} resumed fires, "
+            f"{share:.1%} in place"
+        )
+        benchmark.extra_info[f"{token}.{runtime}"] = share

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from repro.parsec.ptg import TaskGraph
+from repro.parsec.taskclass import EDGES
 from repro.sim.cost import MachineModel, OpCost
 from repro.sim.trace import TaskCategory
 
@@ -82,12 +83,8 @@ def task_graph_to_networkx(graph: TaskGraph, machine: MachineModel) -> nx.DiGrap
             node=instance.node,
         )
     for instance in graph.instances.values():
-        for flow in instance.cls.flows:
-            for dep in flow.outputs:
-                if not dep.active(instance.params, md):
-                    continue
-                consumer = (dep.target_class, tuple(dep.param_map(instance.params, md)))
-                dag.add_edge(instance.key, consumer)
+        for consumer in instance.row[EDGES + 1 :: 2]:
+            dag.add_edge(instance.key, consumer)
     return dag
 
 

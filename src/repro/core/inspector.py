@@ -45,20 +45,22 @@ __all__ = ["MEMO_MAX_BYTES", "PROCESS_MEMO", "InspectionCache", "inspect_subrout
 #: nodes, the largest reading kept. The chain IR of a structure, 820-1 056
 #: B per GEMM (1.25-1.65 kB at tiny, where the layouts dominate); the
 #: inspected ``ChainMeta``, 480-649 B per GEMM (740 at tiny), both chain
-#: heights; a validated task template, 226-232 B per task, v1 and v5. A
-#: seeded draw weighs its ``nbytes``: 8 B per element.
+#: heights; a validated task template with its resolved successors, 240-362
+#: B per task, v1 and v5 (t2_7:paper 242, ccsd:small 309, rbgs:small 362),
+#: read after the metadata's lazy caches are filled. A seeded draw weighs
+#: its ``nbytes``: 8 B per element.
 IR_BYTES_PER_GEMM = 1_056
 CHAIN_BYTES_PER_GEMM = 649
-TEMPLATE_BYTES_PER_TASK = 232
+TEMPLATE_BYTES_PER_TASK = 362
 
 #: Bound of :data:`PROCESS_MEMO`, in the bytes above summed over its
-#: entries. Sized so that ``ccsd:small`` REAL on 8 nodes (chain IR, 90 MB
-#: of draws, both heights' chains, v1-v5 templates: 179 MB) and
-#: ``t2_7:paper`` on 32 nodes (chain IR, both heights' chains, v1-v5
-#: templates: 53 MB) fit together — a sweep walks its keys in a cycle,
-#: and a least-recently-used memo one entry smaller than the cycle
-#: misses on every call.
-MEMO_MAX_BYTES = 256 << 20
+#: entries (MiB below). Sized so that ``ccsd:small`` REAL on 8 nodes
+#: (chain IR, 90 of draws, both heights' chains, v1-v5 templates: 213)
+#: and ``t2_7:paper`` on 32 nodes (chain IR, both heights' chains, v1-v5
+#: templates: 73) fit together — a sweep walks its keys in a cycle, and a
+#: least-recently-used memo one entry smaller than the cycle misses on
+#: every call.
+MEMO_MAX_BYTES = 320 << 20
 
 #: One lock for every cache (so none is pickled with an instance); only
 #: the process memo is ever shared between threads.

@@ -50,7 +50,7 @@ from repro.parsec.comm import CommThread
 from repro.parsec.ptg import PTG, TaskGraph
 from repro.parsec.scheduler import NodeScheduler, SchedulerPolicy
 from repro.parsec.stealing import StealCoordinator, StealPolicy
-from repro.parsec.taskclass import TaskContext, TaskInstance
+from repro.parsec.taskclass import EDGES, TaskContext, TaskInstance
 from repro.sim.cluster import Cluster
 from repro.sim.engine import SimEvent
 from repro.sim.network import CoalescePolicy
@@ -409,32 +409,31 @@ class ParsecRuntime:
         params = task.params
         node = task.node
         key = task.key
-        for flow in task.cls.flows:
-            data = context.outputs.get(flow.name)
-            for dep in flow.outputs:
-                # inlined dep.active(): this pair of attribute loads runs
-                # once per output dep of every completed task
-                guard = dep.guard
-                if guard is not None and not guard(params, md):
-                    continue
-                consumer_key = (dep.target_class, tuple(dep.param_map(params, md)))
-                payload = data
-                if dep.transform is not None and data is not None:
-                    payload = dep.transform(data, params, md)
-                consumer = instances.get(consumer_key)
-                if consumer is None:
-                    raise DataflowError(
-                        f"{task.label}.{flow.name} -> missing {consumer_key}"
-                    )
-                if consumer.node == node:
-                    # same node: pass by pointer, no transport
-                    self._deliver(consumer_key, dep.flow, payload, tag=key)
-                else:
-                    size_fn = dep.size_elems or flow.size_elems
-                    size_bytes = 8.0 * float(size_fn(params, md))
-                    self.comms[node].send(
-                        consumer_key, dep.flow, payload, size_bytes, tag=key
-                    )
+        outputs = context.outputs
+        out_deps = task.cls.out_deps
+        # the successors the template resolved: guards and param maps
+        # were evaluated once per template, not once per completion
+        row = task.row
+        for j in range(EDGES, len(row), 2):
+            flow, dep = out_deps[row[j]]
+            consumer_key = row[j + 1]
+            payload = outputs.get(flow.name)
+            if dep.transform is not None and payload is not None:
+                payload = dep.transform(payload, params, md)
+            consumer = instances.get(consumer_key)
+            if consumer is None:
+                raise DataflowError(
+                    f"{task.label}.{flow.name} -> missing {consumer_key}"
+                )
+            if consumer.node == node:
+                # same node: pass by pointer, no transport
+                self._deliver(consumer_key, dep.flow, payload, tag=key)
+            else:
+                size_fn = dep.size_elems or flow.size_elems
+                size_bytes = 8.0 * float(size_fn(params, md))
+                self.comms[node].send(
+                    consumer_key, dep.flow, payload, size_bytes, tag=key
+                )
         # the consumer's end of the payload lifetime rule: every output
         # now belongs to its consumers (or the comm thread's mailbox)
         if self._live_bytes:  # nonzero only with the registry on, in REAL

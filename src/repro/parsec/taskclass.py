@@ -25,6 +25,11 @@ from repro.util.errors import DataflowError
 
 __all__ = ["FlowMode", "Dep", "Flow", "TaskClass", "TaskInstance", "TaskContext"]
 
+#: Where a template row's resolved successors start: a row is ``(key,
+#: node, priority, pending, *edges)``, and each edge is two items — an
+#: index into the class's ``out_deps`` and the consumer's table key.
+EDGES = 4
+
 Params = tuple
 Guard = Callable[[Params, Any], bool]
 ParamMap = Callable[[Params, Any], Params]
@@ -106,6 +111,12 @@ class TaskClass:
         #: True if instances may run on an accelerator when the node
         #: has one (the body must honour ``ctx.device``)
         self.accelerated = accelerated
+        #: every output dep with its flow, in (flow, dep) order: a task's
+        #: resolved successors (its row's items from :data:`EDGES` on)
+        #: index into it
+        self.out_deps: tuple[tuple[Flow, Dep], ...] = tuple(
+            (flow, dep) for flow in flows for dep in flow.outputs
+        )
         self._flow_by_name = {flow.name: flow for flow in flows}
         if len(self._flow_by_name) != len(flows):
             raise DataflowError(f"duplicate flow names in task class {name}")
@@ -131,10 +142,20 @@ class TaskClass:
 
 
 class TaskInstance:
-    """One concrete task: a class plus a parameter binding."""
+    """One concrete task: a class plus a parameter binding.
+
+    ``row`` is the template row the task was made from, shared and never
+    written: its key (``(class name, params)``, the very tuple the task
+    table is keyed by), node, priority and pending count seed the fields a
+    run mutates, and its items from :data:`EDGES` on are the task's
+    resolved successors, one edge per active output dep in (flow, dep)
+    order.
+    """
 
     __slots__ = (
         "cls",
+        "row",
+        "key",
         "params",
         "node",
         "priority",
@@ -150,14 +171,14 @@ class TaskInstance:
         "_label",
     )
 
-    def __init__(
-        self, cls: TaskClass, params: Params, node: int, priority: float, pending: int
-    ) -> None:
+    def __init__(self, cls: TaskClass, row: tuple) -> None:
         self.cls = cls
-        self.params = params
-        self.node = node
-        self.priority = priority
-        self.pending = pending
+        self.row = row
+        self.key: tuple[str, Params] = row[0]
+        self.params = self.key[1]
+        self.node: int = row[1]
+        self.priority: float = row[2]
+        self.pending: int = row[3]
         self.inputs: dict[str, Any] = {}
         self.input_tags: dict[str, Any] = {}
         self.started = False
@@ -177,10 +198,6 @@ class TaskInstance:
         #: migrated its chain (None = never migrated); trace-only.
         self.stolen_from: Optional[int] = None
         self._label: Optional[str] = None
-
-    @property
-    def key(self) -> tuple[str, Params]:
-        return (self.cls.name, self.params)
 
     @property
     def label(self) -> str:

@@ -24,7 +24,10 @@ Design notes
 - Callbacks run *deferred* (through the lane), never synchronously
   from ``succeed()``. This keeps trigger cascades iterative (no
   recursion-depth coupling to chain length) and gives a single,
-  predictable interleaving rule.
+  predictable interleaving rule. The one shortcut is exact: a resumed
+  timer whose lane entry would be the very next thing run (empty lane,
+  no other live row at this instant) is called in place, after drawing
+  the same sequence number (``timeline.py``, "In-place rule").
 - A process that raises with nobody waiting on its completion re-raises
   out of :meth:`Engine.run` — silent death of a simulated thread would
   otherwise manifest as an inexplicable hang.
@@ -48,9 +51,10 @@ import heapq
 import itertools
 from collections import deque
 from functools import partial
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.sim.timeline import _DIRECT, _POOLED, Timeline, Timer
+from repro.sim.timeline import _DIRECT, _INF, _POOLED, Timeline, Timer, bad_delay
 from repro.util.errors import SimulationError
 
 __all__ = [
@@ -129,9 +133,15 @@ class Engine:
         several waiters, ``schedule(d, event.succeed, value)`` on a
         :class:`SimEvent`.
         """
+        # inlined Timer.after (hot: once per timed wait); a pooled timer
+        # is never armed, so only the delay needs checking
+        if not 0.0 <= delay < _INF:
+            raise bad_delay(delay)
         pool = self._timeout_pool
         timer = pool.pop() if pool else Timer(self.timeline, pooled=True)
-        return timer.after(delay)
+        seq = timer.armed = next(self._seq)
+        heappush(self.timeline._heap, (self.now + delay, seq, timer))
+        return timer
 
     def call_soon(self, fn: Callable, arg: Any = None) -> None:
         """Run ``fn(arg)`` at the current virtual time, deferred.
@@ -250,15 +260,29 @@ class Engine:
                 mode = timer._mode
                 if mode == _DIRECT:
                     timer._cb()
+                    continue
+                # resume the parked continuation: the one extra sequence
+                # number a resumed wait costs is drawn either way
+                cb = timer._cb
+                if mode == _POOLED:
+                    timer._cb = None
+                    pool.append(timer)
+                if cb is None:
+                    continue
+                stamp = next(seq)
+                while heap and heap[0][1] != heap[0][2].armed:
+                    pop(heap)
+                    timeline._stale -= 1
+                if lane or (heap and heap[0][0] <= time):
+                    lane.append((time, stamp, cb, None))
                 else:
-                    # resume the parked continuation through the lane: the
-                    # one extra sequence number a resumed wait costs
-                    cb = timer._cb
-                    if cb is not None:
-                        lane.append((time, next(seq), cb, None))
-                    if mode == _POOLED:
-                        timer._cb = None
-                        pool.append(timer)
+                    # In place: the lane entry would carry the largest
+                    # stamp in the system with nothing else queued at this
+                    # instant, so it would be the very next thing run.
+                    # Letting go of it afterwards frees a finished
+                    # transfer here, as a lane hop would have.
+                    cb(None)
+                    cb = None
             if until is not None and until > self.now:
                 self.now = until
         finally:

@@ -1,4 +1,4 @@
-"""Interconnect model: NICs, messages, and transfer processes.
+"""Interconnect model: NICs, messages, and transfers.
 
 Each node owns a :class:`NIC` with one transmit and one receive channel,
 each a unit-capacity FIFO server. A message occupies the sender's TX
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.obs.registry import NULL_METRICS, MetricsRegistry
-from repro.sim.engine import Engine, Process, SimEvent
+from repro.sim.engine import Engine, SimEvent
 from repro.sim.resources import Resource
 from repro.sim.timeline import Timer
 from repro.util.errors import ConfigurationError, SimulationError
@@ -83,33 +83,163 @@ class Message:
         )
 
 
-class _LocalDelivery(SimEvent):
-    """A same-node message: no wire, no NIC — one lane hop to delivery.
+class _Transfer(SimEvent):
+    """One message on its way: a waitable whose states are callbacks.
 
-    Seq-equivalent to the transfer :class:`Process` that used to drive
-    an empty-bodied ``_transfer`` generator for ``src == dst`` (one
-    ``call_soon`` at creation; success value — the message — dispatched
-    from the same drain slot), but without the generator frame or the
-    separate completion event. Waitable like the remote path: ``yield``
-    it for delivery confirmation.
+    The transport is an active message, not a coroutine: each state
+    arms what it waits on with the next state as the continuation, so a
+    message costs no frame and no process. A same-node message takes one
+    lane hop, then is delivered. A remote message runs, per transmission
+    attempt: the TX grant (at once when the sender's TX channel is free,
+    else on a :meth:`WaitQueue.park` event), a hold of the wire time,
+    release and the attempt's fate — a drop waits out the retransmit
+    backoff and starts the next attempt at the TX grant, a delay adds its
+    latency first — then the wire latency, the RX grant, a hold, release,
+    for a ``dup`` the duplicate's second RX crossing, and delivery. It
+    succeeds with the message once delivered, so a sender may ``yield``
+    it (legacy ``GET_HASH_BLOCK`` does).
+
+    Every state draws its sequence numbers where the ``Process`` over a
+    transfer generator that this replaces drew them: one lane entry at
+    creation, one row per hold, latency and backoff plus its resume, a
+    grant's dispatch, and a waiter's resume per waiter at delivery.
     """
 
-    __slots__ = ("_message", "_dst_node", "_inbox", "_on_deliver")
+    __slots__ = (
+        "_network",
+        "_message",
+        "_dst_node",
+        "_inbox",
+        "_on_deliver",
+        "_tx",
+        "_rx",
+        "_wire",
+        "_attempt",
+        "_fate",
+    )
 
-    def __init__(self, engine, message, dst_node, inbox, on_deliver) -> None:
-        super().__init__(engine)
+    def __init__(
+        self,
+        network: "Network",
+        message: "Message",
+        src_node: "Node",
+        dst_node: "Node",
+        inbox: Optional[str],
+        on_deliver,
+    ) -> None:
+        super().__init__(network.engine)
+        self._network = network
         self._message = message
         self._dst_node = dst_node
         self._inbox = inbox
         self._on_deliver = on_deliver
-        engine.call_soon(self._fire, None)
-
-    def _fire(self, _arg) -> None:
-        if self._on_deliver is not None:
-            self._on_deliver(self._message)
+        self._attempt = 0
+        self._fate = "ok"
+        if src_node is dst_node:
+            # intra-node: no wire, no NIC, straight to delivery
+            network.engine.call_soon(self._deliver)
         else:
-            self._dst_node.inbox(self._inbox).put(self._message)
-        self.succeed(self._message)
+            self._tx = src_node.nic.tx
+            self._rx = dst_node.nic.rx
+            self._wire = network.machine.wire_time(message.size_bytes)
+            network.engine.call_soon(self._tx_grant)
+
+    def _tx_grant(self, _arg) -> None:
+        tx = self._tx
+        if self._network.metrics.enabled:
+            backlog = tx.queue_length
+            hwm = self._network._m_backlog_hwm[self._message.src, "tx"]
+            if backlog > hwm.value:
+                hwm.value = backlog
+        if tx.try_acquire():
+            self._network.engine.timeout(self._wire)._wait(self._tx_done)
+        else:
+            tx.acquire()._wait(self._tx_granted)
+
+    def _tx_granted(self, _grant) -> None:
+        self._network.engine.timeout(self._wire)._wait(self._tx_done)
+
+    def _tx_done(self, _arg) -> None:
+        self._tx.release()
+        network = self._network
+        faults = network.faults
+        if faults is None:
+            fate = "ok"
+        else:
+            message = self._message
+            fate = faults.plan.message_fate(message.tag, message.seq, self._attempt)
+        timeout = network.engine.timeout
+        if fate == "drop":
+            # lost on the wire: wait out the ack timeout (exponential
+            # backoff), then retransmit
+            assert faults is not None  # fates only exist under an injector
+            report = faults.report
+            report.messages_dropped += 1
+            report.retransmits += 1
+            if network.metrics.enabled:
+                network._m_retransmits.value += 1.0
+            backoff = faults.plan.backoff(self._attempt)
+            report.recovery_overhead_s += backoff
+            timeout(backoff)._wait(self._retransmit)
+            return
+        self._fate = fate
+        if fate == "delay":
+            assert faults is not None
+            faults.report.messages_delayed += 1
+            timeout(faults.plan.msg_delay_s)._wait(self._delayed)
+        else:
+            timeout(network.machine.net_latency_s)._wait(self._rx_grant)
+
+    def _retransmit(self, _arg) -> None:
+        self._attempt += 1
+        self._tx_grant(None)
+
+    def _delayed(self, _arg) -> None:
+        network = self._network
+        network.engine.timeout(network.machine.net_latency_s)._wait(self._rx_grant)
+
+    def _rx_grant(self, _arg) -> None:
+        if self._network.metrics.enabled:
+            backlog = self._rx.queue_length
+            hwm = self._network._m_backlog_hwm[self._message.dst, "rx"]
+            if backlog > hwm.value:
+                hwm.value = backlog
+        self._rx_take()
+
+    def _rx_take(self) -> None:
+        rx = self._rx
+        if rx.try_acquire():
+            self._network.engine.timeout(self._wire)._wait(self._rx_done)
+        else:
+            rx.acquire()._wait(self._rx_granted)
+
+    def _rx_granted(self, _grant) -> None:
+        self._network.engine.timeout(self._wire)._wait(self._rx_done)
+
+    def _rx_done(self, _arg) -> None:
+        self._rx.release()
+        if self._fate == "dup":
+            # the duplicate also crosses the receiver's NIC, then is
+            # discarded by sequence number (exactly-once)
+            self._fate = "ok"
+            network = self._network
+            assert network.faults is not None
+            network.faults.report.messages_duplicated += 1
+            size = self._message.size_bytes
+            network.dup_bytes += size
+            if network.metrics.enabled:
+                network._m_dup_bytes.value += size
+            self._rx_take()
+            return
+        self._deliver(None)
+
+    def _deliver(self, _arg) -> None:
+        message = self._message
+        if self._on_deliver is not None:
+            self._on_deliver(message)
+        else:
+            self._dst_node.inbox(self._inbox).put(message)
+        self.succeed(message)
 
 
 class NIC:
@@ -124,7 +254,7 @@ class Network:
     """Routes messages between registered nodes.
 
     :meth:`send` is fire-and-forget from the caller's point of view: it
-    spawns a transfer process and returns it, so a sender *may* wait on
+    starts a transfer and returns it, so a sender *may* wait on
     delivery (blocking semantics, as legacy ``GET_HASH_BLOCK`` needs) or
     ignore it (PaRSEC's implicit asynchronous transfers).
     """
@@ -183,14 +313,14 @@ class Network:
         inbox: Optional[str] = None,
         tag: str = "",
         on_deliver=None,
-    ) -> "Process | _LocalDelivery":
+    ) -> _Transfer:
         """Start delivering ``payload`` to ``dst``.
 
         Exactly one of ``inbox`` (named mailbox at the destination) or
         ``on_deliver`` (callback invoked with the :class:`Message` at
         arrival time — used for request/response protocols like the
-        Global Arrays handlers) must be given. Returns the transfer
-        process; wait on it for delivery confirmation.
+        Global Arrays handlers) must be given. Returns the transfer, a
+        waitable that succeeds with the message at delivery.
         """
         if size_bytes < 0:
             raise SimulationError(f"negative message size {size_bytes}")
@@ -213,78 +343,9 @@ class Network:
             if src != dst:
                 self._m_remote_messages.value += 1.0
                 self._m_link_bytes[src, dst].value += size_bytes
-        if src == dst:
-            # intra-node: no wire, no NIC, no generator machinery
-            return _LocalDelivery(
-                self.engine, message, self.node(dst), inbox, on_deliver
-            )
-        # the interned tag alone names the process: per-message f-string
-        # names cost an allocation on every remote send and only ever
-        # surface in debugging repr()s
-        return Process(
-            self.engine,
-            self._transfer(message, inbox, on_deliver),
-            name=message.tag or "xfer",
+        return _Transfer(
+            self, message, self.node(src), self.node(dst), inbox, on_deliver
         )
-
-    def _transfer(self, message: Message, inbox: Optional[str], on_deliver):
-        # remote messages only — same-node sends short-circuit in send()
-        src_node = self.node(message.src)
-        dst_node = self.node(message.dst)
-        metrics, hwms = self.metrics, self._m_backlog_hwm
-        wire = self.machine.wire_time(message.size_bytes)
-        timeout = self.engine.timeout
-        latency = self.machine.net_latency_s
-        attempt = 0
-        while True:
-            if metrics.enabled:
-                backlog, hwm = src_node.nic.tx.queue_length, hwms[message.src, "tx"]
-                if backlog > hwm.value:
-                    hwm.value = backlog
-            yield from src_node.nic.tx.use(wire)
-            fate = "ok"
-            faults = self.faults
-            if faults is not None:
-                fate = faults.plan.message_fate(message.tag, message.seq, attempt)
-            if fate == "drop":
-                # lost on the wire: wait out the ack timeout
-                # (exponential backoff), then retransmit
-                assert faults is not None  # fates only exist under an injector
-                report = faults.report
-                report.messages_dropped += 1
-                report.retransmits += 1
-                if metrics.enabled:
-                    self._m_retransmits.value += 1.0
-                backoff = faults.plan.backoff(attempt)
-                report.recovery_overhead_s += backoff
-                yield timeout(backoff)
-                attempt += 1
-                continue
-            if fate == "delay":
-                assert faults is not None
-                faults.report.messages_delayed += 1
-                yield timeout(faults.plan.msg_delay_s)
-            yield timeout(latency)
-            if metrics.enabled:
-                backlog, hwm = dst_node.nic.rx.queue_length, hwms[message.dst, "rx"]
-                if backlog > hwm.value:
-                    hwm.value = backlog
-            yield from dst_node.nic.rx.use(wire)
-            if fate == "dup":
-                # the duplicate also crosses the receiver's NIC, then
-                # is discarded by sequence number (exactly-once)
-                assert faults is not None
-                faults.report.messages_duplicated += 1
-                self.dup_bytes += message.size_bytes
-                if metrics.enabled:
-                    self._m_dup_bytes.value += message.size_bytes
-                yield from dst_node.nic.rx.use(wire)
-            break
-        if on_deliver is not None:
-            on_deliver(message)
-        else:
-            dst_node.inbox(inbox).put(message)
-        return message
 
 
 # ----------------------------------------------------------------------

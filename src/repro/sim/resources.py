@@ -20,12 +20,13 @@ wakeup, instead of creating one per transfer arrival.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Optional
 
 import numpy as np
 
 from repro.sim.engine import Engine, SimEvent, WaitQueue
-from repro.sim.timeline import Timer
+from repro.sim.timeline import _INF, Timer, bad_delay
 from repro.util.errors import SimulationError
 from repro.util.validation import check_positive
 
@@ -83,11 +84,24 @@ class Resource:
 
     def acquire(self) -> SimEvent:
         """Request a slot; the returned event fires when it is granted."""
+        if self.try_acquire():
+            return SimEvent(self.engine).succeed()
+        return self._waiters.park()
+
+    def try_acquire(self) -> bool:
+        """Take a free slot now, synchronously: no event and no lane hop.
+
+        Returns False, taking nothing, when every slot is held; the
+        caller then parks on :meth:`acquire`. The grant instant is the
+        same as a pre-succeeded :meth:`acquire` event's; only
+        same-instant interleaving differs, and the golden digests pin
+        which call sites take the shortcut (the NIC channels do).
+        """
         if self._in_use < self.capacity:
             self._in_use += 1
             self.total_acquisitions += 1
-            return SimEvent(self.engine).succeed()
-        return self._waiters.park()
+            return True
+        return False
 
     def release(self) -> None:
         """Return a slot, handing it to the oldest *live* waiter if any."""
@@ -108,38 +122,6 @@ class Resource:
         fire.
         """
         return self._waiters.abandon_all()
-
-    def use(self, duration: float):
-        """Generator helper: hold one slot for ``duration`` virtual seconds.
-
-        Use as ``yield from resource.use(dt)`` inside a process. The
-        grant path is crash-safe: if the enclosing process is killed
-        while parked on the grant — or between the grant firing and the
-        body resuming — the slot is released (or the pending grant
-        abandoned) instead of leaking.
-        """
-        if self._in_use < self.capacity:
-            # Uncontended fast path: take the slot now, synchronously —
-            # no SimEvent, no lane hop. The grant instant is the same
-            # either way; only the same-instant interleaving differs,
-            # and the golden digests pin that it is not observable.
-            self._in_use += 1
-            self.total_acquisitions += 1
-            held = True
-            grant = None
-        else:
-            grant = self._waiters.park()
-            held = False
-        try:
-            if grant is not None:
-                yield grant
-                held = True
-            yield self.engine.timeout(duration)
-        finally:
-            if held or (grant is not None and grant.triggered):
-                self.release()
-            elif grant is not None:
-                grant.abandon()
 
 
 class BandwidthResource:
@@ -269,7 +251,13 @@ class BandwidthResource:
         if cap is not None and cap < share:
             share = cap
         delay = max(0.0, min(rem) / share)
-        wakeup.after(delay)
+        # inlined Timer.after (hot: once per arrival and completion); the
+        # cancel above leaves the wakeup unarmed
+        if not 0.0 <= delay < _INF:
+            raise bad_delay(delay)
+        engine = self.engine
+        seq = wakeup.armed = next(engine._seq)
+        heappush(engine.timeline._heap, (engine.now + delay, seq, wakeup))
 
     def _on_wakeup(self) -> None:
         self._advance()

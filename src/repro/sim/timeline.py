@@ -23,6 +23,14 @@ happens at fire time depends on the timer's mode:
 The golden ``sim`` digests pin these draw points: moving one reorders
 same-instant events.
 
+In-place rule: a resumed timer always draws its fire-time number, but
+when the lane is empty and the next live row lies strictly later than
+now, ``Engine.run`` calls the continuation at once instead of appending
+the lane entry. That entry would carry the largest stamp drawn so far;
+every lane entry sorts before every later row and nothing else is queued
+at this instant, so it is exactly the entry the loop would run next.
+Skipping the hop therefore changes no order and no later draw.
+
 Cancellation is lazy. ``cancel()`` only clears the timer's armed
 sequence number; the row stays in the heap until it reaches the head
 (shed) or until stale rows outnumber live ones (compaction). A row is
@@ -55,6 +63,13 @@ _COMPACT_MIN = 64
 
 _INF = float("inf")
 _heappush = heapq.heappush
+
+
+def bad_delay(delay: float) -> SimulationError:
+    """The error for a delay that fails ``0.0 <= delay < inf``, the check
+    every arming site makes: :meth:`Timer.after` and the sites that push
+    their row inline (``Engine.timeout``, the bandwidth wakeup)."""
+    return SimulationError(f"timer delay must be finite and >= 0, got {delay}")
 
 
 class Timer:
@@ -91,7 +106,8 @@ class Timer:
     def after(self, delay: float) -> "Timer":
         """Arm the timer ``delay`` virtual seconds from now.
 
-        The single arming point of the simulation. ``delay`` must be a
+        The arming point of the simulation; ``Engine.timeout`` and the
+        bandwidth wakeup inline exactly this push. ``delay`` must be a
         finite non-negative number: NaN compares false against every
         heap key, so one NaN row would silently break the heap order
         for every later event, and an infinite one never fires.
@@ -99,7 +115,7 @@ class Timer:
         if self.armed != -1:
             raise SimulationError("timer re-armed while armed")
         if not 0.0 <= delay < _INF:
-            raise SimulationError(f"timer delay must be finite and >= 0, got {delay}")
+            raise bad_delay(delay)
         engine = self._engine
         seq = self.armed = next(engine._seq)
         _heappush(self._timeline._heap, (engine.now + delay, seq, self))

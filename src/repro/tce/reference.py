@@ -4,7 +4,7 @@ The paper validates its five algorithmic variants by checking that "the
 final result (correlation energy) computed by the different variations
 matched up to the 14th digit". We do the same, against a *third*
 implementation that shares no code with either runtime: plain NumPy
-matmul/transpose over gathered tensors, chain by chain.
+matmul/transpose over the operand blocks, chain by chain.
 
 Works for any term built by :mod:`repro.tce.terms` (each chain's block
 references name the operand tensors, resolved through the run's
@@ -14,14 +14,17 @@ arrays), including full multi-subroutine CC iterations. Only usable in
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro.ga.array import assemble
 from repro.tce.subroutine import ChainSpec, Subroutine
 from repro.util.rng import RngStream
 
 __all__ = [
+    "BlockReader",
     "chain_output",
     "compute_subroutine_reference",
     "compute_iteration_reference",
@@ -30,10 +33,42 @@ __all__ = [
 ]
 
 
-def chain_output(chain: ChainSpec, values: Mapping[str, np.ndarray]) -> np.ndarray:
+class BlockReader:
+    """A Global Array's contents as its owners' read-only snapshots.
+
+    The snapshots are taken once (:meth:`~repro.ga.array.GlobalArray.read_segment`,
+    no copy); ``reader[lo:hi]`` is a view into one of them, or — only for
+    a block that spans owners — one concatenation of the pieces. Sliced
+    like the flat contents, so a reference reads blocks from it as it
+    would from a gathered copy, without ever holding a second copy of
+    every input.
+    """
+
+    __slots__ = ("_starts", "_parts")
+
+    def __init__(self, array) -> None:
+        owned = array.distribution.distribution()
+        self._starts = [segment.lo for segment in owned]
+        self._parts = [array.read_segment(segment) for segment in owned]
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        lo, hi = block.start, block.stop
+        i = bisect.bisect_right(self._starts, lo) - 1
+        start, part = self._starts[i], self._parts[i]
+        if hi - start <= len(part):
+            return part[lo - start : hi - start]
+        pieces = [part[lo - start :]]
+        while self._starts[i] + len(self._parts[i]) < hi:
+            i += 1
+            pieces.append(self._parts[i][: hi - self._starts[i]])
+        return assemble(pieces)
+
+
+def chain_output(chain: ChainSpec, values: Mapping) -> np.ndarray:
     """The (m, n) chain result C = sum_g A_g^T @ B_g.
 
-    ``values`` maps each operand tensor's name to its flat contents.
+    ``values`` maps each operand tensor's name to its flat contents, or
+    to a :class:`BlockReader` over the Global Array holding them.
     """
     C = np.zeros((chain.m, chain.n))
     for gemm in chain.gemms:
@@ -50,8 +85,9 @@ def compute_subroutine_reference(
 ) -> np.ndarray:
     """Expected flat contents of the output array after one subroutine.
 
-    ``arrays`` maps tensor names to the run's Global Arrays; each input
-    is gathered once. Recomputes every chain densely and applies each
+    ``arrays`` maps tensor names to the run's Global Arrays; every GEMM
+    block is read from the inputs' snapshots (:class:`BlockReader`), so
+    no input is copied whole. Recomputes every chain densely and applies each
     active SORT_4 target: reshape C to the 4-index tile, permute axes,
     scale by the antisymmetry sign, accumulate into the target block
     range. Pass ``out`` to accumulate several subroutines into one array.
@@ -63,7 +99,7 @@ def compute_subroutine_reference(
         array = arrays[tensor.name]
         if not array.holds_data:
             raise ValueError("reference computation requires DataMode.REAL")
-        values[tensor.name] = array.gather()
+        values[tensor.name] = BlockReader(array)
     for chain in subroutine.chains:
         C = chain_output(chain, values)
         tile = C.reshape(chain.tile_shape)

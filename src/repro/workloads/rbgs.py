@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.tce.reference import BlockReader
 from repro.tce.subroutine import BlockRef, ChainSpec, GemmOp, SortWrite, Subroutine
 from repro.tce.terms import SORT_VARIANTS
 from repro.util.errors import ConfigurationError
@@ -259,9 +260,9 @@ class RbgsStructure(Structure):
         return stretched
 
     def reference(self, arrays: dict) -> np.ndarray:
-        """Dense NumPy smoother over the gathered grid (REAL mode)."""
+        """Dense NumPy smoother over the grid's snapshots (REAL mode)."""
         size = self.tile * self.tile
-        u = arrays[self.u.name].gather()
+        u = BlockReader(arrays[self.u.name])
         w = arrays[self.weights.name].gather()
         out = np.zeros(self.u_next.total)
         repeat = max(1, self.skew_factor)

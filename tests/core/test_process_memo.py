@@ -58,7 +58,7 @@ def _tiny(seed=7, n_nodes=4, cache=None, data_mode=DataMode.SYNTH):
 
 def _template(n_tasks):
     """A stand-in task template of ``n_tasks`` rows (weighs n x the rate)."""
-    rows = tuple((("T", (i,)), (i,), 0, 0.0, 0) for i in range(n_tasks))
+    rows = tuple((("T", (i,)), 0, 0.0, 0) for i in range(n_tasks))
     return (("T", rows),)
 
 
@@ -310,4 +310,4 @@ class TestOutOfEveryReport:
 
     def test_module_exports(self):
         assert inspector.PROCESS_MEMO is PROCESS_MEMO
-        assert PROCESS_MEMO.max_bytes == MEMO_MAX_BYTES == 256 << 20
+        assert PROCESS_MEMO.max_bytes == MEMO_MAX_BYTES == 320 << 20

@@ -227,8 +227,10 @@ def _pid(x):
     return os.getpid()
 
 
-def _wait_for_file(x, path):
-    """Park until ``path`` exists (a gate another process can open)."""
+def _wait_for_file(x, path, started):
+    """Say so in ``started``, then park until ``path`` exists (a gate
+    another process can open)."""
+    open(os.path.join(started, str(x)), "w").close()
     deadline = time.monotonic() + 30
     while not os.path.exists(path):
         assert time.monotonic() < deadline, f"{path} never appeared"
@@ -304,7 +306,9 @@ class TestWorkerPool:
         from repro.experiments.sweep import PoolClosedError
 
         gate = str(tmp_path / "never")
-        cells = _cells(2, fn=_wait_for_file, path=gate)
+        started = tmp_path / "started"
+        started.mkdir()
+        cells = _cells(2, fn=_wait_for_file, path=gate, started=str(started))
         outcome = []
 
         def run():
@@ -315,7 +319,10 @@ class TestWorkerPool:
 
         runner = threading.Thread(target=run)
         runner.start()
-        assert _until(lambda: len(pool.pids()) == 2)  # both cells in flight
+        # both cells in flight: two forked processes are not enough, the
+        # run may still be about to submit the second cell
+        assert _until(lambda: len(os.listdir(started)) == 2)
+        assert len(pool.pids()) == 2
         busy = pool.pids()
         pool.close()
         runner.join(timeout=10)

@@ -21,7 +21,7 @@ from repro.parsec.runtime import ParsecRuntime
 from repro.parsec.taskclass import TaskInstance
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.engine import Engine, Process
-from repro.sim.network import Message
+from repro.sim.network import Message, _Transfer
 from repro.sim.resources import Resource
 from repro.util.errors import SimulationError
 
@@ -45,6 +45,10 @@ def synth(**knobs) -> api.RunConfig:
     )
 
 
+class _Payload:
+    """A payload a weak reference can watch."""
+
+
 class TestAProcessDiesWithItsLastStep:
     def test_a_transfer_is_freed_on_delivery(self):
         cluster = Cluster(ClusterConfig(n_nodes=2, cores_per_node=1))
@@ -52,19 +56,22 @@ class TestAProcessDiesWithItsLastStep:
         freed_by_next_event = []
 
         def on_deliver(message):
-            # the transfer's generator is still running here; by the next
-            # event it has returned and nothing may be holding it
+            # the transfer is still delivering here; by the next event
+            # nothing may hold it, its message or the payload it carried
+            # (the transfer holds the message, the message the payload)
             engine.call_soon(
-                lambda _: freed_by_next_event.append(generator() is None)
+                lambda _: freed_by_next_event.append(
+                    (payload() is None, live(_Transfer, Message))
+                )
             )
 
-        transfer = cluster.network.send(0, 1, 256.0, "x", on_deliver=on_deliver)
-        generator = weakref.ref(transfer._generator)
-        cluster.run()
-        assert freed_by_next_event == [True]
-        assert not transfer.alive and transfer.value.payload == "x"
-        del transfer
-        assert live(Message) == 0
+        for dst in (1, 0):  # remote, then same-node
+            sent = _Payload()
+            payload = weakref.ref(sent)
+            cluster.network.send(0, dst, 256.0, sent, on_deliver=on_deliver)
+            del sent
+            cluster.run()
+        assert freed_by_next_event == [(True, 0), (True, 0)]
 
     def test_a_stale_resume_is_a_simulation_error(self):
         engine = Engine()
@@ -85,11 +92,17 @@ class TestAProcessDiesWithItsLastStep:
         progressed = []
 
         def holder():
-            yield from resource.use(2.0)
+            yield resource.acquire()
+            yield engine.timeout(2.0)
+            resource.release()
 
         def doomed():
-            yield from resource.use(1.0)
-            progressed.append("doomed")  # must never run
+            grant = resource.acquire()
+            try:
+                yield grant
+                progressed.append("doomed")  # must never run
+            finally:
+                grant.abandon()
 
         def joiner():
             try:
@@ -103,7 +116,7 @@ class TestAProcessDiesWithItsLastStep:
         grant = resource._waiters[0]
         generator = weakref.ref(parked._generator)
         parked.close()
-        assert grant.abandoned  # use()'s finally ran
+        assert grant.abandoned  # doomed()'s finally ran
         assert generator() is None and not parked.alive and parked.failed
         parked.close()  # idempotent
         engine.process(joiner())

@@ -58,13 +58,15 @@ class TestResource:
         engine.run()
         assert starts == [(0, 0.0), (1, 0.0), (2, 5.0)]
 
-    def test_use_helper_holds_for_duration(self, engine):
+    def test_a_held_slot_serializes_holders(self, engine):
         resource = Resource(engine, capacity=1)
         spans = []
 
         def worker(tag):
             start = engine.now
-            yield from resource.use(3.0)
+            yield resource.acquire()
+            yield engine.timeout(3.0)
+            resource.release()
             spans.append((tag, start, engine.now))
 
         engine.process(worker("a"))
@@ -75,19 +77,30 @@ class TestResource:
     def test_wait_time_statistics(self, engine):
         resource = Resource(engine, capacity=1)
 
-        def holder():
-            yield from resource.use(4.0)
+        def hold(duration):
+            yield resource.acquire()
+            yield engine.timeout(duration)
+            resource.release()
 
         def waiter():
             yield engine.timeout(1.0)
-            yield from resource.use(1.0)
+            yield from hold(1.0)
 
-        engine.process(holder())
+        engine.process(hold(4.0))
         engine.process(waiter())
         engine.run()
         # waiter queued at t=1, granted at t=4 -> waited 3
         assert resource.total_wait_time == pytest.approx(3.0)
         assert resource.total_acquisitions == 2
+
+    def test_try_acquire_takes_a_free_slot_or_nothing(self, engine):
+        resource = Resource(engine, capacity=1)
+        assert resource.try_acquire()
+        assert not resource.try_acquire()  # held: nothing taken, no waiter
+        assert resource.in_use == 1 and resource.queue_length == 0
+        assert resource.total_acquisitions == 1
+        resource.release()
+        assert resource.in_use == 0
 
     def test_queue_length_reflects_waiters(self, engine):
         resource = Resource(engine, capacity=1)
@@ -145,39 +158,6 @@ class TestResource:
         assert resource.queue_length == 0
         resource.release()
         assert resource.in_use == 0  # no waiter left to grant to
-
-    def test_use_releases_slot_when_parked_grantee_dies(self, engine):
-        """Crash-safety of use(): a waiter torn down while parked on the
-        grant abandons it, so release() skips the corpse."""
-        resource = Resource(engine, capacity=1)
-        progressed = []
-
-        def holder():
-            yield from resource.use(2.0)
-
-        def doomed():
-            yield from resource.use(1.0)
-            progressed.append("doomed")  # must never run
-
-        engine.process(holder())
-        victim = engine.process(doomed())
-        engine.run(until=1.0)
-        assert resource.queue_length == 1
-        victim.close()  # kill the parked process
-        engine.run()
-        assert progressed == []
-        assert resource.in_use == 0
-
-    def test_use_releases_slot_when_killed_between_grant_and_resume(self, engine):
-        """The grant fired but the grantee died before resuming: the
-        use() teardown path must give the slot back."""
-        resource = Resource(engine, capacity=1)
-        body = resource.use(3.0)
-        first = next(body)  # uncontended: parks on the hold timer
-        assert resource.in_use == 1
-        body.close()  # teardown mid-hold
-        assert resource.in_use == 0
-        assert first is not None
 
 
 class TestBandwidthResource:
