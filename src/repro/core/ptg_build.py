@@ -36,7 +36,6 @@ from repro.core.metadata import Metadata
 from repro.core.variants import VariantSpec
 from repro.parsec.ptg import PTG
 from repro.parsec.taskclass import Dep, Flow, FlowMode, TaskClass, TaskContext
-from repro.sim.cost import OpCost
 from repro.sim.trace import TaskCategory
 from repro.tce.subroutine import sort_4
 
@@ -56,12 +55,9 @@ def read_block(ctx, md: Metadata, gemm, which: str):
         lo, hi, array = gemm.a_lo, gemm.a_hi, md.a_array_of(gemm)
     else:
         lo, hi, array = gemm.b_lo, gemm.b_hi, md.b_array_of(gemm)
-    nbytes = 8.0 * (hi - lo)
-    # exclusive core time at the local ARMCI copy rate, plus the memory
-    # traffic itself. This core cost is what lets priorities throttle
-    # the transfer enqueue rate (the v2-vs-v4 contrast of Figures 10/11).
-    cpu = nbytes / ctx.machine.ga_local_bytes_per_s
-    yield from ctx.charge(OpCost(cpu, nbytes))
+    # the core time of the local copy is what lets priorities throttle
+    # the transfer enqueue rate (the v2-vs-v4 contrast of Figures 10/11)
+    yield from ctx.charge(ctx.machine.local_get(8.0 * (hi - lo)))
     return array.read_range_direct(lo, hi) if ctx.real else None
 
 

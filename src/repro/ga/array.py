@@ -154,15 +154,21 @@ class GlobalArray:
     # ------------------------------------------------------------------
     # snapshots and ownership (the one read path, the one write path)
     # ------------------------------------------------------------------
-    def _snapshot(self, segment: Segment) -> np.ndarray:
-        """Read-only view of one owner segment's ``[lo, hi)``; the
-        segment is shared from here until its next writer copies it."""
+    def _snapshot(self, node: int, lo: int, hi: int) -> np.ndarray:
+        """Read-only view of ``[lo, hi)`` inside ``node``'s segment; the
+        segment is shared from here until its next writer copies it.
+
+        The segment itself turns read-only when it becomes shared, once,
+        and every view taken of it inherits the flag; :meth:`_own` hands
+        the next writer a fresh, writable copy.
+        """
         assert self._segments is not None
-        node_lo = self.distribution.node_range(segment.node)[0]
-        view = self._segments[segment.node][segment.lo - node_lo : segment.hi - node_lo]
-        view.flags.writeable = False
-        self._shared[segment.node] = True
-        return view
+        segment = self._segments[node]
+        if not self._shared[node]:
+            segment.flags.writeable = False
+            self._shared[node] = True
+        node_lo = self.distribution._starts[node]
+        return segment[lo - node_lo : hi - node_lo]
 
     def _own(self, node: int) -> np.ndarray:
         """``node``'s segment, safe to write: a segment some snapshot
@@ -203,7 +209,7 @@ class GlobalArray:
         if self._segments is None:
             return None
         self.flush_accumulations()
-        return self._snapshot(segment)
+        return self._snapshot(*segment)
 
     def accumulate_segment(
         self, segment: Segment, data: Optional[np.ndarray], tag=None
@@ -243,7 +249,10 @@ class GlobalArray:
         if not (0 <= lo <= hi <= self.total):
             raise GlobalArrayError(f"range [{lo}, {hi}) out of bounds {self.total}")
         self.flush_accumulations()
-        return assemble([self._snapshot(s) for s in self.distribution.segments(lo, hi)])
+        segments = self.distribution.segments(lo, hi)
+        if len(segments) == 1:
+            return self._snapshot(*segments[0])
+        return assemble([self._snapshot(*s) for s in segments])
 
     def accumulate_range_direct(
         self, lo: int, hi: int, data: Optional[np.ndarray], tag=None

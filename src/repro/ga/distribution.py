@@ -12,16 +12,19 @@ node a READ task runs on.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.util.errors import GlobalArrayError
 
 __all__ = ["Segment", "Distribution"]
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A maximal sub-range ``[lo, hi)`` owned by one node."""
+class Segment(NamedTuple):
+    """A maximal sub-range ``[lo, hi)`` owned by one node.
+
+    A plain value (a tuple): a block read splits its range into these on
+    every call, and :class:`Distribution` only ever makes ``lo <= hi``.
+    """
 
     node: int
     lo: int
@@ -30,10 +33,6 @@ class Segment:
     @property
     def size(self) -> int:
         return self.hi - self.lo
-
-    def __post_init__(self) -> None:
-        if self.hi < self.lo:
-            raise GlobalArrayError(f"inverted segment [{self.lo}, {self.hi})")
 
 
 class Distribution:
@@ -77,11 +76,14 @@ class Distribution:
             )
         if lo == hi:
             return []
+        starts = self._starts
+        node = bisect.bisect_right(starts, lo) - 1  # owner_of(lo), in bounds
+        if hi <= starts[node + 1]:
+            return [Segment(node, lo, hi)]  # one owner: most block reads
         out: list[Segment] = []
-        node = self.owner_of(lo)
         cursor = lo
         while cursor < hi:
-            node_hi = self._starts[node + 1]
+            node_hi = starts[node + 1]
             upper = min(hi, node_hi)
             if upper > cursor:
                 out.append(Segment(node, cursor, upper))

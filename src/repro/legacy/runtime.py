@@ -31,7 +31,6 @@ from repro.ga.sync import Barrier
 from repro.legacy.chain_exec import execute_chain
 from repro.obs.result import RunResult
 from repro.sim.cluster import Cluster
-from repro.sim.faults import killable
 from repro.sim.trace import TaskCategory
 from repro.tce.subroutine import ChainSpec, Subroutine
 from repro.util.errors import ConfigurationError, StallError
@@ -93,6 +92,7 @@ class LegacyRuntime:
         self._m_chain_gemms = cluster.metrics.counter("legacy.chain_gemms")
         #: the per-level NXTVAL servers of the sections launched so far
         self._counters: list[NxtvalServer] = []
+        self._crashable = False
 
     def execute_subroutine(self, subroutine: Subroutine) -> LegacyResult:
         """Run a single subroutine (one work level)."""
@@ -109,11 +109,12 @@ class LegacyRuntime:
         if not levels:
             raise ConfigurationError("need at least one work level")
         cluster = self.cluster
-        if (
-            cluster.faults is not None
-            and cluster.faults.plan.crashes
-            and not self.config.use_nxtval
-        ):
+        # only a planned crash stops a node, so without one no chain
+        # body needs an abort predicate
+        self._crashable = cluster.faults is not None and bool(
+            cluster.faults.plan.crashes
+        )
+        if self._crashable and not self.config.use_nxtval:
             raise ConfigurationError(
                 "node-crash fault plans require use_nxtval=True: static "
                 "chain assignment has no channel to re-claim a dead "
@@ -139,10 +140,20 @@ class LegacyRuntime:
         )
         done = engine.event()
         state = {"remaining": len(ranks)}
+        #: one process per rank; a rank finds its own by id, to install
+        #: the abort rule around each chain body
+        processes = []
 
         def rank_wrapper(rank_id, node, thread):
             yield from self._rank_loop(
-                rank_id, node, thread, levels, counters, barrier, result
+                processes[rank_id],
+                rank_id,
+                node,
+                thread,
+                levels,
+                counters,
+                barrier,
+                result,
             )
             state["remaining"] -= 1
             if state["remaining"] == 0:
@@ -150,8 +161,10 @@ class LegacyRuntime:
                 done.succeed(result)
 
         for rank_id, (node, thread) in enumerate(ranks):
-            engine.process(
-                rank_wrapper(rank_id, node, thread), name=f"legacy.rank{rank_id}"
+            processes.append(
+                engine.process(
+                    rank_wrapper(rank_id, node, thread), name=f"legacy.rank{rank_id}"
+                )
             )
         return done, result
 
@@ -190,7 +203,7 @@ class LegacyRuntime:
         self._counters.clear()
 
     # ------------------------------------------------------------------
-    def _rank_loop(self, rank_id, node, thread, levels, counters, barrier, result):
+    def _rank_loop(self, me, rank_id, node, thread, levels, counters, barrier, result):
         key = (node.node_id, thread)
         result.chains_per_rank.setdefault(key, 0)
         n_ranks = barrier.parties
@@ -203,7 +216,7 @@ class LegacyRuntime:
                 return
             if self.config.use_nxtval:
                 survived, lost_ticket = yield from self._claim_loop(
-                    node, thread, level_chains, counter, result, key
+                    me, node, thread, level_chains, counter, result, key
                 )
                 if not survived:
                     yield from self._rank_died(
@@ -213,7 +226,7 @@ class LegacyRuntime:
             else:
                 for index in range(rank_id, len(level_chains), n_ranks):
                     yield from self._run_chain(
-                        node, thread, level_chains[index], result, key
+                        me, node, thread, level_chains[index], result, key
                     )
             t_start = self.cluster.engine.now
             yield from barrier.arrive()
@@ -231,6 +244,7 @@ class LegacyRuntime:
 
     def _claim_loop(
         self,
+        me,
         node,
         thread,
         level_chains,
@@ -264,6 +278,7 @@ class LegacyRuntime:
                 # died while the request was in flight: claimed, no work done
                 return False, ticket
             completed = yield from self._run_chain(
+                me,
                 node,
                 thread,
                 level_chains[ticket],
@@ -277,19 +292,24 @@ class LegacyRuntime:
                 # committed chain finished on a dead node; stop claiming
                 return False, None
 
-    def _run_chain(self, node, thread, chain, result, key, recovering=False):
+    def _run_chain(self, me, node, thread, chain, result, key, recovering=False):
         """Run one chain with fault handling; returns True if completed.
 
+        ``me`` is the process running it (a rank or a recovery worker).
         Injected transient failures retry the chain from scratch (its
         pre-commit phase has no side effects). A node crash kills the
-        chain at its next yield unless it has already passed its commit
+        chain at its next resume unless it has already passed its commit
         point, in which case it runs to completion — the blocking GA
         calls still work because the crash model only stops compute.
         """
         faults = self.cluster.faults
-        if faults is not None:
-            yield from faults.retry_gate(f"chain:{chain.chain_id}")
+        label = f"chain:{chain.chain_id}"
+        if faults is not None and faults.plan.task_fails(label, 0):
+            yield from faults.retry_gate(label)
         committed = [False]
+        abort = None
+        if self._crashable:
+            abort = lambda: not node.alive and not committed[0]
         body = execute_chain(
             self.cluster,
             self.ga,
@@ -298,13 +318,7 @@ class LegacyRuntime:
             chain,
             on_commit=lambda: committed.__setitem__(0, True),
         )
-        if faults is None:
-            yield from body
-            completed = True
-        else:
-            completed = yield from killable(
-                body, lambda: not node.alive and not committed[0]
-            )
+        completed = yield from me.abortable(body, abort)
         if completed:
             result.chains_executed += 1
             result.chains_per_rank[key] += 1
@@ -326,15 +340,18 @@ class LegacyRuntime:
             # survivor has already drained the counter and moved to the
             # barrier — so run a recovery claim loop on a survivor and
             # hold this rank's barrier slot until it finishes.
+            box = []
             worker = self.cluster.engine.process(
-                self._recovery_worker(level_chains, counter, result),
+                self._recovery_worker(box, level_chains, counter, result),
                 name=f"legacy.recovery:{counter.inbox_name}",
             )
+            box.append(worker)
             yield worker
         barrier.withdraw(1)
 
-    def _recovery_worker(self, level_chains, counter, result):
-        """Claim-loop on a surviving node until the counter is drained.
+    def _recovery_worker(self, box, level_chains, counter, result):
+        """Claim-loop on a surviving node until the counter is drained;
+        ``box`` holds the process running it.
 
         Runs on a thread lane above the worker cores so its trace row
         does not collide with the node's own ranks. If the chosen
@@ -342,6 +359,7 @@ class LegacyRuntime:
         to the next survivor.
         """
         faults = self.cluster.faults
+        me = box.pop()
         while True:
             alive = [n for n in self.cluster.nodes if n.alive]
             if not alive:
@@ -351,7 +369,7 @@ class LegacyRuntime:
             key = (node.node_id, thread)
             result.chains_per_rank.setdefault(key, 0)
             survived, lost = yield from self._claim_loop(
-                node, thread, level_chains, counter, result, key, recovering=True
+                me, node, thread, level_chains, counter, result, key, recovering=True
             )
             if survived:
                 return

@@ -398,6 +398,8 @@ class ParsecRuntime:
             if task.pending == 0:
                 self.schedulers[task.node].enqueue(task)
         report.tasks_reassigned += placed
+        if self.stealing is not None:
+            self.stealing.index_chains()  # chains moved without a steal
 
     # ------------------------------------------------------------------
     # completion / delivery machinery (called from workers & comm threads)

@@ -16,7 +16,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from repro.parsec.taskclass import TaskContext, TaskInstance
-from repro.sim.faults import killable
 from repro.sim.queues import LifoStore, PriorityStore, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -24,6 +23,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parsec.stealing import StealAgent
 
 __all__ = ["SchedulerPolicy", "NodeScheduler"]
+
+
+def _rehomed(task: TaskInstance):
+    """The abort predicate of one attempt: a crash re-homed ``task``
+    (bumped its epoch) since the attempt started."""
+    epoch = task.epoch
+    return lambda: task.epoch != epoch
 
 
 class SchedulerPolicy(str, Enum):
@@ -87,9 +93,12 @@ class NodeScheduler:
         #: set by the runtime when a StealPolicy is active; workers
         #: notify it when they find the ready queue empty
         self.steal_agent: Optional["StealAgent"] = None
+        #: one process per worker; a worker finds its own by index, to
+        #: install the abort rule around each task body
         self._workers = [
             self.engine.process(
-                self._worker(thread), name=f"parsec.worker{node.node_id}.{thread}"
+                self._worker(thread, thread),
+                name=f"parsec.worker{node.node_id}.{thread}",
             )
             for thread in range(n_workers)
         ]
@@ -97,7 +106,7 @@ class NodeScheduler:
         for gpu in range(n_gpus):
             self._workers.append(
                 self.engine.process(
-                    self._worker(gpu_row + gpu, gpu),
+                    self._worker(n_workers + gpu, gpu_row + gpu, gpu),
                     name=f"parsec.gpu{node.node_id}.{gpu}",
                 )
             )
@@ -166,31 +175,10 @@ class NodeScheduler:
             if depth > self._m_ready_hwm.value:
                 self._m_ready_hwm.value = depth
 
-    def _run_body(self, task: TaskInstance, context: TaskContext):
-        """Generator helper: execute the body, abortable on crash.
-
-        Returns True if the body completed. A False return means a
-        crash re-homed the task mid-flight (its epoch changed); the
-        caller must drop this attempt — the survivor node re-executes
-        from the task's still-held inputs.
-
-        Without an installed fault plan nothing can kill a task, so the
-        body is driven bare — ``yield from`` forwards every waitable
-        (and every thrown failure) exactly as :func:`killable` would,
-        without the per-step abort predicate.
-        """
-        if self.runtime.cluster.faults is None:
-            yield from task.cls.run(context)
-            return True
-        epoch = task.epoch
-        completed = yield from killable(
-            task.cls.run(context), lambda: task.epoch != epoch
-        )
-        return completed
-
-    def _worker(self, thread: int, gpu: Optional[int] = None):
+    def _worker(self, index: int, thread: int, gpu: Optional[int] = None):
         """The worker loop of one core or, with ``gpu`` set, of one
-        accelerator. A device worker serves the device queue, pays the
+        accelerator; ``index`` is its place in ``_workers``. A device
+        worker serves the device queue, pays the
         kernel-launch overhead, stages inputs and outputs over the
         node's PCIe link around the body, is traced on its own row
         (``thread`` beyond the CPU workers, so Gantt charts show device
@@ -208,7 +196,11 @@ class NodeScheduler:
         device = "gpu" if on_device else "cpu"
         executed = self._m_gpu_executed if on_device else self._m_executed
         checkpoint = self.engine.checkpoint
+        me = self._workers[index]
         faults = cluster.faults
+        # only a planned crash re-homes a running task (bumps its epoch),
+        # so without one no body needs an abort predicate
+        crashable = faults is not None and bool(faults.plan.crashes)
         # per-task loop invariants, hoisted once per worker lifetime
         engine = self.engine
         metrics = self.metrics
@@ -242,7 +234,7 @@ class NodeScheduler:
             # per-task runtime bookkeeping (select + dependence checks)
             if task_overhead > 0:
                 yield engine.timeout(task_overhead)
-            if faults is not None:
+            if faults is not None and faults.plan.task_fails(task.label, 0):
                 yield from faults.retry_gate(task.label)
             if not node.alive:
                 # crashed while this attempt was ramping up; the task was
@@ -261,9 +253,15 @@ class NodeScheduler:
                 )
                 if in_bytes > 0:
                     yield node.pcie.transfer(in_bytes)
-            completed = yield from self._run_body(task, context)
+            # a crash re-homes the task (bumps its epoch) and the body is
+            # killed at its next resume; the survivor node re-executes it
+            # from the task's still-held inputs
+            completed = yield from me.abortable(
+                task.cls.run(context), _rehomed(task) if crashable else None
+            )
             if not completed:
-                cluster.faults.note_abort(engine.now - t_start)
+                assert faults is not None  # only a planned crash kills a body
+                faults.note_abort(engine.now - t_start)
                 break  # epoch bumps only come from this node's own crash
             meta = None
             if on_device:  # stage the outputs back

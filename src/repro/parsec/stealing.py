@@ -43,7 +43,7 @@ same steals, and virtual timings are unchanged when stealing is off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.trace import TaskCategory
 
@@ -206,6 +206,11 @@ class StealCoordinator:
         }
         #: chain_id -> migratable tasks, in sorted instance-key order
         self.chain_tasks: dict[int, list["TaskInstance"]] = {}
+        #: the live-chain index: per node, the chains that can still turn
+        #: steal-eligible there (chain_id -> its tasks); under ``None``
+        #: the chains whose remaining tasks a crash spread over several
+        #: nodes. See :meth:`index_chains` for what leaves it.
+        self._live: dict[Optional[int], dict[int, list["TaskInstance"]]] = {}
         # protocol counters (surfaced on ParsecResult)
         self.requests = 0
         self.granted = 0
@@ -223,12 +228,42 @@ class StealCoordinator:
             task = graph.instances[key]
             if task.cls.name in MIGRATABLE_CLASSES:
                 self.chain_tasks.setdefault(task.params[0], []).append(task)
+        self.index_chains()
+
+    def index_chains(self) -> None:
+        """(Re)build the live-chain index from the tasks' current homes.
+
+        A chain is steal-eligible only while every not-done task sits on
+        the victim, so it is filed under the one node its remaining tasks
+        share, or under ``None`` when they span nodes. It leaves the
+        index for good once every task is done or once it is stolen:
+        ``done`` and ``stolen_from`` are never reset, so such a chain can
+        never turn eligible again. Only a crash moves a task to another
+        node without a steal, so :meth:`ParsecRuntime._handle_crash
+        <repro.parsec.runtime.ParsecRuntime._handle_crash>` rebuilds the
+        index after re-homing (the launch-time re-homing of a dead node's
+        tasks runs before :meth:`register_graph` builds it).
+        """
+        live: dict[Optional[int], dict[int, list["TaskInstance"]]] = {
+            node: {} for node in range(self.n_nodes)
+        }
+        live[None] = {}
+        for chain_id, tasks in self.chain_tasks.items():
+            remaining = [t for t in tasks if not t.done]
+            if not remaining or any(t.stolen_from is not None for t in remaining):
+                continue
+            home: Optional[int] = remaining[0].node
+            if any(t.node != home for t in remaining):
+                home = None
+            live[home][chain_id] = tasks
+        self._live = live
 
     def close(self) -> None:
         """End of the level (:meth:`ParsecRuntime.shutdown`): the protocol
         is over, so drop the chain index and the agents, and with them
         every path from here back to the runtime and its task table."""
         self.chain_tasks.clear()
+        self._live.clear()
         self.agents.clear()
         self.runtime = None
 
@@ -253,10 +288,6 @@ class StealCoordinator:
     # ------------------------------------------------------------------
     # victim side
     # ------------------------------------------------------------------
-    def _remaining(self, chain_id: int) -> list["TaskInstance"]:
-        """The chain's not-yet-done migratable tasks (the stealable suffix)."""
-        return [t for t in self.chain_tasks[chain_id] if not t.done]
-
     def _remaining_flops(self, tasks: list["TaskInstance"]) -> float:
         """GEMM flops left in a chain suffix (what a steal actually moves)."""
         md = self.runtime.md
@@ -272,38 +303,53 @@ class StealCoordinator:
     ) -> list[tuple[int, list, float, float]]:
         """Chains whose remaining suffix is wholly on ``victim`` and
         untouched (no task started or claimed) — the steal-eligible
-        frontier, as ``(chain_id, tasks, flops, fwd_bytes)`` tuples.
+        frontier, as ``(chain_id, tasks, flops, fwd_bytes)`` tuples, in
+        no particular order (the caller sorts).
 
         A chain needs no *ready* task to migrate: rewriting
         ``task.node`` re-routes all future operand deliveries to the
         thief, which is exactly what relieves a victim whose NIC — not
-        its cores — is the bottleneck."""
+        its cores — is the bottleneck.
+
+        One pass over the victim's candidates in the live-chain index
+        (its own chains, then the crash-spread ones): a finished chain
+        leaves the index here, and a spread chain whose remaining tasks
+        have converged on one node moves to that node's bucket. A stolen
+        chain left at its grant, so no candidate was stolen before — a
+        second hop would forward the first hop's operand bytes again,
+        and chains could bounce between starved nodes indefinitely.
+        """
         machine = self.cluster.machine
         move_rate = 1.0 / machine.comm_pack_bytes_per_s + 1.0 / (
             machine.nic_bw_bytes_per_s
         )
+        live = self._live
+        spread = live[None]
         eligible = []
-        for chain_id in self.chain_tasks:
-            remaining = self._remaining(chain_id)
-            if not remaining:
-                continue
-            if any(
-                t.node != victim
-                or t.started
-                or t.claimed
-                # never re-steal: a second hop would forward the first
-                # hop's operand bytes again, and chains could bounce
-                # between starved nodes indefinitely
-                or t.stolen_from is not None
-                for t in remaining
-            ):
-                continue
-            fwd = self._forward_bytes(remaining)
-            flops = self._remaining_flops(remaining)
-            work_s = flops / (machine.gemm_gflops * 1.0e9)
-            if work_s < MIN_BENEFIT_RATIO * fwd * move_rate:
-                continue
-            eligible.append((chain_id, remaining, flops, fwd))
+        for bucket in (live[victim], spread):
+            gone = []
+            for chain_id, tasks in bucket.items():
+                remaining = [t for t in tasks if not t.done]
+                if not remaining:
+                    gone.append(chain_id)
+                    continue
+                if bucket is spread:
+                    home = remaining[0].node
+                    if all(t.node == home for t in remaining):
+                        gone.append(chain_id)
+                        live[home][chain_id] = tasks
+                if any(
+                    t.node != victim or t.started or t.claimed for t in remaining
+                ):
+                    continue
+                fwd = self._forward_bytes(remaining)
+                flops = self._remaining_flops(remaining)
+                work_s = flops / (machine.gemm_gflops * 1.0e9)
+                if work_s < MIN_BENEFIT_RATIO * fwd * move_rate:
+                    continue
+                eligible.append((chain_id, remaining, flops, fwd))
+            for chain_id in gone:
+                del bucket[chain_id]
         return eligible
 
     def _forward_bytes(self, tasks: list["TaskInstance"]) -> float:
@@ -365,9 +411,11 @@ class StealCoordinator:
         fwd_bytes = 0.0
         flops = 0.0
         chain_ids = [cid for cid, _, _, _ in grantable]
-        for _, tasks, chain_flops, chain_fwd in grantable:
+        for chain_id, tasks, chain_flops, chain_fwd in grantable:
             fwd_bytes += chain_fwd
             flops += chain_flops
+            # a stolen chain never turns eligible again
+            del self._live[victim][chain_id]
             for task in tasks:
                 task.node = thief
                 task.stolen_from = victim

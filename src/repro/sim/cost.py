@@ -30,6 +30,9 @@ from repro.util.validation import check_non_negative, check_positive
 __all__ = ["MachineModel", "OpCost"]
 
 _GIGA = 1.0e9
+#: shapes a machine remembers before it starts over (a run uses a few
+#: hundred; a long-lived process may see many)
+_MAX_COSTS = 4096
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,25 @@ class MachineModel:
             raise ValueError(
                 f"cache_reuse_discount must be in [0,1], got {self.cache_reuse_discount}"
             )
+        # each shape's OpCost is computed (and validated) once: a body
+        # asks for the same few tile shapes over and over. Not a field,
+        # so it stays out of eq, hash and repr; __getstate__ keeps it out
+        # of pickles
+        object.__setattr__(self, "_costs", {})
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_costs"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__["_costs"] = {}
+
+    def _remember(self, key: tuple, cost: OpCost) -> OpCost:
+        costs = self.__dict__["_costs"]
+        if len(costs) >= _MAX_COSTS:
+            costs.clear()
+        costs[key] = cost
+        return cost
 
     # ------------------------------------------------------------------
     # kernel costs
@@ -166,13 +188,19 @@ class MachineModel:
         charged separately by the GPU worker through the PCIe
         resource).
         """
+        key = ("gemm", m, n, k, device)
+        cost = self.__dict__["_costs"].get(key)
+        if cost is not None:
+            return cost
         flops = 2.0 * m * n * k
         if device == "gpu":
-            return OpCost(flops / (self.gpu_gemm_gflops * _GIGA), 0.0)
+            return self._remember(
+                key, OpCost(flops / (self.gpu_gemm_gflops * _GIGA), 0.0)
+            )
         cpu = flops / (self.gemm_gflops * _GIGA)
         # read A, read B, read + write C
         traffic = self.word_bytes * (m * k + k * n + 2 * m * n)
-        return OpCost(cpu, float(traffic))
+        return self._remember(key, OpCost(cpu, float(traffic)))
 
     def sort4(self, elements: int, cache_warm: bool = False) -> OpCost:
         """SORT_4 permutation of ``elements`` values (memory bound).
@@ -181,21 +209,39 @@ class MachineModel:
         the fused SORT of variant v5) is discounted on both components:
         the shuffle's CPU time is dominated by memory stalls.
         """
+        key = ("sort4", elements, cache_warm)
+        cost = self.__dict__["_costs"].get(key)
+        if cost is not None:
+            return cost
         cpu = elements / self.sort_elems_per_s
         traffic = self.word_bytes * 2.0 * elements  # read src, write dst
         if cache_warm:
             cpu *= 1.0 - self.cache_reuse_discount
             traffic *= 1.0 - self.cache_reuse_discount
-        return OpCost(cpu, traffic)
+        return self._remember(key, OpCost(cpu, traffic))
 
     def axpy(self, elements: int, cache_warm: bool = False) -> OpCost:
         """Accumulate C += X over ``elements`` values."""
+        key = ("axpy", elements, cache_warm)
+        cost = self.__dict__["_costs"].get(key)
+        if cost is not None:
+            return cost
         cpu = elements / self.axpy_elems_per_s
         traffic = self.word_bytes * 3.0 * elements  # read C, read X, write C
         if cache_warm:
             cpu *= 1.0 - self.cache_reuse_discount
             traffic *= 1.0 - self.cache_reuse_discount
-        return OpCost(cpu, traffic)
+        return self._remember(key, OpCost(cpu, traffic))
+
+    def local_get(self, nbytes: float) -> OpCost:
+        """A PaRSEC READ's local GA get of ``nbytes``: exclusive core time
+        at the local ARMCI copy rate, plus the memory traffic itself."""
+        key = ("local_get", nbytes)
+        cost = self.__dict__["_costs"].get(key)
+        if cost is not None:
+            return cost
+        cpu = nbytes / self.ga_local_bytes_per_s
+        return self._remember(key, OpCost(cpu, nbytes))
 
     def memcpy(self, elements: int) -> OpCost:
         """Plain copy of ``elements`` values."""
@@ -203,7 +249,11 @@ class MachineModel:
 
     def zero_fill(self, elements: int) -> OpCost:
         """DFILL: zero-initialize ``elements`` values (write-only traffic)."""
-        return OpCost(0.0, self.word_bytes * 1.0 * elements)
+        key = ("zero_fill", elements)
+        cost = self.__dict__["_costs"].get(key)
+        if cost is not None:
+            return cost
+        return self._remember(key, OpCost(0.0, self.word_bytes * 1.0 * elements))
 
     # ------------------------------------------------------------------
     # network helpers

@@ -55,7 +55,7 @@ from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.timeline import _DIRECT, _INF, _POOLED, Timeline, Timer, bad_delay
-from repro.util.errors import SimulationError
+from repro.util.errors import SimulationError, TaskKilled
 
 __all__ = [
     "Engine",
@@ -491,6 +491,16 @@ class Process:
     so processes can fork and join each other. The generator is held
     until its last step and no longer (see the module's design notes);
     :meth:`close` ends a process that will never take another.
+
+    The abort rule: while :attr:`abort` holds a predicate, it is
+    consulted before every *successful* resume — never on a failed
+    waitable, which is thrown in as usual — and when it returns true the
+    slot is cleared and :class:`~repro.util.errors.TaskKilled` is thrown
+    into the generator instead of the value, once. A runtime runs a task
+    body through :meth:`abortable`, which installs the predicate right
+    before the body's first step (taken in the same step, so never
+    checked) and afterwards reads whether the kill fired: the slot no
+    longer holds what it installed.
     """
 
     __slots__ = (
@@ -504,6 +514,7 @@ class Process:
         "_started",
         "_step_cb",
         "_send",
+        "abort",
     )
 
     def __init__(
@@ -529,6 +540,9 @@ class Process:
         # once avoids a descriptor allocation per step
         self._step_cb = self._step
         self._send = generator.send
+        #: the abort rule: a predicate consulted before every successful
+        #: resume while set; see :meth:`_step`
+        self.abort: Optional[Callable[[], bool]] = None
         # inlined call_soon (hot: once per spawned process)
         engine._immediate.append(
             (engine.now, next(engine._seq), self._step_cb, None)
@@ -589,6 +603,25 @@ class Process:
         else:
             self._callbacks.append(callback)
 
+    def abortable(self, body: Generator, abort: Optional[Callable[[], bool]]):
+        """Generator helper: run ``body`` in this process under ``abort``.
+
+        ``completed = yield from process.abortable(body, abort)`` from
+        inside the process installs the abort rule for the body's
+        duration (``abort=None`` installs nothing) and returns False if
+        the kill fired — whether the body let
+        :class:`~repro.util.errors.TaskKilled` out or swallowed it — and
+        True otherwise. Any other exception from the body propagates.
+        """
+        self.abort = abort
+        try:
+            yield from body
+            return self.abort is abort  # a fired kill cleared the slot
+        except TaskKilled:
+            return False
+        finally:
+            self.abort = None
+
     def close(self) -> None:
         """Kill a parked process whose owner is gone; a no-op once finished.
 
@@ -608,7 +641,7 @@ class Process:
         self._callbacks = None
         if self._completion is not None:
             self._completion.abandon()
-        self._generator = self._send = self._step_cb = None
+        self._generator = self._send = self._step_cb = self.abort = None
         generator.close()
 
     def _finish(self, status: int, value: Any) -> None:
@@ -618,7 +651,7 @@ class Process:
         # make a live process a cycle (``_step_cb`` -> self); dropping
         # them here frees the generator, its frame and the message it
         # carried by reference count, not at the next collection.
-        self._generator = self._send = self._step_cb = None
+        self._generator = self._send = self._step_cb = self.abort = None
         if self._completion is not None:
             if status == _SUCCEEDED:
                 self._completion.succeed(value)
@@ -635,8 +668,20 @@ class Process:
                 imm.append((now, next(seq), cb, self))
 
     def _step(self, fired: Optional[SimEvent]) -> None:
+        abort = self.abort
         try:
-            if fired is None:
+            if (
+                abort is not None
+                and (fired is None or fired._status != _FAILED)
+                and abort()
+            ):
+                # the abort rule: once, at a successful resume, in place
+                # of the value; the body's cleanup then runs unchecked
+                self.abort = None
+                target = self._generator.throw(
+                    TaskKilled("node crashed under this task")
+                )
+            elif fired is None:
                 target = self._send(None)
             elif fired._status == _FAILED:
                 target = self._generator.throw(fired.value)

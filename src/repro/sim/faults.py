@@ -24,16 +24,18 @@ Fault classes
   permanently. The model is compute-fail-stop: the node's memory, NIC,
   communication thread, and Global Arrays handler survive (RDMA-style),
   so in-flight protocol traffic still completes; only task execution
-  stops, and the runtimes re-home that work onto survivors.
+  stops, and the runtimes re-home that work onto survivors. A body
+  running on the dead node is aborted at its next resume by the abort
+  rule of :class:`~repro.sim.engine.Process`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING, Callable
 
 from repro.util.backoff import capped_exponential
-from repro.util.errors import ConfigurationError, TaskKilled
+from repro.util.errors import ConfigurationError
 from repro.util.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,8 +48,10 @@ __all__ = [
     "FaultPlan",
     "FaultReport",
     "FaultInjector",
-    "killable",
 ]
+
+#: a derived seed is a 63-bit integer; this maps it onto [0, 1)
+_SEED_SPAN = float(2**63)
 
 
 @dataclass(frozen=True)
@@ -131,12 +135,12 @@ class FaultPlan:
     # -- stateless seeded decisions --------------------------------------
     def _uniform(self, key: str) -> float:
         """Deterministic uniform [0, 1) draw for one decision key."""
-        return derive_seed(self.master_seed, key) / float(2**63)
+        return derive_seed(self.master_seed, key) / _SEED_SPAN
 
     def task_fails(self, label: str, attempt: int) -> bool:
         """Should attempt number ``attempt`` of task ``label`` fail?"""
-        if attempt >= self.max_task_retries:
-            return False
+        if attempt >= self.max_task_retries or self.task_fail_prob == 0.0:
+            return False  # a draw in [0, 1) never falls below 0
         return self._uniform(f"taskfail:{label}:{attempt}") < self.task_fail_prob
 
     def message_fate(self, tag: str, seq: int, attempt: int) -> str:
@@ -282,7 +286,10 @@ class FaultInjector:
 
         Each failed attempt costs the plan's detection latency; the
         decision is a pure function of (label, attempt), so retry counts
-        are identical across runs with the same fault seed.
+        are identical across runs with the same fault seed. Callers test
+        attempt 0 synchronously (``plan.task_fails(label, 0)``) and enter
+        the gate only when it fails: most attempts pass, and a pure
+        decision may be asked twice.
         """
         plan = self.plan
         attempt = 0
@@ -298,44 +305,3 @@ class FaultInjector:
     def note_abort(self, lost_time: float) -> None:
         self.report.tasks_recomputed += 1
         self.report.recovery_overhead_s += lost_time
-
-
-def killable(gen: Generator, should_abort: Callable[[], bool]):
-    """Drive a task-body generator, aborting it between steps.
-
-    Generator helper (``completed = yield from killable(body, pred)``).
-    After every resume of the enclosing process, ``should_abort()`` is
-    consulted; if true, :class:`~repro.util.errors.TaskKilled` is thrown
-    into the body so its ``finally`` blocks run — and any waitables those
-    cleanup blocks yield (mutex unlocks pay an overhead) are still
-    driven to completion. Returns ``True`` if the body finished
-    normally, ``False`` if it was aborted. Ordinary exceptions raised by
-    the body propagate unchanged, and failed waitables are thrown into
-    the body exactly as :class:`~repro.sim.engine.Process` would.
-    """
-    killed = False
-    pending_throw: Optional[BaseException] = None
-    payload = None
-    first = True
-    while True:
-        try:
-            if pending_throw is not None:
-                exc, pending_throw = pending_throw, None
-                target = gen.throw(exc)
-            elif first:
-                target = gen.send(None)
-            else:
-                target = gen.send(payload)
-        except StopIteration:
-            return not killed
-        except TaskKilled:
-            return False
-        first = False
-        try:
-            payload = yield target
-        except BaseException as exc:  # failed waitable: forward to the body
-            pending_throw = exc
-            continue
-        if not killed and should_abort():
-            killed = True
-            pending_throw = TaskKilled("node crashed under this task")

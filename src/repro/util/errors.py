@@ -46,9 +46,10 @@ class StallError(DataflowError):
 class TaskKilled(ReproError):
     """Thrown into a simulated task body to abort it (node crash).
 
-    Raised by :func:`repro.sim.faults.killable` at the body's next
-    yield point so its ``finally`` blocks run (releasing mutexes and
-    other resources); task bodies must not swallow it.
+    Thrown by :class:`repro.sim.engine.Process` when its ``abort``
+    predicate holds at a resume, so the body's ``finally`` blocks run
+    (releasing mutexes and other resources); task bodies must not
+    swallow it.
     """
 
 

@@ -14,3 +14,28 @@ def no_collector():
         yield
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def steal_index_oracle(monkeypatch):
+    """Check the live-chain steal index against the full rescan
+    (``tests/sim/reference_models.py``) at every steal request of the
+    test; yields a one-item list counting the requests checked."""
+    from repro.parsec.stealing import StealCoordinator
+    from tests.sim.reference_models import reference_eligible_chains
+
+    indexed = StealCoordinator._eligible_chains
+    checked = [0]
+
+    def order(item):
+        return (-item[2], item[0])
+
+    def both(coordinator, victim):
+        expected = sorted(reference_eligible_chains(coordinator, victim), key=order)
+        eligible = indexed(coordinator, victim)
+        assert sorted(eligible, key=order) == expected
+        checked[0] += 1
+        return eligible
+
+    monkeypatch.setattr(StealCoordinator, "_eligible_chains", both)
+    yield checked

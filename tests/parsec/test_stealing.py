@@ -20,6 +20,10 @@ from repro.sim.cluster import DataMode
 from repro.sim.faults import FaultPlan, NodeCrash
 from repro.sim.trace import TaskCategory
 
+#: every steal request of this suite also checks the live-chain index
+#: against the full rescan
+pytestmark = pytest.mark.usefixtures("steal_index_oracle")
+
 #: the paper's machine is comm-bound at tiny scale, where the benefit
 #: filter rightly declines to migrate; an order-of-magnitude slower
 #: GEMM unit makes imbalance show up as makespan

@@ -1,7 +1,7 @@
-"""Reference models the oracle properties compare the engine and the
-network against (``test_oracles.py``).
+"""Reference models the oracle properties compare the live code against
+(``test_oracles.py``, ``test_decision_oracles.py``).
 
-Both are the code they replaced, kept verbatim in behaviour:
+Each is the code it replaced, kept verbatim in behaviour:
 
 - :class:`ReferenceEngine` drains with the loop that resumed every fired
   resumed-mode timer through the immediate lane, and arms
@@ -9,23 +9,36 @@ Both are the code they replaced, kept verbatim in behaviour:
 - :func:`reference_send` delivers a message with a ``Process`` over the
   transfer generator, holding each NIC channel with the generator helper
   that ``Resource`` used to provide, and a same-node message with one
-  lane hop.
+  lane hop;
+- :func:`killable` drives a task body step by step and consults the
+  abort predicate after every successful resume — what the process
+  abort rule (:meth:`~repro.sim.engine.Process.abortable`) does;
+- :func:`reference_eligible_chains` rescans every chain of the level on
+  each steal request — what the live-chain index answers;
+- :func:`reference_derive_seed` hashes the whole ``f"{seed}:{purpose}"``
+  text — what the cached seed prefix reproduces;
+- :class:`ReferenceBandwidth` charges, finishes and re-arms through the
+  general helpers on every arrival and wakeup — what the inlined
+  ``BandwidthResource`` paths, lone job included, reproduce.
 
-Any difference in event order, sequence draws, delivery times or fault
-counters between these and the live code is a bug in the live code.
+Any difference in event order, sequence draws, delivery times, fault
+counters or decisions between these and the live code is a bug in the
+live code.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import sys
-from typing import Optional
+from typing import Callable, Generator, Optional
 
+from repro.parsec.stealing import MIN_BENEFIT_RATIO
 from repro.sim.engine import Engine, Process, SimEvent
 from repro.sim.network import Message, Network
-from repro.sim.resources import Resource
+from repro.sim.resources import BandwidthResource, Resource
 from repro.sim.timeline import _DIRECT, _POOLED, Timer
-from repro.util.errors import SimulationError
+from repro.util.errors import SimulationError, TaskKilled
 
 
 class ReferenceEngine(Engine):
@@ -245,3 +258,139 @@ def reference_send(
         _transfer(network, message, inbox, on_deliver),
         name=message.tag or "xfer",
     )
+
+
+# ----------------------------------------------------------------------
+# crash aborts: the per-step wrapper
+# ----------------------------------------------------------------------
+def killable(gen: Generator, should_abort: Callable[[], bool]):
+    """Drive a task-body generator, aborting it between steps.
+
+    Generator helper (``completed = yield from killable(body, pred)``).
+    After every resume of the enclosing process, ``should_abort()`` is
+    consulted; if true, :class:`~repro.util.errors.TaskKilled` is thrown
+    into the body so its ``finally`` blocks run — and any waitables those
+    cleanup blocks yield are still driven to completion. Returns ``True``
+    if the body finished normally, ``False`` if it was aborted. Ordinary
+    exceptions raised by the body propagate unchanged, and failed
+    waitables are thrown into the body exactly as
+    :class:`~repro.sim.engine.Process` would.
+    """
+    killed = False
+    pending_throw: Optional[BaseException] = None
+    payload = None
+    first = True
+    while True:
+        try:
+            if pending_throw is not None:
+                exc, pending_throw = pending_throw, None
+                target = gen.throw(exc)
+            elif first:
+                target = gen.send(None)
+            else:
+                target = gen.send(payload)
+        except StopIteration:
+            return not killed
+        except TaskKilled:
+            return False
+        first = False
+        try:
+            payload = yield target
+        except BaseException as exc:  # failed waitable: forward to the body
+            pending_throw = exc
+            continue
+        if not killed and should_abort():
+            killed = True
+            pending_throw = TaskKilled("node crashed under this task")
+
+
+# ----------------------------------------------------------------------
+# steal requests: the full rescan
+# ----------------------------------------------------------------------
+def reference_eligible_chains(coordinator, victim: int) -> list:
+    """``StealCoordinator._eligible_chains`` as a scan of every chain."""
+    machine = coordinator.cluster.machine
+    move_rate = 1.0 / machine.comm_pack_bytes_per_s + 1.0 / (
+        machine.nic_bw_bytes_per_s
+    )
+    eligible = []
+    for chain_id, tasks in coordinator.chain_tasks.items():
+        remaining = [t for t in tasks if not t.done]
+        if not remaining:
+            continue
+        if any(
+            t.node != victim
+            or t.started
+            or t.claimed
+            or t.stolen_from is not None
+            for t in remaining
+        ):
+            continue
+        fwd = coordinator._forward_bytes(remaining)
+        flops = coordinator._remaining_flops(remaining)
+        work_s = flops / (machine.gemm_gflops * 1.0e9)
+        if work_s < MIN_BENEFIT_RATIO * fwd * move_rate:
+            continue
+        eligible.append((chain_id, remaining, flops, fwd))
+    return eligible
+
+
+# ----------------------------------------------------------------------
+# seed derivation: the whole text hashed per call
+# ----------------------------------------------------------------------
+def reference_derive_seed(master_seed: int, purpose: str) -> int:
+    """``derive_seed`` without the cached prefix state."""
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be non-negative, got {master_seed}")
+    digest = hashlib.sha256(f"{master_seed}:{purpose}".encode()).digest()
+    return int.from_bytes(digest[:8], "little") >> 1
+
+
+# ----------------------------------------------------------------------
+# memory bandwidth: every event through the general helpers
+# ----------------------------------------------------------------------
+class ReferenceBandwidth(BandwidthResource):
+    """``BandwidthResource`` without the inlined and lone-job paths."""
+
+    __slots__ = ()
+
+    def transfer(self, amount: float) -> SimEvent:
+        if amount < 0:
+            raise SimulationError(f"negative transfer amount {amount}")
+        event = self.engine.event()
+        if amount == 0:
+            event.succeed()
+            return event
+        self._advance()
+        self._rem.append(amount)
+        self._size.append(amount)
+        self._events.append(event)
+        self.total_work += amount
+        self._reschedule()
+        return event
+
+    def _on_wakeup(self) -> None:
+        self._advance()
+        if not self._rem:
+            return
+        rate = self.capacity / len(self._rem)
+        cap = self.per_job_cap
+        if cap is not None and cap < rate:
+            rate = cap
+        now = self.engine.now
+        rem, size, events = self._rem, self._size, self._events
+        finished, keep_r, keep_s, keep_e = [], [], [], []
+        for i, r in enumerate(rem):
+            if r <= self._EPS * size[i] or now + r / rate == now:
+                finished.append(events[i])
+            else:
+                keep_r.append(r)
+                keep_s.append(size[i])
+                keep_e.append(events[i])
+        if not finished:
+            self._reschedule()
+            return
+        self._rem, self._size, self._events = keep_r, keep_s, keep_e
+        for event in finished:
+            event.succeed()
+        self._reschedule()

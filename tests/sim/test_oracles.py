@@ -1,8 +1,8 @@
-"""Oracle properties: the engine and the network against the code they
-replaced (``reference_models.py``).
+"""Oracle properties: the engine, the network and the fault decisions
+against the code they replaced (``reference_models.py``).
 
-Two rewrites are exact only if nothing can tell them from their
-predecessors, so both are checked against them on random programs:
+Each rewrite is exact only if nothing can tell it from its predecessor,
+so each is checked against it on random programs:
 
 - the engine calls a resumed timer's continuation in place when its lane
   entry would have been the next thing run (``timeline.py``, "In-place
@@ -16,10 +16,24 @@ predecessors, so both are checked against them on random programs:
   sends over 2-4 nodes, contending for the NICs under drop / delay / dup
   plans, must deliver at the same times in the same order, leave the
   same ``FaultReport``, NIC and registry counters, and the same sequence
-  position.
+  position;
+- a crash abort is a process check, not a wrapper generator. Random task
+  bodies — timeouts, checkpoints, succeeding and failing events, nested
+  sub-generators, cleanup that yields, a swallowed kill, a commit point,
+  a genuine exception — under a crash at a random instant must leave the
+  same step trace, outcomes, end time and sequence position as under
+  ``killable``;
+- a fault draw hashes a cached seed prefix: random seeds and keys must
+  derive the same seed as hashing the whole text;
+- the bandwidth server charges and re-arms inline, with a lone-job path:
+  random arrivals of random sizes, capped or not, must finish at the
+  same times, leave the same busy time and the same sequence position.
 
-CI's ``golden-digests`` job runs both under the ``oracle-ci`` profile
-(``tests/sim/conftest.py``): derandomized, with a fixed example count.
+The steal index is checked against the full rescan at every request of
+the steal and golden chaos suites instead (the ``steal_index_oracle``
+fixture). CI's ``golden-digests`` job runs this file under the
+``oracle-ci`` profile (``tests/sim/conftest.py``): derandomized, with a
+fixed example count.
 """
 
 from types import SimpleNamespace
@@ -33,8 +47,17 @@ from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import Network
 from repro.sim.node import Node
+from repro.sim.resources import BandwidthResource
 from repro.sim.trace import TraceRecorder
-from tests.sim.reference_models import ReferenceEngine, reference_send
+from repro.util.errors import TaskKilled
+from repro.util.rng import derive_seed
+from tests.sim.reference_models import (
+    ReferenceBandwidth,
+    ReferenceEngine,
+    killable,
+    reference_derive_seed,
+    reference_send,
+)
 
 DELAYS = st.sampled_from([0.0, 0.5, 1.0])
 
@@ -223,3 +246,178 @@ def test_callback_chain_matches_the_transfer_process(data):
     plan = data.draw(PLANS)
     live = run_sends(Engine, Network.send, n_nodes, plan, sends)
     assert live == run_sends(ReferenceEngine, reference_send, n_nodes, plan, sends)
+
+
+# ----------------------------------------------------------------------
+# crash aborts
+# ----------------------------------------------------------------------
+class Boom(Exception):
+    """What a failing event carries; bodies catch it and go on."""
+
+
+BODY_OPS = st.one_of(
+    st.tuples(st.just("timeout"), DELAYS),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("event"), DELAYS),
+    st.tuples(st.just("fail"), DELAYS),
+    st.tuples(st.just("nested"), DELAYS, DELAYS),
+    st.tuples(st.just("cleanup"), DELAYS, DELAYS),
+    st.tuples(st.just("swallow"), DELAYS),
+    st.tuples(st.just("commit")),
+    st.tuples(st.just("raise")),
+)
+
+
+def run_bodies(mechanism, bodies, crash_at, committable):
+    """Run each ``(start, ops)`` body in its own process under the abort
+    predicate, through ``mechanism``; returns the trace, the end time and
+    the next seq."""
+    engine = Engine()
+    trace = []
+    dead = [False]
+    if crash_at is not None:
+        engine.schedule(crash_at, dead.__setitem__, 0, True)
+
+    def record(*label):
+        trace.append((engine.now, *label))
+
+    def inner(pid, k, first, second):
+        yield engine.timeout(first)
+        record(pid, k, "inner")
+        yield engine.timeout(second)
+
+    def body(pid, ops, committed):
+        for k, op in enumerate(ops):
+            kind = op[0]
+            record(pid, k, kind)
+            try:
+                if kind == "timeout":
+                    yield engine.timeout(op[1])
+                elif kind == "checkpoint":
+                    yield engine.checkpoint
+                elif kind == "event":
+                    event = engine.event()
+                    engine.schedule(op[1], event.succeed, (pid, k))
+                    record(pid, k, (yield event))
+                elif kind == "fail":
+                    event = engine.event()
+                    engine.schedule(op[1], event.fail, Boom(pid, k))
+                    yield event
+                elif kind == "nested":
+                    yield from inner(pid, k, op[1], op[2])
+                elif kind == "cleanup":
+                    try:
+                        yield engine.timeout(op[1])
+                    finally:
+                        yield engine.timeout(op[2])
+                        record(pid, k, "cleaned")
+                elif kind == "swallow":
+                    try:
+                        yield engine.timeout(op[1])
+                    except TaskKilled:
+                        record(pid, k, "swallowed")
+                elif kind == "commit":
+                    committed[0] = True
+                else:  # raise
+                    raise ValueError(pid, k)
+            except Boom as exc:
+                record(pid, k, "boom", exc.args)
+        return pid
+
+    def driver(box, pid, start, ops):
+        yield engine.timeout(start)
+        committed = [False]
+        if committable:
+            abort = lambda: dead[0] and not committed[0]
+        else:
+            abort = lambda: dead[0]
+        try:
+            outcome = yield from mechanism(box[0], body(pid, ops, committed), abort)
+        except ValueError as exc:
+            outcome = ("raised", exc.args)
+        record(pid, "outcome", outcome)
+        # steps after the body are never checked
+        yield engine.timeout(0.5)
+        record(pid, "after")
+
+    for pid, (start, ops) in enumerate(bodies):
+        box = []
+        box.append(engine.process(driver(box, pid, start, ops)))
+    end = engine.run()
+    return trace, end, next(engine._seq)
+
+
+def _abortable(process, body, abort):
+    return process.abortable(body, abort)
+
+
+def _killable(_process, body, abort):
+    return killable(body, abort)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(DELAYS, st.lists(BODY_OPS, max_size=6)), min_size=1, max_size=3
+    ),
+    st.sampled_from([None, 0.0, 0.25, 0.5, 1.0, 1.5, 2.5]),
+    st.booleans(),
+)
+def test_abort_rule_matches_killable(bodies, crash_at, committable):
+    live = run_bodies(_abortable, bodies, crash_at, committable)
+    assert live == run_bodies(_killable, bodies, crash_at, committable)
+
+
+# ----------------------------------------------------------------------
+# fault draws
+# ----------------------------------------------------------------------
+@settings(deadline=None)
+@given(st.integers(0, 2**70), st.text(max_size=40), st.text(max_size=40))
+def test_cached_seed_prefix_matches_the_full_hash(seed, first, second):
+    for purpose in (first, second, first):  # a cold, then warm prefix
+        assert derive_seed(seed, purpose) == reference_derive_seed(seed, purpose)
+
+
+def test_seeds_that_share_a_dict_key_keep_their_own_text():
+    for seed in (1, True, 1.0, 1, True):
+        assert derive_seed(seed, "k") == reference_derive_seed(seed, "k")
+
+
+# ----------------------------------------------------------------------
+# memory bandwidth
+# ----------------------------------------------------------------------
+def run_transfers(server_cls, capacity, per_job_cap, arrivals):
+    """Drive ``(at, amount)`` arrivals through one bandwidth server;
+    returns completion log, end time, next seq and the statistics."""
+    engine = Engine()
+    server = server_cls(engine, capacity, per_job_cap=per_job_cap)
+    log = []
+
+    def job(k, at, amount):
+        yield engine.timeout(at)
+        yield server.transfer(amount)
+        log.append((k, engine.now))
+
+    for k, (at, amount) in enumerate(arrivals):
+        engine.process(job(k, at, amount))
+    end = engine.run()
+    return log, end, next(engine._seq), server.busy_time, server.total_work
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([1.0, 3.0, 7.0]),
+    st.sampled_from([None, 0.5, 2.0, 100.0]),
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 1e3]),
+            # 1e-14 at t=1e3 and beyond: completion delays that underflow
+            st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.0 / 3.0, 2.0, 1e-14]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_inlined_bandwidth_matches_the_helpers(capacity, per_job_cap, arrivals):
+    live = run_transfers(BandwidthResource, capacity, per_job_cap, arrivals)
+    assert live == run_transfers(ReferenceBandwidth, capacity, per_job_cap, arrivals)

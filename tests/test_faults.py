@@ -1,7 +1,7 @@
 """Fault injection and recovery: the chaos-testing machinery.
 
 Covers the FaultPlan's deterministic decisions, the transport's
-retransmission loop, stragglers, task retry, the killable-body wrapper,
+retransmission loop, stragglers, task retry, the process abort rule,
 crash recovery in both runtimes, the stall watchdog, and the end-to-end
 chaos acceptance criteria (bitwise equality with the fault-free
 reference under a plan injecting every fault class).
@@ -13,7 +13,7 @@ import pytest
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
 from repro.sim.engine import Engine
-from repro.sim.faults import FaultPlan, NodeCrash, Straggler, killable
+from repro.sim.faults import FaultPlan, NodeCrash, Straggler
 from repro.util.errors import ConfigurationError, StallError, TaskKilled
 
 
@@ -235,9 +235,24 @@ class TestStragglers:
 
 
 # ----------------------------------------------------------------------
-# the killable wrapper
+# the abort rule (Process.abort / Process.abortable)
 # ----------------------------------------------------------------------
+def _guarded(engine, body, abort, log):
+    """Drive ``body`` in a fresh process under ``abort``, as the
+    runtimes drive a task body; whether it completed goes to ``log``."""
+    box = []
+
+    def driver():
+        completed = yield from box[0].abortable(body, abort)
+        log.append(completed)
+
+    box.append(engine.process(driver()))
+
+
 class TestKillable:
+    """The five behaviours of the abort rule, in the names of the
+    wrapper it replaced (``tests/sim/reference_models.killable``)."""
+
     def test_body_completes_when_not_killed(self):
         engine = Engine()
         log = []
@@ -246,11 +261,7 @@ class TestKillable:
             yield engine.timeout(1.0)
             log.append("ran")
 
-        def driver():
-            completed = yield from killable(body(), lambda: False)
-            log.append(completed)
-
-        engine.process(driver())
+        _guarded(engine, body(), lambda: False, log)
         engine.run()
         assert log == ["ran", True]
 
@@ -266,15 +277,10 @@ class TestKillable:
             yield engine.timeout(1.0)
             log.append("never")
 
-        def driver():
-            completed = yield from killable(body(), lambda: dead[0])
-            log.append(completed)
-
-        engine.process(driver())
+        _guarded(engine, body(), lambda: dead[0], log)
         engine.schedule(1.5, dead.__setitem__, 0, True)
         engine.run()
-        assert "never" not in log
-        assert log[-1] is False
+        assert log == ["start", "mid", False]
 
     def test_cleanup_yields_still_driven_after_kill(self):
         engine = Engine()
@@ -290,14 +296,10 @@ class TestKillable:
                 yield engine.timeout(0.5)
                 log.append(("cleaned", engine.now))
 
-        def driver():
-            completed = yield from killable(body(), lambda: dead[0])
-            log.append(completed)
-
-        engine.process(driver())
+        _guarded(engine, body(), lambda: dead[0], log)
         engine.schedule(1.25, dead.__setitem__, 0, True)
         engine.run()
-        # killed at the t=2.0 resume; cleanup runs 2.0 -> 2.5
+        # killed at the t=2.0 resume; cleanup runs 2.0 -> 2.5 unchecked
         assert log == [("cleaned", 2.5), False]
 
     def test_body_exception_propagates(self):
@@ -309,10 +311,7 @@ class TestKillable:
             yield engine.timeout(1.0)
             raise ValueError("genuine bug")
 
-        def driver():
-            yield from killable(body(), lambda: False)
-
-        engine.process(driver())
+        _guarded(engine, body(), lambda: False, [])
         with pytest.raises(SimulationError, match="unhandled exception") as excinfo:
             engine.run()
         assert "genuine bug" in str(excinfo.value.__cause__)
@@ -328,14 +327,29 @@ class TestKillable:
                 log.append("caught")
                 return
 
-        def driver():
-            completed = yield from killable(body(), lambda: True)
-            log.append(completed)
-
-        engine.process(driver())
+        _guarded(engine, body(), lambda: True, log)
         engine.run()
         # the body caught TaskKilled and returned; still counts as killed
         assert log == ["caught", False]
+
+    def test_slot_is_clear_outside_the_body(self):
+        engine = Engine()
+        seen = []
+
+        def driver():
+            me = box[0]
+            seen.append(me.abort)
+            yield from me.abortable(body(), lambda: False)
+            seen.append(me.abort)
+            yield engine.timeout(1.0)
+
+        def body():
+            seen.append(box[0].abort is not None)
+            yield engine.timeout(1.0)
+
+        box = [engine.process(driver())]
+        engine.run()
+        assert seen == [None, True, None]
 
 
 # ----------------------------------------------------------------------
