@@ -13,9 +13,10 @@ resilience story, now with concurrent workers and journal compaction:
    finishes, and the journal holds exactly one ``job_finished`` per
    job — no job lost, no result duplicated; two jobs running at once
    report two different pool pids, neither the daemon's,
-4. resubmit each spec and assert it is answered from the replayed
-   result cache (``cached: true``, byte-identical payload) without
-   re-running a single simulation and — by the daemon's own
+4. resubmit each spec and assert it is answered by the replayed job
+   that computed it (its ``job_id``, ``cached: true``, byte-identical
+   payload) without re-running a single simulation, without writing a
+   byte to the journal and — by the daemon's own
    ``serve.http.requests`` counters — in exactly one request each,
    while a fourth, cold job costs exactly two (submit, events); then
    SIGTERM — the clean shutdown compacts the journal into one snapshot
@@ -27,7 +28,7 @@ Run from the repository root::
 
     PYTHONPATH=src python examples/service_smoke.py
 
-Exit code 0 means the journal + replay + cache + compaction chain held
+Exit code 0 means the journal + replay + hit + compaction chain held
 end to end. CI runs this on every push (the ``service-smoke`` job).
 """
 
@@ -171,11 +172,15 @@ def main() -> int:
             "duplicate or missing job_finished records"
         )
         before = requests_by_route(client2)
+        size = journal.stat().st_size
         for params, job_id in zip(JOB_PARAMS, job_ids):
             again = client2.submit(JOB_KIND, params)
-            assert again["cached"], "replayed cache should have answered"
+            assert again["cached"], "the replayed job should have answered"
+            assert again["job_id"] == job_id, (again, job_id)
             hit = client2.result(again["job_id"])
-            assert hit["result"] == results[job_id], "cache changed the bytes"
+            assert hit["result"] == results[job_id], "a hit changed the bytes"
+        # a hit is a read: the journal did not grow by a byte
+        assert journal.stat().st_size == size, (journal.stat().st_size, size)
         # the answer rode the 202 that announced it: one request per hit
         spent = requests_spent(client2, before)
         assert spent == {"submit": len(job_ids)}, spent
@@ -186,7 +191,8 @@ def main() -> int:
         # ... and the stream's last line: two requests per cold job
         spent = requests_spent(client2, before)
         assert spent == {"submit": 1, "events": 1}, spent
-        print("requests: 1 per resubmission, 2 per cold job")
+        print("resubmissions: the job that computed each, 0 journal bytes, "
+              "1 request; cold job: 2 requests")
         view = client2.metrics()
         assert view["cache"]["hits"] >= 3
         assert view["workers"] == 2

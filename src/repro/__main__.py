@@ -496,7 +496,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"journal replay: {len(recovered.jobs)} job(s), "
             f"{len(recovered.pending)} requeued, "
-            f"{len(recovered.results)} cached result(s)",
+            f"{len(recovered.done)} done",
             file=sys.stderr,
         )
     if daemon.corrupt_lines:

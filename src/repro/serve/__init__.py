@@ -9,11 +9,9 @@ and *whether* a simulation runs, never how it behaves:
 
 - :mod:`repro.serve.jobs` — job specs, canonical normalization, and
   the content-address digest (workload structure x run configuration x
-  seed) that keys the result cache;
+  seed) under which a job answers every repeat submission;
 - :mod:`repro.serve.journal` — the append-only JSONL event store that
   lets queued and completed jobs survive a daemon crash;
-- :mod:`repro.serve.cache` — the content-addressed result cache
-  (repeat queries are free);
 - :mod:`repro.serve.breaker` — the circuit breaker shedding new
   submissions when the pool saturates or jobs keep failing;
 - :mod:`repro.serve.scheduler` — the admission queue and the worker
@@ -25,7 +23,6 @@ and *whether* a simulation runs, never how it behaves:
 """
 
 from repro.serve.breaker import BreakerConfig, CircuitBreaker
-from repro.serve.cache import ResultCache
 from repro.serve.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.serve.daemon import ServeDaemon
 from repro.serve.jobs import JOB_KINDS, JobSpec, job_digest
@@ -35,7 +32,6 @@ from repro.serve.scheduler import JobScheduler, SubmissionRejected
 __all__ = [
     "BreakerConfig",
     "CircuitBreaker",
-    "ResultCache",
     "ServiceClient",
     "ServiceError",
     "ServiceUnavailable",

@@ -95,8 +95,9 @@ class ServiceClient:
 
     def submit(self, kind: str, params: Optional[dict] = None) -> dict:
         """POST a job; returns ``{"job_id", "status", "cached"}``. A
-        cache hit's 202 also carries the result, which is held for the
-        :meth:`result`/:meth:`watch` that follows: a hit is one request."""
+        hit (the spec's job is done) also carries the result, which is
+        held for the :meth:`result`/:meth:`watch` that follows: a hit is
+        one request."""
         _, body = self._request(
             "POST", "/jobs", {"kind": kind, "params": params or {}}
         )

@@ -9,8 +9,9 @@ pool), outside this interpreter's lock unless ``pool_jobs`` is 1.
 Routes (each counted in ``serve.http.requests{route=...}``)::
 
     POST /jobs   {"kind": ..., "params": {...}}                      submit
-        202 {"job_id", "status", "cached"}   admitted; a cache hit also
-            carries "result" and "errors" — all of GET /jobs/<id>/result
+        202 {"job_id", "status", "cached"}   admitted; a hit (the spec's
+            job is done: this is that job) is all of GET /jobs/<id>/result
+            plus "cached": true
         503 {"error", "reason", "retry_after_s"}   breaker shed it
         400 {"error"}                              malformed spec
     GET  /jobs              queue, breaker, cache, job table, the ids
@@ -28,8 +29,8 @@ Routes (each counted in ``serve.http.requests{route=...}``)::
     GET  /healthz           {"ok": true}
 
 Boot replays the journal (see :mod:`repro.serve.journal`): finished
-jobs repopulate the content-addressed cache and are served without
-re-running; submitted-or-started-but-unfinished jobs are requeued, so
+jobs are served without re-running, a ``done`` one answering its digest
+again; submitted-or-started-but-unfinished jobs are requeued, so
 a SIGKILL loses no job and duplicates no result. Torn/corrupt lines
 skipped during that replay are *counted* and reported — in the
 ``daemon_started`` record (``corrupt_lines=``) and on ``/metrics`` —
@@ -50,7 +51,6 @@ from urllib.parse import parse_qs, urlparse
 from repro.experiments.sweep import RetryPolicy
 from repro.obs.registry import MetricsRegistry
 from repro.serve.breaker import BreakerConfig, CircuitBreaker
-from repro.serve.cache import ResultCache
 from repro.serve.journal import FINAL_STATES, Journal, read_events, rebuild
 from repro.serve.scheduler import JobScheduler, SubmissionRejected
 from repro.util.errors import ConfigurationError, ReproError
@@ -181,19 +181,16 @@ class _Handler(BaseHTTPRequestHandler):
             params = dict(payload.get("params") or {})
             if "priority" in payload:
                 params.setdefault("priority", payload["priority"])
-            record = daemon.scheduler.submit(kind, params)
+            body = daemon.scheduler.admit(kind, params)
         except SubmissionRejected as exc:
             self._send(
                 503,
                 {"error": str(exc), "reason": exc.reason,
                  "retry_after_s": exc.retry_after_s},
             )
-        except (ConfigurationError, json.JSONDecodeError, ReproError) as exc:
+        except (json.JSONDecodeError, ReproError) as exc:
             self._send(400, {"error": str(exc)})
         else:
-            body = record.to_result_dict()  # a hit's answer rides its 202
-            if not record.cached:
-                del body["result"], body["errors"]
             self._send(202, body)
 
     @property
@@ -202,7 +199,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServeDaemon:
-    """Journal + cache + breaker + scheduler + HTTP server, assembled.
+    """Journal + breaker + scheduler + HTTP server, assembled.
 
     ``port=0`` binds an ephemeral port (read it back from ``.port``
     after :meth:`start`). The daemon is restart-transparent: point a
@@ -232,11 +229,9 @@ class ServeDaemon:
         recovered = rebuild(events)
         self.corrupt_lines = events.corrupt_lines
         self.journal = Journal(journal_path, compact_bytes=compact_bytes)
-        self.cache = ResultCache(self.metrics)
         self.breaker = CircuitBreaker(breaker_config, metrics=self.metrics)
         self.scheduler = JobScheduler(
             journal=self.journal,
-            cache=self.cache,
             breaker=self.breaker,
             metrics=self.metrics,
             workers=workers,
@@ -249,7 +244,7 @@ class ServeDaemon:
         self.journal.append(
             "daemon_started",
             recovered_jobs=len(recovered.pending),
-            recovered_results=len(recovered.results),
+            recovered_results=len(recovered.done),
             corrupt_lines=self.corrupt_lines,
         )
         self.metrics.gauge_set(
@@ -316,14 +311,11 @@ class ServeDaemon:
 
     def metrics_view(self) -> dict:
         """The /metrics payload: registry snapshot + live service state."""
-        overview = self.scheduler.overview()
+        view = self.scheduler.overview()
+        del view["jobs"]
         return {
+            **view,
             "metrics": self.metrics.snapshot(),
-            "queue_depth": overview["queue_depth"],
-            "running": overview["running"],
-            "workers": overview["workers"],
-            "breaker": overview["breaker"],
-            "cache": overview["cache"],
             "journal": {
                 "corrupt_lines": self.corrupt_lines,
                 "size_bytes": self.journal.size_bytes(),

@@ -3,15 +3,11 @@
 A job names one of the repository's independent-cell experiments and
 the parameters that fully determine its output. Because every cell is a
 deterministic pure function of its parameters, a job's *result* is a
-pure function of its *normalized spec* — which is what makes the
-content-addressed result cache sound: the digest covers the workload
-structure (kind, workload name, scale, skew — the inputs the structure
-token is derived from), the run configuration (codes, node/core
-geometry, stealing), and the seed, so two submissions with the same
-digest are guaranteed the same bytes back. In particular two jobs that
-differ only in ``workload`` (say ``t2_7`` vs ``rbgs`` at the same
-scale/seed) always hash to different addresses and can never collide
-in the cache.
+pure function of its *normalized spec* — which is why a job that is
+``done`` answers every later submission of its digest: the digest
+covers the workload structure (kind, workload name, scale, skew), the
+run configuration (codes, node/core geometry, stealing) and the seed,
+so two jobs that differ only in ``workload`` never share an answer.
 
 Job kinds
 ---------
@@ -85,8 +81,7 @@ class JobSpec:
     address: it biases which queued job a free worker picks (higher
     first, with waiting jobs aging upward so nothing starves) but
     cannot change the job's bytes, so two submissions differing only in
-    priority still share one digest, one cache entry, and one coalesced
-    execution.
+    priority share one digest and one job.
     """
 
     kind: str
@@ -104,24 +99,17 @@ class JobSpec:
         params = dict(params or {})
         # scheduling metadata rides alongside the content parameters in
         # a raw submission but is split off before digesting
-        priority = int(params.pop("priority", 0))
+        priority = _coerce("priority", params.pop("priority", 0), 0)
         unknown = sorted(set(params) - set(defaults))
         if unknown:
             raise ConfigurationError(
                 f"unknown parameter(s) for {kind!r} job: {unknown} "
                 f"(accepted: {sorted(defaults)})"
             )
-        merged = {}
-        for name, default in defaults.items():
-            value = params.get(name, default)
-            # canonicalize collection params so [1, 2] == (1, 2)
-            if isinstance(default, list):
-                value = [type(default[0])(v) for v in value]
-            elif isinstance(default, bool):
-                value = bool(value)
-            elif isinstance(default, int):
-                value = int(value)
-            merged[name] = value
+        merged = {
+            name: _coerce(name, params.get(name, default), default)
+            for name, default in defaults.items()
+        }
         spec = cls(kind=kind, params=merged, priority=priority)
         spec._validate()
         return spec
@@ -137,7 +125,7 @@ class JobSpec:
             )
         # rejects unknown workload names / malformed tokens at submit
         # time, before a worker ever sees the job
-        parse_workload_token(str(p["workload"]), scale=p["scale"])
+        parse_workload_token(p["workload"], scale=p["scale"])
         codes = p["codes"] if "codes" in p else [p["code"]]
         bad = sorted(set(codes) - set(CODES))
         if bad:
@@ -148,9 +136,14 @@ class JobSpec:
             raise ConfigurationError("a job needs at least one code")
         if "core_counts" in p and not p["core_counts"]:
             raise ConfigurationError("a fig9 job needs at least one core count")
-        for name in ("n_nodes", "cores", "cores_per_node"):
-            if name in p and p[name] < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {p[name]}")
+        # out of range, a job would fail inside its cells and strike the
+        # breaker for every client; refused here, it is the caller's 400
+        floors = {"n_nodes": 1, "cores": 1, "cores_per_node": 1,
+                  "core_counts": 1, "skew_factor": 1, "skew_period": 0}
+        for name, floor in floors.items():
+            value = p.get(name, floor)
+            if min(value if isinstance(value, list) else [value]) < floor:
+                raise ConfigurationError(f"{name} must be >= {floor}, got {value}")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "params": dict(self.params)}
@@ -172,6 +165,27 @@ class JobSpec:
         return f"{self.kind}[{p['workload']}:{p['scale']}] seed={p['seed']}"
 
 
+def _coerce(name: str, value: Any, default: Any) -> Any:
+    """``value`` as the type of ``default`` (a list: of its elements, so
+    ``(1, 2)`` is ``[1, 2]``); one that does not convert, or a non-bool
+    for a bool (``bool("false")`` is True), is a ConfigurationError."""
+    try:
+        if isinstance(default, list):
+            if not isinstance(value, (list, tuple)):
+                raise TypeError
+            return [type(default[0])(v) for v in value]
+        if isinstance(default, (bool, str)):
+            if not isinstance(value, type(default)):
+                raise TypeError
+            return value
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"parameter {name!r} must be {type(default).__name__}, "
+            f"got {value!r}"
+        ) from None
+
+
 def job_digest(spec: JobSpec) -> str:
     """The job's content address.
 
@@ -179,8 +193,7 @@ def job_digest(spec: JobSpec) -> str:
     normalized parameters determine the workload structure token, the
     RunConfig, and the seed of every cell the job expands to, so equal
     digests imply byte-identical results. Scheduling metadata
-    (``priority``) is deliberately excluded: it cannot change the
-    result bytes, so it must not split the cache address.
+    (``priority``) cannot change those bytes and is left out.
     """
     canonical = json.dumps(
         {"kind": spec.kind, "params": dict(spec.params)},

@@ -1,12 +1,14 @@
 """The append-only JSONL journal: jobs survive the daemon that ran them.
 
-Every state transition the service cares about is one JSON line,
-appended and fsynced before the transition is acknowledged anywhere
-else. Replay is a pure fold over the lines, so a daemon that was
-SIGKILLed mid-anything reboots into a consistent state: completed jobs
-come back as cache entries, queued and in-flight jobs come back as
-queued (at-least-once execution — results are never duplicated because
-a ``job_finished`` line is the *only* thing that marks a job done).
+Every state transition of a job is one JSON line, appended and fsynced
+before the transition is acknowledged anywhere else; a submission
+answered by a job that is already ``done`` is no transition and writes
+nothing. Replay is a pure fold over the lines, so a daemon that was
+SIGKILLed mid-anything reboots into a consistent state: finished jobs
+come back final (a ``done`` one answers its digest again), queued and
+in-flight jobs come back as queued (at-least-once execution — results
+are never duplicated because a ``job_finished`` line is the *only*
+thing that marks a job done).
 
 The writer is thread-safe: HTTP submit threads and N scheduler workers
 all append through one internal lock, so sequence numbers are strictly
@@ -15,51 +17,42 @@ collide — neither between concurrent threads nor across restarts.
 
 Record schema (``schema`` = :data:`JOURNAL_SCHEMA_VERSION`)::
 
-    {"schema": 2, "seq": <int>, "event": <type>, ...fields}
+    {"schema": 3, "seq": <int>, "event": <type>, ...fields}
 
 Event types and their fields:
 
-- ``daemon_started``  — ``recovered_jobs``, ``recovered_results``,
-  ``corrupt_lines`` (torn/corrupt lines skipped during boot replay)
+- ``daemon_started``  — ``recovered_jobs``, ``recovered_results`` (the
+  replayed ``done`` jobs), ``corrupt_lines`` (torn/corrupt lines
+  skipped during boot replay)
 - ``job_submitted``   — ``job_id``, ``digest``, ``spec`` (normalized)
 - ``job_started``     — ``job_id``
 - ``job_finished``    — ``job_id``, ``status`` (``done``/``partial``/
   ``failed``), ``result`` (cell values), ``errors`` (per-cell error
-  records), ``cached`` (true when served from the result cache).
-  Cache-hit finishes **omit** ``result``/``errors`` entirely — the
-  payload is already durable under the job's digest, so re-appending
-  it on every hit would grow the journal by the full result size for
-  zero information; replay re-attaches it from the digest entry.
+  records)
 - ``job_requeued``    — ``job_id`` (graceful shutdown marked it for
   resumption; ignored by replay when the job had already finished)
-- ``snapshot``        — ``jobs``, ``specs``, ``results``,
-  ``folded_events``: the complete fold of everything before it (schema
-  v2; see *Compaction*). The fold is deduplicated: done jobs' payloads
-  are stored once under their digest in ``results``, and each unique
-  spec is stored once under its digest in ``specs`` (a digest hit ten
-  times folds to ten ~100-byte job records sharing one spec entry);
-  replay re-attaches both.
+- ``snapshot``        — ``jobs``, ``folded_events``: the complete fold
+  of everything before it, each job record carrying its own spec and
+  result (see *Compaction*)
 - ``daemon_stopped``  — ``clean`` (always true; a crash writes nothing)
 
 The reader is tolerant: a torn final line (the daemon died mid-write)
 or a corrupt line is skipped **and counted** (``read_events`` returns
 a :class:`JournalEvents` list whose ``corrupt_lines`` attribute holds
 the skip count), never fatal — losing one unacknowledged event is the
-crash semantics the at-least-once replay already absorbs.
+crash semantics the at-least-once replay already absorbs. A record of
+any other schema, older or newer, is refused: this daemon replays only
+its own.
 
 Compaction
 ----------
-Without compaction the JSONL grows forever: every finished job appends
-its full result payload, and long-lived daemons accrete unbounded
-history. :meth:`Journal.compact` folds the whole file into a single
-``snapshot`` record — the serialized :class:`RecoveredState` fold of
-every line so far — and atomically replaces the file with that one
-line; subsequent appends form the tail. Replaying ``snapshot + tail``
-rebuilds a state identical to replaying the uncompacted journal (the
-equivalence the tests pin down). Compaction runs when the live file
-exceeds ``compact_bytes`` (see :meth:`maybe_compact`) and on clean
-shutdown. Schema v1 journals (pre-snapshot) still replay unchanged; a
-v1 daemon refuses a v2 journal rather than misinterpret it.
+Every finished job appends its full result payload, so the JSONL grows
+with the work done. :meth:`Journal.compact` atomically replaces the file
+with one ``snapshot`` line, the job table of the :class:`RecoveredState`
+fold of every line so far; later appends form the tail, and replaying
+``snapshot + tail`` rebuilds the state the uncompacted journal would.
+Compaction runs when the file exceeds ``compact_bytes`` (see
+:meth:`Journal.maybe_compact`) and on clean shutdown.
 """
 
 from __future__ import annotations
@@ -81,10 +74,10 @@ __all__ = [
     "rebuild",
 ]
 
-#: Bump when the record shape changes incompatibly.
-#: v2 added ``snapshot`` records and payload-suppressed cache-hit
-#: ``job_finished`` lines; v1 journals replay unchanged.
-JOURNAL_SCHEMA_VERSION = 2
+#: Bump when the record shape changes incompatibly; a journal of any
+#: other schema is refused. v3: a submission answered by a ``done`` job
+#: writes nothing, and a snapshot is the plain fold of the job table.
+JOURNAL_SCHEMA_VERSION = 3
 
 #: statuses a ``job_finished`` line can carry; once a job has one,
 #: nothing later in the journal changes it
@@ -100,11 +93,7 @@ class JournalEvents(list):
     ``/metrics`` — silent skipping hid real corruption before.
     """
 
-    def __init__(
-        self, events: Iterable[dict] = (), corrupt_lines: int = 0
-    ) -> None:
-        super().__init__(events)
-        self.corrupt_lines = corrupt_lines
+    corrupt_lines = 0
 
 
 def _max_job_id(events: Iterable[dict]) -> int:
@@ -157,23 +146,13 @@ class Journal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh: Optional[object] = open(self.path, "a", encoding="utf-8")
 
-    def next_seq(self) -> int:
-        """The sequence number the next :meth:`append` will assign.
-
-        Diagnostic only — under concurrency another thread may append
-        first. Use :meth:`reserve_id` to mint job ids.
-        """
-        with self._lock:
-            return self._seq + 1
-
     def reserve_id(self) -> str:
         """Atomically mint a unique job id (``j<counter>``).
 
         Safe to call from any thread: the counter shares the journal
         lock, starts above every seq already on disk, and only grows —
         so ids are unique across concurrent submissions *and* across
-        daemon restarts. (Pre-v2 code minted ids from ``next_seq()``,
-        which two submit threads could read identically.)
+        daemon restarts.
         """
         with self._lock:
             self._next_id += 1
@@ -215,19 +194,17 @@ class Journal:
         Returns True when a snapshot was written. A ``compact_bytes``
         of 0 disables the size trigger entirely.
         """
-        if self.compact_bytes <= 0:
-            return False
-        if self.size_bytes() <= self.compact_bytes:
-            return False
-        self.compact()
-        return True
+        if 0 < self.compact_bytes < self.size_bytes():
+            self.compact()
+            return True
+        return False
 
     def compact(self) -> dict:
         """Fold the whole journal into one ``snapshot`` record.
 
         Reads every intact line, rebuilds the :class:`RecoveredState`
-        fold, writes a single snapshot record carrying that state to a
-        temporary file, fsyncs it, and atomically replaces the journal
+        fold, writes a single snapshot record carrying its job table to
+        a temporary file, fsyncs it, and atomically replaces the journal
         — a crash at any point leaves either the old file or the new
         one, both of which replay to the same state. Sequence numbers
         continue past the snapshot's, so the tail appended afterwards
@@ -239,31 +216,12 @@ class Journal:
             self._fh.flush()
             os.fsync(self._fh.fileno())
             events = read_events(self.path)
-            state = rebuild(events)
-            # dedup the fold: a done job's payload already lives under
-            # its digest in ``results``, and every submission of the
-            # same digest (the original plus all its cache hits)
-            # carries one identical spec — store each exactly once
-            # instead of once per job record
-            specs: dict[str, dict] = {}
-            jobs = {}
-            for job_id, job in state.jobs.items():
-                job = dict(job)
-                digest = job.get("digest")
-                if digest and "spec" in job:
-                    specs.setdefault(digest, job.pop("spec"))
-                if job.get("status") == "done" and digest in state.results:
-                    job.pop("result", None)
-                    job.pop("errors", None)
-                jobs[job_id] = job
             self._seq += 1
             record = {
                 "schema": JOURNAL_SCHEMA_VERSION,
                 "seq": self._seq,
                 "event": "snapshot",
-                "jobs": jobs,
-                "specs": specs,
-                "results": state.results,
+                "jobs": rebuild(events).jobs,
                 "folded_events": len(events),
             }
             tmp = self.path.with_name(self.path.name + ".compact")
@@ -294,9 +252,9 @@ def read_events(path: Union[str, Path]) -> JournalEvents:
     """All intact events in the journal, in append order.
 
     Torn or corrupt lines are skipped and counted (the returned
-    :class:`JournalEvents` carries ``corrupt_lines``); events from a
-    future schema raise so an old daemon never misinterprets a new
-    journal.
+    :class:`JournalEvents` carries ``corrupt_lines``); an event of any
+    other schema than :data:`JOURNAL_SCHEMA_VERSION` raises, so a daemon
+    never misinterprets a journal it did not write.
     """
     events = JournalEvents()
     path = Path(path)
@@ -314,10 +272,11 @@ def read_events(path: Union[str, Path]) -> JournalEvents:
             events.corrupt_lines += 1
             continue
         schema = record.get("schema", 0)
-        if schema > JOURNAL_SCHEMA_VERSION:
+        if schema != JOURNAL_SCHEMA_VERSION:
             raise ValueError(
-                f"journal {path} has schema {schema}; this daemon "
-                f"understands up to {JOURNAL_SCHEMA_VERSION}"
+                f"journal {path} has schema {schema}; this daemon replays "
+                f"schema {JOURNAL_SCHEMA_VERSION} only. Move the journal "
+                f"aside to start with a fresh one."
             )
         events.append(record)
     return events
@@ -331,14 +290,16 @@ class RecoveredState:
     ``digest``, ``status``, and for finished jobs ``result``/
     ``errors``), in submission order. ``pending`` lists the job ids
     that must be re-executed — submitted or started but never finished
-    (including explicitly requeued ones). ``results`` maps digests of
-    cleanly finished (``done``) jobs to their result payloads for the
-    cache.
+    (including explicitly requeued ones).
     """
 
     jobs: dict[str, dict] = field(default_factory=dict)
     pending: list[str] = field(default_factory=list)
-    results: dict[str, dict] = field(default_factory=dict)
+
+    @property
+    def done(self) -> list[str]:
+        """The ids of the ``done`` jobs: each answers its digest."""
+        return [k for k, job in self.jobs.items() if job["status"] == "done"]
 
 
 def rebuild(events: list[dict]) -> RecoveredState:
@@ -347,36 +308,16 @@ def rebuild(events: list[dict]) -> RecoveredState:
     At-least-once semantics: any job without a ``job_finished`` event
     is pending again, whether it was queued, running, or explicitly
     requeued at shutdown. Exactly-once *results*: a finished job is
-    final — replay never re-runs it, and its digest entry repopulates
-    the content-addressed cache (only ``done`` jobs: a ``partial`` or
-    ``failed`` payload must not satisfy future submissions that might
-    succeed). A ``snapshot`` record replaces the running fold wholesale
-    — it *is* the fold of everything before it — and the tail after it
-    folds on top as usual.
+    final — replay never re-runs it. A ``snapshot`` record replaces the
+    running fold wholesale — it *is* the fold of everything before it —
+    and the tail after it folds on top as usual.
     """
     state = RecoveredState()
     for record in events:
         event = record["event"]
         job_id = record.get("job_id")
         if event == "snapshot":
-            state.results = {
-                k: dict(v) for k, v in record["results"].items()
-            }
-            specs = record.get("specs", {})
-            state.jobs = {}
-            for k, v in record["jobs"].items():
-                job = dict(v)
-                digest = job.get("digest")
-                if "spec" not in job and digest in specs:
-                    job["spec"] = dict(specs[digest])
-                if job.get("status") == "done" and "result" not in job:
-                    # payload stripped at snapshot time; re-attach it
-                    # from the digest entry (exactly the cache-hit
-                    # suppression rule, applied to the fold)
-                    payload = state.results.get(digest, {})
-                    job["result"] = payload.get("result", {})
-                    job["errors"] = payload.get("errors", {})
-                state.jobs[k] = job
+            state.jobs = {k: dict(v) for k, v in record["jobs"].items()}
         elif event == "job_submitted":
             state.jobs[job_id] = {
                 "job_id": job_id,
@@ -390,27 +331,12 @@ def rebuild(events: list[dict]) -> RecoveredState:
             job = state.jobs.get(job_id)
             if job is not None and job["status"] not in FINAL_STATES:
                 job["status"] = "running" if event == "job_started" else "queued"
-        elif event == "job_finished":
-            job = state.jobs.get(job_id)
-            if job is None:
-                continue
-            job["status"] = record["status"]
-            job["cached"] = bool(record.get("cached", False))
-            if "result" in record or not job["cached"]:
-                job["result"] = record.get("result", {})
-                job["errors"] = record.get("errors", {})
-            else:
-                # v2 cache-hit finish: the payload was suppressed at
-                # write time; re-attach it from the digest entry the
-                # original (non-cached) finish populated
-                payload = state.results.get(job["digest"], {})
-                job["result"] = payload.get("result", {})
-                job["errors"] = payload.get("errors", {})
-            if record["status"] == "done":
-                state.results[job["digest"]] = {
-                    "result": job["result"],
-                    "errors": job["errors"],
-                }
+        elif event == "job_finished" and job_id in state.jobs:
+            state.jobs[job_id].update(
+                status=record["status"],
+                result=record["result"],
+                errors=record["errors"],
+            )
     state.pending = [
         job_id
         for job_id, job in state.jobs.items()

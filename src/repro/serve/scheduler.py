@@ -24,15 +24,14 @@ left waiting ages its way to the front instead of starving.
 Robustness invariants:
 
 - every state transition is journaled *before* it is acknowledged;
-- a job whose cells all succeed is ``done`` and enters the
-  content-addressed cache; a job with poisoned/timed-out cells is
-  degraded to ``partial`` — explicit per-cell error records, healthy
-  cells byte-identical to a clean run — and is *not* cached;
-- submissions pass the circuit breaker, which sheds load with a
+- the job table is the result cache: a submission whose digest has a
+  queued, running or ``done`` job *is* that job, and a hit on a ``done``
+  one writes nothing; a job with poisoned/timed-out cells is degraded
+  to ``partial`` (explicit per-cell error records, healthy cells
+  byte-identical to a clean run) or ``failed`` and frees its digest in
+  the lock hold that makes that status final;
+- new work passes the circuit breaker, which sheds load with a
   retry-after hint when the queue saturates or jobs keep failing;
-- a submission whose digest matches a job already queued or running is
-  coalesced onto that job instead of duplicating the work (a higher
-  resubmitted priority promotes the pending job);
 - per-cell completion is reported through the executor's structured
   ``on_cell_done`` callback — never by parsing progress lines — and
   recorded as a per-job event stream that the daemon's
@@ -56,7 +55,6 @@ from repro.experiments.sweep import (
 )
 from repro.obs.registry import NULL_METRICS, MetricsRegistry
 from repro.serve.breaker import Admission, CircuitBreaker
-from repro.serve.cache import ResultCache
 from repro.serve.jobs import JobSpec, build_cells, job_digest, serialize_results
 from repro.serve.journal import FINAL_STATES, Journal, RecoveredState
 from repro.util.errors import ConfigurationError, ReproError
@@ -88,7 +86,6 @@ class JobRecord:
     spec: JobSpec
     digest: str
     status: str  # queued | running | done | partial | failed
-    cached: bool = False
     cells_total: int = 0
     cells_done: int = 0
     result: dict = field(default_factory=dict)
@@ -112,7 +109,6 @@ class JobRecord:
             "kind": self.spec.kind,
             "status": self.status,
             "digest": self.digest,
-            "cached": self.cached,
         }
         if self.priority:
             d["priority"] = self.priority
@@ -127,7 +123,6 @@ class JobRecord:
         return {
             "job_id": self.job_id,
             "status": self.status,
-            "cached": self.cached,
             "result": self.result,
             "errors": self.errors,
         }
@@ -140,7 +135,6 @@ class JobScheduler:
     def __init__(
         self,
         journal: Journal,
-        cache: Optional[ResultCache] = None,
         breaker: Optional[CircuitBreaker] = None,
         metrics: Optional[MetricsRegistry] = None,
         workers: int = 1,
@@ -153,7 +147,6 @@ class JobScheduler:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.journal = journal
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.cache = cache if cache is not None else ResultCache(self.metrics)
         self.breaker = breaker if breaker is not None else CircuitBreaker(
             metrics=self.metrics
         )
@@ -164,7 +157,11 @@ class JobScheduler:
         self.aging_s = aging_s
         self.jobs: dict[str, JobRecord] = {}
         self._queue: list[str] = []
-        self._pending_by_digest: dict[str, str] = {}
+        #: digest -> the id of its queued, running or ``done`` job
+        self._by_digest: dict[str, str] = {}
+        #: submissions answered by a ``done`` job / all others, and the
+        #: ``done`` jobs (each answers its own digest, and stays)
+        self.hits = self.misses = self.entries = 0
         self._running: set[str] = set()
         #: one per worker thread, made and closed with the scheduler
         self._pools: list[WorkerPool] = []
@@ -224,81 +221,64 @@ class JobScheduler:
             thread.join(timeout=max(deadline - time.monotonic(), 0.0))
 
     def recover(self, state: RecoveredState) -> None:
-        """Adopt a journal replay: results to the cache, pending to the
-        queue, finished jobs served straight from their records."""
+        """Adopt a journal replay: pending jobs to the queue, finished
+        ones served straight from their records, a ``done`` one answering
+        its digest again."""
         with self._lock:
-            for digest, payload in state.results.items():
-                self.cache.put(digest, payload)
             for job_id, job in state.jobs.items():
                 spec = JobSpec.from_dict(job["spec"])
                 record = JobRecord(
-                    job_id=job_id,
-                    spec=spec,
-                    digest=job["digest"],
-                    status=job["status"],
-                    cached=bool(job.get("cached", False)),
-                    result=job.get("result", {}),
-                    errors=job.get("errors", {}),
+                    job_id, spec, job["digest"], job["status"],
+                    result=job.get("result", {}), errors=job.get("errors", {}),
                     priority=spec.priority,
                 )
                 self.jobs[job_id] = record
                 if record.status in ("queued", "running"):
                     record.status = "queued"
                     self._enqueue(record)
-                    self._pending_by_digest.setdefault(record.digest, job_id)
+                if record.status in ("queued", "done"):
+                    self._by_digest.setdefault(record.digest, job_id)
+                self.entries += record.status == "done"
             self._gauges()
+            self.metrics.gauge_set("serve.cache.entries", float(self.entries))
             self._wake.notify_all()
 
     # ------------------------------------------------------------------
     # admission (called from HTTP threads)
     # ------------------------------------------------------------------
     def submit(self, kind: str, params: Optional[dict] = None) -> JobRecord:
-        """Admit one submission; raises :class:`SubmissionRejected` when
-        the breaker sheds it. Cache hits and coalesced duplicates are
-        admitted unconditionally — they add no work."""
+        """Admit one submission and return its job; raises
+        :class:`SubmissionRejected` when the breaker sheds it."""
+        return self._admit(kind, params)[0]
+
+    def admit(self, kind: str, params: Optional[dict] = None) -> dict:
+        """The 202 body of one submission; a hit's is its ``done`` job's
+        ``/result`` body (final: safe to read unlocked) plus ``cached``."""
+        record, hit = self._admit(kind, params)
+        if hit:
+            return {**record.to_result_dict(), "cached": True}
+        return {"job_id": record.job_id, "status": record.status,
+                "cached": False}
+
+    def _admit(self, kind: str, params: Optional[dict]) -> tuple[JobRecord, bool]:
+        """One admission path: a digest's queued, running or ``done``
+        job answers it (a hit when ``done``: nothing is minted, journaled
+        or pushed); only new work meets the breaker and the journal."""
         spec = JobSpec.normalize(kind, params)
         digest = job_digest(spec)
         with self._lock:
             self.metrics.inc("serve.jobs.submitted", kind=kind)
-            cached = self.cache.get(digest)
-            if cached is not None:
-                job_id = self.journal.reserve_id()
-                record = JobRecord(
-                    job_id=job_id,
-                    spec=spec,
-                    digest=digest,
-                    status="done",
-                    cached=True,
-                    result=cached.get("result", {}),
-                    errors=cached.get("errors", {}),
-                    priority=spec.priority,
-                )
-                self.jobs[job_id] = record
-                self.journal.append(
-                    "job_submitted", job_id=job_id, digest=digest,
-                    spec=spec.to_dict(),
-                )
-                # the payload is already durable under this digest —
-                # re-appending it would grow the journal by the full
-                # result size on every hit for zero information
-                self.journal.append(
-                    "job_finished", job_id=job_id, status="done", cached=True,
-                )
-                self.metrics.inc("serve.jobs.completed", status="done")
-                self._push_event(
-                    record,
-                    {"type": "finished", "status": "done", "cached": True},
-                )
-                # hits grow the journal without ever reaching _finish,
-                # so the size trigger must ride this append too
-                self.journal.maybe_compact()
-                return record
-            pending = self._pending_by_digest.get(digest)
-            if pending is not None:
-                record = self.jobs[pending]  # coalesce identical work
+            record = self.jobs.get(self._by_digest.get(digest))
+            if record is not None and record.status == "done":
+                self.hits += 1
+                self.metrics.inc("serve.cache.hits")
+                return record, True
+            self.misses += 1
+            self.metrics.inc("serve.cache.misses")
+            if record is not None:
                 if spec.priority > record.priority:
                     record.priority = spec.priority  # promote, never demote
-                return record
+                return record, False
             admission = self.breaker.admit(self._depth())
             if not admission.allowed:
                 raise SubmissionRejected(admission)
@@ -313,10 +293,10 @@ class JobScheduler:
                 spec=spec.to_dict(),
             )
             self._enqueue(record)
-            self._pending_by_digest[digest] = job_id
+            self._by_digest[digest] = job_id
             self._gauges()
             self._wake.notify_all()
-            return record
+            return record, False
 
     def get(self, job_id: str) -> Optional[JobRecord]:
         with self._lock:
@@ -330,7 +310,8 @@ class JobScheduler:
                 "workers": self.workers,
                 "jobs": [r.to_status_dict() for r in self.jobs.values()],
                 "breaker": self.breaker.to_dict(),
-                "cache": self.cache.stats(),
+                "cache": {"entries": self.entries, "hits": self.hits,
+                          "misses": self.misses},
             }
 
     # ------------------------------------------------------------------
@@ -401,9 +382,7 @@ class JobScheduler:
 
     def _gauges(self) -> None:
         self.metrics.gauge_set("serve.queue.depth", float(len(self._queue)))
-        self.metrics.gauge_set(
-            "serve.jobs.inflight", float(len(self._running))
-        )
+        self.metrics.gauge_set("serve.jobs.inflight", float(len(self._running)))
 
     def _pool_gauge(self) -> None:
         """Live pool processes over all workers, as of the last job end."""
@@ -418,18 +397,11 @@ class JobScheduler:
         once per cell, retries and progress-format changes immaterial."""
         with self._lock:
             record.cells_done += 1
-            self._push_event(
-                record,
-                {
-                    "type": "cell",
-                    "cell": cell.label(),
-                    "ok": ok,
-                    "pid": pid,
-                    "wall_s": round(wall, 6),
-                    "cells_done": record.cells_done,
-                    "cells_total": record.cells_total,
-                },
-            )
+            self._push_event(record, {
+                "type": "cell", "cell": cell.label(), "ok": ok, "pid": pid,
+                "wall_s": round(wall, 6), "cells_done": record.cells_done,
+                "cells_total": record.cells_total,
+            })
 
     def _journal_or_abandon(self, event: str, **fields) -> bool:
         """Append unless a concurrent shutdown closed the journal.
@@ -477,7 +449,6 @@ class JobScheduler:
             finally:
                 with self._wake:
                     self._running.discard(job_id)
-                    self._pending_by_digest.pop(record.digest, None)
                     self._gauges()
                     self._pool_gauge()
 
@@ -524,7 +495,7 @@ class JobScheduler:
     ) -> None:
         if not self._journal_or_abandon(
             "job_finished", job_id=record.job_id, status=status,
-            result=values, errors=errors, cached=False,
+            result=values, errors=errors,
         ):
             return  # shutdown already requeued this job for the next boot
         with self._lock:
@@ -536,14 +507,16 @@ class JobScheduler:
             # compaction below runs outside the lock
             self._running.discard(record.job_id)
             if status == "done":
-                self.cache.put(record.digest, {"result": values, "errors": {}})
+                self.entries += 1
+                self.metrics.gauge_set("serve.cache.entries", float(self.entries))
                 self.breaker.record_success()
             else:
+                # and free the digest in it too: a resubmission is new
+                # work from here on, never this job's degraded answer
+                self._by_digest.pop(record.digest, None)
                 self.breaker.record_failure()
             self.metrics.inc("serve.jobs.completed", status=status)
-            self._push_event(
-                record, {"type": "finished", "status": status, "cached": False}
-            )
+            self._push_event(record, {"type": "finished", "status": status})
         # size-triggered compaction rides on the append that grew the
         # file; it folds finished payloads into one snapshot line
         try:

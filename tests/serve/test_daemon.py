@@ -167,6 +167,35 @@ class TestRoutes:
         finally:
             daemon.stop()
 
+    def test_unconvertible_values_are_400_not_a_dropped_connection(
+        self, tmp_path
+    ):
+        daemon, client = _daemon(tmp_path)
+        try:
+            for name, value, kind in (("seed", "abc", "int"),
+                                      ("stealing", "false", "bool")):
+                with pytest.raises(ServiceError, match=f"'{name}' must be {kind}"
+                                   ) as exc:
+                    client.submit("point", {name: value})
+                assert exc.value.status == 400
+            assert client.health()  # the handler thread lived to answer
+        finally:
+            daemon.stop()
+
+    def test_out_of_range_values_are_400_not_a_breaker_strike(self, tmp_path):
+        daemon, client = _daemon(tmp_path)
+        try:
+            for _ in range(3):  # three failed jobs would open the breaker
+                with pytest.raises(ServiceError) as exc:
+                    client.submit("fig9", {"core_counts": [0]})
+                assert exc.value.status == 400
+            breaker = client.metrics()["breaker"]
+            assert breaker["state"] == "closed"
+            assert breaker["recent_failures"] == 0
+            assert client.overview()["jobs"] == []
+        finally:
+            daemon.stop()
+
     def test_unfinished_result_is_202_with_hint(self, tmp_path):
         daemon, client = _daemon(tmp_path)
         try:
@@ -197,35 +226,39 @@ class TestOneAnswerOneMessage:
         daemon, client = _daemon(tmp_path)
         try:
             sub = client.submit("point", {"seed": 3})
+            assert not sub["cached"]
             first = client.watch(sub["job_id"], timeout_s=10.0)
-            assert first["status"] == "done" and not first["cached"]
+            assert first["status"] == "done" and "cached" not in first
             assert _requests(daemon) == {"submit": 1, "events": 1}
 
+            # a repeat submission is the job that answered it
             again = client.submit("point", {"seed": 3})
             assert again == {
-                "job_id": again["job_id"], "status": "done", "cached": True,
+                "job_id": sub["job_id"], "status": "done", "cached": True,
             }
             hit = client.watch(again["job_id"], timeout_s=10.0)
             assert _requests(daemon) == {"submit": 2, "events": 1}
-            assert hit["cached"] and hit["job_id"] == again["job_id"]
-            assert hit["result"] == first["result"] and hit["errors"] == {}
-            # same answer as the route gives, and it was handed over once
-            assert client.result(again["job_id"]) == hit
+            assert hit == {**first, "cached": True}
+            # the route's answer without the flag, handed over once
+            assert client.result(again["job_id"]) == first
             assert _requests(daemon) == {"submit": 2, "events": 1, "result": 1}
         finally:
             daemon.stop()
 
-    def test_a_hit_journals_what_it_always_did(self, tmp_path):
+    def test_a_hit_journals_nothing(self, tmp_path):
         daemon, client = _daemon(tmp_path)
         try:
-            client.watch(client.submit("point", {"seed": 2})["job_id"])
-            hit = client.submit("point", {"seed": 2})
-            lines = [
-                e for e in read_events(tmp_path / "journal.jsonl")
-                if e.get("job_id") == hit["job_id"]
-            ]
-            assert [e["event"] for e in lines] == ["job_submitted", "job_finished"]
-            assert lines[1]["cached"] is True and "result" not in lines[1]
+            first = client.submit("point", {"seed": 2})
+            client.watch(first["job_id"])
+            path = tmp_path / "journal.jsonl"
+            before = path.read_bytes()
+            for _ in range(3):
+                assert client.submit("point", {"seed": 2})["job_id"] == (
+                    first["job_id"])
+            assert path.read_bytes() == before
+            assert client.overview()["cache"] == {
+                "entries": 1, "hits": 3, "misses": 1,
+            }
         finally:
             daemon.stop()
 
@@ -240,7 +273,8 @@ class TestOneAnswerOneMessage:
             assert body["status"] == "done" and "type" not in body
             assert _requests(daemon) == {"submit": 1, "events": 1}
             # another job's body is not this job's answer
-            other = client.submit("point", {"seed": 3})  # a hit, held
+            other = client.submit("point", {"seed": 2})
+            list(client.events(other["job_id"]))  # its result line, held
             assert client.result(sub["job_id"])["job_id"] == sub["job_id"]
             assert client.result(other["job_id"])["job_id"] == other["job_id"]
             assert _requests(daemon)["result"] == 2
@@ -290,6 +324,7 @@ class TestRestartRecovery:
         try:
             again = client2.submit("point", {"seed": 2})
             assert again["cached"] and again["status"] == "done"
+            assert again["job_id"] == sub["job_id"]
             assert client2.result(again["job_id"])["result"] == first["result"]
         finally:
             daemon2.stop()
@@ -582,15 +617,11 @@ class TestJournalHygiene:
         path = tmp_path / "journal.jsonl"
         daemon, client = _daemon(tmp_path, compact_bytes=2000)
         try:
-            # cache-hit-heavy traffic is where journals actually
-            # balloon: every hit re-appends the full spec; the snapshot
-            # folds all those submissions onto one shared spec entry
-            sub = client.submit("point", {"seed": 8})
-            client.watch(sub["job_id"])
+            # only work grows a journal: three lines per cold job
             sizes = []
-            for _ in range(10):
-                hit = client.submit("point", {"seed": 8})
-                assert hit["cached"]
+            for seed in range(11, 21):
+                sub = client.submit("point", {"seed": seed})
+                client.watch(sub["job_id"])
                 sizes.append(path.stat().st_size)
             view = client.metrics()
             assert view["journal"]["compactions"] >= 1

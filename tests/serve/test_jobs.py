@@ -1,9 +1,11 @@
-"""Job specs, normalization, digests, and the result cache."""
+"""Job specs: normalization, validation, digests, cell expansion, and the
+result cache (the scheduler's job table)."""
 
 import pytest
 
 from repro.obs.registry import MetricsRegistry
-from repro.serve.cache import ResultCache
+from repro.serve.journal import Journal
+from repro.serve.scheduler import JobScheduler
 from repro.serve.jobs import (
     JOB_KINDS,
     JobSpec,
@@ -59,6 +61,33 @@ class TestNormalize:
             JobSpec.normalize("point", {"workload": "frobnicate"})
         with pytest.raises(ConfigurationError, match="empty params"):
             JobSpec.normalize("fig9", {"workload": "rbgs:"})
+
+    @pytest.mark.parametrize("kind, params, match", [
+        ("point", {"seed": "abc"}, "'seed' must be int"),
+        ("fig9", {"codes": 5}, "'codes' must be list"),
+        ("fig9", {"core_counts": ["two"]}, "'core_counts' must be list"),
+        ("point", {"stealing": "false"}, "'stealing' must be bool"),
+        ("point", {"scale": ["tiny"]}, "'scale' must be str"),
+        ("point", {"priority": "high"}, "'priority' must be int"),
+    ])
+    def test_unconvertible_values_rejected(self, kind, params, match):
+        """A value that does not convert is the caller's error, not a
+        ValueError or TypeError out of the handler thread; and a bool
+        must be a bool (``bool("false")`` is True)."""
+        with pytest.raises(ConfigurationError, match=match):
+            JobSpec.normalize(kind, params)
+
+    @pytest.mark.parametrize("kind, params, match", [
+        ("fig9", {"core_counts": [2, 0]}, "core_counts"),
+        ("point", {"skew_factor": 0}, "skew_factor must be >= 1"),
+        ("fig9", {"skew_period": -1}, "skew_period must be >= 0"),
+        ("chaos", {"cores_per_node": 0}, "cores_per_node must be >= 1"),
+    ])
+    def test_out_of_range_values_rejected(self, kind, params, match):
+        """Refused at submit time: in a cell, each would fail the job
+        and strike the breaker for every client."""
+        with pytest.raises(ConfigurationError, match=match):
+            JobSpec.normalize(kind, params)
 
     def test_describe_names_the_workload(self):
         spec = JobSpec.normalize("chaos", {"workload": "rbgs"})
@@ -150,6 +179,55 @@ class TestBuildCells:
         assert cells and all(c.kwargs["workload"] == "rbgs" for c in cells)
 
 
+@pytest.fixture
+def table(tmp_path):
+    """A scheduler whose worker never starts: jobs are finished by hand,
+    so only the job table's bookkeeping runs."""
+    journal = Journal(tmp_path / "journal.jsonl")
+    sched = JobScheduler(journal=journal, metrics=MetricsRegistry(enabled=True),
+                         pool_jobs=1)
+    yield sched
+    sched.stop()
+    journal.close()
+
+
+class TestResultCache:
+    """There is no cache beside the job table: a ``done`` job answers
+    every later submission of its digest."""
+
+    def test_miss_then_hit(self, table):
+        first = table.submit("point", {"seed": 1})  # miss
+        table._finish(first, "done", {"x": 1}, {})
+        assert table.submit("point", {"seed": 1}) is first  # hit
+        assert first.result == {"x": 1}
+        assert table.overview()["cache"] == {
+            "entries": 1, "hits": 1, "misses": 1,
+        }
+
+    def test_metrics_wiring(self, table):
+        first = table.submit("point", {"seed": 1})
+        table._finish(first, "done", {}, {})
+        table.submit("point", {"seed": 1})
+        metrics = table.metrics
+        assert metrics.counter_value("serve.cache.misses") == 1.0
+        assert metrics.counter_value("serve.cache.hits") == 1.0
+        assert metrics.gauge_value("serve.cache.entries") == 1.0
+
+    def test_contains_and_len(self, table):
+        """``entries`` counts the ``done`` digests; a failed job's digest
+        is not an entry and answers nothing."""
+        done = table.submit("point", {"seed": 1})
+        table._finish(done, "done", {}, {})
+        failed = table.submit("point", {"seed": 2})
+        table._finish(failed, "failed", {}, {
+            "c0": {"kind": "exception", "message": "boom", "label": "c0",
+                   "attempts": 1},
+        })
+        assert table.overview()["cache"]["entries"] == 1
+        assert table.submit("point", {"seed": 1}) is done
+        assert table.submit("point", {"seed": 2}).job_id != failed.job_id
+
+
 class TestSerializeResults:
     def test_splits_values_and_errors(self):
         cells = build_cells(
@@ -177,27 +255,3 @@ class TestSerializeResults:
         )
         assert values == {"v5/2": {"t": 1.5, "n": 3, "seq": [1, 2]}}
         assert errors == {}
-
-
-class TestResultCache:
-    def test_miss_then_hit(self):
-        cache = ResultCache()
-        assert cache.get("d1") is None
-        cache.put("d1", {"result": {"x": 1}})
-        assert cache.get("d1") == {"result": {"x": 1}}
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-
-    def test_metrics_wiring(self):
-        metrics = MetricsRegistry(enabled=True)
-        cache = ResultCache(metrics)
-        cache.get("d1")
-        cache.put("d1", {})
-        cache.get("d1")
-        assert metrics.counter_value("serve.cache.misses") == 1.0
-        assert metrics.counter_value("serve.cache.hits") == 1.0
-        assert metrics.gauge_value("serve.cache.entries") == 1.0
-
-    def test_contains_and_len(self):
-        cache = ResultCache()
-        cache.put("d1", {})
-        assert "d1" in cache and len(cache) == 1

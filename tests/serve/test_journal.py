@@ -14,6 +14,8 @@ from repro.serve.journal import (
     rebuild,
 )
 
+V = JOURNAL_SCHEMA_VERSION
+
 
 def _submit(journal, job_id, digest="d1"):
     journal.append(
@@ -36,7 +38,6 @@ class TestJournal:
         with Journal(path) as journal:
             journal.append("daemon_started")
         with Journal(path) as journal:
-            assert journal.next_seq() == 2
             assert journal.append("daemon_started")["seq"] == 2
         assert len(read_events(path)) == 2
 
@@ -63,7 +64,7 @@ class TestJournal:
             journal.append("daemon_stopped", clean=True)
         # simulate a crash mid-append: a truncated JSON line at the end
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"schema": 1, "seq": 3, "eve')
+            fh.write(f'{{"schema": {V}, "seq": 3, "eve')
         events = read_events(path)
         assert [e["event"] for e in events] == ["daemon_started", "daemon_stopped"]
         # and a journal reopened over the torn file keeps appending
@@ -73,9 +74,9 @@ class TestJournal:
     def test_corrupt_middle_line_is_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text(
-            '{"schema": 1, "seq": 1, "event": "daemon_started"}\n'
+            f'{{"schema": {V}, "seq": 1, "event": "daemon_started"}}\n'
             "not json at all\n"
-            '{"schema": 1, "seq": 2, "event": "daemon_stopped", "clean": true}\n'
+            f'{{"schema": {V}, "seq": 2, "event": "daemon_stopped"}}\n'
         )
         assert [e["seq"] for e in read_events(path)] == [1, 2]
 
@@ -85,11 +86,11 @@ class TestJournal:
         /metrics)."""
         path = tmp_path / "j.jsonl"
         path.write_text(
-            '{"schema": 1, "seq": 1, "event": "daemon_started"}\n'
+            f'{{"schema": {V}, "seq": 1, "event": "daemon_started"}}\n'
             "not json at all\n"
             '{"no_event_key": true}\n'
-            '{"schema": 1, "seq": 2, "event": "daemon_stopped", "clean": true}\n'
-            '{"schema": 1, "seq": 3, "eve'  # torn final line
+            f'{{"schema": {V}, "seq": 2, "event": "daemon_stopped"}}\n'
+            f'{{"schema": {V}, "seq": 3, "eve'  # torn final line
         )
         events = read_events(path)
         assert [e["seq"] for e in events] == [1, 2]
@@ -114,6 +115,23 @@ class TestJournal:
         with pytest.raises(ValueError, match="schema"):
             read_events(path)
 
+    def test_schema_2_journal_is_refused(self, tmp_path):
+        """Schema 2 wrote a record per cache hit and a deduplicated
+        snapshot; this daemon replays neither and says what to do."""
+        path = tmp_path / "v2.jsonl"
+        lines = [
+            {"schema": 2, "seq": 1, "event": "job_submitted",
+             "job_id": "j000001", "digest": "d1",
+             "spec": {"kind": "point", "params": {}}},
+            {"schema": 2, "seq": 2, "event": "job_finished",
+             "job_id": "j000001", "status": "done", "cached": True},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        with pytest.raises(ValueError, match="schema 2.*Move the journal aside"):
+            read_events(path)
+        with pytest.raises(ValueError, match="schema 2"):
+            Journal(path)
+
 
 class TestRebuild:
     def test_unfinished_jobs_replay_as_pending(self, tmp_path):
@@ -129,21 +147,23 @@ class TestRebuild:
         # turns pending "running" back into "queued"
         assert state.jobs["j1"]["status"] == "running"
         assert state.jobs["j2"]["status"] == "queued"
-        assert state.results == {}
+        assert state.done == []
 
     def test_finished_job_is_final_and_feeds_the_cache(self, tmp_path):
+        """A ``done`` job comes back final and answers its digest."""
         path = tmp_path / "j.jsonl"
         with Journal(path) as journal:
             _submit(journal, "j1", "d1")
             journal.append("job_started", job_id="j1")
             journal.append(
                 "job_finished", job_id="j1", status="done",
-                result={"cell": 1}, errors={}, cached=False,
+                result={"cell": 1}, errors={},
             )
         state = rebuild(read_events(path))
         assert state.pending == []
+        assert state.done == ["j1"]
         assert state.jobs["j1"]["status"] == "done"
-        assert state.results == {"d1": {"result": {"cell": 1}, "errors": {}}}
+        assert state.jobs["j1"]["result"] == {"cell": 1}
 
     def test_partial_results_are_not_cached(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -152,11 +172,11 @@ class TestRebuild:
             journal.append(
                 "job_finished", job_id="j1", status="partial",
                 result={"ok_cell": 1},
-                errors={"bad_cell": {"kind": "poisoned"}}, cached=False,
+                errors={"bad_cell": {"kind": "poisoned"}},
             )
         state = rebuild(read_events(path))
         assert state.pending == []
-        assert state.results == {}  # partial must not satisfy future digests
+        assert state.done == []  # partial must not satisfy future digests
         assert state.jobs["j1"]["errors"]["bad_cell"]["kind"] == "poisoned"
 
     def test_requeued_job_is_pending_again(self, tmp_path):
@@ -175,7 +195,7 @@ class TestRebuild:
             _submit(journal, "j1", "d1")
             journal.append(
                 "job_finished", job_id="j1", status="done",
-                result={}, errors={}, cached=False,
+                result={}, errors={},
             )
             _submit(journal, "j2", "d2")
         events = read_events(path)
@@ -185,7 +205,7 @@ class TestRebuild:
 class TestJournalThreadSafety:
     """The seq-race regression: submit threads and worker threads all
     append concurrently. The pre-lock Journal bumped ``self._seq`` with
-    no synchronization and minted job ids from ``next_seq()``, so two
+    no synchronization and minted job ids from the seq counter, so two
     racing threads could observe the same seq — duplicate sequence
     numbers on disk and colliding ``j<seq>`` ids in the job table.
     These tests fail (or error on the missing ``reserve_id``) against
@@ -234,7 +254,7 @@ class TestJournalThreadSafety:
                     else:
                         journal.append(
                             "job_finished", job_id=f"t{i}-{k}",
-                            status="done", result={}, errors={}, cached=False,
+                            status="done", result={}, errors={},
                         )
 
             self._hammer(8, submit_vs_finish)
@@ -282,31 +302,28 @@ class TestJournalThreadSafety:
 
 class TestCompaction:
     def _write_history(self, journal):
-        """A representative history: done, partial, pending, cache hit."""
+        """A representative history: done, partial, pending, and the
+        partial job's digest admitted again under a new id."""
         _submit(journal, "j000001", "d1")
         journal.append("job_started", job_id="j000001")
         journal.append(
             "job_finished", job_id="j000001", status="done",
-            result={"c0": {"value": 1}}, errors={}, cached=False,
+            result={"c0": {"value": 1}}, errors={},
         )
         _submit(journal, "j000002", "d2")
         journal.append(
             "job_finished", job_id="j000002", status="partial",
             result={"c0": {"value": 2}},
-            errors={"c1": {"kind": "poisoned"}}, cached=False,
+            errors={"c1": {"kind": "poisoned"}},
         )
         _submit(journal, "j000003", "d3")
         journal.append("job_started", job_id="j000003")
-        # v2 cache-hit finish: payload suppressed on purpose
-        _submit(journal, "j000004", "d1")
-        journal.append(
-            "job_finished", job_id="j000004", status="done", cached=True,
-        )
+        _submit(journal, "j000004", "d2")
+        journal.append("job_started", job_id="j000004")
 
     def _assert_states_equal(self, a, b):
         assert a.jobs == b.jobs
         assert a.pending == b.pending
-        assert a.results == b.results
 
     def test_snapshot_rebuilds_identical_state(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -343,12 +360,9 @@ class TestCompaction:
             journal.append("job_started", job_id="j000005")
             journal.append(
                 "job_finished", job_id="j000005", status="done",
-                result={"c0": {"value": 5}}, errors={}, cached=False,
+                result={"c0": {"value": 5}}, errors={},
             )
-            _submit(journal, "j000006", "d1")  # another suppressed hit
-            journal.append(
-                "job_finished", job_id="j000006", status="done", cached=True,
-            )
+            journal.append("job_requeued", job_id="j000003")
 
         with Journal(plain) as journal:
             self._write_history(journal)
@@ -382,59 +396,27 @@ class TestCompaction:
         assert read_events(path).corrupt_lines == 0
         journal.close()
 
-    def test_cache_hit_payload_is_reattached_by_replay(self, tmp_path):
+    def test_snapshot_is_the_plain_fold(self, tmp_path):
+        """One record per job, each carrying its own spec and, once
+        finished, its own result: no side tables to re-attach."""
         path = tmp_path / "j.jsonl"
         with Journal(path) as journal:
             self._write_history(journal)
-        raw = [json.loads(line) for line in path.read_text().splitlines()]
-        hit = next(
-            r for r in raw
-            if r["event"] == "job_finished" and r.get("cached")
-        )
-        assert "result" not in hit and "errors" not in hit
-        state = rebuild(read_events(path))
-        assert state.jobs["j000004"]["result"] == {"c0": {"value": 1}}
-        assert state.jobs["j000004"]["status"] == "done"
-
-    def test_v1_journal_replays_unchanged(self, tmp_path):
-        """Journals written before snapshots existed (schema 1, full
-        payload on every finish) must still replay."""
-        path = tmp_path / "v1.jsonl"
-        lines = [
-            {"schema": 1, "seq": 1, "event": "daemon_started"},
-            {"schema": 1, "seq": 2, "event": "job_submitted",
-             "job_id": "j000001", "digest": "d1",
-             "spec": {"kind": "point", "params": {}}},
-            {"schema": 1, "seq": 3, "event": "job_started",
-             "job_id": "j000001"},
-            {"schema": 1, "seq": 4, "event": "job_finished",
-             "job_id": "j000001", "status": "done",
-             "result": {"c0": {"value": 1}}, "errors": {}, "cached": False},
-            # v1 cache hits re-appended the full payload every time
-            {"schema": 1, "seq": 5, "event": "job_submitted",
-             "job_id": "j000002", "digest": "d1",
-             "spec": {"kind": "point", "params": {}}},
-            {"schema": 1, "seq": 6, "event": "job_finished",
-             "job_id": "j000002", "status": "done",
-             "result": {"c0": {"value": 1}}, "errors": {}, "cached": True},
-            {"schema": 1, "seq": 7, "event": "daemon_stopped", "clean": True},
-        ]
-        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
-        state = rebuild(read_events(path))
-        assert state.pending == []
-        assert state.jobs["j000002"]["result"] == {"c0": {"value": 1}}
-        assert state.results == {
-            "d1": {"result": {"c0": {"value": 1}}, "errors": {}}
-        }
-        # and a v2 journal opened over it keeps appending + can compact
-        with Journal(path) as journal:
-            assert journal.reserve_id() == "j000008"  # above seq 7
-            journal.compact()
-        self._assert_states_equal(state, rebuild(read_events(path)))
+            snapshot = journal.compact()
+        assert set(snapshot) == {
+            "schema", "seq", "event", "jobs", "folded_events"}
+        assert snapshot["folded_events"] == 9
+        jobs = snapshot["jobs"]
+        assert list(jobs) == ["j000001", "j000002", "j000003", "j000004"]
+        assert all(job["spec"] == {"kind": "point", "params": {}}
+                   for job in jobs.values())
+        assert jobs["j000001"]["result"] == {"c0": {"value": 1}}
+        assert jobs["j000002"]["errors"] == {"c1": {"kind": "poisoned"}}
+        assert "result" not in jobs["j000004"]
 
     def test_maybe_compact_honors_the_size_trigger(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        # above the ~800-byte snapshot, below the ~1100-byte history
+        # above the ~640-byte snapshot, below the ~1000-byte history
         with Journal(path, compact_bytes=900) as journal:
             assert journal.maybe_compact() is False  # empty file
             self._write_history(journal)

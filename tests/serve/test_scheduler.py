@@ -1,5 +1,6 @@
 """The scheduler: admission, coalescing, execution, degradation,
-concurrent workers, aged priorities, and journal compaction.
+concurrent workers, aged priorities, journal compaction, and one state
+machine over the admission path.
 
 Cells are stubbed (``build_cells`` is monkeypatched) so these tests
 exercise the control plane in milliseconds; the real experiment cells
@@ -8,10 +9,22 @@ are covered by the daemon round-trip and service-restart tests.
 
 import json
 import os
+import shutil
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.experiments.sweep import RetryPolicy, SweepCell
 from repro.obs.registry import MetricsRegistry
@@ -115,26 +128,48 @@ class TestSubmitAndExecute:
 
 
 class TestCacheAndCoalescing:
+    """The job table is the result cache: a digest with a queued,
+    running or ``done`` job is answered by that job."""
+
     def test_second_identical_submission_is_a_cache_hit(self, scheduler):
         scheduler.start()
         first = scheduler.submit("point", {"seed": 2})
         _wait_done(scheduler, first.job_id)
         second = scheduler.submit("point", {"seed": 2})
-        assert second.cached and second.status == "done"
-        assert second.job_id != first.job_id
-        assert second.result == scheduler.get(first.job_id).result
+        assert second is scheduler.get(first.job_id)
+        assert second.status == "done"
+        assert second.result == {"c0": {"value": 0}, "c1": {"value": 1}}
+        assert list(scheduler.jobs) == [first.job_id]
 
-    def test_cache_hits_are_journaled_as_finished(self, scheduler):
+    def test_a_hit_journals_nothing(self, scheduler):
         scheduler.start()
         first = scheduler.submit("point", {"seed": 2})
+        done = _wait_done(scheduler, first.job_id)
+        events = len(done.events)
+        size = scheduler.journal.size_bytes()
+        body = scheduler.admit("point", {"seed": 2})
+        assert body == {**done.to_result_dict(), "cached": True}
+        # no id minted, no record, no line, no event
+        assert scheduler.journal.size_bytes() == size
+        assert scheduler.journal.reserve_id() == "j000002"
+        assert list(scheduler.jobs) == [first.job_id]
+        assert len(done.events) == events
+
+    def test_hits_misses_and_entries_are_counted(self, scheduler):
+        scheduler.start()
+        first = scheduler.submit("point", {"seed": 2})  # miss
+        assert scheduler.submit("point", {"seed": 2}) is first  # miss: pending
         _wait_done(scheduler, first.job_id)
-        second = scheduler.submit("point", {"seed": 2})
-        finished = [
-            e for e in read_events(scheduler.journal.path)
-            if e["event"] == "job_finished"
-        ]
-        assert [e["job_id"] for e in finished] == [first.job_id, second.job_id]
-        assert finished[1]["cached"] is True
+        scheduler.submit("point", {"seed": 2})  # hit
+        failed = scheduler.submit("point", {"seed": 666})  # miss
+        _wait_done(scheduler, failed.job_id)
+        metrics = scheduler.metrics
+        assert scheduler.overview()["cache"] == {
+            "entries": 1, "hits": 1, "misses": 3,
+        }
+        assert metrics.counter_value("serve.cache.misses") == 3.0
+        assert metrics.counter_value("serve.cache.hits") == 1.0
+        assert metrics.gauge_value("serve.cache.entries") == 1.0
 
     def test_pending_duplicates_coalesce(self, scheduler):
         # worker NOT started: both submissions sit in the queue
@@ -142,14 +177,32 @@ class TestCacheAndCoalescing:
         second = scheduler.submit("point", {"seed": 2})
         assert second.job_id == first.job_id  # same record, no new work
         assert len(scheduler._queue) == 1
+        assert scheduler.admit("point", {"seed": 2}) == {
+            "job_id": first.job_id, "status": "queued", "cached": False,
+        }
 
     def test_failed_jobs_are_not_cached(self, scheduler):
         scheduler.start()
         first = scheduler.submit("point", {"seed": 666})
         _wait_done(scheduler, first.job_id)
         second = scheduler.submit("point", {"seed": 666})
-        assert not second.cached  # re-admitted, will re-run
+        assert second.job_id != first.job_id  # re-admitted, will re-run
         _wait_done(scheduler, second.job_id)
+
+    def test_a_failing_job_frees_its_digest_in_the_lock_hold_that_fails_it(
+        self, scheduler
+    ):
+        """No worker runs: the failure is made final by hand, and a
+        resubmission on the same thread right after it must be new work,
+        not a coalesce onto the failed job."""
+        first = scheduler.submit("point", {"seed": 666})
+        scheduler._finish(first, "failed", {}, {
+            "c0": {"kind": "exception", "message": "boom", "label": "c0",
+                   "attempts": 1},
+        })
+        again = scheduler.submit("point", {"seed": 666})
+        assert again.job_id != first.job_id
+        assert again.status == "queued"
 
 
 class TestAdmissionControl:
@@ -219,9 +272,9 @@ class TestRecovery:
         sched2.start()
         recovered = _wait_done(sched2, pending.job_id)
         assert recovered.status == "done"
-        # and the recovered cache serves the first digest without rerun
+        # and the recovered done job answers its digest without a rerun
         hit = sched2.submit("point", {"seed": 2})
-        assert hit.cached
+        assert hit.job_id == done.job_id and sched2.hits == 1
         sched2.stop()
         journal2.close()
 
@@ -263,13 +316,13 @@ class TestWorkloadIsolation:
 
         # replay the journal into a fresh scheduler: each digest comes
         # back with its own result, and a resubmission of either spec
-        # is a cache hit serving that workload's bytes, not the other's
+        # is answered by that workload's job, not the other's
         journal2 = Journal(path)
         sched2 = JobScheduler(journal=journal2, pool_jobs=1, retry=retry)
         sched2.recover(rebuild(read_events(path)))
         hit_a = sched2.submit("point", {"seed": 7})
         hit_b = sched2.submit("point", {"seed": 7, "workload": "rbgs"})
-        assert hit_a.cached and hit_b.cached
+        assert (hit_a.job_id, hit_b.job_id) == (a.job_id, b.job_id)
         assert hit_a.result == {"c0": {"value": "t2_7"}}
         assert hit_b.result == {"c0": {"value": "rbgs"}}
         sched2.stop()
@@ -678,7 +731,7 @@ class TestPriorities:
         _wait_done(scheduler, plain.job_id)
         hot = scheduler.submit("point", {"seed": 2, "priority": 9})
         assert hot.digest == plain.digest
-        assert hot.cached  # one cache entry serves both
+        assert hot is plain  # one done job answers both
 
 
 class TestSchedulerCompaction:
@@ -696,8 +749,9 @@ class TestSchedulerCompaction:
             r.job_id: _wait_done(sched, r.job_id).to_result_dict()
             for r in records
         }
-        hit = sched.submit("point", {"seed": 2})  # suppressed-payload line
-        finals[hit.job_id] = hit.to_result_dict()
+        size = journal.size_bytes()
+        assert sched.submit("point", {"seed": 2}).job_id == records[0].job_id
+        assert journal.size_bytes() == size  # a hit is no line to fold
         sched.stop()
         journal.close()
         events = read_events(path)
@@ -756,29 +810,104 @@ class TestSchedulerCompaction:
             journal.append("job_submitted", job_id="j1", digest="d", spec={})
             journal.append("job_started", job_id="j1")
             journal.append("job_finished", job_id="j1", status="done",
-                           result={"c0": 1}, errors={}, cached=False)
+                           result={"c0": 1}, errors={})
             journal.append("job_requeued", job_id="j1")
         state = rebuild(read_events(path))
         assert state.jobs["j1"]["status"] == "done"
         assert state.pending == []
-        assert state.results["d"]["result"] == {"c0": 1}
+        assert state.done == ["j1"]
+        assert state.jobs["j1"]["result"] == {"c0": 1}
 
-    def test_cache_hit_line_omits_payload_but_replay_restores_it(
-        self, tmp_path, monkeypatch
-    ):
-        path = tmp_path / "journal.jsonl"
-        journal, sched = _make(tmp_path, monkeypatch)
-        sched.start()
-        first = sched.submit("point", {"seed": 2})
-        done = _wait_done(sched, first.job_id)
-        hit = sched.submit("point", {"seed": 2})
-        sched.stop()
-        journal.close()
-        raw = [json.loads(line) for line in path.read_text().splitlines()]
-        hit_line = next(
-            r for r in raw
-            if r["event"] == "job_finished" and r["job_id"] == hit.job_id
+
+# -- the admission path as a state machine --------------------------------
+#: seed 666 explodes (``_fake_cells``): its digest fails and is re-admitted
+_MACHINE_SEEDS = (1, 2, 3, 666)
+
+
+class AdmissionMachine(RuleBasedStateMachine):
+    """Submit, finish, restart and compact in any order; no worker
+    thread runs, so a job finishes only when ``finish`` runs it here."""
+
+    def __init__(self):
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp(prefix="admission-"))
+        self.path = self.dir / "journal.jsonl"
+        self._boot()
+
+    def _boot(self):
+        self.journal = Journal(self.path)
+        self.sched = JobScheduler(
+            journal=self.journal, pool_jobs=1,
+            retry=RetryPolicy(retries=0, base_delay_s=0.0, max_delay_s=0.0),
         )
-        assert hit_line["cached"] and "result" not in hit_line
-        state = rebuild(read_events(path))
-        assert state.jobs[hit.job_id]["result"] == done.result
+        self.sched.recover(rebuild(read_events(self.path)))
+
+    def _table(self):
+        return {job_id: (r.status, r.result, r.errors)
+                for job_id, r in self.sched.jobs.items()}
+
+    @rule(seed=st.sampled_from(_MACHINE_SEEDS))
+    def submit(self, seed):
+        same = [r for r in self.sched.jobs.values()
+                if r.spec.params["seed"] == seed]
+        answer = [r for r in same if r.status in ("queued", "done")]
+        known, size = set(self.sched.jobs), self.journal.size_bytes()
+        record = self.sched.submit("point", {"seed": seed})
+        if answer and answer[0].status == "done":
+            assert (record.job_id, record.result) == (
+                answer[0].job_id, answer[0].result)
+            assert self.journal.size_bytes() == size
+        elif answer:
+            assert record is answer[0]  # coalesced onto the queued job
+        else:  # never seen, or every earlier job of it failed
+            assert record.job_id not in known and record.status == "queued"
+
+    @precondition(lambda self: self.sched._queue)
+    @rule()
+    def finish(self):
+        """One pass of a worker's loop, on this thread."""
+        sched = self.sched
+        with sched._lock:
+            record = sched.jobs[sched._pick_locked()]
+            record.status = "running"
+            sched._running.add(record.job_id)
+        sched.journal.append("job_started", job_id=record.job_id)
+        sched._execute(record, None)
+        sched._running.discard(record.job_id)
+        assert record.status == ("failed" if record.spec.params["seed"] == 666
+                                 else "done")
+
+    @rule(compact=st.booleans())
+    def restart(self, compact):
+        before = self._table()
+        self.sched.stop()
+        if compact:
+            self.journal.compact()
+        self.journal.close()
+        self._boot()
+        assert self._table() == before
+
+    @rule()
+    def compact(self):
+        self.journal.compact()
+
+    @invariant()
+    def one_job_answers_each_digest(self):
+        live = [r.digest for r in self.sched.jobs.values()
+                if r.status in ("queued", "running", "done")]
+        assert len(live) == len(set(live))
+        done = sum(r.status == "done" for r in self.sched.jobs.values())
+        assert self.sched.overview()["cache"]["entries"] == done
+
+    def teardown(self):
+        self.sched.stop()
+        self.journal.close()
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+
+def test_admission_state_machine(monkeypatch):
+    monkeypatch.setattr("repro.serve.scheduler.build_cells", _fake_cells)
+    run_state_machine_as_test(AdmissionMachine, settings=settings(
+        derandomize=True, max_examples=40, stateful_step_count=25,
+        deadline=None, database=None,
+    ))
