@@ -8,8 +8,8 @@ computers". This package reproduces the parts the paper exercises:
   memories (:mod:`repro.ga.distribution`), including the segment-owner
   queries the PaRSEC inspection phase performs (``ga_distribution()``,
   ``ga_access()``, ``find_last_segment_owner``);
-- **one-sided get/accumulate** served by a per-node handler process
-  (:mod:`repro.ga.handler`) — remote requests pay NIC transport, a
+- **one-sided get/accumulate** served by a per-node FIFO handler
+  (:mod:`repro.ga.runtime`) — remote requests pay NIC transport, a
   service-time overhead, and the owner's memory bandwidth, which is
   where the original code's GA contention comes from;
 - ``GET_HASH_BLOCK``/``ADD_HASH_BLOCK`` wrappers that trace themselves

@@ -27,9 +27,9 @@ _instance_ids = itertools.count()
 class NxtvalServer:
     """Fetch-and-increment counter served FIFO at a home node.
 
-    Each server instance owns a distinct inbox: the original code uses
-    a fresh shared counter per work level, and concurrent counters must
-    not steal each other's requests.
+    Each counter owns a distinct mailbox with a FIFO server on it: the
+    original code uses a fresh shared counter per work level, and
+    concurrent counters must not steal each other's requests.
     """
 
     def __init__(self, ga_runtime, home_node: int = 0) -> None:
@@ -46,23 +46,15 @@ class NxtvalServer:
         #: counter values so orphaned work units are re-claimed
         self._reissued: deque[int] = deque()
         self.total_requests = 0
-        self.tickets_reissued = 0
-        self._server = self.engine.process(
-            self._serve(ga_runtime.cluster.nodes[home_node]),
-            name=f"nxtval.server:{self.inbox_name}",
+        charge = (self.machine.nxtval_service_s, 0.0)
+        ga_runtime.cluster.nodes[home_node].serve(
+            self.inbox_name, lambda _message: charge, self._on_request
         )
 
     def close(self) -> None:
         """The level is over: remove the counter's mailbox from its home
-        node and close the server parked there (it is at the top of its
-        loop, so nothing is scheduled)."""
+        node (an unserved request there is an error)."""
         self.ga.cluster.nodes[self.home_node].drop_inbox(self.inbox_name)
-        self._server.close()
-
-    def reset(self) -> None:
-        """Restart the ticket sequence (the original code does this per level)."""
-        self._counter = 0
-        self._reissued.clear()
 
     def reissue(self, ticket: int) -> None:
         """Hand a ticket back to the pool (crash recovery).
@@ -73,14 +65,8 @@ class NxtvalServer:
         survivor picks the orphan up on its next NXTVAL call.
         """
         self._reissued.append(ticket)
-        self.tickets_reissued += 1
         if self.metrics.enabled:
             self._m_reissued.value += 1.0
-
-    @property
-    def value(self) -> int:
-        """Next ticket that would be handed out."""
-        return self._counter
 
     def next(self, requester: int):
         """Generator helper: atomically fetch-and-increment; returns the ticket.
@@ -104,21 +90,18 @@ class NxtvalServer:
         ticket = yield reply
         return ticket
 
-    def _serve(self, node):
-        inbox = node.inbox(self.inbox_name)
-        while True:
-            message = yield inbox.get()
-            yield self.engine.timeout(self.machine.nxtval_service_s)
-            if self._reissued:
-                ticket = self._reissued.popleft()
-            else:
-                ticket = self._counter
-                self._counter += 1
-            self.ga.cluster.network.send(
-                node.node_id,
-                message.src,
-                _REPLY_BYTES,
-                ticket,
-                tag="nxtval.reply",
-                on_deliver=lambda msg, ev=message.payload: ev.succeed(msg.payload),
-            )
+    def _on_request(self, message) -> None:
+        """One request served: reply with the next ticket."""
+        if self._reissued:
+            ticket = self._reissued.popleft()
+        else:
+            ticket = self._counter
+            self._counter += 1
+        self.ga.cluster.network.send(
+            self.home_node,
+            message.src,
+            _REPLY_BYTES,
+            ticket,
+            tag="nxtval.reply",
+            on_deliver=lambda msg, ev=message.take(): ev.succeed(msg.payload),
+        )

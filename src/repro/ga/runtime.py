@@ -1,10 +1,10 @@
 """The Global Arrays runtime: per-node handlers and one-sided ops.
 
-Every node runs a single *GA handler* process (the stand-in for the
-library's progress engine). One-sided ``get``/``acc`` requests travel
-over the simulated network to the owner's handler, which serializes
-them FIFO, pays a per-request software overhead, moves the touched
-bytes through the owner's shared memory bandwidth, and replies. The
+Every node serves a single *GA handler* (the stand-in for the library's
+progress engine). One-sided ``get``/``acc`` requests travel over the
+simulated network to the owner's handler, which serializes them FIFO,
+pays a per-request software overhead, moves the touched bytes through
+the owner's shared memory bandwidth, and replies. The
 caller blocks until all segment replies (a range may straddle owners)
 have arrived — the semantics ``GET_HASH_BLOCK``/``ADD_HASH_BLOCK``
 expose to the TCE code.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -111,8 +112,11 @@ class GlobalArrays:
         self._arrays: weakref.WeakValueDictionary[str, GlobalArray] = (
             weakref.WeakValueDictionary()
         )
-        for node in cluster.nodes:
-            self.engine.process(self._handler(node), name=f"ga.handler{node.node_id}")
+        if cluster.ga is None:
+            # one handler per node, whichever GlobalArrays on the cluster
+            # opens it: its hooks read only the cluster
+            for node in cluster.nodes:
+                node.serve(self.INBOX, self._service, partial(self._handle, node))
         # where a layer that knows only the cluster resolves tensor names
         cluster.ga = self
         # comm-optimization knobs (both default off — byte-identical to
@@ -138,7 +142,6 @@ class GlobalArrays:
         self.gets = 0
         self.accs = 0
         self.bytes_fetched = 0.0
-        self.bytes_accumulated = 0.0
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_bytes_saved = 0.0
@@ -284,7 +287,6 @@ class GlobalArrays:
         segments = array.distribution.segments(lo, hi)
         self.accs += 1
         nbytes = array.nbytes(lo, hi)
-        self.bytes_accumulated += nbytes
         if self.metrics.enabled:
             self._m_accs.value += 1.0
             self._m_acc_bytes.value += nbytes
@@ -311,81 +313,74 @@ class GlobalArrays:
         yield all_of(self.engine, events)
 
     # ------------------------------------------------------------------
-    # the per-node handler process
+    # the per-node handler: the hooks of each node's ``ga.req`` server
     # ------------------------------------------------------------------
-    def _handler(self, node):
-        inbox = node.inbox(self.INBOX)
-        timeout = self.engine.timeout
-        while True:
-            message = yield inbox.get()
-            payload = message.take()
-            if isinstance(payload, BatchPayload):
-                # a coalesced request batch: serve each segment request
-                # FIFO (full per-request overhead and memory traffic —
-                # coalescing saves wire messages, not owner work), then
-                # answer with ONE combined reply message
-                replies: list[tuple[SimEvent, object]] = []
-                reply_bytes = 0.0
-                for request in payload:
-                    seg = request.segment
-                    seg_bytes = 8.0 * seg.size
-                    yield timeout(
-                        self.machine.ga_request_overhead_s
-                        + seg_bytes / self.machine.ga_service_bytes_per_s
-                    )
-                    if seg_bytes > 0:
-                        yield node.membw.transfer(seg_bytes)
-                    replies.append(
-                        (request.reply_event, request.array.read_segment(seg))
-                    )
-                    reply_bytes += seg_bytes
-                self.cluster.network.send(
-                    node.node_id,
-                    message.src,
-                    reply_bytes,
-                    replies,
-                    tag="get.reply.batch",
-                    on_deliver=_deliver_batch_reply,
-                )
-                # a parked handler must not pin what it served last
-                del message, payload, request, replies
-                continue
-            request: _Request = payload
-            segment = request.segment
-            seg_bytes = 8.0 * segment.size
-            # FIFO service: fixed software overhead plus the effective
-            # one-sided serving rate of the GA path (well below NIC line
-            # rate — see MachineModel.ga_service_bytes_per_s). This
-            # single server per node is the contention point that caps
-            # the original code's scaling in the Figure 9 reproduction.
-            yield timeout(
-                self.machine.ga_request_overhead_s
-                + seg_bytes / self.machine.ga_service_bytes_per_s
+    def _service(self, message) -> tuple[float, float]:
+        # fixed software overhead plus the effective one-sided serving
+        # rate of the GA path (well below NIC line rate), then the owner
+        # memory a get reads or an accumulate reads twice and writes.
+        # This single server per node is the contention point that caps
+        # the original code's scaling in the Figure 9 reproduction.
+        request = message.payload
+        if type(request) is BatchPayload:
+            # a batch in service is its requests and the replies so far
+            request = message.payload = (request.items, [])
+        if type(request) is tuple:
+            requests, replies = request
+            request = requests[len(replies)]
+        seg_bytes = 8.0 * request.segment.size
+        machine = self.machine
+        return (
+            machine.ga_request_overhead_s + seg_bytes / machine.ga_service_bytes_per_s,
+            seg_bytes if request.kind == "get" else 3.0 * seg_bytes,
+        )
+
+    def _handle(self, node, message) -> bool:
+        """Answer the request just served; True while a batch has more."""
+        network = self.cluster.network
+        if type(message.payload) is tuple:
+            # a coalesced request batch: each segment request is served
+            # FIFO (full per-request overhead and memory traffic —
+            # coalescing saves wire messages, not owner work), then
+            # answered with ONE combined reply message
+            requests, replies = message.payload
+            request = requests[len(replies)]
+            replies.append(
+                (request.reply_event, request.array.read_segment(request.segment))
             )
-            if request.kind == "get":
-                if seg_bytes > 0:
-                    yield node.membw.transfer(seg_bytes)  # read from owner memory
-                self.cluster.network.send(
-                    node.node_id,
-                    request.requester,
-                    seg_bytes,
-                    request.array.read_segment(segment),
-                    tag=f"get.reply:{request.array.name}",
-                    on_deliver=request.reply,
-                )
-            elif request.kind == "acc":
-                if seg_bytes > 0:
-                    # read target, read incoming, write target
-                    yield node.membw.transfer(3.0 * seg_bytes)
-                request.array.accumulate_segment(segment, request.data, tag=request.tag)
-                self.cluster.network.send(
-                    node.node_id,
-                    request.requester,
-                    _CTRL_BYTES,
-                    None,
-                    tag=f"acc.ack:{request.array.name}",
-                    on_deliver=request.reply,
-                )
-            else:  # pragma: no cover - defensive
-                raise GlobalArrayError(f"unknown GA request kind {request.kind!r}")
-            del message, payload, request  # as above
+            if len(replies) < len(requests):
+                return True
+            message.take()
+            network.send(
+                node.node_id,
+                message.src,
+                sum(8.0 * r.segment.size for r in requests),
+                replies,
+                tag="get.reply.batch",
+                on_deliver=_deliver_batch_reply,
+            )
+            return False
+        request: _Request = message.take()
+        segment = request.segment
+        if request.kind == "get":
+            network.send(
+                node.node_id,
+                request.requester,
+                8.0 * segment.size,
+                request.array.read_segment(segment),
+                tag=f"get.reply:{request.array.name}",
+                on_deliver=request.reply,
+            )
+        elif request.kind == "acc":
+            request.array.accumulate_segment(segment, request.data, tag=request.tag)
+            network.send(
+                node.node_id,
+                request.requester,
+                _CTRL_BYTES,
+                None,
+                tag=f"acc.ack:{request.array.name}",
+                on_deliver=request.reply,
+            )
+        else:  # pragma: no cover - defensive
+            raise GlobalArrayError(f"unknown GA request kind {request.kind!r}")
+        return False

@@ -196,8 +196,7 @@ class LegacyRuntime:
 
     def shutdown(self) -> None:
         """End of the section, after its last event: every rank has
-        returned, and what is left parked for good are the NXTVAL
-        servers, one per level. Close them and drop their mailboxes."""
+        returned; drop the NXTVAL counters' mailboxes, one per level."""
         for counter in self._counters:
             counter.close()
         self._counters.clear()

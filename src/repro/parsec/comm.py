@@ -3,27 +3,28 @@
 "The actual data transfer calls are issued by the runtime system (...
 by a specialized communication thread that runs on a dedicated core)."
 
-Each node runs one comm-thread process serving a single FIFO mailbox
-that carries both *outgoing send requests* (enqueued by completing
-tasks on this node) and *incoming network messages* (delivered by the
-transport). Every item costs the per-message software overhead; sends
-then go to the NIC asynchronously (the comm thread does not block on
-the wire — that is what lets PaRSEC pipeline transfers behind
-computation, and what floods the network when no priorities throttle
-the READ tasks, Figure 11).
+Each node's comm thread is a FIFO server on one mailbox that carries
+both *outgoing send requests* (enqueued by completing tasks on this
+node) and *incoming network messages* (delivered by the transport).
+Every item costs the per-message software overhead; sends then go to
+the NIC asynchronously (the comm thread does not block on the wire —
+that is what lets PaRSEC pipeline transfers behind computation, and
+what floods the network when no priorities throttle the READ tasks,
+Figure 11).
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 from repro.sim.network import BatchPayload, Coalescer, Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parsec.runtime import ParsecRuntime
+    from repro.sim.cost import MachineModel
 
-__all__ = ["CommThread"]
+__all__ = ["CommThread", "comm_service"]
 
 _TAG_CACHE: dict[str, str] = {}
 
@@ -37,24 +38,39 @@ def _dataflow_tag(class_name: str) -> str:
     return tag
 
 
-class CommThread:
-    """Per-node communication service.
+def comm_service(machine: "MachineModel") -> Callable[[Any], tuple[float, float]]:
+    """The comm thread's charge for a network :class:`Message` or a send
+    request (a tuple led by its wire size): the per-message overhead
+    plus staging the payload through PaRSEC-managed buffers."""
+    overhead = machine.comm_thread_overhead_s
+    pack_rate = machine.comm_pack_bytes_per_s
 
-    The inbox names carry the runtime's instance id: several PaRSEC
+    def service(item) -> tuple[float, float]:
+        size_bytes = item.size_bytes if isinstance(item, Message) else item[0]
+        return overhead + size_bytes / pack_rate, 0.0
+
+    return service
+
+
+class CommThread:
+    """Per-node communication service: a data plane and a control plane
+    for steal REQ/GRANT/DENY, which must not queue behind the victim's
+    data backlog (an idle server costs nothing, so a run without
+    stealing never sees it).
+
+    The mailbox names carry the runtime's instance id: several PaRSEC
     sections may execute on the same simulated machine over a program's
     lifetime (the NWChem integration driver runs one per ported kernel,
     a multi-level workload one per level), each with its own mailboxes.
-    They live as long as the runtime: :meth:`close` removes them, and
-    with them the threads parked there, when the section is finished.
+    They live as long as the runtime: :meth:`close` removes them when
+    the section is finished.
     """
 
     def __init__(self, runtime: "ParsecRuntime", node) -> None:
         self.runtime = runtime
         self.node = node
-        self.engine = runtime.cluster.engine
         self.inbox_name = f"parsec.comm#{runtime.instance_id}"
         self.ctrl_name = f"parsec.ctrl#{runtime.instance_id}"
-        self.messages_processed = 0
         self.metrics = metrics = runtime.cluster.metrics
         self._m_forwarded = metrics.counter("parsec.forwarded")
         self._m_messages_remote = metrics.counter("parsec.messages_remote")
@@ -69,33 +85,15 @@ class CommThread:
             inbox=self.inbox_name,
             batch_tag="parsec:batch",
         )
-        self._threads = [
-            self.engine.process(
-                self._serve(self.inbox_name, self._on_data),
-                name=f"parsec.comm{node.node_id}#{runtime.instance_id}",
-            )
-        ]
-        if runtime.steal_enabled:
-            # latency-critical control plane: steal REQ/GRANT/DENY must
-            # not queue behind the victim's data-plane backlog, or every
-            # reply arrives after the imbalance it could have fixed.
-            # Only spawned under an active StealPolicy so the extra
-            # process cannot perturb non-stealing virtual timings.
-            self._threads.append(
-                self.engine.process(
-                    self._serve(self.ctrl_name, self._on_ctrl),
-                    name=f"parsec.ctrl{node.node_id}#{runtime.instance_id}",
-                )
-            )
+        service = comm_service(runtime.cluster.machine)
+        node.serve(self.inbox_name, service, self._on_data)
+        node.serve(self.ctrl_name, service, self._on_ctrl)
 
     def close(self) -> None:
         """Remove this runtime's mailboxes from the node (see
-        :meth:`ParsecRuntime.shutdown`), close the threads parked there
-        and let go of the runtime."""
+        :meth:`ParsecRuntime.shutdown`) and let go of the runtime."""
         self.node.drop_inbox(self.inbox_name)
         self.node.drop_inbox(self.ctrl_name)
-        for thread in self._threads:
-            thread.close()
         self.runtime = None
 
     def send(
@@ -112,7 +110,7 @@ class CommThread:
         payload so the consumer can order multi-delivery flows
         canonically regardless of network arrival order."""
         if self.metrics.enabled and (nbytes := getattr(data, "nbytes", 0)):
-            # array bytes parked in send mailboxes until _serve takes them
+            # array bytes parked in send mailboxes until _on_data takes them
             # (a payload with several remote consumers counts once per send)
             self.runtime._queued_bytes += nbytes
             if self.runtime._queued_bytes > self.runtime._queued_bytes_hwm:
@@ -126,35 +124,8 @@ class CommThread:
 
         Steal traffic rides the control plane and the shared NIC; it
         pays the same per-message software overhead and pack rate as
-        dataflow, but is served by its own thread."""
+        dataflow, but is served by its own server."""
         self.node.inbox(self.ctrl_name).put((size_bytes, dest_node, payload))
-
-    def _serve(self, inbox_name: str, handle):
-        """One service loop for both planes: take the next item of the
-        mailbox — a network :class:`Message` or a local send request,
-        a tuple led by its wire size — charge the serial per-message
-        handling, then ``handle`` it."""
-        machine = self.runtime.cluster.machine
-        inbox = self.node.inbox(inbox_name)
-        overhead = machine.comm_thread_overhead_s
-        pack_rate = machine.comm_pack_bytes_per_s
-        timeout = self.engine.timeout
-        while True:
-            # synchronous fast path: pop waiting mail without a SimEvent
-            # or lane hop. The service instant is unchanged; only the
-            # same-instant interleaving differs, and the golden digests
-            # pin that it is not observable.
-            ok, item = inbox.try_get()
-            if not ok:
-                item = yield inbox.get()
-            size_bytes = item.size_bytes if isinstance(item, Message) else item[0]
-            # fixed overhead plus staging the payload through
-            # PaRSEC-managed buffers
-            service = overhead + size_bytes / pack_rate
-            if service > 0:
-                yield timeout(service)
-            self.messages_processed += 1
-            handle(item)
 
     def _on_ctrl(self, item) -> None:
         """The steal control plane: REQ/GRANT/DENY in, or one out."""

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.obs.result import RunResult
+from repro.parsec.comm import comm_service
 from repro.parsec.taskclass import TaskContext
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Process, SimEvent
@@ -165,7 +166,7 @@ class DtdRuntime:
         self._executing = False
         # execution state
         self._ready: list[PriorityStore] = []
-        #: the worker and receiver processes, closed at shutdown
+        #: the worker processes, closed at shutdown
         self._threads: list[Process] = []
         self._completed = 0
         self._done: Optional[SimEvent] = None
@@ -278,6 +279,7 @@ class DtdRuntime:
         self._done = self.engine.event()
         if not self._tasks:
             self._done.succeed()
+        service = comm_service(self.cluster.machine)
         for node in self.cluster.nodes:
             store = PriorityStore(self.engine, name=f"dtd.ready{node.node_id}")
             self._ready.append(store)
@@ -288,11 +290,7 @@ class DtdRuntime:
                         name=f"dtd.worker{node.node_id}.{thread}#{self.instance_id}",
                     )
                 )
-            self._threads.append(
-                self.engine.process(
-                    self._receiver(node), name=f"dtd.recv{node.node_id}"
-                )
-            )
+            node.serve(self._inbox_name, service, self._receive)
         self.engine.process(self._seed(insertion_time), name="dtd.master")
         end_time = self.cluster.run()
         if self._done is not None and not self._done.triggered:
@@ -320,13 +318,12 @@ class DtdRuntime:
 
     def _shutdown(self) -> None:
         """End of the level, after the run's last event: abandon and
-        close the parked workers and receivers (a parked process is a
-        cycle whose frame reaches this runtime), remove the per-instance
-        mailboxes from the nodes, and cut the matcher's version chains —
-        handle -> last writer -> accesses -> handle is the one cycle in
-        the materialized DAG. The task and handle tables then die with
-        the runtime, by reference count. Schedules nothing, draws no
-        seq: every process is parked at the top of its loop."""
+        close the parked workers (a parked process is a cycle whose frame
+        reaches this runtime), drop the receive mailboxes, and cut the
+        matcher's version chains — handle -> last writer -> accesses ->
+        handle is the one cycle in the materialized DAG. The task and
+        handle tables then die with the runtime, by reference count.
+        Schedules nothing: every worker is parked at the top of its loop."""
         for store in self._ready:
             store.abandon_getters()
         for node in self.cluster.nodes:
@@ -402,18 +399,10 @@ class DtdRuntime:
             tag=f"dtd:{successor.name}",
         )
 
-    def _receiver(self, node):
-        machine = self.cluster.machine
-        inbox = node.inbox(self._inbox_name)
-        while True:
-            message: Message = yield inbox.get()
-            service = machine.comm_thread_overhead_s + (
-                message.size_bytes / machine.comm_pack_bytes_per_s
-            )
-            if service > 0:
-                yield self.engine.timeout(service)
-            successor: DtdTask = message.take()
-            self._ready[successor.node].put(successor, priority=successor.priority)
+    def _receive(self, message: Message) -> None:
+        """The receive server's handler: a remote successor arrived."""
+        successor: DtdTask = message.take()
+        self._ready[successor.node].put(successor, priority=successor.priority)
 
 
 _dtd_ids = itertools.count()

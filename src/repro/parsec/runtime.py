@@ -245,26 +245,18 @@ class ParsecRuntime:
         return result
 
     def shutdown(self) -> None:
-        """End of the level: free what the runtime spawned, by reference
-        count, and make the cluster forget it.
+        """End of the level, after its last event: free what the runtime
+        spawned, by reference count, and make the cluster forget it.
 
-        Every process the runtime spawned is parked by now — workers on
-        the ready queues, comm/ctrl threads on the per-instance inboxes —
-        and would stay parked for good: a parked process is a cycle (its
-        cached step callback), and its frame reaches the scheduler, the
-        runtime and the whole level's graph. So the schedulers and comm
-        threads abandon *and close* their processes, remove the
-        mailboxes, and drop their back-references to the runtime; the
-        steal layer drops its chain index; crash notifications are
-        unsubscribed. After this the level's ``TaskInstance`` table dies
-        with the last reference to the runtime — no collector involved.
-
-        Call it after the run's last event only: closing a generator
-        runs the ``finally`` blocks it is parked in, which may draw a
-        sequence number. Here every process is parked at the top of its
-        service loop, outside any ``try``, so nothing is scheduled and
-        virtual behaviour cannot move. The crash-drain path
-        (:meth:`NodeScheduler.drain`) abandons but never closes.
+        The schedulers abandon *and close* the workers parked for good
+        on the ready queues (a parked process is a cycle whose frame
+        reaches the level's graph; every worker is parked outside any
+        ``try``, so closing schedules nothing — the crash-drain path
+        only abandons). The comm threads drop their mailboxes, both drop
+        their back-references to the runtime, the steal layer its chain
+        index, and crash notifications are unsubscribed. The level's
+        ``TaskInstance`` table then dies with the last reference to the
+        runtime — no collector involved.
 
         The runtime object keeps ``graph``, ``schedulers`` and its
         counters for a caller that still holds it — but not ``md``: the

@@ -80,8 +80,7 @@ class Checkpoint:
     re-runs the process at the same position in the event order as
     yielding an already-succeeded :class:`SimEvent` would — but with no
     per-yield allocation. It is the fast path for "the queue had an
-    item; defer one lane step and continue" loops in the schedulers and
-    communication threads.
+    item; defer one lane step and continue" loops in the schedulers.
     """
 
     __slots__ = ("_engine",)

@@ -1,10 +1,10 @@
 """One simulated compute node.
 
 A :class:`Node` bundles the per-node contended hardware: the shared
-memory-bandwidth resource, the NIC, named mailboxes for the service
-processes that live on the node (Global Arrays handler, PaRSEC
-communication thread), and named mutexes (the WRITE_C critical-region
-mutex of Section IV-A lives here).
+memory-bandwidth resource, the NIC, named mailboxes served by the
+services that live on the node (GA handler, NXTVAL, PaRSEC comm
+thread), and named mutexes (the WRITE_C critical-region mutex of
+Section IV-A lives here).
 
 The :meth:`execute` helper is the single place where task work is
 charged and traced: the CPU part runs exclusively on the calling thread
@@ -15,19 +15,84 @@ down exactly as on the real machine.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from collections import deque
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.sim.engine import Engine
 from repro.sim.mutex import SimMutex
 from repro.sim.network import NIC
-from repro.sim.queues import Store
 from repro.sim.resources import BandwidthResource
 from repro.sim.trace import TaskCategory, TraceRecorder
+from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.cost import MachineModel, OpCost
 
-__all__ = ["Node"]
+__all__ = ["Node", "FifoServer"]
+
+
+class FifoServer:
+    """A node's mailbox and its one FIFO server, as a callback chain
+    (DESIGN.md §6). ``service(item)`` names an item's charge as
+    ``(seconds, bytes)``: the server waits out the seconds, then moves
+    the bytes through the node's memory bandwidth (a zero charge is
+    skipped), then calls ``handle(item)``, which returns True to serve
+    the item again (one stage of a multi-stage item)."""
+
+    def __init__(self, node: "Node", service, handle) -> None:
+        self.engine = node.engine
+        self._membw = node.membw
+        self._service: Callable[[Any], tuple[float, float]] = service
+        self._handle: Callable[[Any], Any] = handle
+        self._items: deque = deque()
+        self._busy = False
+        #: the item in service and the bytes its service has yet to move
+        self._item: Any = None
+        self._bytes = 0.0
+
+    def __len__(self) -> int:
+        """Items held: queued, plus the one in service."""
+        return len(self._items) + self._busy
+
+    def put(self, item: Any) -> None:
+        """Deposit ``item``; an idle server starts it after one lane hop."""
+        if self._busy:
+            self._items.append(item)
+        else:
+            self._busy = True
+            self.engine.call_soon(self._serve, item)
+
+    def _serve(self, item: Any) -> None:
+        # a loop, not a recursion: items that cost nothing run back to back
+        while self._busy:
+            self._item = item
+            seconds, self._bytes = self._service(item)
+            if seconds > 0:
+                self.engine.timeout(seconds)._wait(self._charged)
+                return
+            if self._bytes > 0:
+                self._membw.transfer(self._bytes)._wait(self._done)
+                return
+            item = self._next(item)
+
+    def _charged(self, _arg: Any) -> None:
+        if self._bytes > 0:
+            self._membw.transfer(self._bytes)._wait(self._done)
+        else:
+            self._done(None)
+
+    def _done(self, _arg: Any) -> None:
+        self._serve(self._next(self._item))
+
+    def _next(self, item: Any) -> Any:
+        """Handle ``item``; returns the item to serve next, if any."""
+        if self._handle(item):
+            return item
+        if self._items:
+            return self._items.popleft()
+        self._busy = False
+        self._item = None
+        return None
 
 
 class Node:
@@ -55,11 +120,11 @@ class Node:
             per_job_cap=machine.core_copy_bytes_per_s,
         )
         self.nic = NIC(engine, node_id)
-        self._inboxes: dict[str, Store] = {}
+        self._mailboxes: dict[str, FifoServer] = {}
         self._mutexes: dict[str, SimMutex] = {}
         self._pcie: BandwidthResource | None = None
         #: False once the node's compute has fail-stopped (see
-        #: repro.sim.faults). Memory, NIC, and service processes survive.
+        #: repro.sim.faults). Memory, NIC, and mailbox servers survive.
         self.alive = True
         #: straggler episodes: (t_start, t_end, factor) CPU multipliers
         self.slow_windows: list[tuple[float, float, float]] = []
@@ -76,22 +141,30 @@ class Node:
         return self._pcie
 
     # ------------------------------------------------------------------
-    def inbox(self, name: str) -> Store:
-        """The named mailbox, created on first use."""
-        store = self._inboxes.get(name)
-        if store is None:
-            store = Store(self.engine, name=f"node{self.node_id}:{name}")
-            self._inboxes[name] = store
-        return store
+    def inbox(self, name: str) -> FifoServer:
+        """The named mailbox; one that is not open is an error, never a
+        silent new queue."""
+        box = self._mailboxes.get(name)
+        if box is None:
+            raise SimulationError(f"no mailbox {name!r} is open on node {self.node_id}")
+        return box
+
+    def serve(self, name: str, service, handle) -> None:
+        """Open the named mailbox with its :class:`FifoServer`."""
+        if name in self._mailboxes:
+            raise SimulationError(f"mailbox {name!r} is already open")
+        self._mailboxes[name] = FifoServer(self, service, handle)
 
     def drop_inbox(self, name: str) -> None:
-        """Forget a mailbox whose owner is finished, abandoning whoever
-        is parked on it. Per-instance mailboxes (``parsec.comm#<id>``)
-        would otherwise keep every finished runtime reachable from the
-        node through the service thread waiting there."""
-        store = self._inboxes.pop(name, None)
-        if store is not None:
-            store.abandon_getters()
+        """Close a mailbox whose owner is finished, at the end of its
+        level; one that still holds an item, queued or in service, would
+        lose it: that is a :class:`SimulationError`."""
+        box = self._mailboxes.pop(name, None)
+        if box is not None and len(box):
+            raise SimulationError(
+                f"mailbox {name!r} of node {self.node_id} dropped with "
+                f"{len(box)} item(s) unserved"
+            )
 
     def mutex(self, name: str) -> SimMutex:
         """The named mutex, created on first use with machine overheads."""

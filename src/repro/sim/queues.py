@@ -1,4 +1,4 @@
-"""Mailboxes and ready-queues for simulated threads.
+"""Channels and ready-queues for simulated threads.
 
 :class:`Store` is an unbounded FIFO channel: producers never block,
 consumers ``yield store.get()``. :class:`LifoStore` and
@@ -38,7 +38,6 @@ class Store:
         self.name = name
         self._items = self._new_items()
         self._getters = WaitQueue(engine)
-        self.total_puts = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -49,7 +48,6 @@ class Store:
         ``priority`` orders items in a :class:`PriorityStore` and is
         ignored by the FIFO and LIFO disciplines.
         """
-        self.total_puts += 1
         getters = self._getters
         if not getters or getters.wake_one(item) is None:
             self._push(item, priority)

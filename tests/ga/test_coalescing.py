@@ -29,19 +29,20 @@ def make_cluster(n_nodes=4, cores_per_node=2):
     )
 
 
-def drain(cluster, inbox_name):
-    """Collect every message delivered to node 1's inbox."""
-    received = []
-
-    def sink():
-        inbox = cluster.nodes[1].inbox(inbox_name)
-        while True:
-            message = yield inbox.get()
-            received.append(message)
-
-    cluster.engine.process(sink())
-    cluster.run()
+def sink(cluster, name):
+    """Open ``name`` on every node as a mailbox that costs nothing to
+    serve; returns the messages each node received, by node id."""
+    received = {node.node_id: [] for node in cluster.nodes}
+    for node in cluster.nodes:
+        node.serve(name, lambda message: (0.0, 0.0), received[node.node_id].append)
     return received
+
+
+def drain(cluster, inbox_name):
+    """Collect every message delivered to node 1's mailbox."""
+    received = sink(cluster, inbox_name)
+    cluster.run()
+    return received[1]
 
 
 class TestCoalescer:
@@ -91,6 +92,7 @@ class TestCoalescer:
         coalescer = Coalescer(cluster.network, 0, CoalescePolicy(), inbox="test")
         coalescer.submit(1, 64.0, "to-1")
         coalescer.submit(2, 64.0, "to-2")
+        sink(cluster, "test")
         cluster.run()
         assert coalescer.batches == 0
         assert cluster.network.remote_messages == 2
@@ -101,9 +103,9 @@ class TestCoalescer:
         coalescer.submit(0, 64.0, "self")
         # sent directly (no window armed), never counted as wire traffic
         assert cluster.network.remote_messages == 0
+        received = sink(cluster, "test")
         cluster.run()
-        ok, item = cluster.nodes[0].inbox("test").try_get()
-        assert ok and item.payload == "self"
+        assert [message.payload for message in received[0]] == ["self"]
 
     def test_max_batch_one_disables_batching(self):
         cluster = make_cluster()

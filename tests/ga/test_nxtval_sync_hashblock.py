@@ -51,21 +51,6 @@ class TestNxtval:
         # the single shared counter is a serial bottleneck
         assert drain_time(16) > drain_time(2)
 
-    def test_reset_restarts_sequence(self):
-        cluster = make_cluster()
-        ga = GlobalArrays(cluster)
-        nxtval = NxtvalServer(ga)
-        got = []
-
-        def rank():
-            got.append((yield from nxtval.next(1)))
-            nxtval.reset()
-            got.append((yield from nxtval.next(1)))
-
-        cluster.engine.process(rank())
-        cluster.run()
-        assert got == [0, 0]
-
 
 class TestBarrier:
     def test_all_parties_released_together(self):

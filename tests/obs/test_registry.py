@@ -272,6 +272,7 @@ class TestBoundCells:
         assert network.metrics is NULL_METRICS
         for i in range(2):
             network.register(Node(engine, i, machine, cores=1, trace=TraceRecorder()))
+        network.node(1).serve("main", lambda message: (0.0, 0.0), lambda message: None)
         network.send(0, 1, 64.0, "payload", inbox="main")
         engine.run()
         assert network.remote_messages == 1

@@ -12,6 +12,7 @@ from repro.parsec.dtd import AccessMode, DtdRuntime
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import OpCost
 from repro.sim.faults import FaultPlan, NodeCrash
+from repro.sim.node import FifoServer
 from repro.sim.trace import TaskCategory
 from repro.tce.molecules import tiny_system
 from repro.tce.reference import compute_reference, correlation_energy
@@ -142,7 +143,9 @@ class TestDependenceInference:
 
         def body(ctx):
             with_mailbox.extend(
-                n.node_id for n in cluster.nodes if runtime._inbox_name in n._inboxes
+                n.node_id
+                for n in cluster.nodes
+                if isinstance(n._mailboxes.get(runtime._inbox_name), FifoServer)
             )
             yield from ctx.charge(OpCost(1.0, 0.0))
 
@@ -150,9 +153,9 @@ class TestDependenceInference:
         runtime.insert_task("T", body, [(x, AccessMode.WRITE)], node=0)
         result = runtime.execute()
         assert result.messages_remote == 0
-        assert with_mailbox == [0, 1, 2, 3]  # spawned at execute(), not by traffic
+        assert with_mailbox == [0, 1, 2, 3]  # opened at execute(), not by traffic
         for node in cluster.nodes:
-            assert not any(name.startswith("dtd.recv#") for name in node._inboxes)
+            assert not any(name.startswith("dtd.recv#") for name in node._mailboxes)
 
 
 class TestFaultPlans:

@@ -16,6 +16,7 @@ import repro
 from repro.core import api
 from repro.core.inspector import InspectionCache
 from repro.experiments.chaos import default_plan, run_chaos
+from repro.ga.runtime import GlobalArrays
 from repro.parsec.dtd import AccessMode, DtdRuntime
 from repro.parsec.ptg import PTG
 from repro.parsec.runtime import ParsecRuntime
@@ -241,8 +242,8 @@ class TestRuntimeLifetime:
         result = repro.run(workload, runtime=runtime_name, config=config)
         assert len(runtimes) == len(workload.levels()) > 1
         for node in workload.cluster.nodes:
-            assert not [name for name in node._inboxes if "#" in name]
-            assert not any(name.startswith("dtd.recv#") for name in node._inboxes)
+            # the cluster's GA handler is the one mailbox a level leaves
+            assert list(node._mailboxes) == [GlobalArrays.INBOX]
         gc.collect()
         assert [ref() for ref in runtimes] == [None] * len(runtimes)
         assert result.n_tasks > 0
@@ -256,7 +257,7 @@ class TestRuntimeLifetime:
         result = driver.run(workload.levels())
         assert {kernel.mode for kernel in result.kernels} == {"parsec"}
         for node in workload.cluster.nodes:
-            assert not [name for name in node._inboxes if "#" in name]
+            assert list(node._mailboxes) == [GlobalArrays.INBOX]
 
 
 class TestHostMemory:

@@ -19,7 +19,11 @@ Each is the code it replaced, kept verbatim in behaviour:
   text — what the cached seed prefix reproduces;
 - :class:`ReferenceBandwidth` charges, finishes and re-arms through the
   general helpers on every arrival and wakeup — what the inlined
-  ``BandwidthResource`` paths, lone job included, reproduce.
+  ``BandwidthResource`` paths, lone job included, reproduce;
+- :func:`reference_server` serves a node mailbox with a ``Process`` over
+  the service loop the GA handler, the NXTVAL counter, the PaRSEC comm
+  thread and the DTD receiver each ran — what
+  :class:`~repro.sim.queues.FifoServer` reproduces as a callback chain.
 
 Any difference in event order, sequence draws, delivery times, fault
 counters or decisions between these and the live code is a bug in the
@@ -36,6 +40,7 @@ from typing import Callable, Generator, Optional
 from repro.parsec.stealing import MIN_BENEFIT_RATIO
 from repro.sim.engine import Engine, Process, SimEvent
 from repro.sim.network import Message, Network
+from repro.sim.queues import Store
 from repro.sim.resources import BandwidthResource, Resource
 from repro.sim.timeline import _DIRECT, _POOLED, Timer
 from repro.util.errors import SimulationError, TaskKilled
@@ -394,3 +399,33 @@ class ReferenceBandwidth(BandwidthResource):
         for event in finished:
             event.succeed()
         self._reschedule()
+
+
+# ----------------------------------------------------------------------
+# mailbox servers: a parked process per mailbox
+# ----------------------------------------------------------------------
+def reference_server(node, name: str, service, handle) -> Process:
+    """A FIFO server on ``node``'s mailbox ``name`` as it was: a process
+    over the service loop, parked on a :class:`Store` between items.
+    Pops waiting mail in place (the comm thread's ``try_get`` fast
+    path), skips a zero charge, and serves an item again while its
+    handler returns True (the GA handler's loop over a request batch)."""
+    inbox = node._mailboxes[name] = Store(node.engine)  # a node's old mailbox
+
+    def loop():
+        timeout = node.engine.timeout
+        while True:
+            ok, item = inbox.try_get()
+            if not ok:
+                item = yield inbox.get()
+            while True:
+                seconds, nbytes = service(item)
+                if seconds > 0:
+                    yield timeout(seconds)
+                if nbytes > 0:
+                    yield node.membw.transfer(nbytes)
+                if not handle(item):
+                    break
+            del item  # a parked server must not pin what it served last
+
+    return Process(node.engine, loop(), name=f"server:{name}")

@@ -6,7 +6,7 @@ from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import MachineModel, OpCost
 from repro.sim.engine import Engine
 from repro.sim.network import Network
-from repro.sim.node import Node
+from repro.sim.node import FifoServer, Node
 from repro.sim.trace import TaskCategory, TraceRecorder
 from repro.util.errors import ConfigurationError, SimulationError
 
@@ -34,55 +34,54 @@ def make_pair(machine=None):
     return engine, network, nodes, trace
 
 
+def receive(node, name="main"):
+    """Open a mailbox that costs nothing to serve; returns the log of
+    ``(payload, destination, arrival time)`` its handler keeps."""
+    log = []
+    node.serve(
+        name,
+        lambda message: (0.0, 0.0),
+        lambda message: log.append((message.payload, message.dst, node.engine.now)),
+    )
+    return log
+
+
 class TestNetwork:
     def test_remote_transfer_timing(self):
         # 50 bytes at 10 B/s: 5s tx + 1s latency + 5s rx = 11s
         engine, network, nodes, _ = make_pair()
-        arrivals = []
-
-        def consumer():
-            message = yield nodes[1].inbox("main").get()
-            arrivals.append((message.payload, engine.now))
-
-        engine.process(consumer())
+        arrivals = receive(nodes[1])
         network.send(0, 1, 50.0, "hello", inbox="main")
         engine.run()
-        assert arrivals == [("hello", pytest.approx(11.0))]
+        assert arrivals == [("hello", 1, pytest.approx(11.0))]
 
     def test_local_delivery_is_immediate_and_skips_nic(self):
         engine, network, nodes, _ = make_pair()
-        arrivals = []
-
-        def consumer():
-            message = yield nodes[0].inbox("main").get()
-            arrivals.append((message.payload, engine.now))
-
-        engine.process(consumer())
+        arrivals = receive(nodes[0])
         network.send(0, 0, 1e9, "local", inbox="main")
         engine.run()
-        assert arrivals == [("local", pytest.approx(0.0))]
+        assert arrivals == [("local", 0, pytest.approx(0.0))]
         assert network.remote_messages == 0
 
     def test_sender_nic_serializes_messages(self):
         # Two 50-byte messages from node 0: second waits for the first's tx.
         engine, network, nodes, _ = make_pair()
-        arrivals = []
-
-        def consumer(node_id):
-            message = yield nodes[node_id].inbox("main").get()
-            arrivals.append((message.dst, engine.now))
-
-        engine.process(consumer(1))
-        engine.process(consumer(2))
+        arrivals = [receive(nodes[1]), receive(nodes[2])]
         network.send(0, 1, 50.0, None, inbox="main")
         network.send(0, 2, 50.0, None, inbox="main")
         engine.run()
-        arrivals.sort()
-        assert arrivals[0] == (1, pytest.approx(11.0))
-        assert arrivals[1] == (2, pytest.approx(16.0))  # tx starts at t=5
+        assert arrivals[0] == [(None, 1, pytest.approx(11.0))]
+        assert arrivals[1] == [(None, 2, pytest.approx(16.0))]  # tx starts at t=5
+
+    def test_a_message_to_a_mailbox_that_is_not_open_is_an_error(self):
+        engine, network, nodes, _ = make_pair()
+        network.send(0, 1, 10.0, None, inbox="nowhere")
+        with pytest.raises(SimulationError, match="no mailbox 'nowhere'"):
+            engine.run()
 
     def test_sender_can_wait_for_delivery(self):
         engine, network, nodes, _ = make_pair()
+        receive(nodes[1])
         done = []
 
         def sender():
@@ -105,6 +104,7 @@ class TestNetwork:
 
     def test_statistics(self):
         engine, network, nodes, _ = make_pair()
+        receive(nodes[1], "x")
         network.send(0, 1, 100.0, None, inbox="x")
         network.send(1, 1, 50.0, None, inbox="x")
         engine.run()
@@ -150,9 +150,43 @@ class TestNode:
     def test_named_inboxes_and_mutexes_are_cached(self):
         engine, _, nodes, _ = make_pair()
         node = nodes[0]
+        receive(node, "ga")
+        receive(node, "parsec")
         assert node.inbox("ga") is node.inbox("ga")
         assert node.mutex("write") is node.mutex("write")
         assert node.inbox("ga") is not node.inbox("parsec")
+
+    def test_a_served_mailbox_handles_each_item_when_its_service_ends(self):
+        engine, network, nodes, _ = make_pair()
+        handled = []
+        nodes[1].serve(
+            "srv",
+            lambda message: (2.0, 0.0),
+            lambda message: handled.append(engine.now),
+        )
+        assert isinstance(nodes[1].inbox("srv"), FifoServer)
+        with pytest.raises(SimulationError, match="already open"):
+            nodes[1].serve("srv", lambda message: (0.0, 0.0), handled.append)
+        network.send(0, 1, 10.0, None, inbox="srv")
+        network.send(0, 1, 10.0, None, inbox="srv")
+        engine.run()
+        # arrivals at 3 and 4 (wire 1 + latency 1 + RX 1), served back to back
+        assert handled == [pytest.approx(5.0), pytest.approx(7.0)]
+        nodes[1].drop_inbox("srv")  # idle: nothing is lost
+        assert "srv" not in nodes[1]._mailboxes
+
+    def test_dropping_a_mailbox_that_holds_an_item_is_an_error(self):
+        """The run-end check: an item queued at, or in service on, a
+        mailbox when its owner drops it would be lost without a word."""
+        engine, network, nodes, _ = make_pair()
+        nodes[1].serve("srv", lambda message: (2.0, 0.0), lambda message: None)
+        for _ in range(2):
+            network.send(0, 1, 10.0, None, inbox="srv")
+        engine.run(until=4.5)  # first item in service, second queued
+        assert len(nodes[1].inbox("srv")) == 2
+        with pytest.raises(SimulationError, match="2 item.s. unserved"):
+            nodes[1].drop_inbox("srv")
+        nodes[1].drop_inbox("never-opened")  # nothing to lose
 
     def test_mutex_inherits_machine_overheads(self):
         engine, _, nodes, _ = make_pair(

@@ -27,7 +27,16 @@ so each is checked against it on random programs:
   derive the same seed as hashing the whole text;
 - the bandwidth server charges and re-arms inline, with a lone-job path:
   random arrivals of random sizes, capped or not, must finish at the
-  same times, leave the same busy time and the same sequence position.
+  same times, leave the same busy time and the same sequence position;
+- a mailbox is a callback-chain server, not a parked process. Random
+  items from several senders — over the network under drop / delay /
+  dup plans, or put locally — with random service times (zero
+  included), memory charges against a competing transfer, several
+  stages, and handlers that put more work into their own mailbox must
+  be handled in the same order at the same instants, and leave the same
+  end time, fault counters and memory-bandwidth totals; the sequence
+  position differs by exactly the start-up step of each process the
+  server replaced.
 
 The steal index is checked against the full rescan at every request of
 the steal and golden chaos suites instead (the ``steal_index_oracle``
@@ -45,7 +54,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim.cost import MachineModel
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector, FaultPlan
-from repro.sim.network import Network
+from repro.sim.network import Message, Network
 from repro.sim.node import Node
 from repro.sim.resources import BandwidthResource
 from repro.sim.trace import TraceRecorder
@@ -57,6 +66,7 @@ from tests.sim.reference_models import (
     killable,
     reference_derive_seed,
     reference_send,
+    reference_server,
 )
 
 DELAYS = st.sampled_from([0.0, 0.5, 1.0])
@@ -196,14 +206,11 @@ def run_sends(engine_cls, send, n_nodes, plan, sends):
             message = yield transfer
             log.append(("confirmed", k, message.seq, engine.now))
 
-    def receiver(node):
-        inbox = node.inbox("in")
-        while True:
-            message = yield inbox.get()
-            log.append(("inbox", message.payload, message.dst, engine.now))
+    def receive(message):
+        log.append(("inbox", message.payload, message.dst, engine.now))
 
     for node in nodes:
-        engine.process(receiver(node))
+        node.serve("in", lambda message: (0.0, 0.0), receive)
     for k, spec in enumerate(sends):
         engine.process(sender(k, *spec))
     end = engine.run()
@@ -421,3 +428,119 @@ def run_transfers(server_cls, capacity, per_job_cap, arrivals):
 def test_inlined_bandwidth_matches_the_helpers(capacity, per_job_cap, arrivals):
     live = run_transfers(BandwidthResource, capacity, per_job_cap, arrivals)
     assert live == run_transfers(ReferenceBandwidth, capacity, per_job_cap, arrivals)
+
+
+# ----------------------------------------------------------------------
+# mailbox servers
+# ----------------------------------------------------------------------
+class _Job:
+    """One mailbox item: per stage a (seconds, bytes, echo) charge spec;
+    an echo stage puts a one-stage follow-up into the same mailbox."""
+
+    __slots__ = ("k", "stages", "stage")
+
+    def __init__(self, k, stages):
+        self.k = k
+        self.stages = stages
+        self.stage = 0
+
+
+def _job(item):
+    return item.payload if isinstance(item, Message) else item
+
+
+def run_servers(open_server, plan, arrivals, competitors):
+    """Drive ``arrivals`` — ``(at, src, mailbox, how, stages)`` — into two
+    servers on node 0 of three, beside ``competitors`` — ``(at, bytes)``
+    transfers through node 0's memory bandwidth; returns everything
+    observable and the next sequence number."""
+    engine = Engine()
+    network = Network(engine, MACHINE)
+    trace = TraceRecorder()
+    nodes = [Node(engine, i, MACHINE, cores=1, trace=trace) for i in range(3)]
+    for node in nodes:
+        network.register(node)
+    if plan is not None:
+        network.faults = FaultInjector(SimpleNamespace(n_nodes=3), plan)
+    home = nodes[0]
+    log = []
+
+    def service(item):
+        job = _job(item)
+        return job.stages[job.stage][:2]
+
+    def handler(name):
+        def handle(item):
+            job = _job(item)
+            log.append((name, job.k, job.stage, engine.now))
+            echo = job.stages[job.stage][2]
+            job.stage += 1
+            if echo:
+                home.inbox(name).put(_Job(("echo", job.k), [(0.5, 0.0, False)]))
+            return job.stage < len(job.stages)
+
+        return handle
+
+    for name in ("a", "b"):
+        open_server(home, name, service, handler(name))
+
+    def sender(k, at, src, name, how, stages):
+        yield engine.timeout(at)
+        job = _Job(k, stages)
+        if how == "local":
+            home.inbox(name).put(job)
+        else:
+            network.send(src, 0, 8.0, job, inbox=name, tag=f"t{k % 3}")
+
+    def competitor(k, at, nbytes):
+        yield engine.timeout(at)
+        yield home.membw.transfer(nbytes)
+        log.append(("membw", k, engine.now))
+
+    for k, spec in enumerate(arrivals):
+        engine.process(sender(k, *spec))
+    for k, spec in enumerate(competitors):
+        engine.process(competitor(k, *spec))
+    end = engine.run()
+    report = network.faults.report if plan is not None else None
+    return (
+        (log, end, report, home.membw.busy_time, home.membw.total_work),
+        next(engine._seq),
+    )
+
+
+STAGES = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.0, 50.0, 100.0]),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(deadline=None)
+@given(
+    PLANS,
+    st.lists(
+        st.tuples(
+            DELAYS,
+            st.integers(0, 2),
+            st.sampled_from(["a", "b"]),
+            st.sampled_from(["local", "net"]),
+            STAGES,
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    st.lists(st.tuples(DELAYS, st.sampled_from([50.0, 200.0])), max_size=3),
+)
+def test_callback_server_matches_the_service_loop(plan, arrivals, competitors):
+    live, live_seq = run_servers(Node.serve, plan, arrivals, competitors)
+    reference, reference_seq = run_servers(
+        reference_server, plan, arrivals, competitors
+    )
+    assert live == reference
+    # each replaced process drew one start-up step, which only parked
+    assert reference_seq == live_seq + 2
