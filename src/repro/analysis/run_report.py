@@ -51,8 +51,8 @@ def build_run_report(
     scale: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> RunReport:
-    """Assemble the structured report for one finished execution."""
-    snapshot = cluster.metrics.snapshot() if cluster.metrics.enabled else {}
+    """Assemble the structured report of one finished execution and its metrics."""
+    snapshot = dict(result.metrics or {})
     phases = snapshot.pop("phases", {})
     return RunReport(
         runtime=result.runtime_name,

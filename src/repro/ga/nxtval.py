@@ -36,9 +36,6 @@ class NxtvalServer:
         self.ga = ga_runtime
         self.engine = ga_runtime.engine
         self.machine = ga_runtime.machine
-        self.metrics = ga_runtime.cluster.metrics
-        self._m_requests = self.metrics.counter("nxtval.requests")
-        self._m_reissued = self.metrics.counter("nxtval.reissued")
         self.home_node = home_node
         self.inbox_name = f"ga.nxtval#{next(_instance_ids)}"
         self._counter = 0
@@ -46,6 +43,7 @@ class NxtvalServer:
         #: counter values so orphaned work units are re-claimed
         self._reissued: deque[int] = deque()
         self.total_requests = 0
+        ga_runtime.metrics.collect(self, {"nxtval.requests": "total_requests"})
         charge = (self.machine.nxtval_service_s, 0.0)
         ga_runtime.cluster.nodes[home_node].serve(
             self.inbox_name, lambda _message: charge, self._on_request
@@ -55,6 +53,7 @@ class NxtvalServer:
         """The level is over: remove the counter's mailbox from its home
         node (an unserved request there is an error)."""
         self.ga.cluster.nodes[self.home_node].drop_inbox(self.inbox_name)
+        self.ga.metrics.release(self)
 
     def reissue(self, ticket: int) -> None:
         """Hand a ticket back to the pool (crash recovery).
@@ -65,8 +64,6 @@ class NxtvalServer:
         survivor picks the orphan up on its next NXTVAL call.
         """
         self._reissued.append(ticket)
-        if self.metrics.enabled:
-            self._m_reissued.value += 1.0
 
     def next(self, requester: int):
         """Generator helper: atomically fetch-and-increment; returns the ticket.
@@ -75,8 +72,6 @@ class NxtvalServer:
         round trip and the (possibly queued) service at the home node.
         """
         self.total_requests += 1
-        if self.metrics.enabled:
-            self._m_requests.value += 1.0
         yield self.engine.timeout(self.machine.nxtval_issue_s)
         reply: SimEvent = self.engine.event()
         self.ga.cluster.network.send(

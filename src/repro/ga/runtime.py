@@ -70,6 +70,16 @@ def _forget_array(caches: list[RemoteBlockCache], handle: int) -> None:
         cache.forget(handle)
 
 
+_GA_SERIES = {
+    "ga.gets": "gets",
+    "ga.get_bytes": ("bytes_fetched", lambda ga: ga.gets - ga.cache_hits),
+    "ga.accs": "accs",
+    "ga.cache.hits": "cache_hits",
+    "ga.cache.misses": "cache_misses",
+    "ga.cache.bytes_saved": ("cache_bytes_saved", "cache_hits"),
+}
+
+
 def _deliver_batch_reply(message) -> None:
     for event, chunk in message.take():
         event.succeed(chunk)
@@ -95,15 +105,9 @@ class GlobalArrays:
         self.engine = cluster.engine
         self.machine = cluster.machine
         self.metrics = metrics = cluster.metrics
-        self._m_gets = metrics.counter("ga.gets")
-        self._m_get_bytes = metrics.counter("ga.get_bytes")
-        self._m_accs = metrics.counter("ga.accs")
         self._m_acc_bytes = metrics.counter("ga.acc_bytes")
         self._m_get_sizes = metrics.histogram("ga.request_bytes", op="get")
         self._m_acc_sizes = metrics.histogram("ga.request_bytes", op="acc")
-        self._m_cache_hits = metrics.counter("ga.cache.hits")
-        self._m_cache_misses = metrics.counter("ga.cache.misses")
-        self._m_cache_bytes_saved = metrics.counter("ga.cache.bytes_saved")
         self._handles = itertools.count(1)
         # name -> array, without owning it: the handlers below reach this
         # object, the engine reaches the handlers, so a strong table would
@@ -145,6 +149,7 @@ class GlobalArrays:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_bytes_saved = 0.0
+        metrics.collect(self, _GA_SERIES)
 
     @property
     def coalesced_batches(self) -> int:
@@ -221,22 +226,14 @@ class GlobalArrays:
             if hit:
                 self.cache_hits += 1
                 self.cache_bytes_saved += nbytes
-                if self.metrics.enabled:
-                    self._m_gets.value += 1.0
-                    self._m_cache_hits.value += 1.0
-                    self._m_cache_bytes_saved.value += nbytes
                 # same flush point a real owner-side read would have
                 array.flush_accumulations()
                 if nbytes > 0:
                     yield self.cluster.nodes[requester].membw.transfer(nbytes)
                 return data
             self.cache_misses += 1
-            if self.metrics.enabled:
-                self._m_cache_misses.value += 1.0
         self.bytes_fetched += nbytes
         if self.metrics.enabled:
-            self._m_gets.value += 1.0
-            self._m_get_bytes.value += nbytes
             self._m_get_sizes.observe(nbytes)
         coalescer = self._coalescers[requester]
         events = []
@@ -288,7 +285,6 @@ class GlobalArrays:
         self.accs += 1
         nbytes = array.nbytes(lo, hi)
         if self.metrics.enabled:
-            self._m_accs.value += 1.0
             self._m_acc_bytes.value += nbytes
             self._m_acc_sizes.observe(nbytes)
         if nbytes > 0:

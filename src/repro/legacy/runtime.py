@@ -88,7 +88,6 @@ class LegacyRuntime:
         self.config = config or LegacyConfig()
         self._m_barrier_waits = cluster.metrics.counter("legacy.barrier_waits")
         self._m_barrier_wait_s = cluster.metrics.histogram("legacy.barrier_wait_s")
-        self._m_chains_executed = cluster.metrics.counter("legacy.chains_executed")
         self._m_chain_gemms = cluster.metrics.counter("legacy.chain_gemms")
         #: the per-level NXTVAL servers of the sections launched so far
         self._counters: list[NxtvalServer] = []
@@ -138,6 +137,7 @@ class LegacyRuntime:
             chains_executed=0,
             nxtval_requests=0,
         )
+        cluster.metrics.collect(result, {"legacy.chains_executed": "chains_executed"})
         done = engine.event()
         state = {"remaining": len(ranks)}
         #: one process per rank; a rank finds its own by id, to install
@@ -158,6 +158,8 @@ class LegacyRuntime:
             state["remaining"] -= 1
             if state["remaining"] == 0:
                 result.nxtval_requests = sum(c.total_requests for c in counters)
+                # every chain has run: fold the count into the registry
+                cluster.metrics.release(result)
                 done.succeed(result)
 
         for rank_id, (node, thread) in enumerate(ranks):
@@ -322,7 +324,6 @@ class LegacyRuntime:
             result.chains_executed += 1
             result.chains_per_rank[key] += 1
             if self.cluster.metrics.enabled:
-                self._m_chains_executed.value += 1.0
                 self._m_chain_gemms.value += len(chain.gemms)
             if recovering:
                 faults.report.chains_recovered += 1

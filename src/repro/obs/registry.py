@@ -7,19 +7,19 @@ Design constraints, in order of priority:
    declaration time, and phase timers read the *virtual* clock (the
    engine's ``now``), never the host's. Nothing here touches wall-clock
    time.
-2. **Zero cost when disabled, a slot add when enabled.** The store is
-   a set of *cells* (DESIGN.md §8). A component binds its cells once,
-   when it is wired (``metrics.counter(name, **labels)`` — the only
-   place labels are sorted and stringified), and emits with ``if
-   metrics.enabled: cell.value += v``: one attribute load and one branch
-   when off. ``inc``/``observe``/``gauge_*`` by name are for cold callers.
+2. **A count is kept once; zero cost when disabled.** A snapshot reads
+   the counts a component already keeps (``metrics.collect``, DESIGN.md
+   §8). The rest is pushed to a *cell* bound once, when the component is
+   wired (``metrics.counter(name, **labels)`` — the only place labels
+   are sorted and stringified): ``if metrics.enabled: cell.value += v``.
+   ``inc``/``observe``/``gauge_*`` by name are for cold callers.
 3. **No engine interaction.** Emitting a metric never creates events,
    timeouts, or processes; virtual timings are bitwise identical with
    metrics on or off.
 
 A series is reported iff it was emitted to (``0.0`` counts; binding does
-not); a component rebuilt for every level rebinds the same cells. Snapshots
-render ``name{key=value,...}``: label values stringified, keys sorted.
+not) or its collected guard is nonzero; a per-level component rebinds the
+same cells or is released into them. Snapshots render ``name{k=v,...}``.
 """
 
 from __future__ import annotations
@@ -77,6 +77,17 @@ def _emitted(cells: dict) -> list[tuple]:
     """``(key, value)`` of the cells emitted to at least once, by key."""
     items = sorted(cells.items())  # keys are unique: cells are never compared
     return [(k, c.value) for k, c in items if type(c.value) is not _Unset]
+
+
+def _readings(owner, series: dict) -> list[tuple]:
+    """``(key, value)`` of ``owner``'s collected series whose guard is nonzero."""
+    read = lambda r: getattr(owner, r) if type(r) is str else r(owner)
+    readings = []
+    for name, reader in series.items():
+        value, guard = reader if type(reader) is tuple else (reader, reader)
+        if read(guard):
+            readings.append(((name,), float(read(value))))
+    return readings
 
 
 class _CellFamily(dict):
@@ -160,6 +171,8 @@ class MetricsRegistry:
         self._gauges: dict[tuple, _Cell] = {}
         self._histograms: dict[tuple, _Histogram] = {}
         self._phases: dict[str, _Phase] = {}
+        #: id(owner) -> (owner, its series map), per :meth:`collect`
+        self._owners: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # binding: resolve a series once, emit to the returned cell
@@ -196,6 +209,33 @@ class MetricsRegistry:
         take effect at the first bind only (fixed buckets keep runs comparable)."""
         new = lambda: _Histogram(edges)
         return self._bind(self._histograms, name, labels, new, _INERT_HISTOGRAM)
+
+    def collect(self, owner, series: dict) -> None:
+        """Read counters off ``owner`` at every snapshot, until :meth:`release`.
+
+        ``series`` (held, not copied) maps a counter name to its value — an
+        attribute name or a function of ``owner`` — or to ``(value, guard)``.
+        A series is reported while its guard, the count of the events that
+        feed it (by default the value), is nonzero.
+        """
+        if self.enabled:
+            self._owners[id(owner)] = (owner, series)
+
+    def release(self, owner) -> None:
+        """Fold ``owner``'s reading into the cells once and stop holding it."""
+        entry = self._owners.pop(id(owner), None)
+        if entry is not None:
+            for key, value in _readings(*entry):
+                self.counter(key[0]).value += value
+
+    def _reported(self) -> list[tuple]:
+        """``(key, value)`` of every reported counter, by key: emitted cells
+        plus the live owners' readings, summed in collection order."""
+        values = dict(_emitted(self._counters))
+        for entry in self._owners.values():
+            for key, value in _readings(*entry):
+                values[key] = values.get(key, 0.0) + value
+        return sorted(values.items())
 
     # ------------------------------------------------------------------
     # emission by name, for cold callers (no-ops when disabled)
@@ -270,7 +310,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter_value(self, name: str, **labels) -> float:
         """Current value of one counter (0.0 if never incremented)."""
-        return float(getattr(self._counters.get(_key(name, labels)), "value", 0.0))
+        return float(dict(self._reported()).get(_key(name, labels), 0.0))
 
     def gauge_value(self, name: str, **labels) -> Optional[float]:
         """Current value of one gauge (None if never set)."""
@@ -279,7 +319,7 @@ class MetricsRegistry:
 
     def counter_total(self, name: str) -> float:
         """Sum of a counter across all label combinations."""
-        return sum(c.value for k, c in self._counters.items() if k[0] == name)
+        return sum(v for k, v in self._reported() if k[0] == name)
 
     def __len__(self) -> int:
         """Series a snapshot would show (bound-but-untouched ones do not count)."""
@@ -292,7 +332,7 @@ class MetricsRegistry:
         JSON-serializable and byte-stable across identical runs.
         """
         return {
-            "counters": {_render(k): v for k, v in _emitted(self._counters)},
+            "counters": {_render(k): v for k, v in self._reported()},
             "gauges": {_render(k): v for k, v in _emitted(self._gauges)},
             "histograms": {
                 _render(k): h.to_dict()

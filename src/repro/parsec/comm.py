@@ -73,8 +73,6 @@ class CommThread:
         self.ctrl_name = f"parsec.ctrl#{runtime.instance_id}"
         self.metrics = metrics = runtime.cluster.metrics
         self._m_forwarded = metrics.counter("parsec.forwarded")
-        self._m_messages_remote = metrics.counter("parsec.messages_remote")
-        self._m_bytes_remote = metrics.counter("parsec.bytes_remote")
         # dataflow-only coalescing (``runtime.coalescing=None`` passes
         # every send through): the steal control plane keeps its
         # dedicated latency-critical lane un-batched
@@ -94,6 +92,7 @@ class CommThread:
         :meth:`ParsecRuntime.shutdown`) and let go of the runtime."""
         self.node.drop_inbox(self.inbox_name)
         self.node.drop_inbox(self.ctrl_name)
+        self.metrics.release(self._coalescer)
         self.runtime = None
 
     def send(
@@ -162,9 +161,6 @@ class CommThread:
             runtime._queued_bytes -= getattr(data, "nbytes", 0)
         runtime.bytes_remote += size_bytes
         runtime.messages_remote += 1
-        if self.metrics.enabled:
-            self._m_messages_remote.value += 1.0
-            self._m_bytes_remote.value += size_bytes
         assert runtime.graph is not None  # comm traffic implies a live graph
         # the consumer's home node is re-resolved at send time: a crash
         # may have re-homed it since the producer ran

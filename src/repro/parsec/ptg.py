@@ -199,12 +199,6 @@ class TaskGraph:
                 f"no instance {class_name}{tuple(params)} in task graph"
             ) from None
 
-    def by_class(self) -> dict[str, list[TaskInstance]]:
-        groups: dict[str, list[TaskInstance]] = defaultdict(list)
-        for instance in self.instances.values():
-            groups[instance.cls.name].append(instance)
-        return dict(groups)
-
     def initially_ready(self) -> list[TaskInstance]:
         """Instances with no pending inputs (in creation order)."""
         return [t for t in self.instances.values() if t.pending == 0]

@@ -98,6 +98,12 @@ class ParsecResult(RunResult):
 
 _instance_ids = itertools.count()
 
+_RUNTIME_SERIES = {
+    "parsec.messages_remote": "messages_remote",
+    "parsec.bytes_remote": ("bytes_remote", "messages_remote"),
+    "parsec.deliveries_local": "deliveries_local",
+}
+
 
 def _payload_bytes(delivered) -> int:
     """Bytes held by a task's delivered inputs: a flow holds one payload
@@ -140,16 +146,10 @@ class ParsecRuntime:
         self.messages_remote = 0
         self.bytes_remote = 0.0
         self.deliveries_local = 0
-        self._m_deliveries_local = cluster.metrics.counter("parsec.deliveries_local")
         #: bytes of delivered, not-yet-released payloads and of payloads queued
         #: in comm-thread send mailboxes, with high-water marks; registry-on only
         self._live_bytes = self._live_bytes_hwm = 0
         self._queued_bytes = self._queued_bytes_hwm = 0
-
-    @property
-    def steal_enabled(self) -> bool:
-        """Whether this run has an active work-stealing layer."""
-        return self.steal_policy is not None and self.cluster.n_nodes >= 2
 
     # ------------------------------------------------------------------
     def launch(self, ptg: PTG, md: Any, validate: bool = True) -> SimEvent:
@@ -165,6 +165,7 @@ class ParsecRuntime:
         self.done = self.cluster.engine.event()
         self._completed = 0
         self._n_tasks = len(self.graph)
+        self.cluster.metrics.collect(self, _RUNTIME_SERIES)
         for node in self.cluster.nodes:
             self.schedulers.append(
                 NodeScheduler(
@@ -176,7 +177,7 @@ class ParsecRuntime:
                 )
             )
             self.comms.append(CommThread(self, node))
-        if self.steal_enabled:
+        if self.steal_policy is not None and self.cluster.n_nodes >= 2:
             self.stealing = StealCoordinator(self)
             self.stealing.register_graph(self.graph, md)
             for scheduler in self.schedulers:
@@ -268,6 +269,7 @@ class ParsecRuntime:
             comm.close()
         if self.stealing is not None:
             self.stealing.close()
+        self.cluster.metrics.release(self)
         if self.cluster.faults is not None:
             self.cluster.faults.off_crash(self._handle_crash)
         self.md = None
@@ -446,13 +448,9 @@ class ParsecRuntime:
         assert self.graph is not None  # deliveries imply a live graph
         consumer = self.graph.instances[consumer_key]
         self.deliveries_local += 1
-        metrics = self.cluster.metrics
-        if metrics.enabled:
-            self._m_deliveries_local.value += 1.0
-            nbytes = getattr(data, "nbytes", 0)
-            if nbytes:
-                live = self._live_bytes = self._live_bytes + nbytes
-                if live > self._live_bytes_hwm:
-                    self._live_bytes_hwm = live
+        if self.cluster.metrics.enabled and (nbytes := getattr(data, "nbytes", 0)):
+            live = self._live_bytes = self._live_bytes + nbytes
+            if live > self._live_bytes_hwm:
+                self._live_bytes_hwm = live
         if consumer.receive(flow, data, tag=tag):
             self.schedulers[consumer.node].enqueue(consumer)

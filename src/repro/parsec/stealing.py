@@ -57,9 +57,6 @@ __all__ = ["MIGRATABLE_CLASSES", "StealPolicy", "StealAgent", "StealCoordinator"
 #: owners and WRITE_* on the output owners (the determinism argument)
 MIGRATABLE_CLASSES = frozenset({"DFILL", "GEMM", "REDUCE", "SORT", "SORT_I"})
 
-#: opcode tags of steal control messages on the wire
-STEAL_OPCODES = frozenset({"STEAL_REQ", "STEAL_GRANT", "STEAL_DENY"})
-
 
 # The protocol's thresholds (all deterministic). Constants, not knobs:
 # no caller, test or benchmark has ever set one (DESIGN.md section 9).
@@ -151,7 +148,7 @@ class StealAgent:
             self.cursor += 1
             if victim == self.node_id or not nodes[victim].alive:
                 continue
-            coord.note_request()
+            coord.requests += 1
             coord.send(
                 self.node_id,
                 victim,
@@ -184,6 +181,16 @@ class StealAgent:
             self.notify_idle()
 
 
+_STEAL_SERIES = {
+    "steal.requests": "requests",
+    "steal.granted": "granted",
+    "steal.denied": "denied",
+    "steal.chains_migrated": "chains_migrated",
+    "steal.migrated_flops": ("migrated_flops", "granted"),
+    "steal.forwarded_bytes": ("forwarded_bytes", "granted"),
+}
+
+
 class StealCoordinator:
     """Shared protocol state: chain index, message handlers, counters."""
 
@@ -192,12 +199,6 @@ class StealCoordinator:
         self.cluster = runtime.cluster
         self.engine = runtime.cluster.engine
         self.metrics = metrics = runtime.cluster.metrics
-        self._m_requests = metrics.counter("steal.requests")
-        self._m_granted = metrics.counter("steal.granted")
-        self._m_denied = metrics.counter("steal.denied")
-        self._m_chains_migrated = metrics.counter("steal.chains_migrated")
-        self._m_migrated_flops = metrics.counter("steal.migrated_flops")
-        self._m_forwarded_bytes = metrics.counter("steal.forwarded_bytes")
         self._m_latency = metrics.histogram("steal.latency_s")
         self.n_nodes = runtime.cluster.n_nodes
         self.agents: dict[int, StealAgent] = {
@@ -218,6 +219,7 @@ class StealCoordinator:
         self.chains_migrated = 0
         self.migrated_flops = 0.0
         self.forwarded_bytes = 0.0
+        metrics.collect(self, _STEAL_SERIES)
 
     # ------------------------------------------------------------------
     # setup
@@ -262,6 +264,7 @@ class StealCoordinator:
         """End of the level (:meth:`ParsecRuntime.shutdown`): the protocol
         is over, so drop the chain index and the agents, and with them
         every path from here back to the runtime and its task table."""
+        self.metrics.release(self)
         self.chain_tasks.clear()
         self._live.clear()
         self.agents.clear()
@@ -401,8 +404,6 @@ class StealCoordinator:
                 pool -= 1
         if not grantable:
             self.denied += 1
-            if self.metrics.enabled:
-                self._m_denied.value += 1.0
             self.send(
                 victim, thief, ("STEAL_DENY", thief, victim, t_req), REQ_BYTES
             )
@@ -425,11 +426,6 @@ class StealCoordinator:
         self.chains_migrated += len(grantable)
         self.migrated_flops += flops
         self.forwarded_bytes += fwd_bytes
-        if self.metrics.enabled:
-            self._m_granted.value += 1.0
-            self._m_chains_migrated.value += len(grantable)
-            self._m_migrated_flops.value += flops
-            self._m_forwarded_bytes.value += fwd_bytes
         now = self.engine.now
         self.cluster.trace.record(
             victim,
@@ -486,9 +482,3 @@ class StealCoordinator:
             meta={"victim": victim, "chains": list(chain_ids), "latency_s": now - t_req},
         )
         self.agents[thief].on_grant()
-
-    # ------------------------------------------------------------------
-    def note_request(self) -> None:
-        self.requests += 1
-        if self.metrics.enabled:
-            self._m_requests.value += 1.0

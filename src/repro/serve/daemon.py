@@ -228,7 +228,7 @@ class ServeDaemon:
         events = read_events(journal_path)
         recovered = rebuild(events)
         self.corrupt_lines = events.corrupt_lines
-        self.journal = Journal(journal_path, compact_bytes=compact_bytes)
+        self.journal = Journal(journal_path, compact_bytes, existing=events)
         self.breaker = CircuitBreaker(breaker_config, metrics=self.metrics)
         self.scheduler = JobScheduler(
             journal=self.journal,

@@ -126,16 +126,18 @@ class Journal:
     grows past that many bytes, :meth:`maybe_compact` folds it into a
     snapshot. ``0`` (the default) disables the size trigger; explicit
     :meth:`compact` calls (clean shutdown) work regardless.
+    ``existing``: the file's :func:`read_events`, if the caller has read it.
     """
 
     def __init__(
-        self, path: Union[str, Path], compact_bytes: int = 0
+        self, path: Union[str, Path], compact_bytes: int = 0,
+        existing: Optional[list] = None,
     ) -> None:
         self.path = Path(path)
         self.compact_bytes = int(compact_bytes)
         self.compactions = 0
         self._lock = threading.Lock()
-        existing = read_events(self.path) if self.path.exists() else []
+        existing = read_events(self.path) if existing is None else existing
         self._seq = max((e["seq"] for e in existing), default=0)
         #: id counter for :meth:`reserve_id`, seeded above both the seq
         #: high-water mark and every job id already on disk, so a

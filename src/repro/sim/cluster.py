@@ -126,6 +126,7 @@ class Cluster:
         injector.install()
         self.faults = injector
         self.network.faults = injector
+        self.metrics.collect(injector.report, {"nxtval.reissued": "tickets_reissued"})
         return injector
 
     @property

@@ -218,10 +218,6 @@ class FaultReport:
             setattr(out, f.name, getattr(self, f.name) - getattr(earlier, f.name))
         return out
 
-    def any_recovery(self) -> bool:
-        """True if any fault was seen or any recovery action taken."""
-        return any(getattr(self, f.name) for f in fields(FaultReport))
-
     def summary(self) -> str:
         active = [
             f"{f.name}={getattr(self, f.name):g}"

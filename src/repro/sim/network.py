@@ -176,8 +176,6 @@ class _Transfer(SimEvent):
             report = faults.report
             report.messages_dropped += 1
             report.retransmits += 1
-            if network.metrics.enabled:
-                network._m_retransmits.value += 1.0
             backoff = faults.plan.backoff(self._attempt)
             report.recovery_overhead_s += backoff
             timeout(backoff)._wait(self._retransmit)
@@ -227,8 +225,6 @@ class _Transfer(SimEvent):
             network.faults.report.messages_duplicated += 1
             size = self._message.size_bytes
             network.dup_bytes += size
-            if network.metrics.enabled:
-                network._m_dup_bytes.value += size
             self._rx_take()
             return
         self._deliver(None)
@@ -250,6 +246,20 @@ class NIC:
         self.rx = Resource(engine, capacity=1, name=f"nic{node_id}.rx")
 
 
+def _fault_count(field: str):
+    """Reads one :class:`~repro.sim.faults.FaultReport` count off a network."""
+    return lambda network: network.faults and getattr(network.faults.report, field)
+
+
+_NETWORK_SERIES = {
+    "net.messages": "messages_sent",
+    "net.bytes": ("bytes_sent", "messages_sent"),
+    "net.remote_messages": "remote_messages",
+    "net.dup_bytes": ("dup_bytes", _fault_count("messages_duplicated")),
+    "net.retransmits": _fault_count("retransmits"),
+}
+
+
 class Network:
     """Routes messages between registered nodes.
 
@@ -268,14 +278,9 @@ class Network:
         self.engine = engine
         self.machine = machine
         self.metrics = metrics
-        self._m_messages = metrics.counter("net.messages")
-        self._m_bytes = metrics.counter("net.bytes")
         self._m_message_bytes = metrics.histogram("net.message_bytes")
-        self._m_remote_messages = metrics.counter("net.remote_messages")
         self._m_link_bytes = metrics.counters("net.link.bytes", "src", "dst")
         self._m_backlog_hwm = metrics.gauges("nic.backlog.hwm", "node", "dir")
-        self._m_retransmits = metrics.counter("net.retransmits")
-        self._m_dup_bytes = metrics.counter("net.dup_bytes")
         self._nodes: dict[int, "Node"] = {}
         self._seq = itertools.count()
         #: set by Cluster.install_faults(); message fates apply per
@@ -290,6 +295,7 @@ class Network:
         #: counted here (never in ``bytes_sent``), so NIC occupancy
         #: reconciles with the byte counters under fault sweeps
         self.dup_bytes = 0.0
+        metrics.collect(self, _NETWORK_SERIES)
 
     def register(self, node: "Node") -> None:
         """Attach a node; its id must be unique within the network."""
@@ -337,11 +343,8 @@ class Network:
         if src != dst:
             self.remote_messages += 1
         if self.metrics.enabled:
-            self._m_messages.value += 1.0
-            self._m_bytes.value += size_bytes
             self._m_message_bytes.observe(size_bytes)
             if src != dst:
-                self._m_remote_messages.value += 1.0
                 self._m_link_bytes[src, dst].value += size_bytes
         return _Transfer(
             self, message, self.node(src), self.node(dst), inbox, on_deliver
@@ -419,6 +422,13 @@ class _Window:
         self.flush_call: Optional[Timer] = None
 
 
+_COALESCER_SERIES = {
+    "net.coalesce.batches": "batches",
+    "net.coalesce.batched_items": "batched_items",
+    "net.coalesce.messages_saved": "messages_saved",
+}
+
+
 class Coalescer:
     """Per-destination aggregation in front of :meth:`Network.send`.
 
@@ -451,14 +461,11 @@ class Coalescer:
         self.inbox = inbox
         self.batch_tag = batch_tag
         self._windows: dict[int, _Window] = {}
-        metrics = network.metrics
-        self._m_batches = metrics.counter("net.coalesce.batches")
-        self._m_batched_items = metrics.counter("net.coalesce.batched_items")
-        self._m_messages_saved = metrics.counter("net.coalesce.messages_saved")
-        # statistics
+        # statistics, read by the registry until the owner releases this
         self.batches = 0
         self.batched_items = 0
         self.messages_saved = 0
+        network.metrics.collect(self, _COALESCER_SERIES)
 
     def submit(self, dst: int, size_bytes: float, payload: Any, tag: str = "") -> None:
         """Queue one message for ``dst``; flushes per the policy."""
@@ -503,10 +510,6 @@ class Coalescer:
             self.batches += 1
             self.batched_items += len(items)
             self.messages_saved += len(items) - 1
-            if self.network.metrics.enabled:
-                self._m_batches.value += 1.0
-                self._m_batched_items.value += len(items)
-                self._m_messages_saved.value += len(items) - 1
             self.network.send(
                 self.src,
                 dst,

@@ -179,11 +179,6 @@ class BandwidthResource:
         self.total_work = 0.0
         self.busy_time = 0.0
 
-    @property
-    def active_jobs(self) -> int:
-        """Number of jobs currently being served."""
-        return len(self._rem)
-
     def transfer(self, amount: float) -> SimEvent:
         """Inject ``amount`` work units; event fires at completion.
 

@@ -36,11 +36,6 @@ class TaskCategory(str, Enum):
     BARRIER = "barrier"
     OTHER = "other"
 
-    @property
-    def is_communication(self) -> bool:
-        """True for categories that represent data movement, not compute."""
-        return self in (TaskCategory.COMM, TaskCategory.READ_A, TaskCategory.READ_B)
-
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:

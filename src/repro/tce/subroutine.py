@@ -138,10 +138,6 @@ class ChainSpec:
         return self.m * self.n
 
     @property
-    def c_nbytes(self) -> float:
-        return 8.0 * self.c_size
-
-    @property
     def length(self) -> int:
         """Number of GEMMs (the chain height of Section IV-A)."""
         return len(self.gemms)

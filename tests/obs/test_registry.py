@@ -278,4 +278,81 @@ class TestBoundCells:
         assert network.remote_messages == 1
         assert len(NULL_METRICS) == 0
         assert not (NULL_METRICS._counters or NULL_METRICS._gauges)
+        assert not NULL_METRICS._owners  # the network's counts are not read
         assert not network._m_link_bytes  # no per-link cell bound while off
+
+
+class _Counts:
+    """Stands in for a component that keeps its own counts."""
+
+    def __init__(self, events=0, total=0.0):
+        self.events = events
+        self.total = total
+
+
+class TestCollectedCounts:
+    """The collect API: the registry reads counts an owner already keeps."""
+
+    SERIES = {"n": "events", "bytes": ("total", "events")}
+
+    def test_an_owner_with_a_zero_guard_reports_nothing(self):
+        m = MetricsRegistry()
+        owner = _Counts(events=0, total=5.0)
+        m.collect(owner, self.SERIES)
+        assert len(m) == 0
+        assert m.snapshot() == MetricsRegistry().snapshot()
+        owner.events = 2
+        assert m.snapshot()["counters"] == {"bytes": 5.0, "n": 2.0}
+
+    def test_a_zero_valued_event_still_reports_a_float_zero(self):
+        m = MetricsRegistry()
+        m.collect(_Counts(events=1, total=0), self.SERIES)
+        snap = m.snapshot()["counters"]
+        assert snap == {"bytes": 0.0, "n": 1.0}
+        assert all(type(v) is float for v in snap.values())
+        assert m.counter_value("bytes") == 0.0 and len(m) == 2
+
+    def test_a_guard_may_be_a_function_of_the_owner(self):
+        m = MetricsRegistry()
+        owner = _Counts(events=3, total=0.0)
+        m.collect(owner, {"bytes": ("total", lambda o: o.events - 3)})
+        assert m.snapshot()["counters"] == {}
+        owner.events = 4
+        assert m.snapshot()["counters"] == {"bytes": 0.0}
+
+    def test_two_owners_on_one_series_sum(self):
+        m = MetricsRegistry()
+        m.collect(_Counts(events=2, total=1.5), self.SERIES)
+        m.collect(_Counts(events=0, total=9.0), self.SERIES)  # guard 0: no 9.0
+        m.collect(_Counts(events=1, total=2.5), self.SERIES)
+        m.inc("n", 4.0, node=1)  # another series of the same name
+        assert m.counter_value("n") == 3.0
+        assert m.counter_value("bytes") == 4.0
+        assert m.counter_total("n") == 7.0
+
+    def test_a_released_owner_keeps_its_totals_and_is_freed(self, no_collector):
+        import weakref
+
+        m = MetricsRegistry()
+        for level in range(2):  # a runtime rebuilt every level
+            owner = _Counts(events=2, total=1.0)
+            m.collect(owner, self.SERIES)
+            m.release(owner)
+            m.release(owner)  # a second release folds nothing
+            gone = weakref.ref(owner)
+            del owner
+            assert gone() is None
+        assert not m._owners
+        assert m.snapshot()["counters"] == {"bytes": 2.0, "n": 4.0}
+        idle = _Counts()
+        m.collect(idle, self.SERIES)
+        m.release(idle)  # a zero guard folds no series in
+        assert m.snapshot()["counters"] == {"bytes": 2.0, "n": 4.0}
+
+    def test_a_disabled_registry_holds_no_owner(self):
+        for m in (MetricsRegistry(enabled=False), NULL_METRICS):
+            owner = _Counts(events=1, total=1.0)
+            m.collect(owner, self.SERIES)
+            m.release(owner)
+            assert not m._owners and not m._counters
+            assert len(m) == 0

@@ -592,6 +592,33 @@ class TestJournalHygiene:
         finally:
             daemon.stop()
 
+    def test_boot_reads_the_journal_once(self, tmp_path, monkeypatch):
+        from repro.serve import daemon as daemon_module, journal as journal_module
+
+        daemon, client = _daemon(tmp_path)
+        sub = client.submit("point", {"seed": 2})
+        client.watch(sub["job_id"])
+        daemon.stop()
+        last_seq = read_events(tmp_path / "journal.jsonl")[-1]["seq"]
+        reads = []
+
+        def counting(path, _read=read_events):
+            reads.append(path)
+            return _read(path)
+
+        for module in (daemon_module, journal_module):
+            monkeypatch.setattr(module, "read_events", counting)
+        daemon2 = ServeDaemon(tmp_path / "journal.jsonl", port=0, pool_jobs=1)
+        try:
+            assert len(reads) == 1
+            # the journal was still seeded from the events the daemon read
+            boot = daemon2.journal.append("probe")
+            assert boot["seq"] == last_seq + 2  # after daemon_started
+            assert daemon2.journal.reserve_id() > sub["job_id"]
+        finally:
+            daemon2.start_in_thread()
+            daemon2.stop()
+
     def test_clean_stop_compacts_into_a_snapshot(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         daemon, client = _daemon(tmp_path)

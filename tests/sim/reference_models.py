@@ -193,8 +193,6 @@ def _transfer(network: Network, message: Message, inbox, on_deliver):
             report = faults.report
             report.messages_dropped += 1
             report.retransmits += 1
-            if metrics.enabled:
-                network._m_retransmits.value += 1.0
             backoff = faults.plan.backoff(attempt)
             report.recovery_overhead_s += backoff
             yield timeout(backoff)
@@ -212,8 +210,6 @@ def _transfer(network: Network, message: Message, inbox, on_deliver):
         if fate == "dup":
             faults.report.messages_duplicated += 1
             network.dup_bytes += message.size_bytes
-            if metrics.enabled:
-                network._m_dup_bytes.value += message.size_bytes
             yield from _use(dst_node.nic.rx, wire)
         break
     if on_deliver is not None:
@@ -248,11 +244,8 @@ def reference_send(
     if src != dst:
         network.remote_messages += 1
     if network.metrics.enabled:
-        network._m_messages.value += 1.0
-        network._m_bytes.value += size_bytes
         network._m_message_bytes.observe(size_bytes)
         if src != dst:
-            network._m_remote_messages.value += 1.0
             network._m_link_bytes[src, dst].value += size_bytes
     if src == dst:
         return _LocalDelivery(

@@ -182,6 +182,10 @@ class TestRunResultProtocol:
         assert result.report.phases["validation"]["count"] == 1
         assert result.report.metrics["counters"]
         assert result.report.recovery["task_retries"] == 0
+        # one snapshot per run: the report reads the result's, minus phases
+        snapshot = dict(result.metrics)
+        assert result.report.phases == snapshot.pop("phases")
+        assert result.report.metrics == snapshot
 
     def test_no_report_when_metrics_disabled(self):
         config = RunConfig(n_nodes=4, cores_per_node=2, metrics=False)
