@@ -22,7 +22,8 @@ resilience story, now with concurrent workers and journal compaction:
    SIGTERM — the clean shutdown compacts the journal into one snapshot
    line,
 5. start a third daemon over the *compacted* journal and assert it
-   serves identical status and result payloads for every prior job id.
+   serves identical status and result payloads for every prior job id,
+   answers a malformed submission with 400 and stays healthy.
 
 Run from the repository root::
 
@@ -39,6 +40,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 from repro.serve.client import ServiceClient
@@ -115,6 +118,19 @@ def requests_by_route(client: ServiceClient) -> dict[str, int]:
 def requests_spent(client: ServiceClient, before: dict[str, int]) -> dict[str, int]:
     now = requests_by_route(client)
     return {r: n - before.get(r, 0) for r, n in now.items() if n != before.get(r, 0)}
+
+
+def post_raw(client: ServiceClient, body: bytes) -> int:
+    """The status code of a ``POST /jobs`` that carries ``body`` as is."""
+    req = urllib.request.Request(
+        client.base + "/jobs", data=body, method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=10.0) as resp:
+            return resp.status
+    except urllib.error.HTTPError as exc:
+        return exc.code
 
 
 def cell_pids(client: ServiceClient, job_id: str) -> set[int]:
@@ -218,6 +234,12 @@ def main() -> int:
             assert body["result"] == result, (
                 f"compacted replay changed the bytes of {job_id}"
             )
+        # a malformed submission is the client's 400, not a dropped
+        # connection, and the daemon keeps serving
+        status = post_raw(client3, b'{"kind": "fig9", "params": [1, 2]}')
+        assert status == 400, status
+        assert client3.health(), "a malformed submission hurt the daemon"
+        print("malformed submission: 400, daemon healthy")
     finally:
         proc3.send_signal(signal.SIGTERM)
         proc3.wait(timeout=15.0)

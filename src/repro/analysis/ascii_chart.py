@@ -12,6 +12,9 @@ from typing import Mapping, Sequence
 __all__ = ["render_series_chart"]
 
 _MARKERS = "ox+*#@%&"
+#: the axes of the one plot drawn: execution time against cores per node
+Y_LABEL = "time (s)"
+X_LABEL = "cores/node"
 
 
 def render_series_chart(
@@ -20,10 +23,9 @@ def render_series_chart(
     width: int = 72,
     height: int = 20,
     title: str = "",
-    y_label: str = "time (s)",
-    x_label: str = "cores/node",
 ) -> str:
-    """Plot ``series[code][x] -> y`` as ASCII, one marker per code."""
+    """Plot ``series[code][x] -> y`` as ASCII, one marker per code: y in
+    :data:`Y_LABEL` against x in :data:`X_LABEL`."""
     points = [
         (code, x, series[code][x])
         for code in series
@@ -64,7 +66,7 @@ def render_series_chart(
         missing = col - (len(ticks) - 10)
         if missing >= 0:
             ticks += " " * missing + str(x)
-    lines.append(ticks + f"   {x_label}")
+    lines.append(ticks + f"   {X_LABEL}")
     legend = "  ".join(f"{marker}={code}" for code, marker in markers.items())
-    lines.append(f"legend: {legend}  (?=overlap)  y: {y_label}")
+    lines.append(f"legend: {legend}  (?=overlap)  y: {Y_LABEL}")
     return "\n".join(lines)

@@ -16,6 +16,10 @@ from repro.sim.trace import TaskCategory, TraceRecorder
 
 __all__ = ["to_chrome_trace", "write_chrome_trace"]
 
+#: simulated seconds per exported tick: the viewer's µs are virtual µs
+#: (a division, not a multiply by 1e6, which rounds differently)
+TIME_UNIT_S = 1.0e-6
+
 #: map categories onto Chrome's stable colour names so GEMMs read red,
 #: reads blue/purple, etc. — approximating the paper's palette
 _COLOR_NAMES: dict[TaskCategory, str] = {
@@ -34,13 +38,9 @@ _COLOR_NAMES: dict[TaskCategory, str] = {
 }
 
 
-def to_chrome_trace(trace: TraceRecorder, time_unit: float = 1.0e-6) -> dict:
-    """Convert a trace into a Chrome trace-event object.
-
-    ``time_unit`` is the simulated duration of one exported microsecond
-    tick; the default maps virtual seconds 1:1 onto trace microseconds
-    times 1e6 (i.e. timestamps are virtual µs).
-    """
+def to_chrome_trace(trace: TraceRecorder) -> dict:
+    """Convert a trace into a Chrome trace-event object whose timestamps
+    are virtual µs (one tick is :data:`TIME_UNIT_S` simulated seconds)."""
     events = []
     for span in trace.events:
         events.append(
@@ -48,8 +48,8 @@ def to_chrome_trace(trace: TraceRecorder, time_unit: float = 1.0e-6) -> dict:
                 "name": span.label,
                 "cat": span.category.value,
                 "ph": "X",
-                "ts": span.t_start / time_unit,
-                "dur": max(span.duration / time_unit, 0.001),
+                "ts": span.t_start / TIME_UNIT_S,
+                "dur": max(span.duration / TIME_UNIT_S, 0.001),
                 "pid": span.node,
                 "tid": span.thread,
                 "cname": _COLOR_NAMES.get(span.category, "white"),
@@ -70,10 +70,8 @@ def to_chrome_trace(trace: TraceRecorder, time_unit: float = 1.0e-6) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    trace: TraceRecorder, path: str, time_unit: float = 1.0e-6
-) -> str:
+def write_chrome_trace(trace: TraceRecorder, path: str) -> str:
     """Serialize :func:`to_chrome_trace` output to ``path``; returns it."""
     with open(path, "w") as handle:
-        json.dump(to_chrome_trace(trace, time_unit), handle)
+        json.dump(to_chrome_trace(trace), handle)
     return path

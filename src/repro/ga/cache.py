@@ -2,9 +2,11 @@
 
 The PGAS-compiler line of work gets large wins from caching remote
 blocks of irregular accesses close to the reader. This module is the
-simulated equivalent: a bounded per-node map from ``(array, lo, hi)``
-to the bytes a previous :meth:`~repro.ga.runtime.GlobalArrays.fetch`
-brought over the wire. A hit skips the request/reply round trip and the
+simulated equivalent: a per-node map from ``(array, lo, hi)`` to the
+bytes a previous :meth:`~repro.ga.runtime.GlobalArrays.fetch` brought
+over the wire, bounded at :data:`MAX_BLOCKS` blocks per node with the
+least recently used evicted first. ``RemoteCachePolicy()`` turns it on
+and carries no settings. A hit skips the request/reply round trip and the
 owner-side service entirely; only the requester's local memory landing
 cost remains.
 
@@ -33,37 +35,29 @@ from typing import Optional
 import numpy as np
 
 from repro.ga.array import GlobalArray
-from repro.util.errors import ConfigurationError
 
 __all__ = ["RemoteBlockCache", "RemoteCachePolicy"]
 
 
+#: capacity in cached blocks per node (LRU eviction beyond it)
+MAX_BLOCKS = 64
+
+
 @dataclass(frozen=True)
 class RemoteCachePolicy:
-    """Knobs for the per-node remote-block cache."""
-
-    #: capacity in cached blocks per node (LRU eviction beyond it;
-    #: 0 = a cache that holds nothing)
-    max_blocks: int = 64
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.max_blocks, int) or self.max_blocks < 0:
-            raise ConfigurationError(
-                "RemoteCachePolicy.max_blocks must be an int >= 0, "
-                f"got {self.max_blocks!r}"
-            )
+    """Turns the per-node remote-block cache on:
+    ``remote_cache=RemoteCachePolicy()`` (``None`` = every remote fetch
+    crosses the wire). It carries no settings."""
 
 
 class RemoteBlockCache:
-    """Bounded LRU of ``(array handle, lo, hi)`` -> fetched block."""
+    """Bounded LRU of ``(array handle, lo, hi)`` -> fetched block,
+    at most :data:`MAX_BLOCKS` of them."""
 
-    def __init__(self, policy: RemoteCachePolicy) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         # key -> [epoch, data]; insertion/move order is the LRU order
         self._entries: OrderedDict[tuple[int, int, int], list] = OrderedDict()
-        # statistics
-        self.hits = 0
-        self.misses = 0
+        #: entries a later overlapping write evicted at lookup
         self.invalidations = 0
 
     def __len__(self) -> int:
@@ -83,16 +77,13 @@ class RemoteBlockCache:
         key = (array.handle, lo, hi)
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
             return False, None
         if array.modified_since(entry[0], lo, hi):
             del self._entries[key]
             self.invalidations += 1
-            self.misses += 1
             return False, None
         entry[0] = array.write_epoch
         self._entries.move_to_end(key)
-        self.hits += 1
         return True, entry[1]
 
     def forget(self, handle: int) -> None:
@@ -116,10 +107,8 @@ class RemoteBlockCache:
         so claiming the older epoch can only cause a false invalidation
         later — never a stale hit.
         """
-        if self.policy.max_blocks <= 0:
-            return
         key = (array.handle, lo, hi)
         self._entries[key] = [epoch, data]
         self._entries.move_to_end(key)
-        while len(self._entries) > self.policy.max_blocks:
+        while len(self._entries) > MAX_BLOCKS:
             self._entries.popitem(last=False)

@@ -125,7 +125,7 @@ class GlobalArrays:
         cluster.ga = self
         # comm-optimization knobs (both default off — byte-identical to
         # a build without them). Off is a pass-through coalescer but NO
-        # cache: even a zero-capacity cache logs write epochs and emits
+        # cache: even an empty cache logs write epochs and emits
         # ``ga.cache.misses``
         self.coalescing = coalescing
         self.remote_cache = remote_cache
@@ -141,7 +141,7 @@ class GlobalArrays:
         ]
         self._caches: Optional[list[RemoteBlockCache]] = None
         if remote_cache is not None:
-            self._caches = [RemoteBlockCache(remote_cache) for _ in cluster.nodes]
+            self._caches = [RemoteBlockCache() for _ in cluster.nodes]
         # statistics
         self.gets = 0
         self.accs = 0

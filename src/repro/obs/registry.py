@@ -3,10 +3,10 @@
 Design constraints, in order of priority:
 
 1. **Determinism.** Snapshots must be byte-identical across runs with
-   the same seed: keys are sorted, histogram bucket edges are fixed at
-   declaration time, and phase timers read the *virtual* clock (the
-   engine's ``now``), never the host's. Nothing here touches wall-clock
-   time.
+   the same seed: keys are sorted, every histogram buckets by the fixed
+   ``DEFAULT_BUCKET_EDGES``, and phase timers read the *virtual* clock
+   (the engine's ``now``), never the host's. Nothing here touches
+   wall-clock time.
 2. **A count is kept once; zero cost when disabled.** A snapshot reads
    the counts a component already keeps (``metrics.collect``, DESIGN.md
    §8). The rest is pushed to a *cell* bound once, when the component is
@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import bisect
 from contextlib import contextmanager
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 __all__ = ["DEFAULT_BUCKET_EDGES", "MetricsRegistry", "NULL_METRICS"]
 
 #: Fixed decade edges covering everything this system observes —
 #: sub-microsecond overheads up to multi-gigabyte transfer volumes.
-#: Shared default so histograms from different runs always align.
+#: Every histogram uses them, so histograms from different runs align.
 DEFAULT_BUCKET_EDGES: tuple[float, ...] = tuple(
     10.0 ** e for e in range(-9, 13)
 )
@@ -104,20 +104,20 @@ class _CellFamily(dict):
 
 
 class _Histogram:
-    """Fixed-edge histogram: per-bucket counts plus count/sum/min/max."""
+    """Histogram over ``DEFAULT_BUCKET_EDGES``: per-bucket counts plus
+    count/sum/min/max."""
 
-    __slots__ = ("edges", "counts", "count", "total", "min", "max")
+    __slots__ = ("counts", "count", "total", "min", "max")
 
-    def __init__(self, edges: Sequence[float]) -> None:
-        self.edges = tuple(edges)
-        self.counts = [0] * (len(self.edges) + 1)  # last bucket: +inf
+    def __init__(self) -> None:
+        self.counts = [0] * (len(DEFAULT_BUCKET_EDGES) + 1)  # last bucket: +inf
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
 
     def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.edges, value)] += 1
+        self.counts[bisect.bisect_left(DEFAULT_BUCKET_EDGES, value)] += 1
         self.count += 1
         self.total += value
         if value < self.min:
@@ -127,11 +127,12 @@ class _Histogram:
 
     def to_dict(self) -> dict:
         # only non-empty buckets, keyed by their upper edge — compact
-        # and still deterministic (edges are fixed at declaration)
+        # and still deterministic (the edges are fixed)
+        edges = DEFAULT_BUCKET_EDGES
         buckets = {}
         for i, n in enumerate(self.counts):
             if n:
-                le = self.edges[i] if i < len(self.edges) else "inf"
+                le = edges[i] if i < len(edges) else "inf"
                 buckets[str(le)] = n
         return {
             "count": self.count,
@@ -202,13 +203,11 @@ class MetricsRegistry:
         """Gauges ``name{labels}`` bound at first use of a label value."""
         return _CellFamily(self.gauge, name, *labels)
 
-    def histogram(
-        self, name: str, edges: Sequence[float] = DEFAULT_BUCKET_EDGES, **labels
-    ) -> _Histogram:
-        """The histogram ``name{labels}``: ``histogram.observe(v)``. ``edges``
-        take effect at the first bind only (fixed buckets keep runs comparable)."""
-        new = lambda: _Histogram(edges)
-        return self._bind(self._histograms, name, labels, new, _INERT_HISTOGRAM)
+    def histogram(self, name: str, **labels) -> _Histogram:
+        """The histogram ``name{labels}``: ``histogram.observe(v)``."""
+        if "edges" in labels:  # the removed setting must not become a label
+            raise TypeError("every histogram uses DEFAULT_BUCKET_EDGES")
+        return self._bind(self._histograms, name, labels, _Histogram, _INERT_HISTOGRAM)
 
     def collect(self, owner, series: dict) -> None:
         """Read counters off ``owner`` at every snapshot, until :meth:`release`.
@@ -257,16 +256,10 @@ class MetricsRegistry:
             if value > cell.value:
                 cell.value = value
 
-    def observe(
-        self,
-        name: str,
-        value: float,
-        edges: Sequence[float] = DEFAULT_BUCKET_EDGES,
-        **labels,
-    ) -> None:
+    def observe(self, name: str, value: float, **labels) -> None:
         """Record ``value`` into the histogram ``name{labels}``."""
         if self.enabled:
-            self.histogram(name, edges, **labels).observe(value)
+            self.histogram(name, **labels).observe(value)
 
     # ------------------------------------------------------------------
     # phase timers (virtual clock)
@@ -356,7 +349,7 @@ class _NullRegistry(MetricsRegistry):
 
 
 #: What a disabled registry hands out; never written (emits sit behind ``enabled``).
-_INERT, _INERT_HISTOGRAM = _Cell(_ZERO), _Histogram(())
+_INERT, _INERT_HISTOGRAM = _Cell(_ZERO), _Histogram()
 
 #: Shared always-disabled registry — the default wiring target for
 #: components constructed outside a cluster.

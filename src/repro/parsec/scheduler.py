@@ -79,7 +79,6 @@ class NodeScheduler:
         self._m_duration = metrics.histogram("sched.task_duration_s")
         self._m_stale = metrics.counter("steal.stale_skipped")
         self.policy = policy
-        self.n_gpus = n_gpus
 
         def make_queue(label: str):
             if policy is SchedulerPolicy.PRIORITY:

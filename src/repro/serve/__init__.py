@@ -22,7 +22,7 @@ and *whether* a simulation runs, never how it behaves:
   ``submit``/``status``/``result`` CLI subcommands.
 """
 
-from repro.serve.breaker import BreakerConfig, CircuitBreaker
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.serve.daemon import ServeDaemon
 from repro.serve.jobs import JOB_KINDS, JobSpec, job_digest
@@ -30,7 +30,6 @@ from repro.serve.journal import JOURNAL_SCHEMA_VERSION, Journal
 from repro.serve.scheduler import JobScheduler, SubmissionRejected
 
 __all__ = [
-    "BreakerConfig",
     "CircuitBreaker",
     "ServiceClient",
     "ServiceError",

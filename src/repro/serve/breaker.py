@@ -3,18 +3,20 @@
 Classic three-state breaker guarding the admission path of the service:
 
 - **closed** — submissions flow. Job failures (poisoned cells, failed
-  sweeps) are counted in a sliding window; too many trip the breaker.
+  sweeps) are counted in a sliding window of ``WINDOW_S`` seconds;
+  ``FAILURE_THRESHOLD`` of them trip the breaker.
 - **open** — submissions are rejected immediately with a
-  ``retry_after_s`` hint; after ``cooldown_s`` the breaker half-opens.
+  ``retry_after_s`` hint; after ``COOLDOWN_S`` the breaker half-opens.
 - **half-open** — one probe submission is admitted. Success closes the
   breaker and clears the failure window; failure re-opens it (the
   cooldown restarts).
 
 Queue saturation is handled by the same ``admit`` gate but does not
-change the breaker state: a full queue is back-pressure (shed and
-retry), not evidence the backend is sick.
+change the breaker state: a queue holding ``MAX_QUEUE_DEPTH`` jobs is
+back-pressure (shed and retry), not evidence the backend is sick.
 
-The clock is injected so tests never sleep.
+The four thresholds are module constants, read at each decision; the
+clock is injected so tests never sleep.
 """
 
 from __future__ import annotations
@@ -26,37 +28,20 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.obs.registry import NULL_METRICS, MetricsRegistry
-from repro.util.errors import ConfigurationError
 
-__all__ = ["BreakerConfig", "CircuitBreaker", "Admission"]
+__all__ = ["CircuitBreaker", "Admission"]
 
 #: gauge encoding of the state, for the /metrics view
 _STATE_GAUGE = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
 
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Trip thresholds and recovery pacing."""
-
-    #: submissions (beyond the running job) the queue may hold
-    max_queue_depth: int = 16
-    #: job failures within ``window_s`` that trip the breaker
-    failure_threshold: int = 3
-    window_s: float = 60.0
-    #: open duration before one probe is allowed through
-    cooldown_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.max_queue_depth < 1:
-            raise ConfigurationError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
-            )
-        if self.failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if self.cooldown_s <= 0 or self.window_s <= 0:
-            raise ConfigurationError("cooldown_s and window_s must be > 0")
+#: submissions (beyond the running jobs) the queue may hold
+MAX_QUEUE_DEPTH = 16
+#: job failures within ``WINDOW_S`` seconds that trip the breaker
+FAILURE_THRESHOLD = 3
+WINDOW_S = 60.0
+#: open duration before one probe is allowed through
+COOLDOWN_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -71,11 +56,10 @@ class Admission:
 class CircuitBreaker:
     def __init__(
         self,
-        config: Optional[BreakerConfig] = None,
+        *,
         clock: Callable[[], float] = time.monotonic,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.config = config if config is not None else BreakerConfig()
         self.clock = clock
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.state = "closed"
@@ -98,7 +82,7 @@ class CircuitBreaker:
         return Admission(False, reason, round(max(retry_after_s, 0.1), 3))
 
     def _prune(self, now: float) -> None:
-        horizon = now - self.config.window_s
+        horizon = now - WINDOW_S
         while self._failures and self._failures[0] < horizon:
             self._failures.popleft()
 
@@ -112,19 +96,19 @@ class CircuitBreaker:
         now = self.clock()
         if self.state == "open":
             elapsed = now - self._opened_at
-            if elapsed < self.config.cooldown_s:
-                return self._reject("open", self.config.cooldown_s - elapsed)
+            if elapsed < COOLDOWN_S:
+                return self._reject("open", COOLDOWN_S - elapsed)
             self.state = "half-open"
             self._probe_inflight = False
             self._set_gauge()
         if self.state == "half-open":
             if self._probe_inflight:
-                return self._reject("half-open", self.config.cooldown_s)
+                return self._reject("half-open", COOLDOWN_S)
             self._probe_inflight = True
             return Admission(True, "probe")
-        if queue_depth >= self.config.max_queue_depth:
+        if queue_depth >= MAX_QUEUE_DEPTH:
             # back-pressure, not sickness: state stays closed
-            return self._reject("saturated", self.config.cooldown_s)
+            return self._reject("saturated", COOLDOWN_S)
         return Admission(True)
 
     def record_success(self) -> None:
@@ -152,10 +136,7 @@ class CircuitBreaker:
             return
         self._failures.append(now)
         self._prune(now)
-        if (
-            self.state == "closed"
-            and len(self._failures) >= self.config.failure_threshold
-        ):
+        if self.state == "closed" and len(self._failures) >= FAILURE_THRESHOLD:
             self.state = "open"
             self._opened_at = now
             self._set_gauge()
@@ -175,6 +156,6 @@ class CircuitBreaker:
         }
         if self.state == "open":
             d["retry_after_s"] = round(
-                max(self.config.cooldown_s - (now - self._opened_at), 0.0), 3
+                max(COOLDOWN_S - (now - self._opened_at), 0.0), 3
             )
         return d

@@ -50,7 +50,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.experiments.sweep import RetryPolicy
 from repro.obs.registry import MetricsRegistry
-from repro.serve.breaker import BreakerConfig, CircuitBreaker
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.journal import FINAL_STATES, Journal, read_events, rebuild
 from repro.serve.scheduler import JobScheduler, SubmissionRejected
 from repro.util.errors import ConfigurationError, ReproError
@@ -173,14 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         daemon.count_request("submit")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length) or b"{}")
-            kind = payload.get("kind")
-            if not isinstance(kind, str):
-                raise ConfigurationError("submission needs a 'kind' string")
-            params = dict(payload.get("params") or {})
-            if "priority" in payload:
-                params.setdefault("priority", payload["priority"])
+            kind, params = self._read_submission()
             body = daemon.scheduler.admit(kind, params)
         except SubmissionRejected as exc:
             self._send(
@@ -188,10 +181,37 @@ class _Handler(BaseHTTPRequestHandler):
                 {"error": str(exc), "reason": exc.reason,
                  "retry_after_s": exc.retry_after_s},
             )
-        except (json.JSONDecodeError, ReproError) as exc:
+        except ReproError as exc:
             self._send(400, {"error": str(exc)})
         else:
             self._send(202, body)
+
+    def _read_submission(self) -> tuple[str, dict]:
+        """``(kind, params)`` of the request body; anything else a client
+        can send raises :class:`ConfigurationError` (the caller's 400)."""
+        raw = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw)
+            if length < 0:
+                raise ValueError
+        except ValueError:
+            raise ConfigurationError(f"bad Content-Length {raw!r}") from None
+        try:
+            payload = json.loads(self.rfile.read(length) or b"{}")
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigurationError(f"submission is not JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigurationError("submission must be a JSON object")
+        kind = payload.get("kind")
+        if not isinstance(kind, str):
+            raise ConfigurationError("submission needs a 'kind' string")
+        params = payload.get("params")
+        if not isinstance(params, (dict, type(None))):
+            raise ConfigurationError("'params' must be a JSON object or null")
+        params = dict(params or {})
+        if "priority" in payload:
+            params.setdefault("priority", payload["priority"])
+        return kind, params
 
     @property
     def daemon(self) -> "ServeDaemon":
@@ -220,16 +240,14 @@ class ServeDaemon:
         pool_jobs: int = 2,
         cell_timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
-        breaker_config: Optional[BreakerConfig] = None,
         compact_bytes: int = 0,
-        aging_s: float = 30.0,
     ) -> None:
         self.metrics = MetricsRegistry(enabled=True, clock=time.monotonic)
         events = read_events(journal_path)
         recovered = rebuild(events)
         self.corrupt_lines = events.corrupt_lines
         self.journal = Journal(journal_path, compact_bytes, existing=events)
-        self.breaker = CircuitBreaker(breaker_config, metrics=self.metrics)
+        self.breaker = CircuitBreaker(metrics=self.metrics)
         self.scheduler = JobScheduler(
             journal=self.journal,
             breaker=self.breaker,
@@ -238,7 +256,6 @@ class ServeDaemon:
             pool_jobs=pool_jobs,
             cell_timeout=cell_timeout,
             retry=retry,
-            aging_s=aging_s,
         )
         self.scheduler.recover(recovered)
         self.journal.append(

@@ -17,7 +17,7 @@ HTTP threads need.
 
 Admission is FIFO with aging priorities: a free worker picks the
 queued job with the highest *effective* priority — the submitted
-``priority`` plus one point per ``aging_s`` seconds spent waiting — so
+``priority`` plus one point per ``AGING_S`` seconds spent waiting — so
 an urgent small job overtakes a huge sweep, but a low-priority job
 left waiting ages its way to the front instead of starving.
 
@@ -65,6 +65,9 @@ __all__ = ["JobRecord", "JobScheduler", "SubmissionRejected"]
 #: how long ``stop()`` waits for the worker threads, all together
 _STOP_JOIN_S = 1.0
 
+#: seconds of waiting that raise a queued job's priority by one point
+AGING_S = 30.0
+
 
 class SubmissionRejected(ReproError):
     """The breaker shed this submission; retry after ``retry_after_s``."""
@@ -97,11 +100,9 @@ class JobRecord:
     #: structured progress stream served by ``GET /jobs/<id>/events``
     events: list = field(default_factory=list)
 
-    def effective_priority(self, now: float, aging_s: float) -> float:
-        """Submitted priority plus one point per ``aging_s`` waited."""
-        if aging_s <= 0:
-            return float(self.priority)
-        return self.priority + max(now - self.enqueued_at, 0.0) / aging_s
+    def effective_priority(self, now: float) -> float:
+        """Submitted priority plus one point per ``AGING_S`` waited."""
+        return self.priority + max(now - self.enqueued_at, 0.0) / AGING_S
 
     def to_status_dict(self) -> dict:
         d = {
@@ -141,7 +142,6 @@ class JobScheduler:
         pool_jobs: int = 2,
         cell_timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
-        aging_s: float = 30.0,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -154,7 +154,6 @@ class JobScheduler:
         self.pool_jobs = pool_jobs
         self.cell_timeout = cell_timeout
         self.retry = retry if retry is not None else RetryPolicy()
-        self.aging_s = aging_s
         self.jobs: dict[str, JobRecord] = {}
         self._queue: list[str] = []
         #: digest -> the id of its queued, running or ``done`` job
@@ -370,7 +369,7 @@ class JobScheduler:
         best = max(
             self._queue,
             key=lambda job_id: (
-                self.jobs[job_id].effective_priority(now, self.aging_s),
+                self.jobs[job_id].effective_priority(now),
                 -self.jobs[job_id].enqueue_seq,
             ),
         )

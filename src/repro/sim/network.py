@@ -17,7 +17,6 @@ their memory cost, if any, is charged by the layer that owns the data
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Optional, TYPE_CHECKING
@@ -26,7 +25,7 @@ from repro.obs.registry import NULL_METRICS, MetricsRegistry
 from repro.sim.engine import Engine, SimEvent
 from repro.sim.resources import Resource
 from repro.sim.timeline import Timer
-from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.cost import MachineModel
@@ -354,35 +353,26 @@ class Network:
 # ----------------------------------------------------------------------
 # per-destination message coalescing (opt-in, see RunConfig.coalescing)
 # ----------------------------------------------------------------------
+#: how long the first message in a window waits for company
+COALESCE_WINDOW_S = 5.0e-6
+#: pool at most this many messages toward one destination before
+#: flushing early
+COALESCE_MAX_BATCH = 8
+
+
 @dataclass(frozen=True)
 class CoalescePolicy:
-    """Knobs for the per-destination aggregation window.
+    """Turns per-destination aggregation on: ``coalescing=CoalescePolicy()``
+    (``None`` = every message leaves at once). It carries no settings.
 
     A submitted message opens (or joins) a window keyed by destination;
-    the window flushes after ``window_s`` simulated seconds, or as soon
-    as ``max_batch`` messages have pooled, whichever comes first. A
-    window holding one message flushes as a plain send — byte-for-byte
-    what the sender would have produced without the coalescer — so the
-    policy only changes the wire when it actually merges traffic.
+    the window flushes after :data:`COALESCE_WINDOW_S` simulated seconds,
+    or as soon as :data:`COALESCE_MAX_BATCH` messages have pooled,
+    whichever comes first. A window holding one message flushes as a
+    plain send — byte-for-byte what the sender would have produced
+    without the coalescer — so coalescing only changes the wire when it
+    actually merges traffic.
     """
-
-    #: how long the first message in a window waits for company
-    window_s: float = 5.0e-6
-    #: pool at most this many messages before flushing early
-    #: (1 = pass-through: every message leaves at once, unbatched)
-    max_batch: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.window_s < math.inf:  # also rejects NaN
-            raise ConfigurationError(
-                "CoalescePolicy.window_s must be finite and >= 0, "
-                f"got {self.window_s!r}"
-            )
-        if not isinstance(self.max_batch, int) or self.max_batch < 1:
-            raise ConfigurationError(
-                "CoalescePolicy.max_batch must be an int >= 1, "
-                f"got {self.max_batch!r}"
-            )
 
 
 class BatchPayload:
@@ -456,8 +446,8 @@ class Coalescer:
     ) -> None:
         self.network = network
         self.src = src
-        #: None = coalescing off: every message passes straight through
-        self.policy = policy or CoalescePolicy(max_batch=1)
+        #: a window of one (coalescing off) passes every message through
+        self.max_batch = 1 if policy is None else COALESCE_MAX_BATCH
         self.inbox = inbox
         self.batch_tag = batch_tag
         self._windows: dict[int, _Window] = {}
@@ -468,8 +458,9 @@ class Coalescer:
         network.metrics.collect(self, _COALESCER_SERIES)
 
     def submit(self, dst: int, size_bytes: float, payload: Any, tag: str = "") -> None:
-        """Queue one message for ``dst``; flushes per the policy."""
-        if dst == self.src or self.policy.max_batch <= 1:
+        """Queue one message for ``dst``; flushes when the window expires
+        or fills."""
+        if dst == self.src or self.max_batch <= 1:
             self.network.send(
                 self.src, dst, size_bytes, payload, inbox=self.inbox, tag=tag
             )
@@ -480,13 +471,13 @@ class Coalescer:
             self._windows[dst] = window
         if not window.items:
             window.flush_call = self.network.engine.schedule(
-                self.policy.window_s, self._flush, dst
+                COALESCE_WINDOW_S, self._flush, dst
             )
         window.items.append(payload)
         window.item_sizes.append(size_bytes)
         window.size_bytes += size_bytes
         window.tags.append(tag)
-        if len(window.items) >= self.policy.max_batch:
+        if len(window.items) >= self.max_batch:
             if window.flush_call is not None:
                 window.flush_call.cancel()
             self._flush(dst)

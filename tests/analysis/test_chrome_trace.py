@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.analysis.chrome_trace import to_chrome_trace, write_chrome_trace
 from repro.sim.trace import TaskCategory, TraceRecorder
 
@@ -49,3 +51,10 @@ class TestChromeTrace:
     def test_empty_trace(self):
         doc = to_chrome_trace(TraceRecorder())
         assert doc["traceEvents"] == []
+
+    def test_timestamps_are_virtual_microseconds(self):
+        doc = to_chrome_trace(make_trace())
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert [e["ts"] for e in spans] == [0.0, 0.2 / 1.0e-6, 2.0 / 1.0e-6]
+        with pytest.raises(TypeError):
+            to_chrome_trace(make_trace(), time_unit=1.0)

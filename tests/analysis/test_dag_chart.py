@@ -100,6 +100,11 @@ class TestAsciiChart:
         chart = render_series_chart(series, [1, 2, 3])
         assert "a" in chart
 
+    @pytest.mark.parametrize("label", ["x_label", "y_label"])
+    def test_axis_labels_are_not_settings(self, label):
+        with pytest.raises(TypeError):
+            render_series_chart(self.SERIES, [1, 3], **{label: "s"})
+
 
 class TestGanttZoom:
     def test_zoom_window_restricts_axis(self):

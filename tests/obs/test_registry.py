@@ -61,13 +61,19 @@ class TestHistograms:
 
     def test_bucket_assignment_uses_le_edges(self):
         m = MetricsRegistry()
-        m.observe("v", 0.5, edges=(1.0, 10.0))
-        m.observe("v", 5.0, edges=(1.0, 10.0))
-        m.observe("v", 50.0, edges=(1.0, 10.0))
+        m.observe("v", 0.5)
+        m.observe("v", 1.0)  # on an edge: counted in that edge's bucket
+        m.observe("v", 5.0)
+        m.observe("v", 1e13)
         buckets = m.snapshot()["histograms"]["v"]["buckets"]
-        assert buckets["1.0"] == 1
-        assert buckets["10.0"] == 1
-        assert buckets["inf"] == 1
+        assert buckets == {"1.0": 2, "10.0": 1, "inf": 1}
+
+    def test_edges_are_not_a_setting(self):
+        m = MetricsRegistry()
+        with pytest.raises(TypeError):
+            m.observe("v", 0.5, edges=(1.0,))
+        with pytest.raises(TypeError):
+            m.histogram("v", edges=(1.0,))
 
     def test_default_edges_span_nanoseconds_to_terascale(self):
         assert DEFAULT_BUCKET_EDGES[0] == pytest.approx(1e-9)
@@ -146,13 +152,6 @@ class TestSnapshot:
             return m.snapshot()
 
         assert build() == build()
-
-    def test_histogram_edges_fixed_at_first_declaration(self):
-        m = MetricsRegistry()
-        m.observe("h", 1.0, edges=(2.0,))
-        m.observe("h", 10.0, edges=(100.0,))  # ignored: first edges win
-        buckets = m.snapshot()["histograms"]["h"]["buckets"]
-        assert set(buckets) <= {"2.0", "inf"}
 
 
 class TestBoundCells:

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.obs.registry import MetricsRegistry
-from repro.serve.breaker import BreakerConfig, CircuitBreaker
-from repro.util.errors import ConfigurationError
+from repro.serve.breaker import (
+    COOLDOWN_S,
+    FAILURE_THRESHOLD,
+    MAX_QUEUE_DEPTH,
+    WINDOW_S,
+    CircuitBreaker,
+)
 
 
 class FakeClock:
@@ -15,15 +20,16 @@ class FakeClock:
         return self.now
 
 
-def _breaker(**overrides):
-    config = BreakerConfig(
-        max_queue_depth=overrides.pop("max_queue_depth", 4),
-        failure_threshold=overrides.pop("failure_threshold", 3),
-        window_s=overrides.pop("window_s", 60.0),
-        cooldown_s=overrides.pop("cooldown_s", 5.0),
-    )
+def _breaker(metrics=None):
     clock = FakeClock()
-    return CircuitBreaker(config, clock=clock), clock
+    return CircuitBreaker(clock=clock, metrics=metrics), clock
+
+
+def _trip(breaker):
+    """Fail ``FAILURE_THRESHOLD`` jobs at one instant: the breaker opens."""
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure()
+    assert breaker.state == "open"
 
 
 class TestClosed:
@@ -33,45 +39,45 @@ class TestClosed:
         assert admission.allowed and admission.retry_after_s is None
 
     def test_sheds_on_saturation_without_tripping(self):
-        breaker, _ = _breaker(max_queue_depth=2)
-        admission = breaker.admit(queue_depth=2)
+        breaker, _ = _breaker()
+        admission = breaker.admit(queue_depth=MAX_QUEUE_DEPTH)
         assert not admission.allowed
         assert admission.reason == "saturated"
         assert admission.retry_after_s > 0
         assert breaker.state == "closed"  # back-pressure, not sickness
-        assert breaker.admit(queue_depth=1).allowed
+        assert breaker.admit(queue_depth=MAX_QUEUE_DEPTH - 1).allowed
 
     def test_trips_at_failure_threshold(self):
-        breaker, _ = _breaker(failure_threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker, _ = _breaker()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         assert breaker.state == "closed"
         breaker.record_failure()
         assert breaker.state == "open"
 
     def test_old_failures_age_out_of_the_window(self):
-        breaker, clock = _breaker(failure_threshold=3, window_s=10.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.now += 11.0  # both fall out of the window
+        breaker, clock = _breaker()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
+        clock.now += WINDOW_S + 1.0  # all fall out of the window
         breaker.record_failure()
         assert breaker.state == "closed"
 
 
 class TestOpen:
     def test_rejects_with_retry_after(self):
-        breaker, clock = _breaker(failure_threshold=1, cooldown_s=5.0)
-        breaker.record_failure()
+        breaker, clock = _breaker()
+        _trip(breaker)
         clock.now += 2.0
         admission = breaker.admit(queue_depth=0)
         assert not admission.allowed
         assert admission.reason == "open"
-        assert admission.retry_after_s == pytest.approx(3.0)
+        assert admission.retry_after_s == pytest.approx(COOLDOWN_S - 2.0)
 
     def test_half_opens_after_cooldown(self):
-        breaker, clock = _breaker(failure_threshold=1, cooldown_s=5.0)
-        breaker.record_failure()
-        clock.now += 5.0
+        breaker, clock = _breaker()
+        _trip(breaker)
+        clock.now += COOLDOWN_S
         admission = breaker.admit(queue_depth=0)
         assert admission.allowed and admission.reason == "probe"
         assert breaker.state == "half-open"
@@ -79,9 +85,9 @@ class TestOpen:
 
 class TestHalfOpen:
     def _half_open(self):
-        breaker, clock = _breaker(failure_threshold=1, cooldown_s=5.0)
-        breaker.record_failure()
-        clock.now += 5.0
+        breaker, clock = _breaker()
+        _trip(breaker)
+        clock.now += COOLDOWN_S
         assert breaker.admit(queue_depth=0).allowed  # the probe
         return breaker, clock
 
@@ -93,15 +99,17 @@ class TestHalfOpen:
         breaker, _ = self._half_open()
         breaker.record_success()
         assert breaker.state == "closed"
-        # one failure no longer trips (the window was cleared) — except
-        # threshold is 1 here, so check the window directly
-        assert len(breaker._failures) == 0
+        # the window was cleared: one failure short of the threshold
+        # does not trip again
+        for _ in range(FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
+        assert breaker.state == "closed"
 
     def test_probe_failure_reopens_and_restarts_cooldown(self):
         breaker, clock = self._half_open()
         breaker.record_failure()
         assert breaker.state == "open"
-        clock.now += 4.9
+        clock.now += COOLDOWN_S - 0.1
         assert not breaker.admit(queue_depth=0).allowed
         clock.now += 0.2
         assert breaker.admit(queue_depth=0).allowed
@@ -109,33 +117,22 @@ class TestHalfOpen:
 
 class TestObservability:
     def test_to_dict_reports_state_and_hint(self):
-        breaker, clock = _breaker(failure_threshold=1, cooldown_s=5.0)
+        breaker, clock = _breaker()
         assert breaker.to_dict()["state"] == "closed"
-        breaker.record_failure()
+        _trip(breaker)
         clock.now += 1.0
         d = breaker.to_dict()
         assert d["state"] == "open"
-        assert d["retry_after_s"] == pytest.approx(4.0)
+        assert d["retry_after_s"] == pytest.approx(COOLDOWN_S - 1.0)
         assert d["rejections"] == 0
 
     def test_metrics_gauge_and_rejection_counters(self):
         metrics = MetricsRegistry(enabled=True)
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            BreakerConfig(failure_threshold=1), clock=clock, metrics=metrics
-        )
+        breaker, _ = _breaker(metrics)
         assert metrics.gauge_value("serve.breaker.state") == 0.0
-        breaker.record_failure()
+        _trip(breaker)
         assert metrics.gauge_value("serve.breaker.state") == 2.0
         breaker.admit(queue_depth=0)
         assert metrics.counter_value(
             "serve.breaker.rejections", reason="open"
         ) == 1.0
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            BreakerConfig(max_queue_depth=0)
-        with pytest.raises(ConfigurationError):
-            BreakerConfig(failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            BreakerConfig(cooldown_s=0.0)

@@ -6,6 +6,8 @@ without subprocess orchestration (the subprocess SIGKILL acceptance
 test lives in ``test_service_restart.py``).
 """
 
+import http.client
+import json
 import os
 import threading
 import time
@@ -13,7 +15,6 @@ import time
 import pytest
 
 from repro.experiments.sweep import RetryPolicy, SweepCell
-from repro.serve.breaker import BreakerConfig
 from repro.serve.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.serve.daemon import ServeDaemon
 from repro.serve.journal import read_events
@@ -295,13 +296,49 @@ class TestOneAnswerOneMessage:
             daemon.stop()
 
 
+#: request bodies (and a Content-Length, where it is the fault) that
+#: are not a submission; each used to drop the connection
+_MALFORMED = {
+    "list": (None, b"[1]"),
+    "string": (None, b'"x"'),
+    "params_list": (None, b'{"kind": "point", "params": [1, 2]}'),
+    "params_string": (None, b'{"kind": "point", "params": "abc"}'),
+    "not_utf8": (None, b'{"kind": "\xff"}'),
+    "length_not_an_int": ("ten", b""),
+    "length_negative": ("-1", b""),
+}
+
+
+class TestMalformedSubmission:
+    @pytest.mark.parametrize(
+        "length, body", list(_MALFORMED.values()), ids=list(_MALFORMED)
+    )
+    def test_answers_400_and_stays_healthy(self, tmp_path, length, body):
+        daemon, client = _daemon(tmp_path)
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=5.0)
+            try:
+                conn.putrequest("POST", "/jobs")
+                conn.putheader("Content-Type", "application/json")
+                conn.putheader("Content-Length", length or str(len(body)))
+                conn.endheaders(body)
+                resp = conn.getresponse()
+                assert resp.status == 400
+                assert json.loads(resp.read())["error"]
+            finally:
+                conn.close()
+            assert client.health()
+            assert client.overview()["queue_depth"] == 0
+        finally:
+            daemon.stop()
+
+
 class TestShedding:
-    def test_saturation_returns_503_with_retry_after(self, tmp_path):
+    def test_saturation_returns_503_with_retry_after(self, tmp_path, monkeypatch):
         # depth counts queued + running: the parked job is 1, one more
         # queues to 2, the third submission must shed
-        daemon, client = _daemon(
-            tmp_path, breaker_config=BreakerConfig(max_queue_depth=2)
-        )
+        monkeypatch.setattr("repro.serve.breaker.MAX_QUEUE_DEPTH", 2)
+        daemon, client = _daemon(tmp_path)
         try:
             client.submit("point", {"seed": 501})  # parks the worker
             client.submit("point", {"seed": 1})  # fills the queue
@@ -311,6 +348,11 @@ class TestShedding:
         finally:
             _GATE.set()
             daemon.stop()
+
+    @pytest.mark.parametrize("knob", ["breaker_config", "aging_s"])
+    def test_thresholds_are_not_settings(self, tmp_path, knob):
+        with pytest.raises(TypeError):
+            ServeDaemon(tmp_path / "journal.jsonl", port=0, **{knob: None})
 
 
 class TestRestartRecovery:

@@ -28,7 +28,7 @@ from hypothesis.stateful import (
 
 from repro.experiments.sweep import RetryPolicy, SweepCell
 from repro.obs.registry import MetricsRegistry
-from repro.serve.breaker import BreakerConfig, CircuitBreaker
+from repro.serve.breaker import FAILURE_THRESHOLD
 from repro.serve.journal import Journal, read_events, rebuild
 from repro.serve.scheduler import JobScheduler, SubmissionRejected
 
@@ -208,11 +208,9 @@ class TestCacheAndCoalescing:
 class TestAdmissionControl:
     def test_saturated_queue_sheds_with_retry_hint(self, tmp_path, monkeypatch):
         monkeypatch.setattr("repro.serve.scheduler.build_cells", _fake_cells)
+        monkeypatch.setattr("repro.serve.breaker.MAX_QUEUE_DEPTH", 2)
         journal = Journal(tmp_path / "journal.jsonl")
-        sched = JobScheduler(
-            journal=journal,
-            breaker=CircuitBreaker(BreakerConfig(max_queue_depth=2)),
-        )
+        sched = JobScheduler(journal=journal)
         try:
             sched.submit("point", {"seed": 1})  # worker not started: queued
             sched.submit("point", {"seed": 2})
@@ -228,12 +226,12 @@ class TestAdmissionControl:
         journal = Journal(tmp_path / "journal.jsonl")
         sched = JobScheduler(
             journal=journal,
-            breaker=CircuitBreaker(BreakerConfig(failure_threshold=2)),
             retry=RetryPolicy(retries=0, base_delay_s=0.0, max_delay_s=0.0),
         )
         sched.start()
         try:
-            for seed in (666, 1666):  # distinct digests, both explode
+            # distinct digests, all explode
+            for seed in range(666, 666 + 1000 * FAILURE_THRESHOLD, 1000):
                 record = sched.submit("point", {"seed": seed})
                 _wait_done(sched, record.job_id)
             with pytest.raises(SubmissionRejected) as exc:
@@ -688,9 +686,10 @@ class TestPriorities:
     ):
         """A priority-0 job that has waited long enough overtakes a
         freshly submitted priority-3 job: no starvation."""
-        journal, sched = _make(tmp_path, monkeypatch, aging_s=0.01)
+        monkeypatch.setattr("repro.serve.scheduler.AGING_S", 0.01)
+        journal, sched = _make(tmp_path, monkeypatch)
         old = sched.submit("point", {"seed": 1})
-        time.sleep(0.1)  # ages ~10 points at aging_s=0.01
+        time.sleep(0.1)  # ages ~10 points at AGING_S=0.01
         fresh = sched.submit("point", {"seed": 2, "priority": 3})
         sched.start()
         _wait_done(sched, old.job_id)
