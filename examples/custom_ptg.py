@@ -30,7 +30,7 @@ def body(duration, log=None):
     """A task body: burn core time, forward an incremented counter."""
 
     def run(ctx):
-        yield from ctx.charge(OpCost(duration, 0.0))
+        yield ctx.charge(OpCost(duration, 0.0))
         if log is not None:
             log.append((ctx.task.label, ctx.cluster.engine.now))
         ctx.outputs["C"] = (ctx.inputs.get("C") or 0) + 1
@@ -162,7 +162,7 @@ def build_parallel_ptg(log) -> PTG:
     )
 
     def reduction_run(ctx):
-        yield from ctx.charge(OpCost(0.02, 0.0))
+        yield ctx.charge(OpCost(0.02, 0.0))
         pieces = ctx.inputs["A"]
         total = sum(pieces) if isinstance(pieces, list) else pieces
         log.append((ctx.task.label, ctx.cluster.engine.now))

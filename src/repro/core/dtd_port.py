@@ -38,7 +38,7 @@ def _read_body(md: Metadata, L1: int, L2: int, which: str, key: str):
 def _gemm_body(md: Metadata, L1: int, L2: int, a_key: str, b_key: str, out_key: str):
     def body(ctx: DtdContext):
         gemm = md.gemm(L1, L2)
-        yield from ctx.charge(ctx.machine.gemm(gemm.m, gemm.n, gemm.k))
+        yield ctx.charge(ctx.machine.gemm(gemm.m, gemm.n, gemm.k))
         if ctx.real:
             a = ctx.data[a_key].reshape(gemm.k, gemm.m)
             b = ctx.data[b_key].reshape(gemm.k, gemm.n)
@@ -70,7 +70,7 @@ def _write_body(md: Metadata, L1: int, seg_index: int, sorted_key: str, region_k
     def body(ctx: DtdContext):
         chain = md.chain(L1)
         seg = chain.write_segs[seg_index]
-        yield from ctx.charge(ctx.machine.axpy(seg.size))
+        yield ctx.charge(ctx.machine.axpy(seg.size))
         if ctx.real:
             piece = ctx.data[sorted_key][
                 seg.lo - chain.target_lo : seg.hi - chain.target_lo

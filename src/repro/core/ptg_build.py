@@ -57,13 +57,13 @@ def read_block(ctx, md: Metadata, gemm, which: str):
         lo, hi, array = gemm.b_lo, gemm.b_hi, md.b_array_of(gemm)
     # the core time of the local copy is what lets priorities throttle
     # the transfer enqueue rate (the v2-vs-v4 contrast of Figures 10/11)
-    yield from ctx.charge(ctx.machine.local_get(8.0 * (hi - lo)))
+    yield ctx.charge(ctx.machine.local_get(8.0 * (hi - lo)))
     return array.read_range_direct(lo, hi) if ctx.real else None
 
 
 def reduce_pair(ctx, chain, x, y):
     """One step of the binary reduction over a chain's partial Cs."""
-    yield from ctx.charge(ctx.machine.axpy(chain.c_size))
+    yield ctx.charge(ctx.machine.axpy(chain.c_size))
     return x + y if ctx.real else None
 
 
@@ -75,7 +75,7 @@ def sort_fused(ctx, chain, c):
     v5's win.
     """
     machine = ctx.machine
-    yield from ctx.charge(machine.zero_fill(chain.c_size))  # master := 0
+    yield ctx.charge(machine.zero_fill(chain.c_size))  # master := 0
     master = None
     tile = None
     if ctx.real:
@@ -83,8 +83,8 @@ def sort_fused(ctx, chain, c):
         master = np.zeros(chain.c_size)
     first = True
     for sort in chain.active_sorts:
-        yield from ctx.charge(machine.sort4(chain.c_size, cache_warm=not first))
-        yield from ctx.charge(machine.axpy(chain.c_size, cache_warm=True))
+        yield ctx.charge(machine.sort4(chain.c_size, cache_warm=not first))
+        yield ctx.charge(machine.axpy(chain.c_size, cache_warm=True))
         if ctx.real:
             master += sort_4(tile, sort)
         first = False
@@ -101,14 +101,14 @@ def _read_run(which: str, out_flow: str):
 
 def _dfill_run(ctx: TaskContext):
     chain = ctx.md.chain(ctx.params[0])
-    yield from ctx.charge(ctx.machine.zero_fill(chain.c_size))
+    yield ctx.charge(ctx.machine.zero_fill(chain.c_size))
     ctx.outputs["C"] = np.zeros((chain.m, chain.n)) if ctx.real else None
 
 
 def _gemm_run(ctx: TaskContext):
     L1, L2 = ctx.params
     gemm = ctx.md.gemm(L1, L2)
-    yield from ctx.charge(
+    yield ctx.charge(
         ctx.machine.gemm(gemm.m, gemm.n, gemm.k, device=ctx.device)
     )
     if not ctx.real:
@@ -138,7 +138,7 @@ def _sort_i_run(ctx: TaskContext):
     L1, sort_index = ctx.params
     chain = ctx.md.chain(L1)
     sort = chain.sorts[sort_index]
-    yield from ctx.charge(ctx.machine.sort4(chain.c_size, cache_warm=False))
+    yield ctx.charge(ctx.machine.sort4(chain.c_size, cache_warm=False))
     if ctx.real:
         tile = ctx.inputs["C"].reshape(chain.tile_shape)
         ctx.outputs["S"] = sort_4(tile, sort)
@@ -162,7 +162,7 @@ def _make_write_run(seg_index_of_params):
         yield from mutex.lock()
         try:
             for _ in pieces:
-                yield from ctx.charge(ctx.machine.axpy(seg.size))
+                yield ctx.charge(ctx.machine.axpy(seg.size))
             # Commit point: every irreversible accumulate publishes in
             # this one synchronous step. A crash either aborts a clean
             # body (before the commit) or lets a fully-published task

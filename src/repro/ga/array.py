@@ -65,6 +65,12 @@ class GlobalArray:
         self.total = total
         self.distribution = distribution
         self.data_mode = data_mode
+        #: the wire tags of the one-sided ops on this array, built once:
+        #: a fault plan's ``message_fate`` and the coalescer read them
+        self.tag_get = f"get:{name}"
+        self.tag_get_reply = f"get.reply:{name}"
+        self.tag_acc = f"acc:{name}"
+        self.tag_acc_ack = f"acc.ack:{name}"
         self._destroyed = False
         # Ordered-accumulation mode (see enable_ordered_accumulation):
         # tagged contributions are logged here keyed by

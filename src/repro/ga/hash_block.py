@@ -32,19 +32,20 @@ def get_hash_block(ga, node, thread: int, array, lo: int, hi: int, label: str = 
     t_start = ga.engine.now
     hits_before = ga.cache_hits
     data = yield from ga.fetch(node.node_id, array, lo, hi)
-    meta = {"bytes": array.nbytes(lo, hi)}
-    if ga.remote_cache is not None:
-        # knobs-on only, so default-path traces stay byte-identical
-        meta["cached"] = ga.cache_hits > hits_before
-    node.trace.record(
-        node.node_id,
-        thread,
-        TaskCategory.COMM,
-        label or f"GET_HASH_BLOCK:{array.name}",
-        t_start,
-        ga.engine.now,
-        meta,
-    )
+    if node.trace.enabled:  # off: no meta, label or record
+        meta = {"bytes": array.nbytes(lo, hi)}
+        if ga.remote_cache is not None:
+            # knobs-on only, so default-path traces stay byte-identical
+            meta["cached"] = ga.cache_hits > hits_before
+        node.trace.record(
+            node.node_id,
+            thread,
+            TaskCategory.COMM,
+            label or f"GET_HASH_BLOCK:{array.name}",
+            t_start,
+            ga.engine.now,
+            meta,
+        )
     return data
 
 
@@ -65,12 +66,13 @@ def add_hash_block(
     ordered-accumulation mode (bitwise-reproducible runs)."""
     t_start = ga.engine.now
     yield from ga.accumulate(node.node_id, array, lo, hi, data, tag=tag)
-    node.trace.record(
-        node.node_id,
-        thread,
-        TaskCategory.WRITE,
-        label or f"ADD_HASH_BLOCK:{array.name}",
-        t_start,
-        ga.engine.now,
-        {"bytes": array.nbytes(lo, hi)},
-    )
+    if node.trace.enabled:
+        node.trace.record(
+            node.node_id,
+            thread,
+            TaskCategory.WRITE,
+            label or f"ADD_HASH_BLOCK:{array.name}",
+            t_start,
+            ga.engine.now,
+            {"bytes": array.nbytes(lo, hi)},
+        )

@@ -26,7 +26,7 @@ import numpy as np
 from repro.ga.array import GlobalArray, assemble
 from repro.ga.cache import RemoteBlockCache, RemoteCachePolicy
 from repro.ga.distribution import Distribution, Segment
-from repro.sim.cluster import Cluster, DataMode
+from repro.sim.cluster import Cluster
 from repro.sim.engine import SimEvent, all_of
 from repro.sim.network import BatchPayload, CoalescePolicy, Coalescer
 from repro.util.errors import GlobalArrayError
@@ -241,14 +241,14 @@ class GlobalArrays:
             event = self.engine.event()
             request = _Request("get", array, segment, None, requester, event)
             coalescer.submit(
-                segment.node, _CTRL_BYTES, request, tag=f"get:{array.name}"
+                segment.node, _CTRL_BYTES, request, tag=array.tag_get
             )
             events.append(event)
         replies = yield all_of(self.engine, events)
         if nbytes > 0:
             # land the received bytes in the requester's memory
             yield self.cluster.nodes[requester].membw.transfer(nbytes)
-        if self.cluster.data_mode is not DataMode.REAL:
+        if not self.cluster.real:
             if cache is not None:
                 cache.insert(array, lo, hi, epoch, None)
             return None
@@ -274,7 +274,7 @@ class GlobalArrays:
         to the array for ordered-accumulation mode.
         """
         array._check_live()
-        if self.cluster.data_mode is DataMode.REAL:
+        if self.cluster.real:
             if data is None:
                 raise GlobalArrayError("REAL-mode accumulate requires data")
             if data.shape != (hi - lo,):
@@ -303,7 +303,7 @@ class GlobalArrays:
                 _CTRL_BYTES + 8.0 * segment.size,
                 request,
                 inbox=self.INBOX,
-                tag=f"acc:{array.name}",
+                tag=array.tag_acc,
             )
             events.append(event)
         yield all_of(self.engine, events)
@@ -364,7 +364,7 @@ class GlobalArrays:
                 request.requester,
                 8.0 * segment.size,
                 request.array.read_segment(segment),
-                tag=f"get.reply:{request.array.name}",
+                tag=request.array.tag_get_reply,
                 on_deliver=request.reply,
             )
         elif request.kind == "acc":
@@ -374,7 +374,7 @@ class GlobalArrays:
                 request.requester,
                 _CTRL_BYTES,
                 None,
-                tag=f"acc.ack:{request.array.name}",
+                tag=request.array.tag_acc_ack,
                 on_deliver=request.reply,
             )
         else:  # pragma: no cover - defensive

@@ -43,19 +43,24 @@ def execute_chain(
     re-executed wholesale; past it the chain must run to completion.
     """
     machine = cluster.machine
-    real = cluster.data_mode.value == "real"
-    label = f"c{chain.chain_id}"
+    real = cluster.real
+    engine = cluster.engine
+    # with tracing off no span is recorded, so no label or meta is built
+    traced = node.trace.enabled
+    record = node.trace.record
+    node_id = node.node_id
+    label = f"c{chain.chain_id}" if traced else ""
 
     # MA_PUSH_GET and friends: local memory management bookkeeping
-    yield from node.occupy(machine.legacy_call_overhead_s)
+    yield node.occupy(machine.legacy_call_overhead_s)
 
     # DFILL: zero-initialize the C buffer
-    yield from node.execute(
-        thread,
-        TaskCategory.DFILL,
-        f"DFILL:{label}",
-        machine.zero_fill(chain.c_size),
-    )
+    t_start = engine.now
+    yield node.charge(machine.zero_fill(chain.c_size))
+    if traced:
+        record(
+            node_id, thread, TaskCategory.DFILL, f"DFILL:{label}", t_start, engine.now
+        )
     C: Optional[np.ndarray] = np.zeros((chain.m, chain.n)) if real else None
 
     for gemm in chain.gemms:
@@ -66,7 +71,7 @@ def execute_chain(
             ga.lookup(gemm.a.tensor.name),
             gemm.a.lo,
             gemm.a.hi,
-            label=f"GET_A:{label}.{gemm.position}",
+            label=f"GET_A:{label}.{gemm.position}" if traced else "",
         )
         b_flat = yield from get_hash_block(
             ga,
@@ -75,17 +80,22 @@ def execute_chain(
             ga.lookup(gemm.b.tensor.name),
             gemm.b.lo,
             gemm.b.hi,
-            label=f"GET_B:{label}.{gemm.position}",
+            label=f"GET_B:{label}.{gemm.position}" if traced else "",
         )
         # per-call bookkeeping (hash lookups, MA stack)
-        yield from node.occupy(machine.legacy_call_overhead_s)
-        yield from node.execute(
-            thread,
-            TaskCategory.GEMM,
-            f"GEMM:{label}.{gemm.position}",
-            machine.gemm(gemm.m, gemm.n, gemm.k),
-            meta={"chain": chain.chain_id, "position": gemm.position},
-        )
+        yield node.occupy(machine.legacy_call_overhead_s)
+        t_start = engine.now
+        yield node.charge(machine.gemm(gemm.m, gemm.n, gemm.k))
+        if traced:
+            record(
+                node_id,
+                thread,
+                TaskCategory.GEMM,
+                f"GEMM:{label}.{gemm.position}",
+                t_start,
+                engine.now,
+                {"chain": chain.chain_id, "position": gemm.position},
+            )
         if real:
             a = a_flat.reshape(gemm.k, gemm.m)
             b = b_flat.reshape(gemm.k, gemm.n)
@@ -95,12 +105,17 @@ def execute_chain(
     if on_commit is not None:
         on_commit()
     for sw in chain.active_sorts:
-        yield from node.execute(
-            thread,
-            TaskCategory.SORT,
-            f"SORT_4:{label}.{sw.sort_index}",
-            machine.sort4(chain.c_size),
-        )
+        t_start = engine.now
+        yield node.charge(machine.sort4(chain.c_size))
+        if traced:
+            record(
+                node_id,
+                thread,
+                TaskCategory.SORT,
+                f"SORT_4:{label}.{sw.sort_index}",
+                t_start,
+                engine.now,
+            )
         sorted_flat = sort_4(tile, sw) if real else None
         yield from add_hash_block(
             ga,
@@ -110,9 +125,9 @@ def execute_chain(
             sw.target.lo,
             sw.target.hi,
             sorted_flat,
-            label=f"ADD_HASH_BLOCK:{label}.{sw.sort_index}",
+            label=f"ADD_HASH_BLOCK:{label}.{sw.sort_index}" if traced else "",
             tag=(chain.level, chain.chain_id, sw.sort_index),
         )
 
     # MA_POP_STACK
-    yield from node.occupy(machine.legacy_call_overhead_s)
+    yield node.occupy(machine.legacy_call_overhead_s)

@@ -234,14 +234,15 @@ class LegacyRuntime:
             if self.cluster.metrics.enabled:
                 self._m_barrier_waits.value += 1.0
                 self._m_barrier_wait_s.observe(self.cluster.engine.now - t_start)
-            node.trace.record(
-                node.node_id,
-                thread,
-                TaskCategory.BARRIER,
-                "GA_Sync",
-                t_start,
-                self.cluster.engine.now,
-            )
+            if node.trace.enabled:
+                node.trace.record(
+                    node.node_id,
+                    thread,
+                    TaskCategory.BARRIER,
+                    "GA_Sync",
+                    t_start,
+                    self.cluster.engine.now,
+                )
 
     def _claim_loop(
         self,
@@ -262,17 +263,20 @@ class LegacyRuntime:
         an in-flight chain past its commit point runs to completion even
         on a dead node, so its ticket is not orphaned).
         """
+        engine = self.cluster.engine
+        trace = node.trace
         while True:
-            t_start = self.cluster.engine.now
+            t_start = engine.now
             ticket = yield from counter.next(node.node_id)
-            node.trace.record(
-                node.node_id,
-                thread,
-                TaskCategory.NXTVAL,
-                f"NXTVAL#{ticket}",
-                t_start,
-                self.cluster.engine.now,
-            )
+            if trace.enabled:
+                trace.record(
+                    node.node_id,
+                    thread,
+                    TaskCategory.NXTVAL,
+                    f"NXTVAL#{ticket}",
+                    t_start,
+                    engine.now,
+                )
             if ticket >= len(level_chains):
                 return True, None
             if not node.alive:
@@ -304,22 +308,28 @@ class LegacyRuntime:
         calls still work because the crash model only stops compute.
         """
         faults = self.cluster.faults
-        label = f"chain:{chain.chain_id}"
-        if faults is not None and faults.plan.task_fails(label, 0):
-            yield from faults.retry_gate(label)
-        committed = [False]
-        abort = None
+        if faults is not None:
+            label = f"chain:{chain.chain_id}"
+            if faults.plan.task_fails(label, 0):
+                yield from faults.retry_gate(label)
+        cluster = self.cluster
         if self._crashable:
-            abort = lambda: not node.alive and not committed[0]
-        body = execute_chain(
-            self.cluster,
-            self.ga,
-            node,
-            thread,
-            chain,
-            on_commit=lambda: committed.__setitem__(0, True),
-        )
-        completed = yield from me.abortable(body, abort)
+            committed = [False]
+            completed = yield from me.abortable(
+                execute_chain(
+                    cluster,
+                    self.ga,
+                    node,
+                    thread,
+                    chain,
+                    on_commit=lambda: committed.__setitem__(0, True),
+                ),
+                lambda: not node.alive and not committed[0],
+            )
+        else:
+            # nothing can kill the body: no abort rule, no wrapper frame
+            yield from execute_chain(cluster, self.ga, node, thread, chain)
+            completed = True
         if completed:
             result.chains_executed += 1
             result.chains_per_rank[key] += 1

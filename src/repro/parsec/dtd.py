@@ -108,6 +108,9 @@ class DtdTask:
         "done",
     )
 
+    #: a DTD task has no parameter binding; its context's ``params``
+    params = ()
+
     def __init__(self, task_id, name, body, accesses, node, priority, category):
         self.task_id = task_id
         self.name = name
@@ -350,9 +353,15 @@ class DtdRuntime:
             context = DtdContext(task, self.cluster, node, thread)
             t_start = self.engine.now
             yield from task.body(context)
-            node.trace.record(
-                node.node_id, thread, task.category, task.name, t_start, self.engine.now
-            )
+            if node.trace.enabled:
+                node.trace.record(
+                    node.node_id,
+                    thread,
+                    task.category,
+                    task.name,
+                    t_start,
+                    self.engine.now,
+                )
             # publish written values back to the handles, then let go of
             # every handle this was the last inserted task to touch
             for handle, mode in task.accesses:

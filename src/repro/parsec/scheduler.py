@@ -206,6 +206,7 @@ class NodeScheduler:
         observe_duration = self._m_duration.observe
         on_complete = runtime._on_complete
         trace_record = node.trace.record
+        traced = node.trace.enabled
         node_id = node.node_id
         while True:
             # Hot path: work already queued. try_get + checkpoint resumes
@@ -252,17 +253,17 @@ class NodeScheduler:
                 )
                 if in_bytes > 0:
                     yield node.pcie.transfer(in_bytes)
-            # a crash re-homes the task (bumps its epoch) and the body is
-            # killed at its next resume; the survivor node re-executes it
-            # from the task's still-held inputs
-            completed = yield from me.abortable(
-                task.cls.run(context), _rehomed(task) if crashable else None
-            )
-            if not completed:
-                assert faults is not None  # only a planned crash kills a body
-                faults.note_abort(engine.now - t_start)
-                break  # epoch bumps only come from this node's own crash
-            meta = None
+            if crashable:
+                # a crash re-homes the task (bumps its epoch) and the body
+                # is killed at its next resume; the survivor node
+                # re-executes it from the task's still-held inputs
+                if not (
+                    yield from me.abortable(task.cls.run(context), _rehomed(task))
+                ):
+                    faults.note_abort(engine.now - t_start)
+                    break  # epoch bumps only come from this node's own crash
+            else:
+                yield from task.cls.run(context)
             if on_device:  # stage the outputs back
                 out_bytes = 8.0 * sum(
                     flow.size_elems(task.params, md)
@@ -271,18 +272,19 @@ class NodeScheduler:
                 )
                 if out_bytes > 0:
                     yield node.pcie.transfer(out_bytes)
-                meta = {"device": f"gpu{gpu}"}
-            if task.stolen_from is not None:
-                meta = {**(meta or {}), "stolen_from": task.stolen_from}
-            trace_record(
-                node_id,
-                thread,
-                task.cls.category,
-                task.label,
-                t_start,
-                engine.now,
-                meta=meta,
-            )
+            if traced:
+                meta = {"device": f"gpu{gpu}"} if on_device else None
+                if task.stolen_from is not None:
+                    meta = {**(meta or {}), "stolen_from": task.stolen_from}
+                trace_record(
+                    node_id,
+                    thread,
+                    task.cls.category,
+                    task.label,
+                    t_start,
+                    engine.now,
+                    meta=meta,
+                )
             task.done = True
             if metrics.enabled:
                 executed[task.cls.name].value += 1.0

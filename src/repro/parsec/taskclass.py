@@ -9,8 +9,8 @@ other task classes. Everything symbolic is a plain Python callable over
 expressions play.
 
 The task *body* is a generator ``run(ctx)`` driven inside the simulated
-worker thread. It charges its cost through :meth:`TaskContext.charge`
-and, in REAL data mode, moves actual NumPy data from ``ctx.inputs`` to
+worker thread. It charges its cost with ``yield ctx.charge(cost)`` and,
+in REAL data mode, moves actual NumPy data from ``ctx.inputs`` to
 ``ctx.outputs``.
 """
 
@@ -259,7 +259,15 @@ class TaskInstance:
 
 
 class TaskContext:
-    """What a task body sees while it runs."""
+    """What a task body sees while it runs.
+
+    ``charge(cost)`` is the node's :meth:`~repro.sim.node.Node.charge`:
+    it burns one ``OpCost`` on this node/thread — CPU time exclusive
+    (scaled by any straggler window), bytes through the node's shared
+    memory bandwidth — as one waitable, so a body ``yield``-s it. The
+    enclosing task span is traced by the worker, so charges stay
+    untraced here.
+    """
 
     __slots__ = (
         "task",
@@ -269,6 +277,10 @@ class TaskContext:
         "thread",
         "device",
         "outputs",
+        "params",
+        "machine",
+        "real",
+        "charge",
     )
 
     def __init__(
@@ -288,36 +300,15 @@ class TaskContext:
         #: 'cpu' or 'gpu' — which worker kind is executing the body
         self.device = device
         self.outputs: dict[str, Any] = {}
-
-    @property
-    def params(self) -> Params:
-        return self.task.params
+        self.params: Params = task.params
+        self.machine = node.machine
+        #: True when actual NumPy data flows through the system
+        self.real: bool = cluster.real
+        self.charge = node.charge
 
     @property
     def inputs(self) -> dict[str, Any]:
         return self.task.inputs
-
-    @property
-    def machine(self):
-        return self.cluster.machine
-
-    @property
-    def real(self) -> bool:
-        """True when actual NumPy data flows through the system."""
-        return self.cluster.data_mode.value == "real"
-
-    def charge(self, cost):
-        """Generator helper: burn one OpCost on this node/thread.
-
-        CPU time is exclusive core time (scaled by any straggler window
-        active on the node); bytes go through the node's shared memory
-        bandwidth. The enclosing task span is traced by the worker, so
-        charges stay untraced here.
-        """
-        if cost.cpu > 0:
-            yield self.cluster.engine.timeout(cost.cpu * self.node.cpu_scale())
-        if cost.bytes > 0:
-            yield self.node.membw.transfer(cost.bytes)
 
     def commit(self) -> None:
         """Mark the task's side effects as irrevocably published.

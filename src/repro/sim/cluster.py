@@ -91,6 +91,8 @@ class Cluster:
 
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
+        #: True when actual NumPy data flows through the system
+        self.real = config.data_mode is DataMode.REAL
         self.engine = Engine()
         self.trace = TraceRecorder(enabled=config.trace_enabled)
         self.metrics = MetricsRegistry(

@@ -26,8 +26,10 @@ Design notes
   recursion-depth coupling to chain length) and gives a single,
   predictable interleaving rule. The one shortcut is exact: a resumed
   timer whose lane entry would be the very next thing run (empty lane,
-  no other live row at this instant) is called in place, after drawing
-  the same sequence number (``timeline.py``, "In-place rule").
+  no other row at this instant) is called in place, after drawing the
+  same sequence number (``timeline.py``, "In-place rule"); and a
+  zero-cost charge (:class:`NoWait`) resumes its process in place,
+  exactly as a generator that never yielded would have continued.
 - A process that raises with nobody waiting on its completion re-raises
   out of :meth:`Engine.run` — silent death of a simulated thread would
   otherwise manifest as an inexplicable hang.
@@ -62,6 +64,7 @@ __all__ = [
     "SimEvent",
     "Process",
     "Checkpoint",
+    "NoWait",
     "WaitQueue",
     "all_of",
     "any_of",
@@ -95,6 +98,40 @@ class Checkpoint:
         engine._immediate.append((engine.now, next(engine._seq), callback, None))
 
 
+class NoWait:
+    """The waitable of a charge that costs nothing: it resumes its
+    process in place, with ``None``, drawing no sequence number and
+    consulting no abort rule — exactly where a generator helper that
+    never yielded would have continued.
+
+    It passes itself as the resume's ``fired``: a waitable that is
+    neither succeeded nor failed, which :meth:`Process._step` sends in
+    unchecked. A process that meets another one inside that resume is
+    queued and resumed by the outer call, so a run of zero charges
+    iterates instead of nesting frames.
+    """
+
+    __slots__ = ("_queued",)
+
+    _status = _PENDING
+    value = None
+
+    def __init__(self) -> None:
+        self._queued: Optional[list[Callable]] = None
+
+    def _wait(self, callback: Callable) -> None:
+        queued = self._queued
+        if queued is not None:
+            queued.append(callback)
+            return
+        self._queued = queued = [callback]
+        try:
+            while queued:
+                queued.pop()(self)
+        finally:
+            self._queued = None
+
+
 class Engine:
     """Virtual clock plus the two event sources; the root of every simulation."""
 
@@ -105,6 +142,8 @@ class Engine:
         self._seq = itertools.count()
         self._running = False
         self.checkpoint = Checkpoint(self)
+        #: the waitable of a zero-cost charge
+        self.no_wait = NoWait()
         #: the timed store: every event that fires later than now
         self.timeline = Timeline(self)
         #: fired one-shots from :meth:`timeout`, ready for reuse
@@ -168,14 +207,18 @@ class Engine:
         """Drain both event sources; return the final virtual time.
 
         If ``until`` is given, stop as soon as the next event lies beyond
-        it and set the clock to exactly ``until``.
+        it and set the clock to exactly ``until``; an ``until`` before
+        now is an error, so the clock never runs backwards.
 
         Invariant: a callback may arm, cancel, or — via cancellation —
         compact the heap, so any peeked head row is stale the moment a
         callback has run. The loop therefore re-reads the heap and lane
         heads on every iteration and never carries a row across a
-        callback. (:meth:`peek` sheds stale heads for the same reason:
-        callers must treat it as mutating.)
+        callback. It does not shed stale heads ahead of time: a stale
+        row is dropped when it is popped, and until then it sorts where
+        its live self would have, so it can only end a lane burst early
+        or send a resume through the lane — both exact. (:meth:`peek`
+        sheds stale heads, so callers must treat it as mutating.)
 
         The loop leaves no cyclic garbage behind: a row is popped before
         its callback runs, a fired one-shot goes back to the pool, and a
@@ -185,6 +228,8 @@ class Engine:
         """
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
+        if until is not None and until < self.now:
+            raise SimulationError(f"run(until={until}) lies before now={self.now}")
         self._running = True
         timeline = self.timeline
         heap = timeline._heap  # only ever mutated in place, alias stays valid
@@ -193,68 +238,49 @@ class Engine:
         pool = self._timeout_pool
         seq = self._seq
         pop = heapq.heappop
+        now = self.now
         try:
             while True:
-                # shed stale heads (cancelled or re-armed timers)
-                while heap and heap[0][1] != heap[0][2].armed:
-                    pop(heap)
-                    timeline._stale -= 1
-                best = heap[0] if heap else None
                 if lane:
-                    head = lane[0]
-                    # lane entries are stamped at-or-before the clock and
-                    # the clock never passes a pending heap row, so the
-                    # lane head can only tie on time — the shared sequence
-                    # counter then decides, exactly as a heap push at zero
-                    # delay would have.
-                    #
-                    # Burst drain: every entry *currently* in the lane that
-                    # beats ``best`` can fire without re-consulting the
-                    # heap. Any entry a callback pushes mid-burst carries a
-                    # fresh (larger) sequence number and a time >= now, so
-                    # it can never sort before a lane entry that was already
-                    # enqueued — comparing against the pre-burst ``best`` is
-                    # exact, not merely conservative. (A mid-burst
-                    # cancellation of ``best`` only ends the burst early;
-                    # the outer loop re-sheds and re-selects.)
-                    if best is None:
-                        if until is not None and head[0] > until:
-                            self.now = until
-                            return until
+                    # Every lane entry is stamped with the clock, which
+                    # never runs ahead of a heap row, so the lane holds
+                    # entries at ``now`` only and the heap head lies at or
+                    # after it. Burst drain: the entries *currently* in the
+                    # lane run without re-consulting the heap; one a
+                    # callback pushes mid-burst carries a fresh (larger)
+                    # sequence number, and so does a row armed mid-burst,
+                    # so neither can sort before an entry already enqueued.
+                    if not heap or heap[0][0] > now:
+                        # the heap head is strictly later: the whole lane
+                        # runs first, no entry needs comparing
                         for _ in range(len(lane)):
                             head = popleft()
-                            self.now = head[0]
                             head[2](head[3])
                         continue
-                    best_time = best[0]
-                    best_seq = best[1]
-                    time = head[0]
-                    if time < best_time or (
-                        time == best_time and head[1] < best_seq
-                    ):
-                        if until is not None and time > until:
-                            self.now = until
-                            return until
+                    # the head ties on time: the shared sequence counter
+                    # decides, exactly as a heap push at zero delay would
+                    # have. A stale head only ends the burst early.
+                    best_seq = heap[0][1]
+                    if lane[0][1] < best_seq:
                         for _ in range(len(lane)):
                             head = lane[0]
-                            time = head[0]
-                            if time > best_time or (
-                                time == best_time and head[1] > best_seq
-                            ):
+                            if head[1] > best_seq:
                                 break
                             popleft()
-                            self.now = time
                             head[2](head[3])
                         continue
-                if best is None:
+                elif not heap:
                     break
-                time = best[0]
-                if until is not None and time > until:
+                if until is not None and heap[0][0] > until:
                     self.now = until
                     return until
-                pop(heap)
-                self.now = time
-                timer = best[2]
+                time, row_seq, timer = pop(heap)
+                if row_seq != timer.armed:
+                    # a stale row (cancelled or re-armed timer) is dropped
+                    # when popped and never moves the clock
+                    timeline._stale -= 1
+                    continue
+                self.now = now = time
                 timer.armed = -1
                 mode = timer._mode
                 if mode == _DIRECT:
@@ -269,10 +295,9 @@ class Engine:
                 if cb is None:
                     continue
                 stamp = next(seq)
-                while heap and heap[0][1] != heap[0][2].armed:
-                    pop(heap)
-                    timeline._stale -= 1
                 if lane or (heap and heap[0][0] <= time):
+                    # a stale head here only sends the resume through the
+                    # lane, which is always exact
                     lane.append((time, stamp, cb, None))
                 else:
                     # In place: the lane entry would carry the largest
@@ -282,7 +307,7 @@ class Engine:
                     # transfer here, as a lane hop would have.
                     cb(None)
                     cb = None
-            if until is not None and until > self.now:
+            if until is not None and until > now:
                 self.now = until
         finally:
             self._running = False
@@ -493,13 +518,16 @@ class Process:
 
     The abort rule: while :attr:`abort` holds a predicate, it is
     consulted before every *successful* resume — never on a failed
-    waitable, which is thrown in as usual — and when it returns true the
-    slot is cleared and :class:`~repro.util.errors.TaskKilled` is thrown
-    into the generator instead of the value, once. A runtime runs a task
-    body through :meth:`abortable`, which installs the predicate right
-    before the body's first step (taken in the same step, so never
-    checked) and afterwards reads whether the kill fired: the slot no
-    longer holds what it installed.
+    waitable, which is thrown in as usual, nor on a zero-cost charge
+    (:class:`NoWait`), which never stops the body — and when it returns
+    true the slot is cleared and :class:`~repro.util.errors.TaskKilled`
+    is thrown into the generator instead of the value, once
+    (:meth:`_checked`). A two-phase charge consults it between its
+    phases too, where the generator helper it replaced resumed. A
+    runtime runs a task body through :meth:`abortable`, which installs
+    the predicate right before the body's first step (taken in the same
+    step, so never checked) and afterwards reads whether the kill fired:
+    the slot no longer holds what it installed.
     """
 
     __slots__ = (
@@ -666,21 +694,26 @@ class Process:
             for cb in callbacks:
                 imm.append((now, next(seq), cb, self))
 
+    def _checked(self, fired: Optional[SimEvent]) -> Optional[SimEvent]:
+        """The abort rule at a successful resume, with :attr:`abort` set:
+        ``fired`` itself, or — when the predicate holds — a failed
+        waitable carrying :class:`~repro.util.errors.TaskKilled`, after
+        clearing the slot, so the kill is thrown in once and the body's
+        cleanup then runs unchecked. :meth:`_step` consults it, and so
+        does a two-phase charge between its phases (``sim/node.py``)."""
+        if self.abort():
+            self.abort = None
+            killed = TaskKilled("node crashed under this task")
+            return SimEvent(self.engine).fail(killed)
+        return fired
+
     def _step(self, fired: Optional[SimEvent]) -> None:
-        abort = self.abort
         try:
-            if (
-                abort is not None
-                and (fired is None or fired._status != _FAILED)
-                and abort()
+            if self.abort is not None and (
+                fired is None or fired._status == _SUCCEEDED
             ):
-                # the abort rule: once, at a successful resume, in place
-                # of the value; the body's cleanup then runs unchecked
-                self.abort = None
-                target = self._generator.throw(
-                    TaskKilled("node crashed under this task")
-                )
-            elif fired is None:
+                fired = self._checked(fired)
+            if fired is None:
                 target = self._send(None)
             elif fired._status == _FAILED:
                 target = self._generator.throw(fired.value)

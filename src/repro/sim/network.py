@@ -146,7 +146,7 @@ class _Transfer(SimEvent):
     def _tx_grant(self, _arg) -> None:
         tx = self._tx
         if self._network.metrics.enabled:
-            backlog = tx.queue_length
+            backlog = len(tx._waiters)  # inlined Resource.queue_length
             hwm = self._network._m_backlog_hwm[self._message.src, "tx"]
             if backlog > hwm.value:
                 hwm.value = backlog
@@ -197,7 +197,7 @@ class _Transfer(SimEvent):
 
     def _rx_grant(self, _arg) -> None:
         if self._network.metrics.enabled:
-            backlog = self._rx.queue_length
+            backlog = len(self._rx._waiters)  # inlined Resource.queue_length
             hwm = self._network._m_backlog_hwm[self._message.dst, "rx"]
             if backlog > hwm.value:
                 hwm.value = backlog

@@ -6,29 +6,62 @@ services that live on the node (GA handler, NXTVAL, PaRSEC comm
 thread), and named mutexes (the WRITE_C critical-region mutex of
 Section IV-A lives here).
 
-The :meth:`execute` helper is the single place where task work is
-charged and traced: the CPU part runs exclusively on the calling thread
-(a plain timeout) and the memory part is pushed through the shared
-bandwidth resource, so co-scheduled memory-bound tasks slow each other
-down exactly as on the real machine.
+:meth:`Node.charge` is the single place where task work is charged:
+the CPU part runs exclusively on the calling thread (a plain timeout)
+and the memory part is pushed through the shared bandwidth resource, so
+co-scheduled memory-bound tasks slow each other down exactly as on the
+real machine. A charge is one waitable, so a body ``yield``-s it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 from repro.sim.engine import Engine
 from repro.sim.mutex import SimMutex
 from repro.sim.network import NIC
 from repro.sim.resources import BandwidthResource
-from repro.sim.trace import TaskCategory, TraceRecorder
+from repro.sim.trace import TraceRecorder
 from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.cost import MachineModel, OpCost
 
-__all__ = ["Node", "FifoServer"]
+__all__ = ["Node", "FifoServer", "TwoPhaseCharge"]
+
+
+class TwoPhaseCharge:
+    """A charge with CPU time and bytes, as one waitable: the CPU phase
+    is an armed pooled timer, and when it fires the bytes go through the
+    node's memory bandwidth, whose completion resumes the waiter.
+
+    Between the phases — where the generator helper this replaced
+    resumed — the waiting process's abort rule is consulted
+    (:meth:`~repro.sim.engine.Process._checked`): a body killed there
+    never issues its transfer. Only a process may wait on it.
+    """
+
+    __slots__ = ("_timer", "_membw", "_bytes", "_step")
+
+    def __init__(self, timer, membw, nbytes: float) -> None:
+        self._timer = timer
+        self._membw = membw
+        self._bytes = nbytes
+
+    def _wait(self, callback: Callable) -> None:
+        self._step = callback
+        self._timer._wait(self)  # the CPU phase ends in __call__
+
+    def __call__(self, _arg: Any) -> None:
+        step = self._step
+        process = step.__self__
+        if process.abort is not None:
+            killed = process._checked(None)
+            if killed is not None:
+                step(killed)
+                return
+        self._membw.transfer(self._bytes)._wait(step)
 
 
 class FifoServer:
@@ -191,34 +224,37 @@ class Node:
                 factor *= window_factor
         return factor
 
-    def execute(
-        self,
-        thread: int,
-        category: TaskCategory,
-        label: str,
-        cost: "OpCost",
-        meta: Optional[dict] = None,
-    ):
-        """Generator helper: run one operation on this node and trace it.
+    def charge(self, cost: "OpCost"):
+        """One operation's cost on this node, as one waitable: ``yield
+        node.charge(cost)``.
 
-        Charges ``cost.cpu`` as exclusive core time (scaled by any
-        active straggler window) then ``cost.bytes`` through the shared
-        memory bandwidth, and records the enclosing span. Use as
-        ``yield from node.execute(...)``.
+        ``cost.cpu`` is exclusive core time, scaled by any active
+        straggler window (the pooled timer), and ``cost.bytes`` then go
+        through the shared memory bandwidth (the transfer); with both, a
+        :class:`TwoPhaseCharge`, and with neither, the engine's
+        :class:`~repro.sim.engine.NoWait`. Every sequence number is drawn
+        where the generator helper this replaced drew it.
         """
-        t_start = self.engine.now
-        if cost.cpu > 0:
-            yield self.engine.timeout(cost.cpu * self.cpu_scale())
+        cpu = cost.cpu
+        if cpu > 0:
+            if self.slow_windows:
+                cpu *= self.cpu_scale()
+            timer = self.engine.timeout(cpu)
+            if cost.bytes > 0:
+                return TwoPhaseCharge(timer, self.membw, cost.bytes)
+            return timer
         if cost.bytes > 0:
-            yield self.membw.transfer(cost.bytes)
-        self.trace.record(
-            self.node_id, thread, category, label, t_start, self.engine.now, meta
-        )
+            return self.membw.transfer(cost.bytes)
+        return self.engine.no_wait
 
     def occupy(self, duration: float):
-        """Generator helper: plain untraced core time (overheads)."""
+        """Plain untraced core time (overheads), as one waitable:
+        ``yield node.occupy(seconds)``."""
         if duration > 0:
-            yield self.engine.timeout(duration * self.cpu_scale())
+            if self.slow_windows:
+                duration *= self.cpu_scale()
+            return self.engine.timeout(duration)
+        return self.engine.no_wait
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.node_id}, cores={self.cores})"

@@ -28,7 +28,7 @@ def make_cluster(n_nodes=2, cores=2, data_mode=DataMode.REAL):
 
 def burn(duration, log=None, write=None, value=None):
     def body(ctx):
-        yield from ctx.charge(OpCost(duration, 0.0))
+        yield ctx.charge(OpCost(duration, 0.0))
         if log is not None:
             log.append((ctx.task.name, ctx.cluster.engine.now))
         if write is not None:
@@ -69,7 +69,7 @@ class TestDependenceInference:
         finish = []
 
         def body(ctx):
-            yield from ctx.charge(OpCost(1.0, 0.0))
+            yield ctx.charge(OpCost(1.0, 0.0))
             finish.append(ctx.cluster.engine.now)
 
         for i in range(4):
@@ -97,11 +97,11 @@ class TestDependenceInference:
         got = {}
 
         def producer(ctx):
-            yield from ctx.charge(OpCost(0.1, 0.0))
+            yield ctx.charge(OpCost(0.1, 0.0))
             ctx.write("x", 99)
 
         def consumer(ctx):
-            yield from ctx.charge(OpCost(0.1, 0.0))
+            yield ctx.charge(OpCost(0.1, 0.0))
             got["x"] = ctx.data["x"]
 
         runtime.insert_task("P", producer, [(x, AccessMode.WRITE)], node=0)
@@ -147,7 +147,7 @@ class TestDependenceInference:
                 for n in cluster.nodes
                 if isinstance(n._mailboxes.get(runtime._inbox_name), FifoServer)
             )
-            yield from ctx.charge(OpCost(1.0, 0.0))
+            yield ctx.charge(OpCost(1.0, 0.0))
 
         # one node-local task: no node ever receives a message
         runtime.insert_task("T", body, [(x, AccessMode.WRITE)], node=0)

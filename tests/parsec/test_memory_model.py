@@ -44,7 +44,7 @@ class TestPtgPayloadLifetime:
         ptg = PTG("lifetime")
 
         def prod(ctx):
-            yield from ctx.charge(OpCost(1.0, 0.0))
+            yield ctx.charge(OpCost(1.0, 0.0))
             block = np.ones(1024)
             now = lambda: ctx.cluster.engine.now  # noqa: E731
             weakref.finalize(block, lambda: freed.append(now()))
@@ -52,12 +52,12 @@ class TestPtgPayloadLifetime:
 
         def cons(ctx):
             # the two consumers finish at different times
-            yield from ctx.charge(OpCost(1.0 + ctx.params[0], 0.0))
+            yield ctx.charge(OpCost(1.0 + ctx.params[0], 0.0))
             assert ctx.inputs["X"].sum() == 1024
             consumed.append(ctx.cluster.engine.now)
 
         def tail(ctx):
-            yield from ctx.charge(OpCost(2.0, 0.0))
+            yield ctx.charge(OpCost(2.0, 0.0))
             ctx.outputs["T"] = None
 
         ptg.add(
@@ -157,7 +157,7 @@ class TestPtgPayloadLifetime:
 class TestDtdHandleLifetime:
     def burn(self, seconds, then=None):
         def body(ctx):
-            yield from ctx.charge(OpCost(seconds, 0.0))
+            yield ctx.charge(OpCost(seconds, 0.0))
             if then is not None:
                 then(ctx)
 
@@ -316,7 +316,7 @@ class TestDtdStraggler:
         x = runtime.data("x", 1, 0)
 
         def body(ctx):
-            yield from ctx.charge(OpCost(1.0, 0.0))
+            yield ctx.charge(OpCost(1.0, 0.0))
 
         runtime.insert_task("T", body, [(x, AccessMode.WRITE)], node=0)
         return runtime.execute().execution_time

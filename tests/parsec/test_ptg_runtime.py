@@ -30,7 +30,7 @@ def simple_run(duration=0.0, record=None, value=None):
     """A body that burns ``duration`` cpu and forwards a value on flow C."""
 
     def run(ctx):
-        yield from ctx.charge(OpCost(duration, 0.0))
+        yield ctx.charge(OpCost(duration, 0.0))
         if record is not None:
             record.append((ctx.task.label, ctx.cluster.engine.now))
         prev = ctx.inputs.get("C")
@@ -175,7 +175,7 @@ class TestFigure1Chain:
 
         def sort_run(ctx):
             seen["value"] = ctx.inputs["C"]
-            yield from ctx.charge(OpCost(0.0, 0.0))
+            yield ctx.charge(OpCost(0.0, 0.0))
 
         record = []
         ptg, md = self.build(record, n_chains=1, chain_len=5, n_nodes=1)
@@ -230,7 +230,7 @@ class TestFigure2ParallelReduction:
         )
 
         def red_run(ctx):
-            yield from ctx.charge(OpCost(0.1, 0.0))
+            yield ctx.charge(OpCost(0.1, 0.0))
             ctx.outputs["X"] = sum(
                 ctx.inputs["X"] if isinstance(ctx.inputs["X"], list) else [ctx.inputs["X"]]
             )
@@ -306,7 +306,7 @@ class TestRemoteDataflow:
         def cons_run(ctx):
             got["value"] = ctx.inputs["C"]
             got["time"] = ctx.cluster.engine.now
-            yield from ctx.charge(OpCost(0.0, 0.0))
+            yield ctx.charge(OpCost(0.0, 0.0))
 
         ptg.add(
             TaskClass(
@@ -354,7 +354,7 @@ class TestPriorities:
 
         def body(ctx):
             order.append(ctx.task.params[0])
-            yield from ctx.charge(OpCost(0.1, 0.0))
+            yield ctx.charge(OpCost(0.1, 0.0))
 
         ptg = PTG("prio")
         ptg.add(
@@ -380,7 +380,7 @@ class TestPriorities:
 
         def body(ctx):
             order.append(ctx.task.params[0])
-            yield from ctx.charge(OpCost(0.1, 0.0))
+            yield ctx.charge(OpCost(0.1, 0.0))
 
         ptg = PTG("fifo")
         ptg.add(

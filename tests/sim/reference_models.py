@@ -3,8 +3,9 @@
 
 Each is the code it replaced, kept verbatim in behaviour:
 
-- :class:`ReferenceEngine` drains with the loop that resumed every fired
-  resumed-mode timer through the immediate lane, and arms
+- :class:`ReferenceEngine` drains with the loop that shed stale heap
+  heads before every event and resumed every fired resumed-mode timer
+  through the immediate lane, and arms
   :meth:`~repro.sim.engine.Engine.timeout` through ``Timer.after``;
 - :func:`reference_send` delivers a message with a ``Process`` over the
   transfer generator, holding each NIC channel with the generator helper

@@ -114,21 +114,20 @@ class TestNetwork:
 
 
 class TestNode:
-    def test_execute_charges_cpu_then_memory_and_traces(self):
-        engine, _, nodes, trace = make_pair()
+    def test_charge_is_cpu_then_memory(self):
+        engine, _, nodes, _ = make_pair()
         node = nodes[0]
+        resumed = []
 
         def worker():
             # cpu 2s, 300 bytes at 100 B/s -> 3s memory phase
-            yield from node.execute(0, TaskCategory.GEMM, "g", OpCost(2.0, 300.0))
+            resumed.append((yield node.charge(OpCost(2.0, 300.0))))
 
         engine.process(worker())
         engine.run()
         assert engine.now == pytest.approx(5.0)
-        assert len(trace.events) == 1
-        event = trace.events[0]
-        assert (event.t_start, event.t_end) == (0.0, pytest.approx(5.0))
-        assert event.category is TaskCategory.GEMM
+        assert resumed == [None]
+        assert node.membw.total_work == 300.0
 
     def test_concurrent_memory_phases_share_bandwidth(self):
         engine, _, nodes, trace = make_pair()
@@ -136,9 +135,7 @@ class TestNode:
         ends = []
 
         def worker(thread):
-            yield from node.execute(
-                thread, TaskCategory.SORT, "s", OpCost(0.0, 100.0)
-            )
+            yield node.charge(OpCost(0.0, 100.0))
             ends.append(engine.now)
 
         engine.process(worker(0))

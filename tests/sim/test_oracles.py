@@ -11,7 +11,9 @@ so each is checked against it on random programs:
   cancelled timers, lane callbacks, a run cut at ``until`` — must leave
   the same execution trace, end at the same time and at the same
   position of the sequence counter as under the loop that always hopped
-  through the lane;
+  through the lane, which also shed stale heads before every event; three
+  fixed shapes pin what dropping a stale row only when popping it must
+  get right, with ``peek()`` leaving a live head;
 - a message is a callback chain, not a process over a generator. Random
   sends over 2-4 nodes, contending for the NICs under drop / delay / dup
   plans, must deliver at the same times in the same order, leave the
@@ -20,9 +22,10 @@ so each is checked against it on random programs:
 - a crash abort is a process check, not a wrapper generator. Random task
   bodies — timeouts, checkpoints, succeeding and failing events, nested
   sub-generators, cleanup that yields, a swallowed kill, a commit point,
-  a genuine exception — under a crash at a random instant must leave the
-  same step trace, outcomes, end time and sequence position as under
-  ``killable``;
+  a genuine exception, charges of CPU time and bytes — under a crash at
+  a random instant must leave the same step trace, outcomes, end time,
+  sequence position and bytes moved as under ``killable`` with each
+  charge the generator helper it was;
 - a fault draw hashes a cached seed prefix: random seeds and keys must
   derive the same seed as hashing the whole text;
 - the bandwidth server charges and re-arms inline, with a lone-job path:
@@ -47,11 +50,12 @@ fixed example count.
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.registry import MetricsRegistry
-from repro.sim.cost import MachineModel
+from repro.sim.cost import MachineModel, OpCost
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import Message, Network
@@ -148,6 +152,100 @@ def test_in_place_resume_matches_the_lane_hop_loop(data):
     until = data.draw(st.sampled_from([None, 0.5, 1.0, 1.5]))
     live = run_program(Engine, roots, children, until)
     assert live == run_program(ReferenceEngine, roots, children, until)
+
+
+# Three shapes the loop must get right now that it drops a stale row when
+# popping it instead of shedding stale heads ahead of time. ``peek`` is
+# the checked one: it must leave a live row at the head of the heap.
+def _tie_with_cancelled_rows(engine, record, peek):
+    """Cancelled rows at the instant of two resumed rows, one before
+    them and one after them in sequence order."""
+    before = engine.schedule(1.0, record, "before")
+
+    def proc(name):
+        yield engine.timeout(1.0)
+        record((name, peek()))
+        yield engine.timeout(0.0)
+        record(name + "'")
+
+    def arm_after(_):
+        after = engine.schedule(1.0, record, "after")
+        engine.schedule(0.5, after.cancel)
+
+    engine.process(proc("a"))
+    engine.process(proc("b"))
+    engine.call_soon(arm_after)
+    engine.schedule(0.5, before.cancel)
+    return None
+
+
+def _only_stale_rows_beyond_until(engine, record, peek):
+    """A run cut at ``until`` with nothing but cancelled rows past it."""
+
+    def proc():
+        yield engine.timeout(0.5)
+        record("ran")
+        for delay in (0.5, 1.5):
+            engine.schedule(delay, record, delay).cancel()
+
+    engine.process(proc())
+    return 0.75
+
+
+def _burst_before_a_later_head(engine, record, peek):
+    """A lane burst while the heap head lies strictly later; entries and
+    zero-delay rows pushed mid-burst, and a cancelled head."""
+    engine.schedule(1.0, record, "head")
+    engine.schedule(0.5, record, "cancelled").cancel()
+
+    def proc(name):
+        record(name)
+        engine.call_soon(record, name + ":soon")
+        engine.schedule(0.0, record, name + ":row")
+        yield engine.checkpoint
+        record((name + ":resumed", peek()))
+        yield engine.timeout(0.0)
+        record(name + ":zero")
+
+    for name in "abcd":
+        engine.process(proc(name))
+    return None
+
+
+def run_shape(engine_cls, shape):
+    """Run one shape on a fresh ``engine_cls``; returns the trace, the
+    clock after a cut run, the end time, the final peek and the next seq."""
+    engine = engine_cls()
+    trace = []
+
+    def record(label):
+        trace.append((engine.now, label))
+
+    def peek():
+        time = engine.peek()
+        heap = engine.timeline._heap
+        assert not heap or heap[0][1] == heap[0][2].armed  # a live head
+        return time
+
+    until = shape(engine, record, peek)
+    if until is not None:
+        trace.append(("until", engine.run(until=until), engine.now, peek()))
+    end = engine.run()
+    return trace, end, peek(), next(engine._seq)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        _tie_with_cancelled_rows,
+        _only_stale_rows_beyond_until,
+        _burst_before_a_later_head,
+    ],
+)
+def test_pop_time_stale_drop_matches_the_shedding_loop(shape):
+    live = run_shape(Engine, shape)
+    assert live == run_shape(ReferenceEngine, shape)
+    assert live[0]  # the shape ran
 
 
 # ----------------------------------------------------------------------
@@ -272,14 +370,29 @@ BODY_OPS = st.one_of(
     st.tuples(st.just("swallow"), DELAYS),
     st.tuples(st.just("commit")),
     st.tuples(st.just("raise")),
+    st.tuples(st.just("charge"), DELAYS, st.sampled_from([0.0, 50.0])),
 )
 
 
-def run_bodies(mechanism, bodies, crash_at, committable):
+def _waitable_charge(node, cost):
+    yield node.charge(cost)
+
+
+def _generator_charge(node, cost):
+    """The generator helper a charge was before it became one waitable."""
+    if cost.cpu > 0:
+        yield node.engine.timeout(cost.cpu)
+    if cost.bytes > 0:
+        yield node.membw.transfer(cost.bytes)
+
+
+def run_bodies(mechanism, bodies, crash_at, committable, charge):
     """Run each ``(start, ops)`` body in its own process under the abort
-    predicate, through ``mechanism``; returns the trace, the end time and
-    the next seq."""
+    predicate, through ``mechanism``, charging through ``charge``;
+    returns the trace, the end time, the next seq and the bytes the
+    charges moved."""
     engine = Engine()
+    node = Node(engine, 0, MACHINE, cores=1, trace=TraceRecorder())
     trace = []
     dead = [False]
     if crash_at is not None:
@@ -325,6 +438,8 @@ def run_bodies(mechanism, bodies, crash_at, committable):
                         record(pid, k, "swallowed")
                 elif kind == "commit":
                     committed[0] = True
+                elif kind == "charge":
+                    yield from charge(node, OpCost(op[1], op[2]))
                 else:  # raise
                     raise ValueError(pid, k)
             except Boom as exc:
@@ -351,7 +466,7 @@ def run_bodies(mechanism, bodies, crash_at, committable):
         box = []
         box.append(engine.process(driver(box, pid, start, ops)))
     end = engine.run()
-    return trace, end, next(engine._seq)
+    return trace, end, next(engine._seq), node.membw.total_work
 
 
 def _abortable(process, body, abort):
@@ -371,8 +486,10 @@ def _killable(_process, body, abort):
     st.booleans(),
 )
 def test_abort_rule_matches_killable(bodies, crash_at, committable):
-    live = run_bodies(_abortable, bodies, crash_at, committable)
-    assert live == run_bodies(_killable, bodies, crash_at, committable)
+    live = run_bodies(_abortable, bodies, crash_at, committable, _waitable_charge)
+    assert live == run_bodies(
+        _killable, bodies, crash_at, committable, _generator_charge
+    )
 
 
 # ----------------------------------------------------------------------

@@ -199,6 +199,36 @@ class TestMergeEquivalence:
 
         assert scenario(False) == scenario(True)
 
+    def test_cancelled_rows_tied_with_a_resumed_row(self):
+        """A cancelled row at the instant a resumed row fires, before or
+        after it in sequence order: the loop drops it only when popping
+        it, so it can at most send the resume through the lane."""
+        for flavour in ("owner", "pooled"):
+            script = [
+                _waits(flavour, [1.0, 0.0]),
+                _waits("owner", [1.0]),  # armed after actor 0, cancelled
+                ("direct", [(0.5, ("cancel", 1)), (0.0, ("cancel", 3))]),
+                ("direct", [(1.0, None)]),  # armed first, cancelled
+                ("direct", [(1.0, None)]),
+            ]
+            log, end = engine_run(script)
+            assert (log, end) == reference_model(script)
+            assert end == 1.0 and (3, 0, 1.0) not in log
+
+    def test_lane_burst_before_a_strictly_later_head(self):
+        """Process starts and zero-delay resumes fill the lane while the
+        heap head lies later; re-arms at zero delay land mid-burst."""
+        script = [
+            _waits("owner", [0.0, 0.0, 1.0]),
+            _waits("pooled", [0.0, 0.0]),
+            ("owner", [(0.0, ("rearm", 3, 0.0)), (0.0, None)]),
+            ("direct", [(1.0, None)]),
+            _waits("pooled", [0.0]),
+        ]
+        log, end = engine_run(script)
+        assert (log, end) == reference_model(script)
+        assert (3, 0, 0.0) in log  # the re-armed head fired at once
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_random_scripts_match_reference_model(self, data):

@@ -220,7 +220,7 @@ class TestStragglers:
             done = []
 
             def work():
-                yield from cluster.nodes[0].occupy(1.0)
+                yield cluster.nodes[0].occupy(1.0)
                 done.append(cluster.engine.now)
 
             cluster.engine.process(work())
@@ -445,6 +445,103 @@ class TestLegacyRecovery:
         )
         with pytest.raises(ConfigurationError, match="use_nxtval"):
             runtime.execute_subroutine(workload.subroutine)
+
+
+class TestCrashInsideACharge:
+    """A crash that lands in the CPU phase of a two-phase charge (CPU
+    time, then bytes through memory bandwidth) kills the body when that
+    phase ends, before its transfer is issued — where the generator
+    helper the one-waitable charge replaced was resumed and killed. The
+    recovery counters are pinned as the generator helper left them."""
+
+    def test_parsec_body_dies_before_its_transfer(self):
+        from types import SimpleNamespace
+
+        from repro.parsec.ptg import PTG
+        from repro.parsec.runtime import ParsecRuntime
+        from repro.parsec.taskclass import Flow, FlowMode, TaskClass
+        from repro.sim.cost import OpCost
+
+        cluster = _cluster(n_nodes=2, cores=1)
+        # node 1's first task is 0.5 s into its 1 s CPU phase
+        cluster.install_faults(FaultPlan(crashes=(NodeCrash(node=1, at=0.5),)))
+
+        def body(ctx):
+            yield ctx.charge(OpCost(1.0, 400.0))
+
+        ptg = PTG("charges")
+        ptg.add(
+            TaskClass(
+                name="T",
+                params=("i",),
+                domain=lambda md: [(i,) for i in range(4)],
+                placement=lambda p, md: p[0] % 2,
+                run=body,
+                flows=[Flow("C", FlowMode.WRITE, lambda p, md: 1)],
+            )
+        )
+        result = ParsecRuntime(cluster).execute(ptg, SimpleNamespace())
+        assert result.nodes_crashed == 1
+        # the killed body never moved its bytes; all four ran on node 0
+        assert cluster.nodes[1].membw.total_work == 0.0
+        assert cluster.nodes[0].membw.total_work == 4 * 400.0
+        assert result.tasks_recomputed == 1
+        assert result.recovery_overhead_s.hex() == "0x1.0000000000000p+0"
+
+    def test_legacy_chain_dies_before_its_transfer(self, monkeypatch):
+        from repro.legacy.runtime import LegacyRuntime
+        from repro.sim.resources import BandwidthResource
+        from repro.sim.trace import TaskCategory
+
+        transfer = BandwidthResource.transfer
+        issued = []
+
+        def spy(self, amount):
+            issued.append((self.name, self.engine.now, amount))
+            return transfer(self, amount)
+
+        monkeypatch.setattr(BandwidthResource, "transfer", spy)
+
+        def run(crash_at=None):
+            cluster, workload = _fresh_workload()
+            cluster.trace.enabled = crash_at is None
+            workload.i2.array.enable_ordered_accumulation()
+            if crash_at is not None:
+                cluster.install_faults(
+                    FaultPlan(crashes=(NodeCrash(node=1, at=crash_at),))
+                )
+            issued.clear()
+            result = LegacyRuntime(cluster, workload.ga).execute_subroutine(
+                workload.subroutine
+            )
+            return cluster, workload, result
+
+        # the first GEMM on node 1 and the instant its CPU phase ends
+        cluster, workload, _ = run()
+        span = min(
+            (
+                e
+                for e in cluster.trace.events
+                if e.node == 1 and e.category is TaskCategory.GEMM
+            ),
+            key=lambda e: e.t_start,
+        )
+        chain = next(
+            c for c in workload.subroutine.chains if c.chain_id == span.meta["chain"]
+        )
+        gemm = chain.gemms[span.meta["position"]]
+        cost = cluster.machine.gemm(gemm.m, gemm.n, gemm.k)
+        assert cost.cpu > 0 and cost.bytes > 0
+        its_transfer = ("membw1", span.t_start + cost.cpu, cost.bytes)
+        assert its_transfer in issued
+
+        cluster, _, result = run(crash_at=span.t_start + cost.cpu / 2)
+        assert result.ranks_lost > 0
+        assert its_transfer not in issued
+        report = cluster.faults.report
+        assert report.tasks_recomputed == 0
+        assert report.recovery_overhead_s.hex() == "0x0.0p+0"
+        assert result.recovery_overhead_s.hex() == "0x0.0p+0"
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,7 @@ class TestTaskBodyFailures:
 
     def test_raising_body_surfaces_with_process_name(self):
         def body(ctx):
-            yield from ctx.charge(OpCost(0.1, 0.0))
+            yield ctx.charge(OpCost(0.1, 0.0))
             if ctx.params[0] == 1:
                 raise RuntimeError("injected task failure")
 
@@ -65,11 +65,11 @@ class TestTaskBodyFailures:
         ptg = PTG("none-flow")
 
         def producer(ctx):
-            yield from ctx.charge(OpCost(0.0, 0.0))
+            yield ctx.charge(OpCost(0.0, 0.0))
             # forgot: ctx.outputs["C"] = ...
 
         def consumer(ctx):
-            yield from ctx.charge(OpCost(0.0, 0.0))
+            yield ctx.charge(OpCost(0.0, 0.0))
             assert ctx.inputs["C"] is None  # documented behaviour
 
         ptg.add(
