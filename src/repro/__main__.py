@@ -364,12 +364,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_perf(args: argparse.Namespace) -> int:
     """Run the perf sweep, write a BENCH baseline, gate on regressions."""
     from repro.analysis.report import format_table
-    from repro.experiments.perf import (
-        PerfBaseline,
-        baseline_path,
-        diff_baselines,
-        run_perf,
-    )
+    from repro.experiments.fig9 import Fig9Result
+    from repro.experiments.perf import baseline_path, diff_baselines, run_perf
     from repro.experiments.sweep import default_progress
     from repro.util.errors import ConfigurationError
 
@@ -421,7 +417,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     try:
-        old = PerfBaseline.read(baseline_file)
+        old = Fig9Result.read(baseline_file)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -449,13 +445,13 @@ def _parse_params(pairs: list[str]) -> dict:
     work) and fall back to plain strings (``scale=tiny``)."""
     import json
 
+    from repro.util.errors import ConfigurationError
+
     params = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
-            raise SystemExit(
-                f"error: --param expects key=value, got {pair!r}"
-            )
+            raise ConfigurationError(f"--param expects key=value, got {pair!r}")
         try:
             params[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -472,7 +468,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import os
     import signal
 
-    from repro.experiments.sweep import RetryPolicy
     from repro.serve.daemon import ServeDaemon
 
     daemon = ServeDaemon(
@@ -482,7 +477,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         pool_jobs=args.jobs,
         cell_timeout=args.cell_timeout,
-        retry=RetryPolicy(retries=args.retries),
+        retries=args.retries,
         compact_bytes=args.compact_bytes,
     )
 

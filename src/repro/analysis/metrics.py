@@ -47,22 +47,20 @@ def _interval_total(intervals: list[tuple[float, float]]) -> float:
     return sum(end - start for start, end in intervals)
 
 
-def busy_fraction(trace: TraceRecorder, horizon: Optional[float] = None) -> float:
+def busy_fraction(trace: TraceRecorder) -> float:
     """Mean busy fraction over all (node, thread) rows."""
-    utilizations = thread_utilization(trace, horizon)
+    utilizations = thread_utilization(trace)
     if not utilizations:
         return 0.0
     return sum(utilizations.values()) / len(utilizations)
 
 
-def thread_utilization(
-    trace: TraceRecorder, horizon: Optional[float] = None
-) -> dict[tuple[int, int], float]:
+def thread_utilization(trace: TraceRecorder) -> dict[tuple[int, int], float]:
     """Busy fraction per (node, thread) over the trace makespan."""
     if not trace.events:
         return {}
     t0 = min(e.t_start for e in trace.events)
-    t1 = horizon if horizon is not None else max(e.t_end for e in trace.events)
+    t1 = max(e.t_end for e in trace.events)
     span = t1 - t0
     if span <= 0:
         return {}
@@ -94,11 +92,8 @@ def idle_gaps(
     return gaps
 
 
-def startup_idle_fraction(
-    trace: TraceRecorder,
-    compute_categories: frozenset[TaskCategory] = frozenset({TaskCategory.GEMM}),
-) -> float:
-    """Mean fraction of the makespan before each thread's first compute.
+def startup_idle_fraction(trace: TraceRecorder) -> float:
+    """Mean fraction of the makespan before each thread's first GEMM.
 
     This is what the paper reads off Figure 11: "variant v2 — which
     lacks task priorities — has too much idle time in the beginning".
@@ -113,7 +108,7 @@ def startup_idle_fraction(
     fractions = []
     for row, events in trace.by_thread().items():
         compute_starts = [
-            e.t_start for e in events if e.category in compute_categories
+            e.t_start for e in events if e.category is TaskCategory.GEMM
         ]
         if compute_starts:
             fractions.append((min(compute_starts) - t0) / makespan)
@@ -122,27 +117,17 @@ def startup_idle_fraction(
     return sum(fractions) / len(fractions)
 
 
-def comm_compute_overlap(
-    trace: TraceRecorder,
-    node: Optional[int] = None,
-    across_threads: bool = False,
-) -> float:
+def comm_compute_overlap(trace: TraceRecorder, node: Optional[int] = None) -> float:
     """Fraction of communication time overlapped with computation.
 
-    With ``across_threads=False`` (default), each thread's blocking
-    communication intervals (COMM spans — the GET/ADD calls of the
-    legacy code) are intersected with *that same thread's* compute
-    intervals. For blocking code this is exactly 0 — the Figure 12
-    observation: "the communication is not overlapped, because it is
-    not given a chance to do so. There is no computation in the code
-    between the point where the data transfer starts and the point
-    where the data is needed." PaRSEC never records blocking COMM spans
-    at all; its transfers happen off-worker.
-
-    With ``across_threads=True``, communication is intersected with
-    compute of *other* threads on the same node — the machine-level
-    view (other ranks keep their own cores busy during one rank's GET,
-    but the communicating rank's core is still wasted).
+    Each thread's blocking communication intervals (COMM spans — the
+    GET/ADD calls of the legacy code) are intersected with *that same
+    thread's* compute intervals. For blocking code this is exactly 0 —
+    the Figure 12 observation: "the communication is not overlapped,
+    because it is not given a chance to do so. There is no computation
+    in the code between the point where the data transfer starts and
+    the point where the data is needed." PaRSEC never records blocking
+    COMM spans at all; its transfers happen off-worker.
     """
     comm_categories = {TaskCategory.COMM}
     compute_categories = {
@@ -166,15 +151,7 @@ def comm_compute_overlap(
                     (event.t_start, event.t_end)
                 )
         for thread, comms in comm_by_thread.items():
-            if across_threads:
-                compute = merge_intervals(
-                    interval
-                    for t, intervals in compute_by_thread.items()
-                    if t != thread
-                    for interval in intervals
-                )
-            else:
-                compute = merge_intervals(compute_by_thread.get(thread, []))
+            compute = merge_intervals(compute_by_thread.get(thread, []))
             for comm in comms:
                 total_comm += comm.duration
                 total_overlap += _intersection((comm.t_start, comm.t_end), compute)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.core.inspector import inspect_subroutine
 from repro.core.metadata import Metadata
 from repro.core.ptg_build import read_block, reduce_pair, sort_fused
-from repro.core.variants import V5
+from repro.core.variants import GEMM_OFFSET, V5
 from repro.parsec.dtd import AccessMode, DtdContext, DtdResult, DtdRuntime
 from repro.sim.cluster import Cluster
 from repro.sim.trace import TaskCategory
@@ -117,7 +117,7 @@ def build_dtd_skeleton(runtime: DtdRuntime, md: Metadata) -> None:
                     (c_handle, AccessMode.WRITE),
                 ],
                 node=chain.node,
-                priority=md.priority(L1, md.variant.gemm_offset),
+                priority=md.priority(L1, GEMM_OFFSET),
                 category=TaskCategory.GEMM,
             )
             partial_keys.append(c_key)

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.metadata import Metadata
-from repro.core.variants import VariantSpec
+from repro.core.variants import GEMM_OFFSET, VariantSpec
 from repro.parsec.ptg import PTG
 from repro.parsec.taskclass import Dep, Flow, FlowMode, TaskClass, TaskContext
 from repro.sim.trace import TaskCategory
@@ -324,7 +324,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
             placement=lambda p, md: md.chain(p[0]).node,
             run=_gemm_run,
             category=TaskCategory.GEMM,
-            priority=prio(variant.gemm_offset),
+            priority=prio(GEMM_OFFSET),
             accelerated=True,  # GEMMs may run on accelerators when present
             flows=[
                 Flow(

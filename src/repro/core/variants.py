@@ -24,6 +24,7 @@ from typing import Optional
 from repro.util.errors import ConfigurationError
 
 __all__ = [
+    "GEMM_OFFSET",
     "VariantSpec",
     "V1",
     "V2",
@@ -33,6 +34,10 @@ __all__ = [
     "PAPER_VARIANTS",
     "variant_by_name",
 ]
+
+#: priority offset of a GEMM task, the paper's "+1 for GEMMs" (Section
+#: IV-C); reads get ``VariantSpec.read_offset``, which the ablations vary
+GEMM_OFFSET = 1
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,9 @@ class VariantSpec:
     #: Assign task priorities decreasing with the chain number
     #: (Section IV-C); False reproduces v2's behaviour.
     priorities: bool
-    #: Priority offsets: reads get the largest so that "there is a data
+    #: Priority offset of a read: the largest, so that "there is a data
     #: prefetching pipeline of depth 5*P".
     read_offset: int = 5
-    gemm_offset: int = 1
 
     def __post_init__(self) -> None:
         if self.segment_height is not None and self.segment_height < 1:
@@ -68,7 +72,7 @@ class VariantSpec:
                 "a fused SORT produces one master matrix; it requires the "
                 "single-WRITE organization (the paper's Figure 5)"
             )
-        if self.read_offset < 0 or self.gemm_offset < 0:
+        if self.read_offset < 0:
             raise ConfigurationError("priority offsets must be >= 0")
 
     def with_overrides(self, **kwargs) -> "VariantSpec":

@@ -101,7 +101,6 @@ def default_plan(master_seed: int, horizon_s: float, n_nodes: int) -> FaultPlan:
     return FaultPlan(
         master_seed=master_seed,
         task_fail_prob=0.05,
-        max_task_retries=3,
         drop_prob=0.04,
         delay_prob=0.04,
         dup_prob=0.03,

@@ -14,16 +14,20 @@ reproduction target, not absolute seconds).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analysis.report import format_fig9_table, format_table
 from repro.core import api
 from repro.experiments.calibration import CORE_COUNTS, PAPER_NODES, cell_config
 from repro.experiments.sweep import SweepCell, SweepExecutor, SweepStats
+from repro.util.errors import ConfigurationError
 from repro.workloads import canonical_token
 
 __all__ = [
+    "BENCH_SCHEMA_VERSION",
     "Fig9Result",
     "ShapeCheck",
     "run_point",
@@ -33,6 +37,8 @@ __all__ = [
 ]
 
 CODES = ("original", "v1", "v2", "v3", "v4", "v5")
+
+BENCH_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -53,21 +59,69 @@ class ShapeCheck:
 
 @dataclass
 class Fig9Result:
-    """The full Figure 9 series."""
+    """The full Figure 9 series, serializable as BENCH JSON."""
 
+    #: code -> cores/node -> virtual seconds
     times: dict[str, dict[int, float]]
     core_counts: tuple[int, ...]
     scale: str
     n_nodes: int
     #: registry name of the workload the sweep ran (the shape checks
     #: are paper claims about t2_7; other workloads report them as
-    #: informational only).
+    #: informational only). Serialized only when it is not t2_7, so
+    #: the committed t2_7 baselines carry no such key.
     workload: str = "t2_7"
     #: wall-clock accounting of the sweep that produced this result
     #: (host-side diagnostics only — never part of the data).
     sweep_stats: Optional[SweepStats] = field(
         default=None, repr=False, compare=False
     )
+
+    def to_dict(self) -> dict:
+        payload = {
+            "schema": BENCH_SCHEMA_VERSION,
+            "scale": self.scale,
+            "n_nodes": self.n_nodes,
+            "core_counts": list(self.core_counts),
+            "times": {
+                code: {str(cores): t for cores, t in sorted(series.items())}
+                for code, series in sorted(self.times.items())
+            },
+        }
+        if self.workload != "t2_7":
+            payload["workload"] = self.workload
+        return payload
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Fig9Result":
+        schema = d.get("schema")
+        if schema != BENCH_SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"BENCH schema mismatch: file has schema={schema!r}, this "
+                f"build reads schema={BENCH_SCHEMA_VERSION}. Regenerate the "
+                "baseline with `python -m repro perf --update-baseline` "
+                "(or read it with a matching build)."
+            )
+        return cls(
+            times={
+                code: {int(cores): float(t) for cores, t in series.items()}
+                for code, series in d["times"].items()
+            },
+            core_counts=tuple(d["core_counts"]),
+            scale=d["scale"],
+            n_nodes=d["n_nodes"],
+            workload=d.get("workload", "t2_7"),
+        )
+
+    def write(self, path) -> Path:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        return path
+
+    @classmethod
+    def read(cls, path) -> "Fig9Result":
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def table(self) -> str:
         label = "icsd_t2_7" if self.workload == "t2_7" else self.workload

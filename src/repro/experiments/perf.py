@@ -1,12 +1,12 @@
 """Performance baselines: the Figure 9 sweep as a regression gate.
 
 :func:`run_perf` executes the fig9-style sweep (every code at every
-core count, SYNTH data, metrics off) at a named scale and packages the
-virtual execution times into a :class:`PerfBaseline`. Baselines are
-written as ``BENCH_fig9_<scale>.json`` and the committed copies live in
-``benchmarks/baselines/``; :func:`diff_baselines` compares a fresh
-sweep against a committed file and flags any cell that got slower by
-more than a configurable threshold.
+core count, SYNTH data, metrics off) at a named scale; the
+:class:`~repro.experiments.fig9.Fig9Result` it returns is the baseline.
+Baselines are written as ``BENCH_fig9_<scale>.json`` and the committed
+copies live in ``benchmarks/baselines/``; :func:`diff_baselines`
+compares a fresh sweep against a committed file and flags any cell
+that got slower by more than a configurable threshold.
 
 The times are *virtual* seconds of the deterministic simulation, so on
 an unchanged tree a re-run reproduces the committed baseline exactly;
@@ -16,13 +16,12 @@ runtimes, never host noise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
 from repro.experiments.calibration import CORE_COUNTS, PAPER_NODES
-from repro.experiments.fig9 import run_fig9
+from repro.experiments.fig9 import BENCH_SCHEMA_VERSION, Fig9Result, run_fig9
 from repro.util.errors import ConfigurationError
 
 __all__ = [
@@ -31,15 +30,11 @@ __all__ = [
     "PERF_PRESETS",
     "BaselineDiff",
     "MissingCell",
-    "PerfBaseline",
     "Regression",
     "baseline_path",
-    "default_baseline_dir",
     "diff_baselines",
     "run_perf",
 ]
-
-BENCH_SCHEMA_VERSION = 1
 
 #: a cell counts as a regression when new > old * (1 + threshold)
 DEFAULT_THRESHOLD = 0.20
@@ -52,72 +47,6 @@ PERF_PRESETS: dict[str, dict] = {
     "paper": {"n_nodes": PAPER_NODES, "core_counts": CORE_COUNTS},
     "full": {"n_nodes": PAPER_NODES, "core_counts": CORE_COUNTS},
 }
-
-
-@dataclass
-class PerfBaseline:
-    """One full sweep's virtual times, serializable as BENCH JSON."""
-
-    scale: str
-    n_nodes: int
-    core_counts: tuple[int, ...]
-    #: code -> cores/node -> virtual seconds
-    times: dict[str, dict[int, float]] = field(default_factory=dict)
-    schema: int = BENCH_SCHEMA_VERSION
-    #: registry name of the workload swept. Serialized only when it is
-    #: not the historical default, so committed t2_7 baselines stay
-    #: byte-identical across this field's introduction (no schema bump).
-    workload: str = "t2_7"
-    #: wall-clock accounting of the sweep that produced this baseline;
-    #: host-side diagnostics only, never serialized into BENCH JSON.
-    sweep_stats: Optional[object] = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        payload = {
-            "schema": self.schema,
-            "scale": self.scale,
-            "n_nodes": self.n_nodes,
-            "core_counts": list(self.core_counts),
-            "times": {
-                code: {str(cores): t for cores, t in sorted(series.items())}
-                for code, series in sorted(self.times.items())
-            },
-        }
-        if self.workload != "t2_7":
-            payload["workload"] = self.workload
-        return payload
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PerfBaseline":
-        schema = d.get("schema")
-        if schema != BENCH_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"BENCH schema mismatch: file has schema={schema!r}, this "
-                f"build reads schema={BENCH_SCHEMA_VERSION}. Regenerate the "
-                "baseline with `python -m repro perf --update-baseline` "
-                "(or read it with a matching build)."
-            )
-        return cls(
-            scale=d["scale"],
-            n_nodes=d["n_nodes"],
-            core_counts=tuple(d["core_counts"]),
-            times={
-                code: {int(cores): float(t) for cores, t in series.items()}
-                for code, series in d["times"].items()
-            },
-            schema=schema,
-            workload=d.get("workload", "t2_7"),
-        )
-
-    def write(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return path
-
-    @classmethod
-    def read(cls, path) -> "PerfBaseline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 @dataclass(frozen=True)
@@ -140,19 +69,15 @@ class Regression:
         )
 
 
-def default_baseline_dir() -> Path:
-    """``benchmarks/baselines/`` at the repository root (may not exist)."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" / "baselines"
-
-
-def baseline_path(scale: str, root=None, workload: str = "t2_7") -> Path:
-    """Baseline file for a (workload, scale) pair.
+def baseline_path(scale: str, workload: str = "t2_7") -> Path:
+    """Committed baseline file for a (workload, scale) pair, in
+    ``benchmarks/baselines/`` at the repository root.
 
     The t2_7 default keeps the historical ``BENCH_fig9_<scale>.json``
     name; other workloads get ``BENCH_fig9_<workload>_<scale>.json``
     (token separators sanitized for the filesystem).
     """
-    root = Path(root) if root is not None else default_baseline_dir()
+    root = Path(__file__).resolve().parents[3] / "benchmarks" / "baselines"
     if workload == "t2_7":
         return root / f"BENCH_fig9_{scale}.json"
     tag = workload.replace(":", "_").replace("/", "_")
@@ -202,7 +127,7 @@ def run_perf(
     progress: Optional[Callable[[str], None]] = None,
     stealing: bool = False,
     workload: str = "t2_7",
-) -> PerfBaseline:
+) -> Fig9Result:
     """Run the fig9-style sweep at a scale's preset grid.
 
     ``scale`` must name a preset — an unknown scale raises
@@ -219,7 +144,7 @@ def run_perf(
         raise ConfigurationError(
             f"unknown perf scale {scale!r}; choose from {sorted(PERF_PRESETS)}"
         )
-    result = run_fig9(
+    return run_fig9(
         scale=scale,
         jobs=jobs,
         progress=progress,
@@ -227,18 +152,10 @@ def run_perf(
         workload=workload,
         **preset,
     )
-    return PerfBaseline(
-        scale=scale,
-        n_nodes=result.n_nodes,
-        core_counts=result.core_counts,
-        times=result.times,
-        workload=workload,
-        sweep_stats=result.sweep_stats,
-    )
 
 
 def diff_baselines(
-    old: PerfBaseline, new: PerfBaseline, threshold: float = DEFAULT_THRESHOLD
+    old: Fig9Result, new: Fig9Result, threshold: float = DEFAULT_THRESHOLD
 ) -> BaselineDiff:
     """Compare ``new`` against ``old`` cell by cell.
 

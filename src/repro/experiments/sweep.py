@@ -41,12 +41,13 @@ segfault in an extension, a stray ``os._exit``) breaks the whole
 ``ProcessPoolExecutor``; instead of aborting the sweep, the executor
 respawns the pool, requeues every in-flight cell, and re-runs the
 suspects one at a time so the culprit is identified exactly. A cell
-that demonstrably kills workers twice (``RetryPolicy.max_pool_kills``)
-is quarantined as **poisoned**; a per-cell deadline (``timeout``) kills
-and respawns the pool when a cell hangs, retrying the cell up to
-``RetryPolicy.retries`` times with capped exponential backoff — the
-same discipline :meth:`repro.sim.faults.FaultPlan.backoff` applies to
-simulated retransmits, at the host level. ``on_error`` selects the
+that demonstrably kills workers ``MAX_POOL_KILLS`` times is quarantined
+as **poisoned**; a per-cell deadline (``timeout``) kills and respawns
+the pool when a cell hangs, retrying the cell up to ``retries`` times
+with capped exponential backoff (``BASE_DELAY_S`` doubling up to
+``MAX_DELAY_S``) — the same discipline
+:meth:`repro.sim.faults.FaultPlan.backoff` applies to simulated
+retransmits, at the host level. ``on_error`` selects the
 final fate of an unrunnable cell: ``"raise"`` (default — batch runs
 fail loudly) or ``"record"``, which degrades the sweep to a partial
 result by storing a :class:`CellError` under the cell's key while every
@@ -75,9 +76,11 @@ from repro.util.backoff import capped_exponential
 from repro.util.errors import ConfigurationError, ReproError
 
 __all__ = [
+    "BASE_DELAY_S",
+    "MAX_DELAY_S",
+    "MAX_POOL_KILLS",
     "SweepCell",
     "CellError",
-    "RetryPolicy",
     "PoisonedCellError",
     "CellTimeoutError",
     "PoolClosedError",
@@ -105,36 +108,17 @@ class SweepCell:
         return "/".join(str(part) for part in self.key)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Host-level retry discipline for crashed or hung cells.
+#: host seconds slept before re-execution number ``attempt + 1``:
+#: ``BASE_DELAY_S * 2**attempt`` clamped to ``MAX_DELAY_S``
+BASE_DELAY_S = 0.05
+MAX_DELAY_S = 1.0
+#: a cell that breaks the worker pool this many times (the last one
+#: solo, so the culprit is certain) is poisoned and never run again
+MAX_POOL_KILLS = 2
 
-    ``retries`` bounds how many times one cell is re-executed after a
-    deadline expiry or a worker-death requeue; between re-executions the
-    executor sleeps ``delay(attempt)`` — ``base_delay_s * 2**attempt``
-    clamped to ``max_delay_s``, mirroring the simulated
-    :meth:`~repro.sim.faults.FaultPlan.backoff`. ``max_pool_kills`` is
-    the quarantine threshold: a cell that breaks the worker pool that
-    many times (the last one solo, so the culprit is certain) is
-    declared poisoned and never run again.
-    """
 
-    retries: int = 2
-    base_delay_s: float = 0.05
-    max_delay_s: float = 1.0
-    max_pool_kills: int = 2
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ConfigurationError(f"retries must be >= 0, got {self.retries}")
-        if self.max_pool_kills < 1:
-            raise ConfigurationError(
-                f"max_pool_kills must be >= 1, got {self.max_pool_kills}"
-            )
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before re-execution number ``attempt + 1``."""
-        return capped_exponential(self.base_delay_s, attempt, self.max_delay_s)
+def _backoff(attempt: int) -> float:
+    return capped_exponential(BASE_DELAY_S, attempt, MAX_DELAY_S)
 
 
 @dataclass(frozen=True)
@@ -143,7 +127,7 @@ class CellError:
 
     Stored under the cell's key in the merged results when
     ``on_error="record"``; ``kind`` is ``"poisoned"`` (the cell killed
-    workers ``max_pool_kills`` times), ``"timeout"`` (every attempt
+    workers ``MAX_POOL_KILLS`` times), ``"timeout"`` (every attempt
     overran the deadline), or ``"exception"`` (the cell function
     raised).
     """
@@ -164,7 +148,7 @@ class CellError:
 
 
 class PoisonedCellError(ReproError):
-    """A sweep cell killed its worker process ``max_pool_kills`` times."""
+    """A sweep cell killed its worker process ``MAX_POOL_KILLS`` times."""
 
 
 class CellTimeoutError(ReproError):
@@ -412,10 +396,10 @@ class SweepExecutor:
         run has no second process to enforce it from). A cell past its
         deadline costs a pool kill: the workers are terminated, the
         pool respawns, innocent in-flight cells are requeued free of
-        charge, and the hung cell retries under ``retry``.
-    retry:
-        The :class:`RetryPolicy` bounding re-executions, backoff, and
-        the poisoned-cell threshold (default: ``RetryPolicy()``).
+        charge, and the hung cell retries up to ``retries`` times.
+    retries:
+        How many times one cell is re-executed after a deadline expiry
+        (default 2); a negative budget is a ``ConfigurationError``.
     on_error:
         ``"raise"`` (default) propagates the first unrunnable cell —
         poisoned, timed out, or raising — as an exception; ``"record"``
@@ -441,7 +425,7 @@ class SweepExecutor:
         label: str = "sweep",
         *,
         timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
+        retries: int = 2,
         on_error: str = "raise",
         on_cell_done: Optional[
             Callable[[SweepCell, bool, float, Optional[int]], None]
@@ -456,6 +440,8 @@ class SweepExecutor:
             raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
         if timeout is not None and timeout <= 0:
             raise ConfigurationError(f"timeout must be > 0, got {timeout}")
+        if retries < 0:
+            raise ConfigurationError(f"retries must be >= 0, got {retries}")
         if on_error not in ("raise", "record"):
             raise ConfigurationError(
                 f"on_error must be 'raise' or 'record', got {on_error!r}"
@@ -464,7 +450,7 @@ class SweepExecutor:
         self.progress = progress
         self.label = label
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.retries = retries
         self.on_error = on_error
         self.on_cell_done = on_cell_done
         self.pool = pool
@@ -567,7 +553,6 @@ class SweepExecutor:
     def _run_pool(self, cells, stats, pool: WorkerPool) -> dict[tuple, Any]:
         by_key: dict[tuple, Any] = {}
         total = len(cells)
-        retry = self.retry
         order = {cell.key: i for i, cell in enumerate(cells)}
         states: dict[tuple, _CellState] = {cell.key: _CellState() for cell in cells}
         queue: deque[SweepCell] = deque(cells)
@@ -656,7 +641,7 @@ class SweepExecutor:
                             # only this cell) was in flight
                             state.kills += 1
                         worst = max(worst, state.kills, 1)
-                        if state.kills >= retry.max_pool_kills:
+                        if state.kills >= MAX_POOL_KILLS:
                             done_count += 1
                             self._record_error(
                                 by_key, stats, cell, "poisoned",
@@ -671,7 +656,7 @@ class SweepExecutor:
                         f"worker pool died with {len(suspects)} cell(s) in "
                         f"flight; respawned, re-running suspects solo"
                     )
-                    time.sleep(retry.delay(worst - 1))
+                    time.sleep(_backoff(worst - 1))
                     continue
                 if self.timeout is None or not inflight:
                     continue
@@ -700,7 +685,7 @@ class SweepExecutor:
                     state = states[cell.key]
                     state.attempts += 1
                     worst = max(worst, state.attempts)
-                    if state.attempts > retry.retries:
+                    if state.attempts > self.retries:
                         done_count += 1
                         self._record_error(
                             by_key, stats, cell, "timeout",
@@ -714,7 +699,7 @@ class SweepExecutor:
                             f"(attempt {state.attempts}); retrying"
                         )
                         queue.appendleft(cell)
-                time.sleep(retry.delay(worst - 1))
+                time.sleep(_backoff(worst - 1))
         finally:
             if inflight and not pool.closed:
                 # leaving on an error: hand the pool back empty, not with

@@ -71,7 +71,6 @@ class GlobalArray:
         self.tag_get_reply = f"get.reply:{name}"
         self.tag_acc = f"acc:{name}"
         self.tag_acc_ack = f"acc.ack:{name}"
-        self._destroyed = False
         # Ordered-accumulation mode (see enable_ordered_accumulation):
         # tagged contributions are logged here keyed by
         # (repr(tag), lo, hi) and applied in sorted-key order at the
@@ -96,18 +95,6 @@ class GlobalArray:
         self._shared = [False] * distribution.n_nodes
         #: copy-on-write copies made so far (test bookkeeping, not a metric)
         self.segment_copies = 0
-
-    # ------------------------------------------------------------------
-    # guards
-    # ------------------------------------------------------------------
-    def _check_live(self) -> None:
-        if self._destroyed:
-            raise GlobalArrayError(f"array {self.name!r} has been destroyed")
-
-    def destroy(self) -> None:
-        """Release the array; any further access is an error."""
-        self._destroyed = True
-        self._segments = None
 
     @property
     def holds_data(self) -> bool:
@@ -198,7 +185,6 @@ class GlobalArray:
         the segment shares it, and the array's next write then goes to a
         copy this view no longer points into.
         """
-        self._check_live()
         if self._segments is None:
             raise GlobalArrayError("ga_access() is unavailable in SYNTH data mode")
         node_lo, node_hi = self.distribution.node_range(node)
@@ -211,7 +197,6 @@ class GlobalArray:
 
     def read_segment(self, segment: Segment) -> Optional[np.ndarray]:
         """Snapshot of one owner segment's data (handler-side helper)."""
-        self._check_live()
         if self._segments is None:
             return None
         self.flush_accumulations()
@@ -226,7 +211,6 @@ class GlobalArray:
         contribution is logged instead of applied; see
         :meth:`enable_ordered_accumulation`.
         """
-        self._check_live()
         self.record_write(segment.lo, segment.hi)
         if self._segments is None:
             return
@@ -249,7 +233,6 @@ class GlobalArray:
         ``ga_access``-style local pointers; the simulated memory cost is
         charged by the task body, not here. Returns None in SYNTH mode.
         """
-        self._check_live()
         if self._segments is None:
             return None
         if not (0 <= lo <= hi <= self.total):
@@ -272,7 +255,6 @@ class GlobalArray:
         logged instead of applied (see
         :meth:`enable_ordered_accumulation`).
         """
-        self._check_live()
         self.record_write(lo, hi)
         if self._segments is None:
             return
@@ -335,7 +317,6 @@ class GlobalArray:
     # ------------------------------------------------------------------
     def gather(self) -> np.ndarray:
         """Copy of the whole array contents (testing convenience)."""
-        self._check_live()
         if self._segments is None:
             raise GlobalArrayError("gather() is unavailable in SYNTH data mode")
         self.flush_accumulations()
@@ -343,7 +324,6 @@ class GlobalArray:
 
     def scatter(self, values: np.ndarray) -> None:
         """Overwrite the whole array contents (setup convenience)."""
-        self._check_live()
         self.record_write(0, self.total)
         if self._segments is None:
             return
@@ -364,7 +344,6 @@ class GlobalArray:
         of every run that draws the same data. Logged as a write, like
         :meth:`scatter`.
         """
-        self._check_live()
         self.record_write(0, self.total)
         if self._segments is None:
             return
@@ -381,7 +360,6 @@ class GlobalArray:
 
     def zero(self) -> None:
         """Reset every element to zero (setup convenience)."""
-        self._check_live()
         self.record_write(0, self.total)
         if self._segments is None:
             return

@@ -211,7 +211,6 @@ class GlobalArrays:
         the per-segment requests leave through the node's aggregation
         window instead of as individual sends.
         """
-        array._check_live()
         segments = array.distribution.segments(lo, hi)
         self.gets += 1
         nbytes = array.nbytes(lo, hi)
@@ -273,7 +272,6 @@ class GlobalArrays:
         ``tag`` (an identity for this logical contribution) is forwarded
         to the array for ordered-accumulation mode.
         """
-        array._check_live()
         if self.cluster.real:
             if data is None:
                 raise GlobalArrayError("REAL-mode accumulate requires data")

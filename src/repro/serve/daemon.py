@@ -48,7 +48,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.experiments.sweep import RetryPolicy
 from repro.obs.registry import MetricsRegistry
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.journal import FINAL_STATES, Journal, read_events, rebuild
@@ -239,7 +238,7 @@ class ServeDaemon:
         workers: int = 1,
         pool_jobs: int = 2,
         cell_timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
+        retries: int = 2,
         compact_bytes: int = 0,
     ) -> None:
         self.metrics = MetricsRegistry(enabled=True, clock=time.monotonic)
@@ -255,7 +254,7 @@ class ServeDaemon:
             workers=workers,
             pool_jobs=pool_jobs,
             cell_timeout=cell_timeout,
-            retry=retry,
+            retries=retries,
         )
         self.scheduler.recover(recovered)
         self.journal.append(

@@ -48,7 +48,6 @@ from typing import Optional
 
 from repro.experiments.sweep import (
     PoolClosedError,
-    RetryPolicy,
     SweepCell,
     SweepExecutor,
     WorkerPool,
@@ -141,10 +140,12 @@ class JobScheduler:
         workers: int = 1,
         pool_jobs: int = 2,
         cell_timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
+        retries: int = 2,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        if retries < 0:
+            raise ConfigurationError(f"retries must be >= 0, got {retries}")
         self.journal = journal
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.breaker = breaker if breaker is not None else CircuitBreaker(
@@ -153,7 +154,7 @@ class JobScheduler:
         self.workers = workers
         self.pool_jobs = pool_jobs
         self.cell_timeout = cell_timeout
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.retries = retries
         self.jobs: dict[str, JobRecord] = {}
         self._queue: list[str] = []
         #: digest -> the id of its queued, running or ``done`` job
@@ -460,7 +461,7 @@ class JobScheduler:
             pool=pool,  # None (pool_jobs=1): the cells run in this thread
             label=record.job_id,
             timeout=self.cell_timeout,
-            retry=self.retry,
+            retries=self.retries,
             on_error="record",
             on_cell_done=partial(self._on_cell_done, record),
         )

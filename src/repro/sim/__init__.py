@@ -25,7 +25,7 @@ orderings and identical virtual timestamps — including injected faults,
 which are pure functions of a master seed and stable decision keys.
 """
 
-from repro.sim.engine import Engine, Process, SimEvent, WaitQueue, all_of, any_of
+from repro.sim.engine import Engine, Process, SimEvent, WaitQueue, all_of
 from repro.sim.timeline import Timer
 from repro.sim.resources import Resource, BandwidthResource
 from repro.sim.queues import Store, PriorityStore
@@ -50,7 +50,6 @@ __all__ = [
     "Timer",
     "WaitQueue",
     "all_of",
-    "any_of",
     "Resource",
     "BandwidthResource",
     "Store",

@@ -69,22 +69,6 @@ class ClusterConfig:
                 f"gpus_per_node must be >= 0, got {self.gpus_per_node}"
             )
 
-    @property
-    def total_cores(self) -> int:
-        return self.n_nodes * self.cores_per_node
-
-    def with_cores(self, cores_per_node: int) -> "ClusterConfig":
-        """Same allocation with a different core count (Fig. 9 sweeps)."""
-        return ClusterConfig(
-            n_nodes=self.n_nodes,
-            cores_per_node=cores_per_node,
-            machine=self.machine,
-            data_mode=self.data_mode,
-            trace_enabled=self.trace_enabled,
-            metrics_enabled=self.metrics_enabled,
-            gpus_per_node=self.gpus_per_node,
-        )
-
 
 class Cluster:
     """A live simulated machine: engine + trace + network + nodes."""

@@ -67,7 +67,6 @@ __all__ = [
     "NoWait",
     "WaitQueue",
     "all_of",
-    "any_of",
 ]
 
 _PENDING = 0
@@ -601,7 +600,7 @@ class Process:
         return self._status == _PENDING
 
     # SimEvent-compatible views, so ``yield process`` waiters (and the
-    # all_of/any_of combinators) can read the result straight off the
+    # all_of combinator) can read the result straight off the
     # process without forcing the completion event into existence.
     @property
     def triggered(self) -> bool:
@@ -784,41 +783,3 @@ def all_of(engine: Engine, events: Iterable) -> SimEvent:
         ev._wait(make_cb(i))
     return combined
 
-
-def any_of(engine: Engine, events: Iterable) -> SimEvent:
-    """An event that succeeds when the first input *succeeds* (inputs as
-    for :func:`all_of`).
-
-    The success value is ``(index, value)`` of the winner. Failures are
-    not fatal while any input might still succeed: the combined event
-    fails only once **every** input has failed, and then with the first
-    failure's exception. (An earlier version failed as soon as the first
-    triggered waitable failed, which let a fast failure mask a slower
-    success — exactly the race recovery code hits when one of several
-    redundant attempts dies first.)
-    """
-    events = list(events)
-    if not events:
-        raise SimulationError("any_of() needs at least one event")
-    combined = SimEvent(engine)
-    failed = [0]
-    first_failure: list[Optional[BaseException]] = [None]
-
-    def make_cb(index: int):
-        def on_fire(ev: SimEvent) -> None:
-            if combined.triggered:
-                return
-            if ev.failed:
-                if first_failure[0] is None:
-                    first_failure[0] = ev.value
-                failed[0] += 1
-                if failed[0] == len(events):
-                    combined.fail(first_failure[0])
-            else:
-                combined.succeed((index, ev.value))
-
-        return on_fire
-
-    for i, ev in enumerate(events):
-        ev._wait(make_cb(i))
-    return combined

@@ -12,7 +12,7 @@ Fault classes
 -------------
 - **Transient task failures** — a task body attempt fails before doing
   any work (decided per ``(label, attempt)``); the scheduler pays a
-  detection latency and retries, up to ``max_task_retries`` times.
+  detection latency and retries, up to ``MAX_TASK_RETRIES`` times.
 - **Message faults** — each NIC-crossing transmission attempt is
   assigned a fate (``drop``/``delay``/``dup``/``ok``) per
   ``(tag, seq, attempt)``. Drops are recovered by ack-timeout
@@ -27,6 +27,11 @@ Fault classes
   stops, and the runtimes re-home that work onto survivors. A body
   running on the dead node is aborted at its next resume by the abort
   rule of :class:`~repro.sim.engine.Process`.
+
+A plan chooses *which* faults happen (seed, probabilities, stragglers,
+crashes). *How long* recovery takes is fixed: the detection latency,
+the delay, the ack timeout, its ceiling and the two attempt bounds are
+the module constants below, read where they are used.
 """
 
 from __future__ import annotations
@@ -43,6 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.network import Message
 
 __all__ = [
+    "MAX_BACKOFF_S",
+    "MAX_RETRANSMITS",
+    "MAX_TASK_RETRIES",
+    "MSG_DELAY_S",
+    "RETRANSMIT_TIMEOUT_S",
+    "TASK_FAIL_DETECT_S",
     "Straggler",
     "NodeCrash",
     "FaultPlan",
@@ -52,6 +63,22 @@ __all__ = [
 
 #: a derived seed is a 63-bit integer; this maps it onto [0, 1)
 _SEED_SPAN = float(2**63)
+
+#: failed attempts of one task beyond this count succeed unconditionally
+MAX_TASK_RETRIES = 3
+#: virtual time to detect one transient task failure
+TASK_FAIL_DETECT_S = 5.0e-6
+#: extra in-flight latency of a delayed message
+MSG_DELAY_S = 5.0e-6
+#: base ack timeout before the first retransmission
+RETRANSMIT_TIMEOUT_S = 2.0e-5
+#: ceiling on one retransmit backoff, however high the attempt count
+#: climbs. It is 100x the base timeout, above
+#: ``RETRANSMIT_TIMEOUT_S * 2**MAX_RETRANSMITS``, so the cap only
+#: changes the schedule of an attempt past the retransmit bound.
+MAX_BACKOFF_S = 2.0e-3
+#: drops beyond this attempt count are suppressed (bounded recovery)
+MAX_RETRANSMITS = 6
 
 
 @dataclass(frozen=True)
@@ -96,26 +123,10 @@ class FaultPlan:
     master_seed: int = 0
     #: probability that one task-body attempt fails transiently
     task_fail_prob: float = 0.0
-    #: failed attempts beyond this count succeed unconditionally
-    max_task_retries: int = 3
-    #: virtual time to detect one transient task failure
-    task_fail_detect_s: float = 5.0e-6
     #: per-transmission-attempt probabilities of each message fate
     drop_prob: float = 0.0
     delay_prob: float = 0.0
     dup_prob: float = 0.0
-    #: extra in-flight latency of a delayed message
-    msg_delay_s: float = 5.0e-6
-    #: base ack timeout before the first retransmission
-    retransmit_timeout_s: float = 2.0e-5
-    #: ceiling on one retransmit backoff: ``backoff(attempt)`` never
-    #: exceeds this, however high the attempt count climbs. The default
-    #: (100x the base timeout) is above ``base * 2**(max_retransmits)``
-    #: for the default plan, so capped and uncapped schedules coincide
-    #: unless a plan raises ``max_retransmits`` past 6.
-    max_backoff_s: float = 2.0e-3
-    #: drops beyond this attempt count are suppressed (bounded recovery)
-    max_retransmits: int = 6
     stragglers: tuple[Straggler, ...] = ()
     crashes: tuple[NodeCrash, ...] = ()
 
@@ -126,11 +137,6 @@ class FaultPlan:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {p}")
         if self.drop_prob + self.delay_prob + self.dup_prob > 1.0:
             raise ConfigurationError("message fate probabilities sum past 1")
-        if self.max_backoff_s < self.retransmit_timeout_s:
-            raise ConfigurationError(
-                f"max_backoff_s ({self.max_backoff_s:g}) is below the base "
-                f"retransmit timeout ({self.retransmit_timeout_s:g})"
-            )
 
     # -- stateless seeded decisions --------------------------------------
     def _uniform(self, key: str) -> float:
@@ -139,7 +145,7 @@ class FaultPlan:
 
     def task_fails(self, label: str, attempt: int) -> bool:
         """Should attempt number ``attempt`` of task ``label`` fail?"""
-        if attempt >= self.max_task_retries or self.task_fail_prob == 0.0:
+        if attempt >= MAX_TASK_RETRIES or self.task_fail_prob == 0.0:
             return False  # a draw in [0, 1) never falls below 0
         return self._uniform(f"taskfail:{label}:{attempt}") < self.task_fail_prob
 
@@ -147,7 +153,7 @@ class FaultPlan:
         """Fate of one transmission attempt: drop | delay | dup | ok."""
         u = self._uniform(f"msg:{tag}:{seq}:{attempt}")
         if u < self.drop_prob:
-            return "drop" if attempt < self.max_retransmits else "ok"
+            return "drop" if attempt < MAX_RETRANSMITS else "ok"
         if u < self.drop_prob + self.delay_prob:
             return "delay"
         if u < self.drop_prob + self.delay_prob + self.dup_prob:
@@ -158,13 +164,11 @@ class FaultPlan:
         """Ack-timeout before retransmission ``attempt + 1``.
 
         Exponential in the attempt count but clamped to
-        ``max_backoff_s`` — unbounded doubling would overflow a float
+        ``MAX_BACKOFF_S`` — unbounded doubling would overflow a float
         past ~1024 attempts and, long before that, park a message for
         longer than the whole simulation horizon.
         """
-        return capped_exponential(
-            self.retransmit_timeout_s, attempt, self.max_backoff_s
-        )
+        return capped_exponential(RETRANSMIT_TIMEOUT_S, attempt, MAX_BACKOFF_S)
 
     def describe(self) -> str:
         parts = [
@@ -280,7 +284,7 @@ class FaultInjector:
         """Generator helper: burn the injected transient failures of the
         task (or legacy chain) ``label`` before its body starts.
 
-        Each failed attempt costs the plan's detection latency; the
+        Each failed attempt costs ``TASK_FAIL_DETECT_S``; the
         decision is a pure function of (label, attempt), so retry counts
         are identical across runs with the same fault seed. Callers test
         attempt 0 synchronously (``plan.task_fails(label, 0)``) and enter
@@ -291,9 +295,8 @@ class FaultInjector:
         attempt = 0
         while plan.task_fails(label, attempt):
             self.report.task_retries += 1
-            self.report.recovery_overhead_s += plan.task_fail_detect_s
-            if plan.task_fail_detect_s > 0:
-                yield self.cluster.engine.timeout(plan.task_fail_detect_s)
+            self.report.recovery_overhead_s += TASK_FAIL_DETECT_S
+            yield self.cluster.engine.timeout(TASK_FAIL_DETECT_S)
             attempt += 1
 
     # -- bookkeeping helper used by the recovery paths -------------------

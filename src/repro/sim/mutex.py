@@ -57,11 +57,6 @@ class SimMutex:
         """Number of threads blocked on the mutex."""
         return self._resource.queue_length
 
-    @property
-    def contended_wait_time(self) -> float:
-        """Total virtual time threads spent blocked on this mutex."""
-        return self._resource.total_wait_time
-
     def abandon_waiters(self) -> int:
         """Mark every thread parked on the mutex dead (crash cleanup).
 

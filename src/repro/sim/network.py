@@ -23,6 +23,7 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from repro.obs.registry import NULL_METRICS, MetricsRegistry
 from repro.sim.engine import Engine, SimEvent
+from repro.sim.faults import MSG_DELAY_S
 from repro.sim.resources import Resource
 from repro.sim.timeline import Timer
 from repro.util.errors import SimulationError
@@ -183,7 +184,7 @@ class _Transfer(SimEvent):
         if fate == "delay":
             assert faults is not None
             faults.report.messages_delayed += 1
-            timeout(faults.plan.msg_delay_s)._wait(self._delayed)
+            timeout(MSG_DELAY_S)._wait(self._delayed)
         else:
             timeout(network.machine.net_latency_s)._wait(self._rx_grant)
 

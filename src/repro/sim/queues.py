@@ -117,8 +117,3 @@ class PriorityStore(Store):
     def _pop(self) -> Any:
         return heapq.heappop(self._items)[2]
 
-    def peek_priority(self) -> float:
-        """Priority of the best queued item (error if empty)."""
-        if not self._items:
-            raise IndexError(f"PriorityStore {self.name!r} is empty")
-        return -self._items[0][0]

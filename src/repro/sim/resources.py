@@ -355,10 +355,3 @@ class BandwidthResource:
             event.succeed()
         self._reschedule()
 
-    def utilization(self, horizon: Optional[float] = None) -> float:
-        """Fraction of time with at least one active job up to now."""
-        self._advance()
-        total = horizon if horizon is not None else self.engine.now
-        if total <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / total)

@@ -12,7 +12,6 @@ reduction, light-green write, grey idle).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -57,22 +56,9 @@ class TraceEvent:
     def duration(self) -> float:
         return self.t_end - self.t_start
 
-    def to_dict(self) -> dict:
-        d = {
-            "node": self.node,
-            "thread": self.thread,
-            "category": self.category.value,
-            "label": self.label,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-        }
-        if self.meta:
-            d["meta"] = self.meta
-        return d
-
 
 class TraceRecorder:
-    """Collects spans; offers filtered views and serialization.
+    """Collects spans; offers filtered views and per-category totals.
 
     Recording can be disabled wholesale (``enabled=False``) for the big
     performance sweeps where only end-to-end time matters.
@@ -158,25 +144,3 @@ class TraceRecorder:
             counts[event.category] = counts.get(event.category, 0) + 1
         return counts
 
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialize every span as a JSON array of objects."""
-        return json.dumps([e.to_dict() for e in self.events], indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TraceRecorder":
-        """Inverse of :meth:`to_json`."""
-        recorder = cls()
-        for d in json.loads(text):
-            recorder.record(
-                d["node"],
-                d["thread"],
-                TaskCategory(d["category"]),
-                d["label"],
-                d["t_start"],
-                d["t_end"],
-                d.get("meta"),
-            )
-        return recorder

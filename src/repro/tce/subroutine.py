@@ -21,7 +21,7 @@ structure the paper describes for ``icsd_t2_7()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator
 
@@ -29,7 +29,15 @@ import numpy as np
 
 from repro.tce.tensor import BlockTensor
 
-__all__ = ["BlockRef", "GemmOp", "SortWrite", "sort_4", "ChainSpec", "Subroutine"]
+__all__ = [
+    "BlockRef",
+    "GemmOp",
+    "skew_chain",
+    "SortWrite",
+    "sort_4",
+    "ChainSpec",
+    "Subroutine",
+]
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,23 @@ class GemmOp:
     @property
     def flops(self) -> float:
         return 2.0 * self.m * self.n * self.k
+
+
+def skew_chain(
+    gemms: list[GemmOp], chain_id: int, factor: int, period: int
+) -> list[GemmOp]:
+    """A chain lengthened by the imbalance knob.
+
+    Every ``period``-th chain repeats its GEMM list ``factor`` times with
+    positions renumbered, so a skewed chain does proportionally more
+    flops through the exact same dataflow shape (each repeat gets its
+    own READ tasks and contributes to the same accumulation). Other
+    chains, and all of them when ``factor <= 1`` or ``period <= 0``,
+    come back unchanged.
+    """
+    if factor <= 1 or period <= 0 or chain_id % period != 0:
+        return gemms
+    return [replace(gemm, position=i) for i, gemm in enumerate(gemms * factor)]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,14 @@ from itertools import product
 
 from repro.tce.orbital_space import OrbitalSpace
 from repro.tce.reference import compute_subroutine_reference
-from repro.tce.subroutine import BlockRef, ChainSpec, GemmOp, SortWrite, Subroutine
+from repro.tce.subroutine import (
+    BlockRef,
+    ChainSpec,
+    GemmOp,
+    SortWrite,
+    Subroutine,
+    skew_chain,
+)
 from repro.tce.tensor import BlockLayout, BlockTensor
 from repro.util.errors import ConfigurationError
 from repro.workloads.base import Structure
@@ -173,7 +180,9 @@ class TermBuilder:
                             position += 1
                         if not gemms:
                             continue
-                        gemms = self._apply_skew(chain_id, gemms)
+                        gemms = skew_chain(
+                            gemms, chain_id, self.skew_factor, self.skew_period
+                        )
                         chains.append(
                             ChainSpec(
                                 chain_id=chain_id,
@@ -208,35 +217,6 @@ class TermBuilder:
                 self.skew_period,
             ),
         )
-
-    def _apply_skew(self, chain_id: int, gemms: list[GemmOp]) -> list[GemmOp]:
-        """Lengthen the chain when the imbalance knob selects it.
-
-        The GEMM list is repeated ``skew_factor`` times with positions
-        renumbered, so a skewed chain does proportionally more flops
-        through the exact same dataflow shape (each repeat gets its own
-        READ tasks and contributes to the same accumulation).
-        """
-        if (
-            self.skew_factor <= 1
-            or self.skew_period <= 0
-            or chain_id % self.skew_period != 0
-        ):
-            return gemms
-        stretched: list[GemmOp] = []
-        for repeat in range(self.skew_factor):
-            for gemm in gemms:
-                stretched.append(
-                    GemmOp(
-                        position=len(stretched),
-                        a=gemm.a,
-                        b=gemm.b,
-                        m=gemm.m,
-                        n=gemm.n,
-                        k=gemm.k,
-                    )
-                )
-        return stretched
 
     def _sort_writes(self, key: tuple[int, int, int, int]) -> tuple[SortWrite, ...]:
         p3b, p4b, h1b, h2b = key

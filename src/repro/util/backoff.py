@@ -3,7 +3,7 @@
 Two layers of this system retry with exponential backoff: the simulated
 NIC retransmit path (:meth:`repro.sim.faults.FaultPlan.backoff`, virtual
 seconds) and the host-level sweep/service retry machinery
-(:class:`repro.experiments.sweep.RetryPolicy`, wall seconds). Both use
+(:class:`repro.experiments.sweep.SweepExecutor`, wall seconds). Both use
 the same discipline — ``base * 2**attempt`` clamped to a ceiling — and
 both must survive absurd attempt counts without overflowing: naive
 ``2.0 ** attempt`` raises ``OverflowError`` past attempt ~1024, which

@@ -60,7 +60,6 @@ class ConfigurationError(ReproError):
 class GlobalArrayError(ReproError):
     """Misuse of the simulated Global Arrays API.
 
-    Examples: out-of-bounds region access, accessing remote memory
-    through ``ga_access`` (which is local-only), or operating on a
-    destroyed array.
+    Examples: out-of-bounds region access, or accessing remote memory
+    through ``ga_access`` (which is local-only).
     """

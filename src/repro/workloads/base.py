@@ -119,11 +119,6 @@ class BoundTensor:
     def block_shape(self, key: tuple) -> tuple:
         return self.tensor.block_shape(key)
 
-    def block_values(self, key: tuple) -> "np.ndarray":
-        """Read-only snapshot of one block, in its block shape."""
-        lo, hi = self.block_range(key)
-        return self.array.read_range_direct(lo, hi).reshape(self.block_shape(key))
-
     def flat_values(self) -> "np.ndarray":
         """Copy of the whole flat tensor contents."""
         return self.array.gather()

@@ -30,7 +30,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tce.reference import BlockReader
-from repro.tce.subroutine import BlockRef, ChainSpec, GemmOp, SortWrite, Subroutine
+from repro.tce.subroutine import (
+    BlockRef,
+    ChainSpec,
+    GemmOp,
+    SortWrite,
+    Subroutine,
+    skew_chain,
+)
 from repro.tce.terms import SORT_VARIANTS
 from repro.util.errors import ConfigurationError
 from repro.workloads.base import Structure
@@ -196,7 +203,9 @@ class RbgsStructure(Structure):
                             k=1,
                         )
                     )
-                gemms = self._apply_skew(chain_id, gemms)
+                gemms = skew_chain(
+                    gemms, chain_id, self.skew_factor, self.skew_period
+                )
                 target = BlockRef.of(self.u_next, (iy, ix))
                 sort_writes = tuple(
                     SortWrite(
@@ -235,29 +244,6 @@ class RbgsStructure(Structure):
                 color,
             ),
         )
-
-    def _apply_skew(self, chain_id: int, gemms: list[GemmOp]) -> list[GemmOp]:
-        """Same imbalance knob as TermBuilder: selected chains repeat."""
-        if (
-            self.skew_factor <= 1
-            or self.skew_period <= 0
-            or chain_id % self.skew_period != 0
-        ):
-            return gemms
-        stretched: list[GemmOp] = []
-        for _ in range(self.skew_factor):
-            for gemm in gemms:
-                stretched.append(
-                    GemmOp(
-                        position=len(stretched),
-                        a=gemm.a,
-                        b=gemm.b,
-                        m=gemm.m,
-                        n=gemm.n,
-                        k=gemm.k,
-                    )
-                )
-        return stretched
 
     def reference(self, arrays: dict) -> np.ndarray:
         """Dense NumPy smoother over the grid's snapshots (REAL mode)."""

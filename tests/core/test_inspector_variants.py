@@ -3,7 +3,17 @@
 import pytest
 
 from repro.core.inspector import _build_reduce_tree, _build_segments, inspect_subroutine
-from repro.core.variants import PAPER_VARIANTS, V1, V2, V3, V4, V5, VariantSpec, variant_by_name
+from repro.core.variants import (
+    GEMM_OFFSET,
+    PAPER_VARIANTS,
+    V1,
+    V2,
+    V3,
+    V4,
+    V5,
+    VariantSpec,
+    variant_by_name,
+)
 from repro.ga.runtime import GlobalArrays
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.tce.molecules import tiny_system
@@ -39,6 +49,13 @@ class TestVariantSpecs:
     def test_invalid_segment_height(self):
         with pytest.raises(ConfigurationError):
             VariantSpec("bad", 0, False, True, True)
+
+    def test_gemm_offset_is_the_papers_plus_one(self):
+        # "+5 for reads, +1 for GEMMs" (Section IV-C): the read offset
+        # is an ablation axis, the GEMM offset a constant
+        assert GEMM_OFFSET == 1 and V4.read_offset == 5
+        with pytest.raises(TypeError, match="gemm_offset"):
+            V4.with_overrides(gemm_offset=2)
 
     def test_overrides(self):
         swept = V4.with_overrides(segment_height=4, name="v4h4")

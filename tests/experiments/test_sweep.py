@@ -16,7 +16,7 @@ from repro.experiments.perf import (
     BENCH_SCHEMA_VERSION,
     MissingCell,
     PERF_PRESETS,
-    PerfBaseline,
+    baseline_path,
     diff_baselines,
     run_perf,
 )
@@ -269,31 +269,37 @@ class TestBenchSchemaValidation:
         return payload
 
     def test_round_trip_ok(self):
-        baseline = PerfBaseline.from_dict(self._payload())
+        baseline = Fig9Result.from_dict(self._payload())
         assert baseline.times["v5"][1] == 2.0
 
     def test_future_schema_rejected(self):
         with pytest.raises(ConfigurationError, match="schema"):
-            PerfBaseline.from_dict(self._payload(schema=BENCH_SCHEMA_VERSION + 1))
+            Fig9Result.from_dict(self._payload(schema=BENCH_SCHEMA_VERSION + 1))
 
     def test_missing_schema_rejected(self):
         payload = self._payload()
         del payload["schema"]
         with pytest.raises(ConfigurationError, match="schema"):
-            PerfBaseline.from_dict(payload)
+            Fig9Result.from_dict(payload)
+
+    def test_baselines_live_in_the_repository(self, tmp_path):
+        assert baseline_path("tiny").name == "BENCH_fig9_tiny.json"
+        assert baseline_path("paper", workload="rbgs").name == (
+            "BENCH_fig9_rbgs_paper.json"
+        )
+        with pytest.raises(TypeError, match="root"):
+            baseline_path("tiny", root=tmp_path)
 
     def test_read_rejects_mismatched_file(self, tmp_path):
         path = tmp_path / "BENCH_bad.json"
         path.write_text(json.dumps(self._payload(schema=99)))
         with pytest.raises(ConfigurationError, match="schema=99"):
-            PerfBaseline.read(path)
+            Fig9Result.read(path)
 
 
 class TestMissingCellReporting:
     def _baseline(self, times):
-        return PerfBaseline(
-            scale="tiny", n_nodes=4, core_counts=(1, 2), times=times
-        )
+        return Fig9Result(times, (1, 2), "tiny", 4)
 
     def test_vanished_core_count_reported(self):
         old = self._baseline({"v5": {1: 2.0, 2: 1.0}})
@@ -357,8 +363,6 @@ class TestCliJobs:
         printed = capsys.readouterr().out
         assert "no regressions" in printed
         assert "2 job(s)" in printed
-        from repro.experiments.perf import baseline_path
-
         committed = json.loads(baseline_path("tiny").read_text())
         fresh = json.loads(out.read_text())
         assert fresh == committed

@@ -14,11 +14,14 @@ import time
 
 import pytest
 
+from repro.experiments import sweep
 from repro.experiments.sweep import (
+    BASE_DELAY_S,
+    MAX_DELAY_S,
+    MAX_POOL_KILLS,
     CellError,
     CellTimeoutError,
     PoisonedCellError,
-    RetryPolicy,
     SweepCell,
     SweepExecutor,
 )
@@ -63,7 +66,10 @@ def _boom(x):
     raise ValueError(f"cell {x} exploded")
 
 
-FAST_RETRY = RetryPolicy(retries=2, base_delay_s=0.0, max_delay_s=0.0)
+@pytest.fixture(autouse=True)
+def _no_backoff(monkeypatch):
+    """Re-executions here follow one another without sleeping."""
+    monkeypatch.setattr(sweep, "BASE_DELAY_S", 0.0)
 
 
 def _cells(n, fn=_square, **extra):
@@ -76,7 +82,7 @@ class TestWorkerDeathRecovery:
         byte-identical to the serial sweep."""
         serial, _ = SweepExecutor(jobs=1).run(_cells(6))
         cells = _cells(6, fn=_kill_once, flag_dir=str(tmp_path))
-        parallel, stats = SweepExecutor(jobs=2, retry=FAST_RETRY).run(cells)
+        parallel, stats = SweepExecutor(jobs=2).run(cells)
         assert parallel == serial
         assert stats.pool_kills >= 1
         assert stats.retries >= 1
@@ -88,7 +94,7 @@ class TestWorkerDeathRecovery:
             SweepCell(key=("bad",), fn=_kill_always, kwargs={"x": 0}),
         ]
         with pytest.raises(PoisonedCellError, match="bad"):
-            SweepExecutor(jobs=2, retry=FAST_RETRY).run(cells)
+            SweepExecutor(jobs=2).run(cells)
 
     def test_poisoned_cell_recorded_and_healthy_cells_identical(self):
         """One poisoned cell degrades the sweep to a partial result;
@@ -98,7 +104,7 @@ class TestWorkerDeathRecovery:
             SweepCell(key=("bad",), fn=_kill_always, kwargs={"x": 0})
         ]
         results, stats = SweepExecutor(
-            jobs=2, retry=FAST_RETRY, on_error="record"
+            jobs=2, on_error="record"
         ).run(cells)
         error = results[("bad",)]
         assert isinstance(error, CellError)
@@ -115,7 +121,7 @@ class TestWorkerDeathRecovery:
             cells = [SweepCell(key=("bad",), fn=_kill_always, kwargs={"x": 0})]
             cells += _cells(8)
             results, _ = SweepExecutor(
-                jobs=jobs, retry=FAST_RETRY, on_error="record"
+                jobs=jobs, on_error="record"
             ).run(cells)
             assert results[("bad",)].kind == "poisoned"
             assert {k: v for k, v in results.items() if k != ("bad",)} == serial
@@ -126,7 +132,7 @@ class TestDeadlines:
         serial, _ = SweepExecutor(jobs=1).run(_cells(4))
         cells = _cells(4, fn=_hang_once, flag_dir=str(tmp_path))
         results, stats = SweepExecutor(
-            jobs=2, timeout=2.0, retry=FAST_RETRY
+            jobs=2, timeout=2.0
         ).run(cells)
         assert results == serial
         assert stats.pool_kills >= 1
@@ -135,8 +141,7 @@ class TestDeadlines:
         cells = [SweepCell(key=("hang",), fn=_hang_always, kwargs={"x": 0}),
                  SweepCell(key=(1,), fn=_square, kwargs={"x": 1})]
         results, stats = SweepExecutor(
-            jobs=2, timeout=1.0, retry=RetryPolicy(retries=1, base_delay_s=0.0),
-            on_error="record",
+            jobs=2, timeout=1.0, retries=1, on_error="record",
         ).run(cells)
         error = results[("hang",)]
         assert isinstance(error, CellError)
@@ -148,10 +153,7 @@ class TestDeadlines:
         cells = [SweepCell(key=("hang",), fn=_hang_always, kwargs={"x": 0}),
                  SweepCell(key=(1,), fn=_square, kwargs={"x": 1})]
         with pytest.raises(CellTimeoutError, match="hang"):
-            SweepExecutor(
-                jobs=2, timeout=1.0,
-                retry=RetryPolicy(retries=0, base_delay_s=0.0),
-            ).run(cells)
+            SweepExecutor(jobs=2, timeout=1.0, retries=0).run(cells)
 
 
 class TestErrorRecording:
@@ -186,18 +188,26 @@ class TestErrorRecording:
 
 
 class TestRetryPolicy:
-    def test_backoff_is_capped_exponential(self):
-        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=1.0)
-        assert policy.delay(0) == 0.1
-        assert policy.delay(2) == pytest.approx(0.4)
-        assert policy.delay(10) == 1.0
-        assert policy.delay(100_000) == 1.0  # no float overflow
+    """The retry policy: an int budget, constant pacing and threshold."""
+
+    def test_backoff_is_capped_exponential(self, monkeypatch):
+        monkeypatch.setattr(sweep, "BASE_DELAY_S", 0.1)
+        monkeypatch.setattr(sweep, "MAX_DELAY_S", 1.0)
+        assert sweep._backoff(0) == 0.1
+        assert sweep._backoff(2) == pytest.approx(0.4)
+        assert sweep._backoff(10) == 1.0
+        assert sweep._backoff(100_000) == 1.0  # no float overflow
 
     def test_validation(self):
+        # the retry budget is an int; the pacing and the quarantine
+        # threshold are constants, not settings
         with pytest.raises(ConfigurationError):
-            RetryPolicy(retries=-1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_pool_kills=0)
+            SweepExecutor(retries=-1)
+        for keyword in ("retry", "max_pool_kills", "base_delay_s", "max_delay_s"):
+            with pytest.raises(TypeError, match=keyword):
+                SweepExecutor(**{keyword: 0})
+        assert type(MAX_POOL_KILLS) is int and MAX_POOL_KILLS >= 1
+        assert MAX_DELAY_S >= BASE_DELAY_S > 0.0
         with pytest.raises(ConfigurationError):
             SweepExecutor(jobs=2, timeout=0.0)
         with pytest.raises(ConfigurationError):
@@ -287,14 +297,14 @@ class TestWorkerPool:
         os.kill(victim, signal.SIGKILL)
         assert _until(lambda: victim not in pool.pids())
         time.sleep(0.1)  # the executor notices the death on its own thread
-        results, stats = SweepExecutor(pool=pool, retry=FAST_RETRY).run(_cells(4))
+        results, stats = SweepExecutor(pool=pool).run(_cells(4))
         assert results == serial
         assert (stats.pool_kills, stats.retries) == (1, 0)
         assert pool.spawns == 2
 
     def test_killed_worker_costs_the_next_run_nothing(self, pool, tmp_path):
         cells = _cells(3, fn=_kill_once, flag_dir=str(tmp_path))
-        _, stats = SweepExecutor(pool=pool, retry=FAST_RETRY).run(cells)
+        _, stats = SweepExecutor(pool=pool).run(cells)
         assert stats.pool_kills >= 1
         spawns = pool.spawns
         _, stats = SweepExecutor(pool=pool).run(_cells(3))

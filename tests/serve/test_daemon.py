@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.experiments.sweep import RetryPolicy, SweepCell
+from repro.experiments.sweep import SweepCell
 from repro.serve.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.serve.daemon import ServeDaemon
 from repro.serve.journal import read_events
@@ -71,9 +71,7 @@ def _raw_stream(daemon, job_id, since=0):
 
 def _daemon(tmp_path, **kwargs):
     kwargs.setdefault("pool_jobs", 1)
-    kwargs.setdefault(
-        "retry", RetryPolicy(retries=0, base_delay_s=0.0, max_delay_s=0.0)
-    )
+    kwargs.setdefault("retries", 0)
     daemon = ServeDaemon(tmp_path / "journal.jsonl", port=0, **kwargs)
     daemon.start_in_thread()
     return daemon, ServiceClient(port=daemon.port, timeout_s=5.0)
@@ -349,7 +347,7 @@ class TestShedding:
             _GATE.set()
             daemon.stop()
 
-    @pytest.mark.parametrize("knob", ["breaker_config", "aging_s"])
+    @pytest.mark.parametrize("knob", ["breaker_config", "aging_s", "retry"])
     def test_thresholds_are_not_settings(self, tmp_path, knob):
         with pytest.raises(TypeError):
             ServeDaemon(tmp_path / "journal.jsonl", port=0, **{knob: None})

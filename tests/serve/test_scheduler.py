@@ -26,7 +26,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.experiments.sweep import RetryPolicy, SweepCell
+from repro.experiments.sweep import SweepCell
 from repro.obs.registry import MetricsRegistry
 from repro.serve.breaker import FAILURE_THRESHOLD
 from repro.serve.journal import Journal, read_events, rebuild
@@ -79,7 +79,7 @@ def scheduler(tmp_path, monkeypatch):
         journal=journal,
         metrics=MetricsRegistry(enabled=True),
         pool_jobs=1,  # serial: stub cells run in the worker thread
-        retry=RetryPolicy(retries=0, base_delay_s=0.0, max_delay_s=0.0),
+        retries=0,
     )
     yield sched
     sched.stop()
@@ -224,10 +224,7 @@ class TestAdmissionControl:
     def test_repeated_failures_trip_the_breaker(self, tmp_path, monkeypatch):
         monkeypatch.setattr("repro.serve.scheduler.build_cells", _fake_cells)
         journal = Journal(tmp_path / "journal.jsonl")
-        sched = JobScheduler(
-            journal=journal,
-            retry=RetryPolicy(retries=0, base_delay_s=0.0, max_delay_s=0.0),
-        )
+        sched = JobScheduler(journal=journal, retries=0)
         sched.start()
         try:
             # distinct digests, all explode
@@ -247,9 +244,7 @@ class TestRecovery:
         monkeypatch.setattr("repro.serve.scheduler.build_cells", _fake_cells)
         path = tmp_path / "journal.jsonl"
         journal = Journal(path)
-        sched = JobScheduler(journal=journal, pool_jobs=1,
-                             retry=RetryPolicy(retries=0, base_delay_s=0.0,
-                                               max_delay_s=0.0))
+        sched = JobScheduler(journal=journal, pool_jobs=1, retries=0)
         sched.start()
         done = sched.submit("point", {"seed": 2})
         _wait_done(sched, done.job_id)
@@ -258,9 +253,7 @@ class TestRecovery:
         journal.close()
 
         journal2 = Journal(path)
-        sched2 = JobScheduler(journal=journal2, pool_jobs=1,
-                              retry=RetryPolicy(retries=0, base_delay_s=0.0,
-                                                max_delay_s=0.0))
+        sched2 = JobScheduler(journal=journal2, pool_jobs=1, retries=0)
         sched2.recover(rebuild(read_events(path)))
         # the finished job came back final, the pending one queued
         assert sched2.get(done.job_id).status == "done"
@@ -297,9 +290,8 @@ class TestWorkloadIsolation:
     def test_replayed_cache_keeps_workloads_apart(self, tmp_path, monkeypatch):
         monkeypatch.setattr("repro.serve.scheduler.build_cells", _workload_cells)
         path = tmp_path / "journal.jsonl"
-        retry = RetryPolicy(retries=0, base_delay_s=0.0, max_delay_s=0.0)
         journal = Journal(path)
-        sched = JobScheduler(journal=journal, pool_jobs=1, retry=retry)
+        sched = JobScheduler(journal=journal, pool_jobs=1, retries=0)
         sched.start()
         # identical params except for the workload name
         a = sched.submit("point", {"seed": 7})  # workload defaults to t2_7
@@ -316,7 +308,7 @@ class TestWorkloadIsolation:
         # back with its own result, and a resubmission of either spec
         # is answered by that workload's job, not the other's
         journal2 = Journal(path)
-        sched2 = JobScheduler(journal=journal2, pool_jobs=1, retry=retry)
+        sched2 = JobScheduler(journal=journal2, pool_jobs=1, retries=0)
         sched2.recover(rebuild(read_events(path)))
         hit_a = sched2.submit("point", {"seed": 7})
         hit_b = sched2.submit("point", {"seed": 7, "workload": "rbgs"})
@@ -345,8 +337,7 @@ def _make(tmp_path, monkeypatch, cells=_fake_cells, name="journal.jsonl",
     monkeypatch.setattr("repro.serve.scheduler.build_cells", cells)
     journal = Journal(tmp_path / name, compact_bytes=kwargs.pop(
         "compact_bytes", 0))
-    kwargs.setdefault(
-        "retry", RetryPolicy(retries=0, base_delay_s=0.0, max_delay_s=0.0))
+    kwargs.setdefault("retries", 0)
     kwargs.setdefault("pool_jobs", 1)
     return journal, JobScheduler(journal=journal, **kwargs)
 
@@ -577,9 +568,9 @@ class TestWarmPool:
     def test_a_kill_costs_one_respawn_and_the_next_job_a_new_process(
         self, tmp_path, monkeypatch, seed, timeout
     ):
+        monkeypatch.setattr("repro.experiments.sweep.BASE_DELAY_S", 0.0)
         journal, sched = self._make(
-            tmp_path, monkeypatch, cell_timeout=timeout,
-            retry=RetryPolicy(retries=2, base_delay_s=0.0, max_delay_s=0.0),
+            tmp_path, monkeypatch, cell_timeout=timeout, retries=2
         )
         sched.start()
         try:
@@ -758,10 +749,7 @@ class TestSchedulerCompaction:
         assert journal.compactions >= 1
 
         journal2 = Journal(path)
-        sched2 = JobScheduler(
-            journal=journal2, pool_jobs=1,
-            retry=RetryPolicy(retries=0, base_delay_s=0.0, max_delay_s=0.0),
-        )
+        sched2 = JobScheduler(journal=journal2, pool_jobs=1, retries=0)
         sched2.recover(rebuild(events))
         for job_id, payload in finals.items():
             restored = sched2.get(job_id).to_result_dict()
@@ -835,10 +823,7 @@ class AdmissionMachine(RuleBasedStateMachine):
 
     def _boot(self):
         self.journal = Journal(self.path)
-        self.sched = JobScheduler(
-            journal=self.journal, pool_jobs=1,
-            retry=RetryPolicy(retries=0, base_delay_s=0.0, max_delay_s=0.0),
-        )
+        self.sched = JobScheduler(journal=self.journal, pool_jobs=1, retries=0)
         self.sched.recover(rebuild(read_events(self.path)))
 
     def _table(self):

@@ -40,6 +40,7 @@ from typing import Callable, Generator, Optional
 
 from repro.parsec.stealing import MIN_BENEFIT_RATIO
 from repro.sim.engine import Engine, Process, SimEvent
+from repro.sim.faults import MSG_DELAY_S
 from repro.sim.network import Message, Network
 from repro.sim.queues import Store
 from repro.sim.resources import BandwidthResource, Resource
@@ -201,7 +202,7 @@ def _transfer(network: Network, message: Message, inbox, on_deliver):
             continue
         if fate == "delay":
             faults.report.messages_delayed += 1
-            yield timeout(faults.plan.msg_delay_s)
+            yield timeout(MSG_DELAY_S)
         yield timeout(latency)
         if metrics.enabled:
             backlog, hwm = dst_node.nic.rx.queue_length, hwms[message.dst, "rx"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Engine, all_of, any_of
+from repro.sim.engine import Engine, all_of
 from repro.util.errors import SimulationError
 
 
@@ -271,23 +271,6 @@ class TestCombinators:
         engine.run()
         assert caught == [(1.0, "nope")]
 
-    def test_any_of_returns_winner(self, engine):
-        slow = timed(engine, 9.0, value="slow")
-        fast = timed(engine, 2.0, value="fast")
-        results = []
-
-        def worker():
-            index, value = yield any_of(engine, [slow, fast])
-            results.append((engine.now, index, value))
-
-        engine.process(worker())
-        engine.run()
-        assert results == [(2.0, 1, "fast")]
-
-    def test_any_of_empty_rejected(self, engine):
-        with pytest.raises(SimulationError):
-            any_of(engine, [])
-
 
 class TestCancelInteraction:
     """Timer.cancel crossed with peek() and run(until=...)."""
@@ -336,53 +319,7 @@ class TestCancelInteraction:
 
 
 class TestCombinatorFailures:
-    """all_of / any_of under failing inputs."""
-
-    def test_any_of_slow_success_beats_fast_failure(self, engine):
-        slow = timed(engine, 5.0, value="slow-win")
-        fast_fail = engine.event()
-        engine.schedule(1.0, fast_fail.fail, RuntimeError("fast loser"))
-        results = []
-
-        def worker():
-            index, value = yield any_of(engine, [slow, fast_fail])
-            results.append((engine.now, index, value))
-
-        engine.process(worker())
-        engine.run()
-        assert results == [(5.0, 0, "slow-win")]
-
-    def test_any_of_fails_only_when_all_failed(self, engine):
-        first = engine.event()
-        second = engine.event()
-        engine.schedule(1.0, first.fail, RuntimeError("first"))
-        engine.schedule(2.0, second.fail, RuntimeError("second"))
-        caught = []
-
-        def worker():
-            try:
-                yield any_of(engine, [first, second])
-            except RuntimeError as exc:
-                caught.append((engine.now, str(exc)))
-
-        engine.process(worker())
-        engine.run()
-        # fails at the LAST failure, with the FIRST failure's exception
-        assert caught == [(2.0, "first")]
-
-    def test_any_of_with_already_failed_input(self, engine):
-        dead = engine.event()
-        dead.fail(ValueError("pre-failed"))
-        alive = timed(engine, 1.0, value="ok")
-        results = []
-
-        def worker():
-            index, value = yield any_of(engine, [dead, alive])
-            results.append((index, value))
-
-        engine.process(worker())
-        engine.run()
-        assert results == [(1, "ok")]
+    """all_of under failing inputs."""
 
     def test_all_of_late_successes_after_failure_ignored(self, engine):
         bad = engine.event()

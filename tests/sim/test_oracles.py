@@ -48,7 +48,9 @@ fixture). CI's ``golden-digests`` job runs this file under the
 fixed example count.
 """
 
+from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,8 @@ from hypothesis import strategies as st
 
 from repro.obs.registry import MetricsRegistry
 from repro.sim.cost import MachineModel, OpCost
+from repro.sim import faults
+from repro.sim import network as network_module
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import Message, Network
@@ -64,6 +68,7 @@ from repro.sim.resources import BandwidthResource
 from repro.sim.trace import TraceRecorder
 from repro.util.errors import TaskKilled
 from repro.util.rng import derive_seed
+from tests.sim import reference_models
 from tests.sim.reference_models import (
     ReferenceBandwidth,
     ReferenceEngine,
@@ -260,20 +265,52 @@ MACHINE = MachineModel(
     net_latency_s=1.0,
 )
 
+#: a drawn plan comes with the recovery timings to run it under: delays
+#: and timeouts that tie with the wire times, a cap the doubling reaches
+#: and 1-3 retransmits (the production values are far from any tie)
 PLANS = st.one_of(
     st.none(),
-    st.builds(
-        FaultPlan,
-        master_seed=st.integers(0, 10_000),
-        drop_prob=st.sampled_from([0.0, 0.3]),
-        delay_prob=st.sampled_from([0.0, 0.3]),
-        dup_prob=st.sampled_from([0.0, 0.3]),
-        msg_delay_s=st.sampled_from([0.5, 1.0]),
-        retransmit_timeout_s=st.sampled_from([0.5, 1.0]),
-        max_backoff_s=st.just(4.0),
-        max_retransmits=st.integers(1, 3),
+    st.tuples(
+        st.builds(
+            FaultPlan,
+            master_seed=st.integers(0, 10_000),
+            drop_prob=st.sampled_from([0.0, 0.3]),
+            delay_prob=st.sampled_from([0.0, 0.3]),
+            dup_prob=st.sampled_from([0.0, 0.3]),
+        ),
+        st.fixed_dictionaries(
+            {
+                "MSG_DELAY_S": st.sampled_from([0.5, 1.0]),
+                "RETRANSMIT_TIMEOUT_S": st.sampled_from([0.5, 1.0]),
+                "MAX_BACKOFF_S": st.just(4.0),
+                "MAX_RETRANSMITS": st.integers(1, 3),
+            }
+        ),
     ),
 )
+
+#: the modules that read each recovery timing (module constants)
+TIMING_READERS = {
+    "MSG_DELAY_S": (network_module, reference_models),
+    "RETRANSMIT_TIMEOUT_S": (faults,),
+    "MAX_BACKOFF_S": (faults,),
+    "MAX_RETRANSMITS": (faults,),
+}
+
+
+@contextmanager
+def planned(drawn):
+    """A drawn ``(plan, timings)`` as the plan, its timings patched in
+    where the live code and the reference models read them."""
+    if drawn is None:
+        yield None
+        return
+    plan, timings = drawn
+    with ExitStack() as stack:
+        for name, value in timings.items():
+            for module in TIMING_READERS[name]:
+                stack.enter_context(mock.patch.object(module, name, value))
+        yield plan
 
 
 def run_sends(engine_cls, send, n_nodes, plan, sends):
@@ -348,9 +385,10 @@ def test_callback_chain_matches_the_transfer_process(data):
             max_size=12,
         )
     )
-    plan = data.draw(PLANS)
-    live = run_sends(Engine, Network.send, n_nodes, plan, sends)
-    assert live == run_sends(ReferenceEngine, reference_send, n_nodes, plan, sends)
+    with planned(data.draw(PLANS)) as plan:
+        live = run_sends(Engine, Network.send, n_nodes, plan, sends)
+        reference = run_sends(ReferenceEngine, reference_send, n_nodes, plan, sends)
+    assert live == reference
 
 
 # ----------------------------------------------------------------------
@@ -653,11 +691,12 @@ STAGES = st.lists(
     ),
     st.lists(st.tuples(DELAYS, st.sampled_from([50.0, 200.0])), max_size=3),
 )
-def test_callback_server_matches_the_service_loop(plan, arrivals, competitors):
-    live, live_seq = run_servers(Node.serve, plan, arrivals, competitors)
-    reference, reference_seq = run_servers(
-        reference_server, plan, arrivals, competitors
-    )
+def test_callback_server_matches_the_service_loop(drawn, arrivals, competitors):
+    with planned(drawn) as plan:
+        live, live_seq = run_servers(Node.serve, plan, arrivals, competitors)
+        reference, reference_seq = run_servers(
+            reference_server, plan, arrivals, competitors
+        )
     assert live == reference
     # each replaced process drew one start-up step, which only parked
     assert reference_seq == live_seq + 2

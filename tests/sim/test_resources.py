@@ -246,7 +246,7 @@ class TestBandwidthResource:
         engine.process(worker())
         engine.run()
         assert engine.now == pytest.approx(6.0)
-        assert bandwidth.utilization() == pytest.approx(4.0 / 6.0)
+        assert bandwidth.busy_time == pytest.approx(4.0)  # 4 of 6 s busy
         assert bandwidth.total_work == pytest.approx(40.0)
 
     def test_tiny_residual_does_not_stall_the_clock(self, engine):

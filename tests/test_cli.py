@@ -155,11 +155,12 @@ class TestPerfCommand:
 
     def test_committed_tiny_baseline_matches_fresh_sweep(self):
         """The checked-in BENCH file reproduces exactly (virtual times)."""
-        from repro.experiments.perf import PerfBaseline, baseline_path, run_perf
+        from repro.experiments.fig9 import Fig9Result
+        from repro.experiments.perf import baseline_path, run_perf
 
         committed = baseline_path("tiny")
         assert committed.exists(), "benchmarks/baselines/BENCH_fig9_tiny.json missing"
-        old = PerfBaseline.read(committed)
+        old = Fig9Result.read(committed)
         new = run_perf(scale="tiny")
         assert new.times == old.times
 
@@ -225,9 +226,25 @@ class TestServiceCli:
 
     def test_parse_params_rejects_bare_words(self):
         from repro.__main__ import _parse_params
+        from repro.util.errors import ConfigurationError
 
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigurationError, match="key=value"):
             _parse_params(["cores"])
+
+    def test_a_malformed_param_is_a_usage_error(self, capsys):
+        from repro.__main__ import EXIT_USAGE
+
+        argv = ["submit", "point", "--param", "bogus", "--port", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert "--param expects key=value, got 'bogus'" in capsys.readouterr().err
+
+    def test_a_negative_retry_budget_is_a_usage_error(self, tmp_path, capsys):
+        from repro.__main__ import EXIT_USAGE
+
+        argv = ["serve", "--port", "0", "--retries", "-1"]
+        argv += ["--journal", str(tmp_path / "journal.jsonl")]
+        assert main(argv) == EXIT_USAGE
+        assert "retries must be >= 0" in capsys.readouterr().err
 
     def test_submit_against_dead_daemon_fails_cleanly(self, capsys):
         # nothing listens on this port: a clean error, not a traceback

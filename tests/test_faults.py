@@ -13,7 +13,16 @@ import pytest
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
 from repro.sim.engine import Engine
-from repro.sim.faults import FaultPlan, NodeCrash, Straggler
+from repro.sim import faults
+from repro.sim.faults import (
+    MAX_BACKOFF_S,
+    MAX_RETRANSMITS,
+    MAX_TASK_RETRIES,
+    RETRANSMIT_TIMEOUT_S,
+    FaultPlan,
+    NodeCrash,
+    Straggler,
+)
 from repro.util.errors import ConfigurationError, StallError, TaskKilled
 
 
@@ -45,22 +54,33 @@ class TestFaultPlan:
         assert all(plan.message_fate("t", i, 0) == "ok" for i in range(50))
 
     def test_task_failures_bounded_by_max_retries(self):
-        plan = FaultPlan(master_seed=5, task_fail_prob=1.0, max_task_retries=3)
-        assert plan.task_fails("X", 0) and plan.task_fails("X", 2)
-        assert not plan.task_fails("X", 3)  # attempt >= max always succeeds
+        with pytest.raises(TypeError, match="max_task_retries"):
+            FaultPlan(max_task_retries=3)
+        assert type(MAX_TASK_RETRIES) is int and MAX_TASK_RETRIES >= 1
+        plan = FaultPlan(master_seed=5, task_fail_prob=1.0)
+        assert plan.task_fails("X", 0)
+        assert plan.task_fails("X", MAX_TASK_RETRIES - 1)
+        assert not plan.task_fails("X", MAX_TASK_RETRIES)  # past the bound
 
-    def test_drops_suppressed_at_max_retransmits(self):
-        plan = FaultPlan(master_seed=5, drop_prob=1.0, max_retransmits=4)
+    def test_drops_suppressed_at_max_retransmits(self, monkeypatch):
+        with pytest.raises(TypeError, match="max_retransmits"):
+            FaultPlan(max_retransmits=4)
+        assert type(MAX_RETRANSMITS) is int and MAX_RETRANSMITS >= 1
+        monkeypatch.setattr(faults, "MAX_RETRANSMITS", 4)
+        plan = FaultPlan(master_seed=5, drop_prob=1.0)
         assert plan.message_fate("t", 0, 3) == "drop"
         assert plan.message_fate("t", 0, 4) == "ok"
 
-    def test_backoff_is_exponential(self):
-        plan = FaultPlan(retransmit_timeout_s=1e-5)
+    def test_backoff_is_exponential(self, monkeypatch):
+        monkeypatch.setattr(faults, "RETRANSMIT_TIMEOUT_S", 1e-5)
+        plan = FaultPlan()
         assert plan.backoff(0) == 1e-5
         assert plan.backoff(3) == 8e-5
 
-    def test_backoff_is_capped(self):
-        plan = FaultPlan(retransmit_timeout_s=1e-5, max_backoff_s=5e-5)
+    def test_backoff_is_capped(self, monkeypatch):
+        monkeypatch.setattr(faults, "RETRANSMIT_TIMEOUT_S", 1e-5)
+        monkeypatch.setattr(faults, "MAX_BACKOFF_S", 5e-5)
+        plan = FaultPlan()
         assert plan.backoff(0) == 1e-5
         assert plan.backoff(2) == 4e-5
         assert plan.backoff(3) == 5e-5  # 8e-5 clipped to the ceiling
@@ -70,23 +90,37 @@ class TestFaultPlan:
         # 2.0**attempt overflows a float past ~1024 attempts; the cap
         # must hold long before and long after that point
         plan = FaultPlan()
-        assert plan.backoff(10_000) == plan.max_backoff_s
-        assert plan.backoff(1023) == plan.max_backoff_s
+        assert plan.backoff(10_000) == MAX_BACKOFF_S
+        assert plan.backoff(1023) == MAX_BACKOFF_S
 
     def test_default_cap_does_not_change_default_schedule(self):
-        # retransmit attempts are bounded by max_retransmits (6), and
-        # base * 2**6 stays under the default ceiling — the cap only
-        # exists for pathological attempt counts
+        # retransmit attempts are bounded by MAX_RETRANSMITS, and
+        # base * 2**MAX_RETRANSMITS stays under the ceiling — the cap
+        # only exists for pathological attempt counts
         plan = FaultPlan()
-        for attempt in range(plan.max_retransmits + 1):
-            assert (
-                plan.backoff(attempt)
-                == plan.retransmit_timeout_s * 2.0**attempt
-            )
+        for attempt in range(MAX_RETRANSMITS + 1):
+            assert plan.backoff(attempt) == RETRANSMIT_TIMEOUT_S * 2.0**attempt
 
     def test_backoff_cap_validation(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan(retransmit_timeout_s=1e-3, max_backoff_s=1e-4)
+        for keyword in ("retransmit_timeout_s", "max_backoff_s"):
+            with pytest.raises(TypeError, match=keyword):
+                FaultPlan(**{keyword: 1e-4})
+        assert MAX_BACKOFF_S >= RETRANSMIT_TIMEOUT_S > 0
+
+    @pytest.mark.parametrize(
+        "keyword",
+        [
+            "max_task_retries",
+            "task_fail_detect_s",
+            "msg_delay_s",
+            "retransmit_timeout_s",
+            "max_backoff_s",
+            "max_retransmits",
+        ],
+    )
+    def test_recovery_timings_are_not_settings(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            FaultPlan(**{keyword: 1})
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -140,21 +174,19 @@ class TestTransportFaults:
         assert arrivals and arrivals[0][1] == "payload"
         return arrivals[0][0]
 
-    def test_dropped_message_is_retransmitted_and_arrives(self):
+    def test_dropped_message_is_retransmitted_and_arrives(self, monkeypatch):
         clean = self._delivery_time(None)
-        plan = FaultPlan(
-            master_seed=1, drop_prob=1.0, max_retransmits=2, retransmit_timeout_s=1e-5
-        )
-        faulted = self._delivery_time(plan)
+        monkeypatch.setattr(faults, "MAX_RETRANSMITS", 2)
+        monkeypatch.setattr(faults, "RETRANSMIT_TIMEOUT_S", 1e-5)
+        faulted = self._delivery_time(FaultPlan(master_seed=1, drop_prob=1.0))
         # two forced drops cost two backoffs (1x + 2x timeout) plus the
         # extra TX serializations before the third attempt succeeds
         assert faulted > clean + 3e-5
 
-    def test_drop_counters(self):
+    def test_drop_counters(self, monkeypatch):
+        monkeypatch.setattr(faults, "MAX_RETRANSMITS", 3)
         cluster = _cluster(n_nodes=2)
-        injector = cluster.install_faults(
-            FaultPlan(master_seed=1, drop_prob=1.0, max_retransmits=3)
-        )
+        injector = cluster.install_faults(FaultPlan(master_seed=1, drop_prob=1.0))
         got = []
         cluster.network.send(0, 1, 64.0, "x", tag="t", on_deliver=got.append)
         cluster.run()
@@ -377,9 +409,10 @@ class TestParsecRecovery:
         )
         return workload.i2.flat_values(), run.result
 
-    def test_task_retries_counted_and_harmless(self):
+    def test_task_retries_counted_and_harmless(self, monkeypatch):
         reference, _ = self._run(None)
-        plan = FaultPlan(master_seed=9, task_fail_prob=0.3, max_task_retries=5)
+        monkeypatch.setattr(faults, "MAX_TASK_RETRIES", 5)
+        plan = FaultPlan(master_seed=9, task_fail_prob=0.3)
         values, result = self._run(plan)
         assert result.task_retries > 0
         assert np.array_equal(values, reference)
