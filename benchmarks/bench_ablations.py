@@ -1,143 +1,23 @@
-"""Ablation benchmarks for the paper's design decisions.
+"""Ablations of the paper's Section IV design decisions.
 
-One benchmark per Section IV design choice:
-
-- priorities / prefetch offset (Section IV-C),
-- chain segmentation height (Section IV-A),
-- single vs parallel WRITE under growing mutex cost (Section V, v3 vs v5),
-- NXTVAL work stealing vs static distribution (Section IV-D).
+Runs what ``repro ablations`` runs — the priority / prefetch offset,
+the chain segmentation height, single vs parallel WRITE under growing
+mutex cost, NXTVAL work stealing vs static distribution, the node
+scheduler policy, and inter-node stealing on a skewed workload — and
+asserts :func:`repro.experiments.ablations.ablation_claims`.
 """
 
 import pytest
 
-from benchmarks.conftest import shapes_asserted, write_report
-from repro.analysis.report import format_table
-from repro.experiments.ablations import (
-    compare_load_balancing,
-    compare_scheduler_policies,
-    sweep_priority_offsets,
-    sweep_segment_height,
-    sweep_write_organization,
-)
+from benchmarks.conftest import assert_claims, write_report
+from repro.experiments.ablations import ablation_claims, ablations_report, run_ablations
+from repro.experiments.claims import informational
 
 
 @pytest.mark.benchmark(group="ablations")
-def test_abl_priority_offsets(benchmark, results_dir, scale):
-    """The read-priority offset builds the 5*P prefetch pipeline."""
-    times = benchmark.pedantic(
-        lambda: sweep_priority_offsets(offsets=(0, 1, 5, 10), scale=scale),
-        rounds=1,
-        iterations=1,
+def test_ablations(benchmark, results_dir, scale):
+    result = benchmark.pedantic(
+        lambda: run_ablations(scale=scale), rounds=1, iterations=1
     )
-    rows = [[f"+{offset}", f"{t:.3f}"] for offset, t in sorted(times.items())]
-    write_report(
-        results_dir,
-        f"abl_priorities_{scale}.txt",
-        format_table(
-            ["read offset", "time (s)"],
-            rows,
-            title="Ablation: READ priority offset (v4 base, 7 cores/node)",
-        ),
-    )
-    if shapes_asserted(scale):
-        # the paper's +5 must beat a removed prefetch pipeline
-        assert times[5] <= times[0]
-
-
-@pytest.mark.benchmark(group="ablations")
-def test_abl_segment_height(benchmark, results_dir, scale):
-    """Chain height 1 (max parallelism) vs the full chain (max locality)."""
-    times = benchmark.pedantic(
-        lambda: sweep_segment_height(heights=(1, 2, 4, None), scale=scale),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [[label, f"{t:.3f}"] for label, t in times.items()]
-    write_report(
-        results_dir,
-        f"abl_segmentation_{scale}.txt",
-        format_table(
-            ["chain height", "time (s)"],
-            rows,
-            title="Ablation: GEMM chain segment height (15 cores/node)",
-        ),
-    )
-    if shapes_asserted(scale):
-        # Section V: "parallelism between GEMMs is more significant
-        # than locality for the performance of this program"
-        assert times["height-1"] < times["full-chain"]
-
-
-@pytest.mark.benchmark(group="ablations")
-def test_abl_write_organization(benchmark, results_dir, scale):
-    """Single vs parallel WRITE as mutex operations get more expensive."""
-    grid = benchmark.pedantic(
-        lambda: sweep_write_organization(
-            mutex_costs=(4.0e-7, 4.0e-6, 4.0e-5), scale=scale
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [cost_label, f"{cell['single-write (v5)']:.3f}", f"{cell['parallel-write']:.3f}"]
-        for cost_label, cell in grid.items()
-    ]
-    write_report(
-        results_dir,
-        f"abl_write_{scale}.txt",
-        format_table(
-            ["mutex op cost", "single WRITE (v5)", "parallel WRITEs"],
-            rows,
-            title="Ablation: WRITE organization vs mutex cost (15 cores/node)",
-        ),
-    )
-    if shapes_asserted(scale):
-        # with expensive system-wide lock operations, the single-WRITE
-        # organization must win (the paper's v5-vs-v3 reasoning)
-        expensive = grid["lock=4e-05s"]
-        assert expensive["single-write (v5)"] <= expensive["parallel-write"]
-
-
-@pytest.mark.benchmark(group="ablations")
-def test_abl_scheduler_policies(benchmark, results_dir, scale):
-    """Priority-aware default vs FIFO vs LIFO node schedulers (v4)."""
-    times = benchmark.pedantic(
-        lambda: compare_scheduler_policies(scale=scale), rounds=1, iterations=1
-    )
-    rows = [[policy, f"{t:.3f}"] for policy, t in times.items()]
-    write_report(
-        results_dir,
-        f"abl_scheduler_{scale}.txt",
-        format_table(
-            ["policy", "time (s)"],
-            rows,
-            title="Ablation: node scheduler policy (v4, 7 cores/node)",
-        ),
-    )
-    if shapes_asserted(scale):
-        # the priority scheduler (the paper's default) must not lose
-        # to ignoring priorities outright
-        assert times["priority"] <= times["fifo"] * 1.02
-
-
-@pytest.mark.benchmark(group="ablations")
-def test_abl_load_balancing(benchmark, results_dir, scale):
-    """NXTVAL stealing vs static chains, plus the PaRSEC hybrid."""
-    times = benchmark.pedantic(
-        lambda: compare_load_balancing(scale=scale), rounds=1, iterations=1
-    )
-    rows = [[label, f"{t:.3f}"] for label, t in times.items()]
-    write_report(
-        results_dir,
-        f"abl_loadbalance_{scale}.txt",
-        format_table(
-            ["strategy", "time (s)"],
-            rows,
-            title="Ablation: load balancing strategies (7 cores/node)",
-        ),
-    )
-    if shapes_asserted(scale):
-        # the PaRSEC approach must beat both legacy organizations
-        parsec = times["parsec-v4 (static nodes + dynamic cores)"]
-        assert parsec < times["nxtval-stealing"]
-        assert parsec < times["static-cyclic"]
+    write_report(results_dir, f"ablations_{scale}.txt", ablations_report(result))
+    assert_claims(ablation_claims(result), informational(scale))

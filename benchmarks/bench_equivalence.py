@@ -4,13 +4,18 @@
 different variations matched up to the 14th digit."
 
 Runs the dense reference, the legacy execution, and all five PaRSEC
-variants with real data, and compares correlation energies.
+variants with real data, as ``repro equivalence`` does, and asserts
+:func:`repro.experiments.equivalence.equivalence_claims` at any scale.
 """
 
 import pytest
 
-from benchmarks.conftest import write_report
-from repro.experiments.equivalence import run_equivalence
+from benchmarks.conftest import assert_claims, write_report
+from repro.experiments.equivalence import (
+    equivalence_claims,
+    equivalence_report,
+    run_equivalence,
+)
 
 
 @pytest.mark.benchmark(group="equivalence")
@@ -20,16 +25,5 @@ def test_correlation_energy_equivalence(benchmark, results_dir):
     result = benchmark.pedantic(
         lambda: run_equivalence(scale="small", n_nodes=8), rounds=1, iterations=1
     )
-    lines = [
-        "Correlation-energy equivalence (Section IV-A)",
-        "",
-        *(
-            f"  {name:10s} {energy:+.15e}"
-            for name, energy in sorted(result.energies.items())
-        ),
-        "",
-        f"max relative spread: {result.max_relative_spread:.3e}",
-        f"agreement: {result.agrees_to_digits():.1f} digits (paper: 14)",
-    ]
-    write_report(results_dir, "equivalence.txt", "\n".join(lines))
-    assert result.agrees_to_digits() >= 13.0
+    write_report(results_dir, "equivalence.txt", equivalence_report(result))
+    assert_claims(equivalence_claims(result))

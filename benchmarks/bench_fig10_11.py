@@ -1,16 +1,18 @@
 """Figures 10 & 11: execution traces of v4 (priorities) vs v2 (none).
 
-Reproduces the trace experiment at 7 worker threads per node and
-asserts the paper's reading: v2 "has too much idle time in the
-beginning" because the un-prioritized READ tasks flood the network,
-while v4's chain-decreasing priorities overlap communication with
-GEMMs. Emits ASCII Gantt charts standing in for the figures.
+Reproduces the trace experiment at 7 worker threads per node as
+``repro traces`` prints it and asserts the paper's reading
+(:func:`repro.experiments.traces.fig10_11_claims`): v2 "has too much
+idle time in the beginning" because the un-prioritized READ tasks flood
+the network, while v4's chain-decreasing priorities overlap
+communication with GEMMs.
 """
 
 import pytest
 
-from benchmarks.conftest import shapes_asserted, write_report
-from repro.experiments.traces import run_fig10_11
+from benchmarks.conftest import assert_claims, write_report
+from repro.experiments.claims import informational
+from repro.experiments.traces import fig10_11_claims, fig10_11_report, run_fig10_11
 
 
 @pytest.mark.benchmark(group="traces")
@@ -18,23 +20,5 @@ def test_fig10_11_v4_vs_v2_traces(benchmark, results_dir, scale):
     v4, v2 = benchmark.pedantic(
         lambda: run_fig10_11(scale=scale), rounds=1, iterations=1
     )
-    lines = [
-        "Figure 10/11 reproduction: v4 (priorities) vs v2 (no priorities)",
-        f"scale={scale}, 32 nodes x 7 workers",
-        "",
-        f"v4: time={v4.execution_time:.3f}s  startup idle={100 * v4.startup_idle:.1f}%",
-        f"v2: time={v2.execution_time:.3f}s  startup idle={100 * v2.startup_idle:.1f}%",
-        "",
-        v4.gantt(width=100, max_rows=7),
-        "",
-        v2.gantt(width=100, max_rows=7),
-    ]
-    write_report(results_dir, f"fig10_11_{scale}.txt", "\n".join(lines))
-    if not shapes_asserted(scale):
-        return  # smoke run at reduced scale: report only
-    # Figure 11's reading: v2 idles far more at the start...
-    assert v2.startup_idle > 1.5 * v4.startup_idle, (
-        f"v2 startup idle {v2.startup_idle:.3f} not >> v4 {v4.startup_idle:.3f}"
-    )
-    # ...and the wasted start costs total time
-    assert v2.execution_time > 1.10 * v4.execution_time
+    write_report(results_dir, f"fig10_11_{scale}.txt", fig10_11_report(v4, v2))
+    assert_claims(fig10_11_claims(v4, v2), informational(scale))

@@ -3,18 +3,16 @@
 Figure 12's reading: "communication is interleaved with computation,
 however it is not overlapped ... because it is not given a chance to do
 so". Figure 13 zooms in: GET_HASH_BLOCK / write-back rectangles are
-comparable in length to the GEMM rectangles.
-
-We assert both: within-thread comm/compute overlap is exactly zero, and
-blocking data movement is a large share of each rank's busy time.
+comparable in length to the GEMM rectangles. Writes the report
+``repro traces`` prints for the original code and asserts
+:func:`repro.experiments.traces.fig12_13_claims`.
 """
 
 import pytest
 
-from benchmarks.conftest import shapes_asserted, write_report
-from repro.analysis.gantt import render_gantt
-from repro.experiments.traces import comm_vs_gemm_share, run_fig12_13
-from repro.sim.trace import TaskCategory
+from benchmarks.conftest import assert_claims, write_report
+from repro.experiments.claims import informational
+from repro.experiments.traces import fig12_13_claims, fig12_13_report, run_fig12_13
 
 
 @pytest.mark.benchmark(group="traces")
@@ -22,42 +20,5 @@ def test_fig12_13_original_trace(benchmark, results_dir, scale):
     original = benchmark.pedantic(
         lambda: run_fig12_13(scale=scale), rounds=1, iterations=1
     )
-    shares = {
-        category.value: f"{100 * share:.1f}%"
-        for category, share in sorted(
-            original.category_share.items(), key=lambda kv: -kv[1]
-        )
-    }
-    lines = [
-        "Figure 12/13 reproduction: original NWChem code, traced",
-        f"scale={scale}, 32 nodes x 7 ranks/node",
-        "",
-        f"execution time:                  {original.execution_time:.3f}s",
-        f"comm/compute overlap (in-rank):  {100 * original.overlap:.1f}%",
-        f"blocking data movement share:    {100 * original.comm_fraction:.1f}%",
-        f"comm vs GEMM span time:          {comm_vs_gemm_share(original):.2f}x",
-        f"busy time shares: {shares}",
-        "",
-        original.gantt(width=100, max_rows=7),
-        "",
-        "Figure 13 (zoom into the first tenth, 'so that individual tasks "
-        "can be discerned'):",
-        render_gantt(
-            original.trace,
-            width=100,
-            max_rows=7,
-            t_min=0.0,
-            t_max=original.execution_time / 10.0,
-        ),
-    ]
-    write_report(results_dir, f"fig12_13_{scale}.txt", "\n".join(lines))
-    if not shapes_asserted(scale):
-        return  # smoke run at reduced scale: report only
-    # Figure 12: zero overlap, structurally — blocking gets
-    assert original.overlap == 0.0
-    # Figure 13: communication spans comparable to (here: exceeding)
-    # GEMM spans
-    assert comm_vs_gemm_share(original) > 0.5
-    # the GEMM spans exist and communication is a major busy-time share
-    assert original.category_share.get(TaskCategory.GEMM, 0) > 0.2
-    assert original.comm_fraction > 0.3
+    write_report(results_dir, f"fig12_13_{scale}.txt", fig12_13_report(original))
+    assert_claims(fig12_13_claims(original), informational(scale))

@@ -1,37 +1,19 @@
 """Figure 9: execution time of original vs PaRSEC v1-v5, 32 nodes.
 
-Regenerates the paper's central figure as a table: one row per code,
-one column per cores/node in {1, 3, 7, 11, 15}, beta-carotene workload.
-Asserts the shape claims of Section V (see
-:func:`repro.experiments.fig9.fig9_shape_checks`).
+Regenerates the paper's central figure as ``repro fig9`` prints it and
+asserts the shape claims of Section V
+(:func:`repro.experiments.fig9.fig9_shape_checks`).
 """
 
 import pytest
 
-from benchmarks.conftest import shapes_asserted, write_report
-from repro.experiments.fig9 import fig9_shape_checks, run_fig9
+from benchmarks.conftest import assert_claims, write_report
+from repro.experiments.claims import informational
+from repro.experiments.fig9 import fig9_report, fig9_shape_checks, run_fig9
 
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_full_sweep(benchmark, results_dir, scale):
-    result = benchmark.pedantic(
-        lambda: run_fig9(scale=scale), rounds=1, iterations=1
-    )
-    checks = fig9_shape_checks(result)
-    lines = [
-        result.table(),
-        "",
-        result.chart(),
-        "",
-        result.summary_table(),
-        "",
-        "Shape checks:",
-    ]
-    for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        lines.append(f"  [{status}] {check.name}: {check.detail}")
-    write_report(results_dir, f"fig9_{scale}.txt", "\n".join(lines))
-    if not shapes_asserted(scale):
-        return  # smoke run at reduced scale: report only
-    failed = [c for c in checks if not c.passed]
-    assert not failed, "; ".join(f"{c.name} ({c.detail})" for c in failed)
+    result = benchmark.pedantic(lambda: run_fig9(scale=scale), rounds=1, iterations=1)
+    write_report(results_dir, f"fig9_{scale}.txt", fig9_report(result))
+    assert_claims(fig9_shape_checks(result), informational(scale))

@@ -1,9 +1,11 @@
 """Shared benchmark helpers.
 
-Every figure bench runs the full experiment once (``pedantic`` with one
+Every figure bench runs its experiment once (``pedantic`` with one
 round — the simulation is deterministic, so repeated rounds measure
-nothing but Python variance), prints the paper-shaped table, writes it
-under ``benchmarks/results/``, and asserts the shape checks.
+nothing but Python variance), writes the report its CLI subcommand
+prints under ``benchmarks/results/``, and asserts that every claim
+passed, unless :func:`repro.experiments.claims.informational` says the
+claims are informational at this scale.
 
 Scale is controlled by ``REPRO_SCALE`` (default ``paper``); set
 ``REPRO_SCALE=small`` for a quick smoke pass.
@@ -38,12 +40,7 @@ def write_report(results_dir: pathlib.Path, name: str, text: str) -> None:
     print(f"\n{text}\n[report saved to {path}]")
 
 
-def shapes_asserted(scale: str) -> bool:
-    """Whether the paper-shape assertions apply.
-
-    The contention phenomena behind Figure 9's shape (GA-path
-    saturation, network floods, chain starvation) only manifest at the
-    paper workload scale; smaller scales run the same experiments as
-    smoke tests and report the numbers without asserting shapes.
-    """
-    return scale in ("paper", "full")
+def assert_claims(checks, note=None) -> None:
+    """Every claim passed, unless ``note`` says why they do not gate."""
+    failed = [check.line for check in checks if not check.passed]
+    assert note or not failed, "; ".join(failed)

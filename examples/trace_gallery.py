@@ -3,40 +3,28 @@
 Generates the Figure 10 (v4, priorities), Figure 11 (v2, no
 priorities), and Figure 12 (original code) traces on a simulated
 cluster and renders them side by side, plus the metrics the paper reads
-off them.
+off them — the report ``python -m repro traces`` prints. The claim lines
+hold the paper-scale bands; below paper scale some of them fail, which
+is expected (the CLI marks them informational there).
 
 Run:  python examples/trace_gallery.py [scale]
 """
 
 import sys
 
-from repro.experiments.traces import comm_vs_gemm_share, run_fig10_11, run_fig12_13
+from repro.experiments.traces import (
+    fig10_11_report,
+    fig12_13_report,
+    run_fig10_11,
+    run_fig12_13,
+)
 
 
 def main() -> None:
     scale = sys.argv[1] if len(sys.argv) > 1 else "small"
-    n_nodes = 8 if scale in ("tiny", "small") else 32
-
-    v4, v2 = run_fig10_11(scale=scale, n_nodes=n_nodes)
-    original = run_fig12_13(scale=scale, n_nodes=n_nodes)
-
-    for experiment, figure in ((v4, "Figure 10"), (v2, "Figure 11")):
-        print(f"=== {figure}: {experiment.name}")
-        print(
-            f"    time={experiment.execution_time:.4f}s  "
-            f"startup idle={100 * experiment.startup_idle:.1f}%"
-        )
-        print(experiment.gantt(width=100, max_rows=7))
-        print()
-
-    print(f"=== Figure 12/13: {original.name}")
-    print(
-        f"    time={original.execution_time:.4f}s  "
-        f"in-rank comm/compute overlap={100 * original.overlap:.0f}%  "
-        f"blocking data movement={100 * original.comm_fraction:.1f}% of busy time  "
-        f"comm-vs-GEMM span ratio={comm_vs_gemm_share(original):.2f}x"
-    )
-    print(original.gantt(width=100, max_rows=7))
+    print(fig10_11_report(*run_fig10_11(scale=scale)))
+    print()
+    print(fig12_13_report(run_fig12_13(scale=scale)))
     print()
     print(
         "Reading the charts: in the v2 trace the left edge is blank (grey in\n"

@@ -8,7 +8,7 @@ Subcommands regenerate the paper's artifacts without pytest:
 - ``ablations``   the design-decision sweeps
 - ``chaos``       fault-injection sweep: bitwise recovery check
 - ``report``      run any runtime/variant, emit a structured RunReport
-- ``perf``        fig9-style sweep vs a committed BENCH baseline
+- ``perf``        fig9-style sweep, equal to a committed BENCH baseline
 - ``info``        workload/scale/machine summary
 
 The simulation service adds five more:
@@ -25,8 +25,8 @@ The simulation service adds five more:
 
 Exit codes are uniform across subcommands: ``0`` for success (including
 informational runs at non-paper scales), ``1`` when a declared check
-fails (shape checks at paper scale, equivalence digits, chaos recovery,
-perf regressions) or a service request cannot be satisfied, ``2`` for
+fails (an experiment's claims, or a perf grid that differs from its
+baseline) or a service request cannot be satisfied, ``2`` for
 usage/configuration errors (argparse rejections and invalid sweep
 configuration such as an unknown scale), and ``130`` when interrupted
 with Ctrl-C (the conventional 128+SIGINT; a ``serve`` daemon flushes
@@ -106,8 +106,18 @@ def _options(parser: argparse.ArgumentParser, *names: str, **overrides: dict) ->
         parser.add_argument(*flags, **{**_OPTIONS[name], **overrides.get(name, {})})
 
 
+def _gate(checks, note=None) -> int:
+    """An experiment's exit code: its claims, unless ``note`` says why
+    they are informational here."""
+    if note:
+        print(f"\nnote: the shape checks {note} are informational only.")
+        return EXIT_OK
+    return EXIT_OK if all(check.passed for check in checks) else EXIT_CHECK_FAILED
+
+
 def cmd_fig9(args: argparse.Namespace) -> int:
-    from repro.experiments.fig9 import fig9_shape_checks, run_fig9
+    from repro.experiments.claims import informational
+    from repro.experiments.fig9 import fig9_report, fig9_shape_checks, run_fig9
     from repro.experiments.sweep import default_progress
 
     result = run_fig9(
@@ -119,170 +129,61 @@ def cmd_fig9(args: argparse.Namespace) -> int:
         skew_period=args.skew_period,
         workload=args.workload,
     )
-    print(result.table())
-    print()
-    print(result.chart())
-    print()
-    print(result.summary_table())
-    print()
-    failed = 0
-    for check in fig9_shape_checks(result):
-        status = "SKIP" if check.skipped else ("PASS" if check.passed else "FAIL")
-        failed += not check.passed
-        print(f"[{status}] {check.name}: {check.detail}")
+    print(fig9_report(result))
     print(f"\n{result.sweep_stats.summary()}")
-    # the checks are the paper's claims about one configuration; anywhere
-    # else they are printed but do not decide the exit code
-    informational = None
-    if args.stealing or args.skew_factor > 1:
-        informational = (
-            "describe the paper's static, unskewed configuration; with "
-            "--stealing/--skew-factor they"
-        )
-    elif args.workload.split(":")[0].strip() != "t2_7":
-        informational = (
-            "are paper claims about the t2_7 sub-kernel; for --workload "
-            f"{args.workload} they"
-        )
-    elif args.scale not in ("paper", "full"):
-        informational = (
-            f"describe the paper-scale workload; at --scale {args.scale} they"
-        )
-    if informational:
-        print(f"\nnote: the shape checks {informational} are informational only.")
-        return EXIT_OK
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return _gate(
+        fig9_shape_checks(result),
+        informational(args.scale, args.workload, args.stealing, args.skew_factor),
+    )
 
 
 def cmd_traces(args: argparse.Namespace) -> int:
-    from repro.experiments.traces import comm_vs_gemm_share, run_fig10_11, run_fig12_13
+    from repro.experiments import traces
+    from repro.experiments.claims import informational
 
-    n_nodes = 8 if args.scale in ("tiny", "small") else 32
-    v4, v2 = run_fig10_11(scale=args.scale, n_nodes=n_nodes)
-    original = run_fig12_13(scale=args.scale, n_nodes=n_nodes)
-    for experiment, figure in ((v4, "Figure 10"), (v2, "Figure 11")):
-        print(f"=== {figure}: {experiment.name}")
-        print(
-            f"time={experiment.execution_time:.4f}s  "
-            f"startup idle={100 * experiment.startup_idle:.1f}%"
-        )
-        print(experiment.gantt(width=args.width, max_rows=args.rows))
-        print()
-    print(f"=== Figure 12/13: {original.name}")
-    print(
-        f"time={original.execution_time:.4f}s  overlap={100 * original.overlap:.0f}%  "
-        f"comm share={100 * original.comm_fraction:.1f}%  "
-        f"comm/GEMM={comm_vs_gemm_share(original):.2f}x"
+    v4, v2 = traces.run_fig10_11(scale=args.scale)
+    original = traces.run_fig12_13(scale=args.scale)
+    print(traces.fig10_11_report(v4, v2))
+    print()
+    print(traces.fig12_13_report(original))
+    return _gate(
+        traces.fig10_11_claims(v4, v2) + traces.fig12_13_claims(original),
+        informational(args.scale),
     )
-    print(original.gantt(width=args.width, max_rows=args.rows))
-    return EXIT_OK
 
 
 def cmd_equivalence(args: argparse.Namespace) -> int:
-    from repro.experiments.equivalence import run_equivalence
+    from repro.experiments import equivalence
 
-    result = run_equivalence(scale=args.scale, n_nodes=8, workload=args.workload)
-    for name, energy in sorted(result.energies.items()):
-        print(f"{name:10s} {energy:+.15e}")
-    digits = result.agrees_to_digits()
-    print(f"agreement: {digits:.1f} digits (paper claims 14)")
-    return EXIT_OK if digits >= 13 else EXIT_CHECK_FAILED
+    result = equivalence.run_equivalence(scale=args.scale, workload=args.workload)
+    print(equivalence.equivalence_report(result))
+    return _gate(equivalence.equivalence_claims(result))
 
 
 def cmd_ablations(args: argparse.Namespace) -> int:
-    from repro.analysis.report import format_table
-    from repro.experiments.ablations import (
-        compare_load_balancing,
-        compare_scheduler_policies,
-        compare_work_stealing,
-        run_comm_ablation,
-        sweep_priority_offsets,
-        sweep_segment_height,
-        sweep_write_organization,
-    )
+    from repro.experiments import ablations
+    from repro.experiments.claims import informational
 
     if args.comm:
-        comm_scale = "tiny" if args.scale in ("paper", "full") else args.scale
-        result = run_comm_ablation(workloads=args.workloads, scale=comm_scale)
-        table = result.table()
-        print(table)
-        if args.out:
-            Path(args.out).write_text(table + "\n")
-            print(f"table written to {args.out}")
-        if not result.all_equal:
-            print("FAIL: a knobs-on run diverged from the baseline output")
-            return EXIT_CHECK_FAILED
-        print("output equality: all knob combinations bitwise-equal to baseline")
-        rc = EXIT_OK
-        for workload in args.workloads:
-            savings = result.message_savings(workload)
-            verdict = "ok"
-            if savings < args.min_message_savings:
-                verdict = f"FAIL (< {args.min_message_savings:.0%})"
-                rc = EXIT_CHECK_FAILED
-            print(f"{workload}: {savings:.1%} fewer wire messages [{verdict}]")
-        return rc
-
-    steal_scale = "tiny" if args.scale in ("paper", "full") else args.scale
-    tables = [
-        (
-            "READ priority offset (v4, 7 cores/node)",
-            ["read offset", "time (s)"],
-            [
-                [f"+{k}", f"{v:.3f}"]
-                for k, v in sorted(sweep_priority_offsets(scale=args.scale).items())
-            ],
-        ),
-        (
-            "GEMM chain segment height (15 cores/node)",
-            ["chain height", "time (s)"],
-            [[k, f"{v:.3f}"] for k, v in sweep_segment_height(scale=args.scale).items()],
-        ),
-        (
-            "WRITE organization vs mutex cost (15 cores/node)",
-            ["mutex op cost", "single WRITE (v5)", "parallel WRITEs"],
-            [
-                [k, f"{v['single-write (v5)']:.3f}", f"{v['parallel-write']:.3f}"]
-                for k, v in sweep_write_organization(scale=args.scale).items()
-            ],
-        ),
-        (
-            "Load balancing (7 cores/node)",
-            ["strategy", "time (s)"],
-            [[k, f"{v:.3f}"] for k, v in compare_load_balancing(scale=args.scale).items()],
-        ),
-        (
-            "Scheduler policy (v4, 7 cores/node)",
-            ["policy", "time (s)"],
-            [[k, f"{v:.3f}"] for k, v in compare_scheduler_policies(scale=args.scale).items()],
-        ),
-        (
-            "Inter-node work stealing vs static placement "
-            f"(skewed {steal_scale} workload, v5, compute-bound machine)",
-            ["nodes", "static (s)", "stealing (s)", "speedup", "chains moved"],
-            [
-                [
-                    k,
-                    f"{row['static']:.6f}",
-                    f"{row['stealing']:.6f}",
-                    f"{row['speedup']:.2f}x",
-                    f"{int(row['chains_migrated'])}",
-                ]
-                for k, row in compare_work_stealing(scale=steal_scale).items()
-            ],
-        ),
-    ]
-    print(
-        "\n\n".join(
-            format_table(headers, rows, title=title) for title, headers, rows in tables
+        result = ablations.run_comm_ablation(
+            workloads=args.workloads, scale=ablations.below_paper(args.scale)
         )
-    )
-    return EXIT_OK
+        report, checks = ablations.comm_report(result), ablations.comm_claims(result)
+        note = None
+    else:
+        result = ablations.run_ablations(scale=args.scale)
+        report = ablations.ablations_report(result)
+        checks = ablations.ablation_claims(result)
+        note = informational(args.scale)
+    print(report)
+    if args.out:
+        Path(args.out).write_text(report + "\n")
+        print(f"report written to {args.out}")
+    return _gate(checks, note)
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.analysis.report import format_table
-    from repro.experiments.chaos import run_chaos
+    from repro.experiments.chaos import chaos_claims, chaos_report, run_chaos
     from repro.experiments.sweep import default_progress
 
     result = run_chaos(
@@ -296,32 +197,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         codes=args.codes,
         workload=args.workload,
     )
-    print(f"fault plan: {result.plan_description}\n")
-    rows = []
-    for o in result.outcomes:
-        nonzero = {k: v for k, v in o.counters.items() if v and k != "recovery_overhead_s"}
-        rows.append(
-            [
-                o.name,
-                "PASS" if o.bitwise_match else "FAIL",
-                "PASS" if o.deterministic else "FAIL",
-                "yes" if o.faults_recovered else "NO",
-                f"{o.end_time_clean:.4f}",
-                f"{o.end_time_faulted:.4f}",
-                " ".join(f"{k}={v}" for k, v in sorted(nonzero.items())),
-            ]
-        )
-    print(
-        format_table(
-            ["runner", "bitwise", "determ.", "faults", "clean (s)", "faulted (s)", "recovery counters"],
-            rows,
-            title="Chaos sweep: recovery under injected faults",
-        )
-    )
-    print()
-    print(result.sweep_stats.summary())
-    print("ALL OK" if result.all_ok else "FAILURES DETECTED")
-    return EXIT_OK if result.all_ok else EXIT_CHECK_FAILED
+    print(chaos_report(result))
+    print(f"\n{result.sweep_stats.summary()}")
+    return _gate(chaos_claims(result))
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -362,13 +240,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    """Run the perf sweep, write a BENCH baseline, gate on regressions."""
+    """Run the perf sweep, write it as BENCH JSON, and pass only when it
+    equals the committed baseline."""
     from repro.analysis.report import format_table
     from repro.experiments.fig9 import Fig9Result
-    from repro.experiments.perf import baseline_path, diff_baselines, run_perf
+    from repro.experiments.perf import baseline_mismatches, baseline_path, run_perf
     from repro.experiments.sweep import default_progress
     from repro.util.errors import ConfigurationError
 
+    if args.stealing and args.update_baseline:
+        raise ConfigurationError(
+            "a --stealing sweep cannot be a static baseline; "
+            "drop --stealing or --update-baseline"
+        )
     new = run_perf(
         scale=args.scale,
         jobs=args.jobs,
@@ -378,11 +262,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
     )
     committed_path = baseline_path(args.scale, workload=args.workload)
     # same file name as the committed baseline, in the working directory
-    out = Path(committed_path.name)
-    if args.stealing:
-        out = out.with_stem(out.stem + "_stealing")
-    written = new.write(args.out or out)
-    print(f"wrote {written}")
+    suffix = "_stealing" if args.stealing else ""
+    out = args.out or Path(committed_path.name).with_stem(committed_path.stem + suffix)
+    print(f"wrote {new.write(out)}")
     print(
         format_table(
             ["code"] + [f"{c} cores" for c in new.core_counts],
@@ -398,22 +280,16 @@ def cmd_perf(args: argparse.Namespace) -> int:
     )
     print(f"\n{new.sweep_stats.summary()}")
     if args.stealing:
-        # stealing sweeps are a different experiment: their cells are
-        # not comparable to the committed static baselines, and gating
-        # on them would flag phantom regressions (or phantom wins)
-        print(
-            "\nstealing sweep: not comparable to the static baselines; "
-            "skipping the regression gate"
-        )
+        print("\nstealing sweep: not comparable to the static baselines; no gate")
         return EXIT_OK
-    baseline_file = Path(args.baseline or committed_path)
     if args.update_baseline:
         print(f"updated committed baseline {new.write(committed_path)}")
         return EXIT_OK
+    baseline_file = Path(args.baseline or committed_path)
     if not baseline_file.exists():
         print(
             f"\nno committed baseline at {baseline_file}; skipping the "
-            "regression gate (use --update-baseline to create one)"
+            "baseline gate (use --update-baseline to create one)"
         )
         return EXIT_OK
     try:
@@ -421,21 +297,13 @@ def cmd_perf(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    diff = diff_baselines(old, new, threshold=args.threshold)
-    print(f"\nbaseline: {baseline_file} (threshold {100 * args.threshold:.0f}%)")
-    for cell in diff.missing:
-        print(f"WARNING {cell.describe()}")
-    if diff.regressions:
-        for regression in diff.regressions:
-            print(f"REGRESSION {regression.describe()}")
+    mismatches = baseline_mismatches(old, new)
+    print(f"\nbaseline: {baseline_file}")
+    for line in mismatches:
+        print(f"MISMATCH {line}")
+    if mismatches:
         return EXIT_CHECK_FAILED
-    if diff.missing:
-        print(
-            "no regressions in the cells both sweeps cover — but "
-            f"{len(diff.missing)} baseline cell(s) went missing (see above)"
-        )
-    else:
-        print("no regressions")
+    print("identical to the baseline")
     return EXIT_OK
 
 
@@ -655,8 +523,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = subparsers.add_parser("traces", help="Figures 10-13 ASCII traces")
     _options(p, "scale", scale=dict(default="small"))
-    p.add_argument("--width", type=int, default=100)
-    p.add_argument("--rows", type=int, default=7)
     p.set_defaults(func=cmd_traces)
 
     p = subparsers.add_parser("equivalence", help="14-digit agreement check")
@@ -664,12 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_equivalence)
 
     p = subparsers.add_parser("ablations", help="design-decision sweeps")
-    _options(
-        p,
-        "scale",
-        "out",
-        out=dict(help="also write the --comm table to this file (CI artifact)"),
-    )
+    _options(p, "scale", "out", out=dict(help="also write the printed report"))
     p.add_argument(
         "--comm",
         action="store_true",
@@ -682,14 +543,6 @@ def main(argv: list[str] | None = None) -> int:
         default=["t2_7", "ccsd", "rbgs"],
         choices=["t2_7", "ccsd", "rbgs"],
         help="workloads for the --comm matrix (default: all three)",
-    )
-    p.add_argument(
-        "--min-message-savings",
-        type=float,
-        default=0.0,
-        metavar="FRAC",
-        help="fail unless every --comm workload cuts wire messages by "
-        "at least this fraction with both knobs on (e.g. 0.20)",
     )
     p.set_defaults(func=cmd_ablations)
 
@@ -762,15 +615,9 @@ def main(argv: list[str] | None = None) -> int:
         stealing=dict(
             help=(
                 "sweep with inter-node work stealing; writes a _stealing "
-                "BENCH file and skips the (static) regression gate"
+                "BENCH file and skips the (static) baseline gate"
             )
         ),
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        help="regression threshold as a fraction (default: 0.20 = 20%%)",
     )
     p.add_argument(
         "--baseline", default=None, help="baseline JSON to compare against"

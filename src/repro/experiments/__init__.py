@@ -1,4 +1,5 @@
-"""Experiment drivers: one module per paper artifact.
+"""Experiment drivers: one module per paper artifact (import each
+from its module; the package re-exports nothing).
 
 - :mod:`repro.experiments.calibration` — the frozen machine constants
   and scale presets every experiment uses.
@@ -8,41 +9,13 @@
   Figure 12/13 (original) trace experiments.
 - :mod:`repro.experiments.equivalence` — the correlation-energy
   agreement experiment (Section IV-A).
-- :mod:`repro.experiments.ablations` — priorities offset, chain
-  segmentation height, write organization, and load-balancing sweeps.
+- :mod:`repro.experiments.ablations` — the design-decision sweeps and
+  the one-sided comm knob matrix.
+- :mod:`repro.experiments.chaos` / :mod:`~repro.experiments.perf` —
+  fault recovery; the Figure 9 grid as an exact BENCH baseline.
+- :mod:`repro.experiments.claims` — a paper claim, and when claims gate
+  (each experiment has a report function and a claims function).
 - :mod:`repro.experiments.sweep` — the multi-process sweep executor
   every grid experiment dispatches through (``jobs=N`` with a
   deterministic, byte-identical merge).
 """
-
-from repro.experiments.sweep import SweepCell, SweepExecutor, SweepStats
-from repro.experiments.calibration import (
-    CORE_COUNTS,
-    PAPER_MACHINE,
-    PAPER_NODES,
-    bench_scale,
-    make_cluster,
-    make_workload,
-)
-from repro.experiments.fig9 import Fig9Result, fig9_shape_checks, run_fig9, run_point
-from repro.experiments.traces import run_fig10_11, run_fig12_13
-from repro.experiments.equivalence import run_equivalence
-
-__all__ = [
-    "CORE_COUNTS",
-    "PAPER_MACHINE",
-    "PAPER_NODES",
-    "bench_scale",
-    "make_cluster",
-    "make_workload",
-    "Fig9Result",
-    "fig9_shape_checks",
-    "run_fig9",
-    "run_point",
-    "run_fig10_11",
-    "run_fig12_13",
-    "run_equivalence",
-    "SweepCell",
-    "SweepExecutor",
-    "SweepStats",
-]

@@ -17,6 +17,9 @@
 - :func:`run_comm_ablation` — the one-sided comm optimizations
   (message coalescing × remote-block cache) across workloads, with the
   bitwise output-equality check the knobs promise.
+
+``repro ablations`` runs the first six (:func:`run_ablations`), ``--comm``
+the last; each has a report and a claims function.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.analysis.report import format_table
 from repro.core import api
 from repro.core.variants import V4, V5, VariantSpec
 from repro.experiments.calibration import PAPER_MACHINE, PAPER_NODES, cell_config
+from repro.experiments.claims import ShapeCheck, render_claims
 from repro.ga.cache import RemoteCachePolicy
 from repro.legacy.runtime import LegacyConfig
 from repro.parsec.scheduler import SchedulerPolicy
@@ -44,10 +48,27 @@ __all__ = [
     "compare_load_balancing",
     "compare_scheduler_policies",
     "compare_work_stealing",
+    "run_ablations",
+    "ablations_report",
+    "ablation_claims",
+    "AblationResult",
     "run_comm_ablation",
+    "comm_report",
+    "comm_claims",
     "CommAblationResult",
     "CommCell",
+    "MIN_MESSAGE_SAVINGS",
 ]
+
+#: the both-knobs cell of the comm matrix must cut at least this share of
+#: each workload's wire messages (measured: 20-56% at tiny and small)
+MIN_MESSAGE_SAVINGS = 0.20
+
+
+def below_paper(scale: str) -> str:
+    """``scale``, with tiny in place of paper/full: the REAL-data comm
+    matrix and the stealing comparison run at most at small scale."""
+    return "tiny" if scale in ("paper", "full") else scale
 
 
 def _t2_7_run(
@@ -213,6 +234,104 @@ def compare_work_stealing(
     return out
 
 
+@dataclass
+class AblationResult:
+    """The six design-decision sweeps of ``repro ablations``."""
+
+    scale: str
+    priority_offsets: dict[int, float]
+    segment_heights: dict[str, float]
+    write_organization: dict[str, dict[str, float]]
+    load_balancing: dict[str, float]
+    scheduler_policies: dict[str, float]
+    #: run at :func:`below_paper` of ``scale``
+    work_stealing: dict[str, dict[str, float]]
+
+
+def run_ablations(scale: str = "paper") -> AblationResult:
+    """Every sweep at its default grid."""
+    return AblationResult(
+        scale=scale,
+        priority_offsets=sweep_priority_offsets(scale=scale),
+        segment_heights=sweep_segment_height(scale=scale),
+        write_organization=sweep_write_organization(scale=scale),
+        load_balancing=compare_load_balancing(scale=scale),
+        scheduler_policies=compare_scheduler_policies(scale=scale),
+        work_stealing=compare_work_stealing(scale=below_paper(scale)),
+    )
+
+
+def ablation_claims(result: AblationResult) -> list[ShapeCheck]:
+    """The paper's reading of each Section IV design decision."""
+    off0, off5 = result.priority_offsets[0], result.priority_offsets[5]
+    h1, full = result.segment_heights["height-1"], result.segment_heights["full-chain"]
+    write = result.write_organization["lock=4e-05s"]
+    one, many = write["single-write (v5)"], write["parallel-write"]
+    prio, fifo = (result.scheduler_policies[k] for k in ("priority", "fifo"))
+    balance = result.load_balancing
+    parsec = balance["parsec-v4 (static nodes + dynamic cores)"]
+    legacy = min(balance["nxtval-stealing"], balance["static-cyclic"])
+    claims = [
+        ("read offset +5 no slower than +0", off5 <= off0, off5, off0),
+        ("height-1 chains faster than the full chain", h1 < full, h1, full),
+        ("single WRITE no slower than parallel at lock=4e-05s", one <= many, one, many),
+        ("priority no slower than 1.02x FIFO", prio <= fifo * 1.02, prio, fifo),
+        ("PaRSEC-v4 faster than both legacy codes", parsec < legacy, parsec, legacy),
+    ]
+    return [ShapeCheck(name, ok, f"{a:.4g}s vs {b:.4g}s") for name, ok, a, b in claims]
+
+
+def ablations_report(result: AblationResult) -> str:
+    """One table per sweep, and the claims."""
+
+    def times(series: dict) -> list[list[str]]:
+        return [[label, f"{t:.3f}"] for label, t in series.items()]
+
+    offsets = {f"+{k}": v for k, v in sorted(result.priority_offsets.items())}
+    tables = [
+        (
+            "READ priority offset (v4, 7 cores/node)",
+            ["read offset", "time (s)"],
+            times(offsets),
+        ),
+        (
+            "GEMM chain segment height (15 cores/node)",
+            ["chain height", "time (s)"],
+            times(result.segment_heights),
+        ),
+        (
+            "WRITE organization vs mutex cost (15 cores/node)",
+            ["mutex op cost", "single WRITE (v5)", "parallel WRITEs"],
+            [
+                [k, f"{v['single-write (v5)']:.3f}", f"{v['parallel-write']:.3f}"]
+                for k, v in result.write_organization.items()
+            ],
+        ),
+        (
+            "Load balancing (7 cores/node)",
+            ["strategy", "time (s)"],
+            times(result.load_balancing),
+        ),
+        (
+            "Scheduler policy (v4, 7 cores/node)",
+            ["policy", "time (s)"],
+            times(result.scheduler_policies),
+        ),
+        (
+            "Inter-node work stealing vs static placement (skewed "
+            f"{below_paper(result.scale)} workload, v5, compute-bound machine)",
+            ["nodes", "static (s)", "stealing (s)", "speedup", "chains moved"],
+            [
+                [k, f"{row['static']:.6f}", f"{row['stealing']:.6f}"]
+                + [f"{row['speedup']:.2f}x", f"{int(row['chains_migrated'])}"]
+                for k, row in result.work_stealing.items()
+            ],
+        ),
+    ]
+    rendered = [format_table(h, rows, title=title) for title, h, rows in tables]
+    return "\n\n".join(rendered + [render_claims(ablation_claims(result))])
+
+
 # ----------------------------------------------------------------------
 # one-sided comm optimizations (coalescing × remote-block cache)
 # ----------------------------------------------------------------------
@@ -250,61 +369,24 @@ class CommAblationResult:
     scale: str
     rows: list[CommCell]
 
-    @property
-    def all_equal(self) -> bool:
-        """Every knobs-on run reproduced the baseline output bitwise."""
-        return all(cell.output_equal for cell in self.rows)
-
     def baseline(self, workload: str) -> CommCell:
         for cell in self.rows:
             if cell.workload == workload and not cell.coalescing and not cell.cache:
                 return cell
         raise KeyError(f"no baseline cell for {workload!r}")
 
+    def reduction(self, cell: CommCell) -> float:
+        """Fractional wire-message reduction of ``cell`` against its
+        workload's baseline."""
+        base = self.baseline(cell.workload).wire_messages
+        return 1.0 - cell.wire_messages / base if base else 0.0
+
     def message_savings(self, workload: str) -> float:
         """Fractional wire-message reduction of the both-knobs cell."""
-        base = self.baseline(workload).wire_messages
         for cell in self.rows:
             if cell.workload == workload and cell.coalescing and cell.cache:
-                return 1.0 - cell.wire_messages / base if base else 0.0
+                return self.reduction(cell)
         raise KeyError(f"no coalesce+cache cell for {workload!r}")
-
-    def table(self) -> str:
-        """The comparison table (also what the CI artifact carries)."""
-        table_rows = []
-        for cell in self.rows:
-            base = self.baseline(cell.workload).wire_messages
-            reduction = 1.0 - cell.wire_messages / base if base else 0.0
-            table_rows.append(
-                [
-                    cell.workload,
-                    cell.label,
-                    f"{cell.execution_time:.6f}",
-                    f"{cell.wire_messages}",
-                    f"{reduction * 100:5.1f}%",
-                    f"{cell.bytes_fetched:.0f}",
-                    f"{cell.cache_hits}",
-                    f"{cell.coalesced_batches}",
-                    f"{cell.messages_saved}",
-                    "yes" if cell.output_equal else "NO",
-                ]
-            )
-        return format_table(
-            [
-                "workload",
-                "knobs",
-                "time (s)",
-                "wire msgs",
-                "reduction",
-                "bytes fetched",
-                "cache hits",
-                "batches",
-                "msgs saved",
-                "output equal",
-            ],
-            table_rows,
-            title=f"One-sided comm optimizations ({self.scale} scale, legacy runtime)",
-        )
 
 
 def _comm_cell(
@@ -381,3 +463,47 @@ def run_comm_ablation(
                 cell.output_equal = bool(np.array_equal(reference, output))
             rows.append(cell)
     return CommAblationResult(scale=scale, rows=rows)
+
+
+def comm_claims(result: CommAblationResult) -> list[ShapeCheck]:
+    """The knobs change no output bit, and cut enough wire messages."""
+    knobs_on = [cell for cell in result.rows if cell.coalescing or cell.cache]
+    diverged = sum(not cell.output_equal for cell in knobs_on)
+    detail = f"{diverged} of {len(knobs_on)} runs diverged"
+    checks = [ShapeCheck("knobs-on output bitwise-equal", diverged == 0, detail)]
+    for cell in knobs_on:
+        if cell.coalescing and cell.cache:
+            savings = result.reduction(cell)
+            checks.append(
+                ShapeCheck(
+                    f"{cell.workload}: coalesce+cache cuts wire messages by "
+                    f">= {MIN_MESSAGE_SAVINGS:.0%}",
+                    savings >= MIN_MESSAGE_SAVINGS,
+                    f"{savings:.1%} fewer wire messages",
+                )
+            )
+    return checks
+
+
+def comm_report(result: CommAblationResult) -> str:
+    """The knob matrix, one row per cell, and the claims."""
+    rows = [
+        [
+            cell.workload,
+            cell.label,
+            f"{cell.execution_time:.6f}",
+            f"{cell.wire_messages}",
+            f"{result.reduction(cell) * 100:5.1f}%",
+            f"{cell.bytes_fetched:.0f}",
+            f"{cell.cache_hits}",
+            f"{cell.coalesced_batches}",
+            f"{cell.messages_saved}",
+            "yes" if cell.output_equal else "NO",
+        ]
+        for cell in result.rows
+    ]
+    headers = ["workload", "knobs", "time (s)", "wire msgs", "reduction"]
+    headers += ["bytes fetched", "cache hits", "batches", "msgs saved", "output equal"]
+    title = f"One-sided comm optimizations ({result.scale} scale, legacy runtime)"
+    table = format_table(headers, rows, title=title)
+    return f"{table}\n{render_claims(comm_claims(result))}"

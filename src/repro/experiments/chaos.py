@@ -35,16 +35,26 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.report import format_table
 from repro.core import api
 from repro.core.variants import PAPER_VARIANTS
 from repro.experiments.calibration import cell_config
+from repro.experiments.claims import ShapeCheck, render_claims
 from repro.experiments.sweep import SweepCell, SweepExecutor, SweepStats
 from repro.sim.cluster import DataMode
 from repro.sim.faults import FaultPlan, NodeCrash, Straggler
 from repro.util.rng import derive_seed
 from repro.workloads import canonical_token
 
-__all__ = ["ChaosOutcome", "ChaosResult", "chaos_cells", "default_plan", "run_chaos"]
+__all__ = [
+    "ChaosOutcome",
+    "ChaosResult",
+    "chaos_cells",
+    "chaos_claims",
+    "chaos_report",
+    "default_plan",
+    "run_chaos",
+]
 
 
 @dataclass
@@ -75,13 +85,7 @@ class ChaosResult:
     plan_description: str
     outcomes: list[ChaosOutcome] = field(default_factory=list)
     #: wall-clock accounting of the sweep (host-side diagnostics only)
-    sweep_stats: Optional[SweepStats] = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def all_ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
+    sweep_stats: Optional[SweepStats] = field(default=None, repr=False, compare=False)
 
 
 def default_plan(master_seed: int, horizon_s: float, n_nodes: int) -> FaultPlan:
@@ -223,3 +227,38 @@ def run_chaos(
         outcomes=[results[(name,)][0] for name in names],
         sweep_stats=stats,
     )
+
+
+def chaos_claims(result: ChaosResult) -> list[ShapeCheck]:
+    """Every runner recovers: bitwise, deterministically, faults fired."""
+    failed = ", ".join(o.name for o in result.outcomes if not o.ok)
+    detail = f"FAILURES DETECTED: {failed}" if failed else "ALL OK"
+    return [ShapeCheck("every runner recovers", not failed, detail)]
+
+
+def chaos_report(result: ChaosResult) -> str:
+    """The fault plan, one row per runner, and the claim."""
+    rows = [
+        [
+            o.name,
+            "PASS" if o.bitwise_match else "FAIL",
+            "PASS" if o.deterministic else "FAIL",
+            "yes" if o.faults_recovered else "NO",
+            f"{o.end_time_clean:.4f}",
+            f"{o.end_time_faulted:.4f}",
+            " ".join(
+                f"{k}={v}"
+                for k, v in sorted(o.counters.items())
+                if v and k != "recovery_overhead_s"
+            ),
+        ]
+        for o in result.outcomes
+    ]
+    headers = ["runner", "bitwise", "determ.", "faults", "clean (s)", "faulted (s)"]
+    table = format_table(
+        headers + ["recovery counters"],
+        rows,
+        title="Chaos sweep: recovery under injected faults",
+    )
+    claims = render_claims(chaos_claims(result))
+    return f"fault plan: {result.plan_description}\n\n{table}\n\n{claims}"

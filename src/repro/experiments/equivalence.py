@@ -20,11 +20,17 @@ from typing import Callable, Optional
 from repro.core import api
 from repro.core.variants import PAPER_VARIANTS
 from repro.experiments.calibration import cell_config
+from repro.experiments.claims import ShapeCheck, render_claims
 from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.sim.cluster import DataMode
 from repro.tce.reference import correlation_energy
 
-__all__ = ["EquivalenceResult", "run_equivalence"]
+__all__ = [
+    "EquivalenceResult",
+    "equivalence_claims",
+    "equivalence_report",
+    "run_equivalence",
+]
 
 
 @dataclass
@@ -73,19 +79,10 @@ def run_equivalence(
     is the workload's own dense-NumPy :meth:`reference_values`.
     """
     names = ["reference", "original"] + sorted(PAPER_VARIANTS)
+    shared = dict(scale=scale, n_nodes=n_nodes, cores_per_node=cores_per_node)
+    shared.update(seed=seed, workload=workload)
     cells = [
-        SweepCell(
-            key=(name,),
-            fn=_equivalence_cell,
-            kwargs=dict(
-                name=name,
-                scale=scale,
-                n_nodes=n_nodes,
-                cores_per_node=cores_per_node,
-                seed=seed,
-                workload=workload,
-            ),
-        )
+        SweepCell(key=(name,), fn=_equivalence_cell, kwargs=dict(name=name, **shared))
         for name in names
     ]
     executor = SweepExecutor(
@@ -94,7 +91,20 @@ def run_equivalence(
     results, _ = executor.run(cells)
     energies = {name: results[(name,)] for name in names}
     center = energies["reference"]
-    spread = max(abs(v - center) for v in energies.values()) / max(
-        abs(center), 1e-300
-    )
+    spread = max(abs(v - center) for v in energies.values()) / max(abs(center), 1e-300)
     return EquivalenceResult(energies=energies, max_relative_spread=spread)
+
+
+def equivalence_claims(result: EquivalenceResult) -> list[ShapeCheck]:
+    """The paper's 14-digit agreement, held to 13 digits."""
+    digits = result.agrees_to_digits()
+    detail = f"{digits:.1f} digits (paper claims 14)"
+    return [ShapeCheck("agreement to >= 13 digits", digits >= 13, detail)]
+
+
+def equivalence_report(result: EquivalenceResult) -> str:
+    """Each implementation's correlation energy, and the claim."""
+    energies = [
+        f"{name:10s} {energy:+.15e}" for name, energy in sorted(result.energies.items())
+    ]
+    return "\n".join(energies + [render_claims(equivalence_claims(result))])

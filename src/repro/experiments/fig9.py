@@ -5,11 +5,11 @@ of ``icsd_t2_7()`` on 32 nodes for beta-carotene/6-31G, for the
 original NWChem execution and the five PaRSEC variants, sweeping
 cores/node.
 
-:func:`run_fig9` produces the full series; :func:`fig9_shape_checks`
-evaluates the claims the paper draws from the figure, with tolerance
-bands (our machine is a calibrated simulation, so shapes — who wins,
-where the original saturates, how the variants order — are the
-reproduction target, not absolute seconds).
+:func:`run_fig9` produces the full series, :func:`fig9_report` renders
+it and :func:`fig9_shape_checks` evaluates the claims the paper draws
+from the figure, with tolerance bands (our machine is a calibrated
+simulation, so shapes — who wins, where the original saturates, how the
+variants order — are the reproduction target, not absolute seconds).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.analysis.report import format_fig9_table, format_table
 from repro.core import api
 from repro.experiments.calibration import CORE_COUNTS, PAPER_NODES, cell_config
+from repro.experiments.claims import ShapeCheck, render_claims
 from repro.experiments.sweep import SweepCell, SweepExecutor, SweepStats
 from repro.util.errors import ConfigurationError
 from repro.workloads import canonical_token
@@ -29,32 +30,16 @@ from repro.workloads import canonical_token
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "Fig9Result",
-    "ShapeCheck",
     "run_point",
     "fig9_cells",
     "run_fig9",
+    "fig9_report",
     "fig9_shape_checks",
 ]
 
 CODES = ("original", "v1", "v2", "v3", "v4", "v5")
 
 BENCH_SCHEMA_VERSION = 1
-
-
-@dataclass
-class ShapeCheck:
-    """One claim extracted from the paper, evaluated on our data.
-
-    ``skipped`` marks a claim whose probe points the sweep grid does
-    not contain (e.g. the tiny preset has no 7-cores/node cell); a
-    skipped check counts as passed so small grids don't spuriously
-    fail, but the CLI reports it as SKIP rather than PASS.
-    """
-
-    name: str
-    passed: bool
-    detail: str
-    skipped: bool = False
 
 
 @dataclass
@@ -73,9 +58,7 @@ class Fig9Result:
     workload: str = "t2_7"
     #: wall-clock accounting of the sweep that produced this result
     #: (host-side diagnostics only — never part of the data).
-    sweep_stats: Optional[SweepStats] = field(
-        default=None, repr=False, compare=False
-    )
+    sweep_stats: Optional[SweepStats] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         payload = {
@@ -146,6 +129,15 @@ class Fig9Result:
             title="Execution time vs cores/node (cf. the paper's Figure 9)",
         )
 
+    def lacks(self, cores: Sequence[int] = (), codes: Sequence[str] = ()) -> str:
+        """Why the sweep cannot probe these points ("" when it can)."""
+        reasons = []
+        if missing := sorted(c for c in cores if c not in self.core_counts):
+            reasons.append(f"grid lacks {'/'.join(map(str, missing))} cores/node")
+        if missing_codes := sorted(c for c in codes if c not in self.times):
+            reasons.append(f"sweep lacks {'/'.join(missing_codes)}")
+        return "; ".join(reasons)
+
     def best_original(self) -> tuple[int, float]:
         series = self.times["original"]
         cores = min(series, key=series.get)
@@ -159,23 +151,17 @@ class Fig9Result:
         as explicit ``n/a`` rows instead of raising ``KeyError``.
         """
         orig = self.times["original"]
-        grid = set(self.core_counts)
         best_cores, best_time = self.best_original()
         max_cores = max(self.core_counts)
         parsec_at_max = {
-            code: series[max_cores]
-            for code, series in self.times.items()
-            if code != "original"
+            c: s[max_cores] for c, s in self.times.items() if c != "original"
         }
         fastest = min(parsec_at_max, key=parsec_at_max.get)
         slowest = max(parsec_at_max, key=parsec_at_max.get)
 
         def self_speedup(cores: int) -> str:
-            missing = [c for c in (1, cores) if c not in grid]
-            if missing:
-                lacks = "/".join(str(c) for c in missing)
-                return f"n/a (grid lacks {lacks} cores/node)"
-            return f"{orig[1] / orig[cores]:.2f}x"
+            lacks = self.lacks((1, cores))
+            return f"n/a ({lacks})" if lacks else f"{orig[1] / orig[cores]:.2f}x"
 
         rows = [
             ["original self-speedup @3 cores", self_speedup(3), "2.35x"],
@@ -295,6 +281,18 @@ def run_fig9(
     )
 
 
+def fig9_report(result: Fig9Result) -> str:
+    """What ``repro fig9`` prints: table, chart, headline speedups, checks."""
+    return "\n\n".join(
+        [
+            result.table(),
+            result.chart(),
+            result.summary_table(),
+            render_claims(fig9_shape_checks(result)),
+        ]
+    )
+
+
 def fig9_shape_checks(result: Fig9Result) -> list[ShapeCheck]:
     """Evaluate the paper's Figure 9 claims on a sweep.
 
@@ -308,198 +306,110 @@ def fig9_shape_checks(result: Fig9Result) -> list[ShapeCheck]:
     checks: list[ShapeCheck] = []
     times = result.times
     grid = set(result.core_counts)
-    max_cores = max(result.core_counts)
-    parsec_codes = [c for c in times if c != "original"]
-    parsec_at_max = {c: times[c][max_cores] for c in parsec_codes}
+    top = max(result.core_counts)
+    orig = times.get("original", {})
+    at_top = {c: series[top] for c, series in times.items() if c != "original"}
+    ranked = sorted(at_top, key=at_top.get, reverse=True)  # slow to fast
+    from_3 = sorted(c for c in grid if c >= 3)
+    lacks = result.lacks
 
-    def evaluate(
-        name: str,
-        fn: Callable[[], tuple[bool, str]],
-        need_cores: Sequence[int] = (),
-        need_codes: Sequence[str] = (),
-    ) -> None:
-        """Run one claim, or record it as skipped when the grid/codes
-        lack its probe points."""
-        reasons = []
-        missing_cores = sorted(c for c in need_cores if c not in grid)
-        if missing_cores:
-            lacks = "/".join(str(c) for c in missing_cores)
-            reasons.append(f"grid lacks {lacks} cores/node")
-        missing_codes = sorted(c for c in need_codes if c not in times)
-        if missing_codes:
-            reasons.append(f"sweep lacks {'/'.join(missing_codes)}")
-        if reasons:
-            checks.append(
-                ShapeCheck(name, True, "skipped: " + "; ".join(reasons), skipped=True)
-            )
-            return
-        passed, detail = fn()
-        checks.append(ShapeCheck(name, passed, detail))
+    def claim(name: str, skip: str):
+        """Record the decorated claim — a ``() -> (passed, detail)`` —
+        or, when ``skip`` names what the sweep lacks, a skipped check."""
 
-    # 1. "scales fairly well up to three cores/node (2.35x)"
-    def claim_speedup3() -> tuple[bool, str]:
-        speedup3 = times["original"][1] / times["original"][3]
-        return 2.0 <= speedup3 <= 2.9, f"measured {speedup3:.2f}x (paper 2.35x)"
+        def record(fn: Callable[[], tuple[bool, str]]):
+            if skip:
+                checks.append(ShapeCheck(name, True, f"skipped: {skip}", skipped=True))
+            else:
+                checks.append(ShapeCheck(name, *fn()))
+            return fn
 
-    evaluate(
-        "original speedup at 3 cores/node ~2.35x",
-        claim_speedup3,
-        need_cores=(1, 3),
-        need_codes=("original",),
-    )
+        return record
 
-    # 2. "little additional improvement until best at 7; deteriorates after"
-    def claim_plateau() -> tuple[bool, str]:
-        orig = times["original"]
-        plateau = min(orig[c] for c in result.core_counts if c >= 7)
-        return (
-            orig[7] <= 1.06 * plateau,
-            f"T(7)={orig[7]:.2f}s vs plateau min {plateau:.2f}s",
-        )
+    # "scales fairly well up to three cores/node (2.35x)"
+    @claim("original speedup at 3 cores/node ~2.35x", lacks((1, 3), ["original"]))
+    def speedup_at_3():
+        speedup = orig[1] / orig[3]
+        return 2.0 <= speedup <= 2.9, f"measured {speedup:.2f}x (paper 2.35x)"
 
-    evaluate(
-        "original plateaus by 7 cores/node",
-        claim_plateau,
-        need_cores=(7,),
-        need_codes=("original",),
-    )
+    # "little additional improvement until best at 7; deteriorates after"
+    @claim("original plateaus by 7 cores/node", lacks([7], ["original"]))
+    def plateau():
+        low = min(orig[c] for c in result.core_counts if c >= 7)
+        return orig[7] <= 1.06 * low, f"T(7)={orig[7]:.2f}s vs plateau min {low:.2f}s"
 
-    def claim_deteriorates() -> tuple[bool, str]:
-        orig = times["original"]
-        return (
-            orig[max_cores] >= orig[7] * 0.98 and orig[max_cores] <= orig[7] * 1.25,
-            f"T({max_cores})={orig[max_cores]:.2f}s vs T(7)={orig[7]:.2f}s",
-        )
-
-    evaluate(
+    @claim(
         "original deteriorates at the end (not significantly)",
-        claim_deteriorates,
-        need_cores=(7,),
-        need_codes=("original",),
+        lacks([7], ["original"]),
     )
-
-    # 3. "PaRSEC outperforms the original as soon as three cores are used"
-    probe_from_3 = sorted(c for c in grid if c >= 3)
-
-    def claim_wins_from_3() -> tuple[bool, str]:
-        wins = all(
-            times[c][cores] < times["original"][cores]
-            for c in parsec_codes
-            for cores in probe_from_3
+    def deteriorates():
+        return (
+            orig[7] * 0.98 <= orig[top] <= orig[7] * 1.25,
+            f"T({top})={orig[top]:.2f}s vs T(7)={orig[7]:.2f}s",
         )
-        at = ", ".join(str(c) for c in probe_from_3)
+
+    # "PaRSEC outperforms the original as soon as three cores are used"
+    @claim(
+        "every PaRSEC variant beats original from 3 cores/node",
+        lacks(codes=["original"])
+        if from_3
+        else "grid lacks any point at 3+ cores/node",
+    )
+    def wins_from_3():
+        wins = all(times[c][k] < orig[k] for c in at_top for k in from_3)
+        at = ", ".join(map(str, from_3))
         return wins, (f"all variants faster at {at}" if wins else "violated")
 
-    if not probe_from_3:
-        checks.append(
-            ShapeCheck(
-                "every PaRSEC variant beats original from 3 cores/node",
-                True,
-                "skipped: grid lacks any point at 3+ cores/node",
-                skipped=True,
-            )
-        )
-    else:
-        evaluate(
-            "every PaRSEC variant beats original from 3 cores/node",
-            claim_wins_from_3,
-            need_codes=("original",),
-        )
-
-    # 4. "all variants except v1 improve all the way to 15 cores/node"
-    def claim_improve_to_end() -> tuple[bool, str]:
-        others_improve = all(
-            times[c][max_cores] < times[c][11] * 0.95
-            for c in parsec_codes
-            if c != "v1"
-        )
-        v1_gain = times["v1"][11] / times["v1"][max_cores] - 1.0
-        return (
-            others_improve and v1_gain < 0.15,
-            f"v1 gain 11->{max_cores} is {100 * v1_gain:.1f}%; others > 5%",
-        )
-
-    if 11 in grid and max_cores <= 11:
-        checks.append(
-            ShapeCheck(
-                "v2-v5 keep improving to 15; v1 largely stops",
-                True,
-                "skipped: grid lacks a point beyond 11 cores/node",
-                skipped=True,
-            )
-        )
-    else:
-        evaluate(
-            "v2-v5 keep improving to 15; v1 largely stops",
-            claim_improve_to_end,
-            need_cores=(11,),
-            need_codes=("v1",),
-        )
-
-    # 5. v1 slowest variant, v2 next
-    ranked = sorted(parsec_at_max, key=parsec_at_max.get, reverse=True)
-
-    def claim_ranking() -> tuple[bool, str]:
-        return (
-            ranked[0] == "v1" and ranked[1] == "v2",
-            f"slow-to-fast at {max_cores}: {ranked}",
-        )
-
-    evaluate(
-        "v1 slowest variant at 15; v2 second slowest",
-        claim_ranking,
-        need_codes=("v1", "v2"),
+    # "all variants except v1 improve all the way to 15 cores/node"
+    @claim(
+        "v2-v5 keep improving to 15; v1 largely stops",
+        "grid lacks a point beyond 11 cores/node"
+        if 11 in grid and top <= 11
+        else lacks([11], ["v1"]),
     )
+    def improve_to_end():
+        others = all(times[c][top] < times[c][11] * 0.95 for c in at_top if c != "v1")
+        gain = times["v1"][11] / times["v1"][top] - 1.0
+        detail = f"v1 gain 11->{top} is {100 * gain:.1f}%; others > 5%"
+        return others and gain < 0.15, detail
 
-    # 6. "best variant (v5) achieves 2.1x over fastest original run"
-    def claim_v5_vs_original() -> tuple[bool, str]:
-        _, best_orig = result.best_original()
-        ratio = best_orig / parsec_at_max["v5"]
+    # v1 slowest variant, v2 next
+    @claim("v1 slowest variant at 15; v2 second slowest", lacks(codes=["v1", "v2"]))
+    def ranking():
+        return ranked[:2] == ["v1", "v2"], f"slow-to-fast at {top}: {ranked}"
+
+    # "best variant (v5) achieves 2.1x over fastest original run"
+    @claim(
+        "v5@15 vs best original ~2.1x (band 1.8-4.0)", lacks(codes=["original", "v5"])
+    )
+    def v5_vs_original():
+        ratio = result.best_original()[1] / at_top["v5"]
         return (
             1.8 <= ratio <= 4.0,
             f"measured {ratio:.2f}x (paper 2.1x; our simulated node gives "
             "PaRSEC less scaling friction than Cascade did)",
         )
 
-    evaluate(
-        "v5@15 vs best original ~2.1x (band 1.8-4.0)",
-        claim_v5_vs_original,
-        need_codes=("original", "v5"),
+    # "fastest variant is 1.73x faster than the slowest" at 15
+    @claim(
+        "variant spread at 15 cores ~1.73x (band 1.3-2.2)",
+        lacks(codes=["v1", "v2", "v3", "v4", "v5"]),
     )
-
-    # 7. "fastest variant is 1.73x faster than the slowest" at 15
-    def claim_spread() -> tuple[bool, str]:
-        spread = parsec_at_max[ranked[0]] / parsec_at_max[ranked[-1]]
+    def variant_spread():
+        spread = at_top[ranked[0]] / at_top[ranked[-1]]
         return 1.3 <= spread <= 2.2, f"measured {spread:.2f}x (paper 1.73x)"
 
-    evaluate(
-        "variant spread at 15 cores ~1.73x (band 1.3-2.2)",
-        claim_spread,
-        need_codes=("v1", "v2", "v3", "v4", "v5"),
-    )
+    # v5 (one SORT, one WRITE) is the fastest variant, within noise
+    @claim("v5 fastest variant at 15 (within 2% tie tolerance)", lacks(codes=["v5"]))
+    def v5_fastest():
+        fastest = min(at_top.values())
+        detail = f"v5={at_top['v5']:.2f}s vs fastest={fastest:.2f}s"
+        return at_top["v5"] <= fastest * 1.02, detail
 
-    # 8. v5 (one SORT, one WRITE) is the fastest variant, within noise
-    def claim_v5_fastest() -> tuple[bool, str]:
-        fastest_time = min(parsec_at_max.values())
-        return (
-            parsec_at_max["v5"] <= fastest_time * 1.02,
-            f"v5={parsec_at_max['v5']:.2f}s vs fastest={fastest_time:.2f}s",
-        )
+    # v2 slower than v4 (identical but for priorities)
+    @claim("priorities matter: v2 slower than v4 at 15", lacks(codes=["v2", "v4"]))
+    def priorities():
+        ratio = at_top["v2"] / at_top["v4"]
+        return ratio > 1.10, f"v2/v4 = {ratio:.2f}x"
 
-    evaluate(
-        "v5 fastest variant at 15 (within 2% tie tolerance)",
-        claim_v5_fastest,
-        need_codes=("v5",),
-    )
-
-    # 9. v2 slower than v4 (identical but for priorities)
-    def claim_priorities() -> tuple[bool, str]:
-        v2_vs_v4 = parsec_at_max["v2"] / parsec_at_max["v4"]
-        return v2_vs_v4 > 1.10, f"v2/v4 = {v2_vs_v4:.2f}x"
-
-    evaluate(
-        "priorities matter: v2 slower than v4 at 15",
-        claim_priorities,
-        need_codes=("v2", "v4"),
-    )
     return checks

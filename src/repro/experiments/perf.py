@@ -1,22 +1,19 @@
-"""Performance baselines: the Figure 9 sweep as a regression gate.
+"""Performance baselines: the Figure 9 sweep as an exact gate.
 
 :func:`run_perf` executes the fig9-style sweep (every code at every
 core count, SYNTH data, metrics off) at a named scale; the
 :class:`~repro.experiments.fig9.Fig9Result` it returns is the baseline.
 Baselines are written as ``BENCH_fig9_<scale>.json`` and the committed
-copies live in ``benchmarks/baselines/``; :func:`diff_baselines`
-compares a fresh sweep against a committed file and flags any cell
-that got slower by more than a configurable threshold.
+copies live in ``benchmarks/baselines/``.
 
-The times are *virtual* seconds of the deterministic simulation, so on
-an unchanged tree a re-run reproduces the committed baseline exactly;
-a diff always reflects a behavioural change in the simulator or the
-runtimes, never host noise.
+The times are *virtual* seconds of the deterministic simulation: a
+diff always reflects a behavioural change, never host noise, so the
+gate has no tolerance. :func:`baseline_mismatches` names every cell
+that differs, in either direction, or that only one grid has.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -26,18 +23,11 @@ from repro.util.errors import ConfigurationError
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "DEFAULT_THRESHOLD",
     "PERF_PRESETS",
-    "BaselineDiff",
-    "MissingCell",
-    "Regression",
+    "baseline_mismatches",
     "baseline_path",
-    "diff_baselines",
     "run_perf",
 ]
-
-#: a cell counts as a regression when new > old * (1 + threshold)
-DEFAULT_THRESHOLD = 0.20
 
 #: per-scale sweep shapes; tiny/small shrink the grid so the gate is
 #: cheap enough for CI, paper/full run the real Figure 9 axis
@@ -47,26 +37,6 @@ PERF_PRESETS: dict[str, dict] = {
     "paper": {"n_nodes": PAPER_NODES, "core_counts": CORE_COUNTS},
     "full": {"n_nodes": PAPER_NODES, "core_counts": CORE_COUNTS},
 }
-
-
-@dataclass(frozen=True)
-class Regression:
-    """One sweep cell that got slower past the threshold."""
-
-    code: str
-    cores: int
-    old: float
-    new: float
-
-    @property
-    def ratio(self) -> float:
-        return self.new / self.old if self.old else float("inf")
-
-    def describe(self) -> str:
-        return (
-            f"{self.code}@{self.cores}c: {self.old:.6f}s -> {self.new:.6f}s "
-            f"({100 * (self.ratio - 1):+.1f}%)"
-        )
 
 
 def baseline_path(scale: str, workload: str = "t2_7") -> Path:
@@ -82,43 +52,6 @@ def baseline_path(scale: str, workload: str = "t2_7") -> Path:
         return root / f"BENCH_fig9_{scale}.json"
     tag = workload.replace(":", "_").replace("/", "_")
     return root / f"BENCH_fig9_{tag}_{scale}.json"
-
-
-@dataclass(frozen=True)
-class MissingCell:
-    """A cell present in the old baseline but absent from the new sweep."""
-
-    code: str
-    #: None when the whole code series vanished (not just one count)
-    cores: Optional[int]
-
-    def describe(self) -> str:
-        if self.cores is None:
-            return f"{self.code}: entire series missing from the new sweep"
-        return f"{self.code}@{self.cores}c: missing from the new sweep"
-
-
-@dataclass
-class BaselineDiff:
-    """Outcome of comparing a fresh sweep against a committed baseline.
-
-    A shrunken grid is reported, never silently skipped: every old cell
-    the new sweep no longer covers appears in ``missing`` — otherwise
-    dropping cells would make the regression gate pass vacuously.
-    """
-
-    regressions: list[Regression] = field(default_factory=list)
-    missing: list[MissingCell] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def __iter__(self):
-        return iter(self.regressions)
-
-    def __len__(self) -> int:
-        return len(self.regressions)
 
 
 def run_perf(
@@ -137,7 +70,7 @@ def run_perf(
     processes; the resulting baseline is byte-identical to ``jobs=1``.
     ``stealing`` runs the PaRSEC codes with the default steal policy —
     such sweeps are *not* comparable to the committed static baselines
-    (the CLI gates on that).
+    (the CLI neither gates on one nor writes one as a baseline).
     """
     preset = PERF_PRESETS.get(scale)
     if preset is None:
@@ -154,34 +87,35 @@ def run_perf(
     )
 
 
-def diff_baselines(
-    old: Fig9Result, new: Fig9Result, threshold: float = DEFAULT_THRESHOLD
-) -> BaselineDiff:
-    """Compare ``new`` against ``old`` cell by cell.
+def baseline_mismatches(old: Fig9Result, new: Fig9Result) -> list[str]:
+    """Everything that keeps ``new`` from equalling the ``old`` baseline,
+    one line each; an empty list means the two grids are equal.
 
-    Returns a :class:`BaselineDiff`: cells of ``new`` slower than
-    ``old`` by more than ``threshold`` land in ``regressions``; cells
-    of ``old`` that ``new`` no longer contains land in ``missing``.
-    Cells only ``new`` has (a grown grid) are ignored. Baselines from
-    different workloads never compare — that would gate one workload's
-    regressions against another's timings.
+    A cell whose time moved is named with both times, faster or slower;
+    a cell or a whole code series only one side has is named as missing
+    from the fresh sweep or as not in the baseline.
     """
-    if old.workload != new.workload:
-        raise ConfigurationError(
-            f"baseline workload mismatch: old={old.workload!r} vs "
-            f"new={new.workload!r}"
-        )
-    diff = BaselineDiff()
-    for code in sorted(old.times):
-        new_series = new.times.get(code)
-        if new_series is None:
-            diff.missing.append(MissingCell(code, None))
+    lines = [
+        f"{name}: baseline {getattr(old, name)!r}, fresh sweep {getattr(new, name)!r}"
+        for name in ("workload", "scale", "n_nodes", "core_counts")
+        if getattr(old, name) != getattr(new, name)
+    ]
+    for code in sorted(old.times.keys() | new.times.keys()):
+        if code not in new.times:
+            lines.append(f"{code}: series missing from the fresh sweep")
             continue
-        for cores, old_time in sorted(old.times[code].items()):
-            new_time = new_series.get(cores)
-            if new_time is None:
-                diff.missing.append(MissingCell(code, cores))
-                continue
-            if new_time > old_time * (1.0 + threshold):
-                diff.regressions.append(Regression(code, cores, old_time, new_time))
-    return diff
+        if code not in old.times:
+            lines.append(f"{code}: series not in the baseline")
+            continue
+        old_series, new_series = old.times[code], new.times[code]
+        for cores in sorted(old_series.keys() | new_series.keys()):
+            cell = f"{code}@{cores}c"
+            if cores not in new_series:
+                lines.append(f"{cell}: missing from the fresh sweep")
+            elif cores not in old_series:
+                lines.append(f"{cell}: not in the baseline")
+            elif new_series[cores] != old_series[cores]:
+                before, after = old_series[cores], new_series[cores]
+                change = f" ({100 * (after / before - 1):+.1f}%)" if before else ""
+                lines.append(f"{cell}: {before!r}s -> {after!r}s{change}")
+    return lines

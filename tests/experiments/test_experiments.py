@@ -113,7 +113,7 @@ class TestTraceExperiments:
         assert original.overlap == 0.0
         assert original.comm_fraction > 0.05
         assert comm_vs_gemm_share(original) > 0.1
-        gantt = original.gantt(width=60, max_rows=4)
+        gantt = original.gantt()
         assert "G" in gantt and "c" in gantt
 
     def test_trace_has_events(self):

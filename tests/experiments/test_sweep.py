@@ -14,10 +14,9 @@ from repro.core import api
 from repro.experiments.fig9 import Fig9Result, fig9_shape_checks, run_fig9
 from repro.experiments.perf import (
     BENCH_SCHEMA_VERSION,
-    MissingCell,
     PERF_PRESETS,
+    baseline_mismatches,
     baseline_path,
-    diff_baselines,
     run_perf,
 )
 from repro.experiments.sweep import SweepCell, SweepExecutor, SweepStats
@@ -298,60 +297,57 @@ class TestBenchSchemaValidation:
 
 
 class TestMissingCellReporting:
+    """The perf gate passes only on an equal grid: a cell that moved, went
+    missing or is new is named, and each fails the gate."""
+
     def _baseline(self, times):
         return Fig9Result(times, (1, 2), "tiny", 4)
 
     def test_vanished_core_count_reported(self):
         old = self._baseline({"v5": {1: 2.0, 2: 1.0}})
         new = self._baseline({"v5": {1: 2.0}})
-        diff = diff_baselines(old, new)
-        assert diff.missing == [MissingCell("v5", 2)]
-        assert diff.ok  # missing cells warn, they do not fail the gate
+        assert baseline_mismatches(old, new) == ["v5@2c: missing from the fresh sweep"]
 
     def test_vanished_code_reported_once(self):
         old = self._baseline({"v4": {1: 2.0, 2: 1.0}, "v5": {1: 2.0}})
         new = self._baseline({"v5": {1: 2.0}})
-        diff = diff_baselines(old, new)
-        assert diff.missing == [MissingCell("v4", None)]
+        assert baseline_mismatches(old, new) == [
+            "v4: series missing from the fresh sweep"
+        ]
 
     def test_regressions_and_missing_together(self):
         old = self._baseline({"v5": {1: 1.0, 2: 1.0}})
         new = self._baseline({"v5": {1: 2.0}})
-        diff = diff_baselines(old, new)
-        assert len(diff.regressions) == 1
-        assert diff.regressions[0].cores == 1
-        assert diff.missing == [MissingCell("v5", 2)]
-        assert not diff.ok
-        # legacy iteration protocol still walks the regressions
-        assert [r.cores for r in diff] == [1]
+        assert baseline_mismatches(old, new) == [
+            "v5@1c: 1.0s -> 2.0s (+100.0%)",
+            "v5@2c: missing from the fresh sweep",
+        ]
+        # equal grids, and only equal grids, pass
+        assert baseline_mismatches(old, old) == []
 
     def test_grown_grid_is_not_missing(self):
+        """A grown grid is not *missing* anything, but it fails too."""
         old = self._baseline({"v5": {1: 2.0}})
         new = self._baseline({"v5": {1: 2.0, 2: 1.0}, "v4": {1: 2.0}})
-        diff = diff_baselines(old, new)
-        assert diff.missing == []
-        assert diff.ok
+        assert baseline_mismatches(old, new) == [
+            "v4: series not in the baseline",
+            "v5@2c: not in the baseline",
+        ]
 
     def test_cli_warns_on_missing_cells(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_new.json"
-        from repro.__main__ import EXIT_OK, main
+        from repro.__main__ import EXIT_CHECK_FAILED, main
 
-        assert main(["perf", "--scale", "tiny", "--out", str(out)]) == EXIT_OK
-        data = json.loads(out.read_text())
+        data = json.loads(baseline_path("tiny").read_text())
         # fatten the baseline with a cell the fresh sweep will not have
         data["times"]["v5"]["99"] = 1.0
         doctored = tmp_path / "BENCH_doctored.json"
         doctored.write_text(json.dumps(data))
-        assert (
-            main(
-                ["perf", "--scale", "tiny", "--out", str(out),
-                 "--baseline", str(doctored)]
-            )
-            == EXIT_OK
-        )
+        out = tmp_path / "BENCH_new.json"
+        argv = ["perf", "--scale", "tiny", "--out", str(out)]
+        assert main(argv + ["--baseline", str(doctored)]) == EXIT_CHECK_FAILED
         printed = capsys.readouterr().out
-        assert "WARNING v5@99c: missing from the new sweep" in printed
-        assert "went missing" in printed
+        assert "MISMATCH v5@99c: missing from the fresh sweep" in printed
+        assert printed.count("MISMATCH") == 1
 
 
 class TestCliJobs:
@@ -361,7 +357,7 @@ class TestCliJobs:
         out = tmp_path / "BENCH_fig9_tiny.json"
         assert main(["perf", "--scale", "tiny", "--out", str(out), "-j", "2"]) == EXIT_OK
         printed = capsys.readouterr().out
-        assert "no regressions" in printed
+        assert "identical to the baseline" in printed
         assert "2 job(s)" in printed
         committed = json.loads(baseline_path("tiny").read_text())
         fresh = json.loads(out.read_text())

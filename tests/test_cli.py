@@ -5,7 +5,7 @@ import json
 import pytest
 
 import repro
-from repro.__main__ import EXIT_CHECK_FAILED, EXIT_OK, main
+from repro.__main__ import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from repro.obs import RUN_REPORT_SCHEMA_VERSION, read_jsonl
 
 
@@ -23,10 +23,12 @@ class TestCli:
         assert "reference" in out
 
     def test_traces_tiny(self, capsys):
-        assert main(["traces", "--scale", "tiny", "--width", "40", "--rows", "2"]) == 0
+        assert main(["traces", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "Figure 10" in out and "Figure 11" in out and "Figure 12/13" in out
+        assert "Figure 13 (zoom" in out and "busy time shares" in out
         assert "legend:" in out
+        assert "informational only" in out
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -95,63 +97,51 @@ class TestPerfCommand:
         assert data["scale"] == "tiny"
         assert set(data["times"]) == {"original", "v1", "v2", "v3", "v4", "v5"}
         # comparing the run against the baseline it just wrote: no diff
-        assert "no regressions" in capsys.readouterr().out
+        assert "identical to the baseline" in capsys.readouterr().out
+
+    @staticmethod
+    def _doctored(tmp_path, factor):
+        """The committed tiny baseline with every time scaled by ``factor``."""
+        from repro.experiments.perf import baseline_path
+
+        data = json.loads(baseline_path("tiny").read_text())
+        data["times"] = {
+            code: {cores: t * factor for cores, t in series.items()}
+            for code, series in data["times"].items()
+        }
+        doctored = tmp_path / f"BENCH_doctored_{factor}.json"
+        doctored.write_text(json.dumps(data))
+        return doctored
 
     def test_perf_fails_on_injected_regression(self, capsys, tmp_path):
+        """Virtual times are exact: a baseline 10% slower or 10% faster
+        than the fresh sweep both fail, and every cell is named."""
         out = tmp_path / "BENCH_new.json"
-        doctored = tmp_path / "BENCH_doctored.json"
-        assert main(["perf", "--scale", "tiny", "--out", str(out)]) in (
-            EXIT_OK,
-        )  # first run only writes
-        data = json.loads(out.read_text())
-        data["times"] = {
-            code: {cores: t * 0.5 for cores, t in series.items()}
-            for code, series in data["times"].items()
-        }
-        doctored.write_text(json.dumps(data))
-        assert (
-            main(
-                [
-                    "perf",
-                    "--scale",
-                    "tiny",
-                    "--out",
-                    str(out),
-                    "--baseline",
-                    str(doctored),
-                ]
-            )
-            == EXIT_CHECK_FAILED
-        )
-        assert "REGRESSION" in capsys.readouterr().out
+        for factor in (1.1, 0.9):
+            doctored = self._doctored(tmp_path, factor)
+            argv = ["perf", "--scale", "tiny", "--out", str(out)]
+            assert main(argv + ["--baseline", str(doctored)]) == EXIT_CHECK_FAILED
+            printed = capsys.readouterr().out
+            assert printed.count("MISMATCH ") == 18  # 6 codes x 3 core counts
+            change = "-9.1%" if factor == 1.1 else "+11.1%"
+            assert f"({change})" in printed and "MISMATCH v5@4c: " in printed
+            assert "identical to the baseline" not in printed
 
-    def test_perf_threshold_is_configurable(self, tmp_path):
-        out = tmp_path / "BENCH_new.json"
-        main(["perf", "--scale", "tiny", "--out", str(out)])
-        # an absurdly generous threshold forgives even a 2x slowdown
-        doctored = tmp_path / "BENCH_doctored.json"
-        data = json.loads(out.read_text())
-        data["times"] = {
-            code: {cores: t * 0.5 for cores, t in series.items()}
-            for code, series in data["times"].items()
-        }
-        doctored.write_text(json.dumps(data))
-        assert (
-            main(
-                [
-                    "perf",
-                    "--scale",
-                    "tiny",
-                    "--out",
-                    str(out),
-                    "--baseline",
-                    str(doctored),
-                    "--threshold",
-                    "2.0",
-                ]
-            )
-            == EXIT_OK
-        )
+    def test_perf_threshold_is_configurable(self, capsys):
+        """The gate has no tolerance: ``--threshold`` is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "--scale", "tiny", "--threshold", "2.0"])
+        assert exc.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+
+    def test_stealing_sweep_cannot_update_the_baseline(self, capsys):
+        from repro.experiments.perf import baseline_path
+
+        before = baseline_path("tiny").read_bytes()
+        argv = ["perf", "--scale", "tiny", "--stealing", "--update-baseline"]
+        assert main(argv) == EXIT_USAGE
+        assert "cannot be a static baseline" in capsys.readouterr().err
+        assert baseline_path("tiny").read_bytes() == before
 
     def test_committed_tiny_baseline_matches_fresh_sweep(self):
         """The checked-in BENCH file reproduces exactly (virtual times)."""
@@ -163,6 +153,88 @@ class TestPerfCommand:
         old = Fig9Result.read(committed)
         new = run_perf(scale="tiny")
         assert new.times == old.times
+
+
+def _failing_ablations(scale="paper"):
+    """An ablation result whose priority claim fails (+5 slower than +0)."""
+    from repro.experiments.ablations import AblationResult
+
+    return AblationResult(
+        scale=scale,
+        priority_offsets={0: 1.0, 1: 1.0, 5: 1.5, 10: 1.0},
+        segment_heights={"height-1": 1.0, "full-chain": 2.0},
+        write_organization={
+            "lock=4e-05s": {"single-write (v5)": 1.0, "parallel-write": 2.0}
+        },
+        load_balancing={
+            "nxtval-stealing": 2.0,
+            "static-cyclic": 2.0,
+            "parsec-v4 (static nodes + dynamic cores)": 1.0,
+        },
+        scheduler_policies={"priority": 1.0, "fifo": 1.0, "lifo": 1.0},
+        work_stealing={
+            "2 nodes": {
+                "static": 2.0,
+                "stealing": 1.0,
+                "speedup": 2.0,
+                "chains_migrated": 3.0,
+            }
+        },
+    )
+
+
+class TestClaimsGate:
+    """The paper-shape claims of ``traces`` and ``ablations`` decide the
+    exit code at paper scale and are informational below it."""
+
+    @pytest.fixture
+    def tiny_traces(self, monkeypatch):
+        """``traces`` at any --scale runs the tiny workload, whose
+        numbers fail the paper's Figure 10-13 bands."""
+        from repro.experiments import traces
+
+        for name in ("run_fig10_11", "run_fig12_13"):
+            run = getattr(traces, name)
+            monkeypatch.setattr(
+                traces, name, lambda scale, run=run: run(scale="tiny", n_nodes=4)
+            )
+
+    @pytest.mark.parametrize("scale, code", [("paper", 1), ("tiny", 0)])
+    def test_traces_claims_gate_at_paper_scale(self, tiny_traces, capsys, scale, code):
+        assert main(["traces", "--scale", scale]) == code
+        out = capsys.readouterr().out
+        assert "[FAIL] GEMMs > 20% of busy time" in out
+        assert ("informational only" in out) == (scale == "tiny")
+
+    @pytest.mark.parametrize("scale, code", [("paper", 1), ("tiny", 0)])
+    def test_ablations_claims_gate_at_paper_scale(
+        self, monkeypatch, capsys, scale, code
+    ):
+        from repro.experiments import ablations
+
+        monkeypatch.setattr(ablations, "run_ablations", _failing_ablations)
+        assert main(["ablations", "--scale", scale]) == code
+        out = capsys.readouterr().out
+        assert "[FAIL] read offset +5" in out
+        assert ("informational only" in out) == (scale == "tiny")
+
+    def test_ablations_out_writes_the_printed_report(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        from repro.experiments import ablations
+
+        monkeypatch.setattr(ablations, "run_ablations", _failing_ablations)
+        out = tmp_path / "ablations.txt"
+        assert main(["ablations", "--scale", "tiny", "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        report = ablations.ablations_report(_failing_ablations("tiny"))
+        assert out.read_text() == report + "\n"
+        assert printed.startswith(report + "\n")
+
+    def test_min_message_savings_is_a_constant(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablations", "--comm", "--min-message-savings", "0.2"])
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestInterrupts:
