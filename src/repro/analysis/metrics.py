@@ -16,7 +16,7 @@ All functions operate on a :class:`~repro.sim.trace.TraceRecorder`.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.sim.trace import TaskCategory, TraceEvent, TraceRecorder
 
@@ -117,7 +117,7 @@ def startup_idle_fraction(trace: TraceRecorder) -> float:
     return sum(fractions) / len(fractions)
 
 
-def comm_compute_overlap(trace: TraceRecorder, node: Optional[int] = None) -> float:
+def comm_compute_overlap(trace: TraceRecorder) -> float:
     """Fraction of communication time overlapped with computation.
 
     Each thread's blocking communication intervals (COMM spans — the
@@ -136,10 +136,9 @@ def comm_compute_overlap(trace: TraceRecorder, node: Optional[int] = None) -> fl
         TaskCategory.REDUCE,
         TaskCategory.DFILL,
     }
-    nodes = {e.node for e in trace.events} if node is None else {node}
     total_comm = 0.0
     total_overlap = 0.0
-    for node_id in nodes:
+    for node_id in {e.node for e in trace.events}:
         events = trace.filtered(node=node_id)
         comm_by_thread: dict[int, list[TraceEvent]] = {}
         compute_by_thread: dict[int, list[tuple[float, float]]] = {}

@@ -20,174 +20,124 @@ from repro.core.inspector import inspect_subroutine
 from repro.core.metadata import Metadata
 from repro.core.ptg_build import read_block, reduce_pair, sort_fused
 from repro.core.variants import GEMM_OFFSET, V5
-from repro.parsec.dtd import AccessMode, DtdContext, DtdResult, DtdRuntime
+from repro.parsec.dtd import AccessMode, DataHandle, DtdKind, DtdResult, DtdRuntime
 from repro.sim.cluster import Cluster
 from repro.sim.trace import TaskCategory
 from repro.tce.subroutine import Subroutine
 
 __all__ = ["run_over_dtd", "build_dtd_skeleton"]
 
-
-def _read_body(md: Metadata, L1: int, L2: int, which: str, key: str):
-    def body(ctx: DtdContext):
-        ctx.write(key, (yield from read_block(ctx, md, md.gemm(L1, L2), which)))
-
-    return body
+# The bodies read their task's indices from ``ctx.params`` and the level
+# from ``ctx.md``, and their data from ``ctx.values`` in access order:
+# one body per kind, nothing bound per task.
 
 
-def _gemm_body(md: Metadata, L1: int, L2: int, a_key: str, b_key: str, out_key: str):
-    def body(ctx: DtdContext):
-        gemm = md.gemm(L1, L2)
-        yield ctx.charge(ctx.machine.gemm(gemm.m, gemm.n, gemm.k))
-        if ctx.real:
-            a = ctx.data[a_key].reshape(gemm.k, gemm.m)
-            b = ctx.data[b_key].reshape(gemm.k, gemm.n)
-            ctx.write(out_key, a.T @ b)
-        else:
-            ctx.write(out_key, None)
+def _read_body(which: str):
+    def body(ctx):
+        gemm = ctx.md.gemm(*ctx.params)
+        ctx.values[0] = yield from read_block(ctx, ctx.md, gemm, which)
 
     return body
 
 
-def _reduce_body(md: Metadata, L1: int, x_key: str, y_key: str, out_key: str):
-    def body(ctx: DtdContext):
-        out = yield from reduce_pair(
-            ctx, md.chain(L1), ctx.data[x_key], ctx.data[y_key]
+def _gemm_body(ctx):
+    gemm = ctx.md.gemm(*ctx.params)
+    yield ctx.charge(ctx.machine.gemm(gemm.m, gemm.n, gemm.k))
+    if ctx.real:
+        a, b, _ = ctx.values
+        ctx.values[2] = a.reshape(gemm.k, gemm.m).T @ b.reshape(gemm.k, gemm.n)
+
+
+def _reduce_body(ctx):
+    L1, _ = ctx.params
+    x, y, _ = ctx.values
+    ctx.values[2] = yield from reduce_pair(ctx, ctx.md.chain(L1), x, y)
+
+
+def _sort_body(ctx):
+    (L1,) = ctx.params
+    ctx.values[1] = yield from sort_fused(ctx, ctx.md.chain(L1), ctx.values[0])
+
+
+def _write_body(ctx):
+    md = ctx.md
+    L1, seg_index = ctx.params
+    chain = md.chain(L1)
+    seg = chain.write_segs[seg_index]
+    yield ctx.charge(ctx.machine.axpy(seg.size))
+    if ctx.real:
+        piece = ctx.values[0][seg.lo - chain.target_lo : seg.hi - chain.target_lo]
+        md.target_array_of(chain).accumulate_range_direct(
+            seg.lo, seg.hi, piece, tag=(md.level, "dtd", L1, seg_index)
         )
-        ctx.write(out_key, out)
-
-    return body
 
 
-def _sort_body(md: Metadata, L1: int, in_key: str, out_key: str):
-    def body(ctx: DtdContext):
-        ctx.write(out_key, (yield from sort_fused(ctx, md.chain(L1), ctx.data[in_key])))
-
-    return body
-
-
-def _write_body(md: Metadata, L1: int, seg_index: int, sorted_key: str, region_key: str):
-    def body(ctx: DtdContext):
-        chain = md.chain(L1)
-        seg = chain.write_segs[seg_index]
-        yield ctx.charge(ctx.machine.axpy(seg.size))
-        if ctx.real:
-            piece = ctx.data[sorted_key][
-                seg.lo - chain.target_lo : seg.hi - chain.target_lo
-            ]
-            md.target_array_of(chain).accumulate_range_direct(
-                seg.lo, seg.hi, piece, tag=(md.level, "dtd", L1, seg_index)
-            )
-
-    return body
+_R, _RW, _W = AccessMode.READ, AccessMode.RW, AccessMode.WRITE
+READ_A = DtdKind("READ_A", _read_body("a"), (_W,), TaskCategory.READ_A)
+READ_B = DtdKind("READ_B", _read_body("b"), (_W,), TaskCategory.READ_B)
+GEMM = DtdKind("GEMM", _gemm_body, (_R, _R, _W), TaskCategory.GEMM)
+REDUCE = DtdKind("REDUCE", _reduce_body, (_R, _R, _W), TaskCategory.REDUCE)
+SORT = DtdKind("SORT", _sort_body, (_R, _W), TaskCategory.SORT)
+# RW on the per-block region handle: DTD's dependence matching
+# serializes concurrent chains into the same block
+WRITE_C = DtdKind("WRITE_C", _write_body, (_R, _RW), TaskCategory.WRITE)
 
 
-def build_dtd_skeleton(runtime: DtdRuntime, md: Metadata) -> None:
-    """The skeleton program: insert every task of the computation."""
-
+def build_dtd_skeleton(cluster: Cluster, md: Metadata) -> DtdRuntime:
+    """The skeleton program: a runtime over ``md`` with every task of
+    the computation inserted. A chain's intermediates are unnamed
+    handles passed by reference; only the i2 regions, shared across
+    chains, are declared by key."""
+    runtime = DtdRuntime(cluster, md)
+    insert = runtime.insert
     for chain in md.chains:
         L1 = chain.chain_id
-        partial_keys: list[str] = []
+        node = chain.node
+        c_size = chain.c_size
+        # one value per chain and offset, shared by the chain's tasks
+        read_priority = md.priority(L1, md.variant.read_offset)
+        gemm_priority = md.priority(L1, GEMM_OFFSET)
+        priority = md.priority(L1, 0)
+        partials: list[DataHandle] = []
         for gemm in chain.gemms:
-            L2 = gemm.position
-            a_key = f"a({L1},{L2})"
-            b_key = f"b({L1},{L2})"
-            c_key = f"c({L1},{L2})"
-            a_handle = runtime.data(a_key, gemm.a_hi - gemm.a_lo, gemm.a_owner)
-            b_handle = runtime.data(b_key, gemm.b_hi - gemm.b_lo, gemm.b_owner)
-            c_handle = runtime.data(c_key, chain.c_size, chain.node)
-            for which, handle, owner, category in (
-                ("a", a_handle, gemm.a_owner, TaskCategory.READ_A),
-                ("b", b_handle, gemm.b_owner, TaskCategory.READ_B),
-            ):
-                runtime.insert_task(
-                    f"READ_{which.upper()}({L1},{L2})",
-                    _read_body(md, L1, L2, which, handle.key),
-                    [(handle, AccessMode.WRITE)],
-                    node=owner,
-                    priority=md.priority(L1, md.variant.read_offset),
-                    category=category,
-                )
-            runtime.insert_task(
-                f"GEMM({L1},{L2})",
-                _gemm_body(md, L1, L2, a_key, b_key, c_key),
-                [
-                    (a_handle, AccessMode.READ),
-                    (b_handle, AccessMode.READ),
-                    (c_handle, AccessMode.WRITE),
-                ],
-                node=chain.node,
-                priority=md.priority(L1, GEMM_OFFSET),
-                category=TaskCategory.GEMM,
-            )
-            partial_keys.append(c_key)
+            params = (L1, gemm.position)
+            a = DataHandle(None, gemm.a_hi - gemm.a_lo, gemm.a_owner)
+            b = DataHandle(None, gemm.b_hi - gemm.b_lo, gemm.b_owner)
+            c = DataHandle(None, c_size, node)
+            insert(READ_A, params, (a,), gemm.a_owner, read_priority)
+            insert(READ_B, params, (b,), gemm.b_owner, read_priority)
+            insert(GEMM, params, (a, b, c), node, gemm_priority)
+            partials.append(c)
 
         # binary reduction over the partials (explicitly unrolled — DTD
         # has no symbolic tree, the skeleton enumerates it)
         step = 0
-        frontier = partial_keys
+        frontier = partials
         while len(frontier) > 1:
             next_frontier = []
             for i in range(0, len(frontier) - 1, 2):
-                out_key = f"r({L1},{step})"
-                out_handle = runtime.data(out_key, chain.c_size, chain.node)
-                runtime.insert_task(
-                    f"REDUCE({L1},{step})",
-                    _reduce_body(md, L1, frontier[i], frontier[i + 1], out_key),
-                    [
-                        (runtime.data(frontier[i], chain.c_size, chain.node), AccessMode.READ),
-                        (runtime.data(frontier[i + 1], chain.c_size, chain.node), AccessMode.READ),
-                        (out_handle, AccessMode.WRITE),
-                    ],
-                    node=chain.node,
-                    priority=md.priority(L1, 0),
-                    category=TaskCategory.REDUCE,
-                )
-                next_frontier.append(out_key)
+                left, right = frontier[i], frontier[i + 1]
+                out = DataHandle(None, c_size, node)
+                insert(REDUCE, (L1, step), (left, right, out), node, priority)
+                next_frontier.append(out)
                 step += 1
             if len(frontier) % 2 == 1:
                 next_frontier.append(frontier[-1])
             frontier = next_frontier
-        root_key = frontier[0]
 
-        sorted_key = f"s({L1})"
-        sorted_handle = runtime.data(sorted_key, chain.c_size, chain.node)
-        runtime.insert_task(
-            f"SORT({L1})",
-            _sort_body(md, L1, root_key, sorted_key),
-            [
-                (runtime.data(root_key, chain.c_size, chain.node), AccessMode.READ),
-                (sorted_handle, AccessMode.WRITE),
-            ],
-            node=chain.node,
-            priority=md.priority(L1, 0),
-            category=TaskCategory.SORT,
-        )
-
+        sorted_c = DataHandle(None, c_size, node)
+        insert(SORT, (L1,), (frontier[0], sorted_c), node, priority)
         for seg in chain.write_segs:
-            # RW access on the per-block region handle: DTD's dependence
-            # matching serializes concurrent chains into the same block
             region = runtime.data(
                 f"i2[{chain.target_lo}:{chain.target_hi}]@{seg.index}",
                 seg.size,
                 seg.node,
             )
-            runtime.insert_task(
-                f"WRITE_C({L1},{seg.index})",
-                _write_body(md, L1, seg.index, sorted_key, region.key),
-                [
-                    (sorted_handle, AccessMode.READ),
-                    (region, AccessMode.RW),
-                ],
-                node=seg.node,
-                priority=md.priority(L1, 0),
-                category=TaskCategory.WRITE,
-            )
+            insert(WRITE_C, (L1, seg.index), (sorted_c, region), seg.node, priority)
+    return runtime
 
 
 def run_over_dtd(cluster: Cluster, subroutine: Subroutine) -> DtdResult:
     """Inspect, build the DTD skeleton (v5 organization), execute."""
     md = inspect_subroutine(subroutine, cluster, V5)
-    runtime = DtdRuntime(cluster)
-    build_dtd_skeleton(runtime, md)
-    return runtime.execute()
+    return build_dtd_skeleton(cluster, md).execute()

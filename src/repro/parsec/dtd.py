@@ -10,7 +10,7 @@ depend on one another by matching input and output data."
 
 This module implements exactly that contrasted model so the difference
 can be measured: a *skeleton program* inserts tasks one by one, each
-declaring data accesses (READ / RW / WRITE on named :class:`DataHandle`
+declaring data accesses (READ / RW / WRITE on :class:`DataHandle`
 objects); the runtime infers dependencies by matching accesses against
 the last writer and intervening readers of each handle, materializing
 every edge of the DAG in memory. Execution then proceeds over the same
@@ -42,7 +42,15 @@ from repro.sim.queues import PriorityStore
 from repro.sim.trace import TaskCategory
 from repro.util.errors import ConfigurationError, DataflowError, StallError
 
-__all__ = ["AccessMode", "DataHandle", "DtdTask", "DtdContext", "DtdRuntime", "DtdResult"]
+__all__ = [
+    "AccessMode",
+    "DataHandle",
+    "DtdKind",
+    "DtdTask",
+    "DtdContext",
+    "DtdRuntime",
+    "DtdResult",
+]
 
 #: serial cost of inserting one task through the skeleton program
 DTD_INSERT_OVERHEAD_S = 4.0e-6
@@ -55,13 +63,15 @@ class AccessMode:
 
 
 class DataHandle:
-    """One named piece of data tasks communicate through.
+    """One piece of data tasks communicate through.
 
     Tracks the version chain the dependence matcher needs: the last
     writer task and the readers of the current version — and how many
     inserted tasks have yet to finish with the handle. ``value`` lives
     until that count reaches zero (a rewrite replaces it sooner); the
     matcher has seen every access by then, so nothing can read it later.
+    ``key`` names a handle declared through :meth:`DtdRuntime.data`; an
+    intermediate the skeleton passes by reference needs none.
     """
 
     __slots__ = (
@@ -74,13 +84,16 @@ class DataHandle:
         "_accessors",
     )
 
-    def __init__(self, key: str, size_elems: int, home_node: int, value: Any = None):
+    def __init__(
+        self, key: Optional[str], size_elems: int, home_node: int, value: Any = None
+    ):
         self.key = key
         self.size_elems = size_elems
         self.home_node = home_node
         self.value = value
         self._last_writer: Optional["DtdTask"] = None
-        self._readers: list["DtdTask"] = []
+        #: readers of the current version, allocated on the first read
+        self._readers: Optional[list["DtdTask"]] = None
         #: declared accesses whose task has not completed yet
         self._accessors = 0
 
@@ -92,55 +105,91 @@ class DataHandle:
         return f"DataHandle({self.key!r}, n={self.size_elems})"
 
 
+class DtdKind:
+    """What every task of one kind shares — the DTD counterpart of a
+    PTG task class: a label, the body, the access mode of each handle
+    the task declares, and the trace category."""
+
+    __slots__ = ("label", "body", "modes", "category")
+
+    def __init__(
+        self,
+        label: str,
+        body: Callable[["DtdContext"], Any],
+        modes: tuple[str, ...],
+        category: TaskCategory = TaskCategory.OTHER,
+    ):
+        for mode in modes:
+            if mode not in (AccessMode.READ, AccessMode.RW, AccessMode.WRITE):
+                raise DataflowError(f"unknown access mode {mode!r}")
+        self.label = label
+        self.body = body
+        self.modes = modes
+        self.category = category
+
+
 class DtdTask:
-    """One inserted task with its materialized dependence edges."""
+    """One inserted task: a small record of its kind, its parameters,
+    its handles (in the order of ``kind.modes``), placement, priority
+    and its materialized out-edges. The name is derived, not stored."""
 
     __slots__ = (
-        "task_id",
-        "name",
-        "body",
-        "accesses",
+        "kind",
+        "params",
+        "handles",
         "node",
         "priority",
-        "category",
         "successors",
         "pending",
-        "done",
     )
 
-    #: a DTD task has no parameter binding; its context's ``params``
-    params = ()
-
-    def __init__(self, task_id, name, body, accesses, node, priority, category):
-        self.task_id = task_id
-        self.name = name
-        self.body = body
-        self.accesses = accesses  # list of (handle, mode)
+    def __init__(self, kind, params, handles, node, priority):
+        self.kind = kind
+        self.params = params
+        #: emptied once the task has finished
+        self.handles: tuple[DataHandle, ...] = handles
         self.node = node
         self.priority = priority
-        self.category = category
-        self.successors: list["DtdTask"] = []
+        #: allocated on the first out-edge, dropped once the task has finished
+        self.successors: Optional[list["DtdTask"]] = None
+        #: unfinished predecessors; -1 once the task itself has finished
         self.pending = 0
-        self.done = False
+
+    @property
+    def name(self) -> str:
+        if not self.params:
+            return self.kind.label
+        return f"{self.kind.label}({','.join(map(str, self.params))})"
+
+    @property
+    def done(self) -> bool:
+        return self.pending < 0
 
 
 class DtdContext(TaskContext):
-    """What a DTD task body sees: its data by handle key. ``machine``,
-    ``real`` and ``charge`` are :class:`TaskContext`'s — the READ/REDUCE/
-    SORT bodies shared with the PTG runtime see one context either way."""
+    """What a DTD task body sees: ``values``, its handles' data in
+    access order — a body publishes a handle it writes by assigning its
+    slot — and ``md``, the runtime's. ``machine``, ``real`` and
+    ``charge`` are :class:`TaskContext`'s — the READ/REDUCE/SORT bodies
+    shared with the PTG runtime see one context either way."""
 
-    __slots__ = ("data",)
+    __slots__ = ("values",)
     task: DtdTask  # type: ignore[assignment]  # narrows TaskContext.task
 
-    def __init__(self, task: DtdTask, cluster: Cluster, node, thread: int):
-        # the shared helpers read only cluster and node, never ``task``/``md``
-        super().__init__(task, None, cluster, node, thread)  # type: ignore[arg-type]
-        #: handle.key -> current value (REAL mode) or None
-        self.data = {h.key: h.value for h, _ in task.accesses}
+    def __init__(self, task: DtdTask, md: Any, cluster: Cluster, node, thread: int):
+        super().__init__(task, md, cluster, node, thread)  # type: ignore[arg-type]
+        self.values = [handle.value for handle in task.handles]
+
+    @property
+    def data(self) -> dict[str, Any]:
+        """handle key -> current value (REAL mode) or None"""
+        return {h.key: v for h, v in zip(self.task.handles, self.values)}
 
     def write(self, key: str, value: Any) -> None:
-        """Publish a new value for a handle this task writes."""
-        self.data[key] = value
+        """Publish a new value for a handle this task writes, by key."""
+        for i, handle in enumerate(self.task.handles):
+            if handle.key == key:
+                self.values[i] = value
 
 
 @dataclass
@@ -158,8 +207,11 @@ class DtdResult(RunResult):
 class DtdRuntime:
     """Insert-then-execute runtime with data-access dependence matching."""
 
-    def __init__(self, cluster: Cluster) -> None:
+    def __init__(self, cluster: Cluster, md: Any = None) -> None:
         self.cluster = cluster
+        #: what bodies see as ``ctx.md`` (the CCSD skeleton's level
+        #: metadata); dropped at shutdown
+        self.md = md
         self.engine = cluster.engine
         self.instance_id = next(_dtd_ids)
         self._inbox_name = f"dtd.recv#{self.instance_id}"
@@ -215,7 +267,20 @@ class DtdRuntime:
         priority: float = 0.0,
         category: TaskCategory = TaskCategory.OTHER,
     ) -> DtdTask:
-        """Insert one task; dependencies are inferred from ``accesses``.
+        """Insert one task of a kind of its own; ``accesses`` pairs each
+        handle with its mode."""
+        kind = DtdKind(name, body, tuple(mode for _, mode in accesses), category)
+        return self.insert(kind, (), tuple(h for h, _ in accesses), node, priority)
+
+    def insert(
+        self,
+        kind: DtdKind,
+        params: tuple,
+        handles: tuple[DataHandle, ...],
+        node: int,
+        priority: float = 0.0,
+    ) -> DtdTask:
+        """Insert one task; dependencies are inferred from its handles.
 
         READ depends on the handle's last writer; WRITE/RW additionally
         depends on every reader of the current version (the
@@ -223,32 +288,35 @@ class DtdRuntime:
         """
         if self._executing:
             raise DataflowError("cannot insert tasks after execute()")
-        task = DtdTask(
-            len(self._tasks), name, body, accesses, node, priority, category
-        )
-        for handle, mode in accesses:
-            if mode not in (AccessMode.READ, AccessMode.RW, AccessMode.WRITE):
-                raise DataflowError(f"unknown access mode {mode!r}")
+        task = DtdTask(kind, params, handles, node, priority)
+        for handle, mode in zip(handles, kind.modes, strict=True):
             handle._accessors += 1
-            predecessors: list[DtdTask] = []
+            if handle._last_writer is not None:
+                self._edge(handle._last_writer, task)
+            readers = handle._readers
             if mode == AccessMode.READ:
-                if handle._last_writer is not None:
-                    predecessors.append(handle._last_writer)
-                handle._readers.append(task)
+                if readers is None:
+                    handle._readers = [task]
+                else:
+                    readers.append(task)
             else:  # RW / WRITE
-                if handle._last_writer is not None:
-                    predecessors.append(handle._last_writer)
-                predecessors.extend(handle._readers)
+                if readers is not None:
+                    for reader in readers:
+                        self._edge(reader, task)
+                    handle._readers = None
                 handle._last_writer = task
-                handle._readers = []
-            for predecessor in predecessors:
-                if predecessor is task or predecessor.done:
-                    continue
-                predecessor.successors.append(task)
-                task.pending += 1
-                self._edges += 1
         self._tasks.append(task)
         return task
+
+    def _edge(self, predecessor: DtdTask, task: DtdTask) -> None:
+        if predecessor is task:
+            return
+        if predecessor.successors is None:
+            predecessor.successors = [task]
+        else:
+            predecessor.successors.append(task)
+        task.pending += 1
+        self._edges += 1
 
     @property
     def n_tasks(self) -> int:
@@ -322,11 +390,14 @@ class DtdRuntime:
     def _shutdown(self) -> None:
         """End of the level, after the run's last event: abandon and
         close the parked workers (a parked process is a cycle whose frame
-        reaches this runtime), drop the receive mailboxes, and cut the
-        matcher's version chains — handle -> last writer -> accesses ->
-        handle is the one cycle in the materialized DAG. The task and
+        reaches this runtime), drop the receive mailboxes, the level's
+        metadata and the declared handles' version chains. A finished
+        task has let go of its handles, which cuts the DAG's own cycle
+        (handle -> last writer -> handle); a body closing over a declared
+        handle closes one more, through the task's kind. The task and
         handle tables then die with the runtime, by reference count.
         Schedules nothing: every worker is parked at the top of its loop."""
+        self.md = None
         for store in self._ready:
             store.abandon_getters()
         for node in self.cluster.nodes:
@@ -335,7 +406,7 @@ class DtdRuntime:
             thread.close()
         for handle in self._handles.values():
             handle._last_writer = None
-            handle._readers = []
+            handle._readers = None
 
     def _seed(self, insertion_time: float):
         if insertion_time > 0:
@@ -350,35 +421,38 @@ class DtdRuntime:
             task: DtdTask = yield self._ready[node.node_id].get()
             if machine.task_overhead_s > 0:
                 yield self.engine.timeout(machine.task_overhead_s)
-            context = DtdContext(task, self.cluster, node, thread)
+            context = DtdContext(task, self.md, self.cluster, node, thread)
             t_start = self.engine.now
-            yield from task.body(context)
+            yield from task.kind.body(context)
             if node.trace.enabled:
                 node.trace.record(
                     node.node_id,
                     thread,
-                    task.category,
+                    task.kind.category,
                     task.name,
                     t_start,
                     self.engine.now,
                 )
-            # publish written values back to the handles, then let go of
-            # every handle this was the last inserted task to touch
-            for handle, mode in task.accesses:
-                if mode != AccessMode.READ:
-                    self._store(handle, context.data.get(handle.key))
-                handle._accessors -= 1
-                if handle._accessors == 0:
-                    self._store(handle, None)
-            del context  # a parked worker must not pin its last task's data
-            # nor the finished DAG what its bodies close over (the CCSD
-            # skeleton's hold the level's metadata and its Global Arrays)
-            task.body = None
-            task.done = True
-            self._on_complete(task)
+            # a call, not a loop here: a parked worker must not pin its
+            # last task's data
+            self._finish(task, context.values)
+            del context
 
-    def _on_complete(self, task: DtdTask) -> None:
-        for successor in task.successors:
+    def _finish(self, task: DtdTask, values: list) -> None:
+        """Publish written values back to the handles, let go of every
+        handle this was the last inserted task to touch, release the
+        successors."""
+        for handle, mode, value in zip(task.handles, task.kind.modes, values):
+            if mode != AccessMode.READ:
+                self._store(handle, value)
+            handle._accessors -= 1
+            if handle._accessors == 0:
+                self._store(handle, None)
+        successors = task.successors or ()
+        task.handles = ()
+        task.successors = None
+        task.pending = -1
+        for successor in successors:
             successor.pending -= 1
             if successor.pending == 0:
                 self._activate(task, successor)
@@ -394,7 +468,7 @@ class DtdRuntime:
         # side; model as one message sized by the successor's inputs
         size_bytes = sum(
             handle.nbytes
-            for handle, mode in successor.accesses
+            for handle, mode in zip(successor.handles, successor.kind.modes)
             if mode != AccessMode.WRITE
         )
         self.messages_remote += 1

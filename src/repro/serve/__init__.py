@@ -21,25 +21,3 @@ and *whether* a simulation runs, never how it behaves:
 - :mod:`repro.serve.client` — the thin stdlib client used by the
   ``submit``/``status``/``result`` CLI subcommands.
 """
-
-from repro.serve.breaker import CircuitBreaker
-from repro.serve.client import ServiceClient, ServiceError, ServiceUnavailable
-from repro.serve.daemon import ServeDaemon
-from repro.serve.jobs import JOB_KINDS, JobSpec, job_digest
-from repro.serve.journal import JOURNAL_SCHEMA_VERSION, Journal
-from repro.serve.scheduler import JobScheduler, SubmissionRejected
-
-__all__ = [
-    "CircuitBreaker",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceUnavailable",
-    "ServeDaemon",
-    "JOB_KINDS",
-    "JobSpec",
-    "job_digest",
-    "JOURNAL_SCHEMA_VERSION",
-    "Journal",
-    "JobScheduler",
-    "SubmissionRejected",
-]

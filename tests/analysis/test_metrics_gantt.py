@@ -141,6 +141,9 @@ class TestOverlap:
         assert comm_compute_overlap(trace) == 0.0
         with pytest.raises(TypeError, match="across_threads"):
             comm_compute_overlap(trace, across_threads=True)
+        # nor is one node's view a keyword: the overlap is the machine's
+        with pytest.raises(TypeError, match="node"):
+            comm_compute_overlap(trace, node=0)
 
     def test_other_node_compute_does_not_count(self):
         trace = make_trace(

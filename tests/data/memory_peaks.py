@@ -8,8 +8,13 @@ runtime should need about what the legacy runtime needs — the tensors —
 because a payload dies with its last consumer and a runtime with its
 level (DESIGN.md, "Memory model"); ``tests/parsec/test_memory_model.py``
 holds the ratio. Every measurement is a child process: the first run in
-an interpreter pays ~16 MB of one-off allocations, which flatters
-whoever runs second.
+an interpreter leaves ~1 MB of one-off allocations resident (lazy
+imports, the inspector's process memo), which a second run in the same
+traced window would count and one traced alone would not. (It was
+~15 MB while ``repro.analysis`` re-exported its networkx module: the
+report step of every run imported networkx inside the traced window,
+and the three peaks read 18.7 / 18.8 / 18.7 MB — the import, not the
+runtimes. Without it they read 4.5 / 5.5 / 5.0 MB.)
 
 ``--rss-cap-mb`` adds two ``ccsd:small`` REAL 8x4 figures. The one the
 host benchmark reports: peak RSS (``ru_maxrss``) of a standalone v5 run;

@@ -238,20 +238,16 @@ class TestDeliveredPayloadsAreReadOnly:
         assert len(seen) == result.tasks_per_class["GEMM"] > 0
 
     def test_dtd_read_tasks(self, monkeypatch):
-        gemm_body, seen = dtd_port._gemm_body, []
+        gemm_body, seen = dtd_port.GEMM.body, []
 
-        def scribbling_body(md, L1, L2, a_key, b_key, out_key):
-            body = gemm_body(md, L1, L2, a_key, b_key, out_key)
+        def scribbling(ctx):
+            a, b, _ = ctx.values
+            scribble(a)
+            scribble(b)
+            seen.append(ctx.params)
+            yield from gemm_body(ctx)
 
-            def scribbling(ctx):
-                scribble(ctx.data[a_key])
-                scribble(ctx.data[b_key])
-                seen.append((L1, L2))
-                yield from body(ctx)
-
-            return scribbling
-
-        monkeypatch.setattr(dtd_port, "_gemm_body", scribbling_body)
+        monkeypatch.setattr(dtd_port.GEMM, "body", scribbling)
         repro.run("t2_7:tiny", runtime="dtd", config=self.CONFIG)
         assert seen
 
