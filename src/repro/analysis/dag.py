@@ -29,15 +29,15 @@ from repro.sim.trace import TaskCategory
 __all__ = ["DagProfile", "task_graph_to_networkx", "profile_task_graph"]
 
 
-def _estimate_cost(instance, md, machine: MachineModel) -> float:
+def _estimate_cost(
+    category: TaskCategory, params: tuple, md, machine: MachineModel
+) -> float:
     """Approximate one task's execution time from the cost model.
 
     Mirrors the charges the ptg_build bodies make (compute part plus
     memory bytes at the per-core copy rate); close enough for
     structural analysis.
     """
-    category = instance.cls.category
-    params = instance.params
     L1 = params[0]
     chain = md.chain(L1)
     copy_rate = machine.core_copy_bytes_per_s
@@ -75,16 +75,18 @@ def task_graph_to_networkx(graph: TaskGraph, machine: MachineModel) -> nx.DiGrap
     """Materialize the instantiated task graph with cost-weighted nodes."""
     md = graph.md
     dag = nx.DiGraph()
-    for key, instance in graph.instances.items():
+    for row in range(len(graph)):
+        key = graph.key(row)
+        category = graph.cls(row).category
         dag.add_node(
             key,
-            cost=_estimate_cost(instance, md, machine),
-            category=instance.cls.category.value,
-            node=instance.node,
+            cost=_estimate_cost(category, key[1], md, machine),
+            category=category.value,
+            node=graph.nodes[row],
         )
-    for instance in graph.instances.values():
-        for consumer in instance.row[EDGES + 1 :: 2]:
-            dag.add_edge(instance.key, consumer)
+    for edges in graph.rows:
+        for consumer in edges[EDGES + 1 :: 2]:
+            dag.add_edge(edges[0], graph.key(consumer))
     return dag
 
 

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GemmMeta:
     """One GEMM slot: resolved operand ranges, owners, and shape.
 
@@ -60,7 +60,7 @@ class GemmMeta:
     b_array: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SegmentMeta:
     """One serial mini-chain after segmentation (Section IV-A)."""
 
@@ -73,7 +73,7 @@ class SegmentMeta:
         return self.start + self.length - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReduceMeta:
     """One node of the binary reduction tree over segment outputs.
 
@@ -87,7 +87,7 @@ class ReduceMeta:
     is_root: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortMeta:
     """One of the four SORT_4 branches with its evaluated IF predicate."""
 
@@ -97,7 +97,7 @@ class SortMeta:
     sign: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteSegMeta:
     """One per-owner-node slice of the chain's target block (Figure 8)."""
 

@@ -37,7 +37,6 @@ from repro.parsec.taskclass import (
     FlowMode,
     TaskClass,
     TaskContext,
-    TaskInstance,
 )
 from repro.parsec.ptg import PTG, TaskGraph
 from repro.parsec.runtime import ParsecResult, ParsecRuntime
@@ -51,7 +50,6 @@ __all__ = [
     "FlowMode",
     "TaskClass",
     "TaskContext",
-    "TaskInstance",
     "PTG",
     "TaskGraph",
     "ParsecResult",

@@ -97,16 +97,17 @@ class CommThread:
 
     def send(
         self,
-        consumer_key: tuple,
+        consumer: int,
         flow: str,
         data: Any,
         size_bytes: float,
         tag: Any = None,
     ) -> None:
-        """Enqueue an outgoing transfer (called at task completion).
+        """Enqueue an outgoing transfer to the task row ``consumer``
+        (called at task completion).
 
-        ``tag`` identifies the producing task; it rides along with the
-        payload so the consumer can order multi-delivery flows
+        ``tag`` identifies the producing task (its key); it rides along
+        with the payload so the consumer can order multi-delivery flows
         canonically regardless of network arrival order."""
         if self.metrics.enabled and (nbytes := getattr(data, "nbytes", 0)):
             # array bytes parked in send mailboxes until _on_data takes them
@@ -114,9 +115,7 @@ class CommThread:
             self.runtime._queued_bytes += nbytes
             if self.runtime._queued_bytes > self.runtime._queued_bytes_hwm:
                 self.runtime._queued_bytes_hwm = self.runtime._queued_bytes
-        self.node.inbox(self.inbox_name).put(
-            (size_bytes, consumer_key, flow, data, tag)
-        )
+        self.node.inbox(self.inbox_name).put((size_bytes, consumer, flow, data, tag))
 
     def steal_send(self, dest_node: int, payload: tuple, size_bytes: float) -> None:
         """Enqueue an outgoing work-stealing control message.
@@ -156,32 +155,34 @@ class CommThread:
             else:
                 self._arrive(payload, item.size_bytes)
             return
-        size_bytes, consumer_key, flow, data, tag = item
+        size_bytes, consumer, flow, data, tag = item
         if runtime._queued_bytes:
             runtime._queued_bytes -= getattr(data, "nbytes", 0)
         runtime.bytes_remote += size_bytes
         runtime.messages_remote += 1
-        assert runtime.graph is not None  # comm traffic implies a live graph
+        graph = runtime.graph
+        assert graph is not None  # comm traffic implies a live graph
         # the consumer's home node is re-resolved at send time: a crash
         # may have re-homed it since the producer ran
         self._coalescer.submit(
-            runtime.graph.instances[consumer_key].node,
+            graph.nodes[consumer],
             size_bytes,
-            (consumer_key, flow, data, tag),
-            tag=_dataflow_tag(consumer_key[0]),
+            (consumer, flow, data, tag),
+            tag=_dataflow_tag(graph.rows[consumer][0][0]),
         )
 
     def _arrive(self, payload: tuple, size_bytes: float) -> None:
-        """Deliver one ``(consumer_key, flow, data, tag)`` payload, or
+        """Deliver one ``(consumer row, flow, data, tag)`` payload, or
         forward it one hop if the consumer moved while it was in flight
         (stolen chain or crash re-homing) — never teleport the data to
         the new owner. An item of a batch is forwarded alone."""
         runtime = self.runtime
-        consumer_key, flow, data, tag = payload
-        assert runtime.graph is not None  # comm traffic implies a live graph
-        consumer_node = runtime.graph.instances[consumer_key].node
+        consumer, flow, data, tag = payload
+        graph = runtime.graph
+        assert graph is not None  # comm traffic implies a live graph
+        consumer_node = graph.nodes[consumer]
         if consumer_node == self.node.node_id:
-            runtime._deliver(consumer_key, flow, data, tag=tag)
+            runtime._deliver(consumer, flow, data, tag=tag)
             return
         if self.metrics.enabled:
             self._m_forwarded.value += 1.0
@@ -191,5 +192,5 @@ class CommThread:
             size_bytes,
             payload,
             inbox=self.inbox_name,
-            tag=_dataflow_tag(consumer_key[0]),
+            tag=_dataflow_tag(graph.rows[consumer][0][0]),
         )

@@ -3,8 +3,10 @@
 "Task priorities are taken into account by the scheduler when a set of
 available tasks are considered for execution, and they only have a
 relative meaning" — the ready queue is a max-priority store with FIFO
-tie-breaking. One worker process per compute core pops tasks, pays the
-per-task scheduling overhead, runs the body, traces the span, and hands
+tie-breaking over task rows (:class:`~repro.parsec.ptg.TaskGraph`). One
+worker process per compute core pops a row, pays the per-task
+scheduling overhead, runs the body through a
+:class:`~repro.parsec.ptg.RunningTask` view, traces the span, and hands
 completion back to the runtime. Tasks do not migrate between threads
 once started (PaRSEC semantics the paper leans on for the locality
 argument of variant v5).
@@ -15,7 +17,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from repro.parsec.taskclass import TaskContext, TaskInstance
+from repro.parsec.ptg import CLAIMED, DONE, STARTED, RunningTask, TaskGraph
+from repro.parsec.taskclass import TaskContext
 from repro.sim.queues import LifoStore, PriorityStore, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -25,11 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SchedulerPolicy", "NodeScheduler"]
 
 
-def _rehomed(task: TaskInstance):
-    """The abort predicate of one attempt: a crash re-homed ``task``
+def _rehomed(epochs: dict, row: int):
+    """The abort predicate of one attempt: a crash re-homed ``row``
     (bumped its epoch) since the attempt started."""
-    epoch = task.epoch
-    return lambda: task.epoch != epoch
+    epoch = epochs.get(row)
+    if epoch is None:  # never re-homed so far: the first bump aborts
+        return lambda: row in epochs
+    return lambda: epochs[row] != epoch
 
 
 class SchedulerPolicy(str, Enum):
@@ -68,6 +73,10 @@ class NodeScheduler:
         n_gpus: int = 0,
     ) -> None:
         self.runtime = runtime
+        graph = runtime.graph
+        assert graph is not None  # launch() instantiates before scheduling
+        #: the level's task state; the ready queues hold its rows
+        self.graph: TaskGraph = graph
         self.node = node
         self.engine = runtime.cluster.engine
         self.metrics = metrics = runtime.cluster.metrics
@@ -117,7 +126,7 @@ class NodeScheduler:
             depth += len(self.gpu_ready)
         return depth
 
-    def drain(self) -> list[TaskInstance]:
+    def drain(self) -> list[int]:
         """Empty the ready queues; used when this node's compute dies.
 
         Also abandons any getter events left behind by workers that were
@@ -130,7 +139,7 @@ class NodeScheduler:
         processes, and in-flight protocol traffic survives a compute
         crash (RDMA-style fail-stop model).
         """
-        drained: list[TaskInstance] = []
+        drained: list[int] = []
         self.abandon_workers()
         for store in (self.ready, self.gpu_ready):
             if store is None:
@@ -161,15 +170,16 @@ class NodeScheduler:
             worker.close()
         self.runtime = self.steal_agent = None
 
-    def enqueue(self, task: TaskInstance) -> None:
-        """Make a task available under the node's scheduling policy."""
+    def enqueue(self, row: int) -> None:
+        """Make a task row available under the node's scheduling policy."""
+        priority = self.graph.rows[row][2]
         queue = self.ready
-        if self.gpu_ready is not None and task.cls.accelerated:
+        if self.gpu_ready is not None and self.graph.cls(row).accelerated:
             queue = self.gpu_ready
-        queue.put(task, task.priority)  # FIFO/LIFO stores ignore the priority
+        queue.put(row, priority)  # FIFO/LIFO stores ignore the priority
         if self.metrics.enabled:
             self._m_enqueued.value += 1.0
-            self._m_priority.observe(task.priority)
+            self._m_priority.observe(priority)
             depth = len(queue)
             if depth > self._m_ready_hwm.value:
                 self._m_ready_hwm.value = depth
@@ -184,6 +194,7 @@ class NodeScheduler:
         occupancy separately) and never opens a steal episode.
         """
         runtime = self.runtime
+        graph = self.graph
         cluster = runtime.cluster
         machine = cluster.machine
         node = self.node
@@ -208,21 +219,25 @@ class NodeScheduler:
         trace_record = node.trace.record
         traced = node.trace.enabled
         node_id = node.node_id
+        flags = graph.flags
+        nodes = graph.nodes
+        rows = graph.rows
+        classes = graph.ptg.classes
         while True:
             # Hot path: work already queued. try_get + checkpoint resumes
             # through the immediate lane without allocating a SimEvent and
             # consumes exactly one seq — the same as a pre-succeeded get()
             # — so virtual timings are bitwise unchanged.
-            ok, task = ready.try_get()
+            ok, row = ready.try_get()
             if not ok:
                 if not on_device and self.steal_agent is not None:
                     self.steal_agent.notify_idle()
-                task = yield ready.get()
+                row = yield ready.get()
             else:
                 yield checkpoint
             if not node.alive:
                 break  # queued work was re-homed by the crash handler
-            if task.done or task.node != node_id:
+            if flags[row] & DONE or nodes[row] != node_id:
                 # stale queue entry: the task migrated (work stealing) or
                 # was re-homed while waiting here; its new owner runs it
                 if metrics.enabled:
@@ -230,25 +245,30 @@ class NodeScheduler:
                 continue
             # pin the task to this node before the next yield: a claimed
             # task is never migrated out from under a ramping-up worker
-            task.claimed = True
+            flags[row] |= CLAIMED
             # per-task runtime bookkeeping (select + dependence checks)
             if task_overhead > 0:
                 yield engine.timeout(task_overhead)
-            if faults is not None and faults.plan.task_fails(task.label, 0):
-                yield from faults.retry_gate(task.label)
+            if faults is not None:
+                label = graph.label(row)
+                if faults.plan.task_fails(label, 0):
+                    yield from faults.retry_gate(label)
             if not node.alive:
                 # crashed while this attempt was ramping up; the task was
                 # already re-homed, and starting it here would capture the
                 # *bumped* epoch and defeat the kill predicate
                 break
-            task.started = True
+            flags[row] |= STARTED
+            key = rows[row][0]
+            cls = classes[key[0]]
+            task = RunningTask(graph, row, key, cls)
             md = runtime.md
             context = TaskContext(task, md, cluster, node, thread, device)
             t_start = engine.now
             if on_device:  # stage the inputs in
                 in_bytes = 8.0 * sum(
                     flow.size_elems(task.params, md)
-                    for flow in task.cls.flows
+                    for flow in cls.flows
                     if flow.inputs
                 )
                 if in_bytes > 0:
@@ -256,42 +276,45 @@ class NodeScheduler:
             if crashable:
                 # a crash re-homes the task (bumps its epoch) and the body
                 # is killed at its next resume; the survivor node
-                # re-executes it from the task's still-held inputs
+                # re-executes it from the row's still-held inputs
                 if not (
-                    yield from me.abortable(task.cls.run(context), _rehomed(task))
+                    yield from me.abortable(
+                        cls.run(context), _rehomed(graph.epochs, row)
+                    )
                 ):
                     faults.note_abort(engine.now - t_start)
                     break  # epoch bumps only come from this node's own crash
             else:
-                yield from task.cls.run(context)
+                yield from cls.run(context)
             if on_device:  # stage the outputs back
                 out_bytes = 8.0 * sum(
                     flow.size_elems(task.params, md)
-                    for flow in task.cls.flows
+                    for flow in cls.flows
                     if flow.outputs or not flow.inputs
                 )
                 if out_bytes > 0:
                     yield node.pcie.transfer(out_bytes)
             if traced:
                 meta = {"device": f"gpu{gpu}"} if on_device else None
-                if task.stolen_from is not None:
-                    meta = {**(meta or {}), "stolen_from": task.stolen_from}
+                stolen_from = graph.stolen_from.get(row)
+                if stolen_from is not None:
+                    meta = {**(meta or {}), "stolen_from": stolen_from}
                 trace_record(
                     node_id,
                     thread,
-                    task.cls.category,
+                    cls.category,
                     task.label,
                     t_start,
                     engine.now,
                     meta=meta,
                 )
-            task.done = True
             if metrics.enabled:
-                executed[task.cls.name].value += 1.0
+                executed[cls.name].value += 1.0
                 observe_duration(engine.now - t_start)
             on_complete(task, context)
-            # a parked worker must not pin its last task's context, nor
-            # the level's metadata (and through it the Global Arrays)
-            del context, md
+            # a parked worker must not pin its last task's view and
+            # context, nor the level's metadata (and through it the
+            # Global Arrays)
+            del task, context, md
             if not node.alive:
                 break

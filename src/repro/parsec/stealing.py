@@ -16,14 +16,14 @@ both measured and recovered:
   ``MIN_VICTIM_BACKLOG`` steal-eligible chains *and* granting still
   leaves every victim core ``MIN_BACKLOG_RATIO`` times the granted
   work, it migrates the heaviest eligible
-  one(s) (``task.node`` is rewritten for every chain task) and replies
-  ``STEAL_GRANT`` with the ready task keys and the bytes of any operand
+  one(s) (the node column is rewritten for every chain row) and replies
+  ``STEAL_GRANT`` with the ready task rows and the bytes of any operand
   data already resident on the victim; otherwise ``STEAL_DENY``.
 - A chain is *steal-eligible* only while its remainder is untouched:
   every not-yet-done migratable task (DFILL/GEMM/REDUCE/SORT/SORT_I)
   still lives on the victim, none is started or claimed by a worker,
   and at least one is ready to run. Done tasks stay where they ran —
-  their outputs were already delivered to the (global) task instances,
+  their outputs were already delivered to the (global) task rows,
   so only the remaining suffix migrates and any operand bytes already
   resident on the victim ride the GRANT. READ_A/READ_B stay on the GA
   owner nodes
@@ -45,11 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.parsec.ptg import CLAIMED, DONE, STARTED
 from repro.sim.trace import TaskCategory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.parsec.ptg import TaskGraph
     from repro.parsec.runtime import ParsecRuntime
-    from repro.parsec.taskclass import TaskInstance
 
 __all__ = ["MIGRATABLE_CLASSES", "StealPolicy", "StealAgent", "StealCoordinator"]
 
@@ -194,8 +195,10 @@ _STEAL_SERIES = {
 class StealCoordinator:
     """Shared protocol state: chain index, message handlers, counters."""
 
-    def __init__(self, runtime: "ParsecRuntime") -> None:
+    def __init__(self, runtime: "ParsecRuntime", graph: "TaskGraph") -> None:
         self.runtime = runtime
+        #: the level's task state: the index holds its rows
+        self.graph = graph
         self.cluster = runtime.cluster
         self.engine = runtime.cluster.engine
         self.metrics = metrics = runtime.cluster.metrics
@@ -205,13 +208,19 @@ class StealCoordinator:
             node.node_id: StealAgent(self, node.node_id)
             for node in runtime.cluster.nodes
         }
-        #: chain_id -> migratable tasks, in sorted instance-key order
-        self.chain_tasks: dict[int, list["TaskInstance"]] = {}
+        #: chain_id -> migratable task rows, in the template's sorted-key
+        #: order (a deterministic sweep)
+        self.chain_tasks: dict[int, list[int]] = {}
+        rows = graph.rows
+        for row in graph.template.sorted_rows:
+            name, params = rows[row][0]
+            if name in MIGRATABLE_CLASSES:
+                self.chain_tasks.setdefault(params[0], []).append(row)
         #: the live-chain index: per node, the chains that can still turn
-        #: steal-eligible there (chain_id -> its tasks); under ``None``
+        #: steal-eligible there (chain_id -> its rows); under ``None``
         #: the chains whose remaining tasks a crash spread over several
         #: nodes. See :meth:`index_chains` for what leaves it.
-        self._live: dict[Optional[int], dict[int, list["TaskInstance"]]] = {}
+        self._live: dict[Optional[int], dict[int, list[int]]] = {}
         # protocol counters (surfaced on ParsecResult)
         self.requests = 0
         self.granted = 0
@@ -220,18 +229,11 @@ class StealCoordinator:
         self.migrated_flops = 0.0
         self.forwarded_bytes = 0.0
         metrics.collect(self, _STEAL_SERIES)
+        self.index_chains()
 
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
-    def register_graph(self, graph, md) -> None:
-        """Index the instance table by chain (deterministic sweep order)."""
-        for key in sorted(graph.instances):
-            task = graph.instances[key]
-            if task.cls.name in MIGRATABLE_CLASSES:
-                self.chain_tasks.setdefault(task.params[0], []).append(task)
-        self.index_chains()
-
     def index_chains(self) -> None:
         """(Re)build the live-chain index from the tasks' current homes.
 
@@ -244,18 +246,23 @@ class StealCoordinator:
         node without a steal, so :meth:`ParsecRuntime._handle_crash
         <repro.parsec.runtime.ParsecRuntime._handle_crash>` rebuilds the
         index after re-homing (the launch-time re-homing of a dead node's
-        tasks runs before :meth:`register_graph` builds it).
+        tasks runs before the coordinator builds it).
         """
-        live: dict[Optional[int], dict[int, list["TaskInstance"]]] = {
+        flags, nodes, stolen_from = (
+            self.graph.flags,
+            self.graph.nodes,
+            self.graph.stolen_from,
+        )
+        live: dict[Optional[int], dict[int, list[int]]] = {
             node: {} for node in range(self.n_nodes)
         }
         live[None] = {}
         for chain_id, tasks in self.chain_tasks.items():
-            remaining = [t for t in tasks if not t.done]
-            if not remaining or any(t.stolen_from is not None for t in remaining):
+            remaining = [row for row in tasks if not flags[row] & DONE]
+            if not remaining or any(row in stolen_from for row in remaining):
                 continue
-            home: Optional[int] = remaining[0].node
-            if any(t.node != home for t in remaining):
+            home: Optional[int] = nodes[remaining[0]]
+            if any(nodes[row] != home for row in remaining):
                 home = None
             live[home][chain_id] = tasks
         self._live = live
@@ -263,7 +270,8 @@ class StealCoordinator:
     def close(self) -> None:
         """End of the level (:meth:`ParsecRuntime.shutdown`): the protocol
         is over, so drop the chain index and the agents, and with them
-        every path from here back to the runtime and its task table."""
+        every path from here back to the runtime (the task graph holds
+        nothing that leads back here)."""
         self.metrics.release(self)
         self.chain_tasks.clear()
         self._live.clear()
@@ -283,21 +291,23 @@ class StealCoordinator:
             _, thief, t_req = payload
             self._handle_request(node_id, thief, t_req)
         elif opcode == "STEAL_GRANT":
-            _, thief, victim, chain_ids, ready_keys, t_req = payload
-            self._apply_grant(thief, victim, chain_ids, ready_keys, t_req)
+            _, thief, victim, chain_ids, ready_rows, t_req = payload
+            self._apply_grant(thief, victim, chain_ids, ready_rows, t_req)
         elif opcode == "STEAL_DENY":
             self.agents[payload[1]].on_deny()
 
     # ------------------------------------------------------------------
     # victim side
     # ------------------------------------------------------------------
-    def _remaining_flops(self, tasks: list["TaskInstance"]) -> float:
+    def _remaining_flops(self, tasks: list[int]) -> float:
         """GEMM flops left in a chain suffix (what a steal actually moves)."""
         md = self.runtime.md
+        rows = self.graph.rows
         total = 0.0
-        for task in tasks:
-            if task.cls.name == "GEMM":
-                g = md.gemm(*task.params)
+        for row in tasks:
+            name, params = rows[row][0]
+            if name == "GEMM":
+                g = md.gemm(*params)
                 total += 2.0 * g.m * g.n * g.k
         return total
 
@@ -309,10 +319,10 @@ class StealCoordinator:
         frontier, as ``(chain_id, tasks, flops, fwd_bytes)`` tuples, in
         no particular order (the caller sorts).
 
-        A chain needs no *ready* task to migrate: rewriting
-        ``task.node`` re-routes all future operand deliveries to the
-        thief, which is exactly what relieves a victim whose NIC — not
-        its cores — is the bottleneck.
+        A chain needs no *ready* task to migrate: rewriting its rows'
+        nodes re-routes all future operand deliveries to the thief, which
+        is exactly what relieves a victim whose NIC — not its cores — is
+        the bottleneck.
 
         One pass over the victim's candidates in the live-chain index
         (its own chains, then the crash-spread ones): a finished chain
@@ -326,23 +336,25 @@ class StealCoordinator:
         move_rate = 1.0 / machine.comm_pack_bytes_per_s + 1.0 / (
             machine.nic_bw_bytes_per_s
         )
+        flags, nodes = self.graph.flags, self.graph.nodes
         live = self._live
         spread = live[None]
         eligible = []
         for bucket in (live[victim], spread):
             gone = []
             for chain_id, tasks in bucket.items():
-                remaining = [t for t in tasks if not t.done]
+                remaining = [row for row in tasks if not flags[row] & DONE]
                 if not remaining:
                     gone.append(chain_id)
                     continue
                 if bucket is spread:
-                    home = remaining[0].node
-                    if all(t.node == home for t in remaining):
+                    home = nodes[remaining[0]]
+                    if all(nodes[row] == home for row in remaining):
                         gone.append(chain_id)
                         live[home][chain_id] = tasks
                 if any(
-                    t.node != victim or t.started or t.claimed for t in remaining
+                    nodes[row] != victim or flags[row] & (STARTED | CLAIMED)
+                    for row in remaining
                 ):
                     continue
                 fwd = self._forward_bytes(remaining)
@@ -355,19 +367,25 @@ class StealCoordinator:
                 del bucket[chain_id]
         return eligible
 
-    def _forward_bytes(self, tasks: list["TaskInstance"]) -> float:
+    def _forward_bytes(self, tasks: list[int]) -> float:
         """Bytes of operand data already delivered to the chain's tasks
         (resident on the victim, so they must ride the GRANT)."""
         md = self.runtime.md
+        rows, payloads = self.graph.rows, self.graph.payloads
+        classes = self.graph.ptg.classes
         total = 0.0
-        for task in tasks:
-            for flow in task.cls.flows:
+        for row in tasks:
+            inputs = payloads.get(row)
+            if inputs is None:
+                continue
+            name, params = rows[row][0]
+            for flow in classes[name].flows:
                 # membership, not value: SYNTH mode delivers None payloads
-                if flow.name not in task.inputs:
+                if flow.name not in inputs:
                     continue
-                got = task.inputs[flow.name]
+                got = inputs[flow.name]
                 count = len(got) if isinstance(got, list) else 1
-                total += 8.0 * count * float(flow.size_elems(task.params, md))
+                total += 8.0 * count * float(flow.size_elems(params, md))
         return total
 
     def _handle_request(self, victim: int, thief: int, t_req: float) -> None:
@@ -408,7 +426,9 @@ class StealCoordinator:
                 victim, thief, ("STEAL_DENY", thief, victim, t_req), REQ_BYTES
             )
             return
-        ready_keys: list[tuple] = []
+        graph = self.graph
+        nodes, pending, stolen_from = graph.nodes, graph.pending, graph.stolen_from
+        ready_rows: list[int] = []
         fwd_bytes = 0.0
         flops = 0.0
         chain_ids = [cid for cid, _, _, _ in grantable]
@@ -417,11 +437,11 @@ class StealCoordinator:
             flops += chain_flops
             # a stolen chain never turns eligible again
             del self._live[victim][chain_id]
-            for task in tasks:
-                task.node = thief
-                task.stolen_from = victim
-                if task.pending == 0:
-                    ready_keys.append(task.key)
+            for row in tasks:
+                nodes[row] = thief
+                stolen_from[row] = victim
+                if pending[row] == 0:
+                    ready_rows.append(row)
         self.granted += 1
         self.chains_migrated += len(grantable)
         self.migrated_flops += flops
@@ -439,7 +459,7 @@ class StealCoordinator:
         self.send(
             victim,
             thief,
-            ("STEAL_GRANT", thief, victim, tuple(chain_ids), tuple(ready_keys), t_req),
+            ("STEAL_GRANT", thief, victim, tuple(chain_ids), tuple(ready_rows), t_req),
             GRANT_OVERHEAD_BYTES + fwd_bytes,
         )
 
@@ -451,24 +471,23 @@ class StealCoordinator:
         thief: int,
         victim: int,
         chain_ids: tuple,
-        ready_keys: tuple,
+        ready_rows: tuple,
         t_req: float,
     ) -> None:
         """Enqueue the stolen ready frontier on the thief.
 
-        Each key is re-checked against current task state: if the thief
+        Each row is re-checked against current task state: if the thief
         crashed while the GRANT was in flight, the crash handler already
         re-homed (and re-enqueued) the migrated tasks, so a stale GRANT
         must not resurrect them here — that would be the dead-getter
         class of task loss all over again.
         """
         runtime = self.runtime
-        assert runtime.graph is not None  # steals only happen mid-execution
-        for key in ready_keys:
-            task = runtime.graph.instances[key]
-            if task.done or task.started or task.claimed or task.node != thief:
+        flags, nodes = self.graph.flags, self.graph.nodes
+        for row in ready_rows:
+            if flags[row] & (DONE | STARTED | CLAIMED) or nodes[row] != thief:
                 continue
-            runtime.schedulers[thief].enqueue(task)
+            runtime.schedulers[thief].enqueue(row)
         now = self.engine.now
         if self.metrics.enabled:
             self._m_latency.observe(now - t_req)

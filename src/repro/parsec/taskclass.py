@@ -18,12 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.sim.trace import TaskCategory
 from repro.util.errors import DataflowError
 
-__all__ = ["FlowMode", "Dep", "Flow", "TaskClass", "TaskInstance", "TaskContext"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.parsec.ptg import RunningTask
+
+__all__ = ["FlowMode", "Dep", "Flow", "TaskClass", "TaskContext"]
 
 #: Where a template row's resolved successors start: a row is ``(key,
 #: node, priority, pending, *edges)``, and each edge is two items — an
@@ -141,123 +144,6 @@ class TaskClass:
         return f"TaskClass({self.name}{self.params})"
 
 
-class TaskInstance:
-    """One concrete task: a class plus a parameter binding.
-
-    ``row`` is the template row the task was made from, shared and never
-    written: its key (``(class name, params)``, the very tuple the task
-    table is keyed by), node, priority and pending count seed the fields a
-    run mutates, and its items from :data:`EDGES` on are the task's
-    resolved successors, one edge per active output dep in (flow, dep)
-    order.
-    """
-
-    __slots__ = (
-        "cls",
-        "row",
-        "key",
-        "params",
-        "node",
-        "priority",
-        "pending",
-        "inputs",
-        "input_tags",
-        "started",
-        "done",
-        "epoch",
-        "committed",
-        "claimed",
-        "stolen_from",
-        "_label",
-    )
-
-    def __init__(self, cls: TaskClass, row: tuple) -> None:
-        self.cls = cls
-        self.row = row
-        self.key: tuple[str, Params] = row[0]
-        self.params = self.key[1]
-        self.node: int = row[1]
-        self.priority: float = row[2]
-        self.pending: int = row[3]
-        self.inputs: dict[str, Any] = {}
-        self.input_tags: dict[str, Any] = {}
-        self.started = False
-        self.done = False
-        #: bumped when a crash re-homes the task; a worker whose captured
-        #: epoch no longer matches aborts its (now stale) execution
-        self.epoch = 0
-        #: set by TaskContext.commit() in the same synchronous step as
-        #: the body's irreversible side effects; committed tasks are
-        #: never aborted or re-homed
-        self.committed = False
-        #: set synchronously by the worker that pops the task from a
-        #: ready queue; a claimed task is pinned to its node (the work
-        #: stealing layer never migrates it). Cleared on crash re-homing.
-        self.claimed = False
-        #: node the task was stolen from, when the stealing layer
-        #: migrated its chain (None = never migrated); trace-only.
-        self.stolen_from: Optional[int] = None
-        self._label: Optional[str] = None
-
-    @property
-    def label(self) -> str:
-        # built lazily and cached: the label is re-read on every trace
-        # record, fault decision, and retry key for the same instance
-        label = self._label
-        if label is None:
-            label = self._label = f"{self.cls.name}{self.params}"
-        return label
-
-    def receive(self, flow: str, data: Any, tag: Any = None) -> bool:
-        """Satisfy one input delivery; returns True if now ready.
-
-        ``tag`` identifies the producer (the sending task's key); it is
-        stored alongside the data so order-sensitive consumers can
-        process multi-delivery flows in a canonical producer order
-        rather than in arrival order.
-        """
-        if self.done or self.started:
-            raise DataflowError(f"delivery to already-running task {self.label}")
-        if self.pending <= 0:
-            raise DataflowError(f"unexpected delivery to {self.label} on {flow!r}")
-        # multiple deliveries to one flow accumulate into a list (the
-        # single-WRITE variants receive several sorted matrices)
-        if flow in self.inputs:
-            existing = self.inputs[flow]
-            if not isinstance(existing, list):
-                existing = [existing]
-                self.input_tags[flow] = [self.input_tags.get(flow)]
-            existing.append(data)
-            self.inputs[flow] = existing
-            self.input_tags[flow].append(tag)
-        else:
-            self.inputs[flow] = data
-            self.input_tags[flow] = tag
-        self.pending -= 1
-        return self.pending == 0
-
-    def input_tag_list(self, flow: str) -> list:
-        """Producer tags of ``flow``, parallel to its delivery list."""
-        tags = self.input_tags.get(flow)
-        if not isinstance(tags, list):
-            tags = [tags]
-        return tags
-
-    def release(self) -> None:
-        """Drop the delivered payloads: the task is done with them.
-
-        A payload lives from its producer's completion to its last
-        consumer's; this is the consumer's end of that rule. Nothing
-        reads a finished task's inputs — recovery re-homes and the steal
-        layer forwards *unfinished* tasks only, and :meth:`receive`
-        already rejects a delivery to a done task.
-        """
-        self.inputs = self.input_tags = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TaskInstance({self.label} @node{self.node})"
-
-
 class TaskContext:
     """What a task body sees while it runs.
 
@@ -285,7 +171,7 @@ class TaskContext:
 
     def __init__(
         self,
-        task: TaskInstance,
+        task: "RunningTask",
         md: Any,
         cluster,
         node,
@@ -307,7 +193,7 @@ class TaskContext:
         self.charge = node.charge
 
     @property
-    def inputs(self) -> dict[str, Any]:
+    def inputs(self) -> Mapping[str, Any]:
         return self.task.inputs
 
     def commit(self) -> None:
@@ -320,4 +206,4 @@ class TaskContext:
         completion even on a dead node (its writes are already in
         flight) and is never re-executed — exactly-once semantics.
         """
-        self.task.committed = True
+        self.task.commit()

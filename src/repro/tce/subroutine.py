@@ -31,6 +31,7 @@ from repro.tce.tensor import BlockTensor
 
 __all__ = [
     "BlockRef",
+    "BlockRefs",
     "GemmOp",
     "skew_chain",
     "SortWrite",
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockRef:
     """A reference to one stored tile block of a tensor.
 
@@ -70,7 +71,27 @@ class BlockRef:
         return cls(tensor, key, lo, hi, tensor.block_shape(key))
 
 
-@dataclass(frozen=True)
+class BlockRefs:
+    """The one :class:`BlockRef` per (tensor, block key) of the IR a
+    structure builder makes: every GEMM operand and SORT target naming a
+    block shares it. The builder holds the table, not the tensor — a
+    tensor holding its refs would close a reference cycle through each
+    of them (a ref names its tensor), and a dropped structure must die
+    by reference count."""
+
+    __slots__ = ("_refs",)
+
+    def __init__(self) -> None:
+        self._refs: dict[tuple, BlockRef] = {}
+
+    def __call__(self, tensor: BlockTensor, key: tuple[int, ...]) -> BlockRef:
+        ref = self._refs.get((tensor, key))
+        if ref is None:
+            ref = self._refs[(tensor, key)] = BlockRef.of(tensor, key)
+        return ref
+
+
+@dataclass(frozen=True, slots=True)
 class GemmOp:
     """One GEMM of a chain: ``C(m,n) += A(k,m)^T @ B(k,n)``.
 
@@ -106,7 +127,7 @@ def skew_chain(
     return [replace(gemm, position=i) for i, gemm in enumerate(gemms * factor)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortWrite:
     """One of the four IF-guarded SORT_4 + ADD_HASH_BLOCK targets.
 
@@ -134,7 +155,7 @@ def sort_4(tile: np.ndarray, sort) -> np.ndarray:
     return (sort.sign * np.transpose(tile, sort.perm)).reshape(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainSpec:
     """One GEMM chain — the original code's unit of stolen work.
 

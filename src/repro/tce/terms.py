@@ -29,7 +29,7 @@ from itertools import product
 from repro.tce.orbital_space import OrbitalSpace
 from repro.tce.reference import compute_subroutine_reference
 from repro.tce.subroutine import (
-    BlockRef,
+    BlockRefs,
     ChainSpec,
     GemmOp,
     SortWrite,
@@ -117,6 +117,8 @@ class TermBuilder:
         self.skew_period = skew_period
         #: name -> tensor, in creation order
         self.tensors: dict[str, BlockTensor] = {}
+        #: the IR's one BlockRef per (tensor, block), across every term
+        self.block_ref = BlockRefs()
         self.i2 = self._tensor("i2", "pphh", fill=False)
 
     # ------------------------------------------------------------------
@@ -170,8 +172,8 @@ class TermBuilder:
                             gemms.append(
                                 GemmOp(
                                     position=position,
-                                    a=BlockRef.of(a_tensor, contr_key + (p3b, p4b)),
-                                    b=BlockRef.of(b_tensor, contr_key + (h1b, h2b)),
+                                    a=self.block_ref(a_tensor, contr_key + (p3b, p4b)),
+                                    b=self.block_ref(b_tensor, contr_key + (h1b, h2b)),
                                     m=m,
                                     n=n,
                                     k=k,
@@ -238,7 +240,7 @@ class TermBuilder:
                 guard=guard,
                 perm=perm,
                 sign=sign,
-                target=BlockRef.of(self.i2, target_key),
+                target=self.block_ref(self.i2, target_key),
             )
             for index, ((perm, sign), guard, target_key) in enumerate(
                 zip(SORT_VARIANTS, guards, target_keys)

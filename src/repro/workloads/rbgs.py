@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.tce.reference import BlockReader
 from repro.tce.subroutine import (
-    BlockRef,
+    BlockRefs,
     ChainSpec,
     GemmOp,
     SortWrite,
@@ -173,10 +173,11 @@ class RbgsStructure(Structure):
         self.u_next = self.output = GridTensor("rbgs_u_next", grid_y, grid_x, tile)
         self.weights = _WeightTensor("rbgs_w", (W_CENTER,) + (W_NEIGHBOR,) * 4)
         self.tensors = (self.u, self.u_next, self.weights)
-        self.levels = tuple(self._build_wave(color) for color in (0, 1))
+        block_ref = BlockRefs()  # both waves share the grids' blocks
+        self.levels = tuple(self._build_wave(color, block_ref) for color in (0, 1))
 
     # -- chain generation ----------------------------------------------
-    def _build_wave(self, color: int) -> Subroutine:
+    def _build_wave(self, color: int, block_ref: BlockRefs) -> Subroutine:
         """One colored sweep as a subroutine (level == color)."""
         chains: list[ChainSpec] = []
         chain_id = 0
@@ -196,8 +197,8 @@ class RbgsStructure(Structure):
                     gemms.append(
                         GemmOp(
                             position=len(gemms),
-                            a=BlockRef.of(self.weights, (w_index,)),
-                            b=BlockRef.of(src, (jy, jx)),
+                            a=block_ref(self.weights, (w_index,)),
+                            b=block_ref(src, (jy, jx)),
                             m=1,
                             n=self.tile * self.tile,
                             k=1,
@@ -206,7 +207,7 @@ class RbgsStructure(Structure):
                 gemms = skew_chain(
                     gemms, chain_id, self.skew_factor, self.skew_period
                 )
-                target = BlockRef.of(self.u_next, (iy, ix))
+                target = block_ref(self.u_next, (iy, ix))
                 sort_writes = tuple(
                     SortWrite(
                         sort_index=index,

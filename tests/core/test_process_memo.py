@@ -31,6 +31,7 @@ from repro.core.ptg_build import build_ccsd_ptg
 from repro.core.variants import V1, V5
 from repro.experiments.calibration import cell_config
 from repro.experiments.fig9 import PAPER_NODES, run_point
+from repro.parsec.ptg import Template
 from repro.sim.cluster import DataMode
 
 
@@ -59,11 +60,14 @@ def _tiny(seed=7, n_nodes=4, cache=None, data_mode=DataMode.SYNTH):
 def _template(n_tasks):
     """A stand-in task template of ``n_tasks`` rows (weighs n x the rate)."""
     rows = tuple((("T", (i,)), 0, 0.0, 0) for i in range(n_tasks))
-    return (("T", rows),)
+    return Template((("T", n_tasks),), rows)
 
 
 def _rows(graph):
-    return [(t.key, t.node, t.priority, t.pending) for t in graph.instances.values()]
+    return [
+        (graph.key(row), graph.nodes[row], graph.rows[row][2], graph.pending[row])
+        for row in range(len(graph))
+    ]
 
 
 def _instantiate(workload, variant, cache):

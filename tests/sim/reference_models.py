@@ -38,6 +38,7 @@ import heapq
 import sys
 from typing import Callable, Generator, Optional
 
+from repro.parsec.ptg import CLAIMED, DONE, STARTED
 from repro.parsec.stealing import MIN_BENEFIT_RATIO
 from repro.sim.engine import Engine, Process, SimEvent
 from repro.sim.faults import MSG_DELAY_S
@@ -313,17 +314,17 @@ def reference_eligible_chains(coordinator, victim: int) -> list:
     move_rate = 1.0 / machine.comm_pack_bytes_per_s + 1.0 / (
         machine.nic_bw_bytes_per_s
     )
+    graph = coordinator.graph
     eligible = []
     for chain_id, tasks in coordinator.chain_tasks.items():
-        remaining = [t for t in tasks if not t.done]
+        remaining = [row for row in tasks if not graph.flags[row] & DONE]
         if not remaining:
             continue
         if any(
-            t.node != victim
-            or t.started
-            or t.claimed
-            or t.stolen_from is not None
-            for t in remaining
+            graph.nodes[row] != victim
+            or graph.flags[row] & (STARTED | CLAIMED)
+            or row in graph.stolen_from
+            for row in remaining
         ):
             continue
         fwd = coordinator._forward_bytes(remaining)

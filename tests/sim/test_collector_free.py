@@ -18,7 +18,7 @@ from repro.core import api
 from repro.experiments.chaos import default_plan
 from repro.parsec.dtd import DataHandle, DtdRuntime, DtdTask
 from repro.parsec.runtime import ParsecRuntime
-from repro.parsec.taskclass import TaskInstance
+from repro.parsec.ptg import RunningTask, TaskGraph
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.engine import Engine, Process
 from repro.sim.network import Message, _Transfer
@@ -26,7 +26,7 @@ from repro.sim.resources import Resource
 from repro.util.errors import SimulationError
 
 #: what a level materializes per task or per message
-GRAPH_TYPES = (TaskInstance, DtdTask, DataHandle, Message)
+GRAPH_TYPES = (TaskGraph, RunningTask, DtdTask, DataHandle, Message)
 RUNTIMES = ("legacy", "v5", "dtd")
 N_NODES, CORES = 4, 2
 
@@ -173,7 +173,7 @@ class TestALevelsGraphDiesAtShutdown:
                 # a DTD skeleton is inserted by now, a PTG not yet
                 # instantiated: what else is alive?
                 own = self.n_tasks if isinstance(self, DtdRuntime) else 0
-                live_at_level_start.append(live(TaskInstance, DtdTask) - own)
+                live_at_level_start.append(live(TaskGraph, DtdTask) - own)
                 return _execute(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "execute", execute)

@@ -98,3 +98,28 @@ class TestMultiLevelExecution:
         result = api.run(workload, runtime="v1")
         assert result.execution_time > 0
         assert result.n_tasks > 0
+
+
+class TestSharedBlockRefs:
+    """The chain IR names each stored block with one ``BlockRef``: every
+    GEMM operand and SORT target on the same (tensor, block key) is the
+    same object."""
+
+    @pytest.mark.parametrize("token", ["t2_7:small", "rbgs:small", "ccsd:tiny"])
+    def test_one_block_ref_per_tensor_block(self, token):
+        from repro.workloads.registry import parse_workload_token, workload_spec
+
+        name, params = parse_workload_token(token)
+        structure = workload_spec(name).builder(params)
+        named = 0
+        refs: dict[tuple, set] = {}
+        for level in structure.levels:
+            for chain in level.chains:
+                blocks = [ref for gemm in chain.gemms for ref in (gemm.a, gemm.b)]
+                blocks += [sort.target for sort in chain.sort_writes]
+                named += len(blocks)
+                for ref in blocks:
+                    refs.setdefault((id(ref.tensor), ref.key), set()).add(id(ref))
+        assert all(len(objects) == 1 for objects in refs.values())
+        # sharing is real: far fewer objects than operands named
+        assert len(refs) < named // 2
