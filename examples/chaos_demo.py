@@ -21,21 +21,15 @@ Run:  python examples/chaos_demo.py
 import numpy as np
 
 import repro
+from repro.core.api import build
 from repro.core.variants import V4
-from repro.ga.runtime import GlobalArrays
-from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.faults import FaultPlan, NodeCrash, Straggler
-from repro.tce.molecules import tiny_system
-from repro.tce.t2_7 import build_t2_7
 
 
 def run_once(plan=None):
     """One fresh simulated run; returns (i2 tensor, end time, result)."""
-    cluster = Cluster(
-        ClusterConfig(n_nodes=4, cores_per_node=2, data_mode=DataMode.REAL)
-    )
-    ga = GlobalArrays(cluster)
-    workload = build_t2_7(cluster, ga, tiny_system().orbital_space(), seed=7)
+    workload = build("t2_7:tiny", repro.RunConfig(n_nodes=4, cores_per_node=2))
+    cluster = workload.cluster
     # bitwise equivalence needs a canonical accumulation order (float
     # addition is not commutative in rounding); enable it on every run
     workload.i2.array.enable_ordered_accumulation()

@@ -20,22 +20,19 @@ from repro.analysis.chrome_trace import write_chrome_trace
 from repro.analysis.dag import profile_task_graph
 from repro.analysis.report import format_table
 import repro
+from repro.core.api import build
 from repro.core.inspector import inspect_subroutine
 from repro.core.ptg_build import build_ccsd_ptg
 from repro.core.variants import PAPER_VARIANTS
-from repro.ga.runtime import GlobalArrays
-from repro.sim.cluster import Cluster, ClusterConfig, DataMode
-from repro.tce.molecules import small_system
-from repro.tce.t2_7 import build_t2_7
+from repro.sim.cluster import DataMode
 
 
 def make_setup():
-    cluster = Cluster(
-        ClusterConfig(n_nodes=8, cores_per_node=4, data_mode=DataMode.SYNTH)
+    config = repro.RunConfig(
+        n_nodes=8, cores_per_node=4, data_mode=DataMode.SYNTH, trace=True
     )
-    ga = GlobalArrays(cluster)
-    workload = build_t2_7(cluster, ga, small_system().orbital_space())
-    return cluster, workload
+    workload = build("t2_7:small", config)
+    return workload.cluster, workload
 
 
 def main() -> None:

@@ -21,22 +21,17 @@ Run:  python examples/mixed_cc_iteration.py
 """
 
 from repro.analysis.report import format_table
+from repro.core.api import RunConfig, build
 from repro.core.integration import NwchemDriver
 from repro.core.variants import V5
-from repro.ga.runtime import GlobalArrays
-from repro.sim.cluster import Cluster, ClusterConfig, DataMode
-from repro.tce.cc_iteration import build_ccsd_iteration
-from repro.tce.molecules import small_system
 from repro.tce.reference import correlation_energy
 
 
 def run_iteration(parsec_kernels, label):
-    cluster = Cluster(
-        ClusterConfig(n_nodes=8, cores_per_node=4, data_mode=DataMode.REAL)
+    iteration = build("ccsd:small", RunConfig(n_nodes=8, cores_per_node=4))
+    driver = NwchemDriver(
+        iteration.cluster, iteration.ga, variant=V5, parsec_kernels=parsec_kernels
     )
-    ga = GlobalArrays(cluster)
-    iteration = build_ccsd_iteration(ga, small_system().orbital_space(), seed=7)
-    driver = NwchemDriver(cluster, ga, variant=V5, parsec_kernels=parsec_kernels)
     result = driver.run(iteration.subroutines)
     energy = correlation_energy(iteration.i2.flat_values())
     ported = sum(1 for k in result.kernels if k.mode == "parsec")

@@ -28,7 +28,6 @@ The one-call entry point is :func:`repro.run`::
 """
 
 from repro.core.api import RunConfig, StealPolicy, run
-from repro.core.executor import run_ptg
 from repro.core.variants import PAPER_VARIANTS, V1, V2, V3, V4, V5, variant_by_name
 from repro.ga.runtime import GlobalArrays
 from repro.legacy.runtime import LegacyRuntime
@@ -36,7 +35,6 @@ from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
 from repro.obs import MetricsRegistry, RunReport, RunResult
 from repro.tce.molecules import beta_carotene, small_system, system_for_scale, tiny_system
-from repro.tce.t2_7 import build_t2_7
 
 __version__ = "1.0.0"
 
@@ -44,7 +42,6 @@ __all__ = [
     "run",
     "RunConfig",
     "StealPolicy",
-    "run_ptg",
     "MetricsRegistry",
     "RunReport",
     "RunResult",
@@ -65,6 +62,5 @@ __all__ = [
     "small_system",
     "system_for_scale",
     "tiny_system",
-    "build_t2_7",
     "__version__",
 ]

@@ -18,9 +18,6 @@ Layers, matching Section III-B and IV of the paper:
 - :mod:`repro.core.api` — the unified :func:`repro.run` facade over
   every runtime (legacy, PaRSEC v1..v5, DTD) with phase timers and
   structured run reports.
-- :mod:`repro.core.executor` — :func:`run_ptg`, one Section III-B
-  pipeline pass for a single subroutine on an existing cluster (the
-  building block the facade sequences per level).
 - :mod:`repro.core.integration` — the NWChem-level driver that swaps
   the legacy implementation for the PaRSEC one per subroutine, with
   the rest of the program oblivious (Figure 3).
@@ -39,7 +36,6 @@ from repro.core.variants import (
 from repro.core.metadata import Metadata, ChainMeta, GemmMeta
 from repro.core.inspector import InspectionCache, inspect_subroutine
 from repro.core.ptg_build import build_ccsd_ptg
-from repro.core.executor import CcsdRun, run_ptg
 from repro.core.api import RunConfig, precompute_inspection, run
 from repro.core.integration import NwchemDriver
 
@@ -61,7 +57,5 @@ __all__ = [
     "inspect_subroutine",
     "precompute_inspection",
     "build_ccsd_ptg",
-    "CcsdRun",
-    "run_ptg",
     "NwchemDriver",
 ]

@@ -43,7 +43,7 @@ from repro.sim.network import CoalescePolicy
 from repro.util import collector
 from repro.util.errors import ConfigurationError
 from repro.workloads import build_workload, parse_workload_token
-from repro.workloads.base import Workload
+from repro.workloads.base import BoundWorkload
 
 __all__ = [
     "RunConfig",
@@ -131,7 +131,7 @@ def build(
     config: RunConfig,
     scale: Optional[str] = None,
     cluster: Optional[Cluster] = None,
-) -> Workload:
+) -> BoundWorkload:
     """Cluster, ``GlobalArrays`` and the workload ``token`` names.
 
     The workload's structure (``config.inspection_cache``'s when given)
@@ -286,7 +286,7 @@ def _resolve_runtime(runtime: str, variant) -> tuple[str, VariantSpec]:
 
 @collector.paused()
 def run(
-    workload: Union[str, Workload] = "t2_7:small",
+    workload: Union[str, BoundWorkload] = "t2_7:small",
     runtime: str = "parsec",
     variant: Union[str, VariantSpec] = V5,
     config: Optional[RunConfig] = None,

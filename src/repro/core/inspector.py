@@ -54,10 +54,9 @@ CHAIN_BYTES_PER_GEMM = 737
 TEMPLATE_BYTES_PER_TASK = 224
 
 #: Bound of :data:`PROCESS_MEMO`, in the bytes above summed over its
-#: entries (MiB below). Sized so that ``ccsd:small`` REAL on 8 nodes
-#: (chain IR, 90 of draws, both heights' chains, v1-v5 templates: 213)
-#: and ``t2_7:paper`` on 32 nodes (chain IR, both heights' chains, v1-v5
-#: templates: 73) fit together — a sweep walks its keys in a cycle, and a
+#: entries. Sized so that a ``ccsd:small`` REAL sweep on 8 nodes and a
+#: ``t2_7:paper`` one on 32 fit together (the figures are in DESIGN.md
+#: §10, "The bound") — a sweep walks its keys in a cycle, and a
 #: least-recently-used memo one entry smaller than the cycle misses on
 #: every call.
 MEMO_MAX_BYTES = 320 << 20

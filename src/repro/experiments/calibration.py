@@ -34,7 +34,7 @@ from repro.core import api
 from repro.core.inspector import PROCESS_MEMO, InspectionCache
 from repro.sim.cluster import Cluster, DataMode
 from repro.sim.cost import MachineModel
-from repro.workloads.base import Workload
+from repro.workloads.base import BoundWorkload
 
 __all__ = [
     "PAPER_MACHINE",
@@ -147,7 +147,7 @@ def make_workload(
     skew_factor: int = 1,
     skew_period: int = 0,
     workload: str = "t2_7",
-) -> Workload:
+) -> BoundWorkload:
     """A registered workload at a named scale on an existing cluster.
 
     ``workload`` is a registry name or full token; a ``name:params``

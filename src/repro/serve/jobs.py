@@ -167,23 +167,31 @@ class JobSpec:
 
 def _coerce(name: str, value: Any, default: Any) -> Any:
     """``value`` as the type of ``default`` (a list: of its elements, so
-    ``(1, 2)`` is ``[1, 2]``); one that does not convert, or a non-bool
-    for a bool (``bool("false")`` is True), is a ConfigurationError."""
+    ``(1, 2)`` is ``[1, 2]``); one that does not convert, a non-bool for
+    a bool (``bool("false")`` is True), or a bool or float for an int
+    (``int(2.7)`` is 2, ``int(True)`` is 1: the digest of another job)
+    is a ConfigurationError."""
     try:
         if isinstance(default, list):
             if not isinstance(value, (list, tuple)):
                 raise TypeError
-            return [type(default[0])(v) for v in value]
+            return [_convert(v, type(default[0])) for v in value]
         if isinstance(default, (bool, str)):
             if not isinstance(value, type(default)):
                 raise TypeError
             return value
-        return int(value)
+        return _convert(value, int)
     except (TypeError, ValueError):
         raise ConfigurationError(
             f"parameter {name!r} must be {type(default).__name__}, "
             f"got {value!r}"
         ) from None
+
+
+def _convert(value: Any, kind: type) -> Any:
+    if kind is int and isinstance(value, (bool, float)):
+        raise TypeError
+    return kind(value)
 
 
 def job_digest(spec: JobSpec) -> str:

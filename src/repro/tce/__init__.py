@@ -26,9 +26,8 @@ from repro.tce.orbital_space import OrbitalSpace, Tile
 from repro.tce.tensor import BlockLayout, BlockTensor
 from repro.tce.subroutine import BlockRef, ChainSpec, GemmOp, SortWrite, Subroutine
 from repro.tce.molecules import MoleculeSystem, beta_carotene, tiny_system, small_system
-from repro.tce.terms import TermBuilder, TermSpec, TermStructure, build_term
-from repro.tce.cc_iteration import CcsdStructure, build_ccsd_iteration
-from repro.tce.t2_7 import build_t2_7
+from repro.tce.terms import TermBuilder, TermSpec, TermStructure
+from repro.tce.cc_iteration import CcsdStructure
 from repro.tce.reference import compute_reference, correlation_energy
 
 __all__ = [
@@ -48,10 +47,7 @@ __all__ = [
     "TermBuilder",
     "TermSpec",
     "TermStructure",
-    "build_term",
     "CcsdStructure",
-    "build_ccsd_iteration",
-    "build_t2_7",
     "compute_reference",
     "correlation_energy",
 ]

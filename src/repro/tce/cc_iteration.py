@@ -34,7 +34,7 @@ from repro.tce.subroutine import Subroutine
 from repro.tce.terms import TermBuilder, TermSpec
 from repro.workloads.base import Structure
 
-__all__ = ["DEFAULT_ITERATION_TERMS", "CcsdStructure", "build_ccsd_iteration"]
+__all__ = ["DEFAULT_ITERATION_TERMS", "CcsdStructure"]
 
 #: A representative sub-kernel table: ring terms ('hp'), hole and
 #: particle ladders ('hh'/'pp'), and cheap one-index terms, two per
@@ -101,21 +101,16 @@ class CcsdStructure(Structure):
     def __init__(
         self,
         space: OrbitalSpace,
-        symmetry_filter: bool = True,
         skew_factor: int = 1,
         skew_period: int = 0,
-        terms: tuple[TermSpec, ...] = DEFAULT_ITERATION_TERMS,
     ) -> None:
-        builder = TermBuilder(
-            space,
-            symmetry_filter=symmetry_filter,
-            skew_factor=skew_factor,
-            skew_period=skew_period,
-        )
+        builder = TermBuilder(space, skew_factor=skew_factor, skew_period=skew_period)
         self.space = space
         #: the terms in table order, unmerged (the integration driver's
         #: kernels)
-        self.subroutines = tuple(builder.build(spec) for spec in terms)
+        self.subroutines = tuple(
+            builder.build(spec) for spec in DEFAULT_ITERATION_TERMS
+        )
         self.i2 = self.output = builder.i2
         self.tensors = tuple(builder.tensors.values())
         self.name = "ccsd_iteration"
@@ -144,16 +139,3 @@ class CcsdStructure(Structure):
             f"CCSD iteration: {len(self.subroutines)} sub-kernels over "
             f"{len(self.levels)} levels, {self.n_gemms} GEMMs total"
         )
-
-
-def build_ccsd_iteration(
-    ga,
-    space: OrbitalSpace,
-    seed: int = 7,
-    symmetry_filter: bool = True,
-    terms: tuple[TermSpec, ...] = DEFAULT_ITERATION_TERMS,
-):
-    """One iteration's sub-kernels over a shared tensor pool, bound to
-    ``ga``'s cluster with inputs drawn from ``seed``."""
-    structure = CcsdStructure(space, symmetry_filter=symmetry_filter, terms=terms)
-    return structure.bind(ga, seed)

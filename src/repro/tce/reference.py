@@ -123,7 +123,7 @@ def compute_iteration_reference(
 
 
 def compute_reference(workload) -> np.ndarray:
-    """Reference for a single-term workload (e.g. ``build_t2_7``'s)."""
+    """Reference for a single-term workload (e.g. a bound ``t2_7``)."""
     return compute_subroutine_reference(workload.subroutine, workload.arrays)
 
 

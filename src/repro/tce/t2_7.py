@@ -31,36 +31,9 @@ workload is :class:`~repro.tce.terms.TermStructure` over
 
 from __future__ import annotations
 
-from repro.sim.cluster import Cluster
-from repro.tce.orbital_space import OrbitalSpace
-from repro.tce.terms import TermSpec, TermStructure
+from repro.tce.terms import TermSpec
 
-__all__ = ["T2_7_SPEC", "build_t2_7"]
+__all__ = ["T2_7_SPEC"]
 
 #: icsd_t2_7 is a ring term: contraction over one hole + one particle.
 T2_7_SPEC = TermSpec("icsd_t2_7", "hp", level=0)
-
-
-def build_t2_7(
-    cluster: Cluster,
-    ga,
-    space: OrbitalSpace,
-    seed: int = 7,
-    symmetry_filter: bool = True,
-    skew_factor: int = 1,
-    skew_period: int = 0,
-):
-    """The ``icsd_t2_7`` workload over ``space``, bound to ``cluster``
-    through ``ga`` (its ``GlobalArrays``) with inputs drawn from
-    ``seed``: the integral-like ``va`` (``hppp``)
-    and amplitude-like ``tb`` (``hphh``) operands, the zero ``i2``
-    residual (``pphh``) and the chain IR both runtimes execute
-    (``subroutine``)."""
-    structure = TermStructure(
-        space,
-        T2_7_SPEC,
-        symmetry_filter=symmetry_filter,
-        skew_factor=skew_factor,
-        skew_period=skew_period,
-    )
-    return structure.bind(ga, seed)

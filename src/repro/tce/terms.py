@@ -40,7 +40,18 @@ from repro.tce.tensor import BlockLayout, BlockTensor
 from repro.util.errors import ConfigurationError
 from repro.workloads.base import Structure
 
-__all__ = ["TermSpec", "TermBuilder", "TermStructure", "build_term", "SORT_VARIANTS"]
+__all__ = [
+    "TermSpec",
+    "TermBuilder",
+    "TermStructure",
+    "SORT_VARIANTS",
+    "SYMMETRY_FILTER",
+]
+
+#: whether the TCE-style spin/spatial-symmetry IF voids odd-parity loop
+#: iterations (what the inspection phase has to discover). Read when a
+#: term is built, and recorded in its ``structure_token``.
+SYMMETRY_FILTER = True
 
 #: axis permutations and antisymmetry signs of the four SORT_4 branches
 SORT_VARIANTS: tuple[tuple[tuple[int, int, int, int], float], ...] = (
@@ -97,7 +108,6 @@ class TermBuilder:
     def __init__(
         self,
         space: OrbitalSpace,
-        symmetry_filter: bool = True,
         skew_factor: int = 1,
         skew_period: int = 0,
     ) -> None:
@@ -106,7 +116,6 @@ class TermBuilder:
         if skew_period < 0:
             raise ConfigurationError(f"skew_period must be >= 0, got {skew_period}")
         self.space = space
-        self.symmetry_filter = symmetry_filter
         #: imbalance knob: chains whose id is a multiple of
         #: ``skew_period`` repeat their GEMM list ``skew_factor`` times.
         #: With ``skew_period == n_nodes`` every lengthened chain lands
@@ -139,15 +148,10 @@ class TermBuilder:
         return a, b
 
     # ------------------------------------------------------------------
-    def _keep_iteration(self, contr_key: tuple, out_key: tuple) -> bool:
-        """The spin/spatial-symmetry IF around each innermost body."""
-        if not self.symmetry_filter:
-            return True
-        return (sum(contr_key) + sum(out_key)) % 2 == 0
-
     def build(self, spec: TermSpec) -> Subroutine:
         """Generate the full chain IR for one term."""
         space = self.space
+        symmetry_filter = SYMMETRY_FILTER
         a_tensor, b_tensor = self.operand_tensors(spec)
         contr_ranges = [range(len(space.tiles(kind))) for kind in spec.contraction]
         chains: list[ChainSpec] = []
@@ -164,7 +168,9 @@ class TermBuilder:
                         gemms: list[GemmOp] = []
                         position = 0
                         for contr_key in product(*contr_ranges):
-                            if not self._keep_iteration(contr_key, key):
+                            # the spin/spatial-symmetry IF around each
+                            # innermost body
+                            if symmetry_filter and (sum(contr_key) + sum(key)) % 2:
                                 continue
                             k = 1
                             for kind, index in zip(spec.contraction, contr_key):
@@ -214,7 +220,7 @@ class TermBuilder:
                 space.nocc,
                 space.nvirt,
                 space.tile_size,
-                self.symmetry_filter,
+                symmetry_filter,
                 self.skew_factor,
                 self.skew_period,
             ),
@@ -259,16 +265,10 @@ class TermStructure(Structure):
         self,
         space: OrbitalSpace,
         spec: TermSpec,
-        symmetry_filter: bool = True,
         skew_factor: int = 1,
         skew_period: int = 0,
     ) -> None:
-        builder = TermBuilder(
-            space,
-            symmetry_filter=symmetry_filter,
-            skew_factor=skew_factor,
-            skew_period=skew_period,
-        )
+        builder = TermBuilder(space, skew_factor=skew_factor, skew_period=skew_period)
         self.space = space
         self.subroutine = builder.build(spec)
         self.va, self.tb = builder.operand_tensors(spec)
@@ -282,15 +282,3 @@ class TermStructure(Structure):
 
     def describe(self) -> str:
         return self.subroutine.describe()
-
-
-def build_term(
-    ga,
-    space: OrbitalSpace,
-    spec: TermSpec,
-    seed: int = 7,
-    symmetry_filter: bool = True,
-):
-    """One-shot convenience: one term bound to ``ga``'s cluster."""
-    structure = TermStructure(space, spec, symmetry_filter=symmetry_filter)
-    return structure.bind(ga, seed)

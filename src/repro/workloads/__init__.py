@@ -1,7 +1,7 @@
 """The workload SDK: a general scenario interface over the chain IR.
 
-See :mod:`repro.workloads.base` for the protocol, the structure/bind
-split and the generic bound workload, and :mod:`repro.workloads.registry`
+See :mod:`repro.workloads.base` for the structure/bind split and the
+bound workload every runtime executes, and :mod:`repro.workloads.registry`
 for the string-addressable registry
 (``repro.run(workload="rbgs:128x128")``). Built-ins: ``t2_7`` (the
 paper's sub-kernel, :mod:`repro.tce.t2_7`), ``ccsd`` (a full seven-level
@@ -9,7 +9,7 @@ iteration, :mod:`repro.tce.cc_iteration`), and ``rbgs`` (a red-black
 Gauss-Seidel tile stencil, :mod:`repro.workloads.rbgs`).
 """
 
-from repro.workloads.base import BoundTensor, BoundWorkload, Structure, Workload
+from repro.workloads.base import BoundTensor, BoundWorkload, Structure
 from repro.workloads.registry import (
     WorkloadSpec,
     build_workload,
@@ -24,7 +24,6 @@ __all__ = [
     "BoundTensor",
     "BoundWorkload",
     "Structure",
-    "Workload",
     "WorkloadSpec",
     "build_workload",
     "canonical_token",

@@ -1,9 +1,9 @@
-"""The Workload protocol — what every registered scenario must provide.
+"""What every registered scenario provides: a structure and its binding.
 
 The original system hard-wired one scenario (the ``icsd_t2_7``
 subroutine) through the facade, the experiments, and the service. The
-workload SDK replaces that monopoly with a small structural contract:
-anything that can lower itself to barrier-separated lists of
+workload SDK replaces that monopoly with a small contract: anything
+that can lower itself to barrier-separated lists of
 :class:`~repro.tce.subroutine.Subroutine` chain IR runs on *all seven
 runtimes* (legacy, the five PTG variants, DTD), under chaos fault
 injection, and inside ``-j N`` sweeps — for free, because every layer
@@ -40,7 +40,7 @@ A bound workload owns:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 from repro.util.rng import seeded_normal
 
@@ -49,52 +49,7 @@ if TYPE_CHECKING:
 
     from repro.tce.subroutine import Subroutine
 
-__all__ = ["BoundTensor", "BoundWorkload", "Structure", "Workload"]
-
-
-@runtime_checkable
-class Workload(Protocol):
-    """Structural protocol every runnable workload satisfies.
-
-    :class:`BoundWorkload` — a :class:`Structure` bound to one run — is
-    the implementation every registered workload uses.
-    """
-
-    #: canonical registry token, e.g. ``"t2_7:small"``
-    workload_id: str
-    #: the simulated machine the workload's tensors are distributed on
-    cluster: object
-    #: the GA runtime that allocated the tensors
-    ga: object
-    #: seed all input draws derive from
-    seed: int
-
-    @property
-    def name(self) -> str:
-        """Short label for reports (e.g. ``"icsd_t2_7"``, ``"rbgs"``)."""
-        ...
-
-    @property
-    def output(self):
-        """The output tensor (has ``flat_values()`` and ``.array``)."""
-        ...
-
-    def levels(self) -> "list[Subroutine]":
-        """Barrier-separated work levels, in execution order.
-
-        Single-phase workloads return one subroutine; runtimes place an
-        explicit synchronization (and its overhead charge) between
-        consecutive levels, exactly as the legacy application does.
-        """
-        ...
-
-    def reference_values(self) -> "np.ndarray":
-        """Independent dense result for the output array (REAL mode)."""
-        ...
-
-    def describe(self) -> str:
-        """One-line structure summary for logs and ``repro info``."""
-        ...
+__all__ = ["BoundTensor", "BoundWorkload", "Structure"]
 
 
 class BoundTensor:
@@ -217,12 +172,16 @@ class BoundWorkload:
             return self._bound(value)
         return value
 
-    # -- Workload protocol ------------------------------------------------
     @property
     def name(self) -> str:
+        """Short label for reports (e.g. ``"icsd_t2_7"``, ``"rbgs"``)."""
         return self.structure.name
 
     def levels(self) -> "list[Subroutine]":
+        """Barrier-separated work levels, in execution order: the
+        runtimes place an explicit synchronization (and its overhead
+        charge) between consecutive levels, as the legacy application
+        does."""
         return list(self.structure.levels)
 
     def reference_values(self) -> "np.ndarray":

@@ -4,19 +4,16 @@ import pytest
 
 from repro.analysis.ascii_chart import render_series_chart
 from repro.analysis.dag import profile_task_graph, task_graph_to_networkx
+from repro.core.api import RunConfig, build, run
 from repro.core.inspector import inspect_subroutine
 from repro.core.ptg_build import build_ccsd_ptg
 from repro.core.variants import V1, V5
-from repro.ga.runtime import GlobalArrays
-from repro.sim.cluster import Cluster, ClusterConfig, DataMode
-from repro.tce.molecules import small_system, tiny_system
-from repro.tce.t2_7 import build_t2_7
+from repro.sim.cluster import DataMode
 
 
-def make_graph(variant, system=None):
-    cluster = Cluster(ClusterConfig(n_nodes=4, data_mode=DataMode.SYNTH))
-    ga = GlobalArrays(cluster)
-    workload = build_t2_7(cluster, ga, (system or tiny_system()).orbital_space())
+def make_graph(variant, scale="tiny"):
+    workload = build(f"t2_7:{scale}", RunConfig(n_nodes=4, data_mode=DataMode.SYNTH))
+    cluster = workload.cluster
     md = inspect_subroutine(workload.subroutine, cluster, variant)
     ptg = build_ccsd_ptg(variant, md)
     return ptg.instantiate(md, cluster.n_nodes), cluster.machine, workload
@@ -45,8 +42,8 @@ class TestDagAnalysis:
         parallelism' — structurally visible as work/span. Needs the
         small system: tiny's 4-GEMM chains are too short for the
         chain-serialization span to dominate."""
-        v1_profile = profile_task_graph(*make_graph(V1, small_system())[:2])
-        v5_profile = profile_task_graph(*make_graph(V5, small_system())[:2])
+        v1_profile = profile_task_graph(*make_graph(V1, "small")[:2])
+        v5_profile = profile_task_graph(*make_graph(V5, "small")[:2])
         # same work order of magnitude...
         assert v5_profile.total_work == pytest.approx(
             v1_profile.total_work, rel=0.35
@@ -56,22 +53,18 @@ class TestDagAnalysis:
         assert v5_profile.average_parallelism > 2 * v1_profile.average_parallelism
 
     def test_span_lower_bounds_simulated_time(self):
-        from repro.core.executor import run_ptg
-
-        cluster = Cluster(
-            ClusterConfig(n_nodes=4, cores_per_node=2, data_mode=DataMode.SYNTH)
-        )
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+        config = RunConfig(n_nodes=4, cores_per_node=2, data_mode=DataMode.SYNTH)
+        workload = build("t2_7:tiny", config)
+        cluster = workload.cluster
         md = inspect_subroutine(workload.subroutine, cluster, V5)
         ptg = build_ccsd_ptg(V5, md)
         profile = profile_task_graph(
             ptg.instantiate(md, cluster.n_nodes), cluster.machine
         )
-        run = run_ptg(cluster, workload.subroutine, V5)
+        result = run(workload, variant=V5, config=config)
         # the simulated execution includes transport/overheads the
         # profile ignores, so the span must lower-bound it
-        assert run.execution_time >= 0.9 * profile.critical_path
+        assert result.execution_time >= 0.9 * profile.critical_path
 
 
 class TestAsciiChart:

@@ -9,44 +9,49 @@ the independent dense reference.
 import numpy as np
 import pytest
 
-from repro.core.executor import run_ptg
+from repro.core.api import RunConfig, build, ptg_pipeline, run
 from repro.core.integration import NwchemDriver
 from repro.core.variants import PAPER_VARIANTS, V2, V4, V5, variant_by_name
-from repro.ga.runtime import GlobalArrays
 from repro.legacy.runtime import LegacyRuntime
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.trace import TaskCategory
-from repro.tce.molecules import tiny_system
 from repro.tce.reference import compute_reference, correlation_energy
-from repro.tce.t2_7 import build_t2_7
 
 
 def fresh_workload(n_nodes=4, cores=2, data_mode=DataMode.REAL, seed=7):
     cluster = Cluster(
         ClusterConfig(n_nodes=n_nodes, cores_per_node=cores, data_mode=data_mode)
     )
-    ga = GlobalArrays(cluster)
-    workload = build_t2_7(cluster, ga, tiny_system().orbital_space(), seed=seed)
-    return cluster, ga, workload
+    workload = build("t2_7:tiny", RunConfig(seed=seed), cluster=cluster)
+    return cluster, workload.ga, workload
+
+
+def execute(workload, variant):
+    """The workload's one level over PaRSEC: the result, and the
+    inspection metadata its PTG was built from."""
+    runtime, ptg, metadata = ptg_pipeline(
+        workload.cluster, workload.subroutine, variant, RunConfig()
+    )
+    return runtime.execute(ptg, metadata), metadata
 
 
 class TestNumericalEquivalence:
     @pytest.mark.parametrize("name", sorted(PAPER_VARIANTS))
     def test_variant_matches_dense_reference(self, name):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, variant_by_name(name))
+        result = run(workload, variant=variant_by_name(name))
         expected = compute_reference(workload)
         np.testing.assert_allclose(
             workload.i2.flat_values(), expected, rtol=1e-12, atol=1e-12
         )
-        assert run.result.n_tasks > 0
+        assert result.n_tasks > 0
 
     def test_all_variants_agree_on_correlation_energy_to_14_digits(self):
         """The paper's Section IV-A claim, including the legacy code."""
         energies = {}
         for name in sorted(PAPER_VARIANTS):
             cluster, ga, workload = fresh_workload()
-            run_ptg(cluster, workload.subroutine, variant_by_name(name))
+            run(workload, variant=variant_by_name(name))
             energies[name] = correlation_energy(workload.i2.flat_values())
         cluster, ga, workload = fresh_workload()
         LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
@@ -60,7 +65,7 @@ class TestNumericalEquivalence:
         """v1 mimics the original chain order exactly, so even the
         floating-point summation order coincides."""
         cluster, ga, workload = fresh_workload()
-        run_ptg(cluster, workload.subroutine, variant_by_name("v1"))
+        run(workload, variant=variant_by_name("v1"))
         parsec_values = workload.i2.flat_values()
         cluster, ga, workload = fresh_workload()
         LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
@@ -70,9 +75,9 @@ class TestNumericalEquivalence:
 class TestTaskCounts:
     def test_v5_task_census(self):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, V5)
+        result, metadata = execute(workload, V5)
         sub = workload.subroutine
-        counts = run.result.tasks_per_class
+        counts = result.tasks_per_class
         assert counts["GEMM"] == sub.n_gemms
         assert counts["READ_A"] == sub.n_gemms
         assert counts["READ_B"] == sub.n_gemms
@@ -81,49 +86,49 @@ class TestTaskCounts:
         assert counts["REDUCE"] == sum(c.length - 1 for c in sub.chains)
         assert "DFILL" not in counts  # no multi-GEMM segments at height 1
         assert counts["WRITE_C"] == sum(
-            len(c.write_segs) for c in run.metadata.chains
+            len(c.write_segs) for c in metadata.chains
         )
 
     def test_v1_task_census(self):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, variant_by_name("v1"))
+        result, metadata = execute(workload, variant_by_name("v1"))
         sub = workload.subroutine
-        counts = run.result.tasks_per_class
+        counts = result.tasks_per_class
         assert counts["DFILL"] == sub.n_chains  # one per chain
         assert "REDUCE" not in counts
         assert counts["SORT_I"] == sum(len(c.active_sorts) for c in sub.chains)
         assert counts["WRITE_C_I"] == sum(
             len(c.active_sorts) * len(m.write_segs)
-            for c, m in zip(sub.chains, run.metadata.chains)
+            for c, m in zip(sub.chains, metadata.chains)
         )
 
     def test_v4_has_parallel_sorts_single_write(self):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, V4)
-        counts = run.result.tasks_per_class
+        result = run(workload, variant=V4)
+        counts = result.tasks_per_class
         assert "SORT_I" in counts and "WRITE_C" in counts
         assert "SORT" not in counts and "WRITE_C_I" not in counts
 
     def test_intermediate_segment_height(self):
         cluster, ga, workload = fresh_workload()
         variant = V4.with_overrides(name="v4h2", segment_height=2)
-        run = run_ptg(cluster, workload.subroutine, variant)
+        result = run(workload, variant=variant)
         expected = compute_reference(workload)
         np.testing.assert_allclose(
             workload.i2.flat_values(), expected, rtol=1e-12, atol=1e-12
         )
         # chains of 4 GEMMs -> 2 segments of 2 -> DFILLs exist, 1 reduce
-        assert run.result.tasks_per_class["DFILL"] > 0
-        assert run.result.tasks_per_class["REDUCE"] > 0
+        assert result.tasks_per_class["DFILL"] > 0
+        assert result.tasks_per_class["REDUCE"] > 0
 
 
 class TestBehaviour:
     def test_write_tasks_run_on_owner_nodes(self):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, V5)
+        _, metadata = execute(workload, V5)
         writes = cluster.trace.filtered(category=TaskCategory.WRITE)
         by_label = {}
-        for chain in run.metadata.chains:
+        for chain in metadata.chains:
             for seg in chain.write_segs:
                 by_label[f"WRITE_C({chain.chain_id}, {seg.index})"] = seg.node
         assert len(writes) == len(by_label)
@@ -132,11 +137,11 @@ class TestBehaviour:
 
     def test_read_tasks_run_on_data_owners(self):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, V5)
+        _, metadata = execute(workload, V5)
         reads = cluster.trace.filtered(category=TaskCategory.READ_A)
         owners = {
             f"READ_A({c.chain_id}, {g.position})": g.a_owner
-            for c in run.metadata.chains
+            for c in metadata.chains
             for g in c.gemms
         }
         for span in reads:
@@ -145,23 +150,23 @@ class TestBehaviour:
     def test_deterministic_timing(self):
         def once():
             cluster, ga, workload = fresh_workload()
-            return run_ptg(cluster, workload.subroutine, V4).execution_time
+            return run(workload, variant=V4).execution_time
 
         assert once() == once()
 
     def test_priorities_help_vs_v2_even_at_tiny_scale(self):
         """v4 (priorities) should not be slower than v2 (none)."""
         cluster, _, workload = fresh_workload(data_mode=DataMode.SYNTH)
-        t_v4 = run_ptg(cluster, workload.subroutine, V4).execution_time
+        t_v4 = run(workload, variant=V4).execution_time
         cluster, _, workload = fresh_workload(data_mode=DataMode.SYNTH)
-        t_v2 = run_ptg(cluster, workload.subroutine, V2).execution_time
+        t_v2 = run(workload, variant=V2).execution_time
         assert t_v4 <= t_v2 * 1.05
 
     def test_synth_mode_executes_full_graph(self):
         cluster, ga, workload = fresh_workload(data_mode=DataMode.SYNTH)
-        run = run_ptg(cluster, workload.subroutine, V5)
-        assert run.result.n_tasks > 3 * workload.subroutine.n_gemms
-        assert run.execution_time > 0
+        result = run(workload, variant=V5)
+        assert result.n_tasks > 3 * workload.subroutine.n_gemms
+        assert result.execution_time > 0
 
 
 class TestIntegration:

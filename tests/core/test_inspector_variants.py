@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.api import RunConfig, build
 from repro.core.inspector import _build_reduce_tree, _build_segments, inspect_subroutine
 from repro.core.variants import (
     GEMM_OFFSET,
@@ -14,18 +15,12 @@ from repro.core.variants import (
     VariantSpec,
     variant_by_name,
 )
-from repro.ga.runtime import GlobalArrays
-from repro.sim.cluster import Cluster, ClusterConfig
-from repro.tce.molecules import tiny_system
-from repro.tce.t2_7 import build_t2_7
 from repro.util.errors import ConfigurationError
 
 
 def make_workload(n_nodes=4):
-    cluster = Cluster(ClusterConfig(n_nodes=n_nodes, cores_per_node=2))
-    ga = GlobalArrays(cluster)
-    workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-    return cluster, workload
+    workload = build("t2_7:tiny", RunConfig(n_nodes=n_nodes, cores_per_node=2))
+    return workload.cluster, workload
 
 
 class TestVariantSpecs:

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.api import RunConfig, build
 from repro.ga.runtime import GlobalArrays
 from repro.legacy.runtime import LegacyConfig, LegacyRuntime
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.trace import TaskCategory
-from repro.tce.molecules import tiny_system
 from repro.tce.reference import compute_reference, correlation_energy
-from repro.tce.t2_7 import build_t2_7
 from repro.util.errors import ConfigurationError, StallError
 
 
@@ -19,14 +18,12 @@ def run_legacy(
     data_mode=DataMode.REAL,
     use_nxtval=True,
     seed=7,
-    system=None,
 ):
     cluster = Cluster(
         ClusterConfig(n_nodes=n_nodes, cores_per_node=cores_per_node, data_mode=data_mode)
     )
-    ga = GlobalArrays(cluster)
-    workload = build_t2_7(cluster, ga, (system or tiny_system()).orbital_space(), seed=seed)
-    runtime = LegacyRuntime(cluster, ga, LegacyConfig(use_nxtval=use_nxtval))
+    workload = build("t2_7:tiny", RunConfig(seed=seed), cluster=cluster)
+    runtime = LegacyRuntime(cluster, workload.ga, LegacyConfig(use_nxtval=use_nxtval))
     result = runtime.execute_subroutine(workload.subroutine)
     return cluster, workload, result
 
@@ -94,11 +91,10 @@ class TestScheduling:
 
     def test_multiple_levels_are_barrier_separated(self):
         cluster = Cluster(ClusterConfig(n_nodes=2, cores_per_node=2))
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+        workload = build("t2_7:tiny", RunConfig(), cluster=cluster)
         chains = workload.subroutine.chains
         half = len(chains) // 2
-        runtime = LegacyRuntime(cluster, ga)
+        runtime = LegacyRuntime(cluster, workload.ga)
         runtime.execute([chains[:half], chains[half:]])
         # every level-2 GEMM starts after every level-1 GEMM ends
         barriers = cluster.trace.filtered(category=TaskCategory.BARRIER)
@@ -190,8 +186,7 @@ class TestStall:
             ClusterConfig(n_nodes=2, cores_per_node=1, data_mode=DataMode.SYNTH)
         )
         cluster.install_faults(FaultPlan(master_seed=3))
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+        workload = build("t2_7:tiny", RunConfig(), cluster=cluster)
         with pytest.raises(StallError) as excinfo:
-            LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
+            LegacyRuntime(cluster, workload.ga).execute_subroutine(workload.subroutine)
         assert excinfo.value.report is cluster.faults.report

@@ -5,18 +5,13 @@ import pytest
 
 from repro.core import api
 from repro.core.dtd_port import run_over_dtd
-from repro.core.executor import run_ptg
-from repro.core.variants import V5
-from repro.ga.runtime import GlobalArrays
 from repro.parsec.dtd import AccessMode, DtdRuntime
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import OpCost
 from repro.sim.faults import FaultPlan, NodeCrash
 from repro.sim.node import FifoServer
 from repro.sim.trace import TaskCategory
-from repro.tce.molecules import tiny_system
 from repro.tce.reference import compute_reference, correlation_energy
-from repro.tce.t2_7 import build_t2_7
 from repro.util.errors import ConfigurationError, DataflowError
 
 
@@ -195,8 +190,7 @@ class TestFaultPlans:
 class TestCcsdOverDtd:
     def test_numerics_match_reference(self):
         cluster = make_cluster(n_nodes=4)
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+        workload = api.build("t2_7:tiny", api.RunConfig(), cluster=cluster)
         result = run_over_dtd(cluster, workload.subroutine)
         expected = compute_reference(workload)
         np.testing.assert_allclose(
@@ -207,22 +201,20 @@ class TestCcsdOverDtd:
     def test_energy_matches_ptg_to_14_digits(self):
         def fresh():
             cluster = make_cluster(n_nodes=4)
-            ga = GlobalArrays(cluster)
-            return cluster, build_t2_7(cluster, ga, tiny_system().orbital_space())
+            return cluster, api.build("t2_7:tiny", api.RunConfig(), cluster=cluster)
 
         cluster, workload = fresh()
         run_over_dtd(cluster, workload.subroutine)
         dtd_energy = correlation_energy(workload.i2.flat_values())
         cluster, workload = fresh()
-        run_ptg(cluster, workload.subroutine, V5)
+        api.run(workload, "v5")
         ptg_energy = correlation_energy(workload.i2.flat_values())
         assert dtd_energy == pytest.approx(ptg_energy, rel=1e-13)
 
     def test_dag_is_materialized(self):
         """The DTD cost the paper calls out: every edge exists in memory."""
         cluster = make_cluster(n_nodes=4, data_mode=DataMode.SYNTH)
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+        workload = api.build("t2_7:tiny", api.RunConfig(), cluster=cluster)
         result = run_over_dtd(cluster, workload.subroutine)
         # at minimum: 2 edges into each GEMM, 1 out of it, plus
         # reduce/sort/write edges
@@ -230,8 +222,7 @@ class TestCcsdOverDtd:
 
     def test_trace_has_task_classes(self):
         cluster = make_cluster(n_nodes=4, data_mode=DataMode.SYNTH)
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+        workload = api.build("t2_7:tiny", api.RunConfig(), cluster=cluster)
         run_over_dtd(cluster, workload.subroutine)
         counts = cluster.trace.count_by_category()
         for category in (
@@ -245,8 +236,7 @@ class TestCcsdOverDtd:
     def test_deterministic(self):
         def once():
             cluster = make_cluster(n_nodes=4, data_mode=DataMode.SYNTH)
-            ga = GlobalArrays(cluster)
-            workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+            workload = api.build("t2_7:tiny", api.RunConfig(), cluster=cluster)
             return run_over_dtd(cluster, workload.subroutine).execution_time
 
         assert once() == once()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import api
-from repro.core.executor import run_ptg
 from repro.core.variants import V5
 from repro.sim.cluster import ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
@@ -23,8 +22,7 @@ def make_run(gpus_per_node=0, cores=2, data_mode=DataMode.REAL, **overrides):
         gpus_per_node=gpus_per_node,
     )
     workload = api.build("t2_7:tiny", config)
-    run = run_ptg(workload.cluster, workload.subroutine, V5)
-    return workload.cluster, workload, run
+    return workload.cluster, workload, api.run(workload, variant=V5, config=config)
 
 
 class TestHybridExecution:
@@ -57,7 +55,7 @@ class TestHybridExecution:
         metrics = cluster.metrics
         on_cpu = metrics.counter_total("sched.tasks_executed")
         on_gpu = metrics.counter_total("sched.gpu_tasks_executed")
-        assert on_gpu > 0 and on_cpu + on_gpu == run.result.n_tasks
+        assert on_gpu > 0 and on_cpu + on_gpu == run.n_tasks
         durations = metrics.snapshot()["histograms"]["sched.task_duration_s"]
         assert durations["count"] == on_cpu + on_gpu
 

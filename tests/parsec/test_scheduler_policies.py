@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.executor import run_ptg
-from repro.core.variants import V4
-from repro.ga.runtime import GlobalArrays
+from repro import run
+from repro.core.api import RunConfig, build
 from repro.parsec.scheduler import SchedulerPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.engine import Engine
 from repro.sim.queues import LifoStore
-from repro.tce.molecules import tiny_system
 from repro.tce.reference import compute_reference
-from repro.tce.t2_7 import build_t2_7
 
 
 class TestLifoStore:
@@ -57,28 +54,21 @@ class TestLifoStore:
 class TestPolicies:
     @pytest.mark.parametrize("policy", list(SchedulerPolicy))
     def test_every_policy_computes_correct_results(self, policy):
-        cluster = Cluster(
-            ClusterConfig(n_nodes=4, cores_per_node=2, data_mode=DataMode.REAL)
-        )
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-        run = run_ptg(cluster, workload.subroutine, V4, policy=policy)
+        config = RunConfig(n_nodes=4, cores_per_node=2, policy=policy)
+        workload = build("t2_7:tiny", config)
+        result = run(workload, "v4", config=config)
         expected = compute_reference(workload)
         np.testing.assert_allclose(
             workload.i2.flat_values(), expected, rtol=1e-12, atol=1e-12
         )
-        assert run.execution_time > 0
+        assert result.execution_time > 0
 
     def test_policies_produce_different_schedules(self):
         def time_for(policy):
-            cluster = Cluster(
-                ClusterConfig(n_nodes=4, cores_per_node=2, data_mode=DataMode.SYNTH)
+            config = RunConfig(
+                n_nodes=4, cores_per_node=2, data_mode=DataMode.SYNTH, policy=policy
             )
-            ga = GlobalArrays(cluster)
-            workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-            return run_ptg(
-                cluster, workload.subroutine, V4, policy=policy
-            ).execution_time
+            return run("t2_7:tiny", "v4", config=config).execution_time
 
         times = {policy: time_for(policy) for policy in SchedulerPolicy}
         # at least two disciplines must schedule observably differently

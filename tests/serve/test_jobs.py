@@ -69,6 +69,12 @@ class TestNormalize:
         ("point", {"stealing": "false"}, "'stealing' must be bool"),
         ("point", {"scale": ["tiny"]}, "'scale' must be str"),
         ("point", {"priority": "high"}, "'priority' must be int"),
+        # int(2.7) is 2 and int(True) is 1: truncated, each would take
+        # the digest of another job and be answered by its result
+        ("point", {"cores": 2.7}, "'cores' must be int"),
+        ("point", {"cores": True}, "'cores' must be int"),
+        ("fig9", {"core_counts": [1.5]}, "'core_counts' must be list"),
+        ("point", {"priority": 2.5}, "'priority' must be int"),
     ])
     def test_unconvertible_values_rejected(self, kind, params, match):
         """A value that does not convert is the caller's error, not a

@@ -3,31 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.ga.runtime import GlobalArrays
-from repro.sim.cluster import Cluster, ClusterConfig, DataMode
-from repro.tce.molecules import (
-    SCALE_PRESETS,
-    beta_carotene,
-    system_for_scale,
-    tiny_system,
-)
+from repro.core.api import RunConfig, build
+from repro.sim.cluster import DataMode
+from repro.tce import terms
+from repro.tce.molecules import SCALE_PRESETS, system_for_scale
 from repro.tce.reference import chain_output, compute_reference, correlation_energy
-from repro.tce.t2_7 import build_t2_7
 from repro.util.errors import ConfigurationError
 
 
-def make_workload(system=None, data_mode=DataMode.REAL, seed=7, symmetry_filter=True):
-    system = system or tiny_system()
-    cluster = Cluster(ClusterConfig(n_nodes=4, cores_per_node=2, data_mode=data_mode))
-    ga = GlobalArrays(cluster)
-    return build_t2_7(
-        cluster, ga, system.orbital_space(), seed=seed, symmetry_filter=symmetry_filter
-    )
+def make_workload(data_mode=DataMode.REAL, seed=7):
+    config = RunConfig(n_nodes=4, cores_per_node=2, data_mode=data_mode, seed=seed)
+    return build("t2_7:tiny", config)
+
+
+@pytest.fixture
+def unfiltered(monkeypatch):
+    """Build terms without the symmetry filter's parity rule."""
+    monkeypatch.setattr(terms, "SYMMETRY_FILTER", False)
 
 
 class TestChainStructure:
-    def test_chain_keys_cover_unique_tile_pairs(self):
-        workload = make_workload(symmetry_filter=False)
+    def test_chain_keys_cover_unique_tile_pairs(self, unfiltered):
+        workload = make_workload()
         space = workload.space
         keys = {chain.key for chain in workload.subroutine.chains}
         expected = {
@@ -44,15 +41,18 @@ class TestChainStructure:
         ids = [chain.chain_id for chain in workload.subroutine.chains]
         assert ids == list(range(len(ids)))
 
-    def test_unfiltered_chain_length_is_full_contraction_space(self):
-        workload = make_workload(symmetry_filter=False)
+    def test_unfiltered_chain_length_is_full_contraction_space(self, unfiltered):
+        workload = make_workload()
         space = workload.space
         expected = space.n_hole_tiles * space.n_particle_tiles
         assert all(c.length == expected for c in workload.subroutine.chains)
 
-    def test_symmetry_filter_keeps_half_the_iterations(self):
-        filtered = make_workload(symmetry_filter=True).subroutine
-        unfiltered = make_workload(symmetry_filter=False).subroutine
+    def test_symmetry_filter_keeps_half_the_iterations(self, monkeypatch):
+        filtered = make_workload().subroutine
+        monkeypatch.setattr(terms, "SYMMETRY_FILTER", False)
+        unfiltered = make_workload().subroutine
+        # the filter's value is part of the inspection identity
+        assert filtered.structure_token != unfiltered.structure_token
         assert 0 < filtered.n_gemms < unfiltered.n_gemms
         # the parity rule keeps exactly half when tile counts are even
         assert filtered.n_gemms == unfiltered.n_gemms // 2
@@ -134,17 +134,13 @@ class TestSortWrites:
 
 class TestWorkloadScales:
     def test_tiny_counts(self):
-        sub = make_workload(tiny_system()).subroutine
+        sub = make_workload().subroutine
         # 4 p-pairs choose-2 +diag = 10, h pairs = 3 -> 30 chains
         assert sub.n_chains == 30
 
     def test_paper_scale_structure_without_data(self):
-        cluster = Cluster(
-            ClusterConfig(n_nodes=32, cores_per_node=1, data_mode=DataMode.SYNTH)
-        )
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, beta_carotene(40).orbital_space())
-        sub = workload.subroutine
+        config = RunConfig(n_nodes=32, cores_per_node=1, data_mode=DataMode.SYNTH)
+        sub = build("t2_7:paper", config).subroutine
         # 9 particle tiles -> 45 unique pairs; 4 hole tiles -> 10 pairs
         assert sub.n_chains == 450
         assert sub.n_gemms == 450 * 18  # symmetry filter halves 4*9=36
@@ -195,10 +191,10 @@ class TestReference:
         with pytest.raises(ValueError):
             compute_reference(workload)
 
-    def test_diagonal_chain_writes_respect_permutation_symmetry(self):
+    def test_diagonal_chain_writes_respect_permutation_symmetry(self, unfiltered):
         """For a fully diagonal chain all four sorts target the same block;
         the accumulated block must equal C - C_swapped_h - C_swapped_p + C_both."""
-        workload = make_workload(symmetry_filter=False)
+        workload = make_workload()
         diag = next(
             c
             for c in workload.subroutine.chains

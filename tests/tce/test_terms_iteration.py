@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core.executor import run_ptg
+from repro.core.api import RunConfig, build, run
 from repro.core.integration import NwchemDriver
-from repro.core.variants import V4, V5
 from repro.ga.runtime import GlobalArrays
 from repro.legacy.runtime import LegacyRuntime
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
-from repro.tce.cc_iteration import DEFAULT_ITERATION_TERMS, build_ccsd_iteration
+from repro.tce.cc_iteration import DEFAULT_ITERATION_TERMS
 from repro.tce.molecules import tiny_system
 from repro.tce.reference import (
     compute_iteration_reference,
     compute_subroutine_reference,
     correlation_energy,
 )
-from repro.tce.terms import TermBuilder, TermSpec, build_term
+from repro.tce.terms import TermBuilder, TermSpec, TermStructure
 from repro.util.errors import ConfigurationError
 
 
@@ -25,6 +24,14 @@ def make_env(n_nodes=4, cores=2, data_mode=DataMode.REAL):
         ClusterConfig(n_nodes=n_nodes, cores_per_node=cores, data_mode=data_mode)
     )
     return cluster, GlobalArrays(cluster)
+
+
+def make_term(ga, spec):
+    return TermStructure(tiny_system().orbital_space(), spec).bind(ga, seed=7)
+
+
+#: the machine of ``make_env``'s defaults, for the registered workloads
+TINY = RunConfig(n_nodes=4, cores_per_node=2)
 
 
 class TestTermSpec:
@@ -50,7 +57,7 @@ class TestTermBuilder:
     def test_every_contraction_kind_builds_and_verifies(self, contraction):
         cluster, ga = make_env()
         space = tiny_system().orbital_space()
-        workload = build_term(ga, space, TermSpec(f"t_{contraction}", contraction))
+        workload = make_term(ga, TermSpec(f"t_{contraction}", contraction))
         sub = workload.subroutine
         assert sub.n_chains > 0
         # chain length = kept contraction tuples
@@ -80,9 +87,8 @@ class TestTermBuilder:
         assert ring.inputs[0] is not ladder.inputs[0]
 
     def test_ladder_term_over_parsec_matches_reference(self):
-        cluster, ga = make_env()
-        workload = build_term(ga, tiny_system().orbital_space(), TermSpec("lad", "pp"))
-        run_ptg(cluster, workload.subroutine, V5)
+        workload = make_term(make_env()[1], TermSpec("lad", "pp"))
+        run(workload, "v5")
         np.testing.assert_allclose(
             workload.output.flat_values(),
             workload.reference_values(),
@@ -91,9 +97,8 @@ class TestTermBuilder:
         )
 
     def test_one_index_term_over_parsec_matches_reference(self):
-        cluster, ga = make_env()
-        workload = build_term(ga, tiny_system().orbital_space(), TermSpec("one", "h"))
-        run_ptg(cluster, workload.subroutine, V4)
+        workload = make_term(make_env()[1], TermSpec("one", "h"))
+        run(workload, "v4")
         np.testing.assert_allclose(
             workload.output.flat_values(),
             workload.reference_values(),
@@ -111,8 +116,7 @@ class TestCcsdIteration:
         assert len(names) == len(set(names))
 
     def test_build_iteration_structure(self):
-        cluster, ga = make_env()
-        iteration = build_ccsd_iteration(ga, tiny_system().orbital_space())
+        iteration = build("ccsd:tiny", TINY)
         assert len(iteration.levels()) == 7
         assert len(iteration.subroutines) == 14
         assert iteration.structure.n_gemms > 0
@@ -123,15 +127,13 @@ class TestCcsdIteration:
             iteration.subroutine("missing")
 
     def test_chain_levels_renumber_densely(self):
-        cluster, ga = make_env()
-        iteration = build_ccsd_iteration(ga, tiny_system().orbital_space())
+        iteration = build("ccsd:tiny", TINY)
         for level in iteration.levels():
             assert [c.chain_id for c in level.chains] == list(range(level.n_chains))
 
     def test_legacy_full_iteration_matches_reference(self):
-        cluster, ga = make_env()
-        iteration = build_ccsd_iteration(ga, tiny_system().orbital_space())
-        LegacyRuntime(cluster, ga).execute(
+        iteration = build("ccsd:tiny", TINY)
+        LegacyRuntime(iteration.cluster, iteration.ga).execute(
             [list(level.chains) for level in iteration.levels()]
         )
         expected = compute_iteration_reference(iteration.subroutines, iteration.arrays)
@@ -141,10 +143,11 @@ class TestCcsdIteration:
 
     def test_mixed_driver_iteration_matches_reference(self):
         """Port only icsd_t2_7 + the ladders; the rest stays legacy."""
-        cluster, ga = make_env()
-        iteration = build_ccsd_iteration(ga, tiny_system().orbital_space())
+        iteration = build("ccsd:tiny", TINY)
         driver = NwchemDriver(
-            cluster, ga, parsec_kernels={"icsd_t2_7", "icsd_t2_8", "icsd_t2_13"}
+            iteration.cluster,
+            iteration.ga,
+            parsec_kernels={"icsd_t2_7", "icsd_t2_8", "icsd_t2_13"},
         )
         result = driver.run(iteration.subroutines)
         modes = {k.name: k.mode for k in result.kernels}
@@ -156,15 +159,16 @@ class TestCcsdIteration:
         )
 
     def test_fully_ported_iteration_energy_matches_legacy(self):
-        def run(parsec_kernels):
-            cluster, ga = make_env()
-            iteration = build_ccsd_iteration(ga, tiny_system().orbital_space())
-            driver = NwchemDriver(cluster, ga, parsec_kernels=parsec_kernels)
+        def energy(parsec_kernels):
+            iteration = build("ccsd:tiny", TINY)
+            driver = NwchemDriver(
+                iteration.cluster, iteration.ga, parsec_kernels=parsec_kernels
+            )
             driver.run(iteration.subroutines)
             return correlation_energy(iteration.i2.flat_values())
 
-        legacy_energy = run(parsec_kernels=set())
-        parsec_energy = run(parsec_kernels=None)  # all ported
+        legacy_energy = energy(parsec_kernels=set())
+        parsec_energy = energy(parsec_kernels=None)  # all ported
         assert parsec_energy == pytest.approx(legacy_energy, rel=1e-13)
 
     def test_iteration_reference_requires_subroutines(self):

@@ -1,19 +1,26 @@
 """API-surface and miscellaneous coverage tests."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
-from repro.core.executor import run_ptg
+from repro.core.api import RunConfig, build, ptg_pipeline
 from repro.core.variants import V5
 from repro.experiments.fig9 import Fig9Result
-from repro.ga.runtime import GlobalArrays
-from repro.sim.cluster import Cluster, ClusterConfig, DataMode
+from repro.sim.cluster import DataMode
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.trace import TraceRecorder
-from repro.tce.molecules import tiny_system
-from repro.tce.t2_7 import build_t2_7
+
+#: ``repro`` and every package under it
+PACKAGES = ["repro"] + [
+    name
+    for _, name, is_package in pkgutil.iter_modules(repro.__path__, "repro.")
+    if is_package
+]
 
 
 class TestTopLevelApi:
@@ -21,18 +28,18 @@ class TestTopLevelApi:
         assert repro.__version__ == "1.0.0"
 
     def test_headline_workflow_via_top_level_names(self):
-        cluster = repro.Cluster(
-            repro.ClusterConfig(n_nodes=4, cores_per_node=2, data_mode=repro.DataMode.REAL)
+        config = repro.RunConfig(
+            n_nodes=4, cores_per_node=2, data_mode=repro.DataMode.REAL
         )
-        ga = repro.GlobalArrays(cluster)
-        workload = repro.build_t2_7(cluster, ga, repro.tiny_system().orbital_space())
-        run = repro.run_ptg(cluster, workload.subroutine, repro.V5)
-        assert "icsd_t2_7" in run.describe()
-        assert run.execution_time > 0
+        result = repro.run("t2_7:tiny", runtime="parsec", variant=repro.V5, config=config)
+        assert result.report.workload == "icsd_t2_7"
+        assert result.execution_time > 0
 
-    def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_all_exports_resolve(self, package):
+        module = importlib.import_module(package)
+        for name in getattr(module, "__all__", ()):
+            assert getattr(module, name) is not None, f"{package}.{name}"
 
     def test_paper_variants_exposed(self):
         assert set(repro.PAPER_VARIANTS) == {"v1", "v2", "v3", "v4", "v5"}
@@ -69,13 +76,13 @@ class TestNetworkDelivery:
 
 class TestDescriptions:
     def test_subroutine_and_run_describe(self):
-        cluster = Cluster(ClusterConfig(n_nodes=2, data_mode=DataMode.SYNTH))
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-        run = run_ptg(cluster, workload.subroutine, V5)
-        assert "v5" in run.describe()
+        config = RunConfig(n_nodes=2, data_mode=DataMode.SYNTH)
+        workload = build("t2_7:tiny", config)
+        _, _, metadata = ptg_pipeline(workload.cluster, workload.subroutine, V5, config)
         assert "chains" in workload.subroutine.describe()
-        assert "icsd_t2_7" in run.metadata.describe()
+        assert "icsd_t2_7 [v5]" in metadata.describe()
+        result = repro.run(workload, "v5", config=config)
+        assert result.variant == "v5" and "tasks" in result.summary()
 
     def test_fig9_chart_and_best(self):
         times = {
@@ -127,14 +134,12 @@ class TestIntegrationDriverConfig:
         from repro.core.integration import NwchemDriver
         from repro.legacy.runtime import LegacyConfig
 
-        cluster = Cluster(
-            ClusterConfig(n_nodes=2, cores_per_node=2, data_mode=DataMode.SYNTH)
-        )
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+        config = RunConfig(n_nodes=2, cores_per_node=2, data_mode=DataMode.SYNTH)
+        workload = build("t2_7:tiny", config)
+        cluster = workload.cluster
         driver = NwchemDriver(
             cluster,
-            ga,
+            workload.ga,
             parsec_kernels=set(),  # everything legacy
             legacy_config=LegacyConfig(use_nxtval=False),
         )
@@ -146,11 +151,9 @@ class TestIntegrationDriverConfig:
     def test_uses_parsec_predicate(self):
         from repro.core.integration import NwchemDriver
 
-        cluster = Cluster(ClusterConfig(n_nodes=2))
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-        driver_all = NwchemDriver(cluster, ga)
-        driver_none = NwchemDriver(cluster, ga, parsec_kernels=set())
+        workload = build("t2_7:tiny", RunConfig(n_nodes=2))
+        driver_all = NwchemDriver(workload.cluster, workload.ga)
+        driver_none = NwchemDriver(workload.cluster, workload.ga, parsec_kernels=set())
         assert driver_all.uses_parsec(workload.subroutine)
         assert not driver_none.uses_parsec(workload.subroutine)
 
@@ -167,13 +170,14 @@ class TestOpCostHelpers:
     def test_run_until_idle_equivalence(self):
         """cluster.run(until=...) past the workload end equals free run."""
         def final_time(until):
-            cluster = Cluster(ClusterConfig(n_nodes=2, data_mode=DataMode.SYNTH))
-            ga = GlobalArrays(cluster)
-            workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+            config = RunConfig(n_nodes=2, data_mode=DataMode.SYNTH)
+            workload = build("t2_7:tiny", config)
             from repro.legacy.runtime import LegacyRuntime
 
-            done, _ = LegacyRuntime(cluster, ga).launch([list(workload.subroutine.chains)])
-            cluster.run(until=until)
+            done, _ = LegacyRuntime(workload.cluster, workload.ga).launch(
+                [list(workload.subroutine.chains)]
+            )
+            workload.cluster.run(until=until)
             return done.triggered
 
         assert final_time(None)

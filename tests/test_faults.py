@@ -397,17 +397,14 @@ def _fresh_workload(n_nodes=4, cores=2, scale="tiny"):
 
 class TestParsecRecovery:
     def _run(self, plan, variant_name="v4"):
-        from repro.core.executor import run_ptg
-        from repro.core.variants import variant_by_name
+        from repro.core.api import run
 
         cluster, workload = _fresh_workload()
         workload.i2.array.enable_ordered_accumulation()
         if plan is not None:
             cluster.install_faults(plan)
-        run = run_ptg(
-            cluster, workload.subroutine, variant_by_name(variant_name)
-        )
-        return workload.i2.flat_values(), run.result
+        result = run(workload, variant_name)
+        return workload.i2.flat_values(), result
 
     def test_task_retries_counted_and_harmless(self, monkeypatch):
         reference, _ = self._run(None)
@@ -429,13 +426,12 @@ class TestParsecRecovery:
         assert np.array_equal(values, reference)
 
     def test_crash_with_no_survivors_raises_stall_report(self):
-        from repro.core.executor import run_ptg
-        from repro.core.variants import variant_by_name
+        from repro.core.api import run
 
         cluster, workload = _fresh_workload(n_nodes=1, cores=1)
         cluster.install_faults(FaultPlan(crashes=(NodeCrash(node=0, at=1e-6),)))
         with pytest.raises(StallError, match="stalled") as excinfo:
-            run_ptg(cluster, workload.subroutine, variant_by_name("v1"))
+            run(workload, "v1")
         message = str(excinfo.value)
         assert "alive=False" in message
         assert "fault report" in message

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.executor import run_ptg
+from repro.core import api
 from repro.core.inspector import _build_reduce_tree, _build_segments
-from repro.core.variants import V1, V5
 from repro.ga.runtime import GlobalArrays
 from repro.ga.sync import Barrier
 from repro.legacy.runtime import LegacyRuntime
@@ -23,7 +22,8 @@ from repro.sim.engine import Engine
 from repro.sim.queues import PriorityStore
 from repro.sim.resources import BandwidthResource
 from repro.tce.orbital_space import OrbitalSpace
-from repro.tce.t2_7 import build_t2_7
+from repro.tce.t2_7 import T2_7_SPEC
+from repro.tce.terms import TermStructure
 
 slow_settings = settings(
     max_examples=20,
@@ -191,7 +191,7 @@ class TestChainIrProperties:
     def test_chain_invariants_over_random_spaces(self, space, seed):
         cluster = Cluster(ClusterConfig(n_nodes=3, data_mode=DataMode.SYNTH))
         ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, space, seed=seed)
+        workload = TermStructure(space, T2_7_SPEC).bind(ga, seed)
         for chain in workload.subroutine.chains:
             # the output tile is exactly the m x n chain result
             assert chain.m * chain.n == chain.c_size
@@ -248,11 +248,11 @@ class TestEndToEndProperties:
                 ClusterConfig(n_nodes=3, cores_per_node=2, data_mode=DataMode.REAL)
             )
             ga = GlobalArrays(cluster)
-            workload = build_t2_7(cluster, ga, space, seed=seed)
+            workload = TermStructure(space, T2_7_SPEC).bind(ga, seed)
             if kind == "legacy":
                 LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
             else:
-                run_ptg(cluster, workload.subroutine, V1)
+                api.run(workload, "v1")
             return workload.i2.flat_values()
 
         np.testing.assert_array_equal(run("legacy"), run("v1"))
@@ -267,11 +267,11 @@ class TestEndToEndProperties:
                 ClusterConfig(n_nodes=3, cores_per_node=2, data_mode=DataMode.REAL)
             )
             ga = GlobalArrays(cluster)
-            workload = build_t2_7(cluster, ga, space, seed=seed)
+            workload = TermStructure(space, T2_7_SPEC).bind(ga, seed)
             if kind == "legacy":
                 LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
             else:
-                run_ptg(cluster, workload.subroutine, V5)
+                api.run(workload, "v5")
             return workload.i2.flat_values()
 
         np.testing.assert_allclose(run("legacy"), run("v5"), rtol=1e-12, atol=1e-12)

@@ -9,8 +9,8 @@ never a silent hang or wrong numbers.
 import numpy as np
 import pytest
 
-from repro.core.executor import run_ptg
-from repro.core.variants import V5
+from repro import run
+from repro.core.api import RunConfig, build
 from repro.ga.runtime import GlobalArrays
 from repro.legacy.runtime import LegacyRuntime
 from repro.parsec.ptg import PTG
@@ -18,9 +18,7 @@ from repro.parsec.runtime import ParsecRuntime
 from repro.parsec.taskclass import Dep, Flow, FlowMode, TaskClass
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import OpCost
-from repro.tce.molecules import tiny_system
 from repro.tce.reference import compute_reference
-from repro.tce.t2_7 import build_t2_7
 from repro.util.errors import DataflowError, GlobalArrayError, SimulationError
 from types import SimpleNamespace
 
@@ -202,14 +200,12 @@ class TestRepeatability:
     def test_running_the_subroutine_twice_doubles_i2(self):
         """Accumulation linearity: the machinery is re-runnable and the
         GA accumulate semantics are exact."""
-        cluster = Cluster(
-            ClusterConfig(n_nodes=4, cores_per_node=2, data_mode=DataMode.REAL)
-        )
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+        workload = build("t2_7:tiny", RunConfig(n_nodes=4, cores_per_node=2))
         expected = compute_reference(workload)
-        LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
-        run_ptg(cluster, workload.subroutine, V5)
+        LegacyRuntime(workload.cluster, workload.ga).execute_subroutine(
+            workload.subroutine
+        )
+        run(workload, "v5")
         np.testing.assert_allclose(
             workload.i2.flat_values(), 2.0 * expected, rtol=1e-12, atol=1e-12
         )
@@ -217,14 +213,10 @@ class TestRepeatability:
     def test_three_parsec_sections_on_one_cluster(self):
         """Repeated PaRSEC launches must not interfere (distinct comm
         inboxes, fresh schedulers)."""
-        cluster = Cluster(
-            ClusterConfig(n_nodes=4, cores_per_node=2, data_mode=DataMode.REAL)
-        )
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
+        workload = build("t2_7:tiny", RunConfig(n_nodes=4, cores_per_node=2))
         expected = compute_reference(workload)
         for _ in range(3):
-            run_ptg(cluster, workload.subroutine, V5)
+            run(workload, "v5")
         np.testing.assert_allclose(
             workload.i2.flat_values(), 3.0 * expected, rtol=1e-12, atol=1e-12
         )

@@ -342,4 +342,3 @@ class TestRemovedShims:
 
     def test_run_over_parsec_is_gone(self):
         assert not hasattr(repro, "run_over_parsec")
-        assert callable(repro.run_ptg)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.workloads import (
-    Workload,
+    BoundWorkload,
     build_workload,
     canonical_token,
     parse_workload_token,
@@ -69,7 +69,7 @@ class TestBuildWorkload:
 
         cluster = make_cluster(2, n_nodes=2)
         workload = build_workload(token, cluster)
-        assert isinstance(workload, Workload)
+        assert isinstance(workload, BoundWorkload)
         assert workload.levels()
         assert workload.output is not None
         # the instance is stamped with the one canonical spelling
