@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import networkx as nx
 
 from repro.parsec.ptg import TaskGraph
-from repro.parsec.taskclass import EDGES
 from repro.sim.cost import MachineModel, OpCost
 from repro.sim.trace import TaskCategory
 
@@ -84,9 +83,9 @@ def task_graph_to_networkx(graph: TaskGraph, machine: MachineModel) -> nx.DiGrap
             category=category.value,
             node=graph.nodes[row],
         )
-    for edges in graph.rows:
-        for consumer in edges[EDGES + 1 :: 2]:
-            dag.add_edge(edges[0], graph.key(consumer))
+    for row in range(len(graph)):
+        for _, consumer in graph.template.successors(row):
+            dag.add_edge(graph.key(row), graph.key(consumer))
     return dag
 
 

@@ -46,12 +46,13 @@ __all__ = ["MEMO_MAX_BYTES", "PROCESS_MEMO", "InspectionCache", "inspect_subrout
 #: chain IR of a structure, 241-584 B per GEMM (one shared ``BlockRef``
 #: per block, slotted records); the inspected ``ChainMeta``, 523-737 B
 #: per GEMM, the largest level of either chain height; a validated task
-#: template with its resolved successors, 221-224 B per task, v1 and v5,
-#: read after the metadata's lazy caches are filled. A seeded draw
-#: weighs its ``nbytes``: 8 B per element.
+#: template with its resolved successors, 14-18 B per task, v1 and v5
+#: (typed columns, the narrowest int type that holds each), read after
+#: the metadata's lazy caches are filled. A seeded draw weighs its
+#: ``nbytes``: 8 B per element.
 IR_BYTES_PER_GEMM = 584
 CHAIN_BYTES_PER_GEMM = 737
-TEMPLATE_BYTES_PER_TASK = 224
+TEMPLATE_BYTES_PER_TASK = 18
 
 #: Bound of :data:`PROCESS_MEMO`, in the bytes above summed over its
 #: entries. Sized so that a ``ccsd:small`` REAL sweep on 8 nodes and a

@@ -26,18 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CommThread", "comm_service"]
 
-_TAG_CACHE: dict[str, str] = {}
-
-
-def _dataflow_tag(class_name: str) -> str:
-    """Interned ``parsec:<class>`` wire tag (one string per task class,
-    however many messages carry it)."""
-    tag = _TAG_CACHE.get(class_name)
-    if tag is None:
-        tag = _TAG_CACHE[class_name] = sys.intern(f"parsec:{class_name}")
-    return tag
-
-
 def comm_service(machine: "MachineModel") -> Callable[[Any], tuple[float, float]]:
     """The comm thread's charge for a network :class:`Message` or a send
     request (a tuple led by its wire size): the per-message overhead
@@ -73,6 +61,14 @@ class CommThread:
         self.ctrl_name = f"parsec.ctrl#{runtime.instance_id}"
         self.metrics = metrics = runtime.cluster.metrics
         self._m_forwarded = metrics.counter("parsec.forwarded")
+        # a dataflow message's wire tag is its consumer's class,
+        # ``parsec:<class>``: one interned string per class of the level
+        assert runtime.graph is not None  # launch() instantiates first
+        template = runtime.graph.template
+        self._class_of = template.class_of
+        self._class_tags = tuple(
+            sys.intern(f"parsec:{name}") for name, _ in template.classes
+        )
         # dataflow-only coalescing (``runtime.coalescing=None`` passes
         # every send through): the steal control plane keeps its
         # dedicated latency-critical lane un-batched
@@ -168,7 +164,7 @@ class CommThread:
             graph.nodes[consumer],
             size_bytes,
             (consumer, flow, data, tag),
-            tag=_dataflow_tag(graph.rows[consumer][0][0]),
+            tag=self._class_tags[self._class_of[consumer]],
         )
 
     def _arrive(self, payload: tuple, size_bytes: float) -> None:
@@ -192,5 +188,5 @@ class CommThread:
             size_bytes,
             payload,
             inbox=self.inbox_name,
-            tag=_dataflow_tag(graph.rows[consumer][0][0]),
+            tag=self._class_tags[self._class_of[consumer]],
         )

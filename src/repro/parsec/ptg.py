@@ -2,24 +2,25 @@
 
 A :class:`PTG` is a set of task classes. :meth:`PTG.instantiate`
 evaluates every class's symbolic domain against the metadata (the
-product of the inspection phase) into a :class:`Template` — one row per
-task instance, class by class and each class in params order, of its
-key, placement, priority, pending input count and resolved
-successors — and hands back a
-:class:`TaskGraph`: the run's mutable state as columns indexed by row
-number. A task is a template row until it runs; only a worker running
-its body holds an object for it (:class:`RunningTask`).
+product of the inspection phase) into a :class:`Template` — flat typed
+columns over the task instances, class by class and each class in
+params order: their params, placement, priority, pending input count
+and resolved successors — and hands back a :class:`TaskGraph`: the
+run's mutable state as columns indexed by row number. A task is a
+template row until it runs; only a worker that claimed it holds an
+object for it (:class:`RunningTask`), and only then are its key and
+params a tuple.
 
 Resolving the successors evaluates every output dep's guard and param
-map once per template: each task's row lists the consumers its active
-deps feed, keyed by the consumer's own table key, so a completion walks
-data instead of re-evaluating the symbolic dataflow. Building the
-template also *validates the dataflow*, as a count over those edges:
-every active input dep must be fed by exactly the right number of active
-output deps on the producer side. A mismatch — a task that would wait
-forever, or a delivery nobody expects — is a programming error in the
-PTG and raises :class:`~repro.util.errors.DataflowError` up front rather
-than showing up as a simulation that silently never terminates.
+map once per template: each row's edges name the consumers its active
+deps feed by row number, so a completion walks data instead of
+re-evaluating the symbolic dataflow. Building the template also
+*validates the dataflow*, as a count over those edges: every active
+input dep must be fed by exactly the right number of active output deps
+on the producer side. A mismatch — a task that would wait forever, or a
+delivery nobody expects — is a programming error in the PTG and raises
+:class:`~repro.util.errors.DataflowError` up front rather than showing
+up as a simulation that silently never terminates.
 
 A template is pure data: it depends on the PTG's shape and on what the
 metadata derives from the workload's structure, the node count and the
@@ -38,13 +39,15 @@ as opaque IDs resolved at execution time.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from array import array
+from functools import partial
 from itertools import chain, compress
-from operator import itemgetter, not_
+from operator import not_
+from struct import Struct, unpack_from
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
-from repro.parsec.taskclass import EDGES, TaskClass
+from repro.parsec.taskclass import TaskClass
 from repro.util.errors import DataflowError
 
 __all__ = ["PTG", "Template", "TaskGraph", "RunningTask"]
@@ -64,41 +67,140 @@ _RUNNING = DONE | STARTED
 _NO_INPUTS: Mapping[str, Any] = MappingProxyType({})
 
 
-class Template:
-    """A PTG's validated task table, shared by every run of it.
+def _column(values) -> array:
+    """``values`` (ints) as the narrowest signed typed array that holds
+    them."""
+    low, high = (min(values), max(values)) if values else (0, 0)
+    for code in "bhi":
+        bound = 1 << (8 * array(code).itemsize - 1)
+        if -bound <= low and high < bound:
+            return array(code, values)
+    return array("q", values)
 
-    ``rows`` are the task instances in creation order, each ``(key,
-    node, priority, pending, *edges)`` (``taskclass.EDGES``); ``classes``
-    the classes' names with their row counts, in the same order. A task
-    is its row number: an edge names its consumer by row, so a
-    completion indexes the run's columns without looking a key up. A
-    class's rows are numbered in params order (:meth:`PTG.template`), so
+
+class Template:
+    """A PTG's validated task table, shared by every run of it: flat
+    typed columns over its rows, no object per task.
+
+    A task is its row number. The rows are grouped by class, in the
+    PTG's class order: ``classes`` holds each class's name and row count,
+    ``starts`` its first row, ``class_of`` each row's class index. A
+    class's rows are numbered in params order (:meth:`PTG.template`), and
+    ``params[index]`` holds them flat, ``arity[index]`` ints per row
+    (``widths[index]`` bytes, read back as a tuple by the ``struct``
+    format ``formats[index]``); so
     :attr:`sorted_rows` — the order crash re-homing and the steal chain
     index sweep in — is the classes' row ranges by name: nothing is
-    sorted or kept for it.
+    sorted or kept for it. Per row: ``nodes`` (placement), ``pending``
+    (input count) and ``ranks``, an index into ``priorities`` (the
+    distinct priorities, highest first: a level has a few hundred over
+    tens of thousands of rows). Row ``r``'s successors are the edges
+    ``edge_starts[r]`` to ``edge_starts[r + 1]``: each an index into its
+    class's ``out_deps`` (``edge_deps``) and the consumer's row
+    (``consumers``). An unvalidated template names a consumer missing
+    from the table by ``len(self)``, past every column, and keeps its
+    key in ``missing`` (edge -> key) for the runtime to report.
     """
 
-    __slots__ = ("classes", "rows")
+    __slots__ = (
+        "classes",
+        "starts",
+        "by_name",
+        "arity",
+        "params",
+        "formats",
+        "widths",
+        "class_of",
+        "nodes",
+        "pending",
+        "ranks",
+        "priorities",
+        "edge_starts",
+        "edge_deps",
+        "consumers",
+        "missing",
+    )
 
     def __init__(
-        self, classes: tuple[tuple[str, int], ...], rows: tuple[tuple, ...]
+        self,
+        classes: tuple[tuple[str, int], ...],
+        arity: tuple[int, ...],
+        params: tuple[array, ...],
+        nodes: list[int],
+        pending: list[int],
+        priorities: list[float],
+        edge_starts: list[int],
+        edge_deps: list[int],
+        consumers: list[int],
+        missing: dict[int, tuple],
     ) -> None:
         self.classes = classes
-        self.rows = rows
+        starts = [0]
+        for _, count in classes:
+            starts.append(starts[-1] + count)
+        self.starts = tuple(starts[:-1])
+        #: class indices in name order (the sorted-key order of the rows)
+        self.by_name = tuple(
+            sorted(range(len(classes)), key=lambda index: classes[index][0])
+        )
+        self.arity = arity
+        self.params = params
+        self.formats = tuple(
+            f"{n}{column.typecode}" for n, column in zip(arity, params)
+        )
+        self.widths = tuple(n * column.itemsize for n, column in zip(arity, params))
+        self.class_of = _column(
+            [index for index, (_, count) in enumerate(classes) for _ in range(count)]
+        )
+        self.nodes = _column(nodes)
+        self.pending = _column(pending)
+        table = sorted(set(priorities), reverse=True)
+        rank = {priority: index for index, priority in enumerate(table)}
+        self.priorities = tuple(table)
+        self.ranks = _column([rank[priority] for priority in priorities])
+        self.edge_starts = _column(edge_starts)
+        self.edge_deps = _column(edge_deps)
+        self.consumers = _column(consumers)
+        self.missing = missing
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.class_of)
 
     @property
     def sorted_rows(self) -> Iterator[int]:
         """Every row, in sorted-key order."""
-        runs = []
-        start = 0
-        for name, count in self.classes:
-            runs.append((name, range(start, start + count)))
-            start += count
-        runs.sort(key=itemgetter(0))
-        return chain.from_iterable(run for _, run in runs)
+        return chain.from_iterable(self.class_rows(index) for index in self.by_name)
+
+    def class_rows(self, index: int) -> range:
+        """The rows of class ``index``."""
+        start = self.starts[index]
+        return range(start, start + self.classes[index][1])
+
+    def param_column(self, index: int, position: int) -> array:
+        """Param ``position`` of every row of class ``index``, in row
+        order."""
+        return self.params[index][position :: self.arity[index]]
+
+    def keys(self, rows: Iterable[int]) -> list[tuple]:
+        """The key, ``(class name, params)``, of each of ``rows``: the
+        tuples are built here (and in :class:`RunningTask`), not kept."""
+        classes, class_of, starts = self.classes, self.class_of, self.starts
+        keys = []
+        for row in rows:
+            index = class_of[row]
+            at = (row - starts[index]) * self.widths[index]
+            params = unpack_from(self.formats[index], self.params[index], at)
+            keys.append((classes[index][0], params))
+        return keys
+
+    def key(self, row: int) -> tuple:
+        return self.keys((row,))[0]
+
+    def successors(self, row: int) -> list[tuple[int, int]]:
+        """``row``'s edges: (index into its class's ``out_deps``, consumer
+        row) pairs, in (flow, dep) order."""
+        edges = range(self.edge_starts[row], self.edge_starts[row + 1])
+        return [(self.edge_deps[j], self.consumers[j]) for j in edges]
 
 
 class PTG:
@@ -144,19 +246,18 @@ class PTG:
         """Evaluate every class's domain, placement, priority, input count
         and successors against ``md``; checked by :meth:`_validate`
         unless told otherwise."""
-        #: key -> row number; its values are the one int object per row
-        #: every edge into that row shares
+        #: key -> row number, while the successors are resolved
         row_of: dict[tuple, int] = {}
-        # one float object per distinct priority: a level has a few
-        # hundred values over tens of thousands of rows
-        priorities: dict[float, float] = {}
-        heads = []
+        nodes: list[int] = []
+        pending: list[int] = []
+        priorities: list[float] = []
+        domains = []
         for cls in self.classes.values():
-            rows = []
             # rows in params order, the order PaRSEC's startup sweep
             # walks a class's parameter space in (and the template's
             # sorted-key order without a sort per use)
-            for params in sorted(map(tuple, cls.domain(md))):
+            domain = sorted(map(tuple, cls.domain(md)))
+            for params in domain:
                 node = cls.placement(params, md)
                 if not 0 <= node < n_nodes:
                     raise DataflowError(
@@ -166,17 +267,58 @@ class PTG:
                 if key in row_of:
                     raise DataflowError(f"duplicate task instance {cls.name}{params}")
                 row_of[key] = len(row_of)
-                priority = float(cls.priority(params, md)) if cls.priority else 0.0
-                priority = priorities.setdefault(priority, priority)
-                rows.append((key, node, priority, cls.input_count(params, md)))
-            heads.append((cls, rows))
+                nodes.append(node)
+                priorities.append(
+                    float(cls.priority(params, md)) if cls.priority else 0.0
+                )
+                pending.append(cls.input_count(params, md))
+            domains.append((cls, domain))
         # a successor resolves to its consumer's row, whatever class it
-        # belongs to: a second pass, once every key is known
-        rows = []
-        for cls, head in heads:
-            rows += _with_successors(cls, head, row_of, md, validate)
+        # belongs to: a second pass, once every key is known. Each row's
+        # edges are in (flow, dep) order, an index into its class's
+        # ``out_deps`` and the consumer's row. Unvalidated, a consumer
+        # missing from the table is row ``len(row_of)``, past every
+        # column, and its key goes to ``missing``, for the runtime to
+        # report when the producer completes.
+        edge_starts = [0]
+        edge_deps: list[int] = []
+        consumers: list[int] = []
+        missing: dict[int, tuple] = {}
+        absent = len(row_of)
+        for cls, domain in domains:
+            deps = [
+                (index, flow, dep.guard, dep.param_map, dep.target_class)
+                for index, (flow, dep) in enumerate(cls.out_deps)
+            ]
+            for params in domain:
+                for index, flow, guard, param_map, target_class in deps:
+                    if guard is not None and not guard(params, md):
+                        continue
+                    consumer_key = (target_class, tuple(param_map(params, md)))
+                    found = row_of.get(consumer_key)
+                    if found is None:
+                        if validate:
+                            raise DataflowError(
+                                f"{cls.name}{params}.{flow.name} targets missing "
+                                f"task {target_class}{consumer_key[1]}"
+                            )
+                        missing[len(consumers)] = consumer_key
+                        found = absent
+                    edge_deps.append(index)
+                    consumers.append(found)
+                edge_starts.append(len(consumers))
+        del row_of
         template = Template(
-            tuple((cls.name, len(head)) for cls, head in heads), tuple(rows)
+            tuple((cls.name, len(domain)) for cls, domain in domains),
+            tuple(_arity(cls, domain) for cls, domain in domains),
+            tuple(_params_column(cls, domain) for cls, domain in domains),
+            nodes,
+            pending,
+            priorities,
+            edge_starts,
+            edge_deps,
+            consumers,
+            missing,
         )
         if validate:
             self._validate(template)
@@ -184,58 +326,45 @@ class PTG:
 
     def _validate(self, template: Template) -> None:
         """Check every expected delivery has exactly one producer: count
-        the resolved edges into each (consumer row, flow)."""
-        incoming: dict[tuple, int] = defaultdict(int)
-        classes = self.classes
-        rows = template.rows
-        for row in rows:
-            out_deps = classes[row[0][0]].out_deps
-            for j in range(EDGES, len(row), 2):
-                incoming[row[j + 1], out_deps[row[j]][1].flow] += 1
-        for index, row in enumerate(rows):
-            key, expected = row[0], row[3]
-            flows = classes[key[0]].flows
-            actual = sum(incoming.get((index, flow.name), 0) for flow in flows)
+        the resolved edges into each row, on the flows its class has."""
+        classes = [self.classes[name] for name, _ in template.classes]
+        flows_of = [frozenset(flow.name for flow in cls.flows) for cls in classes]
+        class_of, edge_starts = template.class_of, template.edge_starts
+        edge_deps, consumers = template.edge_deps, template.consumers
+        incoming = [0] * len(template)
+        for index, cls in enumerate(classes):
+            targets = [dep.flow for _, dep in cls.out_deps]
+            rows = template.class_rows(index)
+            for j in range(edge_starts[rows.start], edge_starts[rows.stop]):
+                consumer = consumers[j]
+                if targets[edge_deps[j]] in flows_of[class_of[consumer]]:
+                    incoming[consumer] += 1
+        for row, (expected, actual) in enumerate(zip(template.pending, incoming)):
             if actual != expected:
+                name, params = template.key(row)
                 raise DataflowError(
-                    f"{key[0]}{key[1]} expects {expected} deliveries but the "
+                    f"{name}{params} expects {expected} deliveries but the "
                     f"dataflow produces {actual}"
                 )
 
 
-def _with_successors(
-    cls: TaskClass, rows: list, row_of: dict, md: Any, validate: bool
-) -> list:
-    """``cls``'s rows, each extended by its resolved output edges in
-    (flow, dep) order: pairs of (index into ``cls.out_deps``, consumer
-    row) appended to the row itself, so an edge costs two of its slots
-    and nothing else (the memo holds one row per task of every
-    template). Unvalidated, a consumer missing from the table keeps the
-    key its dep names, and the runtime reports it when the producer
-    completes."""
-    deps = [
-        (index, flow, dep.guard, dep.param_map, dep.target_class)
-        for index, (flow, dep) in enumerate(cls.out_deps)
-    ]
-    completed = []
-    for head in rows:
-        params = head[0][1]
-        row = list(head)
-        for index, flow, guard, param_map, target_class in deps:
-            if guard is not None and not guard(params, md):
-                continue
-            consumer_key = (target_class, tuple(param_map(params, md)))
-            found = row_of.get(consumer_key)
-            if found is None:
-                if validate:
-                    raise DataflowError(
-                        f"{cls.name}{params}.{flow.name} targets missing "
-                        f"task {target_class}{consumer_key[1]}"
-                    )
-                found = consumer_key
-            row += (index, found)
-        completed.append(tuple(row))
-    return completed
+def _arity(cls: TaskClass, domain: list[tuple]) -> int:
+    """How many params each row of ``cls`` has (as declared, if none)."""
+    return len(domain[0]) if domain else len(cls.params)
+
+
+def _params_column(cls: TaskClass, domain: list[tuple]) -> array:
+    """``cls``'s params over its rows, flat: one arity, ints only."""
+    arity = _arity(cls, domain)
+    for params in domain:
+        if len(params) != arity:
+            raise DataflowError(
+                f"{cls.name}{params} has {len(params)} params, its class {arity}"
+            )
+    try:
+        return _column([value for params in domain for value in params])
+    except TypeError:
+        raise DataflowError(f"{cls.name}: task params must be ints") from None
 
 
 class TaskGraph:
@@ -254,38 +383,55 @@ class TaskGraph:
     """
 
     def __init__(self, ptg: PTG, md: Any, template: Template) -> None:
-        self.ptg = ptg
         self.md = md
         self.template = template
-        self.rows = rows = template.rows
-        self.nodes: list[int] = list(map(itemgetter(1), rows))
-        self.pending: list[int] = list(map(itemgetter(3), rows))
-        self.flags = bytearray(len(rows))
+        #: the task class of each of the template's class indices
+        self.classes: tuple[TaskClass, ...] = tuple(
+            ptg.classes[name] for name, _ in template.classes
+        )
+        self.class_of = template.class_of
+        #: per class index, how a running task reads its params: a C
+        #: function from a row's byte offset in the class's params column
+        #: to the tuple, the class's first row and its bytes per row (per
+        #: run, not in the template: a ``Struct`` does not pickle)
+        self.layout = tuple(
+            (partial(Struct(fmt).unpack_from, column), start, width)
+            for fmt, column, start, width in zip(
+                template.formats, template.params, template.starts, template.widths
+            )
+        )
+        self.nodes: list[int] = list(template.nodes)
+        self.pending: list[int] = list(template.pending)
+        self.flags = bytearray(len(template))
         self.epochs: dict[int, int] = {}
         self.stolen_from: dict[int, int] = {}
         self.payloads: dict[int, dict[str, Any]] = {}
         self.tags: dict[int, dict[str, Any]] = {}
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.flags)
 
     def cls(self, row: int) -> TaskClass:
-        return self.ptg.classes[self.rows[row][0][0]]
+        return self.classes[self.class_of[row]]
 
     def key(self, row: int) -> tuple:
-        return self.rows[row][0]
+        return self.template.key(row)
 
     def label(self, row: int) -> str:
-        name, params = self.rows[row][0]
+        name, params = self.template.key(row)
         return f"{name}{params}"
 
     def row(self, class_name: str, params: tuple) -> int:
-        """The row of a key: a scan, for tests and diagnostics (no run
-        path looks a key up)."""
+        """The row of a key: a scan of its class's rows, for tests and
+        diagnostics (no run path looks a key up)."""
         key = (class_name, tuple(params))
-        for index, row in enumerate(self.rows):
-            if row[0] == key:
-                return index
+        template = self.template
+        for index, (name, _) in enumerate(template.classes):
+            if name == class_name:
+                rows = template.class_rows(index)
+                for row, row_key in zip(rows, template.keys(rows)):
+                    if row_key == key:
+                        return row
         raise DataflowError(f"no instance {class_name}{key[1]} in task graph")
 
     def initially_ready(self) -> list[int]:
@@ -357,24 +503,29 @@ class TaskGraph:
 
 
 class RunningTask:
-    """The view of the task a worker is running, alive only while the body
-    runs: what :class:`~repro.parsec.taskclass.TaskContext` and a body
-    read of it (class, key, parameters, inputs, label, producer tags)
-    and the one write it makes, :meth:`commit`."""
+    """The view of the task a worker is running, alive from the worker's
+    claim of its (ready) row to its completion: what
+    :class:`~repro.parsec.taskclass.TaskContext` and a body read of it
+    (class, key, parameters, inputs, label, producer tags) and the one
+    write it makes, :meth:`commit`."""
 
     __slots__ = ("graph", "row", "key", "cls", "params", "inputs")
 
-    def __init__(self, graph: TaskGraph, row: int, key: tuple, cls: TaskClass) -> None:
+    def __init__(self, graph: TaskGraph, row: int) -> None:
         self.graph = graph
         self.row = row
-        self.key = key
-        self.cls = cls
-        self.params: tuple = key[1]
+        # the row's params and key, read from its class's flat column
+        # (Template.keys does the same for rows nothing runs)
+        index = graph.class_of[row]
+        self.cls = cls = graph.classes[index]
+        unpack, start, width = graph.layout[index]
+        self.params = params = unpack((row - start) * width)
+        self.key = (cls.name, params)
         self.inputs: Mapping[str, Any] = graph.payloads.get(row, _NO_INPUTS)
 
     @property
     def label(self) -> str:
-        return self.graph.label(self.row)
+        return f"{self.key[0]}{self.params}"
 
     def input_tag_list(self, flow: str) -> list:
         """Producer tags of ``flow``, parallel to its delivery list."""

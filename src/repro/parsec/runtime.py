@@ -57,7 +57,7 @@ from repro.parsec.ptg import CLAIMED, COMMITTED, DONE, STARTED
 from repro.parsec.ptg import PTG, RunningTask, TaskGraph
 from repro.parsec.scheduler import NodeScheduler, SchedulerPolicy
 from repro.parsec.stealing import StealCoordinator, StealPolicy
-from repro.parsec.taskclass import EDGES, TaskContext
+from repro.parsec.taskclass import TaskContext
 from repro.sim.cluster import Cluster
 from repro.sim.engine import SimEvent
 from repro.sim.network import CoalescePolicy
@@ -434,15 +434,16 @@ class ParsecRuntime:
         out_deps = task.cls.out_deps
         # the successors the template resolved: guards and param maps
         # were evaluated once per template, not once per completion
-        edges = graph.rows[row]
-        for j in range(EDGES, len(edges), 2):
-            flow, dep = out_deps[edges[j]]
-            consumer = edges[j + 1]
+        template = graph.template
+        edge_deps, consumers = template.edge_deps, template.consumers
+        for j in range(template.edge_starts[row], template.edge_starts[row + 1]):
+            flow, dep = out_deps[edge_deps[j]]
+            consumer = consumers[j]
             try:
                 home = nodes[consumer]
-            except TypeError:  # a key, not a row: unvalidated, missing
+            except IndexError:  # past every row: unvalidated, missing
                 raise DataflowError(
-                    f"{task.label}.{flow.name} -> missing {consumer}"
+                    f"{task.label}.{flow.name} -> missing {template.missing[j]}"
                 ) from None
             payload = outputs.get(flow.name)
             if dep.transform is not None and payload is not None:

@@ -3,7 +3,8 @@
 "Task priorities are taken into account by the scheduler when a set of
 available tasks are considered for execution, and they only have a
 relative meaning" — the ready queue is a max-priority store with FIFO
-tie-breaking over task rows (:class:`~repro.parsec.ptg.TaskGraph`). One
+tie-breaking over task rows (:class:`~repro.parsec.ptg.TaskGraph`),
+keyed by each row's rank in its template's table of priorities. One
 worker process per compute core pops a row, pays the per-task
 scheduling overhead, runs the body through a
 :class:`~repro.parsec.ptg.RunningTask` view, traces the span, and hands
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.parsec.ptg import CLAIMED, DONE, STARTED, RunningTask, TaskGraph
 from repro.parsec.taskclass import TaskContext
-from repro.sim.queues import LifoStore, PriorityStore, Store
+from repro.sim.queues import LifoStore, RankStore, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parsec.runtime import ParsecRuntime
@@ -77,6 +78,9 @@ class NodeScheduler:
         assert graph is not None  # launch() instantiates before scheduling
         #: the level's task state; the ready queues hold its rows
         self.graph: TaskGraph = graph
+        #: each row's rank among the template's priorities (0 = highest)
+        self._ranks = graph.template.ranks
+        self._priorities = graph.template.priorities
         self.node = node
         self.engine = runtime.cluster.engine
         self.metrics = metrics = runtime.cluster.metrics
@@ -91,7 +95,7 @@ class NodeScheduler:
 
         def make_queue(label: str):
             if policy is SchedulerPolicy.PRIORITY:
-                return PriorityStore(self.engine, name=f"{label}{node.node_id}")
+                return RankStore(self.engine, len(graph), name=f"{label}{node.node_id}")
             if policy is SchedulerPolicy.LIFO:
                 return LifoStore(self.engine, name=f"{label}{node.node_id}")
             return Store(self.engine, name=f"{label}{node.node_id}")
@@ -172,14 +176,14 @@ class NodeScheduler:
 
     def enqueue(self, row: int) -> None:
         """Make a task row available under the node's scheduling policy."""
-        priority = self.graph.rows[row][2]
+        rank = self._ranks[row]
         queue = self.ready
         if self.gpu_ready is not None and self.graph.cls(row).accelerated:
             queue = self.gpu_ready
-        queue.put(row, priority)  # FIFO/LIFO stores ignore the priority
+        queue.put(row, rank)  # FIFO/LIFO stores ignore the rank
         if self.metrics.enabled:
             self._m_enqueued.value += 1.0
-            self._m_priority.observe(priority)
+            self._m_priority.observe(self._priorities[rank])
             depth = len(queue)
             if depth > self._m_ready_hwm.value:
                 self._m_ready_hwm.value = depth
@@ -221,8 +225,6 @@ class NodeScheduler:
         node_id = node.node_id
         flags = graph.flags
         nodes = graph.nodes
-        rows = graph.rows
-        classes = graph.ptg.classes
         while True:
             # Hot path: work already queued. try_get + checkpoint resumes
             # through the immediate lane without allocating a SimEvent and
@@ -246,11 +248,14 @@ class NodeScheduler:
             # pin the task to this node before the next yield: a claimed
             # task is never migrated out from under a ramping-up worker
             flags[row] |= CLAIMED
+            # the row is ready, so its inputs are all in: the view can be
+            # built now, and names the attempt a planned failure hits
+            task = RunningTask(graph, row)
             # per-task runtime bookkeeping (select + dependence checks)
             if task_overhead > 0:
                 yield engine.timeout(task_overhead)
             if faults is not None:
-                label = graph.label(row)
+                label = task.label
                 if faults.plan.task_fails(label, 0):
                     yield from faults.retry_gate(label)
             if not node.alive:
@@ -259,9 +264,7 @@ class NodeScheduler:
                 # *bumped* epoch and defeat the kill predicate
                 break
             flags[row] |= STARTED
-            key = rows[row][0]
-            cls = classes[key[0]]
-            task = RunningTask(graph, row, key, cls)
+            cls = task.cls
             md = runtime.md
             context = TaskContext(task, md, cluster, node, thread, device)
             t_start = engine.now

@@ -42,6 +42,7 @@ same steals, and virtual timings are unchanged when stealing is off.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -211,11 +212,22 @@ class StealCoordinator:
         #: chain_id -> migratable task rows, in the template's sorted-key
         #: order (a deterministic sweep)
         self.chain_tasks: dict[int, list[int]] = {}
-        rows = graph.rows
-        for row in graph.template.sorted_rows:
-            name, params = rows[row][0]
-            if name in MIGRATABLE_CLASSES:
-                self.chain_tasks.setdefault(params[0], []).append(row)
+        template = graph.template
+        for index in template.by_name:
+            if template.classes[index][0] in MIGRATABLE_CLASSES:
+                # a chain task's first param is its chain
+                chain_ids = template.param_column(index, 0)
+                for row, chain_id in zip(template.class_rows(index), chain_ids):
+                    self.chain_tasks.setdefault(chain_id, []).append(row)
+        #: each row's GEMM flops (0.0 for every other class): what a steal
+        #: moves, read off the metadata once per row, not once per request
+        self._flops = array("d", bytes(8 * len(graph)))
+        for index, (name, _) in enumerate(template.classes):
+            if name == "GEMM":
+                rows = template.class_rows(index)
+                for row, (_, params) in zip(rows, template.keys(rows)):
+                    g = runtime.md.gemm(*params)
+                    self._flops[row] = 2.0 * g.m * g.n * g.k
         #: the live-chain index: per node, the chains that can still turn
         #: steal-eligible there (chain_id -> its rows); under ``None``
         #: the chains whose remaining tasks a crash spread over several
@@ -301,15 +313,7 @@ class StealCoordinator:
     # ------------------------------------------------------------------
     def _remaining_flops(self, tasks: list[int]) -> float:
         """GEMM flops left in a chain suffix (what a steal actually moves)."""
-        md = self.runtime.md
-        rows = self.graph.rows
-        total = 0.0
-        for row in tasks:
-            name, params = rows[row][0]
-            if name == "GEMM":
-                g = md.gemm(*params)
-                total += 2.0 * g.m * g.n * g.k
-        return total
+        return sum(map(self._flops.__getitem__, tasks), 0.0)
 
     def _eligible_chains(
         self, victim: int
@@ -371,15 +375,13 @@ class StealCoordinator:
         """Bytes of operand data already delivered to the chain's tasks
         (resident on the victim, so they must ride the GRANT)."""
         md = self.runtime.md
-        rows, payloads = self.graph.rows, self.graph.payloads
-        classes = self.graph.ptg.classes
+        graph = self.graph
+        payloads, class_of = graph.payloads, graph.template.class_of
+        held = [row for row in tasks if row in payloads]
         total = 0.0
-        for row in tasks:
-            inputs = payloads.get(row)
-            if inputs is None:
-                continue
-            name, params = rows[row][0]
-            for flow in classes[name].flows:
+        for row, (_, params) in zip(held, graph.template.keys(held)):
+            inputs = payloads[row]
+            for flow in graph.classes[class_of[row]].flows:
                 # membership, not value: SYNTH mode delivers None payloads
                 if flow.name not in inputs:
                     continue

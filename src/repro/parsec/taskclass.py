@@ -28,11 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FlowMode", "Dep", "Flow", "TaskClass", "TaskContext"]
 
-#: Where a template row's resolved successors start: a row is ``(key,
-#: node, priority, pending, *edges)``, and each edge is two items — an
-#: index into the class's ``out_deps`` and the consumer's table key.
-EDGES = 4
-
 Params = tuple
 Guard = Callable[[Params, Any], bool]
 ParamMap = Callable[[Params, Any], Params]
@@ -115,8 +110,7 @@ class TaskClass:
         #: has one (the body must honour ``ctx.device``)
         self.accelerated = accelerated
         #: every output dep with its flow, in (flow, dep) order: a task's
-        #: resolved successors (its row's items from :data:`EDGES` on)
-        #: index into it
+        #: resolved successors (``Template.edge_deps``) index into it
         self.out_deps: tuple[tuple[Flow, Dep], ...] = tuple(
             (flow, dep) for flow in flows for dep in flow.outputs
         )

@@ -328,8 +328,8 @@ class Network:
         Global Arrays handlers) must be given. Returns the transfer, a
         waitable that succeeds with the message at delivery.
         """
-        if size_bytes < 0:
-            raise SimulationError(f"negative message size {size_bytes}")
+        if not size_bytes >= 0:  # NaN too: it would poison the byte counts
+            raise SimulationError(f"message size must be >= 0, got {size_bytes}")
         if (inbox is None) == (on_deliver is None):
             raise SimulationError("send() needs exactly one of inbox/on_deliver")
         message = Message(

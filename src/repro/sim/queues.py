@@ -1,12 +1,14 @@
 """Channels and ready-queues for simulated threads.
 
 :class:`Store` is an unbounded FIFO channel: producers never block,
-consumers ``yield store.get()``. :class:`LifoStore` and
-:class:`PriorityStore` are the same channel with a different item
-order; :class:`PriorityStore` hands out the highest-priority item first
-(ties broken FIFO), matching PaRSEC's rule that priorities "only have a
-relative meaning" — between two available tasks the higher-priority one
-executes first.
+consumers ``yield store.get()``. :class:`LifoStore`,
+:class:`PriorityStore` and :class:`RankStore` are the same channel with
+a different item order; :class:`PriorityStore` hands out the
+highest-priority item first (ties broken FIFO), matching PaRSEC's rule
+that priorities "only have a relative meaning" — between two available
+tasks the higher-priority one executes first. :class:`RankStore` is that
+order over small ints given a rank instead of a priority, one int per
+queued item (a PTG ready queue).
 
 Blocked consumers park on a :class:`~repro.sim.engine.WaitQueue`, so a
 consumer killed while parked (fault injection) is skipped by ``put()``
@@ -21,8 +23,13 @@ from collections import deque
 from typing import Any
 
 from repro.sim.engine import Engine, SimEvent, WaitQueue
+from repro.util.errors import SimulationError
 
-__all__ = ["Store", "LifoStore", "PriorityStore"]
+__all__ = ["Store", "LifoStore", "PriorityStore", "RankStore"]
+
+#: Bits of a :class:`RankStore` key that hold the insertion number: a
+#: store lives for one PTG level, whose puts are far fewer.
+_SEQ_BITS = 32
 
 
 class Store:
@@ -117,3 +124,36 @@ class PriorityStore(Store):
     def _pop(self) -> Any:
         return heapq.heappop(self._items)[2]
 
+
+class RankStore(Store):
+    """Channel of ints in ``range(span)`` that yields the lowest-ranked
+    item first, ties broken FIFO: :class:`PriorityStore`'s order with the
+    priority given as its rank among the distinct priorities (0 = the
+    highest), so ``put(item, rank)``.
+
+    A queued item is one int: rank, insertion number and item packed
+    most significant first, so the heap compares plain ints and pops the
+    same order a ``(-priority, seq, item)`` tuple would, without the
+    tuple, the negated float and the sequence int per entry.
+    """
+
+    def __init__(self, engine: Engine, span: int, name: str = "") -> None:
+        super().__init__(engine, name)
+        self._item_bits = max(span - 1, 0).bit_length()
+        self._item_mask = (1 << self._item_bits) - 1
+        self._seq = 0
+
+    def _new_items(self) -> Any:
+        return []  # a heap of packed (rank, seq, item) ints
+
+    def _push(self, item: Any, rank: int) -> None:  # type: ignore[override]
+        seq = self._seq
+        if seq >> _SEQ_BITS:
+            raise SimulationError(f"store {self.name!r} overran {_SEQ_BITS}-bit seq")
+        self._seq = seq + 1
+        heapq.heappush(
+            self._items, (((rank << _SEQ_BITS) | seq) << self._item_bits) | item
+        )
+
+    def _pop(self) -> Any:
+        return heapq.heappop(self._items) & self._item_mask

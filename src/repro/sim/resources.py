@@ -192,8 +192,8 @@ class BandwidthResource:
         point. An arrival at an idle resource — about half of them —
         skips both: nothing is charged and the wakeup is unarmed.
         """
-        if amount < 0:
-            raise SimulationError(f"negative transfer amount {amount}")
+        if not amount >= 0:  # NaN too: its wakeup would re-arm forever
+            raise SimulationError(f"transfer amount must be >= 0, got {amount}")
         engine = self.engine
         event = SimEvent(engine)
         if amount == 0:

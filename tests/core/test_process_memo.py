@@ -31,7 +31,8 @@ from repro.core.ptg_build import build_ccsd_ptg
 from repro.core.variants import V1, V5
 from repro.experiments.calibration import cell_config
 from repro.experiments.fig9 import PAPER_NODES, run_point
-from repro.parsec.ptg import Template
+from repro.parsec.ptg import PTG
+from repro.parsec.taskclass import TaskClass
 from repro.sim.cluster import DataMode
 
 
@@ -58,14 +59,32 @@ def _tiny(seed=7, n_nodes=4, cache=None, data_mode=DataMode.SYNTH):
 
 
 def _template(n_tasks):
-    """A stand-in task template of ``n_tasks`` rows (weighs n x the rate)."""
-    rows = tuple((("T", (i,)), 0, 0.0, 0) for i in range(n_tasks))
-    return Template((("T", n_tasks),), rows)
+    """A stand-in task template of ``n_tasks`` rows (weighs n x the rate):
+    one class of input-less, edge-less tasks, all on node 0."""
+    ptg = PTG("stand-in")
+    ptg.add(
+        TaskClass(
+            "T",
+            ("i",),
+            domain=lambda md: [(i,) for i in range(n_tasks)],
+            placement=lambda params, md: 0,
+            run=lambda ctx: iter(()),
+            flows=[],
+        )
+    )
+    return ptg.template(None, n_nodes=1)
 
 
 def _rows(graph):
+    template = graph.template
     return [
-        (graph.key(row), graph.nodes[row], graph.rows[row][2], graph.pending[row])
+        (
+            graph.key(row),
+            graph.nodes[row],
+            template.priorities[template.ranks[row]],
+            graph.pending[row],
+            template.successors(row),
+        )
         for row in range(len(graph))
     ]
 
@@ -162,7 +181,9 @@ class TestBound:
     def test_ccsd_small_real_and_t2_7_paper_fit_together(self):
         """The sizing of :data:`MEMO_MAX_BYTES`: every product of a
         ``ccsd:small`` REAL sweep on 8 nodes and of a ``t2_7:paper`` one
-        on 32, every paper variant, and nothing is evicted."""
+        on 32, every paper variant, and nothing is evicted. The sums
+        under the weights are DESIGN.md §10's (MiB): structures 7.3 +
+        4.5, draws 90.2, chains 18.4 + 11.4, templates 4.6 + 2.7."""
         cache = InspectionCache(max_bytes=MEMO_MAX_BYTES)
         for token, n_nodes, data_mode in (
             ("ccsd:small", 8, DataMode.REAL),
@@ -176,6 +197,12 @@ class TestBound:
                     build_ccsd_ptg(variant, md).instantiate(md, n_nodes)
         assert sum(cache.misses.values()) == len(cache) == 68
         assert cache.n_bytes <= MEMO_MAX_BYTES
+        weighed = defaultdict(int)
+        for (kind, _), (_, n_bytes) in cache._entries.items():
+            weighed[kind] += n_bytes
+        mib = {kind: round(n_bytes / 2**20, 1) for kind, n_bytes in weighed.items()}
+        assert mib == {"structure": 11.8, "draw": 90.2, "chains": 29.7, "template": 7.4}
+        assert round(cache.n_bytes / 2**20, 1) == 139.1
 
     def test_unbounded_by_default_and_still_pickles(self):
         cache = InspectionCache()

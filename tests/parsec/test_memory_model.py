@@ -276,9 +276,10 @@ class TestTaskStateBytes:
     per-node runtime objects — not an object per task."""
 
     #: B per task of ``instantiate`` + ``launch`` on a warm template,
-    #: ~10% over the 95.0 B measured (382 B with an object and two
+    #: ~10% over the 45.1 B measured (95.0 B with a ``(-priority, seq,
+    #: row)`` tuple per ready-queue entry, 382 B with an object and two
     #: dicts per task)
-    CEILING = 105
+    CEILING = 50
 
     def test_instantiate_and_launch_bytes_per_task(self, no_collector):
         import tracemalloc
@@ -306,6 +307,48 @@ class TestTaskStateBytes:
         n_tasks = len(runtime.graph)
         assert n_tasks > 4000
         assert grown / n_tasks <= self.CEILING, (grown, n_tasks)
+
+
+class TestTemplateBytes:
+    """A memoised template is flat typed columns over its rows — class,
+    params, node, pending, priority rank and the successor edges — not a
+    tuple per task."""
+
+    #: B per task of a warm template on ``t2_7:small``, v1 and v5: ~10%
+    #: over the 14.1 B measured (222 B with a ``(key, node, priority,
+    #: pending, *edges)`` tuple per row)
+    CEILING = 15.5
+
+    @pytest.mark.parametrize("variant_name", ["v1", "v5"])
+    def test_warm_template_bytes_per_task(self, variant_name):
+        import tracemalloc
+
+        from repro.core.inspector import inspect_subroutine
+        from repro.core.ptg_build import build_ccsd_ptg
+        from repro.core.variants import PAPER_VARIANTS
+
+        variant = PAPER_VARIANTS[variant_name]
+        memo = InspectionCache()
+        config = api.RunConfig(
+            n_nodes=4, cores_per_node=2, data_mode=DataMode.SYNTH, inspection_cache=memo
+        )
+        workload = api.build("t2_7:small", config)
+        md = inspect_subroutine(workload.levels()[0], workload.cluster, variant, memo)
+        ptg = build_ccsd_ptg(variant, md)
+        ptg.template(md, config.n_nodes)  # fills the metadata's lazy caches
+        tracemalloc.start()
+        try:
+            # a full collection also empties the interpreter's free lists,
+            # which would otherwise keep the build's transient key tuples
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            template = ptg.template(md, config.n_nodes)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(template) > 4000
+        assert grown / len(template) <= self.CEILING, (grown, len(template))
 
 
 class TestLivePayloadGauge:

@@ -162,7 +162,7 @@ class TestFigure1Chain:
         domain = gemm.domain
         gemm.domain = lambda md: list(reversed(domain(md)))
         template = ptg.instantiate(md, n_nodes=2).template
-        keys = [row[0] for row in template.rows]
+        keys = [template.key(row) for row in range(len(template))]
         assert [key[0] for key in keys] == ["DFILL"] * 3 + ["GEMM"] * 6 + ["SORT"] * 3
         assert keys[3:9] == sorted(keys[3:9])
         assert [keys[row] for row in template.sorted_rows] == sorted(keys)

@@ -75,6 +75,17 @@ class TestNetwork:
         assert arrivals[0] == [(None, 1, pytest.approx(11.0))]
         assert arrivals[1] == [(None, 2, pytest.approx(16.0))]  # tx starts at t=5
 
+    @pytest.mark.parametrize("dst", [0, 1], ids=["same-node", "remote"])
+    @pytest.mark.parametrize("size", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_a_size_that_is_not_a_byte_count_is_refused_at_send(self, dst, size):
+        # a NaN size used to be accepted: a same-node send turned the
+        # byte counts into nan, a remote one failed later, inside run()
+        engine, network, nodes, _ = make_pair()
+        receive(nodes[dst])
+        with pytest.raises(SimulationError, match="size"):
+            network.send(0, dst, size, None, inbox="main")
+        assert network.messages_sent == 0 and network.bytes_sent == 0
+
     def test_a_message_to_a_mailbox_that_is_not_open_is_an_error(self):
         engine, network, nodes, _ = make_pair()
         network.send(0, 1, 10.0, None, inbox="nowhere")

@@ -6,7 +6,7 @@ import pytest
 from repro.ga.sync import Barrier
 from repro.sim.engine import Engine
 from repro.sim.mutex import SimMutex
-from repro.sim.queues import LifoStore, PriorityStore, Store
+from repro.sim.queues import LifoStore, PriorityStore, RankStore, Store
 from repro.sim.resources import Resource
 
 
@@ -130,6 +130,35 @@ class TestPriorityStore:
         store.put("a", priority=1)
         store.put("b", priority=2)
         assert store.try_get() == (True, "b")
+
+
+class TestRankStore:
+    def test_lowest_rank_first_fifo_on_ties(self, engine):
+        store = RankStore(engine, span=10)
+        for item, rank in ((4, 2), (7, 0), (1, 2), (9, 1), (0, 0)):
+            store.put(item, rank)
+        got = [store.try_get()[1] for _ in range(5)]
+        assert got == [7, 0, 9, 4, 1]
+        assert store.try_get() == (False, None)
+
+    def test_blocking_get_wakes_on_put(self, engine):
+        store = RankStore(engine, span=4)
+        got = []
+
+        def worker():
+            got.append(((yield store.get()), engine.now))
+
+        engine.process(worker())
+        engine.schedule(2.0, store.put, 3, 5)
+        engine.run()
+        assert got == [(3, 2.0)]
+
+    def test_a_queued_item_is_one_int(self, engine):
+        store = RankStore(engine, span=40000)
+        store.put(39999, 600)
+        (entry,) = store._items
+        assert type(entry) is int
+        assert store.try_get() == (True, 39999)
 
 
 class TestSimMutex:

@@ -221,6 +221,13 @@ class TestBandwidthResource:
         with pytest.raises(SimulationError):
             bandwidth.transfer(-1.0)
 
+    def test_nan_transfer_rejected(self, engine):
+        # a NaN amount used to be accepted, and its wakeup then re-armed
+        # at the same instant forever: refused before the engine runs
+        bandwidth = BandwidthResource(engine, capacity=1.0)
+        with pytest.raises(SimulationError, match="nan"):
+            bandwidth.transfer(float("nan"))
+
     def test_many_jobs_slow_each_other_down(self, engine):
         bandwidth = BandwidthResource(engine, capacity=100.0)
         finish = []

@@ -709,7 +709,7 @@ class TestDeadGetterRegression:
         # time: no corpse is left for a stray put() to resurrect
         dead_ready = runtime.schedulers[1].ready
         assert len(dead_ready._getters) == 0
-        dead_ready.put("stray", 0.0)
+        dead_ready.put(0, 0)  # a stray row 0 at the top priority rank
         assert len(dead_ready) == 1  # buffered, not fed to a dead worker
 
 

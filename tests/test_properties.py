@@ -19,7 +19,7 @@ from repro.ga.sync import Barrier
 from repro.legacy.runtime import LegacyRuntime
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.engine import Engine
-from repro.sim.queues import PriorityStore
+from repro.sim.queues import PriorityStore, RankStore
 from repro.sim.resources import BandwidthResource
 from repro.tce.orbital_space import OrbitalSpace
 from repro.tce.t2_7 import T2_7_SPEC
@@ -150,6 +150,30 @@ class TestQueueProperties:
         # non-increasing priority; FIFO within equal priorities
         for (p1, i1), (p2, i2) in zip(popped, popped[1:]):
             assert p1 > p2 or (p1 == p2 and i1 < i2)
+
+
+    @given(
+        ops=st.lists(
+            st.one_of(st.integers(min_value=0, max_value=40), st.none()),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_rank_store_pops_as_the_priority_store_does(self, ops):
+        """Puts (a rank) interleaved with pops (``None``): a rank store
+        hands out what a priority store given ``-rank`` would."""
+        engine = Engine()
+        ranked, reference = RankStore(engine, span=len(ops)), PriorityStore(engine)
+        for item, rank in enumerate(ops):
+            if rank is None:
+                assert ranked.try_get() == reference.try_get()
+            else:
+                ranked.put(item, rank)
+                reference.put(item, priority=-float(rank))
+        while len(reference):
+            assert ranked.try_get() == reference.try_get()
+        assert ranked.try_get() == (False, None)
 
 
 class TestBarrierProperties:
