@@ -38,7 +38,7 @@ def _estimate_cost(
     structural analysis.
     """
     L1 = params[0]
-    chain = md.chain(L1)
+    spec = md.specs[L1]
     copy_rate = machine.core_copy_bytes_per_s
 
     def total(cost: OpCost) -> float:
@@ -49,23 +49,22 @@ def _estimate_cost(
         return total(machine.gemm(gemm.m, gemm.n, gemm.k))
     if category is TaskCategory.READ_A or category is TaskCategory.READ_B:
         gemm = md.gemm(*params)
-        size = gemm.a_hi - gemm.a_lo if category is TaskCategory.READ_A else gemm.b_hi - gemm.b_lo
-        nbytes = 8.0 * size
+        nbytes = (gemm.a if category is TaskCategory.READ_A else gemm.b).nbytes
         return nbytes / machine.ga_local_bytes_per_s + nbytes / copy_rate
     if category is TaskCategory.REDUCE:
-        return total(machine.axpy(chain.c_size))
+        return total(machine.axpy(spec.c_size))
     if category is TaskCategory.DFILL:
-        return total(machine.zero_fill(chain.c_size))
+        return total(machine.zero_fill(spec.c_size))
     if category is TaskCategory.SORT:
-        cost = machine.zero_fill(chain.c_size)
+        cost = machine.zero_fill(spec.c_size)
         first = True
-        for _ in chain.active_sorts:
-            cost = cost + machine.sort4(chain.c_size, cache_warm=not first)
-            cost = cost + machine.axpy(chain.c_size, cache_warm=True)
+        for _ in spec.active_sorts:
+            cost = cost + machine.sort4(spec.c_size, cache_warm=not first)
+            cost = cost + machine.axpy(spec.c_size, cache_warm=True)
             first = False
         return total(cost)
     if category is TaskCategory.WRITE:
-        seg = chain.write_segs[params[-1]]
+        seg = md.chains[L1].write_segs[params[-1]]
         return total(machine.axpy(seg.size))
     return machine.task_overhead_s
 

@@ -33,7 +33,7 @@ from repro.core.variants import (
     V5,
     variant_by_name,
 )
-from repro.core.metadata import Metadata, ChainMeta, GemmMeta
+from repro.core.metadata import Metadata, ChainMeta
 from repro.core.inspector import InspectionCache, inspect_subroutine
 from repro.core.ptg_build import build_ccsd_ptg
 from repro.core.api import RunConfig, precompute_inspection, run
@@ -52,7 +52,6 @@ __all__ = [
     "variant_by_name",
     "Metadata",
     "ChainMeta",
-    "GemmMeta",
     "InspectionCache",
     "inspect_subroutine",
     "precompute_inspection",

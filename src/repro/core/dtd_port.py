@@ -3,9 +3,9 @@
 A *skeleton program* that walks the same inspection metadata the PTG
 uses, but expresses the computation the DTD way (Section VI's "building
 the entire DAG of execution in memory"): every READ/GEMM/REDUCE/SORT/
-WRITE becomes an ``insert_task`` call with declared data accesses, and
-the runtime discovers the dependencies "by matching input and output
-data".
+WRITE becomes an :meth:`~repro.parsec.dtd.DtdRuntime.insert` call with
+declared data accesses, and the runtime discovers the dependencies "by
+matching input and output data".
 
 The task organization mirrors variant v5 (parallel GEMMs, one fused
 SORT, single WRITE per owner segment); serialization of concurrent
@@ -34,8 +34,8 @@ __all__ = ["run_over_dtd", "build_dtd_skeleton"]
 
 def _read_body(which: str):
     def body(ctx):
-        gemm = ctx.md.gemm(*ctx.params)
-        ctx.values[0] = yield from read_block(ctx, ctx.md, gemm, which)
+        ref = getattr(ctx.md.gemm(*ctx.params), which)
+        ctx.values[0] = yield from read_block(ctx, ref)
 
     return body
 
@@ -51,24 +51,24 @@ def _gemm_body(ctx):
 def _reduce_body(ctx):
     L1, _ = ctx.params
     x, y, _ = ctx.values
-    ctx.values[2] = yield from reduce_pair(ctx, ctx.md.chain(L1), x, y)
+    ctx.values[2] = yield from reduce_pair(ctx, ctx.md.specs[L1], x, y)
 
 
 def _sort_body(ctx):
     (L1,) = ctx.params
-    ctx.values[1] = yield from sort_fused(ctx, ctx.md.chain(L1), ctx.values[0])
+    ctx.values[1] = yield from sort_fused(ctx, ctx.md.specs[L1], ctx.values[0])
 
 
 def _write_body(ctx):
     md = ctx.md
     L1, seg_index = ctx.params
-    chain = md.chain(L1)
+    chain = md.chains[L1]
     seg = chain.write_segs[seg_index]
     yield ctx.charge(ctx.machine.axpy(seg.size))
     if ctx.real:
         piece = ctx.values[0][seg.lo - chain.target_lo : seg.hi - chain.target_lo]
-        md.target_array_of(chain).accumulate_range_direct(
-            seg.lo, seg.hi, piece, tag=(md.level, "dtd", L1, seg_index)
+        md.output_array().accumulate_range_direct(
+            seg.lo, seg.hi, piece, tag=(md.subroutine.level, "dtd", L1, seg_index)
         )
 
 
@@ -85,48 +85,42 @@ WRITE_C = DtdKind("WRITE_C", _write_body, (_R, _RW), TaskCategory.WRITE)
 
 def build_dtd_skeleton(cluster: Cluster, md: Metadata) -> DtdRuntime:
     """The skeleton program: a runtime over ``md`` with every task of
-    the computation inserted. A chain's intermediates are unnamed
-    handles passed by reference; only the i2 regions, shared across
-    chains, are declared by key."""
+    the computation inserted. ``md`` is v5's inspection (chain height
+    1), so segment ``i`` is GEMM ``i`` and the reduction tree pairs the
+    GEMMs' partial Cs. A chain's intermediates are unnamed handles
+    passed by reference; only the i2 regions, shared across chains, are
+    declared by key."""
     runtime = DtdRuntime(cluster, md)
     insert = runtime.insert
-    for chain in md.chains:
-        L1 = chain.chain_id
+    for spec, chain in zip(md.specs, md.chains):
+        L1 = spec.chain_id
         node = chain.node
-        c_size = chain.c_size
+        c_size = spec.c_size
         # one value per chain and offset, shared by the chain's tasks
         read_priority = md.priority(L1, md.variant.read_offset)
         gemm_priority = md.priority(L1, GEMM_OFFSET)
         priority = md.priority(L1, 0)
-        partials: list[DataHandle] = []
-        for gemm in chain.gemms:
+        outputs: dict[tuple[str, int], DataHandle] = {}
+        for gemm, a_owner, b_owner in zip(spec.gemms, chain.a_owner, chain.b_owner):
             params = (L1, gemm.position)
-            a = DataHandle(None, gemm.a_hi - gemm.a_lo, gemm.a_owner)
-            b = DataHandle(None, gemm.b_hi - gemm.b_lo, gemm.b_owner)
-            c = DataHandle(None, c_size, node)
-            insert(READ_A, params, (a,), gemm.a_owner, read_priority)
-            insert(READ_B, params, (b,), gemm.b_owner, read_priority)
+            a = DataHandle(None, gemm.a.hi - gemm.a.lo, a_owner)
+            b = DataHandle(None, gemm.b.hi - gemm.b.lo, b_owner)
+            c = outputs["seg", gemm.position] = DataHandle(None, c_size, node)
+            insert(READ_A, params, (a,), a_owner, read_priority)
+            insert(READ_B, params, (b,), b_owner, read_priority)
             insert(GEMM, params, (a, b, c), node, gemm_priority)
-            partials.append(c)
 
-        # binary reduction over the partials (explicitly unrolled — DTD
-        # has no symbolic tree, the skeleton enumerates it)
-        step = 0
-        frontier = partials
-        while len(frontier) > 1:
-            next_frontier = []
-            for i in range(0, len(frontier) - 1, 2):
-                left, right = frontier[i], frontier[i + 1]
-                out = DataHandle(None, c_size, node)
-                insert(REDUCE, (L1, step), (left, right, out), node, priority)
-                next_frontier.append(out)
-                step += 1
-            if len(frontier) % 2 == 1:
-                next_frontier.append(frontier[-1])
-            frontier = next_frontier
+        # the inspector's reduction tree, unrolled (DTD has no symbolic
+        # tree: the skeleton enumerates it); the chain's C is its last
+        # step's output, or its one GEMM's
+        root = c
+        for reduce in chain.reduces:
+            root = outputs["red", reduce.step] = DataHandle(None, c_size, node)
+            inputs = (outputs.pop(reduce.left), outputs.pop(reduce.right), root)
+            insert(REDUCE, (L1, reduce.step), inputs, node, priority)
 
         sorted_c = DataHandle(None, c_size, node)
-        insert(SORT, (L1,), (frontier[0], sorted_c), node, priority)
+        insert(SORT, (L1,), (root, sorted_c), node, priority)
         for seg in chain.write_segs:
             region = runtime.data(
                 f"i2[{chain.target_lo}:{chain.target_hi}]@{seg.index}",

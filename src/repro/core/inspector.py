@@ -23,11 +23,9 @@ from typing import Callable, Optional, Sized
 
 from repro.core.metadata import (
     ChainMeta,
-    GemmMeta,
     Metadata,
     ReduceMeta,
     SegmentMeta,
-    SortMeta,
     WriteSegMeta,
 )
 from repro.core.variants import VariantSpec
@@ -43,15 +41,15 @@ __all__ = ["MEMO_MAX_BYTES", "PROCESS_MEMO", "InspectionCache", "inspect_subrout
 #: Bytes each memoised product is weighed at, per unit of its size:
 #: ``tracemalloc`` over t2_7 / rbgs / ccsd at small and paper on 4 and 32
 #: nodes (``tests/data/memo_weights.py``), the largest reading kept. The
-#: chain IR of a structure, 241-584 B per GEMM (one shared ``BlockRef``
-#: per block, slotted records); the inspected ``ChainMeta``, 523-737 B
-#: per GEMM, the largest level of either chain height; a validated task
-#: template with its resolved successors, 14-18 B per task, v1 and v5
-#: (typed columns, the narrowest int type that holds each), read after
-#: the metadata's lazy caches are filled. A seeded draw weighs its
-#: ``nbytes``: 8 B per element.
-IR_BYTES_PER_GEMM = 584
-CHAIN_BYTES_PER_GEMM = 737
+#: chain IR of a structure, 241-587 B per GEMM (one shared ``BlockRef``
+#: per block, slotted records); the inspected ``ChainMeta``, 340-412 B
+#: per GEMM, the largest level of either chain height (owners, segments,
+#: the reduction tree and write segments — no copy of the IR); a
+#: validated task template with its resolved successors, 14-18 B per
+#: task, v1 and v5 (typed columns, the narrowest int type that holds
+#: each). A seeded draw weighs its ``nbytes``: 8 B per element.
+IR_BYTES_PER_GEMM = 587
+CHAIN_BYTES_PER_GEMM = 412
 TEMPLATE_BYTES_PER_TASK = 18
 
 #: Bound of :data:`PROCESS_MEMO`, in the bytes above summed over its
@@ -174,7 +172,7 @@ class InspectionCache:
             "chains",
             key,
             lambda: _inspect_chains(subroutine, cluster.n_nodes, variant),
-            lambda chains: CHAIN_BYTES_PER_GEMM * sum(c.length for c in chains),
+            lambda chains: CHAIN_BYTES_PER_GEMM * subroutine.n_gemms,
         )
 
     def template(self, key: tuple, build: Callable[[], Sized]):
@@ -258,8 +256,9 @@ def _inspect_chains(
         tensor.name: Distribution(tensor.total, n_nodes)
         for tensor in (*subroutine.inputs, subroutine.output)
     }
+    output = subroutine.output.name
     return [
-        _inspect_chain(chain, n_nodes, variant, distributions)
+        _inspect_chain(chain, n_nodes, variant, distributions, output)
         for chain in subroutine.chains
     ]
 
@@ -269,80 +268,47 @@ def _inspect_chain(
     n_nodes: int,
     variant: VariantSpec,
     distributions: dict[str, Distribution],
+    output: str,
 ) -> ChainMeta:
     segments = _build_segments(chain.length, variant.segment_height)
     reduces, consumer = _build_reduce_tree(len(segments))
-
-    gemms: list[GemmMeta] = []
-    for seg in segments:
-        for pos_in_seg in range(seg.length):
-            gemm = chain.gemms[seg.start + pos_in_seg]
-            a_array = gemm.a.tensor.name
-            b_array = gemm.b.tensor.name
-            gemms.append(
-                GemmMeta(
-                    position=gemm.position,
-                    seg_id=seg.seg_id,
-                    pos_in_seg=pos_in_seg,
-                    seg_len=seg.length,
-                    a_lo=gemm.a.lo,
-                    a_hi=gemm.a.hi,
-                    a_owner=distributions[a_array].last_segment_owner(
-                        gemm.a.lo, gemm.a.hi
-                    ),
-                    b_lo=gemm.b.lo,
-                    b_hi=gemm.b.hi,
-                    b_owner=distributions[b_array].last_segment_owner(
-                        gemm.b.lo, gemm.b.hi
-                    ),
-                    m=gemm.m,
-                    n=gemm.n,
-                    k=gemm.k,
-                    a_array=a_array,
-                    b_array=b_array,
-                )
-            )
-
-    sorts = [
-        SortMeta(sw.sort_index, sw.guard, sw.perm, sw.sign)
-        for sw in chain.sort_writes
-    ]
     active = [sw for sw in chain.sort_writes if sw.guard]
     if not active:
         raise ConfigurationError(f"chain {chain.chain_id} has no active sort branch")
-    # all active sorts target the same block (their permutations only
-    # differ when the permuted key equals the original key)
-    target_ranges = {(sw.target.lo, sw.target.hi) for sw in active}
-    if len(target_ranges) != 1:
+    # all active sorts target the same block of the subroutine's output
+    # (their permutations only differ when the permuted key equals the
+    # original key)
+    targets = {(sw.target.tensor.name, sw.target.lo, sw.target.hi) for sw in active}
+    if len(targets) != 1 or next(iter(targets))[0] != output:
         raise ConfigurationError(
-            f"chain {chain.chain_id}: active sorts target distinct blocks "
-            f"{sorted(target_ranges)} — the WRITE_C organization assumes one"
+            f"chain {chain.chain_id}: active sorts target {sorted(targets)}"
+            f" — the WRITE_C organization assumes one block of {output}"
         )
-    target_lo, target_hi = target_ranges.pop()
-    target_array = active[0].target.tensor.name
+    _, target_lo, target_hi = targets.pop()
+    # list comprehensions, not generators: one call each, not one per GEMM
+    a_owner = [
+        distributions[g.a.tensor.name].last_segment_owner(g.a.lo, g.a.hi)
+        for g in chain.gemms
+    ]
+    b_owner = [
+        distributions[g.b.tensor.name].last_segment_owner(g.b.lo, g.b.hi)
+        for g in chain.gemms
+    ]
+    segments_of_target = distributions[output].segments(target_lo, target_hi)
     write_segs = [
         WriteSegMeta(index, seg.node, seg.lo, seg.hi)
-        for index, seg in enumerate(
-            distributions[target_array].segments(target_lo, target_hi)
-        )
+        for index, seg in enumerate(segments_of_target)
     ]
-
     return ChainMeta(
-        chain_id=chain.chain_id,
         node=chain.chain_id % n_nodes,
-        key=chain.key,
-        tile_shape=chain.tile_shape,
-        m=chain.m,
-        n=chain.n,
-        gemms=gemms,
-        segments=segments,
-        reduces=reduces,
+        a_owner=tuple(a_owner),
+        b_owner=tuple(b_owner),
+        segments=tuple(segments),
+        reduces=tuple(reduces),
         consumer_of=consumer,
-        sorts=sorts,
         target_lo=target_lo,
         target_hi=target_hi,
-        write_segs=write_segs,
-        target_array=target_array,
+        write_segs=tuple(write_segs),
     )
 
 
@@ -368,15 +334,13 @@ def inspect_subroutine(
         chains = cache.chains_for(subroutine, cluster, variant)
     ga = cluster.ga
     return Metadata(
-        chains=chains,
-        variant=variant,
-        n_nodes=cluster.n_nodes,
+        subroutine,
+        chains,
+        variant,
+        cluster.n_nodes,
         arrays={
             tensor.name: ga.lookup(tensor.name)
             for tensor in (subroutine.output, *subroutine.inputs)
         },
-        subroutine_name=subroutine.name,
-        level=subroutine.level,
-        structure_token=subroutine.structure_token,
         cache=cache,
     )

@@ -49,16 +49,15 @@ __all__ = ["build_ccsd_ptg", "read_block", "reduce_pair", "sort_fused"]
 # PTG and under DTD (:mod:`repro.core.dtd_port`): generator helpers over
 # what both contexts provide — ``ctx.charge``, ``ctx.machine``,
 # ``ctx.real`` — returning the produced data.
-def read_block(ctx, md: Metadata, gemm, which: str):
-    """Local GA get of one GEMM operand tile on its owner node."""
-    if which == "a":
-        lo, hi, array = gemm.a_lo, gemm.a_hi, md.a_array_of(gemm)
-    else:
-        lo, hi, array = gemm.b_lo, gemm.b_hi, md.b_array_of(gemm)
+def read_block(ctx, ref):
+    """Local GA get of one GEMM operand block on its owner node."""
+    lo, hi = ref.lo, ref.hi
     # the core time of the local copy is what lets priorities throttle
     # the transfer enqueue rate (the v2-vs-v4 contrast of Figures 10/11)
     yield ctx.charge(ctx.machine.local_get(8.0 * (hi - lo)))
-    return array.read_range_direct(lo, hi) if ctx.real else None
+    if not ctx.real:
+        return None
+    return ctx.md.arrays[ref.tensor.name].read_range_direct(lo, hi)
 
 
 def reduce_pair(ctx, chain, x, y):
@@ -75,16 +74,19 @@ def sort_fused(ctx, chain, c):
     v5's win.
     """
     machine = ctx.machine
-    yield ctx.charge(machine.zero_fill(chain.c_size))  # master := 0
+    c_size = chain.c_size
+    yield ctx.charge(machine.zero_fill(c_size))  # master := 0
     master = None
     tile = None
     if ctx.real:
         tile = c.reshape(chain.tile_shape)
-        master = np.zeros(chain.c_size)
+        master = np.zeros(c_size)
     first = True
-    for sort in chain.active_sorts:
-        yield ctx.charge(machine.sort4(chain.c_size, cache_warm=not first))
-        yield ctx.charge(machine.axpy(chain.c_size, cache_warm=True))
+    for sort in chain.sort_writes:
+        if not sort.guard:
+            continue
+        yield ctx.charge(machine.sort4(c_size, cache_warm=not first))
+        yield ctx.charge(machine.axpy(c_size, cache_warm=True))
         if ctx.real:
             master += sort_4(tile, sort)
         first = False
@@ -93,14 +95,14 @@ def sort_fused(ctx, chain, c):
 
 def _read_run(which: str, out_flow: str):
     def run(ctx: TaskContext):
-        gemm = ctx.md.gemm(*ctx.params)
-        ctx.outputs[out_flow] = yield from read_block(ctx, ctx.md, gemm, which)
+        ref = getattr(ctx.md.gemm(*ctx.params), which)
+        ctx.outputs[out_flow] = yield from read_block(ctx, ref)
 
     return run
 
 
 def _dfill_run(ctx: TaskContext):
-    chain = ctx.md.chain(ctx.params[0])
+    chain = ctx.md.specs[ctx.params[0]]
     yield ctx.charge(ctx.machine.zero_fill(chain.c_size))
     ctx.outputs["C"] = np.zeros((chain.m, chain.n)) if ctx.real else None
 
@@ -122,26 +124,25 @@ def _gemm_run(ctx: TaskContext):
 
 
 def _reduce_run(ctx: TaskContext):
-    chain = ctx.md.chain(ctx.params[0])
+    chain = ctx.md.specs[ctx.params[0]]
     ctx.outputs["C"] = yield from reduce_pair(
         ctx, chain, ctx.inputs["X"], ctx.inputs["Y"]
     )
 
 
 def _sort_fused_run(ctx: TaskContext):
-    chain = ctx.md.chain(ctx.params[0])
+    chain = ctx.md.specs[ctx.params[0]]
     ctx.outputs["S"] = yield from sort_fused(ctx, chain, ctx.inputs["C"])
 
 
 def _sort_i_run(ctx: TaskContext):
     """Figure 6/7: one SORT_4 into a private matrix (cold data)."""
     L1, sort_index = ctx.params
-    chain = ctx.md.chain(L1)
-    sort = chain.sorts[sort_index]
+    chain = ctx.md.specs[L1]
     yield ctx.charge(ctx.machine.sort4(chain.c_size, cache_warm=False))
     if ctx.real:
         tile = ctx.inputs["C"].reshape(chain.tile_shape)
-        ctx.outputs["S"] = sort_4(tile, sort)
+        ctx.outputs["S"] = sort_4(tile, chain.sort_writes[sort_index])
     else:
         ctx.outputs["S"] = None
 
@@ -151,8 +152,7 @@ def _make_write_run(seg_index_of_params):
     pieces into the Global Array memory, unlock (Figures 5-8)."""
 
     def run(ctx: TaskContext):
-        L1 = ctx.params[0]
-        chain = ctx.md.chain(L1)
+        chain = ctx.md.chains[ctx.params[0]]
         seg = chain.write_segs[seg_index_of_params(ctx.params)]
         pieces = ctx.inputs["S"]
         if not isinstance(pieces, list):
@@ -175,10 +175,11 @@ def _make_write_run(seg_index_of_params):
                 # densely per barrier level, so without the level two
                 # contributions from different levels of a multi-level
                 # workload could alias one ordered-accumulation log slot.
-                target = ctx.md.target_array_of(chain)
+                target = ctx.md.output_array()
+                level = ctx.md.subroutine.level
                 for piece, tag in zip(pieces, tags):
                     target.accumulate_range_direct(
-                        seg.lo, seg.hi, piece, tag=(ctx.md.level, ctx.task.key, tag)
+                        seg.lo, seg.hi, piece, tag=(level, ctx.task.key, tag)
                     )
         finally:
             yield from mutex.unlock()
@@ -199,7 +200,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
     Metadata inspected through a cache keeps the PTG's validated task
     template there, keyed by its structure token and the variant.
     """
-    token = md.structure_token
+    token = md.subroutine.structure_token
     ptg = PTG(
         f"ccsd-{variant.name}",
         key=None if token is None else (token, variant),
@@ -212,9 +213,9 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
         return lambda p, md: md.priority(p[0], offset)
 
     gemm_domain = lambda md: [
-        (c.chain_id, g.position) for c in md.chains for g in c.gemms
+        (c.chain_id, g.position) for c in md.specs for g in c.gemms
     ]
-    c_size = lambda p, md: md.chain(p[0]).c_size
+    c_size = lambda p, md: md.specs[p[0]].c_size
 
     # ---------------- READ_A / READ_B -------------------------------
     for which, name, category in (
@@ -228,9 +229,9 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 params=("L1", "L2"),
                 domain=gemm_domain,
                 placement=(
-                    (lambda p, md: md.gemm(*p).a_owner)
+                    (lambda p, md: md.chains[p[0]].a_owner[p[1]])
                     if which == "a"
-                    else (lambda p, md: md.gemm(*p).b_owner)
+                    else (lambda p, md: md.chains[p[0]].b_owner[p[1]])
                 ),
                 run=_read_run(which, flow_name),
                 category=category,
@@ -239,11 +240,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                     Flow(
                         flow_name,
                         FlowMode.READ,
-                        size_elems=(
-                            (lambda p, md: md.gemm(*p).a_hi - md.gemm(*p).a_lo)
-                            if which == "a"
-                            else (lambda p, md: md.gemm(*p).b_hi - md.gemm(*p).b_lo)
-                        ),
+                        size_elems=_a_elems if which == "a" else _b_elems,
                         outputs=[Dep("GEMM", lambda p, md: p, flow_name)],
                     )
                 ],
@@ -256,12 +253,12 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
             name="DFILL",
             params=("L1", "S"),
             domain=lambda md: [
-                (c.chain_id, s.seg_id)
-                for c in md.chains
+                (L1, s.seg_id)
+                for L1, c in enumerate(md.chains)
                 for s in c.segments
                 if s.length > 1
             ],
-            placement=lambda p, md: md.chain(p[0]).node,
+            placement=lambda p, md: md.chains[p[0]].node,
             run=_dfill_run,
             category=TaskCategory.DFILL,
             priority=prio(0),
@@ -273,7 +270,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                     outputs=[
                         Dep(
                             "GEMM",
-                            lambda p, md: (p[0], md.chain(p[0]).segments[p[1]].start),
+                            lambda p, md: (p[0], md.chains[p[0]].segments[p[1]].start),
                             "C",
                         )
                     ],
@@ -290,7 +287,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
         return [
             Dep(
                 "REDUCE",
-                lambda p, md: (p[0], md.chain(p[0]).consumer_of[source(p, md)]),
+                lambda p, md: (p[0], md.chains[p[0]].consumer_of[source(p, md)]),
                 side,
                 guard=lambda p, md, side=side: side_of(p, md) == side,
             )
@@ -300,20 +297,16 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
     def gemm_c_outputs() -> list[Dep]:
         deps = [
             # continue the serial mini-chain
-            Dep(
-                "GEMM",
-                lambda p, md: (p[0], p[1] + 1),
-                "C",
-                guard=lambda p, md: (
-                    md.gemm(*p).pos_in_seg < md.gemm(*p).seg_len - 1
-                ),
-            ),
+            Dep("GEMM", lambda p, md: (p[0], p[1] + 1), "C", guard=_continues_segment),
         ]
         # feed the reduction tree
         deps.extend(
-            reduce_feed_deps(lambda p, md: ("seg", md.gemm(*p).seg_id), _reduce_side)
+            reduce_feed_deps(
+                lambda p, md: ("seg", p[1] // md.chains[p[0]].segments[0].length),
+                _reduce_side,
+            )
         )
-        deps.extend(_sort_stage_deps(variant, root_is="GEMM"))
+        deps.extend(_sort_stage_deps(variant, _gemm_is_root))
         return deps
 
     ptg.add(
@@ -321,7 +314,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
             name="GEMM",
             params=("L1", "L2"),
             domain=gemm_domain,
-            placement=lambda p, md: md.chain(p[0]).node,
+            placement=lambda p, md: md.chains[p[0]].node,
             run=_gemm_run,
             category=TaskCategory.GEMM,
             priority=prio(GEMM_OFFSET),
@@ -330,13 +323,13 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 Flow(
                     "A",
                     FlowMode.READ,
-                    size_elems=lambda p, md: md.gemm(*p).a_hi - md.gemm(*p).a_lo,
+                    size_elems=_a_elems,
                     inputs=[Dep("READ_A", lambda p, md: p, "A")],
                 ),
                 Flow(
                     "B",
                     FlowMode.READ,
-                    size_elems=lambda p, md: md.gemm(*p).b_hi - md.gemm(*p).b_lo,
+                    size_elems=_b_elems,
                     inputs=[Dep("READ_B", lambda p, md: p, "B")],
                 ),
                 Flow(
@@ -346,16 +339,18 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                     inputs=[
                         Dep(
                             "DFILL",
-                            lambda p, md: (p[0], md.gemm(*p).seg_id),
+                            lambda p, md: (
+                                p[0],
+                                p[1] // md.chains[p[0]].segments[0].length,
+                            ),
                             "C",
-                            guard=lambda p, md: md.gemm(*p).pos_in_seg == 0
-                            and md.gemm(*p).seg_len > 1,
+                            guard=_opens_long_segment,
                         ),
                         Dep(
                             "GEMM",
                             lambda p, md: (p[0], p[1] - 1),
                             "C",
-                            guard=lambda p, md: md.gemm(*p).pos_in_seg > 0,
+                            guard=_inside_segment,
                         ),
                     ],
                     outputs=gemm_c_outputs(),
@@ -367,7 +362,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
     # ---------------- REDUCE -------------------------------------------
     def reduce_input_deps(flow: str, side: str) -> list[Dep]:
         def source(p, md):
-            reduce = md.chain(p[0]).reduces[p[1]]
+            reduce = md.chains[p[0]].reduces[p[1]]
             return reduce.left if side == "left" else reduce.right
 
         return [
@@ -375,7 +370,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 "GEMM",
                 lambda p, md: (
                     p[0],
-                    md.chain(p[0]).segments[source(p, md)[1]].last_position,
+                    md.chains[p[0]].segments[source(p, md)[1]].last_position,
                 ),
                 flow,
                 guard=lambda p, md: source(p, md)[0] == "seg",
@@ -390,7 +385,11 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
 
     def reduce_c_outputs() -> list[Dep]:
         deps = reduce_feed_deps(lambda p, md: ("red", p[1]), _reduce_side_red)
-        deps.extend(_sort_stage_deps(variant, root_is="REDUCE"))
+        deps.extend(
+            _sort_stage_deps(
+                variant, lambda p, md: md.chains[p[0]].reduces[p[1]].is_root
+            )
+        )
         return deps
 
     ptg.add(
@@ -398,9 +397,9 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
             name="REDUCE",
             params=("L1", "R"),
             domain=lambda md: [
-                (c.chain_id, r.step) for c in md.chains for r in c.reduces
+                (L1, r.step) for L1, c in enumerate(md.chains) for r in c.reduces
             ],
-            placement=lambda p, md: md.chain(p[0]).node,
+            placement=lambda p, md: md.chains[p[0]].node,
             run=_reduce_run,
             category=TaskCategory.REDUCE,
             priority=prio(0),
@@ -414,18 +413,20 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
 
     # ---------------- SORT stage ---------------------------------------
     def root_input_deps() -> list[Dep]:
+        """C from the chain's root: its one segment's last GEMM, or the
+        last (root) step of its reduction tree."""
         return [
             Dep(
                 "GEMM",
-                lambda p, md: md.chain(p[0]).root_producer()[1],
+                lambda p, md: (p[0], md.chains[p[0]].segments[0].length - 1),
                 "C",
-                guard=lambda p, md: md.chain(p[0]).root_producer()[0] == "GEMM",
+                guard=lambda p, md: not md.chains[p[0]].reduces,
             ),
             Dep(
                 "REDUCE",
-                lambda p, md: md.chain(p[0]).root_producer()[1],
+                lambda p, md: (p[0], md.chains[p[0]].reduces[-1].step),
                 "C",
-                guard=lambda p, md: md.chain(p[0]).root_producer()[0] == "REDUCE",
+                guard=lambda p, md: md.chains[p[0]].reduces != (),
             ),
         ]
 
@@ -439,7 +440,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
         for w in range(md.max_write_segs):
 
             def transform(data, p, md, w=w):
-                chain = md.chain(p[0])
+                chain = md.chains[p[0]]
                 seg = chain.write_segs[w]
                 return data[seg.lo - chain.target_lo : seg.hi - chain.target_lo]
 
@@ -448,9 +449,9 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                     write_class,
                     (lambda p, md, w=w: param_builder(p, w)),
                     "S",
-                    guard=lambda p, md, w=w: w < len(md.chain(p[0]).write_segs),
+                    guard=lambda p, md, w=w: w < len(md.chains[p[0]].write_segs),
                     transform=transform,
-                    size_elems=lambda p, md, w=w: md.chain(p[0]).write_segs[w].size,
+                    size_elems=lambda p, md, w=w: md.chains[p[0]].write_segs[w].size,
                 )
             )
         return deps
@@ -460,8 +461,8 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
             TaskClass(
                 name="SORT",
                 params=("L1",),
-                domain=lambda md: [(c.chain_id,) for c in md.chains],
-                placement=lambda p, md: md.chain(p[0]).node,
+                domain=lambda md: [(c.chain_id,) for c in md.specs],
+                placement=lambda p, md: md.chains[p[0]].node,
                 run=_sort_fused_run,
                 category=TaskCategory.SORT,
                 priority=prio(0),
@@ -489,10 +490,11 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 params=("L1", "I"),
                 domain=lambda md: [
                     (c.chain_id, s.sort_index)
-                    for c in md.chains
-                    for s in c.active_sorts
+                    for c in md.specs
+                    for s in c.sort_writes
+                    if s.guard
                 ],
-                placement=lambda p, md: md.chain(p[0]).node,
+                placement=lambda p, md: md.chains[p[0]].node,
                 run=_sort_i_run,
                 category=TaskCategory.SORT,
                 priority=prio(0),
@@ -509,7 +511,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
         )
 
     # ---------------- WRITE stage --------------------------------------
-    seg_size = lambda p, md: md.chain(p[0]).write_segs[p[-1]].size
+    seg_size = lambda p, md: md.chains[p[0]].write_segs[p[-1]].size
     if variant.single_write:
         if variant.fused_sort:
             write_inputs = [Dep("SORT", lambda p, md: (p[0],), "S")]
@@ -519,7 +521,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                     "SORT_I",
                     (lambda p, md, i=i: (p[0], i)),
                     "S",
-                    guard=(lambda p, md, i=i: md.chain(p[0]).sorts[i].active),
+                    guard=(lambda p, md, i=i: md.specs[p[0]].sort_writes[i].guard),
                 )
                 for i in range(4)
             ]
@@ -528,9 +530,11 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 name="WRITE_C",
                 params=("L1", "W"),
                 domain=lambda md: [
-                    (c.chain_id, w.index) for c in md.chains for w in c.write_segs
+                    (L1, w.index)
+                    for L1, c in enumerate(md.chains)
+                    for w in c.write_segs
                 ],
-                placement=lambda p, md: md.chain(p[0]).write_segs[p[1]].node,
+                placement=lambda p, md: md.chains[p[0]].write_segs[p[1]].node,
                 run=_make_write_run(lambda p: p[1]),
                 category=TaskCategory.WRITE,
                 priority=prio(0),
@@ -544,11 +548,12 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 params=("L1", "I", "W"),
                 domain=lambda md: [
                     (c.chain_id, s.sort_index, w.index)
-                    for c in md.chains
-                    for s in c.active_sorts
-                    for w in c.write_segs
+                    for c, meta in zip(md.specs, md.chains)
+                    for s in c.sort_writes
+                    if s.guard
+                    for w in meta.write_segs
                 ],
-                placement=lambda p, md: md.chain(p[0]).write_segs[p[2]].node,
+                placement=lambda p, md: md.chains[p[0]].write_segs[p[2]].node,
                 run=_make_write_run(lambda p: p[2]),
                 category=TaskCategory.WRITE,
                 priority=prio(0),
@@ -567,35 +572,77 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
 
 
 # ----------------------------------------------------------------------
-# guard helpers
+# size and guard helpers
 # ----------------------------------------------------------------------
+# GEMM (L1, L2) sits in segment ``L2 // segments[0].length`` of its
+# chain (every segment but the last is that long): arithmetic, not a
+# lookup or a call per row.
+def _a_elems(p, md) -> int:
+    a = md.specs[p[0]].gemms[p[1]].a
+    return a.hi - a.lo
+
+
+def _b_elems(p, md) -> int:
+    b = md.specs[p[0]].gemms[p[1]].b
+    return b.hi - b.lo
+
+
+def _continues_segment(p, md) -> bool:
+    """GEMM (L1, L2) is not the last of its segment."""
+    segments = md.chains[p[0]].segments
+    L2 = p[1]
+    seg = segments[L2 // segments[0].length]
+    return L2 < seg.start + seg.length - 1
+
+
+def _inside_segment(p, md) -> bool:
+    """GEMM (L1, L2) is not the first of its segment: its C comes from
+    the GEMM before it."""
+    return p[1] % md.chains[p[0]].segments[0].length > 0
+
+
+def _opens_long_segment(p, md) -> bool:
+    """GEMM (L1, L2) is the first of a segment longer than one GEMM,
+    whose C comes from a DFILL."""
+    segments = md.chains[p[0]].segments
+    L2 = p[1]
+    seg = segments[L2 // segments[0].length]
+    return L2 == seg.start and seg.length > 1
+
+
+def _gemm_is_root(p, md) -> bool:
+    """GEMM (L1, L2) ends its chain's only segment."""
+    chain = md.chains[p[0]]
+    return not chain.reduces and p[1] == chain.segments[0].length - 1
+
+
 def _reduce_side(p, md) -> Optional[str]:
     """Which REDUCE input ('X' left / 'Y' right) a GEMM feeds: only the
     tail of a segment does, and only in a chain with a tree to feed."""
-    gemm = md.gemm(*p)
-    chain = md.chain(p[0])
-    if gemm.pos_in_seg != gemm.seg_len - 1 or chain.n_segments <= 1:
+    chain = md.chains[p[0]]
+    if not chain.reduces:
         return None
-    step = chain.consumer_of[("seg", gemm.seg_id)]
-    return "X" if chain.reduces[step].left == ("seg", gemm.seg_id) else "Y"
+    segments = chain.segments
+    L2 = p[1]
+    seg = segments[L2 // segments[0].length]
+    if L2 != seg.start + seg.length - 1:
+        return None
+    source = ("seg", seg.seg_id)
+    return "X" if chain.reduces[chain.consumer_of[source]].left == source else "Y"
 
 
 def _reduce_side_red(p, md) -> Optional[str]:
     """Which input a REDUCE step feeds in its consumer (None at the root)."""
-    chain = md.chain(p[0])
+    chain = md.chains[p[0]]
     if chain.reduces[p[1]].is_root:
         return None
     step = chain.consumer_of[("red", p[1])]
     return "X" if chain.reduces[step].left == ("red", p[1]) else "Y"
 
 
-def _sort_stage_deps(variant: VariantSpec, root_is: str) -> list[Dep]:
-    """C -> SORT stage deps, guarded on being the chain's root producer."""
-
-    def is_root(p, md) -> bool:
-        cls, params = md.chain(p[0]).root_producer()
-        return cls == root_is and tuple(params) == tuple(p)
-
+def _sort_stage_deps(variant: VariantSpec, is_root) -> list[Dep]:
+    """C -> SORT stage deps, guarded on ``is_root(p, md)``: being the
+    chain's root producer."""
     if variant.fused_sort:
         return [
             Dep("SORT", lambda p, md: (p[0],), "C", guard=is_root),
@@ -607,7 +654,7 @@ def _sort_stage_deps(variant: VariantSpec, root_is: str) -> list[Dep]:
             "C",
             guard=(
                 lambda p, md, i=i: is_root(p, md)
-                and md.chain(p[0]).sorts[i].active
+                and md.specs[p[0]].sort_writes[i].guard
             ),
         )
         for i in range(4)

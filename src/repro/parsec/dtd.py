@@ -38,7 +38,7 @@ from repro.parsec.taskclass import TaskContext
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Process, SimEvent
 from repro.sim.network import Message
-from repro.sim.queues import PriorityStore
+from repro.sim.queues import RankStore
 from repro.sim.trace import TaskCategory
 from repro.util.errors import ConfigurationError, DataflowError, StallError
 
@@ -129,11 +129,13 @@ class DtdKind:
 
 
 class DtdTask:
-    """One inserted task: a small record of its kind, its parameters,
-    its handles (in the order of ``kind.modes``), placement, priority
-    and its materialized out-edges. The name is derived, not stored."""
+    """One inserted task: a small record of its insertion number, kind,
+    parameters, handles (in the order of ``kind.modes``), placement,
+    priority and its materialized out-edges. The name is derived, not
+    stored."""
 
     __slots__ = (
+        "number",
         "kind",
         "params",
         "handles",
@@ -143,7 +145,9 @@ class DtdTask:
         "pending",
     )
 
-    def __init__(self, kind, params, handles, node, priority):
+    def __init__(self, number, kind, params, handles, node, priority):
+        #: its index in the runtime's task list: what a ready queue holds
+        self.number = number
         self.kind = kind
         self.params = params
         #: emptied once the task has finished
@@ -180,17 +184,6 @@ class DtdContext(TaskContext):
         super().__init__(task, md, cluster, node, thread)  # type: ignore[arg-type]
         self.values = [handle.value for handle in task.handles]
 
-    @property
-    def data(self) -> dict[str, Any]:
-        """handle key -> current value (REAL mode) or None"""
-        return {h.key: v for h, v in zip(self.task.handles, self.values)}
-
-    def write(self, key: str, value: Any) -> None:
-        """Publish a new value for a handle this task writes, by key."""
-        for i, handle in enumerate(self.task.handles):
-            if handle.key == key:
-                self.values[i] = value
-
 
 @dataclass
 class DtdResult(RunResult):
@@ -219,8 +212,10 @@ class DtdRuntime:
         self._handles: dict[str, DataHandle] = {}
         self._edges = 0
         self._executing = False
-        # execution state
-        self._ready: list[PriorityStore] = []
+        # execution state: per node a queue of task numbers, ranked by
+        # ``_rank``, each distinct priority's place (0 = the highest)
+        self._ready: list[RankStore] = []
+        self._rank: dict[float, int] = {}
         #: the worker processes, closed at shutdown
         self._threads: list[Process] = []
         self._completed = 0
@@ -258,20 +253,6 @@ class DtdRuntime:
                 self._live_bytes_hwm = self._live_bytes
         handle.value = value
 
-    def insert_task(
-        self,
-        name: str,
-        body: Callable[[DtdContext], Any],
-        accesses: list[tuple[DataHandle, str]],
-        node: int,
-        priority: float = 0.0,
-        category: TaskCategory = TaskCategory.OTHER,
-    ) -> DtdTask:
-        """Insert one task of a kind of its own; ``accesses`` pairs each
-        handle with its mode."""
-        kind = DtdKind(name, body, tuple(mode for _, mode in accesses), category)
-        return self.insert(kind, (), tuple(h for h, _ in accesses), node, priority)
-
     def insert(
         self,
         kind: DtdKind,
@@ -288,7 +269,7 @@ class DtdRuntime:
         """
         if self._executing:
             raise DataflowError("cannot insert tasks after execute()")
-        task = DtdTask(kind, params, handles, node, priority)
+        task = DtdTask(len(self._tasks), kind, params, handles, node, priority)
         for handle, mode in zip(handles, kind.modes, strict=True):
             handle._accessors += 1
             if handle._last_writer is not None:
@@ -351,8 +332,12 @@ class DtdRuntime:
         if not self._tasks:
             self._done.succeed()
         service = comm_service(self.cluster.machine)
+        table = sorted({task.priority for task in self._tasks}, reverse=True)
+        self._rank = {priority: index for index, priority in enumerate(table)}
         for node in self.cluster.nodes:
-            store = PriorityStore(self.engine, name=f"dtd.ready{node.node_id}")
+            store = RankStore(
+                self.engine, len(self._tasks), name=f"dtd.ready{node.node_id}"
+            )
             self._ready.append(store)
             for thread in range(self.cluster.cores_per_node):
                 self._threads.append(
@@ -413,12 +398,12 @@ class DtdRuntime:
             yield self.engine.timeout(insertion_time)
         for task in self._tasks:
             if task.pending == 0:
-                self._ready[task.node].put(task, priority=task.priority)
+                self._ready[task.node].put(task.number, self._rank[task.priority])
 
     def _worker(self, node, thread: int):
         machine = self.cluster.machine
         while True:
-            task: DtdTask = yield self._ready[node.node_id].get()
+            task = self._tasks[(yield self._ready[node.node_id].get())]
             if machine.task_overhead_s > 0:
                 yield self.engine.timeout(machine.task_overhead_s)
             context = DtdContext(task, self.md, self.cluster, node, thread)
@@ -462,7 +447,9 @@ class DtdRuntime:
 
     def _activate(self, producer: DtdTask, successor: DtdTask) -> None:
         if successor.node == producer.node:
-            self._ready[successor.node].put(successor, priority=successor.priority)
+            self._ready[successor.node].put(
+                successor.number, self._rank[successor.priority]
+            )
             return
         # ship the successor's read data that lives on the producer's
         # side; model as one message sized by the successor's inputs
@@ -485,7 +472,8 @@ class DtdRuntime:
     def _receive(self, message: Message) -> None:
         """The receive server's handler: a remote successor arrived."""
         successor: DtdTask = message.take()
-        self._ready[successor.node].put(successor, priority=successor.priority)
+        rank = self._rank[successor.priority]
+        self._ready[successor.node].put(successor.number, rank)
 
 
 _dtd_ids = itertools.count()

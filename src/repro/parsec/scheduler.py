@@ -184,7 +184,8 @@ class NodeScheduler:
         if self.metrics.enabled:
             self._m_enqueued.value += 1.0
             self._m_priority.observe(self._priorities[rank])
-            depth = len(queue)
+            # the queue's own container: no ``Store.__len__`` frame per put
+            depth = len(queue._items)
             if depth > self._m_ready_hwm.value:
                 self._m_ready_hwm.value = depth
 

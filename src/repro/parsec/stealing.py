@@ -226,8 +226,7 @@ class StealCoordinator:
             if name == "GEMM":
                 rows = template.class_rows(index)
                 for row, (_, params) in zip(rows, template.keys(rows)):
-                    g = runtime.md.gemm(*params)
-                    self._flops[row] = 2.0 * g.m * g.n * g.k
+                    self._flops[row] = runtime.md.gemm(*params).flops
         #: the live-chain index: per node, the chains that can still turn
         #: steal-eligible there (chain_id -> its rows); under ``None``
         #: the chains whose remaining tasks a crash spread over several

@@ -28,7 +28,7 @@ which are pure functions of a master seed and stable decision keys.
 from repro.sim.engine import Engine, Process, SimEvent, WaitQueue, all_of
 from repro.sim.timeline import Timer
 from repro.sim.resources import Resource, BandwidthResource
-from repro.sim.queues import Store, PriorityStore
+from repro.sim.queues import Store, RankStore
 from repro.sim.mutex import SimMutex
 from repro.sim.network import Network, Message, NIC
 from repro.sim.cost import MachineModel
@@ -53,7 +53,7 @@ __all__ = [
     "Resource",
     "BandwidthResource",
     "Store",
-    "PriorityStore",
+    "RankStore",
     "SimMutex",
     "Network",
     "Message",

@@ -1,14 +1,14 @@
 """Channels and ready-queues for simulated threads.
 
 :class:`Store` is an unbounded FIFO channel: producers never block,
-consumers ``yield store.get()``. :class:`LifoStore`,
-:class:`PriorityStore` and :class:`RankStore` are the same channel with
-a different item order; :class:`PriorityStore` hands out the
-highest-priority item first (ties broken FIFO), matching PaRSEC's rule
-that priorities "only have a relative meaning" — between two available
-tasks the higher-priority one executes first. :class:`RankStore` is that
-order over small ints given a rank instead of a priority, one int per
-queued item (a PTG ready queue).
+consumers ``yield store.get()``. :class:`LifoStore` and
+:class:`RankStore` are the same channel with a different item order;
+:class:`RankStore` hands out small ints (task numbers) highest priority
+first, ties broken FIFO, matching PaRSEC's rule that priorities "only
+have a relative meaning" — between two available tasks the
+higher-priority one executes first. A priority is given as its rank
+among the distinct priorities, and a queued item is one int (the PTG's
+and DTD's ready queues).
 
 Blocked consumers park on a :class:`~repro.sim.engine.WaitQueue`, so a
 consumer killed while parked (fault injection) is skipped by ``put()``
@@ -18,17 +18,16 @@ rather than fed an item that would be silently lost.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from typing import Any
 
 from repro.sim.engine import Engine, SimEvent, WaitQueue
 from repro.util.errors import SimulationError
 
-__all__ = ["Store", "LifoStore", "PriorityStore", "RankStore"]
+__all__ = ["Store", "LifoStore", "RankStore"]
 
 #: Bits of a :class:`RankStore` key that hold the insertion number: a
-#: store lives for one PTG level, whose puts are far fewer.
+#: store lives for one PTG or DTD level, whose puts are far fewer.
 _SEQ_BITS = 32
 
 
@@ -49,15 +48,15 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, item: Any, priority: float = 0.0) -> None:
+    def put(self, item: Any, rank: int = 0) -> None:
         """Deposit ``item``; wakes the oldest *live* waiting getter if any.
 
-        ``priority`` orders items in a :class:`PriorityStore` and is
-        ignored by the FIFO and LIFO disciplines.
+        ``rank`` orders items in a :class:`RankStore` and is ignored by
+        the FIFO and LIFO disciplines.
         """
         getters = self._getters
         if not getters or getters.wake_one(item) is None:
-            self._push(item, priority)
+            self._push(item, rank)
 
     def get(self) -> SimEvent:
         """Event that fires with the next item (immediately if available)."""
@@ -82,7 +81,7 @@ class Store:
     def _new_items(self) -> Any:
         return deque()
 
-    def _push(self, item: Any, priority: float) -> None:
+    def _push(self, item: Any, rank: int) -> None:
         self._items.append(item)
 
     def _pop(self) -> Any:
@@ -103,31 +102,9 @@ class LifoStore(Store):
         return self._items.pop()
 
 
-class PriorityStore(Store):
-    """Channel that yields the highest-priority item first.
-
-    Larger priority value = more important (PaRSEC convention). Equal
-    priorities are served in insertion order, so behaviour stays
-    deterministic.
-    """
-
-    def __init__(self, engine: Engine, name: str = "") -> None:
-        super().__init__(engine, name)
-        self._seq = itertools.count()  # FIFO tie-break among equal priorities
-
-    def _new_items(self) -> Any:
-        return []  # a heap of (-priority, seq, item)
-
-    def _push(self, item: Any, priority: float) -> None:
-        heapq.heappush(self._items, (-priority, next(self._seq), item))
-
-    def _pop(self) -> Any:
-        return heapq.heappop(self._items)[2]
-
-
 class RankStore(Store):
     """Channel of ints in ``range(span)`` that yields the lowest-ranked
-    item first, ties broken FIFO: :class:`PriorityStore`'s order with the
+    item first, ties broken FIFO: highest priority first, with the
     priority given as its rank among the distinct priorities (0 = the
     highest), so ``put(item, rank)``.
 
@@ -146,7 +123,7 @@ class RankStore(Store):
     def _new_items(self) -> Any:
         return []  # a heap of packed (rank, seq, item) ints
 
-    def _push(self, item: Any, rank: int) -> None:  # type: ignore[override]
+    def _push(self, item: Any, rank: int) -> None:
         seq = self._seq
         if seq >> _SEQ_BITS:
             raise SimulationError(f"store {self.name!r} overran {_SEQ_BITS}-bit seq")

@@ -145,13 +145,10 @@ class SortWrite:
     target: BlockRef
 
 
-def sort_4(tile: np.ndarray, sort) -> np.ndarray:
-    """The SORT_4 numerics, flattened: ``sign * permute(tile)``.
-
-    ``sort`` is anything carrying ``sign`` and ``perm`` — a
-    :class:`SortWrite` or the inspector's ``SortMeta`` — so the legacy
-    chain executor, the PTG bodies and the DTD bodies share one spelling.
-    """
+def sort_4(tile: np.ndarray, sort: SortWrite) -> np.ndarray:
+    """The SORT_4 numerics, flattened: ``sign * permute(tile)`` — the one
+    spelling the legacy chain executor, the PTG bodies and the DTD
+    bodies share."""
     return (sort.sign * np.transpose(tile, sort.perm)).reshape(-1)
 
 
@@ -181,7 +178,8 @@ class ChainSpec:
 
     @property
     def c_size(self) -> int:
-        return self.m * self.n
+        p3, p4, h1, h2 = self.tile_shape  # m * n, without their two calls
+        return p3 * p4 * h1 * h2
 
     @property
     def length(self) -> int:

@@ -128,9 +128,9 @@ class TestBehaviour:
         _, metadata = execute(workload, V5)
         writes = cluster.trace.filtered(category=TaskCategory.WRITE)
         by_label = {}
-        for chain in metadata.chains:
+        for L1, chain in enumerate(metadata.chains):
             for seg in chain.write_segs:
-                by_label[f"WRITE_C({chain.chain_id}, {seg.index})"] = seg.node
+                by_label[f"WRITE_C({L1}, {seg.index})"] = seg.node
         assert len(writes) == len(by_label)
         for span in writes:
             assert span.node == by_label[span.label]
@@ -140,10 +140,11 @@ class TestBehaviour:
         _, metadata = execute(workload, V5)
         reads = cluster.trace.filtered(category=TaskCategory.READ_A)
         owners = {
-            f"READ_A({c.chain_id}, {g.position})": g.a_owner
-            for c in metadata.chains
-            for g in c.gemms
+            f"READ_A({L1}, {L2})": owner
+            for L1, chain in enumerate(metadata.chains)
+            for L2, owner in enumerate(chain.a_owner)
         }
+        assert len(owners) == workload.subroutine.n_gemms
         for span in reads:
             assert span.node == owners[span.label]
 

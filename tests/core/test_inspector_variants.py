@@ -121,27 +121,33 @@ class TestInspection:
     def test_chain_placement_is_round_robin(self):
         cluster, workload = make_workload(n_nodes=4)
         md = inspect_subroutine(workload.subroutine, cluster, V5)
-        for chain in md.chains:
-            assert chain.node == chain.chain_id % 4
+        for L1, chain in enumerate(md.chains):
+            assert chain.node == L1 % 4
 
     def test_read_owners_match_distribution(self):
         cluster, workload = make_workload()
         md = inspect_subroutine(workload.subroutine, cluster, V5)
-        for chain in md.chains:
-            for gemm in chain.gemms:
-                assert gemm.a_owner == workload.va.array.distribution.last_segment_owner(
-                    gemm.a_lo, gemm.a_hi
+        for spec, chain in zip(workload.subroutine.chains, md.chains):
+            assert len(chain.a_owner) == len(chain.b_owner) == spec.length
+            for gemm, a_owner, b_owner in zip(spec.gemms, chain.a_owner, chain.b_owner):
+                assert a_owner == workload.va.array.distribution.last_segment_owner(
+                    gemm.a.lo, gemm.a.hi
                 )
-                assert gemm.b_owner == workload.tb.array.distribution.last_segment_owner(
-                    gemm.b_lo, gemm.b_hi
+                assert b_owner == workload.tb.array.distribution.last_segment_owner(
+                    gemm.b.lo, gemm.b.hi
                 )
 
     def test_active_sorts_share_one_target(self):
         cluster, workload = make_workload()
         md = inspect_subroutine(workload.subroutine, cluster, V4)
-        for chain in md.chains:
-            assert chain.target_hi - chain.target_lo == chain.c_size
-            assert 1 <= len(chain.active_sorts) <= 4
+        for spec, chain in zip(workload.subroutine.chains, md.chains):
+            assert chain.target_hi - chain.target_lo == spec.c_size
+            assert 1 <= len(spec.active_sorts) <= 4
+            for sort in spec.active_sorts:
+                assert (sort.target.lo, sort.target.hi) == (
+                    chain.target_lo,
+                    chain.target_hi,
+                )
 
     def test_write_segments_tile_the_target(self):
         cluster, workload = make_workload()
@@ -156,15 +162,15 @@ class TestInspection:
     def test_v1_has_single_segment_per_chain(self):
         cluster, workload = make_workload()
         md = inspect_subroutine(workload.subroutine, cluster, V1)
-        assert all(c.n_segments == 1 and not c.reduces for c in md.chains)
+        assert all(len(c.segments) == 1 and not c.reduces for c in md.chains)
 
     def test_v5_has_singleton_segments_and_tree(self):
         cluster, workload = make_workload()
         md = inspect_subroutine(workload.subroutine, cluster, V5)
-        for chain in md.chains:
-            assert chain.n_segments == chain.length
-            if chain.length > 1:
-                assert len(chain.reduces) == chain.length - 1
+        for spec, chain in zip(workload.subroutine.chains, md.chains):
+            assert len(chain.segments) == spec.length
+            if spec.length > 1:
+                assert len(chain.reduces) == spec.length - 1
 
     def test_priority_expression(self):
         cluster, workload = make_workload(n_nodes=4)
@@ -181,12 +187,51 @@ class TestInspection:
         assert md.priority(7, 1) == 0.0
 
     def test_root_producer(self):
+        """The chain's root — what its SORT stage reads — is its one
+        segment's last GEMM, or the last step of its reduction tree."""
         cluster, workload = make_workload()
+        spec = workload.subroutine.chains[0]
         md_v1 = inspect_subroutine(workload.subroutine, cluster, V1)
-        cls, params = md_v1.chain(0).root_producer()
-        assert cls == "GEMM" and params == (0, md_v1.chain(0).length - 1)
+        chain = md_v1.chains[0]
+        assert not chain.reduces and chain.segments[0].last_position == spec.length - 1
         md_v5 = inspect_subroutine(workload.subroutine, cluster, V5)
-        chain = md_v5.chain(0)
-        if chain.length > 1:
-            cls, params = chain.root_producer()
-            assert cls == "REDUCE" and params == (0, chain.root_step)
+        chain = md_v5.chains[0]
+        if spec.length > 1:
+            roots = [r.is_root for r in chain.reduces]
+            assert roots == [False] * (spec.length - 2) + [True]
+            assert chain.reduces[-1].step == spec.length - 2
+
+    def test_gemm_is_the_ir_op(self):
+        """The metadata indexes the chain IR, it does not copy it."""
+        cluster, workload = make_workload()
+        subroutine = workload.subroutine
+        md = inspect_subroutine(subroutine, cluster, V5)
+        assert md.specs is subroutine.chains
+        for L1, spec in enumerate(subroutine.chains):
+            for L2 in range(spec.length):
+                assert md.gemm(L1, L2) is subroutine.chains[L1].gemms[L2]
+
+    def test_memoised_chains_reach_no_ir(self):
+        """A memoised ``ChainMeta`` list is weighed on its own, so it may
+        not keep a structure's IR alive: nothing it reaches is a
+        ``ChainSpec``, ``GemmOp``, ``SortWrite`` or ``BlockRef``."""
+        import gc
+
+        from repro.core.inspector import InspectionCache
+        from repro.tce.subroutine import BlockRef, ChainSpec, GemmOp, SortWrite
+
+        cluster, workload = make_workload()
+        cache = InspectionCache()
+        inspect_subroutine(workload.subroutine, cluster, V5, cache)
+        (chains,) = [product for product, _ in cache._entries.values()]
+        assert isinstance(chains, list) and chains
+        seen, stack, n_reached = set(), [chains], 0
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            n_reached += 1
+            assert not isinstance(obj, (ChainSpec, GemmOp, SortWrite, BlockRef)), obj
+            stack.extend(gc.get_referents(obj))
+        assert n_reached > 10 * len(chains)

@@ -7,8 +7,8 @@ size; this script re-derives the three rates with ``tracemalloc``:
 - inspected chains: bytes of one chain height's ``ChainMeta`` list per
   GEMM, both heights (v1's whole chains, v5's segments);
 - task template: bytes of one validated template per task, v1 and v5,
-  every level, built a second time so the metadata's lazy caches
-  (``ChainMeta.root_producer``) are already filled.
+  every level, built a second time so the first build's transients
+  are gone.
 
 Usage::
 
@@ -63,9 +63,9 @@ def measure(token: str, n_nodes: int) -> dict:
                 lambda: inspector._inspect_chains(level, n_nodes, variant)
             )
             chain_bytes = max(chain_bytes, nbytes / level.n_gemms)
-            md = Metadata(chains, variant, n_nodes, arrays={})
+            md = Metadata(level, chains, variant, n_nodes, arrays={})
             ptg = build_ccsd_ptg(variant, md)
-            ptg.template(md, n_nodes)  # fills the metadata's lazy caches
+            ptg.template(md, n_nodes)
 
             built, nbytes = traced(lambda: ptg.template(md, n_nodes))
             template_bytes += nbytes

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import api
 from repro.core.dtd_port import run_over_dtd
-from repro.parsec.dtd import AccessMode, DtdRuntime
+from repro.parsec.dtd import AccessMode, DtdKind, DtdRuntime
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import OpCost
 from repro.sim.faults import FaultPlan, NodeCrash
@@ -21,13 +21,19 @@ def make_cluster(n_nodes=2, cores=2, data_mode=DataMode.REAL):
     )
 
 
-def burn(duration, log=None, write=None, value=None):
+_R, _RW, _W = AccessMode.READ, AccessMode.RW, AccessMode.WRITE
+
+
+def burn(duration, log=None, value=None):
+    """A body that takes ``duration``, logs its task and, given a
+    ``value``, publishes it as its one handle's."""
+
     def body(ctx):
         yield ctx.charge(OpCost(duration, 0.0))
         if log is not None:
             log.append((ctx.task.name, ctx.cluster.engine.now))
-        if write is not None:
-            ctx.write(write, value)
+        if value is not None:
+            ctx.values[0] = value
 
     return body
 
@@ -38,8 +44,8 @@ class TestDependenceInference:
         runtime = DtdRuntime(cluster)
         x = runtime.data("x", 1, 0)
         log = []
-        runtime.insert_task("W", burn(1.0, log, "x", 42), [(x, AccessMode.WRITE)], node=0)
-        runtime.insert_task("R", burn(0.5, log), [(x, AccessMode.READ)], node=0)
+        runtime.insert(DtdKind("W", burn(1.0, log, 42), (_W,)), (), (x,), 0)
+        runtime.insert(DtdKind("R", burn(0.5, log), (_R,)), (), (x,), 0)
         result = runtime.execute()
         assert [name for name, _ in log] == ["W", "R"]
         assert result.n_edges == 1
@@ -49,10 +55,10 @@ class TestDependenceInference:
         runtime = DtdRuntime(cluster)
         x = runtime.data("x", 1, 0)
         log = []
-        runtime.insert_task("W1", burn(1.0, log, "x", 1), [(x, AccessMode.WRITE)], node=0)
-        runtime.insert_task("R1", burn(1.0, log), [(x, AccessMode.READ)], node=0)
-        runtime.insert_task("R2", burn(1.0, log), [(x, AccessMode.READ)], node=0)
-        runtime.insert_task("W2", burn(1.0, log, "x", 2), [(x, AccessMode.WRITE)], node=0)
+        runtime.insert(DtdKind("W1", burn(1.0, log, 1), (_W,)), (), (x,), 0)
+        runtime.insert(DtdKind("R1", burn(1.0, log), (_R,)), (), (x,), 0)
+        runtime.insert(DtdKind("R2", burn(1.0, log), (_R,)), (), (x,), 0)
+        runtime.insert(DtdKind("W2", burn(1.0, log, 2), (_W,)), (), (x,), 0)
         runtime.execute()
         order = {name: i for i, (name, _) in enumerate(log)}
         assert order["W1"] < order["R1"] and order["W1"] < order["R2"]
@@ -69,7 +75,7 @@ class TestDependenceInference:
 
         for i in range(4):
             x = runtime.data(f"x{i}", 1, 0)
-            runtime.insert_task(f"T{i}", body, [(x, AccessMode.WRITE)], node=0)
+            runtime.insert(DtdKind(f"T{i}", body, (_W,)), (), (x,), 0)
         result = runtime.execute()
         assert result.n_edges == 0
         # all ran concurrently (plus insertion + per-task overhead)
@@ -81,7 +87,7 @@ class TestDependenceInference:
         acc = runtime.data("acc", 1, 0)
         log = []
         for i in range(5):
-            runtime.insert_task(f"U{i}", burn(0.2, log), [(acc, AccessMode.RW)], node=0)
+            runtime.insert(DtdKind(f"U{i}", burn(0.2, log), (_RW,)), (), (acc,), 0)
         runtime.execute()
         assert [name for name, _ in log] == [f"U{i}" for i in range(5)]
 
@@ -93,14 +99,14 @@ class TestDependenceInference:
 
         def producer(ctx):
             yield ctx.charge(OpCost(0.1, 0.0))
-            ctx.write("x", 99)
+            ctx.values[0] = 99
 
         def consumer(ctx):
             yield ctx.charge(OpCost(0.1, 0.0))
-            got["x"] = ctx.data["x"]
+            got["x"] = ctx.values[0]
 
-        runtime.insert_task("P", producer, [(x, AccessMode.WRITE)], node=0)
-        runtime.insert_task("C", consumer, [(x, AccessMode.READ)], node=1)
+        runtime.insert(DtdKind("P", producer, (_W,)), (), (x,), 0)
+        runtime.insert(DtdKind("C", consumer, (_R,)), (), (x,), 1)
         result = runtime.execute()
         assert got["x"] == 99
         assert result.messages_remote == 1
@@ -110,21 +116,21 @@ class TestDependenceInference:
         runtime = DtdRuntime(cluster)
         runtime.execute()
         with pytest.raises(DataflowError):
-            runtime.insert_task("late", burn(0.1), [], node=0)
+            runtime.insert(DtdKind("late", burn(0.1), ()), (), (), 0)
 
     def test_bad_access_mode_rejected(self):
         cluster = make_cluster()
         runtime = DtdRuntime(cluster)
         x = runtime.data("x", 1, 0)
         with pytest.raises(DataflowError):
-            runtime.insert_task("T", burn(0.1), [(x, "bogus")], node=0)
+            runtime.insert(DtdKind("T", burn(0.1), ("bogus",)), (), (x,), 0)
 
     def test_insertion_time_charged(self):
         cluster = make_cluster()
         runtime = DtdRuntime(cluster)
         for i in range(10):
             x = runtime.data(f"x{i}", 1, 0)
-            runtime.insert_task(f"T{i}", burn(0.0), [(x, AccessMode.WRITE)], node=0)
+            runtime.insert(DtdKind(f"T{i}", burn(0.0), (_W,)), (), (x,), 0)
         result = runtime.execute()
         assert result.insertion_time > 0
         assert result.execution_time >= result.insertion_time
@@ -145,7 +151,7 @@ class TestDependenceInference:
             yield ctx.charge(OpCost(1.0, 0.0))
 
         # one node-local task: no node ever receives a message
-        runtime.insert_task("T", body, [(x, AccessMode.WRITE)], node=0)
+        runtime.insert(DtdKind("T", body, (_W,)), (), (x,), 0)
         result = runtime.execute()
         assert result.messages_remote == 0
         assert with_mailbox == [0, 1, 2, 3]  # opened at execute(), not by traffic

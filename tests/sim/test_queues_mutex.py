@@ -1,12 +1,12 @@
-"""Unit tests for Store/PriorityStore mailboxes, the SimMutex model, and
-the waiter protocol every blocking primitive shares."""
+"""Unit tests for the Store/LifoStore/RankStore mailboxes, the SimMutex
+model, and the waiter protocol every blocking primitive shares."""
 
 import pytest
 
 from repro.ga.sync import Barrier
 from repro.sim.engine import Engine
 from repro.sim.mutex import SimMutex
-from repro.sim.queues import LifoStore, PriorityStore, RankStore, Store
+from repro.sim.queues import LifoStore, RankStore, Store
 from repro.sim.resources import Resource
 
 
@@ -76,11 +76,16 @@ class TestStore:
 
 
 class TestPriorityStore:
+    """The priority discipline of a ready queue — highest priority
+    first, FIFO on ties — as :class:`RankStore` keeps it: a priority is
+    put as its rank among the distinct priorities (0 = the highest)."""
+
     def test_highest_priority_first(self, engine):
-        store = PriorityStore(engine)
-        store.put("low", priority=1)
-        store.put("high", priority=10)
-        store.put("mid", priority=5)
+        store = RankStore(engine, span=3)
+        priorities = {0: 1.0, 1: 10.0, 2: 5.0}  # item -> priority
+        rank = {p: r for r, p in enumerate(sorted(priorities.values(), reverse=True))}
+        for item, priority in priorities.items():
+            store.put(item, rank[priority])
         got = []
 
         def worker():
@@ -89,12 +94,12 @@ class TestPriorityStore:
 
         engine.process(worker())
         engine.run()
-        assert got == ["high", "mid", "low"]
+        assert got == [1, 2, 0]
 
     def test_equal_priority_is_fifo(self, engine):
-        store = PriorityStore(engine)
-        for tag in range(4):
-            store.put(tag, priority=3)
+        store = RankStore(engine, span=4)
+        for item in (2, 0, 3, 1):
+            store.put(item, 3)
         got = []
 
         def worker():
@@ -103,33 +108,33 @@ class TestPriorityStore:
 
         engine.process(worker())
         engine.run()
-        assert got == [0, 1, 2, 3]
+        assert got == [2, 0, 3, 1]
 
     def test_blocking_get_wakes_on_put(self, engine):
-        store = PriorityStore(engine)
+        store = RankStore(engine, span=8)
         got = []
 
         def worker():
             got.append(((yield store.get()), engine.now))
 
         engine.process(worker())
-        engine.schedule(2.0, store.put, "item", 9)
+        engine.schedule(2.0, store.put, 7, 0)
         engine.run()
-        assert got == [("item", 2.0)]
+        assert got == [(7, 2.0)]
 
     def test_peek_priority(self, engine):
         # the scheduler takes the best item, it never peeks at its
         # priority: the store keeps no accessor for it
-        store = PriorityStore(engine)
-        store.put("x", priority=4)
+        store = RankStore(engine, span=2)
+        store.put(1, 4)
         with pytest.raises(AttributeError):
             store.peek_priority()
 
     def test_try_get_best(self, engine):
-        store = PriorityStore(engine)
-        store.put("a", priority=1)
-        store.put("b", priority=2)
-        assert store.try_get() == (True, "b")
+        store = RankStore(engine, span=2)
+        store.put(0, 1)
+        store.put(1, 0)
+        assert store.try_get() == (True, 1)
 
 
 class TestRankStore:
@@ -241,10 +246,23 @@ class TestSimMutex:
         assert not mutex.locked
 
 
+def _rank_store(engine):
+    return RankStore(engine, span=8)
+
+
+#: each store discipline, its priority one by that name; items are
+#: small ints, which every store holds
+STORES = pytest.mark.parametrize(
+    "store_cls",
+    [Store, LifoStore, _rank_store],
+    ids=["Store", "LifoStore", "PriorityStore"],
+)
+
+
 class TestAbandonedGetters:
     """Dead consumers must not eat items (see engine.WaitQueue)."""
 
-    @pytest.mark.parametrize("store_cls", [Store, LifoStore, PriorityStore])
+    @STORES
     def test_put_skips_abandoned_getter(self, engine, store_cls):
         store = store_cls(engine)
         corpse = store.get()  # a consumer that will die while parked
@@ -257,21 +275,21 @@ class TestAbandonedGetters:
 
         engine.process(live())
         engine.run(until=0.0)  # park the live getter behind the corpse
-        store.put("task")
+        store.put(5)
         engine.run()
-        assert got == ["task"]
+        assert got == [5]
         assert not corpse.triggered
 
-    @pytest.mark.parametrize("store_cls", [Store, LifoStore, PriorityStore])
+    @STORES
     def test_abandon_getters_then_put_buffers_item(self, engine, store_cls):
         store = store_cls(engine)
         store.get()  # pending getter
         assert store.abandon_getters() == 1
         assert store.abandon_getters() == 0  # idempotent
-        store.put("x")
+        store.put(3)
         assert len(store) == 1
         ok, item = store.try_get()
-        assert ok and item == "x"
+        assert ok and item == 3
 
     def test_triggered_getter_not_double_served(self, engine):
         # a getter satisfied immediately (items available) never re-enters
@@ -296,7 +314,7 @@ class TestAbandonedGetters:
 def _store_case(cls):
     def make(engine):
         store = cls(engine)
-        return store.get, lambda: store.put("item"), lambda: len(store) == 1
+        return store.get, lambda: store.put(1), lambda: len(store) == 1
 
     make.__name__ = cls.__name__
     return make
@@ -332,7 +350,7 @@ def _barrier_case(engine):
 WAITER_CASES = [
     _store_case(Store),
     _store_case(LifoStore),
-    _store_case(PriorityStore),
+    _store_case(_rank_store),
     _resource_case,
     _mutex_case,
     _barrier_case,

@@ -8,6 +8,8 @@ partitioning, and end-to-end numerical equality between the runtimes on
 randomly generated workloads.
 """
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,7 +21,7 @@ from repro.ga.sync import Barrier
 from repro.legacy.runtime import LegacyRuntime
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.engine import Engine
-from repro.sim.queues import PriorityStore, RankStore
+from repro.sim.queues import RankStore
 from repro.sim.resources import BandwidthResource
 from repro.tce.orbital_space import OrbitalSpace
 from repro.tce.t2_7 import T2_7_SPEC
@@ -137,16 +139,21 @@ class TestQueueProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_priority_store_pops_in_priority_order(self, ops):
+        """A ready queue puts each item at its priority's rank among the
+        distinct priorities (0 = the highest)."""
         engine = Engine()
-        store = PriorityStore(engine)
+        store = RankStore(engine, span=len(ops))
+        table = sorted({priority for (priority,) in ops}, reverse=True)
+        rank = {priority: index for index, priority in enumerate(table)}
         for index, (priority,) in enumerate(ops):
-            store.put((priority, index), priority=priority)
+            store.put(index, rank[priority])
         popped = []
         while True:
-            ok, item = store.try_get()
+            ok, index = store.try_get()
             if not ok:
                 break
-            popped.append(item)
+            popped.append((ops[index][0], index))
+        assert len(popped) == len(ops)
         # non-increasing priority; FIFO within equal priorities
         for (p1, i1), (p2, i2) in zip(popped, popped[1:]):
             assert p1 > p2 or (p1 == p2 and i1 < i2)
@@ -162,17 +169,25 @@ class TestQueueProperties:
     @settings(max_examples=50, deadline=None)
     def test_rank_store_pops_as_the_priority_store_does(self, ops):
         """Puts (a rank) interleaved with pops (``None``): a rank store
-        hands out what a priority store given ``-rank`` would."""
+        hands out what a heap of ``(-priority, seq, item)`` given
+        priority ``-rank`` would."""
         engine = Engine()
-        ranked, reference = RankStore(engine, span=len(ops)), PriorityStore(engine)
-        for item, rank in enumerate(ops):
+        ranked, reference = RankStore(engine, span=len(ops)), []
+
+        def pop_reference():
+            if not reference:
+                return False, None
+            return True, heapq.heappop(reference)[2]
+
+        for seq, (item, rank) in enumerate(enumerate(ops)):
             if rank is None:
-                assert ranked.try_get() == reference.try_get()
+                assert ranked.try_get() == pop_reference()
             else:
                 ranked.put(item, rank)
-                reference.put(item, priority=-float(rank))
-        while len(reference):
-            assert ranked.try_get() == reference.try_get()
+                priority = -float(rank)
+                heapq.heappush(reference, (-priority, seq, item))
+        while reference:
+            assert ranked.try_get() == pop_reference()
         assert ranked.try_get() == (False, None)
 
 
