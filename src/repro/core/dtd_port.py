@@ -62,11 +62,11 @@ def _sort_body(ctx):
 def _write_body(ctx):
     md = ctx.md
     L1, seg_index = ctx.params
-    chain = md.chains[L1]
-    seg = chain.write_segs[seg_index]
+    segs = md.chains[L1].write_segs
+    seg = segs[seg_index]
     yield ctx.charge(ctx.machine.axpy(seg.size))
     if ctx.real:
-        piece = ctx.values[0][seg.lo - chain.target_lo : seg.hi - chain.target_lo]
+        piece = ctx.values[0][seg.lo - segs[0].lo : seg.hi - segs[0].lo]
         md.output_array().accumulate_range_direct(
             seg.lo, seg.hi, piece, tag=(md.subroutine.level, "dtd", L1, seg_index)
         )
@@ -100,34 +100,35 @@ def build_dtd_skeleton(cluster: Cluster, md: Metadata) -> DtdRuntime:
         read_priority = md.priority(L1, md.variant.read_offset)
         gemm_priority = md.priority(L1, GEMM_OFFSET)
         priority = md.priority(L1, 0)
-        outputs: dict[tuple[str, int], DataHandle] = {}
+        # the partial Cs by tree source: GEMM i's, then each step's
+        sources: list[DataHandle] = []
         for gemm, a_owner, b_owner in zip(spec.gemms, chain.a_owner, chain.b_owner):
             params = (L1, gemm.position)
             a = DataHandle(None, gemm.a.hi - gemm.a.lo, a_owner)
             b = DataHandle(None, gemm.b.hi - gemm.b.lo, b_owner)
-            c = outputs["seg", gemm.position] = DataHandle(None, c_size, node)
+            c = DataHandle(None, c_size, node)
+            sources.append(c)
             insert(READ_A, params, (a,), a_owner, read_priority)
             insert(READ_B, params, (b,), b_owner, read_priority)
             insert(GEMM, params, (a, b, c), node, gemm_priority)
 
-        # the inspector's reduction tree, unrolled (DTD has no symbolic
-        # tree: the skeleton enumerates it); the chain's C is its last
-        # step's output, or its one GEMM's
-        root = c
-        for reduce in chain.reduces:
-            root = outputs["red", reduce.step] = DataHandle(None, c_size, node)
-            inputs = (outputs.pop(reduce.left), outputs.pop(reduce.right), root)
-            insert(REDUCE, (L1, reduce.step), inputs, node, priority)
+        # the reduction tree, unrolled (DTD has no symbolic tree: the
+        # skeleton enumerates it); the chain's C is its last step's
+        # output, or its one GEMM's
+        tree = md.trees[L1]
+        for step, (x, y) in enumerate(zip(tree.left, tree.right)):
+            sources.append(DataHandle(None, c_size, node))
+            inputs = (sources[x], sources[y], sources[-1])
+            insert(REDUCE, (L1, step), inputs, node, priority)
 
         sorted_c = DataHandle(None, c_size, node)
-        insert(SORT, (L1,), (root, sorted_c), node, priority)
-        for seg in chain.write_segs:
+        insert(SORT, (L1,), (sources[-1], sorted_c), node, priority)
+        segs = chain.write_segs
+        for w, seg in enumerate(segs):
             region = runtime.data(
-                f"i2[{chain.target_lo}:{chain.target_hi}]@{seg.index}",
-                seg.size,
-                seg.node,
+                f"i2[{segs[0].lo}:{segs[-1].hi}]@{w}", seg.size, seg.node
             )
-            insert(WRITE_C, (L1, seg.index), (sorted_c, region), seg.node, priority)
+            insert(WRITE_C, (L1, w), (sorted_c, region), seg.node, priority)
     return runtime
 
 

@@ -6,13 +6,13 @@ lead to task executions ... In addition, the code queries the Global
 Array library to discover the physical location of the program data."
 
 The inspector walks the control-flow slice of the subroutine (here: the
-resolved chain IR, which plays the role of the sliced DO/IF nest),
-evaluates the segment decomposition for the variant's chain height,
-builds the binary reduction tree over segments, asks each operand
-tensor's GA distribution for ``find_last_segment_owner`` (READ task
-placement, Figure 1) and splits each chain's target block into
-per-owner write segments (Figure 8). Chains are placed round-robin
-across nodes (Section IV-D).
+resolved chain IR, which plays the role of the sliced DO/IF nest), asks
+each operand tensor's GA distribution for ``find_last_segment_owner``
+(READ task placement, Figure 1) and splits each chain's target block
+into per-owner write segments (Figure 8). Chains are placed round-robin
+across nodes (Section IV-D). Of the variant's chain height it keeps one
+int per chain, the segment length: the segments and their reduction
+tree are arithmetic on it (:mod:`repro.core.metadata`).
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ import threading
 from collections import Counter
 from typing import Callable, Optional, Sized
 
-from repro.core.metadata import (
-    ChainMeta,
-    Metadata,
-    ReduceMeta,
-    SegmentMeta,
-    WriteSegMeta,
-)
+from repro.core.metadata import ChainMeta, Metadata
 from repro.core.variants import VariantSpec
 from repro.ga.distribution import Distribution
 from repro.sim.cluster import Cluster
@@ -42,14 +36,15 @@ __all__ = ["MEMO_MAX_BYTES", "PROCESS_MEMO", "InspectionCache", "inspect_subrout
 #: ``tracemalloc`` over t2_7 / rbgs / ccsd at small and paper on 4 and 32
 #: nodes (``tests/data/memo_weights.py``), the largest reading kept. The
 #: chain IR of a structure, 241-587 B per GEMM (one shared ``BlockRef``
-#: per block, slotted records); the inspected ``ChainMeta``, 340-412 B
-#: per GEMM, the largest level of either chain height (owners, segments,
-#: the reduction tree and write segments — no copy of the IR); a
-#: validated task template with its resolved successors, 14-18 B per
-#: task, v1 and v5 (typed columns, the narrowest int type that holds
-#: each). A seeded draw weighs its ``nbytes``: 8 B per element.
+#: per block, slotted records); the inspected ``ChainMeta``, 32-112 B
+#: per GEMM, the largest level of either chain height (node, owners,
+#: segment length and write segments — no copy of the IR, no record per
+#: segment or reduction step); a validated task template with its
+#: resolved successors, 14-18 B per task, v1 and v5 (typed columns, the
+#: narrowest int type that holds each). A seeded draw weighs its
+#: ``nbytes``: 8 B per element.
 IR_BYTES_PER_GEMM = 587
-CHAIN_BYTES_PER_GEMM = 412
+CHAIN_BYTES_PER_GEMM = 112
 TEMPLATE_BYTES_PER_TASK = 18
 
 #: Bound of :data:`PROCESS_MEMO`, in the bytes above summed over its
@@ -201,53 +196,6 @@ class InspectionCache:
 PROCESS_MEMO = InspectionCache(max_bytes=MEMO_MAX_BYTES)
 
 
-def _build_segments(n_gemms: int, height: int | None) -> list[SegmentMeta]:
-    if height is None:
-        return [SegmentMeta(0, 0, n_gemms)]
-    segments = []
-    start = 0
-    seg_id = 0
-    while start < n_gemms:
-        length = min(height, n_gemms - start)
-        segments.append(SegmentMeta(seg_id, start, length))
-        start += length
-        seg_id += 1
-    return segments
-
-
-def _build_reduce_tree(
-    n_segments: int,
-) -> tuple[list[ReduceMeta], dict[tuple[str, int], int]]:
-    """Pairwise binary tree over segment outputs.
-
-    Returns the reduce steps plus the consumer map: which step consumes
-    each ``('seg', i)`` / ``('red', s)`` source. The final step is the
-    root (its output goes to the SORT stage).
-    """
-    if n_segments <= 1:
-        return [], {}
-    reduces: list[ReduceMeta] = []
-    consumer: dict[tuple[str, int], int] = {}
-    frontier: list[tuple[str, int]] = [("seg", i) for i in range(n_segments)]
-    step = 0
-    while len(frontier) > 1:
-        next_frontier: list[tuple[str, int]] = []
-        for i in range(0, len(frontier) - 1, 2):
-            left, right = frontier[i], frontier[i + 1]
-            reduces.append(ReduceMeta(step, left, right, is_root=False))
-            consumer[left] = step
-            consumer[right] = step
-            next_frontier.append(("red", step))
-            step += 1
-        if len(frontier) % 2 == 1:
-            next_frontier.append(frontier[-1])
-        frontier = next_frontier
-    # mark the root
-    root = reduces[-1]
-    reduces[-1] = ReduceMeta(root.step, root.left, root.right, is_root=True)
-    return reduces, consumer
-
-
 def _inspect_chains(
     subroutine: Subroutine, n_nodes: int, variant: VariantSpec
 ) -> list[ChainMeta]:
@@ -270,8 +218,6 @@ def _inspect_chain(
     distributions: dict[str, Distribution],
     output: str,
 ) -> ChainMeta:
-    segments = _build_segments(chain.length, variant.segment_height)
-    reduces, consumer = _build_reduce_tree(len(segments))
     active = [sw for sw in chain.sort_writes if sw.guard]
     if not active:
         raise ConfigurationError(f"chain {chain.chain_id} has no active sort branch")
@@ -284,7 +230,7 @@ def _inspect_chain(
             f"chain {chain.chain_id}: active sorts target {sorted(targets)}"
             f" — the WRITE_C organization assumes one block of {output}"
         )
-    _, target_lo, target_hi = targets.pop()
+    _, lo, hi = targets.pop()
     # list comprehensions, not generators: one call each, not one per GEMM
     a_owner = [
         distributions[g.a.tensor.name].last_segment_owner(g.a.lo, g.a.hi)
@@ -294,21 +240,13 @@ def _inspect_chain(
         distributions[g.b.tensor.name].last_segment_owner(g.b.lo, g.b.hi)
         for g in chain.gemms
     ]
-    segments_of_target = distributions[output].segments(target_lo, target_hi)
-    write_segs = [
-        WriteSegMeta(index, seg.node, seg.lo, seg.hi)
-        for index, seg in enumerate(segments_of_target)
-    ]
+    height = variant.segment_height
     return ChainMeta(
         node=chain.chain_id % n_nodes,
         a_owner=tuple(a_owner),
         b_owner=tuple(b_owner),
-        segments=tuple(segments),
-        reduces=tuple(reduces),
-        consumer_of=consumer,
-        target_lo=target_lo,
-        target_hi=target_hi,
-        write_segs=tuple(write_segs),
+        seg_len=len(a_owner) if height is None else min(height, len(a_owner)),
+        write_segs=tuple(distributions[output].segments(lo, hi)),
     )
 
 

@@ -253,10 +253,12 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
             name="DFILL",
             params=("L1", "S"),
             domain=lambda md: [
-                (L1, s.seg_id)
+                (L1, s)
                 for L1, c in enumerate(md.chains)
-                for s in c.segments
-                if s.length > 1
+                if c.seg_len > 1
+                # a segment is longer than one GEMM when it starts
+                # before the chain's last
+                for s, _ in enumerate(range(0, len(c.a_owner) - 1, c.seg_len))
             ],
             placement=lambda p, md: md.chains[p[0]].node,
             run=_dfill_run,
@@ -270,7 +272,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                     outputs=[
                         Dep(
                             "GEMM",
-                            lambda p, md: (p[0], md.chains[p[0]].segments[p[1]].start),
+                            lambda p, md: (p[0], p[1] * md.chains[p[0]].seg_len),
                             "C",
                         )
                     ],
@@ -280,14 +282,14 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
     )
 
     # ---------------- GEMM --------------------------------------------
-    def reduce_feed_deps(source, side_of) -> list[Dep]:
-        """C -> the X (left) or Y (right) input of the REDUCE step that
-        consumes ``source(p, md)``; ``side_of`` names the side, or is
-        None for producers that do not feed the tree."""
+    def reduce_feed_deps(consumer, side_of) -> list[Dep]:
+        """C -> the X (left) or Y (right) input of the REDUCE step
+        ``consumer(p, md)``; ``side_of`` names the side, or is None for
+        producers that do not feed the tree."""
         return [
             Dep(
                 "REDUCE",
-                lambda p, md: (p[0], md.chains[p[0]].consumer_of[source(p, md)]),
+                consumer,
                 side,
                 guard=lambda p, md, side=side: side_of(p, md) == side,
             )
@@ -300,12 +302,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
             Dep("GEMM", lambda p, md: (p[0], p[1] + 1), "C", guard=_continues_segment),
         ]
         # feed the reduction tree
-        deps.extend(
-            reduce_feed_deps(
-                lambda p, md: ("seg", p[1] // md.chains[p[0]].segments[0].length),
-                _reduce_side,
-            )
-        )
+        deps.extend(reduce_feed_deps(_gemm_consumer, _reduce_side))
         deps.extend(_sort_stage_deps(variant, _gemm_is_root))
         return deps
 
@@ -339,10 +336,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                     inputs=[
                         Dep(
                             "DFILL",
-                            lambda p, md: (
-                                p[0],
-                                p[1] // md.chains[p[0]].segments[0].length,
-                            ),
+                            lambda p, md: (p[0], p[1] // md.chains[p[0]].seg_len),
                             "C",
                             guard=_opens_long_segment,
                         ),
@@ -360,36 +354,32 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
     )
 
     # ---------------- REDUCE -------------------------------------------
-    def reduce_input_deps(flow: str, side: str) -> list[Dep]:
-        def source(p, md):
-            reduce = md.chains[p[0]].reduces[p[1]]
-            return reduce.left if side == "left" else reduce.right
+    def reduce_input_deps(flow: str) -> list[Dep]:
+        """Step R's X (left) or Y (right) input: the last GEMM of a
+        segment, or an earlier step, by its tree source number."""
+
+        def source(p, md) -> int:
+            tree = md.trees[p[0]]
+            return (tree.left if flow == "X" else tree.right)[p[1]]
 
         return [
             Dep(
                 "GEMM",
-                lambda p, md: (
-                    p[0],
-                    md.chains[p[0]].segments[source(p, md)[1]].last_position,
-                ),
+                lambda p, md: (p[0], md.chains[p[0]].segment(source(p, md))[-1]),
                 flow,
-                guard=lambda p, md: source(p, md)[0] == "seg",
+                guard=lambda p, md: source(p, md) < md.trees[p[0]].n,
             ),
             Dep(
                 "REDUCE",
-                lambda p, md: (p[0], source(p, md)[1]),
+                lambda p, md: (p[0], source(p, md) - md.trees[p[0]].n),
                 flow,
-                guard=lambda p, md: source(p, md)[0] == "red",
+                guard=lambda p, md: source(p, md) >= md.trees[p[0]].n,
             ),
         ]
 
     def reduce_c_outputs() -> list[Dep]:
-        deps = reduce_feed_deps(lambda p, md: ("red", p[1]), _reduce_side_red)
-        deps.extend(
-            _sort_stage_deps(
-                variant, lambda p, md: md.chains[p[0]].reduces[p[1]].is_root
-            )
-        )
+        deps = reduce_feed_deps(_step_consumer, _reduce_side_red)
+        deps.extend(_sort_stage_deps(variant, _reduce_is_root))
         return deps
 
     ptg.add(
@@ -397,15 +387,17 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
             name="REDUCE",
             params=("L1", "R"),
             domain=lambda md: [
-                (L1, r.step) for L1, c in enumerate(md.chains) for r in c.reduces
+                (L1, r)
+                for L1, c in enumerate(md.chains)
+                for r in range(md.trees[L1].n - 1)
             ],
             placement=lambda p, md: md.chains[p[0]].node,
             run=_reduce_run,
             category=TaskCategory.REDUCE,
             priority=prio(0),
             flows=[
-                Flow("X", FlowMode.READ, c_size, inputs=reduce_input_deps("X", "left")),
-                Flow("Y", FlowMode.READ, c_size, inputs=reduce_input_deps("Y", "right")),
+                Flow("X", FlowMode.READ, c_size, inputs=reduce_input_deps("X")),
+                Flow("Y", FlowMode.READ, c_size, inputs=reduce_input_deps("Y")),
                 Flow("C", FlowMode.WRITE, c_size, outputs=reduce_c_outputs()),
             ],
         )
@@ -418,15 +410,15 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
         return [
             Dep(
                 "GEMM",
-                lambda p, md: (p[0], md.chains[p[0]].segments[0].length - 1),
+                lambda p, md: (p[0], md.chains[p[0]].seg_len - 1),
                 "C",
-                guard=lambda p, md: not md.chains[p[0]].reduces,
+                guard=lambda p, md: md.trees[p[0]].n == 1,
             ),
             Dep(
                 "REDUCE",
-                lambda p, md: (p[0], md.chains[p[0]].reduces[-1].step),
+                lambda p, md: (p[0], md.trees[p[0]].n - 2),
                 "C",
-                guard=lambda p, md: md.chains[p[0]].reduces != (),
+                guard=lambda p, md: md.trees[p[0]].n > 1,
             ),
         ]
 
@@ -440,9 +432,8 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
         for w in range(md.max_write_segs):
 
             def transform(data, p, md, w=w):
-                chain = md.chains[p[0]]
-                seg = chain.write_segs[w]
-                return data[seg.lo - chain.target_lo : seg.hi - chain.target_lo]
+                segs = md.chains[p[0]].write_segs
+                return data[segs[w].lo - segs[0].lo : segs[w].hi - segs[0].lo]
 
             deps.append(
                 Dep(
@@ -530,9 +521,9 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 name="WRITE_C",
                 params=("L1", "W"),
                 domain=lambda md: [
-                    (L1, w.index)
+                    (L1, w)
                     for L1, c in enumerate(md.chains)
-                    for w in c.write_segs
+                    for w, _ in enumerate(c.write_segs)
                 ],
                 placement=lambda p, md: md.chains[p[0]].write_segs[p[1]].node,
                 run=_make_write_run(lambda p: p[1]),
@@ -547,11 +538,11 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 name="WRITE_C_I",
                 params=("L1", "I", "W"),
                 domain=lambda md: [
-                    (c.chain_id, s.sort_index, w.index)
+                    (c.chain_id, s.sort_index, w)
                     for c, meta in zip(md.specs, md.chains)
                     for s in c.sort_writes
                     if s.guard
-                    for w in meta.write_segs
+                    for w, _ in enumerate(meta.write_segs)
                 ],
                 placement=lambda p, md: md.chains[p[0]].write_segs[p[2]].node,
                 run=_make_write_run(lambda p: p[2]),
@@ -574,9 +565,9 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
 # ----------------------------------------------------------------------
 # size and guard helpers
 # ----------------------------------------------------------------------
-# GEMM (L1, L2) sits in segment ``L2 // segments[0].length`` of its
-# chain (every segment but the last is that long): arithmetic, not a
-# lookup or a call per row.
+# GEMM (L1, L2) sits in segment ``L2 // seg_len`` of its chain, and a
+# segment ends at a multiple of ``seg_len`` or at the chain's last GEMM:
+# arithmetic on the chain's record, not a lookup or a call per row.
 def _a_elems(p, md) -> int:
     a = md.specs[p[0]].gemms[p[1]].a
     return a.hi - a.lo
@@ -589,55 +580,67 @@ def _b_elems(p, md) -> int:
 
 def _continues_segment(p, md) -> bool:
     """GEMM (L1, L2) is not the last of its segment."""
-    segments = md.chains[p[0]].segments
-    L2 = p[1]
-    seg = segments[L2 // segments[0].length]
-    return L2 < seg.start + seg.length - 1
+    chain = md.chains[p[0]]
+    after = p[1] + 1
+    return after % chain.seg_len > 0 and after < len(chain.a_owner)
 
 
 def _inside_segment(p, md) -> bool:
     """GEMM (L1, L2) is not the first of its segment: its C comes from
     the GEMM before it."""
-    return p[1] % md.chains[p[0]].segments[0].length > 0
+    return p[1] % md.chains[p[0]].seg_len > 0
 
 
 def _opens_long_segment(p, md) -> bool:
     """GEMM (L1, L2) is the first of a segment longer than one GEMM,
     whose C comes from a DFILL."""
-    segments = md.chains[p[0]].segments
-    L2 = p[1]
-    seg = segments[L2 // segments[0].length]
-    return L2 == seg.start and seg.length > 1
+    chain = md.chains[p[0]]
+    L2, seg_len = p[1], chain.seg_len
+    return seg_len > 1 and L2 % seg_len == 0 and L2 + 1 < len(chain.a_owner)
 
 
 def _gemm_is_root(p, md) -> bool:
     """GEMM (L1, L2) ends its chain's only segment."""
-    chain = md.chains[p[0]]
-    return not chain.reduces and p[1] == chain.segments[0].length - 1
+    return md.trees[p[0]].n == 1 and p[1] == md.chains[p[0]].seg_len - 1
 
 
 def _reduce_side(p, md) -> Optional[str]:
     """Which REDUCE input ('X' left / 'Y' right) a GEMM feeds: only the
     tail of a segment does, and only in a chain with a tree to feed."""
+    tree = md.trees[p[0]]
+    if tree.n == 1:
+        return None
     chain = md.chains[p[0]]
-    if not chain.reduces:
+    after = p[1] + 1
+    if after % chain.seg_len > 0 and after < len(chain.a_owner):
         return None
-    segments = chain.segments
-    L2 = p[1]
-    seg = segments[L2 // segments[0].length]
-    if L2 != seg.start + seg.length - 1:
-        return None
-    source = ("seg", seg.seg_id)
-    return "X" if chain.reduces[chain.consumer_of[source]].left == source else "Y"
+    segment = p[1] // chain.seg_len
+    return "X" if tree.left[tree.consumer[segment]] == segment else "Y"
+
+
+def _gemm_consumer(p, md) -> tuple:
+    """The REDUCE step a segment's last GEMM feeds."""
+    return (p[0], md.trees[p[0]].consumer[p[1] // md.chains[p[0]].seg_len])
 
 
 def _reduce_side_red(p, md) -> Optional[str]:
     """Which input a REDUCE step feeds in its consumer (None at the root)."""
-    chain = md.chains[p[0]]
-    if chain.reduces[p[1]].is_root:
+    tree = md.trees[p[0]]
+    if p[1] == tree.n - 2:
         return None
-    step = chain.consumer_of[("red", p[1])]
-    return "X" if chain.reduces[step].left == ("red", p[1]) else "Y"
+    source = tree.n + p[1]
+    return "X" if tree.left[tree.consumer[source]] == source else "Y"
+
+
+def _step_consumer(p, md) -> tuple:
+    """The REDUCE step a non-root step feeds."""
+    tree = md.trees[p[0]]
+    return (p[0], tree.consumer[tree.n + p[1]])
+
+
+def _reduce_is_root(p, md) -> bool:
+    """REDUCE (L1, R) is the last step of its chain's tree."""
+    return p[1] == md.trees[p[0]].n - 2
 
 
 def _sort_stage_deps(variant: VariantSpec, is_root) -> list[Dep]:
@@ -653,8 +656,8 @@ def _sort_stage_deps(variant: VariantSpec, is_root) -> list[Dep]:
             (lambda p, md, i=i: (p[0], i)),
             "C",
             guard=(
-                lambda p, md, i=i: is_root(p, md)
-                and md.specs[p[0]].sort_writes[i].guard
+                lambda p, md, i=i: md.specs[p[0]].sort_writes[i].guard
+                and is_root(p, md)
             ),
         )
         for i in range(4)

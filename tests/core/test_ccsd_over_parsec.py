@@ -129,8 +129,8 @@ class TestBehaviour:
         writes = cluster.trace.filtered(category=TaskCategory.WRITE)
         by_label = {}
         for L1, chain in enumerate(metadata.chains):
-            for seg in chain.write_segs:
-                by_label[f"WRITE_C({L1}, {seg.index})"] = seg.node
+            for w, seg in enumerate(chain.write_segs):
+                by_label[f"WRITE_C({L1}, {w})"] = seg.node
         assert len(writes) == len(by_label)
         for span in writes:
             assert span.node == by_label[span.label]

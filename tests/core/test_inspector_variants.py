@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.api import RunConfig, build
-from repro.core.inspector import _build_reduce_tree, _build_segments, inspect_subroutine
+from repro.core.inspector import inspect_subroutine
+from repro.core.metadata import ChainMeta, ReduceTree, reduce_tree
 from repro.core.variants import (
     GEMM_OFFSET,
     PAPER_VARIANTS,
@@ -62,59 +63,119 @@ class TestVariantSpecs:
         assert "one SORT" in V5.describe()
 
 
+def chain_of(n_gemms, height):
+    """A record of an ``n_gemms`` chain at chain ``height``, with the
+    segment length the inspector gives it."""
+    seg_len = n_gemms if height is None else min(height, n_gemms)
+    return ChainMeta(0, (0,) * n_gemms, (0,) * n_gemms, seg_len, ())
+
+
+def segments_of(chain):
+    """Each segment's (start, length)."""
+    spans = [chain.segment(s) for s in range(chain.n_segments)]
+    return [(span.start, len(span)) for span in spans]
+
+
+def tagged_segments(n_gemms, height):
+    """The (start, length) list the inspector stored before segments
+    were arithmetic."""
+    if height is None:
+        return [(0, n_gemms)]
+    segments, start = [], 0
+    while start < n_gemms:
+        length = min(height, n_gemms - start)
+        segments.append((start, length))
+        start += length
+    return segments
+
+
+def tagged_tree(n_segments):
+    """The reduction tree the inspector stored before it was arithmetic:
+    steps of ``('seg'|'red', i)`` sources paired along a frontier, an
+    odd one out carried, and the map of each source to its consumer."""
+    steps, consumer = [], {}
+    frontier = [("seg", i) for i in range(n_segments)]
+    while len(frontier) > 1:
+        next_frontier = []
+        for i in range(0, len(frontier) - 1, 2):
+            left, right = frontier[i], frontier[i + 1]
+            consumer[left] = consumer[right] = len(steps)
+            next_frontier.append(("red", len(steps)))
+            steps.append((left, right))
+        if len(frontier) % 2 == 1:
+            next_frontier.append(frontier[-1])
+        frontier = next_frontier
+    return steps, consumer
+
+
 class TestSegments:
     def test_whole_chain(self):
-        segs = _build_segments(7, None)
-        assert len(segs) == 1 and segs[0].length == 7
+        assert segments_of(chain_of(7, None)) == [(0, 7)]
 
     def test_height_one(self):
-        segs = _build_segments(5, 1)
-        assert [s.length for s in segs] == [1] * 5
-        assert [s.start for s in segs] == [0, 1, 2, 3, 4]
+        assert segments_of(chain_of(5, 1)) == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]
 
     def test_intermediate_height_with_ragged_tail(self):
-        segs = _build_segments(7, 3)
-        assert [(s.start, s.length) for s in segs] == [(0, 3), (3, 3), (6, 1)]
+        assert segments_of(chain_of(7, 3)) == [(0, 3), (3, 3), (6, 1)]
 
     def test_last_position(self):
-        segs = _build_segments(7, 3)
-        assert [s.last_position for s in segs] == [2, 5, 6]
+        chain = chain_of(7, 3)
+        assert [chain.segment(s)[-1] for s in range(chain.n_segments)] == [2, 5, 6]
 
 
 class TestReduceTree:
     def test_no_tree_for_single_segment(self):
-        reduces, consumer = _build_reduce_tree(1)
-        assert reduces == [] and consumer == {}
+        assert reduce_tree(1) == ReduceTree(1, (), (), ())
 
     def test_two_segments_single_root(self):
-        reduces, consumer = _build_reduce_tree(2)
-        assert len(reduces) == 1
-        assert reduces[0].is_root
-        assert consumer == {("seg", 0): 0, ("seg", 1): 0}
+        tree = reduce_tree(2)
+        assert (tree.left, tree.right) == ((0,), (1,))
+        # both segments feed step 0; the root, source 2, feeds nothing
+        assert tree.consumer == (0, 0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 16])
     def test_tree_shape_invariants(self, n):
-        reduces, consumer = _build_reduce_tree(n)
+        tree = reduce_tree(n)
         # a binary reduction of n inputs needs exactly n-1 combines
-        assert len(reduces) == n - 1
-        roots = [r for r in reduces if r.is_root]
-        assert len(roots) == 1
-        # every segment is consumed exactly once
-        for i in range(n):
-            assert ("seg", i) in consumer
-        # every non-root reduce output is consumed exactly once
-        non_roots = [r.step for r in reduces if not r.is_root]
-        for step in non_roots:
-            assert ("red", step) in consumer
-        # all sources referenced by steps are distinct
-        sources = [r.left for r in reduces] + [r.right for r in reduces]
-        assert len(sources) == len(set(sources))
+        assert len(tree.left) == len(tree.right) == n - 1
+        # every source but the root (2n - 2) is read exactly once, by
+        # the step its consumer names, which comes after it
+        assert sorted(tree.left + tree.right) == list(range(2 * n - 2))
+        for step, (x, y) in enumerate(zip(tree.left, tree.right)):
+            assert tree.consumer[x] == tree.consumer[y] == step
+            assert max(x, y) < n + step
+        assert reduce_tree(n) is tree  # one tree per segment count
 
     def test_tree_depth_is_logarithmic(self):
-        reduces, _ = _build_reduce_tree(16)
-        root = [r for r in reduces if r.is_root][0]
-        # 16 leaves -> root is the 15th step of a 4-level tree
-        assert root.step == 14
+        tree = reduce_tree(16)
+        depth = [0] * 16
+        for x, y in zip(tree.left, tree.right):
+            depth.append(1 + max(depth[x], depth[y]))
+        # 16 leaves -> the root, the 15th step, tops a 4-level tree
+        assert len(depth) - 1 == 2 * 16 - 2 and depth[-1] == 4
+
+    def test_arithmetic_matches_the_records_it_replaced(self):
+        """Source ``('seg', i)`` is ``i`` and ``('red', s)`` is ``n + s``:
+        the tree pairs, consumes and roots as the stored one did, and
+        the segments start and end where the stored ones did."""
+        for n in range(1, 65):
+            steps, consumer = tagged_tree(n)
+            number = {("seg", i): i for i in range(n)}
+            number.update({("red", s): n + s for s in range(len(steps))})
+            tree = reduce_tree(n)
+            assert tree.n == n
+            assert tree.left == tuple(number[left] for left, _ in steps)
+            assert tree.right == tuple(number[right] for _, right in steps)
+            assert tree.consumer == tuple(
+                consumer[source] for source in sorted(consumer, key=number.get)
+            )
+            # the root is the last step, or the one segment
+            root = ("red", len(steps) - 1) if steps else ("seg", 0)
+            assert root not in consumer and number[root] == 2 * n - 2
+        for n_gemms in range(1, 41):
+            for height in (None, *range(1, 11)):
+                chain = chain_of(n_gemms, height)
+                assert segments_of(chain) == tagged_segments(n_gemms, height)
 
 
 class TestInspection:
@@ -141,36 +202,40 @@ class TestInspection:
         cluster, workload = make_workload()
         md = inspect_subroutine(workload.subroutine, cluster, V4)
         for spec, chain in zip(workload.subroutine.chains, md.chains):
-            assert chain.target_hi - chain.target_lo == spec.c_size
+            target = (chain.write_segs[0].lo, chain.write_segs[-1].hi)
+            assert target[1] - target[0] == spec.c_size
             assert 1 <= len(spec.active_sorts) <= 4
             for sort in spec.active_sorts:
-                assert (sort.target.lo, sort.target.hi) == (
-                    chain.target_lo,
-                    chain.target_hi,
-                )
+                assert (sort.target.lo, sort.target.hi) == target
 
     def test_write_segments_tile_the_target(self):
         cluster, workload = make_workload()
         md = inspect_subroutine(workload.subroutine, cluster, V5)
-        for chain in md.chains:
-            cursor = chain.target_lo
+        output = workload.subroutine.output.name
+        distribution = workload.cluster.ga.lookup(output).distribution
+        for spec, chain in zip(workload.subroutine.chains, md.chains):
+            (target,) = {sort.target for sort in spec.active_sorts}
+            cursor = target.lo
             for seg in chain.write_segs:
-                assert seg.lo == cursor
+                assert seg.lo == cursor and seg.hi > seg.lo
+                assert distribution.owner_of(seg.lo) == seg.node
                 cursor = seg.hi
-            assert cursor == chain.target_hi
+            assert cursor == target.hi
 
     def test_v1_has_single_segment_per_chain(self):
         cluster, workload = make_workload()
         md = inspect_subroutine(workload.subroutine, cluster, V1)
-        assert all(len(c.segments) == 1 and not c.reduces for c in md.chains)
+        for spec, chain in zip(workload.subroutine.chains, md.chains):
+            assert chain.seg_len == spec.length and chain.n_segments == 1
+        assert all(tree.n == 1 and tree.left == () for tree in md.trees)
 
     def test_v5_has_singleton_segments_and_tree(self):
         cluster, workload = make_workload()
         md = inspect_subroutine(workload.subroutine, cluster, V5)
-        for spec, chain in zip(workload.subroutine.chains, md.chains):
-            assert len(chain.segments) == spec.length
-            if spec.length > 1:
-                assert len(chain.reduces) == spec.length - 1
+        for spec, chain, tree in zip(workload.subroutine.chains, md.chains, md.trees):
+            assert chain.seg_len == 1 and chain.n_segments == spec.length
+            assert tree is reduce_tree(spec.length)
+            assert len(tree.left) == spec.length - 1
 
     def test_priority_expression(self):
         cluster, workload = make_workload(n_nodes=4)
@@ -193,13 +258,16 @@ class TestInspection:
         spec = workload.subroutine.chains[0]
         md_v1 = inspect_subroutine(workload.subroutine, cluster, V1)
         chain = md_v1.chains[0]
-        assert not chain.reduces and chain.segments[0].last_position == spec.length - 1
+        assert md_v1.trees[0].n == 1
+        assert chain.segment(0)[-1] == chain.seg_len - 1 == spec.length - 1
         md_v5 = inspect_subroutine(workload.subroutine, cluster, V5)
-        chain = md_v5.chains[0]
+        tree = md_v5.trees[0]
         if spec.length > 1:
-            roots = [r.is_root for r in chain.reduces]
-            assert roots == [False] * (spec.length - 2) + [True]
-            assert chain.reduces[-1].step == spec.length - 2
+            # the last step reads two sources and feeds none: the root
+            root = 2 * tree.n - 2
+            assert len(tree.consumer) == root and len(tree.left) == spec.length - 1
+            assert tree.consumer[tree.left[-1]] == tree.consumer[tree.right[-1]]
+            assert tree.consumer[tree.left[-1]] == spec.length - 2
 
     def test_gemm_is_the_ir_op(self):
         """The metadata indexes the chain IR, it does not copy it."""
@@ -234,4 +302,9 @@ class TestInspection:
             n_reached += 1
             assert not isinstance(obj, (ChainSpec, GemmOp, SortWrite, BlockRef)), obj
             stack.extend(gc.get_referents(obj))
-        assert n_reached > 10 * len(chains)
+        # the walk went through every record, down to its write segments
+        assert all(
+            id(chain) in seen and all(id(seg) in seen for seg in chain.write_segs)
+            for chain in chains
+        )
+        assert n_reached > 5 * len(chains)

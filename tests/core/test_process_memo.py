@@ -183,7 +183,7 @@ class TestBound:
         ``ccsd:small`` REAL sweep on 8 nodes and of a ``t2_7:paper`` one
         on 32, every paper variant, and nothing is evicted. The sums
         under the weights are DESIGN.md §10's (MiB): structures 7.3 +
-        4.5, draws 90.2, chains 10.3 + 6.4, templates 4.6 + 2.7."""
+        4.5, draws 90.2, chains 2.8 + 1.7, templates 4.6 + 2.7."""
         cache = InspectionCache(max_bytes=MEMO_MAX_BYTES)
         for token, n_nodes, data_mode in (
             ("ccsd:small", 8, DataMode.REAL),
@@ -201,8 +201,8 @@ class TestBound:
         for (kind, _), (_, n_bytes) in cache._entries.items():
             weighed[kind] += n_bytes
         mib = {kind: round(n_bytes / 2**20, 1) for kind, n_bytes in weighed.items()}
-        assert mib == {"structure": 11.8, "draw": 90.2, "chains": 16.6, "template": 7.4}
-        assert round(cache.n_bytes / 2**20, 1) == 126.0
+        assert mib == {"structure": 11.8, "draw": 90.2, "chains": 4.5, "template": 7.4}
+        assert round(cache.n_bytes / 2**20, 1) == 113.9
 
     def test_unbounded_by_default_and_still_pickles(self):
         cache = InspectionCache()

@@ -5,7 +5,7 @@ size; this script re-derives the three rates with ``tracemalloc``:
 
 - chain IR: bytes of a built workload structure per GEMM;
 - inspected chains: bytes of one chain height's ``ChainMeta`` list per
-  GEMM, both heights (v1's whole chains, v5's segments);
+  GEMM, both heights (v1's whole chains, v5's one-GEMM segments);
 - task template: bytes of one validated template per task, v1 and v5,
   every level, built a second time so the first build's transients
   are gone.

@@ -6,7 +6,10 @@ host (it repeats to within a few calls in 130 000, from ``abc``'s
 subclass caches): with bound cells an enabled registry adds slot updates, which are
 not calls, plus one ``histogram.observe`` per sample, where the by-name
 registry added five to seven calls per emit (on/off was 1.30 on legacy
-and 1.27 on v5 for this run).
+and 1.27 on v5 for this run). The registry's gate is the calls it adds,
+on minus off, about 1% over what it adds today (2 507 legacy, 3 841
+v5), and at most 5% of the off-path ceiling: a ratio of the two would
+fail whenever the off path got cheaper and the registry did not.
 
 The same counts, registry off, are the host work a simulated event
 costs; each runtime's count has a ceiling about 1% above what it makes
@@ -30,9 +33,10 @@ from repro.core.api import RunConfig
 from repro.sim.cluster import DataMode
 
 RUNTIMES = ("legacy", "v5")
-MAX_ON_OFF = 1.05
 #: off-path calls of one run, per runtime
 MAX_OFF_CALLS = {"legacy": 99_700, "v5": 100_300}
+#: calls an enabled registry adds to that run, per runtime
+MAX_REGISTRY_CALLS = {"legacy": 2_535, "v5": 3_880}
 
 
 def count_calls(runtime: str, metrics: bool) -> int:
@@ -68,10 +72,12 @@ def on_off_counts(runtime: str) -> dict:
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
 def test_enabled_registry_adds_at_most_five_percent_of_calls(runtime):
+    ceiling = MAX_REGISTRY_CALLS[runtime]
+    assert ceiling <= 0.05 * MAX_OFF_CALLS[runtime]
     counts = on_off_counts(runtime)
-    ratio = counts["on"] / counts["off"]
-    print(f"{runtime}: {counts} on/off {ratio:.4f}")
-    assert ratio <= MAX_ON_OFF
+    added = counts["on"] - counts["off"]
+    print(f"{runtime}: {counts} adds {added} (ceiling {ceiling})")
+    assert added <= ceiling
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)

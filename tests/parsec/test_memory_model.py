@@ -354,15 +354,16 @@ class TestTemplateBytes:
 
 
 class TestChainBytes:
-    """The inspection keeps what it derives — owners, segments, the
-    reduction tree, write segments — not a copy of every GEMM of the
-    chain IR."""
+    """The inspection keeps what it derives — the chain's node, owners,
+    segment length and write segments — not a copy of every GEMM of the
+    chain IR, nor a record per segment or reduction step."""
 
     #: B per GEMM of a cold ``_inspect_chains`` on ``t2_7:small``, 4
-    #: nodes: ~10% over the 69.2 (v1 height) and 356.5 (v5) B measured
-    #: (279.0 and 568.1 B with a ``GemmMeta`` and four ``SortMeta`` per
-    #: chain copied from the IR)
-    CEILING = {"v1": 76.0, "v5": 392.0}
+    #: nodes: ~10% over the 47.2 B measured at both heights (69.2 and
+    #: 356.5 B with a record per segment and reduction step, 279.0 and
+    #: 568.1 B with a ``GemmMeta`` and four ``SortMeta`` per chain copied
+    #: from the IR)
+    CEILING = {"v1": 52.0, "v5": 52.0}
 
     @pytest.mark.parametrize("variant_name", ["v1", "v5"])
     def test_cold_inspection_bytes_per_gemm(self, variant_name):
@@ -384,6 +385,7 @@ class TestChainBytes:
         finally:
             tracemalloc.stop()
         assert len(chains) == level.n_chains and level.n_gemms > 1000
+        print(f"{variant_name}: {grown / level.n_gemms:.1f} B per GEMM")
         assert grown / level.n_gemms <= self.CEILING[variant_name], (
             grown,
             level.n_gemms,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import api
-from repro.core.inspector import _build_reduce_tree, _build_segments
+from repro.core.metadata import ChainMeta, reduce_tree
 from repro.ga.runtime import GlobalArrays
 from repro.ga.sync import Barrier
 from repro.legacy.runtime import LegacyRuntime
@@ -251,31 +251,35 @@ class TestChainIrProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_segments_partition_positions(self, n_gemms, height):
-        segments = _build_segments(n_gemms, height)
+        seg_len = n_gemms if height is None else min(height, n_gemms)
+        chain = ChainMeta(0, (0,) * n_gemms, (0,) * n_gemms, seg_len, ())
         cursor = 0
-        for segment in segments:
+        for s in range(chain.n_segments):
+            segment = chain.segment(s)
             assert segment.start == cursor
-            assert segment.length >= 1
+            assert len(segment) >= 1
             if height is not None:
-                assert segment.length <= height
-            cursor += segment.length
+                assert len(segment) <= height
+            # GEMM L2 is in segment L2 // seg_len
+            assert all(L2 // seg_len == s for L2 in segment)
+            cursor = segment.stop
         assert cursor == n_gemms
 
     @given(n=st.integers(min_value=1, max_value=64))
     @settings(max_examples=60, deadline=None)
     def test_reduce_tree_consumes_every_source_once(self, n):
-        reduces, consumer = _build_reduce_tree(n)
+        tree = reduce_tree(n)
         if n == 1:
-            assert reduces == []
+            assert tree.left == tree.right == tree.consumer == ()
             return
-        assert len(reduces) == n - 1
-        assert sum(r.is_root for r in reduces) == 1
-        # every non-root output and every segment appears exactly once
-        # as a source
-        sources = [r.left for r in reduces] + [r.right for r in reduces]
-        assert sorted(s for s in sources if s[0] == "seg") == [
-            ("seg", i) for i in range(n)
-        ]
+        assert len(tree.left) == n - 1
+        # every segment and every step but the root (source 2n - 2)
+        # appears exactly once as a source, read by its consumer
+        sources = tree.left + tree.right
+        assert sorted(sources) == list(range(2 * n - 2))
+        for source in sources:
+            step = tree.consumer[source]
+            assert source in (tree.left[step], tree.right[step])
 
 
 class TestEndToEndProperties:
