@@ -30,8 +30,15 @@ Design notes
   same sequence number (``timeline.py``, "In-place rule"); and a
   zero-cost charge (:class:`NoWait`) resumes its process in place,
   exactly as a generator that never yielded would have continued.
-- A process that raises with nobody waiting on its completion re-raises
-  out of :meth:`Engine.run` — silent death of a simulated thread would
+- One one-shot state machine. :class:`SimEvent` is the only
+  pending/succeeded/failed lifecycle in the kernel, and a
+  :class:`Process` is one: it *is* its completion event, succeeding
+  with the generator's return value or failing with what it raised.
+  Joining a process (``yield process``, :func:`all_of`) registers on
+  that event, and a finished process wakes its joiners through
+  :meth:`SimEvent._dispatch`, one lane entry each, as any event does.
+- A process that raises with nobody joining it re-raises out of
+  :meth:`Engine.run` — silent death of a simulated thread would
   otherwise manifest as an inexplicable hang.
 - A process dies with its last step. While it runs, a process is a
   reference cycle (it caches its own bound ``_step``); when its
@@ -39,12 +46,13 @@ Design notes
   generator and both cached methods, so the process, its frame and the
   message or payload it carried are freed by reference count. A process
   parked for good — its owner is finished and its waitable abandoned —
-  is ended with :meth:`Process.close`, which closes the generator and
-  therefore runs the ``finally`` blocks it is parked in; those may
-  release a slot and wake a waiter, i.e. draw a sequence number, so
-  ``close()`` belongs at a runtime's shutdown, after the run's last
-  event, never on a crash-drain path (which only *abandons*). Resuming
-  a finished or closed process is a :class:`SimulationError`.
+  is ended with :meth:`Process.close`, which fails it without waking
+  its joiners and closes the generator, running the ``finally`` blocks
+  it is parked in; those may release a slot and wake a waiter, i.e.
+  draw a sequence number, so ``close()`` belongs at a runtime's
+  shutdown, after the run's last event, never on a crash-drain path
+  (which only *abandons*). Resuming a finished or closed process is a
+  :class:`SimulationError`.
 """
 
 from __future__ import annotations
@@ -431,11 +439,6 @@ class SimEvent:
             self.abandoned = True
             self._callbacks = None
 
-    @property
-    def has_waiters(self) -> bool:
-        """True if at least one callback is registered and pending."""
-        return bool(self._callbacks)
-
 
 class _Parked(SimEvent):
     """A :class:`SimEvent` parked on a :class:`WaitQueue`."""
@@ -505,15 +508,18 @@ class WaitQueue(deque):
         return live
 
 
-class Process:
-    """A simulated thread: a generator driven by the engine.
+class Process(SimEvent):
+    """A simulated thread: a generator driven by the engine, and its own
+    completion event.
 
     The generator may ``yield`` any waitable; the value sent back is the
-    waitable's success value. ``return value`` inside the generator sets
-    the success value of :attr:`completion`, which is itself waitable —
-    so processes can fork and join each other. The generator is held
-    until its last step and no longer (see the module's design notes);
-    :meth:`close` ends a process that will never take another.
+    waitable's success value. As a :class:`SimEvent`, the process
+    succeeds with the generator's return value or fails with what the
+    generator raised, so ``yield process`` and :func:`all_of` join it
+    like any other event — processes fork and join each other. The
+    generator is held until its last step and no longer (see the
+    module's design notes); :meth:`close` ends a process that will never
+    take another.
 
     The abort rule: while :attr:`abort` holds a predicate, it is
     consulted before every *successful* resume — never on a failed
@@ -529,19 +535,7 @@ class Process:
     the slot no longer holds what it installed.
     """
 
-    __slots__ = (
-        "engine",
-        "name",
-        "_generator",
-        "_status",
-        "_value",
-        "_callbacks",
-        "_completion",
-        "_started",
-        "_step_cb",
-        "_send",
-        "abort",
-    )
+    __slots__ = ("name", "_generator", "_step_cb", "_send", "abort")
 
     def __init__(
         self, engine: Engine, generator: Generator, name: Optional[str] = None
@@ -551,17 +545,9 @@ class Process:
                 f"Process needs a generator, got {type(generator).__name__} "
                 "(did you call the function with ()?)"
             )
-        self.engine = engine
+        super().__init__(engine)
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        # The process is its own completion waitable: most processes
-        # (network transfers, fire-and-forget workers) finish with
-        # nobody joining them, so the dedicated completion SimEvent is
-        # materialized lazily via the :attr:`completion` property.
-        self._status = _PENDING
-        self._value: Any = None
-        self._callbacks: Optional[list[Callable]] = None
-        self._completion: Optional[SimEvent] = None
         # the same bound methods are used on every yield; binding them
         # once avoids a descriptor allocation per step
         self._step_cb = self._step
@@ -573,61 +559,6 @@ class Process:
         engine._immediate.append(
             (engine.now, next(engine._seq), self._step_cb, None)
         )
-
-    @property
-    def completion(self) -> SimEvent:
-        """The completion event, materialized on first access.
-
-        Pending callbacks registered directly on the process migrate to
-        the event, so mixing ``yield process`` with explicit
-        ``process.completion`` use observes one consistent waitable.
-        """
-        event = self._completion
-        if event is None:
-            event = self._completion = SimEvent(self.engine)
-            if self._status == _SUCCEEDED:
-                event.succeed(self._value)
-            elif self._status == _FAILED:
-                event.fail(self._value)
-            elif self._callbacks:
-                event._callbacks = self._callbacks
-                self._callbacks = None
-        return event
-
-    @property
-    def alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._status == _PENDING
-
-    # SimEvent-compatible views, so ``yield process`` waiters (and the
-    # all_of combinator) can read the result straight off the
-    # process without forcing the completion event into existence.
-    @property
-    def triggered(self) -> bool:
-        return self._status != _PENDING
-
-    @property
-    def ok(self) -> bool:
-        return self._status == _SUCCEEDED
-
-    @property
-    def failed(self) -> bool:
-        return self._status == _FAILED
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    def _wait(self, callback: Callable[[SimEvent], None]) -> None:
-        """Register ``callback(process)``; runs (via the lane) once done."""
-        if self._completion is not None:
-            self._completion._wait(callback)
-        elif self._status != _PENDING:
-            self.engine.call_soon(callback, self)
-        elif self._callbacks is None:
-            self._callbacks = [callback]
-        else:
-            self._callbacks.append(callback)
 
     def abortable(self, body: Generator, abort: Optional[Callable[[], bool]]):
         """Generator helper: run ``body`` in this process under ``abort``.
@@ -665,8 +596,6 @@ class Process:
         self._status = _FAILED
         self._value = SimulationError(f"process {self.name!r} was closed")
         self._callbacks = None
-        if self._completion is not None:
-            self._completion.abandon()
         self._generator = self._send = self._step_cb = self.abort = None
         generator.close()
 
@@ -678,20 +607,7 @@ class Process:
         # them here frees the generator, its frame and the message it
         # carried by reference count, not at the next collection.
         self._generator = self._send = self._step_cb = self.abort = None
-        if self._completion is not None:
-            if status == _SUCCEEDED:
-                self._completion.succeed(value)
-            else:
-                self._completion.fail(value)
-        elif self._callbacks:
-            callbacks = self._callbacks
-            self._callbacks = None
-            engine = self.engine  # inlined call_soon
-            imm = engine._immediate
-            now = engine.now
-            seq = engine._seq
-            for cb in callbacks:
-                imm.append((now, next(seq), cb, self))
+        self._dispatch()
 
     def _checked(self, fired: Optional[SimEvent]) -> Optional[SimEvent]:
         """The abort rule at a successful resume, with :attr:`abort` set:
@@ -703,7 +619,7 @@ class Process:
         if self.abort():
             self.abort = None
             killed = TaskKilled("node crashed under this task")
-            return SimEvent(self.engine).fail(killed)
+            return SimEvent(self._engine).fail(killed)
         return fired
 
     def _step(self, fired: Optional[SimEvent]) -> None:
@@ -726,9 +642,7 @@ class Process:
                 raise SimulationError(
                     f"process {self.name!r} was resumed after it finished"
                 ) from None
-            if self._callbacks or (
-                self._completion is not None and self._completion.has_waiters
-            ):
+            if self._callbacks:
                 self._finish(_FAILED, exc)
                 return
             raise SimulationError(
@@ -743,15 +657,15 @@ class Process:
         wait(self._step_cb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "alive" if self.alive else "done"
+        state = "done" if self.triggered else "alive"
         return f"Process({self.name!r}, {state})"
 
 
 def all_of(engine: Engine, events: Iterable) -> SimEvent:
     """An event that succeeds when every input has succeeded.
 
-    Inputs are :class:`SimEvent` or :class:`Process` objects (a bare
-    ``Timer`` carries no value or failure state; wrap a delay as
+    Inputs are :class:`SimEvent` objects, a :class:`Process` among them
+    (a bare ``Timer`` carries no value or failure state; wrap a delay as
     ``schedule(d, event.succeed, value)``).
     The success value is the list of individual values in input order.
     If any input fails, the combined event fails with that exception

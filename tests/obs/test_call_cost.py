@@ -17,7 +17,10 @@ when a charge is one waitable and a stale row is dropped when popped
 (before: 109 862 legacy, 135 018 v5; after: 101 639 and 114 891), and
 the PTG's guards compute a GEMM's segment position by arithmetic over
 the chain IR rather than reading a copied record per GEMM (98 716 and
-99 258; 98 972 and 109 902 before).
+99 258; 98 972 and 109 902 before). With a process that is its own
+completion event the counts are 98 732 and 97 934, 16 more each than
+the code before it: one ``SimEvent.__init__`` per spawned process (8
+legacy ranks, 16 v5 threads) and one ``_dispatch`` per finished rank.
 
     PYTHONPATH=src python tests/obs/test_call_cost.py   # the counts, as JSON
 """

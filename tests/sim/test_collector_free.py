@@ -82,7 +82,7 @@ class TestAProcessDiesWithItsLastStep:
         process = engine.process(body())
         step = process._step_cb
         engine.run()
-        assert not process.alive and process._step_cb is None
+        assert process.triggered and process._step_cb is None
         with pytest.raises(SimulationError, match="after it finished"):
             step(None)
 
@@ -117,7 +117,7 @@ class TestAProcessDiesWithItsLastStep:
         generator = weakref.ref(parked._generator)
         parked.close()
         assert grant.abandoned  # doomed()'s finally ran
-        assert generator() is None and not parked.alive and parked.failed
+        assert generator() is None and parked.triggered and parked.failed
         parked.close()  # idempotent
         engine.process(joiner())
         engine.run()

@@ -151,10 +151,10 @@ class TestProcess:
 
         proc = engine.process(worker())
         results = []
-        proc.completion._wait(lambda ev: results.append(ev.value))
+        proc._wait(lambda ev: results.append(ev.value))
         engine.run()
         assert results == ["done"]
-        assert not proc.alive
+        assert proc.triggered
 
     def test_process_joins_process(self, engine):
         def child():
@@ -168,7 +168,7 @@ class TestProcess:
 
         proc = engine.process(parent())
         engine.run()
-        assert proc.completion.value == 99
+        assert proc.value == 99
 
     def test_yield_from_subgenerator(self, engine):
         def helper():
@@ -182,7 +182,7 @@ class TestProcess:
 
         proc = engine.process(worker())
         engine.run()
-        assert proc.completion.value == "sub"
+        assert proc.value == "sub"
         assert engine.now == 2.0
 
     def test_unhandled_exception_propagates_from_run(self, engine):
@@ -222,7 +222,7 @@ class TestProcess:
 
         proc = engine.process(parent())
         engine.run()
-        assert proc.completion.value == "caught"
+        assert proc.value == "caught"
 
     def test_non_generator_rejected(self, engine):
         with pytest.raises(SimulationError, match="generator"):
@@ -235,6 +235,34 @@ class TestProcess:
         engine.process(worker())
         with pytest.raises(SimulationError):
             engine.run()
+
+    def test_joiner_after_finish_resumes_through_the_lane(self, engine):
+        def worker():
+            yield engine.timeout(1.0)
+            return "done"
+
+        proc = engine.process(worker())
+        engine.run()
+        results = []
+        proc._wait(lambda ev: results.append((engine.now, ev.value)))
+        # deferred, like a late waiter on any triggered event
+        assert results == [] and len(engine._immediate) == 1
+        engine.run()
+        assert results == [(1.0, "done")]
+
+    def test_close_drops_a_joiner_without_waking_it(self, engine):
+        def parked():
+            yield engine.event()  # never triggered
+
+        proc = engine.process(parked(), name="parked")
+        woken = []
+        proc._wait(woken.append)
+        engine.run()
+        proc.close()
+        engine.run()
+        assert woken == [] and not engine._immediate
+        assert proc.triggered and proc.failed
+        assert isinstance(proc.value, SimulationError)
 
 
 class TestCombinators:
@@ -250,6 +278,16 @@ class TestCombinators:
         engine.process(worker())
         engine.run()
         assert results == [(3.0, ["late", "early"])]
+
+    def test_all_of_joins_a_process_and_an_event_in_input_order(self, engine):
+        def child():
+            yield engine.timeout(2.0)
+            return "process"
+
+        event = timed(engine, 1.0, value="event")
+        combined = all_of(engine, [engine.process(child()), event])
+        engine.run()
+        assert combined.value == ["process", "event"]
 
     def test_all_of_empty_fires_immediately(self, engine):
         combined = all_of(engine, [])
