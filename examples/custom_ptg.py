@@ -11,6 +11,11 @@ This example builds both task graphs directly against the public
 PaRSEC API (no TCE involved), runs them on a simulated 4-node cluster,
 and shows the dataflow ordering and the parallelism difference.
 
+Each dataflow arrow is declared once, on its producer's flow (``->``).
+Figure 1's ``<-`` lines are the same arrows read from the consumer's
+side: the template resolves every ``->`` to its consumer, and a task
+waits for as many deliveries as there are arrows into it.
+
 Run:  python examples/custom_ptg.py
 """
 
@@ -80,22 +85,8 @@ def build_chained_ptg(log) -> PTG:
                     "C",
                     FlowMode.RW,
                     unit,
-                    inputs=[
-                        # RW C <- (L2 == 0) ? C DFILL(L1)
-                        Dep(
-                            "DFILL",
-                            lambda p, md: (p[0],),
-                            "C",
-                            guard=lambda p, md: p[1] == 0,
-                        ),
-                        #      <- (L2 != 0) ? C GEMM(L1, L2-1)
-                        Dep(
-                            "GEMM",
-                            lambda p, md: (p[0], p[1] - 1),
-                            "C",
-                            guard=lambda p, md: p[1] != 0,
-                        ),
-                    ],
+                    # RW C <- (L2 == 0) ? C DFILL(L1)      is DFILL's -> above
+                    #      <- (L2 != 0) ? C GEMM(L1, L2-1) is the first -> below
                     outputs=[
                         # -> (L2 < size_L2-1) ? C GEMM(L1, L2+1)
                         Dep(
@@ -124,14 +115,8 @@ def build_chained_ptg(log) -> PTG:
             placement=lambda p, md: p[0] % md.n_nodes,
             run=body(0.02, log),
             category=TaskCategory.SORT,
-            flows=[
-                Flow(
-                    "C",
-                    FlowMode.READ,
-                    unit,
-                    inputs=[Dep("GEMM", lambda p, md: (p[0], md.size_L2 - 1), "C")],
-                )
-            ],
+            # READ C <- C GEMM(L1, size_L2-1): GEMM's second -> above
+            flows=[Flow("C", FlowMode.READ, unit)],
         )
     )
     return ptg
@@ -176,22 +161,8 @@ def build_parallel_ptg(log) -> PTG:
             placement=lambda p, md: p[0] % md.n_nodes,
             run=reduction_run,
             category=TaskCategory.REDUCE,
-            flows=[
-                Flow(
-                    "A",
-                    FlowMode.READ,
-                    unit,
-                    inputs=[
-                        Dep(
-                            "GEMM",
-                            (lambda p, md, L2=L2: (p[0], L2)),
-                            "C",
-                            guard=(lambda p, md, L2=L2: L2 < md.size_L2),
-                        )
-                        for L2 in range(CHAIN_LEN)
-                    ],
-                )
-            ],
+            # READ A <- C GEMM(L1, 0 .. size_L2-1): one arrow from each GEMM
+            flows=[Flow("A", FlowMode.READ, unit)],
         )
     )
     return ptg

@@ -36,6 +36,7 @@ from repro.ga.runtime import GlobalArrays
 from repro.legacy.runtime import LegacyConfig, LegacyRuntime
 from repro.obs.result import RunResult
 from repro.parsec.runtime import ParsecRuntime
+from repro.parsec.scheduler import SchedulerPolicy
 from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
@@ -77,8 +78,9 @@ class RunConfig:
     machine: Optional[MachineModel] = None
     gpus_per_node: int = 0
     seed: int = 7
-    #: PaRSEC node scheduler discipline (None = priority, the default).
-    policy: Optional[object] = None
+    #: PaRSEC node scheduler discipline (None = priority, the default);
+    #: a policy's name (``"fifo"``) is taken too.
+    policy: Optional[SchedulerPolicy] = None
     #: Legacy runtime knobs (NXTVAL vs static assignment).
     legacy: Optional[LegacyConfig] = None
     #: PaRSEC: inter-node work stealing over the static chain placement

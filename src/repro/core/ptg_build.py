@@ -317,66 +317,14 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
             priority=prio(GEMM_OFFSET),
             accelerated=True,  # GEMMs may run on accelerators when present
             flows=[
-                Flow(
-                    "A",
-                    FlowMode.READ,
-                    size_elems=_a_elems,
-                    inputs=[Dep("READ_A", lambda p, md: p, "A")],
-                ),
-                Flow(
-                    "B",
-                    FlowMode.READ,
-                    size_elems=_b_elems,
-                    inputs=[Dep("READ_B", lambda p, md: p, "B")],
-                ),
-                Flow(
-                    "C",
-                    FlowMode.RW,
-                    size_elems=c_size,
-                    inputs=[
-                        Dep(
-                            "DFILL",
-                            lambda p, md: (p[0], p[1] // md.chains[p[0]].seg_len),
-                            "C",
-                            guard=_opens_long_segment,
-                        ),
-                        Dep(
-                            "GEMM",
-                            lambda p, md: (p[0], p[1] - 1),
-                            "C",
-                            guard=_inside_segment,
-                        ),
-                    ],
-                    outputs=gemm_c_outputs(),
-                ),
+                Flow("A", FlowMode.READ, size_elems=_a_elems),
+                Flow("B", FlowMode.READ, size_elems=_b_elems),
+                Flow("C", FlowMode.RW, size_elems=c_size, outputs=gemm_c_outputs()),
             ],
         )
     )
 
     # ---------------- REDUCE -------------------------------------------
-    def reduce_input_deps(flow: str) -> list[Dep]:
-        """Step R's X (left) or Y (right) input: the last GEMM of a
-        segment, or an earlier step, by its tree source number."""
-
-        def source(p, md) -> int:
-            tree = md.trees[p[0]]
-            return (tree.left if flow == "X" else tree.right)[p[1]]
-
-        return [
-            Dep(
-                "GEMM",
-                lambda p, md: (p[0], md.chains[p[0]].segment(source(p, md))[-1]),
-                flow,
-                guard=lambda p, md: source(p, md) < md.trees[p[0]].n,
-            ),
-            Dep(
-                "REDUCE",
-                lambda p, md: (p[0], source(p, md) - md.trees[p[0]].n),
-                flow,
-                guard=lambda p, md: source(p, md) >= md.trees[p[0]].n,
-            ),
-        ]
-
     def reduce_c_outputs() -> list[Dep]:
         deps = reduce_feed_deps(_step_consumer, _reduce_side_red)
         deps.extend(_sort_stage_deps(variant, _reduce_is_root))
@@ -396,32 +344,14 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
             category=TaskCategory.REDUCE,
             priority=prio(0),
             flows=[
-                Flow("X", FlowMode.READ, c_size, inputs=reduce_input_deps("X")),
-                Flow("Y", FlowMode.READ, c_size, inputs=reduce_input_deps("Y")),
+                Flow("X", FlowMode.READ, c_size),
+                Flow("Y", FlowMode.READ, c_size),
                 Flow("C", FlowMode.WRITE, c_size, outputs=reduce_c_outputs()),
             ],
         )
     )
 
     # ---------------- SORT stage ---------------------------------------
-    def root_input_deps() -> list[Dep]:
-        """C from the chain's root: its one segment's last GEMM, or the
-        last (root) step of its reduction tree."""
-        return [
-            Dep(
-                "GEMM",
-                lambda p, md: (p[0], md.chains[p[0]].seg_len - 1),
-                "C",
-                guard=lambda p, md: md.trees[p[0]].n == 1,
-            ),
-            Dep(
-                "REDUCE",
-                lambda p, md: (p[0], md.trees[p[0]].n - 2),
-                "C",
-                guard=lambda p, md: md.trees[p[0]].n > 1,
-            ),
-        ]
-
     def write_target_deps(write_class: str, param_builder) -> list[Dep]:
         """S -> WRITE instances, one per GA owner segment (Figure 8).
 
@@ -458,7 +388,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 category=TaskCategory.SORT,
                 priority=prio(0),
                 flows=[
-                    Flow("C", FlowMode.READ, c_size, inputs=root_input_deps()),
+                    Flow("C", FlowMode.READ, c_size),
                     Flow(
                         "S",
                         FlowMode.WRITE,
@@ -490,7 +420,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 category=TaskCategory.SORT,
                 priority=prio(0),
                 flows=[
-                    Flow("C", FlowMode.READ, c_size, inputs=root_input_deps()),
+                    Flow("C", FlowMode.READ, c_size),
                     Flow(
                         "S",
                         FlowMode.WRITE,
@@ -504,18 +434,6 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
     # ---------------- WRITE stage --------------------------------------
     seg_size = lambda p, md: md.chains[p[0]].write_segs[p[-1]].size
     if variant.single_write:
-        if variant.fused_sort:
-            write_inputs = [Dep("SORT", lambda p, md: (p[0],), "S")]
-        else:
-            write_inputs = [
-                Dep(
-                    "SORT_I",
-                    (lambda p, md, i=i: (p[0], i)),
-                    "S",
-                    guard=(lambda p, md, i=i: md.specs[p[0]].sort_writes[i].guard),
-                )
-                for i in range(4)
-            ]
         ptg.add(
             TaskClass(
                 name="WRITE_C",
@@ -529,7 +447,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 run=_make_write_run(lambda p: p[1]),
                 category=TaskCategory.WRITE,
                 priority=prio(0),
-                flows=[Flow("S", FlowMode.READ, seg_size, inputs=write_inputs)],
+                flows=[Flow("S", FlowMode.READ, seg_size)],
             )
         )
     else:
@@ -548,14 +466,7 @@ def build_ccsd_ptg(variant: VariantSpec, md: Metadata) -> PTG:
                 run=_make_write_run(lambda p: p[2]),
                 category=TaskCategory.WRITE,
                 priority=prio(0),
-                flows=[
-                    Flow(
-                        "S",
-                        FlowMode.READ,
-                        seg_size,
-                        inputs=[Dep("SORT_I", lambda p, md: (p[0], p[1]), "S")],
-                    )
-                ],
+                flows=[Flow("S", FlowMode.READ, seg_size)],
             )
         )
 
@@ -583,20 +494,6 @@ def _continues_segment(p, md) -> bool:
     chain = md.chains[p[0]]
     after = p[1] + 1
     return after % chain.seg_len > 0 and after < len(chain.a_owner)
-
-
-def _inside_segment(p, md) -> bool:
-    """GEMM (L1, L2) is not the first of its segment: its C comes from
-    the GEMM before it."""
-    return p[1] % md.chains[p[0]].seg_len > 0
-
-
-def _opens_long_segment(p, md) -> bool:
-    """GEMM (L1, L2) is the first of a segment longer than one GEMM,
-    whose C comes from a DFILL."""
-    chain = md.chains[p[0]]
-    L2, seg_len = p[1], chain.seg_len
-    return seg_len > 1 and L2 % seg_len == 0 and L2 + 1 < len(chain.a_owner)
 
 
 def _gemm_is_root(p, md) -> bool:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Callable, Optional
 
 from repro.obs.result import RunResult
@@ -270,6 +271,9 @@ class DtdRuntime:
         if self._executing:
             raise DataflowError("cannot insert tasks after execute()")
         task = DtdTask(len(self._tasks), kind, params, handles, node, priority)
+        # a NaN would break the ordering the priority table is sorted by
+        if not -inf < priority < inf:
+            raise DataflowError(f"{task.name} has non-finite priority {priority}")
         for handle, mode in zip(handles, kind.modes, strict=True):
             handle._accessors += 1
             if handle._last_writer is not None:

@@ -4,23 +4,25 @@ A :class:`PTG` is a set of task classes. :meth:`PTG.instantiate`
 evaluates every class's symbolic domain against the metadata (the
 product of the inspection phase) into a :class:`Template` — flat typed
 columns over the task instances, class by class and each class in
-params order: their params, placement, priority, pending input count
-and resolved successors — and hands back a :class:`TaskGraph`: the
-run's mutable state as columns indexed by row number. A task is a
-template row until it runs; only a worker that claimed it holds an
-object for it (:class:`RunningTask`), and only then are its key and
-params a tuple.
+params order: their params, placement, priority, resolved successors
+and pending input count (the edges into each) — and hands back a
+:class:`TaskGraph`: the run's mutable state as columns indexed by row
+number. A task is a template row until it runs; only a worker that
+claimed it holds an object for it (:class:`RunningTask`), and only then
+are its key and params a tuple.
 
 Resolving the successors evaluates every output dep's guard and param
 map once per template: each row's edges name the consumers its active
 deps feed by row number, so a completion walks data instead of
-re-evaluating the symbolic dataflow. Building the template also
-*validates the dataflow*, as a count over those edges: every active
-input dep must be fed by exactly the right number of active output deps
-on the producer side. A mismatch — a task that would wait forever, or a
-delivery nobody expects — is a programming error in the PTG and raises
+re-evaluating the symbolic dataflow. A row's pending input count is its
+in-degree, counted in the same pass: a PTG spells each arrow once, on
+its producer (the ``<-`` lines of a JDF are the same arrows read from
+the consumer's side). Building the template also *validates the
+dataflow*: an arrow onto a task missing from the table or onto a flow
+its consumer's class lacks, a duplicate instance, a bad placement or a
+non-finite priority is a programming error in the PTG and raises
 :class:`~repro.util.errors.DataflowError` up front rather than showing
-up as a simulation that silently never terminates.
+up as a delivery nobody expects in the middle of a run.
 
 A template is pure data: it depends on the PTG's shape and on what the
 metadata derives from the workload's structure, the node count and the
@@ -42,6 +44,7 @@ from __future__ import annotations
 from array import array
 from functools import partial
 from itertools import chain, compress
+from math import inf
 from operator import not_
 from struct import Struct, unpack_from
 from types import MappingProxyType
@@ -92,12 +95,12 @@ class Template:
     :attr:`sorted_rows` — the order crash re-homing and the steal chain
     index sweep in — is the classes' row ranges by name: nothing is
     sorted or kept for it. Per row: ``nodes`` (placement), ``pending``
-    (input count) and ``ranks``, an index into ``priorities`` (the
-    distinct priorities, highest first: a level has a few hundred over
-    tens of thousands of rows). Row ``r``'s successors are the edges
-    ``edge_starts[r]`` to ``edge_starts[r + 1]``: each an index into its
-    class's ``out_deps`` (``edge_deps``) and the consumer's row
-    (``consumers``). An unvalidated template names a consumer missing
+    (input count: the edges into it) and ``ranks``, an index into
+    ``priorities`` (the distinct priorities, highest first: a level has a
+    few hundred over tens of thousands of rows). Row ``r``'s successors
+    are the edges ``edge_starts[r]`` to ``edge_starts[r + 1]``: each an
+    index into its class's ``out_deps`` (``edge_deps``) and the
+    consumer's row (``consumers``). An unvalidated template names a consumer missing
     from the table by ``len(self)``, past every column, and keeps its
     key in ``missing`` (edge -> key) for the runtime to report.
     """
@@ -243,13 +246,13 @@ class PTG:
         return TaskGraph(self, md, template)
 
     def template(self, md: Any, n_nodes: int, validate: bool = True) -> Template:
-        """Evaluate every class's domain, placement, priority, input count
-        and successors against ``md``; checked by :meth:`_validate`
-        unless told otherwise."""
+        """Evaluate every class's domain, placement and priority against
+        ``md``, then resolve every output dep to its consumer's row and
+        count each row's pending inputs as the edges into it. A missing
+        consumer is refused unless told otherwise."""
         #: key -> row number, while the successors are resolved
         row_of: dict[tuple, int] = {}
         nodes: list[int] = []
-        pending: list[int] = []
         priorities: list[float] = []
         domains = []
         for cls in self.classes.values():
@@ -268,28 +271,42 @@ class PTG:
                     raise DataflowError(f"duplicate task instance {cls.name}{params}")
                 row_of[key] = len(row_of)
                 nodes.append(node)
-                priorities.append(
-                    float(cls.priority(params, md)) if cls.priority else 0.0
-                )
-                pending.append(cls.input_count(params, md))
+                priority = float(cls.priority(params, md)) if cls.priority else 0.0
+                # a NaN would break the ordering the priority table is
+                # sorted by, and an infinity is no rank either
+                if not -inf < priority < inf:
+                    raise DataflowError(
+                        f"{cls.name}{params} has non-finite priority {priority}"
+                    )
+                priorities.append(priority)
             domains.append((cls, domain))
         # a successor resolves to its consumer's row, whatever class it
         # belongs to: a second pass, once every key is known. Each row's
         # edges are in (flow, dep) order, an index into its class's
-        # ``out_deps`` and the consumer's row. Unvalidated, a consumer
-        # missing from the table is row ``len(row_of)``, past every
-        # column, and its key goes to ``missing``, for the runtime to
-        # report when the producer completes.
+        # ``out_deps`` and the consumer's row, and each edge is one of its
+        # consumer's pending inputs. Unvalidated, a consumer missing from
+        # the table is row ``len(row_of)``, past every column, and its key
+        # goes to ``missing``, for the runtime to report when the producer
+        # completes.
+        absent = len(row_of)
+        pending = [0] * absent
         edge_starts = [0]
         edge_deps: list[int] = []
         consumers: list[int] = []
         missing: dict[int, tuple] = {}
-        absent = len(row_of)
         for cls, domain in domains:
-            deps = [
-                (index, flow, dep.guard, dep.param_map, dep.target_class)
-                for index, (flow, dep) in enumerate(cls.out_deps)
-            ]
+            deps: list[tuple] = []
+            for index, (flow, dep) in enumerate(cls.out_deps):
+                # an arrow lands on a flow its consumer's class has: checked
+                # once per dep, not per edge (a class missing from the PTG
+                # is reported by the dep's first edge, a missing consumer)
+                target = self.classes.get(dep.target_class)
+                if target is not None and dep.flow not in target.flow_names:
+                    raise DataflowError(
+                        f"{cls.name}.{flow.name} -> {dep.target_class}.{dep.flow}: "
+                        f"{dep.target_class} has no flow {dep.flow!r}"
+                    )
+                deps.append((index, flow, dep.guard, dep.param_map, dep.target_class))
             for params in domain:
                 for index, flow, guard, param_map, target_class in deps:
                     if guard is not None and not guard(params, md):
@@ -304,11 +321,13 @@ class PTG:
                             )
                         missing[len(consumers)] = consumer_key
                         found = absent
+                    else:
+                        pending[found] += 1
                     edge_deps.append(index)
                     consumers.append(found)
                 edge_starts.append(len(consumers))
         del row_of
-        template = Template(
+        return Template(
             tuple((cls.name, len(domain)) for cls, domain in domains),
             tuple(_arity(cls, domain) for cls, domain in domains),
             tuple(_params_column(cls, domain) for cls, domain in domains),
@@ -320,32 +339,6 @@ class PTG:
             consumers,
             missing,
         )
-        if validate:
-            self._validate(template)
-        return template
-
-    def _validate(self, template: Template) -> None:
-        """Check every expected delivery has exactly one producer: count
-        the resolved edges into each row, on the flows its class has."""
-        classes = [self.classes[name] for name, _ in template.classes]
-        flows_of = [frozenset(flow.name for flow in cls.flows) for cls in classes]
-        class_of, edge_starts = template.class_of, template.edge_starts
-        edge_deps, consumers = template.edge_deps, template.consumers
-        incoming = [0] * len(template)
-        for index, cls in enumerate(classes):
-            targets = [dep.flow for _, dep in cls.out_deps]
-            rows = template.class_rows(index)
-            for j in range(edge_starts[rows.start], edge_starts[rows.stop]):
-                consumer = consumers[j]
-                if targets[edge_deps[j]] in flows_of[class_of[consumer]]:
-                    incoming[consumer] += 1
-        for row, (expected, actual) in enumerate(zip(template.pending, incoming)):
-            if actual != expected:
-                name, params = template.key(row)
-                raise DataflowError(
-                    f"{name}{params} expects {expected} deliveries but the "
-                    f"dataflow produces {actual}"
-                )
 
 
 def _arity(cls: TaskClass, domain: list[tuple]) -> int:

@@ -48,6 +48,8 @@ node.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -61,7 +63,7 @@ from repro.parsec.taskclass import TaskContext
 from repro.sim.cluster import Cluster
 from repro.sim.engine import SimEvent
 from repro.sim.network import CoalescePolicy
-from repro.util.errors import DataflowError, StallError
+from repro.util.errors import ConfigurationError, DataflowError, StallError
 
 __all__ = ["ParsecRuntime", "ParsecResult"]
 
@@ -129,13 +131,20 @@ class ParsecRuntime:
     def __init__(
         self,
         cluster: Cluster,
-        policy: "SchedulerPolicy | None" = None,
+        policy: "SchedulerPolicy | str | None" = None,
         stealing: "StealPolicy | None" = None,
         coalescing: "CoalescePolicy | None" = None,
     ) -> None:
         self.instance_id = next(_instance_ids)
         self.cluster = cluster
-        self.policy = policy or SchedulerPolicy.PRIORITY
+        try:
+            # a str enum: a member passes through, a name becomes one
+            self.policy = SchedulerPolicy(policy or SchedulerPolicy.PRIORITY)
+        except ValueError:
+            choices = ", ".join(member.value for member in SchedulerPolicy)
+            raise ConfigurationError(
+                f"unknown scheduler policy {policy!r} (choose one of {choices})"
+            ) from None
         self.steal_policy = stealing
         #: per-destination dataflow aggregation (None = every send passes
         #: through, the default wire behavior the golden digests pin)
@@ -297,19 +306,24 @@ class ParsecRuntime:
     # ------------------------------------------------------------------
     def _waiting_flows(self, row: int) -> list[str]:
         """Which flows a not-yet-ready row is still missing, as
-        ``name(received/expected)`` strings."""
-        assert self.graph is not None
-        params = self.graph.key(row)[1]
-        inputs = self.graph.payloads.get(row, {})
+        ``name(received/expected)`` strings: a flow expects the
+        template's edges into the row that land on it."""
+        graph = self.graph
+        assert graph is not None
+        template = graph.template
+        expected: Counter = Counter()
+        for j, consumer in enumerate(template.consumers):
+            if consumer == row:
+                producer = bisect_right(template.edge_starts, j) - 1
+                _, dep = graph.cls(producer).out_deps[template.edge_deps[j]]
+                expected[dep.flow] += 1
+        inputs = graph.payloads.get(row, {})
         missing = []
-        for flow in self.graph.cls(row).flows:
-            expected = sum(1 for dep in flow.inputs if dep.active(params, self.md))
-            if expected == 0:
-                continue
+        for flow in graph.cls(row).flows:
             got = inputs.get(flow.name)
             received = 0 if got is None else (len(got) if isinstance(got, list) else 1)
-            if received < expected:
-                missing.append(f"{flow.name}({received}/{expected})")
+            if received < expected[flow.name]:
+                missing.append(f"{flow.name}({received}/{expected[flow.name]})")
         return missing
 
     def _stall_error(self) -> StallError:

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from repro.parsec.ptg import CLAIMED, DONE, STARTED, RunningTask, TaskGraph
-from repro.parsec.taskclass import TaskContext
+from repro.parsec.taskclass import FlowMode, TaskContext
 from repro.sim.queues import LifoStore, RankStore, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -269,11 +269,11 @@ class NodeScheduler:
             md = runtime.md
             context = TaskContext(task, md, cluster, node, thread, device)
             t_start = engine.now
-            if on_device:  # stage the inputs in
+            if on_device:  # stage the READ and RW flows in
                 in_bytes = 8.0 * sum(
                     flow.size_elems(task.params, md)
                     for flow in cls.flows
-                    if flow.inputs
+                    if flow.mode is not FlowMode.WRITE
                 )
                 if in_bytes > 0:
                     yield node.pcie.transfer(in_bytes)
@@ -290,11 +290,11 @@ class NodeScheduler:
                     break  # epoch bumps only come from this node's own crash
             else:
                 yield from cls.run(context)
-            if on_device:  # stage the outputs back
+            if on_device:  # stage the RW and WRITE flows back
                 out_bytes = 8.0 * sum(
                     flow.size_elems(task.params, md)
                     for flow in cls.flows
-                    if flow.outputs or not flow.inputs
+                    if flow.mode is not FlowMode.READ
                 )
                 if out_bytes > 0:
                     yield node.pcie.transfer(out_bytes)

@@ -3,10 +3,10 @@
 A :class:`TaskClass` is the analogue of one task definition in a PaRSEC
 ``.jdf`` file (Figure 1 of the paper): a name, a parameter tuple, a
 symbolic execution domain, a placement rule, a priority expression, and
-a set of named :class:`Flow` s whose guarded :class:`Dep` s point at
-other task classes. Everything symbolic is a plain Python callable over
-``(params, metadata)``, which is exactly the role the PTG's inline C
-expressions play.
+a set of named :class:`Flow` s whose guarded output :class:`Dep` s point
+at the consumers' flows. Everything symbolic is a plain Python callable
+over ``(params, metadata)``, which is exactly the role the PTG's inline
+C expressions play.
 
 The task *body* is a generator ``run(ctx)`` driven inside the simulated
 worker thread. It charges its cost with ``yield ctx.charge(cost)`` and,
@@ -44,15 +44,16 @@ class FlowMode(str, Enum):
 
 @dataclass(frozen=True)
 class Dep:
-    """One guarded dataflow arrow between task classes.
+    """One guarded dataflow arrow, "X(p).F -> target(map(p)).flow", on
+    flow F of class X: the producer's side is the only one spelled. The
+    ``<-`` lines of a JDF are the same arrows read from the consumer, so
+    a task's input count is the number of active arrows into it (its
+    in-degree in the template).
 
-    As an *input* dep on flow F of class X: "X(p).F <- target(map(p)).flow".
-    As an *output* dep: "X(p).F -> target(map(p)).flow".
-
-    ``transform`` (outputs only) reshapes/slices the produced data for
-    this particular consumer — how a SORT task sends each WRITE_C
-    instance "only the data that is relevant to the node on which the
-    task instance executes" (Figure 8).
+    ``transform`` reshapes/slices the produced data for this particular
+    consumer — how a SORT task sends each WRITE_C instance "only the
+    data that is relevant to the node on which the task instance
+    executes" (Figure 8).
     ``size_elems`` overrides the transferred element count for message
     cost modelling when the transform changes the payload size.
     """
@@ -64,22 +65,20 @@ class Dep:
     transform: Optional[Transform] = None
     size_elems: Optional[Callable[[Params, Any], int]] = None
 
-    def active(self, params: Params, md: Any) -> bool:
-        return True if self.guard is None else bool(self.guard(params, md))
-
 
 @dataclass
 class Flow:
     """A named piece of data flowing through a task class.
 
     ``size_elems(params, md)`` gives the element count of the flow's
-    data for one task instance (used to cost remote transfers).
+    data for one task instance (used to cost remote transfers); ``mode``
+    is what an accelerator stages: a READ or RW flow in, an RW or WRITE
+    flow back out.
     """
 
     name: str
     mode: FlowMode
     size_elems: Callable[[Params, Any], int]
-    inputs: list[Dep] = field(default_factory=list)
     outputs: list[Dep] = field(default_factory=list)
 
 
@@ -114,25 +113,10 @@ class TaskClass:
         self.out_deps: tuple[tuple[Flow, Dep], ...] = tuple(
             (flow, dep) for flow in flows for dep in flow.outputs
         )
-        self._flow_by_name = {flow.name: flow for flow in flows}
-        if len(self._flow_by_name) != len(flows):
+        #: what an arrow into the class may land on
+        self.flow_names = frozenset(flow.name for flow in flows)
+        if len(self.flow_names) != len(flows):
             raise DataflowError(f"duplicate flow names in task class {name}")
-
-    def flow(self, name: str) -> Flow:
-        try:
-            return self._flow_by_name[name]
-        except KeyError:
-            raise DataflowError(f"{self.name} has no flow {name!r}") from None
-
-    def input_count(self, params: Params, md: Any) -> int:
-        """Number of dataflow deliveries this instance must wait for."""
-        count = 0
-        for flow in self.flows:
-            for dep in flow.inputs:
-                guard = dep.guard
-                if guard is None or guard(params, md):
-                    count += 1
-        return count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TaskClass({self.name}{self.params})"

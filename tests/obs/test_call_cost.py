@@ -21,6 +21,9 @@ the chain IR rather than reading a copied record per GEMM (98 716 and
 completion event the counts are 98 732 and 97 934, 16 more each than
 the code before it: one ``SimEvent.__init__`` per spawned process (8
 legacy ranks, 16 v5 threads) and one ``_dispatch`` per finished rank.
+With a row's input count its in-degree in the template, counted while
+its edges are resolved, v5 no longer evaluates an input-side guard per
+row: 94 134 (ceiling 100 300 -> 95 100; legacy unchanged).
 
     PYTHONPATH=src python tests/obs/test_call_cost.py   # the counts, as JSON
 """
@@ -37,7 +40,7 @@ from repro.sim.cluster import DataMode
 
 RUNTIMES = ("legacy", "v5")
 #: off-path calls of one run, per runtime
-MAX_OFF_CALLS = {"legacy": 99_700, "v5": 100_300}
+MAX_OFF_CALLS = {"legacy": 99_700, "v5": 95_100}
 #: calls an enabled registry adds to that run, per runtime
 MAX_REGISTRY_CALLS = {"legacy": 2_535, "v5": 3_880}
 

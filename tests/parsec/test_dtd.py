@@ -125,6 +125,20 @@ class TestDependenceInference:
         with pytest.raises(DataflowError):
             runtime.insert(DtdKind("T", burn(0.1), ("bogus",)), (), (x,), 0)
 
+    def test_non_finite_priority_rejected(self):
+        """A NaN would misrank every other task in the priority table:
+        the insert is refused, naming the task, and leaves no trace."""
+        cluster = make_cluster()
+        runtime = DtdRuntime(cluster)
+        x = runtime.data("x", 1, 0)
+        for priority in (float("nan"), float("-inf")):
+            kind = DtdKind("T", burn(0.1), (_W,))
+            with pytest.raises(DataflowError, match=r"T\(3\) has non-finite"):
+                runtime.insert(kind, (3,), (x,), 0, priority=priority)
+        assert runtime.n_tasks == 0
+        runtime.insert(DtdKind("T", burn(0.1), (_W,)), (3,), (x,), 0, priority=1.0)
+        assert runtime.execute().n_tasks == 1
+
     def test_insertion_time_charged(self):
         cluster = make_cluster()
         runtime = DtdRuntime(cluster)

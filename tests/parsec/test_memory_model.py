@@ -87,14 +87,7 @@ class TestPtgPayloadLifetime:
                 domain=lambda md: [(0,), (1,)],
                 placement=lambda p, md: 0,
                 run=cons,
-                flows=[
-                    Flow(
-                        "X",
-                        FlowMode.READ,
-                        unit_size,
-                        inputs=[Dep("PROD", lambda p, md: (0,), "X")],
-                    )
-                ],
+                flows=[Flow("X", FlowMode.READ, unit_size)],
             )
         )
         ptg.add(
@@ -109,14 +102,6 @@ class TestPtgPayloadLifetime:
                         "T",
                         FlowMode.RW,
                         unit_size,
-                        inputs=[
-                            Dep(
-                                "TAIL",
-                                lambda p, md: (p[0] - 1,),
-                                "T",
-                                guard=lambda p, md: p[0] > 0,
-                            )
-                        ],
                         outputs=[
                             Dep(
                                 "TAIL",

@@ -10,6 +10,7 @@ from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.engine import Engine
 from repro.sim.queues import LifoStore
 from repro.tce.reference import compute_reference
+from repro.util.errors import ConfigurationError
 
 
 class TestLifoStore:
@@ -79,3 +80,17 @@ class TestPolicies:
 
         cluster = Cluster(ClusterConfig(n_nodes=1))
         assert ParsecRuntime(cluster).policy is SchedulerPolicy.PRIORITY
+
+    def test_a_policy_name_is_taken_and_a_bad_one_refused(self):
+        """``RunConfig(policy="fifo")`` schedules as the FIFO member does;
+        an unknown name is a configuration error that lists the choices."""
+
+        def time_for(policy):
+            config = RunConfig(
+                n_nodes=4, cores_per_node=2, data_mode=DataMode.SYNTH, policy=policy
+            )
+            return run("t2_7:tiny", "v4", config=config).execution_time
+
+        assert time_for("fifo") == time_for(SchedulerPolicy.FIFO)
+        with pytest.raises(ConfigurationError, match="priority, fifo, lifo"):
+            time_for("random")
