@@ -12,20 +12,17 @@ Run:  python examples/trace_gallery.py [scale]
 
 import sys
 
-from repro.experiments.traces import (
-    fig10_11_report,
-    fig12_13_report,
-    run_fig10_11,
-    run_fig12_13,
-)
+from repro.experiments.claims import experiment
 
 
 def main() -> None:
     scale = sys.argv[1] if len(sys.argv) > 1 else "small"
-    print(fig10_11_report(*run_fig10_11(scale=scale)))
-    print()
-    print(fig12_13_report(run_fig12_13(scale=scale)))
-    print()
+    # the two declared trace experiments `repro traces` runs
+    for name in ("fig10_11", "fig12_13"):
+        declared = experiment(name)
+        result, _ = declared.run(scale=scale)
+        print(declared.report(result))
+        print()
     print(
         "Reading the charts: in the v2 trace the left edge is blank (grey in\n"
         "the paper) — the un-prioritized READ tasks flooded the network and\n"

@@ -1,11 +1,12 @@
 """Command-line driver: ``python -m repro <experiment> [options]``.
 
-Subcommands regenerate the paper's artifacts without pytest:
+Subcommands regenerate the paper's artifacts without pytest (the first
+five run declared experiments, :mod:`repro.experiments.claims`):
 
 - ``fig9``        the Figure 9 sweep + shape checks
 - ``traces``      Figures 10/11 and 12/13 with ASCII Gantt charts
 - ``equivalence`` the Section IV-A 14-digit agreement check
-- ``ablations``   the design-decision sweeps
+- ``ablations``   the design-decision sweeps (``--comm``: comm knobs)
 - ``chaos``       fault-injection sweep: bitwise recovery check
 - ``report``      run any runtime/variant, emit a structured RunReport
 - ``perf``        fig9-style sweep, equal to a committed BENCH baseline
@@ -106,100 +107,34 @@ def _options(parser: argparse.ArgumentParser, *names: str, **overrides: dict) ->
         parser.add_argument(*flags, **{**_OPTIONS[name], **overrides.get(name, {})})
 
 
-def _gate(checks, note=None) -> int:
-    """An experiment's exit code: its claims, unless ``note`` says why
-    they are informational here."""
+def cmd_experiment(args: argparse.Namespace) -> int:
+    """Run the subcommand's declared experiments, each on the options
+    named after its parameters. The exit code is their claims, unless a
+    note says why they are informational here."""
+    from repro.experiments.claims import experiment
+    from repro.experiments.sweep import default_progress
+
+    jobs = getattr(args, "jobs", 1)
+    reports, checks, summaries, note = [], [], [], None
+    for name in args.experiments:
+        declared = experiment(name)
+        params = {k: v for k, v in vars(args).items() if k in declared.defaults}
+        result, stats = declared.run(jobs, default_progress, **params)
+        reports.append(declared.report(result))
+        checks += declared.claims(result)
+        summaries.append(stats.summary())
+        note = note or declared.note(**params)
+    report = "\n\n".join(reports)
+    print(report)
+    if getattr(args, "out", None):
+        Path(args.out).write_text(report + "\n")
+        print(f"report written to {args.out}")
+    for summary in summaries:
+        print(f"\n{summary}")
     if note:
         print(f"\nnote: the shape checks {note} are informational only.")
         return EXIT_OK
     return EXIT_OK if all(check.passed for check in checks) else EXIT_CHECK_FAILED
-
-
-def cmd_fig9(args: argparse.Namespace) -> int:
-    from repro.experiments.claims import informational
-    from repro.experiments.fig9 import fig9_report, fig9_shape_checks, run_fig9
-    from repro.experiments.sweep import default_progress
-
-    result = run_fig9(
-        scale=args.scale,
-        jobs=args.jobs,
-        progress=default_progress,
-        stealing=args.stealing,
-        skew_factor=args.skew_factor,
-        skew_period=args.skew_period,
-        workload=args.workload,
-    )
-    print(fig9_report(result))
-    print(f"\n{result.sweep_stats.summary()}")
-    return _gate(
-        fig9_shape_checks(result),
-        informational(args.scale, args.workload, args.stealing, args.skew_factor),
-    )
-
-
-def cmd_traces(args: argparse.Namespace) -> int:
-    from repro.experiments import traces
-    from repro.experiments.claims import informational
-
-    v4, v2 = traces.run_fig10_11(scale=args.scale)
-    original = traces.run_fig12_13(scale=args.scale)
-    print(traces.fig10_11_report(v4, v2))
-    print()
-    print(traces.fig12_13_report(original))
-    return _gate(
-        traces.fig10_11_claims(v4, v2) + traces.fig12_13_claims(original),
-        informational(args.scale),
-    )
-
-
-def cmd_equivalence(args: argparse.Namespace) -> int:
-    from repro.experiments import equivalence
-
-    result = equivalence.run_equivalence(scale=args.scale, workload=args.workload)
-    print(equivalence.equivalence_report(result))
-    return _gate(equivalence.equivalence_claims(result))
-
-
-def cmd_ablations(args: argparse.Namespace) -> int:
-    from repro.experiments import ablations
-    from repro.experiments.claims import informational
-
-    if args.comm:
-        result = ablations.run_comm_ablation(
-            workloads=args.workloads, scale=ablations.below_paper(args.scale)
-        )
-        report, checks = ablations.comm_report(result), ablations.comm_claims(result)
-        note = None
-    else:
-        result = ablations.run_ablations(scale=args.scale)
-        report = ablations.ablations_report(result)
-        checks = ablations.ablation_claims(result)
-        note = informational(args.scale)
-    print(report)
-    if args.out:
-        Path(args.out).write_text(report + "\n")
-        print(f"report written to {args.out}")
-    return _gate(checks, note)
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos import chaos_claims, chaos_report, run_chaos
-    from repro.experiments.sweep import default_progress
-
-    result = run_chaos(
-        scale=args.scale,
-        n_nodes=args.nodes,
-        cores_per_node=args.cores,
-        fault_seed=args.fault_seed,
-        jobs=args.jobs,
-        progress=default_progress,
-        stealing=args.stealing,
-        codes=args.codes,
-        workload=args.workload,
-    )
-    print(chaos_report(result))
-    print(f"\n{result.sweep_stats.summary()}")
-    return _gate(chaos_claims(result))
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -519,21 +454,24 @@ def main(argv: list[str] | None = None) -> int:
         default=0,
         help="skew chains whose id is a multiple of this (0 = no skew)",
     )
-    p.set_defaults(func=cmd_fig9)
+    p.set_defaults(func=cmd_experiment, experiments=("fig9",))
 
     p = subparsers.add_parser("traces", help="Figures 10-13 ASCII traces")
     _options(p, "scale", scale=dict(default="small"))
-    p.set_defaults(func=cmd_traces)
+    p.set_defaults(func=cmd_experiment, experiments=("fig10_11", "fig12_13"))
 
     p = subparsers.add_parser("equivalence", help="14-digit agreement check")
     _options(p, "scale", "workload", scale=dict(default="small"))
-    p.set_defaults(func=cmd_equivalence)
+    p.set_defaults(func=cmd_experiment, experiments=("equivalence",))
 
     p = subparsers.add_parser("ablations", help="design-decision sweeps")
     _options(p, "scale", "out", out=dict(help="also write the printed report"))
     p.add_argument(
         "--comm",
-        action="store_true",
+        action="store_const",
+        dest="experiments",
+        const=("comm",),
+        default=("ablations",),
         help="run only the one-sided comm knob matrix "
         "(coalescing × remote-block cache) with bitwise equality checks",
     )
@@ -544,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=["t2_7", "ccsd", "rbgs"],
         help="workloads for the --comm matrix (default: all three)",
     )
-    p.set_defaults(func=cmd_ablations)
+    p.set_defaults(func=cmd_experiment)
 
     p = subparsers.add_parser("chaos", help="fault-injection recovery sweep")
     _options(
@@ -556,6 +494,8 @@ def main(argv: list[str] | None = None) -> int:
         "stealing",
         "jobs",
         scale=dict(default="tiny"),
+        nodes=dict(dest="n_nodes", metavar="NODES"),
+        cores=dict(dest="cores_per_node", metavar="CORES"),
         stealing=dict(
             help=(
                 "run the PaRSEC variants with inter-node work stealing under "
@@ -573,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="CODE",
         help="restrict the sweep to these runners (default: all six)",
     )
-    p.set_defaults(func=cmd_chaos)
+    p.set_defaults(func=cmd_experiment, experiments=("chaos",))
 
     p = subparsers.add_parser(
         "report", help="run a runtime/variant, emit a structured RunReport"

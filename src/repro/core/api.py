@@ -314,10 +314,17 @@ def run(
 
     Unknown runtime or workload names raise
     :class:`~repro.util.errors.ConfigurationError` before any cluster
-    is built (the CLI maps it to exit code 2).
+    is built (the CLI maps it to exit code 2), and so does a
+    ``RunConfig.policy`` on a runtime that does not read it.
     """
     config = config or RunConfig()
     name, variant = _resolve_runtime(runtime, variant)
+    if config.policy is not None and name != "parsec":
+        raise ConfigurationError(
+            f"RunConfig.policy={config.policy!r} is read only by the PaRSEC "
+            f"PTG runtime ('parsec', {', '.join(PAPER_VARIANTS)}); the {name} "
+            "runtime would ignore it"
+        )
     if isinstance(workload, str):
         scale = parse_workload_token(workload)[1]
         workload = build(workload, config)

@@ -1,31 +1,20 @@
 """Ablation experiments for the design decisions the paper calls out.
 
-- :func:`sweep_priority_offsets` — Section IV-C builds a "data
-  prefetching pipeline of depth 5*P" with the read offset; sweep it.
-- :func:`sweep_segment_height` — Section IV-A: "the height of the
-  shorter chains can vary from one (maximum parallelism) to the height
-  of the original chain (maximum locality). We consider the two extreme
-  cases"; we also run the middle.
-- :func:`sweep_write_organization` — Section V's v3-vs-v5 discussion:
-  single vs parallel WRITE crossed with the mutex operation cost.
-- :func:`compare_load_balancing` — Section IV-D: NXTVAL global work
-  stealing vs static round-robin, on the legacy runtime where both are
-  expressible.
-- :func:`compare_work_stealing` — the static chain placement vs the
-  inter-node steal layer (:mod:`repro.parsec.stealing`) on a skewed
-  workload, across node counts.
-- :func:`run_comm_ablation` — the one-sided comm optimizations
-  (message coalescing × remote-block cache) across workloads, with the
-  bitwise output-equality check the knobs promise.
-
-``repro ablations`` runs the first six (:func:`run_ablations`), ``--comm``
-the last; each has a report and a claims function.
+:data:`ABLATIONS` (``repro ablations``) is six sweeps in one grid
+(:func:`ablation_cells`): the READ priority offset, the chain segment
+height, single vs parallel WRITE under a growing mutex cost, NXTVAL vs
+static load balancing, the node scheduler policy, and inter-node
+stealing on a skewed workload. :data:`COMM` (``repro ablations
+--comm``) is the one-sided comm knob matrix (message coalescing ×
+remote-block cache) with the bitwise output-equality check the knobs
+promise.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,22 +22,18 @@ from repro.analysis.report import format_table
 from repro.core import api
 from repro.core.variants import V4, V5, VariantSpec
 from repro.experiments.calibration import PAPER_MACHINE, PAPER_NODES, cell_config
-from repro.experiments.claims import ShapeCheck, render_claims
+from repro.experiments.claims import Experiment, ShapeCheck, render_claims
+from repro.experiments.sweep import SweepCell
 from repro.ga.cache import RemoteCachePolicy
 from repro.legacy.runtime import LegacyConfig
 from repro.parsec.scheduler import SchedulerPolicy
 from repro.sim.cluster import DataMode
-from repro.sim.cost import MachineModel
 from repro.sim.network import CoalescePolicy
 
 __all__ = [
-    "sweep_priority_offsets",
-    "sweep_segment_height",
-    "sweep_write_organization",
-    "compare_load_balancing",
-    "compare_scheduler_policies",
-    "compare_work_stealing",
-    "run_ablations",
+    "ABLATIONS",
+    "COMM",
+    "ablation_cells",
     "ablations_report",
     "ablation_claims",
     "AblationResult",
@@ -71,169 +56,6 @@ def below_paper(scale: str) -> str:
     return "tiny" if scale in ("paper", "full") else scale
 
 
-def _t2_7_run(
-    scale: str,
-    cores_per_node: int,
-    n_nodes: int = PAPER_NODES,
-    runtime: str = "parsec",
-    variant: VariantSpec = V5,
-    **config_fields,
-):
-    """One SYNTH t2_7 run; ``config_fields`` are the cell's RunConfig knobs."""
-    config = cell_config(cores_per_node, n_nodes, **config_fields)
-    return api.run(f"t2_7:{scale}", runtime=runtime, variant=variant, config=config)
-
-
-def sweep_priority_offsets(
-    offsets: Sequence[int] = (0, 1, 5, 10),
-    scale: str = "paper",
-    cores_per_node: int = 7,
-) -> dict[int, float]:
-    """Execution time of v4 as the READ priority offset varies.
-
-    Offset 0 removes the prefetch pipeline (reads no longer outrank
-    GEMMs); the paper's +5 gives depth 5*P.
-    """
-    out: dict[int, float] = {}
-    for offset in offsets:
-        variant = V4.with_overrides(name=f"v4.read{offset}", read_offset=offset)
-        out[offset] = _t2_7_run(
-            scale, cores_per_node, variant=variant
-        ).execution_time
-    return out
-
-
-def sweep_segment_height(
-    heights: Sequence[Optional[int]] = (1, 2, 4, None),
-    scale: str = "paper",
-    cores_per_node: int = 15,
-) -> dict[str, float]:
-    """Execution time of the v4 organization across chain heights.
-
-    ``None`` is the original full chain (v1's GEMM organization);
-    ``1`` is full parallelism (v4's).
-    """
-    out: dict[str, float] = {}
-    for height in heights:
-        label = "full-chain" if height is None else f"height-{height}"
-        variant = V4.with_overrides(name=f"v4.{label}", segment_height=height)
-        out[label] = _t2_7_run(
-            scale, cores_per_node, variant=variant
-        ).execution_time
-    return out
-
-
-def sweep_write_organization(
-    mutex_costs: Sequence[float] = (4.0e-7, 4.0e-6, 4.0e-5),
-    scale: str = "paper",
-    cores_per_node: int = 15,
-) -> dict[str, dict[str, float]]:
-    """Single vs parallel WRITE as the mutex op cost grows.
-
-    The paper attributes part of v5's win over v3 to v3's extra
-    "system wide operations required to lock and unlock the mutex";
-    raising the lock cost should widen that gap.
-    """
-    variants = {
-        "single-write (v5)": V5,
-        "parallel-write": V5.with_overrides(
-            name="v5.parallel-write", fused_sort=False, single_write=False
-        ),
-    }
-    out: dict[str, dict[str, float]] = {}
-    for cost in mutex_costs:
-        machine = PAPER_MACHINE.with_overrides(
-            mutex_lock_s=cost, mutex_unlock_s=cost
-        )
-        out[f"lock={cost:g}s"] = {
-            label: _t2_7_run(
-                scale, cores_per_node, variant=variant, machine=machine
-            ).execution_time
-            for label, variant in variants.items()
-        }
-    return out
-
-
-def compare_scheduler_policies(
-    scale: str = "paper", cores_per_node: int = 7, n_nodes: int = PAPER_NODES
-) -> dict[str, float]:
-    """PaRSEC's scheduling disciplines on the v4 workload.
-
-    "PaRSEC includes multiple task scheduling algorithms" — the
-    priority-aware default vs FIFO (no priorities honoured) vs LIFO
-    (newest-first, cache-oriented).
-    """
-    return {
-        policy.value: _t2_7_run(
-            scale, cores_per_node, n_nodes, variant=V4, policy=policy
-        ).execution_time
-        for policy in SchedulerPolicy
-    }
-
-
-def compare_load_balancing(
-    scale: str = "paper", cores_per_node: int = 7, n_nodes: int = PAPER_NODES
-) -> dict[str, float]:
-    """NXTVAL work stealing vs static rank-cyclic chains (legacy code).
-
-    Also reports the PaRSEC approach (static round-robin across nodes +
-    dynamic within node, v4) on the same workload for context.
-    """
-    out: dict[str, float] = {}
-    for label, use_nxtval in (("nxtval-stealing", True), ("static-cyclic", False)):
-        out[label] = _t2_7_run(
-            scale,
-            cores_per_node,
-            n_nodes,
-            runtime="legacy",
-            legacy=LegacyConfig(use_nxtval=use_nxtval),
-        ).execution_time
-    out["parsec-v4 (static nodes + dynamic cores)"] = _t2_7_run(
-        scale, cores_per_node, n_nodes, variant=V4
-    ).execution_time
-    return out
-
-
-def compare_work_stealing(
-    scale: str = "tiny",
-    node_counts: Sequence[int] = (2, 4, 8),
-    cores_per_node: int = 2,
-    skew_factor: int = 6,
-    machine: Optional[MachineModel] = None,
-) -> dict[str, dict[str, float]]:
-    """Static placement vs inter-node stealing on a skewed workload.
-
-    ``skew_period == n_nodes`` parks every lengthened chain on node 0
-    under the round-robin placement — the worst case for the paper's
-    static distribution. The machine defaults to a compute-bound
-    calibration (GEMMs an order of magnitude slower than the paper's)
-    because that is the regime where imbalance shows as makespan; on
-    the comm-bound tiny workload the benefit filter mostly declines to
-    migrate and both columns converge.
-    """
-    if machine is None:
-        machine = PAPER_MACHINE.with_overrides(gemm_gflops=1.0)
-    out: dict[str, dict[str, float]] = {}
-    for n_nodes in node_counts:
-        row: dict[str, float] = {}
-        for label, stealing in (("static", False), ("stealing", True)):
-            result = _t2_7_run(
-                scale,
-                cores_per_node,
-                n_nodes,
-                stealing=stealing,
-                machine=machine,
-                skew_factor=skew_factor,
-                skew_period=n_nodes,
-            )
-            row[label] = result.execution_time
-            if stealing:
-                row["chains_migrated"] = float(result.chains_migrated)
-        row["speedup"] = row["static"] / row["stealing"]
-        out[f"{n_nodes} nodes"] = row
-    return out
-
-
 @dataclass
 class AblationResult:
     """The six design-decision sweeps of ``repro ablations``."""
@@ -248,17 +70,85 @@ class AblationResult:
     work_stealing: dict[str, dict[str, float]]
 
 
-def run_ablations(scale: str = "paper") -> AblationResult:
-    """Every sweep at its default grid."""
-    return AblationResult(
-        scale=scale,
-        priority_offsets=sweep_priority_offsets(scale=scale),
-        segment_heights=sweep_segment_height(scale=scale),
-        write_organization=sweep_write_organization(scale=scale),
-        load_balancing=compare_load_balancing(scale=scale),
-        scheduler_policies=compare_scheduler_policies(scale=scale),
-        work_stealing=compare_work_stealing(scale=below_paper(scale)),
-    )
+def _ablation_cell(
+    scale: str,
+    cores_per_node: int,
+    n_nodes: int = PAPER_NODES,
+    runtime: str = "parsec",
+    variant: VariantSpec = V5,
+    **config_fields,
+) -> tuple[float, int]:
+    """One SYNTH t2_7 run; ``config_fields`` are the cell's RunConfig
+    knobs. Returns the execution time and the chains stealing moved."""
+    config = cell_config(cores_per_node, n_nodes, **config_fields)
+    result = api.run(f"t2_7:{scale}", runtime=runtime, variant=variant, config=config)
+    return result.execution_time, getattr(result, "chains_migrated", 0)
+
+
+def ablation_cells(scale: str) -> list[SweepCell]:
+    """Every sweep's grid, one cell per run, keyed ``(sweep, label...)``
+    in :class:`AblationResult`'s nesting."""
+    grid: list[tuple[tuple, dict]] = []  # (key, the cell's arguments)
+    # Section IV-C: "a data prefetching pipeline of depth 5*P" from the
+    # READ priority offset; 0 removes it (reads no longer outrank GEMMs)
+    for offset in (0, 1, 5, 10):
+        v4 = V4.with_overrides(name=f"v4.read{offset}", read_offset=offset)
+        grid.append((("priority_offsets", offset), dict(cores_per_node=7, variant=v4)))
+    # Section IV-A: a chain "can vary from one (maximum parallelism) to
+    # the height of the original chain (maximum locality)"
+    for height in (1, 2, 4, None):
+        label = "full-chain" if height is None else f"height-{height}"
+        v4 = V4.with_overrides(name=f"v4.{label}", segment_height=height)
+        grid.append((("segment_heights", label), dict(cores_per_node=15, variant=v4)))
+    # Section V: v3's extra "system wide operations required to lock and
+    # unlock the mutex"; a dearer lock should widen the WRITE gap
+    writes = {
+        "single-write (v5)": V5,
+        "parallel-write": V5.with_overrides(
+            name="v5.parallel-write", fused_sort=False, single_write=False
+        ),
+    }
+    for cost in (4.0e-7, 4.0e-6, 4.0e-5):
+        machine = PAPER_MACHINE.with_overrides(mutex_lock_s=cost, mutex_unlock_s=cost)
+        for label, variant in writes.items():
+            run = dict(cores_per_node=15, variant=variant, machine=machine)
+            grid.append((("write_organization", f"lock={cost:g}s", label), run))
+    # Section IV-D: NXTVAL stealing vs static chains on the legacy code,
+    # and PaRSEC's static nodes + dynamic cores (v4)
+    for label, use_nxtval in (("nxtval-stealing", True), ("static-cyclic", False)):
+        legacy = LegacyConfig(use_nxtval=use_nxtval)
+        run = dict(cores_per_node=7, runtime="legacy", legacy=legacy)
+        grid.append((("load_balancing", label), run))
+    label = "parsec-v4 (static nodes + dynamic cores)"
+    grid.append((("load_balancing", label), dict(cores_per_node=7, variant=V4)))
+    # "multiple task scheduling algorithms": priority, FIFO, LIFO on v4
+    for policy in SchedulerPolicy:
+        run = dict(cores_per_node=7, variant=V4, policy=policy)
+        grid.append((("scheduler_policies", policy.value), run))
+    # static placement vs inter-node stealing with every lengthened chain
+    # on node 0 (skew_period == n_nodes), on a compute-bound machine (GEMMs
+    # 20x slower): there imbalance shows as makespan, while on the
+    # comm-bound workload the benefit filter mostly declines to migrate
+    slow = PAPER_MACHINE.with_overrides(gemm_gflops=1.0)
+    for n in (2, 4, 8):
+        for label, stealing in (("static", False), ("stealing", True)):
+            run = dict(scale=below_paper(scale), cores_per_node=2, n_nodes=n)
+            run.update(stealing=stealing, machine=slow, skew_factor=6, skew_period=n)
+            grid.append((("work_stealing", f"{n} nodes", label), run))
+    return [SweepCell(k, _ablation_cell, {"scale": scale, **run}) for k, run in grid]
+
+
+def _ablations_reduce(results, scale: str) -> AblationResult:
+    series: dict = {}
+    for (sweep, *outer, label), (time, migrated) in results.items():
+        level = series.setdefault(sweep, {})
+        for part in outer:
+            level = level.setdefault(part, {})
+        level[label] = time
+        if label == "stealing":
+            level["chains_migrated"] = float(migrated)
+            level["speedup"] = level["static"] / time
+    return AblationResult(scale=scale, **series)
 
 
 def ablation_claims(result: AblationResult) -> list[ShapeCheck]:
@@ -335,6 +225,16 @@ def ablations_report(result: AblationResult) -> str:
 # ----------------------------------------------------------------------
 # one-sided comm optimizations (coalescing × remote-block cache)
 # ----------------------------------------------------------------------
+#: one workload's knob matrix, (coalescing, cache) -> label; the first
+#: is the knobs-off baseline every other cell's output is compared with
+_KNOB_LABELS = {
+    (False, False): "baseline",
+    (True, False): "coalesce",
+    (False, True): "cache",
+    (True, True): "coalesce+cache",
+}
+
+
 @dataclass
 class CommCell:
     """One knob combination on one workload."""
@@ -353,13 +253,7 @@ class CommCell:
 
     @property
     def label(self) -> str:
-        if self.coalescing and self.cache:
-            return "coalesce+cache"
-        if self.coalescing:
-            return "coalesce"
-        if self.cache:
-            return "cache"
-        return "baseline"
+        return _KNOB_LABELS[self.coalescing, self.cache]
 
 
 @dataclass
@@ -369,11 +263,14 @@ class CommAblationResult:
     scale: str
     rows: list[CommCell]
 
-    def baseline(self, workload: str) -> CommCell:
+    def cell(self, workload: str, label: str) -> CommCell:
         for cell in self.rows:
-            if cell.workload == workload and not cell.coalescing and not cell.cache:
+            if (cell.workload, cell.label) == (workload, label):
                 return cell
-        raise KeyError(f"no baseline cell for {workload!r}")
+        raise KeyError(f"no {label} cell for {workload!r}")
+
+    def baseline(self, workload: str) -> CommCell:
+        return self.cell(workload, "baseline")
 
     def reduction(self, cell: CommCell) -> float:
         """Fractional wire-message reduction of ``cell`` against its
@@ -383,10 +280,7 @@ class CommAblationResult:
 
     def message_savings(self, workload: str) -> float:
         """Fractional wire-message reduction of the both-knobs cell."""
-        for cell in self.rows:
-            if cell.workload == workload and cell.coalescing and cell.cache:
-                return self.reduction(cell)
-        raise KeyError(f"no coalesce+cache cell for {workload!r}")
+        return self.reduction(self.cell(workload, "coalesce+cache"))
 
 
 def _comm_cell(
@@ -397,8 +291,9 @@ def _comm_cell(
     seed: int,
     coalescing: bool,
     cache: bool,
-):
-    """One run of the knob matrix; returns (cell sans equality, output)."""
+) -> tuple[CommCell, str]:
+    """One run of the knob matrix: the cell (``output_equal`` still
+    unset) and the sha256 of the gathered output array."""
     config = cell_config(
         cores_per_node,
         n_nodes,
@@ -427,42 +322,41 @@ def _comm_cell(
         messages_saved=ga.messages_saved,
         output_equal=True,
     )
-    return cell, workload_obj.output.array.gather()
+    output = np.ascontiguousarray(workload_obj.output.array.gather())
+    return cell, hashlib.sha256(output.tobytes()).hexdigest()
 
 
-def run_comm_ablation(
-    workloads: Sequence[str] = ("t2_7", "ccsd", "rbgs"),
-    scale: str = "tiny",
-    n_nodes: int = 4,
-    cores_per_node: int = 4,
-    seed: int = 7,
-) -> CommAblationResult:
-    """The knob matrix (coalescing × cache) over the given workloads.
+def _comm_cells(workloads: Sequence[str], scale: str, **shared) -> list[SweepCell]:
+    return [
+        SweepCell(
+            key=(workload, label),
+            fn=_comm_cell,
+            kwargs=dict(
+                workload=workload,
+                scale=below_paper(scale),
+                coalescing=coalescing,
+                cache=cache,
+                **shared,
+            ),
+        )
+        for workload in workloads
+        for (coalescing, cache), label in _KNOB_LABELS.items()
+    ]
 
-    Every cell runs the legacy runtime in REAL data mode and gathers
-    the workload's output array; ``output_equal`` records whether the
-    knobs-on bytes match the knobs-off baseline bit for bit. Uses the
-    legacy runtime because its blocking per-tile GETs are the traffic
-    pattern the knobs target (the paper's original-code regime).
-    """
-    rows: list[CommCell] = []
-    for workload in workloads:
-        reference = None
-        for coalescing, cache in (
-            (False, False),
-            (True, False),
-            (False, True),
-            (True, True),
-        ):
-            cell, output = _comm_cell(
-                workload, scale, n_nodes, cores_per_node, seed, coalescing, cache
-            )
-            if reference is None:
-                reference = output
-            else:
-                cell.output_equal = bool(np.array_equal(reference, output))
-            rows.append(cell)
-    return CommAblationResult(scale=scale, rows=rows)
+
+def _comm_reduce(results, scale: str, **_) -> CommAblationResult:
+    """Every cell's ``output_equal``: its output digest is its workload's
+    knobs-off digest, bit for bit."""
+    rows = []
+    for (workload, _), (cell, digest) in results.items():
+        cell.output_equal = digest == results[workload, "baseline"][1]
+        rows.append(cell)
+    return CommAblationResult(scale=below_paper(scale), rows=rows)
+
+
+def run_comm_ablation(**params) -> CommAblationResult:
+    """:data:`COMM` run by the experiment driver."""
+    return COMM.run(**params)[0]
 
 
 def comm_claims(result: CommAblationResult) -> list[ShapeCheck]:
@@ -507,3 +401,33 @@ def comm_report(result: CommAblationResult) -> str:
     title = f"One-sided comm optimizations ({result.scale} scale, legacy runtime)"
     table = format_table(headers, rows, title=title)
     return f"{table}\n{render_claims(comm_claims(result))}"
+
+
+#: the six design-decision sweeps of ``repro ablations``
+ABLATIONS = Experiment(
+    name="ablations",
+    cells=ablation_cells,
+    reduce=_ablations_reduce,
+    report=ablations_report,
+    claims=ablation_claims,
+    defaults=dict(scale="paper"),
+    paper_shape=True,
+)
+
+#: the comm knob matrix of ``repro ablations --comm``: legacy runtime
+#: (its blocking per-tile GETs are the traffic the knobs target), REAL
+#: data, at most at small scale
+COMM = Experiment(
+    name="comm",
+    cells=_comm_cells,
+    reduce=_comm_reduce,
+    report=comm_report,
+    claims=comm_claims,
+    defaults=dict(
+        workloads=("t2_7", "ccsd", "rbgs"),
+        scale="tiny",
+        n_nodes=4,
+        cores_per_node=4,
+        seed=7,
+    ),
+)

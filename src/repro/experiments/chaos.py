@@ -22,16 +22,15 @@ across level barriers (a PTG launched after a crash re-homes the dead
 node's tasks at launch).
 
 Each runner's triple is one independent sweep cell (its fault plan is
-derived from its own fault-free horizon, nothing crosses runners), so
-the sweep dispatches through
-:class:`~repro.experiments.sweep.SweepExecutor`: ``jobs > 1`` runs the
-runners in worker processes with results merged deterministically.
+derived from its own fault-free horizon, nothing crosses runners):
+:data:`CHAOS` declares them, and ``jobs > 1`` runs the runners in
+worker processes with results merged deterministically.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,14 +38,15 @@ from repro.analysis.report import format_table
 from repro.core import api
 from repro.core.variants import PAPER_VARIANTS
 from repro.experiments.calibration import cell_config
-from repro.experiments.claims import ShapeCheck, render_claims
-from repro.experiments.sweep import SweepCell, SweepExecutor, SweepStats
+from repro.experiments.claims import Experiment, ShapeCheck, render_claims
+from repro.experiments.sweep import SweepCell, SweepStats
 from repro.sim.cluster import DataMode
 from repro.sim.faults import FaultPlan, NodeCrash, Straggler
 from repro.util.rng import derive_seed
 from repro.workloads import canonical_token
 
 __all__ = [
+    "CHAOS",
     "ChaosOutcome",
     "ChaosResult",
     "chaos_cells",
@@ -134,13 +134,13 @@ _RECOVERY_COUNTERS = (
 
 def _chaos_cell(
     name: str,
-    scale: str = "tiny",
-    n_nodes: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    fault_seed: int = 2025,
-    stealing: bool = False,
-    workload: str = "t2_7",
+    scale: str,
+    n_nodes: int,
+    cores_per_node: int,
+    seed: int,
+    fault_seed: int,
+    stealing: bool,
+    workload: str,
 ) -> tuple[ChaosOutcome, str]:
     """One runner's full triple (reference + two faulted runs).
 
@@ -197,36 +197,17 @@ def chaos_cells(codes: Sequence[str], **cell_fields) -> list[SweepCell]:
     ]
 
 
-def run_chaos(
-    scale: str = "tiny",
-    jobs: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
-    codes: Optional[list[str]] = None,
-    workload: str = "t2_7",
-    **cell_kwargs,
-) -> ChaosResult:
-    """The full chaos sweep: legacy plus the five PaRSEC variants.
-
-    ``codes`` restricts the sweep to a subset of runners; ``workload``
-    picks any registered workload (multi-level ones recover across
-    level barriers too). ``cell_kwargs`` are :func:`_chaos_cell`'s other
-    arguments (``n_nodes``, ``cores_per_node``, ``seed``,
-    ``fault_seed``, ``stealing``); ``stealing`` enables the
-    work-stealing policy on the PaRSEC variants, so the chaos triple
-    also exercises the fault x stealing interaction (the legacy runtime
-    ignores it).
-    """
-    names = codes if codes else ["original"] + sorted(PAPER_VARIANTS)
-    cells = chaos_cells(names, scale=scale, workload=workload, **cell_kwargs)
-    executor = SweepExecutor(
-        jobs=jobs, progress=progress, label=f"chaos[{workload}:{scale}]"
-    )
-    results, stats = executor.run(cells)
+def _chaos_reduce(results, codes, **_) -> ChaosResult:
     return ChaosResult(
-        plan_description=results[(names[0],)][1],
-        outcomes=[results[(name,)][0] for name in names],
-        sweep_stats=stats,
+        plan_description=results[(codes[0],)][1],
+        outcomes=[results[(name,)][0] for name in codes],
     )
+
+
+def run_chaos(jobs: int = 1, progress=None, **params) -> ChaosResult:
+    """:data:`CHAOS` run by the experiment driver, with its sweep stats."""
+    result, result.sweep_stats = CHAOS.run(jobs, progress, **params)
+    return result
 
 
 def chaos_claims(result: ChaosResult) -> list[ShapeCheck]:
@@ -262,3 +243,25 @@ def chaos_report(result: ChaosResult) -> str:
     )
     claims = render_claims(chaos_claims(result))
     return f"fault plan: {result.plan_description}\n\n{table}\n\n{claims}"
+
+
+#: legacy plus the five PaRSEC variants, one :func:`_chaos_cell` each;
+#: ``stealing`` enables the steal policy on the PaRSEC variants, so the
+#: triple also exercises the fault x stealing interaction
+CHAOS = Experiment(
+    name="chaos",
+    cells=chaos_cells,
+    reduce=_chaos_reduce,
+    report=chaos_report,
+    claims=chaos_claims,
+    defaults=dict(
+        scale="tiny",
+        codes=("original",) + tuple(sorted(PAPER_VARIANTS)),
+        workload="t2_7",
+        n_nodes=4,
+        cores_per_node=2,
+        seed=7,
+        fault_seed=2025,
+        stealing=False,
+    ),
+)

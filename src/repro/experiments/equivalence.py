@@ -6,30 +6,28 @@ different variations matched up to the 14th digit."
 Runs the same seeded workload through the dense reference, the legacy
 runtime, and all five PaRSEC variants — real data end to end — and
 compares the correlation-energy probe. Each implementation is one
-independent sweep cell, so the seven runs dispatch through
-:class:`~repro.experiments.sweep.SweepExecutor` (``jobs > 1`` fans
-them out over worker processes; the energies are identical either way).
+independent cell of :data:`EQUIVALENCE` (``jobs > 1`` fans them out
+over worker processes; the energies are identical either way).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from repro.core import api
 from repro.core.variants import PAPER_VARIANTS
 from repro.experiments.calibration import cell_config
-from repro.experiments.claims import ShapeCheck, render_claims
-from repro.experiments.sweep import SweepCell, SweepExecutor
+from repro.experiments.claims import Experiment, ShapeCheck, render_claims
+from repro.experiments.sweep import SweepCell
 from repro.sim.cluster import DataMode
 from repro.tce.reference import correlation_energy
 
 __all__ = [
+    "EQUIVALENCE",
     "EquivalenceResult",
     "equivalence_claims",
     "equivalence_report",
-    "run_equivalence",
 ]
 
 
@@ -48,14 +46,11 @@ class EquivalenceResult:
 
 
 def _equivalence_cell(
-    name: str,
-    scale: str,
-    n_nodes: int,
-    cores_per_node: int,
-    seed: int,
-    workload: str = "t2_7",
+    name: str, scale: str, n_nodes: int, cores_per_node: int, seed: int, workload: str
 ) -> float:
-    """One implementation's correlation energy on a fresh cluster."""
+    """One implementation's correlation energy on a fresh cluster; the
+    "reference" is the workload's own dense-NumPy
+    :meth:`reference_values`."""
     config = cell_config(cores_per_node, n_nodes, DataMode.REAL, seed=seed)
     workload_obj = api.build(workload, config, scale=scale)
     if name == "reference":
@@ -64,32 +59,16 @@ def _equivalence_cell(
     return correlation_energy(workload_obj.output.flat_values())
 
 
-def run_equivalence(
-    scale: str = "small",
-    n_nodes: int = 8,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    jobs: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
-    workload: str = "t2_7",
-) -> EquivalenceResult:
-    """Compute the correlation energy seven ways and compare.
-
-    ``workload`` selects any registered workload; the "reference" cell
-    is the workload's own dense-NumPy :meth:`reference_values`.
-    """
+def _equivalence_cells(**shared) -> list[SweepCell]:
     names = ["reference", "original"] + sorted(PAPER_VARIANTS)
-    shared = dict(scale=scale, n_nodes=n_nodes, cores_per_node=cores_per_node)
-    shared.update(seed=seed, workload=workload)
-    cells = [
+    return [
         SweepCell(key=(name,), fn=_equivalence_cell, kwargs=dict(name=name, **shared))
         for name in names
     ]
-    executor = SweepExecutor(
-        jobs=jobs, progress=progress, label=f"equivalence[{workload}:{scale}]"
-    )
-    results, _ = executor.run(cells)
-    energies = {name: results[(name,)] for name in names}
+
+
+def _equivalence_reduce(results, **_) -> EquivalenceResult:
+    energies = {name: energy for (name,), energy in results.items()}
     center = energies["reference"]
     spread = max(abs(v - center) for v in energies.values()) / max(abs(center), 1e-300)
     return EquivalenceResult(energies=energies, max_relative_spread=spread)
@@ -108,3 +87,14 @@ def equivalence_report(result: EquivalenceResult) -> str:
         f"{name:10s} {energy:+.15e}" for name, energy in sorted(result.energies.items())
     ]
     return "\n".join(energies + [render_claims(equivalence_claims(result))])
+
+
+#: the correlation energy seven ways, on any registered workload
+EQUIVALENCE = Experiment(
+    name="equivalence",
+    cells=_equivalence_cells,
+    reduce=_equivalence_reduce,
+    report=equivalence_report,
+    claims=equivalence_claims,
+    defaults=dict(scale="small", n_nodes=8, cores_per_node=2, seed=7, workload="t2_7"),
+)

@@ -5,11 +5,11 @@ of ``icsd_t2_7()`` on 32 nodes for beta-carotene/6-31G, for the
 original NWChem execution and the five PaRSEC variants, sweeping
 cores/node.
 
-:func:`run_fig9` produces the full series, :func:`fig9_report` renders
-it and :func:`fig9_shape_checks` evaluates the claims the paper draws
-from the figure, with tolerance bands (our machine is a calibrated
-simulation, so shapes — who wins, where the original saturates, how the
-variants order — are the reproduction target, not absolute seconds).
+:data:`FIG9` declares the sweep, :func:`fig9_report` renders it and
+:func:`fig9_shape_checks` evaluates the claims the paper draws from the
+figure, with tolerance bands (our machine is a calibrated simulation,
+so shapes — who wins, where the original saturates, how the variants
+order — are the reproduction target, not absolute seconds).
 """
 
 from __future__ import annotations
@@ -17,18 +17,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.report import format_fig9_table, format_table
 from repro.core import api
 from repro.experiments.calibration import CORE_COUNTS, PAPER_NODES, cell_config
-from repro.experiments.claims import ShapeCheck, render_claims
-from repro.experiments.sweep import SweepCell, SweepExecutor, SweepStats
+from repro.experiments.claims import Experiment, ShapeCheck, render_claims
+from repro.experiments.sweep import SweepCell, SweepStats
 from repro.util.errors import ConfigurationError
 from repro.workloads import canonical_token
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
+    "FIG9",
     "Fig9Result",
     "run_point",
     "fig9_cells",
@@ -233,52 +234,22 @@ def fig9_cells(
     ]
 
 
-def run_fig9(
-    scale: str = "paper",
-    core_counts: Sequence[int] = CORE_COUNTS,
-    codes: Iterable[str] = CODES,
-    n_nodes: int = PAPER_NODES,
-    jobs: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
-    workload: str = "t2_7",
-    **cell_kwargs,
+def _fig9_reduce(
+    results, codes, core_counts, scale, n_nodes, workload, **_
 ) -> Fig9Result:
-    """The full sweep: every code at every core count.
-
-    Every ``(code, cores)`` cell builds its own cluster and workload,
-    so the grid is dispatched through :class:`SweepExecutor`:
-    ``jobs > 1`` fans the cells out over worker processes and the
-    deterministic merge guarantees the result — ``times`` dict, tables,
-    BENCH JSON downstream — is byte-identical to the serial sweep.
-    ``cell_kwargs`` are :func:`run_point`'s other arguments (``seed``,
-    ``skew_factor``, ``skew_period``, ``machine``, ``stealing``).
-    """
-    codes = tuple(codes)
-    core_counts = tuple(core_counts)
-    cells = fig9_cells(
-        codes,
-        core_counts,
-        scale=scale,
-        n_nodes=n_nodes,
-        workload=workload,
-        **cell_kwargs,
-    )
-    executor = SweepExecutor(
-        jobs=jobs, progress=progress, label=f"fig9[{workload}:{scale}]"
-    )
-    results, stats = executor.run(cells)
-    times: dict[str, dict[int, float]] = {
-        code: {cores: results[(code, cores)] for cores in core_counts}
-        for code in codes
-    }
     return Fig9Result(
-        times=times,
-        core_counts=core_counts,
+        times={code: {c: results[(code, c)] for c in core_counts} for code in codes},
+        core_counts=tuple(core_counts),
         scale=scale,
         n_nodes=n_nodes,
         workload=workload,
-        sweep_stats=stats,
     )
+
+
+def run_fig9(jobs: int = 1, progress=None, **params) -> Fig9Result:
+    """:data:`FIG9` run by the experiment driver, with its sweep stats."""
+    result, result.sweep_stats = FIG9.run(jobs, progress, **params)
+    return result
 
 
 def fig9_report(result: Fig9Result) -> str:
@@ -413,3 +384,25 @@ def fig9_shape_checks(result: Fig9Result) -> list[ShapeCheck]:
         return ratio > 1.10, f"v2/v4 = {ratio:.2f}x"
 
     return checks
+
+
+#: every code at every core count; the other parameters are
+#: :func:`run_point`'s, the same for every cell
+FIG9 = Experiment(
+    name="fig9",
+    cells=fig9_cells,
+    reduce=_fig9_reduce,
+    report=fig9_report,
+    claims=fig9_shape_checks,
+    defaults=dict(
+        scale="paper",
+        codes=CODES,
+        core_counts=CORE_COUNTS,
+        n_nodes=PAPER_NODES,
+        workload="t2_7",
+        stealing=False,
+        skew_factor=1,
+        skew_period=0,
+    ),
+    paper_shape=True,
+)

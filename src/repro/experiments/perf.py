@@ -15,7 +15,6 @@ that differs, in either direction, or that only one grid has.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Optional
 
 from repro.experiments.calibration import CORE_COUNTS, PAPER_NODES
 from repro.experiments.fig9 import BENCH_SCHEMA_VERSION, Fig9Result, run_fig9
@@ -54,37 +53,20 @@ def baseline_path(scale: str, workload: str = "t2_7") -> Path:
     return root / f"BENCH_fig9_{tag}_{scale}.json"
 
 
-def run_perf(
-    scale: str = "tiny",
-    jobs: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
-    stealing: bool = False,
-    workload: str = "t2_7",
-) -> Fig9Result:
-    """Run the fig9-style sweep at a scale's preset grid.
+def run_perf(scale: str = "tiny", **params) -> Fig9Result:
+    """:func:`~repro.experiments.fig9.run_fig9` on a scale's preset grid.
 
-    ``scale`` must name a preset — an unknown scale raises
-    :class:`~repro.util.errors.ConfigurationError` rather than silently
-    falling back to the tiny grid (a typo would otherwise write a bogus
-    baseline). ``jobs`` fans the independent cells out over worker
-    processes; the resulting baseline is byte-identical to ``jobs=1``.
-    ``stealing`` runs the PaRSEC codes with the default steal policy —
-    such sweeps are *not* comparable to the committed static baselines
-    (the CLI neither gates on one nor writes one as a baseline).
+    An unknown ``scale`` is a :class:`~repro.util.errors.ConfigurationError`
+    rather than falling back to the tiny grid (a typo would otherwise
+    write a bogus baseline). A ``stealing`` sweep is *not* comparable to
+    the committed static baselines (the CLI neither gates on one nor
+    writes one as a baseline).
     """
-    preset = PERF_PRESETS.get(scale)
-    if preset is None:
+    if scale not in PERF_PRESETS:
         raise ConfigurationError(
             f"unknown perf scale {scale!r}; choose from {sorted(PERF_PRESETS)}"
         )
-    return run_fig9(
-        scale=scale,
-        jobs=jobs,
-        progress=progress,
-        stealing=stealing,
-        workload=workload,
-        **preset,
-    )
+    return run_fig9(scale=scale, **PERF_PRESETS[scale], **params)
 
 
 def baseline_mismatches(old: Fig9Result, new: Fig9Result) -> list[str]:

@@ -15,12 +15,14 @@ extract the quantities the prose cites:
   length of the red [GEMMs]" → per-category time shares: communication
   spans are a substantial fraction of GEMM spans.
 
-Each figure pair has a report (what ``repro traces`` prints) and claims.
+:data:`FIG10_11` and :data:`FIG12_13` declare the two experiments
+``repro traces`` runs; each has a report and claims.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.analysis.gantt import render_gantt
@@ -31,20 +33,21 @@ from repro.analysis.metrics import (
     startup_idle_fraction,
 )
 from repro.core import api
-from repro.core.variants import V2, V4
+from repro.core.variants import variant_by_name
 from repro.experiments.calibration import PAPER_NODES, cell_config
-from repro.experiments.claims import ShapeCheck, render_claims
+from repro.experiments.claims import Experiment, ShapeCheck, render_claims
+from repro.experiments.sweep import SweepCell
 from repro.sim.trace import TaskCategory, TraceRecorder
 
 __all__ = [
+    "FIG10_11",
+    "FIG12_13",
     "TraceExperiment",
     "comm_vs_gemm_share",
     "fig10_11_claims",
     "fig10_11_report",
     "fig12_13_claims",
     "fig12_13_report",
-    "run_fig10_11",
-    "run_fig12_13",
 ]
 
 #: the trace figures were taken with 7 worker threads per node
@@ -70,11 +73,14 @@ class TraceExperiment:
         return render_gantt(self.trace, max_rows=TRACE_CORES, title=self.name)
 
 
-def _traced_run(
-    name: str, runtime: str, scale: str, n_nodes: Optional[int]
-) -> TraceExperiment:
-    """One traced t2_7 run on ``runtime`` plus its figure quantities, on
-    ``n_nodes`` or by default the paper's 32 (8 below paper scale)."""
+def _traced_run(runtime: str, scale: str, n_nodes: Optional[int]) -> TraceExperiment:
+    """One traced t2_7 run on ``runtime`` (``legacy`` or a variant) plus
+    its figure quantities, on ``n_nodes`` or by default the paper's 32
+    (8 below paper scale)."""
+    name = "trace of original NWChem code"
+    if runtime != "legacy":
+        variant = variant_by_name(runtime)
+        name = f"trace of {runtime} ({variant.describe()})"
     n_nodes = n_nodes or (8 if scale in ("tiny", "small") else PAPER_NODES)
     config = cell_config(TRACE_CORES, n_nodes, trace=True)
     workload = api.build("t2_7", config, scale=scale)
@@ -91,23 +97,9 @@ def _traced_run(
     )
 
 
-def run_fig10_11(
-    scale: str = "paper", n_nodes: Optional[int] = None
-) -> tuple[TraceExperiment, TraceExperiment]:
-    """The Figure 10 (v4) and Figure 11 (v2) pair."""
-
-    def trace(variant):
-        name = f"trace of {variant.name} ({variant.describe()})"
-        return _traced_run(name, variant.name, scale, n_nodes)
-
-    return trace(V4), trace(V2)
-
-
-def run_fig12_13(
-    scale: str = "paper", n_nodes: Optional[int] = None
-) -> TraceExperiment:
-    """The Figure 12/13 run: the original code, traced."""
-    return _traced_run("trace of original NWChem code", "legacy", scale, n_nodes)
+def _trace_cells(runtimes, scale: str, n_nodes: Optional[int]) -> list[SweepCell]:
+    kwargs = dict(scale=scale, n_nodes=n_nodes)
+    return [SweepCell((r,), _traced_run, dict(runtime=r, **kwargs)) for r in runtimes]
 
 
 def comm_vs_gemm_share(experiment: TraceExperiment) -> float:
@@ -120,9 +112,10 @@ def comm_vs_gemm_share(experiment: TraceExperiment) -> float:
     return comm / gemm
 
 
-def fig10_11_claims(v4: TraceExperiment, v2: TraceExperiment) -> list[ShapeCheck]:
-    """Figure 11's reading: v2 "has too much idle time in the beginning",
-    and the wasted start costs total time."""
+def fig10_11_claims(pair: tuple[TraceExperiment, TraceExperiment]) -> list[ShapeCheck]:
+    """Figure 11's reading of the ``(v4, v2)`` pair: v2 "has too much
+    idle time in the beginning", and the wasted start costs total time."""
+    v4, v2 = pair
     idle = v2.startup_idle / v4.startup_idle if v4.startup_idle else float("inf")
     time = v2.execution_time / v4.execution_time
     return [
@@ -161,15 +154,16 @@ def fig12_13_claims(original: TraceExperiment) -> list[ShapeCheck]:
     ]
 
 
-def fig10_11_report(v4: TraceExperiment, v2: TraceExperiment) -> str:
+def fig10_11_report(pair: tuple[TraceExperiment, TraceExperiment]) -> str:
     """The Figure 10 and 11 traces with their startup idle, and the claims."""
+    v4, v2 = pair
     sections = [
         f"=== {figure}: {e.name}\n"
         f"time={e.execution_time:.4f}s  startup idle={100 * e.startup_idle:.1f}%\n"
         + e.gantt()
         for e, figure in ((v4, "Figure 10"), (v2, "Figure 11"))
     ]
-    return "\n\n".join(sections + [render_claims(fig10_11_claims(v4, v2))])
+    return "\n\n".join(sections + [render_claims(fig10_11_claims(pair))])
 
 
 def fig12_13_report(original: TraceExperiment) -> str:
@@ -196,3 +190,27 @@ def fig12_13_report(original: TraceExperiment) -> str:
             render_claims(fig12_13_claims(original)),
         ]
     )
+
+
+#: Figure 10 (v4) and Figure 11 (v2), reduced to the ``(v4, v2)`` pair;
+#: ``n_nodes=None`` is the paper's 32 nodes (8 below paper scale)
+FIG10_11 = Experiment(
+    name="fig10_11",
+    cells=partial(_trace_cells, ("v4", "v2")),
+    reduce=lambda results, **_: (results[("v4",)], results[("v2",)]),
+    report=fig10_11_report,
+    claims=fig10_11_claims,
+    defaults=dict(scale="paper", n_nodes=None),
+    paper_shape=True,
+)
+
+#: Figures 12/13: the original code, traced
+FIG12_13 = Experiment(
+    name="fig12_13",
+    cells=partial(_trace_cells, ("legacy",)),
+    reduce=lambda results, **_: results[("legacy",)],
+    report=fig12_13_report,
+    claims=fig12_13_claims,
+    defaults=dict(scale="paper", n_nodes=None),
+    paper_shape=True,
+)

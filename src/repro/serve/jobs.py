@@ -12,10 +12,10 @@ so two jobs that differ only in ``workload`` never share an answer.
 Job kinds
 ---------
 - ``point`` — one :func:`~repro.experiments.fig9.run_point` cell:
-  a single code at a single core count.
-- ``fig9``  — the Figure 9 grid: every requested code at every
-  requested core count, one cell per ``(code, cores)``.
-- ``chaos`` — the fault-injection recovery sweep, one cell per runner.
+  a single code at a single core count (the 1x1 ``fig9`` grid).
+- ``fig9``  — the declared Figure 9 experiment's cells: every requested
+  code at every requested core count, one cell per ``(code, cores)``.
+- ``chaos`` — the declared chaos experiment's cells, one per runner.
 """
 
 from __future__ import annotations
@@ -214,22 +214,17 @@ def job_digest(spec: JobSpec) -> str:
 # expanding a spec into sweep cells
 # ----------------------------------------------------------------------
 def build_cells(spec: JobSpec) -> list[SweepCell]:
-    """Expand one job into its independent sweep cells.
-
-    The job parameters are named after the arguments of the experiments'
-    own cell builders, so a spec expands by keyword; a ``point`` job is
-    the 1x1 ``fig9`` grid. Cells are plain parameters: the daemon
-    inspects nothing, the pool process that runs a cell memoises it.
-    """
-    from repro.experiments.chaos import chaos_cells
-    from repro.experiments.fig9 import fig9_cells
+    """Expand one job into the cells of the declared experiment its kind
+    names, by keyword (a ``point`` job is the 1x1 ``fig9`` grid). Cells
+    are plain parameters: the pool process that runs one memoises it."""
+    from repro.experiments.claims import experiment
 
     p = dict(spec.params)
-    if spec.kind == "chaos":
-        return chaos_cells(p.pop("codes"), **p)
     if spec.kind == "point":
-        return fig9_cells([p.pop("code")], [p.pop("cores")], **p)
-    return fig9_cells(p.pop("codes"), p.pop("core_counts"), **p)
+        return experiment("fig9").cells(
+            codes=[p.pop("code")], core_counts=[p.pop("cores")], **p
+        )
+    return experiment(spec.kind).cells(**p)
 
 
 def _jsonable(value: Any) -> Any:

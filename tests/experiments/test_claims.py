@@ -73,16 +73,16 @@ def _trace(time=1.0, idle=0.1, overlap=0.0, comm=0.5, shares=None):
 class TestTraceClaims:
     def test_v2_startup_idle_band(self):
         v4 = _trace(idle=0.1)
-        assert verdicts(fig10_11_claims(v4, _trace(idle=0.151, time=2.0))) == [
+        assert verdicts(fig10_11_claims((v4, _trace(idle=0.151, time=2.0)))) == [
             True,
             True,
         ]
-        assert not fig10_11_claims(v4, _trace(idle=0.15, time=2.0))[0].passed
+        assert not fig10_11_claims((v4, _trace(idle=0.15, time=2.0)))[0].passed
 
     def test_v2_time_band(self):
         v4 = _trace(time=1.0)
-        assert fig10_11_claims(v4, _trace(idle=1.0, time=1.11))[1].passed
-        assert not fig10_11_claims(v4, _trace(idle=1.0, time=1.1))[1].passed
+        assert fig10_11_claims((v4, _trace(idle=1.0, time=1.11)))[1].passed
+        assert not fig10_11_claims((v4, _trace(idle=1.0, time=1.1)))[1].passed
 
     def test_fig12_13_bands(self):
         assert all(verdicts(fig12_13_claims(_trace())))

@@ -2,12 +2,6 @@
 
 import pytest
 
-from repro.experiments.ablations import (
-    compare_load_balancing,
-    sweep_priority_offsets,
-    sweep_segment_height,
-    sweep_write_organization,
-)
 from repro.experiments.calibration import (
     CORE_COUNTS,
     PAPER_MACHINE,
@@ -16,9 +10,9 @@ from repro.experiments.calibration import (
     make_cluster,
     make_workload,
 )
-from repro.experiments.equivalence import run_equivalence
+from repro.experiments.claims import EXPERIMENT_NAMES, experiment
 from repro.experiments.fig9 import fig9_shape_checks, run_fig9, run_point
-from repro.experiments.traces import comm_vs_gemm_share, run_fig10_11, run_fig12_13
+from repro.experiments.traces import comm_vs_gemm_share
 from repro.sim.cost import MachineModel
 
 
@@ -97,17 +91,20 @@ class TestFig9Small:
 
 
 class TestTraceExperiments:
+    @pytest.fixture(scope="class")
+    def original(self):
+        return experiment("fig12_13").run(scale="tiny", n_nodes=4)[0]
+
     def test_fig10_11_priorities_reduce_startup_idle(self):
         # the network-flood contrast needs a non-trivial message load,
         # so this test runs at 'small' scale; the benchmark asserts the
         # same at paper scale
-        v4, v2 = run_fig10_11(scale="small", n_nodes=8)
+        (v4, v2), _ = experiment("fig10_11").run(scale="small", n_nodes=8)
         assert v2.startup_idle > v4.startup_idle
         assert v2.execution_time >= v4.execution_time * 0.98
         assert "trace of v2" in v2.name
 
-    def test_fig12_13_original_has_no_overlap_and_heavy_comm(self):
-        original = run_fig12_13(scale="tiny", n_nodes=4)
+    def test_fig12_13_original_has_no_overlap_and_heavy_comm(self, original):
         # within-thread overlap is structurally zero for blocking code —
         # exactly the paper's Figure 12 point
         assert original.overlap == 0.0
@@ -116,14 +113,13 @@ class TestTraceExperiments:
         gantt = original.gantt()
         assert "G" in gantt and "c" in gantt
 
-    def test_trace_has_events(self):
-        original = run_fig12_13(scale="tiny", n_nodes=4)
+    def test_trace_has_events(self, original):
         assert len(original.trace) > 0
 
 
 class TestEquivalence:
     def test_all_implementations_agree(self):
-        result = run_equivalence(scale="tiny", n_nodes=4)
+        result, _ = experiment("equivalence").run(scale="tiny", n_nodes=4)
         assert set(result.energies) == {
             "reference",
             "original",
@@ -138,23 +134,114 @@ class TestEquivalence:
 
 
 class TestAblations:
-    def test_priority_offset_sweep_returns_all_offsets(self):
-        times = sweep_priority_offsets(offsets=(0, 5), scale="tiny", cores_per_node=2)
-        assert set(times) == {0, 5}
+    """The six sweeps as one grid at tiny scale, serial."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return experiment("ablations").run(scale="tiny")[0]
+
+    def test_priority_offset_sweep_returns_all_offsets(self, result):
+        times = result.priority_offsets
+        assert list(times) == [0, 1, 5, 10]
         assert all(t > 0 for t in times.values())
 
-    def test_segment_height_sweep(self):
-        times = sweep_segment_height(heights=(1, None), scale="tiny", cores_per_node=2)
-        assert set(times) == {"height-1", "full-chain"}
+    def test_segment_height_sweep(self, result):
+        assert list(result.segment_heights) == [
+            "height-1",
+            "height-2",
+            "height-4",
+            "full-chain",
+        ]
 
-    def test_write_organization_sweep(self):
-        times = sweep_write_organization(
-            mutex_costs=(1e-6,), scale="tiny", cores_per_node=2
-        )
-        (cell,) = times.values()
-        assert set(cell) == {"single-write (v5)", "parallel-write"}
+    def test_write_organization_sweep(self, result):
+        assert list(result.write_organization) == [
+            "lock=4e-07s",
+            "lock=4e-06s",
+            "lock=4e-05s",
+        ]
+        for cell in result.write_organization.values():
+            assert list(cell) == ["single-write (v5)", "parallel-write"]
 
-    def test_load_balancing_comparison(self):
-        times = compare_load_balancing(scale="tiny", cores_per_node=2, n_nodes=4)
+    def test_load_balancing_comparison(self, result):
+        times = result.load_balancing
         assert len(times) == 3
         assert all(t > 0 for t in times.values())
+
+    def test_scheduler_policies_and_work_stealing(self, result):
+        assert list(result.scheduler_policies) == ["priority", "fifo", "lifo"]
+        assert list(result.work_stealing) == ["2 nodes", "4 nodes", "8 nodes"]
+        for row in result.work_stealing.values():
+            assert list(row) == ["static", "stealing", "chains_migrated", "speedup"]
+            assert row["speedup"] == row["static"] / row["stealing"]
+
+    def test_pooled_equals_serial(self, result):
+        """The six sweeps have one grid, so they run pooled too."""
+        pooled, stats = experiment("ablations").run(jobs=2, scale="tiny")
+        assert stats.jobs == 2
+        assert pooled == result
+
+
+class TestExperimentTable:
+    """The declared experiments are the one list the CLI, the bench and
+    the job service run."""
+
+    INVOCATIONS = (
+        ["fig9"],
+        ["traces"],
+        ["equivalence"],
+        ["ablations"],
+        ["ablations", "--comm"],
+        ["chaos"],
+    )
+
+    def test_each_is_reached_by_one_cli_invocation_and_by_the_bench(
+        self, monkeypatch, capsys
+    ):
+        from collections import Counter
+        from dataclasses import replace
+
+        from benchmarks import bench_experiments
+        from repro.__main__ import main
+        from repro.experiments import claims
+
+        declared = claims.experiment
+        ran = []
+
+        def recorded(name):
+            """The declaration, running no cell and claiming nothing."""
+            ran.append(name)
+            return replace(
+                declared(name),
+                cells=lambda **_: [],
+                reduce=lambda results, **_: None,
+                report=lambda result: name,
+                claims=lambda result: [],
+            )
+
+        monkeypatch.setattr(claims, "experiment", recorded)
+        for argv in self.INVOCATIONS:
+            assert main(argv + ["--scale", "tiny"]) == 0
+        capsys.readouterr()
+        assert Counter(ran) == Counter(claims.EXPERIMENT_NAMES)
+        marks = bench_experiments.test_experiment.pytestmark
+        (mark,) = [m for m in marks if m.name == "parametrize"]
+        assert tuple(mark.args[1]) == claims.EXPERIMENT_NAMES
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_cells_at_tiny_have_unique_keys_and_pickle(self, name):
+        import pickle
+
+        declared = experiment(name)
+        cells = declared.cells(**declared.params(scale="tiny"))
+        assert cells
+        keys = [cell.key for cell in cells]
+        assert len(set(keys)) == len(keys)
+        for cell in cells:
+            clone = pickle.loads(pickle.dumps(cell))
+            assert (clone.key, clone.fn) == (cell.key, cell.fn)
+
+    def test_an_unknown_name_is_a_configuration_error(self):
+        from repro.util.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="unknown experiment 'fig8'"):
+            experiment("fig8")

@@ -99,10 +99,11 @@ class TestParallelIdentity:
         assert serial.times == parallel.times
 
     def test_equivalence_parallel_matches_serial(self):
-        from repro.experiments.equivalence import run_equivalence
+        from repro.experiments.claims import experiment
 
-        serial = run_equivalence(scale="tiny", n_nodes=4, jobs=1)
-        parallel = run_equivalence(scale="tiny", n_nodes=4, jobs=2)
+        equivalence = experiment("equivalence")
+        serial, _ = equivalence.run(jobs=1, scale="tiny", n_nodes=4)
+        parallel, _ = equivalence.run(jobs=2, scale="tiny", n_nodes=4)
         assert serial.energies == parallel.energies
 
 

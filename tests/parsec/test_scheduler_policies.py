@@ -94,3 +94,18 @@ class TestPolicies:
         assert time_for("fifo") == time_for(SchedulerPolicy.FIFO)
         with pytest.raises(ConfigurationError, match="priority, fifo, lifo"):
             time_for("random")
+
+    @pytest.mark.parametrize(
+        "runtime, named", [("legacy", "legacy"), ("original", "legacy"), ("dtd", "dtd")]
+    )
+    def test_a_runtime_that_reads_no_policy_refuses_one(self, runtime, named):
+        """Legacy and DTD schedule without a node policy: a policy given
+        to them is refused, naming the field and the runtimes that read it,
+        before anything is built (it used to leave their times unchanged)."""
+        config = RunConfig(n_nodes=4, cores_per_node=2, policy=SchedulerPolicy.LIFO)
+        with pytest.raises(ConfigurationError) as exc:
+            run("t2_7:tiny", runtime, config=config)
+        message = str(exc.value)
+        assert message.startswith("RunConfig.policy=")
+        assert "('parsec', v1, v2, v3, v4, v5)" in message
+        assert f"the {named} runtime would ignore it" in message

@@ -261,3 +261,39 @@ class TestSerializeResults:
         )
         assert values == {"v5/2": {"t": 1.5, "n": 3, "seq": [1, 2]}}
         assert errors == {}
+
+
+class TestWhatAJobIs:
+    """A job's digest is its content address in every journal: a journal
+    written by an earlier build must be answered by the same job, with
+    the same cells, by this one."""
+
+    CODES = ["original", "v1", "v2", "v3", "v4", "v5"]
+
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            (
+                "point",
+                "8695197bcc8a0a63d5721bfbd3784c7c895c6d0c09fe6c51a554c8d741fca3cb",
+            ),
+            (
+                "fig9",
+                "3bc09eed880e6d7fd6b8e332c738f4342893687890d742a2062c3386f40ba465",
+            ),
+            (
+                "chaos",
+                "b843d37db0a0cefb57ccd0fae91c9948b8a6cb278166bf81cd1f25ef8b6fb1a1",
+            ),
+        ],
+    )
+    def test_default_spec_digests(self, kind, digest):
+        assert job_digest(JobSpec.normalize(kind)) == digest
+
+    def test_default_spec_cell_labels(self):
+        def labels(kind):
+            return [cell.label() for cell in build_cells(JobSpec.normalize(kind))]
+
+        assert labels("point") == ["v5/2"]
+        assert labels("fig9") == [f"{c}/{n}" for c in self.CODES for n in (1, 2)]
+        assert labels("chaos") == self.CODES

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line driver."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -193,11 +194,22 @@ class TestClaimsGate:
         numbers fail the paper's Figure 10-13 bands."""
         from repro.experiments import traces
 
-        for name in ("run_fig10_11", "run_fig12_13"):
-            run = getattr(traces, name)
-            monkeypatch.setattr(
-                traces, name, lambda scale, run=run: run(scale="tiny", n_nodes=4)
-            )
+        for attribute in ("FIG10_11", "FIG12_13"):
+            declared = getattr(traces, attribute)
+            tiny = lambda scale, n_nodes, cells=declared.cells: cells("tiny", 4)
+            monkeypatch.setattr(traces, attribute, replace(declared, cells=tiny))
+
+    @pytest.fixture
+    def failing_ablations(self, monkeypatch):
+        """``ablations`` runs no cell and reduces to a failing result."""
+        from repro.experiments import ablations
+
+        declared = replace(
+            ablations.ABLATIONS,
+            cells=lambda scale: [],
+            reduce=lambda results, scale: _failing_ablations(scale),
+        )
+        monkeypatch.setattr(ablations, "ABLATIONS", declared)
 
     @pytest.mark.parametrize("scale, code", [("paper", 1), ("tiny", 0)])
     def test_traces_claims_gate_at_paper_scale(self, tiny_traces, capsys, scale, code):
@@ -208,22 +220,18 @@ class TestClaimsGate:
 
     @pytest.mark.parametrize("scale, code", [("paper", 1), ("tiny", 0)])
     def test_ablations_claims_gate_at_paper_scale(
-        self, monkeypatch, capsys, scale, code
+        self, failing_ablations, capsys, scale, code
     ):
-        from repro.experiments import ablations
-
-        monkeypatch.setattr(ablations, "run_ablations", _failing_ablations)
         assert main(["ablations", "--scale", scale]) == code
         out = capsys.readouterr().out
         assert "[FAIL] read offset +5" in out
         assert ("informational only" in out) == (scale == "tiny")
 
     def test_ablations_out_writes_the_printed_report(
-        self, monkeypatch, capsys, tmp_path
+        self, failing_ablations, capsys, tmp_path
     ):
         from repro.experiments import ablations
 
-        monkeypatch.setattr(ablations, "run_ablations", _failing_ablations)
         out = tmp_path / "ablations.txt"
         assert main(["ablations", "--scale", "tiny", "--out", str(out)]) == EXIT_OK
         printed = capsys.readouterr().out
