@@ -87,7 +87,10 @@ _OPTIONS: dict[str, dict] = {
     ),
     "stealing": dict(
         action="store_true",
-        help="run the PaRSEC codes with inter-node work stealing",
+        help=(
+            "inter-node work stealing on the codes that read it (`repro "
+            "info` prints which); a sweep where none does exits 2"
+        ),
     ),
     "nodes": dict(type=int, default=4, help="nodes in the allocation"),
     "cores": dict(type=int, default=2, help="compute cores per node"),
@@ -425,6 +428,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     workload = api.build(token, cell_config(1, n_nodes=4))
     print(f"\nworkload {token}: {workload.describe()}")
     print(f"\ncalibrated machine: {PAPER_MACHINE}")
+    print("\nwhich runtime reads which knob (any other refuses it):")
+    print(api.knob_table())
     return EXIT_OK
 
 
@@ -496,12 +501,6 @@ def main(argv: list[str] | None = None) -> int:
         scale=dict(default="tiny"),
         nodes=dict(dest="n_nodes", metavar="NODES"),
         cores=dict(dest="cores_per_node", metavar="CORES"),
-        stealing=dict(
-            help=(
-                "run the PaRSEC variants with inter-node work stealing under "
-                "the fault plan (the legacy runtime ignores it)"
-            )
-        ),
     )
     p.add_argument(
         "--fault-seed", type=int, default=2025, help="master seed of the fault plan"
@@ -554,8 +553,9 @@ def main(argv: list[str] | None = None) -> int:
         out=dict(help="where to write the fresh BENCH JSON"),
         stealing=dict(
             help=(
-                "sweep with inter-node work stealing; writes a _stealing "
-                "BENCH file and skips the (static) baseline gate"
+                "sweep with inter-node work stealing on the codes that read "
+                "it; writes a _stealing BENCH file and skips the (static) "
+                "baseline gate"
             )
         ),
     )

@@ -47,12 +47,17 @@ from repro.workloads import build_workload, parse_workload_token
 from repro.workloads.base import BoundWorkload
 
 __all__ = [
+    "KNOB_READERS",
+    "RUNTIMES",
     "RunConfig",
     "StealPolicy",
     "build",
     "build_cluster",
+    "for_runtime",
+    "knob_table",
     "precompute_inspection",
     "ptg_pipeline",
+    "refuse_unread",
     "run",
 ]
 
@@ -106,6 +111,96 @@ class RunConfig:
     #: timers still run; simulated behaviour is identical either way.
     inspection_cache: Optional[InspectionCache] = field(
         default=None, repr=False, compare=False
+    )
+
+
+# ----------------------------------------------------------------------
+# which runtime reads which knob
+# ----------------------------------------------------------------------
+#: The runtimes that read each run-side knob, as measured (one witness
+#: cell per pair in ``tests/test_knob_table.py``): on any other runtime
+#: a value other than the default changes neither the execution time
+#: nor the metrics, so :func:`run` refuses it and :func:`for_runtime`
+#: drops it. Every other field (geometry, data mode, machine, seed,
+#: skew, trace, metrics) shapes the run on every runtime.
+KNOB_READERS: dict[str, tuple[str, ...]] = {
+    "policy": ("parsec",),
+    "stealing": ("parsec",),
+    "gpus_per_node": ("parsec",),
+    "legacy": ("legacy",),
+    "coalescing": ("parsec", "legacy"),
+    "remote_cache": ("legacy",),
+}
+
+#: every runtime, with the ``runtime=`` spellings that select it (a
+#: variant name selects PaRSEC with that variant)
+RUNTIMES: dict[str, tuple[str, ...]] = {
+    "parsec": ("parsec", *PAPER_VARIANTS),
+    "legacy": ("legacy", "original"),
+    "dtd": ("dtd",),
+}
+
+_KNOB_DEFAULTS = {
+    spec.name: spec.default
+    for spec in dataclasses.fields(RunConfig)
+    if spec.name in KNOB_READERS
+}
+
+
+def _unread(config: RunConfig, runtimes) -> list[str]:
+    """The knobs ``config`` sets that none of ``runtimes`` (``run(runtime=
+    ...)`` spellings) reads."""
+    names = {_resolve_runtime(runtime, V5)[0] for runtime in runtimes}
+    return [
+        knob
+        for knob, readers in KNOB_READERS.items()
+        if getattr(config, knob) != _KNOB_DEFAULTS[knob] and names.isdisjoint(readers)
+    ]
+
+
+def for_runtime(config: RunConfig, runtime: str) -> RunConfig:
+    """``config`` with every knob ``runtime`` does not read reset to its
+    default: the one way for a caller that shares a config across
+    runtimes (a sweep over codes) to give each one a config it accepts.
+    Build a workload for ``runtime`` from this config too."""
+    unread = _unread(config, (runtime,))
+    if not unread:
+        return config
+    defaults = {knob: _KNOB_DEFAULTS[knob] for knob in unread}
+    return dataclasses.replace(config, **defaults)
+
+
+def refuse_unread(config: RunConfig, runtimes) -> None:
+    """Raise :class:`~repro.util.errors.ConfigurationError` when
+    ``config`` sets a knob that none of ``runtimes`` (``run(runtime=...)``
+    spellings) reads; the message names the field and its readers."""
+    unread = _unread(config, runtimes)
+    if not unread:
+        return
+    knob = unread[0]
+    read_by = " and the ".join(
+        f"{reader} runtime (runtime={'|'.join(RUNTIMES[reader])})"
+        for reader in KNOB_READERS[knob]
+    )
+    names = sorted({_resolve_runtime(runtime, V5)[0] for runtime in runtimes})
+    plural = "runtimes" if len(names) > 1 else "runtime"
+    raise ConfigurationError(
+        f"RunConfig.{knob}={getattr(config, knob)!r} is read only by the "
+        f"{read_by}; the {' and '.join(names)} {plural} would ignore it"
+    )
+
+
+def knob_table() -> str:
+    """:data:`KNOB_READERS` as the text table ``repro info`` and the
+    README print."""
+    rows = [("RunConfig knob", "read by", "refused by")]
+    for knob, readers in KNOB_READERS.items():
+        refused = [name for name in RUNTIMES if name not in readers]
+        rows.append((knob, ", ".join(readers), ", ".join(refused)))
+    widths = [max(len(row[col]) for row in rows) for col in range(2)]
+    return "\n".join(
+        f"{knob:<{widths[0]}}  {read:<{widths[1]}}  {refused}"
+        for knob, read, refused in rows
     )
 
 
@@ -269,18 +364,18 @@ def _run_levels(cluster: Cluster, levels, run_level):
 
 
 def _resolve_runtime(runtime: str, variant) -> tuple[str, VariantSpec]:
-    """``runtime=``/``variant=`` spellings to ("legacy"|"dtd"|"parsec", spec)."""
-    name = runtime.lower()
-    if name == "original":
-        name = "legacy"
-    if name in PAPER_VARIANTS:
-        variant = variant_by_name(name)
-        name = "parsec"
-    if name not in ("legacy", "dtd", "parsec"):
+    """``runtime=``/``variant=`` spellings to (a :data:`RUNTIMES` key, spec)."""
+    spelling = runtime.lower()
+    for name, spellings in RUNTIMES.items():
+        if spelling in spellings:
+            break
+    else:
         raise ConfigurationError(
-            f"unknown runtime {runtime!r}: expected 'parsec', 'legacy', "
-            f"'dtd', or one of {tuple(PAPER_VARIANTS)}"
+            f"unknown runtime {runtime!r}: expected one of "
+            f"{sum(RUNTIMES.values(), ())}"
         )
+    if spelling in PAPER_VARIANTS:
+        variant = spelling
     if isinstance(variant, str):
         variant = variant_by_name(variant)
     return name, variant
@@ -314,17 +409,13 @@ def run(
 
     Unknown runtime or workload names raise
     :class:`~repro.util.errors.ConfigurationError` before any cluster
-    is built (the CLI maps it to exit code 2), and so does a
-    ``RunConfig.policy`` on a runtime that does not read it.
+    is built (the CLI maps it to exit code 2), and so does a knob the
+    runtime does not read (:data:`KNOB_READERS`; a caller that shares
+    one config across runtimes passes :func:`for_runtime`'s).
     """
     config = config or RunConfig()
     name, variant = _resolve_runtime(runtime, variant)
-    if config.policy is not None and name != "parsec":
-        raise ConfigurationError(
-            f"RunConfig.policy={config.policy!r} is read only by the PaRSEC "
-            f"PTG runtime ('parsec', {', '.join(PAPER_VARIANTS)}); the {name} "
-            "runtime would ignore it"
-        )
+    refuse_unread(config, (name,))
     if isinstance(workload, str):
         scale = parse_workload_token(workload)[1]
         workload = build(workload, config)

@@ -95,11 +95,6 @@ class ChainMeta:
     def n_segments(self) -> int:
         return -(-len(self.a_owner) // self.seg_len)
 
-    def segment(self, s: int) -> range:
-        """The GEMM positions (L2) of segment ``s``."""
-        start = s * self.seg_len
-        return range(start, min(start + self.seg_len, len(self.a_owner)))
-
 
 @dataclass
 class Metadata:

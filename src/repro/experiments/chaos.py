@@ -147,10 +147,10 @@ def _chaos_cell(
     Module-level and pure-data in/out so the sweep executor can ship it
     to a worker process; returns the outcome plus the plan description.
     """
-    # the legacy runtime ignores the steal policy
     config = cell_config(
         cores_per_node, n_nodes, DataMode.REAL, stealing=stealing, seed=seed
     )
+    config = api.for_runtime(config, name)
     token = canonical_token(workload, scale=scale)
 
     def one_run(plan):
@@ -190,7 +190,10 @@ def _chaos_cell(
 def chaos_cells(codes: Sequence[str], **cell_fields) -> list[SweepCell]:
     """One :func:`_chaos_cell` sweep cell per runner in ``codes``: plain
     parameters (``cell_fields``, the same for every runner); the
-    inspection is memoised where the cell runs."""
+    inspection is memoised where the cell runs. ``stealing`` that none
+    of ``codes`` reads is refused here, before any cell runs."""
+    stealing = cell_fields.get("stealing", False)
+    api.refuse_unread(cell_config(1, stealing=stealing), codes)
     return [
         SweepCell(key=(name,), fn=_chaos_cell, kwargs=dict(name=name, **cell_fields))
         for name in codes
@@ -246,8 +249,8 @@ def chaos_report(result: ChaosResult) -> str:
 
 
 #: legacy plus the five PaRSEC variants, one :func:`_chaos_cell` each;
-#: ``stealing`` enables the steal policy on the PaRSEC variants, so the
-#: triple also exercises the fault x stealing interaction
+#: ``stealing`` turns the steal policy on wherever a runner reads it, so
+#: the triple also exercises the fault x stealing interaction
 CHAOS = Experiment(
     name="chaos",
     cells=chaos_cells,

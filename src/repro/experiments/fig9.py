@@ -200,14 +200,15 @@ def run_point(
 
     ``config_fields`` are :func:`~repro.experiments.calibration.
     cell_config`'s: ``machine``, ``seed``, ``stealing`` (on/off: the
-    default :class:`~repro.parsec.stealing.StealPolicy` for the PaRSEC
-    codes; the original/dtd paths ignore it), the skew knobs (they shape
-    the workload itself, so they apply to every code) and
-    ``inspection_cache`` (the caller's own instead of the process memo;
-    either skips the chain walk of a workload/node-count already
-    inspected — virtual timings are unaffected).
+    default :class:`~repro.parsec.stealing.StealPolicy`), the skew knobs
+    and ``inspection_cache`` (the caller's own instead of the process
+    memo; either skips the chain walk of a workload/node-count already
+    inspected — virtual timings are unaffected). They are shared by
+    every code of a sweep, so a knob ``code`` does not read is dropped
+    (:func:`~repro.core.api.for_runtime`).
     """
     config = cell_config(cores_per_node, n_nodes, **config_fields)
+    config = api.for_runtime(config, code)
     token = canonical_token(workload, scale=scale)
     return api.run(token, runtime=code, config=config).execution_time
 
@@ -221,8 +222,11 @@ def fig9_cells(
     for every cell. A cell is a few hundred bytes of parameters: the
     process that runs it memoises the inspection (one chain walk per
     structure × variant height × node count it meets), so nothing is
-    precomputed or shipped here.
+    precomputed or shipped here. ``stealing`` that none of ``codes``
+    reads is refused here, before any cell runs.
     """
+    stealing = point_fields.get("stealing", False)
+    api.refuse_unread(cell_config(1, stealing=stealing), codes)
     return [
         SweepCell(
             key=(code, cores),

@@ -91,6 +91,15 @@ class JobSpec:
     @classmethod
     def normalize(cls, kind: str, params: dict | None = None) -> "JobSpec":
         """Validate and canonicalize a raw submission."""
+        spec = cls._canonical(kind, params)
+        # expanding refuses a knob none of the codes reads (stealing on
+        # "original" alone): a job whose every cell would ignore it
+        build_cells(spec)
+        return spec
+
+    @classmethod
+    def _canonical(cls, kind: str, params: dict | None) -> "JobSpec":
+        """``params`` over the kind's defaults, converted and checked."""
         if kind not in _PARAM_DEFAULTS:
             raise ConfigurationError(
                 f"unknown job kind {kind!r}: expected one of {JOB_KINDS}"
@@ -155,10 +164,14 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
+        """A journaled spec, admitted under the rules of its day: one
+        with a knob none of its codes reads is not refused, so the daemon
+        boots and a ``done`` one still answers its digest (a queued one
+        fails on the refusal when its cells are built)."""
         params = dict(d.get("params") or {})
         if d.get("priority"):
             params["priority"] = d["priority"]
-        return cls.normalize(d["kind"], params)
+        return cls._canonical(d["kind"], params)
 
     def describe(self) -> str:
         p = self.params

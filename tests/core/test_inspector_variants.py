@@ -70,9 +70,16 @@ def chain_of(n_gemms, height):
     return ChainMeta(0, (0,) * n_gemms, (0,) * n_gemms, seg_len, ())
 
 
+def segment(chain, s):
+    """The GEMM positions (L2) of segment ``s``: ``seg_len`` from
+    ``s * seg_len``, the last one cut at the chain's end."""
+    start = s * chain.seg_len
+    return range(start, min(start + chain.seg_len, len(chain.a_owner)))
+
+
 def segments_of(chain):
     """Each segment's (start, length)."""
-    spans = [chain.segment(s) for s in range(chain.n_segments)]
+    spans = [segment(chain, s) for s in range(chain.n_segments)]
     return [(span.start, len(span)) for span in spans]
 
 
@@ -120,7 +127,7 @@ class TestSegments:
 
     def test_last_position(self):
         chain = chain_of(7, 3)
-        assert [chain.segment(s)[-1] for s in range(chain.n_segments)] == [2, 5, 6]
+        assert [segment(chain, s)[-1] for s in range(chain.n_segments)] == [2, 5, 6]
 
 
 class TestReduceTree:
@@ -259,7 +266,7 @@ class TestInspection:
         md_v1 = inspect_subroutine(workload.subroutine, cluster, V1)
         chain = md_v1.chains[0]
         assert md_v1.trees[0].n == 1
-        assert chain.segment(0)[-1] == chain.seg_len - 1 == spec.length - 1
+        assert segment(chain, 0)[-1] == chain.seg_len - 1 == spec.length - 1
         md_v5 = inspect_subroutine(workload.subroutine, cluster, V5)
         tree = md_v5.trees[0]
         if spec.length > 1:

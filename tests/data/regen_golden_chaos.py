@@ -78,7 +78,10 @@ def _one_run(workload: str, runner: str, config, plan):
 
 def run_cell(workload: str, runner: str, stealing: bool) -> dict:
     """The reference and faulted run of one chaos cell, as its digest."""
-    config = cell_config(CORES, N_NODES, DataMode.REAL, stealing=stealing, seed=SEED)
+    config = api.for_runtime(
+        cell_config(CORES, N_NODES, DataMode.REAL, stealing=stealing, seed=SEED),
+        runner,
+    )
     reference, horizon, _, _ = _one_run(workload, runner, config, None)
     plan = default_plan(FAULT_SEED, horizon, N_NODES)
     values, end, report, result = _one_run(workload, runner, config, plan)

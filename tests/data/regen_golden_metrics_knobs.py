@@ -8,12 +8,13 @@ emit. This file does, for every cell of
     workload {t2_7, ccsd, rbgs} x runner {original, v5, dtd}
 
 at ``tiny`` on 4 nodes x 2 cores, REAL, seed 7, with the registry on,
-message coalescing and the remote-block cache on, ordered accumulation,
-stealing on for ``v5``, and — for ``original`` and ``v5`` — the chaos
-plan of ``repro chaos`` at fault seed 2025 (DTD has no crash recovery and
-refuses that plan). Each cell is a sha256 of ``result.metrics`` without
-the ``run.output_checksum`` gauge (a sum through the host BLAS), so every
-series name, label and value is pinned bitwise on any host.
+ordered accumulation, message coalescing, the remote-block cache and
+stealing on wherever the runner reads them (``api.for_runtime``), and —
+for ``original`` and ``v5`` — the chaos plan of ``repro chaos`` at fault
+seed 2025 (DTD has no crash recovery and refuses that plan). Each cell
+is a sha256 of ``result.metrics`` without the ``run.output_checksum``
+gauge (a sum through the host BLAS), so every series name, label and
+value is pinned bitwise on any host.
 
 Only regenerate for an *intentional* change of what a run reports:
 
@@ -47,15 +48,18 @@ def cell_id(workload: str, runner: str) -> str:
 
 def _one_run(workload: str, runner: str, plan):
     """``(result, engine clock)`` of one knob-on run under ``plan``."""
-    config = cell_config(
-        CORES,
-        N_NODES,
-        DataMode.REAL,
-        stealing=runner == "v5",
-        metrics=True,
-        seed=SEED,
-        coalescing=CoalescePolicy(),
-        remote_cache=RemoteCachePolicy(),
+    config = api.for_runtime(
+        cell_config(
+            CORES,
+            N_NODES,
+            DataMode.REAL,
+            stealing=True,
+            metrics=True,
+            seed=SEED,
+            coalescing=CoalescePolicy(),
+            remote_cache=RemoteCachePolicy(),
+        ),
+        runner,
     )
     built = api.build(f"{workload}:tiny", config)
     built.output.array.enable_ordered_accumulation()

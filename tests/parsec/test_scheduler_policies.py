@@ -107,5 +107,5 @@ class TestPolicies:
             run("t2_7:tiny", runtime, config=config)
         message = str(exc.value)
         assert message.startswith("RunConfig.policy=")
-        assert "('parsec', v1, v2, v3, v4, v5)" in message
+        assert "(runtime=parsec|v1|v2|v3|v4|v5)" in message
         assert f"the {named} runtime would ignore it" in message

@@ -195,6 +195,16 @@ class TestRoutes:
         finally:
             daemon.stop()
 
+    def test_a_knob_no_code_reads_is_400(self, tmp_path):
+        daemon, client = _daemon(tmp_path)
+        try:
+            with pytest.raises(ServiceError, match="RunConfig.stealing") as exc:
+                client.submit("chaos", {"codes": ["original"], "stealing": True})
+            assert exc.value.status == 400
+            assert client.overview()["jobs"] == []
+        finally:
+            daemon.stop()
+
     def test_unfinished_result_is_202_with_hint(self, tmp_path):
         daemon, client = _daemon(tmp_path)
         try:

@@ -95,6 +95,32 @@ class TestNormalize:
         with pytest.raises(ConfigurationError, match=match):
             JobSpec.normalize(kind, params)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("point", {"code": "original", "stealing": True}),
+        ("fig9", {"codes": ["original"], "stealing": True}),
+        ("chaos", {"codes": ["original"], "stealing": True}),
+    ])
+    def test_a_knob_none_of_the_codes_reads_is_refused(self, kind, params):
+        """Refused at submit, naming the knob and its readers: every
+        cell of the job would run as if it were off."""
+        with pytest.raises(ConfigurationError, match=r"RunConfig\.stealing=.*parsec"):
+            JobSpec.normalize(kind, params)
+
+    def test_a_journaled_job_with_such_a_knob_still_replays(self):
+        """Admitted before the refusal existed: it keeps its spec (so a
+        daemon boots on its journal and a done job still answers); run
+        again, it fails on the refusal."""
+        d = {"kind": "chaos", "params": {"codes": ["original"], "stealing": True}}
+        spec = JobSpec.from_dict(d)
+        assert spec.params["stealing"] is True
+        with pytest.raises(ConfigurationError, match="RunConfig.stealing"):
+            build_cells(spec)
+
+    def test_a_knob_one_of_the_codes_reads_is_accepted(self):
+        params = {"codes": ["original", "v5"], "stealing": True}
+        spec = JobSpec.normalize("chaos", params)
+        assert len(build_cells(spec)) == 2
+
     def test_describe_names_the_workload(self):
         spec = JobSpec.normalize("chaos", {"workload": "rbgs"})
         assert "rbgs" in spec.describe()

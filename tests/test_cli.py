@@ -17,6 +17,20 @@ class TestCli:
         assert "icsd_t2_7" in out
         assert "472 basis functions" in out
 
+    def test_info_prints_the_knob_table(self, capsys):
+        from repro.core.api import knob_table
+
+        assert main(["info", "--scale", "tiny"]) == 0
+        assert knob_table() in capsys.readouterr().out
+
+    def test_a_sweep_whose_knob_no_code_reads_is_a_usage_error(self, capsys):
+        """Refused before any cell runs: every cell would ignore it."""
+        argv = ["chaos", "--scale", "tiny", "--stealing", "--codes", "original"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "RunConfig.stealing=" in captured.err
+        assert "Chaos sweep" not in captured.out
+
     def test_equivalence_tiny(self, capsys):
         assert main(["equivalence", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out

@@ -2,7 +2,8 @@
 
 Every cell of ``tests/data/golden_metrics_knobs.json`` — workload {t2_7,
 ccsd, rbgs} x runner {original, v5, dtd} with coalescing, the remote
-cache, stealing (v5) and the chaos plan (original, v5) on — is run again
+cache and stealing on where the runner reads them and the chaos plan
+(original, v5) on — is run again
 with the registry on and its metrics snapshot must hash to the committed
 sha256. Every series is pure Python over the virtual clock, so the file
 holds on any host. Regenerate only for an intentional change:

