@@ -2,9 +2,9 @@
 
 The paper argues variant behaviour from structure: serial GEMM chains
 (v1) trade parallelism for locality, segmented chains (v2-v5) invert
-the trade. With the task graph materialized as a networkx DAG we can
-*measure* that structure without running anything: total work, critical
-path (span), and the work/span bound on useful parallelism.
+the trade. Walking each variant's task template in dependency order we
+can *measure* that structure without running anything: total work,
+critical path (span), and the work/span bound on useful parallelism.
 
 Also exports a Chrome trace of a v5 run — open it at
 https://ui.perfetto.dev or chrome://tracing to browse the simulated

@@ -273,6 +273,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     nothing is lost)."""
     import os
     import signal
+    import traceback
 
     from repro.serve.daemon import ServeDaemon
 
@@ -291,29 +292,34 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(EXIT_OK)
 
     signal.signal(signal.SIGTERM, _on_sigterm)
-    daemon.start()
-    recovered = daemon.recovered
-    if recovered.jobs:
-        print(
-            f"journal replay: {len(recovered.jobs)} job(s), "
-            f"{len(recovered.pending)} requeued, "
-            f"{len(recovered.done)} done",
-            file=sys.stderr,
-        )
-    if daemon.corrupt_lines:
-        print(
-            f"journal replay skipped {daemon.corrupt_lines} corrupt "
-            f"line(s)",
-            file=sys.stderr,
-        )
-    print(f"serving on {daemon.host}:{daemon.port}", flush=True)
     rc = EXIT_OK
     try:
+        # a signal from here on lands in the finally: stop() never waits
+        # for an HTTP loop that did not start
+        daemon.start()
+        recovered = daemon.recovered
+        if recovered.jobs:
+            print(
+                f"journal replay: {len(recovered.jobs)} job(s), "
+                f"{len(recovered.pending)} requeued, "
+                f"{len(recovered.done)} done",
+                file=sys.stderr,
+            )
+        if daemon.corrupt_lines:
+            print(
+                f"journal replay skipped {daemon.corrupt_lines} corrupt "
+                f"line(s)",
+                file=sys.stderr,
+            )
+        print(f"serving on {daemon.host}:{daemon.port}", flush=True)
         daemon.serve_forever()
     except KeyboardInterrupt:
         rc = EXIT_INTERRUPTED
     except SystemExit as exc:
         rc = int(exc.code or 0)
+    except Exception:  # os._exit below would swallow it
+        traceback.print_exc()
+        rc = EXIT_CHECK_FAILED
     finally:
         daemon.stop()
         print("daemon stopped; journal flushed", file=sys.stderr)

@@ -1,10 +1,12 @@
-"""Task-graph structure analysis via networkx.
+"""Task-graph structure analysis, walked off the PTG's own template.
 
 The paper's Section IV-A argument — segmenting the GEMM chains
 "increases available parallelism" — is a statement about the task DAG's
-*critical path*. This module materializes an instantiated
-:class:`~repro.parsec.ptg.TaskGraph` as a networkx DiGraph weighted by
-each task's modeled cost, and computes:
+*critical path*. This module walks an instantiated
+:class:`~repro.parsec.ptg.TaskGraph`'s template the way the runtime
+does — a row is ready once the edges into it (its ``pending`` count)
+have all fired — weighting each task by its modelled cost, and
+computes:
 
 - the critical path length (a lower bound on any execution time),
 - total work (the serial execution time),
@@ -12,20 +14,20 @@ each task's modeled cost, and computes:
   cores),
 
 so structural claims like "v5's DAG is far wider than v1's" can be
-checked without running the simulator at all.
+checked without running the simulator at all, and without a graph
+object: like PaRSEC, nothing holds the DAG but the template's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.parsec.ptg import TaskGraph
 from repro.sim.cost import MachineModel, OpCost
 from repro.sim.trace import TaskCategory
+from repro.util.errors import DataflowError
 
-__all__ = ["DagProfile", "task_graph_to_networkx", "profile_task_graph"]
+__all__ = ["DagProfile", "profile_task_graph"]
 
 
 def _estimate_cost(
@@ -35,10 +37,9 @@ def _estimate_cost(
 
     Mirrors the charges the ptg_build bodies make (compute part plus
     memory bytes at the per-core copy rate); close enough for
-    structural analysis.
+    structural analysis. A task outside the CCSD categories (a
+    hand-built PTG's ``OTHER``) costs the per-task overhead alone.
     """
-    L1 = params[0]
-    spec = md.specs[L1]
     copy_rate = machine.core_copy_bytes_per_s
 
     def total(cost: OpCost) -> float:
@@ -52,10 +53,11 @@ def _estimate_cost(
         nbytes = (gemm.a if category is TaskCategory.READ_A else gemm.b).nbytes
         return nbytes / machine.ga_local_bytes_per_s + nbytes / copy_rate
     if category is TaskCategory.REDUCE:
-        return total(machine.axpy(spec.c_size))
+        return total(machine.axpy(md.specs[params[0]].c_size))
     if category is TaskCategory.DFILL:
-        return total(machine.zero_fill(spec.c_size))
+        return total(machine.zero_fill(md.specs[params[0]].c_size))
     if category is TaskCategory.SORT:
+        spec = md.specs[params[0]]
         cost = machine.zero_fill(spec.c_size)
         first = True
         for _ in spec.active_sorts:
@@ -64,28 +66,9 @@ def _estimate_cost(
             first = False
         return total(cost)
     if category is TaskCategory.WRITE:
-        seg = md.chains[L1].write_segs[params[-1]]
+        seg = md.chains[params[0]].write_segs[params[-1]]
         return total(machine.axpy(seg.size))
     return machine.task_overhead_s
-
-
-def task_graph_to_networkx(graph: TaskGraph, machine: MachineModel) -> nx.DiGraph:
-    """Materialize the instantiated task graph with cost-weighted nodes."""
-    md = graph.md
-    dag = nx.DiGraph()
-    for row in range(len(graph)):
-        key = graph.key(row)
-        category = graph.cls(row).category
-        dag.add_node(
-            key,
-            cost=_estimate_cost(category, key[1], md, machine),
-            category=category.value,
-            node=graph.nodes[row],
-        )
-    for row in range(len(graph)):
-        for _, consumer in graph.template.successors(row):
-            dag.add_edge(graph.key(row), graph.key(consumer))
-    return dag
 
 
 @dataclass(frozen=True)
@@ -93,10 +76,9 @@ class DagProfile:
     """Structural summary of one task graph."""
 
     n_tasks: int
-    n_edges: int
+    n_edges: int           # dataflow edges: the template's consumers column
     total_work: float      # sum of task costs (serial time)
     critical_path: float   # span: longest cost-weighted path
-    critical_length: int   # tasks on that path
 
     @property
     def average_parallelism(self) -> float:
@@ -107,21 +89,35 @@ class DagProfile:
 
 
 def profile_task_graph(graph: TaskGraph, machine: MachineModel) -> DagProfile:
-    """Critical-path/work analysis of an instantiated task graph."""
-    dag = task_graph_to_networkx(graph, machine)
-    total_work = sum(data["cost"] for _, data in dag.nodes(data=True))
-    # longest path with node weights: push each node's cost onto its
-    # outgoing edges, then add the path head's cost
-    weighted = nx.DiGraph()
-    weighted.add_nodes_from(dag.nodes())
-    for u, v in dag.edges():
-        weighted.add_edge(u, v, w=dag.nodes[u]["cost"])
-    path = nx.dag_longest_path(weighted, weight="w")
-    span = sum(dag.nodes[node]["cost"] for node in path)
+    """Critical-path/work analysis of an instantiated task graph, in
+    Kahn order over its template's rows and successor edges."""
+    template = graph.template
+    categories = [cls.category for cls in graph.classes]
+    rows = range(len(template))
+    costs = [
+        _estimate_cost(categories[index], params, graph.md, machine)
+        for (_, params), index in zip(template.keys(rows), template.class_of)
+    ]
+    starts, consumers = template.edge_starts, template.consumers
+    pending = list(template.pending)
+    # the longest cost-weighted path into each row, then through it
+    finish = [0.0] * len(costs)
+    order = [row for row in rows if not pending[row]]
+    for row in order:  # grows as rows become ready
+        done = finish[row] = finish[row] + costs[row]
+        for consumer in consumers[starts[row] : starts[row + 1]]:
+            if done > finish[consumer]:
+                finish[consumer] = done
+            pending[consumer] -= 1
+            if not pending[consumer]:
+                order.append(consumer)
+    if len(order) < len(costs):
+        raise DataflowError(
+            f"{len(costs) - len(order)} tasks never become ready: a cycle"
+        )
     return DagProfile(
-        n_tasks=dag.number_of_nodes(),
-        n_edges=dag.number_of_edges(),
-        total_work=total_work,
-        critical_path=span,
-        critical_length=len(path),
+        n_tasks=len(costs),
+        n_edges=len(consumers),
+        total_work=sum(costs),
+        critical_path=max(finish, default=0.0),
     )

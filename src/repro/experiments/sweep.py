@@ -165,10 +165,7 @@ class SweepStats:
 
     Kept strictly apart from the cell results so the deterministic
     artifacts (BENCH JSON, tables, reports of the runs themselves)
-    carry no host timing. ``to_report`` packages the summary as an obs
-    :class:`~repro.obs.report.RunReport` with ``runtime="sweep"`` —
-    that report intentionally breaks the usual "no wall-clock" rule
-    because measuring the wall clock is its entire point.
+    carry no host timing.
     """
 
     label: str
@@ -198,30 +195,6 @@ class SweepStats:
                 f"{len(self.cell_errors)} failed cells]"
             )
         return line
-
-    def to_report(self):
-        """The sweep summary as a structured obs RunReport."""
-        from repro.obs.report import RunReport
-
-        extra = {
-            "jobs": self.jobs,
-            "wall_s": round(self.wall_s, 6),
-            "cell_wall_s": {
-                label: round(seconds, 6)
-                for label, seconds in sorted(self.cell_wall_s.items())
-            },
-        }
-        if self.retries or self.pool_kills or self.cell_errors:
-            extra["retries"] = self.retries
-            extra["pool_kills"] = self.pool_kills
-            extra["cell_errors"] = dict(sorted(self.cell_errors.items()))
-        return RunReport(
-            runtime="sweep",
-            workload=self.label,
-            execution_time=0.0,
-            n_tasks=self.n_cells,
-            extra=extra,
-        )
 
 
 def default_progress(line: str) -> None:

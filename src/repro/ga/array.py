@@ -202,26 +202,6 @@ class GlobalArray:
         self.flush_accumulations()
         return self._snapshot(*segment)
 
-    def accumulate_segment(
-        self, segment: Segment, data: Optional[np.ndarray], tag=None
-    ) -> None:
-        """In-place add of ``data`` into one owner segment (handler-side).
-
-        With ordered accumulation enabled and a ``tag`` given, the
-        contribution is logged instead of applied; see
-        :meth:`enable_ordered_accumulation`.
-        """
-        self.record_write(segment.lo, segment.hi)
-        if self._segments is None:
-            return
-        if data is None:
-            raise GlobalArrayError("REAL-mode accumulate received no data")
-        if self._ordered and tag is not None:
-            self._log(tag, segment.lo, segment.hi, data)
-            return
-        view = self.ga_access(segment.node, segment.lo, segment.hi)
-        view += data
-
     # ------------------------------------------------------------------
     # direct range access (PaRSEC-side: data already local by placement)
     # ------------------------------------------------------------------
@@ -249,10 +229,11 @@ class GlobalArray:
         """In-place ``array[lo:hi] += data`` across owners, uncosted.
 
         Used by PaRSEC WRITE_C task bodies, which run on the owner node
-        under the node's write mutex; the memory traffic and mutex costs
-        are charged by the task body. No-op in SYNTH mode. With ordered
-        accumulation enabled and a ``tag`` given, the contribution is
-        logged instead of applied (see
+        under the node's write mutex, and by the GA owner handler for one
+        owner's segment of a remote accumulate; the caller charges the
+        memory traffic and mutex costs. No-op in SYNTH mode. With
+        ordered accumulation enabled and a ``tag`` given, the
+        contribution is logged instead of applied (see
         :meth:`enable_ordered_accumulation`).
         """
         self.record_write(lo, hi)

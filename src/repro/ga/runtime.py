@@ -366,7 +366,9 @@ class GlobalArrays:
                 on_deliver=request.reply,
             )
         elif request.kind == "acc":
-            request.array.accumulate_segment(segment, request.data, tag=request.tag)
+            request.array.accumulate_range_direct(
+                segment.lo, segment.hi, request.data, tag=request.tag
+            )
             network.send(
                 node.node_id,
                 request.requester,

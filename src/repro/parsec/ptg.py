@@ -229,12 +229,6 @@ class PTG:
         self.classes[task_class.name] = task_class
         return task_class
 
-    def task_class(self, name: str) -> TaskClass:
-        try:
-            return self.classes[name]
-        except KeyError:
-            raise DataflowError(f"PTG {self.name!r} has no class {name!r}") from None
-
     def instantiate(self, md: Any, n_nodes: int, validate: bool = True) -> "TaskGraph":
         """A fresh run's task state over the template for metadata ``md``."""
         if validate and self.key is not None and self.cache is not None:

@@ -272,6 +272,10 @@ class ServeDaemon:
         self._server.daemon = self  # type: ignore[attr-defined]
         self.host, self.port = self._server.server_address[:2]
         self._stopped = False
+        #: an HTTP loop was entered: ``BaseServer.shutdown()`` waits for
+        #: one, so :meth:`stop` calls it only then
+        self._serving = False
+        self._lifecycle = threading.Lock()
         # bound here, before any thread: a request inserts no series while
         # the scheduler emits or /metrics iterates the same registry
         self._requests = {
@@ -290,22 +294,28 @@ class ServeDaemon:
     def start_in_thread(self) -> None:
         self.start()
         thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-serve-http",
+            target=self.serve_forever, name="repro-serve-http",
             kwargs={"poll_interval": 0.1}, daemon=True,
         )
         thread.start()
 
-    def serve_forever(self) -> None:
-        self._server.serve_forever(poll_interval=0.2)
+    def serve_forever(self, poll_interval: float = 0.2) -> None:
+        """Serve HTTP until :meth:`stop`; after it, return at once."""
+        with self._lifecycle:
+            if self._stopped:
+                return
+            self._serving = True
+        self._server.serve_forever(poll_interval=poll_interval)
 
     def stop(self) -> None:
         """Graceful shutdown: journal the in-flight jobs for resumption
         and kill the pools, compact the journal into a snapshot, append
         the clean-stop marker, flush and close the journal, close the
-        socket."""
-        if self._stopped:
-            return
-        self._stopped = True
+        socket. Safe before, during or without :meth:`serve_forever`."""
+        with self._lifecycle:
+            if self._stopped:
+                return
+            self._stopped = True
         self.scheduler.stop()
         try:
             self.journal.compact()
@@ -313,10 +323,11 @@ class ServeDaemon:
             pass  # block shutdown; the uncompacted journal replays fine
         self.journal.append("daemon_stopped", clean=True)
         self.journal.close()
-        try:
-            self._server.shutdown()
-        except Exception:  # pragma: no cover - shutdown race
-            pass
+        if self._serving:  # no loop can start now: _stopped is set
+            try:
+                self._server.shutdown()
+            except Exception:  # pragma: no cover - shutdown race
+                pass
         self._server.server_close()
 
     # ------------------------------------------------------------------

@@ -52,11 +52,6 @@ class SimMutex:
         """True while some thread holds the mutex."""
         return self._resource.in_use > 0
 
-    @property
-    def waiters(self) -> int:
-        """Number of threads blocked on the mutex."""
-        return self._resource.queue_length
-
     def abandon_waiters(self) -> int:
         """Mark every thread parked on the mutex dead (crash cleanup).
 

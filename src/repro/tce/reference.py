@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.ga.array import assemble
 from repro.tce.subroutine import ChainSpec, Subroutine
-from repro.util.rng import RngStream
+from repro.util.rng import seeded_normal
 
 __all__ = [
     "BlockReader",
@@ -135,5 +135,5 @@ def correlation_energy(i2_flat: np.ndarray, seed: int = 7) -> float:
     two runs shows up here, which makes it the right single number for
     the paper's 14-digit agreement check.
     """
-    weights = RngStream(seed, "energy-probe").standard_normal(i2_flat.shape[0])
+    weights = seeded_normal(seed, "energy-probe", i2_flat.shape[0])
     return float(np.dot(i2_flat, weights) / np.sqrt(i2_flat.shape[0]))

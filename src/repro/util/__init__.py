@@ -12,7 +12,7 @@ from repro.util.errors import (
     ConfigurationError,
     GlobalArrayError,
 )
-from repro.util.rng import RngStream, derive_seed
+from repro.util.rng import derive_seed
 from repro.util.validation import (
     check_positive,
     check_non_negative,
@@ -26,7 +26,6 @@ __all__ = [
     "DataflowError",
     "ConfigurationError",
     "GlobalArrayError",
-    "RngStream",
     "derive_seed",
     "check_positive",
     "check_non_negative",

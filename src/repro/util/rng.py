@@ -1,7 +1,8 @@
 """Deterministic random-number streams.
 
-Every stochastic choice in the library draws from an :class:`RngStream`
-derived from a user-provided master seed and a string *purpose* label.
+Every stochastic choice in the library draws from a NumPy generator
+seeded by :func:`derive_seed` from a user-provided master seed and a
+string *purpose* label.
 Two runs with the same seed therefore see identical tile data, identical
 noise, identical everything — which is what lets the test suite assert
 exact equality between runtimes.
@@ -14,7 +15,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["derive_seed", "RngStream", "seeded_normal"]
+__all__ = ["derive_seed", "seeded_normal"]
 
 #: per master seed, the sha256 state after ``f"{seed}:"`` — a derivation
 #: copies it and hashes only the purpose (the fault plan derives one seed
@@ -68,55 +69,15 @@ def derive_seed(master_seed: int, purpose: str) -> int:
     return _FIRST_U64(digest.digest())[0] >> 1
 
 
-class RngStream:
-    """A labelled, reproducible random stream.
-
-    Thin wrapper over :class:`numpy.random.Generator` that records its
-    provenance (master seed + purpose) for debugging and supports
-    spawning child streams.
-    """
-
-    def __init__(self, master_seed: int, purpose: str) -> None:
-        self.master_seed = master_seed
-        self.purpose = purpose
-        self._gen = np.random.default_rng(derive_seed(master_seed, purpose))
-
-    def child(self, purpose: str) -> "RngStream":
-        """Spawn an independent stream labelled ``purpose`` under this one."""
-        return RngStream(self.master_seed, f"{self.purpose}/{purpose}")
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying NumPy generator."""
-        return self._gen
-
-    def standard_normal(self, shape) -> np.ndarray:
-        """Standard-normal array of the given shape (float64)."""
-        return self._gen.standard_normal(shape)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        """Uniform samples in ``[low, high)``."""
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low: int, high: int, size=None):
-        """Integer samples in ``[low, high)``."""
-        return self._gen.integers(low, high, size=size)
-
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle of a Python list."""
-        self._gen.shuffle(seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngStream(seed={self.master_seed}, purpose={self.purpose!r})"
-
-
 def seeded_normal(master_seed: int, purpose: str, size: int) -> np.ndarray:
     """The seeded standard-normal contents of a tensor, read-only.
 
     The one seeded fill: a workload's input tensors adopt this array as
     their storage (:meth:`repro.ga.array.GlobalArray.adopt`), so it is
-    frozen here and never written — a writer copies first.
+    frozen here and never written — a writer copies first. The
+    correlation-energy probe draws its weights here too.
     """
-    values = RngStream(master_seed, purpose).standard_normal(size)
+    generator = np.random.default_rng(derive_seed(master_seed, purpose))
+    values = generator.standard_normal(size)
     values.flags.writeable = False
     return values

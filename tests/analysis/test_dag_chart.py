@@ -3,12 +3,16 @@
 import pytest
 
 from repro.analysis.ascii_chart import render_series_chart
-from repro.analysis.dag import profile_task_graph, task_graph_to_networkx
+from repro.analysis.dag import profile_task_graph
 from repro.core.api import RunConfig, build, run
 from repro.core.inspector import inspect_subroutine
 from repro.core.ptg_build import build_ccsd_ptg
 from repro.core.variants import V1, V5
+from repro.parsec.ptg import PTG
+from repro.parsec.taskclass import Dep, Flow, FlowMode, TaskClass
 from repro.sim.cluster import DataMode
+from repro.sim.cost import MachineModel
+from repro.util.errors import DataflowError
 
 
 def make_graph(variant, scale="tiny"):
@@ -19,23 +23,70 @@ def make_graph(variant, scale="tiny"):
     return ptg.instantiate(md, cluster.n_nodes), cluster.machine, workload
 
 
+def other_class(name, domain, outputs=()):
+    """An ``OTHER`` class (it costs the per-task overhead) whose one flow
+    feeds ``outputs``; a profile never runs its body."""
+    return TaskClass(
+        name=name,
+        params=("i",) * len(domain[0]),
+        domain=lambda md: domain,
+        placement=lambda p, md: 0,
+        run=None,
+        flows=[Flow("X", FlowMode.RW, lambda p, md: 1, outputs=list(outputs))],
+    )
+
+
+def diamond_ptg():
+    """SRC -> MID(0), MID(1) -> SINK: four tasks, three of them on every
+    longest path."""
+    ptg = PTG("diamond")
+    to_mid = [Dep("MID", lambda p, md, i=i: (i,), "X") for i in (0, 1)]
+    ptg.add(other_class("SRC", [()], to_mid))
+    ptg.add(other_class("MID", [(0,), (1,)], [Dep("SINK", lambda p, md: (), "X")]))
+    ptg.add(other_class("SINK", [()]))
+    return ptg
+
+
 class TestDagAnalysis:
-    def test_networkx_export_is_a_dag(self):
-        import networkx as nx
-
-        graph, machine, _ = make_graph(V5)
-        dag = task_graph_to_networkx(graph, machine)
-        assert nx.is_directed_acyclic_graph(dag)
-        assert dag.number_of_nodes() == len(graph)
-        assert all(data["cost"] >= 0 for _, data in dag.nodes(data=True))
-
     def test_profile_invariants(self):
         graph, machine, _ = make_graph(V5)
         profile = profile_task_graph(graph, machine)
         assert profile.n_tasks == len(graph)
         assert profile.critical_path <= profile.total_work
-        assert profile.critical_length >= 1
         assert profile.average_parallelism >= 1.0
+
+    @pytest.mark.parametrize(
+        "variant, n_tasks, n_edges, work, span",
+        [
+            (V1, 4014, 3888, "0x1.4a9432586b30ep-3", "0x1.700afbe119a0ap-11"),
+            (V5, 4662, 4536, "0x1.66612c1693c5dp-3", "0x1.66b38bce114f4p-12"),
+        ],
+        ids=["v1", "v5"],
+    )
+    def test_small_profile_is_pinned(self, variant, n_tasks, n_edges, work, span):
+        """The values the profile read when it still built a networkx
+        DiGraph and took its longest path: the template walk keeps them
+        bit for bit."""
+        profile = profile_task_graph(*make_graph(variant, "small")[:2])
+        assert (profile.n_tasks, profile.n_edges) == (n_tasks, n_edges)
+        assert profile.total_work.hex() == work
+        assert profile.critical_path.hex() == span
+
+    def test_diamond_work_and_span(self):
+        machine = MachineModel()
+        overhead = machine.task_overhead_s
+        profile = profile_task_graph(diamond_ptg().instantiate(None, 1), machine)
+        assert (profile.n_tasks, profile.n_edges) == (4, 4)
+        assert profile.total_work == pytest.approx(4 * overhead)
+        assert profile.critical_path == pytest.approx(3 * overhead)
+        assert profile.average_parallelism == pytest.approx(4 / 3)
+
+    def test_a_cycle_is_refused(self):
+        ptg = PTG("cycle")
+        ptg.add(other_class("A", [()], [Dep("B", lambda p, md: (), "X")]))
+        ptg.add(other_class("B", [()], [Dep("A", lambda p, md: (), "X")]))
+        with pytest.raises(DataflowError, match="2 tasks never become ready"):
+            profile_task_graph(ptg.instantiate(None, 1), MachineModel())
 
     def test_v5_dag_is_much_wider_than_v1(self):
         """Section IV-A: segmenting the chains 'increases available

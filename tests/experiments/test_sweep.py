@@ -19,7 +19,7 @@ from repro.experiments.perf import (
     baseline_path,
     run_perf,
 )
-from repro.experiments.sweep import SweepCell, SweepExecutor, SweepStats
+from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.util.errors import ConfigurationError
 
 
@@ -68,18 +68,6 @@ class TestSweepExecutor:
         assert stats.n_cells == 3
         assert set(stats.cell_wall_s) == {"0", "1", "2"}
         assert "3 cells" in stats.summary()
-
-    def test_stats_to_report_is_obs_run_report(self):
-        stats = SweepStats(label="x", jobs=2, n_cells=4, wall_s=1.5,
-                           cell_wall_s={"a": 0.5, "b": 1.0})
-        report = stats.to_report()
-        assert report.runtime == "sweep"
-        assert report.workload == "x"
-        assert report.extra["jobs"] == 2
-        assert report.extra["wall_s"] == 1.5
-        assert report.extra["cell_wall_s"] == {"a": 0.5, "b": 1.0}
-        # serializes like any other obs report
-        assert json.loads(report.to_json_line())["runtime"] == "sweep"
 
 
 class TestParallelIdentity:

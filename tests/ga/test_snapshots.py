@@ -141,7 +141,8 @@ class TestSnapshotsAgainstACopyingModel:
             elif op == "accumulate_segment":
                 segment, tag, seed = args
                 data = data_for(seed, segment.size)
-                array.accumulate_segment(segment, data, tag=tag)
+                # the GA owner handler's write: a range on one owner
+                array.accumulate_range_direct(segment.lo, segment.hi, data, tag=tag)
                 model.accumulate(segment.lo, segment.hi, data, tag)
             elif op == "flush":
                 array.flush_accumulations()

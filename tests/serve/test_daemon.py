@@ -711,3 +711,28 @@ class TestJournalHygiene:
             assert snapshots
         finally:
             daemon.stop()
+
+
+class TestStopWithoutServing:
+    """``stop()`` waits for no HTTP loop that never ran, and
+    ``serve_forever()`` after ``stop()`` returns instead of serving a
+    closed socket: the window between ``start()`` and ``serve_forever()``
+    that a signal can land in."""
+
+    @staticmethod
+    def _returns(fn):
+        thread = threading.Thread(target=fn, daemon=True)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), f"{fn.__name__}() still blocked after 10 s"
+
+    def test_stop_of_a_daemon_that_never_served(self, tmp_path):
+        daemon = ServeDaemon(tmp_path / "journal.jsonl", port=0, pool_jobs=1)
+        self._returns(daemon.stop)
+
+    def test_stop_between_start_and_serve_forever(self, tmp_path):
+        daemon = ServeDaemon(tmp_path / "journal.jsonl", port=0, pool_jobs=1)
+        daemon.start()
+        self._returns(daemon.stop)
+        self._returns(daemon.serve_forever)
+        assert read_events(tmp_path / "journal.jsonl")[-1]["event"] == "daemon_stopped"

@@ -1,10 +1,10 @@
 """A process imports only what it runs.
 
-networkx is not a declared dependency (it is the ``dag`` extra): no run,
-experiment, CLI entry point or service module may reach it, and a
-process that touches the job journal or an experiment must not load the
-HTTP client and server stack either. Each check is a fresh interpreter,
-so what this test session already imported does not count.
+The package declares numpy alone: no module under ``repro`` may reach
+networkx or scipy (the task-graph profile walks the PTG's own template),
+and a process that touches the job journal or an experiment must not
+load the HTTP client and server stack either. Each check is a fresh
+interpreter, so what this test session already imported does not count.
 """
 
 import os
@@ -14,17 +14,7 @@ import textwrap
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
-WITHOUT_NETWORKX = [
-    "repro.__main__",
-    "repro.experiments.fig9",
-    "repro.experiments.traces",
-    "repro.experiments.equivalence",
-    "repro.experiments.ablations",
-    "repro.experiments.chaos",
-    "repro.experiments.perf",
-    "repro.analysis.run_report",
-    "repro.serve.daemon",
-]
+UNDECLARED = ("networkx", "scipy")
 
 HTTP_STACK = ("http.server", "http.client", "urllib.request", "ssl")
 
@@ -43,11 +33,21 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
 def test_nothing_but_analysis_dag_needs_networkx():
     done = run_fresh(
         f"""
-        import importlib, sys
-        sys.modules["networkx"] = None  # any import of it raises
-        for name in {WITHOUT_NETWORKX!r}:
-            importlib.import_module(name)
+        import importlib, pkgutil, sys
+        for name in {UNDECLARED!r}:
+            sys.modules[name] = None  # any import of it raises
         import repro
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(module.name)
+        from repro.analysis.dag import profile_task_graph
+        from repro.core.api import build
+        from repro.core.inspector import inspect_subroutine
+        from repro.core.ptg_build import build_ccsd_ptg
+        from repro.core.variants import V5
+        workload = build("t2_7:tiny", repro.RunConfig(n_nodes=4))
+        md = inspect_subroutine(workload.subroutine, workload.cluster, V5)
+        graph = build_ccsd_ptg(V5, md).instantiate(md, 4)
+        assert profile_task_graph(graph, workload.cluster.machine).n_tasks > 0
         config = repro.RunConfig(n_nodes=4, cores_per_node=2, metrics=True)
         result = repro.run("t2_7:tiny", runtime="v5", config=config)
         assert result.report is not None and result.n_tasks > 0
