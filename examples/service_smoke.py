@@ -19,10 +19,13 @@ resilience story, now with concurrent workers and journal compaction:
    byte to the journal and — by the daemon's own
    ``serve.http.requests`` counters — in exactly one request each,
    while a fourth, cold job costs exactly two (submit, events); then
-   SIGTERM — the clean shutdown compacts the journal into one snapshot
-   line,
+   submit a ``point`` job whose one cell sits inside a finished grid:
+   the cell index answers it (``cached``, no pid: it ran in no process)
+   with the grid's value; then SIGTERM — the clean shutdown compacts
+   the journal into one snapshot line,
 5. start a third daemon over the *compacted* journal and assert it
    serves identical status and result payloads for every prior job id,
+   answers another grid's ``point`` job from the rebuilt cell index,
    answers a malformed submission with 400 and stays healthy.
 
 Run from the repository root::
@@ -134,7 +137,26 @@ def post_raw(client: ServiceClient, body: bytes) -> int:
 
 
 def cell_pids(client: ServiceClient, job_id: str) -> set[int]:
-    return {e["pid"] for e in client.events(job_id) if e["type"] == "cell"}
+    """Pids of the job's computed cells (a cached cell ran nowhere)."""
+    return {e["pid"] for e in client.events(job_id)
+            if e["type"] == "cell" and not e["cached"]}
+
+
+def assert_answered_by_index(
+    client: ServiceClient, params: dict, grid: dict
+) -> None:
+    """A ``point`` job inside the finished grid whose result is ``grid``:
+    its one cell comes from the cell index, in no process, with the
+    grid's value."""
+    submitted = client.submit("point", params)
+    assert not submitted["cached"], "a new job, not a job-level hit"
+    body = client.watch(submitted["job_id"], timeout_s=60.0)
+    label = f"{params['code']}/{params['cores']}"
+    assert body["status"] == "done", body
+    assert body["result"] == {label: grid[label]}, (body, grid)
+    [cell] = [e for e in client.events(submitted["job_id"])
+              if e["type"] == "cell"]
+    assert cell["cached"] and cell["pid"] is None, cell
 
 
 def main() -> int:
@@ -209,8 +231,13 @@ def main() -> int:
         assert spent == {"submit": 1, "events": 1}, spent
         print("resubmissions: the job that computed each, 0 journal bytes, "
               "1 request; cold job: 2 requests")
+        point = {**JOB_PARAMS[0], "code": "v5", "cores": 2}
+        del point["codes"], point["core_counts"]
+        assert_answered_by_index(client2, point, results[job_ids[0]])
+        print("a point job inside a finished grid: its cell cached, no process")
         view = client2.metrics()
         assert view["cache"]["hits"] >= 3
+        assert view["cache"]["cell_hits"] == 1, view["cache"]
         assert view["workers"] == 2
         print(f"metrics: cache={view['cache']} journal={view['journal']}")
     finally:
@@ -234,6 +261,11 @@ def main() -> int:
             assert body["result"] == result, (
                 f"compacted replay changed the bytes of {job_id}"
             )
+        # the replay rebuilt the cell index from the snapshot
+        point = {**JOB_PARAMS[1], "code": "v4", "cores": 1}
+        del point["codes"], point["core_counts"]
+        assert_answered_by_index(client3, point, results[job_ids[1]])
+        print("after the compacted restart: another grid's point job, cached")
         # a malformed submission is the client's 400, not a dropped
         # connection, and the daemon keeps serving
         status = post_raw(client3, b'{"kind": "fig9", "params": [1, 2]}')

@@ -18,6 +18,7 @@ once into a fresh read-only array.
 
 from __future__ import annotations
 
+import bisect
 from typing import Optional
 
 import numpy as np
@@ -251,9 +252,18 @@ class GlobalArray:
         self._apply_range(lo, hi, data)
 
     def _apply_range(self, lo: int, hi: int, data: np.ndarray) -> None:
-        """Raw ``+=`` of a range across owner segments."""
+        """Raw ``+=`` of a range its caller checked, across owner
+        segments; a range inside one owner (the GA owner handler's) goes
+        straight to that owner's segment."""
+        if lo == hi:
+            return
+        starts = self.distribution._starts
+        node = bisect.bisect_right(starts, lo) - 1
+        if hi <= starts[node + 1]:
+            self._own(node)[lo - starts[node] : hi - starts[node]] += data
+            return
         for segment in self.distribution.segments(lo, hi):
-            node_lo, _ = self.distribution.node_range(segment.node)
+            node_lo = starts[segment.node]
             local = self._own(segment.node)
             local[segment.lo - node_lo : segment.hi - node_lo] += data[
                 segment.lo - lo : segment.hi - lo

@@ -9,6 +9,11 @@ covers the workload structure (kind, workload name, scale, skew), the
 run configuration (codes, node/core geometry, stealing) and the seed,
 so two jobs that differ only in ``workload`` never share an answer.
 
+The same holds one level down: a cell's value is a pure function of its
+function and kwargs, so :func:`cell_digest` addresses it, and a ``point``
+job whose cell sits inside a finished ``fig9`` grid has its answer
+already (and the reverse).
+
 Job kinds
 ---------
 - ``point`` — one :func:`~repro.experiments.fig9.run_point` cell:
@@ -34,6 +39,7 @@ __all__ = [
     "JOB_KINDS",
     "JobSpec",
     "job_digest",
+    "cell_digest",
     "build_cells",
     "serialize_results",
 ]
@@ -216,9 +222,34 @@ def job_digest(spec: JobSpec) -> str:
     digests imply byte-identical results. Scheduling metadata
     (``priority``) cannot change those bytes and is left out.
     """
+    return _sha256_json({"kind": spec.kind, "params": dict(spec.params)})
+
+
+def cell_digest(cell: SweepCell) -> str:
+    """One cell's content address, by :func:`job_digest`'s rules.
+
+    sha256 over the canonical JSON of the cell function's qualified name
+    and its kwargs: everything its value depends on. The key (the cell's
+    place in its job's grid) is left out, so the ``v5/2`` cell of a
+    ``point`` job and of a ``fig9`` job of the same parameters share one
+    digest. A kwarg that is not plain JSON is a ConfigurationError: its
+    ``str()`` could equal another value's.
+    """
+    fn = cell.fn
+    try:
+        return _sha256_json({
+            "fn": f"{fn.__module__}.{fn.__qualname__}",
+            "kwargs": cell.kwargs,
+        })
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"cell {cell.label()}: a kwarg is not plain JSON ({exc})"
+        ) from None
+
+
+def _sha256_json(value: Any) -> str:
     canonical = json.dumps(
-        {"kind": spec.kind, "params": dict(spec.params)},
-        sort_keys=True, separators=(",", ":"),
+        value, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
     return hashlib.sha256(canonical.encode()).hexdigest()
 

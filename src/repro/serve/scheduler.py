@@ -30,6 +30,11 @@ Robustness invariants:
   to ``partial`` (explicit per-cell error records, healthy cells
   byte-identical to a clean run) or ``failed`` and frees its digest in
   the lock hold that makes that status final;
+- below the job table, every computed cell of a ``done`` or ``partial``
+  job answers its :func:`~repro.serve.jobs.cell_digest` in any later
+  job: such a cell is not dispatched, it reports as ``cached``, and the
+  job's payload is byte-identical to a cold run's (error cells and
+  ``failed`` jobs answer nothing);
 - new work passes the circuit breaker, which sheds load with a
   retry-after hint when the queue saturates or jobs keep failing;
 - per-cell completion is reported through the executor's structured
@@ -44,7 +49,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.experiments.sweep import (
     PoolClosedError,
@@ -54,7 +59,13 @@ from repro.experiments.sweep import (
 )
 from repro.obs.registry import NULL_METRICS, MetricsRegistry
 from repro.serve.breaker import Admission, CircuitBreaker
-from repro.serve.jobs import JobSpec, build_cells, job_digest, serialize_results
+from repro.serve.jobs import (
+    JobSpec,
+    build_cells,
+    cell_digest,
+    job_digest,
+    serialize_results,
+)
 from repro.serve.journal import FINAL_STATES, Journal, RecoveredState
 from repro.util.errors import ConfigurationError, ReproError
 
@@ -159,9 +170,13 @@ class JobScheduler:
         self._queue: list[str] = []
         #: digest -> the id of its queued, running or ``done`` job
         self._by_digest: dict[str, str] = {}
-        #: submissions answered by a ``done`` job / all others, and the
-        #: ``done`` jobs (each answers its own digest, and stays)
-        self.hits = self.misses = self.entries = 0
+        #: cell digest -> that cell's value inside a finished job's
+        #: ``result`` (the same object, not a copy)
+        self._cells: dict[str, object] = {}
+        #: submissions answered by a ``done`` job / all others, the
+        #: ``done`` jobs (each answers its own digest, and stays), and
+        #: cells answered by the cell index instead of a pool
+        self.hits = self.misses = self.entries = self.cell_hits = 0
         self._running: set[str] = set()
         #: one per worker thread, made and closed with the scheduler
         self._pools: list[WorkerPool] = []
@@ -223,7 +238,7 @@ class JobScheduler:
     def recover(self, state: RecoveredState) -> None:
         """Adopt a journal replay: pending jobs to the queue, finished
         ones served straight from their records, a ``done`` one answering
-        its digest again."""
+        its digest again and a ``done`` or ``partial`` one its cells."""
         with self._lock:
             for job_id, job in state.jobs.items():
                 spec = JobSpec.from_dict(job["spec"])
@@ -239,6 +254,11 @@ class JobScheduler:
                 if record.status in ("queued", "done"):
                     self._by_digest.setdefault(record.digest, job_id)
                 self.entries += record.status == "done"
+                if record.result:
+                    try:
+                        self._index(record, build_cells(spec))
+                    except ConfigurationError:
+                        pass  # admitted under older rules: its cells no longer build
             self._gauges()
             self.metrics.gauge_set("serve.cache.entries", float(self.entries))
             self._wake.notify_all()
@@ -311,7 +331,7 @@ class JobScheduler:
                 "jobs": [r.to_status_dict() for r in self.jobs.values()],
                 "breaker": self.breaker.to_dict(),
                 "cache": {"entries": self.entries, "hits": self.hits,
-                          "misses": self.misses},
+                          "misses": self.misses, "cell_hits": self.cell_hits},
             }
 
     # ------------------------------------------------------------------
@@ -391,17 +411,26 @@ class JobScheduler:
 
     def _on_cell_done(
         self, record: JobRecord, cell: SweepCell, ok: bool, wall: float,
-        pid: Optional[int],
+        pid: Optional[int], cached: bool = False,
     ) -> None:
         """Structured per-cell completion from the executor — exactly
-        once per cell, retries and progress-format changes immaterial."""
+        once per cell, retries and progress-format changes immaterial —
+        or from the cell index (``cached``: no process, no wall time)."""
         with self._lock:
             record.cells_done += 1
             self._push_event(record, {
                 "type": "cell", "cell": cell.label(), "ok": ok, "pid": pid,
                 "wall_s": round(wall, 6), "cells_done": record.cells_done,
-                "cells_total": record.cells_total,
+                "cells_total": record.cells_total, "cached": cached,
             })
+
+    def _index(self, record: JobRecord, cells: Sequence[SweepCell]) -> None:
+        """Let every computed cell of a finished job answer its digest
+        (a ``result`` holds no error cell, and a ``failed`` job none)."""
+        for cell in cells:
+            label = cell.label()
+            if label in record.result:
+                self._cells.setdefault(cell_digest(cell), record.result[label])
 
     def _journal_or_abandon(self, event: str, **fields) -> bool:
         """Append unless a concurrent shutdown closed the journal.
@@ -453,10 +482,22 @@ class JobScheduler:
                     self._pool_gauge()
 
     def _execute(self, record: JobRecord, pool: Optional[WorkerPool]) -> None:
+        """Answer the indexed cells, run the rest in ``pool``, merge in
+        cell order: the payload is the cold run's, byte for byte."""
         cells = build_cells(record.spec)
+        digests = [cell_digest(cell) for cell in cells]
         with self._lock:
             record.cells_total = len(cells)
             record.cells_done = 0
+            known = {cell.key: self._cells[digest]
+                     for cell, digest in zip(cells, digests)
+                     if digest in self._cells}
+            if known:
+                self.cell_hits += len(known)
+                self.metrics.inc("serve.cache.cell_hits", value=float(len(known)))
+        for cell in cells:
+            if cell.key in known:
+                self._on_cell_done(record, cell, True, 0.0, None, cached=True)
         executor = SweepExecutor(
             pool=pool,  # None (pool_jobs=1): the cells run in this thread
             label=record.job_id,
@@ -465,8 +506,8 @@ class JobScheduler:
             on_error="record",
             on_cell_done=partial(self._on_cell_done, record),
         )
-        results, stats = executor.run(cells)
-        values, errors = serialize_results(cells, results)
+        results, stats = executor.run([c for c in cells if c.key not in known])
+        values, errors = serialize_results(cells, {**results, **known})
         with self._lock:
             if stats.retries:
                 self.metrics.inc(
@@ -488,10 +529,11 @@ class JobScheduler:
             status = "partial"
         else:
             status = "failed"
-        self._finish(record, status, values, errors)
+        self._finish(record, status, values, errors, cells)
 
     def _finish(
-        self, record: JobRecord, status: str, values: dict, errors: dict
+        self, record: JobRecord, status: str, values: dict, errors: dict,
+        cells: Sequence[SweepCell] = (),
     ) -> None:
         if not self._journal_or_abandon(
             "job_finished", job_id=record.job_id, status=status,
@@ -515,6 +557,7 @@ class JobScheduler:
                 # work from here on, never this job's degraded answer
                 self._by_digest.pop(record.digest, None)
                 self.breaker.record_failure()
+            self._index(record, cells)
             self.metrics.inc("serve.jobs.completed", status=status)
             self._push_event(record, {"type": "finished", "status": status})
         # size-triggered compaction rides on the append that grew the

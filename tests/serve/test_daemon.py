@@ -266,7 +266,7 @@ class TestOneAnswerOneMessage:
                     first["job_id"])
             assert path.read_bytes() == before
             assert client.overview()["cache"] == {
-                "entries": 1, "hits": 3, "misses": 1,
+                "entries": 1, "hits": 3, "misses": 1, "cell_hits": 0,
             }
         finally:
             daemon.stop()

@@ -10,10 +10,12 @@ from repro.serve.jobs import (
     JOB_KINDS,
     JobSpec,
     build_cells,
+    cell_digest,
     job_digest,
     serialize_results,
 )
-from repro.experiments.sweep import CellError
+from repro.experiments.fig9 import CODES
+from repro.experiments.sweep import CellError, SweepCell
 from repro.util.errors import ConfigurationError
 
 
@@ -152,6 +154,60 @@ class TestDigest:
             assert len(digests) == 3
 
 
+def _cell_digests(kind, params=None):
+    return [cell_digest(c) for c in build_cells(JobSpec.normalize(kind, params))]
+
+
+class TestCellDigest:
+    """A cell's address is its function and kwargs: the same cell in
+    two jobs shares it, a cell with any other parameter never does."""
+
+    def test_a_point_cell_is_its_fig9_cell(self):
+        [point] = _cell_digests("point", {"code": "v4", "cores": 1, "seed": 9})
+        grid = _cell_digests("fig9", {"seed": 9})
+        assert grid.count(point) == 1
+        assert grid.index(point) == 2 * list(CODES).index("v4")
+
+    def test_the_key_is_not_part_of_it(self):
+        a = SweepCell(("a",), _double, {"x": 1})
+        b = SweepCell(("b", 2), _double, {"x": 1})
+        assert cell_digest(a) == cell_digest(b)
+        assert cell_digest(a) != cell_digest(SweepCell(("a",), _double, {"x": 2}))
+
+    def test_the_function_is_part_of_it(self):
+        assert cell_digest(SweepCell(("a",), _double, {"x": 1})) != cell_digest(
+            SweepCell(("a",), _triple, {"x": 1}))
+
+    def test_seed_stealing_fault_seed_skew_and_cores_separate_cells(self):
+        variants = [
+            ("fig9", {}), ("fig9", {"seed": 8}), ("fig9", {"stealing": True}),
+            ("fig9", {"skew_factor": 3, "skew_period": 4}),
+            ("fig9", {"skew_factor": 3, "skew_period": 5}),
+            ("fig9", {"core_counts": [3, 4]}),
+            ("chaos", {}), ("chaos", {"seed": 8}), ("chaos", {"stealing": True}),
+            ("chaos", {"fault_seed": 2026}), ("chaos", {"cores_per_node": 3}),
+        ]
+        digests = [d for kind, p in variants for d in _cell_digests(kind, p)]
+        assert len(digests) == len(set(digests))
+
+    def test_a_kwarg_that_is_not_plain_json_is_refused(self):
+        for bad in (object(), {1, 2}, float("nan")):
+            with pytest.raises(ConfigurationError, match="not plain JSON"):
+                cell_digest(SweepCell(("a",), _double, {"x": bad}))
+
+    def test_digest_is_stable_hex(self):
+        [digest] = _cell_digests("point")
+        assert len(digest) == 64 and int(digest, 16) >= 0
+
+
+def _double(x):
+    return 2 * x
+
+
+def _triple(x):
+    return 3 * x
+
+
 class TestPriority:
     def test_priority_is_split_off_the_params(self):
         spec = JobSpec.normalize("point", {"seed": 2, "priority": 5})
@@ -233,7 +289,7 @@ class TestResultCache:
         assert table.submit("point", {"seed": 1}) is first  # hit
         assert first.result == {"x": 1}
         assert table.overview()["cache"] == {
-            "entries": 1, "hits": 1, "misses": 1,
+            "entries": 1, "hits": 1, "misses": 1, "cell_hits": 0,
         }
 
     def test_metrics_wiring(self, table):

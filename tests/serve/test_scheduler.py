@@ -4,7 +4,8 @@ machine over the admission path.
 
 Cells are stubbed (``build_cells`` is monkeypatched) so these tests
 exercise the control plane in milliseconds; the real experiment cells
-are covered by the daemon round-trip and service-restart tests.
+are covered by the cell-index tests here (a ``point`` job is a cell of a
+``fig9`` job) and by the daemon round-trip and service-restart tests.
 """
 
 import json
@@ -26,9 +27,10 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.experiments.sweep import SweepCell
+from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.obs.registry import MetricsRegistry
 from repro.serve.breaker import FAILURE_THRESHOLD
+from repro.serve.jobs import serialize_results
 from repro.serve.journal import Journal, read_events, rebuild
 from repro.serve.scheduler import JobScheduler, SubmissionRejected
 
@@ -94,6 +96,18 @@ def _wait_done(scheduler, job_id, timeout=10.0):
             return record
         time.sleep(0.01)
     raise AssertionError(f"job {job_id} never finished")
+
+
+def _run_next(sched):
+    """One pass of a worker's loop, on this thread; returns its job."""
+    with sched._lock:
+        record = sched.jobs[sched._pick_locked()]
+        record.status = "running"
+        sched._running.add(record.job_id)
+    sched.journal.append("job_started", job_id=record.job_id)
+    sched._execute(record, None)
+    sched._running.discard(record.job_id)
+    return record
 
 
 class TestSubmitAndExecute:
@@ -165,7 +179,7 @@ class TestCacheAndCoalescing:
         _wait_done(scheduler, failed.job_id)
         metrics = scheduler.metrics
         assert scheduler.overview()["cache"] == {
-            "entries": 1, "hits": 1, "misses": 3,
+            "entries": 1, "hits": 1, "misses": 3, "cell_hits": 0,
         }
         assert metrics.counter_value("serve.cache.misses") == 3.0
         assert metrics.counter_value("serve.cache.hits") == 1.0
@@ -806,6 +820,186 @@ class TestSchedulerCompaction:
         assert state.jobs["j1"]["result"] == {"c0": 1}
 
 
+# -- the cell index: a finished cell answers every job that holds it ------
+#: a real ``fig9`` grid (six codes x cores 1, 2) small enough to run on
+#: the test's thread, and the ``point`` job of its ``v5/2`` cell
+_GRID = {"scale": "tiny", "n_nodes": 2, "seed": 9}
+_POINT = {**_GRID, "code": "v5", "cores": 2}
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """The number of cells each job handed its executor, in run order."""
+    counts = []
+    run = SweepExecutor.run
+
+    def counting(self, cells):
+        counts.append(len(cells))
+        return run(self, cells)
+
+    monkeypatch.setattr(SweepExecutor, "run", counting)
+    return counts
+
+
+def _boot(path):
+    """A scheduler over the journal at ``path``, its replay adopted."""
+    journal = Journal(path)
+    sched = JobScheduler(journal=journal, metrics=MetricsRegistry(enabled=True),
+                         pool_jobs=1, retries=0)
+    sched.recover(rebuild(read_events(path)))
+    return journal, sched
+
+
+def _run(sched, kind, params):
+    record = sched.submit(kind, params)
+    if record.status == "queued":
+        _run_next(sched)
+    return record
+
+
+def _payload(sched, record):
+    """The job's payload bytes and its ``job_finished`` line, ids aside."""
+    [line] = [e for e in read_events(sched.journal.path)
+              if e["event"] == "job_finished" and e["job_id"] == record.job_id]
+    line = {k: v for k, v in line.items() if k not in ("seq", "job_id")}
+    body = {k: v for k, v in record.to_result_dict().items() if k != "job_id"}
+    return json.dumps(body), json.dumps(line, sort_keys=True)
+
+
+@pytest.fixture
+def cold(tmp_path_factory):
+    """Payloads of the grid and the point job, each alone on a fresh
+    scheduler: what every answer must equal byte for byte."""
+    payloads = {}
+    for kind, params in (("fig9", _GRID), ("point", _POINT)):
+        journal, sched = _boot(tmp_path_factory.mktemp(kind) / "journal.jsonl")
+        payloads[kind] = _payload(sched, _run(sched, kind, params))
+        journal.close()
+    return payloads
+
+
+class TestCellIndex:
+    """Real cells: a ``point`` job is the 1x1 ``fig9`` grid, so a finished
+    grid answers it, and a finished point answers its cell of a grid."""
+
+    def test_a_point_inside_a_done_grid_runs_no_cell(
+        self, tmp_path, cold, dispatched
+    ):
+        journal, sched = _boot(tmp_path / "journal.jsonl")
+        grid = _run(sched, "fig9", _GRID)
+        point = _run(sched, "point", _POINT)
+        assert dispatched == [12, 0]
+        assert (grid.status, point.status) == ("done", "done")
+        assert _payload(sched, point) == cold["point"]
+        [cell] = [e for e in point.events if e["type"] == "cell"]
+        assert cell["cached"] and cell["pid"] is None and cell["wall_s"] == 0
+        assert (cell["cells_done"], cell["cells_total"]) == (1, 1)
+        assert not any(e.get("cached") for e in grid.events)
+        assert sched.overview()["cache"]["cell_hits"] == 1
+        assert sched.metrics.counter_value("serve.cache.cell_hits") == 1.0
+        journal.close()
+
+    def test_a_grid_after_its_point_runs_the_other_eleven(
+        self, tmp_path, cold, dispatched
+    ):
+        journal, sched = _boot(tmp_path / "journal.jsonl")
+        _run(sched, "point", _POINT)
+        grid = _run(sched, "fig9", _GRID)
+        assert dispatched == [1, 11]
+        assert _payload(sched, grid) == cold["fig9"]
+        cached = [e["cell"] for e in grid.events if e.get("cached")]
+        assert cached == ["v5/2"] and grid.cells_done == 12
+        journal.close()
+
+    def test_a_restart_keeps_the_index(self, tmp_path, cold, dispatched):
+        """Over the plain journal, then over its compacted snapshot."""
+        path = tmp_path / "journal.jsonl"
+        journal, sched = _boot(path)
+        _run(sched, "fig9", _GRID)
+        journal.close()
+        journal, sched = _boot(path)
+        point = _run(sched, "point", _POINT)
+        assert _payload(sched, point) == cold["point"]
+        journal.compact()
+        assert "snapshot" in [e["event"] for e in read_events(path)]
+        journal.close()
+        journal, sched = _boot(path)
+        other = _run(sched, "point", {**_POINT, "code": "v4", "cores": 1})
+        assert other.status == "done" and sched.cell_hits == 1
+        assert dispatched == [12, 0, 0]
+        journal.close()
+
+    def test_a_done_job_whose_cells_no_longer_build_still_boots(self, tmp_path):
+        """Journaled before a knob none of its codes reads was refused:
+        its cells cannot be indexed, and it still answers by id."""
+        path = tmp_path / "journal.jsonl"
+        spec = {"kind": "chaos", "params": {"codes": ["original"],
+                                            "stealing": True}}
+        with Journal(path) as journal:
+            journal.append("job_submitted", job_id="j1", digest="d", spec=spec)
+            journal.append("job_finished", job_id="j1", status="done",
+                           result={"original": 1}, errors={})
+        journal, sched = _boot(path)
+        assert sched.get("j1").result == {"original": 1}
+        assert sched._cells == {}
+        journal.close()
+
+
+def test_workers_share_the_index_without_losing_an_update(
+    tmp_path, monkeypatch
+):
+    """Four worker threads on overlapping stub cells, switching every
+    10 us: each answered cell is counted once, each payload is cold."""
+    import sys
+
+    journal, sched = _make(tmp_path, monkeypatch, workers=4,
+                           metrics=MetricsRegistry(enabled=True))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        sched.start()
+        # seeds s and s + 10 have the same cells (``_fake_cells``)
+        records = [sched.submit("point", {"seed": s})
+                   for s in (*range(1, 8), *range(11, 18))]
+        done = [_wait_done(sched, r.job_id) for r in records]
+    finally:
+        sys.setswitchinterval(interval)
+        sched.stop()
+        journal.close()
+    cached = 0
+    for record in done:
+        cells = _fake_cells(record.spec)
+        assert record.status == "done"
+        assert record.result == {c.label(): c.fn(**c.kwargs) for c in cells}
+        assert record.cells_done == record.cells_total == len(cells)
+        cached += sum(bool(e.get("cached")) for e in record.events)
+    assert cached == sched.cell_hits > 0
+    assert sched.metrics.counter_value("serve.cache.cell_hits") == cached
+
+
+def _half_broken_cells(spec):
+    """A healthy cell and a failing one, the same for every ``code``."""
+    seed = spec.params["seed"]
+    return [SweepCell(key=("ok",), fn=_ok, kwargs=dict(value=seed)),
+            SweepCell(key=("bad",), fn=_boom, kwargs=dict(value=seed))]
+
+
+def test_a_partial_job_indexes_only_its_healthy_cells(
+    tmp_path, monkeypatch, dispatched
+):
+    journal, sched = _make(tmp_path, monkeypatch, cells=_half_broken_cells)
+    first = _run(sched, "point", {"seed": 5, "code": "v5"})
+    again = _run(sched, "point", {"seed": 5, "code": "v4"})
+    assert (first.status, again.status) == ("partial", "partial")
+    assert dispatched == [2, 1]  # the error cell ran again, alone
+    assert again.result == first.result == {"ok": {"value": 5}}
+    assert again.errors["bad"]["kind"] == "exception"
+    failed = [e["cell"] for e in again.events if e["type"] == "cell"
+              and not e["cached"]]
+    assert failed == ["bad"]
+    journal.close()
+
+
 # -- the admission path as a state machine --------------------------------
 #: seed 666 explodes (``_fake_cells``): its digest fails and is re-admitted
 _MACHINE_SEEDS = (1, 2, 3, 666)
@@ -836,7 +1030,15 @@ class AdmissionMachine(RuleBasedStateMachine):
                 if r.spec.params["seed"] == seed]
         answer = [r for r in same if r.status in ("queued", "done")]
         known, size = set(self.sched.jobs), self.journal.size_bytes()
-        record = self.sched.submit("point", {"seed": seed})
+        try:
+            record = self.sched.submit("point", {"seed": seed})
+        except SubmissionRejected:
+            # new work while failed jobs hold the breaker open: shed,
+            # and nothing minted or journaled
+            assert not answer and self.sched.breaker.state != "closed"
+            assert set(self.sched.jobs) == known
+            assert self.journal.size_bytes() == size
+            return
         if answer and answer[0].status == "done":
             assert (record.job_id, record.result) == (
                 answer[0].job_id, answer[0].result)
@@ -850,14 +1052,7 @@ class AdmissionMachine(RuleBasedStateMachine):
     @rule()
     def finish(self):
         """One pass of a worker's loop, on this thread."""
-        sched = self.sched
-        with sched._lock:
-            record = sched.jobs[sched._pick_locked()]
-            record.status = "running"
-            sched._running.add(record.job_id)
-        sched.journal.append("job_started", job_id=record.job_id)
-        sched._execute(record, None)
-        sched._running.discard(record.job_id)
+        record = _run_next(self.sched)
         assert record.status == ("failed" if record.spec.params["seed"] == 666
                                  else "done")
 
@@ -882,6 +1077,16 @@ class AdmissionMachine(RuleBasedStateMachine):
         assert len(live) == len(set(live))
         done = sum(r.status == "done" for r in self.sched.jobs.values())
         assert self.sched.overview()["cache"]["entries"] == done
+
+    @invariant()
+    def a_payload_is_its_cold_payload(self):
+        """Answered from the cell index or run, the same bytes."""
+        for r in self.sched.jobs.values():
+            if r.status in ("done", "partial"):
+                cells = _fake_cells(r.spec)
+                cold, _ = serialize_results(cells, {
+                    c.key: c.fn(**c.kwargs) for c in cells})
+                assert json.dumps(r.result) == json.dumps(cold)
 
     def teardown(self):
         self.sched.stop()
