@@ -19,10 +19,11 @@ resilience story, now with concurrent workers and journal compaction:
    byte to the journal and — by the daemon's own
    ``serve.http.requests`` counters — in exactly one request each,
    while a fourth, cold job costs exactly two (submit, events); then
-   submit a ``point`` job whose one cell sits inside a finished grid:
-   the cell index answers it (``cached``, no pid: it ran in no process)
-   with the grid's value; then SIGTERM — the clean shutdown compacts
-   the journal into one snapshot line,
+   submit a ``point`` job whose one cell sits inside a finished grid,
+   and another at a seed no job used (a SYNTH cell carries no seed):
+   the cell index answers each (``cached``, no pid: it ran in no
+   process) with the grid's value; then SIGTERM — the clean shutdown
+   compacts the journal into one snapshot line,
 5. start a third daemon over the *compacted* journal and assert it
    serves identical status and result payloads for every prior job id,
    answers another grid's ``point`` job from the rebuilt cell index,
@@ -51,12 +52,15 @@ from repro.serve.client import ServiceClient
 from repro.serve.journal import read_events
 
 JOB_KIND = "fig9"
-#: three distinct jobs (different seeds -> different digests), several
-#: cells each so the SIGKILL lands while work is genuinely in flight
+#: three distinct jobs, several cells each so the SIGKILL lands while
+#: work is genuinely in flight. They differ in ``n_nodes``, which their
+#: cells read, not in ``seed``, which a SYNTH cell does not carry: jobs
+#: differing only in seed would share every cell, and one would answer
+#: the others from the cell index instead of running in a pool process.
 JOB_PARAMS = [
     {"codes": ["v4", "v5"], "core_counts": [1, 2], "scale": "tiny",
-     "n_nodes": 2, "seed": seed}
-    for seed in (7, 8, 9)
+     "n_nodes": n_nodes}
+    for n_nodes in (2, 3, 4)
 ]
 
 
@@ -223,7 +227,7 @@ def main() -> int:
         spent = requests_spent(client2, before)
         assert spent == {"submit": len(job_ids)}, spent
         before = requests_by_route(client2)
-        cold = client2.submit(JOB_KIND, {**JOB_PARAMS[0], "seed": 10})
+        cold = client2.submit(JOB_KIND, {**JOB_PARAMS[0], "n_nodes": 5})
         assert not cold["cached"]
         assert client2.watch(cold["job_id"], timeout_s=300.0)["status"] == "done"
         # ... and the stream's last line: two requests per cold job
@@ -235,9 +239,14 @@ def main() -> int:
         del point["codes"], point["core_counts"]
         assert_answered_by_index(client2, point, results[job_ids[0]])
         print("a point job inside a finished grid: its cell cached, no process")
+        assert_answered_by_index(client2, {**point, "seed": 4242},
+                                 results[job_ids[0]])
+        print("... and one at a seed no job used: cached, no process")
         view = client2.metrics()
         assert view["cache"]["hits"] >= 3
-        assert view["cache"]["cell_hits"] == 1, view["cache"]
+        # exactly the two point jobs: no crash-test or cold job shares a
+        # cell with another (each has its own n_nodes)
+        assert view["cache"]["cell_hits"] == 2, view["cache"]
         assert view["workers"] == 2
         print(f"metrics: cache={view['cache']} journal={view['journal']}")
     finally:

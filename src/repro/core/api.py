@@ -121,8 +121,10 @@ class RunConfig:
 #: cell per pair in ``tests/test_knob_table.py``): on any other runtime
 #: a value other than the default changes neither the execution time
 #: nor the metrics, so :func:`run` refuses it and :func:`for_runtime`
-#: drops it. Every other field (geometry, data mode, machine, seed,
-#: skew, trace, metrics) shapes the run on every runtime.
+#: drops it. Every other field (geometry, data mode, machine, skew,
+#: trace, metrics) shapes the run on every runtime. ``seed`` shapes only
+#: a REAL run's input draws: a SYNTH run is the same at any seed
+#: (``test_synth_reads_no_seed``), on every runtime.
 KNOB_READERS: dict[str, tuple[str, ...]] = {
     "policy": ("parsec",),
     "stealing": ("parsec",),

@@ -24,6 +24,7 @@ from repro.core import api
 from repro.experiments.calibration import CORE_COUNTS, PAPER_NODES, cell_config
 from repro.experiments.claims import Experiment, ShapeCheck, render_claims
 from repro.experiments.sweep import SweepCell, SweepStats
+from repro.sim.cluster import DataMode
 from repro.util.errors import ConfigurationError
 from repro.workloads import canonical_token
 
@@ -199,10 +200,12 @@ def run_point(
     """One cell of Figure 9: a fresh cluster, workload, and execution.
 
     ``config_fields`` are :func:`~repro.experiments.calibration.
-    cell_config`'s: ``machine``, ``seed``, ``stealing`` (on/off: the
-    default :class:`~repro.parsec.stealing.StealPolicy`), the skew knobs
-    and ``inspection_cache`` (the caller's own instead of the process
-    memo; either skips the chain walk of a workload/node-count already
+    cell_config`'s: ``machine``, ``seed`` (read only by a REAL run, which
+    draws its inputs from it; a SYNTH one, the default, draws none),
+    ``stealing`` (on/off: the default
+    :class:`~repro.parsec.stealing.StealPolicy`), the skew knobs and
+    ``inspection_cache`` (the caller's own instead of the process memo;
+    either skips the chain walk of a workload/node-count already
     inspected — virtual timings are unaffected). They are shared by
     every code of a sweep, so a knob ``code`` does not read is dropped
     (:func:`~repro.core.api.for_runtime`).
@@ -223,10 +226,15 @@ def fig9_cells(
     process that runs it memoises the inspection (one chain walk per
     structure × variant height × node count it meets), so nothing is
     precomputed or shipped here. ``stealing`` that none of ``codes``
-    reads is refused here, before any cell runs.
+    reads is refused here, before any cell runs. A SYNTH cell carries no
+    ``seed``: it reads none, so one cell answers a grid of any seed.
     """
     stealing = point_fields.get("stealing", False)
     api.refuse_unread(cell_config(1, stealing=stealing), codes)
+    if point_fields.get("data_mode", DataMode.SYNTH) is DataMode.SYNTH:
+        # SYNTH arrays hold no data, so nothing draws from the seed
+        # (tests/test_knob_table.py::test_synth_reads_no_seed)
+        point_fields.pop("seed", None)
     return [
         SweepCell(
             key=(code, cores),

@@ -12,7 +12,10 @@ so two jobs that differ only in ``workload`` never share an answer.
 The same holds one level down: a cell's value is a pure function of its
 function and kwargs, so :func:`cell_digest` addresses it, and a ``point``
 job whose cell sits inside a finished ``fig9`` grid has its answer
-already (and the reverse).
+already (and the reverse). A cell's kwargs are exactly what it reads: a
+``point``/``fig9`` cell runs SYNTH and carries no seed, so it answers
+jobs of every seed, while a ``chaos`` cell runs REAL and keeps its seed.
+The job digest still covers the seed, so job ids do not merge.
 
 Job kinds
 ---------
@@ -218,8 +221,10 @@ def job_digest(spec: JobSpec) -> str:
 
     sha256 over the canonical JSON of the normalized spec. The
     normalized parameters determine the workload structure token, the
-    RunConfig, and the seed of every cell the job expands to, so equal
-    digests imply byte-identical results. Scheduling metadata
+    RunConfig, and the seed of every cell the job expands to that reads
+    one, so equal digests imply byte-identical results. The seed is
+    covered even when no cell reads it (a SYNTH job): the job is what
+    was asked for, its cells are what runs. Scheduling metadata
     (``priority``) cannot change those bytes and is left out.
     """
     return _sha256_json({"kind": spec.kind, "params": dict(spec.params)})
@@ -232,7 +237,8 @@ def cell_digest(cell: SweepCell) -> str:
     and its kwargs: everything its value depends on. The key (the cell's
     place in its job's grid) is left out, so the ``v5/2`` cell of a
     ``point`` job and of a ``fig9`` job of the same parameters share one
-    digest. A kwarg that is not plain JSON is a ConfigurationError: its
+    digest; a SYNTH cell has no ``seed`` kwarg, so they share it at any
+    two seeds. A kwarg that is not plain JSON is a ConfigurationError: its
     ``str()`` could equal another value's.
     """
     fn = cell.fn

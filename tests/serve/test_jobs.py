@@ -160,7 +160,8 @@ def _cell_digests(kind, params=None):
 
 class TestCellDigest:
     """A cell's address is its function and kwargs: the same cell in
-    two jobs shares it, a cell with any other parameter never does."""
+    two jobs shares it, a cell with any other parameter it reads never
+    does."""
 
     def test_a_point_cell_is_its_fig9_cell(self):
         [point] = _cell_digests("point", {"code": "v4", "cores": 1, "seed": 9})
@@ -178,9 +179,16 @@ class TestCellDigest:
         assert cell_digest(SweepCell(("a",), _double, {"x": 1})) != cell_digest(
             SweepCell(("a",), _triple, {"x": 1}))
 
-    def test_seed_stealing_fault_seed_skew_and_cores_separate_cells(self):
+    def test_a_fig9_cell_is_one_cell_at_every_seed(self):
+        """A SYNTH cell reads no seed (``test_synth_reads_no_seed``), so
+        it carries none: the point at seed 8 is the grid's at seed 9."""
+        [point] = _cell_digests("point", {"code": "v4", "cores": 1, "seed": 8})
+        grid = _cell_digests("fig9", {"seed": 9})
+        assert grid.index(point) == 2 * list(CODES).index("v4")
+
+    def test_stealing_skew_cores_and_chaos_seeds_separate_cells(self):
         variants = [
-            ("fig9", {}), ("fig9", {"seed": 8}), ("fig9", {"stealing": True}),
+            ("fig9", {}), ("fig9", {"stealing": True}),
             ("fig9", {"skew_factor": 3, "skew_period": 4}),
             ("fig9", {"skew_factor": 3, "skew_period": 5}),
             ("fig9", {"core_counts": [3, 4]}),

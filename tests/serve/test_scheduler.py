@@ -929,6 +929,47 @@ class TestCellIndex:
         assert dispatched == [12, 0, 0]
         journal.close()
 
+    def test_one_grid_answers_every_seed(self, tmp_path_factory, dispatched):
+        """A SYNTH cell carries no seed, so the grid at seed 9 answers the
+        point at seed 8 and the grid at seed 10: each payload is, byte
+        for byte, a fresh scheduler's."""
+        jobs = [("fig9", _GRID), ("point", {**_POINT, "seed": 8}),
+                ("fig9", {**_GRID, "seed": 10})]
+        fresh = []
+        for kind, params in jobs:
+            journal, sched = _boot(tmp_path_factory.mktemp(kind) / "j.jsonl")
+            fresh.append(_payload(sched, _run(sched, kind, params)))
+            journal.close()
+        dispatched.clear()
+        journal, sched = _boot(tmp_path_factory.mktemp("warm") / "j.jsonl")
+        records = [_run(sched, kind, params) for kind, params in jobs]
+        assert dispatched == [12, 0, 0]
+        assert [_payload(sched, record) for record in records] == fresh
+        assert sched.cell_hits == 13
+        journal.close()
+
+    def test_a_chaos_job_at_a_new_seed_runs_every_cell(
+        self, tmp_path, dispatched
+    ):
+        """Chaos cells run REAL: the seed draws the data whose bitwise
+        match they check, so it stays in their digest."""
+        journal, sched = _boot(tmp_path / "journal.jsonl")
+        chaos = {"scale": "tiny", "n_nodes": 2, "codes": ["original", "v5"]}
+        for seed in (9, 10):
+            assert _run(sched, "chaos", {**chaos, "seed": seed}).status == "done"
+        assert dispatched == [2, 2] and sched.cell_hits == 0
+        journal.close()
+
+    def test_a_restart_indexes_one_cell_per_seedless_digest(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal, sched = _boot(path)
+        for seed in (7, 8):
+            assert _run(sched, "fig9", {**_GRID, "seed": seed}).status == "done"
+        journal.close()
+        journal, sched = _boot(path)
+        assert len(sched.jobs) == 2 and len(sched._cells) == 12
+        journal.close()
+
     def test_a_done_job_whose_cells_no_longer_build_still_boots(self, tmp_path):
         """Journaled before a knob none of its codes reads was refused:
         its cells cannot be indexed, and it still answers by id."""

@@ -69,8 +69,10 @@ class TestKillAndRestart:
             a = client.submit("point", _POINT)
             done = client.watch(a["job_id"], timeout_s=120.0)
             assert done["status"] == "done" and done["result"]
-            # job B is submitted and immediately orphaned by SIGKILL
-            b = client.submit("point", {**_POINT, "seed": 8})
+            # job B is submitted and immediately orphaned by SIGKILL; it
+            # differs in a field its cell reads, since a SYNTH cell carries
+            # no seed and A's cell would answer B at another seed at once
+            b = client.submit("point", {**_POINT, "n_nodes": 3})
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10.0)
             killed = True

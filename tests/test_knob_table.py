@@ -2,7 +2,9 @@
 both ways: every pair outside ``api.KNOB_READERS`` is refused before a
 cluster is built, and every pair inside it has a witness cell
 (``rbgs:tiny``, 4x2, SYNTH) where the knob moves the execution time or
-the metrics snapshot. The README prints the same table."""
+the metrics snapshot. The README prints the same table. The seed is
+held to its readers the same way: a SYNTH run reads none, a REAL one
+draws its inputs from it."""
 
 import dataclasses
 import itertools
@@ -94,3 +96,52 @@ def test_readme_prints_the_table():
         "README.md's knob table differs from core/api.py KNOB_READERS: "
         "paste the table `python -m repro info` prints between the markers"
     )
+
+
+#: (label, fields): each witness cell of the seed test runs plain, with
+#: every 3rd chain 4x longer, and with stealing where the runtime reads it
+SEED_VARIANTS = [
+    ("plain", {}),
+    ("skew", {"skew_factor": 4, "skew_period": 3}),
+    ("stealing", {"stealing": api.StealPolicy()}),
+]
+SEED_CELLS = [
+    (token, runtime, label, fields)
+    for token in ("t2_7:tiny", "rbgs:tiny")
+    for runtime in ("original", "v1", "v2", "v3", "v4", "v5", "dtd")
+    for label, fields in SEED_VARIANTS
+    if label != "stealing" or runtime not in ("original", "dtd")
+]
+
+
+@pytest.mark.parametrize(
+    "token, runtime, fields",
+    [(t, r, f) for t, r, _, f in SEED_CELLS],
+    ids=[f"{t}-{r}-{label}" for t, r, label, _ in SEED_CELLS],
+)
+def test_synth_reads_no_seed(token, runtime, fields):
+    """SYNTH arrays hold no data, so no input is drawn from the seed: the
+    run is the same at any seed. This is why ``fig9_cells`` leaves the
+    seed out of a SYNTH cell, and so out of its digest."""
+    a, b = (
+        api.run(token, runtime, config=dataclasses.replace(BASE, seed=seed, **fields))
+        for seed in (7, 12345)
+    )
+    assert a.execution_time.hex() == b.execution_time.hex()
+    assert a.metrics == b.metrics
+
+
+def test_real_reads_the_seed():
+    """A REAL run draws its inputs from the seed, so its output values
+    move with it: why the chaos cells, which run REAL, keep theirs."""
+    a, b = (
+        api.run(
+            "t2_7:tiny",
+            "v5",
+            config=dataclasses.replace(
+                BASE, data_mode=DataMode.REAL, metrics=False, seed=seed
+            ),
+        ).output.flat_values()
+        for seed in (7, 12345)
+    )
+    assert not (a == b).all()
