@@ -19,6 +19,7 @@ from repro.core.ptg_build import build_ccsd_ptg
 from repro.core.variants import V5
 from repro.experiments.calibration import make_cluster, make_workload
 from repro.ga.runtime import GlobalArrays
+from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.engine import Engine
 
@@ -641,7 +642,7 @@ def test_micro_resumed_timers_run_in_place(benchmark, monkeypatch):
         ("rbgs ladder", "rbgs:24x24", "v5", dict(n_nodes=16, cores_per_node=4)),
         ("rbgs ladder", "rbgs:24x24", "dtd", dict(n_nodes=16, cores_per_node=4)),
         ("knobs", "t2_7:small", "v5", dict(n_nodes=8, cores_per_node=4,
-                                           stealing=api.StealPolicy())),
+                                           stealing=StealPolicy())),
     )
 
     def shares():

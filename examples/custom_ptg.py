@@ -21,7 +21,9 @@ Run:  python examples/custom_ptg.py
 
 from types import SimpleNamespace
 
-from repro.parsec import PTG, Dep, Flow, FlowMode, ParsecRuntime, TaskClass
+from repro.parsec.ptg import PTG
+from repro.parsec.runtime import ParsecRuntime
+from repro.parsec.taskclass import Dep, Flow, FlowMode, TaskClass
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.cost import OpCost
 from repro.sim.trace import TaskCategory

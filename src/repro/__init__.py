@@ -6,18 +6,20 @@ Task-Based Execution" (IEEE CLUSTER 2015). See README.md for a guide,
 DESIGN.md for the system inventory, EXPERIMENTS.md for measured-vs-paper
 results.
 
-Top-level convenience imports cover the common entry points; the
-subpackages are the real API surface:
+The top level holds the one-call entry point and what a call passes
+it; every other name has one path, the module that defines it:
 
 - :mod:`repro.sim` — the discrete-event machine
 - :mod:`repro.ga` — the Global Arrays substrate
 - :mod:`repro.tce` — the CCSD workload generators
+- :mod:`repro.workloads` — the workload SDK and registry
 - :mod:`repro.legacy` — the original execution model
 - :mod:`repro.parsec` — the PTG runtime (and the contrasted DTD model)
 - :mod:`repro.core` — the CCSD-over-PaRSEC port and its five variants
 - :mod:`repro.analysis` — trace metrics and rendering
 - :mod:`repro.obs` — metrics registry and structured run reports
 - :mod:`repro.experiments` — the paper's experiments
+- :mod:`repro.serve` — the job service
 
 The one-call entry point is :func:`repro.run`::
 
@@ -27,14 +29,10 @@ The one-call entry point is :func:`repro.run`::
     print(result.report.to_json_line())
 """
 
-from repro.core.api import RunConfig, StealPolicy, run
+from repro.core.api import RunConfig, run
 from repro.core.variants import PAPER_VARIANTS, V1, V2, V3, V4, V5, variant_by_name
-from repro.ga.runtime import GlobalArrays
-from repro.legacy.runtime import LegacyRuntime
-from repro.sim.cluster import Cluster, ClusterConfig, DataMode
-from repro.sim.cost import MachineModel
-from repro.obs import MetricsRegistry, RunReport, RunResult
-from repro.tce.molecules import beta_carotene, small_system, system_for_scale, tiny_system
+from repro.parsec.stealing import StealPolicy
+from repro.sim.cluster import DataMode
 
 __version__ = "1.0.0"
 
@@ -42,9 +40,7 @@ __all__ = [
     "run",
     "RunConfig",
     "StealPolicy",
-    "MetricsRegistry",
-    "RunReport",
-    "RunResult",
+    "DataMode",
     "PAPER_VARIANTS",
     "V1",
     "V2",
@@ -52,15 +48,5 @@ __all__ = [
     "V4",
     "V5",
     "variant_by_name",
-    "GlobalArrays",
-    "LegacyRuntime",
-    "Cluster",
-    "ClusterConfig",
-    "DataMode",
-    "MachineModel",
-    "beta_carotene",
-    "small_system",
-    "system_for_scale",
-    "tiny_system",
     "__version__",
 ]

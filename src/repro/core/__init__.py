@@ -22,39 +22,3 @@ Layers, matching Section III-B and IV of the paper:
   the legacy implementation for the PaRSEC one per subroutine, with
   the rest of the program oblivious (Figure 3).
 """
-
-from repro.core.variants import (
-    PAPER_VARIANTS,
-    VariantSpec,
-    V1,
-    V2,
-    V3,
-    V4,
-    V5,
-    variant_by_name,
-)
-from repro.core.metadata import Metadata, ChainMeta
-from repro.core.inspector import InspectionCache, inspect_subroutine
-from repro.core.ptg_build import build_ccsd_ptg
-from repro.core.api import RunConfig, precompute_inspection, run
-from repro.core.integration import NwchemDriver
-
-__all__ = [
-    "RunConfig",
-    "run",
-    "PAPER_VARIANTS",
-    "VariantSpec",
-    "V1",
-    "V2",
-    "V3",
-    "V4",
-    "V5",
-    "variant_by_name",
-    "Metadata",
-    "ChainMeta",
-    "InspectionCache",
-    "inspect_subroutine",
-    "precompute_inspection",
-    "build_ccsd_ptg",
-    "NwchemDriver",
-]

@@ -50,7 +50,6 @@ __all__ = [
     "KNOB_READERS",
     "RUNTIMES",
     "RunConfig",
-    "StealPolicy",
     "build",
     "build_cluster",
     "for_runtime",

@@ -32,6 +32,7 @@ import os
 
 from repro.core import api
 from repro.core.inspector import PROCESS_MEMO, InspectionCache
+from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import Cluster, DataMode
 from repro.sim.cost import MachineModel
 from repro.workloads.base import BoundWorkload
@@ -113,7 +114,7 @@ def cell_config(
         data_mode=data_mode,
         metrics=metrics,
         machine=machine or PAPER_MACHINE,
-        stealing=api.StealPolicy() if stealing else None,
+        stealing=StealPolicy() if stealing else None,
         inspection_cache=inspection_cache,
         **fields,
     )

@@ -17,11 +17,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.experiments.calibration import CORE_COUNTS, PAPER_NODES
-from repro.experiments.fig9 import BENCH_SCHEMA_VERSION, Fig9Result, run_fig9
+from repro.experiments.fig9 import Fig9Result, run_fig9
 from repro.util.errors import ConfigurationError
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
     "PERF_PRESETS",
     "baseline_mismatches",
     "baseline_path",

@@ -25,24 +25,3 @@ Real NumPy data flows through all of it when the cluster runs in
 ``DataMode.REAL``; in ``DataMode.SYNTH`` the same messages and costs
 occur but payloads are shape-only.
 """
-
-from repro.ga.distribution import Distribution, Segment
-from repro.ga.array import GlobalArray
-from repro.ga.cache import RemoteBlockCache, RemoteCachePolicy
-from repro.ga.runtime import GlobalArrays
-from repro.ga.nxtval import NxtvalServer
-from repro.ga.sync import Barrier
-from repro.ga.hash_block import get_hash_block, add_hash_block
-
-__all__ = [
-    "Distribution",
-    "Segment",
-    "GlobalArray",
-    "GlobalArrays",
-    "NxtvalServer",
-    "Barrier",
-    "RemoteBlockCache",
-    "RemoteCachePolicy",
-    "get_hash_block",
-    "add_hash_block",
-]

@@ -9,8 +9,3 @@ never overlapped — then performing the IF-guarded SORT_4 +
 ``ADD_HASH_BLOCK`` sequence serially, with barrier-separated work
 levels.
 """
-
-from repro.legacy.runtime import LegacyConfig, LegacyResult, LegacyRuntime
-from repro.legacy.chain_exec import execute_chain
-
-__all__ = ["LegacyConfig", "LegacyResult", "LegacyRuntime", "execute_chain"]

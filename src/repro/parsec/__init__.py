@@ -30,35 +30,3 @@ the paper uses it:
   stay on the Global Array owners, so results are bitwise identical
   with stealing on or off.
 """
-
-from repro.parsec.taskclass import (
-    Dep,
-    Flow,
-    FlowMode,
-    TaskClass,
-    TaskContext,
-)
-from repro.parsec.ptg import PTG, TaskGraph
-from repro.parsec.runtime import ParsecResult, ParsecRuntime
-from repro.parsec.scheduler import SchedulerPolicy
-from repro.parsec.stealing import StealCoordinator, StealPolicy
-from repro.parsec.dtd import DtdRuntime, DtdResult, AccessMode, DataHandle
-
-__all__ = [
-    "Dep",
-    "Flow",
-    "FlowMode",
-    "TaskClass",
-    "TaskContext",
-    "PTG",
-    "TaskGraph",
-    "ParsecResult",
-    "ParsecRuntime",
-    "SchedulerPolicy",
-    "StealCoordinator",
-    "StealPolicy",
-    "DtdRuntime",
-    "DtdResult",
-    "AccessMode",
-    "DataHandle",
-]

@@ -71,8 +71,6 @@ MIN_VICTIM_BACKLOG = 2
 #: in grant latency than they recover) die out, while a node drowning
 #: in a few huge chains still sheds them.
 MIN_BACKLOG_RATIO = 1.5
-#: chains migrated per successful request
-MAX_CHAINS_PER_STEAL = 1
 #: full victim rotations one idle episode may attempt before parking
 #: until the next idle event
 MAX_ROUNDS = 2
@@ -390,61 +388,52 @@ class StealCoordinator:
         return total
 
     def _handle_request(self, victim: int, thief: int, t_req: float) -> None:
-        """Answer one STEAL_REQ synchronously at the victim."""
+        """Answer one STEAL_REQ synchronously at the victim: grant the
+        heaviest eligible chain (ties by chain id) that passes the work
+        guard, or deny."""
         runtime = self.runtime
-        grantable: list[tuple[int, list, float, float]] = []
+        grant = None
         if (
             runtime.done is not None
             and not runtime.done.triggered
             and self.cluster.nodes[thief].alive
         ):
             eligible = self._eligible_chains(victim)
-            eligible.sort(key=lambda item: (-item[2], item[0]))
-            pool_flops = sum(item[2] for item in eligible)
-            pool = len(eligible)
-            cores = self.cluster.cores_per_node
-            for item in eligible:
-                if len(grantable) >= MAX_CHAINS_PER_STEAL:
-                    break
-                if pool < MIN_VICTIM_BACKLOG:
-                    break
-                # work-based guard: after this grant, each victim core
-                # must retain MIN_BACKLOG_RATIO x the granted chain's
-                # flops — end-game steals on a balanced workload die
-                # out, a node drowning in huge chains still sheds them
-                chain_flops = item[2]
-                if (
-                    pool_flops - chain_flops
-                    < MIN_BACKLOG_RATIO * chain_flops * cores
-                ):
-                    continue  # a lighter chain may still pass
-                grantable.append(item)
-                pool_flops -= chain_flops
-                pool -= 1
-        if not grantable:
+            if len(eligible) >= MIN_VICTIM_BACKLOG:
+                eligible.sort(key=lambda item: (-item[2], item[0]))
+                pool_flops = sum(item[2] for item in eligible)
+                cores = self.cluster.cores_per_node
+                for item in eligible:
+                    # work-based guard: after this grant, each victim core
+                    # must retain MIN_BACKLOG_RATIO x the granted chain's
+                    # flops — end-game steals on a balanced workload die
+                    # out, a node drowning in huge chains still sheds them
+                    chain_flops = item[2]
+                    if (
+                        pool_flops - chain_flops
+                        >= MIN_BACKLOG_RATIO * chain_flops * cores
+                    ):
+                        grant = item
+                        break  # else a lighter chain may still pass
+        if grant is None:
             self.denied += 1
             self.send(
                 victim, thief, ("STEAL_DENY", thief, victim, t_req), REQ_BYTES
             )
             return
+        chain_id, tasks, flops, fwd_bytes = grant
         graph = self.graph
         nodes, pending, stolen_from = graph.nodes, graph.pending, graph.stolen_from
+        # a stolen chain never turns eligible again
+        del self._live[victim][chain_id]
         ready_rows: list[int] = []
-        fwd_bytes = 0.0
-        flops = 0.0
-        chain_ids = [cid for cid, _, _, _ in grantable]
-        for chain_id, tasks, chain_flops, chain_fwd in grantable:
-            fwd_bytes += chain_fwd
-            flops += chain_flops
-            # a stolen chain never turns eligible again
-            del self._live[victim][chain_id]
-            for row in tasks:
-                nodes[row] = thief
-                stolen_from[row] = victim
-                if pending[row] == 0:
-                    ready_rows.append(row)
+        for row in tasks:
+            nodes[row] = thief
+            stolen_from[row] = victim
+            if pending[row] == 0:
+                ready_rows.append(row)
         self.granted += 1
-        self.chains_migrated += len(grantable)
+        self.chains_migrated += 1
         self.migrated_flops += flops
         self.forwarded_bytes += fwd_bytes
         now = self.engine.now
@@ -455,12 +444,12 @@ class StealCoordinator:
             f"steal.grant->node{thief}",
             now,
             now,
-            meta={"thief": thief, "chains": chain_ids, "flops": flops},
+            meta={"thief": thief, "chains": [chain_id], "flops": flops},
         )
         self.send(
             victim,
             thief,
-            ("STEAL_GRANT", thief, victim, tuple(chain_ids), tuple(ready_rows), t_req),
+            ("STEAL_GRANT", thief, victim, (chain_id,), tuple(ready_rows), t_req),
             GRANT_OVERHEAD_BYTES + fwd_bytes,
         )
 

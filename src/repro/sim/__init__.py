@@ -24,50 +24,3 @@ Everything is deterministic: identical inputs produce identical event
 orderings and identical virtual timestamps — including injected faults,
 which are pure functions of a master seed and stable decision keys.
 """
-
-from repro.sim.engine import Engine, Process, SimEvent, WaitQueue, all_of
-from repro.sim.timeline import Timer
-from repro.sim.resources import Resource, BandwidthResource
-from repro.sim.queues import Store, RankStore
-from repro.sim.mutex import SimMutex
-from repro.sim.network import Network, Message, NIC
-from repro.sim.cost import MachineModel
-from repro.sim.node import Node
-from repro.sim.cluster import Cluster, ClusterConfig
-from repro.sim.trace import TraceRecorder, TraceEvent, TaskCategory
-from repro.sim.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultReport,
-    NodeCrash,
-    Straggler,
-)
-
-__all__ = [
-    "Engine",
-    "Process",
-    "SimEvent",
-    "Timer",
-    "WaitQueue",
-    "all_of",
-    "Resource",
-    "BandwidthResource",
-    "Store",
-    "RankStore",
-    "SimMutex",
-    "Network",
-    "Message",
-    "NIC",
-    "MachineModel",
-    "Node",
-    "Cluster",
-    "ClusterConfig",
-    "TraceRecorder",
-    "TraceEvent",
-    "TaskCategory",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultReport",
-    "NodeCrash",
-    "Straggler",
-]

@@ -23,19 +23,12 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Optional
 
-import numpy as np
-
 from repro.sim.engine import Engine, SimEvent, WaitQueue
 from repro.sim.timeline import _INF, Timer, bad_delay
 from repro.util.errors import SimulationError
 from repro.util.validation import check_positive
 
 __all__ = ["Resource", "BandwidthResource"]
-
-#: job count at which BandwidthResource switches its per-tick charge
-#: from a list comprehension to a numpy bulk subtract (elementwise
-#: float64 ops are bitwise-identical either way)
-_BULK_JOBS = 32
 
 
 class Resource:
@@ -134,8 +127,8 @@ class BandwidthResource:
     memory controller shared by symmetric cores.
 
     Jobs live in struct-of-arrays columns (remaining, original size,
-    completion event) so the per-arrival charge is one bulk subtract,
-    and one direct-mode timer carries the single pending wakeup: every
+    completion event) so the per-arrival charge is one list
+    comprehension over the remaining column, and one direct-mode timer carries the single pending wakeup: every
     arrival cancels and re-arms it.
     """
 
@@ -210,13 +203,7 @@ class BandwidthResource:
                 if cap is not None and cap < share:
                     share = cap
                 served = dt * share
-                if len(rem) >= _BULK_JOBS:
-                    # elementwise float64 subtract matches the scalar loop
-                    # bit for bit; tolist() restores plain Python floats
-                    # before the values can reach the virtual clock
-                    rem = np.subtract(rem, served).tolist()
-                else:
-                    rem = [r - served for r in rem]
+                rem = [r - served for r in rem]
                 self._rem = rem
             rem.append(amount)
             first = min(rem)
@@ -263,10 +250,7 @@ class BandwidthResource:
         if cap is not None and cap < share:
             share = cap
         served = dt * share
-        if len(rem) >= _BULK_JOBS:
-            self._rem = np.subtract(rem, served).tolist()
-        else:
-            self._rem = [r - served for r in rem]
+        self._rem = [r - served for r in rem]
 
     def _reschedule(self) -> None:
         wakeup = self._wakeup
@@ -308,10 +292,7 @@ class BandwidthResource:
         if dt > 0:
             self.busy_time += dt
             served = dt * rate
-            if n >= _BULK_JOBS:
-                rem = np.subtract(rem, served).tolist()
-            else:
-                rem = [r - served for r in rem]
+            rem = [r - served for r in rem]
             self._rem = rem
         eps = self._EPS
         size = self._size

@@ -21,33 +21,3 @@ Array. This package rebuilds that workload generator:
   of the subroutine semantics and the correlation-energy probe used for
   the "matches to the 14th digit" check.
 """
-
-from repro.tce.orbital_space import OrbitalSpace, Tile
-from repro.tce.tensor import BlockLayout, BlockTensor
-from repro.tce.subroutine import BlockRef, ChainSpec, GemmOp, SortWrite, Subroutine
-from repro.tce.molecules import MoleculeSystem, beta_carotene, tiny_system, small_system
-from repro.tce.terms import TermBuilder, TermSpec, TermStructure
-from repro.tce.cc_iteration import CcsdStructure
-from repro.tce.reference import compute_reference, correlation_energy
-
-__all__ = [
-    "OrbitalSpace",
-    "Tile",
-    "BlockLayout",
-    "BlockTensor",
-    "BlockRef",
-    "ChainSpec",
-    "GemmOp",
-    "SortWrite",
-    "Subroutine",
-    "MoleculeSystem",
-    "beta_carotene",
-    "tiny_system",
-    "small_system",
-    "TermBuilder",
-    "TermSpec",
-    "TermStructure",
-    "CcsdStructure",
-    "compute_reference",
-    "correlation_energy",
-]

@@ -7,11 +7,9 @@ construction time rather than as a confusing mid-simulation failure.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.util.errors import ConfigurationError
 
-__all__ = ["check_positive", "check_non_negative", "check_in_range", "check_type"]
+__all__ = ["check_positive", "check_non_negative"]
 
 
 def check_positive(name: str, value: float) -> float:
@@ -27,18 +25,3 @@ def check_non_negative(name: str, value: float) -> float:
         raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
     return value
 
-
-def check_in_range(name: str, value: float, low: float, high: float) -> float:
-    """Require ``low <= value <= high``; return it for chaining."""
-    if not (low <= value <= high):
-        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value!r}")
-    return value
-
-
-def check_type(name: str, value: Any, expected: type) -> Any:
-    """Require ``isinstance(value, expected)``; return it for chaining."""
-    if not isinstance(value, expected):
-        raise ConfigurationError(
-            f"{name} must be {expected.__name__}, got {type(value).__name__}"
-        )
-    return value

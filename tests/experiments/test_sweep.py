@@ -11,9 +11,13 @@ import json
 import pytest
 
 from repro.core import api
-from repro.experiments.fig9 import Fig9Result, fig9_shape_checks, run_fig9
-from repro.experiments.perf import (
+from repro.experiments.fig9 import (
     BENCH_SCHEMA_VERSION,
+    Fig9Result,
+    fig9_shape_checks,
+    run_fig9,
+)
+from repro.experiments.perf import (
     PERF_PRESETS,
     baseline_mismatches,
     baseline_path,

@@ -18,6 +18,7 @@ from repro.experiments.chaos import default_plan
 from repro.ga.distribution import Segment
 from repro.ga.runtime import GlobalArrays
 from repro.legacy import chain_exec
+from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import Cluster, ClusterConfig
 
 N_NODES = 3
@@ -328,11 +329,11 @@ class TestAdoptedDraws:
 
     def test_a_faulted_stealing_run_writes_no_input(self):
         memo = InspectionCache()
-        workload, config = self.build(memo, stealing=api.StealPolicy())
+        workload, config = self.build(memo, stealing=StealPolicy())
         horizon = repro.run(workload, runtime="v5", config=config).execution_time
         inputs = [t for t in workload.structure.tensors if t.stream is not None]
         pristine = {t.name: memo.draw(7, t.name, t.total).copy() for t in inputs}
-        workload, _ = self.build(memo, stealing=api.StealPolicy())
+        workload, _ = self.build(memo, stealing=StealPolicy())
         workload.output.array.enable_ordered_accumulation()
         workload.cluster.install_faults(default_plan(11, horizon, 4))
         result = repro.run(workload, runtime="v5", config=config)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import DEFAULT_BUCKET_EDGES, NULL_METRICS, MetricsRegistry
+from repro.obs.registry import DEFAULT_BUCKET_EDGES, NULL_METRICS, MetricsRegistry
 
 
 class TestCounters:

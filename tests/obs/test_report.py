@@ -1,6 +1,6 @@
 """Tests of the structured RunReport and its JSONL serialization."""
 
-from repro.obs import RUN_REPORT_SCHEMA_VERSION, RunReport, read_jsonl, write_jsonl
+from repro.obs.report import RUN_REPORT_SCHEMA_VERSION, RunReport, read_jsonl, write_jsonl
 
 
 def sample_report(**overrides) -> RunReport:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import api
 from repro.core.variants import V5
+from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
 from repro.sim.faults import FaultPlan, NodeCrash
@@ -130,7 +131,7 @@ class TestHybridUnderFaultsAndStealing:
             ((6, 4), None, "0x1.17fb1e21896e4p-9", "0x1.27d20db80c8eep-9", (0, 0)),
             (
                 (6, 4),
-                api.StealPolicy(),
+                StealPolicy(),
                 "0x1.17fb1e21896e4p-9",
                 "0x1.27d20db80c8eep-9",
                 (320, 246),

@@ -20,6 +20,7 @@ from repro.ga.runtime import GlobalArrays
 from repro.parsec.dtd import AccessMode, DtdKind, DtdRuntime
 from repro.parsec.ptg import DONE, PTG
 from repro.parsec.runtime import ParsecRuntime
+from repro.parsec.stealing import StealPolicy
 from repro.parsec.taskclass import Dep, Flow, FlowMode, TaskClass
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import OpCost
@@ -480,7 +481,7 @@ class TestTensorsDieWithTheWorkload:
         assert not any(ref() is not None for ref in segments)
 
     def test_a_faulted_stealing_run(self, no_collector):
-        config = api.RunConfig(**self.CONFIG, stealing=api.StealPolicy())
+        config = api.RunConfig(**self.CONFIG, stealing=StealPolicy())
         workload = api.build("ccsd:tiny", config)
         horizon = repro.run(workload, runtime="v5", config=config).execution_time
         del workload

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from repro.core import api
-from repro.core.api import RunConfig, StealPolicy
+from repro.core.api import RunConfig
 from repro.core.variants import V5
 from repro.experiments.calibration import PAPER_MACHINE, make_cluster, make_workload
+from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import DataMode
 from repro.sim.faults import FaultPlan, NodeCrash
 from repro.sim.trace import TaskCategory

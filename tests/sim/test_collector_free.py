@@ -19,6 +19,7 @@ from repro.experiments.chaos import default_plan
 from repro.parsec.dtd import DataHandle, DtdRuntime, DtdTask
 from repro.parsec.runtime import ParsecRuntime
 from repro.parsec.ptg import RunningTask, TaskGraph
+from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.engine import Engine, Process
 from repro.sim.network import Message, _Transfer
@@ -187,7 +188,7 @@ class TestALevelsGraphDiesAtShutdown:
     def test_a_faulted_stealing_cell(self):
         """Crash, drops, delays, duplicates, retries and steals: the
         drain path abandons, shutdown closes, and the graph still goes."""
-        config = synth(stealing=api.StealPolicy())
+        config = synth(stealing=StealPolicy())
         horizon = repro.run("rbgs:16x16", runtime="v5", config=config).execution_time
         workload = api.build("rbgs:16x16", config)
         workload.cluster.install_faults(default_plan(11, horizon, N_NODES))

@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro.__main__ import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from repro.obs import RUN_REPORT_SCHEMA_VERSION, read_jsonl
+from repro.obs.report import RUN_REPORT_SCHEMA_VERSION, read_jsonl
 
 
 class TestCli:

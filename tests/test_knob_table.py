@@ -17,6 +17,7 @@ from repro.core import api
 from repro.ga.cache import RemoteCachePolicy
 from repro.legacy.runtime import LegacyConfig
 from repro.parsec.scheduler import SchedulerPolicy
+from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import DataMode
 from repro.sim.network import CoalescePolicy
 from repro.util.errors import ConfigurationError
@@ -24,7 +25,7 @@ from repro.util.errors import ConfigurationError
 #: a value other than the default for each knob
 KNOB_ON = {
     "policy": SchedulerPolicy.LIFO,
-    "stealing": api.StealPolicy(),
+    "stealing": StealPolicy(),
     "gpus_per_node": 1,
     "legacy": LegacyConfig(use_nxtval=False),
     "coalescing": CoalescePolicy(),
@@ -103,7 +104,7 @@ def test_readme_prints_the_table():
 SEED_VARIANTS = [
     ("plain", {}),
     ("skew", {"skew_factor": 4, "skew_period": 3}),
-    ("stealing", {"stealing": api.StealPolicy()}),
+    ("stealing", {"stealing": StealPolicy()}),
 ]
 SEED_CELLS = [
     (token, runtime, label, fields)

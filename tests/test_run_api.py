@@ -10,7 +10,8 @@ import repro
 from repro.core import api
 from repro.core.api import RunConfig, run
 from repro.experiments.calibration import make_cluster, make_workload
-from repro.obs import RunReport, RunResult
+from repro.obs.report import RunReport
+from repro.obs.result import RunResult
 from repro.util.errors import ConfigurationError
 from tests.data import regen_golden_digests as regen
 
