@@ -29,24 +29,33 @@ The one-call entry point is :func:`repro.run`::
     print(result.report.to_json_line())
 """
 
-from repro.core.api import RunConfig, run
-from repro.core.variants import PAPER_VARIANTS, V1, V2, V3, V4, V5, variant_by_name
-from repro.parsec.stealing import StealPolicy
-from repro.sim.cluster import DataMode
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "run",
-    "RunConfig",
-    "StealPolicy",
-    "DataMode",
-    "PAPER_VARIANTS",
-    "V1",
-    "V2",
-    "V3",
-    "V4",
-    "V5",
-    "variant_by_name",
-    "__version__",
-]
+#: each top-level name -> the module that defines it, imported on first
+#: use: ``import repro.serve.client`` loads neither numpy nor the simulator
+_LAZY = {
+    "run": "repro.core.api",
+    "RunConfig": "repro.core.api",
+    "StealPolicy": "repro.parsec.stealing",
+    "DataMode": "repro.sim.cluster",
+    "PAPER_VARIANTS": "repro.core.variants",
+    "V1": "repro.core.variants",
+    "V2": "repro.core.variants",
+    "V3": "repro.core.variants",
+    "V4": "repro.core.variants",
+    "V5": "repro.core.variants",
+    "variant_by_name": "repro.core.variants",
+}
+
+__all__ = [*_LAZY, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value  # the next lookup skips this hook
+    return value

@@ -283,8 +283,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         pool_jobs=args.jobs,
-        cell_timeout=args.cell_timeout,
-        retries=args.retries,
         compact_bytes=args.compact_bytes,
     )
 
@@ -593,7 +591,8 @@ def main(argv: list[str] | None = None) -> int:
                 "simulation processes, split evenly over the --workers: "
                 "each worker keeps a warm pool of max(1, N // workers) for "
                 "the daemon's life and runs every cell of its jobs there "
-                "(default: 2; 1 = no pools, cells run in the daemon's threads)"
+                "(default: 2; 1 = no pools, cells run in the daemon's "
+                "threads; below 1 is refused)"
             ),
         ),
     )
@@ -617,18 +616,6 @@ def main(argv: list[str] | None = None) -> int:
             "many bytes (0 disables the size trigger; clean shutdown "
             "always compacts)"
         ),
-    )
-    p.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        help="wall-clock deadline per cell attempt in seconds",
-    )
-    p.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="retry budget per cell (timeouts and killed workers)",
     )
     p.set_defaults(func=cmd_serve)
 

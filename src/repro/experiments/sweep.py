@@ -42,12 +42,12 @@ segfault in an extension, a stray ``os._exit``) breaks the whole
 respawns the pool, requeues every in-flight cell, and re-runs the
 suspects one at a time so the culprit is identified exactly. A cell
 that demonstrably kills workers ``MAX_POOL_KILLS`` times is quarantined
-as **poisoned**; a per-cell deadline (``timeout``) kills and respawns
-the pool when a cell hangs, retrying the cell up to ``retries`` times
-with capped exponential backoff (``BASE_DELAY_S`` doubling up to
-``MAX_DELAY_S``) — the same discipline
+as **poisoned**. Each respawn is paced by capped exponential backoff
+(``BASE_DELAY_S`` doubling up to ``MAX_DELAY_S``) — the same discipline
 :meth:`repro.sim.faults.FaultPlan.backoff` applies to simulated
-retransmits, at the host level. ``on_error`` selects the
+retransmits, at the host level. There is no per-cell deadline: a cell
+is a deterministic simulation, so one that overran once would overrun
+on every attempt. ``on_error`` selects the
 final fate of an unrunnable cell: ``"raise"`` (default — batch runs
 fail loudly) or ``"record"``, which degrades the sweep to a partial
 result by storing a :class:`CellError` under the cell's key while every
@@ -82,7 +82,6 @@ __all__ = [
     "SweepCell",
     "CellError",
     "PoisonedCellError",
-    "CellTimeoutError",
     "PoolClosedError",
     "WorkerPool",
     "SweepStats",
@@ -127,9 +126,8 @@ class CellError:
 
     Stored under the cell's key in the merged results when
     ``on_error="record"``; ``kind`` is ``"poisoned"`` (the cell killed
-    workers ``MAX_POOL_KILLS`` times), ``"timeout"`` (every attempt
-    overran the deadline), or ``"exception"`` (the cell function
-    raised).
+    workers ``MAX_POOL_KILLS`` times) or ``"exception"`` (the cell
+    function raised).
     """
 
     key: tuple
@@ -151,10 +149,6 @@ class PoisonedCellError(ReproError):
     """A sweep cell killed its worker process ``MAX_POOL_KILLS`` times."""
 
 
-class CellTimeoutError(ReproError):
-    """A sweep cell overran its deadline on every allowed attempt."""
-
-
 class PoolClosedError(ReproError):
     """The :class:`WorkerPool` a sweep was running on was closed under it."""
 
@@ -174,9 +168,9 @@ class SweepStats:
     wall_s: float = 0.0
     #: cell label -> host seconds spent inside the cell function
     cell_wall_s: dict[str, float] = field(default_factory=dict)
-    #: cell re-executions after worker death or deadline expiry
+    #: cell re-executions after worker death
     retries: int = 0
-    #: worker-pool respawns (broken pool or deadline enforcement)
+    #: worker-pool respawns after a break
     pool_kills: int = 0
     #: cell label -> error kind, for cells that ended in a CellError
     cell_errors: dict[str, str] = field(default_factory=dict)
@@ -334,16 +328,6 @@ class WorkerPool:
                 pass
 
 
-@dataclass
-class _CellState:
-    """Per-cell recovery bookkeeping (host side, never in results)."""
-
-    #: re-executions consumed (worker-death requeues + timeouts)
-    attempts: int = 0
-    #: worker-pool breaks this cell was in flight for
-    kills: int = 0
-
-
 class SweepExecutor:
     """Dispatch independent sweep cells, merge results by key.
 
@@ -364,18 +348,9 @@ class SweepExecutor:
         finished cell (wall-clock completion order).
     label:
         Name used in progress lines and the stats summary.
-    timeout:
-        Per-cell deadline in host seconds (pooled runs only — a serial
-        run has no second process to enforce it from). A cell past its
-        deadline costs a pool kill: the workers are terminated, the
-        pool respawns, innocent in-flight cells are requeued free of
-        charge, and the hung cell retries up to ``retries`` times.
-    retries:
-        How many times one cell is re-executed after a deadline expiry
-        (default 2); a negative budget is a ``ConfigurationError``.
     on_error:
         ``"raise"`` (default) propagates the first unrunnable cell —
-        poisoned, timed out, or raising — as an exception; ``"record"``
+        poisoned or raising — as an exception; ``"record"``
         stores a :class:`CellError` under the cell's key instead, so
         the sweep completes as a partial result with every healthy cell
         intact.
@@ -397,8 +372,6 @@ class SweepExecutor:
         progress: Optional[Callable[[str], None]] = None,
         label: str = "sweep",
         *,
-        timeout: Optional[float] = None,
-        retries: int = 2,
         on_error: str = "raise",
         on_cell_done: Optional[
             Callable[[SweepCell, bool, float, Optional[int]], None]
@@ -411,10 +384,6 @@ class SweepExecutor:
             jobs = os.cpu_count() or 1
         if jobs < 0:
             raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
-        if timeout is not None and timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {timeout}")
-        if retries < 0:
-            raise ConfigurationError(f"retries must be >= 0, got {retries}")
         if on_error not in ("raise", "record"):
             raise ConfigurationError(
                 f"on_error must be 'raise' or 'record', got {on_error!r}"
@@ -422,8 +391,6 @@ class SweepExecutor:
         self.jobs = jobs
         self.progress = progress
         self.label = label
-        self.timeout = timeout
-        self.retries = retries
         self.on_error = on_error
         self.on_cell_done = on_cell_done
         self.pool = pool
@@ -496,7 +463,7 @@ class SweepExecutor:
             self._cell_done(cell, True, wall, pid)
         return by_key
 
-    # -- pooled path with crash/timeout recovery -----------------------
+    # -- pooled path with crash recovery ---------------------------------
     def _record_error(
         self, by_key, stats: SweepStats, cell: SweepCell, kind: str,
         message: str, attempts: int,
@@ -507,11 +474,6 @@ class SweepExecutor:
                 raise PoisonedCellError(
                     f"cell {cell.label()} killed its worker process "
                     f"{attempts} times: {message}"
-                )
-            if kind == "timeout":
-                raise CellTimeoutError(
-                    f"cell {cell.label()} overran its {self.timeout}s deadline "
-                    f"on all {attempts} attempt(s)"
                 )
             raise  # re-raise the active exception untouched
         error = CellError(
@@ -527,12 +489,13 @@ class SweepExecutor:
         by_key: dict[tuple, Any] = {}
         total = len(cells)
         order = {cell.key: i for i, cell in enumerate(cells)}
-        states: dict[tuple, _CellState] = {cell.key: _CellState() for cell in cells}
+        #: worker-pool breaks each cell was in flight for
+        kills = dict.fromkeys(order, 0)
         queue: deque[SweepCell] = deque(cells)
         #: suspects after a pool break, probed one at a time so a
         #: repeat break names the culprit with certainty
         solo: deque[SweepCell] = deque()
-        inflight: dict[Future, tuple[SweepCell, float]] = {}
+        inflight: dict[Future, SweepCell] = {}
         done_count = 0
 
         def submit(cell: SweepCell) -> bool:
@@ -541,12 +504,7 @@ class SweepExecutor:
                 future = pool.submit(_run_cell_in_pool, cell)
             except BrokenProcessPool:
                 return False
-            deadline = (
-                time.monotonic() + self.timeout
-                if self.timeout is not None
-                else float("inf")
-            )
-            inflight[future] = (cell, deadline)
+            inflight[future] = cell
             return True
 
         def respawn() -> None:
@@ -568,13 +526,7 @@ class SweepExecutor:
                         # a worker died while the pool sat idle between
                         # runs: no cell was there to blame
                         respawn()
-                wait_s = None
-                if self.timeout is not None and inflight:
-                    nearest = min(d for _, d in inflight.values())
-                    wait_s = max(0.0, nearest - time.monotonic())
-                finished, _ = wait(
-                    set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
-                )
+                finished, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
                 if pool.closed:
                     # the owner killed the processes: whatever the futures
                     # say now is its doing, not a cell's
@@ -584,7 +536,7 @@ class SweepExecutor:
                     )
                 victims: list[SweepCell] = []
                 for future in finished:
-                    cell, _ = inflight.pop(future)
+                    cell = inflight.pop(future)
                     try:
                         value, wall, pid = future.result()
                     except BrokenProcessPool:
@@ -592,8 +544,7 @@ class SweepExecutor:
                     except Exception as exc:
                         done_count += 1
                         self._record_error(
-                            by_key, stats, cell, "exception", str(exc),
-                            states[cell.key].attempts + 1,
+                            by_key, stats, cell, "exception", str(exc), 1
                         )
                     else:
                         done_count += 1
@@ -603,24 +554,23 @@ class SweepExecutor:
                         self._cell_done(cell, True, wall, pid)
                 if victims:
                     # worker death: every in-flight cell is a suspect
-                    suspects = victims + [c for c, _ in inflight.values()]
+                    suspects = victims + list(inflight.values())
                     suspects.sort(key=lambda c: order[c.key])
                     respawn()
                     worst = 0
                     for cell in suspects:
-                        state = states[cell.key]
                         if len(suspects) == 1:
                             # the break is attributable: this cell (and
                             # only this cell) was in flight
-                            state.kills += 1
-                        worst = max(worst, state.kills, 1)
-                        if state.kills >= MAX_POOL_KILLS:
+                            kills[cell.key] += 1
+                        worst = max(worst, kills[cell.key], 1)
+                        if kills[cell.key] >= MAX_POOL_KILLS:
                             done_count += 1
                             self._record_error(
                                 by_key, stats, cell, "poisoned",
                                 "worker process died while this cell "
                                 "(and only this cell) was running",
-                                state.kills,
+                                kills[cell.key],
                             )
                         else:
                             stats.retries += 1
@@ -630,49 +580,6 @@ class SweepExecutor:
                         f"flight; respawned, re-running suspects solo"
                     )
                     time.sleep(_backoff(worst - 1))
-                    continue
-                if self.timeout is None or not inflight:
-                    continue
-                now = time.monotonic()
-                expired = [
-                    (future, cell)
-                    for future, (cell, deadline) in inflight.items()
-                    if deadline <= now and not future.done()
-                ]
-                if not expired:
-                    continue
-                # deadline enforcement costs the whole pool: terminate,
-                # respawn, requeue the innocents, retry the hung cells
-                survivors = [
-                    cell
-                    for future, (cell, _) in inflight.items()
-                    if not any(future is f for f, _ in expired)
-                ]
-                respawn()
-                for cell in sorted(survivors, key=lambda c: order[c.key], reverse=True):
-                    queue.appendleft(cell)
-                worst = 0
-                for _, cell in sorted(
-                    expired, key=lambda pair: order[pair[1].key]
-                ):
-                    state = states[cell.key]
-                    state.attempts += 1
-                    worst = max(worst, state.attempts)
-                    if state.attempts > self.retries:
-                        done_count += 1
-                        self._record_error(
-                            by_key, stats, cell, "timeout",
-                            f"deadline {self.timeout}s exceeded",
-                            state.attempts,
-                        )
-                    else:
-                        stats.retries += 1
-                        self._note_event(
-                            f"cell {cell.label()} overran its deadline "
-                            f"(attempt {state.attempts}); retrying"
-                        )
-                        queue.appendleft(cell)
-                time.sleep(_backoff(worst - 1))
         finally:
             if inflight and not pool.closed:
                 # leaving on an error: hand the pool back empty, not with

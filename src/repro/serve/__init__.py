@@ -12,10 +12,9 @@ and *whether* a simulation runs, never how it behaves:
   seed) under which a job answers every repeat submission;
 - :mod:`repro.serve.journal` — the append-only JSONL event store that
   lets queued and completed jobs survive a daemon crash;
-- :mod:`repro.serve.breaker` — the circuit breaker shedding new
-  submissions when the pool saturates or jobs keep failing;
-- :mod:`repro.serve.scheduler` — the admission queue and the worker
-  threads, each with its warm process pool, joining all of the above;
+- :mod:`repro.serve.scheduler` — the admission queue (a full one sheds
+  new submissions with a retry-after hint) and the worker threads, each
+  with its warm process pool, joining all of the above;
 - :mod:`repro.serve.daemon` — the HTTP front end and boot-time journal
   replay;
 - :mod:`repro.serve.client` — the thin stdlib client used by the

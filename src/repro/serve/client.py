@@ -2,7 +2,7 @@
 
 Wraps the small JSON-over-HTTP protocol the daemon speaks so the CLI
 subcommands (``repro submit``/``status``/``result``) and tests never
-hand-roll requests. A 503 from the circuit breaker surfaces as
+hand-roll requests. A 503 (the daemon's queue is full) surfaces as
 :class:`ServiceUnavailable` carrying the daemon's ``retry_after_s``
 hint; every other error status raises :class:`ServiceError` with the
 daemon's message.
@@ -31,7 +31,7 @@ class ServiceError(ReproError):
 
 
 class ServiceUnavailable(ServiceError):
-    """The breaker shed the request; honor ``retry_after_s``."""
+    """The daemon's queue is full; honor ``retry_after_s``."""
 
     def __init__(self, message: str, retry_after_s: float) -> None:
         super().__init__(message, status=503)

@@ -12,9 +12,9 @@ Routes (each counted in ``serve.http.requests{route=...}``)::
         202 {"job_id", "status", "cached"}   admitted; a hit (the spec's
             job is done: this is that job) is all of GET /jobs/<id>/result
             plus "cached": true
-        503 {"error", "reason", "retry_after_s"}   breaker shed it
+        503 {"error", "reason", "retry_after_s"}   the queue is full
         400 {"error"}                              malformed spec
-    GET  /jobs              queue, breaker, cache, job table, the ids
+    GET  /jobs              queue, cache, job table, the ids
                             now running (a list: N at once)        overview
     GET  /jobs/<id>         one job's status                         status
     GET  /jobs/<id>/result  200 result | 202 {"status", "retry_after_s"}
@@ -45,11 +45,9 @@ import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.registry import MetricsRegistry
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.journal import FINAL_STATES, Journal, read_events, rebuild
 from repro.serve.scheduler import JobScheduler, SubmissionRejected
 from repro.util.errors import ConfigurationError, ReproError
@@ -218,7 +216,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServeDaemon:
-    """Journal + breaker + scheduler + HTTP server, assembled.
+    """Journal + scheduler + HTTP server, assembled.
 
     ``port=0`` binds an ephemeral port (read it back from ``.port``
     after :meth:`start`). The daemon is restart-transparent: point a
@@ -227,7 +225,8 @@ class ServeDaemon:
     simultaneously, each in its worker's ``max(1, pool_jobs // workers)``
     pool processes (forked by :meth:`start`, killed by :meth:`stop`);
     ``compact_bytes`` arms size-triggered journal compaction (clean
-    shutdown always compacts).
+    shutdown always compacts). A worker or process count below one is
+    refused before the journal is opened.
     """
 
     def __init__(
@@ -237,24 +236,19 @@ class ServeDaemon:
         port: int = 0,
         workers: int = 1,
         pool_jobs: int = 2,
-        cell_timeout: Optional[float] = None,
-        retries: int = 2,
         compact_bytes: int = 0,
     ) -> None:
+        JobScheduler.check_sizes(workers, pool_jobs)
         self.metrics = MetricsRegistry(enabled=True, clock=time.monotonic)
         events = read_events(journal_path)
         recovered = rebuild(events)
         self.corrupt_lines = events.corrupt_lines
         self.journal = Journal(journal_path, compact_bytes, existing=events)
-        self.breaker = CircuitBreaker(metrics=self.metrics)
         self.scheduler = JobScheduler(
             journal=self.journal,
-            breaker=self.breaker,
             metrics=self.metrics,
             workers=workers,
             pool_jobs=pool_jobs,
-            cell_timeout=cell_timeout,
-            retries=retries,
         )
         self.scheduler.recover(recovered)
         self.journal.append(

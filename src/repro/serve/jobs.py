@@ -154,8 +154,8 @@ class JobSpec:
             raise ConfigurationError("a job needs at least one code")
         if "core_counts" in p and not p["core_counts"]:
             raise ConfigurationError("a fig9 job needs at least one core count")
-        # out of range, a job would fail inside its cells and strike the
-        # breaker for every client; refused here, it is the caller's 400
+        # out of range, a job would be admitted only to fail inside its
+        # cells; refused here, it is the caller's 400
         floors = {"n_nodes": 1, "cores": 1, "cores_per_node": 1,
                   "core_counts": 1, "skew_factor": 1, "skew_period": 0}
         for name, floor in floors.items():

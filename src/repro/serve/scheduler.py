@@ -26,7 +26,7 @@ Robustness invariants:
 - every state transition is journaled *before* it is acknowledged;
 - the job table is the result cache: a submission whose digest has a
   queued, running or ``done`` job *is* that job, and a hit on a ``done``
-  one writes nothing; a job with poisoned/timed-out cells is degraded
+  one writes nothing; a job with poisoned or raising cells is degraded
   to ``partial`` (explicit per-cell error records, healthy cells
   byte-identical to a clean run) or ``failed`` and frees its digest in
   the lock hold that makes that status final;
@@ -35,8 +35,10 @@ Robustness invariants:
   job: such a cell is not dispatched, it reports as ``cached``, and the
   job's payload is byte-identical to a cold run's (error cells and
   ``failed`` jobs answer nothing);
-- new work passes the circuit breaker, which sheds load with a
-  retry-after hint when the queue saturates or jobs keep failing;
+- new work is shed, with a retry-after hint, only while the queue holds
+  ``MAX_QUEUE_DEPTH`` jobs. A failed job is not a reason to shed: every
+  cell is a deterministic simulation, so a failure repeats for its own
+  spec and says nothing about any other;
 - per-cell completion is reported through the executor's structured
   ``on_cell_done`` callback — never by parsing progress lines — and
   recorded as a per-job event stream that the daemon's
@@ -58,7 +60,6 @@ from repro.experiments.sweep import (
     WorkerPool,
 )
 from repro.obs.registry import NULL_METRICS, MetricsRegistry
-from repro.serve.breaker import Admission, CircuitBreaker
 from repro.serve.jobs import (
     JobSpec,
     build_cells,
@@ -78,17 +79,22 @@ _STOP_JOIN_S = 1.0
 #: seconds of waiting that raise a queued job's priority by one point
 AGING_S = 30.0
 
+#: jobs (queued plus running) at which a new submission is shed
+MAX_QUEUE_DEPTH = 16
+#: the hint a shed submission carries
+RETRY_AFTER_S = 5.0
+
 
 class SubmissionRejected(ReproError):
-    """The breaker shed this submission; retry after ``retry_after_s``."""
+    """The queue is full; retry after ``retry_after_s``."""
 
-    def __init__(self, admission: Admission) -> None:
+    reason = "saturated"
+    retry_after_s = RETRY_AFTER_S
+
+    def __init__(self) -> None:
         super().__init__(
-            f"submission rejected ({admission.reason}); "
-            f"retry after {admission.retry_after_s}s"
+            f"submission rejected (saturated); retry after {RETRY_AFTER_S}s"
         )
-        self.reason = admission.reason
-        self.retry_after_s = admission.retry_after_s
 
 
 @dataclass
@@ -146,26 +152,15 @@ class JobScheduler:
     def __init__(
         self,
         journal: Journal,
-        breaker: Optional[CircuitBreaker] = None,
         metrics: Optional[MetricsRegistry] = None,
         workers: int = 1,
         pool_jobs: int = 2,
-        cell_timeout: Optional[float] = None,
-        retries: int = 2,
     ) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if retries < 0:
-            raise ConfigurationError(f"retries must be >= 0, got {retries}")
+        self.check_sizes(workers, pool_jobs)
         self.journal = journal
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            metrics=self.metrics
-        )
         self.workers = workers
         self.pool_jobs = pool_jobs
-        self.cell_timeout = cell_timeout
-        self.retries = retries
         self.jobs: dict[str, JobRecord] = {}
         self._queue: list[str] = []
         #: digest -> the id of its queued, running or ``done`` job
@@ -187,6 +182,14 @@ class JobScheduler:
         self._events_cond = threading.Condition(self._lock)
         self._stop = False
         self._threads: list[threading.Thread] = []
+
+    @staticmethod
+    def check_sizes(workers: int, pool_jobs: int) -> None:
+        """Refuse a worker or process count below one."""
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        if pool_jobs < 1:
+            raise ConfigurationError(f"pool_jobs must be >= 1, got {pool_jobs}")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -268,7 +271,7 @@ class JobScheduler:
     # ------------------------------------------------------------------
     def submit(self, kind: str, params: Optional[dict] = None) -> JobRecord:
         """Admit one submission and return its job; raises
-        :class:`SubmissionRejected` when the breaker sheds it."""
+        :class:`SubmissionRejected` when the queue is full."""
         return self._admit(kind, params)[0]
 
     def admit(self, kind: str, params: Optional[dict] = None) -> dict:
@@ -283,7 +286,7 @@ class JobScheduler:
     def _admit(self, kind: str, params: Optional[dict]) -> tuple[JobRecord, bool]:
         """One admission path: a digest's queued, running or ``done``
         job answers it (a hit when ``done``: nothing is minted, journaled
-        or pushed); only new work meets the breaker and the journal."""
+        or pushed); only new work meets the queue bound and the journal."""
         spec = JobSpec.normalize(kind, params)
         digest = job_digest(spec)
         with self._lock:
@@ -299,9 +302,9 @@ class JobScheduler:
                 if spec.priority > record.priority:
                     record.priority = spec.priority  # promote, never demote
                 return record, False
-            admission = self.breaker.admit(self._depth())
-            if not admission.allowed:
-                raise SubmissionRejected(admission)
+            if self._depth() >= MAX_QUEUE_DEPTH:
+                self.metrics.inc("serve.jobs.rejected")
+                raise SubmissionRejected()
             job_id = self.journal.reserve_id()
             record = JobRecord(
                 job_id=job_id, spec=spec, digest=digest, status="queued",
@@ -329,7 +332,6 @@ class JobScheduler:
                 "running": sorted(self._running),
                 "workers": self.workers,
                 "jobs": [r.to_status_dict() for r in self.jobs.values()],
-                "breaker": self.breaker.to_dict(),
                 "cache": {"entries": self.entries, "hits": self.hits,
                           "misses": self.misses, "cell_hits": self.cell_hits},
             }
@@ -501,8 +503,6 @@ class JobScheduler:
         executor = SweepExecutor(
             pool=pool,  # None (pool_jobs=1): the cells run in this thread
             label=record.job_id,
-            timeout=self.cell_timeout,
-            retries=self.retries,
             on_error="record",
             on_cell_done=partial(self._on_cell_done, record),
         )
@@ -551,12 +551,10 @@ class JobScheduler:
             if status == "done":
                 self.entries += 1
                 self.metrics.gauge_set("serve.cache.entries", float(self.entries))
-                self.breaker.record_success()
             else:
                 # and free the digest in it too: a resubmission is new
                 # work from here on, never this job's degraded answer
                 self._by_digest.pop(record.digest, None)
-                self.breaker.record_failure()
             self._index(record, cells)
             self.metrics.inc("serve.jobs.completed", status=status)
             self._push_event(record, {"type": "finished", "status": status})

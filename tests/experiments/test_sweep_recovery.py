@@ -1,7 +1,7 @@
 """Recovery tests for the self-healing sweep executor.
 
-The contract under test: worker death, hung cells, and poisoned cells
-must not abort a pooled sweep — the pool respawns, innocent in-flight
+The contract under test: worker death and poisoned cells must not
+abort a pooled sweep — the pool respawns, innocent in-flight
 cells are requeued, and the merged output for every healthy cell stays
 byte-identical to the serial sweep. ``on_error="record"`` degrades an
 unrunnable cell to an explicit :class:`CellError` instead of failing
@@ -20,7 +20,6 @@ from repro.experiments.sweep import (
     MAX_DELAY_S,
     MAX_POOL_KILLS,
     CellError,
-    CellTimeoutError,
     PoisonedCellError,
     SweepCell,
     SweepExecutor,
@@ -46,20 +45,6 @@ def _kill_once(x, flag_dir):
 
 def _kill_always(x):
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _hang_once(x, flag_dir):
-    """Hang far past any test deadline on the first attempt only."""
-    flag = os.path.join(flag_dir, f"hung-{x}")
-    if not os.path.exists(flag):
-        with open(flag, "w") as fh:
-            fh.write("1")
-        time.sleep(120)
-    return x * x
-
-
-def _hang_always(x):
-    time.sleep(120)
 
 
 def _boom(x):
@@ -127,35 +112,6 @@ class TestWorkerDeathRecovery:
             assert {k: v for k, v in results.items() if k != ("bad",)} == serial
 
 
-class TestDeadlines:
-    def test_hung_cell_is_killed_and_retried(self, tmp_path):
-        serial, _ = SweepExecutor(jobs=1).run(_cells(4))
-        cells = _cells(4, fn=_hang_once, flag_dir=str(tmp_path))
-        results, stats = SweepExecutor(
-            jobs=2, timeout=2.0
-        ).run(cells)
-        assert results == serial
-        assert stats.pool_kills >= 1
-
-    def test_always_hanging_cell_times_out(self):
-        cells = [SweepCell(key=("hang",), fn=_hang_always, kwargs={"x": 0}),
-                 SweepCell(key=(1,), fn=_square, kwargs={"x": 1})]
-        results, stats = SweepExecutor(
-            jobs=2, timeout=1.0, retries=1, on_error="record",
-        ).run(cells)
-        error = results[("hang",)]
-        assert isinstance(error, CellError)
-        assert error.kind == "timeout"
-        assert error.attempts == 2  # initial run + one retry
-        assert results[(1,)] == 1
-
-    def test_timeout_raises_by_default(self):
-        cells = [SweepCell(key=("hang",), fn=_hang_always, kwargs={"x": 0}),
-                 SweepCell(key=(1,), fn=_square, kwargs={"x": 1})]
-        with pytest.raises(CellTimeoutError, match="hang"):
-            SweepExecutor(jobs=2, timeout=1.0, retries=0).run(cells)
-
-
 class TestErrorRecording:
     def test_exception_recorded_when_requested(self):
         cells = [SweepCell(key=(1,), fn=_square, kwargs={"x": 1}),
@@ -179,16 +135,16 @@ class TestErrorRecording:
             SweepExecutor(jobs=1).run(cells)
 
     def test_cell_error_serializes(self):
-        error = CellError(key=("a",), label="a", kind="timeout",
-                          message="deadline", attempts=3)
+        error = CellError(key=("a",), label="a", kind="poisoned",
+                          message="worker died", attempts=2)
         assert error.to_dict() == {
-            "label": "a", "kind": "timeout",
-            "message": "deadline", "attempts": 3,
+            "label": "a", "kind": "poisoned",
+            "message": "worker died", "attempts": 2,
         }
 
 
 class TestRetryPolicy:
-    """The retry policy: an int budget, constant pacing and threshold."""
+    """The retry policy: constant pacing and threshold, no settings."""
 
     def test_backoff_is_capped_exponential(self, monkeypatch):
         monkeypatch.setattr(sweep, "BASE_DELAY_S", 0.1)
@@ -199,17 +155,14 @@ class TestRetryPolicy:
         assert sweep._backoff(100_000) == 1.0  # no float overflow
 
     def test_validation(self):
-        # the retry budget is an int; the pacing and the quarantine
-        # threshold are constants, not settings
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(retries=-1)
-        for keyword in ("retry", "max_pool_kills", "base_delay_s", "max_delay_s"):
+        # the pacing and the quarantine threshold are constants, and a
+        # deterministic cell has no deadline or retry budget to set
+        for keyword in ("retry", "retries", "timeout", "max_pool_kills",
+                        "base_delay_s", "max_delay_s"):
             with pytest.raises(TypeError, match=keyword):
                 SweepExecutor(**{keyword: 0})
         assert type(MAX_POOL_KILLS) is int and MAX_POOL_KILLS >= 1
         assert MAX_DELAY_S >= BASE_DELAY_S > 0.0
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(jobs=2, timeout=0.0)
         with pytest.raises(ConfigurationError):
             SweepExecutor(jobs=2, on_error="explode")
 

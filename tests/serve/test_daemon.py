@@ -18,6 +18,7 @@ from repro.experiments.sweep import SweepCell
 from repro.serve.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.serve.daemon import ServeDaemon
 from repro.serve.journal import read_events
+from repro.util.errors import ConfigurationError
 
 #: released by tests that park the worker on a blocking cell
 _GATE = threading.Event()
@@ -71,7 +72,6 @@ def _raw_stream(daemon, job_id, since=0):
 
 def _daemon(tmp_path, **kwargs):
     kwargs.setdefault("pool_jobs", 1)
-    kwargs.setdefault("retries", 0)
     daemon = ServeDaemon(tmp_path / "journal.jsonl", port=0, **kwargs)
     daemon.start_in_thread()
     return daemon, ServiceClient(port=daemon.port, timeout_s=5.0)
@@ -84,7 +84,7 @@ class TestRoutes:
             assert client.health()
             view = client.metrics()
             assert view["queue_depth"] == 0
-            assert view["breaker"]["state"] == "closed"
+            assert "breaker" not in view
             assert "counters" in view["metrics"]
         finally:
             daemon.stop()
@@ -181,16 +181,13 @@ class TestRoutes:
         finally:
             daemon.stop()
 
-    def test_out_of_range_values_are_400_not_a_breaker_strike(self, tmp_path):
+    def test_out_of_range_values_are_400_not_a_failed_job(self, tmp_path):
         daemon, client = _daemon(tmp_path)
         try:
-            for _ in range(3):  # three failed jobs would open the breaker
+            for _ in range(3):
                 with pytest.raises(ServiceError) as exc:
                     client.submit("fig9", {"core_counts": [0]})
                 assert exc.value.status == 400
-            breaker = client.metrics()["breaker"]
-            assert breaker["state"] == "closed"
-            assert breaker["recent_failures"] == 0
             assert client.overview()["jobs"] == []
         finally:
             daemon.stop()
@@ -345,7 +342,7 @@ class TestShedding:
     def test_saturation_returns_503_with_retry_after(self, tmp_path, monkeypatch):
         # depth counts queued + running: the parked job is 1, one more
         # queues to 2, the third submission must shed
-        monkeypatch.setattr("repro.serve.breaker.MAX_QUEUE_DEPTH", 2)
+        monkeypatch.setattr("repro.serve.scheduler.MAX_QUEUE_DEPTH", 2)
         daemon, client = _daemon(tmp_path)
         try:
             client.submit("point", {"seed": 501})  # parks the worker
@@ -353,14 +350,29 @@ class TestShedding:
             with pytest.raises(ServiceUnavailable) as exc:
                 client.submit("point", {"seed": 2})
             assert exc.value.retry_after_s > 0
+            counters = client.metrics()["metrics"]["counters"]
+            assert counters["serve.jobs.rejected"] == 1
         finally:
             _GATE.set()
             daemon.stop()
 
-    @pytest.mark.parametrize("knob", ["breaker_config", "aging_s", "retry"])
+    @pytest.mark.parametrize(
+        "knob", ["breaker_config", "aging_s", "retry", "cell_timeout", "retries"]
+    )
     def test_thresholds_are_not_settings(self, tmp_path, knob):
         with pytest.raises(TypeError):
             ServeDaemon(tmp_path / "journal.jsonl", port=0, **{knob: None})
+        assert not (tmp_path / "journal.jsonl").exists()
+
+    @pytest.mark.parametrize("sizes", [dict(workers=0), dict(pool_jobs=0),
+                                       dict(pool_jobs=-3)],
+                             ids=["workers-0", "pool_jobs-0", "pool_jobs-negative"])
+    def test_a_size_below_one_is_refused_before_the_journal_opens(
+        self, tmp_path, sizes
+    ):
+        with pytest.raises(ConfigurationError, match=next(iter(sizes))):
+            ServeDaemon(tmp_path / "journal.jsonl", port=0, **sizes)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRestartRecovery:

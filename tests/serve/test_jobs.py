@@ -92,8 +92,7 @@ class TestNormalize:
         ("chaos", {"cores_per_node": 0}, "cores_per_node must be >= 1"),
     ])
     def test_out_of_range_values_rejected(self, kind, params, match):
-        """Refused at submit time: in a cell, each would fail the job
-        and strike the breaker for every client."""
+        """Refused at submit time: in a cell, each would fail the job."""
         with pytest.raises(ConfigurationError, match=match):
             JobSpec.normalize(kind, params)
 

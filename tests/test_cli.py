@@ -333,12 +333,33 @@ class TestServiceCli:
         assert "--param expects key=value, got 'bogus'" in capsys.readouterr().err
 
     def test_a_negative_retry_budget_is_a_usage_error(self, tmp_path, capsys):
+        """There is no retry budget or cell deadline to set: argparse
+        refuses both flags."""
         from repro.__main__ import EXIT_USAGE
 
-        argv = ["serve", "--port", "0", "--retries", "-1"]
+        for flag in (["--retries", "-1"], ["--cell-timeout", "1"]):
+            argv = ["serve", "--port", "0", *flag]
+            argv += ["--journal", str(tmp_path / "journal.jsonl")]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sizes", [["--workers", "0"], ["--jobs", "0"],
+                                       ["--jobs", "-3"]],
+                             ids=["workers-0", "jobs-0", "jobs-negative"])
+    def test_a_size_below_one_is_a_usage_error_and_opens_no_journal(
+        self, tmp_path, capsys, sizes
+    ):
+        from repro.__main__ import EXIT_USAGE
+
+        argv = ["serve", "--port", "0", *sizes]
         argv += ["--journal", str(tmp_path / "journal.jsonl")]
         assert main(argv) == EXIT_USAGE
-        assert "retries must be >= 0" in capsys.readouterr().err
+        assert "must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_submit_against_dead_daemon_fails_cleanly(self, capsys):
         # nothing listens on this port: a clean error, not a traceback

@@ -3,8 +3,10 @@
 The package declares numpy alone: no module under ``repro`` may reach
 networkx or scipy (the task-graph profile walks the PTG's own template),
 and a process that touches the job journal or an experiment must not
-load the HTTP client and server stack either. Each check is a fresh
-interpreter, so what this test session already imported does not count.
+load the HTTP client and server stack either. The top-level names of
+``repro`` resolve on first use, so the service client loads neither
+numpy nor the simulator. Each check is a fresh interpreter, so what this
+test session already imported does not count.
 
 A name is imported from the module that defines it. Only ``repro`` and
 ``repro.workloads`` are package surfaces; every other package
@@ -79,6 +81,29 @@ def test_journal_and_experiments_load_no_http_stack():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["[]"], done.stdout
+
+
+def test_the_service_client_loads_no_simulator():
+    done = run_fresh(
+        """
+        import sys
+        import repro.serve.client
+        print(sorted({"numpy", "repro.core.api"} & set(sys.modules)))
+        import repro
+        from repro import RunConfig, V5
+        assert repro.run.__module__ == "repro.core.api"
+        assert RunConfig.__name__ == "RunConfig" and V5.name == "v5"
+        print(repro.__version__)
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    loaded, version = done.stdout.split()
+    assert loaded == "[]", done.stdout
+    cli = subprocess.run(
+        [sys.executable, "-m", "repro", "--version"], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300,
+    )
+    assert cli.returncode == 0 and cli.stdout.split()[-1] == version
 
 
 def repro_modules():
