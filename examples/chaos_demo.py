@@ -27,7 +27,8 @@ from repro.sim.faults import FaultPlan, NodeCrash, Straggler
 
 
 def run_once(plan=None):
-    """One fresh simulated run; returns (i2 tensor, end time, result)."""
+    """One fresh simulated run; returns (i2 tensor, end time, result,
+    cluster) — the cluster's ``faults.report`` counts the recovery."""
     workload = build("t2_7:tiny", repro.RunConfig(n_nodes=4, cores_per_node=2))
     cluster = workload.cluster
     # bitwise equivalence needs a canonical accumulation order (float
@@ -36,12 +37,12 @@ def run_once(plan=None):
     if plan is not None:
         cluster.install_faults(plan)
     result = repro.run(workload, variant=V4)
-    return workload.i2.flat_values(), cluster.engine.now, result
+    return workload.i2.flat_values(), cluster.engine.now, result, cluster
 
 
 def main() -> None:
     # --- fault-free reference ----------------------------------------
-    reference, horizon, clean = run_once()
+    reference, horizon, clean, _ = run_once()
     print(f"fault-free: {clean.execution_time:.4f}s virtual, {clean.n_tasks} tasks")
 
     # --- the same run under fire -------------------------------------
@@ -56,18 +57,19 @@ def main() -> None:
         crashes=(NodeCrash(node=1, at=0.45 * horizon),),
     )
     print(f"fault plan: {plan.describe()}")
-    values_a, end_a, faulted = run_once(plan)
+    values_a, end_a, _, cluster = run_once(plan)
+    report = cluster.faults.report
     print(
         f"faulted:    {end_a:.4f}s virtual — "
-        f"{faulted.task_retries} task retries, "
-        f"{faulted.retransmits} retransmits, "
-        f"{faulted.tasks_reassigned} tasks re-homed off the dead node "
-        f"({faulted.tasks_recomputed} of them mid-flight), "
-        f"{faulted.recovery_overhead_s * 1e6:.1f}us recovery overhead"
+        f"{report.task_retries} task retries, "
+        f"{report.retransmits} retransmits, "
+        f"{report.tasks_reassigned} tasks re-homed off the dead node "
+        f"({report.tasks_recomputed} of them mid-flight), "
+        f"{report.recovery_overhead_s * 1e6:.1f}us recovery overhead"
     )
 
     # --- the acceptance checks ---------------------------------------
-    values_b, end_b, _ = run_once(plan)
+    values_b, end_b, _, _ = run_once(plan)
     bitwise = np.array_equal(values_a, reference)
     deterministic = end_a == end_b and np.array_equal(values_a, values_b)
     print(f"bitwise match with fault-free reference: {bitwise}")

@@ -50,8 +50,8 @@ def _estimate_cost(
         return total(machine.gemm(gemm.m, gemm.n, gemm.k))
     if category is TaskCategory.READ_A or category is TaskCategory.READ_B:
         gemm = md.gemm(*params)
-        nbytes = (gemm.a if category is TaskCategory.READ_A else gemm.b).nbytes
-        return nbytes / machine.ga_local_bytes_per_s + nbytes / copy_rate
+        block = gemm.a if category is TaskCategory.READ_A else gemm.b
+        return total(machine.local_get(block.nbytes))
     if category is TaskCategory.REDUCE:
         return total(machine.axpy(md.specs[params[0]].c_size))
     if category is TaskCategory.DFILL:

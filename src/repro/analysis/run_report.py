@@ -2,7 +2,9 @@
 
 The report joins three sources for one execution:
 
-- the result object (timing, task counts, recovery counters);
+- the result object (timing, task counts) and the cluster's
+  :class:`~repro.sim.faults.FaultReport` (recovery counters, all zero
+  when no plan is installed);
 - the cluster's :class:`~repro.obs.registry.MetricsRegistry` snapshot
   (counters, gauges, histograms, phase timers);
 - trace-derived statistics (startup idle, communication/computation
@@ -15,6 +17,7 @@ JSONL lines.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Optional
 
 from repro.analysis.metrics import (
@@ -26,8 +29,12 @@ from repro.analysis.metrics import (
 from repro.analysis.report import format_table
 from repro.obs.report import RunReport
 from repro.obs.result import RunResult
+from repro.sim.faults import FaultReport
 
 __all__ = ["build_run_report", "render_run_report", "trace_stats"]
+
+#: ``RunReport.recovery`` of a run with no fault plan installed
+_NO_FAULTS = asdict(FaultReport())
 
 
 def trace_stats(trace) -> dict:
@@ -68,7 +75,7 @@ def build_run_report(
         phases=phases,
         metrics=snapshot,
         trace_stats=trace_stats(cluster.trace),
-        recovery=result.recovery_counters(),
+        recovery=asdict(cluster.faults.report) if cluster.faults else dict(_NO_FAULTS),
     )
 
 

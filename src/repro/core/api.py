@@ -4,10 +4,11 @@
 executes any registered workload over the legacy coarse-grain runtime,
 any of the five PaRSEC PTG variants, or the contrasted DTD model, and
 returns a :class:`~repro.obs.result.RunResult` with a uniform shape:
-virtual ``execution_time``, ``n_tasks``, ``recovery_counters()``, plus
-— when the cluster's metrics registry is enabled — a ``metrics``
-snapshot and a structured ``report``
-(:class:`~repro.obs.report.RunReport`).
+virtual ``execution_time`` and ``n_tasks``, plus — when the cluster's
+metrics registry is enabled — a ``metrics`` snapshot and a structured
+``report`` (:class:`~repro.obs.report.RunReport`). Fault and recovery
+counts stay on the cluster (``cluster.faults.report``), which covers
+exactly the run: a fresh cluster per token, one run per built workload.
 
 Workloads are addressed by registry token (``"t2_7:small"``,
 ``"ccsd:tiny"``, ``"rbgs:128x128"`` — see :mod:`repro.workloads`). A
@@ -336,10 +337,9 @@ def _run_levels(cluster: Cluster, levels, run_level):
     """Run the levels in order, a barrier charge between consecutive
     ones, and fold the per-level results into one.
 
-    Every numeric result field is an additive counter (per-level fault
-    counters are deltas over that level's execution, so summing them is
-    exact) and ``tasks_per_class`` adds per key; the last level's result
-    supplies everything else (variant tag, result class).
+    Every numeric result field is an additive counter and
+    ``tasks_per_class`` adds per key; the last level's result supplies
+    everything else (variant tag, result class).
     """
     start = cluster.engine.now
     results = []

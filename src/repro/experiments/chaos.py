@@ -66,7 +66,7 @@ class ChaosOutcome:
     bitwise_match: bool
     #: the two same-seed faulted runs agreed (values and end time)
     deterministic: bool
-    #: at least one recovery counter is nonzero
+    #: a fault fired and was recovered from (``FaultReport.recovered``)
     faults_recovered: bool
     end_time_clean: float
     end_time_faulted: float
@@ -120,18 +120,6 @@ def default_plan(master_seed: int, horizon_s: float, n_nodes: int) -> FaultPlan:
     )
 
 
-#: FaultReport counters that show a fault fired and was recovered from
-_RECOVERY_COUNTERS = (
-    "task_retries",
-    "retransmits",
-    "tasks_recomputed",
-    "tasks_reassigned",
-    "tickets_reissued",
-    "chains_recovered",
-    "nodes_crashed",
-)
-
-
 def _chaos_cell(
     name: str,
     scale: str,
@@ -154,20 +142,19 @@ def _chaos_cell(
     token = canonical_token(workload, scale=scale)
 
     def one_run(plan):
-        """(output values, end time, counter dict) of one run."""
+        """(output values, end time, fault injector) of one run."""
         workload_obj = api.build(token, config)
         cluster = workload_obj.cluster
         workload_obj.output.array.enable_ordered_accumulation()
         if plan is not None:
             cluster.install_faults(plan)
         api.run(workload_obj, runtime=name, config=config)
-        counters = asdict(cluster.faults.report) if cluster.faults else {}
-        return workload_obj.output.flat_values(), cluster.engine.now, counters
+        return workload_obj.output.flat_values(), cluster.engine.now, cluster.faults
 
     reference, horizon, _ = one_run(None)
     plan = default_plan(fault_seed, horizon, n_nodes)
-    values_a, end_a, counters_a = one_run(plan)
-    values_b, end_b, counters_b = one_run(plan)
+    values_a, end_a, faults_a = one_run(plan)
+    values_b, end_b, faults_b = one_run(plan)
     outcome = ChaosOutcome(
         name=name,
         bitwise_match=bool(
@@ -176,13 +163,13 @@ def _chaos_cell(
         ),
         deterministic=bool(
             end_a == end_b
-            and counters_a == counters_b
+            and faults_a.report == faults_b.report
             and np.array_equal(values_a, values_b)
         ),
-        faults_recovered=any(counters_a.get(k, 0) > 0 for k in _RECOVERY_COUNTERS),
+        faults_recovered=faults_a.report.recovered,
         end_time_clean=horizon,
         end_time_faulted=end_a,
-        counters=counters_a,
+        counters=asdict(faults_a.report),
     )
     return outcome, plan.describe()
 

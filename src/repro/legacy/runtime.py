@@ -53,25 +53,9 @@ class LegacyResult(RunResult):
 
     execution_time: float
     n_ranks: int
-    n_levels: int
     chains_executed: int
-    nxtval_requests: int
     #: chains executed per rank, keyed by (node, thread) — load balance data
     chains_per_rank: dict = field(default_factory=dict)
-    # recovery counters (nonzero only under an installed FaultPlan)
-    task_retries: int = 0
-    chains_recovered: int = 0
-    tickets_reissued: int = 0
-    ranks_lost: int = 0
-    recovery_overhead_s: float = 0.0
-
-    _recovery_fields = (
-        "task_retries",
-        "chains_recovered",
-        "tickets_reissued",
-        "ranks_lost",
-        "recovery_overhead_s",
-    )
 
     @property
     def n_tasks(self) -> int:
@@ -131,11 +115,7 @@ class LegacyRuntime:
         counters = [NxtvalServer(self.ga) for _ in levels]
         self._counters += counters
         result = LegacyResult(
-            execution_time=0.0,
-            n_ranks=len(ranks),
-            n_levels=len(levels),
-            chains_executed=0,
-            nxtval_requests=0,
+            execution_time=0.0, n_ranks=len(ranks), chains_executed=0
         )
         cluster.metrics.collect(result, {"legacy.chains_executed": "chains_executed"})
         done = engine.event()
@@ -157,7 +137,6 @@ class LegacyRuntime:
             )
             state["remaining"] -= 1
             if state["remaining"] == 0:
-                result.nxtval_requests = sum(c.total_requests for c in counters)
                 # every chain has run: fold the count into the registry
                 cluster.metrics.release(result)
                 done.succeed(result)
@@ -179,7 +158,6 @@ class LegacyRuntime:
         """
         start_time = self.cluster.engine.now
         faults = self.cluster.faults
-        before = faults.report.snapshot() if faults is not None else None
         done, result = self.launch(levels)
         result.execution_time = self.cluster.run() - start_time
         if not done.triggered:
@@ -189,10 +167,6 @@ class LegacyRuntime:
                 f"done at t={self.cluster.engine.now:.6f}s",
                 report=faults.report if faults is not None else None,
             )
-        if faults is not None:
-            delta = faults.report.delta(before)
-            for name in result._recovery_fields:
-                setattr(result, name, getattr(delta, name))
         self.shutdown()
         return result
 

@@ -8,11 +8,13 @@ outcome through one surface:
 
 - ``execution_time`` — virtual seconds (a dataclass field everywhere);
 - ``n_tasks`` — task/work-unit count (field or property per runtime);
-- ``recovery_counters()`` — the nonzero-under-faults counters, as a
-  dict keyed by counter name;
 - ``metrics`` / ``report`` / ``output`` — the run's metrics snapshot,
   its :class:`~repro.obs.report.RunReport`, and the output tensor
   handle, attached by the :func:`repro.run` facade.
+
+A result copies no fault or recovery count: the cluster's
+:class:`~repro.sim.faults.FaultReport` (``cluster.faults.report``) is
+the one record of those, and ``report.recovery`` is read off it.
 """
 
 from __future__ import annotations
@@ -26,12 +28,8 @@ class RunResult:
     """Base/protocol for runtime results (not itself a dataclass).
 
     Subclasses are dataclasses that provide ``execution_time`` and
-    ``n_tasks`` and list their fault-recovery fields in
-    ``_recovery_fields``.
+    ``n_tasks``.
     """
-
-    #: names of the subclass's recovery-counter fields
-    _recovery_fields: tuple[str, ...] = ()
 
     # attached by the repro.run() facade (class-level defaults so
     # results produced by lower-level entry points still conform)
@@ -43,10 +41,6 @@ class RunResult:
     def runtime_name(self) -> str:
         """Short runtime identifier derived from the result type."""
         return type(self).__name__.removesuffix("Result").lower()
-
-    def recovery_counters(self) -> dict[str, float]:
-        """The fault-recovery counters, keyed by field name."""
-        return {name: getattr(self, name) for name in self._recovery_fields}
 
     def summary(self) -> str:
         """One human line: runtime, task count, virtual time."""

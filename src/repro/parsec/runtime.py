@@ -78,13 +78,6 @@ class ParsecResult(RunResult):
     messages_remote: int = 0
     bytes_remote: float = 0.0
     deliveries_local: int = 0
-    # recovery counters (nonzero only under an installed FaultPlan)
-    task_retries: int = 0
-    retransmits: int = 0
-    tasks_recomputed: int = 0
-    tasks_reassigned: int = 0
-    nodes_crashed: int = 0
-    recovery_overhead_s: float = 0.0
     # work-stealing counters (nonzero only under an active StealPolicy)
     steal_requests: int = 0
     steals_granted: int = 0
@@ -94,15 +87,6 @@ class ParsecResult(RunResult):
     steal_forwarded_bytes: float = 0.0
     #: which PTG variant ran ('v1'..'v5'), when known
     variant: Optional[str] = None
-
-    _recovery_fields = (
-        "task_retries",
-        "retransmits",
-        "tasks_recomputed",
-        "tasks_reassigned",
-        "nodes_crashed",
-        "recovery_overhead_s",
-    )
 
 
 _instance_ids = itertools.count()
@@ -217,8 +201,6 @@ class ParsecRuntime:
     def execute(self, ptg: PTG, md: Any, validate: bool = True) -> ParsecResult:
         """Run a PTG to completion; returns timing and statistics."""
         start_time = self.cluster.engine.now
-        faults = self.cluster.faults
-        before = faults.report.snapshot() if faults is not None else None
         done = self.launch(ptg, md, validate=validate)
         end_time = self.cluster.run()
         if not done.triggered:
@@ -250,10 +232,6 @@ class ParsecRuntime:
             result.chains_migrated = self.stealing.chains_migrated
             result.migrated_flops = self.stealing.migrated_flops
             result.steal_forwarded_bytes = self.stealing.forwarded_bytes
-        if faults is not None:
-            delta = faults.report.delta(before)
-            for name in result._recovery_fields:
-                setattr(result, name, getattr(delta, name))
         # maxima, not sums: published as gauges, never as result fields
         # (the level merge adds every numeric field)
         for name, hwm in (

@@ -225,8 +225,8 @@ class ServeDaemon:
     simultaneously, each in its worker's ``max(1, pool_jobs // workers)``
     pool processes (forked by :meth:`start`, killed by :meth:`stop`);
     ``compact_bytes`` arms size-triggered journal compaction (clean
-    shutdown always compacts). A worker or process count below one is
-    refused before the journal is opened.
+    shutdown always compacts). A worker or process count below one, and
+    a port in use, are refused before the journal is opened.
     """
 
     def __init__(
@@ -239,11 +239,20 @@ class ServeDaemon:
         compact_bytes: int = 0,
     ) -> None:
         JobScheduler.check_sizes(workers, pool_jobs)
+        # bind first: a port in use raises before the journal is touched
+        self._server = ThreadingHTTPServer((host, port), _Handler)
+        self._server.daemon_threads = True
+        self._server.daemon = self  # type: ignore[attr-defined]
+        self.host, self.port = self._server.server_address[:2]
         self.metrics = MetricsRegistry(enabled=True, clock=time.monotonic)
-        events = read_events(journal_path)
-        recovered = rebuild(events)
-        self.corrupt_lines = events.corrupt_lines
-        self.journal = Journal(journal_path, compact_bytes, existing=events)
+        try:
+            events = read_events(journal_path)
+            recovered = rebuild(events)
+            self.corrupt_lines = events.corrupt_lines
+            self.journal = Journal(journal_path, compact_bytes, existing=events)
+        except BaseException:
+            self._server.server_close()
+            raise
         self.scheduler = JobScheduler(
             journal=self.journal,
             metrics=self.metrics,
@@ -261,10 +270,6 @@ class ServeDaemon:
             "serve.journal.corrupt_lines", float(self.corrupt_lines)
         )
         self.recovered = recovered
-        self._server = ThreadingHTTPServer((host, port), _Handler)
-        self._server.daemon_threads = True
-        self._server.daemon = self  # type: ignore[attr-defined]
-        self.host, self.port = self._server.server_address[:2]
         self._stopped = False
         #: an HTTP loop was entered: ``BaseServer.shutdown()`` waits for
         #: one, so :meth:`stop` calls it only then

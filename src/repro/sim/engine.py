@@ -37,6 +37,11 @@ Design notes
   Joining a process (``yield process``, :func:`all_of`) registers on
   that event, and a finished process wakes its joiners through
   :meth:`SimEvent._dispatch`, one lane entry each, as any event does.
+  ``engine.checkpoint`` is one too, succeeded with ``None`` when the
+  engine is made: yielding it is a late wait on a triggered event, one
+  lane entry and one seq, with no allocation. Two waitables keep their
+  own ``_wait``: :class:`NoWait`, which draws no seq, and
+  :class:`~repro.sim.timeline.Timer`, which is a heap row.
 - A process that raises with nobody joining it re-raises out of
   :meth:`Engine.run` — silent death of a simulated thread would
   otherwise manifest as an inexplicable hang.
@@ -71,7 +76,6 @@ __all__ = [
     "Engine",
     "SimEvent",
     "Process",
-    "Checkpoint",
     "NoWait",
     "WaitQueue",
     "all_of",
@@ -80,29 +84,6 @@ __all__ = [
 _PENDING = 0
 _SUCCEEDED = 1
 _FAILED = 2
-
-
-class Checkpoint:
-    """A reusable waitable that resumes its waiter through the immediate
-    lane, delivering ``None``.
-
-    ``yield engine.checkpoint`` consumes exactly one sequence number and
-    re-runs the process at the same position in the event order as
-    yielding an already-succeeded :class:`SimEvent` would — but with no
-    per-yield allocation. It is the fast path for "the queue had an
-    item; defer one lane step and continue" loops in the schedulers.
-    """
-
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: "Engine") -> None:
-        self._engine = engine
-
-    def _wait(self, callback: Callable) -> None:
-        # inlined call_soon — this is one lane append per queue fast-path
-        # hop, the single most frequent wait in a converted simulation
-        engine = self._engine
-        engine._immediate.append((engine.now, next(engine._seq), callback, None))
 
 
 class NoWait:
@@ -121,7 +102,7 @@ class NoWait:
     __slots__ = ("_queued",)
 
     _status = _PENDING
-    value = None
+    _value = None
 
     def __init__(self) -> None:
         self._queued: Optional[list[Callable]] = None
@@ -148,7 +129,9 @@ class Engine:
         self._immediate: deque[tuple[float, int, Callable, Any]] = deque()
         self._seq = itertools.count()
         self._running = False
-        self.checkpoint = Checkpoint(self)
+        #: ``yield engine.checkpoint`` defers one lane step and continues
+        #: (the schedulers' "the queue had an item" fast path)
+        self.checkpoint = SimEvent(self).succeed()
         #: the waitable of a zero-cost charge
         self.no_wait = NoWait()
         #: the timed store: every event that fires later than now
@@ -631,9 +614,9 @@ class Process(SimEvent):
             if fired is None:
                 target = self._send(None)
             elif fired._status == _FAILED:
-                target = self._generator.throw(fired.value)
+                target = self._generator.throw(fired._value)
             else:
-                target = self._send(fired.value)
+                target = self._send(fired._value)
         except StopIteration as stop:
             self._finish(_SUCCEEDED, stop.value)
             return

@@ -36,7 +36,7 @@ the module constants below, read where they are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable
 
 from repro.util.backoff import capped_exponential
@@ -190,7 +190,13 @@ class FaultPlan:
 
 @dataclass
 class FaultReport:
-    """What the injector observed and what recovery it triggered."""
+    """What the injector observed and what recovery it triggered.
+
+    The one record of a run's recovery: the runtimes count into the
+    installed injector's report, and no result copies it. It covers the
+    cluster's whole life — under :func:`repro.run` exactly one run; a
+    cluster that runs several sections reports all of them together.
+    """
 
     task_retries: int = 0
     messages_dropped: int = 0
@@ -211,16 +217,20 @@ class FaultReport:
     #: and partial executions lost to aborts
     recovery_overhead_s: float = 0.0
 
-    def snapshot(self) -> "FaultReport":
-        """Copy of the current counters (for before/after diffing)."""
-        return replace(self)
-
-    def delta(self, earlier: "FaultReport") -> "FaultReport":
-        """Counter-wise difference ``self - earlier``."""
-        out = FaultReport()
-        for f in fields(FaultReport):
-            setattr(out, f.name, getattr(self, f.name) - getattr(earlier, f.name))
-        return out
+    @property
+    def recovered(self) -> bool:
+        """A fault fired and the run recovered from it: some recovery
+        action (a retry, a retransmit, a re-homed or re-run task, a
+        reissued ticket, a recovered chain, a crash survived) was taken."""
+        return (
+            self.task_retries > 0
+            or self.retransmits > 0
+            or self.tasks_recomputed > 0
+            or self.tasks_reassigned > 0
+            or self.tickets_reissued > 0
+            or self.chains_recovered > 0
+            or self.nodes_crashed > 0
+        )
 
     def summary(self) -> str:
         active = [

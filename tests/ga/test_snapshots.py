@@ -336,8 +336,9 @@ class TestAdoptedDraws:
         workload, _ = self.build(memo, stealing=StealPolicy())
         workload.output.array.enable_ordered_accumulation()
         workload.cluster.install_faults(default_plan(11, horizon, 4))
-        result = repro.run(workload, runtime="v5", config=config)
-        assert result.nodes_crashed == 1 and result.retransmits > 0
+        repro.run(workload, runtime="v5", config=config)
+        report = workload.cluster.faults.report
+        assert report.nodes_crashed == 1 and report.retransmits > 0
         for tensor in inputs:
             assert workload.arrays[tensor.name].segment_copies == 0
             np.testing.assert_array_equal(

@@ -62,12 +62,13 @@ class TestScheduling:
 
     def test_nxtval_requests_exceed_chain_count(self):
         # every rank gets one extra "no more work" ticket
-        _, workload, result = run_legacy()
-        assert result.nxtval_requests == workload.subroutine.n_chains + result.n_ranks
+        cluster, workload, result = run_legacy()
+        requests = cluster.metrics.snapshot()["counters"]["nxtval.requests"]
+        assert requests == workload.subroutine.n_chains + result.n_ranks
 
     def test_static_mode_uses_no_nxtval(self):
-        _, _, result = run_legacy(use_nxtval=False)
-        assert result.nxtval_requests == 0
+        cluster, _, _ = run_legacy(use_nxtval=False)
+        assert "nxtval.requests" not in cluster.metrics.snapshot()["counters"]
 
     def test_static_mode_rank_cyclic_assignment(self):
         _, workload, result = run_legacy(use_nxtval=False, n_nodes=2, cores_per_node=2)

@@ -120,7 +120,7 @@ class TestHybridUnderFaultsAndStealing:
         if plan is not None:
             workload.cluster.install_faults(plan)
         result = api.run(workload, variant=V5, config=config)
-        return workload.i2.flat_values(), result
+        return workload.i2.flat_values(), result, workload.cluster.faults
 
     # execution times and steal_requests as at the commit before the
     # CPU and GPU worker loops were merged
@@ -142,16 +142,17 @@ class TestHybridUnderFaultsAndStealing:
     def test_recovery_is_bitwise_and_pinned(
         self, skew, stealing, clean_hex, faulted_hex, steal_requests
     ):
-        reference, clean = self.run(skew, stealing)
+        reference, clean, _ = self.run(skew, stealing)
         plan = FaultPlan(
             master_seed=5,
             task_fail_prob=0.1,
             drop_prob=0.02,
             crashes=(NodeCrash(1, clean.execution_time / 3),),
         )
-        output, faulted = self.run(skew, stealing, plan)
+        output, faulted, injector = self.run(skew, stealing, plan)
         assert np.array_equal(reference, output)
-        assert faulted.tasks_reassigned > 0 and faulted.task_retries > 0
+        report = injector.report
+        assert report.tasks_reassigned > 0 and report.task_retries > 0
         assert clean.execution_time.hex() == clean_hex
         assert faulted.execution_time.hex() == faulted_hex
         assert (clean.steal_requests, faulted.steal_requests) == steal_requests

@@ -490,7 +490,8 @@ class TestTensorsDieWithTheWorkload:
         workload.cluster.install_faults(default_plan(11, horizon, config.n_nodes))
         segments = self.segments_of(workload)
         result = repro.run(workload, runtime="v5", config=config)
-        assert result.nodes_crashed == 1 and result.retransmits > 0
+        report = workload.cluster.faults.report
+        assert report.nodes_crashed == 1 and report.retransmits > 0
         del workload, result
         assert not any(ref() is not None for ref in segments)
 

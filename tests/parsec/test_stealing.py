@@ -164,7 +164,7 @@ class TestStealingUnderCrashes:
         result = api.run(
             workload, variant=V5, config=RunConfig(stealing=StealPolicy())
         )
-        return workload.i2.flat_values(), result
+        return workload.i2.flat_values(), result, cluster.faults
 
     def test_thief_crash_reissues_stolen_work_bitwise(self):
         """Crash a thief mid-run: stolen chains re-home, nothing is lost.
@@ -175,26 +175,26 @@ class TestStealingUnderCrashes:
         migrated tasks. The output must still be bitwise identical to
         the fault-free stealing run.
         """
-        reference, clean = self._run(None)
+        reference, clean, _ = self._run(None)
         assert clean.steals_granted > 0
         plan = FaultPlan(
             master_seed=9,
             crashes=(NodeCrash(node=1, at=0.5 * clean.execution_time),),
         )
-        values, result = self._run(plan)
-        assert result.nodes_crashed == 1
-        assert result.tasks_reassigned > 0
+        values, result, faults = self._run(plan)
+        assert faults.report.nodes_crashed == 1
+        assert faults.report.tasks_reassigned > 0
         assert result.steals_granted > 0
         assert np.array_equal(values, reference)
 
     def test_crash_run_is_deterministic(self):
-        _, clean = self._run(None)
+        _, clean, _ = self._run(None)
         plan = FaultPlan(
             master_seed=9,
             crashes=(NodeCrash(node=1, at=0.5 * clean.execution_time),),
         )
-        values_a, a = self._run(plan)
-        values_b, b = self._run(plan)
+        values_a, a, _ = self._run(plan)
+        values_b, b, _ = self._run(plan)
         assert a.execution_time == b.execution_time
         assert a.steals_granted == b.steals_granted
         assert a.chains_migrated == b.chains_migrated

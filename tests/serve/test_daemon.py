@@ -9,6 +9,7 @@ test lives in ``test_service_restart.py``).
 import http.client
 import json
 import os
+import socket
 import threading
 import time
 
@@ -373,6 +374,26 @@ class TestShedding:
         with pytest.raises(ConfigurationError, match=next(iter(sizes))):
             ServeDaemon(tmp_path / "journal.jsonl", port=0, **sizes)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_a_port_in_use_is_refused_before_the_journal_opens(
+        self, tmp_path, existing
+    ):
+        path = tmp_path / "j.jsonl"
+        if existing:
+            daemon = ServeDaemon(path, port=0, pool_jobs=1)
+            daemon.start_in_thread()
+            daemon.stop()
+            before = path.read_bytes()
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            with pytest.raises(OSError):
+                ServeDaemon(path, port=held.getsockname()[1], pool_jobs=1)
+        if existing:
+            assert path.read_bytes() == before
+        else:
+            assert not path.exists()
 
 
 class TestRestartRecovery:

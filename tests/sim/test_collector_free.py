@@ -193,7 +193,8 @@ class TestALevelsGraphDiesAtShutdown:
         workload = api.build("rbgs:16x16", config)
         workload.cluster.install_faults(default_plan(11, horizon, N_NODES))
         result = repro.run(workload, runtime="v5", config=config)
-        assert result.nodes_crashed == 1 and result.retransmits > 0
+        report = workload.cluster.faults.report
+        assert report.nodes_crashed == 1 and report.retransmits > 0
         assert result.steal_requests > 0
         assert live(*GRAPH_TYPES) == 0
         del workload, result

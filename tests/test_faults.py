@@ -7,6 +7,8 @@ chaos acceptance criteria (bitwise equality with the fault-free
 reference under a plan injecting every fault class).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.sim.faults import (
     MAX_TASK_RETRIES,
     RETRANSMIT_TIMEOUT_S,
     FaultPlan,
+    FaultReport,
     NodeCrash,
     Straggler,
 )
@@ -157,6 +160,37 @@ def _cluster(n_nodes=2, cores=1, data_mode=DataMode.SYNTH, machine=None):
             trace_enabled=False,
         )
     )
+
+
+class TestFaultReport:
+    #: the counts that show a recovery action was taken
+    RECOVERY_ACTIONS = (
+        "task_retries",
+        "retransmits",
+        "tasks_recomputed",
+        "tasks_reassigned",
+        "tickets_reissued",
+        "chains_recovered",
+        "nodes_crashed",
+    )
+
+    def test_recovered_is_any_recovery_action(self):
+        assert not FaultReport().recovered
+        for name in self.RECOVERY_ACTIONS:
+            assert FaultReport(**{name: 1}).recovered, name
+
+    def test_faults_without_a_recovery_action_are_not_recovered(self):
+        others = {
+            spec.name for spec in dataclasses.fields(FaultReport)
+        } - set(self.RECOVERY_ACTIONS)
+        assert others == {
+            "messages_dropped",
+            "messages_delayed",
+            "messages_duplicated",
+            "ranks_lost",
+            "recovery_overhead_s",
+        }
+        assert not FaultReport(**{name: 1 for name in others}).recovered
 
 
 class TestTransportFaults:
@@ -404,25 +438,25 @@ class TestParsecRecovery:
         if plan is not None:
             cluster.install_faults(plan)
         result = run(workload, variant_name)
-        return workload.i2.flat_values(), result
+        return workload.i2.flat_values(), result, cluster.faults
 
     def test_task_retries_counted_and_harmless(self, monkeypatch):
-        reference, _ = self._run(None)
+        reference, _, _ = self._run(None)
         monkeypatch.setattr(faults, "MAX_TASK_RETRIES", 5)
         plan = FaultPlan(master_seed=9, task_fail_prob=0.3)
-        values, result = self._run(plan)
-        assert result.task_retries > 0
+        values, _, injector = self._run(plan)
+        assert injector.report.task_retries > 0
         assert np.array_equal(values, reference)
 
     def test_crash_recovery_is_bitwise(self):
-        reference, clean = self._run(None)
+        reference, clean, _ = self._run(None)
         plan = FaultPlan(
             master_seed=9,
             crashes=(NodeCrash(node=1, at=0.4 * clean.execution_time),),
         )
-        values, result = self._run(plan)
-        assert result.nodes_crashed == 1
-        assert result.tasks_reassigned > 0
+        values, _, injector = self._run(plan)
+        assert injector.report.nodes_crashed == 1
+        assert injector.report.tasks_reassigned > 0
         assert np.array_equal(values, reference)
 
     def test_crash_with_no_survivors_raises_stall_report(self):
@@ -450,16 +484,16 @@ class TestLegacyRecovery:
         result = LegacyRuntime(cluster, workload.ga).execute_subroutine(
             workload.subroutine
         )
-        return workload.i2.flat_values(), result
+        return workload.i2.flat_values(), result, cluster.faults
 
     def test_crash_recovery_reissues_tickets(self):
-        reference, clean = self._run(None)
+        reference, clean, _ = self._run(None)
         plan = FaultPlan(
             master_seed=9,
             crashes=(NodeCrash(node=1, at=0.4 * clean.execution_time),),
         )
-        values, result = self._run(plan)
-        assert result.ranks_lost > 0
+        values, result, injector = self._run(plan)
+        assert injector.report.ranks_lost > 0
         assert np.array_equal(values, reference)
         # every chain is accounted for: executed includes recovered ones
         assert result.chains_executed == clean.chains_executed
@@ -509,13 +543,14 @@ class TestCrashInsideACharge:
                 flows=[Flow("C", FlowMode.WRITE, lambda p, md: 1)],
             )
         )
-        result = ParsecRuntime(cluster).execute(ptg, SimpleNamespace())
-        assert result.nodes_crashed == 1
+        ParsecRuntime(cluster).execute(ptg, SimpleNamespace())
+        report = cluster.faults.report
+        assert report.nodes_crashed == 1
         # the killed body never moved its bytes; all four ran on node 0
         assert cluster.nodes[1].membw.total_work == 0.0
         assert cluster.nodes[0].membw.total_work == 4 * 400.0
-        assert result.tasks_recomputed == 1
-        assert result.recovery_overhead_s.hex() == "0x1.0000000000000p+0"
+        assert report.tasks_recomputed == 1
+        assert report.recovery_overhead_s.hex() == "0x1.0000000000000p+0"
 
     def test_legacy_chain_dies_before_its_transfer(self, monkeypatch):
         from repro.legacy.runtime import LegacyRuntime
@@ -564,13 +599,12 @@ class TestCrashInsideACharge:
         its_transfer = ("membw1", span.t_start + cost.cpu, cost.bytes)
         assert its_transfer in issued
 
-        cluster, _, result = run(crash_at=span.t_start + cost.cpu / 2)
-        assert result.ranks_lost > 0
-        assert its_transfer not in issued
+        cluster, _, _ = run(crash_at=span.t_start + cost.cpu / 2)
         report = cluster.faults.report
+        assert report.ranks_lost > 0
+        assert its_transfer not in issued
         assert report.tasks_recomputed == 0
         assert report.recovery_overhead_s.hex() == "0x0.0p+0"
-        assert result.recovery_overhead_s.hex() == "0x0.0p+0"
 
 
 # ----------------------------------------------------------------------
@@ -702,9 +736,9 @@ class TestDeadGetterRegression:
         variant = variant_by_name("v5")
         md = inspect_subroutine(workload.subroutine, cluster, variant)
         runtime = ParsecRuntime(cluster)
-        result = runtime.execute(build_ccsd_ptg(variant, md), md)
-        assert result.nodes_crashed == 1
-        assert result.tasks_reassigned > 0
+        runtime.execute(build_ccsd_ptg(variant, md), md)
+        assert cluster.faults.report.nodes_crashed == 1
+        assert cluster.faults.report.tasks_reassigned > 0
         # drain() removed (and abandoned) every getter parked at crash
         # time: no corpse is left for a stray put() to resurrect
         dead_ready = runtime.schedulers[1].ready

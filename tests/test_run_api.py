@@ -1,5 +1,6 @@
 """Tests of the unified ``repro.run`` facade and the RunResult protocol."""
 
+import dataclasses
 import functools
 import json
 
@@ -10,8 +11,10 @@ import repro
 from repro.core import api
 from repro.core.api import RunConfig, run
 from repro.experiments.calibration import make_cluster, make_workload
+from repro.experiments.chaos import default_plan
 from repro.obs.report import RunReport
 from repro.obs.result import RunResult
+from repro.sim.faults import FaultReport
 from repro.util.errors import ConfigurationError
 from tests.data import regen_golden_digests as regen
 
@@ -157,21 +160,43 @@ class TestRunResultProtocol:
             result = run("t2_7:tiny", runtime=runtime, config=TINY)
             assert result.execution_time > 0
             assert result.n_tasks > 0
-            assert isinstance(result.recovery_counters(), dict)
             assert result.runtime_name in result.summary()
             assert result.output is not None
 
     def test_recovery_counters_zero_without_faults(self):
-        result = run("t2_7:tiny", runtime="parsec", config=TINY)
-        assert set(result.recovery_counters()) == {
-            "task_retries",
-            "retransmits",
-            "tasks_recomputed",
-            "tasks_reassigned",
-            "nodes_crashed",
-            "recovery_overhead_s",
+        # every runtime reports the same keys: the whole FaultReport
+        for runtime in ("legacy", "parsec", "dtd"):
+            result = run("t2_7:tiny", runtime=runtime, config=TINY)
+            assert result.report.recovery == dataclasses.asdict(FaultReport())
+            assert set(result.report.recovery) == {
+                spec.name for spec in dataclasses.fields(FaultReport)
+            }
+            assert not any(result.report.recovery.values())
+
+    @pytest.mark.parametrize("runtime", ["legacy", "v5"])
+    def test_report_recovery_is_the_clusters_fault_report(self, runtime):
+        horizon = run("t2_7:tiny", runtime=runtime, config=TINY).execution_time
+        workload = api.build("t2_7:tiny", TINY)
+        workload.cluster.install_faults(default_plan(3, horizon, TINY.n_nodes))
+        result = run(workload, runtime=runtime, config=TINY)
+        report = workload.cluster.faults.report
+        assert report.recovered and report.nodes_crashed == 1
+        assert result.report.recovery == dataclasses.asdict(report)
+
+    def test_no_result_copies_a_fault_count(self):
+        """The cluster's FaultReport is the one record of recovery: no
+        runtime's result declares a field of its own."""
+        import repro.parsec.dtd  # noqa: F401  (DtdResult)
+
+        recorded = {spec.name for spec in dataclasses.fields(FaultReport)}
+        pending = RunResult.__subclasses__()
+        assert {cls.__name__ for cls in pending} >= {
+            "ParsecResult", "LegacyResult", "DtdResult"
         }
-        assert all(v == 0 for v in result.recovery_counters().values())
+        while pending:
+            cls = pending.pop()
+            pending += cls.__subclasses__()
+            assert not recorded & {f.name for f in dataclasses.fields(cls)}, cls
 
     def test_report_attached_when_metrics_enabled(self):
         result = run("t2_7:tiny", runtime="parsec", config=TINY)
